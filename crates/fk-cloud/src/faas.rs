@@ -24,7 +24,7 @@ use crate::region::Region;
 use crate::trace::Ctx;
 use crate::trace::LatencyMode;
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,7 +44,11 @@ pub struct FnError {
     /// on them (it cannot process them yet — e.g. an ordering
     /// prerequisite on another queue has not landed). Deferred messages
     /// are returned with [`crate::queue::Queue::nack_deferred`], so they
-    /// never burn redelivery attempts toward the dead-letter queue.
+    /// never burn redelivery attempts toward the dead-letter queue. The
+    /// function decides this once and returns; it never waits inside the
+    /// invocation. A queue trigger whose batch deferred whole holds the
+    /// redelivery until another trigger of the runtime consumed a
+    /// message.
     pub deferred: bool,
 }
 
@@ -59,8 +63,9 @@ impl FnError {
         }
     }
 
-    /// A retryable *deferral* starting at batch index 0: redeliver, but
-    /// without counting an attempt (see [`FnError::deferred`]).
+    /// A *deferral* starting at batch index 0: redeliver once someone
+    /// else has made progress, without counting an attempt (see
+    /// [`FnError::deferred`]).
     pub fn defer(detail: impl Into<String>) -> Self {
         FnError {
             deferred: true,
@@ -249,6 +254,11 @@ struct RuntimeInner {
     /// the paper's "users should be notified of repeated errors" (§2.1).
     failure_hook: Mutex<Option<FailureHook>>,
     chaos: std::sync::OnceLock<Arc<Chaos>>,
+    /// Batches settled with at least one message consumed, over every
+    /// queue trigger of the runtime; `progressed` wakes the triggers
+    /// parked on it (see `trigger_loop`).
+    progress: Mutex<u64>,
+    progressed: Condvar,
 }
 
 /// The function runtime. Cloning shares the runtime.
@@ -272,6 +282,8 @@ impl FaasRuntime {
                 seed: AtomicU64::new(0x5eed),
                 failure_hook: Mutex::new(None),
                 chaos: std::sync::OnceLock::new(),
+                progress: Mutex::new(0),
+                progressed: Condvar::new(),
             }),
         }
     }
@@ -538,37 +550,41 @@ impl FaasRuntime {
             let event = Event::Queue {
                 messages: batch.messages,
             };
-            match self.run_in_sandbox(&entry, &ctx, &event) {
-                Ok(_) => {
-                    // Crash-after: the handler ran and its side effects
-                    // are durable, but the sandbox dies before acking —
-                    // the batch is redelivered anyway, exercising every
-                    // consumer's duplicate-processing guards.
-                    let crash_after = self.inner.chaos.get().is_some_and(|chaos| {
-                        if chaos.fire(&ctx, FaultKind::FnCrashAfter) {
-                            self.inner
-                                .meter
-                                .fault_injected(FaultKind::FnCrashAfter.label());
-                            true
-                        } else {
-                            false
-                        }
-                    });
-                    if crash_after {
-                        queue.nack(batch.receipt, 0);
-                    } else {
-                        queue.ack(batch.receipt);
+            // Sampled before the invocation, so progress another trigger
+            // makes while this one runs is never slept through below.
+            let progress_seen = *self.inner.progress.lock();
+            let mut outcome = self.run_in_sandbox(&entry, &ctx, &event);
+            // Crash-after: the handler ran and its side effects are
+            // durable, but the sandbox dies before acking — the batch is
+            // redelivered anyway, exercising every consumer's
+            // duplicate-processing guards.
+            if outcome.is_ok() {
+                if let Some(chaos) = self.inner.chaos.get() {
+                    if chaos.fire(&ctx, FaultKind::FnCrashAfter) {
+                        self.inner
+                            .meter
+                            .fault_injected(FaultKind::FnCrashAfter.label());
+                        outcome = Err(FnError::retryable("injected crash after the handler"));
                     }
                 }
-                Err(e) if e.retryable && e.deferred => {
-                    queue.nack_deferred(batch.receipt, e.failed_index);
+            }
+            if let Err(e) = &outcome {
+                if !e.retryable {
+                    self.notify_failure(&entry.name, e);
                 }
-                Err(e) if e.retryable => {
-                    queue.nack(batch.receipt, e.failed_index);
-                }
-                Err(e) => {
-                    self.notify_failure(&entry.name, &e);
-                    queue.ack(batch.receipt);
+            }
+            if queue.settle(batch.receipt, &outcome) > 0 {
+                *self.inner.progress.lock() += 1;
+                self.inner.progressed.notify_all();
+            } else if matches!(&outcome, Err(e) if e.deferred) {
+                // The whole batch deferred: what it waits for is in
+                // another trigger's hands. Park here — outside the
+                // sandbox, unbilled — until some trigger consumes a
+                // message (or the poll interval passes) instead of
+                // re-invoking the function to find out.
+                let mut progress = self.inner.progress.lock();
+                if *progress == progress_seen {
+                    self.inner.progressed.wait_for(&mut progress, poll);
                 }
             }
         }

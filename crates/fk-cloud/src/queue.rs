@@ -15,6 +15,7 @@
 
 use crate::chaos::{Chaos, FaultKind};
 use crate::error::{CloudError, CloudResult};
+use crate::faas::FnError;
 use crate::metering::Meter;
 use crate::ops::{Op, QueueKind};
 use crate::region::Region;
@@ -624,21 +625,43 @@ impl Queue {
 
     /// Acknowledges a batch: deletes the messages and unblocks the group.
     pub fn ack(&self, receipt: Receipt) {
+        self.ack_inner(receipt);
+    }
+
+    fn ack_inner(&self, receipt: Receipt) -> usize {
         let mut st = self.inner.state.lock();
+        let mut consumed = 0;
         if let Some(inflight) = st.inflight.remove(&receipt.0) {
+            consumed = inflight.messages.len();
             if let Some(group) = inflight.group {
                 st.blocked.remove(&group);
             }
         }
         drop(st);
         self.inner.available.notify_all();
+        consumed
+    }
+
+    /// Settles a received batch by its handler's outcome — the one place
+    /// the ack / nack contract is written down: success acks; a
+    /// *deferral* returns the suffix from `failed_index` without burning
+    /// attempts ([`Queue::nack_deferred`]); a retryable failure returns
+    /// it with an attempt burnt ([`Queue::nack`]); a non-retryable
+    /// failure drops the batch (redelivery cannot help — the caller
+    /// reports it). Returns how many messages left the queue for good,
+    /// which is what "this consumer made progress" means.
+    pub fn settle<T>(&self, receipt: Receipt, outcome: &Result<T, FnError>) -> usize {
+        match outcome {
+            Err(e) if e.retryable => self.nack_inner(receipt, e.failed_index, e.deferred),
+            _ => self.ack_inner(receipt),
+        }
     }
 
     /// Negative-acknowledges a batch from `first_failed` onward: earlier
     /// messages are deleted, the rest return to the front of their group
     /// (SQS partial-batch-failure semantics).
     pub fn nack(&self, receipt: Receipt, first_failed: usize) {
-        self.nack_inner(receipt, first_failed, false)
+        self.nack_inner(receipt, first_failed, false);
     }
 
     /// Like [`Queue::nack`], but the returned messages do **not** burn a
@@ -648,15 +671,15 @@ impl Queue {
     /// visibility timeout instead of reporting a batch-item failure; a
     /// deferred message must never drift toward the dead-letter queue.
     pub fn nack_deferred(&self, receipt: Receipt, first_failed: usize) {
-        self.nack_inner(receipt, first_failed, true)
+        self.nack_inner(receipt, first_failed, true);
     }
 
-    fn nack_inner(&self, receipt: Receipt, first_failed: usize, deferred: bool) {
+    fn nack_inner(&self, receipt: Receipt, first_failed: usize, deferred: bool) -> usize {
         let mut st = self.inner.state.lock();
+        let mut consumed = 0;
         if let Some(mut inflight) = st.inflight.remove(&receipt.0) {
-            inflight
-                .messages
-                .drain(..first_failed.min(inflight.messages.len()));
+            consumed = first_failed.min(inflight.messages.len());
+            inflight.messages.drain(..consumed);
             if deferred {
                 for msg in &mut inflight.messages {
                     msg.attempt = msg.attempt.saturating_sub(1);
@@ -671,6 +694,7 @@ impl Queue {
         }
         drop(st);
         self.inner.available.notify_all();
+        consumed
     }
 }
 

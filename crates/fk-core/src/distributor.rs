@@ -21,8 +21,9 @@
 //!    applies its shard's effects through the batched store interface
 //!    ([`UserStore::write_batch`] / [`UserStore::delete_batch`]),
 //!    coalescing repeated writes to the same path into the final state.
-//!    Workers run on real threads and on forked virtual-time contexts,
-//!    so both wall-clock and simulated latency reflect the parallelism.
+//!    Workers run on forked virtual-time contexts joined at the
+//!    slowest, so simulated latency reflects the parallelism; on the
+//!    host they run back to back (`fan_out`).
 //! 4. **Ordered finalization** — a single epoch-counter bump per region
 //!    publishes all watch ids fired by the epoch before any later
 //!    transaction commits (Z4), client notifications go out in txid
@@ -288,42 +289,26 @@ impl<K: Eq + std::hash::Hash + Clone, V> OrderedMap<K, V> {
     }
 }
 
-/// Runs `jobs` closures on forked virtual-time contexts, in parallel on
-/// real threads, and joins both the threads and the virtual clocks. The
-/// closure receives `(job_index, forked_ctx)`.
+/// Runs `jobs` closures on forked virtual-time contexts and joins the
+/// parent clock to the slowest fork: the jobs overlap in *virtual* time,
+/// which is the only clock the simulated stores spend. They run one
+/// after another on the calling thread — each takes microseconds of
+/// host time, far less than a thread costs to spawn. Every job runs even
+/// if an earlier one failed; the first error in job order is returned.
+/// The closure receives `(job_index, forked_ctx)`.
 pub(crate) fn fan_out<F>(ctx: &Ctx, jobs: usize, run: F) -> CloudResult<()>
 where
-    F: Fn(usize, &Ctx) -> CloudResult<()> + Sync,
+    F: Fn(usize, &Ctx) -> CloudResult<()>,
 {
-    match jobs {
-        0 => return Ok(()),
-        1 => {
-            let child = ctx.fork();
-            let result = run(0, &child);
-            ctx.join(std::slice::from_ref(&child));
-            return result;
-        }
-        _ => {}
-    }
-    // Forks are created in deterministic order (each draws its RNG seed
-    // from the parent), so latency sampling does not depend on thread
-    // scheduling.
+    // Forks are created up front, in order (each draws its RNG seed
+    // from the parent), so a job's latency samples do not depend on what
+    // the jobs before it drew.
     let forks: Vec<Ctx> = (0..jobs).map(|_| ctx.fork()).collect();
-    let run = &run;
-    let results: Vec<CloudResult<()>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = forks
-            .iter()
-            .enumerate()
-            .map(|(i, child)| scope.spawn(move || run(i, child)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(result) => result,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    });
+    let results: Vec<CloudResult<()>> = forks
+        .iter()
+        .enumerate()
+        .map(|(i, child)| run(i, child))
+        .collect();
     ctx.join(&forks);
     results.into_iter().collect()
 }
@@ -1468,7 +1453,7 @@ mod tests {
             .unwrap();
             ctx.now()
         };
-        assert_eq!(run(), run(), "threaded fan-out samples deterministically");
+        assert_eq!(run(), run(), "fan-out samples deterministically");
     }
 
     #[test]

@@ -240,30 +240,19 @@ impl Follower {
                 continue;
             };
             if request.request_id != INTERNAL_REQUEST {
-                if msg.attempt > 1 {
-                    if matches!(request.op, WriteOp::CloseSession) {
-                        // A CloseSession never advances the watermark
-                        // (it does not commit through `stage_push`), but
-                        // a redelivered or duplicated copy has its own
-                        // tell: the session item is only ever removed by
-                        // the leader's deregistration, which notifies
-                        // the close's success first — so if the item is
-                        // gone, the original delivery was completed and
-                        // answered, and re-running it would misreport
-                        // `SessionExpired` for a successful close.
-                        if self.system.get_session(ctx, &request.session_id).is_none() {
-                            continue;
-                        }
-                    } else {
-                        let watermark = *watermarks
+                // A CloseSession never advances the watermark (it does
+                // not commit through `stage_push`); `close_session`
+                // tells a re-received copy apart itself.
+                if msg.attempt > 1 && !matches!(request.op, WriteOp::CloseSession) {
+                    let watermark =
+                        *watermarks
                             .entry(request.session_id.clone())
                             .or_insert_with(|| {
                                 self.system
                                     .session_request_watermark(ctx, &request.session_id)
                             });
-                        if request.request_id <= watermark {
-                            continue;
-                        }
+                    if request.request_id <= watermark {
+                        continue;
                     }
                 }
                 if !seen.insert((request.session_id.clone(), request.request_id)) {
@@ -283,7 +272,8 @@ impl Follower {
             let wave = &requests[start..end];
             if wave.len() == 1 {
                 let (msg_index, request) = &wave[0];
-                self.process_request_with(ctx, request, membership.as_ref())
+                let re_received = messages[*msg_index].attempt > 1;
+                self.process_request_with(ctx, request, membership.as_ref(), re_received)
                     .map_err(|e| e.at_index(*msg_index))?;
             } else {
                 self.process_wave(ctx, wave, membership.as_ref())?;
@@ -297,17 +287,20 @@ impl Follower {
     /// point; a batch of one behaves identically to the wave path).
     pub fn process_request(&self, ctx: &Ctx, request: &ClientRequest) -> Result<(), FnError> {
         let membership = self.current_membership(ctx);
-        self.process_request_with(ctx, request, membership.as_ref())
+        self.process_request_with(ctx, request, membership.as_ref(), false)
     }
 
+    /// `re_received`: the queue has delivered this message before (a
+    /// redelivery or a duplicated copy).
     fn process_request_with(
         &self,
         ctx: &Ctx,
         request: &ClientRequest,
         membership: Option<&Membership>,
+        re_received: bool,
     ) -> Result<(), FnError> {
         match &request.op {
-            WriteOp::CloseSession => self.close_session(ctx, request, membership),
+            WriteOp::CloseSession => self.close_session(ctx, request, membership, re_received),
             _ => match self.run_single(ctx, request, membership) {
                 Ok(_) => Ok(()),
                 Err(OpError::Client(err)) => {
@@ -1824,10 +1817,19 @@ impl Follower {
         ctx: &Ctx,
         request: &ClientRequest,
         membership: Option<&Membership>,
+        re_received: bool,
     ) -> Result<(), FnError> {
         let session = &request.session_id;
         let Some(item) = self.system.get_session(ctx, session) else {
-            self.notify_failure(ctx, session, request.request_id, FkError::SessionExpired);
+            // The session item is only ever removed by the leader's
+            // deregistration. For a re-received copy that means an
+            // earlier delivery of this very close completed (the leader
+            // answers it), and reporting `SessionExpired` would
+            // misreport a successful close — one read decides, so the
+            // leader cannot slip its removal in between two.
+            if !re_received {
+                self.notify_failure(ctx, session, request.request_id, FkError::SessionExpired);
+            }
             return Ok(());
         };
         let mut ephemerals: Vec<String> = item

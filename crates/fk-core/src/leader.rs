@@ -9,8 +9,14 @@
 //! ➊a **Sequence** — hold back any record whose session predecessor
 //! (possibly on another shard group) has not been distributed yet,
 //! per the session's high-water mark in system storage (Z2's
-//! cross-shard rule; a held suffix defers back to the queue without
-//! burning redelivery attempts). ➊ **Verify** — check every
+//! cross-shard rule). The decision costs **one** strong read of the
+//! mark per unresolved session: on a miss the held suffix defers back
+//! to the queue at once, burning no redelivery attempt, and the
+//! invocation ends — it never waits. The wait lives in whoever drives
+//! the lane: the runtime's queue trigger parks a wholly deferred batch
+//! outside the sandbox, unbilled, until another trigger consumed a
+//! message (`fk_cloud::faas`); direct drivers re-offer a deferred lane
+//! only after another lane ran. ➊ **Verify** — check every
 //! transaction's system-storage commit (sharded parallel reads); for
 //! missing commits, `TryCommit` on the failed follower's behalf and
 //! reject the request if the locks were lost. ➋ **Segment** the batch
@@ -307,22 +313,12 @@ impl Leader {
         };
         let bytes: usize = batch.messages.iter().map(|m| m.body.len()).sum();
         ctx.charge(Op::QueueDispatch(queue.kind()), bytes);
-        match self.process_messages(ctx, &batch.messages) {
-            Ok(()) => {
-                let n = batch.messages.len();
-                queue.ack(batch.receipt);
-                self.batch.observe(n, queue.pending());
-                Ok(n)
-            }
-            Err(e) if e.deferred => {
-                queue.nack_deferred(batch.receipt, e.failed_index);
-                Err(e)
-            }
-            Err(e) => {
-                queue.nack(batch.receipt, e.failed_index);
-                Err(e)
-            }
-        }
+        let outcome = self.process_messages(ctx, &batch.messages);
+        let consumed = queue.settle(batch.receipt, &outcome);
+        outcome.map(|()| {
+            self.batch.observe(consumed, queue.pending());
+            consumed
+        })
     }
 
     /// The current epoch batch window.
@@ -419,18 +415,14 @@ impl Leader {
     /// mark, or by an earlier record of this very batch (the predecessor
     /// shares this group's queue and distributes in an earlier or the
     /// same epoch — exactly the in-invocation ordering the single-leader
-    /// pipeline always had). On the first miss the leader briefly polls
-    /// the mark — the predecessor's group is making independent progress,
-    /// so waits are short and, because hold-back edges always point to
-    /// earlier-pushed transactions, cycle-free — then gives up and lets
-    /// the queue redeliver.
+    /// pipeline always had). An unresolved session's mark is read **once**:
+    /// on a miss the prefix is cut there — the predecessor is in another
+    /// group's lane, and a billed invocation is the wrong place to wait
+    /// for it (see the module doc for where the wait lives). Hold-back
+    /// edges always point to earlier-pushed transactions, so that wait
+    /// is cycle-free.
     fn sequencing_prefix(&self, ctx: &Ctx, decoded: &[(usize, u64, LeaderRecord)]) -> usize {
         use std::collections::HashMap;
-        // A short in-invocation grace for the common race (the
-        // predecessor's group is mid-epoch); anything longer defers to
-        // queue redelivery, which burns no attempts (`FnError::defer`).
-        const POLLS: u32 = 10;
-        const POLL_INTERVAL: Duration = Duration::from_millis(2);
         // A single-group tier funnels every record through this one
         // queue, so each predecessor was processed earlier in it: the
         // constraint holds by construction and the check (plus its
@@ -455,13 +447,7 @@ impl Leader {
                     .get(session)
                     .is_some_and(|seen| *seen >= record.prev_txid);
             if !satisfied_locally {
-                let mut applied = self.system.session_applied_txid(ctx, session);
-                let mut polls = 0;
-                while applied < record.prev_txid && polls < POLLS {
-                    std::thread::sleep(POLL_INTERVAL);
-                    applied = self.system.session_applied_txid(ctx, session);
-                    polls += 1;
-                }
+                let applied = self.system.session_applied_txid(ctx, session);
                 self.memoize_applied(session, applied);
                 if applied < record.prev_txid {
                     return position;
@@ -1449,6 +1435,100 @@ mod tests {
         assert_eq!(deployment.system().session_applied_txid(&ctx, "s"), 500);
     }
 
+    /// The hold-back decides once: a batch whose head names a
+    /// predecessor still queued in the other group's lane defers at
+    /// index 0 for the price of a single strong read of the session
+    /// mark — no polling, no waiting inside the invocation — and the
+    /// same batch goes through once the predecessor's mark has landed.
+    #[test]
+    fn held_head_defers_after_exactly_one_mark_read() {
+        use fk_cloud::trace::{Ctx, LatencyMode};
+        let deployment = Deployment::direct(
+            DeploymentConfig::aws()
+                .with_shard_groups(2)
+                .with_mode(LatencyMode::Virtual, 7),
+        );
+        let follower = deployment.make_follower();
+        let leaders = [
+            deployment.make_leader_inline(),
+            deployment.make_leader_inline(),
+        ];
+        let ctx = Ctx::new(Arc::clone(deployment.model()), LatencyMode::Virtual, 7);
+        deployment.system().register_session(&ctx, "s", 0).unwrap();
+        let (endpoint, _) = deployment.bus().register("s");
+
+        // Two pipelined creates whose paths live on different groups.
+        let path_on = |group: usize| {
+            (0..64)
+                .map(|i| format!("/n{i}"))
+                .find(|p| fk_cloud::queue::group_of(p, 2) == group)
+                .expect("some path hashes to each group")
+        };
+        for (rid, group) in [(1u64, 0usize), (2, 1)] {
+            let request = ClientRequest {
+                session_id: "s".into(),
+                request_id: rid,
+                op: WriteOp::Create {
+                    path: path_on(group),
+                    payload: Payload::inline(b"x"),
+                    mode: CreateMode::Persistent,
+                },
+            };
+            deployment
+                .write_queue()
+                .send(&ctx, "s", request.encode())
+                .unwrap();
+        }
+        while let Some(batch) = deployment.write_queue().receive(10, Duration::from_secs(5)) {
+            follower.process_messages(&ctx, &batch.messages).unwrap();
+            deployment.write_queue().ack(batch.receipt);
+        }
+
+        // Group 1 runs first: its head's predecessor sits in group 0.
+        let held_queue = deployment.leader_queues().queue(1);
+        let before = deployment.meter().snapshot();
+        ctx.take_spans();
+        let started = ctx.now();
+        let err = leaders[1].drain_queue(&ctx, held_queue).unwrap_err();
+        let elapsed = ctx.now().saturating_sub(started);
+        assert!(err.deferred, "held, not failed: {err:?}");
+        assert_eq!(err.failed_index, 0);
+        let used = deployment.meter().snapshot().since(&before);
+        assert_eq!(used.per_op["kv_read"], 1, "one mark read per deferral");
+        assert_eq!(used.kv_ops, 1, "and no other storage request");
+        let spans = ctx.take_spans();
+        let time_in = |wanted: fn(&Op) -> bool| -> Duration {
+            let of_kind = spans.iter().filter(|span| wanted(&span.op));
+            of_kind.map(|span| span.duration).sum()
+        };
+        let read = time_in(|op| matches!(op, Op::KvGet { consistent: true }));
+        let dispatch = time_in(|op| matches!(op, Op::QueueDispatch(_)));
+        assert!(
+            read > Duration::ZERO && elapsed < dispatch + 2 * read,
+            "a deferral costs dispatch ({dispatch:?}) + one strong read ({read:?}), not {elapsed:?}"
+        );
+        assert_eq!(held_queue.pending(), 1, "the batch went back whole");
+
+        // The predecessor distributes; the redelivered batch goes through.
+        let first = leaders[0]
+            .drain_queue(&ctx, deployment.leader_queues().queue(0))
+            .unwrap();
+        assert_eq!(first, 1);
+        assert_eq!(leaders[1].drain_queue(&ctx, held_queue).unwrap(), 1);
+        let acked: Vec<u64> = std::iter::from_fn(|| endpoint.try_recv().ok())
+            .filter_map(|n| match n {
+                ClientNotification::WriteResult {
+                    request_id, result, ..
+                } => {
+                    assert!(result.is_ok(), "{result:?}");
+                    Some(request_id)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acked, vec![1, 2], "acked in submission order");
+    }
+
     /// DES model of the cross-shard hold-back's *liveness*: shard groups
     /// drain on independent clocks; each session's transactions chain
     /// across groups (txn k waits for k-1, wherever it landed), and a
@@ -1472,11 +1552,19 @@ mod tests {
             applied: Vec<usize>,
             drained: usize,
             deferrals: usize,
+            /// Session-mark reads issued so far, and the share of them
+            /// issued by drains that ended deferred.
+            mark_reads: usize,
+            deferral_reads: usize,
             /// LCG state for per-group cadence jitter (the des scheduler
             /// seed varies the queue routing; this varies the clocks).
             jitter: u64,
         }
         impl Sim {
+            fn read_mark(&mut self, session: usize) -> usize {
+                self.mark_reads += 1;
+                self.applied[session]
+            }
             fn next_jitter(&mut self) -> u64 {
                 self.jitter = self
                     .jitter
@@ -1488,12 +1576,16 @@ mod tests {
         fn drain(group: usize) -> impl Fn(&mut Sim, &mut Scheduler<Sim>) + Clone {
             move |sim: &mut Sim, sched: &mut Scheduler<Sim>| {
                 if let Some((session, seq)) = sim.queues[group].front().copied() {
-                    if seq == 0 || sim.applied[session] >= seq - 1 {
+                    // One invocation = one look at the mark, then the
+                    // verdict; the next look is the next invocation.
+                    let reads_before = sim.mark_reads;
+                    if seq == 0 || sim.read_mark(session) >= seq - 1 {
                         sim.queues[group].pop_front();
                         sim.applied[session] = sim.applied[session].max(seq);
                         sim.drained += 1;
                     } else {
                         sim.deferrals += 1; // held back: redeliver later
+                        sim.deferral_reads += sim.mark_reads - reads_before;
                     }
                 }
                 if sim.queues.iter().any(|q| !q.is_empty()) {
@@ -1523,6 +1615,8 @@ mod tests {
                     applied: vec![0; SESSIONS],
                     drained: 0,
                     deferrals: 0,
+                    mark_reads: 0,
+                    deferral_reads: 0,
                     jitter: seed ^ 0x5EED,
                 },
                 seed,
@@ -1538,6 +1632,10 @@ mod tests {
                 SESSIONS * WRITES_PER_SESSION,
                 "seed {seed}: tier wedged with {} deferrals",
                 sim.deferrals
+            );
+            assert_eq!(
+                sim.deferral_reads, sim.deferrals,
+                "seed {seed}: a deferral costs exactly one mark read"
             );
         }
     }

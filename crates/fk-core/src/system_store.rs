@@ -269,17 +269,23 @@ impl SystemStore {
     }
 
     /// Removes a fully-drained tombstone item (leader cleanup after the
-    /// last pending transaction pops).
+    /// last pending transaction pops). A *locked* tombstone stays: the
+    /// delete was acknowledged before this cleanup, so a follower may
+    /// already be re-creating the node on it, and purging the item would
+    /// take the lock its commit is guarded on along with it.
     pub fn purge_tombstone(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
         use fk_cloud::CloudError;
-        let cond = Condition::Exists(node_attr::DELETED.into()).and(Condition::Compare(
-            fk_cloud::expr::Cmp::Eq,
-            node_attr::TXQ.into(),
-            Value::List(vec![]),
-        ));
+        let cond = Condition::Exists(node_attr::DELETED.into())
+            .and(Condition::Compare(
+                fk_cloud::expr::Cmp::Eq,
+                node_attr::TXQ.into(),
+                Value::List(vec![]),
+            ))
+            .and(Condition::NotExists(fk_sync::LOCK_ATTR.into()));
         match self.kv.delete(ctx, &keys::node(path), cond) {
             Ok(_) => Ok(()),
-            Err(CloudError::ConditionFailed { .. }) => Ok(()), // more txs pending
+            // More transactions pending, or one about to be.
+            Err(CloudError::ConditionFailed { .. }) => Ok(()),
             Err(e) => Err(e),
         }
     }

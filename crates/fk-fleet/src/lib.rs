@@ -347,21 +347,11 @@ impl Fleet {
                 .fn_invocation(self.deployment.config().follower_fn.memory_mb, {
                     ctx.now().saturating_sub(started)
                 });
-            match outcome {
-                Ok(()) => self.deployment.write_queue().ack(batch.receipt),
-                // A deferral (cannot process *yet*) goes back without
-                // burning a redelivery attempt; a failure redelivers
-                // and the queue's attempt counter walks poisoned
-                // messages to the DLQ.
-                Err(e) if e.deferred => self
-                    .deployment
-                    .write_queue()
-                    .nack_deferred(batch.receipt, e.failed_index),
-                Err(e) => self
-                    .deployment
-                    .write_queue()
-                    .nack(batch.receipt, e.failed_index),
-            }
+            // A failure redelivers, and the queue's attempt counter
+            // walks poisoned messages to the DLQ.
+            self.deployment
+                .write_queue()
+                .settle(batch.receipt, &outcome);
         }
     }
 
@@ -423,38 +413,18 @@ impl Fleet {
                         .meter()
                         .fn_invocation(leader_mb, lane.ctx.now().saturating_sub(started));
                     let completion_ns = self.lanes[g].ctx.now_ns();
-                    match outcome {
-                        Ok(()) => {
-                            self.record_completions(
-                                &batch.messages,
-                                batch.messages.len(),
-                                completion_ns,
-                            );
-                            let queue = self.deployment.leader_queues().queue(g);
-                            queue.ack(batch.receipt);
-                            self.lanes[g].busy_until_ns = completion_ns;
-                            progress = true;
-                        }
-                        // SQS partial-batch semantics: messages before
-                        // `failed_index` committed and are deleted by the
-                        // nack — account them as completed.
-                        Err(e) if e.deferred => {
-                            self.record_completions(&batch.messages, e.failed_index, completion_ns);
-                            let queue = self.deployment.leader_queues().queue(g);
-                            queue.nack_deferred(batch.receipt, e.failed_index);
-                            self.lanes[g].busy_until_ns = completion_ns;
-                            progress |= e.failed_index > 0;
-                            // The predecessor lives in another lane; give
-                            // it a chance before retrying this group.
-                            break;
-                        }
-                        Err(e) => {
-                            self.record_completions(&batch.messages, e.failed_index, completion_ns);
-                            let queue = self.deployment.leader_queues().queue(g);
-                            queue.nack(batch.receipt, e.failed_index);
-                            self.lanes[g].busy_until_ns = completion_ns;
-                            progress = true;
-                        }
+                    // SQS partial-batch semantics: messages before
+                    // `failed_index` committed and are deleted by the
+                    // settle — account them as completed.
+                    let consumed = queue.settle(batch.receipt, &outcome);
+                    self.record_completions(&batch.messages, consumed, completion_ns);
+                    self.lanes[g].busy_until_ns = completion_ns;
+                    let deferred = matches!(&outcome, Err(e) if e.deferred);
+                    progress |= consumed > 0 || !deferred;
+                    if deferred {
+                        // The predecessor lives in another lane; give
+                        // it a chance before retrying this group.
+                        break;
                     }
                 }
             }

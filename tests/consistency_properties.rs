@@ -629,3 +629,29 @@ fn shard_assignment_stability_and_coverage() {
         assert!(hit.iter().all(|&h| h), "all {shards} shards covered");
     }
 }
+
+/// A sequential client that deletes a node and re-creates it at once
+/// races the leader's epilogue: the delete is acknowledged before its
+/// tombstone is purged, so the follower may already hold the create's
+/// lock on that tombstone when the purge runs. The purge must leave a
+/// locked tombstone alone — removing it strands the create (its commit
+/// guard names a lock that no longer exists) and the parent lock with it.
+#[test]
+fn delete_then_recreate_races_the_tombstone_purge_safely() {
+    let fk = Deployment::start(DeploymentConfig::aws());
+    let config = ClientConfig {
+        timeout: std::time::Duration::from_secs(5),
+        ..ClientConfig::new("recreate")
+    };
+    let client = fk.connect_with(config).unwrap();
+    for round in 0..2000 {
+        client
+            .create("/again", b"x", CreateMode::Persistent)
+            .unwrap_or_else(|e| panic!("round {round}: create failed: {e:?}"));
+        client
+            .delete("/again", -1)
+            .unwrap_or_else(|e| panic!("round {round}: delete failed: {e:?}"));
+    }
+    let _ = client.close();
+    fk.shutdown();
+}

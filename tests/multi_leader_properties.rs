@@ -228,14 +228,39 @@ fn assert_z2_z3(committed: &[Committed], expected: usize) {
     assert_eq!(distinct.len(), committed.len(), "txids globally unique");
 }
 
+/// Random leader schedules replayed per generated geometry. A deferral
+/// is one storage read and no wall clock, so a schedule costs
+/// milliseconds; the seeds are consecutive from the generated one.
+const SCHEDULES_PER_GEOMETRY: u64 = 4;
+
+/// Runs one geometry under [`SCHEDULES_PER_GEOMETRY`] drain schedules and
+/// checks Z2/Z3 and tree integrity after each.
+fn check_geometry(groups: usize, sessions: usize, paths: usize, rounds: usize, schedule_seed: u64) {
+    for schedule in 0..SCHEDULES_PER_GEOMETRY {
+        let seed = schedule_seed.wrapping_add(schedule);
+        let (committed, hit, deployment) =
+            run_random_schedule(groups, sessions, paths, rounds, seed);
+        assert!(hit >= 2, "paths must span at least two shard groups");
+        // setup create of /p + per session: paths creates + rounds set_data.
+        assert_z2_z3(&committed, 1 + sessions * (paths + rounds));
+        let ctx = fk_cloud::trace::Ctx::disabled();
+        let violations =
+            check_tree_integrity(&ctx, deployment.system(), deployment.user_store().as_ref());
+        assert!(
+            violations.is_empty(),
+            "schedule seed {seed}: {violations:#?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 8, // each case spins a full deployment
+        cases: 8, // each case spins a full deployment per schedule
         .. ProptestConfig::default()
     })]
 
     /// One session, writes spread over several paths (and so over
-    /// several shard groups), random drain schedule: per-session total
+    /// several shard groups), random drain schedules: per-session total
     /// order and global txid uniqueness must hold at every shard-group
     /// count.
     #[test]
@@ -244,16 +269,7 @@ proptest! {
         rounds in 1usize..8,
         schedule_seed in geometry::schedule_seed(),
     ) {
-        let paths = 6;
-        let (committed, hit, deployment) =
-            run_random_schedule(groups, 1, paths, rounds, schedule_seed);
-        prop_assert!(hit >= 2, "paths must span at least two shard groups");
-        // setup create of /p + paths creates + rounds set_data.
-        assert_z2_z3(&committed, 1 + paths + rounds);
-        let ctx = fk_cloud::trace::Ctx::disabled();
-        let violations =
-            check_tree_integrity(&ctx, deployment.system(), deployment.user_store().as_ref());
-        prop_assert!(violations.is_empty(), "{violations:#?}");
+        check_geometry(groups, 1, 6, rounds, schedule_seed);
     }
 
     /// Several sessions at once: the same guarantees, plus cross-session
@@ -265,14 +281,6 @@ proptest! {
         rounds in 1usize..5,
         schedule_seed in geometry::schedule_seed(),
     ) {
-        let paths = 3;
-        let (committed, hit, deployment) =
-            run_random_schedule(groups, sessions, paths, rounds, schedule_seed);
-        prop_assert!(hit >= 2, "paths must span at least two shard groups");
-        assert_z2_z3(&committed, 1 + sessions * (paths + rounds));
-        let ctx = fk_cloud::trace::Ctx::disabled();
-        let violations =
-            check_tree_integrity(&ctx, deployment.system(), deployment.user_store().as_ref());
-        prop_assert!(violations.is_empty(), "{violations:#?}");
+        check_geometry(groups, sessions, 3, rounds, schedule_seed);
     }
 }

@@ -188,3 +188,80 @@ fn reads_overtake_stalled_writes() {
     );
     deployment.shutdown();
 }
+
+/// A held leader lane waits in its trigger, not by re-invoking the
+/// function: one session pipelines writes whose consecutive paths
+/// alternate between the two shard groups, so every record's
+/// predecessor is in the *other* lane. The acks must still arrive in
+/// submission order with rising txids (Z1/Z2), and the leader tier may
+/// not spin — a deferred batch is re-offered when some trigger made
+/// progress (or the poll interval passed), which bounds invocations by
+/// a small multiple of the writes.
+#[test]
+fn held_lane_waits_in_the_trigger_without_spinning_invocations() {
+    use fk_core::deploy::fn_names;
+    const WRITES: usize = 32;
+    let deployment = Deployment::start(
+        DeploymentConfig::aws().with_distributor(DistributorConfig::new(2, 16).with_groups(2)),
+    );
+    let client = deployment.connect("alternating").unwrap();
+    let paths: Vec<String> = (0..2)
+        .map(|group| {
+            (0..64)
+                .map(|i| format!("/lane{i}"))
+                .find(|p| fk_cloud::queue::group_of(p, 2) == group)
+                .expect("some path hashes to each group")
+        })
+        .collect();
+    for path in &paths {
+        client
+            .create(path, b"seed", CreateMode::Persistent)
+            .unwrap();
+    }
+    let leader_invocations = || -> u64 {
+        (0..2)
+            .map(|group| {
+                let (cold, warm) = deployment
+                    .runtime()
+                    .start_counts(&fn_names::leader(group))
+                    .unwrap();
+                cold + warm
+            })
+            .sum()
+    };
+    let invocations_before = leader_invocations();
+
+    let completions: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+    let handles: Vec<_> = (0..WRITES)
+        .map(|op| {
+            let handle = client
+                .submit_set_data(&paths[op % 2], format!("v{op}").as_bytes(), -1)
+                .unwrap();
+            let log = Arc::clone(&completions);
+            handle.on_complete(move |_| log.lock().unwrap().push(op));
+            handle
+        })
+        .collect();
+    let mut last_txid = 0u64;
+    for (op, handle) in handles.iter().enumerate() {
+        let stat = handle.wait_timeout(Duration::from_secs(20)).unwrap();
+        assert!(
+            stat.modified_txid > last_txid,
+            "write {op}: txid regressed ({} after {last_txid})",
+            stat.modified_txid
+        );
+        last_txid = stat.modified_txid;
+    }
+    assert_eq!(
+        *completions.lock().unwrap(),
+        (0..WRITES).collect::<Vec<_>>(),
+        "acks in submission order"
+    );
+    let invocations = leader_invocations() - invocations_before;
+    assert!(
+        invocations <= 8 * WRITES as u64,
+        "{invocations} leader invocations for {WRITES} writes: a held lane is spinning its trigger"
+    );
+    let _ = client.close();
+    deployment.shutdown();
+}
