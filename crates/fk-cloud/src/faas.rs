@@ -40,15 +40,19 @@ pub struct FnError {
     pub failed_index: usize,
     /// Whether redelivery should be attempted.
     pub retryable: bool,
-    /// The function *deferred* the remaining messages rather than failing
-    /// on them (it cannot process them yet — e.g. an ordering
-    /// prerequisite on another queue has not landed). Deferred messages
-    /// are returned with [`crate::queue::Queue::nack_deferred`], so they
-    /// never burn redelivery attempts toward the dead-letter queue. The
-    /// function decides this once and returns; it never waits inside the
-    /// invocation. A queue trigger whose batch deferred whole holds the
-    /// redelivery until another trigger of the runtime consumed a
-    /// message.
+    /// The function *deferred* the messages from `failed_index` on
+    /// rather than failing on them (it cannot process that one yet —
+    /// e.g. an ordering prerequisite on another queue has not landed).
+    /// Deferred messages are returned with
+    /// [`crate::queue::Queue::nack_deferred`], so they never burn
+    /// redelivery attempts toward the dead-letter queue. The function
+    /// decides this once and returns; it never waits inside the
+    /// invocation. It may already have processed messages *behind*
+    /// `failed_index` that do not depend on the deferred one: they come
+    /// back with the suffix, and skipping them on redelivery is the
+    /// function's business. A queue trigger whose batch deferred whole
+    /// holds the redelivery until another trigger of the runtime
+    /// consumed a message.
     pub deferred: bool,
 }
 

@@ -24,15 +24,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// How charged latencies are realized.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatencyMode {
     /// Ignore latencies entirely (functional tests).
     Disabled,
     /// Advance the virtual clock only (benchmark harness).
     Virtual,
-    /// Advance the virtual clock *and* sleep `scale ×` the sampled latency
-    /// (integration tests that want realistic interleavings).
-    SleepScaled(f64),
 }
 
 /// One recorded operation.
@@ -198,11 +195,6 @@ impl Ctx {
                 start: Duration::from_nanos(start_ns),
                 duration: dur,
             });
-        }
-        if let LatencyMode::SleepScaled(scale) = self.shared.mode {
-            if dur > Duration::ZERO {
-                std::thread::sleep(dur.mul_f64(scale));
-            }
         }
         dur
     }

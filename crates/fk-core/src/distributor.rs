@@ -176,6 +176,12 @@ pub struct CommittedTx<'a> {
     /// Per-sub payload bytes of a multi record, aligned with
     /// `record.ops` (empty for single-op records).
     pub multi_data: Vec<Bytes>,
+    /// Distributed from *behind* a held record of its queue batch (the
+    /// leader's skip-ahead): earlier records of the lane are still
+    /// undistributed, so the txid must not count toward the group's
+    /// high-water mark yet. [`Distributor::feed_high_water`] publishes
+    /// it once the record's message is acknowledged in a prefix.
+    pub ahead: bool,
 }
 
 /// One storage effect of a transaction, keyed by the path it touches.
@@ -598,28 +604,10 @@ impl Distributor {
         };
         let effects: Vec<Effect<'_>> = items.iter().flat_map(effects_of).collect();
 
-        // The epoch's per-shard-group txid high-water marks. A
-        // single-group tier allocates raw queue sequence numbers (group
-        // 0); a multi-group tier composes (epoch << GROUP_BITS) | group.
-        let groups = self.config.groups.max(1);
-        let mut floors = vec![0u64; groups];
-        for tx in items {
-            let group = if groups > 1 {
-                crate::system_store::txid::group_of(tx.txid)
-            } else {
-                0
-            };
-            if let Some(floor) = floors.get_mut(group) {
-                *floor = (*floor).max(tx.txid);
-            }
-        }
-        let high_water: Arc<Vec<(usize, u64)>> = Arc::new(
-            floors
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, hw)| hw > 0)
-                .collect(),
-        );
+        // Records applied ahead of a held one stay out: the replicas'
+        // applied floor is a statement about a lane's *prefix*.
+        let high_water =
+            self.group_high_water(items.iter().filter(|tx| !tx.ahead).map(|tx| tx.txid));
 
         for (region_idx, region_marks) in marks.iter().enumerate() {
             let plan = build_shard_plan_multi(&effects, region_marks);
@@ -660,6 +648,54 @@ impl Distributor {
                 // retained log.
                 seq: 0,
             };
+            replicas.feed(ctx, region_idx, &delta);
+        }
+    }
+
+    /// The shard group a txid was allocated on. A single-group tier
+    /// allocates raw queue sequence numbers (group 0); a multi-group
+    /// tier composes (epoch << GROUP_BITS) | group.
+    pub(crate) fn group_of(&self, txid: u64) -> usize {
+        if self.config.groups > 1 {
+            crate::system_store::txid::group_of(txid)
+        } else {
+            0
+        }
+    }
+
+    /// The per-shard-group high-water marks of `txids`.
+    fn group_high_water(&self, txids: impl Iterator<Item = u64>) -> Arc<Vec<(usize, u64)>> {
+        let mut floors = vec![0u64; self.config.groups.max(1)];
+        for txid in txids {
+            if let Some(floor) = floors.get_mut(self.group_of(txid)) {
+                *floor = (*floor).max(txid);
+            }
+        }
+        Arc::new(
+            floors
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, hw)| hw > 0)
+                .collect(),
+        )
+    }
+
+    /// Publishes `txids` to the replicas' applied floors without any
+    /// record operation: the transactions were distributed (and their
+    /// records fed) by an earlier invocation from behind a held record
+    /// ([`CommittedTx::ahead`]), and everything queued before them has
+    /// been distributed since. In-memory work only, like every feed.
+    pub fn feed_high_water(&self, ctx: &Ctx, txids: &[u64]) {
+        let Some(replicas) = &self.replicas else {
+            return;
+        };
+        let delta = crate::replica::EpochDelta {
+            ops: Arc::new(Vec::new()),
+            marks: Arc::new(Vec::new()),
+            high_water: self.group_high_water(txids.iter().copied()),
+            seq: 0,
+        };
+        for region_idx in 0..self.regions.len() {
             replicas.feed(ctx, region_idx, &delta);
         }
     }

@@ -6,23 +6,33 @@
 //! leader exactly). Where the paper's leader replicates one transaction
 //! at a time, each instance processes its queue batch as a pipeline:
 //!
-//! ➊a **Sequence** — hold back any record whose session predecessor
-//! (possibly on another shard group) has not been distributed yet,
-//! per the session's high-water mark in system storage (Z2's
-//! cross-shard rule). The decision costs **one** strong read of the
-//! mark per unresolved session: on a miss the held suffix defers back
-//! to the queue at once, burning no redelivery attempt, and the
-//! invocation ends — it never waits. The wait lives in whoever drives
-//! the lane: the runtime's queue trigger parks a wholly deferred batch
-//! outside the sandbox, unbilled, until another trigger consumed a
-//! message (`fk_cloud::faas`); direct drivers re-offer a deferred lane
-//! only after another lane ran. ➊ **Verify** — check every
-//! transaction's system-storage commit (sharded parallel reads); for
+//! ➊a **Sequence** — split the batch by the partial order Z2 and the
+//! per-node `txq` actually impose. A record is *held* iff (a) its
+//! session predecessor (possibly on another shard group) has not been
+//! distributed yet, per the session's high-water mark in system storage
+//! or an earlier eligible record of the batch, or (b) an earlier record
+//! of its session in this batch is held, or (c) a node it mutates is
+//! mutated by an earlier held record; everything else is *eligible*,
+//! even behind a held record. The decision costs **one** strong read of
+//! the mark per unresolved session: the invocation runs phases ➊–➎ over
+//! the eligible records in batch order, then defers from the first held
+//! record back to the queue, burning no redelivery attempt — it never
+//! waits. Records it processed from behind a held one come back with
+//! that suffix; the warm instance remembers their txids and skips them
+//! on redelivery for free (a cold one resolves them as already
+//! processed). The wait lives in whoever drives the lane: the runtime's
+//! queue trigger parks a wholly deferred batch outside the sandbox,
+//! unbilled, until another trigger consumed a message
+//! (`fk_cloud::faas`); direct drivers re-offer a deferred lane only
+//! after another lane ran. ➊ **Verify** — check every transaction's
+//! system-storage commit (sharded parallel reads); for
 //! missing commits, `TryCommit` on the failed follower's behalf and
 //! reject the request if the locks were lost. ➋ **Segment** the batch
 //! into *epochs* at transactions with live watch registrations
-//! (non-consuming queries) or at parent/child creation conflicts that
-//! the fan-out waves cannot order across shards. ➌ **Distribute** each
+//! (non-consuming queries: the batch's distinct watch classes are read
+//! in one parallel wave, and a class is read again only after an epoch
+//! cut consumed it) or at parent/child creation conflicts that the
+//! fan-out waves cannot order across shards. ➌ **Distribute** each
 //! epoch to every replica region through the sharded fan-out
 //! ([`crate::distributor::Distributor::apply_epoch`]), then advance the
 //! distributed sessions' high-water marks. ➍ **Consume** the
@@ -39,7 +49,9 @@
 
 use crate::api::{FkError, WatchEvent, WatchEventType, WatchKind};
 use crate::distributor::{AdaptiveBatch, CommittedTx, Distributor, DistributorConfig, PathLockSet};
-use crate::messages::{ClientNotification, LeaderRecord, Payload, UserUpdate, WriteResultData};
+use crate::messages::{
+    ClientNotification, FiredWatch, LeaderRecord, Payload, UserUpdate, WriteResultData,
+};
 use crate::notify::ClientBus;
 use crate::system_store::{node_attr, SystemStore, WatchInstance};
 use crate::user_store::UserStore;
@@ -52,6 +64,8 @@ use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::Value;
 use fk_cloud::{CloudError, ObjectStore};
+use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -93,21 +107,70 @@ pub struct Leader {
     /// Epoch batch window, adapted between drains from observed queue
     /// depth (static when `min_batch == max_batch`).
     batch: AdaptiveBatch,
-    /// Instance-local lower bound of each session's distribution
-    /// high-water mark. Marks only ever advance — even across
-    /// deregistration and re-registration of a session id, because they
-    /// live on the persistent `seq:` item and a reincarnated session
-    /// floors its allocations above them — so a remembered value that
-    /// satisfies a hold-back check stays valid forever; the common case
-    /// (a session whose writes keep landing on this group) never
-    /// re-reads the store. Warm-instance state only: a cold start
-    /// re-reads, which is merely slower, never wrong.
-    applied_memo: parking_lot::Mutex<std::collections::HashMap<String, u64>>,
+    /// What a warm instance remembers between invocations (one lock,
+    /// taken once per phase, never per record).
+    warm: parking_lot::Mutex<Warm>,
     /// Shared distributed-txid high-water publication, when deployed:
     /// advanced after each epoch's storage waves complete (in-memory
     /// atomics only — no store traffic) and piggybacked onto heartbeat
     /// pings so idle sessions' MRD keeps advancing.
     floors: Option<Arc<crate::replica::CommittedFloors>>,
+}
+
+/// Warm-instance state. A cold start loses it, which is merely slower,
+/// never wrong: marks are re-read, and a redelivered record that was
+/// already processed resolves through `CommitState::AlreadyProcessed`.
+#[derive(Default)]
+struct Warm {
+    /// Lower bound of each session's distribution high-water mark.
+    /// Marks only ever advance — even across deregistration and
+    /// re-registration of a session id, because they live on the
+    /// persistent `seq:` item and a reincarnated session floors its
+    /// allocations above them — so a remembered value that satisfies a
+    /// hold-back check stays valid forever; the common case (a session
+    /// whose writes keep landing on this group) never re-reads the
+    /// store.
+    marks: HashMap<String, u64>,
+    /// Txids this instance fully processed from *behind* a held record:
+    /// their messages went back to the queue with the deferred suffix
+    /// and are skipped on redelivery. An entry leaves when its message
+    /// is acknowledged in a prefix, so the set is bounded by the lane's
+    /// backlog.
+    ahead: HashSet<u64>,
+}
+
+impl Warm {
+    /// Raises the remembered mark of `session` to at least `txid`
+    /// (allocates only on the session's first sighting).
+    fn note_mark(&mut self, session: &str, txid: u64) {
+        match self.marks.get_mut(session) {
+            Some(seen) => *seen = (*seen).max(txid),
+            None => {
+                self.marks.insert(session.to_owned(), txid);
+            }
+        }
+    }
+}
+
+/// One decoded queue record: (batch index, txid, record).
+type Decoded = (usize, u64, LeaderRecord);
+
+/// Phase ➊a's verdict on one batch (see [`Leader::sequence`]).
+struct Sequenced<'a> {
+    /// Records whose ordering constraints hold, in batch order.
+    eligible: Vec<&'a Decoded>,
+    /// Batch index of the first held record.
+    first_held: Option<usize>,
+    /// Redelivered records this instance already processed from behind
+    /// a held record ([`Warm::ahead`]): (batch index, txid).
+    applied_ahead: Vec<(usize, u64)>,
+}
+
+impl Sequenced<'_> {
+    /// True if batch index `index` lies behind a held record.
+    fn is_ahead(&self, index: usize) -> bool {
+        self.first_held.is_some_and(|held| index > held)
+    }
 }
 
 /// Commit state of one record after verification (Algorithm 2 ➊).
@@ -217,7 +280,7 @@ impl Leader {
             dispatcher,
             distributor,
             batch: AdaptiveBatch::new(config.min_batch, config.max_batch),
-            applied_memo: parking_lot::Mutex::new(std::collections::HashMap::new()),
+            warm: parking_lot::Mutex::new(Warm::default()),
             floors: None,
         }
     }
@@ -260,11 +323,20 @@ impl Leader {
         self.system.kv().meter()
     }
 
-    /// Records a session's distribution mark in the instance-local memo.
-    fn memoize_applied(&self, session: &str, txid: u64) {
-        let mut memo = self.applied_memo.lock();
-        let entry = memo.entry(session.to_owned()).or_insert(0);
-        *entry = (*entry).max(txid);
+    /// Records this instance has processed from behind a held record
+    /// and whose messages are still queued (0 at quiescence).
+    pub fn applied_ahead(&self) -> usize {
+        self.warm.lock().ahead.len()
+    }
+
+    /// Advances the shared distributed-txid high-water publication, if
+    /// attached, to cover `txids`.
+    fn publish_floors(&self, txids: impl IntoIterator<Item = u64>) {
+        if let Some(floors) = &self.floors {
+            for txid in txids {
+                floors.publish(self.distributor.group_of(txid), txid);
+            }
+        }
     }
 
     /// The distribution pipeline configuration in effect.
@@ -274,7 +346,7 @@ impl Leader {
 
     /// Entry point for a queue batch.
     pub fn process_messages(&self, ctx: &Ctx, messages: &[Message]) -> Result<(), FnError> {
-        let mut decoded: Vec<(usize, u64, LeaderRecord)> = Vec::with_capacity(messages.len());
+        let mut decoded: Vec<Decoded> = Vec::with_capacity(messages.len());
         for (i, msg) in messages.iter().enumerate() {
             ctx.charge(Op::FnCompute, msg.body.len());
             if let Some(record) = LeaderRecord::decode(&msg.body) {
@@ -342,41 +414,78 @@ impl Leader {
     fn process_decoded(
         &self,
         ctx: &Ctx,
-        decoded: &[(usize, u64, LeaderRecord)],
+        decoded: &[Decoded],
         handles: &mut Vec<WatchHandle>,
     ) -> Result<(), FnError> {
-        // ➊a cross-shard sequencing (Z2): a record whose session
-        // predecessor lives on another shard group may only distribute
-        // once that predecessor is durably applied. Process the eligible
-        // prefix; the rest of the batch nacks for redelivery.
-        let ready = self.sequencing_prefix(ctx, decoded);
-        let held = &decoded[ready..];
-        let decoded = &decoded[..ready];
+        let batch = self.sequence(ctx, decoded);
+        let result = self.process_eligible(ctx, &batch, handles);
+        // The queue acknowledges every message before the reported
+        // index; records processed ahead that sit in that prefix are
+        // leaving the queue, and with everything queued before them now
+        // distributed their txids join the group's high-water marks.
+        let acked_below = match &result {
+            Ok(()) => usize::MAX,
+            Err(e) => e.failed_index,
+        };
+        let leaving: Vec<u64> = batch
+            .applied_ahead
+            .iter()
+            .filter(|(index, _)| *index < acked_below)
+            .map(|(_, txid)| *txid)
+            .collect();
+        if !leaving.is_empty() {
+            {
+                let mut warm = self.warm.lock();
+                for txid in &leaving {
+                    warm.ahead.remove(txid);
+                }
+            }
+            self.publish_floors(leaving.iter().copied());
+            self.distributor.feed_high_water(ctx, &leaving);
+        }
+        result
+    }
+
+    /// Phases ➊–➎ over the batch's eligible records, then the deferral
+    /// of the held ones.
+    ///
+    /// Partial-batch failure contract: `at_index(i)` tells the queue
+    /// that messages *before* `i` are fully processed. A held record is
+    /// never processed, so no reported index passes the first held one.
+    fn process_eligible(
+        &self,
+        ctx: &Ctx,
+        batch: &Sequenced<'_>,
+        handles: &mut Vec<WatchHandle>,
+    ) -> Result<(), FnError> {
+        let not_past_held = |index: usize| batch.first_held.map_or(index, |held| held.min(index));
 
         // ➊ verify commits (sharded parallel reads + sequential repair).
-        //
-        // Partial-batch failure contract: `at_index(i)` tells the queue
-        // that messages *before* `i` are fully processed. Until an
-        // epoch's distribution completes nothing is fully processed —
-        // phase ➊ only repairs system storage and sends idempotent
-        // notifications — so every failure up to and including the first
-        // epoch maps to index 0 (redeliver the whole batch; redelivery
-        // re-resolves each record idempotently).
+        // Until an epoch's distribution completes nothing is fully
+        // processed — phase ➊ only repairs system storage and sends
+        // idempotent notifications — so every failure up to and
+        // including the first epoch maps to index 0 (redeliver the
+        // whole batch; redelivery re-resolves each record idempotently).
         let mut committed: Vec<CommittedTx<'_>> = Vec::new();
-        let states = self.preverify(ctx, decoded)?;
-        for ((i, txid, record), state) in decoded.iter().zip(states) {
+        let mut resolved_ahead: Vec<u64> = Vec::new();
+        let states = self.preverify(ctx, &batch.eligible)?;
+        for (&(index, txid, record), state) in batch.eligible.iter().zip(states) {
+            let ahead = batch.is_ahead(*index);
             match self.resolve_disposition(ctx, *txid, record, state) {
                 Ok(Disposition::Distribute { data, multi_data }) => committed.push(CommittedTx {
-                    msg_index: *i,
+                    msg_index: *index,
                     txid: *txid,
                     record,
                     data,
                     multi_data,
+                    ahead,
                 }),
+                Ok(Disposition::Done) if ahead => resolved_ahead.push(*txid),
                 Ok(Disposition::Done) => {}
                 Err(e) => return Err(e.at_index(0)),
             }
         }
+        self.remember_ahead(batch, resolved_ahead);
 
         // ➋ cut epochs at transactions whose watches will fire. The
         // queries here are non-consuming; one-shot consumption happens
@@ -388,87 +497,126 @@ impl Leader {
             .map_err(|e| e.at_index(0))?;
 
         // ➌–➎ per epoch: distribute, publish + notify, pop. After epoch
-        // k completes, every message up to its last index is fully
-        // processed (interleaved `Done` records were handled
+        // k completes, every eligible message up to its last index is
+        // fully processed (interleaved `Done` records were handled
         // idempotently in phase ➊), so epoch k+1's failures nack from
-        // its own first message.
+        // its own first message — or from the first held one, if that
+        // comes earlier.
         for epoch in epochs {
             self.run_epoch(ctx, &epoch, handles)
-                .map_err(|e| e.at_index(epoch.first_index()))?;
+                .map_err(|e| e.at_index(not_past_held(epoch.first_index())))?;
+            self.remember_ahead(
+                batch,
+                epoch.items.iter().filter(|tx| tx.ahead).map(|tx| tx.txid),
+            );
         }
 
         // Everything eligible is fully processed; ask the queue to
-        // redeliver the held-back suffix once its predecessors (on other
-        // shard groups) have caught up.
-        if let Some((msg_index, _, _)) = held.first() {
-            return Err(
-                FnError::defer("held back: session predecessor not yet distributed")
-                    .at_index(*msg_index),
-            );
+        // redeliver from the first held record once its predecessors (on
+        // other shard groups) have caught up.
+        match batch.first_held {
+            Some(index) => Err(FnError::defer(
+                "held back: session predecessor not yet distributed",
+            )
+            .at_index(index)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// The length of the batch prefix whose cross-shard sequencing
-    /// constraints are satisfied. A record is eligible when its
-    /// `prev_txid` is covered by the session's distribution high-water
-    /// mark, or by an earlier record of this very batch (the predecessor
-    /// shares this group's queue and distributes in an earlier or the
-    /// same epoch — exactly the in-invocation ordering the single-leader
-    /// pipeline always had). An unresolved session's mark is read **once**:
-    /// on a miss the prefix is cut there — the predecessor is in another
-    /// group's lane, and a billed invocation is the wrong place to wait
-    /// for it (see the module doc for where the wait lives). Hold-back
-    /// edges always point to earlier-pushed transactions, so that wait
-    /// is cycle-free.
-    fn sequencing_prefix(&self, ctx: &Ctx, decoded: &[(usize, u64, LeaderRecord)]) -> usize {
-        use std::collections::HashMap;
+    /// Remembers records fully processed from behind a held record, so
+    /// their redelivery with the deferred suffix is skipped for free.
+    fn remember_ahead(&self, batch: &Sequenced<'_>, txids: impl IntoIterator<Item = u64>) {
+        if batch.first_held.is_some() {
+            self.warm.lock().ahead.extend(txids);
+        }
+    }
+
+    /// Phase ➊a: splits the batch by its cross-shard sequencing
+    /// constraints (Z2) into records to process now and records to hold.
+    /// A record is **held** iff
+    ///
+    /// * (a) its `prev_txid` is covered neither by the session's
+    ///   distribution high-water mark (remembered, or read from system
+    ///   storage **once** per unresolved session and batch) nor by an
+    ///   earlier *eligible* record of this batch — the predecessor is in
+    ///   another group's lane, and a billed invocation is the wrong
+    ///   place to wait for it (see the module doc for where the wait
+    ///   lives); or
+    /// * (b) an earlier record of its session in this batch is held; or
+    /// * (c) a node it mutates is mutated by an earlier held record (the
+    ///   node's `txq` lists that record's txid first, and ➎ pops by
+    ///   head).
+    ///
+    /// A deregistration never skips ahead of a held record. Everything
+    /// else is eligible, whatever its position: Z2 and the per-node
+    /// `txq` impose a partial order, and (a)–(c) are exactly its edges
+    /// (`docs/consistency.md` § Apply order). Hold-back edges always
+    /// point to earlier-pushed transactions, so the wait is cycle-free.
+    fn sequence<'a>(&self, ctx: &Ctx, decoded: &'a [Decoded]) -> Sequenced<'a> {
+        let mut batch = Sequenced {
+            eligible: Vec::with_capacity(decoded.len()),
+            first_held: None,
+            applied_ahead: Vec::new(),
+        };
         // A single-group tier funnels every record through this one
         // queue, so each predecessor was processed earlier in it: the
-        // constraint holds by construction and the check (plus its
+        // constraints hold by construction and the checks (plus their
         // high-water-mark reads) would be pure overhead.
         if self.distributor.config().groups <= 1 {
-            return decoded.len();
+            batch.eligible.extend(decoded);
+            return batch;
         }
-        // Highest txid of each session seen earlier in this batch.
+        let mut warm = self.warm.lock();
+        // Highest eligible txid of each session seen earlier in this batch.
         let mut in_batch: HashMap<&str, u64> = HashMap::new();
-        for (position, (_, txid, record)) in decoded.iter().enumerate() {
-            let session = record.session_id.as_str();
-            let satisfied_locally = record.prev_txid == 0
-                || in_batch
-                    .get(session)
-                    .is_some_and(|seen| *seen >= record.prev_txid)
-                // Marks only advance, so the instance-local memo is a
-                // sound lower bound: sessions whose writes keep landing
-                // on this group never touch the store here.
-                || self
-                    .applied_memo
-                    .lock()
-                    .get(session)
-                    .is_some_and(|seen| *seen >= record.prev_txid);
-            if !satisfied_locally {
-                let applied = self.system.session_applied_txid(ctx, session);
-                self.memoize_applied(session, applied);
-                if applied < record.prev_txid {
-                    return position;
-                }
+        // Sessions whose mark was read from the store for this batch.
+        let mut probed: HashSet<&str> = HashSet::new();
+        let mut held_sessions: HashSet<&str> = HashSet::new();
+        let mut held_paths: HashSet<&str> = HashSet::new();
+        for entry in decoded {
+            let (index, txid, record) = entry;
+            if warm.ahead.contains(txid) {
+                batch.applied_ahead.push((*index, *txid));
+                continue;
             }
-            in_batch
-                .entry(session)
-                .and_modify(|seen| *seen = (*seen).max(*txid))
-                .or_insert(*txid);
+            let session = record.session_id.as_str();
+            let prev = record.prev_txid;
+            // A deregistration behind a held record, (b), (c).
+            let blocked = (record.deregister_session && batch.first_held.is_some())
+                || held_sessions.contains(session)
+                || mutated_paths(record).any(|path| held_paths.contains(path));
+            // (a), cheapest evidence first. Marks only advance, so the
+            // remembered one is a sound lower bound: sessions whose
+            // writes keep landing on this group never touch the store
+            // here, and no session does twice per batch.
+            let covers = |mark: Option<&u64>| mark.is_some_and(|seen| *seen >= prev);
+            let predecessor_distributed = |warm: &mut Warm, probed: &mut HashSet<&'a str>| {
+                prev == 0
+                    || covers(in_batch.get(session))
+                    || covers(warm.marks.get(session))
+                    || probed.insert(session) && {
+                        let applied = self.system.session_applied_txid(ctx, session);
+                        warm.note_mark(session, applied);
+                        applied >= prev
+                    }
+            };
+            if blocked || !predecessor_distributed(&mut warm, &mut probed) {
+                batch.first_held.get_or_insert(*index);
+                held_sessions.insert(session);
+                held_paths.extend(mutated_paths(record));
+            } else {
+                let seen = in_batch.entry(session).or_insert(0);
+                *seen = (*seen).max(*txid);
+                batch.eligible.push(entry);
+            }
         }
-        decoded.len()
+        batch
     }
 
     /// Phase ➊ reads: fetches every record's node item and classifies the
     /// commit state, sharded by path and fanned out in parallel (the
     /// reads are independent; repair stays sequential).
-    fn preverify(
-        &self,
-        ctx: &Ctx,
-        decoded: &[(usize, u64, LeaderRecord)],
-    ) -> Result<Vec<CommitState>, FnError> {
+    fn preverify(&self, ctx: &Ctx, decoded: &[&Decoded]) -> Result<Vec<CommitState>, FnError> {
         use parking_lot::Mutex;
         let shards = self.distributor.config().shards.max(1);
         let mut per_shard: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
@@ -483,7 +631,7 @@ impl Leader {
         ctx.span("get_node", || {
             crate::distributor::fan_out(ctx, jobs.len(), |job, child| {
                 for &pos in jobs[job] {
-                    let (_, txid, record) = &decoded[pos];
+                    let (_, txid, record) = decoded[pos];
                     let item = self.system.get_node(child, &record.path);
                     let txq_has = item
                         .as_ref()
@@ -546,7 +694,7 @@ impl Leader {
             // The memo entry is dead weight once the session item is
             // gone (a warm instance would otherwise accumulate one per
             // session it ever served).
-            self.applied_memo.lock().remove(&record.session_id);
+            self.warm.lock().marks.remove(&record.session_id);
             self.notify_success(ctx, txid, record);
             self.bus.deregister(&record.session_id);
             return Ok(Disposition::Done);
@@ -679,7 +827,7 @@ impl Leader {
                     },
                 )
                 .map_err(|e| FnError::retryable(e.to_string()))?;
-                self.memoize_applied(&record.session_id, txid);
+                self.warm.lock().note_mark(&record.session_id, txid);
             }
         }
         Ok(())
@@ -694,28 +842,31 @@ impl Leader {
     /// picked up by a later transaction, which is a valid linearization
     /// of the concurrent register.
     ///
-    /// Registry reads are **deduplicated across the batch**: a
+    /// The registry is read **once per distinct class per batch, in one
+    /// parallel wave**: the batch's `(watch_path, event_type)` classes
+    /// are collected up front and queried together, so the phase costs
+    /// one storage round trip however many classes the batch fires (a
     /// create-heavy batch fires the same parent's children class once
-    /// per transaction, and re-reading `watch:<parent>` every time is
-    /// pure waste — the liveness answer cannot change inside a batch
-    /// except when an epoch cut consumes the registrations, at which
-    /// point the memo forgets exactly the fired paths. A concurrent
-    /// registration that lands mid-batch is observed by the next batch,
-    /// which is the same valid linearization as before.
+    /// per transaction). The liveness answer cannot change inside a
+    /// batch except when an epoch cut consumes the registrations, at
+    /// which point the memo forgets exactly the fired paths and a later
+    /// transaction firing them re-queries. A concurrent registration
+    /// that lands mid-batch is observed by the next batch, which is the
+    /// same valid linearization as before.
     fn segment_epochs<'a>(
         &self,
         ctx: &Ctx,
         committed: Vec<CommittedTx<'a>>,
     ) -> Result<Vec<Epoch<'a>>, FnError> {
-        use std::collections::HashSet;
+        let fires: Vec<Vec<FiredWatch>> = committed
+            .iter()
+            .map(|tx| fires_with_subtree(tx.record))
+            .collect();
+        // (path, event type) → "has live registrations", valid until the
+        // path's registrations are consumed by an epoch cut.
+        let mut live_memo = self.query_classes(ctx, &fires)?;
         let mut epochs: Vec<Epoch<'a>> = Vec::new();
         let mut current = Epoch::new();
-        // (path, event type) → "has live registrations", valid until the
-        // path's registrations are consumed by an epoch cut. Keys are
-        // owned: subtree candidates are leader-derived ancestor paths,
-        // not borrowed from the records.
-        let mut live_memo: std::collections::HashMap<(String, WatchEventType), bool> =
-            std::collections::HashMap::new();
         // Node paths written by a `WriteNode` earlier in the current
         // epoch. A later transaction whose parent-children rewrite
         // targets one of these (a child created under a node that this
@@ -725,7 +876,7 @@ impl Leader {
         // waves sound — the child's transaction simply starts the next
         // epoch, mirroring the sequential leader's order.
         let mut written: HashSet<&'a str> = HashSet::new();
-        for tx in committed {
+        for (tx, all_fires) in committed.into_iter().zip(&fires) {
             let record: &'a LeaderRecord = tx.record;
             if record.is_multi() {
                 // A multi is always its **own epoch**: its subs are one
@@ -740,69 +891,37 @@ impl Leader {
                     epochs.push(std::mem::replace(&mut current, Epoch::new()));
                 }
                 written.clear();
-                let all_fires = fires_with_subtree(record);
-                let fires = ctx.span("query_watches", || {
-                    all_fires.iter().any(|fw| {
-                        *live_memo
-                            .entry((fw.watch_path.clone(), fw.event_type))
-                            .or_insert_with(|| {
-                                !self
-                                    .system
-                                    .query_watches(ctx, &fw.watch_path, kinds_for(fw.event_type))
-                                    .is_empty()
-                            })
-                    })
-                });
-                let mut epoch = Epoch::new();
-                epoch.fires = fires;
-                if fires {
-                    live_memo
-                        .retain(|(path, _), _| !all_fires.iter().any(|fw| fw.watch_path == *path));
+            } else {
+                let children_target: Option<&'a str> = match &record.user_update {
+                    UserUpdate::WriteNode {
+                        parent_children: Some((parent, _)),
+                        ..
+                    }
+                    | UserUpdate::DeleteNode {
+                        parent_children: Some((parent, _)),
+                        ..
+                    } => Some(parent),
+                    _ => None,
+                };
+                if children_target.is_some_and(|parent| written.contains(parent))
+                    && !current.items.is_empty()
+                {
+                    epochs.push(std::mem::replace(&mut current, Epoch::new()));
+                    written.clear();
                 }
-                epoch.items.push(tx);
-                epochs.push(epoch);
-                continue;
-            }
-            let children_target: Option<&'a str> = match &record.user_update {
-                UserUpdate::WriteNode {
-                    parent_children: Some((parent, _)),
-                    ..
+                if let UserUpdate::WriteNode { path, .. } = &record.user_update {
+                    written.insert(path);
                 }
-                | UserUpdate::DeleteNode {
-                    parent_children: Some((parent, _)),
-                    ..
-                } => Some(parent),
-                _ => None,
-            };
-            if children_target.is_some_and(|parent| written.contains(parent))
-                && !current.items.is_empty()
-            {
-                epochs.push(std::mem::replace(&mut current, Epoch::new()));
-                written.clear();
             }
-            if let UserUpdate::WriteNode { path, .. } = &record.user_update {
-                written.insert(path);
-            }
-            let all_fires = fires_with_subtree(record);
-            let fires = !all_fires.is_empty()
-                && ctx.span("query_watches", || {
-                    all_fires.iter().any(|fw| {
-                        *live_memo
-                            .entry((fw.watch_path.clone(), fw.event_type))
-                            .or_insert_with(|| {
-                                !self
-                                    .system
-                                    .query_watches(ctx, &fw.watch_path, kinds_for(fw.event_type))
-                                    .is_empty()
-                            })
-                    })
-                });
+            let fires = self.fires_live(ctx, &mut live_memo, all_fires);
             current.items.push(tx);
             if fires {
                 current.fires = true;
                 // `run_epoch` consumes the fired paths' registrations
                 // (one-shot); what the memo learned about them is stale.
                 live_memo.retain(|(path, _), _| !all_fires.iter().any(|fw| fw.watch_path == *path));
+            }
+            if fires || record.is_multi() {
                 epochs.push(std::mem::replace(&mut current, Epoch::new()));
                 written.clear();
             }
@@ -811,6 +930,61 @@ impl Leader {
             epochs.push(current);
         }
         Ok(epochs)
+    }
+
+    /// True if any class `fires` names has live registrations; a class
+    /// an epoch cut made the memo forget is read again.
+    fn fires_live<'f>(
+        &self,
+        ctx: &Ctx,
+        memo: &mut HashMap<(&'f str, WatchEventType), bool>,
+        fires: &'f [FiredWatch],
+    ) -> bool {
+        !fires.is_empty()
+            && ctx.span("query_watches", || {
+                fires.iter().any(|fw| {
+                    *memo
+                        .entry((fw.watch_path.as_str(), fw.event_type))
+                        .or_insert_with(|| self.class_is_live(ctx, &fw.watch_path, fw.event_type))
+                })
+            })
+    }
+
+    /// Non-consuming registry read of one watch class.
+    fn class_is_live(&self, ctx: &Ctx, path: &str, event: WatchEventType) -> bool {
+        !self
+            .system
+            .query_watches(ctx, path, kinds_for(event))
+            .is_empty()
+    }
+
+    /// Reads every distinct watch class the batch fires in one parallel
+    /// wave (the classes are independent registry items).
+    fn query_classes<'f>(
+        &self,
+        ctx: &Ctx,
+        fires: &'f [Vec<FiredWatch>],
+    ) -> Result<HashMap<(&'f str, WatchEventType), bool>, FnError> {
+        let mut seen = HashSet::new();
+        let classes: Vec<(&str, WatchEventType)> = fires
+            .iter()
+            .flatten()
+            .map(|fw| (fw.watch_path.as_str(), fw.event_type))
+            .filter(|class| seen.insert(*class))
+            .collect();
+        let live: Vec<Cell<bool>> = classes.iter().map(|_| Cell::new(false)).collect();
+        ctx.span("query_watches", || {
+            crate::distributor::fan_out(ctx, classes.len(), |i, child| {
+                let (path, event) = classes[i];
+                live[i].set(self.class_is_live(child, path, event));
+                Ok(())
+            })
+        })
+        .map_err(|e| FnError::retryable(e.to_string()))?;
+        Ok(classes
+            .into_iter()
+            .zip(live.iter().map(Cell::get))
+            .collect())
     }
 
     /// Phases ➌–➎ for one epoch.
@@ -830,17 +1004,10 @@ impl Leader {
         // this group's distributed high-water mark (in-memory atomics —
         // the heartbeat piggybacks the min over groups onto its pings;
         // no storage traffic is added here).
-        if let Some(floors) = &self.floors {
-            let groups = self.distributor.config().groups.max(1);
-            for tx in &epoch.items {
-                let group = if groups > 1 {
-                    crate::system_store::txid::group_of(tx.txid)
-                } else {
-                    0
-                };
-                floors.publish(group, tx.txid);
-            }
-        }
+        // A record distributed ahead of a held one joins it later, when
+        // its message leaves the queue (`process_decoded`): the mark
+        // speaks for the lane's prefix.
+        self.publish_floors(epoch.items.iter().filter(|tx| !tx.ahead).map(|tx| tx.txid));
 
         // The epoch's writes are durable in every replica: advance each
         // session's distribution high-water mark so successors held back
@@ -892,8 +1059,9 @@ impl Leader {
                 })
                 .map_err(|e| FnError::retryable(e.to_string()))?;
             }
+            let mut warm = self.warm.lock();
             for (session, txid) in per_session {
-                self.memoize_applied(session, txid);
+                warm.note_mark(session, txid);
             }
         }
 
@@ -1112,6 +1280,20 @@ impl Leader {
     }
 }
 
+/// The node paths `record` mutates — the items whose `txq` carries its
+/// txid: the primary path and every mutating sub of a multi (checks
+/// never enter a `txq`).
+fn mutated_paths(record: &LeaderRecord) -> impl Iterator<Item = &str> {
+    let subs = record
+        .ops
+        .iter()
+        .filter(|sub| !matches!(sub.user_update, UserUpdate::None))
+        .map(|sub| sub.path.as_str());
+    std::iter::once(record.path.as_str())
+        .filter(|path| !path.is_empty())
+        .chain(subs)
+}
+
 /// The full children list of `path` carried by `record`, if the record
 /// rewrote it: a create/delete snapshots its parent's new list under the
 /// node's follower lock (`parent_children`), and a multi's subs each
@@ -1246,7 +1428,8 @@ fn merge_fires(
 mod tests {
     use super::*;
     use crate::deploy::{Deployment, DeploymentConfig};
-    use crate::messages::{ClientRequest, FiredWatch, Payload, WriteOp};
+    use crate::messages::{ClientRequest, Payload, WriteOp};
+    use crate::user_store::NodeRecord;
     use crate::CreateMode;
     use std::time::Duration;
 
@@ -1435,6 +1618,139 @@ mod tests {
         assert_eq!(deployment.system().session_applied_txid(&ctx, "s"), 500);
     }
 
+    /// A direct deployment on virtual time: its follower, one leader per
+    /// shard group, and the clock they all run on.
+    struct Lanes {
+        deployment: Deployment,
+        follower: crate::follower::Follower,
+        leaders: Vec<Leader>,
+        ctx: Ctx,
+    }
+
+    type Endpoint = crossbeam::channel::Receiver<ClientNotification>;
+
+    impl Lanes {
+        fn new(groups: usize) -> Self {
+            use fk_cloud::trace::LatencyMode;
+            let deployment = Deployment::direct(
+                DeploymentConfig::aws()
+                    .with_shard_groups(groups)
+                    .with_mode(LatencyMode::Virtual, 7),
+            );
+            Lanes {
+                follower: deployment.make_follower(),
+                leaders: (0..groups)
+                    .map(|_| deployment.make_leader_inline())
+                    .collect(),
+                ctx: Ctx::new(Arc::clone(deployment.model()), LatencyMode::Virtual, 7),
+                deployment,
+            }
+        }
+
+        fn session(&self, id: &str) -> Endpoint {
+            self.deployment
+                .system()
+                .register_session(&self.ctx, id, 0)
+                .unwrap();
+            self.deployment.bus().register(id).0
+        }
+
+        fn submit(&self, session: &str, request_id: u64, op: WriteOp) {
+            let request = ClientRequest {
+                session_id: session.into(),
+                request_id,
+                op,
+            };
+            self.deployment
+                .write_queue()
+                .send(&self.ctx, session, request.encode())
+                .unwrap();
+        }
+
+        /// Runs the follower over everything in the write queue.
+        fn run_follower(&self) {
+            let queue = self.deployment.write_queue();
+            while let Some(batch) = queue.receive(10, Duration::from_secs(5)) {
+                self.follower
+                    .process_messages(&self.ctx, &batch.messages)
+                    .unwrap();
+                queue.ack(batch.receipt);
+            }
+        }
+
+        fn lane(&self, group: usize) -> &Queue {
+            self.deployment.leader_queues().queue(group)
+        }
+
+        /// One invocation of `group`'s leader over its lane.
+        fn drain(&self, group: usize) -> Result<usize, FnError> {
+            self.leaders[group].drain_queue(&self.ctx, self.lane(group))
+        }
+
+        /// `session`'s chain head in lane 0 and its successor in lane 1,
+        /// which stays held until lane 0 has run. Returns the two paths.
+        fn held_chain(&self, session: &str) -> (String, String) {
+            let (first, second) = (path_on(0, 0), path_on(1, 0));
+            self.submit(session, 1, create(&first));
+            self.submit(session, 2, create(&second));
+            (first, second)
+        }
+
+        fn stored(&self, path: &str) -> Option<NodeRecord> {
+            self.deployment
+                .user_store()
+                .read_node(&self.ctx, path)
+                .unwrap()
+        }
+    }
+
+    /// The `nth` path of the form `/n<i>` that routes to `group` of 2.
+    fn path_on(group: usize, nth: usize) -> String {
+        (0..)
+            .map(|i| format!("/n{i}"))
+            .filter(|p| fk_cloud::queue::group_of(p, 2) == group)
+            .nth(nth)
+            .expect("paths hash to both groups")
+    }
+
+    fn create(path: &str) -> WriteOp {
+        WriteOp::Create {
+            path: path.into(),
+            payload: Payload::inline(b"x"),
+            mode: CreateMode::Persistent,
+        }
+    }
+
+    fn set(path: &str, data: &[u8]) -> WriteOp {
+        WriteOp::SetData {
+            path: path.into(),
+            payload: Payload::inline(data),
+            expected_version: -1,
+        }
+    }
+
+    /// `(request id, txid)` of every successful write result waiting on
+    /// `endpoint`, in arrival order.
+    fn acked(endpoint: &Endpoint) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| endpoint.try_recv().ok())
+            .filter_map(|n| match n {
+                ClientNotification::WriteResult {
+                    request_id,
+                    result,
+                    txid,
+                } => {
+                    assert!(result.is_ok(), "{result:?}");
+                    Some((request_id, txid))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn request_ids(acks: &[(u64, u64)]) -> Vec<u64> {
+        acks.iter().map(|(request_id, _)| *request_id).collect()
+    }
+
     /// The hold-back decides once: a batch whose head names a
     /// predecessor still queued in the other group's lane defers at
     /// index 0 for the price of a single strong read of the session
@@ -1442,58 +1758,21 @@ mod tests {
     /// same batch goes through once the predecessor's mark has landed.
     #[test]
     fn held_head_defers_after_exactly_one_mark_read() {
-        use fk_cloud::trace::{Ctx, LatencyMode};
-        let deployment = Deployment::direct(
-            DeploymentConfig::aws()
-                .with_shard_groups(2)
-                .with_mode(LatencyMode::Virtual, 7),
-        );
-        let follower = deployment.make_follower();
-        let leaders = [
-            deployment.make_leader_inline(),
-            deployment.make_leader_inline(),
-        ];
-        let ctx = Ctx::new(Arc::clone(deployment.model()), LatencyMode::Virtual, 7);
-        deployment.system().register_session(&ctx, "s", 0).unwrap();
-        let (endpoint, _) = deployment.bus().register("s");
-
-        // Two pipelined creates whose paths live on different groups.
-        let path_on = |group: usize| {
-            (0..64)
-                .map(|i| format!("/n{i}"))
-                .find(|p| fk_cloud::queue::group_of(p, 2) == group)
-                .expect("some path hashes to each group")
-        };
-        for (rid, group) in [(1u64, 0usize), (2, 1)] {
-            let request = ClientRequest {
-                session_id: "s".into(),
-                request_id: rid,
-                op: WriteOp::Create {
-                    path: path_on(group),
-                    payload: Payload::inline(b"x"),
-                    mode: CreateMode::Persistent,
-                },
-            };
-            deployment
-                .write_queue()
-                .send(&ctx, "s", request.encode())
-                .unwrap();
-        }
-        while let Some(batch) = deployment.write_queue().receive(10, Duration::from_secs(5)) {
-            follower.process_messages(&ctx, &batch.messages).unwrap();
-            deployment.write_queue().ack(batch.receipt);
-        }
+        let tier = Lanes::new(2);
+        let ctx = &tier.ctx;
+        let endpoint = tier.session("s");
+        tier.held_chain("s");
+        tier.run_follower();
 
         // Group 1 runs first: its head's predecessor sits in group 0.
-        let held_queue = deployment.leader_queues().queue(1);
-        let before = deployment.meter().snapshot();
+        let before = tier.deployment.meter().snapshot();
         ctx.take_spans();
         let started = ctx.now();
-        let err = leaders[1].drain_queue(&ctx, held_queue).unwrap_err();
+        let err = tier.drain(1).unwrap_err();
         let elapsed = ctx.now().saturating_sub(started);
         assert!(err.deferred, "held, not failed: {err:?}");
         assert_eq!(err.failed_index, 0);
-        let used = deployment.meter().snapshot().since(&before);
+        let used = tier.deployment.meter().snapshot().since(&before);
         assert_eq!(used.per_op["kv_read"], 1, "one mark read per deferral");
         assert_eq!(used.kv_ops, 1, "and no other storage request");
         let spans = ctx.take_spans();
@@ -1507,36 +1786,329 @@ mod tests {
             read > Duration::ZERO && elapsed < dispatch + 2 * read,
             "a deferral costs dispatch ({dispatch:?}) + one strong read ({read:?}), not {elapsed:?}"
         );
-        assert_eq!(held_queue.pending(), 1, "the batch went back whole");
+        assert_eq!(tier.lane(1).pending(), 1, "the batch went back whole");
 
         // The predecessor distributes; the redelivered batch goes through.
-        let first = leaders[0]
-            .drain_queue(&ctx, deployment.leader_queues().queue(0))
-            .unwrap();
-        assert_eq!(first, 1);
-        assert_eq!(leaders[1].drain_queue(&ctx, held_queue).unwrap(), 1);
-        let acked: Vec<u64> = std::iter::from_fn(|| endpoint.try_recv().ok())
-            .filter_map(|n| match n {
-                ClientNotification::WriteResult {
-                    request_id, result, ..
-                } => {
-                    assert!(result.is_ok(), "{result:?}");
-                    Some(request_id)
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(acked, vec![1, 2], "acked in submission order");
+        assert_eq!(tier.drain(0).unwrap(), 1);
+        assert_eq!(tier.drain(1).unwrap(), 1);
+        assert_eq!(
+            request_ids(&acked(&endpoint)),
+            vec![1, 2],
+            "acked in submission order"
+        );
     }
 
-    /// DES model of the cross-shard hold-back's *liveness*: shard groups
-    /// drain on independent clocks; each session's transactions chain
-    /// across groups (txn k waits for k-1, wherever it landed), and a
-    /// held head defers (requeues without progress). Because every
-    /// wait-for edge points at an earlier-pushed transaction, no schedule
-    /// can deadlock — the simulation must always fully drain. (The
-    /// safety half — txid order and uniqueness — is the
-    /// `multi_leader_properties` suite.)
+    /// Skip-ahead: a record of another session on another path, queued
+    /// behind a held head, distributes at once. The batch still defers
+    /// whole (the head was not processed), and the record's redelivery
+    /// with the deferred suffix is free: no storage request, no second
+    /// notification. Its txid joins the group's committed floor only
+    /// when its message leaves the queue behind the head.
+    #[test]
+    fn record_behind_a_held_head_distributes_and_its_redelivery_is_free() {
+        let tier = Lanes::new(2);
+        let ctx = &tier.ctx;
+        let (a, b) = (tier.session("a"), tier.session("b"));
+        tier.held_chain("a");
+        let other = path_on(1, 1);
+        tier.submit("b", 1, create(&other));
+        tier.run_follower();
+
+        let err = tier.drain(1).unwrap_err();
+        assert!(err.deferred && err.failed_index == 0, "{err:?}");
+        assert_eq!(tier.lane(1).pending(), 2, "the batch went back whole");
+        let b_acks = acked(&b);
+        assert_eq!(request_ids(&b_acks), vec![1], "b's write went ahead");
+        let b_txid = b_acks[0].1;
+        assert_eq!(tier.stored(&other).unwrap().modified_txid, b_txid);
+        assert_eq!(tier.leaders[1].applied_ahead(), 1);
+        let floor = |tier: &Lanes| tier.deployment.floors().snapshot()[1];
+        assert!(floor(&tier) < b_txid, "the floor speaks for the prefix");
+
+        // Redelivered while the head is still held: the head's one mark
+        // read is everything the invocation costs.
+        let before = tier.deployment.meter().snapshot();
+        ctx.take_spans();
+        let err = tier.drain(1).unwrap_err();
+        assert!(err.deferred && err.failed_index == 0, "{err:?}");
+        let used = tier.deployment.meter().snapshot().since(&before);
+        assert_eq!(used.kv_ops, 1, "the held head's mark read, nothing for b");
+        assert_eq!(used.obj_puts + used.obj_gets, 0, "no user-store access");
+        let replies = ctx.take_spans();
+        let replies = replies.iter().filter(|s| matches!(s.op, Op::TcpReply));
+        assert_eq!(replies.count(), 0, "no second notification");
+
+        // The head's predecessor lands; the head goes through and b's
+        // record is acknowledged behind it without being touched again.
+        assert_eq!(tier.drain(0).unwrap(), 1);
+        assert_eq!(tier.drain(1).unwrap(), 2);
+        assert_eq!(tier.leaders[1].applied_ahead(), 0);
+        assert!(floor(&tier) >= b_txid, "acknowledged in a prefix");
+        assert_eq!(request_ids(&acked(&a)), vec![1, 2]);
+        assert!(acked(&b).is_empty(), "exactly one result for b's write");
+    }
+
+    /// Rule (b): a later record of a held record's session stays held
+    /// with it (and costs no mark read of its own).
+    #[test]
+    fn same_session_successor_stays_held_behind_a_held_record() {
+        let tier = Lanes::new(2);
+        let endpoint = tier.session("a");
+        tier.held_chain("a");
+        let third = path_on(1, 1);
+        tier.submit("a", 3, create(&third));
+        tier.run_follower();
+
+        let before = tier.deployment.meter().snapshot();
+        let err = tier.drain(1).unwrap_err();
+        assert!(err.deferred && err.failed_index == 0, "{err:?}");
+        let used = tier.deployment.meter().snapshot().since(&before);
+        assert_eq!(used.kv_ops, 1, "one mark read for the session");
+        assert_eq!(tier.leaders[1].applied_ahead(), 0);
+        assert!(tier.stored(&third).is_none(), "the successor did not run");
+
+        assert_eq!(tier.drain(0).unwrap(), 1);
+        assert_eq!(tier.drain(1).unwrap(), 2);
+        assert_eq!(request_ids(&acked(&endpoint)), vec![1, 2, 3]);
+    }
+
+    /// Rule (c): a record that mutates a node a held record mutates
+    /// stays held behind it — as a plain write and as a `multi` sub —
+    /// so the node's `txq` pops in order; an unrelated record in the
+    /// same batch still goes ahead.
+    #[test]
+    fn same_path_records_stay_held_behind_a_held_record() {
+        use crate::messages::MultiOp;
+        let tier = Lanes::new(2);
+        let endpoints = ["a", "b", "c", "d"].map(|id| tier.session(id));
+        let (_, contended) = tier.held_chain("a");
+        tier.submit("b", 1, set(&contended, b"plain"));
+        tier.submit(
+            "c",
+            1,
+            WriteOp::Multi {
+                ops: vec![
+                    MultiOp::Create {
+                        path: path_on(1, 1),
+                        payload: Payload::inline(b"x"),
+                        mode: CreateMode::Persistent,
+                    },
+                    MultiOp::SetData {
+                        path: contended.clone(),
+                        payload: Payload::inline(b"multi"),
+                        expected_version: -1,
+                    },
+                ],
+            },
+        );
+        tier.submit("d", 1, create(&path_on(1, 2)));
+        tier.run_follower();
+        assert_eq!(tier.lane(1).pending(), 4, "all four share lane 1");
+
+        let err = tier.drain(1).unwrap_err();
+        assert!(err.deferred && err.failed_index == 0, "{err:?}");
+        let [a, b, c, d] = &endpoints;
+        assert_eq!(request_ids(&acked(d)), vec![1], "the unrelated one ran");
+        assert!(acked(b).is_empty() && acked(c).is_empty(), "held by path");
+        assert_eq!(tier.leaders[1].applied_ahead(), 1);
+        assert!(tier.stored(&contended).is_none());
+
+        assert_eq!(tier.drain(0).unwrap(), 1);
+        assert_eq!(tier.drain(1).unwrap(), 4);
+        let txid_of = |endpoint: &Endpoint| acked(endpoint).last().unwrap().1;
+        let (a, b, c) = (txid_of(a), txid_of(b), txid_of(c));
+        assert!(a < b && b < c, "txq order on the contended node");
+        let node = tier.stored(&contended).unwrap();
+        assert_eq!((&node.data[..], node.modified_txid), (&b"multi"[..], c));
+        let violations = crate::consistency::check_tree_integrity(
+            &tier.ctx,
+            tier.deployment.system(),
+            tier.deployment.user_store().as_ref(),
+        );
+        assert!(violations.is_empty(), "{violations:#?}");
+    }
+
+    /// A user store whose writes to one path fail while it is poisoned.
+    struct PoisonedStore {
+        inner: Arc<dyn UserStore>,
+        poisoned: parking_lot::Mutex<Option<String>>,
+    }
+
+    impl PoisonedStore {
+        fn check(&self, path: &str) -> fk_cloud::CloudResult<()> {
+            match self.poisoned.lock().as_deref() {
+                Some(poisoned) if poisoned == path => Err(CloudError::ServiceStopped),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    impl UserStore for PoisonedStore {
+        fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> fk_cloud::CloudResult<()> {
+            self.check(&record.path)?;
+            self.inner.write_node(ctx, record)
+        }
+        fn replace_node(&self, ctx: &Ctx, record: &NodeRecord) -> fk_cloud::CloudResult<()> {
+            self.check(&record.path)?;
+            self.inner.replace_node(ctx, record)
+        }
+        fn read_node(&self, ctx: &Ctx, path: &str) -> fk_cloud::CloudResult<Option<NodeRecord>> {
+            self.inner.read_node(ctx, path)
+        }
+        fn delete_node(&self, ctx: &Ctx, path: &str) -> fk_cloud::CloudResult<()> {
+            self.inner.delete_node(ctx, path)
+        }
+        fn scan_subtree(
+            &self,
+            ctx: &Ctx,
+            root: &str,
+        ) -> fk_cloud::CloudResult<Vec<crate::user_store::ScanEntry>> {
+            self.inner.scan_subtree(ctx, root)
+        }
+        fn region(&self) -> fk_cloud::Region {
+            self.inner.region()
+        }
+        fn kind(&self) -> crate::user_store::UserStoreKind {
+            self.inner.kind()
+        }
+    }
+
+    /// A retryable failure in a later epoch reports the first *held*
+    /// index, not its own first message: the held record before it was
+    /// never processed. The epoch that completed before the failure —
+    /// including a record it distributed from behind the held one — is
+    /// not applied again on redelivery.
+    #[test]
+    fn failure_behind_a_held_record_reports_the_held_index() {
+        let tier = Lanes::new(2);
+        let (d, a, b) = (tier.session("d"), tier.session("a"), tier.session("b"));
+        // Lane 1: d's create (eligible), a's held successor (index 1),
+        // then b's create and a child under it — the child starts a
+        // second epoch (its parent is written by the first).
+        tier.submit("d", 1, create(&path_on(1, 1)));
+        tier.held_chain("a");
+        let parent = path_on(1, 2);
+        let child = (0..)
+            .map(|i| format!("{parent}/k{i}"))
+            .find(|p| fk_cloud::queue::group_of(p, 2) == 1)
+            .unwrap();
+        tier.submit("b", 1, create(&parent));
+        tier.submit("b", 2, create(&child));
+        tier.run_follower();
+        assert_eq!(tier.lane(1).pending(), 4);
+
+        // Lane 1's leader over a store that refuses the child.
+        let store = Arc::new(PoisonedStore {
+            inner: Arc::clone(tier.deployment.user_store()),
+            poisoned: parking_lot::Mutex::new(Some(child.clone())),
+        });
+        let leader = Leader::with_config(
+            tier.deployment.system().clone(),
+            vec![Arc::clone(&store) as Arc<dyn UserStore>],
+            tier.deployment.staging().clone(),
+            tier.deployment.bus().clone(),
+            Arc::new(crate::deploy::InlineDispatcher::new(
+                Arc::new(tier.deployment.make_watch_fn()),
+                tier.deployment.config().watch_fn,
+            )),
+            tier.deployment.config().distributor,
+        );
+        let drain = || leader.drain_queue(&tier.ctx, tier.lane(1));
+
+        let err = drain().unwrap_err();
+        assert!(err.retryable && !err.deferred, "a failure: {err:?}");
+        assert_eq!(err.failed_index, 1, "the held record, not the epoch");
+        assert_eq!(tier.lane(1).pending(), 3, "d's create left the queue");
+        assert_eq!(request_ids(&acked(&d)), vec![1]);
+        assert_eq!(request_ids(&acked(&b)), vec![1]);
+        assert_eq!(leader.applied_ahead(), 1, "b's first epoch");
+
+        // Repaired; the redelivery runs only the epoch that failed.
+        *store.poisoned.lock() = None;
+        let err = drain().unwrap_err();
+        assert!(err.deferred && err.failed_index == 0, "{err:?}");
+        assert_eq!(request_ids(&acked(&b)), vec![2], "b's parent is not redone");
+        assert_eq!(leader.applied_ahead(), 2);
+
+        assert_eq!(tier.drain(0).unwrap(), 1);
+        assert_eq!(drain().unwrap(), 3);
+        assert_eq!(leader.applied_ahead(), 0);
+        assert_eq!(request_ids(&acked(&a)), vec![1, 2]);
+        assert!(acked(&b).is_empty());
+    }
+
+    /// Exactly-once never depends on the warm state: a fresh instance
+    /// handed a record its predecessor distributed ahead resolves it as
+    /// already processed — no second user-store version.
+    #[test]
+    fn cold_instance_resolves_an_applied_ahead_record_as_already_processed() {
+        let tier = Lanes::new(2);
+        let (_a, b) = (tier.session("a"), tier.session("b"));
+        tier.held_chain("a");
+        let other = path_on(1, 1);
+        tier.submit("b", 1, create(&other));
+        tier.run_follower();
+        tier.drain(1).unwrap_err();
+        let b_txid = acked(&b)[0].1;
+
+        let cold = tier.deployment.make_leader_inline();
+        let before = tier.deployment.meter().snapshot();
+        let err = cold.drain_queue(&tier.ctx, tier.lane(1)).unwrap_err();
+        assert!(err.deferred && err.failed_index == 0, "{err:?}");
+        let used = tier.deployment.meter().snapshot().since(&before);
+        assert_eq!(used.obj_puts, 0, "one user-store version");
+        assert_eq!(tier.stored(&other).unwrap().modified_txid, b_txid);
+        // The cold path re-notifies (idempotent for the client, which
+        // releases a request once) and then remembers the record too.
+        assert_eq!(acked(&b), vec![(1, b_txid)]);
+        assert_eq!(cold.applied_ahead(), 1);
+    }
+
+    /// The watch wave reads each distinct class of the batch once, and
+    /// a class an epoch cut consumed is read again by the next
+    /// transaction that fires it.
+    #[test]
+    fn watch_wave_reads_each_class_once_and_requeries_consumed_ones() {
+        let tier = Lanes::new(1);
+        let _endpoint = tier.session("s");
+        tier.submit("s", 1, create("/w"));
+        tier.run_follower();
+        assert_eq!(tier.drain(0).unwrap(), 1);
+        tier.deployment
+            .system()
+            .register_watch(&tier.ctx, "/w", WatchKind::Data, "s")
+            .unwrap();
+
+        for (request_id, data) in [(2, b"1"), (3, b"2"), (4, b"3")] {
+            tier.submit("s", request_id, set("/w", data));
+        }
+        tier.run_follower();
+        tier.ctx.take_spans();
+        assert_eq!(tier.drain(0).unwrap(), 3);
+        let spans = tier.ctx.take_spans();
+        let registry_reads = spans
+            .iter()
+            .filter(|s| s.phase.ends_with("query_watches") && matches!(s.op, Op::KvGet { .. }));
+        // The wave: (/w, data changed), (/w, subtree), (/, subtree). The
+        // first write fires, its epoch consumes /w's registrations, and
+        // the second write reads /w's two classes again; the third finds
+        // every answer remembered.
+        assert_eq!(registry_reads.count(), 3 + 2);
+    }
+
+    /// DES model of the cross-shard hold-back's *liveness* under
+    /// skip-ahead: shard groups drain on independent clocks, a window of
+    /// their lane at a time; each session's writes chain across groups
+    /// (write k waits for k-1, wherever it landed) and every third one
+    /// targets a hot node all sessions share, so one lane interleaves
+    /// every session's records on one `txq`. An invocation applies what
+    /// rules (a)–(c) allow, acknowledges up to the first held record and
+    /// remembers what it applied behind it. Every wait-for edge points
+    /// at an earlier-pushed record and a lane's earliest-pushed head is
+    /// never held by (c), so no schedule can deadlock: the simulation
+    /// must always fully drain, in session order and in per-node push
+    /// order, and forget everything it applied ahead. (The safety half
+    /// on the real pipeline is the `multi_leader_properties` suite.)
     #[test]
     fn multi_leader_holdback_always_converges_in_des() {
         use fk_cloud::des::{run, Scheduler};
@@ -1545,26 +2117,32 @@ mod tests {
         const GROUPS: usize = 4;
         const SESSIONS: usize = 6;
         const WRITES_PER_SESSION: usize = 8;
+        const WINDOW: usize = 4;
+        /// The node every session writes; it lives in group 0's lane.
+        const HOT: usize = 0;
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+        struct Write {
+            session: usize,
+            seq: usize,
+            node: usize,
+        }
         struct Sim {
-            /// Per group: queued (session, per-session seq) in push order.
-            queues: Vec<VecDeque<(usize, usize)>>,
-            /// Per session: highest seq applied.
+            /// Per group: queued writes in push order.
+            queues: Vec<VecDeque<Write>>,
+            /// Per group: writes applied from behind a held one whose
+            /// messages are still queued.
+            ahead: Vec<HashSet<Write>>,
+            /// Per session: writes applied so far (the mark).
             applied: Vec<usize>,
-            drained: usize,
+            /// Per node: the writes applied to it, in apply order.
+            node_log: HashMap<usize, Vec<Write>>,
             deferrals: usize,
-            /// Session-mark reads issued so far, and the share of them
-            /// issued by drains that ended deferred.
-            mark_reads: usize,
-            deferral_reads: usize,
+            skipped_ahead: usize,
             /// LCG state for per-group cadence jitter (the des scheduler
             /// seed varies the queue routing; this varies the clocks).
             jitter: u64,
         }
         impl Sim {
-            fn read_mark(&mut self, session: usize) -> usize {
-                self.mark_reads += 1;
-                self.applied[session]
-            }
             fn next_jitter(&mut self) -> u64 {
                 self.jitter = self
                     .jitter
@@ -1572,22 +2150,45 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 ((self.jitter >> 33) % 4 + 1) * 1_000_000
             }
+            /// One invocation over the head window of `group`'s lane.
+            fn invoke(&mut self, group: usize) {
+                let window: Vec<Write> = self.queues[group].iter().take(WINDOW).copied().collect();
+                let mut first_held = None;
+                let mut held_sessions = HashSet::new();
+                let mut held_nodes = HashSet::new();
+                for (index, write) in window.iter().enumerate() {
+                    if self.ahead[group].contains(write) {
+                        continue;
+                    }
+                    // Earlier eligible records of the batch applied
+                    // already, so the mark also covers rule (a)'s
+                    // in-batch case.
+                    if held_sessions.contains(&write.session)
+                        || held_nodes.contains(&write.node)
+                        || self.applied[write.session] < write.seq
+                    {
+                        first_held.get_or_insert(index);
+                        held_sessions.insert(write.session);
+                        held_nodes.insert(write.node);
+                        continue;
+                    }
+                    assert_eq!(self.applied[write.session], write.seq, "session order");
+                    self.applied[write.session] += 1;
+                    self.node_log.entry(write.node).or_default().push(*write);
+                    if first_held.is_some() {
+                        self.ahead[group].insert(*write);
+                        self.skipped_ahead += 1;
+                    }
+                }
+                self.deferrals += usize::from(first_held.is_some());
+                for write in self.queues[group].drain(..first_held.unwrap_or(window.len())) {
+                    self.ahead[group].remove(&write);
+                }
+            }
         }
         fn drain(group: usize) -> impl Fn(&mut Sim, &mut Scheduler<Sim>) + Clone {
             move |sim: &mut Sim, sched: &mut Scheduler<Sim>| {
-                if let Some((session, seq)) = sim.queues[group].front().copied() {
-                    // One invocation = one look at the mark, then the
-                    // verdict; the next look is the next invocation.
-                    let reads_before = sim.mark_reads;
-                    if seq == 0 || sim.read_mark(session) >= seq - 1 {
-                        sim.queues[group].pop_front();
-                        sim.applied[session] = sim.applied[session].max(seq);
-                        sim.drained += 1;
-                    } else {
-                        sim.deferrals += 1; // held back: redeliver later
-                        sim.deferral_reads += sim.mark_reads - reads_before;
-                    }
-                }
+                sim.invoke(group);
                 if sim.queues.iter().any(|q| !q.is_empty()) {
                     // Jittered per-group cadence: schedules interleave
                     // differently every seed.
@@ -1596,27 +2197,37 @@ mod tests {
                 }
             }
         }
+        let mut skipped_ahead = 0;
         for seed in 0..20u64 {
-            let mut queues: Vec<VecDeque<(usize, usize)>> = vec![VecDeque::new(); GROUPS];
-            // Global push order: sessions round-robin, each write routed
-            // to a pseudo-random group (the path hash).
+            let mut queues: Vec<VecDeque<Write>> = vec![VecDeque::new(); GROUPS];
+            // Global push order: sessions round-robin; a write goes to
+            // the hot node or to a node of its own in a pseudo-random
+            // group (the path hash).
             let mut route = 0xD15Cu64.wrapping_add(seed);
+            let mut pushed: HashMap<usize, Vec<Write>> = HashMap::new();
             for seq in 0..WRITES_PER_SESSION {
                 for session in 0..SESSIONS {
                     route = route
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
-                    queues[(route >> 33) as usize % GROUPS].push_back((session, seq));
+                    let private = 1 + seq * SESSIONS + session;
+                    let (node, group) = match (seq + session) % 3 {
+                        0 => (HOT, 0),
+                        _ => (private, (route >> 33) as usize % GROUPS),
+                    };
+                    let write = Write { session, seq, node };
+                    queues[group].push_back(write);
+                    pushed.entry(node).or_default().push(write);
                 }
             }
             let sim = run(
                 Sim {
                     queues,
+                    ahead: vec![HashSet::new(); GROUPS],
                     applied: vec![0; SESSIONS],
-                    drained: 0,
+                    node_log: HashMap::new(),
                     deferrals: 0,
-                    mark_reads: 0,
-                    deferral_reads: 0,
+                    skipped_ahead: 0,
                     jitter: seed ^ 0x5EED,
                 },
                 seed,
@@ -1628,16 +2239,19 @@ mod tests {
                 },
             );
             assert_eq!(
-                sim.drained,
-                SESSIONS * WRITES_PER_SESSION,
+                sim.applied,
+                vec![WRITES_PER_SESSION; SESSIONS],
                 "seed {seed}: tier wedged with {} deferrals",
                 sim.deferrals
             );
-            assert_eq!(
-                sim.deferral_reads, sim.deferrals,
-                "seed {seed}: a deferral costs exactly one mark read"
+            assert_eq!(sim.node_log, pushed, "seed {seed}: per-node push order");
+            assert!(
+                sim.ahead.iter().all(HashSet::is_empty),
+                "seed {seed}: applied-ahead state outlived its messages"
             );
+            skipped_ahead += sim.skipped_ahead;
         }
+        assert!(skipped_ahead > 0, "the schedules never skipped ahead");
     }
 
     /// Create-heavy batch, no live watches: the segmentation phase reads

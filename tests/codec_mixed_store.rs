@@ -125,6 +125,7 @@ fn distributor_epoch_merges_into_a_mixed_store() {
         record: &record,
         data: Bytes::from_static(b"fresh"),
         multi_data: vec![],
+        ahead: false,
     };
     distributor.apply_epoch(&ctx, &[tx]).unwrap();
 

@@ -31,7 +31,13 @@ struct Committed {
     txid: u64,
 }
 
-/// Runs `sessions × (creates + rounds×set_data)` through the follower,
+/// The node every session also writes each round when a geometry asks
+/// for it: all its records share one lane and one `txq`, interleaved
+/// with every session's cross-group chain.
+const HOT: &str = "/p/hot";
+
+/// Runs `sessions × (creates + rounds×set_data)` through the follower —
+/// plus, with `hot`, one `set_data` on [`HOT`] per session and round —
 /// then drains the leader tier in a seeded random group order, one batch
 /// at a time (tolerating hold-back deferrals). Returns the committed
 /// writes in distribution order plus the number of distinct shard groups
@@ -41,6 +47,7 @@ fn run_random_schedule(
     sessions: usize,
     paths_per_session: usize,
     rounds: usize,
+    hot: bool,
     schedule_seed: u64,
 ) -> (Vec<Committed>, usize, Deployment) {
     let deployment = Deployment::direct(
@@ -95,17 +102,19 @@ fn run_random_schedule(
         }
     };
 
-    // Setup: the shared parent, fully distributed before the measured
-    // interleaving starts.
-    submit(
-        &mut next_request,
-        &session_ids[0],
-        WriteOp::Create {
-            path: "/p".into(),
-            payload: Payload::inline(b""),
-            mode: CreateMode::Persistent,
-        },
-    );
+    // Setup: the shared parent (and the hot node), fully distributed
+    // before the measured interleaving starts.
+    for path in ["/p", HOT].iter().take(1 + usize::from(hot)) {
+        submit(
+            &mut next_request,
+            &session_ids[0],
+            WriteOp::Create {
+                path: (*path).into(),
+                payload: Payload::inline(b""),
+                mode: CreateMode::Persistent,
+            },
+        );
+    }
     drain_follower();
     drain_leaders_fully(&leaders);
 
@@ -151,6 +160,8 @@ fn run_random_schedule(
             );
         }
     }
+    // (session, request id) → payload of every write to the hot node.
+    let mut hot_writes: HashMap<(String, u64), String> = HashMap::new();
     for round in 0..rounds {
         for (s, id) in session_ids.iter().enumerate() {
             let path = session_paths[s][round % paths_per_session].clone();
@@ -163,6 +174,19 @@ fn run_random_schedule(
                     expected_version: -1,
                 },
             );
+            if hot {
+                let payload = format!("s{s}r{round}");
+                hot_writes.insert((id.clone(), next_request[id]), payload.clone());
+                submit(
+                    &mut next_request,
+                    id,
+                    WriteOp::SetData {
+                        path: HOT.into(),
+                        payload: Payload::inline(payload.as_bytes()),
+                        expected_version: -1,
+                    },
+                );
+            }
         }
     }
     drain_follower();
@@ -170,17 +194,30 @@ fn run_random_schedule(
     // Random leader schedule: one batch from a random group at a time.
     // Hold-back deferrals nack without burning attempts, so any schedule
     // converges; bound it anyway.
+    let stored_hot = || deployment.user_store().read_node(&ctx, HOT).unwrap();
     let mut rng = SmallRng::seed_from_u64(schedule_seed);
     let mut spins = 0;
+    let mut hot_txid = 0;
     while deployment.leader_queues().pending() > 0 {
         let g = rng.gen_range(0..groups);
         let _ = leaders[g].drain_queue(&ctx, deployment.leader_queues().queue(g));
         spins += 1;
         assert!(spins < 20_000, "leader tier failed to converge");
+        if hot {
+            // Per-node apply order: the hot node only moves forward.
+            let now = stored_hot().expect("created in setup").modified_txid;
+            assert!(now >= hot_txid, "hot node went back: {hot_txid} -> {now}");
+            hot_txid = now;
+        }
+    }
+    for (g, leader) in leaders.iter().enumerate() {
+        let ahead = leader.applied_ahead();
+        assert_eq!(ahead, 0, "group {g} still remembers {ahead} queued records");
     }
 
     let mut committed = Vec::new();
     for (id, endpoint) in session_ids.iter().zip(&endpoints) {
+        let mut last_request = 0;
         while let Ok(notification) = endpoint.try_recv() {
             if let ClientNotification::WriteResult {
                 request_id,
@@ -189,6 +226,13 @@ fn run_random_schedule(
             } = notification
             {
                 assert!(result.is_ok(), "write failed: {result:?}");
+                // Per-session apply order: results reach the endpoint in
+                // distribution order, which must be submission order.
+                assert!(
+                    request_id > last_request,
+                    "session {id}: request {request_id} acked after {last_request}"
+                );
+                last_request = request_id;
                 committed.push(Committed {
                     session: id.clone(),
                     request_id,
@@ -196,6 +240,18 @@ fn run_random_schedule(
                 });
             }
         }
+    }
+    if hot {
+        // The hot node holds its last write (by txid) and nothing newer.
+        let last = committed
+            .iter()
+            .filter(|c| hot_writes.contains_key(&(c.session.clone(), c.request_id)))
+            .max_by_key(|c| c.txid)
+            .expect("hot writes committed");
+        let node = stored_hot().expect("created in setup");
+        assert_eq!(node.modified_txid, last.txid);
+        let payload = &hot_writes[&(last.session.clone(), last.request_id)];
+        assert_eq!(&node.data[..], payload.as_bytes());
     }
     (committed, groups_hit.len(), deployment)
 }
@@ -234,15 +290,29 @@ fn assert_z2_z3(committed: &[Committed], expected: usize) {
 const SCHEDULES_PER_GEOMETRY: u64 = 4;
 
 /// Runs one geometry under [`SCHEDULES_PER_GEOMETRY`] drain schedules and
-/// checks Z2/Z3 and tree integrity after each.
-fn check_geometry(groups: usize, sessions: usize, paths: usize, rounds: usize, schedule_seed: u64) {
+/// checks Z2/Z3 and tree integrity after each (per-session ack order,
+/// the hot node's apply order and the leaders' applied-ahead state are
+/// checked inside the run).
+fn check_geometry(
+    groups: usize,
+    sessions: usize,
+    paths: usize,
+    rounds: usize,
+    hot: bool,
+    schedule_seed: u64,
+) {
     for schedule in 0..SCHEDULES_PER_GEOMETRY {
         let seed = schedule_seed.wrapping_add(schedule);
         let (committed, hit, deployment) =
-            run_random_schedule(groups, sessions, paths, rounds, seed);
+            run_random_schedule(groups, sessions, paths, rounds, hot, seed);
         assert!(hit >= 2, "paths must span at least two shard groups");
-        // setup create of /p + per session: paths creates + rounds set_data.
-        assert_z2_z3(&committed, 1 + sessions * (paths + rounds));
+        // setup creates + per session: paths creates + rounds set_data
+        // (twice with the hot node).
+        let per_round = 1 + usize::from(hot);
+        assert_z2_z3(
+            &committed,
+            per_round + sessions * (paths + per_round * rounds),
+        );
         let ctx = fk_cloud::trace::Ctx::disabled();
         let violations =
             check_tree_integrity(&ctx, deployment.system(), deployment.user_store().as_ref());
@@ -269,7 +339,7 @@ proptest! {
         rounds in 1usize..8,
         schedule_seed in geometry::schedule_seed(),
     ) {
-        check_geometry(groups, 1, 6, rounds, schedule_seed);
+        check_geometry(groups, 1, 6, rounds, false, schedule_seed);
     }
 
     /// Several sessions at once: the same guarantees, plus cross-session
@@ -281,6 +351,20 @@ proptest! {
         rounds in 1usize..5,
         schedule_seed in geometry::schedule_seed(),
     ) {
-        check_geometry(groups, sessions, 3, rounds, schedule_seed);
+        check_geometry(groups, sessions, 3, rounds, false, schedule_seed);
+    }
+
+    /// Skip-ahead's geometry: at least three pipelined sessions whose
+    /// cross-group chains interleave on the hot node's lane, so held
+    /// heads, records applied from behind them and same-node successors
+    /// meet in one batch under every schedule.
+    #[test]
+    fn z2_pipelined_sessions_share_a_hot_node(
+        groups in 2usize..5,
+        sessions in 3usize..6,
+        rounds in 2usize..6,
+        schedule_seed in geometry::schedule_seed(),
+    ) {
+        check_geometry(groups, sessions, 3, rounds, true, schedule_seed);
     }
 }
