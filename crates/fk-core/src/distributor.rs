@@ -42,6 +42,7 @@ use bytes::Bytes;
 use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
 use fk_cloud::{CloudResult, Meter, Region};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -453,9 +454,24 @@ impl Distributor {
         )
     }
 
+    /// The current epoch marks of every replica region, aligned with
+    /// [`Distributor::regions`] — what [`Distributor::apply_epoch`]
+    /// attaches to an epoch's writes. One strong read per region; the
+    /// set is shared (`Arc`) into every record of the epoch.
+    pub fn epoch_marks(&self, ctx: &Ctx) -> Vec<Arc<Vec<u64>>> {
+        self.regions
+            .iter()
+            .map(|region| Arc::new(self.system.epoch_marks(ctx, *region)))
+            .collect()
+    }
+
     /// Applies one epoch of committed transactions to every replica:
-    /// fetches the epoch marks once per region, partitions the effects by
-    /// path shard, and fans one worker out per (region × shard).
+    /// partitions the effects by path shard and fans one worker out per
+    /// (region × shard). `marks` holds each region's epoch marks
+    /// ([`Distributor::epoch_marks`]), read once per epoch by the
+    /// caller: within an epoch no watch fires, so the marks attached to
+    /// every write are the same set the sequential leader would have
+    /// read per transaction.
     ///
     /// Cross-shard visibility order is preserved by applying in three
     /// barrier-separated waves, matching what an observer could see under
@@ -463,21 +479,15 @@ impl Distributor {
     /// children list was rewritten (a parent never lists a child before
     /// the child's record exists), ➂ deletes (a node never disappears
     /// before its parent stops listing it).
-    pub fn apply_epoch(&self, ctx: &Ctx, items: &[CommittedTx<'_>]) -> CloudResult<()> {
-        use parking_lot::Mutex;
+    pub fn apply_epoch(
+        &self,
+        ctx: &Ctx,
+        items: &[CommittedTx<'_>],
+        marks: &[Arc<Vec<u64>>],
+    ) -> CloudResult<()> {
         if items.is_empty() {
             return Ok(());
         }
-        // One epoch-mark fetch per region per epoch: within an epoch no
-        // watch fires, so the marks attached to every write are the same
-        // set the sequential leader would have read per transaction. The
-        // set is shared (`Arc`) into every record of the epoch.
-        let marks: Vec<Arc<Vec<u64>>> = self
-            .regions
-            .iter()
-            .map(|region| Arc::new(self.system.epoch_marks(ctx, *region)))
-            .collect();
-
         let shards = self.config.shards.max(1);
         let mut per_shard: Vec<Vec<Effect<'_>>> = (0..shards).map(|_| Vec::new()).collect();
         for tx in items {
@@ -500,15 +510,16 @@ impl Distributor {
         // With a multi-leader tier, another shard group may concurrently
         // touch the same parent records; switch to the merge-safe apply.
         if self.config.groups > 1 {
-            self.apply_epoch_multi(ctx, &marks, &per_shard, &jobs)?;
-            self.feed_replicas(ctx, items, &marks);
+            self.apply_epoch_multi(ctx, marks, &per_shard, &jobs)?;
+            self.feed_replicas(ctx, items, marks);
             return Ok(());
         }
 
         // Wave ➀: replay each shard's effects into its final per-path
         // plan (including the read-modify-write base reads), then flush
-        // the independent node writes.
-        let plans: Vec<Mutex<Option<ShardPlan>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        // the independent node writes. Jobs run inline on the calling
+        // thread (`fan_out`), so each plan lands in a plain cell.
+        let plans: Vec<OnceCell<ShardPlan>> = jobs.iter().map(|_| OnceCell::new()).collect();
         fan_out(ctx, jobs.len(), |job, child| {
             let (region_idx, shard_idx) = jobs[job];
             let store = self.user_stores[region_idx].as_ref();
@@ -531,7 +542,7 @@ impl Distributor {
                     || store.write_batch(child, &plan.node_writes),
                 )?;
             }
-            *plans[job].lock() = Some(plan);
+            let _ = plans[job].set(plan);
             Ok(())
         })?;
 
@@ -540,7 +551,7 @@ impl Distributor {
         // workers for every other (region × shard) pair.
         let with_work = |f: fn(&ShardPlan) -> bool| -> Vec<usize> {
             (0..jobs.len())
-                .filter(|&job| plans[job].lock().as_ref().is_some_and(f))
+                .filter(|&job| plans[job].get().is_some_and(f))
                 .collect()
         };
 
@@ -550,8 +561,7 @@ impl Distributor {
         fan_out(ctx, wave2.len(), |i, child| {
             let job = wave2[i];
             let (region_idx, _) = jobs[job];
-            let guard = plans[job].lock();
-            let plan = guard.as_ref().expect("plan built in wave 1");
+            let plan = plans[job].get().expect("plan built in wave 1");
             with_retry(
                 child,
                 self.meter(),
@@ -570,8 +580,7 @@ impl Distributor {
         fan_out(ctx, wave3.len(), |i, child| {
             let job = wave3[i];
             let (region_idx, _) = jobs[job];
-            let guard = plans[job].lock();
-            let plan = guard.as_ref().expect("plan built in wave 1");
+            let plan = plans[job].get().expect("plan built in wave 1");
             with_retry(
                 child,
                 self.meter(),
@@ -584,7 +593,7 @@ impl Distributor {
                 },
             )
         })?;
-        self.feed_replicas(ctx, items, &marks);
+        self.feed_replicas(ctx, items, marks);
         Ok(())
     }
 
@@ -719,9 +728,7 @@ impl Distributor {
         per_shard: &[Vec<Effect<'_>>],
         jobs: &[(usize, usize)],
     ) -> CloudResult<()> {
-        use parking_lot::Mutex;
-        let plans: Vec<Mutex<Option<MultiShardPlan>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
+        let plans: Vec<OnceCell<MultiShardPlan>> = jobs.iter().map(|_| OnceCell::new()).collect();
 
         // Wave ➀: replay into per-path final ops (no base reads — they
         // happen per write, under the stripe), then flush untouched node
@@ -733,13 +740,13 @@ impl Distributor {
             for record in &plan.node_writes {
                 self.write_merged(child, store, record)?;
             }
-            *plans[job].lock() = Some(plan);
+            let _ = plans[job].set(plan);
             Ok(())
         })?;
 
         let with_work = |f: fn(&MultiShardPlan) -> bool| -> Vec<usize> {
             (0..jobs.len())
-                .filter(|&job| plans[job].lock().as_ref().is_some_and(f))
+                .filter(|&job| plans[job].get().is_some_and(f))
                 .collect()
         };
 
@@ -749,8 +756,7 @@ impl Distributor {
             let job = wave2[i];
             let (region_idx, _) = jobs[job];
             let store = self.user_stores[region_idx].as_ref();
-            let guard = plans[job].lock();
-            let plan = guard.as_ref().expect("plan built in wave 1");
+            let plan = plans[job].get().expect("plan built in wave 1");
             for op in &plan.children_ops {
                 match op {
                     ChildrenOp::Write(record) => self.write_merged(child, store, record)?,
@@ -779,8 +785,7 @@ impl Distributor {
             let job = wave3[i];
             let (region_idx, _) = jobs[job];
             let store = self.user_stores[region_idx].as_ref();
-            let guard = plans[job].lock();
-            let plan = guard.as_ref().expect("plan built in wave 1");
+            let plan = plans[job].get().expect("plan built in wave 1");
             for path in &plan.deletes {
                 // Deletion is idempotent; the retry re-takes the stripe
                 // so a racing group's rewrite still sees record-or-absent.

@@ -24,34 +24,48 @@
 //! queue trigger parks a wholly deferred batch outside the sandbox,
 //! unbilled, until another trigger consumed a message
 //! (`fk_cloud::faas`); direct drivers re-offer a deferred lane only
-//! after another lane ran. ➊ **Verify** — check every transaction's
-//! system-storage commit (sharded parallel reads); for
-//! missing commits, `TryCommit` on the failed follower's behalf and
-//! reject the request if the locks were lost. ➋ **Segment** the batch
-//! into *epochs* at transactions with live watch registrations
-//! (non-consuming queries: the batch's distinct watch classes are read
-//! in one parallel wave, and a class is read again only after an epoch
-//! cut consumed it) or at parent/child creation conflicts that the
-//! fan-out waves cannot order across shards. ➌ **Distribute** each
-//! epoch to every replica region through the sharded fan-out
-//! ([`crate::distributor::Distributor::apply_epoch`]), then advance the
-//! distributed sessions' high-water marks. ➍ **Consume** the
-//! epoch-ending transaction's watches (one-shot, only after its writes
-//! are durable, so a nacked batch keeps registrations), publish the
-//! fired ids with a single epoch-counter bump per region before later
-//! transactions commit (Z4), dispatch the deliveries, and notify
-//! clients in transaction order. ➎ **Pop** the transactions from their
-//! nodes' pending queues with coalesced conditional updates. The batch
-//! ends by waiting for all watch deliveries (`WaitAll`).
+//! after another lane ran. ➊ **Read wave + verify** — everything the
+//! batch reads from system storage comes back in **one** parallel wave
+//! (`Leader::read_wave`): every eligible record's node item (its commit
+//! state), the watch registry item of every distinct path the batch can
+//! fire (`watch:<path>` holds every kind, so each `(path, event)` class
+//! is answered from it in memory), and each region's epoch marks for
+//! the batch's first epoch. A batch with nothing to distribute (wholly
+//! held, or deregistrations only) issues none of it. Missing commits
+//! are then repaired one by one: `TryCommit` on the failed follower's
+//! behalf, rejecting the request if the locks were lost. ➋ **Segment**
+//! the batch into *epochs* by one rule for single and `multi` records
+//! alike (`Leader::segment_epochs`): a record starts a new epoch iff
+//! one of its children rewrites targets a node written earlier in the
+//! epoch (the fan-out waves cannot order that across shards), is alone
+//! in its epoch iff that conflict is internal to it (a `multi` whose
+//! sub creates a child under a node another sub writes), and ends its
+//! epoch iff it has live watch registrations (answered from the wave;
+//! a path is read again only after an epoch cut consumed it). A `multi`
+//! is never split. ➌ **Distribute** each epoch to every replica region
+//! through the sharded fan-out
+//! ([`crate::distributor::Distributor::apply_epoch`], with the wave's
+//! marks for the first epoch and a fresh read for later ones). ➍
+//! **Consume** the epoch-ending transaction's watches (one-shot, only
+//! after its writes are durable, so a nacked batch keeps
+//! registrations), publish the fired ids with a single epoch-counter
+//! bump per region before later transactions commit (Z4), and dispatch
+//! the deliveries. ➎ **Bookkeeping wave** — advance the distributed
+//! sessions' high-water marks and pop the transactions from their
+//! nodes' pending queues (coalesced conditional updates) in one
+//! parallel wave; then drop staged payloads and notify clients in
+//! transaction order. Pops follow ➍ so that a failure there redelivers
+//! as committed and still fires the watch; marks follow the epoch
+//! append so that a successor they release on another lane reads the
+//! fired ids. The batch ends by waiting for all watch deliveries
+//! (`WaitAll`).
 //!
 //! The full cross-tier consistency argument lives in
 //! `docs/consistency.md`.
 
 use crate::api::{FkError, WatchEvent, WatchEventType, WatchKind};
 use crate::distributor::{AdaptiveBatch, CommittedTx, Distributor, DistributorConfig, PathLockSet};
-use crate::messages::{
-    ClientNotification, FiredWatch, LeaderRecord, Payload, UserUpdate, WriteResultData,
-};
+use crate::messages::{ClientNotification, LeaderRecord, Payload, UserUpdate, WriteResultData};
 use crate::notify::ClientBus;
 use crate::system_store::{node_attr, SystemStore, WatchInstance};
 use crate::user_store::UserStore;
@@ -64,7 +78,7 @@ use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::Value;
 use fk_cloud::{CloudError, ObjectStore};
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -174,6 +188,7 @@ impl Sequenced<'_> {
 }
 
 /// Commit state of one record after verification (Algorithm 2 ➊).
+#[derive(Clone, Copy)]
 enum CommitState {
     Committed,
     AlreadyProcessed,
@@ -193,24 +208,91 @@ enum Disposition {
     Done,
 }
 
-/// A run of committed transactions in which only the last is expected to
-/// fire watch notifications.
-struct Epoch<'a> {
-    items: Vec<CommittedTx<'a>>,
-    /// True if the last transaction had live watch registrations at
-    /// segmentation time; `run_epoch` consumes (and re-checks) them after
-    /// the epoch's writes are durable.
-    fires: bool,
+/// One watch class a record fires; the path is borrowed from the record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fire<'a> {
+    path: &'a str,
+    event: WatchEventType,
 }
 
-impl<'a> Epoch<'a> {
-    fn new() -> Self {
-        Epoch {
-            items: Vec::new(),
-            fires: false,
+/// The watch classes every eligible record of a batch can fire — the
+/// follower-emitted ones plus the leader-derived subtree candidates —
+/// computed once per batch: the read wave, ➋ and ➍ all work from it.
+/// One flat list, one run per record.
+struct BatchFires<'a> {
+    all: Vec<Fire<'a>>,
+    /// End of each record's run in `all`, aligned with the batch's
+    /// eligible records.
+    ends: Vec<usize>,
+}
+
+impl<'a> BatchFires<'a> {
+    fn of(eligible: &[&'a Decoded]) -> Self {
+        let mut fires = BatchFires {
+            all: Vec::new(),
+            ends: Vec::with_capacity(eligible.len()),
+        };
+        for (_, _, record) in eligible {
+            push_fires(record, &mut fires.all);
+            fires.ends.push(fires.all.len());
         }
+        fires
     }
 
+    /// The fires of the eligible record at `pos`.
+    fn of_record(&self, pos: usize) -> &[Fire<'a>] {
+        let start = pos.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.all[start..self.ends[pos]]
+    }
+}
+
+/// The live watch kinds on one path, as read from its registry item
+/// (one bit per [`WatchKind`]).
+#[derive(Clone, Copy)]
+struct KindSet(u8);
+
+impl KindSet {
+    fn of(instances: &[WatchInstance]) -> Self {
+        KindSet(
+            instances
+                .iter()
+                .fold(0, |bits, inst| bits | 1 << inst.kind as u8),
+        )
+    }
+
+    /// True if `event` fires one of the live kinds.
+    fn fires(self, event: WatchEventType) -> bool {
+        kinds_for(event)
+            .iter()
+            .any(|kind| self.0 & 1 << *kind as u8 != 0)
+    }
+}
+
+/// What a batch's one read wave brought back ([`Leader::read_wave`]).
+struct ReadWave<'a> {
+    /// Commit state of each eligible record, in batch order.
+    states: Vec<CommitState>,
+    /// Live watch kinds of every distinct path the batch can fire;
+    /// an entry is valid until an epoch cut consumes the path's
+    /// registrations.
+    live: HashMap<&'a str, KindSet>,
+    /// Each region's epoch marks, for the batch's first epoch (`None`
+    /// when the batch has nothing to distribute).
+    marks: Option<Vec<Arc<Vec<u64>>>>,
+}
+
+/// A run of committed transactions in which only the last is expected to
+/// fire watch notifications.
+#[derive(Default)]
+struct Epoch<'a> {
+    items: Vec<CommittedTx<'a>>,
+    /// The last transaction's fire list, if it had live watch
+    /// registrations at segmentation time; `run_epoch` consumes (and
+    /// re-checks) them after the epoch's writes are durable.
+    fires: Option<&'a [Fire<'a>]>,
+}
+
+impl Epoch<'_> {
     fn first_index(&self) -> usize {
         self.items.first().map(|tx| tx.msg_index).unwrap_or(0)
     }
@@ -460,26 +542,35 @@ impl Leader {
     ) -> Result<(), FnError> {
         let not_past_held = |index: usize| batch.first_held.map_or(index, |held| held.min(index));
 
-        // ➊ verify commits (sharded parallel reads + sequential repair).
-        // Until an epoch's distribution completes nothing is fully
-        // processed — phase ➊ only repairs system storage and sends
-        // idempotent notifications — so every failure up to and
-        // including the first epoch maps to index 0 (redeliver the
-        // whole batch; redelivery re-resolves each record idempotently).
-        let mut committed: Vec<CommittedTx<'_>> = Vec::new();
+        // ➊ one read wave, then sequential repair. Until an epoch's
+        // distribution completes nothing is fully processed — phase ➊
+        // only repairs system storage and sends idempotent
+        // notifications — so every failure up to and including the first
+        // epoch maps to index 0 (redeliver the whole batch; redelivery
+        // re-resolves each record idempotently).
+        let fires = BatchFires::of(&batch.eligible);
+        let ReadWave {
+            states,
+            live,
+            mut marks,
+        } = self.read_wave(ctx, &batch.eligible, &fires)?;
+        let mut committed: Vec<(CommittedTx<'_>, &[Fire<'_>])> = Vec::new();
         let mut resolved_ahead: Vec<u64> = Vec::new();
-        let states = self.preverify(ctx, &batch.eligible)?;
-        for (&(index, txid, record), state) in batch.eligible.iter().zip(states) {
+        for (pos, (&(index, txid, record), state)) in batch.eligible.iter().zip(states).enumerate()
+        {
             let ahead = batch.is_ahead(*index);
             match self.resolve_disposition(ctx, *txid, record, state) {
-                Ok(Disposition::Distribute { data, multi_data }) => committed.push(CommittedTx {
-                    msg_index: *index,
-                    txid: *txid,
-                    record,
-                    data,
-                    multi_data,
-                    ahead,
-                }),
+                Ok(Disposition::Distribute { data, multi_data }) => committed.push((
+                    CommittedTx {
+                        msg_index: *index,
+                        txid: *txid,
+                        record,
+                        data,
+                        multi_data,
+                        ahead,
+                    },
+                    fires.of_record(pos),
+                )),
                 Ok(Disposition::Done) if ahead => resolved_ahead.push(*txid),
                 Ok(Disposition::Done) => {}
                 Err(e) => return Err(e.at_index(0)),
@@ -488,22 +579,22 @@ impl Leader {
         self.remember_ahead(batch, resolved_ahead);
 
         // ➋ cut epochs at transactions whose watches will fire. The
-        // queries here are non-consuming; one-shot consumption happens
+        // registry reads are non-consuming; one-shot consumption happens
         // inside `run_epoch`, *after* that epoch's writes are durable, so
         // a retryable failure never strands consumed-but-undispatched
         // registrations of later epochs.
-        let epochs = self
-            .segment_epochs(ctx, committed)
-            .map_err(|e| e.at_index(0))?;
+        let epochs = self.segment_epochs(ctx, committed, live);
 
-        // ➌–➎ per epoch: distribute, publish + notify, pop. After epoch
-        // k completes, every eligible message up to its last index is
-        // fully processed (interleaved `Done` records were handled
-        // idempotently in phase ➊), so epoch k+1's failures nack from
-        // its own first message — or from the first held one, if that
-        // comes earlier.
+        // ➌–➎ per epoch: distribute, publish, bookkeeping + notify.
+        // After epoch k completes, every eligible message up to its last
+        // index is fully processed (interleaved `Done` records were
+        // handled idempotently in phase ➊), so epoch k+1's failures nack
+        // from its own first message — or from the first held one, if
+        // that comes earlier. The wave's epoch marks serve the first
+        // epoch only: its cut may append fired ids, so later epochs read
+        // the marks again.
         for epoch in epochs {
-            self.run_epoch(ctx, &epoch, handles)
+            self.run_epoch(ctx, &epoch, marks.take(), handles)
                 .map_err(|e| e.at_index(not_past_held(epoch.first_index())))?;
             self.remember_ahead(
                 batch,
@@ -613,53 +704,114 @@ impl Leader {
         batch
     }
 
-    /// Phase ➊ reads: fetches every record's node item and classifies the
-    /// commit state, sharded by path and fanned out in parallel (the
-    /// reads are independent; repair stays sequential).
-    fn preverify(&self, ctx: &Ctx, decoded: &[&Decoded]) -> Result<Vec<CommitState>, FnError> {
-        use parking_lot::Mutex;
-        let shards = self.distributor.config().shards.max(1);
-        let mut per_shard: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
-        for (pos, (_, _, record)) in decoded.iter().enumerate() {
-            if !record.deregister_session {
-                per_shard[crate::distributor::shard_of(record.shard_key(), shards)].push(pos);
-            }
+    /// Phase ➊ reads — the batch's **one** read wave. Every read the
+    /// invocation needs before it can distribute is independent of the
+    /// others, so they all go out together and the wave costs one
+    /// storage round trip (the slowest read), not one per kind of read:
+    ///
+    /// * the node item of every eligible non-deregistration record
+    ///   (flat — one job per record), classified into its commit state;
+    /// * the watch registry item of every distinct path the batch can
+    ///   fire. `watch:<path>` holds every kind, so one read answers all
+    ///   of the path's `(path, event)` classes in memory
+    ///   ([`KindSet::fires`]). The set is computed from the *eligible*
+    ///   records, a superset of the ones that turn out committed;
+    /// * each region's epoch marks, handed to the batch's first epoch.
+    ///
+    /// A batch with nothing to distribute (wholly held, or
+    /// deregistrations only) issues none of it: a deferral still costs
+    /// exactly the hold-back's one mark read. The jobs keep the
+    /// `get_node` / `query_watches` / `update_user_storage` phase labels
+    /// the serial hops charged under.
+    fn read_wave<'a>(
+        &self,
+        ctx: &Ctx,
+        eligible: &[&'a Decoded],
+        fires: &BatchFires<'a>,
+    ) -> Result<ReadWave<'a>, FnError> {
+        enum Read<'r> {
+            Node(usize),
+            Watches(&'r str),
+            Marks(usize),
         }
-        let jobs: Vec<&Vec<usize>> = per_shard.iter().filter(|s| !s.is_empty()).collect();
-        let states: Vec<Mutex<Option<CommitState>>> =
-            decoded.iter().map(|_| Mutex::new(None)).collect();
-        ctx.span("get_node", || {
-            crate::distributor::fan_out(ctx, jobs.len(), |job, child| {
-                for &pos in jobs[job] {
-                    let (_, txid, record) = decoded[pos];
-                    let item = self.system.get_node(child, &record.path);
-                    let txq_has = item
-                        .as_ref()
-                        .and_then(|i| i.list(node_attr::TXQ))
-                        .map(|q| q.contains(&Value::Num(*txid as i64)))
-                        .unwrap_or(false);
-                    let state = if txq_has {
-                        CommitState::Committed
-                    } else if item
-                        .as_ref()
-                        .and_then(|i| i.num(node_attr::VERSION))
-                        .map(|v| v as u64 >= *txid)
-                        .unwrap_or(false)
-                    {
-                        CommitState::AlreadyProcessed
-                    } else {
-                        CommitState::Missing
-                    };
-                    *states[pos].lock() = Some(state);
+        let mut jobs: Vec<Read<'a>> = eligible
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, _, record))| !record.deregister_session)
+            .map(|(pos, _)| Read::Node(pos))
+            .collect();
+        let states = vec![CommitState::Missing; eligible.len()];
+        if jobs.is_empty() {
+            return Ok(ReadWave {
+                states,
+                live: HashMap::new(),
+                marks: None,
+            });
+        }
+        let mut seen = HashSet::new();
+        let paths = fires.all.iter().map(|fire| fire.path);
+        jobs.extend(paths.filter(|path| seen.insert(*path)).map(Read::Watches));
+        let regions = self.distributor.regions();
+        jobs.extend((0..regions.len()).map(Read::Marks));
+
+        // Jobs run inline on this thread (`fan_out`), so each answer is
+        // a plain indexed write.
+        let states = RefCell::new(states);
+        let live = RefCell::new(HashMap::with_capacity(seen.len()));
+        let marks = RefCell::new(vec![Arc::default(); regions.len()]);
+        crate::distributor::fan_out(ctx, jobs.len(), |job, child| {
+            match jobs[job] {
+                Read::Node(pos) => {
+                    let (_, txid, record) = eligible[pos];
+                    states.borrow_mut()[pos] =
+                        child.span("get_node", || self.commit_state(child, *txid, record));
                 }
-                Ok(())
-            })
+                Read::Watches(path) => {
+                    let kinds = child.span("query_watches", || self.live_kinds(child, path));
+                    live.borrow_mut().insert(path, kinds);
+                }
+                Read::Marks(region) => {
+                    let read = child.span("update_user_storage", || {
+                        self.system.epoch_marks(child, regions[region])
+                    });
+                    marks.borrow_mut()[region] = Arc::new(read);
+                }
+            }
+            Ok(())
         })
         .map_err(|e| FnError::retryable(e.to_string()))?;
-        Ok(states
-            .into_iter()
-            .map(|s| s.into_inner().unwrap_or(CommitState::Missing))
-            .collect())
+        Ok(ReadWave {
+            states: states.into_inner(),
+            live: live.into_inner(),
+            marks: Some(marks.into_inner()),
+        })
+    }
+
+    /// Reads `record`'s node item and classifies the commit of `txid`.
+    fn commit_state(&self, ctx: &Ctx, txid: u64, record: &LeaderRecord) -> CommitState {
+        let item = self.system.get_node(ctx, &record.path);
+        let txq_has = item
+            .as_ref()
+            .and_then(|i| i.list(node_attr::TXQ))
+            .map(|q| q.contains(&Value::Num(txid as i64)))
+            .unwrap_or(false);
+        if txq_has {
+            CommitState::Committed
+        } else if item
+            .as_ref()
+            .and_then(|i| i.num(node_attr::VERSION))
+            .map(|v| v as u64 >= txid)
+            .unwrap_or(false)
+        {
+            CommitState::AlreadyProcessed
+        } else {
+            CommitState::Missing
+        }
+    }
+
+    /// Non-consuming read of one path's watch registry item.
+    fn live_kinds(&self, ctx: &Ctx, path: &str) -> KindSet {
+        KindSet::of(&self.system.query_watches(ctx, path, &ALL_KINDS))
     }
 
     /// Phase ➊ repair: turns a commit state into a disposition, running
@@ -833,170 +985,118 @@ impl Leader {
         Ok(())
     }
 
-    /// Phase ➋: splits the committed run into epochs at transactions
-    /// whose watches will fire (only those advance the region epoch
-    /// counters). The check is a *non-consuming* registry read —
-    /// one-shot consumption is deferred to `run_epoch` so that a nacked
-    /// batch never loses registrations that were consumed for an epoch
-    /// that did not get distributed. A registration racing in between is
+    /// Phase ➋: splits the committed run into epochs, by **one rule** for
+    /// single and `multi` records alike (a multi is looked at through
+    /// every one of its subs). A record
+    ///
+    /// * **starts a new epoch** iff one of its children rewrites targets
+    ///   a node written earlier in the current epoch (a child created
+    ///   under a node this same epoch creates): the rewrite would demote
+    ///   that node's write out of fan-out wave ➀ and break the
+    ///   cross-shard visibility invariants of `apply_epoch`. Cutting at
+    ///   the conflict keeps the waves sound — the child's transaction
+    ///   simply starts the next epoch, mirroring the sequential leader's
+    ///   order;
+    /// * is **alone in its epoch** iff that conflict is *internal* to it
+    ///   — one sub's children rewrite targets a node another sub writes.
+    ///   The subs are one atomic unit under one txid and cannot be cut
+    ///   apart; isolating the record keeps the waves' visibility
+    ///   reasoning local to it (all subs share the txid, so no
+    ///   cross-transaction order can be observed against them);
+    /// * **ends its epoch** iff its watches will fire (only those
+    ///   transactions advance the region epoch counters);
+    /// * and otherwise joins the current epoch. A multi is never split:
+    ///   its sub-effects always distribute as one epoch-atomic unit.
+    ///
+    /// The watch check is a *non-consuming* registry read — one-shot
+    /// consumption is deferred to `run_epoch` so that a nacked batch
+    /// never loses registrations that were consumed for an epoch that
+    /// did not get distributed. A registration racing in between is
     /// picked up by a later transaction, which is a valid linearization
     /// of the concurrent register.
     ///
-    /// The registry is read **once per distinct class per batch, in one
-    /// parallel wave**: the batch's `(watch_path, event_type)` classes
-    /// are collected up front and queried together, so the phase costs
-    /// one storage round trip however many classes the batch fires (a
-    /// create-heavy batch fires the same parent's children class once
-    /// per transaction). The liveness answer cannot change inside a
-    /// batch except when an epoch cut consumes the registrations, at
-    /// which point the memo forgets exactly the fired paths and a later
-    /// transaction firing them re-queries. A concurrent registration
-    /// that lands mid-batch is observed by the next batch, which is the
-    /// same valid linearization as before.
+    /// The registry is read **once per distinct path per batch**, in the
+    /// batch's read wave (`live`): a create-heavy batch fires the same
+    /// parent's children class once per transaction, and every class of
+    /// a path lives in the one `watch:<path>` item. The liveness answer
+    /// cannot change inside a batch except when an epoch cut consumes
+    /// the registrations, at which point the memo forgets exactly the
+    /// fired paths and a later transaction firing them re-queries. A
+    /// concurrent registration that lands mid-batch is observed by the
+    /// next batch, which is the same valid linearization as before.
     fn segment_epochs<'a>(
         &self,
         ctx: &Ctx,
-        committed: Vec<CommittedTx<'a>>,
-    ) -> Result<Vec<Epoch<'a>>, FnError> {
-        let fires: Vec<Vec<FiredWatch>> = committed
-            .iter()
-            .map(|tx| fires_with_subtree(tx.record))
-            .collect();
-        // (path, event type) → "has live registrations", valid until the
-        // path's registrations are consumed by an epoch cut.
-        let mut live_memo = self.query_classes(ctx, &fires)?;
+        committed: Vec<(CommittedTx<'a>, &'a [Fire<'a>])>,
+        mut live: HashMap<&'a str, KindSet>,
+    ) -> Vec<Epoch<'a>> {
         let mut epochs: Vec<Epoch<'a>> = Vec::new();
-        let mut current = Epoch::new();
-        // Node paths written by a `WriteNode` earlier in the current
-        // epoch. A later transaction whose parent-children rewrite
-        // targets one of these (a child created under a node that this
-        // same epoch creates) would demote that node's write out of
-        // fan-out wave ➀ and break the cross-shard visibility invariants
-        // of `apply_epoch`; cutting the epoch at the conflict keeps the
-        // waves sound — the child's transaction simply starts the next
-        // epoch, mirroring the sequential leader's order.
+        let mut current = Epoch::default();
+        // Node paths written by a `WriteNode` earlier in the current epoch.
         let mut written: HashSet<&'a str> = HashSet::new();
-        for (tx, all_fires) in committed.into_iter().zip(&fires) {
+        for (tx, fires) in committed {
             let record: &'a LeaderRecord = tx.record;
-            if record.is_multi() {
-                // A multi is always its **own epoch**: its subs are one
-                // atomic unit under one txid, so an internal
-                // parent/child conflict cannot be cut apart — isolating
-                // the record keeps the fan-out waves' visibility
-                // reasoning local to it (all subs share the txid, so no
-                // cross-transaction ordering can be observed against
-                // them), and "the distributor applies the whole multi as
-                // one epoch" is exactly the atomicity contract.
-                if !current.items.is_empty() {
-                    epochs.push(std::mem::replace(&mut current, Epoch::new()));
-                }
+            let targets = || updates(record).filter_map(children_target);
+            let writes = || updates(record).filter_map(written_path);
+            let conflict = targets().any(|parent| written.contains(parent));
+            let internal = targets().any(|parent| writes().any(|path| path == parent));
+            if (conflict || internal) && !current.items.is_empty() {
+                epochs.push(std::mem::take(&mut current));
                 written.clear();
-            } else {
-                let children_target: Option<&'a str> = match &record.user_update {
-                    UserUpdate::WriteNode {
-                        parent_children: Some((parent, _)),
-                        ..
-                    }
-                    | UserUpdate::DeleteNode {
-                        parent_children: Some((parent, _)),
-                        ..
-                    } => Some(parent),
-                    _ => None,
-                };
-                if children_target.is_some_and(|parent| written.contains(parent))
-                    && !current.items.is_empty()
-                {
-                    epochs.push(std::mem::replace(&mut current, Epoch::new()));
-                    written.clear();
-                }
-                if let UserUpdate::WriteNode { path, .. } = &record.user_update {
-                    written.insert(path);
-                }
             }
-            let fires = self.fires_live(ctx, &mut live_memo, all_fires);
+            written.extend(writes());
+            let fires_now = self.fires_live(ctx, &mut live, fires);
             current.items.push(tx);
-            if fires {
-                current.fires = true;
+            if fires_now {
+                current.fires = Some(fires);
                 // `run_epoch` consumes the fired paths' registrations
                 // (one-shot); what the memo learned about them is stale.
-                live_memo.retain(|(path, _), _| !all_fires.iter().any(|fw| fw.watch_path == *path));
+                for fire in fires {
+                    live.remove(fire.path);
+                }
             }
-            if fires || record.is_multi() {
-                epochs.push(std::mem::replace(&mut current, Epoch::new()));
+            if fires_now || internal {
+                epochs.push(std::mem::take(&mut current));
                 written.clear();
             }
         }
         if !current.items.is_empty() {
             epochs.push(current);
         }
-        Ok(epochs)
+        epochs
     }
 
-    /// True if any class `fires` names has live registrations; a class
+    /// True if any class `fires` names has live registrations; a path
     /// an epoch cut made the memo forget is read again.
     fn fires_live<'f>(
         &self,
         ctx: &Ctx,
-        memo: &mut HashMap<(&'f str, WatchEventType), bool>,
-        fires: &'f [FiredWatch],
+        live: &mut HashMap<&'f str, KindSet>,
+        fires: &[Fire<'f>],
     ) -> bool {
         !fires.is_empty()
             && ctx.span("query_watches", || {
-                fires.iter().any(|fw| {
-                    *memo
-                        .entry((fw.watch_path.as_str(), fw.event_type))
-                        .or_insert_with(|| self.class_is_live(ctx, &fw.watch_path, fw.event_type))
+                fires.iter().any(|fire| {
+                    live.entry(fire.path)
+                        .or_insert_with(|| self.live_kinds(ctx, fire.path))
+                        .fires(fire.event)
                 })
             })
     }
 
-    /// Non-consuming registry read of one watch class.
-    fn class_is_live(&self, ctx: &Ctx, path: &str, event: WatchEventType) -> bool {
-        !self
-            .system
-            .query_watches(ctx, path, kinds_for(event))
-            .is_empty()
-    }
-
-    /// Reads every distinct watch class the batch fires in one parallel
-    /// wave (the classes are independent registry items).
-    fn query_classes<'f>(
-        &self,
-        ctx: &Ctx,
-        fires: &'f [Vec<FiredWatch>],
-    ) -> Result<HashMap<(&'f str, WatchEventType), bool>, FnError> {
-        let mut seen = HashSet::new();
-        let classes: Vec<(&str, WatchEventType)> = fires
-            .iter()
-            .flatten()
-            .map(|fw| (fw.watch_path.as_str(), fw.event_type))
-            .filter(|class| seen.insert(*class))
-            .collect();
-        let live: Vec<Cell<bool>> = classes.iter().map(|_| Cell::new(false)).collect();
-        ctx.span("query_watches", || {
-            crate::distributor::fan_out(ctx, classes.len(), |i, child| {
-                let (path, event) = classes[i];
-                live[i].set(self.class_is_live(child, path, event));
-                Ok(())
-            })
-        })
-        .map_err(|e| FnError::retryable(e.to_string()))?;
-        Ok(classes
-            .into_iter()
-            .zip(live.iter().map(Cell::get))
-            .collect())
-    }
-
-    /// Phases ➌–➎ for one epoch.
+    /// Phases ➌–➎ for one epoch. `marks` carries the region epoch marks
+    /// the batch's read wave fetched (first epoch only).
     fn run_epoch(
         &self,
         ctx: &Ctx,
         epoch: &Epoch<'_>,
+        marks: Option<Vec<Arc<Vec<u64>>>>,
         handles: &mut Vec<WatchHandle>,
     ) -> Result<(), FnError> {
         // ➌ sharded parallel distribution to every region's user store.
         ctx.span("update_user_storage", || {
-            self.distributor.apply_epoch(ctx, &epoch.items)
+            let marks = marks.unwrap_or_else(|| self.distributor.epoch_marks(ctx));
+            self.distributor.apply_epoch(ctx, &epoch.items, &marks)
         })
         .map_err(|e| FnError::retryable(e.to_string()))?;
 
@@ -1009,142 +1109,71 @@ impl Leader {
         // speaks for the lane's prefix.
         self.publish_floors(epoch.items.iter().filter(|tx| !tx.ahead).map(|tx| tx.txid));
 
-        // The epoch's writes are durable in every replica: advance each
-        // session's distribution high-water mark so successors held back
-        // on other shard groups may proceed. Runs before the
-        // notifications, so a synchronous client's next write never
-        // stalls on its own predecessor. The marks of every session the
-        // epoch touched piggyback into chunked multi-item transactions
-        // (⌈N/25⌉ write requests instead of N, with per-item monotone
-        // guards — see `advance_sessions_applied_batch`); the historical
-        // per-session fan-out stays available as the measured baseline.
-        if self.distributor.config().groups > 1 {
-            let mut per_session: Vec<(&str, u64)> = Vec::new();
-            for tx in &epoch.items {
-                let session = tx.record.session_id.as_str();
-                match per_session.iter_mut().find(|(s, _)| *s == session) {
-                    Some((_, max)) => *max = (*max).max(tx.txid),
-                    None => per_session.push((session, tx.txid)),
-                }
-            }
-            // Marks are monotone maxes guarded per item: a retried chunk
-            // (or fan-out leg) that already landed degrades to a no-op,
-            // so transient failures are absorbed in place.
-            if self.distributor.config().batched_marks {
-                ctx.span("advance_session_marks", || {
-                    with_retry(
-                        ctx,
-                        self.meter(),
-                        &RetryPolicy::standard(),
-                        "leader.marks",
-                        || {
-                            self.system
-                                .advance_sessions_applied_batch(ctx, &per_session)
-                        },
-                    )
-                })
-                .map_err(|e| FnError::retryable(e.to_string()))?;
-            } else {
-                ctx.span("advance_session_marks", || {
-                    crate::distributor::fan_out(ctx, per_session.len(), |i, child| {
-                        let (session, txid) = per_session[i];
-                        with_retry(
-                            child,
-                            self.meter(),
-                            &RetryPolicy::standard(),
-                            "leader.mark",
-                            || self.system.advance_session_applied(child, session, txid),
-                        )
-                    })
-                })
-                .map_err(|e| FnError::retryable(e.to_string()))?;
-            }
-            let mut warm = self.warm.lock();
-            for (session, txid) in per_session {
-                warm.note_mark(session, txid);
-            }
-        }
-
         // ➍ consume the epoch-ending transaction's watch registrations
         // (one-shot, now that the epoch's writes are durable — a crash
         // before this point redelivers with registrations intact), then
         // one epoch-counter bump per region publishes all fired ids
         // before later transactions commit (Z4), and the deliveries
         // dispatch.
-        if epoch.fires {
+        if let Some(fires) = epoch.fires {
             let tx = epoch.items.last().expect("firing epoch is non-empty");
-            let fires_all = fires_with_subtree(tx.record);
-            let fired: Vec<(WatchInstance, WatchEventType, String)> =
-                ctx.span("query_watches", || {
-                    let mut fired = Vec::new();
-                    for (path, kinds, events) in merge_fires(&fires_all) {
-                        // Consumption is one-shot, but injected faults
-                        // fire *before* the registry mutation: a failed
-                        // attempt consumed nothing, so the retry sees the
-                        // registrations intact.
-                        let instances = with_retry(
-                            ctx,
-                            self.meter(),
-                            &RetryPolicy::standard(),
-                            "leader.consume_watches",
-                            || self.system.consume_watches(ctx, path, &kinds),
-                        )
-                        .map_err(|e| FnError::retryable(e.to_string()))?;
-                        for inst in instances {
-                            let event_type = events
-                                .iter()
-                                .copied()
-                                .find(|et| kinds_for(*et).contains(&inst.kind))
-                                .expect("instance kind came from the merged kind set");
-                            fired.push((inst, event_type, path.to_owned()));
-                        }
-                    }
-                    Ok::<_, FnError>(fired)
-                })?;
-            if !fired.is_empty() {
-                let ids: Vec<Value> = fired
-                    .iter()
-                    .map(|(inst, _, _)| Value::Num(inst.id as i64))
-                    .collect();
-                for region in self.distributor.regions() {
-                    // The fault point rolls before the list append, so a
-                    // failed attempt published nothing for this region;
-                    // the retry is the first delivery, not a duplicate.
-                    with_retry(
-                        ctx,
-                        self.meter(),
-                        &RetryPolicy::standard(),
-                        "leader.epoch_append",
-                        || self.system.epoch(*region).append(ctx, ids.clone()),
-                    )
-                    .map_err(|e| FnError::retryable(e.to_string()))?;
-                }
-                let region_ids: Vec<u8> = self.distributor.regions().iter().map(|r| r.0).collect();
-                for (inst, event_type, watch_path) in fired {
-                    // A children event carries the full new list when the
-                    // triggering record has it at hand (its parent's
-                    // snapshot, taken under the node's follower lock), so
-                    // caches can patch a resident parent in place instead
-                    // of invalidating it.
-                    let children = if event_type == WatchEventType::NodeChildrenChanged {
-                        fired_children(tx.record, &watch_path)
-                    } else {
-                        None
-                    };
-                    let task = WatchTask {
-                        watch_id: inst.id,
-                        sessions: inst.sessions.clone(),
-                        event: WatchEvent {
-                            watch_id: inst.id,
-                            path: watch_path,
-                            event_type,
-                            txid: tx.txid,
-                            children,
-                        },
-                        regions: region_ids.clone(),
-                    };
-                    handles.push(self.dispatcher.dispatch(ctx, task));
-                }
+            self.fire_watches(ctx, tx, fires, handles)?;
+        }
+
+        // ➎ the epoch's bookkeeping, one parallel wave: advance each
+        // session's distribution high-water mark (so successors held
+        // back on other shard groups may proceed) and pop the
+        // transactions from their nodes' pending queues (coalesced per
+        // path; purges the tombstones of deleted nodes once their pops
+        // landed).
+        //
+        // The pops stay behind ➍: a failure in ➍ must redeliver the
+        // records as *committed* (txid still queued) so the watch fires
+        // on the retry — popped, they would resolve as already processed
+        // and the consumed-or-not registrations would never dispatch.
+        // The marks stay behind ➍'s epoch append: a successor the mark
+        // releases on another lane reads the region's epoch marks next,
+        // and must find this epoch's fired ids in them. And the marks
+        // still precede the notifications, so a synchronous client's
+        // next write never stalls on its own predecessor.
+        let sessions = self.epoch_sessions(epoch);
+        let jobs = 1 + usize::from(!sessions.is_empty());
+        crate::distributor::fan_out(ctx, jobs, |job, child| match job {
+            0 => child.span("pop_updates", || {
+                self.distributor.finalize_epoch(child, &epoch.items)
+            }),
+            _ => child.span("advance_session_marks", || {
+                self.advance_marks(child, &sessions)
+            }),
+        })
+        .map_err(|e| FnError::retryable(e.to_string()))?;
+        if !sessions.is_empty() {
+            let mut warm = self.warm.lock();
+            for (session, txid) in sessions {
+                warm.note_mark(session, txid);
+            }
+        }
+
+        // Drop temporary staging objects (§4.4) — a multi's subs each
+        // carry their own payload. Only once the pops have landed: a
+        // record that is redelivered as committed resolves its payload
+        // again.
+        for update in epoch.items.iter().flat_map(|tx| updates(tx.record)) {
+            if let UserUpdate::WriteNode {
+                payload: Payload::Staged { key, .. },
+                ..
+            } = update
+            {
+                // Object deletion is idempotent; absorbing transients
+                // keeps a flaky store from re-running the whole epoch.
+                with_retry(
+                    ctx,
+                    self.staging.meter(),
+                    &RetryPolicy::standard(),
+                    "leader.staging_delete",
+                    || self.staging.delete(ctx, key),
+                )
+                .map_err(|e| FnError::retryable(e.to_string()))?;
             }
         }
 
@@ -1152,37 +1181,138 @@ impl Leader {
         for tx in &epoch.items {
             self.notify_success(ctx, tx.txid, tx.record);
         }
+        Ok(())
+    }
 
-        // ➎ pop the transactions from their nodes' pending queues
-        // (coalesced per path, sharded in parallel) and purge tombstones.
-        ctx.span("pop_updates", || {
-            self.distributor.finalize_epoch(ctx, &epoch.items)
-        })
-        .map_err(|e| FnError::retryable(e.to_string()))?;
-
-        // Drop temporary staging objects (§4.4) — a multi's subs each
-        // carry their own payload.
-        for tx in &epoch.items {
-            let updates = std::iter::once(&tx.record.user_update)
-                .chain(tx.record.ops.iter().map(|sub| &sub.user_update));
-            for update in updates {
-                if let UserUpdate::WriteNode {
-                    payload: Payload::Staged { key, .. },
-                    ..
-                } = update
-                {
-                    // Object deletion is idempotent; absorbing transients
-                    // keeps a flaky store from re-running the whole epoch.
-                    with_retry(
-                        ctx,
-                        self.staging.meter(),
-                        &RetryPolicy::standard(),
-                        "leader.staging_delete",
-                        || self.staging.delete(ctx, key),
-                    )
-                    .map_err(|e| FnError::retryable(e.to_string()))?;
+    /// The highest txid the epoch distributed for each session it
+    /// touched — the marks ➎ advances. Only a multi-group tier keeps
+    /// marks (a single lane orders its sessions by itself).
+    fn epoch_sessions<'e>(&self, epoch: &'e Epoch<'_>) -> Vec<(&'e str, u64)> {
+        let mut per_session: Vec<(&str, u64)> = Vec::new();
+        if self.distributor.config().groups > 1 {
+            for tx in &epoch.items {
+                let session = tx.record.session_id.as_str();
+                match per_session.iter_mut().find(|(s, _)| *s == session) {
+                    Some((_, max)) => *max = (*max).max(tx.txid),
+                    None => per_session.push((session, tx.txid)),
                 }
             }
+        }
+        per_session
+    }
+
+    /// Advances the sessions' distribution high-water marks. They
+    /// piggyback into chunked multi-item transactions (⌈N/25⌉ write
+    /// requests instead of N, with per-item monotone guards — see
+    /// `advance_sessions_applied_batch`); the historical per-session
+    /// fan-out stays available as the measured baseline. Marks are
+    /// monotone maxes guarded per item: a retried chunk (or fan-out leg)
+    /// that already landed degrades to a no-op, so transient failures
+    /// are absorbed in place.
+    fn advance_marks(&self, ctx: &Ctx, sessions: &[(&str, u64)]) -> fk_cloud::CloudResult<()> {
+        if self.distributor.config().batched_marks {
+            return with_retry(
+                ctx,
+                self.meter(),
+                &RetryPolicy::standard(),
+                "leader.marks",
+                || self.system.advance_sessions_applied_batch(ctx, sessions),
+            );
+        }
+        crate::distributor::fan_out(ctx, sessions.len(), |i, child| {
+            let (session, txid) = sessions[i];
+            with_retry(
+                child,
+                self.meter(),
+                &RetryPolicy::standard(),
+                "leader.mark",
+                || self.system.advance_session_applied(child, session, txid),
+            )
+        })
+    }
+
+    /// Phase ➍ for the epoch-ending transaction `tx`: consumes the
+    /// registrations of the classes in `fires`, publishes the fired ids
+    /// to every region's epoch counter and dispatches the deliveries.
+    fn fire_watches(
+        &self,
+        ctx: &Ctx,
+        tx: &CommittedTx<'_>,
+        fires: &[Fire<'_>],
+        handles: &mut Vec<WatchHandle>,
+    ) -> Result<(), FnError> {
+        let fired: Vec<(WatchInstance, WatchEventType, &str)> =
+            ctx.span("query_watches", || {
+                let mut fired = Vec::new();
+                for (path, kinds, events) in merge_fires(fires) {
+                    // Consumption is one-shot, but injected faults
+                    // fire *before* the registry mutation: a failed
+                    // attempt consumed nothing, so the retry sees the
+                    // registrations intact.
+                    let instances = with_retry(
+                        ctx,
+                        self.meter(),
+                        &RetryPolicy::standard(),
+                        "leader.consume_watches",
+                        || self.system.consume_watches(ctx, path, &kinds),
+                    )
+                    .map_err(|e| FnError::retryable(e.to_string()))?;
+                    for inst in instances {
+                        let event_type = events
+                            .iter()
+                            .copied()
+                            .find(|et| kinds_for(*et).contains(&inst.kind))
+                            .expect("instance kind came from the merged kind set");
+                        fired.push((inst, event_type, path));
+                    }
+                }
+                Ok::<_, FnError>(fired)
+            })?;
+        if fired.is_empty() {
+            return Ok(());
+        }
+        let ids: Vec<Value> = fired
+            .iter()
+            .map(|(inst, _, _)| Value::Num(inst.id as i64))
+            .collect();
+        for region in self.distributor.regions() {
+            // The fault point rolls before the list append, so a
+            // failed attempt published nothing for this region;
+            // the retry is the first delivery, not a duplicate.
+            with_retry(
+                ctx,
+                self.meter(),
+                &RetryPolicy::standard(),
+                "leader.epoch_append",
+                || self.system.epoch(*region).append(ctx, ids.clone()),
+            )
+            .map_err(|e| FnError::retryable(e.to_string()))?;
+        }
+        let region_ids: Vec<u8> = self.distributor.regions().iter().map(|r| r.0).collect();
+        for (inst, event_type, watch_path) in fired {
+            // A children event carries the full new list when the
+            // triggering record has it at hand (its parent's
+            // snapshot, taken under the node's follower lock), so
+            // caches can patch a resident parent in place instead
+            // of invalidating it.
+            let children = if event_type == WatchEventType::NodeChildrenChanged {
+                fired_children(tx.record, watch_path)
+            } else {
+                None
+            };
+            let task = WatchTask {
+                watch_id: inst.id,
+                sessions: inst.sessions.clone(),
+                event: WatchEvent {
+                    watch_id: inst.id,
+                    path: watch_path.to_owned(),
+                    event_type,
+                    txid: tx.txid,
+                    children,
+                },
+                regions: region_ids.clone(),
+            };
+            handles.push(self.dispatcher.dispatch(ctx, task));
         }
         Ok(())
     }
@@ -1340,36 +1470,77 @@ fn kinds_for(event: WatchEventType) -> &'static [WatchKind] {
     }
 }
 
-/// Subtree-watch fire candidates for one record: a `SubtreeChanged`
-/// event at every path on the ancestor chain of each written node —
-/// the node itself, its parent, on up to `/`. Derived leader-side from
-/// the record's written paths (followers stay unchanged and queue
-/// frames carry nothing extra); the epoch machinery treats these
-/// exactly like follower-emitted fires, so a live subtree registration
-/// cuts an epoch and consumes one-shot, while an unarmed ancestor costs
-/// only a memoized registry probe per batch.
-fn subtree_fires(record: &LeaderRecord) -> Vec<crate::messages::FiredWatch> {
-    let mut out = Vec::new();
-    let mut push_chain = |path: &str| {
-        if path.is_empty() {
-            return;
+/// Every kind a `watch:<path>` registry item can hold.
+const ALL_KINDS: [WatchKind; 4] = [
+    WatchKind::Data,
+    WatchKind::Exists,
+    WatchKind::Children,
+    WatchKind::Subtree,
+];
+
+/// The user-store updates `record` distributes: its own, or every sub's
+/// of a multi (whose own `user_update` is unused).
+fn updates(record: &LeaderRecord) -> impl Iterator<Item = &UserUpdate> {
+    let own = (!record.is_multi()).then_some(&record.user_update);
+    let subs = record.ops.iter().map(|sub| &sub.user_update);
+    own.into_iter().chain(subs)
+}
+
+/// The parent whose children list `update` rewrites, if any.
+fn children_target(update: &UserUpdate) -> Option<&str> {
+    match update {
+        UserUpdate::WriteNode {
+            parent_children: Some((parent, _)),
+            ..
         }
+        | UserUpdate::DeleteNode {
+            parent_children: Some((parent, _)),
+            ..
+        } => Some(parent),
+        _ => None,
+    }
+}
+
+/// The node `update` writes (creates or replaces), if any.
+fn written_path(update: &UserUpdate) -> Option<&str> {
+    match update {
+        UserUpdate::WriteNode { path, .. } => Some(path),
+        _ => None,
+    }
+}
+
+/// Appends the full fire list of `record` to `out`: the follower-emitted
+/// fires (a multi's subs in op order — attribution order matters for the
+/// merged consume, see `merge_fires`), then the leader-derived subtree
+/// candidates — a `SubtreeChanged` event at every path on the ancestor
+/// chain of each written node (the node itself, its parent, on up to
+/// `/`). Deriving those leader-side keeps followers unchanged and queue
+/// frames free of extras; the epoch machinery treats them exactly like
+/// follower-emitted fires, so a live subtree registration cuts an epoch
+/// and consumes one-shot, while an unarmed ancestor costs only a
+/// memoized registry probe per batch. Every path is borrowed from the
+/// record.
+fn push_fires<'a>(record: &'a LeaderRecord, out: &mut Vec<Fire<'a>>) {
+    let start = out.len();
+    out.extend(record.fires_all().map(|fw| Fire {
+        path: &fw.watch_path,
+        event: fw.event_type,
+    }));
+    let mut push_chain = |path: &'a str| {
         let mut current = path;
-        loop {
-            let fire = crate::messages::FiredWatch {
-                watch_path: current.to_owned(),
-                event_type: WatchEventType::SubtreeChanged,
+        while !current.is_empty() {
+            let fire = Fire {
+                path: current,
+                event: WatchEventType::SubtreeChanged,
             };
-            if !out.contains(&fire) {
+            if !out[start..].contains(&fire) {
                 out.push(fire);
             }
-            if current == "/" {
-                break;
-            }
             current = match current.rfind('/') {
+                _ if current == "/" => "",
                 Some(0) => "/",
                 Some(idx) => &current[..idx],
-                None => break,
+                None => "",
             };
         }
     };
@@ -1383,15 +1554,6 @@ fn subtree_fires(record: &LeaderRecord) -> Vec<crate::messages::FiredWatch> {
     } else if !matches!(record.user_update, UserUpdate::None) {
         push_chain(&record.path);
     }
-    out
-}
-
-/// The record's follower-emitted fires plus the leader-derived subtree
-/// candidates — the full fire list the epoch machinery works from.
-fn fires_with_subtree(record: &LeaderRecord) -> Vec<crate::messages::FiredWatch> {
-    let mut fires = record.fires_all();
-    fires.extend(subtree_fires(record));
-    fires
 }
 
 /// Dedups a transaction's fired watch classes by path, merging the kind
@@ -1402,20 +1564,18 @@ fn fires_with_subtree(record: &LeaderRecord) -> Vec<crate::messages::FiredWatch>
 /// matrix covers its kind, which is exactly the instance → event mapping
 /// sequential per-event consumption produced (one-shot consumption hands
 /// every instance to the first matching event anyway).
-fn merge_fires(
-    fires: &[crate::messages::FiredWatch],
-) -> Vec<(&str, Vec<WatchKind>, Vec<WatchEventType>)> {
+fn merge_fires<'a>(fires: &[Fire<'a>]) -> Vec<(&'a str, Vec<WatchKind>, Vec<WatchEventType>)> {
     let mut merged: Vec<(&str, Vec<WatchKind>, Vec<WatchEventType>)> = Vec::new();
-    for fw in fires {
-        let entry = match merged.iter_mut().find(|(p, _, _)| *p == fw.watch_path) {
+    for fire in fires {
+        let entry = match merged.iter_mut().find(|(p, _, _)| *p == fire.path) {
             Some(entry) => entry,
             None => {
-                merged.push((fw.watch_path.as_str(), Vec::new(), Vec::new()));
+                merged.push((fire.path, Vec::new(), Vec::new()));
                 merged.last_mut().expect("just pushed")
             }
         };
-        entry.2.push(fw.event_type);
-        for kind in kinds_for(fw.event_type) {
+        entry.2.push(fire.event);
+        for kind in kinds_for(fire.event) {
             if !entry.1.contains(kind) {
                 entry.1.push(*kind);
             }
@@ -1435,19 +1595,11 @@ mod tests {
 
     #[test]
     fn merge_fires_dedups_paths_and_merges_kinds() {
-        let fires = vec![
-            FiredWatch {
-                watch_path: "/n".into(),
-                event_type: WatchEventType::NodeDataChanged,
-            },
-            FiredWatch {
-                watch_path: "/p".into(),
-                event_type: WatchEventType::NodeChildrenChanged,
-            },
-            FiredWatch {
-                watch_path: "/n".into(),
-                event_type: WatchEventType::NodeChildrenChanged,
-            },
+        let fire = |path, event| Fire { path, event };
+        let fires = [
+            fire("/n", WatchEventType::NodeDataChanged),
+            fire("/p", WatchEventType::NodeChildrenChanged),
+            fire("/n", WatchEventType::NodeChildrenChanged),
         ];
         let merged = merge_fires(&fires);
         assert_eq!(merged.len(), 2, "two distinct paths");
@@ -1476,11 +1628,10 @@ mod tests {
 
     #[test]
     fn merge_fires_keeps_single_fire_untouched() {
-        let fires = vec![FiredWatch {
-            watch_path: "/n".into(),
-            event_type: WatchEventType::NodeCreated,
-        }];
-        let merged = merge_fires(&fires);
+        let merged = merge_fires(&[Fire {
+            path: "/n",
+            event: WatchEventType::NodeCreated,
+        }]);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].1, vec![WatchKind::Exists]);
     }
@@ -1701,6 +1852,39 @@ mod tests {
                 .user_store()
                 .read_node(&self.ctx, path)
                 .unwrap()
+        }
+
+        /// The deployment's inline watch dispatcher.
+        fn inline_dispatcher(&self) -> crate::deploy::InlineDispatcher {
+            crate::deploy::InlineDispatcher::new(
+                Arc::new(self.deployment.make_watch_fn()),
+                self.deployment.config().watch_fn,
+            )
+        }
+
+        /// A leader of this deployment over a stand-in user store and
+        /// watch dispatcher.
+        fn leader_over(
+            &self,
+            store: Arc<dyn UserStore>,
+            dispatcher: Arc<dyn WatchDispatcher>,
+        ) -> Leader {
+            Leader::with_config(
+                self.deployment.system().clone(),
+                vec![store],
+                self.deployment.staging().clone(),
+                self.deployment.bus().clone(),
+                dispatcher,
+                self.deployment.config().distributor,
+            )
+        }
+
+        /// `f`'s result and every charge made while it ran, in charge
+        /// order.
+        fn charges_of<T>(&self, f: impl FnOnce() -> T) -> (T, Vec<fk_cloud::trace::SpanRecord>) {
+            self.ctx.take_spans();
+            let out = f();
+            (out, self.ctx.take_spans())
         }
     }
 
@@ -2002,16 +2186,9 @@ mod tests {
             inner: Arc::clone(tier.deployment.user_store()),
             poisoned: parking_lot::Mutex::new(Some(child.clone())),
         });
-        let leader = Leader::with_config(
-            tier.deployment.system().clone(),
-            vec![Arc::clone(&store) as Arc<dyn UserStore>],
-            tier.deployment.staging().clone(),
-            tier.deployment.bus().clone(),
-            Arc::new(crate::deploy::InlineDispatcher::new(
-                Arc::new(tier.deployment.make_watch_fn()),
-                tier.deployment.config().watch_fn,
-            )),
-            tier.deployment.config().distributor,
+        let leader = tier.leader_over(
+            Arc::clone(&store) as Arc<dyn UserStore>,
+            Arc::new(tier.inline_dispatcher()),
         );
         let drain = || leader.drain_queue(&tier.ctx, tier.lane(1));
 
@@ -2064,8 +2241,9 @@ mod tests {
         assert_eq!(cold.applied_ahead(), 1);
     }
 
-    /// The watch wave reads each distinct class of the batch once, and
-    /// a class an epoch cut consumed is read again by the next
+    /// The read wave reads the registry item of each distinct *path* of
+    /// the batch once — one item answers every class on the path — and
+    /// a path an epoch cut consumed is read again by the next
     /// transaction that fires it.
     #[test]
     fn watch_wave_reads_each_class_once_and_requeries_consumed_ones() {
@@ -2089,11 +2267,417 @@ mod tests {
         let registry_reads = spans
             .iter()
             .filter(|s| s.phase.ends_with("query_watches") && matches!(s.op, Op::KvGet { .. }));
-        // The wave: (/w, data changed), (/w, subtree), (/, subtree). The
-        // first write fires, its epoch consumes /w's registrations, and
-        // the second write reads /w's two classes again; the third finds
-        // every answer remembered.
-        assert_eq!(registry_reads.count(), 3 + 2);
+        // The wave: `/w` (data changed + subtree) and `/` (subtree), one
+        // read each. The first write fires, its epoch consumes both
+        // paths' registrations, and the second write reads the two items
+        // again; the third finds every answer remembered.
+        assert_eq!(registry_reads.count(), 2 + 2);
+    }
+
+    /// One leader batch of plain overwrites: `n` sessions each rewrite a
+    /// node of their own, all in lane 0 of a 2-group tier. Returns the
+    /// charge records of that one invocation and its KV read count.
+    fn overwrite_batch(n: usize) -> (Vec<fk_cloud::trace::SpanRecord>, u64) {
+        let tier = Lanes::new(2);
+        let sessions: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
+        let _endpoints: Vec<Endpoint> = sessions.iter().map(|s| tier.session(s)).collect();
+        for (i, session) in sessions.iter().enumerate() {
+            tier.submit(session, 1, create(&path_on(0, i)));
+        }
+        tier.run_follower();
+        assert_eq!(tier.drain(0).unwrap(), n);
+        for (i, session) in sessions.iter().enumerate() {
+            tier.submit(session, 2, set(&path_on(0, i), b"y"));
+        }
+        tier.run_follower();
+        let before = tier.deployment.meter().snapshot();
+        let (processed, charges) = tier.charges_of(|| tier.drain(0).unwrap());
+        assert_eq!(processed, n, "one leader batch");
+        let used = tier.deployment.meter().snapshot().since(&before);
+        (charges, used.per_op["kv_read"])
+    }
+
+    /// Prints a chain of charges relative to its first one (shown by the
+    /// CI `leader round-trip budget` step).
+    fn print_chain(title: &str, chain: &[&fk_cloud::trace::SpanRecord]) {
+        println!("{title}");
+        let origin = chain.iter().map(|s| s.start).min().unwrap_or_default();
+        for charge in chain {
+            let at = charge.start - origin;
+            println!(
+                "  +{at:>12?} {:>12?}  {:<24} {:?}",
+                charge.duration, charge.phase, charge.op
+            );
+        }
+    }
+
+    /// The read wave's budget: an N-record batch reads exactly N node
+    /// items, one registry item per distinct fired path and one epoch
+    /// list per region, and all of it costs the *slowest* read, not the
+    /// sum. (A wholly held batch issues none of it — one mark read, see
+    /// `held_head_defers_after_exactly_one_mark_read`.)
+    #[test]
+    fn round_trip_budget_read_wave_is_one_round_trip() {
+        let n = 6;
+        let (charges, kv_reads) = overwrite_batch(n);
+        let reads_in = |phase: &str| -> Vec<&fk_cloud::trace::SpanRecord> {
+            let reads = charges.iter().filter(|s| matches!(s.op, Op::KvGet { .. }));
+            reads.filter(|s| s.phase == phase).collect()
+        };
+        let nodes = reads_in("get_node");
+        let registry = reads_in("query_watches");
+        let marks = reads_in("update_user_storage");
+        let wave = [&nodes[..], &registry[..], &marks[..]].concat();
+        print_chain("read wave (all three kinds of read start together):", &wave);
+        assert_eq!(nodes.len(), n, "one node read per record");
+        assert_eq!(
+            registry.len(),
+            n + 1,
+            "one registry read per path: n nodes + /"
+        );
+        assert_eq!(marks.len(), 1, "one epoch-mark read per region");
+        assert_eq!(kv_reads as usize, wave.len(), "and no other KV read");
+
+        let start = wave[0].start;
+        assert!(wave.iter().all(|s| s.start == start), "one wave");
+        let slowest = wave.iter().map(|s| s.duration).max().unwrap();
+        let sum: Duration = wave.iter().map(|s| s.duration).sum();
+        let resumed = charges.iter().map(|s| s.start).filter(|at| *at > start);
+        println!("  wave costs {slowest:?} (the slowest read); serial it would cost {sum:?}");
+        assert_eq!(
+            resumed.min(),
+            Some(start + slowest),
+            "the invocation resumes when the slowest read returns, not after {sum:?}"
+        );
+    }
+
+    /// The bookkeeping wave's budget: the epoch's marks transaction and
+    /// its pop transaction go out together, and the notifications start
+    /// when the slower of the two has landed.
+    #[test]
+    fn round_trip_budget_bookkeeping_wave_is_max_of_marks_and_pops() {
+        let (charges, _) = overwrite_batch(6);
+        let in_phase = |phase: &str| -> Vec<&fk_cloud::trace::SpanRecord> {
+            charges.iter().filter(|s| s.phase == phase).collect()
+        };
+        let (marks, pops) = (in_phase("advance_session_marks"), in_phase("pop_updates"));
+        let notify = in_phase("notify_client");
+        print_chain(
+            "bookkeeping wave (marks || pops, then the first notification):",
+            &[&marks[..], &pops[..], &notify[..1]].concat(),
+        );
+        let (&[marks], &[pops]) = (&marks[..], &pops[..]) else {
+            panic!("one marks transaction and one pop transaction per epoch");
+        };
+        assert_eq!(marks.start, pops.start, "one wave");
+        let (slower, sum) = (
+            marks.duration.max(pops.duration),
+            marks.duration + pops.duration,
+        );
+        println!("  wave costs {slower:?} (the slower of the two); serial it would cost {sum:?}");
+        assert_eq!(
+            notify[0].start,
+            marks.start + slower,
+            "notifications wait for max(marks, pops), not their sum {sum:?}"
+        );
+    }
+
+    /// A dispatcher that runs `hook` at dispatch time — inside ➍, after
+    /// the epoch append — and then delivers through `deliver`, or not at
+    /// all (the fired id then stays in the region's epoch list).
+    struct HookedDispatcher<F> {
+        hook: F,
+        deliver: Option<crate::deploy::InlineDispatcher>,
+    }
+
+    impl<F: Fn(&WatchTask) + Send + Sync> WatchDispatcher for HookedDispatcher<F> {
+        fn dispatch(&self, ctx: &Ctx, task: WatchTask) -> WatchHandle {
+            (self.hook)(&task);
+            match &self.deliver {
+                Some(inline) => inline.dispatch(ctx, task),
+                None => WatchHandle {
+                    forked: None,
+                    rx: None,
+                },
+            }
+        }
+    }
+
+    /// Request ids of the write results and the watch events waiting on
+    /// `endpoint`.
+    fn received(endpoint: &Endpoint) -> (Vec<u64>, Vec<WatchEvent>) {
+        let (mut results, mut events) = (Vec::new(), Vec::new());
+        for notification in std::iter::from_fn(|| endpoint.try_recv().ok()) {
+            match notification {
+                ClientNotification::WriteResult { request_id, .. } => results.push(request_id),
+                ClientNotification::Watch(event) => events.push(event),
+                ClientNotification::Ping { .. } => {}
+            }
+        }
+        (results, events)
+    }
+
+    /// A 2-group tier with one node in lane 0, created by session `s`,
+    /// which also holds a data watch on it.
+    fn watched_node() -> (Lanes, Endpoint, String) {
+        let tier = Lanes::new(2);
+        let endpoint = tier.session("s");
+        let node = path_on(0, 0);
+        tier.submit("s", 1, create(&node));
+        tier.run_follower();
+        assert_eq!(tier.drain(0).unwrap(), 1);
+        assert_eq!(received(&endpoint).0, vec![1]);
+        tier.deployment
+            .system()
+            .register_watch(&tier.ctx, &node, WatchKind::Data, "s")
+            .unwrap();
+        (tier, endpoint, node)
+    }
+
+    /// Length of `path`'s pending-transaction queue in system storage.
+    fn txq_len(tier: &Lanes, path: &str) -> usize {
+        let item = tier.deployment.system().get_node(&tier.ctx, path);
+        let txq = item.as_ref().and_then(|item| item.list(node_attr::TXQ));
+        txq.map_or(0, |txq| txq.len())
+    }
+
+    /// A plan under which one store refuses `kind` exactly as often as
+    /// the standard retry policy tries: the first call fails for good,
+    /// everything after it succeeds.
+    fn one_exhausted_retry(
+        arm: impl FnOnce(&mut fk_cloud::chaos::FaultPlan, fk_cloud::chaos::FaultSpec),
+    ) -> Arc<fk_cloud::chaos::Chaos> {
+        use fk_cloud::chaos::{Chaos, FaultPlan, FaultSpec};
+        let mut plan = FaultPlan::disabled();
+        let attempts = RetryPolicy::standard().max_attempts;
+        arm(&mut plan, FaultSpec::new(1.0, attempts.into()));
+        Chaos::from_plan(plan).expect("one fault point armed")
+    }
+
+    /// Why the pops follow ➍: a retryable failure while consuming the
+    /// registrations leaves the transaction in its node's `txq`, so the
+    /// redelivery resolves it as *committed*, distributes it again
+    /// (idempotent) and fires the watch — exactly once.
+    #[test]
+    fn failure_while_firing_keeps_the_txq_and_the_redelivery_fires_once() {
+        let (tier, endpoint, node) = watched_node();
+        tier.submit("s", 2, set(&node, b"new"));
+        tier.run_follower();
+        // The invocation's first KV *write* is ➍'s registry consumption
+        // (the read wave reads, ➌ writes the user store).
+        let kv = tier.deployment.system().kv();
+        kv.install_chaos(one_exhausted_retry(|plan, spec| plan.kv_error = spec));
+
+        let err = tier.drain(0).unwrap_err();
+        assert!(err.retryable && !err.deferred, "{err:?}");
+        assert_eq!(txq_len(&tier, &node), 1, "not popped: still committed");
+        assert_eq!(received(&endpoint), (vec![], vec![]), "nothing fired yet");
+
+        assert_eq!(tier.drain(0).unwrap(), 1);
+        let (results, events) = received(&endpoint);
+        assert_eq!(results, vec![2]);
+        assert_eq!(events.len(), 1, "the watch fired exactly once");
+        assert_eq!(events[0].path, node);
+        assert_eq!(txq_len(&tier, &node), 0);
+        assert_eq!(&tier.stored(&node).unwrap().data[..], b"new");
+    }
+
+    /// The other side of ➎: an invocation that dies after its pops
+    /// landed and before it notified is redelivered as *already
+    /// processed* — the client gets its one result then, and the watch
+    /// (dispatched before the crash) does not fire again.
+    #[test]
+    fn crash_between_pops_and_notifications_acks_exactly_once() {
+        let (tier, endpoint, node) = watched_node();
+        let staging = tier.deployment.staging();
+        let payload = Payload::Staged {
+            key: "staged/s/2".into(),
+            len: 3,
+        };
+        staging
+            .put(&tier.ctx, "staged/s/2", Bytes::from_static(b"big"))
+            .unwrap();
+        let staged_set = WriteOp::SetData {
+            path: node.clone(),
+            payload,
+            expected_version: -1,
+        };
+        tier.submit("s", 2, staged_set);
+        tier.run_follower();
+        // From the moment the watch dispatches (➍), the staging bucket
+        // refuses the delete that follows ➎'s wave until its retries are
+        // spent: the invocation fails with its pops landed, before any
+        // notification.
+        let flaky = staging.clone();
+        let leader = tier.leader_over(
+            Arc::clone(tier.deployment.user_store()),
+            Arc::new(HookedDispatcher {
+                hook: move |_: &WatchTask| {
+                    flaky.install_chaos(one_exhausted_retry(|plan, spec| plan.obj_error = spec))
+                },
+                deliver: Some(tier.inline_dispatcher()),
+            }),
+        );
+        let drain = || leader.drain_queue(&tier.ctx, tier.lane(0));
+
+        let err = drain().unwrap_err();
+        assert!(err.retryable && !err.deferred, "{err:?}");
+        assert_eq!(txq_len(&tier, &node), 0, "the pops landed");
+        let (results, events) = received(&endpoint);
+        assert_eq!((results, events.len()), (vec![], 1), "fired, not yet acked");
+
+        assert_eq!(drain().unwrap(), 1);
+        assert_eq!(
+            received(&endpoint),
+            (vec![2], vec![]),
+            "one result, no refire"
+        );
+        assert_eq!(&tier.stored(&node).unwrap().data[..], b"big");
+    }
+
+    /// The `n`th path of the form `<parent>/k<i>` that routes to lane 0.
+    fn child_on_lane_0(parent: &str, nth: usize) -> String {
+        (0..)
+            .map(|i| format!("{parent}/k{i}"))
+            .filter(|p| fk_cloud::queue::group_of(p, 2) == 0)
+            .nth(nth)
+            .expect("children hash to both groups")
+    }
+
+    fn multi_create(path: &str) -> crate::messages::MultiOp {
+        crate::messages::MultiOp::Create {
+            path: path.into(),
+            payload: Payload::inline(b"x"),
+            mode: CreateMode::Persistent,
+        }
+    }
+
+    /// The one epoch-cut rule, seen through what an epoch costs (one
+    /// epoch-mark read and one marks transaction each): a conflict-free
+    /// multi shares its neighbours' epoch; a multi that creates a child
+    /// under a node another of its subs creates is alone in its epoch; a
+    /// multi whose parent target was written earlier in the epoch starts
+    /// the next one.
+    #[test]
+    fn multi_joins_its_neighbours_epoch_unless_a_parent_conflict_cuts_it() {
+        use crate::messages::MultiOp;
+        let tier = Lanes::new(2);
+        let endpoints = ["a", "b", "c"].map(|id| tier.session(id));
+        let [x, y, z] = [0, 1, 2].map(|nth| path_on(0, nth));
+        for (session, node) in [("a", &x), ("b", &y), ("c", &z)] {
+            tier.submit(session, 1, create(node));
+        }
+        tier.run_follower();
+        assert_eq!(tier.drain(0).unwrap(), 3);
+
+        // The epochs of one lane-0 batch `a: set x, b: <multi>, c: set z`.
+        let mut request_id = 1;
+        let mut epochs_of = |ops: Vec<MultiOp>| -> usize {
+            request_id += 1;
+            tier.submit("a", request_id, set(&x, b"a"));
+            tier.submit("b", request_id, WriteOp::Multi { ops });
+            tier.submit("c", request_id, set(&z, b"c"));
+            tier.run_follower();
+            let (processed, charges) = tier.charges_of(|| tier.drain(0).unwrap());
+            assert_eq!(processed, 3, "one leader batch");
+            let marks_transactions = charges
+                .iter()
+                .filter(|s| s.phase == "advance_session_marks")
+                .count();
+            let mark_reads = charges
+                .iter()
+                .filter(|s| s.phase == "update_user_storage")
+                .filter(|s| matches!(s.op, Op::KvGet { consistent: true }))
+                .count();
+            assert_eq!(mark_reads, marks_transactions, "one of each per epoch");
+            marks_transactions
+        };
+
+        let check_and_set = vec![
+            MultiOp::Check {
+                path: z.clone(),
+                expected_version: -1,
+            },
+            MultiOp::SetData {
+                path: y.clone(),
+                payload: Payload::inline(b"b"),
+                expected_version: -1,
+            },
+        ];
+        assert_eq!(epochs_of(check_and_set), 1, "conflict-free: one epoch");
+
+        let parent = path_on(0, 3);
+        let nested = vec![
+            multi_create(&parent),
+            multi_create(&child_on_lane_0(&parent, 0)),
+        ];
+        assert_eq!(epochs_of(nested), 3, "internal conflict: isolated");
+
+        // `x` is written by the record before the multi.
+        let under_x = vec![multi_create(&child_on_lane_0(&x, 0))];
+        assert_eq!(epochs_of(under_x), 2, "starts the next epoch, joined by c");
+
+        for endpoint in &endpoints {
+            assert_eq!(request_ids(&acked(endpoint)), vec![1, 2, 3, 4]);
+        }
+        let violations = crate::consistency::check_tree_integrity(
+            &tier.ctx,
+            tier.deployment.system(),
+            tier.deployment.user_store().as_ref(),
+        );
+        assert!(violations.is_empty(), "{violations:#?}");
+    }
+
+    /// Why the marks follow ➍'s epoch append: a successor on another
+    /// lane is released by its predecessor's mark, so by the time the
+    /// mark is visible the predecessor's fired watch id must already be
+    /// in the region's epoch list — the successor's record carries it.
+    #[test]
+    fn successor_released_by_a_mark_carries_the_predecessors_fired_watch_id() {
+        let (tier, _endpoint, node) = watched_node();
+        let successor = path_on(1, 0);
+        tier.submit("s", 2, set(&node, b"new"));
+        tier.submit("s", 3, create(&successor));
+        tier.run_follower();
+        assert!(tier.drain(1).unwrap_err().deferred, "held by the set");
+
+        // Lane 0's leader never delivers, so the fired id stays in the
+        // epoch list; at dispatch time (the id is published) it looks at
+        // the session's mark.
+        let system = tier.deployment.system().clone();
+        let ctx = Ctx::disabled();
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen_at_dispatch = Arc::clone(&seen);
+        let leader = tier.leader_over(
+            Arc::clone(tier.deployment.user_store()),
+            Arc::new(HookedDispatcher {
+                hook: move |task: &WatchTask| {
+                    let mark = system.session_applied_txid(&ctx, "s");
+                    seen_at_dispatch
+                        .lock()
+                        .push((task.watch_id, task.event.txid, mark));
+                },
+                deliver: None,
+            }),
+        );
+        assert_eq!(leader.drain_queue(&tier.ctx, tier.lane(0)).unwrap(), 1);
+        let [(watch_id, set_txid, mark_at_dispatch)] = seen.lock()[..] else {
+            panic!("the data watch fired once");
+        };
+        assert!(
+            mark_at_dispatch < set_txid,
+            "the mark ({mark_at_dispatch}) was advanced before the fired id was published"
+        );
+        let system = tier.deployment.system();
+        assert_eq!(system.session_applied_txid(&tier.ctx, "s"), set_txid);
+
+        assert_eq!(tier.drain(1).unwrap(), 1, "released by the mark");
+        let record = tier.stored(&successor).unwrap();
+        assert!(
+            record.epoch_marks.contains(&watch_id),
+            "{:?} lacks the predecessor's watch id {watch_id}",
+            record.epoch_marks
+        );
     }
 
     /// DES model of the cross-shard hold-back's *liveness* under
@@ -2254,10 +2838,9 @@ mod tests {
         assert!(skipped_ahead > 0, "the schedules never skipped ahead");
     }
 
-    /// Create-heavy batch, no live watches: the segmentation phase reads
-    /// each fired path's registry once per batch instead of once per
-    /// transaction — for N creates under one parent, N + 1 registry
-    /// reads instead of 2 N.
+    /// Create-heavy batch, no live watches: each fired path's registry
+    /// item is read once per batch instead of once per transaction and
+    /// class — for N creates under one parent, N + 2 registry reads.
     #[test]
     fn segmentation_dedups_watch_registry_reads_across_batch() {
         let deployment = Deployment::direct(DeploymentConfig::aws());
@@ -2304,15 +2887,15 @@ mod tests {
         let processed = leader.drain_queue(&ctx, deployment.leader_queue()).unwrap();
         assert_eq!(processed as u64, n, "one leader batch");
         let reads = deployment.meter().snapshot().since(&before).per_op["kv_read"];
-        // Per batch: N preverify node reads + (N distinct child paths +
-        // 1 shared parent) memoized point-registry reads + (N child
-        // paths + shared /p + shared /) memoized subtree-registry reads
-        // + 1 epoch-mark read. The unmemoized leader paid 2 N point
-        // reads alone; the subtree probes share the same memo, so the
-        // ancestor chain costs 2 reads for the whole batch, not 2 N.
+        // Per batch, all in the one read wave: N node reads + one
+        // registry read per distinct fired path (N child paths, the
+        // shared parent /p, the shared root — the point classes and the
+        // subtree candidates of a path share its one item) + 1
+        // epoch-mark read. The unmemoized leader paid 2 N point reads
+        // alone, the per-class wave (N + 1) + (N + 2).
         assert_eq!(
             reads,
-            n + (n + 1) + (n + 2) + 1,
+            n + (n + 2) + 1,
             "registry reads deduped across the batch"
         );
     }

@@ -516,15 +516,13 @@ impl LeaderRecord {
     /// single-op records, the concatenation of the subs' lists for a
     /// multi (in op order — attribution order matters for the merged
     /// consume, see `merge_fires`).
-    pub fn fires_all(&self) -> Vec<FiredWatch> {
-        if self.is_multi() {
-            self.ops
-                .iter()
-                .flat_map(|sub| sub.fires.iter().cloned())
-                .collect()
+    pub fn fires_all(&self) -> impl Iterator<Item = &FiredWatch> {
+        let own = if self.is_multi() {
+            &[]
         } else {
-            self.fires.clone()
-        }
+            &self.fires[..]
+        };
+        own.iter().chain(self.ops.iter().flat_map(|sub| &sub.fires))
     }
 }
 
@@ -720,7 +718,7 @@ mod tests {
             ],
         };
         assert!(rec.is_multi());
-        assert_eq!(rec.fires_all().len(), 1);
+        assert_eq!(rec.fires_all().count(), 1);
         let decoded = LeaderRecord::decode(&rec.encode()).unwrap();
         assert_eq!(decoded, rec);
         // The legacy JSON leg decodes too.

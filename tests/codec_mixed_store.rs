@@ -127,7 +127,8 @@ fn distributor_epoch_merges_into_a_mixed_store() {
         multi_data: vec![],
         ahead: false,
     };
-    distributor.apply_epoch(&ctx, &[tx]).unwrap();
+    let marks = distributor.epoch_marks(&ctx);
+    distributor.apply_epoch(&ctx, &[tx], &marks).unwrap();
 
     for store in &stores {
         let child = store.read_node(&ctx, "/app/new").unwrap().unwrap();

@@ -46,22 +46,9 @@ struct Crashes {
     leader: u64,
 }
 
-fn run_workload(
-    actions_per_client: Vec<Vec<Action>>,
-    crashes: Crashes,
-    distributor: DistributorConfig,
-    cache: ReadCacheConfig,
-    replicas: ReplicaConfig,
-) -> (
-    Vec<fk_core::consistency::HEvent>,
-    HashMap<String, HashSet<u64>>,
-) {
-    let fk = Deployment::start(
-        DeploymentConfig::aws()
-            .with_distributor(distributor)
-            .with_read_cache(cache)
-            .with_replicas(replicas),
-    );
+/// Starts a deployment with `crashes` injected into its functions.
+fn start_with_crashes(config: DeploymentConfig, crashes: Crashes) -> Deployment {
+    let fk = Deployment::start(config);
     if crashes.follower > 0 {
         fk.runtime()
             .inject_crashes(fn_names::FOLLOWER, crashes.follower)
@@ -72,6 +59,39 @@ fn run_workload(
             .inject_crashes(fn_names::LEADER, crashes.leader)
             .unwrap();
     }
+    fk
+}
+
+/// Waits for the pipeline to quiesce, then validates structural
+/// integrity (Z1) too.
+fn quiesce(fk: &Deployment) {
+    let ctx = fk_cloud::trace::Ctx::disabled();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let violations = check_tree_integrity(&ctx, fk.system(), fk.user_store().as_ref());
+        if violations.is_empty() || std::time::Instant::now() > deadline {
+            assert!(violations.is_empty(), "tree integrity: {violations:#?}");
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
+fn run_workload(
+    actions_per_client: Vec<Vec<Action>>,
+    crashes: Crashes,
+    distributor: DistributorConfig,
+    cache: ReadCacheConfig,
+    replicas: ReplicaConfig,
+) -> (
+    Vec<fk_core::consistency::HEvent>,
+    HashMap<String, HashSet<u64>>,
+) {
+    let config = DeploymentConfig::aws()
+        .with_distributor(distributor)
+        .with_read_cache(cache)
+        .with_replicas(replicas);
+    let fk = start_with_crashes(config, crashes);
     let recorder = HistoryRecorder::new();
     let root = fk.connect("root").unwrap();
     root.create("/p", b"", CreateMode::Persistent).unwrap();
@@ -116,17 +136,125 @@ fn run_workload(
         }
     });
 
-    // Quiesce, then validate structural integrity too.
-    let ctx = fk_cloud::trace::Ctx::disabled();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let violations = check_tree_integrity(&ctx, fk.system(), fk.user_store().as_ref());
-        if violations.is_empty() || std::time::Instant::now() > deadline {
-            assert!(violations.is_empty(), "tree integrity: {violations:#?}");
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
+    quiesce(&fk);
+    fk.shutdown();
+    (recorder.events(), watch_ids)
+}
+
+/// The completion wait of a submitted write, whatever it resolves to.
+fn waiter<T: Clone + Send + Sync + 'static>(
+    submitted: fk_core::FkResult<fk_core::OpHandle<T>>,
+) -> Box<dyn FnOnce()> {
+    let handle = submitted.expect("session open");
+    Box::new(move || drop(handle.wait()))
+}
+
+/// Pipelined sessions whose writes mix multis with single writes on
+/// sibling (`/p/n<k>`) and parent/child (`/p/n<k>/c<j>`) paths, so the
+/// leader's batches hold multis *between* their neighbours: each of
+/// `clients` sessions keeps up to eight writes in flight and reads (half
+/// the time arming a watch) in between. The op mix is a pure function of
+/// `seed`.
+///
+/// A session writes two nodes of its own and their children, and reads
+/// everyone's: followers of different sessions then never spin on one
+/// node lock, which on a loaded box can exhaust a request's deliveries
+/// and strand the pipelined session behind the lost result (ROADMAP
+/// item 4's flake class). A child is named into its parent's leader
+/// lane, so every multi mutates nodes of one lane (a node's writes are
+/// ordered by its own lane only).
+fn run_pipelined_multis(
+    seed: u64,
+    clients: usize,
+    ops: usize,
+    distributor: DistributorConfig,
+    crashes: Crashes,
+) -> (Vec<HEvent>, HashMap<String, HashSet<u64>>) {
+    use fk_cloud::queue::group_of;
+    use fk_core::ops::Op;
+    let fk = start_with_crashes(
+        DeploymentConfig::aws().with_distributor(distributor),
+        crashes,
+    );
+    let recorder = HistoryRecorder::new();
+    let root = fk.connect("root").unwrap();
+    root.create("/p", b"", CreateMode::Persistent).unwrap();
+    let node = |n: usize| format!("/p/n{n}");
+    for n in 0..2 * clients {
+        root.create(&node(n), b"", CreateMode::Persistent).unwrap();
     }
+    let child = |n: usize, j: usize| -> String {
+        let parent = node(n);
+        let mut names = (0..).map(|salt| format!("{parent}/c{j}v{salt}"));
+        let same_lane = |name: &String| group_of(name, 4) == group_of(&parent, 4);
+        names.find(same_lane).expect("some name shares the lane")
+    };
+
+    let mut watch_ids = HashMap::new();
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for c in 0..clients {
+            let config = ClientConfig::new(format!("client-{c}")).with_recorder(recorder.clone());
+            let client = fk.connect_with(config).unwrap();
+            handles.push(scope.spawn(move || {
+                let mut zipf =
+                    fk_workloads::SeededZipf::new(2 * clients as u64, seed.wrapping_add(c as u64));
+                // Completion waits of the writes in flight, oldest first.
+                let mut in_flight: std::collections::VecDeque<Box<dyn FnOnce()>> =
+                    std::collections::VecDeque::new();
+                for i in 0..ops {
+                    let any = zipf.next_key() as usize;
+                    let (n, j, data) = (2 * c + any % 2, i % 2, vec![any as u8; 64 + i]);
+                    let create = |path: String| Op::create(path, &data, CreateMode::Persistent);
+                    let multi = |ops: Vec<Op>| waiter(client.submit_multi(ops));
+                    // A rejected op (no node, node exists) is part of the
+                    // mix: it fails alone or fails its multi.
+                    let wait = match (seed as usize + i + c) % 10 {
+                        // Conflict-free: joins its neighbours' epoch.
+                        0 | 1 => multi(vec![
+                            Op::check(node(n), -1),
+                            Op::set_data(node(n), &data, -1),
+                        ]),
+                        // A child under a node the same multi writes.
+                        2 => multi(vec![Op::set_data(node(n), &data, -1), create(child(n, j))]),
+                        // A child under a node a neighbour may just have
+                        // written, next to a sibling's overwrite.
+                        3 => multi(vec![
+                            create(child(n, j)),
+                            Op::set_data(child(n, 1 - j), &data, -1),
+                        ]),
+                        4 => waiter(client.submit_set_data(&node(n), &data, -1)),
+                        5 => waiter(client.submit_set_data(&child(n, j), &data, -1)),
+                        6 => waiter(client.submit_create(
+                            &child(n, j),
+                            &data,
+                            CreateMode::Persistent,
+                        )),
+                        7 => waiter(client.submit_delete(&child(n, j), -1)),
+                        // Reads go anywhere, other sessions' nodes included.
+                        arm => {
+                            let path = if arm == 8 { child(any, j) } else { node(any) };
+                            let _ = client.get_data(&path, i % 2 == 0);
+                            continue;
+                        }
+                    };
+                    in_flight.push_back(wait);
+                    while in_flight.len() > 8 {
+                        in_flight.pop_front().unwrap()();
+                    }
+                }
+                for wait in in_flight {
+                    wait();
+                }
+                (client.session_id().to_owned(), client.my_watch_ids())
+            }));
+        }
+        for handle in handles {
+            let (session, ids) = handle.join().unwrap();
+            watch_ids.insert(session, ids);
+        }
+    });
+    quiesce(&fk);
     fk.shutdown();
     (recorder.events(), watch_ids)
 }
@@ -366,6 +494,38 @@ proptest! {
             violations.is_empty(),
             "violations with {count} replicas, {budget} B budget, lag {feed_lag}, \
              {groups} groups: {violations:#?}"
+        );
+    }
+
+    /// Multis between single writes in the leader's batches: pipelined
+    /// sessions (eight writes in flight each) on sibling and
+    /// parent/child paths, epoch batches of eight or more, 1 / 2 / 4
+    /// shard groups, follower and leader crashes. A multi now shares
+    /// its neighbours' epoch unless a parent/child conflict cuts it;
+    /// Z1–Z4 and tree integrity must not notice.
+    #[test]
+    fn consistency_holds_with_multis_sharing_epochs(
+        seed in geometry::schedule_seed(),
+        ops in 12usize..32,
+        clients in 1usize..4,
+        shards in geometry::shards(),
+        batch in 8usize..17,
+        groups in geometry::pow2_groups(),
+        follower_crashes in geometry::crash_count(),
+        leader_crashes in geometry::crash_count(),
+    ) {
+        let (events, watch_ids) = run_pipelined_multis(
+            seed,
+            clients,
+            ops,
+            DistributorConfig::new(shards, batch).with_groups(groups),
+            Crashes { follower: follower_crashes, leader: leader_crashes },
+        );
+        let violations = check_history(&events, &watch_ids);
+        prop_assert!(
+            violations.is_empty(),
+            "violations with seed {seed}, {shards} shards, batch {batch}, {groups} groups, \
+             crashes f{follower_crashes}/l{leader_crashes}: {violations:#?}"
         );
     }
 
