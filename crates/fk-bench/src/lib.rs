@@ -13,8 +13,6 @@
 //!   behind the `read_path` bench and its round-trip gate;
 //! * [`replica_bench`] — per-session caches alone vs. the shared
 //!   regional read-replica tier behind the `replica_gate`;
-//! * [`write_amp`] — system-store write requests per epoch and encoded
-//!   node bytes behind the `write_amplification` bench and gate;
 //! * [`chaos_soak`] — the 64-session zipf write mix under seeded fault
 //!   schedules versus its fault-free twin, behind the `chaos_gate`;
 //! * [`store_bench`] — LSM-engine vs in-memory store throughput and the
@@ -30,7 +28,6 @@ pub mod read_bench;
 pub mod replica_bench;
 pub mod stats;
 pub mod store_bench;
-pub mod write_amp;
 
 pub use distributor_bench::{compare, run_distribution, DistRunConfig, DistRunResult};
 pub use pipeline::{WritePipeline, WriteSample};
@@ -43,4 +40,3 @@ pub use store_bench::{
     compare_item_packing, compare_stores, run_store_bench, PackingComparison, StoreBenchConfig,
     StoreComparison, StoreRunResult,
 };
-pub use write_amp::{compare_encoded_sizes, run_write_amp, WriteAmpConfig, WriteAmpResult};

@@ -256,6 +256,13 @@ impl Meter {
         *inner.per_op.entry(format!("fault:{kind}")).or_insert(0) += 1;
     }
 
+    /// Records one message a function consumed without processing
+    /// because its body did not decode (labelled `drop:<site>`).
+    pub fn dropped(&self, site: &'static str) {
+        let mut inner = self.inner.lock();
+        *inner.per_op.entry(format!("drop:{site}")).or_insert(0) += 1;
+    }
+
     /// Adjusts the dead-letter depth gauge: positive when messages
     /// exhaust their redelivery budget, negative when a drain collects
     /// them.
@@ -387,12 +394,14 @@ mod tests {
         m.retry("push_to_leader");
         m.retry("evict");
         m.fault_injected("kv_error");
+        m.dropped("follower.undecodable");
         let s = m.snapshot();
         assert_eq!(s.retries, 3);
         assert_eq!(s.faults_injected, 1);
         assert_eq!(s.per_op["retry:push_to_leader"], 2);
         assert_eq!(s.per_op["retry:evict"], 1);
         assert_eq!(s.per_op["fault:kv_error"], 1);
+        assert_eq!(s.per_op["drop:follower.undecodable"], 1);
         let diff = m.snapshot().since(&s);
         assert_eq!(diff.retries, 0);
         assert_eq!(diff.faults_injected, 0);

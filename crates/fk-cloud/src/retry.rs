@@ -12,7 +12,7 @@
 //! immediately.
 //!
 //! Backoff sleeps charge **virtual time** via [`Ctx::advance`], never a
-//! real `thread::sleep`: benchmarks see the latency cost of retries at
+//! real thread sleep: benchmarks see the latency cost of retries at
 //! paper scale while wall time stays in microseconds. Jitter draws come
 //! from the context's auxiliary stream ([`Ctx::aux_roll`]) — the same
 //! stream chaos decisions use — so a fault-free run performs no draws

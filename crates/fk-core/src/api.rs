@@ -5,11 +5,10 @@
 //! modelled after the kazoo client library (§4.4). These are the shared
 //! request/response types of that API.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Node creation modes (ZooKeeper semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CreateMode {
     /// Plain persistent node.
     Persistent,
@@ -41,7 +40,7 @@ impl CreateMode {
 }
 
 /// Node metadata returned by read operations (ZooKeeper's `Stat`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Stat {
     /// Transaction id that created the node (`czxid`).
     pub created_txid: u64,
@@ -58,7 +57,7 @@ pub struct Stat {
 }
 
 /// Types of watch events (ZooKeeper semantics; one-shot triggers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WatchEventType {
     /// Node created (fires exists watches).
     NodeCreated,
@@ -78,7 +77,7 @@ pub enum WatchEventType {
 }
 
 /// A delivered watch notification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WatchEvent {
     /// Watch instance id (unique; shared by all subscribed sessions).
     pub watch_id: u64,
@@ -92,36 +91,12 @@ pub struct WatchEvent {
     /// list of `path` as of `txid`, when the leader had it at hand.
     /// Carries the delta a cache needs to patch a resident parent
     /// record *in place* instead of invalidating it (idempotent: the
-    /// list is absolute, not incremental). `None` on other event types
-    /// and on events from pre-upgrade leaders.
+    /// list is absolute, not incremental). `None` on other event types.
     pub children: Option<Vec<String>>,
 }
 
-// Manual Deserialize: `children` is tolerated-missing so notifications
-// serialized by a pre-upgrade deployment (legacy JSON without the
-// field) keep decoding — the same no-flag-day contract the binary
-// codec keeps via its version header.
-impl<'de> serde::Deserialize<'de> for WatchEvent {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
-        use serde::__private::field;
-        let obj = value
-            .as_obj()
-            .ok_or_else(|| serde::JsonError::expected("WatchEvent object"))?;
-        Ok(WatchEvent {
-            watch_id: u64::from_json(field(obj, "watch_id")?)?,
-            path: String::from_json(field(obj, "path")?)?,
-            event_type: WatchEventType::from_json(field(obj, "event_type")?)?,
-            txid: u64::from_json(field(obj, "txid")?)?,
-            children: match value.get("children") {
-                Some(json) => Option::<Vec<String>>::from_json(json)?,
-                None => None,
-            },
-        })
-    }
-}
-
 /// Kinds of watches a client can register (§3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WatchKind {
     /// Fires on data change / deletion of an existing node.
     Data,
@@ -137,7 +112,7 @@ pub enum WatchKind {
 }
 
 /// Errors surfaced through the client API (ZooKeeper error codes).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FkError {
     /// The node already exists (create).
     NodeExists,
@@ -231,20 +206,5 @@ mod tests {
             FkError::TooLarge { size: 10, limit: 5 }.to_string(),
             "data too large: 10 bytes (limit 5)"
         );
-    }
-
-    #[test]
-    fn stat_roundtrips_through_serde() {
-        let stat = Stat {
-            created_txid: 1,
-            modified_txid: 5,
-            version: 3,
-            num_children: 2,
-            data_length: 100,
-            ephemeral: true,
-        };
-        let json = serde_json::to_string(&stat).unwrap();
-        let back: Stat = serde_json::from_str(&json).unwrap();
-        assert_eq!(stat, back);
     }
 }

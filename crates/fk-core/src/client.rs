@@ -74,7 +74,7 @@ pub struct ClientConfig {
     /// Payloads whose on-the-wire size exceeds this are staged through
     /// the temporary-object bucket instead of the queue (§4.4). The
     /// binary queue frame carries raw bytes, so this compares the
-    /// payload's actual length — not a base64-inflated form.
+    /// payload's actual length.
     pub stage_threshold: usize,
     /// Worker threads executing submitted reads (`submit_get_data` /
     /// `submit_exists` / `submit_get_children`). Reads are independent
@@ -757,8 +757,7 @@ impl FkClient {
     fn make_payload(&self, data: &[u8]) -> FkResult<Payload> {
         self.ctx.charge(CloudOp::ClientWork, data.len());
         // The binary queue frame carries raw bytes, so the staging
-        // threshold compares the payload's actual length (the old base64
-        // encoding paid the comparison on inflated bytes). Staged
+        // threshold compares the payload's actual length. Staged
         // payloads never materialize an inline copy.
         if data.len() > self.config.stage_threshold {
             let key = format!(

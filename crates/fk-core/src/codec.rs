@@ -4,17 +4,13 @@
 //! fixed-size units, so encoded size is money (Baldini et al., "Serverless
 //! Computing: Current Trends and Open Problems") — and FaaSKeeper's
 //! dominant cost terms are exactly those per-request payload units
-//! (FaaSKeeper §5.2). The seed encoding paid JSON field names plus a
-//! base64-inflated data payload (~33 % on the bytes alone) on **every**
-//! node read, node write, and queue message. This module replaces that
-//! with a compact binary frame while keeping every old record readable:
+//! (FaaSKeeper §5.2). This compact binary frame is the only wire and
+//! storage format of the hot-path records:
 //!
 //! * **Self-describing frame** — `[0xFB, version, kind]` followed by the
-//!   record body. `0xFB` can never begin a JSON document (JSON starts
-//!   with whitespace, `{`, `[`, a digit, `-`, `"`, `t`, `f` or `n`), so
-//!   [`is_binary`] classifies any stored byte string unambiguously and
-//!   the decoders fall back to `serde_json` for legacy records: a store
-//!   populated with JSON records mid-run keeps working with no flag day.
+//!   record body. A decoder accepts exactly its own magic, [`VERSION`]
+//!   and kind; anything else — text, another version, another record
+//!   type — is rejected rather than guessed at.
 //! * **Varint framing** — unsigned integers are LEB128; signed integers
 //!   are zigzag-mapped first. Strings, byte payloads and lists carry a
 //!   varint length prefix; node payloads are **raw bytes**, never base64.
@@ -24,14 +20,13 @@
 //!   payloads), and [`crate::watch_fn::WatchTask`] (watch-function
 //!   invocation payloads). System-storage records (node control items,
 //!   `session:`/`seq:` marks, lock stamps) are *attribute-native* KV
-//!   items — they are billed by item size, never serialized to JSON —
-//!   so they need no codec; their write-request count is attacked by
+//!   items — they are billed by item size, never serialized — so they
+//!   need no codec; their write-request count is attacked by
 //!   [`crate::system_store::SystemStore::advance_sessions_applied_batch`]
 //!   instead.
 //!
 //! The decode direction is total: any truncated or corrupt frame returns
-//! `None` rather than panicking, mirroring the `serde_json` error paths
-//! it replaces.
+//! `None` rather than panicking.
 
 use crate::api::{CreateMode, Stat, WatchEvent, WatchEventType};
 use crate::messages::{
@@ -42,20 +37,13 @@ use crate::user_store::NodeRecord;
 use bytes::Bytes;
 use std::sync::Arc;
 
-/// First byte of every binary frame. Never a legal first byte of JSON.
+/// First byte of every binary frame. Never a legal first byte of UTF-8
+/// text, so a stray text body fails the header check.
 pub const MAGIC: u8 = 0xFB;
 
-/// Current format version. Decoders reject newer versions (a rollback
-/// reading records written by a newer deployment must not misparse them)
-/// and accept older ones: version 2 added the `multi` surface — the
-/// `Multi` client-request op and the leader record's `ops` sub-operation
-/// list, which version-1 frames simply lack (decoded as empty); version
-/// 3 added the optional children list on watch-task events (the
-/// `get_children` delta caches patch in place), which older frames lack
-/// (decoded as `None`); version 4 added the `SubtreeChanged` watch event
-/// tag (recursive subtree watches) — a value-range extension, so older
-/// frames decode unchanged and only frames actually carrying the new tag
-/// are rejected by pre-4 decoders.
+/// Current format version; decoders accept exactly this version (a
+/// rollback or a half-upgraded deployment must not misparse records it
+/// cannot read).
 pub const VERSION: u8 = 4;
 
 /// Record kinds carried in the frame header, so a frame is never decoded
@@ -70,16 +58,10 @@ mod kind {
     /// A [`crate::watch_fn::WatchTask`].
     pub const WATCH_TASK: u8 = 4;
     /// A checkpoint chunk (a batch of node frames) staged through the
-    /// object store by [`crate::transfer`]. A new *kind*, not a new
-    /// version: pre-existing decoders reject the kind byte cleanly.
+    /// object store by [`crate::transfer`].
     pub const CHECKPOINT_CHUNK: u8 = 5;
     /// A checkpoint manifest ([`crate::transfer::CheckpointManifest`]).
     pub const CHECKPOINT_MANIFEST: u8 = 6;
-}
-
-/// True if `bytes` is a binary frame (as opposed to a legacy JSON record).
-pub fn is_binary(bytes: &[u8]) -> bool {
-    bytes.first() == Some(&MAGIC)
 }
 
 // ----------------------------------------------------------------------
@@ -163,21 +145,15 @@ impl Writer {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// Frame format version (decoders gate fields added after v1 on it).
-    version: u8,
 }
 
 impl<'a> Reader<'a> {
     /// Opens a frame, checking magic, version and kind.
     fn open(bytes: &'a [u8], kind: u8) -> Option<Self> {
-        if bytes.len() < 3 || bytes[0] != MAGIC || bytes[1] > VERSION || bytes[2] != kind {
+        if bytes.len() < 3 || bytes[0] != MAGIC || bytes[1] != VERSION || bytes[2] != kind {
             return None;
         }
-        Some(Reader {
-            buf: bytes,
-            pos: 3,
-            version: bytes[1],
-        })
+        Some(Reader { buf: bytes, pos: 3 })
     }
 
     fn byte(&mut self) -> Option<u8> {
@@ -286,12 +262,8 @@ pub fn encode_node(record: &NodeRecord) -> Bytes {
     w.finish()
 }
 
-/// Decodes a node record from either encoding: the binary frame, or the
-/// legacy JSON document (mixed-version stores decode transparently).
+/// Decodes a node record; `None` on anything but an exact frame.
 pub fn decode_node(bytes: &[u8]) -> Option<NodeRecord> {
-    if !is_binary(bytes) {
-        return serde_json::from_slice(bytes).ok();
-    }
     let mut r = Reader::open(bytes, kind::NODE)?;
     let record = NodeRecord {
         path: r.str()?,
@@ -307,13 +279,6 @@ pub fn decode_node(bytes: &[u8]) -> Option<NodeRecord> {
     r.done().then_some(record)
 }
 
-/// The legacy JSON encoding of a node record (base64 data payload) —
-/// kept callable for mixed-version tests and the `write_amplification`
-/// size comparison; production writers use [`encode_node`].
-pub fn encode_node_json(record: &NodeRecord) -> Bytes {
-    Bytes::from(serde_json::to_vec(record).expect("record serializes"))
-}
-
 /// A node record's scan-surface view, decoded **partially** from a
 /// stored frame: the stat fields are parsed, the data payload is a
 /// zero-copy slice of the shared frame buffer, and the children list is
@@ -325,8 +290,7 @@ pub fn encode_node_json(record: &NodeRecord) -> Bytes {
 pub struct NodeSummary {
     /// Node path.
     pub path: String,
-    /// Data payload — a slice of the stored frame, not a copy, when the
-    /// record was binary-encoded.
+    /// Data payload — a slice of the stored frame, not a copy.
     pub data: Bytes,
     /// Transaction that created the node (`czxid`).
     pub created_txid: u64,
@@ -356,32 +320,12 @@ impl NodeSummary {
             ephemeral: self.ephemeral,
         }
     }
-
-    /// Builds the view from a fully decoded record (the attribute-native
-    /// KV backend has no frame to slice; `data` is shared, not copied).
-    pub fn from_record(record: &NodeRecord) -> Self {
-        NodeSummary {
-            path: record.path.clone(),
-            data: record.data.clone(),
-            created_txid: record.created_txid,
-            modified_txid: record.modified_txid,
-            version: record.version,
-            num_children: record.children.len(),
-            children_txid: record.children_txid,
-            ephemeral: record.ephemeral_owner.is_some(),
-            epoch_marks: Arc::clone(&record.epoch_marks),
-        }
-    }
 }
 
 /// Partially decodes a stored node record into its scan view (see
-/// [`NodeSummary`]). Binary frames are sliced zero-copy; legacy JSON
-/// records fall back to the full decode. Returns `None` on corrupt
-/// input, like [`decode_node`].
+/// [`NodeSummary`]). Returns `None` on corrupt input, like
+/// [`decode_node`].
 pub fn decode_node_summary(bytes: &Bytes) -> Option<NodeSummary> {
-    if !is_binary(bytes) {
-        return decode_node(bytes).map(|record| NodeSummary::from_record(&record));
-    }
     let mut r = Reader::open(bytes, kind::NODE)?;
     let path = r.str()?;
     // Zero-copy data: note the payload's frame offsets, slice the shared
@@ -840,7 +784,6 @@ pub fn encode_leader_record(record: &LeaderRecord) -> Bytes {
     write_fires(&mut w, &record.fires);
     w.boolean(record.is_delete);
     w.boolean(record.deregister_session);
-    // Version 2: the multi sub-operation list.
     w.u64(record.ops.len() as u64);
     for sub in &record.ops {
         write_multi_sub(&mut w, sub);
@@ -848,12 +791,8 @@ pub fn encode_leader_record(record: &LeaderRecord) -> Bytes {
     w.finish()
 }
 
-/// Decodes a leader-queue record from either encoding (binary frame, or
-/// the legacy JSON message of an in-flight pre-upgrade follower).
+/// Decodes a leader-queue record.
 pub fn decode_leader_record(bytes: &[u8]) -> Option<LeaderRecord> {
-    if !is_binary(bytes) {
-        return serde_json::from_slice(bytes).ok();
-    }
     let mut r = Reader::open(bytes, kind::LEADER_RECORD)?;
     let session_id = r.str()?;
     let request_id = r.u64()?;
@@ -866,17 +805,11 @@ pub fn decode_leader_record(bytes: &[u8]) -> Option<LeaderRecord> {
     let fires = read_fires(&mut r)?;
     let is_delete = r.boolean()?;
     let deregister_session = r.boolean()?;
-    // Version-1 frames predate the multi surface: no ops list.
-    let ops = if r.version >= 2 {
-        let len = r.list_len()?;
-        let mut ops = Vec::with_capacity(len);
-        for _ in 0..len {
-            ops.push(read_multi_sub(&mut r)?);
-        }
-        ops
-    } else {
-        Vec::new()
-    };
+    let ops_len = r.list_len()?;
+    let mut ops = Vec::with_capacity(ops_len);
+    for _ in 0..ops_len {
+        ops.push(read_multi_sub(&mut r)?);
+    }
     let record = LeaderRecord {
         session_id,
         request_id,
@@ -962,11 +895,8 @@ pub fn encode_client_request(request: &ClientRequest) -> Bytes {
     w.finish()
 }
 
-/// Decodes a client write request from either encoding.
+/// Decodes a client write request.
 pub fn decode_client_request(bytes: &[u8]) -> Option<ClientRequest> {
-    if !is_binary(bytes) {
-        return serde_json::from_slice(bytes).ok();
-    }
     let mut r = Reader::open(bytes, kind::CLIENT_REQUEST)?;
     let session_id = r.str()?;
     let request_id = r.u64()?;
@@ -1021,8 +951,7 @@ pub fn encode_watch_task(task: &crate::watch_fn::WatchTask) -> Bytes {
     for &region in &task.regions {
         w.tag(region);
     }
-    // Version 3: optional children list (presence-tagged, at the end so
-    // the preceding layout matches version-2 frames byte for byte).
+    // Optional children list, presence-tagged.
     match &task.event.children {
         Some(children) => {
             w.boolean(true);
@@ -1033,11 +962,8 @@ pub fn encode_watch_task(task: &crate::watch_fn::WatchTask) -> Bytes {
     w.finish()
 }
 
-/// Decodes a watch-delivery task from either encoding.
+/// Decodes a watch-delivery task.
 pub fn decode_watch_task(bytes: &[u8]) -> Option<crate::watch_fn::WatchTask> {
-    if !is_binary(bytes) {
-        return serde_json::from_slice(bytes).ok();
-    }
     let mut r = Reader::open(bytes, kind::WATCH_TASK)?;
     let watch_id = r.u64()?;
     let sessions = r.str_list()?;
@@ -1053,9 +979,7 @@ pub fn decode_watch_task(bytes: &[u8]) -> Option<crate::watch_fn::WatchTask> {
     for _ in 0..regions_len {
         regions.push(r.byte()?);
     }
-    // Version 3 appended the optional children list; version-2 frames
-    // simply end here.
-    if r.version >= 3 && r.boolean()? {
+    if r.boolean()? {
         event.children = Some(r.str_list()?);
     }
     let task = crate::watch_fn::WatchTask {
@@ -1143,17 +1067,8 @@ mod tests {
         for len in [0usize, 1, 127, 128, 300_000] {
             let rec = record(len);
             let bytes = encode_node(&rec);
-            assert!(is_binary(&bytes));
             assert_eq!(decode_node(&bytes).unwrap(), rec);
         }
-    }
-
-    #[test]
-    fn node_json_fallback_decodes() {
-        let rec = record(64);
-        let json = encode_node_json(&rec);
-        assert!(!is_binary(&json));
-        assert_eq!(decode_node(&json).unwrap(), rec);
     }
 
     #[test]
@@ -1181,23 +1096,32 @@ mod tests {
                 assert!(decode_node_summary(&bytes.slice(0..cut)).is_none());
             }
         }
-        // Legacy JSON blobs fall back to the full decoder.
-        let rec = record(16);
-        let json = encode_node_json(&rec);
-        let summary = decode_node_summary(&json).unwrap();
-        assert_eq!(summary.stat(), rec.stat());
-        assert_eq!(summary.data, rec.data);
     }
 
     #[test]
-    fn binary_is_smaller_than_json() {
-        let rec = record(3 * 1024);
-        let bin = encode_node(&rec).len();
-        let json = encode_node_json(&rec).len();
-        assert!(
-            (json as f64) / (bin as f64) >= 1.3,
-            "binary {bin} vs json {json}"
-        );
+    fn frame_overhead_is_bounded_by_the_layout() {
+        // 3-byte header + one varint per scalar field: two length
+        // prefixes (≤ 5 B each below 4 GiB), three txids (≤ 10 B each),
+        // the zigzag version (≤ 5 B), two empty-list counts and the owner
+        // tag (1 B each).
+        const MAX_OVERHEAD: usize = 3 + 2 * 5 + 3 * 10 + 5 + 3;
+        for (data_len, txid) in [(0usize, 0u64), (3 * 1024, 1 << 40), (300_000, u64::MAX)] {
+            let rec = NodeRecord {
+                created_txid: txid,
+                modified_txid: txid,
+                version: i32::MIN,
+                children: Arc::default(),
+                children_txid: txid,
+                ephemeral_owner: None,
+                epoch_marks: Arc::default(),
+                ..record(data_len)
+            };
+            let overhead = encode_node(&rec).len() - rec.path.len() - rec.data.len();
+            assert!(
+                overhead <= MAX_OVERHEAD,
+                "{overhead} B of framing at txid {txid}"
+            );
+        }
     }
 
     #[test]
@@ -1214,29 +1138,26 @@ mod tests {
         assert!(decode_node(&padded).is_none());
         // Wrong kind is rejected.
         assert!(decode_client_request(&bytes).is_none());
-        // Newer versions are rejected, not misparsed.
-        let mut newer = bytes.to_vec();
-        newer[1] = VERSION + 1;
-        assert!(decode_node(&newer).is_none());
-        // A corrupt length prefix must not allocate absurdly.
-        let mut huge = bytes.to_vec();
-        let len = huge.len();
-        huge.truncate(3);
-        huge.extend_from_slice(&[0xFF; 9]);
-        huge.push(0x01);
-        huge.resize(len, 0);
-        assert!(decode_node(&huge).is_none());
-    }
-
-    #[test]
-    fn version1_leader_record_decodes_without_ops() {
-        use crate::messages::{LeaderRecord, SystemCommit, UserUpdate};
-        let rec = LeaderRecord {
+        // Any other version is rejected, not misparsed — for every frame
+        // kind — and so is a text body.
+        let task = crate::watch_fn::WatchTask {
+            watch_id: 3,
+            sessions: vec!["s".into()],
+            event: WatchEvent {
+                watch_id: 3,
+                path: "/x".into(),
+                event_type: WatchEventType::NodeDataChanged,
+                txid: 9,
+                children: None,
+            },
+            regions: vec![0],
+        };
+        let leader = LeaderRecord {
             session_id: "s".into(),
             request_id: 1,
             txid: 9,
             prev_txid: 0,
-            path: "/v1".into(),
+            path: "/x".into(),
             commit: SystemCommit::default(),
             user_update: UserUpdate::None,
             stat: Stat::default(),
@@ -1245,18 +1166,55 @@ mod tests {
             deregister_session: false,
             ops: vec![],
         };
-        let bytes = encode_leader_record(&rec);
-        // Rewrite as a v1 frame: same layout minus the trailing ops list
-        // (an empty list is a single 0x00 varint).
-        let mut v1 = bytes.to_vec();
-        assert_eq!(v1[1], VERSION);
-        assert_eq!(*v1.last().unwrap(), 0, "empty ops list is one zero byte");
-        v1[1] = 1;
-        v1.pop();
-        assert_eq!(decode_leader_record(&v1).unwrap(), rec);
-        // A v1 frame with trailing bytes is still rejected.
-        v1.push(0);
-        assert!(decode_leader_record(&v1).is_none());
+        let request = ClientRequest {
+            session_id: "s".into(),
+            request_id: 1,
+            op: WriteOp::CloseSession,
+        };
+        let manifest = crate::transfer::CheckpointManifest {
+            id: 1,
+            floors: vec![1],
+            feed_seq: vec![1],
+            chunks: 1,
+            nodes: 1,
+        };
+        type Decodes = fn(&[u8]) -> bool;
+        let kinds: [(Bytes, Decodes); 7] = [
+            (bytes.clone(), |b| decode_node(b).is_some()),
+            (bytes.clone(), |b| {
+                decode_node_summary(&Bytes::copy_from_slice(b)).is_some()
+            }),
+            (encode_leader_record(&leader), |b| {
+                decode_leader_record(b).is_some()
+            }),
+            (encode_client_request(&request), |b| {
+                decode_client_request(b).is_some()
+            }),
+            (encode_watch_task(&task), |b| decode_watch_task(b).is_some()),
+            (encode_checkpoint_chunk(std::slice::from_ref(&bytes)), |b| {
+                decode_checkpoint_chunk(b).is_some()
+            }),
+            (encode_checkpoint_manifest(&manifest), |b| {
+                decode_checkpoint_manifest(b).is_some()
+            }),
+        ];
+        for (frame, decodes) in &kinds {
+            assert!(decodes(frame));
+            for version in [VERSION - 1, VERSION + 1] {
+                let mut other = frame.to_vec();
+                other[1] = version;
+                assert!(!decodes(&other), "kind {} v{version}", frame[2]);
+            }
+            assert!(!decodes(br#"{"path":"/x"}"#), "kind {} JSON", frame[2]);
+        }
+        // A corrupt length prefix must not allocate absurdly.
+        let mut huge = bytes.to_vec();
+        let len = huge.len();
+        huge.truncate(3);
+        huge.extend_from_slice(&[0xFF; 9]);
+        huge.push(0x01);
+        huge.resize(len, 0);
+        assert!(decode_node(&huge).is_none());
     }
 
     #[test]

@@ -264,53 +264,103 @@ mod tests {
         assert!(!child.contains("version"), "child must not commit alone");
     }
 
-    #[test]
-    fn pop_pending_coalesces_in_order() {
+    /// A node item per path whose `txq` holds `txids`, on a metered store.
+    fn pending(paths: &[(&str, &[i64])]) -> (KvStore, Meter, Ctx) {
         use crate::system_store::{keys, node_attr};
-        use fk_cloud::Consistency;
         let meter = Meter::new();
         let kv = KvStore::new("sys", Region::US_EAST_1, meter.clone());
         let ctx = Ctx::disabled();
-        kv.put(
-            &ctx,
-            &keys::node("/n"),
-            Item::new().with(
-                node_attr::TXQ,
-                vec![Value::Num(3), Value::Num(4), Value::Num(5), Value::Num(9)],
-            ),
-            Condition::Always,
-        )
-        .unwrap();
+        for (path, txids) in paths {
+            let txq: Vec<Value> = txids.iter().map(|t| Value::Num(*t)).collect();
+            let item = Item::new().with(node_attr::TXQ, txq);
+            kv.put(&ctx, &keys::node(path), item, Condition::Always)
+                .unwrap();
+        }
+        (kv, meter, ctx)
+    }
+
+    fn txq_of(kv: &KvStore, ctx: &Ctx, path: &str) -> Vec<Value> {
+        use crate::system_store::{keys, node_attr};
+        let item = kv.get(ctx, &keys::node(path), Consistency::Strong).unwrap();
+        item.list(node_attr::TXQ).unwrap().to_vec()
+    }
+
+    #[test]
+    fn pop_pending_coalesces_in_order() {
+        let (kv, meter, ctx) = pending(&[("/n", &[3, 4, 5, 9])]);
         // Batched pop of a contiguous head run: single update.
         let before = meter.snapshot().kv_ops;
         pop_pending(&kv, &ctx, "/n", &[3, 4, 5]).unwrap();
         assert_eq!(meter.snapshot().kv_ops - before, 1, "one coalesced update");
-        let item = kv
-            .get(&ctx, &keys::node("/n"), Consistency::Strong)
-            .unwrap();
-        assert_eq!(item.list(node_attr::TXQ).unwrap(), &[Value::Num(9)]);
+        assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(9)]);
     }
 
     #[test]
     fn pop_pending_falls_back_after_partial_redelivery() {
-        use crate::system_store::{keys, node_attr};
-        use fk_cloud::Consistency;
-        let (kv, _locks, ctx) = setup();
         // Head 3 already popped by the pre-crash delivery; 4 and 5 remain.
-        kv.put(
-            &ctx,
-            &keys::node("/n"),
-            Item::new().with(node_attr::TXQ, vec![Value::Num(4), Value::Num(5)]),
-            Condition::Always,
-        )
-        .unwrap();
+        let (kv, _meter, ctx) = pending(&[("/n", &[4, 5])]);
         pop_pending(&kv, &ctx, "/n", &[3, 4, 5]).unwrap();
-        let item = kv
-            .get(&ctx, &keys::node("/n"), Consistency::Strong)
-            .unwrap();
-        assert_eq!(item.list(node_attr::TXQ).unwrap(), &[] as &[Value]);
+        assert_eq!(txq_of(&kv, &ctx, "/n"), []);
         // Fully popped already: a second call is a no-op.
         pop_pending(&kv, &ctx, "/n", &[3, 4, 5]).unwrap();
+    }
+
+    #[test]
+    fn pop_pending_batch_request_budget() {
+        let paths: Vec<String> = (0..crate::system_store::TRANSACT_MAX_ITEMS)
+            .map(|i| format!("/n{i}"))
+            .collect();
+        let stored: Vec<(&str, &[i64])> =
+            paths.iter().map(|p| (p.as_str(), &[7, 99][..])).collect();
+        let (kv, meter, ctx) = pending(&stored);
+        let entries: Vec<(&str, &[u64])> = paths.iter().map(|p| (p.as_str(), &[7][..])).collect();
+
+        // A full chunk is one transaction and nothing else.
+        let before = meter.snapshot();
+        pop_pending_batch(&kv, &ctx, &entries).unwrap();
+        let used = meter.snapshot().since(&before);
+        assert_eq!(used.per_op["kv_transact"], 1);
+        assert_eq!(used.per_op["kv_write"], 0);
+        for path in &paths {
+            assert_eq!(txq_of(&kv, &ctx, path), [Value::Num(99)]);
+        }
+
+        // No entries (or only empty ones): no request at all.
+        let before = meter.snapshot();
+        pop_pending_batch(&kv, &ctx, &[]).unwrap();
+        pop_pending_batch(&kv, &ctx, &[("/n0", &[]), ("/n1", &[])]).unwrap();
+        assert_eq!(meter.snapshot().since(&before).kv_ops, 0);
+
+        // One effective entry: the single-path conditional update.
+        let before = meter.snapshot();
+        pop_pending_batch(&kv, &ctx, &[("/n0", &[99]), ("/n1", &[])]).unwrap();
+        let used = meter.snapshot().since(&before);
+        assert_eq!(used.per_op["kv_write"], 1);
+        assert_eq!(used.per_op["kv_transact"], 0);
+        assert_eq!(txq_of(&kv, &ctx, "/n0"), []);
+    }
+
+    #[test]
+    fn pop_pending_batch_falls_back_on_a_stale_head() {
+        // `/b`'s 4 was popped by an earlier delivery of the same epoch.
+        let (kv, meter, ctx) = pending(&[("/a", &[3, 8]), ("/b", &[6]), ("/c", &[5, 7])]);
+        let entries: [(&str, &[u64]); 3] = [("/a", &[3]), ("/b", &[4, 6]), ("/c", &[5])];
+        let before = meter.snapshot();
+        pop_pending_batch(&kv, &ctx, &entries).unwrap();
+        let used = meter.snapshot().since(&before);
+        assert_eq!(used.per_op["kv_transact"], 1, "the cancelled chunk");
+        // `/a` and `/c` pop at once; `/b`'s coalesced pop fails its head
+        // guard, then its per-txid legs skip 4 and pop 6.
+        assert_eq!(used.per_op["kv_write"], 2 + 3, "per-path fallback");
+        assert_eq!(txq_of(&kv, &ctx, "/a"), [Value::Num(8)]);
+        assert_eq!(txq_of(&kv, &ctx, "/b"), []);
+        assert_eq!(txq_of(&kv, &ctx, "/c"), [Value::Num(7)]);
+
+        // Everything already popped: a repeat changes nothing.
+        pop_pending_batch(&kv, &ctx, &entries).unwrap();
+        assert_eq!(txq_of(&kv, &ctx, "/a"), [Value::Num(8)]);
+        assert_eq!(txq_of(&kv, &ctx, "/b"), []);
+        assert_eq!(txq_of(&kv, &ctx, "/c"), [Value::Num(7)]);
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! 4. **Ordered finalization** — a single epoch-counter bump per region
 //!    publishes all watch ids fired by the epoch before any later
 //!    transaction commits (Z4), client notifications go out in txid
-//!    order (Z2), and the per-node pending queues are popped with
-//!    coalesced conditional updates ([`crate::commit::pop_pending`]).
+//!    order (Z2), and the per-node pending queues are popped in
+//!    chunked ≤ 25-item transactions with per-item head guards
+//!    ([`crate::commit::pop_pending_batch`]).
 //!
 //! The formal serverless model of Gabbrielli et al. ("No more, no less")
 //! licenses exactly this transformation: fan-out is unobservable as long
@@ -66,23 +67,6 @@ pub struct DistributorConfig {
     /// one group the distributor switches to the cross-group-safe apply
     /// path (children-list merging by `children_txid`).
     pub groups: usize,
-    /// Coalesce the per-session distribution high-water-mark updates of
-    /// an epoch into chunked multi-item transactions
-    /// ([`crate::system_store::SystemStore::advance_sessions_applied_batch`]).
-    /// `true` (the default) turns N conditional writes per epoch into
-    /// ⌈N/25⌉; `false` keeps the historical one-update-per-session
-    /// epilogue — the baseline the `write_amplification` gate measures
-    /// against. Only meaningful in multi-group tiers (single-group
-    /// leaders never write the marks at all).
-    pub batched_marks: bool,
-    /// Coalesce the per-path `txq` pops of an epoch's finalization into
-    /// chunked ≤ 25-item transactions with per-item head guards
-    /// ([`crate::commit::pop_pending_batch`]). `true` (the default)
-    /// turns one conditional update per distinct path per epoch into
-    /// ⌈paths/25⌉ write requests; `false` keeps the historical
-    /// per-path pops — the baseline the `write_amplification` gate
-    /// measures against.
-    pub batched_pops: bool,
 }
 
 impl Default for DistributorConfig {
@@ -92,8 +76,6 @@ impl Default for DistributorConfig {
             max_batch: 16,
             min_batch: 16,
             groups: 1,
-            batched_marks: true,
-            batched_pops: true,
         }
     }
 }
@@ -108,16 +90,7 @@ impl DistributorConfig {
             max_batch,
             min_batch: max_batch,
             groups: 1,
-            batched_marks: true,
-            batched_pops: true,
         }
-    }
-
-    /// Builder: switch the epoch-finalization `txq` pops between the
-    /// chunked transactional path and the per-path conditional updates.
-    pub fn with_batched_pops(mut self, batched: bool) -> Self {
-        self.batched_pops = batched;
-        self
     }
 
     /// Builder: run `groups` shard-group leaders instead of one.
@@ -135,13 +108,6 @@ impl DistributorConfig {
     /// single worker. Used as the baseline in `distributor_path` benches.
     pub fn sequential() -> Self {
         Self::new(1, 1)
-    }
-
-    /// Builder: switch the session-mark epilogue between the coalesced
-    /// transactional path and the per-session conditional updates.
-    pub fn with_batched_marks(mut self, batched: bool) -> Self {
-        self.batched_marks = batched;
-        self
     }
 
     /// Builder: adapt the epoch batch window between `min_batch` and
@@ -172,7 +138,7 @@ pub struct CommittedTx<'a> {
     pub txid: u64,
     /// The confirmed change.
     pub record: &'a LeaderRecord,
-    /// Payload bytes (inline base64 decoded, or fetched from staging).
+    /// Payload bytes (inline, or fetched from staging).
     pub data: Bytes,
     /// Per-sub payload bytes of a multi record, aligned with
     /// `record.ops` (empty for single-op records).
@@ -888,12 +854,10 @@ impl Distributor {
 
     /// Pops the distributed transactions from their nodes' pending queues
     /// and purges drained tombstones — system-store bookkeeping only, no
-    /// user-store access. With `batched_pops` (the default) the per-path
-    /// pops coalesce across paths into chunked ≤ 25-item transactions
-    /// with per-item head guards ([`crate::commit::pop_pending_batch`]):
-    /// N distinct paths per epoch cost ⌈N/25⌉ write requests instead of
-    /// N. The historical path shards the per-path conditional updates in
-    /// parallel instead (the measured baseline).
+    /// user-store access. The per-path pops coalesce across paths into
+    /// chunked ≤ 25-item transactions with per-item head guards
+    /// ([`crate::commit::pop_pending_batch`]): N distinct paths per epoch
+    /// cost ⌈N/25⌉ write requests.
     pub fn finalize_epoch(&self, ctx: &Ctx, items: &[CommittedTx<'_>]) -> CloudResult<()> {
         // Per path, in txid order: the txids to pop and whether the last
         // transaction deleted the node. A multi contributes each
@@ -930,74 +894,44 @@ impl Distributor {
             push_once(entry, tx.txid);
             entry.1 = tx.record.is_delete;
         }
-        if self.config.batched_pops {
-            // Chunked transactional pops across paths, then the (rare)
-            // tombstone purges for deleted paths.
-            let entries: Vec<(&str, &[u64])> = per_path
-                .keys()
-                .map(|path| {
-                    let (txids, _) = per_path.get(path).expect("keyed from map");
-                    (*path, txids.as_slice())
-                })
-                .collect();
-            let chunks: Vec<&[(&str, &[u64])]> = entries
-                .chunks(crate::system_store::TRANSACT_MAX_ITEMS)
-                .collect();
-            // A pop chunk's per-item head guards make a repeat after an
-            // injected transient (which fires before the mutation) the
-            // first effective delivery; a guard mismatch from genuinely
-            // newer state is a ConditionFailed and stays fatal.
-            fan_out(ctx, chunks.len(), |i, child| {
-                with_retry(
-                    child,
-                    self.meter(),
-                    &RetryPolicy::quick(),
-                    "dist.pop",
-                    || crate::commit::pop_pending_batch(self.system.kv(), child, chunks[i]),
-                )
-            })?;
-            let deleted: Vec<&str> = per_path
-                .keys()
-                .copied()
-                .filter(|path| per_path.get(path).map(|(_, d)| *d).unwrap_or(false))
-                .collect();
-            return fan_out(ctx, deleted.len(), |i, child| {
-                with_retry(
-                    child,
-                    self.meter(),
-                    &RetryPolicy::standard(),
-                    "dist.purge",
-                    || self.system.purge_tombstone(child, deleted[i]),
-                )
-            });
-        }
-        let shards = self.config.shards.max(1);
-        let mut per_shard: Vec<Vec<&str>> = (0..shards).map(|_| Vec::new()).collect();
-        for path in per_path.keys() {
-            per_shard[shard_of(path, shards)].push(path);
-        }
-        let jobs: Vec<&Vec<&str>> = per_shard.iter().filter(|s| !s.is_empty()).collect();
-        fan_out(ctx, jobs.len(), |job, child| {
-            for path in jobs[job] {
-                let (txids, deleted) = per_path.get(path).expect("partitioned from keys");
-                with_retry(
-                    child,
-                    self.meter(),
-                    &RetryPolicy::quick(),
-                    "dist.pop",
-                    || crate::commit::pop_pending(self.system.kv(), child, path, txids),
-                )?;
-                if *deleted {
-                    with_retry(
-                        child,
-                        self.meter(),
-                        &RetryPolicy::standard(),
-                        "dist.purge",
-                        || self.system.purge_tombstone(child, path),
-                    )?;
-                }
-            }
-            Ok(())
+        // Chunked transactional pops across paths, then the (rare)
+        // tombstone purges for deleted paths.
+        let entries: Vec<(&str, &[u64])> = per_path
+            .keys()
+            .map(|path| {
+                let (txids, _) = per_path.get(path).expect("keyed from map");
+                (*path, txids.as_slice())
+            })
+            .collect();
+        let chunks: Vec<&[(&str, &[u64])]> = entries
+            .chunks(crate::system_store::TRANSACT_MAX_ITEMS)
+            .collect();
+        // A pop chunk's per-item head guards make a repeat after an
+        // injected transient (which fires before the mutation) the
+        // first effective delivery; a guard mismatch from genuinely
+        // newer state is a ConditionFailed and stays fatal.
+        fan_out(ctx, chunks.len(), |i, child| {
+            with_retry(
+                child,
+                self.meter(),
+                &RetryPolicy::quick(),
+                "dist.pop",
+                || crate::commit::pop_pending_batch(self.system.kv(), child, chunks[i]),
+            )
+        })?;
+        let deleted: Vec<&str> = per_path
+            .keys()
+            .copied()
+            .filter(|path| per_path.get(path).map(|(_, d)| *d).unwrap_or(false))
+            .collect();
+        fan_out(ctx, deleted.len(), |i, child| {
+            with_retry(
+                child,
+                self.meter(),
+                &RetryPolicy::standard(),
+                "dist.purge",
+                || self.system.purge_tombstone(child, deleted[i]),
+            )
         })
     }
 }

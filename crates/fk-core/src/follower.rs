@@ -237,6 +237,7 @@ impl Follower {
             ctx.charge(Op::FnCompute, msg.body.len());
             let Some(request) = ClientRequest::decode(&msg.body) else {
                 // Malformed message: drop it rather than poison the queue.
+                self.meter().dropped("follower.undecodable");
                 continue;
             };
             if request.request_id != INTERNAL_REQUEST {

@@ -431,17 +431,20 @@ impl Leader {
         let mut decoded: Vec<Decoded> = Vec::with_capacity(messages.len());
         for (i, msg) in messages.iter().enumerate() {
             ctx.charge(Op::FnCompute, msg.body.len());
-            if let Some(record) = LeaderRecord::decode(&msg.body) {
-                // The follower allocates the txid (epoch-prefixed per
-                // shard group) and stamps it into the record; the queue
-                // sequence number only backs hand-built legacy records.
-                let txid = if record.txid > 0 {
-                    record.txid
-                } else {
-                    msg.seq
-                };
-                decoded.push((i, txid, record));
-            }
+            let Some(record) = LeaderRecord::decode(&msg.body) else {
+                // No redelivery can make the body decode: consume it.
+                self.meter().dropped("leader.undecodable");
+                continue;
+            };
+            // The follower allocates the txid (epoch-prefixed per
+            // shard group) and stamps it into the record; the queue
+            // sequence number only backs hand-built legacy records.
+            let txid = if record.txid > 0 {
+                record.txid
+            } else {
+                msg.seq
+            };
+            decoded.push((i, txid, record));
         }
         let mut handles = Vec::new();
         let result = self.process_decoded(ctx, &decoded, &mut handles);
@@ -1201,34 +1204,20 @@ impl Leader {
         per_session
     }
 
-    /// Advances the sessions' distribution high-water marks. They
-    /// piggyback into chunked multi-item transactions (⌈N/25⌉ write
-    /// requests instead of N, with per-item monotone guards — see
-    /// `advance_sessions_applied_batch`); the historical per-session
-    /// fan-out stays available as the measured baseline. Marks are
-    /// monotone maxes guarded per item: a retried chunk (or fan-out leg)
-    /// that already landed degrades to a no-op, so transient failures
-    /// are absorbed in place.
+    /// Advances the sessions' distribution high-water marks in chunked
+    /// multi-item transactions (⌈N/25⌉ write requests, with per-item
+    /// monotone guards — see `advance_sessions_applied_batch`). Marks
+    /// are monotone maxes guarded per item: a retried chunk that already
+    /// landed degrades to a no-op, so transient failures are absorbed in
+    /// place.
     fn advance_marks(&self, ctx: &Ctx, sessions: &[(&str, u64)]) -> fk_cloud::CloudResult<()> {
-        if self.distributor.config().batched_marks {
-            return with_retry(
-                ctx,
-                self.meter(),
-                &RetryPolicy::standard(),
-                "leader.marks",
-                || self.system.advance_sessions_applied_batch(ctx, sessions),
-            );
-        }
-        crate::distributor::fan_out(ctx, sessions.len(), |i, child| {
-            let (session, txid) = sessions[i];
-            with_retry(
-                child,
-                self.meter(),
-                &RetryPolicy::standard(),
-                "leader.mark",
-                || self.system.advance_session_applied(child, session, txid),
-            )
-        })
+        with_retry(
+            ctx,
+            self.meter(),
+            &RetryPolicy::standard(),
+            "leader.marks",
+            || self.system.advance_sessions_applied_batch(ctx, sessions),
+        )
     }
 
     /// Phase ➍ for the epoch-ending transaction `tx`: consumes the
@@ -1317,7 +1306,7 @@ impl Leader {
         Ok(())
     }
 
-    /// Fetches the payload bytes (inline base64 or staged object).
+    /// Fetches the payload bytes (inline or staged object).
     fn resolve_payload(&self, ctx: &Ctx, update: &UserUpdate) -> Result<Bytes, FnError> {
         let payload = match update {
             UserUpdate::WriteNode { payload, .. } => payload,
@@ -1326,7 +1315,7 @@ impl Leader {
         match payload {
             Payload::Inline { data } => {
                 // Raw bytes ride the record; "resolving" them is a
-                // ref-count bump, not a base64 decode pass.
+                // ref-count bump.
                 ctx.charge(Op::FnCompute, data.len());
                 Ok(data.clone())
             }
@@ -1783,8 +1772,15 @@ mod tests {
     impl Lanes {
         fn new(groups: usize) -> Self {
             use fk_cloud::trace::LatencyMode;
+            // A 32-record window: the largest budget epoch is 30 records.
+            let distributor = DistributorConfig {
+                max_batch: 32,
+                min_batch: 32,
+                ..DistributorConfig::default()
+            };
             let deployment = Deployment::direct(
                 DeploymentConfig::aws()
+                    .with_distributor(distributor)
                     .with_shard_groups(groups)
                     .with_mode(LatencyMode::Virtual, 7),
             );
@@ -2380,6 +2376,20 @@ mod tests {
             marks.start + slower,
             "notifications wait for max(marks, pops), not their sum {sum:?}"
         );
+    }
+
+    /// The bookkeeping wave's budget in requests: an epoch of N sessions
+    /// over N distinct paths writes the system store ⌈N/25⌉ times for
+    /// its marks and ⌈N/25⌉ times for its pops.
+    #[test]
+    fn round_trip_budget_bookkeeping_is_one_write_per_25_items() {
+        for (n, requests) in [(16, 1 + 1), (30, 2 + 2)] {
+            let (charges, _) = overwrite_batch(n);
+            let bookkeeping = charges
+                .iter()
+                .filter(|s| s.phase == "advance_session_marks" || s.phase == "pop_updates");
+            assert_eq!(bookkeeping.count(), requests, "{n} sessions x {n} paths");
+        }
     }
 
     /// A dispatcher that runs `hook` at dispatch time — inside ➍, after

@@ -41,13 +41,11 @@
 //! Z1–Z4 guarantees. Every record that crosses a billed byte boundary —
 //! node records in the user stores, queue messages, watch-task payloads
 //! — travels in the versioned binary frame of [`codec`] (raw payload
-//! bytes, varint framing), with transparent fallback to the legacy JSON
-//! encoding for records written before the codec existed.
+//! bytes, varint framing), the only format any decoder accepts.
 
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod b64;
 pub mod client;
 pub mod codec;
 pub mod commit;

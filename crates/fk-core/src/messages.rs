@@ -7,10 +7,9 @@
 //! push and commit (Algorithm 2 ➋, `TryCommit`) — lock tokens included.
 
 use crate::api::{CreateMode, FkError, Stat};
-use serde::{Deserialize, Serialize};
 
 /// A write operation submitted by a client.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WriteOp {
     /// Create a node.
     Create {
@@ -54,7 +53,7 @@ pub enum WriteOp {
 }
 
 /// One operation of a `multi` transaction (ZooKeeper's `Op` set).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MultiOp {
     /// Create a node.
     Create {
@@ -117,7 +116,7 @@ impl WriteOp {
 }
 
 /// A client request as sent to the session write queue.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientRequest {
     /// Originating session.
     pub session_id: String,
@@ -133,15 +132,15 @@ impl ClientRequest {
         crate::codec::encode_client_request(self)
     }
 
-    /// Deserializes from a queue message body — the binary frame or, for
-    /// messages enqueued by a pre-codec client, legacy JSON.
+    /// Deserializes from a queue message body; `None` if it is not an
+    /// exact client-request frame.
     pub fn decode(body: &[u8]) -> Option<Self> {
         crate::codec::decode_client_request(body)
     }
 }
 
 /// Serializable value subset used in commit descriptions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SerValue {
     /// Number.
     Num(i64),
@@ -185,9 +184,7 @@ impl SerValue {
 /// "splitting larger nodes and using temporary S3 objects").
 ///
 /// Inline payloads are **raw bytes** in memory and in the binary queue
-/// frame ([`crate::codec`]); base64 survives only in the legacy JSON
-/// encoding, whose `data_b64` field the serde impls below keep emitting
-/// and accepting so mixed-version queues drain cleanly.
+/// frame ([`crate::codec`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// Payload carried in the message itself.
@@ -230,65 +227,9 @@ impl Payload {
     }
 }
 
-// Legacy JSON shape: `{"Inline":{"data_b64":"<base64>"}}` — identical to
-// the old derived encoding, so pre-codec messages interoperate.
-impl serde::Serialize for Payload {
-    fn to_json(&self) -> serde::Json {
-        use serde::Json;
-        match self {
-            Payload::Inline { data } => Json::Obj(vec![(
-                "Inline".to_owned(),
-                Json::Obj(vec![(
-                    "data_b64".to_owned(),
-                    Json::Str(crate::b64::encode(data)),
-                )]),
-            )]),
-            Payload::Staged { key, len } => Json::Obj(vec![(
-                "Staged".to_owned(),
-                Json::Obj(vec![
-                    ("key".to_owned(), Json::Str(key.clone())),
-                    ("len".to_owned(), len.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Payload {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
-        use serde::__private::field;
-        use serde::JsonError;
-        let obj = value
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("Payload object"))?;
-        match obj {
-            [(tag, inner)] if tag == "Inline" => {
-                let vobj = inner
-                    .as_obj()
-                    .ok_or_else(|| JsonError::expected("Inline object"))?;
-                let data_b64 = String::from_json(field(vobj, "data_b64")?)?;
-                let data = crate::b64::decode(&data_b64)
-                    .map(bytes::Bytes::from)
-                    .ok_or_else(|| JsonError::expected("base64 payload"))?;
-                Ok(Payload::Inline { data })
-            }
-            [(tag, inner)] if tag == "Staged" => {
-                let vobj = inner
-                    .as_obj()
-                    .ok_or_else(|| JsonError::expected("Staged object"))?;
-                Ok(Payload::Staged {
-                    key: String::from_json(field(vobj, "key")?)?,
-                    len: usize::from_json(field(vobj, "len")?)?,
-                })
-            }
-            _ => Err(JsonError::expected("externally tagged Payload")),
-        }
-    }
-}
-
 /// One item of a system-storage commit: a conditional update guarded by
 /// the lock timestamp (the commit-and-unlock of Algorithm 1 ➃).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitItem {
     /// System-store key.
     pub key: String,
@@ -306,14 +247,14 @@ pub struct CommitItem {
 
 /// The full multi-item commit for one transaction (Z1: all items commit or
 /// none — creates touch the node *and* its parent).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SystemCommit {
     /// The items, committed atomically.
     pub items: Vec<CommitItem>,
 }
 
 /// What the leader writes to the user store for this transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UserUpdate {
     /// Write (create or replace) the node record.
     WriteNode {
@@ -346,7 +287,7 @@ pub enum UserUpdate {
 /// Per-op result data of one `multi` sub-operation, assembled by the
 /// follower at validation time; the leader substitutes the transaction
 /// id into the stats before notifying.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpOutcome {
     /// A create succeeded.
     Created {
@@ -380,7 +321,7 @@ pub enum OpOutcome {
 /// result reported back to the client. All subs share the record's
 /// single transaction id — the distributor applies them as one
 /// epoch-atomic unit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiSub {
     /// Final path this sub touches.
     pub path: String,
@@ -396,7 +337,7 @@ pub struct MultiSub {
 
 /// A confirmed change pushed from a follower to the leader queue. The
 /// message's queue sequence number *is* the transaction id.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaderRecord {
     /// Originating session.
     pub session_id: String,
@@ -437,38 +378,8 @@ pub struct LeaderRecord {
     pub ops: Vec<MultiSub>,
 }
 
-// Manual Deserialize: `ops` is tolerated-missing so leader-queue records
-// serialized by a pre-multi deployment (legacy JSON without the field)
-// keep decoding — the same no-flag-day contract the binary codec keeps
-// via its version header.
-impl<'de> serde::Deserialize<'de> for LeaderRecord {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
-        use serde::__private::field;
-        let obj = value
-            .as_obj()
-            .ok_or_else(|| serde::JsonError::expected("LeaderRecord object"))?;
-        Ok(LeaderRecord {
-            session_id: String::from_json(field(obj, "session_id")?)?,
-            request_id: u64::from_json(field(obj, "request_id")?)?,
-            txid: u64::from_json(field(obj, "txid")?)?,
-            prev_txid: u64::from_json(field(obj, "prev_txid")?)?,
-            path: String::from_json(field(obj, "path")?)?,
-            commit: SystemCommit::from_json(field(obj, "commit")?)?,
-            user_update: UserUpdate::from_json(field(obj, "user_update")?)?,
-            stat: Stat::from_json(field(obj, "stat")?)?,
-            fires: Vec::<FiredWatch>::from_json(field(obj, "fires")?)?,
-            is_delete: bool::from_json(field(obj, "is_delete")?)?,
-            deregister_session: bool::from_json(field(obj, "deregister_session")?)?,
-            ops: match value.get("ops") {
-                Some(json) => Vec::<MultiSub>::from_json(json)?,
-                None => Vec::new(),
-            },
-        })
-    }
-}
-
 /// A watch class fired by a transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiredWatch {
     /// Path whose watch registry should fire.
     pub watch_path: String,
@@ -482,8 +393,8 @@ impl LeaderRecord {
         crate::codec::encode_leader_record(self)
     }
 
-    /// Deserializes from a queue message body — the binary frame or, for
-    /// records pushed by a pre-codec follower, legacy JSON.
+    /// Deserializes from a queue message body; `None` if it is not an
+    /// exact leader-record frame.
     pub fn decode(body: &[u8]) -> Option<Self> {
         crate::codec::decode_leader_record(body)
     }
@@ -527,7 +438,7 @@ impl LeaderRecord {
 }
 
 /// Result payload of a successful write.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteResultData {
     /// Final path (sequential creates return the generated name).
     pub path: String,
@@ -570,7 +481,7 @@ impl WriteResultData {
 }
 
 /// Notifications pushed to clients (replacing ZooKeeper's TCP channel).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientNotification {
     /// Outcome of a submitted write.
     WriteResult {
@@ -721,34 +632,6 @@ mod tests {
         assert_eq!(rec.fires_all().count(), 1);
         let decoded = LeaderRecord::decode(&rec.encode()).unwrap();
         assert_eq!(decoded, rec);
-        // The legacy JSON leg decodes too.
-        let json = serde_json::to_vec(&rec).unwrap();
-        assert_eq!(LeaderRecord::decode(&json).unwrap(), rec);
-    }
-
-    #[test]
-    fn legacy_record_without_ops_field_still_decodes() {
-        // A pre-multi deployment's JSON record has no `ops` field; the
-        // tolerant Deserialize must default it to empty.
-        let rec = LeaderRecord {
-            session_id: "s1".into(),
-            request_id: 1,
-            txid: 0,
-            prev_txid: 0,
-            path: "/x".into(),
-            commit: SystemCommit::default(),
-            user_update: UserUpdate::None,
-            stat: Stat::default(),
-            fires: vec![],
-            is_delete: false,
-            deregister_session: false,
-            ops: vec![],
-        };
-        let mut json = String::from_utf8(serde_json::to_vec(&rec).unwrap()).unwrap();
-        // Strip the trailing `,"ops":[]` the current encoder emits.
-        json = json.replace(",\"ops\":[]", "");
-        assert!(!json.contains("ops"));
-        assert_eq!(LeaderRecord::decode(json.as_bytes()).unwrap(), rec);
     }
 
     #[test]
@@ -775,34 +658,13 @@ mod tests {
     fn payload_lengths() {
         let p = Payload::inline(b"hello!");
         assert_eq!(p.byte_len(), 6);
-        assert_eq!(p.wire_len(), 6, "raw bytes on the wire, no base64");
+        assert_eq!(p.wire_len(), 6, "raw bytes on the wire");
         let staged = Payload::Staged {
             key: "staging/1".into(),
             len: 100_000,
         };
         assert_eq!(staged.byte_len(), 100_000);
         assert!(staged.wire_len() < 64);
-    }
-
-    #[test]
-    fn legacy_json_messages_still_decode() {
-        // A pre-codec follower serialized records as JSON with base64
-        // payloads; the decode path must keep accepting them.
-        let req = ClientRequest {
-            session_id: "s1".into(),
-            request_id: 3,
-            op: WriteOp::SetData {
-                path: "/a".into(),
-                payload: Payload::inline(b"raw"),
-                expected_version: 2,
-            },
-        };
-        let json = serde_json::to_vec(&req).unwrap();
-        assert!(!crate::codec::is_binary(&json));
-        assert!(String::from_utf8_lossy(&json).contains("data_b64"));
-        assert_eq!(ClientRequest::decode(&json).unwrap(), req);
-        // And the binary frame is never larger than the JSON it replaces.
-        assert!(req.encode().len() < json.len());
     }
 
     #[test]

@@ -44,8 +44,8 @@ use std::sync::Arc;
 pub struct NodeRecord {
     /// Node path.
     pub path: String,
-    /// Payload (raw bytes in storage and in memory; base64 only in the
-    /// legacy JSON encoding — see [`crate::codec`]).
+    /// Payload (raw bytes in storage and in memory — see
+    /// [`crate::codec`]).
     pub data: Bytes,
     /// Creation txid (czxid).
     pub created_txid: u64,
@@ -91,58 +91,10 @@ impl NodeRecord {
         crate::codec::encode_node(self)
     }
 
-    /// Deserializes from a stored blob — the binary frame or, for
-    /// records written before the codec existed, legacy JSON.
+    /// Deserializes from a stored blob; `None` if it is not an exact
+    /// node frame.
     fn from_bytes(bytes: &[u8]) -> Option<Self> {
         crate::codec::decode_node(bytes)
-    }
-}
-
-// The legacy JSON encoding (`{"path": ..., "data": "<base64>", ...}`),
-// kept bit-compatible with the old derived impls so a store populated
-// with pre-codec records decodes identically through the new path.
-impl serde::Serialize for NodeRecord {
-    fn to_json(&self) -> serde::Json {
-        use serde::Json;
-        Json::Obj(vec![
-            ("path".to_owned(), Json::Str(self.path.clone())),
-            ("data".to_owned(), Json::Str(crate::b64::encode(&self.data))),
-            ("created_txid".to_owned(), self.created_txid.to_json()),
-            ("modified_txid".to_owned(), self.modified_txid.to_json()),
-            ("version".to_owned(), self.version.to_json()),
-            ("children".to_owned(), self.children.as_slice().to_json()),
-            ("children_txid".to_owned(), self.children_txid.to_json()),
-            ("ephemeral_owner".to_owned(), self.ephemeral_owner.to_json()),
-            (
-                "epoch_marks".to_owned(),
-                self.epoch_marks.as_slice().to_json(),
-            ),
-        ])
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for NodeRecord {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
-        use serde::__private::field;
-        use serde::JsonError;
-        let obj = value
-            .as_obj()
-            .ok_or_else(|| JsonError::expected("object for NodeRecord"))?;
-        let data_b64 = String::from_json(field(obj, "data")?)?;
-        let data = crate::b64::decode(&data_b64)
-            .map(Bytes::from)
-            .ok_or_else(|| JsonError::expected("base64 data"))?;
-        Ok(NodeRecord {
-            path: String::from_json(field(obj, "path")?)?,
-            data,
-            created_txid: u64::from_json(field(obj, "created_txid")?)?,
-            modified_txid: u64::from_json(field(obj, "modified_txid")?)?,
-            version: i32::from_json(field(obj, "version")?)?,
-            children: Arc::new(Vec::from_json(field(obj, "children")?)?),
-            children_txid: u64::from_json(field(obj, "children_txid")?)?,
-            ephemeral_owner: Option::from_json(field(obj, "ephemeral_owner")?)?,
-            epoch_marks: Arc::new(Vec::from_json(field(obj, "epoch_marks")?)?),
-        })
     }
 }
 
@@ -1040,19 +992,8 @@ mod tests {
     fn record_serialization_roundtrip() {
         let rec = record("/x", 33);
         let bytes = rec.to_bytes();
-        assert!(crate::codec::is_binary(&bytes), "writers emit the frame");
+        assert_eq!(bytes[0], crate::codec::MAGIC, "writers emit the frame");
         assert_eq!(NodeRecord::from_bytes(&bytes).unwrap(), rec);
-        // Legacy JSON blobs written before the codec still decode —
-        // a mixed-version store needs no flag day.
-        let json = crate::codec::encode_node_json(&rec);
-        assert!(!crate::codec::is_binary(&json));
-        assert_eq!(NodeRecord::from_bytes(&json).unwrap(), rec);
-        assert!(
-            bytes.len() < json.len(),
-            "binary ({}) beats json ({})",
-            bytes.len(),
-            json.len()
-        );
     }
 
     #[test]

@@ -16,10 +16,9 @@ use bytes::Bytes;
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::Value;
 use fk_cloud::{CloudResult, Region};
-use serde::{Deserialize, Serialize};
 
 /// A delivery task handed from the leader to the watch function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WatchTask {
     /// Watch instance id (already added to the epoch counters).
     pub watch_id: u64,
@@ -38,8 +37,8 @@ impl WatchTask {
         crate::codec::encode_watch_task(self)
     }
 
-    /// Deserializes from an invocation payload (binary frame, or the
-    /// legacy JSON of an in-flight pre-upgrade leader).
+    /// Deserializes from an invocation payload; `None` if it is not an
+    /// exact watch-task frame.
     pub fn decode(body: &[u8]) -> Option<Self> {
         crate::codec::decode_watch_task(body)
     }

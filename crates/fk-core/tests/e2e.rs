@@ -455,7 +455,7 @@ fn contended_writes_to_same_node_serialize() {
 fn large_nodes_travel_through_staging() {
     let fk = deployment();
     let client = fk.connect("s1").unwrap();
-    let big = vec![0xAB; 300 * 1024]; // b64 > 256 kB queue cap
+    let big = vec![0xAB; 300 * 1024]; // > 256 kB queue cap
     client.create("/big", &big, CreateMode::Persistent).unwrap();
     let (data, _) = client.get_data("/big", false).unwrap();
     assert_eq!(data.len(), big.len());
@@ -652,5 +652,55 @@ fn explicitly_disabled_client_cache_wins_over_deployment_default() {
     let stats = control.cache_stats();
     assert_eq!(stats.hits, 0, "explicit opt-out is honoured");
     assert_eq!(stats.misses, 0, "passthrough records nothing");
+    fk.shutdown();
+}
+
+/// A body no decoder accepts — text, or a frame of another version —
+/// is consumed once, metered and answered by nothing; the request
+/// queued behind it in the same session is served.
+#[test]
+fn undecodable_write_queue_bodies_are_dropped_and_metered() {
+    use bytes::Bytes;
+    use fk_core::messages::{ClientNotification, ClientRequest, Payload, WriteOp};
+    let fk = deployment();
+    let ctx = fk.client_ctx();
+    fk.system().register_session(&ctx, "raw", 0).unwrap();
+    let (endpoint, _) = fk.bus().register("raw");
+    let valid = ClientRequest {
+        session_id: "raw".into(),
+        request_id: 1,
+        op: WriteOp::Create {
+            path: "/after".into(),
+            payload: Payload::inline(b"v"),
+            mode: CreateMode::Persistent,
+        },
+    }
+    .encode();
+    let mut older = valid.to_vec();
+    older[1] = fk_core::codec::VERSION - 1;
+
+    let before = fk.meter().snapshot();
+    let json = Bytes::from_static(br#"{"path":"/x"}"#);
+    for body in [json, Bytes::from(older), valid] {
+        fk.write_queue().send(&ctx, "raw", body).unwrap();
+    }
+    let answer = endpoint
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the valid request is answered");
+    let ClientNotification::WriteResult {
+        request_id, result, ..
+    } = answer
+    else {
+        panic!("a write result, not {answer:?}");
+    };
+    assert_eq!(request_id, 1);
+    assert!(result.is_ok(), "{result:?}");
+    let reader = fk.connect("reader").unwrap();
+    assert_eq!(reader.get_data("/after", false).unwrap().0.as_ref(), b"v");
+
+    let used = fk.meter().snapshot().since(&before);
+    assert_eq!(used.per_op["drop:follower.undecodable"], 2, "once each");
+    assert!(fk.write_queue().drain_dead_letters().is_empty());
+    assert!(endpoint.try_recv().is_err(), "nothing else on the bus");
     fk.shutdown();
 }

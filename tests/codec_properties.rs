@@ -1,20 +1,9 @@
 //! Property-based round-trip suite for the binary codec (`fk_core::codec`).
 //!
-//! Two families of properties:
-//!
-//! * **Binary round-trip** — arbitrary records (empty and megabyte data
-//!   payloads, deep children lists, ephemeral owners, extreme txids,
-//!   unicode paths) encode to the varint frame and decode back
-//!   bit-identically, for every record kind the codec covers.
-//! * **Mixed-version** — the *same* arbitrary records serialized through
-//!   the legacy JSON encoding (base64 data payloads, the format every
-//!   pre-codec record in a live store carries) decode **identically**
-//!   through the new decode path, so a store or queue populated with JSON
-//!   records mid-run needs no flag day.
-//!
-//! A size property rides along: the binary frame is strictly smaller than
-//! the JSON encoding for every generated record — the encoded-bytes half
-//! of the `write_amplification` gate, asserted pointwise.
+//! Arbitrary records (empty and megabyte data payloads, deep children
+//! lists, ephemeral owners, extreme txids, unicode paths) encode to the
+//! varint frame and decode back bit-identically, for every record kind
+//! the codec covers; a frame truncated anywhere decodes to `None`.
 
 use bytes::Bytes;
 use fk_core::api::{CreateMode, Stat, WatchEvent, WatchEventType};
@@ -369,22 +358,10 @@ fn watch_task() -> impl Strategy<Value = WatchTask> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Binary round-trip, and the legacy JSON encoding of the *same*
-    /// record decodes identically through the new path (mixed-version
-    /// stores see one truth).
     #[test]
-    fn node_record_roundtrips_both_encodings(rec in node_record()) {
+    fn node_record_roundtrips(rec in node_record()) {
         let bin = codec::encode_node(&rec);
-        prop_assert!(codec::is_binary(&bin));
         prop_assert_eq!(codec::decode_node(&bin).as_ref(), Some(&rec));
-
-        let json = codec::encode_node_json(&rec);
-        prop_assert!(!codec::is_binary(&json));
-        prop_assert_eq!(codec::decode_node(&json).as_ref(), Some(&rec));
-
-        // The frame never loses to the JSON it replaces.
-        prop_assert!(bin.len() < json.len(),
-            "binary {} >= json {}", bin.len(), json.len());
     }
 
     /// Truncating a frame anywhere decodes to `None`, never a panic or a
@@ -399,35 +376,20 @@ proptest! {
     }
 
     #[test]
-    fn leader_record_roundtrips_both_encodings(rec in leader_record()) {
+    fn leader_record_roundtrips(rec in leader_record()) {
         let bin = rec.encode();
-        prop_assert!(codec::is_binary(&bin));
         prop_assert_eq!(LeaderRecord::decode(&bin).as_ref(), Some(&rec));
-
-        // A pre-codec follower's JSON message decodes identically.
-        let json = serde_json::to_vec(&rec).unwrap();
-        prop_assert_eq!(LeaderRecord::decode(&json).as_ref(), Some(&rec));
-        prop_assert!(bin.len() < json.len());
     }
 
     #[test]
-    fn client_request_roundtrips_both_encodings(req in client_request()) {
+    fn client_request_roundtrips(req in client_request()) {
         let bin = req.encode();
-        prop_assert!(codec::is_binary(&bin));
         prop_assert_eq!(ClientRequest::decode(&bin).as_ref(), Some(&req));
-
-        let json = serde_json::to_vec(&req).unwrap();
-        prop_assert_eq!(ClientRequest::decode(&json).as_ref(), Some(&req));
-        prop_assert!(bin.len() < json.len());
     }
 
     #[test]
-    fn watch_task_roundtrips_both_encodings(task in watch_task()) {
+    fn watch_task_roundtrips(task in watch_task()) {
         let bin = task.encode();
-        prop_assert!(codec::is_binary(&bin));
         prop_assert_eq!(WatchTask::decode(&bin).as_ref(), Some(&task));
-
-        let json = serde_json::to_vec(&task).unwrap();
-        prop_assert_eq!(WatchTask::decode(&json).as_ref(), Some(&task));
     }
 }
