@@ -32,24 +32,27 @@
 //! idempotently — re-delivering the message would only produce an
 //! orphaned duplicate push.
 //!
-//! # `multi` transactions
+//! # One planner
 //!
-//! A [`WriteOp::Multi`] validates and commits as one unit: all touched
-//! node locks are acquired as a single sorted set (deadlock-free, like
-//! any other lock set), the ops are validated **in order against an
+//! Every write is planned the same way, and a single `create` /
+//! `set_data` / `delete` is the one-op case of a [`WriteOp::Multi`]: all
+//! touched node locks are acquired as a single sorted set
+//! (deadlock-free), the ops are validated **in order against an
 //! overlay** of the locked state (each op observes its predecessors'
 //! effects — a create can populate the parent a later op uses), the
 //! per-item updates are merged into one [`SystemCommit`] executed as a
 //! single multi-item conditional transaction (all-or-nothing, Z1), one
 //! txid covers every sub-op, and a single [`LeaderRecord`] carries the
-//! subs so the distributor applies them as one epoch-atomic unit. A
-//! validation failure anywhere aborts the whole multi with
-//! [`FkError::MultiFailed`] naming the failing index; no state is left
-//! behind (nothing was written before validation completed). One
-//! provider-honest restriction: each path may appear in at most one
-//! *mutating* op (DynamoDB's `TransactWriteItems` cannot write one item
-//! twice); version checks may target any path, including mutated ones —
-//! the ZooKeeper compare-and-swap idiom `[check(v), set_data(v)]`.
+//! subs so the distributor applies them as one epoch-atomic unit (a
+//! single write's one sub rides in the record's own fields). A
+//! validation failure anywhere aborts the whole request — a multi with
+//! [`FkError::MultiFailed`] naming the failing index, a single op with
+//! the bare error; no state is left behind (nothing was written before
+//! validation completed). One provider-honest restriction: each path
+//! may appear in at most one *mutating* op (DynamoDB's
+//! `TransactWriteItems` cannot write one item twice); version checks may
+//! target any path, including mutated ones — the ZooKeeper
+//! compare-and-swap idiom `[check(v), set_data(v)]`.
 //!
 //! The txid allocation floor is the maximum of the session's previous
 //! txid and the locked nodes' last txids, so per-session and per-path
@@ -663,591 +666,162 @@ impl Follower {
         }
     }
 
-    fn find<'a>(acquired: &'a [Acquired], path: &str) -> &'a Acquired {
-        let key = keys::node(path);
-        acquired
-            .iter()
-            .find(|a| a.token.key == key)
-            .expect("lock acquired for path")
-    }
-
     /// The request tag marking which request committed a node state, used
     /// to recognize our own work on redelivery.
     fn req_tag(request: &ClientRequest) -> String {
         format!("{}#{}", request.session_id, request.request_id)
     }
 
-    /// ➀–➁ for any write op: lock the involved nodes and validate,
-    /// producing everything phases ➂/➃ need. On error every acquired
-    /// lock is released before returning.
-    fn prepare(&self, ctx: &Ctx, request: &ClientRequest) -> Result<Prepared, OpError> {
-        match &request.op {
-            WriteOp::Multi { ops } => self.prepare_multi(ctx, request, ops),
-            WriteOp::CloseSession => unreachable!("handled separately"),
-            op => self.prepare_single(ctx, request, op),
-        }
-    }
-
-    /// ➀–➁ for create / set_data / delete.
-    fn prepare_single(
-        &self,
-        ctx: &Ctx,
-        request: &ClientRequest,
-        op: &WriteOp,
-    ) -> Result<Prepared, OpError> {
-        let path = op.path();
-        zkpath::validate(path).map_err(OpError::Client)?;
-        let parent = zkpath::parent(path);
-
-        // ➀ lock. Sequential creates lock the parent first: the parent's
-        // lock serializes the sequence counter, and the generated name is
-        // locked once known (it is fresh by construction).
-        let sequential = matches!(op, WriteOp::Create { mode, .. } if mode.is_sequential());
-        let lock_paths: Vec<&str> = match op {
-            WriteOp::SetData { .. } => vec![path],
-            WriteOp::Create { .. } | WriteOp::Delete { .. } => {
-                let parent = parent.ok_or(OpError::Client(FkError::BadArguments {
-                    detail: "cannot create or delete the root".into(),
-                }))?;
-                if sequential {
-                    vec![parent]
-                } else {
-                    vec![path, parent]
-                }
-            }
-            WriteOp::CloseSession | WriteOp::Multi { .. } => unreachable!("handled separately"),
-        };
-        ctx.push_phase("lock_node");
-        let mut acquired = match self.lock_all(ctx, &lock_paths) {
-            Ok(a) => a,
-            Err(e) => {
-                ctx.pop_phase();
-                return Err(e);
-            }
-        };
-        let mut final_path_override = None;
-        if sequential {
-            let parent_path = parent.expect("sequential create has parent");
-            let parent_acq = Self::find(&acquired, parent_path);
-            if Sys::node_exists(parent_acq.old.as_ref()) {
-                let seq = parent_acq
-                    .old
-                    .as_ref()
-                    .and_then(|i| i.num(node_attr::SEQ))
-                    .unwrap_or(0);
-                let fp = zkpath::with_sequence(path, seq);
-                let acquire = with_retry(
-                    ctx,
-                    self.meter(),
-                    &RetryPolicy::quick(),
-                    "follower.lock",
-                    || {
-                        self.system
-                            .locks()
-                            .acquire(ctx, &keys::node(&fp), Self::now_ms())
-                    },
-                );
-                match acquire {
-                    Ok(acq) => {
-                        acquired.push(acq);
-                        final_path_override = Some(fp);
-                    }
-                    Err(e) => {
-                        self.release_all(ctx, &acquired);
-                        ctx.pop_phase();
-                        return Err(OpError::Retry(FnError::retryable(e.to_string())));
-                    }
-                }
-            }
-            // A missing parent falls through to validation, which reports
-            // NoNode to the client.
-        }
-        ctx.pop_phase();
-
-        // ➁ validate against the locked state; on failure release.
-        ctx.push_phase("validate");
-        let plan =
-            self.validate_and_plan(request, op, path, parent, &acquired, final_path_override);
-        ctx.pop_phase();
-        match plan {
-            Ok(plan) => Ok(Prepared { acquired, plan }),
-            Err(e) => {
-                self.release_all(ctx, &acquired);
-                Err(e)
-            }
-        }
-    }
-
-    /// ➀–➁ for a `multi`: lock every touched path as one sorted set,
+    /// ➀–➁ for any write op: lock the involved nodes as one sorted set,
     /// then validate the ops **in order against an overlay** of the
     /// locked state and merge their updates into one all-or-nothing
-    /// [`SystemCommit`] (see module docs).
-    fn prepare_multi(
-        &self,
-        ctx: &Ctx,
-        request: &ClientRequest,
-        ops: &[MultiOp],
-    ) -> Result<Prepared, OpError> {
-        let fail = |index: usize, cause: FkError| {
-            OpError::Client(FkError::MultiFailed {
-                index: index as u32,
-                cause: Box::new(cause),
-            })
-        };
+    /// [`SystemCommit`] (see module docs) — a single op is the one-op
+    /// case. On error every acquired lock is released before returning.
+    fn prepare(&self, ctx: &Ctx, request: &ClientRequest) -> Result<Prepared, OpError> {
+        let ops = op_views(&request.op).expect("CloseSession is handled separately");
         if ops.is_empty() {
             return Err(OpError::Client(FkError::BadArguments {
                 detail: "empty multi".into(),
             }));
         }
-        // Pre-lock validation: path syntax, size limits, structure, and
-        // the one-*mutating*-op-per-path restriction (DynamoDB's
-        // TransactWriteItems cannot touch one item twice, so merged
-        // per-item updates could not express two writes to one path).
-        // Checks are free: a check on a mutated path folds into that
-        // item's validation (no second transact item), and a standalone
-        // check maps to a ConditionCheck-style no-op item. Sequential
-        // creates are also exempt: their *final* paths are distinct by
-        // the parent's counter (two `create_seq("/q/task-")` ops are a
-        // legal ZooKeeper multi), and a generated-name collision with an
-        // explicitly named op is caught by the overlay's NodeExists
-        // check once the name is resolved.
         let mut mutated: HashSet<&str> = HashSet::new();
         for (i, op) in ops.iter().enumerate() {
-            zkpath::validate(op.path()).map_err(|e| fail(i, e))?;
-            let sequential_create =
-                matches!(op, MultiOp::Create { mode, .. } if mode.is_sequential());
-            if !matches!(op, MultiOp::Check { .. })
-                && !sequential_create
-                && !mutated.insert(op.path())
-            {
-                return Err(fail(
-                    i,
-                    FkError::BadArguments {
-                        detail: "duplicate mutating path in multi".into(),
-                    },
-                ));
-            }
-            match op {
-                MultiOp::Create { path, payload, .. } => {
-                    if zkpath::parent(path).is_none() {
-                        return Err(fail(
-                            i,
-                            FkError::BadArguments {
-                                detail: "cannot create the root".into(),
-                            },
-                        ));
-                    }
-                    if payload.byte_len() > self.config.max_node_bytes {
-                        return Err(fail(
-                            i,
-                            FkError::TooLarge {
-                                size: payload.byte_len(),
-                                limit: self.config.max_node_bytes,
-                            },
-                        ));
-                    }
-                }
-                MultiOp::SetData { payload, .. } => {
-                    if payload.byte_len() > self.config.max_node_bytes {
-                        return Err(fail(
-                            i,
-                            FkError::TooLarge {
-                                size: payload.byte_len(),
-                                limit: self.config.max_node_bytes,
-                            },
-                        ));
-                    }
-                }
-                MultiOp::Delete { path, .. } => {
-                    if zkpath::parent(path).is_none() {
-                        return Err(fail(
-                            i,
-                            FkError::BadArguments {
-                                detail: "cannot delete the root".into(),
-                            },
-                        ));
-                    }
-                }
-                MultiOp::Check { .. } => {}
-            }
+            self.precheck(*op, &mut mutated)
+                .map_err(|cause| refusal(request, i, cause))?;
         }
 
         // ➀ one sorted, deduplicated lock set over every touched path
         // (`lock_all` sorts; sequential creates lock their generated
         // names during validation, once the name is known).
-        let op_holder = WriteOp::Multi { ops: ops.to_vec() };
-        let lock_paths: Vec<&str> = lock_set(&op_holder).expect("multi has a lock set");
         ctx.push_phase("lock_node");
-        let acquired = self.lock_all(ctx, &lock_paths);
+        let acquired = self.lock_all(ctx, &lock_set(&ops));
         ctx.pop_phase();
-        let mut acquired = acquired?;
 
+        // ➁ validate against the locked state; on failure release.
+        let mut planner = Planner::new(request, acquired?);
         ctx.push_phase("validate");
-        let plan = self.plan_multi(ctx, request, ops, &mut acquired);
+        let planned = self.plan(ctx, request, &ops, &mut planner);
         ctx.pop_phase();
-        match plan {
-            Ok(plan) => Ok(Prepared { acquired, plan }),
+        match planned {
+            Ok(None) => Ok(planner.finish()),
+            Ok(Some(txid)) => Ok(Prepared {
+                acquired: planner.acquired,
+                plan: WritePlan::already(txid),
+            }),
             Err(e) => {
-                self.release_all(ctx, &acquired);
+                self.release_all(ctx, &planner.acquired);
                 Err(e)
             }
         }
     }
 
-    /// ➁ for a `multi`: sequential validation against the overlay,
-    /// producing the merged commit, the sub list and the per-op
-    /// outcomes. `acquired` grows when sequential creates lock their
-    /// generated names.
-    #[allow(clippy::too_many_lines)]
-    fn plan_multi(
+    /// Pre-lock validation of one op: path syntax, size limits,
+    /// structure, and the one-*mutating*-op-per-path restriction
+    /// (DynamoDB's TransactWriteItems cannot touch one item twice, so
+    /// merged per-item updates could not express two writes to one
+    /// path). Checks are free: a check on a mutated path folds into that
+    /// item's validation (no second transact item), and a standalone
+    /// check maps to a ConditionCheck-style no-op item. Sequential
+    /// creates are also exempt: their *final* paths are distinct by the
+    /// parent's counter (two `create_seq("/q/task-")` ops are a legal
+    /// ZooKeeper multi), and a generated-name collision with an
+    /// explicitly named op is caught by the overlay's NodeExists check
+    /// once the name is resolved.
+    fn precheck<'a>(&self, op: OpView<'a>, mutated: &mut HashSet<&'a str>) -> Result<(), FkError> {
+        zkpath::validate(op.path())?;
+        let sequential_create = matches!(op, OpView::Create { mode, .. } if mode.is_sequential());
+        if !matches!(op, OpView::Check { .. }) && !sequential_create && !mutated.insert(op.path()) {
+            return Err(FkError::BadArguments {
+                detail: "duplicate mutating path in multi".into(),
+            });
+        }
+        let rooted = |path: &str, verb: &str| match zkpath::parent(path) {
+            Some(_) => Ok(()),
+            None => Err(FkError::BadArguments {
+                detail: format!("cannot {verb} the root"),
+            }),
+        };
+        let fits = |payload: &Payload| {
+            if payload.byte_len() > self.config.max_node_bytes {
+                return Err(FkError::TooLarge {
+                    size: payload.byte_len(),
+                    limit: self.config.max_node_bytes,
+                });
+            }
+            Ok(())
+        };
+        match op {
+            OpView::Create { path, payload, .. } => rooted(path, "create").and(fits(payload)),
+            OpView::SetData { payload, .. } => fits(payload),
+            OpView::Delete { path, .. } => rooted(path, "delete"),
+            OpView::Check { .. } => Ok(()),
+        }
+    }
+
+    /// ➁ plans `ops` in order, stopping at the first op that is refused
+    /// (`Err`) or that shows the request already committed (`Some`, see
+    /// [`Planner`]).
+    fn plan(
         &self,
         ctx: &Ctx,
         request: &ClientRequest,
-        ops: &[MultiOp],
-        acquired: &mut Vec<Acquired>,
-    ) -> Result<WritePlan, OpError> {
-        let tag = Self::req_tag(request);
-        let fail = |index: usize, cause: FkError| {
-            OpError::Client(FkError::MultiFailed {
-                index: index as u32,
-                cause: Box::new(cause),
-            })
-        };
-        let mut overlay: HashMap<String, SimNode> = HashMap::new();
-        let mut items: Vec<CommitItem> = Vec::new();
-        let mut subs: Vec<MultiSub> = Vec::new();
-        let mut eph_adds: Vec<String> = Vec::new();
-        let mut eph_removes: Vec<(String, String)> = Vec::new();
-        let mut primary: Option<String> = None;
-
+        ops: &[OpView<'_>],
+        planner: &mut Planner<'_>,
+    ) -> Planned {
         for (i, op) in ops.iter().enumerate() {
-            match op {
-                MultiOp::Create {
+            planner.last_op = i + 1 == ops.len();
+            let planned = match *op {
+                OpView::Create {
                     path,
                     payload,
                     mode,
-                } => {
-                    let parent_path = zkpath::parent(path).expect("validated").to_owned();
-                    let (parent_exists, parent_ephemeral, seq) = {
-                        let p = sim_node(&mut overlay, acquired, &parent_path);
-                        (p.exists, p.eph_owner.is_some(), p.seq)
-                    };
-                    if !parent_exists {
-                        if let Some(txid) = already_probe(acquired, path, &tag) {
-                            return Ok(WritePlan::already(txid));
-                        }
-                        return Err(fail(i, FkError::NoNode));
-                    }
-                    if parent_ephemeral {
-                        return Err(fail(i, FkError::NoChildrenForEphemerals));
-                    }
-                    let final_path = if mode.is_sequential() {
-                        let fp = zkpath::with_sequence(path, seq);
-                        let acquire = with_retry(
-                            ctx,
-                            self.meter(),
-                            &RetryPolicy::quick(),
-                            "follower.lock",
-                            || {
-                                self.system
-                                    .locks()
-                                    .acquire(ctx, &keys::node(&fp), Self::now_ms())
-                            },
-                        );
-                        match acquire {
-                            Ok(acq) => acquired.push(acq),
-                            Err(e) => {
-                                return Err(OpError::Retry(FnError::retryable(e.to_string())))
-                            }
-                        }
-                        sim_node(&mut overlay, acquired, &parent_path).seq += 1;
-                        fp
-                    } else {
-                        path.clone()
-                    };
-                    if sim_node(&mut overlay, acquired, &final_path).exists {
-                        if let Some(txid) = already_probe(acquired, &final_path, &tag) {
-                            return Ok(WritePlan::already(txid));
-                        }
-                        return Err(fail(i, FkError::NodeExists));
-                    }
-                    let name = zkpath::basename(&final_path).to_owned();
-                    let ephemeral_owner = mode.is_ephemeral().then(|| request.session_id.clone());
-                    {
-                        let d = delta(&mut items, acquired, &parent_path);
-                        if mode.is_sequential() {
-                            set_attr(d, node_attr::SEQ, SerValue::Num(seq + 1));
-                        }
-                        set_attr(d, node_attr::CHILDREN_TXID, SerValue::Txid);
-                        d.appends.push((
-                            node_attr::CHILDREN.to_owned(),
-                            SerValue::StrList(vec![name.clone()]),
-                        ));
-                    }
-                    {
-                        let d = delta(&mut items, acquired, &final_path);
-                        set_attr(d, node_attr::CREATED, SerValue::Txid);
-                        set_attr(d, node_attr::VERSION, SerValue::Txid);
-                        set_attr(d, node_attr::VCOUNT, SerValue::Num(0));
-                        set_attr(d, "req_tag", SerValue::Str(tag.clone()));
-                        if let Some(owner) = &ephemeral_owner {
-                            set_attr(d, node_attr::EPH_OWNER, SerValue::Str(owner.clone()));
-                        }
-                        d.appends
-                            .push((node_attr::TXQ.to_owned(), SerValue::TxidList));
-                        d.removes.push(node_attr::DELETED.to_owned());
-                    }
-                    let children_after = {
-                        let p = sim_node(&mut overlay, acquired, &parent_path);
-                        p.children.push(name);
-                        p.children.clone()
-                    };
-                    *sim_node(&mut overlay, acquired, &final_path) = SimNode {
-                        exists: true,
-                        vcount: 0,
-                        mzxid: 0,
-                        czxid: 0,
-                        children: Vec::new(),
-                        seq: 0,
-                        eph_owner: ephemeral_owner.clone(),
-                    };
-                    if ephemeral_owner.is_some() {
-                        eph_adds.push(final_path.clone());
-                    }
-                    subs.push(MultiSub {
-                        path: final_path.clone(),
-                        user_update: UserUpdate::WriteNode {
-                            path: final_path.clone(),
-                            payload: payload.clone(),
-                            created_txid: 0,
-                            version: 0,
-                            children: vec![],
-                            ephemeral_owner,
-                            parent_children: Some((parent_path.clone(), children_after)),
-                        },
-                        fires: vec![
-                            FiredWatch {
-                                watch_path: final_path.clone(),
-                                event_type: WatchEventType::NodeCreated,
-                            },
-                            FiredWatch {
-                                watch_path: parent_path,
-                                event_type: WatchEventType::NodeChildrenChanged,
-                            },
-                        ],
-                        is_delete: false,
-                        outcome: OpOutcome::Created {
-                            path: final_path.clone(),
-                            stat: Stat {
-                                data_length: payload.byte_len() as u32,
-                                ephemeral: mode.is_ephemeral(),
-                                ..Stat::default()
-                            },
-                        },
-                    });
-                    primary.get_or_insert(final_path);
-                }
-                MultiOp::SetData {
+                } => planner.create(path, payload, mode, |name| self.lock_generated(ctx, name)),
+                OpView::SetData {
                     path,
                     payload,
                     expected_version,
-                } => {
-                    let (exists, vcount, czxid, children, eph_owner) = {
-                        let n = sim_node(&mut overlay, acquired, path);
-                        (
-                            n.exists,
-                            n.vcount,
-                            n.czxid,
-                            n.children.clone(),
-                            n.eph_owner.clone(),
-                        )
-                    };
-                    if !exists {
-                        if let Some(txid) = already_probe(acquired, path, &tag) {
-                            return Ok(WritePlan::already(txid));
-                        }
-                        return Err(fail(i, FkError::NoNode));
-                    }
-                    if *expected_version >= 0 && vcount != *expected_version {
-                        if let Some(txid) = already_probe(acquired, path, &tag) {
-                            return Ok(WritePlan::already(txid));
-                        }
-                        return Err(fail(i, FkError::BadVersion));
-                    }
-                    {
-                        let d = delta(&mut items, acquired, path);
-                        set_attr(d, node_attr::VERSION, SerValue::Txid);
-                        set_attr(d, node_attr::VCOUNT, SerValue::Num((vcount + 1) as i64));
-                        set_attr(d, "req_tag", SerValue::Str(tag.clone()));
-                        d.appends
-                            .push((node_attr::TXQ.to_owned(), SerValue::TxidList));
-                    }
-                    sim_node(&mut overlay, acquired, path).vcount = vcount + 1;
-                    let stat = Stat {
-                        created_txid: czxid,
-                        modified_txid: 0,
-                        version: vcount + 1,
-                        num_children: children.len() as u32,
-                        data_length: payload.byte_len() as u32,
-                        ephemeral: eph_owner.is_some(),
-                    };
-                    subs.push(MultiSub {
-                        path: path.clone(),
-                        user_update: UserUpdate::WriteNode {
-                            path: path.clone(),
-                            payload: payload.clone(),
-                            created_txid: czxid,
-                            version: vcount + 1,
-                            children,
-                            ephemeral_owner: eph_owner,
-                            parent_children: None,
-                        },
-                        fires: vec![FiredWatch {
-                            watch_path: path.clone(),
-                            event_type: WatchEventType::NodeDataChanged,
-                        }],
-                        is_delete: false,
-                        outcome: OpOutcome::Set {
-                            path: path.clone(),
-                            stat,
-                        },
-                    });
-                    primary.get_or_insert_with(|| path.clone());
-                }
-                MultiOp::Delete {
+                } => planner.set_data(path, payload, expected_version),
+                OpView::Delete {
                     path,
                     expected_version,
-                } => {
-                    let parent_path = zkpath::parent(path).expect("validated").to_owned();
-                    let (exists, vcount, children_empty, eph_owner) = {
-                        let n = sim_node(&mut overlay, acquired, path);
-                        (
-                            n.exists,
-                            n.vcount,
-                            n.children.is_empty(),
-                            n.eph_owner.clone(),
-                        )
-                    };
-                    if !exists {
-                        if let Some(txid) = already_probe(acquired, path, &tag) {
-                            return Ok(WritePlan::already(txid));
-                        }
-                        return Err(fail(i, FkError::NoNode));
-                    }
-                    if *expected_version >= 0 && vcount != *expected_version {
-                        return Err(fail(i, FkError::BadVersion));
-                    }
-                    if !children_empty {
-                        return Err(fail(i, FkError::NotEmpty));
-                    }
-                    let name = zkpath::basename(path).to_owned();
-                    {
-                        let d = delta(&mut items, acquired, path);
-                        set_attr(d, node_attr::DELETED, SerValue::Num(1));
-                        set_attr(d, node_attr::VERSION, SerValue::Txid);
-                        set_attr(d, "req_tag", SerValue::Str(tag.clone()));
-                        d.appends
-                            .push((node_attr::TXQ.to_owned(), SerValue::TxidList));
-                    }
-                    {
-                        let d = delta(&mut items, acquired, &parent_path);
-                        set_attr(d, node_attr::CHILDREN_TXID, SerValue::Txid);
-                        d.list_removes.push((
-                            node_attr::CHILDREN.to_owned(),
-                            SerValue::StrList(vec![name.clone()]),
-                        ));
-                    }
-                    let children_after = {
-                        let p = sim_node(&mut overlay, acquired, &parent_path);
-                        p.children.retain(|c| c != &name);
-                        p.children.clone()
-                    };
-                    sim_node(&mut overlay, acquired, path).exists = false;
-                    if let Some(owner) = eph_owner {
-                        eph_removes.push((owner, path.clone()));
-                    }
-                    subs.push(MultiSub {
-                        path: path.clone(),
-                        user_update: UserUpdate::DeleteNode {
-                            path: path.clone(),
-                            parent_children: Some((parent_path.clone(), children_after)),
-                        },
-                        fires: vec![
-                            FiredWatch {
-                                watch_path: path.clone(),
-                                event_type: WatchEventType::NodeDeleted,
-                            },
-                            FiredWatch {
-                                watch_path: parent_path,
-                                event_type: WatchEventType::NodeChildrenChanged,
-                            },
-                        ],
-                        is_delete: true,
-                        outcome: OpOutcome::Deleted { path: path.clone() },
-                    });
-                    primary.get_or_insert_with(|| path.clone());
-                }
-                MultiOp::Check {
+                } => planner.delete(path, expected_version),
+                OpView::Check {
                     path,
                     expected_version,
-                } => {
-                    let (exists, vcount, czxid, mzxid, num_children, eph) = {
-                        let n = sim_node(&mut overlay, acquired, path);
-                        (
-                            n.exists,
-                            n.vcount,
-                            n.czxid,
-                            n.mzxid,
-                            n.children.len() as u32,
-                            n.eph_owner.is_some(),
-                        )
-                    };
-                    if !exists {
-                        return Err(fail(i, FkError::NoNode));
-                    }
-                    if *expected_version >= 0 && vcount != *expected_version {
-                        return Err(fail(i, FkError::BadVersion));
-                    }
-                    // Ensure the checked item appears in the commit so
-                    // its lock releases with everyone else's (the item
-                    // update is a pure unlock — no attribute changes).
-                    delta(&mut items, acquired, path);
-                    subs.push(MultiSub {
-                        path: path.clone(),
-                        user_update: UserUpdate::None,
-                        fires: vec![],
-                        is_delete: false,
-                        outcome: OpOutcome::Checked {
-                            stat: Stat {
-                                created_txid: czxid,
-                                modified_txid: mzxid,
-                                version: vcount,
-                                num_children,
-                                data_length: 0,
-                                ephemeral: eph,
-                            },
-                        },
-                    });
-                }
+                } => planner.check(path, expected_version),
+            };
+            match planned {
+                Ok(None) => {}
+                Ok(committed) => return Ok(committed),
+                Err(OpError::Client(cause)) => return Err(refusal(request, i, cause)),
+                Err(retry) => return Err(retry),
             }
         }
+        Ok(None)
+    }
 
-        let Some(primary) = primary else {
-            // Check-only multi: the validation under locks *is* the
-            // transaction — no commit, no push, no txid. The outcomes
-            // are answered directly by the caller.
-            return Ok(WritePlan {
-                local_result: Some(subs.into_iter().map(|sub| sub.outcome).collect()),
-                ..WritePlan::new(String::new())
-            });
-        };
-        Ok(WritePlan {
-            commit: SystemCommit { items },
-            subs,
-            eph_adds,
-            eph_removes,
-            ..WritePlan::new(primary)
-        })
+    /// ➀ for a sequential create's generated name, which is only known
+    /// once the parent's counter has been read under the parent lock (it
+    /// is fresh by construction, so there is no contention loop). Called
+    /// from inside ➁, so the phase label is swapped for the round trip:
+    /// `lock_node` covers every lock the follower takes.
+    fn lock_generated(&self, ctx: &Ctx, path: &str) -> Result<Acquired, OpError> {
+        ctx.pop_phase();
+        ctx.push_phase("lock_node");
+        let acquire = with_retry(
+            ctx,
+            self.meter(),
+            &RetryPolicy::quick(),
+            "follower.lock",
+            || {
+                self.system
+                    .locks()
+                    .acquire(ctx, &keys::node(path), Self::now_ms())
+            },
+        );
+        ctx.pop_phase();
+        ctx.push_phase("validate");
+        acquire.map_err(|e| OpError::Retry(FnError::retryable(e.to_string())))
     }
 
     /// Phase ➂ minus the send, shared by the serial path and the wave's
@@ -1373,20 +947,35 @@ impl Follower {
                 list_removes: vec![],
             });
         }
-        let record = LeaderRecord {
+        let mut record = LeaderRecord {
             session_id: request.session_id.clone(),
             request_id: request.request_id,
             txid: alloc_txid,
             prev_txid,
             path: plan.final_path.clone(),
             commit: plan.commit.clone(),
-            user_update: plan.user_update,
-            stat: plan.stat,
-            fires: plan.fires,
-            is_delete: plan.is_delete,
+            user_update: UserUpdate::None,
+            stat: Stat::default(),
+            fires: vec![],
+            is_delete: false,
             deregister_session: false,
             ops: plan.subs,
         };
+        // The one place the request's shape still matters: the record
+        // has two (see [`LeaderRecord::ops`]), and a single write's sub
+        // rides in the record's own fields.
+        if !matches!(request.op, WriteOp::Multi { .. }) {
+            let sub = record.ops.pop().expect("a single write plans one sub");
+            record.user_update = sub.user_update;
+            record.fires = sub.fires;
+            record.is_delete = sub.is_delete;
+            record.stat = match sub.outcome {
+                OpOutcome::Created { stat, .. }
+                | OpOutcome::Set { stat, .. }
+                | OpOutcome::Checked { stat } => stat,
+                OpOutcome::Deleted { .. } => Stat::default(),
+            };
+        }
         Ok(Some(StagedPush {
             pos,
             session: request.session_id.clone(),
@@ -1443,371 +1032,6 @@ impl Follower {
         }
         // Any failure — stolen lock or storage error — is the leader's
         // to resolve; the commit description rides the pushed record.
-    }
-
-    /// Validation and commit planning (Algorithm 1 ➁).
-    fn validate_and_plan(
-        &self,
-        request: &ClientRequest,
-        op: &WriteOp,
-        path: &str,
-        parent: Option<&str>,
-        acquired: &[Acquired],
-        final_path_override: Option<String>,
-    ) -> Result<WritePlan, OpError> {
-        let tag = Self::req_tag(request);
-        match op {
-            WriteOp::Create { payload, mode, .. } => self.plan_create(
-                request,
-                payload,
-                *mode,
-                path,
-                parent.expect("create locks parent"),
-                acquired,
-                &tag,
-                final_path_override,
-            ),
-            WriteOp::SetData {
-                payload,
-                expected_version,
-                ..
-            } => self.plan_set_data(payload, *expected_version, path, acquired, &tag),
-            WriteOp::Delete {
-                expected_version, ..
-            } => self.plan_delete(
-                *expected_version,
-                path,
-                parent.expect("delete locks parent"),
-                acquired,
-                &tag,
-            ),
-            WriteOp::CloseSession | WriteOp::Multi { .. } => unreachable!("handled separately"),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn plan_create(
-        &self,
-        request: &ClientRequest,
-        payload: &Payload,
-        mode: CreateMode,
-        path: &str,
-        parent: &str,
-        acquired: &[Acquired],
-        tag: &str,
-        final_path_override: Option<String>,
-    ) -> Result<WritePlan, OpError> {
-        if payload.byte_len() > self.config.max_node_bytes {
-            return Err(OpError::Client(FkError::TooLarge {
-                size: payload.byte_len(),
-                limit: self.config.max_node_bytes,
-            }));
-        }
-        let parent_acq = Self::find(acquired, parent);
-        if !Sys::node_exists(parent_acq.old.as_ref()) {
-            return Err(OpError::Client(FkError::NoNode));
-        }
-        let parent_item = parent_acq.old.as_ref().expect("parent exists");
-        if parent_item.contains(node_attr::EPH_OWNER) {
-            return Err(OpError::Client(FkError::NoChildrenForEphemerals));
-        }
-
-        // Sequential names come from the parent's counter (§2.2 "sequential
-        // nodes" in Table 1); the caller locked the generated name.
-        let seq = parent_item.num(node_attr::SEQ).unwrap_or(0);
-        let final_path = final_path_override.unwrap_or_else(|| path.to_owned());
-
-        let node_acq = Self::find(acquired, &final_path);
-        if let Some(existing) = node_acq.old.as_ref() {
-            if Sys::node_exists(Some(existing)) {
-                if existing.str("req_tag") == Some(tag) {
-                    return Ok(WritePlan::already(
-                        existing.num(node_attr::VERSION).unwrap_or(0) as u64,
-                    ));
-                }
-                return Err(OpError::Client(FkError::NodeExists));
-            }
-        }
-
-        let mut children_after: Vec<String> = parent_item
-            .list(node_attr::CHILDREN)
-            .map(|l| {
-                l.iter()
-                    .filter_map(|v| v.as_str().map(str::to_owned))
-                    .collect()
-            })
-            .unwrap_or_default();
-        children_after.push(zkpath::basename(&final_path).to_owned());
-
-        let ephemeral_owner = mode.is_ephemeral().then(|| request.session_id.clone());
-
-        // Commit: node item + parent item, atomically (Z1).
-        let node_key_path: &str = &final_path;
-        let mut node_sets = vec![
-            (node_attr::CREATED.to_owned(), SerValue::Txid),
-            (node_attr::VERSION.to_owned(), SerValue::Txid),
-            (node_attr::VCOUNT.to_owned(), SerValue::Num(0)),
-            ("req_tag".to_owned(), SerValue::Str(tag.to_owned())),
-        ];
-        if let Some(owner) = &ephemeral_owner {
-            node_sets.push((
-                node_attr::EPH_OWNER.to_owned(),
-                SerValue::Str(owner.clone()),
-            ));
-        }
-        let node_item = CommitItem {
-            key: keys::node(node_key_path),
-            lock_ts: node_acq.token.timestamp,
-            sets: node_sets,
-            appends: vec![(node_attr::TXQ.to_owned(), SerValue::TxidList)],
-            removes: vec![node_attr::DELETED.to_owned()],
-            list_removes: vec![],
-        };
-        let mut parent_sets = Vec::new();
-        if mode.is_sequential() {
-            parent_sets.push((node_attr::SEQ.to_owned(), SerValue::Num(seq + 1)));
-        }
-        // Stamp the parent's children-rewrite txid: later transactions
-        // locking this parent floor their allocation above it, keeping
-        // children rewrites totally ordered across shard groups.
-        parent_sets.push((node_attr::CHILDREN_TXID.to_owned(), SerValue::Txid));
-        let parent_commit = CommitItem {
-            key: keys::node(parent),
-            lock_ts: parent_acq.token.timestamp,
-            sets: parent_sets,
-            appends: vec![(
-                node_attr::CHILDREN.to_owned(),
-                SerValue::StrList(vec![zkpath::basename(&final_path).to_owned()]),
-            )],
-            removes: vec![],
-            list_removes: vec![],
-        };
-
-        let stat = Stat {
-            created_txid: 0,
-            modified_txid: 0,
-            version: 0,
-            num_children: 0,
-            data_length: payload.byte_len() as u32,
-            ephemeral: mode.is_ephemeral(),
-        };
-        Ok(WritePlan {
-            commit: SystemCommit {
-                items: vec![node_item, parent_commit],
-            },
-            user_update: UserUpdate::WriteNode {
-                path: final_path.clone(),
-                payload: payload.clone(),
-                created_txid: 0,
-                version: 0,
-                children: vec![],
-                ephemeral_owner: ephemeral_owner.clone(),
-                parent_children: Some((parent.to_owned(), children_after)),
-            },
-            stat,
-            fires: vec![
-                FiredWatch {
-                    watch_path: final_path.clone(),
-                    event_type: WatchEventType::NodeCreated,
-                },
-                FiredWatch {
-                    watch_path: parent.to_owned(),
-                    event_type: WatchEventType::NodeChildrenChanged,
-                },
-            ],
-            eph_adds: ephemeral_owner
-                .is_some()
-                .then(|| final_path.clone())
-                .into_iter()
-                .collect(),
-            ..WritePlan::new(final_path)
-        })
-    }
-
-    fn plan_set_data(
-        &self,
-        payload: &Payload,
-        expected_version: i32,
-        path: &str,
-        acquired: &[Acquired],
-        tag: &str,
-    ) -> Result<WritePlan, OpError> {
-        if payload.byte_len() > self.config.max_node_bytes {
-            return Err(OpError::Client(FkError::TooLarge {
-                size: payload.byte_len(),
-                limit: self.config.max_node_bytes,
-            }));
-        }
-        let acq = Self::find(acquired, path);
-        if !Sys::node_exists(acq.old.as_ref()) {
-            return Err(OpError::Client(FkError::NoNode));
-        }
-        let item = acq.old.as_ref().expect("node exists");
-        let vcount = item.num(node_attr::VCOUNT).unwrap_or(0) as i32;
-        if expected_version >= 0 && vcount != expected_version {
-            if item.str("req_tag") == Some(tag) {
-                return Ok(WritePlan::already(
-                    item.num(node_attr::VERSION).unwrap_or(0) as u64,
-                ));
-            }
-            return Err(OpError::Client(FkError::BadVersion));
-        }
-        let children: Vec<String> = item
-            .list(node_attr::CHILDREN)
-            .map(|l| {
-                l.iter()
-                    .filter_map(|v| v.as_str().map(str::to_owned))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let created = item.num(node_attr::CREATED).unwrap_or(0) as u64;
-        let ephemeral_owner = item.str(node_attr::EPH_OWNER).map(str::to_owned);
-
-        let commit_item = CommitItem {
-            key: keys::node(path),
-            lock_ts: acq.token.timestamp,
-            sets: vec![
-                (node_attr::VERSION.to_owned(), SerValue::Txid),
-                (
-                    node_attr::VCOUNT.to_owned(),
-                    SerValue::Num((vcount + 1) as i64),
-                ),
-                ("req_tag".to_owned(), SerValue::Str(tag.to_owned())),
-            ],
-            appends: vec![(node_attr::TXQ.to_owned(), SerValue::TxidList)],
-            removes: vec![],
-            list_removes: vec![],
-        };
-        let stat = Stat {
-            created_txid: created,
-            modified_txid: 0,
-            version: vcount + 1,
-            num_children: children.len() as u32,
-            data_length: payload.byte_len() as u32,
-            ephemeral: ephemeral_owner.is_some(),
-        };
-        Ok(WritePlan {
-            commit: SystemCommit {
-                items: vec![commit_item],
-            },
-            user_update: UserUpdate::WriteNode {
-                path: path.to_owned(),
-                payload: payload.clone(),
-                created_txid: created,
-                version: vcount + 1,
-                children,
-                ephemeral_owner,
-                parent_children: None,
-            },
-            stat,
-            fires: vec![FiredWatch {
-                watch_path: path.to_owned(),
-                event_type: WatchEventType::NodeDataChanged,
-            }],
-            ..WritePlan::new(path.to_owned())
-        })
-    }
-
-    fn plan_delete(
-        &self,
-        expected_version: i32,
-        path: &str,
-        parent: &str,
-        acquired: &[Acquired],
-        tag: &str,
-    ) -> Result<WritePlan, OpError> {
-        let acq = Self::find(acquired, path);
-        if !Sys::node_exists(acq.old.as_ref()) {
-            if acq
-                .old
-                .as_ref()
-                .map(|i| i.contains(node_attr::DELETED) && i.str("req_tag") == Some(tag))
-                .unwrap_or(false)
-            {
-                return Ok(WritePlan::already(
-                    acq.old
-                        .as_ref()
-                        .and_then(|i| i.num(node_attr::VERSION))
-                        .unwrap_or(0) as u64,
-                ));
-            }
-            return Err(OpError::Client(FkError::NoNode));
-        }
-        let item = acq.old.as_ref().expect("node exists");
-        let vcount = item.num(node_attr::VCOUNT).unwrap_or(0) as i32;
-        if expected_version >= 0 && vcount != expected_version {
-            return Err(OpError::Client(FkError::BadVersion));
-        }
-        if item
-            .list(node_attr::CHILDREN)
-            .map(|l| !l.is_empty())
-            .unwrap_or(false)
-        {
-            return Err(OpError::Client(FkError::NotEmpty));
-        }
-        let parent_acq = Self::find(acquired, parent);
-        let name = zkpath::basename(path).to_owned();
-        let parent_children: Vec<String> = parent_acq
-            .old
-            .as_ref()
-            .and_then(|i| i.list(node_attr::CHILDREN))
-            .map(|l| {
-                l.iter()
-                    .filter_map(|v| v.as_str().map(str::to_owned))
-                    .filter(|c| c != &name)
-                    .collect()
-            })
-            .unwrap_or_default();
-
-        let node_item = CommitItem {
-            key: keys::node(path),
-            lock_ts: acq.token.timestamp,
-            sets: vec![
-                (node_attr::DELETED.to_owned(), SerValue::Num(1)),
-                (node_attr::VERSION.to_owned(), SerValue::Txid),
-                ("req_tag".to_owned(), SerValue::Str(tag.to_owned())),
-            ],
-            appends: vec![(node_attr::TXQ.to_owned(), SerValue::TxidList)],
-            removes: vec![],
-            list_removes: vec![],
-        };
-        let parent_item = CommitItem {
-            key: keys::node(parent),
-            lock_ts: parent_acq.token.timestamp,
-            sets: vec![(node_attr::CHILDREN_TXID.to_owned(), SerValue::Txid)],
-            appends: vec![],
-            removes: vec![],
-            list_removes: vec![(
-                node_attr::CHILDREN.to_owned(),
-                SerValue::StrList(vec![name]),
-            )],
-        };
-        Ok(WritePlan {
-            commit: SystemCommit {
-                items: vec![node_item, parent_item],
-            },
-            user_update: UserUpdate::DeleteNode {
-                path: path.to_owned(),
-                parent_children: Some((parent.to_owned(), parent_children)),
-            },
-            fires: vec![
-                FiredWatch {
-                    watch_path: path.to_owned(),
-                    event_type: WatchEventType::NodeDeleted,
-                },
-                FiredWatch {
-                    watch_path: parent.to_owned(),
-                    event_type: WatchEventType::NodeChildrenChanged,
-                },
-            ],
-            is_delete: true,
-            eph_removes: item
-                .str(node_attr::EPH_OWNER)
-                .map(|owner| (owner.to_owned(), path.to_owned()))
-                .into_iter()
-                .collect(),
-            ..WritePlan::new(path.to_owned())
-        })
     }
 
     /// CloseSession: delete the session's ephemeral nodes (each a regular
@@ -1922,11 +1146,7 @@ impl Follower {
 struct WritePlan {
     final_path: String,
     commit: SystemCommit,
-    user_update: UserUpdate,
-    stat: Stat,
-    fires: Vec<FiredWatch>,
-    is_delete: bool,
-    /// Multi sub-operations (empty for single ops).
+    /// One sub per op, in op order (a single write has exactly one).
     subs: Vec<MultiSub>,
     /// Ephemeral paths to add to the session's cleanup list post-commit.
     eph_adds: Vec<String>,
@@ -1944,10 +1164,6 @@ impl WritePlan {
         WritePlan {
             final_path,
             commit: SystemCommit::default(),
-            user_update: UserUpdate::None,
-            stat: Stat::default(),
-            fires: vec![],
-            is_delete: false,
             subs: vec![],
             eph_adds: vec![],
             eph_removes: vec![],
@@ -2004,10 +1220,10 @@ struct StagedPush {
     acquired: Vec<Acquired>,
 }
 
-/// Overlay state of one node during multi validation: the locked item's
-/// state plus the effects of the multi's earlier ops, so each op
+/// Overlay state of one node during validation: the locked item's
+/// state plus the effects of the request's earlier ops, so each op
 /// observes its predecessors (`czxid == 0` marks a node created by this
-/// very multi — the leader substitutes the txid).
+/// very request — the leader substitutes the txid).
 struct SimNode {
     exists: bool,
     vcount: i32,
@@ -2072,7 +1288,7 @@ fn delta<'a>(
     let lock_ts = acquired
         .iter()
         .find(|a| a.token.key == key)
-        .expect("multi locks every touched path")
+        .expect("every touched path is in the lock set")
         .token
         .timestamp;
     items.push(CommitItem {
@@ -2096,56 +1312,521 @@ fn set_attr(item: &mut CommitItem, attr: &str, value: SerValue) {
     }
 }
 
-/// Redelivery probe: the locked item carries this request's tag, so the
-/// multi already committed (atomically — one committed item implies all
-/// did); returns the committed txid.
-fn already_probe(acquired: &[Acquired], path: &str, tag: &str) -> Option<u64> {
-    let key = keys::node(path);
-    let item = acquired.iter().find(|a| a.token.key == key)?.old.as_ref()?;
-    (item.str("req_tag") == Some(tag)).then(|| item.num(node_attr::VERSION).unwrap_or(0) as u64)
+/// One op of a write request, borrowed. [`WriteOp::Create`] /
+/// [`WriteOp::SetData`] / [`WriteOp::Delete`] and the four [`MultiOp`]
+/// variants carry the same fields, so the lock set, the pre-lock checks
+/// and the planner are written once, over this view.
+#[derive(Clone, Copy)]
+enum OpView<'a> {
+    Create {
+        path: &'a str,
+        payload: &'a Payload,
+        mode: CreateMode,
+    },
+    SetData {
+        path: &'a str,
+        payload: &'a Payload,
+        expected_version: i32,
+    },
+    Delete {
+        path: &'a str,
+        expected_version: i32,
+    },
+    Check {
+        path: &'a str,
+        expected_version: i32,
+    },
+}
+
+impl<'a> OpView<'a> {
+    fn path(self) -> &'a str {
+        match self {
+            OpView::Create { path, .. }
+            | OpView::SetData { path, .. }
+            | OpView::Delete { path, .. }
+            | OpView::Check { path, .. } => path,
+        }
+    }
+
+    /// The node locks the op takes up front. A sequential create locks
+    /// its parent first: the parent's lock serializes the sequence
+    /// counter, and the generated name is locked once known.
+    fn lock_paths(self) -> impl Iterator<Item = &'a str> {
+        let parent = |path| zkpath::parent(path).unwrap_or("/");
+        let (node, parent) = match self {
+            OpView::Create { path, mode, .. } => {
+                ((!mode.is_sequential()).then_some(path), Some(parent(path)))
+            }
+            OpView::SetData { path, .. } | OpView::Check { path, .. } => (Some(path), None),
+            OpView::Delete { path, .. } => (Some(path), Some(parent(path))),
+        };
+        node.into_iter().chain(parent)
+    }
+}
+
+/// The ops of a write request, in order: a single op is the one-op case.
+/// `None` for CloseSession, which is not planned as a transaction (and
+/// conflicts with everything: its ephemeral cleanup is unbounded).
+fn op_views(op: &WriteOp) -> Option<Vec<OpView<'_>>> {
+    Some(match op {
+        WriteOp::Create {
+            path,
+            payload,
+            mode,
+        } => vec![OpView::Create {
+            path,
+            payload,
+            mode: *mode,
+        }],
+        WriteOp::SetData {
+            path,
+            payload,
+            expected_version,
+        } => vec![OpView::SetData {
+            path,
+            payload,
+            expected_version: *expected_version,
+        }],
+        WriteOp::Delete {
+            path,
+            expected_version,
+        } => vec![OpView::Delete {
+            path,
+            expected_version: *expected_version,
+        }],
+        WriteOp::Multi { ops } => ops
+            .iter()
+            .map(|op| match op {
+                MultiOp::Create {
+                    path,
+                    payload,
+                    mode,
+                } => OpView::Create {
+                    path,
+                    payload,
+                    mode: *mode,
+                },
+                MultiOp::SetData {
+                    path,
+                    payload,
+                    expected_version,
+                } => OpView::SetData {
+                    path,
+                    payload,
+                    expected_version: *expected_version,
+                },
+                MultiOp::Delete {
+                    path,
+                    expected_version,
+                } => OpView::Delete {
+                    path,
+                    expected_version: *expected_version,
+                },
+                MultiOp::Check {
+                    path,
+                    expected_version,
+                } => OpView::Check {
+                    path,
+                    expected_version: *expected_version,
+                },
+            })
+            .collect(),
+        WriteOp::CloseSession => return None,
+    })
+}
+
+/// The client error for op `index` of `request`: a `multi` names the
+/// failing op, a single op's error stays bare.
+fn refusal(request: &ClientRequest, index: usize, cause: FkError) -> OpError {
+    OpError::Client(match request.op {
+        WriteOp::Multi { .. } => FkError::MultiFailed {
+            index: index as u32,
+            cause: Box::new(cause),
+        },
+        _ => cause,
+    })
+}
+
+/// What planning one op yields: `None` to go on with the next op,
+/// `Some(txid)` when a locked item carries this request's tag — a
+/// redelivered copy of a request that already committed under `txid` —
+/// and `Err` when the op is refused.
+type Planned = Result<Option<u64>, OpError>;
+
+/// Planning state of one request (Algorithm 1 ➁): each op is validated
+/// against the overlay of the locked items and its predecessors'
+/// effects, and adds its updates to the merged commit and one sub.
+struct Planner<'a> {
+    session: &'a str,
+    /// This request's tag ([`Follower::req_tag`]).
+    tag: String,
+    /// Held locks; grows when a sequential create locks its generated
+    /// name.
+    acquired: Vec<Acquired>,
+    overlay: HashMap<String, SimNode>,
+    items: Vec<CommitItem>,
+    subs: Vec<MultiSub>,
+    eph_adds: Vec<String>,
+    eph_removes: Vec<(String, String)>,
+    /// The first mutated path.
+    primary: Option<String>,
+    /// Set while the request's last op is planned.
+    last_op: bool,
+}
+
+impl<'a> Planner<'a> {
+    fn new(request: &'a ClientRequest, acquired: Vec<Acquired>) -> Self {
+        Planner {
+            session: &request.session_id,
+            tag: Follower::req_tag(request),
+            acquired,
+            overlay: HashMap::new(),
+            items: Vec::new(),
+            subs: Vec::new(),
+            eph_adds: Vec::new(),
+            eph_removes: Vec::new(),
+            primary: None,
+            last_op: false,
+        }
+    }
+
+    /// Refuses the op with `cause` — unless the locked item at `path`
+    /// carries this request's tag, which proves the request already
+    /// committed (atomically — one committed item implies all did).
+    fn refuse(&self, path: &str, cause: FkError) -> Planned {
+        let key = keys::node(path);
+        let item = self.acquired.iter().find(|a| a.token.key == key);
+        match item.and_then(|a| a.old.as_ref()) {
+            Some(item) if item.str("req_tag") == Some(&self.tag) => {
+                Ok(Some(item.num(node_attr::VERSION).unwrap_or(0) as u64))
+            }
+            _ => Err(OpError::Client(cause)),
+        }
+    }
+
+    /// `path`'s children for a sub to report. A busy parent's list is
+    /// long, and the overlay already copied it out of the locked item:
+    /// the request's last op takes that copy — no later op reads the
+    /// overlay — so a single write copies the list once, not twice.
+    fn children_of(&mut self, path: &str) -> Vec<String> {
+        let node = sim_node(&mut self.overlay, &self.acquired, path);
+        if self.last_op {
+            std::mem::take(&mut node.children)
+        } else {
+            node.children.clone()
+        }
+    }
+
+    /// `lock_name` locks a sequential create's generated name.
+    fn create(
+        &mut self,
+        path: &str,
+        payload: &Payload,
+        mode: CreateMode,
+        lock_name: impl FnOnce(&str) -> Result<Acquired, OpError>,
+    ) -> Planned {
+        let parent_path = zkpath::parent(path).expect("validated").to_owned();
+        let (parent_exists, parent_ephemeral, seq) = {
+            let p = sim_node(&mut self.overlay, &self.acquired, &parent_path);
+            (p.exists, p.eph_owner.is_some(), p.seq)
+        };
+        if !parent_exists {
+            return self.refuse(path, FkError::NoNode);
+        }
+        if parent_ephemeral {
+            return Err(OpError::Client(FkError::NoChildrenForEphemerals));
+        }
+        // Sequential names come from the parent's counter (§2.2
+        // "sequential nodes" in Table 1).
+        let final_path = if mode.is_sequential() {
+            let fp = zkpath::with_sequence(path, seq);
+            self.acquired.push(lock_name(&fp)?);
+            sim_node(&mut self.overlay, &self.acquired, &parent_path).seq += 1;
+            fp
+        } else {
+            path.to_owned()
+        };
+        if sim_node(&mut self.overlay, &self.acquired, &final_path).exists {
+            return self.refuse(&final_path, FkError::NodeExists);
+        }
+        let name = zkpath::basename(&final_path).to_owned();
+        let ephemeral_owner = mode.is_ephemeral().then(|| self.session.to_owned());
+        // Commit: node item + parent item, atomically (Z1).
+        {
+            let d = delta(&mut self.items, &self.acquired, &final_path);
+            set_attr(d, node_attr::CREATED, SerValue::Txid);
+            set_attr(d, node_attr::VERSION, SerValue::Txid);
+            set_attr(d, node_attr::VCOUNT, SerValue::Num(0));
+            set_attr(d, "req_tag", SerValue::Str(self.tag.clone()));
+            if let Some(owner) = &ephemeral_owner {
+                set_attr(d, node_attr::EPH_OWNER, SerValue::Str(owner.clone()));
+            }
+            d.appends
+                .push((node_attr::TXQ.to_owned(), SerValue::TxidList));
+            d.removes.push(node_attr::DELETED.to_owned());
+        }
+        {
+            let d = delta(&mut self.items, &self.acquired, &parent_path);
+            if mode.is_sequential() {
+                set_attr(d, node_attr::SEQ, SerValue::Num(seq + 1));
+            }
+            // Stamp the parent's children-rewrite txid: later
+            // transactions locking this parent floor their allocation
+            // above it, keeping children rewrites totally ordered across
+            // shard groups.
+            set_attr(d, node_attr::CHILDREN_TXID, SerValue::Txid);
+            d.appends.push((
+                node_attr::CHILDREN.to_owned(),
+                SerValue::StrList(vec![name.clone()]),
+            ));
+        }
+        sim_node(&mut self.overlay, &self.acquired, &parent_path)
+            .children
+            .push(name);
+        let children_after = self.children_of(&parent_path);
+        *sim_node(&mut self.overlay, &self.acquired, &final_path) = SimNode {
+            exists: true,
+            vcount: 0,
+            mzxid: 0,
+            czxid: 0,
+            children: Vec::new(),
+            seq: 0,
+            eph_owner: ephemeral_owner.clone(),
+        };
+        if ephemeral_owner.is_some() {
+            self.eph_adds.push(final_path.clone());
+        }
+        self.subs.push(MultiSub {
+            path: final_path.clone(),
+            user_update: UserUpdate::WriteNode {
+                path: final_path.clone(),
+                payload: payload.clone(),
+                created_txid: 0,
+                version: 0,
+                children: vec![],
+                ephemeral_owner,
+                parent_children: Some((parent_path.clone(), children_after)),
+            },
+            fires: vec![
+                FiredWatch {
+                    watch_path: final_path.clone(),
+                    event_type: WatchEventType::NodeCreated,
+                },
+                FiredWatch {
+                    watch_path: parent_path,
+                    event_type: WatchEventType::NodeChildrenChanged,
+                },
+            ],
+            is_delete: false,
+            outcome: OpOutcome::Created {
+                path: final_path.clone(),
+                stat: Stat {
+                    data_length: payload.byte_len() as u32,
+                    ephemeral: mode.is_ephemeral(),
+                    ..Stat::default()
+                },
+            },
+        });
+        self.primary.get_or_insert(final_path);
+        Ok(None)
+    }
+
+    fn set_data(&mut self, path: &str, payload: &Payload, expected_version: i32) -> Planned {
+        let (exists, vcount, czxid, eph_owner) = {
+            let n = sim_node(&mut self.overlay, &self.acquired, path);
+            (n.exists, n.vcount, n.czxid, n.eph_owner.clone())
+        };
+        if !exists {
+            return self.refuse(path, FkError::NoNode);
+        }
+        if expected_version >= 0 && vcount != expected_version {
+            return self.refuse(path, FkError::BadVersion);
+        }
+        {
+            let d = delta(&mut self.items, &self.acquired, path);
+            set_attr(d, node_attr::VERSION, SerValue::Txid);
+            set_attr(d, node_attr::VCOUNT, SerValue::Num((vcount + 1) as i64));
+            set_attr(d, "req_tag", SerValue::Str(self.tag.clone()));
+            d.appends
+                .push((node_attr::TXQ.to_owned(), SerValue::TxidList));
+        }
+        sim_node(&mut self.overlay, &self.acquired, path).vcount = vcount + 1;
+        let children = self.children_of(path);
+        let stat = Stat {
+            created_txid: czxid,
+            modified_txid: 0,
+            version: vcount + 1,
+            num_children: children.len() as u32,
+            data_length: payload.byte_len() as u32,
+            ephemeral: eph_owner.is_some(),
+        };
+        self.subs.push(MultiSub {
+            path: path.to_owned(),
+            user_update: UserUpdate::WriteNode {
+                path: path.to_owned(),
+                payload: payload.clone(),
+                created_txid: czxid,
+                version: vcount + 1,
+                children,
+                ephemeral_owner: eph_owner,
+                parent_children: None,
+            },
+            fires: vec![FiredWatch {
+                watch_path: path.to_owned(),
+                event_type: WatchEventType::NodeDataChanged,
+            }],
+            is_delete: false,
+            outcome: OpOutcome::Set {
+                path: path.to_owned(),
+                stat,
+            },
+        });
+        self.primary.get_or_insert_with(|| path.to_owned());
+        Ok(None)
+    }
+
+    fn delete(&mut self, path: &str, expected_version: i32) -> Planned {
+        let parent_path = zkpath::parent(path).expect("validated").to_owned();
+        let (exists, vcount, children_empty, eph_owner) = {
+            let n = sim_node(&mut self.overlay, &self.acquired, path);
+            (
+                n.exists,
+                n.vcount,
+                n.children.is_empty(),
+                n.eph_owner.clone(),
+            )
+        };
+        if !exists {
+            return self.refuse(path, FkError::NoNode);
+        }
+        if expected_version >= 0 && vcount != expected_version {
+            return Err(OpError::Client(FkError::BadVersion));
+        }
+        if !children_empty {
+            return Err(OpError::Client(FkError::NotEmpty));
+        }
+        let name = zkpath::basename(path).to_owned();
+        {
+            let d = delta(&mut self.items, &self.acquired, path);
+            set_attr(d, node_attr::DELETED, SerValue::Num(1));
+            set_attr(d, node_attr::VERSION, SerValue::Txid);
+            set_attr(d, "req_tag", SerValue::Str(self.tag.clone()));
+            d.appends
+                .push((node_attr::TXQ.to_owned(), SerValue::TxidList));
+        }
+        {
+            let d = delta(&mut self.items, &self.acquired, &parent_path);
+            set_attr(d, node_attr::CHILDREN_TXID, SerValue::Txid);
+            d.list_removes.push((
+                node_attr::CHILDREN.to_owned(),
+                SerValue::StrList(vec![name.clone()]),
+            ));
+        }
+        sim_node(&mut self.overlay, &self.acquired, &parent_path)
+            .children
+            .retain(|c| c != &name);
+        let children_after = self.children_of(&parent_path);
+        sim_node(&mut self.overlay, &self.acquired, path).exists = false;
+        if let Some(owner) = eph_owner {
+            self.eph_removes.push((owner, path.to_owned()));
+        }
+        self.subs.push(MultiSub {
+            path: path.to_owned(),
+            user_update: UserUpdate::DeleteNode {
+                path: path.to_owned(),
+                parent_children: Some((parent_path.clone(), children_after)),
+            },
+            fires: vec![
+                FiredWatch {
+                    watch_path: path.to_owned(),
+                    event_type: WatchEventType::NodeDeleted,
+                },
+                FiredWatch {
+                    watch_path: parent_path,
+                    event_type: WatchEventType::NodeChildrenChanged,
+                },
+            ],
+            is_delete: true,
+            outcome: OpOutcome::Deleted {
+                path: path.to_owned(),
+            },
+        });
+        self.primary.get_or_insert_with(|| path.to_owned());
+        Ok(None)
+    }
+
+    fn check(&mut self, path: &str, expected_version: i32) -> Planned {
+        let (exists, vcount, czxid, mzxid, num_children, eph) = {
+            let n = sim_node(&mut self.overlay, &self.acquired, path);
+            (
+                n.exists,
+                n.vcount,
+                n.czxid,
+                n.mzxid,
+                n.children.len() as u32,
+                n.eph_owner.is_some(),
+            )
+        };
+        if !exists {
+            return Err(OpError::Client(FkError::NoNode));
+        }
+        if expected_version >= 0 && vcount != expected_version {
+            return Err(OpError::Client(FkError::BadVersion));
+        }
+        // Ensure the checked item appears in the commit so its lock
+        // releases with everyone else's (the item update is a pure
+        // unlock — no attribute changes).
+        delta(&mut self.items, &self.acquired, path);
+        self.subs.push(MultiSub {
+            path: path.to_owned(),
+            user_update: UserUpdate::None,
+            fires: vec![],
+            is_delete: false,
+            outcome: OpOutcome::Checked {
+                stat: Stat {
+                    created_txid: czxid,
+                    modified_txid: mzxid,
+                    version: vcount,
+                    num_children,
+                    data_length: 0,
+                    ephemeral: eph,
+                },
+            },
+        });
+        Ok(None)
+    }
+
+    /// The plan of a request whose every op validated.
+    fn finish(self) -> Prepared {
+        let plan = match self.primary {
+            // Check-only multi: the validation under locks *is* the
+            // transaction — no commit, no push, no txid. The outcomes
+            // are answered directly by the caller.
+            None => WritePlan {
+                local_result: Some(self.subs.into_iter().map(|sub| sub.outcome).collect()),
+                ..WritePlan::new(String::new())
+            },
+            Some(primary) => WritePlan {
+                commit: SystemCommit { items: self.items },
+                subs: self.subs,
+                eph_adds: self.eph_adds,
+                eph_removes: self.eph_removes,
+                ..WritePlan::new(primary)
+            },
+        };
+        Prepared {
+            acquired: self.acquired,
+            plan,
+        }
+    }
 }
 
 /// The set of system-store node keys a request locks — conservatively,
 /// since sequential creates lock a generated name that is only known
 /// under the parent lock (the parent itself is in the set, which is what
-/// serializes the counter). `None` marks requests that conflict with
-/// everything (CloseSession: its ephemeral cleanup is unbounded).
-fn lock_set(op: &WriteOp) -> Option<Vec<&str>> {
-    let mut paths = Vec::new();
-    match op {
-        WriteOp::SetData { path, .. } => paths.push(path.as_str()),
-        WriteOp::Create { path, mode, .. } => {
-            if !mode.is_sequential() {
-                paths.push(path.as_str());
-            }
-            paths.push(zkpath::parent(path).unwrap_or("/"));
-        }
-        WriteOp::Delete { path, .. } => {
-            paths.push(path.as_str());
-            paths.push(zkpath::parent(path).unwrap_or("/"));
-        }
-        WriteOp::CloseSession => return None,
-        WriteOp::Multi { ops } => {
-            for op in ops {
-                match op {
-                    MultiOp::Create { path, mode, .. } => {
-                        if !mode.is_sequential() {
-                            paths.push(path.as_str());
-                        }
-                        paths.push(zkpath::parent(path).unwrap_or("/"));
-                    }
-                    MultiOp::SetData { path, .. } | MultiOp::Check { path, .. } => {
-                        paths.push(path.as_str());
-                    }
-                    MultiOp::Delete { path, .. } => {
-                        paths.push(path.as_str());
-                        paths.push(zkpath::parent(path).unwrap_or("/"));
-                    }
-                }
-            }
-        }
-    }
-    Some(paths)
+/// serializes the counter).
+fn lock_set<'a>(ops: &[OpView<'a>]) -> Vec<&'a str> {
+    ops.iter().flat_map(|op| op.lock_paths()).collect()
 }
 
 /// The exclusive end of the wave starting at `start`: the longest run of
@@ -2158,14 +1839,14 @@ fn wave_end(requests: &[(usize, ClientRequest)], start: usize) -> usize {
     let Some((_, first)) = requests.get(start) else {
         return start;
     };
-    let Some(first_set) = lock_set(&first.op) else {
+    let Some(first_set) = op_views(&first.op).map(|ops| lock_set(&ops)) else {
         return start + 1; // CloseSession: singleton wave
     };
     let mut locked: HashSet<&str> = first_set.into_iter().collect();
     let mut end = start + 1;
     while end < requests.len() {
         let (_, request) = &requests[end];
-        let Some(set) = lock_set(&request.op) else {
+        let Some(set) = op_views(&request.op).map(|ops| lock_set(&ops)) else {
             break;
         };
         if set.iter().any(|path| locked.contains(path)) {
@@ -2184,5 +1865,7 @@ enum OpError {
     Retry(FnError),
 }
 
-// Unit tests for the follower live in `functions_tests.rs` next to the
-// leader's, since meaningful scenarios need both halves of the pipeline.
+// The planner's tests live in `tests/follower_planner.rs` (wire vectors,
+// request budgets, one verdict per op whatever the request's shape);
+// scenarios that need both halves of the pipeline are in `tests/e2e.rs`
+// and the property suites.
