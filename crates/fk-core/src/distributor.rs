@@ -12,29 +12,40 @@
 //!    counters (§3.4) cannot change, so every write observes the same
 //!    epoch marks and the per-transaction mark fetch collapses to one
 //!    read per region per epoch.
-//! 2. **Path sharding** — the effects of an epoch (node writes, deletes,
-//!    parent children-list rewrites) are partitioned by a stable
-//!    path-hash ([`shard_of`]). All effects on one path land in one
-//!    shard, so per-key apply order is preserved while distinct shards
-//!    proceed independently.
-//! 3. **Parallel fan-out** — one worker per (replica region × shard)
-//!    applies its shard's effects through the batched store interface
-//!    ([`UserStore::write_batch`] / [`UserStore::delete_batch`]),
-//!    coalescing repeated writes to the same path into the final state.
-//!    Workers run on forked virtual-time contexts joined at the
-//!    slowest, so simulated latency reflects the parallelism; on the
-//!    host they run back to back (`fan_out`).
+//! 2. **One plan per region** — the effects of an epoch (node writes,
+//!    deletes, parent children-list rewrites) are replayed once per
+//!    region into one final store operation per path, so per-key apply
+//!    order holds by construction. The same plans feed the read-replica
+//!    tier.
+//! 3. **Dependency-scheduled fan-out** — a region's operations run on at
+//!    most [`DistributorConfig::shards`] concurrent workers: forked
+//!    virtual-time contexts, all forked at the epoch's start (so regions
+//!    overlap) and joined at the slowest; on the host they run back to
+//!    back. Two rules order the operations, both read off the updates
+//!    that produced them:
+//!    - a parent's children rewrite starts after the write of every
+//!      child a create of the epoch added to it (a parent never lists a
+//!      child before the child's record exists);
+//!    - a delete starts after its parent's rewrite (a node never
+//!      disappears before its parent stops listing it).
+//!
+//!    Beyond those, an operation takes the first worker to free up,
+//!    critical path first. A single-group tier keeps its batched form:
+//!    effects are dealt to path-hash shards ([`shard_of`]), each flushed
+//!    through [`UserStore::write_batch`] / [`UserStore::delete_batch`] in
+//!    three barrier-separated waves that enforce the same two rules.
 //! 4. **Ordered finalization** — a single epoch-counter bump per region
 //!    publishes all watch ids fired by the epoch before any later
-//!    transaction commits (Z4), client notifications go out in txid
-//!    order (Z2), and the per-node pending queues are popped in
+//!    transaction commits (Z4), the per-node pending queues are popped in
 //!    chunked ≤ 25-item transactions with per-item head guards
-//!    ([`crate::commit::pop_pending_batch`]).
+//!    ([`crate::commit::pop_pending_batch`]), and client notifications go
+//!    out per session in txid order (Z2), the sessions in parallel.
 //!
 //! The formal serverless model of Gabbrielli et al. ("No more, no less")
-//! licenses exactly this transformation: fan-out is unobservable as long
-//! as per-key ordering and the epoch guarantees survive, which the Z1–Z4
-//! property tests (`tests/consistency_properties.rs`) check end to end.
+//! licenses exactly this transformation: fan-out order is unobservable as
+//! long as per-key ordering, the two rules above and the epoch guarantees
+//! survive, which the Z1–Z4 property tests
+//! (`tests/consistency_properties.rs`) check end to end.
 
 use crate::messages::{LeaderRecord, UserUpdate};
 use crate::system_store::SystemStore;
@@ -44,7 +55,8 @@ use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
 use fk_cloud::{CloudResult, Meter, Region};
 use std::cell::OnceCell;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 pub use fk_cloud::queue::{shard_of, AdaptiveBatch};
@@ -52,7 +64,8 @@ pub use fk_cloud::queue::{shard_of, AdaptiveBatch};
 /// Configuration of the leader's distribution pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistributorConfig {
-    /// Number of path shards fanned out in parallel per region.
+    /// Concurrent storage workers per region: at most this many store
+    /// operations of an epoch are in flight in one region at any instant.
     pub shards: usize,
     /// Maximum transactions drained from the leader queue per batch.
     pub max_batch: usize,
@@ -154,10 +167,9 @@ pub struct CommittedTx<'a> {
 /// One storage effect of a transaction, keyed by the path it touches.
 ///
 /// Children lists are lifted into `Arc`s **once per epoch** when the
-/// effect is built; every (region × shard) worker that materializes a
-/// record from the effect then shares the list (and the `Bytes` payload)
-/// instead of deep-copying it per fork — the clone-free half of the
-/// fan-out's I/O diet.
+/// effect is built; every region's plan that materializes a record from
+/// the effect then shares the list (and the `Bytes` payload) instead of
+/// deep-copying it — the clone-free half of the fan-out's I/O diet.
 enum Effect<'a> {
     /// Write (create or replace) the node record.
     Write {
@@ -176,6 +188,8 @@ enum Effect<'a> {
         parent: &'a str,
         children: Arc<Vec<String>>,
         txid: u64,
+        /// The node whose create or delete rewrote the list.
+        child: &'a str,
     },
 }
 
@@ -326,7 +340,7 @@ pub struct Distributor {
     locks: Arc<PathLockSet>,
     /// The regional read-replica tier, when deployed: one more
     /// subscriber of the epoch fan-out, fed strictly *after* the
-    /// storage waves so a replica can never get ahead of its region's
+    /// storage apply so a replica can never get ahead of its region's
     /// user store ([`crate::replica`] module docs).
     replicas: Option<crate::replica::ReplicaSet>,
 }
@@ -364,7 +378,7 @@ impl Distributor {
     /// Subscribes a read-replica tier to this distributor's committed
     /// epoch stream. Every applied epoch is folded into one
     /// [`crate::replica::EpochDelta`] per region and fed to that
-    /// region's replicas after the storage waves complete.
+    /// region's replicas after the epoch's storage operations complete.
     pub fn attach_replicas(&mut self, replicas: crate::replica::ReplicaSet) {
         if !replicas.is_empty() {
             self.replicas = Some(replicas);
@@ -392,7 +406,7 @@ impl Distributor {
     /// transfer coordinates — committed floors and per-region feed
     /// sequences — are recorded before the walk, so every epoch at or
     /// below them is fully visible in storage (this distributor feeds
-    /// replicas strictly after an epoch's storage waves).
+    /// replicas strictly after an epoch's storage operations).
     pub fn cut_checkpoint(
         &self,
         ctx: &Ctx,
@@ -431,20 +445,24 @@ impl Distributor {
             .collect()
     }
 
-    /// Applies one epoch of committed transactions to every replica:
-    /// partitions the effects by path shard and fans one worker out per
-    /// (region × shard). `marks` holds each region's epoch marks
+    /// Applies one epoch of committed transactions to every replica.
+    /// `marks` holds each region's epoch marks
     /// ([`Distributor::epoch_marks`]), read once per epoch by the
     /// caller: within an epoch no watch fires, so the marks attached to
     /// every write are the same set the sequential leader would have
     /// read per transaction.
     ///
-    /// Cross-shard visibility order is preserved by applying in three
-    /// barrier-separated waves, matching what an observer could see under
-    /// the sequential leader: ➀ independent node writes, ➁ writes whose
-    /// children list was rewritten (a parent never lists a child before
-    /// the child's record exists), ➂ deletes (a node never disappears
-    /// before its parent stops listing it).
+    /// Two dependency rules keep what an observer can see within what
+    /// the sequential leader could have shown: a parent's children
+    /// rewrite starts only after the writes of the children the epoch's
+    /// creates added to it (a parent never lists a child before the
+    /// child's record exists), and a delete only after its parent's
+    /// rewrite (a node never disappears before its parent stops listing
+    /// it). A multi-group tier schedules exactly those edges on
+    /// `shards` workers per region (`apply_epoch_multi`); the
+    /// single-group apply enforces them with three barrier-separated
+    /// waves over path-hash shards: ➀ node writes no rewrite touched,
+    /// ➁ children-bearing writes, ➂ deletes.
     pub fn apply_epoch(
         &self,
         ctx: &Ctx,
@@ -454,13 +472,25 @@ impl Distributor {
         if items.is_empty() {
             return Ok(());
         }
+        let effects: Vec<Effect<'_>> = items.iter().flat_map(effects_of).collect();
+        let region_plans = || -> Vec<EpochPlan> {
+            let plan = |region_marks| build_epoch_plan(&effects, region_marks);
+            marks.iter().map(plan).collect()
+        };
+
+        // With a multi-leader tier, another shard group may concurrently
+        // touch the same parent records; switch to the merge-safe apply.
+        if self.config.groups > 1 {
+            let plans = region_plans();
+            self.apply_epoch_multi(ctx, marks, &plans)?;
+            self.feed_replicas(ctx, items, marks, &plans);
+            return Ok(());
+        }
+
         let shards = self.config.shards.max(1);
-        let mut per_shard: Vec<Vec<Effect<'_>>> = (0..shards).map(|_| Vec::new()).collect();
-        for tx in items {
-            for effect in effects_of(tx) {
-                let shard = shard_of(effect.path(), shards);
-                per_shard[shard].push(effect);
-            }
+        let mut per_shard: Vec<Vec<&Effect<'_>>> = vec![Vec::new(); shards];
+        for effect in &effects {
+            per_shard[shard_of(effect.path(), shards)].push(effect);
         }
 
         // One job per (region, non-empty shard).
@@ -471,14 +501,6 @@ impl Distributor {
                     jobs.push((region_idx, shard_idx));
                 }
             }
-        }
-
-        // With a multi-leader tier, another shard group may concurrently
-        // touch the same parent records; switch to the merge-safe apply.
-        if self.config.groups > 1 {
-            self.apply_epoch_multi(ctx, marks, &per_shard, &jobs)?;
-            self.feed_replicas(ctx, items, marks);
-            return Ok(());
         }
 
         // Wave ➀: replay each shard's effects into its final per-path
@@ -559,64 +581,57 @@ impl Distributor {
                 },
             )
         })?;
-        self.feed_replicas(ctx, items, marks);
+        if self.replicas.is_some() {
+            self.feed_replicas(ctx, items, marks, &region_plans());
+        }
         Ok(())
     }
 
     /// Folds the epoch into one [`crate::replica::EpochDelta`] per
     /// region and feeds it to the attached replica tier. Runs after the
-    /// storage waves in both apply paths, so the replicas strictly
-    /// follow storage. The fold reuses [`build_shard_plan_multi`] (the
+    /// storage apply in both paths, so the replicas strictly follow
+    /// storage. The fold reads the region plans ([`build_epoch_plan`], the
     /// store-free replay): per-path final writes are encoded once per
     /// region and shared (`Bytes`) across that region's replicas;
     /// standalone children rewrites stay symbolic and patch resident
     /// entries in place on the replica side. No storage reads, no kv
     /// traffic — purely in-memory work on the feeding invocation.
-    fn feed_replicas(&self, ctx: &Ctx, items: &[CommittedTx<'_>], marks: &[Arc<Vec<u64>>]) {
+    fn feed_replicas(
+        &self,
+        ctx: &Ctx,
+        items: &[CommittedTx<'_>],
+        marks: &[Arc<Vec<u64>>],
+        plans: &[EpochPlan],
+    ) {
         use crate::replica::{EpochDelta, ReplicaOp};
         let Some(replicas) = &self.replicas else {
             return;
         };
-        let effects: Vec<Effect<'_>> = items.iter().flat_map(effects_of).collect();
 
         // Records applied ahead of a held one stay out: the replicas'
         // applied floor is a statement about a lane's *prefix*.
         let high_water =
             self.group_high_water(items.iter().filter(|tx| !tx.ahead).map(|tx| tx.txid));
 
-        for (region_idx, region_marks) in marks.iter().enumerate() {
-            let plan = build_shard_plan_multi(&effects, region_marks);
-            let mut ops = Vec::with_capacity(
-                plan.node_writes.len() + plan.children_ops.len() + plan.deletes.len(),
-            );
-            for record in &plan.node_writes {
-                ops.push(ReplicaOp::Write {
+        for (region_idx, plan) in plans.iter().enumerate() {
+            let ops = plan.ops.iter().map(|op| match op {
+                PlanOp::Write(record) | PlanOp::ChildrenWrite(record) => ReplicaOp::Write {
                     path: record.path.clone(),
                     frame: crate::codec::encode_node(record),
-                });
-            }
-            for op in &plan.children_ops {
-                match op {
-                    ChildrenOp::Write(record) => ops.push(ReplicaOp::Write {
-                        path: record.path.clone(),
-                        frame: crate::codec::encode_node(record),
-                    }),
-                    ChildrenOp::Rewrite {
-                        parent,
-                        children,
-                        txid,
-                    } => ops.push(ReplicaOp::Children {
-                        parent: parent.clone(),
-                        children: Arc::clone(children),
-                        txid: *txid,
-                    }),
-                }
-            }
-            for path in &plan.deletes {
-                ops.push(ReplicaOp::Delete { path: path.clone() });
-            }
+                },
+                PlanOp::Rewrite {
+                    parent,
+                    children,
+                    txid,
+                } => ReplicaOp::Children {
+                    parent: parent.clone(),
+                    children: Arc::clone(children),
+                    txid: *txid,
+                },
+                PlanOp::Delete(path) => ReplicaOp::Delete { path: path.clone() },
+            });
             let delta = EpochDelta {
-                ops: Arc::new(ops),
+                ops: Arc::new(ops.collect()),
                 marks: Arc::clone(&marks[region_idx]),
                 high_water: Arc::clone(&high_water),
                 // Stamped by the feed as the frame enters the region's
@@ -684,91 +699,67 @@ impl Distributor {
     /// [`PathLockSet`] stripe: children lists are kept from whichever
     /// side carries the larger `children_txid` (lists grow cumulatively
     /// under the parent's follower lock, so the larger txid is the
-    /// current truth), and `modified_txid` never regresses. The same
-    /// three waves as the single-group path preserve the intra-epoch
-    /// parent/child visibility order.
+    /// current truth), and `modified_txid` never regresses.
+    ///
+    /// Each region's plan runs on its own `shards` workers
+    /// ([`EpochPlan::run`]); every region's workers are forked here, up
+    /// front and in order, at the epoch's start instant, so the regions
+    /// overlap and the epoch costs the slowest of them. A failed operation
+    /// stops its region's schedule (nothing that depends on it runs); the
+    /// other regions still run, and the first error in region order is
+    /// returned.
     fn apply_epoch_multi(
         &self,
         ctx: &Ctx,
         marks: &[Arc<Vec<u64>>],
-        per_shard: &[Vec<Effect<'_>>],
-        jobs: &[(usize, usize)],
+        plans: &[EpochPlan],
     ) -> CloudResult<()> {
-        let plans: Vec<OnceCell<MultiShardPlan>> = jobs.iter().map(|_| OnceCell::new()).collect();
-
-        // Wave ➀: replay into per-path final ops (no base reads — they
-        // happen per write, under the stripe), then flush untouched node
-        // writes.
-        fan_out(ctx, jobs.len(), |job, child| {
-            let (region_idx, shard_idx) = jobs[job];
+        let workers: Vec<Vec<Ctx>> = plans
+            .iter()
+            .map(|plan| {
+                let width = self.config.shards.max(1).min(plan.ops.len());
+                (0..width).map(|_| ctx.fork()).collect()
+            })
+            .collect();
+        let mut outcome = Ok(());
+        for (region_idx, plan) in plans.iter().enumerate() {
             let store = self.user_stores[region_idx].as_ref();
-            let plan = build_shard_plan_multi(&per_shard[shard_idx], &marks[region_idx]);
-            for record in &plan.node_writes {
-                self.write_merged(child, store, record)?;
-            }
-            let _ = plans[job].set(plan);
-            Ok(())
-        })?;
-
-        let with_work = |f: fn(&MultiShardPlan) -> bool| -> Vec<usize> {
-            (0..jobs.len())
-                .filter(|&job| plans[job].get().is_some_and(f))
-                .collect()
-        };
-
-        // Wave ➁: children-bearing writes and standalone rewrites.
-        let wave2 = with_work(|plan| !plan.children_ops.is_empty());
-        fan_out(ctx, wave2.len(), |i, child| {
-            let job = wave2[i];
-            let (region_idx, _) = jobs[job];
-            let store = self.user_stores[region_idx].as_ref();
-            let plan = plans[job].get().expect("plan built in wave 1");
-            for op in &plan.children_ops {
-                match op {
-                    ChildrenOp::Write(record) => self.write_merged(child, store, record)?,
-                    ChildrenOp::Rewrite {
-                        parent,
-                        children,
-                        txid,
-                    } => self.rewrite_children(
-                        child,
-                        store,
-                        parent,
-                        children,
-                        *txid,
-                        &marks[region_idx],
-                    )?,
+            let ran = plan.run(&workers[region_idx], |worker, op| match op {
+                PlanOp::Write(record) | PlanOp::ChildrenWrite(record) => {
+                    self.write_merged(worker, store, record)
                 }
-            }
-            Ok(())
-        })?;
-
-        // Wave ➂: deletes (under the stripe so a racing children rewrite
-        // from another group observes either the record or its absence,
-        // never a torn interleaving).
-        let wave3 = with_work(|plan| !plan.deletes.is_empty());
-        fan_out(ctx, wave3.len(), |i, child| {
-            let job = wave3[i];
-            let (region_idx, _) = jobs[job];
-            let store = self.user_stores[region_idx].as_ref();
-            let plan = plans[job].get().expect("plan built in wave 1");
-            for path in &plan.deletes {
-                // Deletion is idempotent; the retry re-takes the stripe
-                // so a racing group's rewrite still sees record-or-absent.
-                with_retry(
-                    child,
+                PlanOp::Rewrite {
+                    parent,
+                    children,
+                    txid,
+                } => self.rewrite_children(
+                    worker,
+                    store,
+                    parent,
+                    children,
+                    *txid,
+                    &marks[region_idx],
+                ),
+                // Deletion is idempotent; the retry re-takes the stripe so
+                // a racing group's rewrite observes either the record or
+                // its absence, never a torn interleaving.
+                PlanOp::Delete(path) => with_retry(
+                    worker,
                     self.meter(),
                     &RetryPolicy::standard(),
                     "dist.delete",
                     || {
                         let _stripe = self.locks.lock(path);
-                        store.delete_node(child, path)
+                        store.delete_node(worker, path)
                     },
-                )?;
-            }
-            Ok(())
-        })?;
-        Ok(())
+                ),
+            });
+            outcome = outcome.and(ran);
+        }
+        for region in &workers {
+            ctx.join(region);
+        }
+        outcome
     }
 
     /// Writes one node record, merging a concurrently-applied newer
@@ -960,6 +951,7 @@ fn effects_of_update<'a>(
 ) -> Vec<Effect<'a>> {
     match user_update {
         UserUpdate::WriteNode {
+            path,
             children,
             parent_children,
             ..
@@ -975,6 +967,7 @@ fn effects_of_update<'a>(
                     parent,
                     children: Arc::new(children.clone()),
                     txid,
+                    child: path,
                 });
             }
             effects
@@ -989,6 +982,7 @@ fn effects_of_update<'a>(
                     parent,
                     children: Arc::new(children.clone()),
                     txid,
+                    child: path,
                 });
             }
             effects
@@ -1079,13 +1073,13 @@ fn build_shard_plan(
     ctx: &Ctx,
     store: &dyn UserStore,
     meter: &Meter,
-    effects: &[Effect<'_>],
+    effects: &[&Effect<'_>],
     marks: &Arc<Vec<u64>>,
 ) -> CloudResult<ShardPlan> {
     // Insertion-ordered path → (final op, touched-by-children) map.
     let mut pending: OrderedMap<String, (PendingOp, bool)> = OrderedMap::new();
 
-    for effect in effects {
+    for &effect in effects {
         match effect {
             Effect::Write {
                 txid,
@@ -1105,6 +1099,7 @@ fn build_shard_plan(
                 parent,
                 children,
                 txid,
+                ..
             } => {
                 match pending.get_mut(*parent) {
                     Some((PendingOp::Write(record), touched)) => {
@@ -1159,23 +1154,25 @@ fn build_shard_plan(
     Ok(plan)
 }
 
-/// Final per-path operations of one (region × shard) worker in
-/// multi-group mode, split by application wave. Unlike [`ShardPlan`],
-/// base reads are deferred to apply time (under the path stripe), so the
-/// plan keeps standalone children rewrites symbolic.
-struct MultiShardPlan {
-    /// Wave ➀: node writes untouched by children-list rewrites.
-    node_writes: Vec<NodeRecord>,
-    /// Wave ➁: children-bearing operations.
-    children_ops: Vec<ChildrenOp>,
-    /// Wave ➂: deletes.
-    deletes: Vec<String>,
+/// One region's store operations for an epoch in multi-group mode: one
+/// per path, node writes first, then children-bearing operations, then
+/// deletes, each group in first-touch order (the order the replica feed
+/// applies them in). Unlike [`ShardPlan`], base reads are deferred to
+/// apply time (under the path stripe), so standalone children rewrites
+/// stay symbolic.
+struct EpochPlan {
+    ops: Vec<PlanOp>,
+    /// `(before, after)`: op `after` starts only once op `before` has
+    /// ended — the two rules of [`Distributor::apply_epoch`].
+    edges: Vec<(usize, usize)>,
 }
 
-/// A wave-➁ operation in multi-group mode.
-enum ChildrenOp {
-    /// A node write whose children list was rewritten this epoch.
+/// One store operation of an [`EpochPlan`].
+enum PlanOp {
+    /// A node write no children rewrite touched this epoch.
     Write(NodeRecord),
+    /// A node write whose children list was rewritten this epoch.
+    ChildrenWrite(NodeRecord),
     /// A children rewrite for a path with no same-epoch node write;
     /// resolved against the stored record at apply time.
     Rewrite {
@@ -1186,6 +1183,72 @@ enum ChildrenOp {
         /// Txid of the rewriting transaction.
         txid: u64,
     },
+    /// Delete the node record.
+    Delete(String),
+}
+
+impl PlanOp {
+    fn path(&self) -> &str {
+        match self {
+            PlanOp::Write(record) | PlanOp::ChildrenWrite(record) => &record.path,
+            PlanOp::Rewrite { parent, .. } => parent,
+            PlanOp::Delete(path) => path,
+        }
+    }
+}
+
+impl EpochPlan {
+    /// Runs every op through `apply` on `workers` — greedy list
+    /// scheduling: the highest-ranked op whose predecessors have all run
+    /// goes to the worker that frees first, starting no earlier than the
+    /// last of its predecessors ended. A worker runs its ops one after
+    /// another, so at most `workers.len()` ops are in flight at any
+    /// virtual instant, and ops run on the host in a topological order
+    /// of the edges. The critical path goes first: ops another op waits
+    /// for (a create whose parent's rewrite lists it), then the other
+    /// writes, then children rewrites, then deletes; plan order breaks
+    /// ties. The first error stops the schedule.
+    fn run(
+        &self,
+        workers: &[Ctx],
+        apply: impl Fn(&Ctx, &PlanOp) -> CloudResult<()>,
+    ) -> CloudResult<()> {
+        let n = self.ops.len();
+        let mut waiting_on = vec![0usize; n];
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &(before, after) in &self.edges {
+            waiting_on[after] += 1;
+            dependents[before].push(after);
+        }
+        let rank = |op: usize| {
+            let class = match &self.ops[op] {
+                PlanOp::Delete(_) => 3,
+                _ if !dependents[op].is_empty() => 0,
+                PlanOp::Write(_) => 1,
+                PlanOp::ChildrenWrite(_) | PlanOp::Rewrite { .. } => 2,
+            };
+            Reverse((class, op))
+        };
+        let mut ready: BinaryHeap<_> = (0..n).filter(|&op| waiting_on[op] == 0).map(rank).collect();
+        let mut ready_at = vec![0u64; n];
+        while let Some(Reverse((_, op))) = ready.pop() {
+            let worker = workers
+                .iter()
+                .min_by_key(|worker| worker.now_ns())
+                .expect("a plan with ops has workers");
+            worker.merge_time_ns(ready_at[op]);
+            apply(worker, &self.ops[op])?;
+            let ended = worker.now_ns();
+            for &next in &dependents[op] {
+                ready_at[next] = ready_at[next].max(ended);
+                waiting_on[next] -= 1;
+                if waiting_on[next] == 0 {
+                    ready.push(rank(next));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// In-memory replay state of one path in multi-group mode.
@@ -1201,12 +1264,23 @@ enum MultiPending {
     Delete,
 }
 
-/// Replays one shard's effects in order without touching the store,
-/// coalescing to at most one operation per path (mirroring
-/// [`build_shard_plan`]'s rules; the read-modify-write halves run at
-/// apply time under the shared path stripes).
-fn build_shard_plan_multi(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> MultiShardPlan {
+/// Replays an epoch's effects in order without touching the store into
+/// one region's [`EpochPlan`], coalescing to one operation per path
+/// (mirroring [`build_shard_plan`]'s rules; the read-modify-write halves
+/// run at apply time under the shared path stripes).
+///
+/// The edges come from the children rewrites: each names the child whose
+/// create or delete produced it. If the child's final operation is a
+/// delete, the delete waits for the parent's operation; otherwise the
+/// child was (re)created and the parent's operation waits for its write.
+/// So an edge runs either up, from a child's write to its parent, or
+/// down, from a parent to a deleted child; a delete's only outgoing edges
+/// run further down into deleted children. A path that has gone down can
+/// never come back up, and the edges never form a cycle.
+fn build_epoch_plan(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> EpochPlan {
     let mut pending: OrderedMap<String, MultiPending> = OrderedMap::new();
+    // `(parent, child)` of every children rewrite.
+    let mut rewrites: Vec<(&str, &str)> = Vec::new();
     for effect in effects {
         match effect {
             Effect::Write {
@@ -1218,8 +1292,7 @@ fn build_shard_plan_multi(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> Mult
                 let record = record_of(update, *txid, data, children, marks);
                 // A later write's children snapshot supersedes any
                 // earlier same-epoch rewrite (it was taken later under
-                // the same node lock); keep the wave-➁ classification so
-                // the parent/child ordering stays intact.
+                // the same node lock); it stays a children-bearing write.
                 let touched = matches!(
                     pending.get(&record.path),
                     Some(MultiPending::Write { touched: true, .. })
@@ -1234,72 +1307,93 @@ fn build_shard_plan_multi(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> Mult
                 parent,
                 children,
                 txid,
-            } => match pending.get_mut(*parent) {
-                Some(MultiPending::Write { record, touched }) => {
-                    record.children = Arc::clone(children);
-                    record.children_txid = *txid;
-                    record.modified_txid = record.modified_txid.max(*txid);
-                    record.epoch_marks = Arc::clone(marks);
-                    *touched = true;
+                child,
+            } => {
+                rewrites.push((parent, child));
+                match pending.get_mut(*parent) {
+                    Some(MultiPending::Write { record, touched }) => {
+                        record.children = Arc::clone(children);
+                        record.children_txid = *txid;
+                        record.modified_txid = record.modified_txid.max(*txid);
+                        record.epoch_marks = Arc::clone(marks);
+                        *touched = true;
+                    }
+                    Some(MultiPending::Children {
+                        children: pending_children,
+                        txid: pending_txid,
+                    }) => {
+                        *pending_children = Arc::clone(children);
+                        *pending_txid = *txid;
+                    }
+                    Some(MultiPending::Delete) => {
+                        // Same-epoch delete-then-rewrite: mirror the
+                        // single-group replay, which materializes a stub in
+                        // place of the delete.
+                        pending.insert(
+                            (*parent).to_owned(),
+                            MultiPending::Write {
+                                record: stub_record(parent, children, *txid, marks),
+                                touched: true,
+                            },
+                        );
+                    }
+                    None => {
+                        pending.insert(
+                            (*parent).to_owned(),
+                            MultiPending::Children {
+                                children: Arc::clone(children),
+                                txid: *txid,
+                            },
+                        );
+                    }
                 }
-                Some(MultiPending::Children {
-                    children: pending_children,
-                    txid: pending_txid,
-                }) => {
-                    *pending_children = Arc::clone(children);
-                    *pending_txid = *txid;
-                }
-                Some(MultiPending::Delete) => {
-                    // Same-epoch delete-then-rewrite: mirror the
-                    // single-group replay, which materializes a stub in
-                    // place of the delete.
-                    pending.insert(
-                        (*parent).to_owned(),
-                        MultiPending::Write {
-                            record: stub_record(parent, children, *txid, marks),
-                            touched: true,
-                        },
-                    );
-                }
-                None => {
-                    pending.insert(
-                        (*parent).to_owned(),
-                        MultiPending::Children {
-                            children: Arc::clone(children),
-                            txid: *txid,
-                        },
-                    );
-                }
-            },
+            }
         }
     }
 
-    let mut plan = MultiShardPlan {
-        node_writes: Vec::new(),
-        children_ops: Vec::new(),
-        deletes: Vec::new(),
-    };
+    let (mut ops, mut children_ops, mut deletes) = (Vec::new(), Vec::new(), Vec::new());
     for (path, entry) in pending.into_entries() {
         match entry {
             MultiPending::Write {
                 record,
                 touched: false,
-            } => plan.node_writes.push(record),
+            } => ops.push(PlanOp::Write(record)),
             MultiPending::Write {
                 record,
                 touched: true,
-            } => plan.children_ops.push(ChildrenOp::Write(record)),
-            MultiPending::Children { children, txid } => {
-                plan.children_ops.push(ChildrenOp::Rewrite {
-                    parent: path,
-                    children,
-                    txid,
-                })
-            }
-            MultiPending::Delete => plan.deletes.push(path),
+            } => children_ops.push(PlanOp::ChildrenWrite(record)),
+            MultiPending::Children { children, txid } => children_ops.push(PlanOp::Rewrite {
+                parent: path,
+                children,
+                txid,
+            }),
+            MultiPending::Delete => deletes.push(PlanOp::Delete(path)),
         }
     }
-    plan
+    ops.extend(children_ops);
+    ops.extend(deletes);
+
+    let edges = {
+        let index: HashMap<&str, usize> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| (op.path(), i))
+            .collect();
+        let mut edges: Vec<(usize, usize)> = rewrites
+            .into_iter()
+            .map(|(parent, child)| {
+                let (parent, child) = (index[parent], index[child]);
+                match ops[child] {
+                    PlanOp::Delete(_) => (parent, child),
+                    _ => (child, parent),
+                }
+            })
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    };
+    EpochPlan { ops, edges }
 }
 
 #[cfg(test)]
@@ -1497,5 +1591,270 @@ mod tests {
         let violations =
             crate::consistency::check_tree_integrity(&ctx, deployment.system(), store.as_ref());
         assert!(violations.is_empty(), "{violations:#?}");
+    }
+
+    /// A 2-group direct deployment driven end to end for one session.
+    struct Tier {
+        deployment: crate::deploy::Deployment,
+        follower: crate::follower::Follower,
+        leaders: Vec<crate::leader::Leader>,
+        ctx: Ctx,
+        requests: std::cell::Cell<u64>,
+        _endpoint: crossbeam::channel::Receiver<crate::messages::ClientNotification>,
+    }
+
+    impl Tier {
+        fn new() -> Tier {
+            use crate::deploy::{Deployment, DeploymentConfig};
+            let deployment = Deployment::direct(DeploymentConfig::aws().with_shard_groups(2));
+            let ctx = Ctx::disabled();
+            deployment.system().register_session(&ctx, "s", 0).unwrap();
+            Tier {
+                follower: deployment.make_follower(),
+                leaders: (0..2).map(|_| deployment.make_leader_inline()).collect(),
+                _endpoint: deployment.bus().register("s").0,
+                requests: std::cell::Cell::new(0),
+                ctx,
+                deployment,
+            }
+        }
+
+        /// Runs `ops` through the follower: committed and pushed.
+        fn submit(&self, ops: Vec<crate::messages::WriteOp>) {
+            use std::time::Duration;
+            for op in ops {
+                self.requests.set(self.requests.get() + 1);
+                let request = crate::messages::ClientRequest {
+                    session_id: "s".into(),
+                    request_id: self.requests.get(),
+                    op,
+                };
+                let queue = self.deployment.write_queue();
+                queue.send(&self.ctx, "s", request.encode()).unwrap();
+            }
+            let queue = self.deployment.write_queue();
+            while let Some(batch) = queue.receive(10, Duration::from_secs(5)) {
+                self.follower
+                    .process_messages(&self.ctx, &batch.messages)
+                    .unwrap();
+                queue.ack(batch.receipt);
+            }
+        }
+
+        /// Runs `ops` end to end, one leader batch per lane.
+        fn commit(&self, ops: Vec<crate::messages::WriteOp>) {
+            self.submit(ops);
+            for (group, leader) in self.leaders.iter().enumerate() {
+                let lane = self.deployment.leader_queues().queue(group);
+                while lane.pending() > 0 {
+                    leader.drain_queue(&self.ctx, lane).unwrap();
+                }
+            }
+        }
+
+        /// Runs `ops` through the follower, then hands the one lane they
+        /// went to over to its leader as one batch. Returns the plan
+        /// that batch distributes as one epoch.
+        fn one_batch(&self, ops: Vec<crate::messages::WriteOp>) -> EpochPlan {
+            use std::time::Duration;
+            self.submit(ops);
+            let lanes = self.deployment.leader_queues();
+            let mut busy = (0..2).filter(|&group| lanes.queue(group).pending() > 0);
+            let group = busy.next().expect("a lane got the records");
+            assert!(busy.next().is_none(), "one lane got them all");
+            let lane = lanes.queue(group);
+            let batch = lane.receive_up_to(16, Duration::from_secs(5)).unwrap();
+            let records: Vec<LeaderRecord> = batch
+                .messages
+                .iter()
+                .map(|message| LeaderRecord::decode(&message.body).unwrap())
+                .collect();
+            let outcome = self.leaders[group].process_messages(&self.ctx, &batch.messages);
+            assert!(outcome.is_ok(), "{outcome:?}");
+            lane.ack(batch.receipt);
+            plan_of(&records)
+        }
+
+        fn assert_integrity(&self) {
+            let violations = crate::consistency::check_tree_integrity(
+                &self.ctx,
+                self.deployment.system(),
+                self.deployment.user_store().as_ref(),
+            );
+            assert!(violations.is_empty(), "{violations:#?}");
+        }
+
+        fn children_of(&self, path: &str) -> Vec<String> {
+            let store = self.deployment.user_store();
+            let record = store.read_node(&self.ctx, path).unwrap().unwrap();
+            (*record.children).clone()
+        }
+    }
+
+    /// The plan of `records` as one epoch (payloads left empty).
+    fn plan_of(records: &[LeaderRecord]) -> EpochPlan {
+        let items: Vec<CommittedTx<'_>> = records
+            .iter()
+            .map(|record| CommittedTx {
+                msg_index: 0,
+                txid: record.txid,
+                record,
+                data: Bytes::new(),
+                multi_data: vec![Bytes::new(); record.ops.len()],
+                ahead: false,
+            })
+            .collect();
+        let effects: Vec<Effect<'_>> = items.iter().flat_map(effects_of).collect();
+        build_epoch_plan(&effects, &Arc::default())
+    }
+
+    /// `kind path` of every op in plan order, and every edge as
+    /// `before -> after` by path.
+    fn shape(plan: &EpochPlan) -> (Vec<String>, Vec<String>) {
+        let ops = plan.ops.iter().map(|op| {
+            let kind = match op {
+                PlanOp::Write(_) => "write",
+                PlanOp::ChildrenWrite(_) => "children-write",
+                PlanOp::Rewrite { .. } => "rewrite",
+                PlanOp::Delete(_) => "delete",
+            };
+            format!("{kind} {}", op.path())
+        });
+        let edges = plan.edges.iter().map(|&(before, after)| {
+            let path = |op: usize| plan.ops[op].path();
+            format!("{} -> {}", path(before), path(after))
+        });
+        (ops.collect(), edges.collect())
+    }
+
+    fn create(path: &str) -> crate::messages::WriteOp {
+        crate::messages::WriteOp::Create {
+            path: path.into(),
+            payload: crate::messages::Payload::inline(b"x"),
+            mode: crate::CreateMode::Persistent,
+        }
+    }
+
+    fn multi_create(path: &str) -> crate::messages::MultiOp {
+        crate::messages::MultiOp::Create {
+            path: path.into(),
+            payload: crate::messages::Payload::inline(b"x"),
+            mode: crate::CreateMode::Persistent,
+        }
+    }
+
+    /// A create and a delete of one path in one epoch: the path's one op
+    /// is the delete, and both children rewrites the pair caused give the
+    /// same edge — the delete after the parent's rewrite — so the create's
+    /// edge cannot close a cycle with the delete's.
+    #[test]
+    fn create_then_delete_of_one_path_in_one_epoch_deletes_after_the_rewrite() {
+        let tier = Tier::new();
+        tier.commit(vec![create("/g")]);
+        let delete = crate::messages::WriteOp::Delete {
+            path: "/g/x".into(),
+            expected_version: -1,
+        };
+        let plan = tier.one_batch(vec![create("/g/x"), delete]);
+        let (ops, edges) = shape(&plan);
+        assert_eq!(ops, ["rewrite /g", "delete /g/x"]);
+        assert_eq!(edges, ["/g -> /g/x"]);
+        assert!(tier.children_of("/g").is_empty());
+        let store = tier.deployment.user_store();
+        assert!(store.read_node(&tier.ctx, "/g/x").unwrap().is_none());
+        tier.assert_integrity();
+    }
+
+    /// A delete followed by a children rewrite of the same path in one
+    /// epoch materializes a stub in place of the delete; the stub is a
+    /// children-bearing write that waits for the child it lists.
+    #[test]
+    fn delete_then_rewrite_of_one_path_becomes_a_stub_after_its_child() {
+        use crate::messages::{Payload, SystemCommit};
+        let tier = Tier::new();
+        tier.commit(vec![create("/p"), create("/p/c")]);
+        // Past every txid the tier allocated, so the merges keep them.
+        let txid = 1 << 40;
+        let record = |txid: u64, path: &str, user_update: UserUpdate| LeaderRecord {
+            session_id: "s".into(),
+            request_id: 0,
+            txid,
+            prev_txid: 0,
+            path: path.into(),
+            commit: SystemCommit::default(),
+            user_update,
+            stat: Default::default(),
+            fires: vec![],
+            is_delete: false,
+            deregister_session: false,
+            ops: vec![],
+        };
+        let records = [
+            record(
+                txid,
+                "/p",
+                UserUpdate::DeleteNode {
+                    path: "/p".into(),
+                    parent_children: None,
+                },
+            ),
+            record(
+                txid + 1,
+                "/p/c",
+                UserUpdate::WriteNode {
+                    path: "/p/c".into(),
+                    payload: Payload::inline(b"y"),
+                    created_txid: 0,
+                    version: 0,
+                    children: vec![],
+                    ephemeral_owner: None,
+                    parent_children: Some(("/p".into(), vec!["c".into()])),
+                },
+            ),
+        ];
+        let plan = plan_of(&records);
+        let (ops, edges) = shape(&plan);
+        assert_eq!(ops, ["write /p/c", "children-write /p"]);
+        assert_eq!(edges, ["/p/c -> /p"]);
+
+        let distributor = Distributor::with_shared(
+            tier.deployment.system().clone(),
+            tier.deployment.user_stores().to_vec(),
+            DistributorConfig::new(3, 16).with_groups(2),
+            Arc::new(PathLockSet::new()),
+        );
+        let items: Vec<CommittedTx<'_>> = records
+            .iter()
+            .map(|record| CommittedTx {
+                msg_index: 0,
+                txid: record.txid,
+                record,
+                data: Bytes::from_static(b"y"),
+                multi_data: vec![],
+                ahead: false,
+            })
+            .collect();
+        let marks = distributor.epoch_marks(&tier.ctx);
+        distributor.apply_epoch(&tier.ctx, &items, &marks).unwrap();
+        assert_eq!(tier.children_of("/p"), ["c"]);
+        tier.assert_integrity();
+    }
+
+    /// A `multi` creating a node and a child under it is alone in its
+    /// epoch; its plan is a chain — the root's rewrite waits for the
+    /// node's children-bearing write, which waits for the child's write.
+    #[test]
+    fn internal_conflict_multi_alone_in_its_epoch_runs_as_a_chain() {
+        let tier = Tier::new();
+        let multi = crate::messages::WriteOp::Multi {
+            ops: vec![multi_create("/m"), multi_create("/m/c")],
+        };
+        let plan = tier.one_batch(vec![multi]);
+        let (ops, edges) = shape(&plan);
+        assert_eq!(ops, ["write /m/c", "children-write /m", "rewrite /"]);
+        assert_eq!(edges, ["/m/c -> /m", "/m -> /"]);
+        assert_eq!(tier.children_of("/m"), ["c"]);
+        assert_eq!(tier.children_of("/"), ["m"]);
+        tier.assert_integrity();
     }
 }

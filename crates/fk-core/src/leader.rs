@@ -37,15 +37,18 @@
 //! the batch into *epochs* by one rule for single and `multi` records
 //! alike (`Leader::segment_epochs`): a record starts a new epoch iff
 //! one of its children rewrites targets a node written earlier in the
-//! epoch (the fan-out waves cannot order that across shards), is alone
-//! in its epoch iff that conflict is internal to it (a `multi` whose
-//! sub creates a child under a node another sub writes), and ends its
+//! epoch (the single-group apply's fixed waves cannot order a rewrite
+//! that lists a node against that node's own rewrite), is alone in its
+//! epoch iff that conflict is internal to it (a `multi` whose sub
+//! creates a child under a node another sub writes), and ends its
 //! epoch iff it has live watch registrations (answered from the wave;
 //! a path is read again only after an epoch cut consumed it). A `multi`
 //! is never split. ➌ **Distribute** each epoch to every replica region
-//! through the sharded fan-out
 //! ([`crate::distributor::Distributor::apply_epoch`], with the wave's
-//! marks for the first epoch and a fresh read for later ones). ➍
+//! marks for the first epoch and a fresh read for later ones): one store
+//! operation per path, at most `shards` in flight per region, a parent's
+//! children rewrite after the writes of the children it adds and a
+//! delete after its parent's rewrite. ➍
 //! **Consume** the epoch-ending transaction's watches (one-shot, only
 //! after its writes are durable, so a nacked batch keeps
 //! registrations), publish the fired ids with a single epoch-counter
@@ -53,8 +56,9 @@
 //! the deliveries. ➎ **Bookkeeping wave** — advance the distributed
 //! sessions' high-water marks and pop the transactions from their
 //! nodes' pending queues (coalesced conditional updates) in one
-//! parallel wave; then drop staged payloads and notify clients in
-//! transaction order. Pops follow ➍ so that a failure there redelivers
+//! parallel wave; then drop staged payloads and notify clients — each
+//! session's results in transaction order, the sessions in parallel.
+//! Pops follow ➍ so that a failure there redelivers
 //! as committed and still fires the watch; marks follow the epoch
 //! append so that a successor they release on another lane reads the
 //! fired ids. The batch ends by waiting for all watch deliveries
@@ -125,7 +129,7 @@ pub struct Leader {
     /// taken once per phase, never per record).
     warm: parking_lot::Mutex<Warm>,
     /// Shared distributed-txid high-water publication, when deployed:
-    /// advanced after each epoch's storage waves complete (in-memory
+    /// advanced after each epoch's storage operations complete (in-memory
     /// atomics only — no store traffic) and piggybacked onto heartbeat
     /// pings so idle sessions' MRD keeps advancing.
     floors: Option<Arc<crate::replica::CommittedFloors>>,
@@ -368,7 +372,7 @@ impl Leader {
     }
 
     /// Subscribes a read-replica tier to this leader's distributor (fed
-    /// after each epoch's storage waves; see [`crate::replica`]).
+    /// after each epoch's storage operations; see [`crate::replica`]).
     pub fn attach_replicas(&mut self, replicas: crate::replica::ReplicaSet) {
         self.distributor.attach_replicas(replicas);
     }
@@ -994,18 +998,20 @@ impl Leader {
     ///
     /// * **starts a new epoch** iff one of its children rewrites targets
     ///   a node written earlier in the current epoch (a child created
-    ///   under a node this same epoch creates): the rewrite would demote
-    ///   that node's write out of fan-out wave ➀ and break the
-    ///   cross-shard visibility invariants of `apply_epoch`. Cutting at
-    ///   the conflict keeps the waves sound — the child's transaction
-    ///   simply starts the next epoch, mirroring the sequential leader's
-    ///   order;
+    ///   under a node this same epoch creates): the rewrite turns that
+    ///   node's write into a children-bearing write, and the single-group
+    ///   apply's fixed waves would then run it beside the rewrite of its
+    ///   own parent that lists it. (The multi-group scheduler would order
+    ///   the chain by its edges; one rule serves both apply paths.)
+    ///   Cutting at the conflict keeps both sound — the child's
+    ///   transaction simply starts the next epoch, mirroring the
+    ///   sequential leader's order;
     /// * is **alone in its epoch** iff that conflict is *internal* to it
     ///   — one sub's children rewrite targets a node another sub writes.
     ///   The subs are one atomic unit under one txid and cannot be cut
-    ///   apart; isolating the record keeps the waves' visibility
-    ///   reasoning local to it (all subs share the txid, so no
-    ///   cross-transaction order can be observed against them);
+    ///   apart; isolating the record keeps the visibility reasoning
+    ///   local to it (all subs share the txid, so no cross-transaction
+    ///   order can be observed against them);
     /// * **ends its epoch** iff its watches will fire (only those
     ///   transactions advance the region epoch counters);
     /// * and otherwise joins the current epoch. A multi is never split:
@@ -1180,11 +1186,35 @@ impl Leader {
             }
         }
 
-        // Notify clients in transaction order.
-        for tx in &epoch.items {
-            self.notify_success(ctx, tx.txid, tx.record);
+        // Notify clients: each session's results in transaction order
+        // (Z2, and what the pipelined client releases by), the sessions
+        // in parallel — nothing orders results across sessions.
+        let sessions = self.epoch_results(epoch);
+        crate::distributor::fan_out(ctx, sessions.len(), |i, child| {
+            for tx in &sessions[i] {
+                self.notify_success(child, tx.txid, tx.record);
+            }
+            Ok(())
+        })
+        .map_err(|e| FnError::retryable(e.to_string()))
+    }
+
+    /// The epoch's records that answer a client, grouped by session in
+    /// first-appearance order, each group in transaction order.
+    fn epoch_results<'e, 'a>(&self, epoch: &'e Epoch<'a>) -> Vec<Vec<&'e CommittedTx<'a>>> {
+        let mut per_session: Vec<Vec<&CommittedTx<'_>>> = Vec::new();
+        let answered = epoch.items.iter();
+        for tx in answered.filter(|tx| tx.record.request_id != crate::follower::INTERNAL_REQUEST) {
+            let session = tx.record.session_id.as_str();
+            match per_session
+                .iter_mut()
+                .find(|txs| txs[0].record.session_id == session)
+            {
+                Some(txs) => txs.push(tx),
+                None => per_session.push(vec![tx]),
+            }
         }
-        Ok(())
+        per_session
     }
 
     /// The highest txid the epoch distributed for each session it

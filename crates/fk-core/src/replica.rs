@@ -6,8 +6,8 @@
 //! client's repeated reads, but N sessions reading the same zipf-hot
 //! paths still pay N storage round trips for the same bytes. A
 //! [`ReadReplica`] dedups **across** sessions: it is one more
-//! subscriber of the per-(region × shard) fan-out — after the
-//! distributor's waves land an epoch in a region's user store, the same
+//! subscriber of the per-region fan-out — after the distributor's
+//! storage operations land an epoch in a region's user store, the same
 //! epoch is folded into an [`EpochDelta`] of codec-framed
 //! [`NodeRecord`] writes, children-list patches and deletes, plus the
 //! epoch's per-shard-group txid high-water marks — and maintains an
@@ -17,7 +17,7 @@
 //! # The serve gate (Z3/Z4)
 //!
 //! A replica is *behind* storage by construction (it applies the feed
-//! after the storage waves, and tests inject extra lag), so serving
+//! after the storage operations, and tests inject extra lag), so serving
 //! from it blindly would violate Z3. The admission predicate mirrors
 //! the [`crate::read_cache`] watermark rule:
 //!
@@ -60,7 +60,7 @@
 //! stall on every serve, replica or not.
 //!
 //! Feed-order soundness: the distributor taps the epoch **after** all
-//! storage waves complete, so the replica never gets ahead of storage
+//! storage operations complete, so the replica never gets ahead of storage
 //! — a serve is always re-readable from the backing store.
 
 use crate::user_store::NodeRecord;
@@ -971,7 +971,7 @@ impl ReplicaSet {
 
 /// Shared publication of the leader tier's *distributed* txid
 /// high-water marks, one floor per shard group — in-memory atomics
-/// only, written by each leader after its epoch's storage waves
+/// only, written by each leader after its epoch's storage operations
 /// complete and read by the heartbeat function, which piggybacks the
 /// min over groups onto its pings so idle sessions' MRD keeps
 /// advancing (and their replica/cache hits stay eligible) without a

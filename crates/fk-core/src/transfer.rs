@@ -17,7 +17,7 @@
 //! per-group committed-txid floors ([`CommittedFloors::snapshot`]) and
 //! each region's feed sequence ([`ReplicaSet::feed_seq`]) — and only
 //! then walks the tree. The distributor feeds replicas strictly *after*
-//! the storage waves of an epoch complete, so every epoch with a feed
+//! the storage operations of an epoch complete, so every epoch with a feed
 //! sequence ≤ the recorded cut is already fully visible in the user
 //! store when the walk starts. Anything that lands *during* the walk is
 //! newer than the cut; the joiner replays it from the log, and replay

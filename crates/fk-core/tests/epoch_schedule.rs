@@ -1,0 +1,660 @@
+//! The multi-group distributor's epoch apply, pinned from outside:
+//!
+//! * `epoch_request_budget_*` — the storage requests one
+//!   `Distributor::apply_epoch` issues for a fixed epoch, by operation
+//!   and meter label, printed under `--nocapture` and compared against
+//!   constants captured at `49694f9` (the last commit that dealt the
+//!   epoch's paths to path-hash shards and applied them in three
+//!   barrier-separated waves). Scheduling may move *when* a request
+//!   goes out, never *which* requests go out.
+//!
+//! * `visibility_*`, `cap_*`, `*_rmw_rounds`, `*_regions_*` — the order
+//!   and the overlap of the apply's store operations, read off a
+//!   recording store: a parent's children rewrite starts after the writes
+//!   of the children the epoch's creates added to it, a delete after its
+//!   parent's rewrite, no region has more than `shards` operations in
+//!   flight, and on a fixed-latency model the epoch costs exactly its
+//!   list schedule — ⌈N/S⌉ read-modify-write rounds for N independent
+//!   writes on S workers, the slower region's time for two regions.
+//!
+//! Every epoch is produced by the real follower on a 2-group direct
+//! deployment (virtual time, fixed seed) over a tree seeded through the
+//! real pipeline; the records are then handed to a distributor of that
+//! deployment directly, so the measured requests are the apply's alone.
+
+use bytes::Bytes;
+use fk_cloud::latency::{LatencyModel, LatencySpec};
+use fk_cloud::metering::UsageSnapshot;
+use fk_cloud::ops::Op;
+use fk_cloud::trace::{Ctx, LatencyMode, SpanRecord};
+use fk_cloud::{CloudResult, Region};
+use fk_core::api::CreateMode;
+use fk_core::deploy::{Deployment, DeploymentConfig};
+use fk_core::distributor::{CommittedTx, Distributor, DistributorConfig, PathLockSet};
+use fk_core::follower::Follower;
+use fk_core::leader::Leader;
+use fk_core::messages::{ClientRequest, LeaderRecord, MultiOp, Payload, UserUpdate, WriteOp};
+use fk_core::{NodeRecord, ScanEntry, UserStore, UserStoreKind};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+const SESSION: &str = "s";
+const SEED: u64 = 7;
+/// The storm workload's geometry: 2 leader lanes, 3 storage workers.
+const GROUPS: usize = 2;
+const SHARDS: usize = 3;
+
+/// A 2-group direct deployment on virtual time with one registered
+/// session, its follower and one inline leader per lane.
+struct Rig {
+    deployment: Deployment,
+    follower: Follower,
+    leaders: Vec<Leader>,
+    ctx: Ctx,
+    next_request: std::cell::Cell<u64>,
+    _endpoint: crossbeam::channel::Receiver<fk_core::messages::ClientNotification>,
+}
+
+impl Rig {
+    fn new(config: DeploymentConfig) -> Rig {
+        let deployment = Deployment::direct(
+            config
+                .with_shard_groups(GROUPS)
+                .with_mode(LatencyMode::Virtual, SEED),
+        );
+        let ctx = Ctx::new(Arc::clone(deployment.model()), LatencyMode::Virtual, SEED);
+        deployment
+            .system()
+            .register_session(&ctx, SESSION, 0)
+            .unwrap();
+        Rig {
+            follower: deployment.make_follower(),
+            leaders: (0..GROUPS)
+                .map(|_| deployment.make_leader_inline())
+                .collect(),
+            _endpoint: deployment.bus().register(SESSION).0,
+            ctx,
+            next_request: std::cell::Cell::new(0),
+            deployment,
+        }
+    }
+
+    /// A rig whose tree holds `/f` with children `k0`…`k7` and `/g` with
+    /// child `b`, written through the full pipeline.
+    fn seeded(config: DeploymentConfig) -> Rig {
+        let rig = Rig::new(config);
+        let mut ops = vec![create("/f"), create("/g"), create("/g/b")];
+        ops.extend((0..8).map(|i| create(&format!("/f/k{i}"))));
+        for op in ops {
+            rig.commit(op);
+        }
+        rig
+    }
+
+    /// Runs `op` through follower and leaders until it is distributed.
+    fn commit(&self, op: WriteOp) {
+        self.push(op);
+        for _ in 0..16 {
+            let lanes = self.deployment.leader_queues();
+            if (0..GROUPS).all(|g| lanes.queue(g).pending() == 0) {
+                return;
+            }
+            for (group, leader) in self.leaders.iter().enumerate() {
+                let _ = leader.drain_queue(&self.ctx, lanes.queue(group));
+            }
+        }
+        panic!("the seeding pipeline did not drain");
+    }
+
+    /// Runs `op` through the follower only: it commits to system storage
+    /// and pushes its leader record to a lane.
+    fn push(&self, op: WriteOp) {
+        let request_id = self.next_request.get() + 1;
+        self.next_request.set(request_id);
+        let request = ClientRequest {
+            session_id: SESSION.into(),
+            request_id,
+            op,
+        };
+        self.follower.process_request(&self.ctx, &request).unwrap();
+    }
+
+    /// The records of `ops`, committed by the follower and taken off the
+    /// lanes instead of reaching a leader, in txid order.
+    fn epoch(&self, ops: Vec<WriteOp>) -> Vec<LeaderRecord> {
+        for op in ops {
+            self.push(op);
+        }
+        let lanes = self.deployment.leader_queues();
+        let mut records = Vec::new();
+        for group in 0..GROUPS {
+            while let Some(batch) = lanes.queue(group).receive(10, Duration::from_secs(5)) {
+                for message in &batch.messages {
+                    records.push(LeaderRecord::decode(&message.body).expect("a leader record"));
+                }
+                lanes.queue(group).ack(batch.receipt);
+            }
+        }
+        records.sort_by_key(|record| record.txid);
+        records
+    }
+
+    /// A multi-group distributor of this deployment over `stores`.
+    fn distributor(&self, stores: Vec<Arc<dyn UserStore>>) -> Distributor {
+        Distributor::with_shared(
+            self.deployment.system().clone(),
+            stores,
+            DistributorConfig::new(SHARDS, 16).with_groups(GROUPS),
+            Arc::new(PathLockSet::new()),
+        )
+    }
+}
+
+fn create(path: &str) -> WriteOp {
+    WriteOp::Create {
+        path: path.into(),
+        payload: Payload::inline(b"v0"),
+        mode: CreateMode::Persistent,
+    }
+}
+
+fn set_data(path: &str) -> WriteOp {
+    WriteOp::SetData {
+        path: path.into(),
+        payload: Payload::inline(b"v1"),
+        expected_version: -1,
+    }
+}
+
+fn delete(path: &str) -> WriteOp {
+    WriteOp::Delete {
+        path: path.into(),
+        expected_version: -1,
+    }
+}
+
+/// The payload a leader would resolve for `update` (inline only).
+fn data_of(update: &UserUpdate) -> Bytes {
+    match update {
+        UserUpdate::WriteNode {
+            payload: Payload::Inline { data },
+            ..
+        } => data.clone(),
+        _ => Bytes::new(),
+    }
+}
+
+/// `records` as one epoch of committed transactions.
+fn committed(records: &[LeaderRecord]) -> Vec<CommittedTx<'_>> {
+    records
+        .iter()
+        .enumerate()
+        .map(|(msg_index, record)| CommittedTx {
+            msg_index,
+            txid: record.txid,
+            record,
+            data: data_of(&record.user_update),
+            multi_data: record
+                .ops
+                .iter()
+                .map(|sub| data_of(&sub.user_update))
+                .collect(),
+            ahead: false,
+        })
+        .collect()
+}
+
+/// What one `apply_epoch` did, seen from outside the distributor.
+struct Applied {
+    used: UsageSnapshot,
+    charges: Vec<SpanRecord>,
+    elapsed: Duration,
+}
+
+/// Applies `records` as one epoch through `distributor` on `ctx`, then
+/// pops them from their nodes' queues (not measured).
+fn apply(ctx: &Ctx, rig: &Rig, distributor: &Distributor, records: &[LeaderRecord]) -> Applied {
+    let items = committed(records);
+    let marks = distributor.epoch_marks(ctx);
+    let before = rig.deployment.meter().snapshot();
+    ctx.take_spans();
+    let started = ctx.now();
+    distributor.apply_epoch(ctx, &items, &marks).unwrap();
+    let elapsed = ctx.now() - started;
+    let charges = ctx.take_spans();
+    let used = rig.deployment.meter().snapshot().since(&before);
+    distributor.finalize_epoch(ctx, &items).unwrap();
+    Applied {
+        used,
+        charges,
+        elapsed,
+    }
+}
+
+/// The epoch's requests: object operations by kind (from the charges)
+/// and the non-zero KV counters (from the meter), `label=count`.
+fn requests(applied: &Applied) -> String {
+    let count = |wanted: fn(&Op) -> bool| applied.charges.iter().filter(|s| wanted(&s.op)).count();
+    let mut out = vec![
+        format!("ObjGet={}", count(|op| matches!(op, Op::ObjGet))),
+        format!("ObjPut={}", count(|op| matches!(op, Op::ObjPut))),
+        format!("ObjDelete={}", count(|op| matches!(op, Op::ObjDelete))),
+    ];
+    for label in ["kv_read", "kv_write", "kv_transact"] {
+        let count = applied.used.per_op.get(label).copied().unwrap_or(0);
+        if count > 0 {
+            out.push(format!("{label}={count}"));
+        }
+    }
+    out.join(" ")
+}
+
+/// Prints an epoch's charges relative to its first one.
+fn print_chain(title: &str, applied: &Applied) {
+    println!("{title}: {} in {:?}", requests(applied), applied.elapsed);
+    let origin = applied.charges.iter().map(|s| s.start).min();
+    for charge in &applied.charges {
+        let at = charge.start - origin.unwrap_or_default();
+        println!(
+            "  +{at:>12?} {:>12?}  {:<20} {:?}",
+            charge.duration, charge.phase, charge.op
+        );
+    }
+}
+
+/// One request budget: `ops` as one epoch on a rig seeded over `config`
+/// must issue exactly `expected` (captured at `49694f9`).
+fn assert_budget_on(config: DeploymentConfig, title: &str, ops: Vec<WriteOp>, expected: &str) {
+    let rig = Rig::seeded(config);
+    let records = rig.epoch(ops);
+    let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
+    let applied = apply(&rig.ctx, &rig, &distributor, &records);
+    print_chain(title, &applied);
+    assert_eq!(requests(&applied), expected, "{title}");
+}
+
+/// [`assert_budget_on`] over the default object-storage user store.
+fn assert_budget(title: &str, ops: Vec<WriteOp>, expected: &str) {
+    assert_budget_on(DeploymentConfig::aws(), title, ops, expected);
+}
+
+/// Eight overwrites and one create under one parent: a read-modify-write
+/// per written node plus one for the parent's children list.
+fn eight_set_data_and_a_create() -> Vec<WriteOp> {
+    let mut ops: Vec<WriteOp> = (0..8).map(|i| set_data(&format!("/f/k{i}"))).collect();
+    ops.push(create("/f/new"));
+    ops
+}
+
+#[test]
+fn epoch_request_budget_eight_set_data_and_a_create_under_one_parent() {
+    assert_budget(
+        "8 set_data + create under /f",
+        eight_set_data_and_a_create(),
+        "ObjGet=10 ObjPut=10 ObjDelete=0",
+    );
+}
+
+#[test]
+fn epoch_request_budget_on_a_key_value_user_store() {
+    assert_budget_on(
+        DeploymentConfig::aws().with_user_store(fk_core::UserStoreKind::KeyValue),
+        "8 set_data + create under /f (key-value store)",
+        eight_set_data_and_a_create(),
+        "ObjGet=0 ObjPut=0 ObjDelete=0 kv_read=10 kv_write=10",
+    );
+}
+
+#[test]
+fn epoch_request_budget_create_and_delete_under_one_parent() {
+    assert_budget(
+        "create + delete under /g",
+        vec![create("/g/a"), delete("/g/b")],
+        "ObjGet=2 ObjPut=2 ObjDelete=1",
+    );
+}
+
+#[test]
+fn epoch_request_budget_check_then_set_data() {
+    let cas = WriteOp::Multi {
+        ops: vec![
+            MultiOp::Check {
+                path: "/f/k0".into(),
+                expected_version: -1,
+            },
+            MultiOp::SetData {
+                path: "/f/k0".into(),
+                payload: Payload::inline(b"v1"),
+                expected_version: -1,
+            },
+        ],
+    };
+    assert_budget(
+        "[check, set_data]",
+        vec![cas],
+        "ObjGet=1 ObjPut=1 ObjDelete=0",
+    );
+}
+
+// ----------------------------------------------------------------------
+// Order and overlap, on a recording store
+// ----------------------------------------------------------------------
+
+/// What a store call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Read,
+    Put,
+    Delete,
+}
+
+/// One user-store call: its region, path and kind, and when it ran —
+/// virtual start and end on the calling worker's clock, and its position
+/// in host order (the index in the log).
+struct Call {
+    region: usize,
+    path: String,
+    kind: Kind,
+    start: Duration,
+    end: Duration,
+}
+
+/// A user store that logs every call into a log shared by all regions.
+struct Recording {
+    inner: Arc<dyn UserStore>,
+    region: usize,
+    log: Arc<Mutex<Vec<Call>>>,
+}
+
+impl Recording {
+    fn record<T>(&self, ctx: &Ctx, path: &str, kind: Kind, call: impl FnOnce() -> T) -> T {
+        let start = ctx.now();
+        let out = call();
+        self.log.lock().unwrap().push(Call {
+            region: self.region,
+            path: path.to_owned(),
+            kind,
+            start,
+            end: ctx.now(),
+        });
+        out
+    }
+}
+
+impl UserStore for Recording {
+    fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
+        self.record(ctx, &record.path, Kind::Put, || {
+            self.inner.write_node(ctx, record)
+        })
+    }
+    fn replace_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
+        self.record(ctx, &record.path, Kind::Put, || {
+            self.inner.replace_node(ctx, record)
+        })
+    }
+    fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
+        self.record(ctx, path, Kind::Read, || self.inner.read_node(ctx, path))
+    }
+    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+        self.record(ctx, path, Kind::Delete, || {
+            self.inner.delete_node(ctx, path)
+        })
+    }
+    fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
+        self.inner.scan_subtree(ctx, root)
+    }
+    fn region(&self) -> Region {
+        self.inner.region()
+    }
+    fn kind(&self) -> UserStoreKind {
+        self.inner.kind()
+    }
+}
+
+/// A distributor of `rig` over recording wrappers of its user stores,
+/// and the shared log.
+fn recorded(rig: &Rig) -> (Distributor, Arc<Mutex<Vec<Call>>>) {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let stores = rig.deployment.user_stores().iter().enumerate();
+    let stores = stores.map(|(region, inner)| {
+        Arc::new(Recording {
+            inner: Arc::clone(inner),
+            region,
+            log: Arc::clone(&log),
+        }) as Arc<dyn UserStore>
+    });
+    (rig.distributor(stores.collect()), log)
+}
+
+/// One store operation of an epoch in one region: the span of its calls
+/// (an operation is a read-modify-write, a rewrite or a delete on one
+/// path, and an epoch has one per path and region).
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: Duration,
+    end: Duration,
+    /// Host order of its first and last call.
+    first: usize,
+    last: usize,
+}
+
+/// The operations of `region`, by path.
+fn operations(log: &[Call], region: usize) -> HashMap<&str, Span> {
+    let mut spans: HashMap<&str, Span> = HashMap::new();
+    for (at, call) in log.iter().enumerate().filter(|(_, c)| c.region == region) {
+        let span = spans.entry(&call.path).or_insert(Span {
+            start: call.start,
+            end: call.end,
+            first: at,
+            last: at,
+        });
+        span.start = span.start.min(call.start);
+        span.end = span.end.max(call.end);
+        span.last = at;
+    }
+    spans
+}
+
+/// `(before, after)` path pairs the two rules order in `records`: a
+/// created child before its parent's rewrite, a parent's rewrite before
+/// a deleted child.
+fn dependencies(records: &[LeaderRecord]) -> Vec<(String, String)> {
+    let updates = records
+        .iter()
+        .flat_map(|r| std::iter::once(&r.user_update).chain(r.ops.iter().map(|s| &s.user_update)));
+    let mut pairs = Vec::new();
+    for update in updates {
+        match update {
+            UserUpdate::WriteNode {
+                path,
+                parent_children: Some((parent, _)),
+                ..
+            } => pairs.push((path.clone(), parent.clone())),
+            UserUpdate::DeleteNode {
+                path,
+                parent_children: Some((parent, _)),
+            } => pairs.push((parent.clone(), path.clone())),
+            _ => {}
+        }
+    }
+    pairs
+}
+
+/// Asserts both rules for every pair of `records` in every region, in
+/// virtual time and in host order.
+fn assert_rules(log: &[Call], regions: usize, records: &[LeaderRecord]) {
+    let pairs = dependencies(records);
+    assert!(!pairs.is_empty(), "the epoch has something to order");
+    for region in 0..regions {
+        let ops = operations(log, region);
+        for (before, after) in &pairs {
+            let (b, a) = (ops[before.as_str()], ops[after.as_str()]);
+            assert!(
+                a.start >= b.end,
+                "region {region}: {after} started at {:?}, before {before} ended at {:?}",
+                a.start,
+                b.end
+            );
+            assert!(
+                a.first > b.last,
+                "region {region}: {after} ran on the host before {before}"
+            );
+        }
+    }
+}
+
+/// Asserts every operation is one read-modify-write (a read, then a
+/// put) or one delete: scheduling moves requests, it never adds one.
+fn assert_one_shape_per_operation(log: &[Call]) {
+    let mut calls: HashMap<(usize, &str), Vec<Kind>> = HashMap::new();
+    for call in log {
+        let kinds = calls.entry((call.region, call.path.as_str())).or_default();
+        kinds.push(call.kind);
+    }
+    for ((region, path), kinds) in calls {
+        assert!(
+            kinds == [Kind::Read, Kind::Put] || kinds == [Kind::Delete],
+            "region {region}: {path} ran {kinds:?}"
+        );
+    }
+}
+
+/// The most operations of `region` in flight at one virtual instant (an
+/// operation ending at `t` and one starting at `t` do not overlap).
+fn peak_in_flight(log: &[Call], region: usize) -> usize {
+    let mut events: Vec<(Duration, i32)> = Vec::new();
+    for span in operations(log, region).values() {
+        events.push((span.start, 1));
+        events.push((span.end, -1));
+    }
+    events.sort();
+    let (mut now, mut peak) = (0i32, 0i32);
+    for (_, delta) in events {
+        now += delta;
+        peak = peak.max(now);
+    }
+    peak as usize
+}
+
+/// A mixed epoch: overwrites under `/f`, creates under `/f` and `/g`, a
+/// delete under `/g`, a top-level create and a `multi` creating a parent
+/// and its child (a chain: `/` waits for `/m`, which waits for `/m/c`).
+fn mixed_epoch() -> Vec<WriteOp> {
+    let mut ops: Vec<WriteOp> = (0..8).map(|i| set_data(&format!("/f/k{i}"))).collect();
+    ops.extend([
+        create("/f/new"),
+        create("/g/a"),
+        delete("/g/b"),
+        create("/h"),
+        WriteOp::Multi {
+            ops: vec![
+                MultiOp::Create {
+                    path: "/m".into(),
+                    payload: Payload::inline(b"v0"),
+                    mode: CreateMode::Persistent,
+                },
+                MultiOp::Create {
+                    path: "/m/c".into(),
+                    payload: Payload::inline(b"v0"),
+                    mode: CreateMode::Persistent,
+                },
+            ],
+        },
+    ]);
+    ops
+}
+
+fn two_regions() -> DeploymentConfig {
+    DeploymentConfig::aws().with_regions(vec![Region::US_EAST_1, Region::US_WEST_2])
+}
+
+#[test]
+fn visibility_rules_hold_in_virtual_time_and_host_order() {
+    for ops in [
+        eight_set_data_and_a_create(),
+        vec![create("/g/a"), delete("/g/b")],
+        mixed_epoch(),
+    ] {
+        let rig = Rig::seeded(two_regions());
+        let (distributor, log) = recorded(&rig);
+        let records = rig.epoch(ops);
+        apply(&rig.ctx, &rig, &distributor, &records);
+        let log = log.lock().unwrap();
+        assert_one_shape_per_operation(&log);
+        assert_rules(&log, 2, &records);
+    }
+}
+
+#[test]
+fn cap_at_most_shards_operations_in_flight_per_region() {
+    let rig = Rig::seeded(two_regions());
+    let (distributor, log) = recorded(&rig);
+    let records = rig.epoch(mixed_epoch());
+    apply(&rig.ctx, &rig, &distributor, &records);
+    let log = log.lock().unwrap();
+    for region in 0..2 {
+        let ops = operations(&log, region).len();
+        let peak = peak_in_flight(&log, region);
+        println!("region {region}: {ops} operations, at most {peak} in flight");
+        // 13 written paths, the rewrites of `/f`, `/g` and `/`, 1 delete.
+        assert_eq!(ops, 17, "one operation per path");
+        assert_eq!(
+            peak, SHARDS,
+            "region {region}: the workers fill, and no more"
+        );
+    }
+}
+
+/// A latency model where every object read takes exactly `GET` and every
+/// object write `PUT`, plus `CROSS` each from another region; everything
+/// else is free.
+const GET: Duration = Duration::from_millis(10);
+const PUT: Duration = Duration::from_millis(20);
+const CROSS: Duration = Duration::from_millis(5);
+
+fn fixed_latency() -> Ctx {
+    let fixed = |at: Duration| {
+        LatencySpec::new(at.as_secs_f64() * 1e3, 0.0)
+            .sigma(0.0)
+            .tail(0.0, 1.0)
+            .cross(CROSS.as_secs_f64() * 1e3, 0.0)
+    };
+    let mut model = LatencyModel::zero();
+    model.obj_get = fixed(GET);
+    model.obj_put = fixed(PUT);
+    Ctx::new(Arc::new(model), LatencyMode::Virtual, SEED)
+}
+
+#[test]
+fn independent_writes_take_ceil_n_over_s_rmw_rounds() {
+    let rig = Rig::seeded(DeploymentConfig::aws());
+    let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
+    let ctx = fixed_latency();
+    for n in 1..=8u32 {
+        let records = rig.epoch((0..n).map(|i| set_data(&format!("/f/k{i}"))).collect());
+        let applied = apply(&ctx, &rig, &distributor, &records);
+        let rounds = n.div_ceil(SHARDS as u32);
+        println!("{n} writes: {:?} = {rounds} rounds", applied.elapsed);
+        assert_eq!(applied.elapsed, (GET + PUT) * rounds, "{n} writes");
+    }
+}
+
+#[test]
+fn two_regions_cost_the_slower_region_not_the_sum() {
+    let rig = Rig::seeded(two_regions());
+    let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
+    let ctx = fixed_latency();
+    let records = rig.epoch((0..6).map(|i| set_data(&format!("/f/k{i}"))).collect());
+    let applied = apply(&ctx, &rig, &distributor, &records);
+    // The second region's store is remote from the caller.
+    let (near, far) = (GET + PUT, GET + PUT + 2 * CROSS);
+    println!("6 writes x 2 regions: {:?}", applied.elapsed);
+    assert_eq!(
+        applied.elapsed,
+        far * 2,
+        "max of {:?} and {:?}",
+        near * 2,
+        far * 2
+    );
+}
