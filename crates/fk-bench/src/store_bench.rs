@@ -32,7 +32,7 @@ pub struct StoreBenchConfig {
     pub writes: usize,
     /// Shard-batch writes issued after the singles.
     pub batches: usize,
-    /// Records per shard batch.
+    /// Records per batch.
     pub batch_size: usize,
     /// Point reads issued over the written paths.
     pub reads: usize,

@@ -762,8 +762,8 @@ impl AdaptiveBatch {
 // ----------------------------------------------------------------------
 
 /// Stable shard assignment for a string key (FNV-1a over the key bytes).
-/// Every layer that partitions by path — the distributor's fan-out
-/// workers, per-shard queue groups, benchmarks — must agree on this
+/// Every layer that partitions by path — the distributor's path-lock
+/// stripes, per-shard queue groups, benchmarks — must agree on this
 /// function, so it lives here at the bottom of the stack.
 pub fn shard_of(key: &str, shards: usize) -> usize {
     assert!(shards > 0, "shard count must be positive");
@@ -772,13 +772,10 @@ pub fn shard_of(key: &str, shards: usize) -> usize {
 
 /// Stable shard-**group** assignment for the multi-leader queue tier.
 ///
-/// Deliberately *not* [`shard_of`]: the distributor's intra-leader
-/// fan-out partitions by `shard_of`, and if the queue tier used the same
-/// function the two layers would correlate — with `groups == shards`,
-/// every path routed to group `g` also hashes to fan-out shard `g`, so
-/// each leader's entire batch collapses into a single fan-out worker and
-/// the intra-leader parallelism evaporates. Salting the group hash makes
-/// the two partitions independent.
+/// Deliberately *not* [`shard_of`]: the salt makes the lane partition
+/// independent of every `shard_of` partition below it (per-key queue
+/// shards, the distributor's path-lock stripes), so one lane's paths
+/// spread over all of them instead of a fixed subset.
 pub fn group_of(key: &str, groups: usize) -> usize {
     assert!(groups > 0, "group count must be positive");
     (fnv1a(key, 0x9E37_79B9_7F4A_7C15) % groups as u64) as usize
@@ -799,8 +796,7 @@ fn fnv1a(key: &str, salt: u64) -> u64 {
 ///
 /// Where a single FIFO queue serializes everything, a sharded group keeps
 /// *per-key* FIFO order (all messages for one key land on one member
-/// queue, [`shard_of`]) while letting distinct shards drain in parallel —
-/// the queue-level counterpart of the distributor's sharded fan-out.
+/// queue, [`shard_of`]) while letting distinct shards drain in parallel.
 #[derive(Clone)]
 pub struct ShardedQueues {
     queues: Vec<Queue>,

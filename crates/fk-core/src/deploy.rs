@@ -559,7 +559,10 @@ impl Deployment {
             modified_txid: 1,
             version: 0,
             children: Arc::new(vec![]),
-            children_txid: 1,
+            // No transaction wrote this list: at width 1 txids are raw
+            // queue sequence numbers, so the first create under `/` may
+            // carry txid 1 and must win the `children_txid` merge.
+            children_txid: 0,
             ephemeral_owner: None,
             epoch_marks: Arc::new(vec![]),
         };

@@ -1,5 +1,5 @@
-//! The distributor: sharded, epoch-batched application of committed
-//! transactions to the replicated user stores.
+//! The distributor: epoch-batched, dependency-scheduled application of
+//! committed transactions to the replicated user stores.
 //!
 //! The paper's leader profile (Table 3 "Update Node") is dominated by the
 //! sequential, per-transaction replication of node data to every region's
@@ -30,10 +30,9 @@
 //!      disappears before its parent stops listing it).
 //!
 //!    Beyond those, an operation takes the first worker to free up,
-//!    critical path first. A single-group tier keeps its batched form:
-//!    effects are dealt to path-hash shards ([`shard_of`]), each flushed
-//!    through [`UserStore::write_batch`] / [`UserStore::delete_batch`] in
-//!    three barrier-separated waves that enforce the same two rules.
+//!    critical path first. Every write is a read-merge-write under a
+//!    path stripe, so the same schedule is correct at every tier width:
+//!    with one shard group the merges never meet a concurrent writer.
 //! 4. **Ordered finalization** — a single epoch-counter bump per region
 //!    publishes all watch ids fired by the epoch before any later
 //!    transaction commits (Z4), the per-node pending queues are popped in
@@ -54,7 +53,6 @@ use bytes::Bytes;
 use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
 use fk_cloud::{CloudResult, Meter, Region};
-use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -76,9 +74,9 @@ pub struct DistributorConfig {
     pub min_batch: usize,
     /// Width of the leader tier: the number of shard groups, each with
     /// its own FIFO queue and its own leader function instance. `1` (the
-    /// default) is the paper's single-leader deployment. With more than
-    /// one group the distributor switches to the cross-group-safe apply
-    /// path (children-list merging by `children_txid`).
+    /// default) is the paper's single-leader deployment. The epoch apply
+    /// is the same at every width; the width decides how txids are
+    /// allocated and which group a txid belongs to.
     pub groups: usize,
 }
 
@@ -193,27 +191,8 @@ enum Effect<'a> {
     },
 }
 
-impl Effect<'_> {
-    fn path(&self) -> &str {
-        match self {
-            Effect::Write { update, .. } => match update {
-                UserUpdate::WriteNode { path, .. } => path,
-                _ => unreachable!("write effect is only built for WriteNode"),
-            },
-            Effect::Delete { path } => path,
-            Effect::Children { parent, .. } => parent,
-        }
-    }
-}
-
-/// Final state of one path after replaying an epoch's effects.
-enum PendingOp {
-    Write(NodeRecord),
-    Delete,
-}
-
 /// Insertion-ordered key→value map: the coalescing primitive behind the
-/// shard replay and the finalize bookkeeping (first touch fixes the
+/// epoch replay and the finalize bookkeeping (first touch fixes the
 /// position, later touches update the value in place).
 struct OrderedMap<K: Eq + std::hash::Hash + Clone, V> {
     order: Vec<K>,
@@ -301,7 +280,7 @@ where
 }
 
 /// Striped per-path mutexes shared by every leader instance of one
-/// deployment. In multi-group mode two shard-group leaders can
+/// deployment. With more than one shard group, two leaders can
 /// read-modify-write the *same* node record concurrently (a parent's
 /// children list is rewritten by its children's creates and deletes,
 /// which live on the children's shard groups); the stripe makes each
@@ -331,7 +310,7 @@ impl Default for PathLockSet {
     }
 }
 
-/// The sharded fan-out stage of the leader (see module docs).
+/// The fan-out stage of the leader (see module docs).
 pub struct Distributor {
     system: SystemStore,
     user_stores: Vec<Arc<dyn UserStore>>,
@@ -458,11 +437,9 @@ impl Distributor {
     /// creates added to it (a parent never lists a child before the
     /// child's record exists), and a delete only after its parent's
     /// rewrite (a node never disappears before its parent stops listing
-    /// it). A multi-group tier schedules exactly those edges on
-    /// `shards` workers per region (`apply_epoch_multi`); the
-    /// single-group apply enforces them with three barrier-separated
-    /// waves over path-hash shards: ➀ node writes no rewrite touched,
-    /// ➁ children-bearing writes, ➂ deletes.
+    /// it). Each region's plan (`build_epoch_plan`) schedules exactly
+    /// those edges on `shards` workers (`run_plans`), and the same plans
+    /// then feed the replica tier.
     pub fn apply_epoch(
         &self,
         ctx: &Ctx,
@@ -473,124 +450,19 @@ impl Distributor {
             return Ok(());
         }
         let effects: Vec<Effect<'_>> = items.iter().flat_map(effects_of).collect();
-        let region_plans = || -> Vec<EpochPlan> {
-            let plan = |region_marks| build_epoch_plan(&effects, region_marks);
-            marks.iter().map(plan).collect()
-        };
-
-        // With a multi-leader tier, another shard group may concurrently
-        // touch the same parent records; switch to the merge-safe apply.
-        if self.config.groups > 1 {
-            let plans = region_plans();
-            self.apply_epoch_multi(ctx, marks, &plans)?;
-            self.feed_replicas(ctx, items, marks, &plans);
-            return Ok(());
-        }
-
-        let shards = self.config.shards.max(1);
-        let mut per_shard: Vec<Vec<&Effect<'_>>> = vec![Vec::new(); shards];
-        for effect in &effects {
-            per_shard[shard_of(effect.path(), shards)].push(effect);
-        }
-
-        // One job per (region, non-empty shard).
-        let mut jobs: Vec<(usize, usize)> = Vec::new();
-        for region_idx in 0..self.user_stores.len() {
-            for (shard_idx, effects) in per_shard.iter().enumerate() {
-                if !effects.is_empty() {
-                    jobs.push((region_idx, shard_idx));
-                }
-            }
-        }
-
-        // Wave ➀: replay each shard's effects into its final per-path
-        // plan (including the read-modify-write base reads), then flush
-        // the independent node writes. Jobs run inline on the calling
-        // thread (`fan_out`), so each plan lands in a plain cell.
-        let plans: Vec<OnceCell<ShardPlan>> = jobs.iter().map(|_| OnceCell::new()).collect();
-        fan_out(ctx, jobs.len(), |job, child| {
-            let (region_idx, shard_idx) = jobs[job];
-            let store = self.user_stores[region_idx].as_ref();
-            let plan = build_shard_plan(
-                child,
-                store,
-                self.meter(),
-                &per_shard[shard_idx],
-                &marks[region_idx],
-            )?;
-            if !plan.node_writes.is_empty() {
-                // Whole-record replaces: a retried batch rewrites the
-                // same final state, so transient store errors are
-                // absorbed per (region × shard) worker.
-                with_retry(
-                    child,
-                    self.meter(),
-                    &RetryPolicy::standard(),
-                    "dist.write",
-                    || store.write_batch(child, &plan.node_writes),
-                )?;
-            }
-            let _ = plans[job].set(plan);
-            Ok(())
-        })?;
-
-        // Waves ➁ and ➂ fan out only the jobs that actually have work —
-        // an epoch where one shard rewrote a parent must not spawn idle
-        // workers for every other (region × shard) pair.
-        let with_work = |f: fn(&ShardPlan) -> bool| -> Vec<usize> {
-            (0..jobs.len())
-                .filter(|&job| plans[job].get().is_some_and(f))
-                .collect()
-        };
-
-        // Wave ➁: children-bearing writes (parents and other records
-        // touched by a children-list rewrite).
-        let wave2 = with_work(|plan| !plan.children_writes.is_empty());
-        fan_out(ctx, wave2.len(), |i, child| {
-            let job = wave2[i];
-            let (region_idx, _) = jobs[job];
-            let plan = plans[job].get().expect("plan built in wave 1");
-            with_retry(
-                child,
-                self.meter(),
-                &RetryPolicy::standard(),
-                "dist.write",
-                || {
-                    self.user_stores[region_idx]
-                        .as_ref()
-                        .write_batch(child, &plan.children_writes)
-                },
-            )
-        })?;
-
-        // Wave ➂: deletes.
-        let wave3 = with_work(|plan| !plan.deletes.is_empty());
-        fan_out(ctx, wave3.len(), |i, child| {
-            let job = wave3[i];
-            let (region_idx, _) = jobs[job];
-            let plan = plans[job].get().expect("plan built in wave 1");
-            with_retry(
-                child,
-                self.meter(),
-                &RetryPolicy::standard(),
-                "dist.delete",
-                || {
-                    self.user_stores[region_idx]
-                        .as_ref()
-                        .delete_batch(child, &plan.deletes)
-                },
-            )
-        })?;
-        if self.replicas.is_some() {
-            self.feed_replicas(ctx, items, marks, &region_plans());
-        }
+        let plans: Vec<EpochPlan> = marks
+            .iter()
+            .map(|region_marks| build_epoch_plan(&effects, region_marks))
+            .collect();
+        self.run_plans(ctx, marks, &plans)?;
+        self.feed_replicas(ctx, items, marks, &plans);
         Ok(())
     }
 
     /// Folds the epoch into one [`crate::replica::EpochDelta`] per
     /// region and feeds it to the attached replica tier. Runs after the
-    /// storage apply in both paths, so the replicas strictly follow
-    /// storage. The fold reads the region plans ([`build_epoch_plan`], the
+    /// storage apply, so the replicas strictly follow storage. The fold
+    /// reads the region plans the apply ran ([`build_epoch_plan`], the
     /// store-free replay): per-path final writes are encoded once per
     /// region and shared (`Bytes`) across that region's replicas;
     /// standalone children rewrites stay symbolic and patch resident
@@ -690,16 +562,18 @@ impl Distributor {
         }
     }
 
-    /// The merge-safe apply used when the leader tier has more than one
-    /// shard group. Per-path *node-write* order is still total (a path's
-    /// transactions all route to one group), but a parent's children
-    /// list is rewritten from its children's groups, so plain last-write-
-    /// wins would let a stale list clobber a newer one. Every store write
-    /// therefore becomes a read-merge-write under the shared
-    /// [`PathLockSet`] stripe: children lists are kept from whichever
-    /// side carries the larger `children_txid` (lists grow cumulatively
-    /// under the parent's follower lock, so the larger txid is the
-    /// current truth), and `modified_txid` never regresses.
+    /// Runs the region plans against the user stores: the merge-safe
+    /// apply. Per-path *node-write* order is total (a path's
+    /// transactions all route to one group), but with more than one
+    /// shard group a parent's children list is rewritten from its
+    /// children's groups, so plain last-write-wins would let a stale list
+    /// clobber a newer one. Every store write is therefore a
+    /// read-merge-write under the shared [`PathLockSet`] stripe: children
+    /// lists are kept from whichever side carries the larger
+    /// `children_txid` (lists grow cumulatively under the parent's
+    /// follower lock, so the larger txid is the current truth), and
+    /// `modified_txid` never regresses. The read half is the one an
+    /// object store's whole-record rewrite pays anyway.
     ///
     /// Each region's plan runs on its own `shards` workers
     /// ([`EpochPlan::run`]); every region's workers are forked here, up
@@ -708,7 +582,7 @@ impl Distributor {
     /// stops its region's schedule (nothing that depends on it runs); the
     /// other regions still run, and the first error in region order is
     /// returned.
-    fn apply_epoch_multi(
+    fn run_plans(
         &self,
         ctx: &Ctx,
         marks: &[Arc<Vec<u64>>],
@@ -795,12 +669,13 @@ impl Distributor {
         )
     }
 
-    /// Applies a standalone children-list rewrite (a create/delete whose
-    /// parent lives on another shard group's path): drop it if the stored
-    /// list is already newer; synthesize a stub if the parent's own node
-    /// write has not materialized yet — unless system storage says the
-    /// parent is gone (a later delete won), in which case resurrecting it
-    /// would leak a record the owning group will never clean up.
+    /// Applies a standalone children-list rewrite (a child's create or
+    /// delete whose parent has no node write in this epoch): drop it if
+    /// the stored list is already newer; synthesize a stub if the
+    /// parent's own node write has not materialized yet — unless system
+    /// storage says the parent is gone (a later delete won), in which
+    /// case resurrecting it would leak a record the owning group will
+    /// never clean up.
     fn rewrite_children(
         &self,
         ctx: &Ctx,
@@ -1033,8 +908,8 @@ fn record_of(
 }
 
 /// A children-only stub for a parent whose own record is not (yet, or
-/// any more) materialized in this replica — the multi-group counterpart
-/// of the sequential `update_children` synthesizing a missing base.
+/// any more) materialized in this replica — the sequential
+/// `update_children` synthesizing a missing base.
 fn stub_record(
     parent: &str,
     children: &Arc<Vec<String>>,
@@ -1054,112 +929,11 @@ fn stub_record(
     }
 }
 
-/// Final per-path operations of one (region × shard) worker, split by
-/// application wave (see [`Distributor::apply_epoch`]).
-struct ShardPlan {
-    /// Wave ➀: node writes untouched by children-list rewrites.
-    node_writes: Vec<NodeRecord>,
-    /// Wave ➁: writes whose children list was rewritten this epoch.
-    children_writes: Vec<NodeRecord>,
-    /// Wave ➂: deletes.
-    deletes: Vec<String>,
-}
-
-/// Replays one shard's effects in order, coalescing to at most one store
-/// operation per path (last write wins; children rewrites merge into a
-/// pending write or a freshly read base record, exactly like the
-/// sequential leader's `update_children`).
-fn build_shard_plan(
-    ctx: &Ctx,
-    store: &dyn UserStore,
-    meter: &Meter,
-    effects: &[&Effect<'_>],
-    marks: &Arc<Vec<u64>>,
-) -> CloudResult<ShardPlan> {
-    // Insertion-ordered path → (final op, touched-by-children) map.
-    let mut pending: OrderedMap<String, (PendingOp, bool)> = OrderedMap::new();
-
-    for &effect in effects {
-        match effect {
-            Effect::Write {
-                txid,
-                update,
-                data,
-                children,
-            } => {
-                let record = record_of(update, *txid, data, children, marks);
-                let path = record.path.clone();
-                let was_children = pending.get(&path).map(|(_, c)| *c).unwrap_or(false);
-                pending.insert(path, (PendingOp::Write(record), was_children));
-            }
-            Effect::Delete { path } => {
-                pending.insert((*path).to_owned(), (PendingOp::Delete, false));
-            }
-            Effect::Children {
-                parent,
-                children,
-                txid,
-                ..
-            } => {
-                match pending.get_mut(*parent) {
-                    Some((PendingOp::Write(record), touched)) => {
-                        record.children = Arc::clone(children);
-                        record.children_txid = *txid;
-                        record.modified_txid = record.modified_txid.max(*txid);
-                        record.epoch_marks = Arc::clone(marks);
-                        *touched = true;
-                    }
-                    other => {
-                        // The sequential `update_children` reads the
-                        // current record (or synthesizes an empty one) and
-                        // rewrites it with the new children list. A
-                        // preceding delete in the same epoch behaves like
-                        // a missing record.
-                        let base = match other {
-                            Some((PendingOp::Delete, _)) => None,
-                            _ => with_retry(
-                                ctx,
-                                meter,
-                                &RetryPolicy::standard(),
-                                "dist.read_base",
-                                || store.read_node(ctx, parent),
-                            )?,
-                        };
-                        let mut record = base.unwrap_or_else(|| {
-                            stub_record(parent, &Arc::new(Vec::new()), 0, &Arc::new(Vec::new()))
-                        });
-                        record.children = Arc::clone(children);
-                        record.children_txid = *txid;
-                        record.modified_txid = record.modified_txid.max(*txid);
-                        record.epoch_marks = Arc::clone(marks);
-                        pending.insert((*parent).to_owned(), (PendingOp::Write(record), true));
-                    }
-                }
-            }
-        }
-    }
-
-    let mut plan = ShardPlan {
-        node_writes: Vec::new(),
-        children_writes: Vec::new(),
-        deletes: Vec::new(),
-    };
-    for (path, entry) in pending.into_entries() {
-        match entry {
-            (PendingOp::Write(record), false) => plan.node_writes.push(record),
-            (PendingOp::Write(record), true) => plan.children_writes.push(record),
-            (PendingOp::Delete, _) => plan.deletes.push(path),
-        }
-    }
-    Ok(plan)
-}
-
-/// One region's store operations for an epoch in multi-group mode: one
-/// per path, node writes first, then children-bearing operations, then
-/// deletes, each group in first-touch order (the order the replica feed
-/// applies them in). Unlike [`ShardPlan`], base reads are deferred to
-/// apply time (under the path stripe), so standalone children rewrites
-/// stay symbolic.
+/// One region's store operations for an epoch: one per path, node
+/// writes first, then children-bearing operations, then deletes, each
+/// group in first-touch order (the order the replica feed applies them
+/// in). Base reads are deferred to apply time (under the path stripe),
+/// so standalone children rewrites stay symbolic.
 struct EpochPlan {
     ops: Vec<PlanOp>,
     /// `(before, after)`: op `after` starts only once op `before` has
@@ -1251,8 +1025,8 @@ impl EpochPlan {
     }
 }
 
-/// In-memory replay state of one path in multi-group mode.
-enum MultiPending {
+/// In-memory replay state of one path.
+enum Pending {
     Write {
         record: NodeRecord,
         touched: bool,
@@ -1266,8 +1040,10 @@ enum MultiPending {
 
 /// Replays an epoch's effects in order without touching the store into
 /// one region's [`EpochPlan`], coalescing to one operation per path
-/// (mirroring [`build_shard_plan`]'s rules; the read-modify-write halves
-/// run at apply time under the shared path stripes).
+/// (last write wins; a children rewrite merges into the path's pending
+/// write, like the sequential leader's `update_children`; the
+/// read-modify-write halves run at apply time under the shared path
+/// stripes).
 ///
 /// The edges come from the children rewrites: each names the child whose
 /// create or delete produced it. If the child's final operation is a
@@ -1278,7 +1054,7 @@ enum MultiPending {
 /// run further down into deleted children. A path that has gone down can
 /// never come back up, and the edges never form a cycle.
 fn build_epoch_plan(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> EpochPlan {
-    let mut pending: OrderedMap<String, MultiPending> = OrderedMap::new();
+    let mut pending: OrderedMap<String, Pending> = OrderedMap::new();
     // `(parent, child)` of every children rewrite.
     let mut rewrites: Vec<(&str, &str)> = Vec::new();
     for effect in effects {
@@ -1295,13 +1071,12 @@ fn build_epoch_plan(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> EpochPlan 
                 // the same node lock); it stays a children-bearing write.
                 let touched = matches!(
                     pending.get(&record.path),
-                    Some(MultiPending::Write { touched: true, .. })
-                        | Some(MultiPending::Children { .. })
+                    Some(Pending::Write { touched: true, .. }) | Some(Pending::Children { .. })
                 );
-                pending.insert(record.path.clone(), MultiPending::Write { record, touched });
+                pending.insert(record.path.clone(), Pending::Write { record, touched });
             }
             Effect::Delete { path } => {
-                pending.insert((*path).to_owned(), MultiPending::Delete);
+                pending.insert((*path).to_owned(), Pending::Delete);
             }
             Effect::Children {
                 parent,
@@ -1311,27 +1086,27 @@ fn build_epoch_plan(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> EpochPlan 
             } => {
                 rewrites.push((parent, child));
                 match pending.get_mut(*parent) {
-                    Some(MultiPending::Write { record, touched }) => {
+                    Some(Pending::Write { record, touched }) => {
                         record.children = Arc::clone(children);
                         record.children_txid = *txid;
                         record.modified_txid = record.modified_txid.max(*txid);
                         record.epoch_marks = Arc::clone(marks);
                         *touched = true;
                     }
-                    Some(MultiPending::Children {
+                    Some(Pending::Children {
                         children: pending_children,
                         txid: pending_txid,
                     }) => {
                         *pending_children = Arc::clone(children);
                         *pending_txid = *txid;
                     }
-                    Some(MultiPending::Delete) => {
-                        // Same-epoch delete-then-rewrite: mirror the
-                        // single-group replay, which materializes a stub in
-                        // place of the delete.
+                    Some(Pending::Delete) => {
+                        // Same-epoch delete-then-rewrite: the sequential
+                        // `update_children` finds no base and materializes
+                        // a stub in place of the delete.
                         pending.insert(
                             (*parent).to_owned(),
-                            MultiPending::Write {
+                            Pending::Write {
                                 record: stub_record(parent, children, *txid, marks),
                                 touched: true,
                             },
@@ -1340,7 +1115,7 @@ fn build_epoch_plan(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> EpochPlan 
                     None => {
                         pending.insert(
                             (*parent).to_owned(),
-                            MultiPending::Children {
+                            Pending::Children {
                                 children: Arc::clone(children),
                                 txid: *txid,
                             },
@@ -1354,20 +1129,20 @@ fn build_epoch_plan(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> EpochPlan 
     let (mut ops, mut children_ops, mut deletes) = (Vec::new(), Vec::new(), Vec::new());
     for (path, entry) in pending.into_entries() {
         match entry {
-            MultiPending::Write {
+            Pending::Write {
                 record,
                 touched: false,
             } => ops.push(PlanOp::Write(record)),
-            MultiPending::Write {
+            Pending::Write {
                 record,
                 touched: true,
             } => children_ops.push(PlanOp::ChildrenWrite(record)),
-            MultiPending::Children { children, txid } => children_ops.push(PlanOp::Rewrite {
+            Pending::Children { children, txid } => children_ops.push(PlanOp::Rewrite {
                 parent: path,
                 children,
                 txid,
             }),
-            MultiPending::Delete => deletes.push(PlanOp::Delete(path)),
+            Pending::Delete => deletes.push(PlanOp::Delete(path)),
         }
     }
     ops.extend(children_ops);

@@ -178,8 +178,7 @@ impl UserStore for DurableUserStore {
     }
 
     /// Batched writes commit as **one WAL record** (one fsync for the
-    /// whole shard batch) — the group-commit analogue of the KV
-    /// backend's single transaction per batch.
+    /// whole batch): group commit.
     fn write_batch(&self, ctx: &Ctx, records: &[NodeRecord]) -> CloudResult<()> {
         let finals = coalesce_last_per_path(records);
         if finals.is_empty() {

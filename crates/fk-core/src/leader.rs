@@ -37,8 +37,8 @@
 //! the batch into *epochs* by one rule for single and `multi` records
 //! alike (`Leader::segment_epochs`): a record starts a new epoch iff
 //! one of its children rewrites targets a node written earlier in the
-//! epoch (the single-group apply's fixed waves cannot order a rewrite
-//! that lists a node against that node's own rewrite), is alone in its
+//! epoch (in one epoch the apply's child → parent edge would run the
+//! child's write before that node's own create lands), is alone in its
 //! epoch iff that conflict is internal to it (a `multi` whose sub
 //! creates a child under a node another sub writes), and ends its
 //! epoch iff it has live watch registrations (answered from the wave;
@@ -998,12 +998,12 @@ impl Leader {
     ///
     /// * **starts a new epoch** iff one of its children rewrites targets
     ///   a node written earlier in the current epoch (a child created
-    ///   under a node this same epoch creates): the rewrite turns that
-    ///   node's write into a children-bearing write, and the single-group
-    ///   apply's fixed waves would then run it beside the rewrite of its
-    ///   own parent that lists it. (The multi-group scheduler would order
-    ///   the chain by its edges; one rule serves both apply paths.)
-    ///   Cutting at the conflict keeps both sound — the child's
+    ///   under a node this same epoch creates): the rewrite would fold
+    ///   into that node's write, and the apply's child → parent edge
+    ///   would then run the child's write *before* the node's own create
+    ///   lands — a reader could see the later transaction's child while
+    ///   the earlier create of its parent is not yet visible. Cutting at
+    ///   the conflict lets the parent's create land first; the child's
     ///   transaction simply starts the next epoch, mirroring the
     ///   sequential leader's order;
     /// * is **alone in its epoch** iff that conflict is *internal* to it

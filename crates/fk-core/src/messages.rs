@@ -399,18 +399,6 @@ impl LeaderRecord {
         crate::codec::decode_leader_record(body)
     }
 
-    /// The key the distributor shards this record by: the primary node
-    /// path, or the session id for records without one (deregistrations).
-    /// Every transaction touching a path hashes to the same shard, which
-    /// is what preserves per-key apply order under parallel fan-out.
-    pub fn shard_key(&self) -> &str {
-        if self.path.is_empty() {
-            &self.session_id
-        } else {
-            &self.path
-        }
-    }
-
     /// True if this record can fire watch notifications (it names watch
     /// classes to consume). Only transactions whose consumption actually
     /// yields instances end a distributor epoch.

@@ -36,7 +36,7 @@ use std::sync::Arc;
 ///
 /// The payload-bearing fields (`data`, `children`, `epoch_marks`) are
 /// reference-counted: the distributor materializes one record per
-/// committed transaction and every (region × shard) fan-out worker, RMW
+/// committed transaction and every region's fan-out worker, RMW
 /// merge and cache insertion *shares* those buffers instead of deep-
 /// copying them — cloning a record copies only the path and owner
 /// strings (see `clone-free fan-out` in [`crate::distributor`]).
@@ -194,12 +194,13 @@ pub(crate) fn dedupe_paths(paths: &[String]) -> Vec<&String> {
 
 /// Interface of a user-data backend (one instance per replica region).
 ///
-/// The batched surface (`write_batch` / `delete_batch`) is the
-/// distributor's entry point: callers pass one shard-worth of operations
-/// in apply order, and backends may coalesce repeated writes to one path
-/// (last record wins) and collapse round trips (e.g. one KV transaction
-/// for a whole batch). The defaults fall back to per-record calls, so a
-/// backend only overrides what it can genuinely batch.
+/// The batched surface (`write_batch` / `delete_batch`) takes a run of
+/// operations in apply order and may coalesce repeated writes to one
+/// path (last record wins) and collapse round trips. The defaults fall
+/// back to per-record calls; the durable backend overrides them to
+/// commit a whole batch as one WAL record. The distributor applies
+/// epochs record by record (`read_node` / `replace_node` /
+/// `delete_node`).
 pub trait UserStore: Send + Sync {
     /// Writes (creates or replaces) a node record.
     fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()>;
@@ -460,48 +461,6 @@ impl UserStore for KvUserStore {
         }
     }
 
-    /// DynamoDB-style batching: the whole (coalesced) batch commits as a
-    /// single multi-item transaction — one round trip instead of one per
-    /// node, which is where the distributor's KV throughput comes from.
-    fn write_batch(&self, ctx: &Ctx, records: &[NodeRecord]) -> CloudResult<()> {
-        let finals = coalesce_last_per_path(records);
-        match finals.as_slice() {
-            [] => Ok(()),
-            [single] => self.write_node(ctx, single),
-            many => {
-                let ops: Vec<fk_cloud::TransactOp> = many
-                    .iter()
-                    .map(|record| fk_cloud::TransactOp::Update {
-                        key: record.path.clone(),
-                        update: record_to_update(record, Some(&record.data), false),
-                        condition: Condition::Always,
-                    })
-                    .collect();
-                self.table.transact(ctx, &ops)
-            }
-        }
-    }
-
-    fn delete_batch(&self, ctx: &Ctx, paths: &[String]) -> CloudResult<()> {
-        let paths = dedupe_paths(paths);
-        match paths.as_slice() {
-            [] => Ok(()),
-            [single] => self.delete_node(ctx, single),
-            many => {
-                let ops: Vec<fk_cloud::TransactOp> = many
-                    .iter()
-                    .map(|path| fk_cloud::TransactOp::Delete {
-                        key: (*path).clone(),
-                        // Unconditional: batch deletes stay idempotent
-                        // even when some nodes are already gone.
-                        condition: Condition::Always,
-                    })
-                    .collect();
-                self.table.transact(ctx, &ops)
-            }
-        }
-    }
-
     fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
         let mut out = Vec::new();
         if root != "/" {
@@ -600,39 +559,6 @@ impl UserStore for HybridUserStore {
         };
         if offloaded {
             self.bucket.delete(ctx, path)?;
-        }
-        Ok(())
-    }
-
-    /// Hybrid coalescing: only the *final* record per path materializes,
-    /// so intermediate large versions never touch the object store at
-    /// all. Offloaded payloads upload individually (object stores have no
-    /// batch PUT) but their metadata items commit in one KV transaction;
-    /// inline records go through `write_node`, which also cleans up an
-    /// object left behind by a pre-batch large version.
-    fn write_batch(&self, ctx: &Ctx, records: &[NodeRecord]) -> CloudResult<()> {
-        let finals = coalesce_last_per_path(records);
-        let (offloaded, inline): (Vec<&&NodeRecord>, Vec<&&NodeRecord>) = finals
-            .iter()
-            .partition(|record| record.data.len() > self.threshold);
-        for record in &inline {
-            self.write_node(ctx, record)?;
-        }
-        match offloaded.as_slice() {
-            [] => {}
-            [single] => self.write_node(ctx, single)?,
-            many => {
-                let mut meta_ops = Vec::with_capacity(many.len());
-                for record in many {
-                    self.bucket.put(ctx, &record.path, record.data.clone())?;
-                    meta_ops.push(fk_cloud::TransactOp::Update {
-                        key: record.path.clone(),
-                        update: record_to_update(record, None, true),
-                        condition: Condition::Always,
-                    });
-                }
-                self.table.transact(ctx, &meta_ops)?;
-            }
         }
         Ok(())
     }
@@ -894,32 +820,15 @@ mod tests {
     }
 
     #[test]
-    fn kv_write_batch_commits_as_one_transaction() {
-        let meter = Meter::new();
-        let store = KvUserStore::new(KvStore::new("u", Region::US_EAST_1, meter.clone()));
+    fn kv_write_batch_and_delete_batch_round_trip() {
+        let store = KvUserStore::new(KvStore::new("u", Region::US_EAST_1, Meter::new()));
         let ctx = Ctx::disabled();
         let batch: Vec<NodeRecord> = (0..4).map(|i| record(&format!("/n{i}"), 16)).collect();
         store.write_batch(&ctx, &batch).unwrap();
-        let snap = meter.snapshot();
-        assert_eq!(
-            snap.per_op.get("kv_transact").copied().unwrap_or(0),
-            1,
-            "one transaction request"
-        );
-        assert_eq!(
-            snap.per_op.get("kv_transact_items").copied().unwrap_or(0),
-            4,
-            "four items inside it"
-        );
-        assert_eq!(
-            snap.per_op.get("kv_write").copied().unwrap_or(0),
-            0,
-            "no per-item updates"
-        );
         for i in 0..4 {
             assert!(store.read_node(&ctx, &format!("/n{i}")).unwrap().is_some());
         }
-        // Batched deletes are also one transaction and stay idempotent.
+        // Batched deletes stay idempotent.
         let paths: Vec<String> = (0..4).map(|i| format!("/n{i}")).collect();
         store.delete_batch(&ctx, &paths).unwrap();
         store.delete_batch(&ctx, &paths).unwrap();
@@ -945,27 +854,11 @@ mod tests {
             .unwrap();
         assert_eq!(bucket.len(), 0, "intermediate offload skipped");
         assert_eq!(store.read_node(&ctx, "/n").unwrap().unwrap().data.len(), 64);
-        // Multiple final offloads: payloads upload, metadata commits once.
-        let before = meter
-            .snapshot()
-            .per_op
-            .get("kv_write")
-            .copied()
-            .unwrap_or(0);
+        // Multiple final offloads: every payload uploads.
         store
             .write_batch(&ctx, &[record("/big1", 50_000), record("/big2", 60_000)])
             .unwrap();
         assert_eq!(bucket.len(), 2);
-        let after = meter
-            .snapshot()
-            .per_op
-            .get("kv_write")
-            .copied()
-            .unwrap_or(0);
-        assert_eq!(
-            after, before,
-            "offload metadata went through the transaction path"
-        );
         assert_eq!(
             store.read_node(&ctx, "/big2").unwrap().unwrap().data.len(),
             60_000

@@ -1,12 +1,21 @@
-//! The multi-group distributor's epoch apply, pinned from outside:
+//! The distributor's epoch apply, pinned from outside at both tier
+//! widths the storm workload and the paper run (1 and 2 shard groups):
 //!
 //! * `epoch_request_budget_*` — the storage requests one
 //!   `Distributor::apply_epoch` issues for a fixed epoch, by operation
-//!   and meter label, printed under `--nocapture` and compared against
-//!   constants captured at `49694f9` (the last commit that dealt the
-//!   epoch's paths to path-hash shards and applied them in three
-//!   barrier-separated waves). Scheduling may move *when* a request
-//!   goes out, never *which* requests go out.
+//!   and meter label, printed under `--nocapture`. One constant holds at
+//!   both widths. The width-2 constants were captured at `49694f9` (the
+//!   last commit that dealt a multi-group epoch's paths to path-hash
+//!   shards) and have not moved since. At width 1, `6da5245` (the last
+//!   commit with a separate single-group apply, shard batches flushed in
+//!   three barrier-separated waves) read `ObjGet=11 ObjPut=10` for
+//!   8 `set_data` + a create, `ObjGet=3 ObjPut=2 ObjDelete=1` for a
+//!   create + delete, `kv_read=1 kv_write=1 kv_transact=3` on the
+//!   key-value store, and the same `ObjGet=1 ObjPut=1` for
+//!   `[check, set_data]`: a standalone parent rewrite paid a base read
+//!   plus the object store's own pre-write GET, and the key-value store
+//!   committed each shard batch as one transaction. Scheduling may move
+//!   *when* a request goes out, never *which* requests go out.
 //!
 //! * `visibility_*`, `cap_*`, `*_rmw_rounds`, `*_regions_*` — the order
 //!   and the overlap of the apply's store operations, read off a
@@ -17,19 +26,24 @@
 //!   list schedule — ⌈N/S⌉ read-modify-write rounds for N independent
 //!   writes on S workers, the slower region's time for two regions.
 //!
-//! Every epoch is produced by the real follower on a 2-group direct
-//! deployment (virtual time, fixed seed) over a tree seeded through the
-//! real pipeline; the records are then handed to a distributor of that
+//! * `nested_creates_*`, `first_create_under_the_root_*` — what the
+//!   leader's epoch cut and the seeded root record guarantee end to end.
+//!
+//! Every epoch is produced by the real follower on a direct deployment
+//! (virtual time, fixed seed) over a tree seeded through the real
+//! pipeline; the records are then handed to a distributor of that
 //! deployment directly, so the measured requests are the apply's alone.
 
 use bytes::Bytes;
+use fk_cloud::faas::FunctionConfig;
 use fk_cloud::latency::{LatencyModel, LatencySpec};
 use fk_cloud::metering::UsageSnapshot;
 use fk_cloud::ops::Op;
+use fk_cloud::queue::group_of;
 use fk_cloud::trace::{Ctx, LatencyMode, SpanRecord};
 use fk_cloud::{CloudResult, Region};
 use fk_core::api::CreateMode;
-use fk_core::deploy::{Deployment, DeploymentConfig};
+use fk_core::deploy::{Deployment, DeploymentConfig, InlineDispatcher};
 use fk_core::distributor::{CommittedTx, Distributor, DistributorConfig, PathLockSet};
 use fk_core::follower::Follower;
 use fk_core::leader::Leader;
@@ -41,12 +55,14 @@ use std::time::Duration;
 
 const SESSION: &str = "s";
 const SEED: u64 = 7;
-/// The storm workload's geometry: 2 leader lanes, 3 storage workers.
-const GROUPS: usize = 2;
+/// The tier widths every test runs at: the paper's single leader and
+/// the storm workload's 2 lanes.
+const WIDTHS: [usize; 2] = [1, 2];
+/// The storm workload's 3 storage workers.
 const SHARDS: usize = 3;
 
-/// A 2-group direct deployment on virtual time with one registered
-/// session, its follower and one inline leader per lane.
+/// A direct deployment of some width on virtual time with one
+/// registered session, its follower and one inline leader per lane.
 struct Rig {
     deployment: Deployment,
     follower: Follower,
@@ -57,10 +73,10 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(config: DeploymentConfig) -> Rig {
+    fn new(config: DeploymentConfig, groups: usize) -> Rig {
         let deployment = Deployment::direct(
             config
-                .with_shard_groups(GROUPS)
+                .with_shard_groups(groups)
                 .with_mode(LatencyMode::Virtual, SEED),
         );
         let ctx = Ctx::new(Arc::clone(deployment.model()), LatencyMode::Virtual, SEED);
@@ -70,7 +86,7 @@ impl Rig {
             .unwrap();
         Rig {
             follower: deployment.make_follower(),
-            leaders: (0..GROUPS)
+            leaders: (0..groups)
                 .map(|_| deployment.make_leader_inline())
                 .collect(),
             _endpoint: deployment.bus().register(SESSION).0,
@@ -82,8 +98,8 @@ impl Rig {
 
     /// A rig whose tree holds `/f` with children `k0`…`k7` and `/g` with
     /// child `b`, written through the full pipeline.
-    fn seeded(config: DeploymentConfig) -> Rig {
-        let rig = Rig::new(config);
+    fn seeded(config: DeploymentConfig, groups: usize) -> Rig {
+        let rig = Rig::new(config, groups);
         let mut ops = vec![create("/f"), create("/g"), create("/g/b")];
         ops.extend((0..8).map(|i| create(&format!("/f/k{i}"))));
         for op in ops {
@@ -97,7 +113,7 @@ impl Rig {
         self.push(op);
         for _ in 0..16 {
             let lanes = self.deployment.leader_queues();
-            if (0..GROUPS).all(|g| lanes.queue(g).pending() == 0) {
+            if (0..self.groups()).all(|g| lanes.queue(g).pending() == 0) {
                 return;
             }
             for (group, leader) in self.leaders.iter().enumerate() {
@@ -120,6 +136,11 @@ impl Rig {
         self.follower.process_request(&self.ctx, &request).unwrap();
     }
 
+    /// The tier width.
+    fn groups(&self) -> usize {
+        self.leaders.len()
+    }
+
     /// The records of `ops`, committed by the follower and taken off the
     /// lanes instead of reaching a leader, in txid order.
     fn epoch(&self, ops: Vec<WriteOp>) -> Vec<LeaderRecord> {
@@ -128,10 +149,17 @@ impl Rig {
         }
         let lanes = self.deployment.leader_queues();
         let mut records = Vec::new();
-        for group in 0..GROUPS {
+        for group in 0..self.groups() {
             while let Some(batch) = lanes.queue(group).receive(10, Duration::from_secs(5)) {
                 for message in &batch.messages {
-                    records.push(LeaderRecord::decode(&message.body).expect("a leader record"));
+                    let mut record = LeaderRecord::decode(&message.body).expect("a leader record");
+                    // A single-group follower allocates no txid: the
+                    // lane's sequence number is the txid, as the leader
+                    // reads it.
+                    if record.txid == 0 {
+                        record.txid = message.seq;
+                    }
+                    records.push(record);
                 }
                 lanes.queue(group).ack(batch.receipt);
             }
@@ -140,12 +168,32 @@ impl Rig {
         records
     }
 
-    /// A multi-group distributor of this deployment over `stores`.
+    /// The distributor geometry of this rig: its width, `SHARDS` workers.
+    fn config(&self) -> DistributorConfig {
+        DistributorConfig::new(SHARDS, 16).with_groups(self.groups())
+    }
+
+    /// A distributor of this deployment over `stores`.
     fn distributor(&self, stores: Vec<Arc<dyn UserStore>>) -> Distributor {
         Distributor::with_shared(
             self.deployment.system().clone(),
             stores,
-            DistributorConfig::new(SHARDS, 16).with_groups(GROUPS),
+            self.config(),
+            Arc::new(PathLockSet::new()),
+        )
+    }
+
+    /// A leader of this deployment over `stores`, with inline watch
+    /// dispatch.
+    fn leader(&self, stores: Vec<Arc<dyn UserStore>>) -> Leader {
+        let watch = Arc::new(self.deployment.make_watch_fn());
+        Leader::with_shared(
+            self.deployment.system().clone(),
+            stores,
+            self.deployment.staging().clone(),
+            self.deployment.bus().clone(),
+            Arc::new(InlineDispatcher::new(watch, FunctionConfig::default_2048())),
+            self.config(),
             Arc::new(PathLockSet::new()),
         )
     }
@@ -264,14 +312,17 @@ fn print_chain(title: &str, applied: &Applied) {
 }
 
 /// One request budget: `ops` as one epoch on a rig seeded over `config`
-/// must issue exactly `expected` (captured at `49694f9`).
+/// must issue exactly `expected` at every width (see the module docs).
 fn assert_budget_on(config: DeploymentConfig, title: &str, ops: Vec<WriteOp>, expected: &str) {
-    let rig = Rig::seeded(config);
-    let records = rig.epoch(ops);
-    let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
-    let applied = apply(&rig.ctx, &rig, &distributor, &records);
-    print_chain(title, &applied);
-    assert_eq!(requests(&applied), expected, "{title}");
+    for groups in WIDTHS {
+        let rig = Rig::seeded(config.clone(), groups);
+        let records = rig.epoch(ops.clone());
+        let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
+        let applied = apply(&rig.ctx, &rig, &distributor, &records);
+        let title = format!("{title}, width {groups}");
+        print_chain(&title, &applied);
+        assert_eq!(requests(&applied), expected, "{title}");
+    }
 }
 
 /// [`assert_budget_on`] over the default object-storage user store.
@@ -360,11 +411,14 @@ struct Call {
     end: Duration,
 }
 
+/// The calls of every region's recording store, in host order.
+type Log = Arc<Mutex<Vec<Call>>>;
+
 /// A user store that logs every call into a log shared by all regions.
 struct Recording {
     inner: Arc<dyn UserStore>,
     region: usize,
-    log: Arc<Mutex<Vec<Call>>>,
+    log: Log,
 }
 
 impl Recording {
@@ -412,9 +466,8 @@ impl UserStore for Recording {
     }
 }
 
-/// A distributor of `rig` over recording wrappers of its user stores,
-/// and the shared log.
-fn recorded(rig: &Rig) -> (Distributor, Arc<Mutex<Vec<Call>>>) {
+/// Recording wrappers of `rig`'s user stores, and their shared log.
+fn recording_stores(rig: &Rig) -> (Vec<Arc<dyn UserStore>>, Log) {
     let log = Arc::new(Mutex::new(Vec::new()));
     let stores = rig.deployment.user_stores().iter().enumerate();
     let stores = stores.map(|(region, inner)| {
@@ -424,7 +477,14 @@ fn recorded(rig: &Rig) -> (Distributor, Arc<Mutex<Vec<Call>>>) {
             log: Arc::clone(&log),
         }) as Arc<dyn UserStore>
     });
-    (rig.distributor(stores.collect()), log)
+    (stores.collect(), log)
+}
+
+/// A distributor of `rig` over recording wrappers of its user stores,
+/// and the shared log.
+fn recorded(rig: &Rig) -> (Distributor, Log) {
+    let (stores, log) = recording_stores(rig);
+    (rig.distributor(stores), log)
 }
 
 /// One store operation of an epoch in one region: the span of its calls
@@ -571,38 +631,42 @@ fn two_regions() -> DeploymentConfig {
 
 #[test]
 fn visibility_rules_hold_in_virtual_time_and_host_order() {
-    for ops in [
-        eight_set_data_and_a_create(),
-        vec![create("/g/a"), delete("/g/b")],
-        mixed_epoch(),
-    ] {
-        let rig = Rig::seeded(two_regions());
-        let (distributor, log) = recorded(&rig);
-        let records = rig.epoch(ops);
-        apply(&rig.ctx, &rig, &distributor, &records);
-        let log = log.lock().unwrap();
-        assert_one_shape_per_operation(&log);
-        assert_rules(&log, 2, &records);
+    for groups in WIDTHS {
+        for ops in [
+            eight_set_data_and_a_create(),
+            vec![create("/g/a"), delete("/g/b")],
+            mixed_epoch(),
+        ] {
+            let rig = Rig::seeded(two_regions(), groups);
+            let (distributor, log) = recorded(&rig);
+            let records = rig.epoch(ops);
+            apply(&rig.ctx, &rig, &distributor, &records);
+            let log = log.lock().unwrap();
+            assert_one_shape_per_operation(&log);
+            assert_rules(&log, 2, &records);
+        }
     }
 }
 
 #[test]
 fn cap_at_most_shards_operations_in_flight_per_region() {
-    let rig = Rig::seeded(two_regions());
-    let (distributor, log) = recorded(&rig);
-    let records = rig.epoch(mixed_epoch());
-    apply(&rig.ctx, &rig, &distributor, &records);
-    let log = log.lock().unwrap();
-    for region in 0..2 {
-        let ops = operations(&log, region).len();
-        let peak = peak_in_flight(&log, region);
-        println!("region {region}: {ops} operations, at most {peak} in flight");
-        // 13 written paths, the rewrites of `/f`, `/g` and `/`, 1 delete.
-        assert_eq!(ops, 17, "one operation per path");
-        assert_eq!(
-            peak, SHARDS,
-            "region {region}: the workers fill, and no more"
-        );
+    for groups in WIDTHS {
+        let rig = Rig::seeded(two_regions(), groups);
+        let (distributor, log) = recorded(&rig);
+        let records = rig.epoch(mixed_epoch());
+        apply(&rig.ctx, &rig, &distributor, &records);
+        let log = log.lock().unwrap();
+        for region in 0..2 {
+            let ops = operations(&log, region).len();
+            let peak = peak_in_flight(&log, region);
+            println!("width {groups}, region {region}: {ops} operations, at most {peak} in flight");
+            // 13 written paths, the rewrites of `/f`, `/g` and `/`, 1 delete.
+            assert_eq!(ops, 17, "width {groups}: one operation per path");
+            assert_eq!(
+                peak, SHARDS,
+                "width {groups}, region {region}: the workers fill, and no more"
+            );
+        }
     }
 }
 
@@ -628,21 +692,30 @@ fn fixed_latency() -> Ctx {
 
 #[test]
 fn independent_writes_take_ceil_n_over_s_rmw_rounds() {
-    let rig = Rig::seeded(DeploymentConfig::aws());
-    let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
-    let ctx = fixed_latency();
-    for n in 1..=8u32 {
-        let records = rig.epoch((0..n).map(|i| set_data(&format!("/f/k{i}"))).collect());
-        let applied = apply(&ctx, &rig, &distributor, &records);
-        let rounds = n.div_ceil(SHARDS as u32);
-        println!("{n} writes: {:?} = {rounds} rounds", applied.elapsed);
-        assert_eq!(applied.elapsed, (GET + PUT) * rounds, "{n} writes");
+    for groups in WIDTHS {
+        let rig = Rig::seeded(DeploymentConfig::aws(), groups);
+        let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
+        let ctx = fixed_latency();
+        for n in 1..=8u32 {
+            let records = rig.epoch((0..n).map(|i| set_data(&format!("/f/k{i}"))).collect());
+            let applied = apply(&ctx, &rig, &distributor, &records);
+            let rounds = n.div_ceil(SHARDS as u32);
+            println!(
+                "width {groups}, {n} writes: {:?} = {rounds} rounds",
+                applied.elapsed
+            );
+            assert_eq!(
+                applied.elapsed,
+                (GET + PUT) * rounds,
+                "width {groups}, {n} writes"
+            );
+        }
     }
 }
 
 #[test]
 fn two_regions_cost_the_slower_region_not_the_sum() {
-    let rig = Rig::seeded(two_regions());
+    let rig = Rig::seeded(two_regions(), 2);
     let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
     let ctx = fixed_latency();
     let records = rig.epoch((0..6).map(|i| set_data(&format!("/f/k{i}"))).collect());
@@ -657,4 +730,74 @@ fn two_regions_cost_the_slower_region_not_the_sum() {
         near * 2,
         far * 2
     );
+}
+
+// ----------------------------------------------------------------------
+// The leader's epoch cut and the seeded root, end to end
+// ----------------------------------------------------------------------
+
+/// Nested creates `/a` and `/a/<c>` on one lane reach the leader as one
+/// batch. The child's rewrite of `/a` targets a node the epoch already
+/// writes, so the leader cuts the epoch before the child: `/a`'s own
+/// write ends before `/a/<c>`'s write starts, in every region. Without
+/// the cut the two share one epoch, `/a`'s create becomes a
+/// children-bearing write that lists `<c>`, and the child → parent edge
+/// runs `/a/<c>`'s write first: a reader could find the child while its
+/// parent does not exist yet.
+#[test]
+fn nested_creates_in_one_batch_write_the_parent_before_the_child() {
+    for groups in WIDTHS {
+        let rig = Rig::new(two_regions(), groups);
+        let (stores, log) = recording_stores(&rig);
+        let leader = rig.leader(stores);
+        let lane = group_of("/a", groups);
+        let child = (b'b'..=b'z')
+            .map(|name| format!("/a/{}", name as char))
+            .find(|path| group_of(path, groups) == lane)
+            .expect("a child name on the parent's lane");
+        rig.push(create("/a"));
+        rig.push(create(&child));
+        let queue = rig.deployment.leader_queues().queue(lane);
+        assert_eq!(queue.pending(), 2, "width {groups}: both on one lane");
+        let drained = leader.drain_queue(&rig.ctx, queue).unwrap();
+        assert_eq!(drained, 2, "width {groups}: one leader batch");
+
+        let log = log.lock().unwrap();
+        for region in 0..2 {
+            let first_put = |path: &str| {
+                log.iter()
+                    .enumerate()
+                    .find(|(_, call)| {
+                        call.region == region && call.path == path && call.kind == Kind::Put
+                    })
+                    .unwrap_or_else(|| panic!("width {groups}, region {region}: {path} written"))
+            };
+            let (parent_at, parent) = first_put("/a");
+            let (child_at, child_put) = first_put(&child);
+            assert!(
+                child_put.start >= parent.end,
+                "width {groups}, region {region}: {child} started at {:?}, before /a ended at {:?}",
+                child_put.start,
+                parent.end
+            );
+            assert!(
+                child_at > parent_at,
+                "width {groups}, region {region}: {child} ran on the host before /a"
+            );
+        }
+    }
+}
+
+/// At width 1 a txid is the lane's raw sequence number, so the first
+/// create under `/` can carry txid 1. The seeded root's children list
+/// was written by no transaction (`children_txid` 0), so that create's
+/// rewrite of `/` wins the merge in every region.
+#[test]
+fn first_create_under_the_root_is_listed_in_every_region_at_width_1() {
+    let rig = Rig::new(two_regions(), 1);
+    rig.commit(create("/p"));
+    for store in rig.deployment.user_stores() {
+        let root = store.read_node(&rig.ctx, "/").unwrap().expect("the root");
+        assert_eq!(*root.children, ["p"], "region {:?}", store.region());
+    }
 }

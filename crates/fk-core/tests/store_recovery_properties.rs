@@ -98,7 +98,7 @@ fn apply_step(
             twin.write_node(ctx, &rec).unwrap();
         })
     } else if roll < 75 {
-        // A shard batch: one WAL record, all-or-nothing on the kill.
+        // A batch: one WAL record, all-or-nothing on the kill.
         let recs: Vec<NodeRecord> = (0..rng.gen_range(2usize..=4))
             .map(|_| {
                 let p = path(rng);

@@ -62,10 +62,11 @@ impl ReadWriteMix {
 }
 
 /// A write-heavy workload with zipfian path skew: the shape that stresses
-/// the leader's distributor pipeline. Hot paths concentrate on a few
-/// shards ([`fk_core::distributor::shard_of`]), so shard-skew behaviour —
-/// coalescing of repeated writes to hot nodes, imbalance across fan-out
-/// workers — shows up exactly as it would under production traffic.
+/// the leader's distributor pipeline. Writes concentrate on a few hot
+/// nodes, so skew behaviour — repeated writes to a hot node coalescing
+/// into one store operation per epoch, fewer operations per epoch than
+/// fan-out workers, hot paths piling onto one shard-group lane — shows
+/// up exactly as it would under production traffic.
 ///
 /// Fully seeded: construct via [`SkewedWriteMix::from_deployment`] to
 /// inherit the deployment's RNG seed, or pass an explicit bench-flag seed
