@@ -203,13 +203,13 @@ pub fn run_chaos_soak(config: &ChaosSoakConfig, chaos_seed: Option<u64>) -> Chao
                     "leader DLQ: attempt={} group={:?} rec={:?}",
                     m.attempt,
                     m.group,
-                    r.map(|r| (
-                        r.session_id,
+                    r.as_ref().map(|r| (
+                        &r.session_id,
                         r.request_id,
                         r.txid,
                         r.prev_txid,
                         r.deregister_session,
-                        r.path
+                        r.path()
                     ))
                 );
             }

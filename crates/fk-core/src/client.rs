@@ -42,7 +42,7 @@
 use crate::api::{CreateMode, FkError, FkResult, Stat, WatchEvent, WatchEventType, WatchKind};
 use crate::consistency::{HEvent, HistoryRecorder};
 use crate::messages::{
-    ClientNotification, ClientRequest, MultiOp, Payload, WriteOp, WriteResultData,
+    ClientNotification, ClientRequest, MultiOp, OpOutcome, Payload, WriteOp, WriteResultData,
 };
 use crate::notify::ClientBus;
 use crate::ops::{self, Op, OpHandle, OpResult, PendingWrites, RawWrite};
@@ -802,7 +802,7 @@ impl FkClient {
     fn submit_write<T, F>(&self, op: WriteOp, map: F) -> FkResult<OpHandle<T>>
     where
         T: Clone + Send + Sync + 'static,
-        F: FnOnce(WriteResultData, u64) -> T + Send + 'static,
+        F: FnOnce(WriteResultData) -> FkResult<T> + Send + 'static,
     {
         if self.core.shared.closed.load(Ordering::SeqCst) {
             return Err(FkError::SessionExpired);
@@ -814,7 +814,7 @@ impl FkClient {
             pending.push(
                 request_id,
                 Box::new(move |raw: RawWrite| {
-                    completer.complete(raw.map(|(data, txid)| map(data, txid)));
+                    completer.complete(raw.and_then(|(data, _)| map(data)));
                 }),
             );
             let request = ClientRequest {
@@ -857,7 +857,12 @@ impl FkClient {
                 payload,
                 mode,
             },
-            |result, _| result.path,
+            |result| {
+                sole_outcome(&result, |outcome| match outcome {
+                    OpOutcome::Created { path, .. } => Some(path.clone()),
+                    _ => None,
+                })
+            },
         )
     }
 
@@ -877,7 +882,12 @@ impl FkClient {
                 payload,
                 expected_version,
             },
-            |result, _| result.stat,
+            |result| {
+                sole_outcome(&result, |outcome| match outcome {
+                    OpOutcome::Set { stat, .. } => Some(*stat),
+                    _ => None,
+                })
+            },
         )
     }
 
@@ -889,7 +899,7 @@ impl FkClient {
                 path: path.to_owned(),
                 expected_version,
             },
-            |_, _| (),
+            |_| Ok(()),
         )
     }
 
@@ -939,12 +949,12 @@ impl FkClient {
                 },
             });
         }
-        self.submit_write(WriteOp::Multi { ops: wire }, |result, _| {
-            result
+        self.submit_write(WriteOp::Multi { ops: wire }, |result| {
+            Ok(result
                 .op_results
                 .into_iter()
                 .map(ops::outcome_to_result)
-                .collect()
+                .collect())
         })
     }
 
@@ -1156,7 +1166,7 @@ impl FkClient {
     /// a result fail with `SessionExpired`.
     pub fn close(mut self) -> FkResult<()> {
         let result = self
-            .submit_write(WriteOp::CloseSession, |_, _| ())
+            .submit_write(WriteOp::CloseSession, |_| Ok(()))
             .and_then(|handle| handle.wait());
         self.core.shared.closed.store(true, Ordering::SeqCst);
         self.bus.deregister(&self.core.shared.session_id);
@@ -1186,4 +1196,19 @@ impl Drop for FkClient {
         self.core.shared.closed.store(true, Ordering::SeqCst);
         self.bus.deregister(&self.core.shared.session_id);
     }
+}
+
+/// What `pick` reads off a single write's one op result. Any other
+/// answer is a server fault, reported as [`FkError::SystemError`].
+fn sole_outcome<T>(
+    result: &WriteResultData,
+    pick: impl FnOnce(&OpOutcome) -> Option<T>,
+) -> FkResult<T> {
+    let picked = match &result.op_results[..] {
+        [outcome] => pick(outcome),
+        _ => None,
+    };
+    picked.ok_or_else(|| FkError::SystemError {
+        detail: format!("unexpected write result {:?}", result.op_results),
+    })
 }

@@ -44,7 +44,7 @@ pub const MAGIC: u8 = 0xFB;
 /// Current format version; decoders accept exactly this version (a
 /// rollback or a half-upgraded deployment must not misparse records it
 /// cannot read).
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 
 /// Record kinds carried in the frame header, so a frame is never decoded
 /// as the wrong type even if keys get crossed.
@@ -768,21 +768,23 @@ fn read_multi_sub(r: &mut Reader<'_>) -> Option<MultiSub> {
 
 /// Encodes a leader-queue record as a binary frame.
 pub fn encode_leader_record(record: &LeaderRecord) -> Bytes {
-    let payload_len = match &record.user_update {
-        UserUpdate::WriteNode { payload, .. } => payload.wire_len(),
-        _ => 0,
-    };
-    let mut w = Writer::new(kind::LEADER_RECORD, 96 + record.path.len() + payload_len);
+    let subs_len: usize = record
+        .ops
+        .iter()
+        .map(|sub| {
+            let payload_len = match &sub.user_update {
+                UserUpdate::WriteNode { payload, .. } => payload.wire_len(),
+                _ => 0,
+            };
+            96 + sub.path.len() + payload_len
+        })
+        .sum();
+    let mut w = Writer::new(kind::LEADER_RECORD, 32 + subs_len);
     w.str(&record.session_id);
     w.u64(record.request_id);
     w.u64(record.txid);
     w.u64(record.prev_txid);
-    w.str(&record.path);
     write_commit(&mut w, &record.commit);
-    write_user_update(&mut w, &record.user_update);
-    write_stat(&mut w, &record.stat);
-    write_fires(&mut w, &record.fires);
-    w.boolean(record.is_delete);
     w.boolean(record.deregister_session);
     w.u64(record.ops.len() as u64);
     for sub in &record.ops {
@@ -798,12 +800,7 @@ pub fn decode_leader_record(bytes: &[u8]) -> Option<LeaderRecord> {
     let request_id = r.u64()?;
     let txid = r.u64()?;
     let prev_txid = r.u64()?;
-    let path = r.str()?;
     let commit = read_commit(&mut r)?;
-    let user_update = read_user_update(&mut r)?;
-    let stat = read_stat(&mut r)?;
-    let fires = read_fires(&mut r)?;
-    let is_delete = r.boolean()?;
     let deregister_session = r.boolean()?;
     let ops_len = r.list_len()?;
     let mut ops = Vec::with_capacity(ops_len);
@@ -815,12 +812,7 @@ pub fn decode_leader_record(bytes: &[u8]) -> Option<LeaderRecord> {
         request_id,
         txid,
         prev_txid,
-        path,
         commit,
-        user_update,
-        stat,
-        fires,
-        is_delete,
         deregister_session,
         ops,
     };
@@ -1157,13 +1149,8 @@ mod tests {
             request_id: 1,
             txid: 9,
             prev_txid: 0,
-            path: "/x".into(),
             commit: SystemCommit::default(),
-            user_update: UserUpdate::None,
-            stat: Stat::default(),
-            fires: vec![],
-            is_delete: false,
-            deregister_session: false,
+            deregister_session: true,
             ops: vec![],
         };
         let request = ClientRequest {
@@ -1207,6 +1194,17 @@ mod tests {
             }
             assert!(!decodes(br#"{"path":"/x"}"#), "kind {} JSON", frame[2]);
         }
+        // A version-4 leader frame — a single create, whose one sub rode
+        // in the record's own fields — is rejected by its version, and
+        // its body does not parse as a version-5 record either.
+        let v4_create = "fb040201730180800400022f6103076e6f64653a2f6100040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732331010374787105010764656c6574656400066e6f64653a2f00010d6368696c6472656e5f747869640401086368696c6472656e020101610000057365713a7300010c6c6173745f72657175657374000200000000022f61000276300000000001012f01016100000000020002022f6100012f03000000";
+        let mut v4_create: Vec<u8> = (0..v4_create.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&v4_create[i..i + 2], 16).unwrap())
+            .collect();
+        assert!(decode_leader_record(&v4_create).is_none());
+        v4_create[1] = VERSION;
+        assert!(decode_leader_record(&v4_create).is_none());
         // A corrupt length prefix must not allocate absurdly.
         let mut huge = bytes.to_vec();
         let len = huge.len();

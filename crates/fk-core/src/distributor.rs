@@ -149,11 +149,9 @@ pub struct CommittedTx<'a> {
     pub txid: u64,
     /// The confirmed change.
     pub record: &'a LeaderRecord,
-    /// Payload bytes (inline, or fetched from staging).
-    pub data: Bytes,
-    /// Per-sub payload bytes of a multi record, aligned with
-    /// `record.ops` (empty for single-op records).
-    pub multi_data: Vec<Bytes>,
+    /// Per-sub payload bytes (inline, or fetched from staging), aligned
+    /// with `record.ops`; empty for subs that write no node.
+    pub data: Vec<Bytes>,
     /// Distributed from *behind* a held record of its queue batch (the
     /// leader's skip-ahead): earlier records of the lane are still
     /// undistributed, so the txid must not count toward the group's
@@ -726,7 +724,7 @@ impl Distributor {
     /// cost ⌈N/25⌉ write requests.
     pub fn finalize_epoch(&self, ctx: &Ctx, items: &[CommittedTx<'_>]) -> CloudResult<()> {
         // Per path, in txid order: the txids to pop and whether the last
-        // transaction deleted the node. A multi contributes each
+        // transaction deleted the node. A record contributes each
         // *mutating* sub path once (checks never enter the txq).
         let mut per_path: OrderedMap<&str, (Vec<u64>, bool)> = OrderedMap::new();
         // A duplicated queue delivery puts the *same* committed record in
@@ -742,23 +740,11 @@ impl Distributor {
             }
         };
         for tx in items {
-            if tx.record.is_multi() {
-                for sub in &tx.record.ops {
-                    if matches!(sub.user_update, UserUpdate::None) {
-                        continue;
-                    }
-                    let entry = per_path.get_or_insert_with(sub.path.as_str(), Default::default);
-                    push_once(entry, tx.txid);
-                    entry.1 = sub.is_delete;
-                }
-                continue;
+            for sub in tx.record.ops.iter().filter(|sub| sub.mutates()) {
+                let entry = per_path.get_or_insert_with(sub.path.as_str(), Default::default);
+                push_once(entry, tx.txid);
+                entry.1 = sub.is_delete;
             }
-            if tx.record.path.is_empty() {
-                continue;
-            }
-            let entry = per_path.get_or_insert_with(tx.record.path.as_str(), Default::default);
-            push_once(entry, tx.txid);
-            entry.1 = tx.record.is_delete;
         }
         // Chunked transactional pops across paths, then the (rare)
         // tombstone purges for deleted paths.
@@ -802,23 +788,16 @@ impl Distributor {
     }
 }
 
-/// The 1–2 storage effects of one committed transaction, in order — or,
-/// for a multi record, the concatenation of its subs' effects in op
-/// order (they share the record's txid: one atomic unit). Runs once per
-/// epoch (before the fan-out), so the `Arc` lifts here are the only full
-/// copies of the children lists any number of workers pays.
-fn effects_of<'a>(tx: &'a CommittedTx<'_>) -> Vec<Effect<'a>> {
-    if tx.record.is_multi() {
-        let mut effects = Vec::with_capacity(tx.record.ops.len() * 2);
-        for (sub, data) in tx.record.ops.iter().zip(&tx.multi_data) {
-            effects.extend(effects_of_update(&sub.user_update, data, tx.txid));
-        }
-        return effects;
-    }
-    effects_of_update(&tx.record.user_update, &tx.data, tx.txid)
+/// The storage effects of one committed transaction: its subs' effects
+/// in op order (they share the record's txid: one atomic unit). Runs
+/// once per epoch (before the fan-out), so the `Arc` lifts here are the
+/// only full copies of the children lists any number of workers pays.
+fn effects_of<'a>(tx: &'a CommittedTx<'_>) -> impl Iterator<Item = Effect<'a>> {
+    let subs = tx.record.ops.iter().zip(&tx.data);
+    subs.flat_map(|(sub, data)| effects_of_update(&sub.user_update, data, tx.txid))
 }
 
-/// The effects of one user-store update.
+/// The 1–2 effects of one user-store update, in order.
 fn effects_of_update<'a>(
     user_update: &'a UserUpdate,
     data: &'a Bytes,
@@ -1474,8 +1453,7 @@ mod tests {
                 msg_index: 0,
                 txid: record.txid,
                 record,
-                data: Bytes::new(),
-                multi_data: vec![Bytes::new(); record.ops.len()],
+                data: vec![Bytes::new(); record.ops.len()],
                 ahead: false,
             })
             .collect();
@@ -1545,24 +1523,36 @@ mod tests {
     /// children-bearing write that waits for the child it lists.
     #[test]
     fn delete_then_rewrite_of_one_path_becomes_a_stub_after_its_child() {
-        use crate::messages::{Payload, SystemCommit};
+        use crate::messages::{MultiSub, OpOutcome, Payload, SystemCommit};
         let tier = Tier::new();
         tier.commit(vec![create("/p"), create("/p/c")]);
         // Past every txid the tier allocated, so the merges keep them.
         let txid = 1 << 40;
-        let record = |txid: u64, path: &str, user_update: UserUpdate| LeaderRecord {
-            session_id: "s".into(),
-            request_id: 0,
-            txid,
-            prev_txid: 0,
-            path: path.into(),
-            commit: SystemCommit::default(),
-            user_update,
-            stat: Default::default(),
-            fires: vec![],
-            is_delete: false,
-            deregister_session: false,
-            ops: vec![],
+        let record = |txid: u64, path: &str, user_update: UserUpdate| {
+            let is_delete = matches!(user_update, UserUpdate::DeleteNode { .. });
+            let outcome = if is_delete {
+                OpOutcome::Deleted { path: path.into() }
+            } else {
+                OpOutcome::Created {
+                    path: path.into(),
+                    stat: Default::default(),
+                }
+            };
+            LeaderRecord {
+                session_id: "s".into(),
+                request_id: 0,
+                txid,
+                prev_txid: 0,
+                commit: SystemCommit::default(),
+                deregister_session: false,
+                ops: vec![MultiSub {
+                    path: path.into(),
+                    user_update,
+                    fires: vec![],
+                    is_delete,
+                    outcome,
+                }],
+            }
         };
         let records = [
             record(
@@ -1604,8 +1594,7 @@ mod tests {
                 msg_index: 0,
                 txid: record.txid,
                 record,
-                data: Bytes::from_static(b"y"),
-                multi_data: vec![],
+                data: vec![Bytes::from_static(b"y")],
                 ahead: false,
             })
             .collect();

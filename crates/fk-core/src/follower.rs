@@ -44,7 +44,7 @@
 //! single multi-item conditional transaction (all-or-nothing, Z1), one
 //! txid covers every sub-op, and a single [`LeaderRecord`] carries the
 //! subs so the distributor applies them as one epoch-atomic unit (a
-//! single write's one sub rides in the record's own fields). A
+//! single write's record is the one-op record of the same `multi`). A
 //! validation failure anywhere aborts the whole request — a multi with
 //! [`FkError::MultiFailed`] naming the failing index, a single op with
 //! the bare error; no state is left behind (nothing was written before
@@ -82,7 +82,7 @@ use fk_cloud::trace::Ctx;
 use fk_cloud::CloudError;
 use fk_sync::Acquired;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Follower configuration.
@@ -200,12 +200,26 @@ impl Follower {
         )
     }
 
-    /// Wall-clock milliseconds used for lock timestamps.
+    /// Lock timestamps: wall-clock milliseconds, strictly increasing
+    /// across every follower in the process. The stamp is the lock
+    /// owner's token, so two successive owners of one node must never
+    /// share it: when a follower commits and a second one locks the node
+    /// within the same millisecond, the leader's `TryCommit` of the first
+    /// transaction (decided on the node state it read before that commit)
+    /// would otherwise pass the second owner's guard, apply the first
+    /// transaction twice and strip the second owner's lock.
     fn now_ms() -> i64 {
-        std::time::SystemTime::now()
+        static LAST: AtomicI64 = AtomicI64::new(0);
+        let wall = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .expect("clock after epoch")
-            .as_millis() as i64
+            .as_millis() as i64;
+        let prev = LAST
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |last| {
+                Some(wall.max(last + 1))
+            })
+            .expect("the update always yields a stamp");
+        wall.max(prev + 1)
     }
 
     /// Entry point for a queue batch. On a retryable error the failed
@@ -622,9 +636,9 @@ impl Follower {
         sorted.sort_unstable();
         sorted.dedup();
         let locks = self.system.locks();
-        for attempt in 0..self.config.lock_attempts {
+        for _ in 0..self.config.lock_attempts {
             let mut acquired: Vec<Acquired> = Vec::with_capacity(sorted.len());
-            let now = Self::now_ms() + attempt as i64; // distinct stamps per retry
+            let now = Self::now_ms();
             let mut contended = false;
             for path in &sorted {
                 // Transient storage errors (throttling, injected faults)
@@ -656,8 +670,12 @@ impl Follower {
             }
             std::thread::yield_now();
         }
-        // Persistent contention: let the queue redeliver later.
-        Err(OpError::Retry(FnError::retryable("lock contention")))
+        // Persistent contention: another follower holds a lock (or a
+        // crashed one's lease has not run out). That holder's commit or
+        // the lease's expiry clears the way, so the request defers: the
+        // queue redelivers it without counting an attempt toward the
+        // dead-letter queue, where it would never be answered.
+        Err(OpError::Retry(FnError::defer("lock contention")))
     }
 
     fn release_all(&self, ctx: &Ctx, acquired: &[Acquired]) {
@@ -869,8 +887,6 @@ impl Follower {
                 ClientNotification::WriteResult {
                     request_id: request.request_id,
                     result: Ok(WriteResultData {
-                        path: String::new(),
-                        stat: Stat::default(),
                         op_results: outcomes,
                     }),
                     txid: 0,
@@ -947,35 +963,15 @@ impl Follower {
                 list_removes: vec![],
             });
         }
-        let mut record = LeaderRecord {
+        let record = LeaderRecord {
             session_id: request.session_id.clone(),
             request_id: request.request_id,
             txid: alloc_txid,
             prev_txid,
-            path: plan.final_path.clone(),
             commit: plan.commit.clone(),
-            user_update: UserUpdate::None,
-            stat: Stat::default(),
-            fires: vec![],
-            is_delete: false,
             deregister_session: false,
             ops: plan.subs,
         };
-        // The one place the request's shape still matters: the record
-        // has two (see [`LeaderRecord::ops`]), and a single write's sub
-        // rides in the record's own fields.
-        if !matches!(request.op, WriteOp::Multi { .. }) {
-            let sub = record.ops.pop().expect("a single write plans one sub");
-            record.user_update = sub.user_update;
-            record.fires = sub.fires;
-            record.is_delete = sub.is_delete;
-            record.stat = match sub.outcome {
-                OpOutcome::Created { stat, .. }
-                | OpOutcome::Set { stat, .. }
-                | OpOutcome::Checked { stat } => stat,
-                OpOutcome::Deleted { .. } => Stat::default(),
-            };
-        }
         Ok(Some(StagedPush {
             pos,
             session: request.session_id.clone(),
@@ -1110,12 +1106,7 @@ impl Follower {
             request_id: request.request_id,
             txid,
             prev_txid,
-            path: String::new(),
             commit: SystemCommit::default(),
-            user_update: UserUpdate::None,
-            stat: Stat::default(),
-            fires: vec![],
-            is_delete: false,
             deregister_session: true,
             ops: vec![],
         };
@@ -1869,3 +1860,25 @@ enum OpError {
 // request budgets, one verdict per op whatever the request's shape);
 // scenarios that need both halves of the pipeline are in `tests/e2e.rs`
 // and the property suites.
+
+#[cfg(test)]
+mod tests {
+    use super::Follower;
+
+    /// Lock stamps are owner tokens: no two acquisitions in the process
+    /// may share one, however many land in the same millisecond.
+    #[test]
+    fn lock_stamps_are_unique_across_threads() {
+        let stamps: Vec<i64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..500).map(|_| Follower::now_ms()).collect::<Vec<_>>()))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        let distinct: std::collections::HashSet<i64> = stamps.iter().copied().collect();
+        assert_eq!(distinct.len(), stamps.len());
+    }
+}

@@ -69,7 +69,9 @@
 
 use crate::api::{FkError, WatchEvent, WatchEventType, WatchKind};
 use crate::distributor::{AdaptiveBatch, CommittedTx, Distributor, DistributorConfig, PathLockSet};
-use crate::messages::{ClientNotification, LeaderRecord, Payload, UserUpdate, WriteResultData};
+use crate::messages::{
+    ClientNotification, LeaderRecord, OpOutcome, Payload, UserUpdate, WriteResultData,
+};
 use crate::notify::ClientBus;
 use crate::system_store::{node_attr, SystemStore, WatchInstance};
 use crate::user_store::UserStore;
@@ -202,13 +204,9 @@ enum CommitState {
 /// Outcome of phase ➊/➋ for one record: either it distributes, or it was
 /// fully handled (notified / deregistered / rejected).
 enum Disposition {
-    Distribute {
-        /// Resolved payload of a single-op record.
-        data: Bytes,
-        /// Per-sub resolved payloads of a multi record (aligned with
-        /// `record.ops`; empty `Bytes` for non-write subs).
-        multi_data: Vec<Bytes>,
-    },
+    /// Distribute, with the per-sub resolved payloads (aligned with
+    /// `record.ops`; empty `Bytes` for subs that write no node).
+    Distribute(Vec<Bytes>),
     Done,
 }
 
@@ -567,13 +565,12 @@ impl Leader {
         {
             let ahead = batch.is_ahead(*index);
             match self.resolve_disposition(ctx, *txid, record, state) {
-                Ok(Disposition::Distribute { data, multi_data }) => committed.push((
+                Ok(Disposition::Distribute(data)) => committed.push((
                     CommittedTx {
                         msg_index: *index,
                         txid: *txid,
                         record,
                         data,
-                        multi_data,
                         ahead,
                     },
                     fires.of_record(pos),
@@ -796,7 +793,7 @@ impl Leader {
 
     /// Reads `record`'s node item and classifies the commit of `txid`.
     fn commit_state(&self, ctx: &Ctx, txid: u64, record: &LeaderRecord) -> CommitState {
-        let item = self.system.get_node(ctx, &record.path);
+        let item = self.system.get_node(ctx, record.path());
         let txq_has = item
             .as_ref()
             .and_then(|i| i.list(node_attr::TXQ))
@@ -893,19 +890,15 @@ impl Leader {
                     Ok(()) => {
                         // The follower never got past the push: take over
                         // its ephemeral-lifecycle bookkeeping too (every
-                        // sub of a multi).
-                        let sub_updates =
-                            record.ops.iter().map(|sub| (&sub.user_update, &sub.path));
-                        for (update, path) in
-                            std::iter::once((&record.user_update, &record.path)).chain(sub_updates)
-                        {
+                        // ephemeral the transaction creates).
+                        for sub in &record.ops {
                             if let UserUpdate::WriteNode {
                                 ephemeral_owner: Some(owner),
                                 created_txid: 0,
                                 ..
-                            } = update
+                            } = &sub.user_update
                             {
-                                let _ = self.system.add_session_ephemeral(ctx, owner, path);
+                                let _ = self.system.add_session_ephemeral(ctx, owner, &sub.path);
                             }
                         }
                     }
@@ -917,7 +910,7 @@ impl Leader {
                         // Re-check which case this is.
                         let landed = self
                             .system
-                            .get_node(ctx, &record.path)
+                            .get_node(ctx, record.path())
                             .and_then(|i| {
                                 i.list(node_attr::TXQ)
                                     .map(|q| q.contains(&Value::Num(txid as i64)))
@@ -947,12 +940,12 @@ impl Leader {
                 }
             }
         }
-        let data = self.resolve_payload(ctx, &record.user_update)?;
-        let mut multi_data = Vec::with_capacity(record.ops.len());
-        for sub in &record.ops {
-            multi_data.push(self.resolve_payload(ctx, &sub.user_update)?);
-        }
-        Ok(Disposition::Distribute { data, multi_data })
+        let data = record
+            .ops
+            .iter()
+            .map(|sub| self.resolve_payload(ctx, &sub.user_update))
+            .collect::<Result<_, _>>()?;
+        Ok(Disposition::Distribute(data))
     }
 
     /// Advances the session's distribution high-water mark for a record
@@ -1364,32 +1357,26 @@ impl Leader {
         if record.request_id == crate::follower::INTERNAL_REQUEST {
             return;
         }
-        let mut stat = record.stat;
-        stat.modified_txid = txid;
-        if stat.created_txid == 0 && !record.is_delete {
-            stat.created_txid = txid;
-        }
-        // Per-op results of a multi: every sub shares the record's single
-        // txid — that one id stamping every outcome *is* the visible
-        // all-or-nothing contract.
-        let op_results: Vec<crate::messages::OpOutcome> = record
+        // Every sub shares the record's single txid — that one id
+        // stamping every outcome *is* the visible all-or-nothing
+        // contract of a multi.
+        let op_results: Vec<OpOutcome> = record
             .ops
             .iter()
             .map(|sub| {
                 let mut outcome = sub.outcome.clone();
                 match &mut outcome {
-                    crate::messages::OpOutcome::Created { stat, .. } => {
+                    OpOutcome::Created { stat, .. } => {
                         stat.created_txid = txid;
                         stat.modified_txid = txid;
                     }
-                    crate::messages::OpOutcome::Set { stat, .. } => {
+                    OpOutcome::Set { stat, .. } => {
                         stat.modified_txid = txid;
                         if stat.created_txid == 0 {
                             stat.created_txid = txid;
                         }
                     }
-                    crate::messages::OpOutcome::Deleted { .. }
-                    | crate::messages::OpOutcome::Checked { .. } => {}
+                    OpOutcome::Deleted { .. } | OpOutcome::Checked { .. } => {}
                 }
                 outcome
             })
@@ -1400,11 +1387,7 @@ impl Leader {
                 &record.session_id,
                 ClientNotification::WriteResult {
                     request_id: record.request_id,
-                    result: Ok(WriteResultData {
-                        path: record.path.clone(),
-                        stat,
-                        op_results,
-                    }),
+                    result: Ok(WriteResultData { op_results }),
                     txid,
                 },
             );
@@ -1430,26 +1413,21 @@ impl Leader {
 }
 
 /// The node paths `record` mutates — the items whose `txq` carries its
-/// txid: the primary path and every mutating sub of a multi (checks
-/// never enter a `txq`).
+/// txid: every mutating sub's (checks never enter a `txq`).
 fn mutated_paths(record: &LeaderRecord) -> impl Iterator<Item = &str> {
-    let subs = record
+    record
         .ops
         .iter()
-        .filter(|sub| !matches!(sub.user_update, UserUpdate::None))
-        .map(|sub| sub.path.as_str());
-    std::iter::once(record.path.as_str())
-        .filter(|path| !path.is_empty())
-        .chain(subs)
+        .filter(|sub| sub.mutates())
+        .map(|sub| sub.path.as_str())
 }
 
 /// The full children list of `path` carried by `record`, if the record
 /// rewrote it: a create/delete snapshots its parent's new list under the
-/// node's follower lock (`parent_children`), and a multi's subs each
-/// carry their own. The *last* matching sub wins — its snapshot was
-/// taken latest in the atomic unit.
+/// node's follower lock (`parent_children`). The *last* matching sub
+/// wins — its snapshot was taken latest in the atomic unit.
 fn fired_children(record: &LeaderRecord, path: &str) -> Option<Vec<String>> {
-    let of_update = |update: &UserUpdate| -> Option<Vec<String>> {
+    updates(record).rev().find_map(|update| {
         let (UserUpdate::WriteNode {
             parent_children, ..
         }
@@ -1463,15 +1441,7 @@ fn fired_children(record: &LeaderRecord, path: &str) -> Option<Vec<String>> {
             .as_ref()
             .filter(|(parent, _)| parent == path)
             .map(|(_, children)| children.clone())
-    };
-    if record.is_multi() {
-        return record
-            .ops
-            .iter()
-            .rev()
-            .find_map(|sub| of_update(&sub.user_update));
-    }
-    of_update(&record.user_update)
+    })
 }
 
 /// Watch kinds fired by each event type (ZooKeeper trigger matrix).
@@ -1497,12 +1467,9 @@ const ALL_KINDS: [WatchKind; 4] = [
     WatchKind::Subtree,
 ];
 
-/// The user-store updates `record` distributes: its own, or every sub's
-/// of a multi (whose own `user_update` is unused).
-fn updates(record: &LeaderRecord) -> impl Iterator<Item = &UserUpdate> {
-    let own = (!record.is_multi()).then_some(&record.user_update);
-    let subs = record.ops.iter().map(|sub| &sub.user_update);
-    own.into_iter().chain(subs)
+/// The user-store updates `record` distributes, in op order.
+fn updates(record: &LeaderRecord) -> impl DoubleEndedIterator<Item = &UserUpdate> {
+    record.ops.iter().map(|sub| &sub.user_update)
 }
 
 /// The parent whose children list `update` rewrites, if any.
@@ -1563,15 +1530,9 @@ fn push_fires<'a>(record: &'a LeaderRecord, out: &mut Vec<Fire<'a>>) {
             };
         }
     };
-    if record.is_multi() {
-        for sub in &record.ops {
-            // Checks mutate nothing and fire nothing.
-            if !matches!(sub.user_update, UserUpdate::None) {
-                push_chain(&sub.path);
-            }
-        }
-    } else if !matches!(record.user_update, UserUpdate::None) {
-        push_chain(&record.path);
+    // Checks mutate nothing and fire nothing.
+    for path in mutated_paths(record) {
+        push_chain(path);
     }
 }
 
@@ -1725,7 +1686,7 @@ mod tests {
     /// recorded predecessors are still undistributed.
     #[test]
     fn abandoned_orphan_does_not_advance_session_mark() {
-        use crate::messages::{CommitItem, SerValue, SystemCommit};
+        use crate::messages::{CommitItem, MultiSub, SerValue, SystemCommit};
         let deployment = Deployment::direct(DeploymentConfig::aws().with_shard_groups(2));
         let leader = deployment.make_leader_inline();
         let ctx = fk_cloud::trace::Ctx::disabled();
@@ -1737,7 +1698,6 @@ mod tests {
             request_id: 1,
             txid,
             prev_txid: 0,
-            path: "/orphaned".into(),
             // A commit guarded on a lock that was never held: execute
             // fails with ConditionFailed, the txid never lands in the
             // node's txq, and the leader classifies the record abandoned.
@@ -1751,12 +1711,19 @@ mod tests {
                     list_removes: vec![],
                 }],
             },
-            user_update: UserUpdate::None,
-            stat: crate::api::Stat::default(),
-            fires: vec![],
-            is_delete: false,
             deregister_session: false,
-            ops: vec![],
+            ops: vec![MultiSub {
+                path: "/orphaned".into(),
+                user_update: UserUpdate::DeleteNode {
+                    path: "/orphaned".into(),
+                    parent_children: None,
+                },
+                fires: vec![],
+                is_delete: true,
+                outcome: OpOutcome::Deleted {
+                    path: "/orphaned".into(),
+                },
+            }],
         };
 
         // The session's recorded chain stops at 100; txid 500 is an

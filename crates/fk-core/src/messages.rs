@@ -316,7 +316,7 @@ pub enum OpOutcome {
     },
 }
 
-/// One sub-operation of a committed `multi`, carried in the leader
+/// One sub-operation of a committed write, carried in the leader
 /// record: the user-store effect, the watches it fires, and the per-op
 /// result reported back to the client. All subs share the record's
 /// single transaction id — the distributor applies them as one
@@ -335,46 +335,42 @@ pub struct MultiSub {
     pub outcome: OpOutcome,
 }
 
-/// A confirmed change pushed from a follower to the leader queue. The
-/// message's queue sequence number *is* the transaction id.
+impl MultiSub {
+    /// True if this sub changes its node — every op but a version
+    /// check. Only mutating subs enter their node's `txq`.
+    pub fn mutates(&self) -> bool {
+        !matches!(self.user_update, UserUpdate::None)
+    }
+}
+
+/// A confirmed change pushed from a follower to the leader queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaderRecord {
     /// Originating session.
     pub session_id: String,
     /// Client request id (for the result notification).
     pub request_id: u64,
-    /// The transaction id, allocated by the follower from the target
-    /// shard group's epoch counter ([`crate::system_store::txid`]) before
-    /// the push, so the same id is committed to system storage and used
-    /// by whichever leader instance distributes the record. (`0` only in
-    /// hand-built records of legacy drivers; the leader then falls back
-    /// to the queue sequence number.)
+    /// The transaction id. A multi-group follower allocates it from the
+    /// target shard group's epoch counter ([`crate::system_store::txid`])
+    /// before the push, so the same id is committed to system storage
+    /// and used by whichever leader instance distributes the record. A
+    /// single-group follower sends `0`: its one queue totally orders
+    /// every write, and the leader reads the txid off the message's
+    /// sequence number.
     pub txid: u64,
     /// Txid of this session's previous write (`0` if none). A shard-group
     /// leader holds the record back until the session's distribution
     /// high-water mark reaches this value — the per-session cross-shard
     /// sequencing rule (Z2).
     pub prev_txid: u64,
-    /// Final node path (sequential suffix applied).
-    pub path: String,
     /// System-store commit to verify / retry.
     pub commit: SystemCommit,
-    /// User-store update to apply.
-    pub user_update: UserUpdate,
-    /// Stat to return to the client on success (txids filled by leader).
-    pub stat: Stat,
-    /// Watch event type this change triggers on `path`, if any.
-    pub fires: Vec<FiredWatch>,
-    /// True if this record deletes the node (tombstone cleanup).
-    pub is_delete: bool,
     /// Session item to remove once processed (CloseSession final record).
     pub deregister_session: bool,
-    /// Sub-operations of a `multi` transaction (empty for single-op
-    /// records). When non-empty, `path` is the first *mutating* sub's
-    /// path (the one whose `txq` carries the txid, so the leader's
-    /// commit verification works unchanged), `user_update`/`fires`/
-    /// `is_delete` are unused, and the distributor expands the subs into
-    /// one epoch of effects.
+    /// The transaction's ops, in submission order: one for a single
+    /// `create` / `set_data` / `delete`, one per op for a `multi`, none
+    /// for a session deregistration. The distributor expands them into
+    /// one epoch-atomic unit of effects.
     pub ops: Vec<MultiSub>,
 }
 
@@ -399,72 +395,46 @@ impl LeaderRecord {
         crate::codec::decode_leader_record(body)
     }
 
-    /// True if this record can fire watch notifications (it names watch
-    /// classes to consume). Only transactions whose consumption actually
-    /// yields instances end a distributor epoch.
-    pub fn fires_watches(&self) -> bool {
-        !self.fires.is_empty() || self.ops.iter().any(|sub| !sub.fires.is_empty())
+    /// The record's primary path: its first mutating sub's (the node
+    /// whose `txq` the leader's commit verification reads, and the
+    /// route key of its shard group), or `""` when nothing mutates — a
+    /// session deregistration.
+    pub fn path(&self) -> &str {
+        self.ops
+            .iter()
+            .find(|sub| sub.mutates())
+            .map_or("", |sub| &sub.path)
     }
 
-    /// True if this record carries a `multi` transaction.
-    pub fn is_multi(&self) -> bool {
-        !self.ops.is_empty()
-    }
-
-    /// Every watch class this record fires: the record's own list for
-    /// single-op records, the concatenation of the subs' lists for a
-    /// multi (in op order — attribution order matters for the merged
-    /// consume, see `merge_fires`).
+    /// Every watch class this record fires: the concatenation of the
+    /// subs' lists, in op order (attribution order matters for the
+    /// merged consume, see `merge_fires`).
     pub fn fires_all(&self) -> impl Iterator<Item = &FiredWatch> {
-        let own = if self.is_multi() {
-            &[]
-        } else {
-            &self.fires[..]
-        };
-        own.iter().chain(self.ops.iter().flat_map(|sub| &sub.fires))
+        self.ops.iter().flat_map(|sub| &sub.fires)
     }
 }
 
 /// Result payload of a successful write.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteResultData {
-    /// Final path (sequential creates return the generated name).
-    pub path: String,
-    /// Node stat after the operation.
-    pub stat: Stat,
-    /// Per-op results of a `multi` transaction (empty for single ops),
-    /// in submission order, with transaction ids substituted.
+    /// Per-op results in submission order, with transaction ids
+    /// substituted: one for a single write, one per op for a `multi`,
+    /// none for a session close.
     pub op_results: Vec<OpOutcome>,
-}
-
-impl WriteResultData {
-    /// A single-op result payload (no multi sub-results).
-    pub fn single(path: String, stat: Stat) -> Self {
-        WriteResultData {
-            path,
-            stat,
-            op_results: Vec::new(),
-        }
-    }
 }
 
 impl WriteResultData {
     /// The paths whose client-side cached state this result obsoletes —
     /// write results double as read-cache invalidation payloads on the
-    /// notification channel. Empty for session-level operations
-    /// (CloseSession) that name no node; every mutated sub path for a
-    /// multi.
+    /// notification channel: every mutated path (a check obsoletes
+    /// nothing, a session close names no node).
     pub fn invalidates(&self) -> impl Iterator<Item = &str> {
-        let single =
-            (!self.path.is_empty() && self.op_results.is_empty()).then_some(self.path.as_str());
-        single
-            .into_iter()
-            .chain(self.op_results.iter().filter_map(|outcome| match outcome {
-                OpOutcome::Created { path, .. }
-                | OpOutcome::Set { path, .. }
-                | OpOutcome::Deleted { path } => Some(path.as_str()),
-                OpOutcome::Checked { .. } => None,
-            }))
+        self.op_results.iter().filter_map(|outcome| match outcome {
+            OpOutcome::Created { path, .. }
+            | OpOutcome::Set { path, .. }
+            | OpOutcome::Deleted { path } => Some(path.as_str()),
+            OpOutcome::Checked { .. } => None,
+        })
     }
 }
 
@@ -517,17 +487,62 @@ mod tests {
         assert_eq!(decoded, req);
     }
 
-    #[test]
-    fn leader_record_roundtrip() {
-        let rec = LeaderRecord {
+    /// A created, a deleted and a checked sub under `/m`.
+    fn subs() -> [MultiSub; 3] {
+        let created = MultiSub {
+            path: "/m/a".into(),
+            user_update: UserUpdate::WriteNode {
+                path: "/m/a".into(),
+                payload: Payload::inline(b"1"),
+                created_txid: 0,
+                version: 0,
+                children: vec![],
+                ephemeral_owner: Some("s1".into()),
+                parent_children: Some(("/m".into(), vec!["a".into()])),
+            },
+            fires: vec![FiredWatch {
+                watch_path: "/m/a".into(),
+                event_type: WatchEventType::NodeCreated,
+            }],
+            is_delete: false,
+            outcome: OpOutcome::Created {
+                path: "/m/a".into(),
+                stat: Stat::default(),
+            },
+        };
+        let deleted = MultiSub {
+            path: "/m/b".into(),
+            user_update: UserUpdate::DeleteNode {
+                path: "/m/b".into(),
+                parent_children: Some(("/m".into(), vec!["a".into()])),
+            },
+            fires: vec![],
+            is_delete: true,
+            outcome: OpOutcome::Deleted {
+                path: "/m/b".into(),
+            },
+        };
+        let checked = MultiSub {
+            path: "/m/c".into(),
+            user_update: UserUpdate::None,
+            fires: vec![],
+            is_delete: false,
+            outcome: OpOutcome::Checked {
+                stat: Stat::default(),
+            },
+        };
+        [created, deleted, checked]
+    }
+
+    fn record(ops: Vec<MultiSub>) -> LeaderRecord {
+        LeaderRecord {
             session_id: "s1".into(),
             request_id: 7,
             txid: (9 << 16) | 1,
             prev_txid: 3 << 16,
-            path: "/a/b".into(),
             commit: SystemCommit {
                 items: vec![CommitItem {
-                    key: "node:/a/b".into(),
+                    key: "node:/m/a".into(),
                     lock_ts: 123,
                     sets: vec![("version".into(), SerValue::Txid)],
                     appends: vec![("txq".into(), SerValue::TxidList)],
@@ -535,91 +550,32 @@ mod tests {
                     list_removes: vec![],
                 }],
             },
-            user_update: UserUpdate::WriteNode {
-                path: "/a/b".into(),
-                payload: Payload::inline(b"x"),
-                created_txid: 5,
-                version: 0,
-                children: vec![],
-                ephemeral_owner: Some("s1".into()),
-                parent_children: Some(("/a".into(), vec!["b".into()])),
-            },
-            stat: Stat::default(),
-            fires: vec![FiredWatch {
-                watch_path: "/a".into(),
-                event_type: WatchEventType::NodeChildrenChanged,
-            }],
-            is_delete: false,
-            deregister_session: false,
-            ops: vec![],
-        };
-        let decoded = LeaderRecord::decode(&rec.encode()).unwrap();
-        assert_eq!(decoded, rec);
+            deregister_session: ops.is_empty(),
+            ops,
+        }
     }
 
+    fn assert_roundtrip(rec: &LeaderRecord, path: &str, fires: usize) {
+        assert_eq!(rec.path(), path);
+        assert_eq!(rec.fires_all().count(), fires);
+        assert_eq!(&LeaderRecord::decode(&rec.encode()).unwrap(), rec);
+    }
+
+    /// Every record has one shape: a single write is one sub, a
+    /// deregistration none.
+    #[test]
+    fn leader_record_roundtrip() {
+        let [created, ..] = subs();
+        assert_roundtrip(&record(vec![created]), "/m/a", 1);
+        assert_roundtrip(&record(vec![]), "", 0);
+    }
+
+    /// A `multi` is the same shape with one sub per op; the primary path
+    /// skips checks.
     #[test]
     fn multi_record_roundtrip() {
-        let rec = LeaderRecord {
-            session_id: "s1".into(),
-            request_id: 8,
-            txid: (4 << 16) | 2,
-            prev_txid: 0,
-            path: "/m/a".into(),
-            commit: SystemCommit::default(),
-            user_update: UserUpdate::None,
-            stat: Stat::default(),
-            fires: vec![],
-            is_delete: false,
-            deregister_session: false,
-            ops: vec![
-                MultiSub {
-                    path: "/m/a".into(),
-                    user_update: UserUpdate::WriteNode {
-                        path: "/m/a".into(),
-                        payload: Payload::inline(b"1"),
-                        created_txid: 0,
-                        version: 0,
-                        children: vec![],
-                        ephemeral_owner: None,
-                        parent_children: Some(("/m".into(), vec!["a".into()])),
-                    },
-                    fires: vec![FiredWatch {
-                        watch_path: "/m/a".into(),
-                        event_type: WatchEventType::NodeCreated,
-                    }],
-                    is_delete: false,
-                    outcome: OpOutcome::Created {
-                        path: "/m/a".into(),
-                        stat: Stat::default(),
-                    },
-                },
-                MultiSub {
-                    path: "/m/b".into(),
-                    user_update: UserUpdate::DeleteNode {
-                        path: "/m/b".into(),
-                        parent_children: Some(("/m".into(), vec!["a".into()])),
-                    },
-                    fires: vec![],
-                    is_delete: true,
-                    outcome: OpOutcome::Deleted {
-                        path: "/m/b".into(),
-                    },
-                },
-                MultiSub {
-                    path: "/m/c".into(),
-                    user_update: UserUpdate::None,
-                    fires: vec![],
-                    is_delete: false,
-                    outcome: OpOutcome::Checked {
-                        stat: Stat::default(),
-                    },
-                },
-            ],
-        };
-        assert!(rec.is_multi());
-        assert_eq!(rec.fires_all().count(), 1);
-        let decoded = LeaderRecord::decode(&rec.encode()).unwrap();
-        assert_eq!(decoded, rec);
+        let [created, deleted, checked] = subs();
+        assert_roundtrip(&record(vec![checked, created, deleted]), "/m/a", 1);
     }
 
     #[test]

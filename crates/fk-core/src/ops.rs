@@ -447,10 +447,11 @@ mod tests {
     use super::*;
 
     fn raw_ok(rid: u64) -> RawWrite {
-        Ok((
-            WriteResultData::single(format!("/n{rid}"), Stat::default()),
-            rid,
-        ))
+        let op_results = vec![OpOutcome::Set {
+            path: format!("/n{rid}"),
+            stat: Stat::default(),
+        }];
+        Ok((WriteResultData { op_results }, rid))
     }
 
     #[test]

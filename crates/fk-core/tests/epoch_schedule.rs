@@ -242,8 +242,7 @@ fn committed(records: &[LeaderRecord]) -> Vec<CommittedTx<'_>> {
             msg_index,
             txid: record.txid,
             record,
-            data: data_of(&record.user_update),
-            multi_data: record
+            data: record
                 .ops
                 .iter()
                 .map(|sub| data_of(&sub.user_update))
@@ -522,7 +521,7 @@ fn operations(log: &[Call], region: usize) -> HashMap<&str, Span> {
 fn dependencies(records: &[LeaderRecord]) -> Vec<(String, String)> {
     let updates = records
         .iter()
-        .flat_map(|r| std::iter::once(&r.user_update).chain(r.ops.iter().map(|s| &s.user_update)));
+        .flat_map(|r| r.ops.iter().map(|s| &s.user_update));
     let mut pairs = Vec::new();
     for update in updates {
         match update {

@@ -1,14 +1,17 @@
 //! The follower's write planner (Algorithm 1 ➀–➁), pinned from outside:
 //!
 //! * `wire_vectors_*` — the leader-record frame a fault-free single
-//!   write pushes, byte for byte, against vectors captured at commit
-//!   `58387b3` (the last one with a planner per request shape);
+//!   write pushes, byte for byte, against vectors captured at the first
+//!   commit with one record shape (the one after `54293e5`);
+//! * `one_op_frames_*` — the frame bytes of one op against the parent
+//!   `54293e5`'s two record shapes;
 //! * `follower_request_budget_*` — the storage and queue requests one
 //!   `process_request` issues, by meter label and by phase label,
 //!   printed charge by charge under `--nocapture` (the follower's
 //!   counterpart of `leader::tests::round_trip_budget*`);
 //! * `one_verdict_per_case_whatever_the_shape` — op `X` sent as a
-//!   `WriteOp` and as `Multi[X]` is the same transaction.
+//!   `WriteOp` and as `Multi[X]` is the same transaction: the same
+//!   verdict, the same requests, the same frame.
 //!
 //! Everything runs a 2-group direct deployment on virtual time with a
 //! fixed seed, so txids, request counts and frames repeat exactly. The
@@ -17,11 +20,11 @@
 
 use fk_cloud::metering::UsageSnapshot;
 use fk_cloud::trace::{Ctx, LatencyMode, SpanRecord};
-use fk_core::api::{CreateMode, FkError, Stat};
+use fk_core::api::{CreateMode, FkError};
 use fk_core::deploy::{Deployment, DeploymentConfig};
 use fk_core::follower::Follower;
 use fk_core::messages::{
-    ClientNotification, ClientRequest, LeaderRecord, MultiOp, OpOutcome, Payload, WriteOp,
+    ClientNotification, ClientRequest, LeaderRecord, MultiOp, Payload, WriteOp,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -253,36 +256,41 @@ fn print_chain(title: &str, step: &Step) {
 // ----------------------------------------------------------------------
 
 /// Frames pushed by the seven fault-free single writes below, in order,
-/// on a fresh rig (request ids 1–7), lock timestamps zeroed. Captured at
-/// `58387b3` by this very test.
+/// on a fresh rig (request ids 1–7), lock timestamps zeroed: each is the
+/// one-op record of the write (frame version 5). Captured by this very
+/// test at the commit after `54293e5` that gave every leader record one
+/// shape. Frame bytes at `54293e5` (the single-op shape) → now:
+/// create persistent 181 → 185, create ephemeral 209 → 215, create
+/// sequential 276 → 293, set_data unconditional 137 → 141, set_data
+/// versioned 137 → 141, delete 225 → 236, delete ephemeral 168 → 168.
 const WIRE_VECTORS: [(&str, &str); 7] = [
     (
         "create persistent",
-        "fb040201730180800400022f6103076e6f64653a2f6100040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732331010374787105010764656c6574656400066e6f64653a2f00010d6368696c6472656e5f747869640401086368696c6472656e020101610000057365713a7300010c6c6173745f72657175657374000200000000022f61000276300000000001012f01016100000000020002022f6100012f03000000",
+        "fb05020173018080040003076e6f64653a2f6100040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732331010374787105010764656c6574656400066e6f64653a2f00010d6368696c6472656e5f747869640401086368696c6472656e020101610000057365713a7300010c6c6173745f7265717565737400020000000001022f6100022f61000276300000000001012f01016102022f6100012f030000022f61000000000200",
     ),
     (
         "create ephemeral",
-        "fb0402017302808008808004042f612f6503096e6f64653a2f612f6500050763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732332096570685f6f776e6572010173010374787105010764656c6574656400076e6f64653a2f6100010d6368696c6472656e5f747869640401086368696c6472656e020101650000057365713a7300010c6c6173745f72657175657374000400000000042f612f650002763000000001017301022f6101016500000000020102042f612f6500022f6103000000",
+        "fb050201730280800880800403096e6f64653a2f612f6500050763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732332096570685f6f776e6572010173010374787105010764656c6574656400076e6f64653a2f6100010d6368696c6472656e5f747869640401086368696c6472656e020101650000057365713a7300010c6c6173745f7265717565737400040000000001042f612f6500042f612f650002763000000001017301022f6101016502042f612f6500022f61030000042f612f65000000000201",
     ),
     (
         "create sequential",
-        "fb040201730381800c8080080f2f612f732d3030303030303030303003146e6f64653a2f612f732d3030303030303030303000040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732333010374787105010764656c6574656400076e6f64653a2f6100020b7365715f636f756e74657200020d6368696c6472656e5f747869640401086368696c6472656e02010c732d303030303030303030300000057365713a7300010c6c6173745f726571756573740006000000000f2f612f732d30303030303030303030000276300000000001022f610201650c732d30303030303030303030000000000200020f2f612f732d3030303030303030303000022f6103000000",
+        "fb050201730381800c80800803146e6f64653a2f612f732d3030303030303030303000040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732333010374787105010764656c6574656400076e6f64653a2f6100020b7365715f636f756e74657200020d6368696c6472656e5f747869640401086368696c6472656e02010c732d303030303030303030300000057365713a7300010c6c6173745f72657175657374000600000000010f2f612f732d30303030303030303030000f2f612f732d30303030303030303030000276300000000001022f610201650c732d30303030303030303030020f2f612f732d3030303030303030303000022f610300000f2f612f732d30303030303030303030000000000200",
     ),
     (
         "set_data unconditional",
-        "fb040201730480801081800c022f6102076e6f64653a2f6100030776657273696f6e040676636f756e740002077265715f74616701037323340103747871050000057365713a7300010c6c6173745f72657175657374000800000000022f6100027631808004020201650c732d303030303030303030300000808004000202020001022f6101000000",
+        "fb050201730480801081800c02076e6f64653a2f6100030776657273696f6e040676636f756e740002077265715f74616701037323340103747871050000057365713a7300010c6c6173745f7265717565737400080000000001022f6100022f6100027631808004020201650c732d30303030303030303030000001022f61010001022f618080040002020200",
     ),
     (
         "set_data versioned",
-        "fb0402017305808014808010022f6102076e6f64653a2f6100030776657273696f6e040676636f756e740004077265715f74616701037323350103747871050000057365713a7300010c6c6173745f72657175657374000a00000000022f6100027632808004040201650c732d303030303030303030300000808004000402020001022f6101000000",
+        "fb050201730580801480801002076e6f64653a2f6100030776657273696f6e040676636f756e740004077265715f74616701037323350103747871050000057365713a7300010c6c6173745f72657175657374000a0000000001022f6100022f6100027632808004040201650c732d30303030303030303030000001022f61010001022f618080040004020200",
     ),
     (
         "delete",
-        "fb04020173068180188080140f2f612f732d3030303030303030303003146e6f64653a2f612f732d3030303030303030303000030764656c6574656400020776657273696f6e04077265715f74616701037323360103747871050000076e6f64653a2f6100010d6368696c6472656e5f7478696404000001086368696c6472656e02010c732d30303030303030303030057365713a7300010c6c6173745f72657175657374000c000000010f2f612f732d3030303030303030303001022f61010165000000000000020f2f612f732d3030303030303030303002022f6103010000",
+        "fb050201730681801880801403146e6f64653a2f612f732d3030303030303030303000030764656c6574656400020776657273696f6e04077265715f74616701037323360103747871050000076e6f64653a2f6100010d6368696c6472656e5f7478696404000001086368696c6472656e02010c732d30303030303030303030057365713a7300010c6c6173745f72657175657374000c00000000010f2f612f732d30303030303030303030010f2f612f732d3030303030303030303001022f61010165020f2f612f732d3030303030303030303002022f610301020f2f612f732d30303030303030303030",
     ),
     (
         "delete ephemeral",
-        "fb040201730780801c818018042f612f6503096e6f64653a2f612f6500030764656c6574656400020776657273696f6e04077265715f74616701037323370103747871050000076e6f64653a2f6100010d6368696c6472656e5f7478696404000001086368696c6472656e02010165057365713a7300010c6c6173745f72657175657374000e00000001042f612f6501022f610000000000000002042f612f6502022f6103010000",
+        "fb050201730780801c81801803096e6f64653a2f612f6500030764656c6574656400020776657273696f6e04077265715f74616701037323370103747871050000076e6f64653a2f6100010d6368696c6472656e5f7478696404000001086368696c6472656e02010165057365713a7300010c6c6173745f72657175657374000e0000000001042f612f6501042f612f6501022f610002042f612f6502022f61030102042f612f65",
     ),
 ];
 
@@ -305,7 +313,6 @@ fn wire_vectors_of_single_writes_are_unchanged() {
         let [record] = &step.pushed[..] else {
             panic!("{name}: one record, got {:?}", step.pushed);
         };
-        assert!(record.ops.is_empty(), "{name}: a single-op record");
         let frame = hex(&without_clock(record).encode());
         println!("{name}: {frame}");
         if frame != expected {
@@ -313,6 +320,42 @@ fn wire_vectors_of_single_writes_are_unchanged() {
         }
     }
     assert!(moved.is_empty(), "frames moved: {moved:?}");
+}
+
+/// `(op, bytes at 54293e5 as a single-op record, as a one-op multi
+/// record, bytes now)` of one op on a seeded rig (request id 4, lock
+/// timestamps zeroed). The parent carried a single write's one sub in
+/// the record's own fields, and a one-op `multi` paid the own fields
+/// empty beside its sub.
+const FRAME_BYTES: [(&str, usize, usize, usize); 6] = [
+    ("create", 196, 216, 202),
+    ("ephemeral create", 211, 231, 217),
+    ("sequential create", 276, 318, 293),
+    ("set_data", 130, 150, 136),
+    ("set_data 128 B", 258, 278, 264),
+    ("delete", 168, 182, 168),
+];
+
+#[test]
+fn one_op_frames_are_no_larger_than_the_parents_one_op_multi() {
+    let ops = [
+        create("/p/n", CreateMode::Persistent),
+        create("/p/n", CreateMode::Ephemeral),
+        create("/p/s-", CreateMode::PersistentSequential),
+        set_data("/p/c", payload("v1"), -1),
+        set_data("/p/c", Payload::inline(&[7; 128]), -1),
+        delete("/p/c", -1),
+    ];
+    for (op, (name, single, multi, now)) in ops.into_iter().zip(FRAME_BYTES) {
+        let step = Rig::seeded().process(4, op);
+        let [record] = &step.pushed[..] else {
+            panic!("{name}: one record, got {:?}", step.pushed);
+        };
+        let bytes = without_clock(record).encode().len();
+        println!("{name}: {bytes} B (at 54293e5: {single} B single, {multi} B one-op multi)");
+        assert!(bytes <= multi, "{name}: {bytes} B");
+        assert_eq!(bytes, now, "{name}");
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -432,16 +475,6 @@ fn follower_request_budget_sequential_under_ephemeral_locks_the_parent_only() {
 // One verdict per case
 // ----------------------------------------------------------------------
 
-/// The stat a single-op record carries for `outcome`.
-fn outcome_stat(outcome: &OpOutcome) -> Stat {
-    match outcome {
-        OpOutcome::Created { stat, .. }
-        | OpOutcome::Set { stat, .. }
-        | OpOutcome::Checked { stat } => *stat,
-        OpOutcome::Deleted { .. } => Stat::default(),
-    }
-}
-
 /// The follower's own verdict on a refused request, unwrapped from the
 /// `MultiFailed { index: 0 }` a multi reports it under.
 fn refusal(step: &Step, wrapped: bool) -> Option<FkError> {
@@ -460,7 +493,8 @@ fn refusal(step: &Step, wrapped: bool) -> Option<FkError> {
     })
 }
 
-/// `single` and `multi` are the same transaction in two shapes.
+/// `single` and `multi` are the same transaction: the same verdict, the
+/// same requests and — when it pushes — the same frame.
 fn assert_same_transaction(case: &str, single: &Step, multi: &Step) {
     assert_eq!(refusal(single, false), refusal(multi, true), "{case}");
     assert_eq!(
@@ -472,21 +506,9 @@ fn assert_same_transaction(case: &str, single: &Step, multi: &Step) {
     let (Some(s), Some(m)) = (single.pushed.first(), multi.pushed.first()) else {
         return;
     };
-    let [sub] = &m.ops[..] else {
-        panic!("{case}: a one-op multi carries one sub: {m:?}");
-    };
-    assert!(s.ops.is_empty(), "{case}: a single-op record has no subs");
-    assert_eq!((s.txid, s.prev_txid), (m.txid, m.prev_txid), "{case}");
-    assert_eq!(s.path, m.path, "{case}");
-    assert_eq!(
-        without_clock(s).commit,
-        without_clock(m).commit,
-        "{case}: commit"
-    );
-    assert_eq!(s.user_update, sub.user_update, "{case}: user_update");
-    assert_eq!(s.fires, sub.fires, "{case}: fires");
-    assert_eq!(s.is_delete, sub.is_delete, "{case}: is_delete");
-    assert_eq!(s.stat, outcome_stat(&sub.outcome), "{case}: stat");
+    let (s, m) = (without_clock(s), without_clock(m));
+    assert_eq!(s, m, "{case}: record");
+    assert_eq!(hex(&s.encode()), hex(&m.encode()), "{case}: frame");
 }
 
 #[test]

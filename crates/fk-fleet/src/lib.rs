@@ -370,7 +370,8 @@ impl Fleet {
                     self.latencies_ms
                         .push(completion_ns.saturating_sub(arrival) as f64 / 1e6);
                 }
-                self.completions.push((record.path.clone(), record.txid));
+                self.completions
+                    .push((record.path().to_owned(), record.txid));
             }
         }
     }

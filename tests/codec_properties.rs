@@ -237,40 +237,27 @@ fn multi_sub() -> impl Strategy<Value = MultiSub> {
         )
 }
 
+/// The one record shape: 0..N subs, no node fields beside them.
 fn leader_record() -> impl Strategy<Value = LeaderRecord> {
     (
-        ((name(), txid(), txid(), txid()), path()),
-        (commit(), user_update(), stat()),
+        (name(), txid(), txid(), txid()),
         (
-            collection::vec((path(), event_type()), 0..3),
-            (0u8..4).prop_map(|b| (b & 1 == 1, b & 2 == 2)),
+            commit(),
+            (0u8..2).prop_map(|b| b == 1),
             collection::vec(multi_sub(), 0..4),
         ),
     )
         .prop_map(
-            |(
-                ((session_id, request_id, txid, prev_txid), path),
-                (commit, user_update, stat),
-                (fires, (is_delete, deregister_session), ops),
-            )| LeaderRecord {
-                session_id,
-                request_id,
-                txid,
-                prev_txid,
-                path,
-                commit,
-                user_update,
-                stat,
-                fires: fires
-                    .into_iter()
-                    .map(|(watch_path, event_type)| FiredWatch {
-                        watch_path,
-                        event_type,
-                    })
-                    .collect(),
-                is_delete,
-                deregister_session,
-                ops,
+            |((session_id, request_id, txid, prev_txid), (commit, deregister_session, ops))| {
+                LeaderRecord {
+                    session_id,
+                    request_id,
+                    txid,
+                    prev_txid,
+                    commit,
+                    deregister_session,
+                    ops,
+                }
             },
         )
 }

@@ -15,7 +15,7 @@
 
 use fk_core::deploy::{Deployment, DeploymentConfig};
 use fk_core::distributor::DistributorConfig;
-use fk_core::messages::{ClientNotification, WriteResultData};
+use fk_core::messages::{ClientNotification, OpOutcome, WriteResultData};
 use fk_core::{CreateMode, Stat};
 use fk_testkit::geometry;
 use proptest::prelude::*;
@@ -140,7 +140,12 @@ fn out_of_order_results_complete_in_submission_order() {
 
     let result_for = |rid: u64, txid: u64| ClientNotification::WriteResult {
         request_id: rid,
-        result: Ok(WriteResultData::single(format!("/n{rid}"), Stat::default())),
+        result: Ok(WriteResultData {
+            op_results: vec![OpOutcome::Set {
+                path: format!("/n{rid}"),
+                stat: Stat::default(),
+            }],
+        }),
         txid,
     };
     // Request 2's result arrives first: it must be buffered, not
