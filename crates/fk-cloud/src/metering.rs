@@ -28,8 +28,12 @@ pub struct UsageSnapshot {
     pub kv_ops: u64,
     /// Object store GET operations.
     pub obj_gets: u64,
-    /// Object store PUT operations.
+    /// Object store PUT operations, successful or failed on a
+    /// precondition (412; those also count under `obj_put_412` in
+    /// [`per_op`](UsageSnapshot::per_op)).
     pub obj_puts: u64,
+    /// Object store DELETE operations (not billed by the providers).
+    pub obj_deletes: u64,
     /// Bytes currently stored in the object store.
     pub obj_bytes_stored: u64,
     /// Bytes currently stored in the KV store.
@@ -81,6 +85,7 @@ impl UsageSnapshot {
             kv_ops: self.kv_ops - earlier.kv_ops,
             obj_gets: self.obj_gets - earlier.obj_gets,
             obj_puts: self.obj_puts - earlier.obj_puts,
+            obj_deletes: self.obj_deletes - earlier.obj_deletes,
             obj_bytes_stored: self.obj_bytes_stored,
             kv_bytes_stored: self.kv_bytes_stored,
             queue_messages: self.queue_messages - earlier.queue_messages,
@@ -185,6 +190,17 @@ impl Meter {
     /// Records an object PUT.
     pub fn obj_put(&self) {
         self.bump("obj_put", |s| s.obj_puts += 1);
+    }
+
+    /// Records a conditional object PUT that failed its precondition
+    /// (412): billed like any PUT, labelled `obj_put_412`.
+    pub fn obj_put_failed(&self) {
+        self.bump("obj_put_412", |s| s.obj_puts += 1);
+    }
+
+    /// Records an object DELETE.
+    pub fn obj_delete(&self) {
+        self.bump("obj_delete", |s| s.obj_deletes += 1);
     }
 
     /// Updates the object storage footprint.

@@ -3,9 +3,17 @@
 //! Whole-object PUT/GET with strong read-after-write consistency — modern
 //! object stores guarantee it (§2.1) and FaaSKeeper's Z3 depends on it.
 //! Crucially there are **no partial updates** (Requirement #6): updating a
-//! single node field forces the leader to download and re-upload the whole
-//! object, which is where a large share of the write latency in Figure 9
-//! comes from.
+//! single node field rewrites the whole object.
+//!
+//! Every stored object carries a [`Tag`], a fresh value per PUT (an S3
+//! ETag, a Cloud Storage generation), returned by [`ObjectStore::put`]
+//! and [`ObjectStore::get`]. A conditional PUT ([`ObjectStore::put_if`])
+//! writes only if the stored object still has the tag the writer names
+//! (`If-Match`), or only if there is no object yet (`If-None-Match: *`);
+//! otherwise it fails with 412 and changes nothing. A writer that knows
+//! the current tag therefore needs no download to replace an object
+//! safely; one that does not must download it first — the read half of
+//! the leader's read-modify-write in Figure 9 and Table 3.
 
 use crate::chaos::{Chaos, FaultKind};
 use crate::error::{CloudError, CloudResult};
@@ -16,13 +24,28 @@ use crate::trace::Ctx;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// An object's entity tag: unique per PUT within its bucket, never 0.
+pub type Tag = u64;
+
+/// The precondition of a conditional PUT ([`ObjectStore::put_if`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Precondition {
+    /// `If-Match`: the stored object carries this tag.
+    IfMatch(Tag),
+    /// `If-None-Match: *`: no object is stored under the key.
+    IfNoneMatch,
+}
 
 struct Inner {
     name: String,
     region: Region,
     meter: Meter,
-    objects: RwLock<BTreeMap<String, Bytes>>,
+    objects: RwLock<BTreeMap<String, (Bytes, Tag)>>,
+    /// The last tag handed out: every PUT of the bucket takes the next.
+    last_tag: AtomicU64,
     max_object_bytes: usize,
     chaos: OnceLock<Arc<Chaos>>,
 }
@@ -43,6 +66,7 @@ impl ObjectStore {
                 region,
                 meter,
                 objects: RwLock::new(BTreeMap::new()),
+                last_tag: AtomicU64::new(0),
                 max_object_bytes: 5 * 1024 * 1024 * 1024,
                 chaos: OnceLock::new(),
             }),
@@ -84,8 +108,34 @@ impl ObjectStore {
         self.inner.region
     }
 
-    /// Stores a whole object (create or replace).
-    pub fn put(&self, ctx: &Ctx, key: &str, data: Bytes) -> CloudResult<()> {
+    /// Stores a whole object (create or replace); returns its new tag.
+    pub fn put(&self, ctx: &Ctx, key: &str, data: Bytes) -> CloudResult<Tag> {
+        self.store(ctx, key, data, None)
+    }
+
+    /// Stores a whole object if `precondition` holds and returns its new
+    /// tag. A failed precondition (412) is
+    /// [`CloudError::ConditionFailed`]: the object is unchanged, and the
+    /// request is billed and charged as a PUT, counted under
+    /// `obj_put_412`. Injected faults roll before the precondition is
+    /// evaluated, as for every other request.
+    pub fn put_if(
+        &self,
+        ctx: &Ctx,
+        key: &str,
+        data: Bytes,
+        precondition: Precondition,
+    ) -> CloudResult<Tag> {
+        self.store(ctx, key, data, Some(precondition))
+    }
+
+    fn store(
+        &self,
+        ctx: &Ctx,
+        key: &str,
+        data: Bytes,
+        precondition: Option<Precondition>,
+    ) -> CloudResult<Tag> {
         if data.len() > self.inner.max_object_bytes {
             return Err(CloudError::PayloadTooLarge {
                 size: data.len(),
@@ -94,25 +144,45 @@ impl ObjectStore {
         }
         self.chaos_error(ctx, Op::ObjPut)?;
         let size = data.len();
-        let old = self.inner.objects.write().insert(key.to_owned(), data);
-        let old_size = old.map(|b| b.len()).unwrap_or(0);
+        let mut objects = self.inner.objects.write();
+        let current = objects.get(key).map(|(_, tag)| *tag);
+        let holds = match precondition {
+            None => true,
+            Some(Precondition::IfMatch(tag)) => current == Some(tag),
+            Some(Precondition::IfNoneMatch) => current.is_none(),
+        };
+        if !holds {
+            drop(objects);
+            self.inner.meter.obj_put_failed();
+            ctx.charge_to(Op::ObjPut, size, self.inner.region);
+            return Err(CloudError::ConditionFailed {
+                detail: format!(
+                    "412 {precondition:?} on {}/{key} (stored: {current:?})",
+                    self.inner.name
+                ),
+            });
+        }
+        let tag = self.inner.last_tag.fetch_add(1, Ordering::Relaxed) + 1;
+        let old = objects.insert(key.to_owned(), (data, tag));
+        drop(objects);
+        let old_size = old.map(|(b, _)| b.len()).unwrap_or(0);
         self.inner.meter.obj_put();
         self.inner
             .meter
             .obj_stored_delta(size as i64 - old_size as i64);
         ctx.charge_to(Op::ObjPut, size, self.inner.region);
-        Ok(())
+        Ok(tag)
     }
 
-    /// Fetches a whole object.
-    pub fn get(&self, ctx: &Ctx, key: &str) -> CloudResult<Bytes> {
+    /// Fetches a whole object and its tag.
+    pub fn get(&self, ctx: &Ctx, key: &str) -> CloudResult<(Bytes, Tag)> {
         self.chaos_error(ctx, Op::ObjGet)?;
-        let data = self.inner.objects.read().get(key).cloned();
+        let object = self.inner.objects.read().get(key).cloned();
         self.inner.meter.obj_get();
-        match data {
-            Some(bytes) => {
+        match object {
+            Some((bytes, tag)) => {
                 ctx.charge_to(Op::ObjGet, bytes.len(), self.inner.region);
-                Ok(bytes)
+                Ok((bytes, tag))
             }
             None => {
                 ctx.charge_to(Op::ObjGet, 1, self.inner.region);
@@ -123,12 +193,13 @@ impl ObjectStore {
         }
     }
 
-    /// Deletes an object (idempotent, like S3).
+    /// Deletes an object (idempotent, like S3). Metered as a DELETE,
+    /// which object stores do not bill.
     pub fn delete(&self, ctx: &Ctx, key: &str) -> CloudResult<()> {
         self.chaos_error(ctx, Op::ObjDelete)?;
         let old = self.inner.objects.write().remove(key);
-        let old_size = old.map(|b| b.len()).unwrap_or(0);
-        self.inner.meter.obj_put();
+        let old_size = old.map(|(b, _)| b.len()).unwrap_or(0);
+        self.inner.meter.obj_delete();
         self.inner.meter.obj_stored_delta(-(old_size as i64));
         ctx.charge_to(Op::ObjDelete, old_size.max(1), self.inner.region);
         Ok(())
@@ -166,7 +237,7 @@ impl ObjectStore {
             .read()
             .range(prefix.to_owned()..)
             .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, (v, _))| (k.clone(), v.clone()))
             .collect();
         // The LIST.
         self.inner.meter.obj_get();
@@ -212,7 +283,7 @@ mod tests {
         let (os, ctx, _) = bucket();
         os.put(&ctx, "/node/a", Bytes::from_static(b"hello"))
             .unwrap();
-        assert_eq!(os.get(&ctx, "/node/a").unwrap().as_ref(), b"hello");
+        assert_eq!(os.get(&ctx, "/node/a").unwrap().0.as_ref(), b"hello");
     }
 
     #[test]
@@ -226,7 +297,7 @@ mod tests {
         let (os, ctx, _) = bucket();
         os.put(&ctx, "k", Bytes::from_static(b"aaaa")).unwrap();
         os.put(&ctx, "k", Bytes::from_static(b"b")).unwrap();
-        assert_eq!(os.get(&ctx, "k").unwrap().as_ref(), b"b");
+        assert_eq!(os.get(&ctx, "k").unwrap().0.as_ref(), b"b");
     }
 
     #[test]
@@ -261,5 +332,116 @@ mod tests {
         assert_eq!(s.obj_puts, 2);
         assert_eq!(s.obj_gets, 1);
         assert_eq!(s.obj_bytes_stored, 40);
+    }
+
+    #[test]
+    fn every_put_gets_a_fresh_tag_and_get_returns_it() {
+        let (os, ctx, _) = bucket();
+        let first = os.put(&ctx, "k", Bytes::from_static(b"a")).unwrap();
+        let other = os.put(&ctx, "j", Bytes::from_static(b"a")).unwrap();
+        let second = os.put(&ctx, "k", Bytes::from_static(b"a")).unwrap();
+        assert!(first != 0 && first != second && other != second);
+        assert_eq!(
+            os.get(&ctx, "k").unwrap(),
+            (Bytes::from_static(b"a"), second)
+        );
+    }
+
+    #[test]
+    fn if_match_writes_only_over_the_named_tag() {
+        let (os, ctx, meter) = bucket();
+        let tag = os.put(&ctx, "k", Bytes::from_static(b"a")).unwrap();
+        let next = os
+            .put_if(
+                &ctx,
+                "k",
+                Bytes::from_static(b"b"),
+                Precondition::IfMatch(tag),
+            )
+            .unwrap();
+        assert_eq!(os.get(&ctx, "k").unwrap(), (Bytes::from_static(b"b"), next));
+
+        // The stale tag: 412, the object is unchanged, and the request is
+        // billed as a PUT under its own label.
+        let before = meter.snapshot();
+        let stale = Precondition::IfMatch(tag);
+        let err = os
+            .put_if(&ctx, "k", Bytes::from_static(b"c"), stale)
+            .unwrap_err();
+        assert!(err.is_condition_failed(), "{err}");
+        assert_eq!(os.get(&ctx, "k").unwrap(), (Bytes::from_static(b"b"), next));
+        let used = meter.snapshot().since(&before);
+        assert_eq!(used.obj_puts, 1, "a 412 bills as a PUT");
+        assert_eq!(used.per_op["obj_put_412"], 1);
+        assert_eq!(used.per_op.get("obj_put").copied().unwrap_or(0), 0);
+        // A missing object matches no tag.
+        let missing = os.put_if(&ctx, "m", Bytes::new(), Precondition::IfMatch(next));
+        assert!(missing.unwrap_err().is_condition_failed());
+        assert!(os.get(&ctx, "m").unwrap_err().is_not_found());
+    }
+
+    #[test]
+    fn if_none_match_creates_only() {
+        let (os, ctx, _) = bucket();
+        let tag = os
+            .put_if(
+                &ctx,
+                "k",
+                Bytes::from_static(b"a"),
+                Precondition::IfNoneMatch,
+            )
+            .unwrap();
+        let again = os.put_if(
+            &ctx,
+            "k",
+            Bytes::from_static(b"b"),
+            Precondition::IfNoneMatch,
+        );
+        assert!(again.unwrap_err().is_condition_failed());
+        assert_eq!(os.get(&ctx, "k").unwrap(), (Bytes::from_static(b"a"), tag));
+        // After a delete the key is free again.
+        os.delete(&ctx, "k").unwrap();
+        os.put_if(
+            &ctx,
+            "k",
+            Bytes::from_static(b"c"),
+            Precondition::IfNoneMatch,
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn injected_faults_roll_before_the_precondition() {
+        use crate::chaos::{FaultPlan, FaultSpec};
+        let (os, ctx, meter) = bucket();
+        let tag = os.put(&ctx, "k", Bytes::from_static(b"a")).unwrap();
+        let mut plan = FaultPlan::disabled();
+        plan.obj_error = FaultSpec::new(1.0, 1);
+        os.install_chaos(Chaos::from_plan(plan).expect("one fault point armed"));
+        let put = || {
+            os.put_if(
+                &ctx,
+                "k",
+                Bytes::from_static(b"b"),
+                Precondition::IfMatch(tag),
+            )
+        };
+        let err = put().unwrap_err();
+        assert!(err.is_retryable() && !err.is_condition_failed(), "{err}");
+        assert_eq!(meter.snapshot().per_op.get("obj_put_412"), None);
+        // The retry names the same tag and lands: the fault changed nothing.
+        put().unwrap();
+        assert_eq!(os.get(&ctx, "k").unwrap().0.as_ref(), b"b");
+    }
+
+    #[test]
+    fn a_delete_is_metered_as_a_delete_not_a_put() {
+        let (os, ctx, meter) = bucket();
+        os.put(&ctx, "k", Bytes::from_static(b"x")).unwrap();
+        let before = meter.snapshot();
+        os.delete(&ctx, "k").unwrap();
+        os.delete(&ctx, "k").unwrap();
+        let used = meter.snapshot().since(&before);
+        assert_eq!((used.obj_deletes, used.obj_puts), (2, 0));
     }
 }

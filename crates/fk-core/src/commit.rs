@@ -12,8 +12,10 @@
 //! request is reported as failed without corrupting newer state.
 
 use crate::messages::{CommitItem, SystemCommit};
+use crate::system_store::record_tags;
 use fk_cloud::expr::{Condition, Update};
 use fk_cloud::kvstore::{KvStore, TransactOp};
+use fk_cloud::objectstore::Tag;
 use fk_cloud::trace::Ctx;
 use fk_cloud::CloudResult;
 use fk_sync::LOCK_ATTR;
@@ -92,6 +94,11 @@ pub fn execute(commit: &SystemCommit, txid: u64, ctx: &Ctx, kv: &KvStore) -> Clo
     }
 }
 
+/// One node's share of an epoch's pops: its path, the txids to pop in
+/// queue order, and the object tags the epoch's write of it left (one
+/// per region), which the same update records ([`record_tags`]).
+pub type Pop<'a> = (&'a str, &'a [u64], &'a [Tag]);
+
 /// Pops `txids` from the front of a node's pending-transaction queue
 /// (Algorithm 2 ➎) with batch coalescing: when the queue head matches the
 /// first txid — the common case, since per-node txq order equals txid
@@ -99,7 +106,8 @@ pub fn execute(commit: &SystemCommit, txid: u64, ctx: &Ctx, kv: &KvStore) -> Clo
 /// round trip per transaction. After a partial redelivery the head may
 /// already be past some txids; the fallback then pops each remaining txid
 /// individually and idempotently, exactly like the sequential leader.
-pub fn pop_pending(kv: &KvStore, ctx: &Ctx, path: &str, txids: &[u64]) -> CloudResult<()> {
+/// Every update that pops also leaves `tags` on record.
+pub fn pop_pending(kv: &KvStore, ctx: &Ctx, (path, txids, tags): Pop<'_>) -> CloudResult<()> {
     use crate::system_store::{keys, node_attr};
     use fk_cloud::value::Value;
     use fk_cloud::CloudError;
@@ -108,7 +116,10 @@ pub fn pop_pending(kv: &KvStore, ctx: &Ctx, path: &str, txids: &[u64]) -> CloudR
     }
     let key = keys::node(path);
     let head = Condition::ListHeadEq(node_attr::TXQ.into(), Value::Num(txids[0] as i64));
-    let pop_all = Update::new().list_pop_front(node_attr::TXQ, txids.len());
+    let pop_all = record_tags(
+        tags,
+        Update::new().list_pop_front(node_attr::TXQ, txids.len()),
+    );
     match kv.update(ctx, &key, &pop_all, head) {
         Ok(_) => return Ok(()),
         Err(CloudError::ConditionFailed { .. }) => {}
@@ -118,7 +129,7 @@ pub fn pop_pending(kv: &KvStore, ctx: &Ctx, path: &str, txids: &[u64]) -> CloudR
     // head, one at a time; already-popped entries fail the guard and are
     // skipped (idempotent).
     for txid in txids {
-        let one = Update::new().list_pop_front(node_attr::TXQ, 1);
+        let one = record_tags(tags, Update::new().list_pop_front(node_attr::TXQ, 1));
         let cond = Condition::ListHeadEq(node_attr::TXQ.into(), Value::Num(*txid as i64));
         match kv.update(ctx, &key, &one, cond) {
             Ok(_) | Err(CloudError::ConditionFailed { .. }) => {}
@@ -133,25 +144,32 @@ pub fn pop_pending(kv: &KvStore, ctx: &Ctx, path: &str, txids: &[u64]) -> CloudR
 /// capped at [`crate::system_store::TRANSACT_MAX_ITEMS`] entries by the
 /// caller): each item pops its path's txids guarded by its own
 /// queue-head condition — the same guard the per-path pop uses, so the
-/// Z-invariants are unchanged. In the common case the whole epoch's
-/// pops cost one write request. A single stale head (a redelivered
-/// epoch whose earlier delivery already popped) cancels the chunk; the
-/// fallback then runs the per-path pops, whose per-txid legs are
-/// idempotent.
-pub fn pop_pending_batch(kv: &KvStore, ctx: &Ctx, entries: &[(&str, &[u64])]) -> CloudResult<()> {
+/// Z-invariants are unchanged — and records its tags. In the common
+/// case the whole epoch's pops cost one write request. A single stale
+/// head (a redelivered epoch whose earlier delivery already popped)
+/// cancels the chunk; the fallback then runs the per-path pops, whose
+/// per-txid legs are idempotent.
+pub fn pop_pending_batch(kv: &KvStore, ctx: &Ctx, entries: &[Pop<'_>]) -> CloudResult<()> {
     use crate::system_store::{keys, node_attr};
     use fk_cloud::value::Value;
     use fk_cloud::CloudError;
-    let entries: Vec<&(&str, &[u64])> = entries.iter().filter(|(_, t)| !t.is_empty()).collect();
+    let entries: Vec<Pop<'_>> = entries
+        .iter()
+        .copied()
+        .filter(|(_, txids, _)| !txids.is_empty())
+        .collect();
     match entries.as_slice() {
         [] => Ok(()),
-        [(path, txids)] => pop_pending(kv, ctx, path, txids),
+        [single] => pop_pending(kv, ctx, *single),
         many => {
             let ops: Vec<TransactOp> = many
                 .iter()
-                .map(|(path, txids)| TransactOp::Update {
+                .map(|(path, txids, tags)| TransactOp::Update {
                     key: keys::node(path),
-                    update: Update::new().list_pop_front(node_attr::TXQ, txids.len()),
+                    update: record_tags(
+                        tags,
+                        Update::new().list_pop_front(node_attr::TXQ, txids.len()),
+                    ),
                     condition: Condition::ListHeadEq(
                         node_attr::TXQ.into(),
                         Value::Num(txids[0] as i64),
@@ -165,8 +183,8 @@ pub fn pop_pending_batch(kv: &KvStore, ctx: &Ctx, entries: &[(&str, &[u64])]) ->
                     // txid (partial redelivery). Nothing was applied —
                     // finish with per-path pops, which skip
                     // already-popped txids idempotently.
-                    for (path, txids) in many {
-                        pop_pending(kv, ctx, path, txids)?;
+                    for pop in many {
+                        pop_pending(kv, ctx, *pop)?;
                     }
                     Ok(())
                 }
@@ -184,6 +202,9 @@ mod tests {
     use fk_cloud::value::{Item, Value};
     use fk_cloud::{Consistency, Region};
     use fk_sync::TimedLockManager;
+
+    /// No object tags to record.
+    const NONE: &[Tag] = &[];
 
     fn setup() -> (KvStore, TimedLockManager, Ctx) {
         let kv = KvStore::new("sys", Region::US_EAST_1, Meter::new());
@@ -290,7 +311,7 @@ mod tests {
         let (kv, meter, ctx) = pending(&[("/n", &[3, 4, 5, 9])]);
         // Batched pop of a contiguous head run: single update.
         let before = meter.snapshot().kv_ops;
-        pop_pending(&kv, &ctx, "/n", &[3, 4, 5]).unwrap();
+        pop_pending(&kv, &ctx, ("/n", &[3, 4, 5], NONE)).unwrap();
         assert_eq!(meter.snapshot().kv_ops - before, 1, "one coalesced update");
         assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(9)]);
     }
@@ -299,10 +320,10 @@ mod tests {
     fn pop_pending_falls_back_after_partial_redelivery() {
         // Head 3 already popped by the pre-crash delivery; 4 and 5 remain.
         let (kv, _meter, ctx) = pending(&[("/n", &[4, 5])]);
-        pop_pending(&kv, &ctx, "/n", &[3, 4, 5]).unwrap();
+        pop_pending(&kv, &ctx, ("/n", &[3, 4, 5], NONE)).unwrap();
         assert_eq!(txq_of(&kv, &ctx, "/n"), []);
         // Fully popped already: a second call is a no-op.
-        pop_pending(&kv, &ctx, "/n", &[3, 4, 5]).unwrap();
+        pop_pending(&kv, &ctx, ("/n", &[3, 4, 5], NONE)).unwrap();
     }
 
     #[test]
@@ -313,7 +334,7 @@ mod tests {
         let stored: Vec<(&str, &[i64])> =
             paths.iter().map(|p| (p.as_str(), &[7, 99][..])).collect();
         let (kv, meter, ctx) = pending(&stored);
-        let entries: Vec<(&str, &[u64])> = paths.iter().map(|p| (p.as_str(), &[7][..])).collect();
+        let entries: Vec<Pop<'_>> = paths.iter().map(|p| (p.as_str(), &[7][..], NONE)).collect();
 
         // A full chunk is one transaction and nothing else.
         let before = meter.snapshot();
@@ -328,12 +349,12 @@ mod tests {
         // No entries (or only empty ones): no request at all.
         let before = meter.snapshot();
         pop_pending_batch(&kv, &ctx, &[]).unwrap();
-        pop_pending_batch(&kv, &ctx, &[("/n0", &[]), ("/n1", &[])]).unwrap();
+        pop_pending_batch(&kv, &ctx, &[("/n0", &[], NONE), ("/n1", &[], NONE)]).unwrap();
         assert_eq!(meter.snapshot().since(&before).kv_ops, 0);
 
         // One effective entry: the single-path conditional update.
         let before = meter.snapshot();
-        pop_pending_batch(&kv, &ctx, &[("/n0", &[99]), ("/n1", &[])]).unwrap();
+        pop_pending_batch(&kv, &ctx, &[("/n0", &[99], NONE), ("/n1", &[], NONE)]).unwrap();
         let used = meter.snapshot().since(&before);
         assert_eq!(used.per_op["kv_write"], 1);
         assert_eq!(used.per_op["kv_transact"], 0);
@@ -344,7 +365,11 @@ mod tests {
     fn pop_pending_batch_falls_back_on_a_stale_head() {
         // `/b`'s 4 was popped by an earlier delivery of the same epoch.
         let (kv, meter, ctx) = pending(&[("/a", &[3, 8]), ("/b", &[6]), ("/c", &[5, 7])]);
-        let entries: [(&str, &[u64]); 3] = [("/a", &[3]), ("/b", &[4, 6]), ("/c", &[5])];
+        let entries: [Pop<'_>; 3] = [
+            ("/a", &[3], NONE),
+            ("/b", &[4, 6], NONE),
+            ("/c", &[5], NONE),
+        ];
         let before = meter.snapshot();
         pop_pending_batch(&kv, &ctx, &entries).unwrap();
         let used = meter.snapshot().since(&before);
@@ -361,6 +386,37 @@ mod tests {
         assert_eq!(txq_of(&kv, &ctx, "/a"), [Value::Num(8)]);
         assert_eq!(txq_of(&kv, &ctx, "/b"), []);
         assert_eq!(txq_of(&kv, &ctx, "/c"), [Value::Num(7)]);
+    }
+
+    /// The pop records the tags its epoch's write left — in the
+    /// coalesced update, in a transaction item, and in the per-txid
+    /// fallback legs — and an empty set removes older ones, all without
+    /// a request of its own.
+    #[test]
+    fn pops_record_the_tags_without_extra_requests() {
+        use crate::system_store::{keys, node_attr, ObjTags};
+        let tagged: &[Tag] = &[41];
+        let tags_of = |kv: &KvStore, ctx: &Ctx, path: &str| {
+            ObjTags::of(kv.get(ctx, &keys::node(path), Consistency::Strong).as_ref()).tags
+        };
+        let (kv, meter, ctx) = pending(&[("/a", &[3, 4]), ("/b", &[5]), ("/c", &[6, 7])]);
+        let before = meter.snapshot();
+        pop_pending(&kv, &ctx, ("/a", &[3], tagged)).unwrap();
+        pop_pending_batch(&kv, &ctx, &[("/b", &[5], tagged), ("/c", &[6], tagged)]).unwrap();
+        let used = meter.snapshot().since(&before);
+        assert_eq!(used.kv_ops, 2, "one update and one transaction");
+        for path in ["/a", "/b", "/c"] {
+            assert_eq!(tags_of(&kv, &ctx, path), [41], "{path}");
+        }
+        // A stale head: the per-txid legs record the tags too.
+        pop_pending(&kv, &ctx, ("/a", &[3, 4], &[42])).unwrap();
+        assert_eq!(tags_of(&kv, &ctx, "/a"), [42]);
+        // Nothing to record: the pop removes what was there.
+        pop_pending(&kv, &ctx, ("/c", &[7], NONE)).unwrap();
+        let item = kv
+            .get(&ctx, &keys::node("/c"), Consistency::Strong)
+            .unwrap();
+        assert!(!item.contains(node_attr::TAGS));
     }
 
     #[test]

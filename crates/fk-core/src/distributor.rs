@@ -30,14 +30,18 @@
 //!      disappears before its parent stops listing it).
 //!
 //!    Beyond those, an operation takes the first worker to free up,
-//!    critical path first. Every write is a read-merge-write under a
-//!    path stripe, so the same schedule is correct at every tier width:
-//!    with one shard group the merges never meet a concurrent writer.
+//!    critical path first. A node write whose object tag is on record in
+//!    system storage is one conditional PUT (`If-Match`), a create one
+//!    `If-None-Match` PUT; every other write — and one whose precondition
+//!    failed — is a read-merge-write under a path stripe, so the same
+//!    schedule is correct at every tier width: with one shard group the
+//!    merges never meet a concurrent writer.
 //! 4. **Ordered finalization** — a single epoch-counter bump per region
 //!    publishes all watch ids fired by the epoch before any later
 //!    transaction commits (Z4), the per-node pending queues are popped in
 //!    chunked ≤ 25-item transactions with per-item head guards
-//!    ([`crate::commit::pop_pending_batch`]), and client notifications go
+//!    ([`crate::commit::pop_pending_batch`]) that also record the object
+//!    tags the epoch's writes left, and client notifications go
 //!    out per session in txid order (Z2), the sessions in parallel.
 //!
 //! The formal serverless model of Gabbrielli et al. ("No more, no less")
@@ -47,12 +51,13 @@
 //! (`tests/consistency_properties.rs`) check end to end.
 
 use crate::messages::{LeaderRecord, UserUpdate};
-use crate::system_store::SystemStore;
+use crate::system_store::{ObjTags, SystemStore};
 use crate::user_store::{NodeRecord, UserStore};
 use bytes::Bytes;
+use fk_cloud::objectstore::{Precondition, Tag};
 use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
-use fk_cloud::{CloudResult, Meter, Region};
+use fk_cloud::{CloudError, CloudResult, Meter, Region};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -158,7 +163,22 @@ pub struct CommittedTx<'a> {
     /// high-water mark yet. [`Distributor::feed_high_water`] publishes
     /// it once the record's message is acknowledged in a prefix.
     pub ahead: bool,
+    /// The object tags on record for the record's node
+    /// (`record.path()`), as the leader's read of its node item found
+    /// them. If an earlier epoch of the same batch wrote the path, they
+    /// are stale: the `If-Match` fails and the write falls back to the
+    /// read-merge-write.
+    pub tags: ObjTags,
 }
+
+/// The object tags an epoch's apply left, by path, for every path it
+/// wrote, deleted or rewrote ([`Distributor::apply_epoch`]): one per
+/// region, 0 where no write recorded one.
+pub type EpochTags = HashMap<String, Vec<Tag>>;
+
+/// What one store operation leaves on record for its path in its
+/// region: the new object's tag, if it replaced an existing object.
+type Written = Option<Tag>;
 
 /// One storage effect of a transaction, keyed by the path it touches.
 ///
@@ -282,9 +302,14 @@ where
 /// read-modify-write the *same* node record concurrently (a parent's
 /// children list is rewritten by its children's creates and deletes,
 /// which live on the children's shard groups); the stripe makes each
-/// RMW atomic. It stands in for the conditional-write / ETag retry loop
-/// a real multi-leader deployment would run against DynamoDB or S3 —
-/// storage charges are identical, only the interleaving is bounded.
+/// RMW atomic. For those RMWs it stands in for the conditional-write /
+/// ETag retry loop a real multi-leader deployment would run — storage
+/// charges are identical, only the interleaving is bounded. Node writes
+/// with a tag on record, and creates, use the real thing: one
+/// conditional PUT the object store itself guards. The stripe stays for
+/// backends without tags and for the read-merge-write fallback, whose
+/// PUT is unconditional, so the conditional PUTs take it too: a rewrite
+/// can then never land between its own read and a conditional write.
 pub struct PathLockSet {
     stripes: Vec<parking_lot::Mutex<()>>,
 }
@@ -438,23 +463,43 @@ impl Distributor {
     /// it). Each region's plan (`build_epoch_plan`) schedules exactly
     /// those edges on `shards` workers (`run_plans`), and the same plans
     /// then feed the replica tier.
+    ///
+    /// A node write names its object's tag when the record's
+    /// [`CommittedTx::tags`] hold one for that region (see
+    /// `write_record`).
+    /// Returns the tags the epoch's writes left, for
+    /// [`Distributor::finalize_epoch`] to record.
     pub fn apply_epoch(
         &self,
         ctx: &Ctx,
         items: &[CommittedTx<'_>],
         marks: &[Arc<Vec<u64>>],
-    ) -> CloudResult<()> {
+    ) -> CloudResult<EpochTags> {
         if items.is_empty() {
-            return Ok(());
+            return Ok(EpochTags::new());
         }
         let effects: Vec<Effect<'_>> = items.iter().flat_map(effects_of).collect();
         let plans: Vec<EpochPlan> = marks
             .iter()
             .map(|region_marks| build_epoch_plan(&effects, region_marks))
             .collect();
-        self.run_plans(ctx, marks, &plans)?;
+        let known: HashMap<&str, &ObjTags> = items
+            .iter()
+            .map(|tx| (tx.record.path(), &tx.tags))
+            .collect();
+        let written = self.run_plans(ctx, marks, &plans, &known)?;
         self.feed_replicas(ctx, items, marks, &plans);
-        Ok(())
+        let mut tags = EpochTags::new();
+        for (region_idx, (plan, written)) in plans.iter().zip(written).enumerate() {
+            for (op, written) in plan.ops.iter().zip(written) {
+                let entry = tags.entry(op.path().to_owned()).or_default();
+                if let Some(tag) = written {
+                    entry.resize(plans.len(), 0);
+                    entry[region_idx] = tag;
+                }
+            }
+        }
+        Ok(tags)
     }
 
     /// Folds the epoch into one [`crate::replica::EpochDelta`] per
@@ -565,13 +610,13 @@ impl Distributor {
     /// transactions all route to one group), but with more than one
     /// shard group a parent's children list is rewritten from its
     /// children's groups, so plain last-write-wins would let a stale list
-    /// clobber a newer one. Every store write is therefore a
+    /// clobber a newer one. Every store write therefore either names the
+    /// object it replaces (a conditional PUT, `write_record`) or is a
     /// read-merge-write under the shared [`PathLockSet`] stripe: children
     /// lists are kept from whichever side carries the larger
     /// `children_txid` (lists grow cumulatively under the parent's
     /// follower lock, so the larger txid is the current truth), and
-    /// `modified_txid` never regresses. The read half is the one an
-    /// object store's whole-record rewrite pays anyway.
+    /// `modified_txid` never regresses.
     ///
     /// Each region's plan runs on its own `shards` workers
     /// ([`EpochPlan::run`]); every region's workers are forked here, up
@@ -579,13 +624,15 @@ impl Distributor {
     /// overlap and the epoch costs the slowest of them. A failed operation
     /// stops its region's schedule (nothing that depends on it runs); the
     /// other regions still run, and the first error in region order is
-    /// returned.
+    /// returned. Returns, per region, what each op left on record
+    /// (aligned with the plan's ops).
     fn run_plans(
         &self,
         ctx: &Ctx,
         marks: &[Arc<Vec<u64>>],
         plans: &[EpochPlan],
-    ) -> CloudResult<()> {
+        known: &HashMap<&str, &ObjTags>,
+    ) -> CloudResult<Vec<Vec<Written>>> {
         let workers: Vec<Vec<Ctx>> = plans
             .iter()
             .map(|plan| {
@@ -593,45 +640,97 @@ impl Distributor {
                 (0..width).map(|_| ctx.fork()).collect()
             })
             .collect();
-        let mut outcome = Ok(());
-        for (region_idx, plan) in plans.iter().enumerate() {
-            let store = self.user_stores[region_idx].as_ref();
-            let ran = plan.run(&workers[region_idx], |worker, op| match op {
-                PlanOp::Write(record) | PlanOp::ChildrenWrite(record) => {
-                    self.write_merged(worker, store, record)
-                }
-                PlanOp::Rewrite {
-                    parent,
-                    children,
-                    txid,
-                } => self.rewrite_children(
-                    worker,
-                    store,
-                    parent,
-                    children,
-                    *txid,
-                    &marks[region_idx],
-                ),
-                // Deletion is idempotent; the retry re-takes the stripe so
-                // a racing group's rewrite observes either the record or
-                // its absence, never a torn interleaving.
-                PlanOp::Delete(path) => with_retry(
-                    worker,
-                    self.meter(),
-                    &RetryPolicy::standard(),
-                    "dist.delete",
-                    || {
-                        let _stripe = self.locks.lock(path);
-                        store.delete_node(worker, path)
-                    },
-                ),
-            });
-            outcome = outcome.and(ran);
-        }
+        let ran: Vec<CloudResult<Vec<Written>>> = plans
+            .iter()
+            .enumerate()
+            .map(|(region_idx, plan)| {
+                let store = self.user_stores[region_idx].as_ref();
+                plan.run(&workers[region_idx], |worker, op| match op {
+                    PlanOp::Write(record) | PlanOp::ChildrenWrite(record) => {
+                        let tags = known.get(record.path.as_str());
+                        let tag = tags.and_then(|tags| tags.tag_for(region_idx, record));
+                        self.write_record(worker, store, record, tag)
+                    }
+                    PlanOp::Rewrite {
+                        parent,
+                        children,
+                        txid,
+                    } => self
+                        .rewrite_children(
+                            worker,
+                            store,
+                            parent,
+                            children,
+                            *txid,
+                            &marks[region_idx],
+                        )
+                        .map(|()| None),
+                    // Deletion is idempotent; the retry re-takes the stripe so
+                    // a racing group's rewrite observes either the record or
+                    // its absence, never a torn interleaving.
+                    PlanOp::Delete(path) => with_retry(
+                        worker,
+                        self.meter(),
+                        &RetryPolicy::standard(),
+                        "dist.delete",
+                        || {
+                            let _stripe = self.locks.lock(path);
+                            store.delete_node(worker, path)
+                        },
+                    )
+                    .map(|()| None),
+                })
+            })
+            .collect();
         for region in &workers {
             ctx.join(region);
         }
-        outcome
+        ran.into_iter().collect()
+    }
+
+    /// Writes one node record. A create is one `If-None-Match` PUT and a
+    /// record whose object `tag` is on record one `If-Match` PUT: no
+    /// download (Table 3's Update Node without its GET). Everything else
+    /// — no tag, a failed precondition (412, a concurrent writer got
+    /// there first), a backend without tags — falls back to the
+    /// read-merge-write. A 412 is a fallback, not a retry: nothing was
+    /// written, and the merge reads what the other writer stored.
+    ///
+    /// A create leaves no tag on record; a write that replaced an
+    /// existing object leaves its new tag.
+    fn write_record(
+        &self,
+        ctx: &Ctx,
+        store: &dyn UserStore,
+        record: &NodeRecord,
+        tag: Option<Tag>,
+    ) -> CloudResult<Written> {
+        let create = record.created_txid == record.modified_txid;
+        let precondition = match tag {
+            _ if create => Some(Precondition::IfNoneMatch),
+            Some(tag) => Some(Precondition::IfMatch(tag)),
+            None => None,
+        };
+        if let Some(precondition) = precondition {
+            // Injected faults fire before the precondition is evaluated,
+            // so a retry names the same tag against an unchanged object.
+            let put = with_retry(
+                ctx,
+                self.meter(),
+                &RetryPolicy::standard(),
+                "dist.write_tagged",
+                || {
+                    let _stripe = self.locks.lock(&record.path);
+                    store.write_node_if(ctx, record, precondition)
+                },
+            );
+            match put {
+                Ok(Some(tag)) => return Ok((!create).then_some(tag)),
+                Ok(None) | Err(CloudError::ConditionFailed { .. }) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.write_merged(ctx, store, record)
     }
 
     /// Writes one node record, merging a concurrently-applied newer
@@ -642,7 +741,7 @@ impl Distributor {
         ctx: &Ctx,
         store: &dyn UserStore,
         record: &NodeRecord,
-    ) -> CloudResult<()> {
+    ) -> CloudResult<Written> {
         // The whole read-merge-write repeats under retry (stripe
         // re-taken, base re-read), so a transient failure on either half
         // never leaves a half-merged record behind.
@@ -654,6 +753,7 @@ impl Distributor {
             || {
                 let _stripe = self.locks.lock(&record.path);
                 let base = store.read_node(ctx, &record.path)?;
+                let replaced = base.is_some();
                 let mut record = record.clone();
                 if let Some(base) = base {
                     if base.children_txid > record.children_txid {
@@ -662,7 +762,8 @@ impl Distributor {
                     }
                     record.modified_txid = record.modified_txid.max(base.modified_txid);
                 }
-                store.replace_node(ctx, &record)
+                let tag = store.replace_node(ctx, &record)?;
+                Ok(tag.filter(|_| replaced))
             },
         )
     }
@@ -702,14 +803,15 @@ impl Distributor {
                         record.children_txid = txid;
                         record.modified_txid = record.modified_txid.max(txid);
                         record.epoch_marks = Arc::clone(marks);
-                        store.replace_node(ctx, &record)
+                        store.replace_node(ctx, &record).map(drop)
                     }
                     None => {
                         let item = self.system.get_node(ctx, parent);
                         if !SystemStore::node_exists(item.as_ref()) {
                             return Ok(());
                         }
-                        store.replace_node(ctx, &stub_record(parent, children, txid, marks))
+                        let stub = stub_record(parent, children, txid, marks);
+                        store.replace_node(ctx, &stub).map(drop)
                     }
                 }
             },
@@ -721,8 +823,15 @@ impl Distributor {
     /// user-store access. The per-path pops coalesce across paths into
     /// chunked ≤ 25-item transactions with per-item head guards
     /// ([`crate::commit::pop_pending_batch`]): N distinct paths per epoch
-    /// cost ⌈N/25⌉ write requests.
-    pub fn finalize_epoch(&self, ctx: &Ctx, items: &[CommittedTx<'_>]) -> CloudResult<()> {
+    /// cost ⌈N/25⌉ write requests. Each pop also leaves on its node item
+    /// the object tags the epoch's apply returned for the path (`tags`),
+    /// in the same update: recording them costs no request.
+    pub fn finalize_epoch(
+        &self,
+        ctx: &Ctx,
+        items: &[CommittedTx<'_>],
+        tags: &EpochTags,
+    ) -> CloudResult<()> {
         // Per path, in txid order: the txids to pop and whether the last
         // transaction deleted the node. A record contributes each
         // *mutating* sub path once (checks never enter the txq).
@@ -748,14 +857,15 @@ impl Distributor {
         }
         // Chunked transactional pops across paths, then the (rare)
         // tombstone purges for deleted paths.
-        let entries: Vec<(&str, &[u64])> = per_path
+        let entries: Vec<crate::commit::Pop<'_>> = per_path
             .keys()
             .map(|path| {
                 let (txids, _) = per_path.get(path).expect("keyed from map");
-                (*path, txids.as_slice())
+                let tags = tags.get(*path).map_or(&[][..], Vec::as_slice);
+                (*path, txids.as_slice(), tags)
             })
             .collect();
-        let chunks: Vec<&[(&str, &[u64])]> = entries
+        let chunks: Vec<&[crate::commit::Pop<'_>]> = entries
             .chunks(crate::system_store::TRANSACT_MAX_ITEMS)
             .collect();
         // A pop chunk's per-item head guards make a repeat after an
@@ -960,13 +1070,15 @@ impl EpochPlan {
     /// of the edges. The critical path goes first: ops another op waits
     /// for (a create whose parent's rewrite lists it), then the other
     /// writes, then children rewrites, then deletes; plan order breaks
-    /// ties. The first error stops the schedule.
+    /// ties. The first error stops the schedule. Returns what each op
+    /// left on record, aligned with the ops.
     fn run(
         &self,
         workers: &[Ctx],
-        apply: impl Fn(&Ctx, &PlanOp) -> CloudResult<()>,
-    ) -> CloudResult<()> {
+        apply: impl Fn(&Ctx, &PlanOp) -> CloudResult<Written>,
+    ) -> CloudResult<Vec<Written>> {
         let n = self.ops.len();
+        let mut out = vec![None; n];
         let mut waiting_on = vec![0usize; n];
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         for &(before, after) in &self.edges {
@@ -990,7 +1102,7 @@ impl EpochPlan {
                 .min_by_key(|worker| worker.now_ns())
                 .expect("a plan with ops has workers");
             worker.merge_time_ns(ready_at[op]);
-            apply(worker, &self.ops[op])?;
+            out[op] = apply(worker, &self.ops[op])?;
             let ended = worker.now_ns();
             for &next in &dependents[op] {
                 ready_at[next] = ready_at[next].max(ended);
@@ -1000,7 +1112,7 @@ impl EpochPlan {
                 }
             }
         }
-        Ok(())
+        Ok(out)
     }
 }
 
@@ -1455,6 +1567,7 @@ mod tests {
                 record,
                 data: vec![Bytes::new(); record.ops.len()],
                 ahead: false,
+                tags: ObjTags::default(),
             })
             .collect();
         let effects: Vec<Effect<'_>> = items.iter().flat_map(effects_of).collect();
@@ -1596,6 +1709,7 @@ mod tests {
                 record,
                 data: vec![Bytes::from_static(b"y")],
                 ahead: false,
+                tags: ObjTags::default(),
             })
             .collect();
         let marks = distributor.epoch_marks(&tier.ctx);

@@ -1303,6 +1303,16 @@ fn set_attr(item: &mut CommitItem, attr: &str, value: SerValue) {
     }
 }
 
+/// Removes the object tags on record for the delta's node: the commit
+/// creates the node or rewrites its children, so the leader's last
+/// write of the object is no longer what the object will hold
+/// ([`node_attr::TAGS`]).
+fn drop_tags(item: &mut CommitItem) {
+    if !item.removes.iter().any(|a| a == node_attr::TAGS) {
+        item.removes.push(node_attr::TAGS.to_owned());
+    }
+}
+
 /// One op of a write request, borrowed. [`WriteOp::Create`] /
 /// [`WriteOp::SetData`] / [`WriteOp::Delete`] and the four [`MultiOp`]
 /// variants carry the same fields, so the lock set, the pre-lock checks
@@ -1555,6 +1565,7 @@ impl<'a> Planner<'a> {
             d.appends
                 .push((node_attr::TXQ.to_owned(), SerValue::TxidList));
             d.removes.push(node_attr::DELETED.to_owned());
+            drop_tags(d);
         }
         {
             let d = delta(&mut self.items, &self.acquired, &parent_path);
@@ -1570,6 +1581,7 @@ impl<'a> Planner<'a> {
                 node_attr::CHILDREN.to_owned(),
                 SerValue::StrList(vec![name.clone()]),
             ));
+            drop_tags(d);
         }
         sim_node(&mut self.overlay, &self.acquired, &parent_path)
             .children
@@ -1712,6 +1724,7 @@ impl<'a> Planner<'a> {
                 node_attr::CHILDREN.to_owned(),
                 SerValue::StrList(vec![name.clone()]),
             ));
+            drop_tags(d);
         }
         sim_node(&mut self.overlay, &self.acquired, &parent_path)
             .children

@@ -27,8 +27,9 @@
 //! after another lane ran. ➊ **Read wave + verify** — everything the
 //! batch reads from system storage comes back in **one** parallel wave
 //! (`Leader::read_wave`): every eligible record's node item (its commit
-//! state), the watch registry item of every distinct path the batch can
-//! fire (`watch:<path>` holds every kind, so each `(path, event)` class
+//! state, and the object tags of the node's last write), the watch
+//! registry item of every distinct path the batch can fire
+//! (`watch:<path>` holds every kind, so each `(path, event)` class
 //! is answered from it in memory), and each region's epoch marks for
 //! the batch's first epoch. A batch with nothing to distribute (wholly
 //! held, or deregistrations only) issues none of it. Missing commits
@@ -48,16 +49,19 @@
 //! marks for the first epoch and a fresh read for later ones): one store
 //! operation per path, at most `shards` in flight per region, a parent's
 //! children rewrite after the writes of the children it adds and a
-//! delete after its parent's rewrite. ➍
+//! delete after its parent's rewrite. A node write whose object tag the
+//! wave found is one conditional PUT (stale, and so a read-merge-write
+//! after one 412, if an earlier epoch of the batch wrote the path). ➍
 //! **Consume** the epoch-ending transaction's watches (one-shot, only
 //! after its writes are durable, so a nacked batch keeps
 //! registrations), publish the fired ids with a single epoch-counter
 //! bump per region before later transactions commit (Z4), and dispatch
 //! the deliveries. ➎ **Bookkeeping wave** — advance the distributed
 //! sessions' high-water marks and pop the transactions from their
-//! nodes' pending queues (coalesced conditional updates) in one
-//! parallel wave; then drop staged payloads and notify clients — each
-//! session's results in transaction order, the sessions in parallel.
+//! nodes' pending queues (coalesced conditional updates, which also
+//! record the epoch's object tags) in one parallel wave; then drop
+//! staged payloads and notify clients — each session's results in
+//! transaction order, the sessions in parallel.
 //! Pops follow ➍ so that a failure there redelivers
 //! as committed and still fires the watch; marks follow the epoch
 //! append so that a successor they release on another lane reads the
@@ -73,7 +77,7 @@ use crate::messages::{
     ClientNotification, LeaderRecord, OpOutcome, Payload, UserUpdate, WriteResultData,
 };
 use crate::notify::ClientBus;
-use crate::system_store::{node_attr, SystemStore, WatchInstance};
+use crate::system_store::{node_attr, ObjTags, SystemStore, WatchInstance};
 use crate::user_store::UserStore;
 use crate::watch_fn::WatchTask;
 use bytes::Bytes;
@@ -272,8 +276,9 @@ impl KindSet {
 
 /// What a batch's one read wave brought back ([`Leader::read_wave`]).
 struct ReadWave<'a> {
-    /// Commit state of each eligible record, in batch order.
-    states: Vec<CommitState>,
+    /// Commit state of each eligible record and the object tags on
+    /// record for its node, in batch order.
+    states: Vec<(CommitState, ObjTags)>,
     /// Live watch kinds of every distinct path the batch can fire;
     /// an entry is valid until an epoch cut consumes the path's
     /// registrations.
@@ -561,8 +566,8 @@ impl Leader {
         } = self.read_wave(ctx, &batch.eligible, &fires)?;
         let mut committed: Vec<(CommittedTx<'_>, &[Fire<'_>])> = Vec::new();
         let mut resolved_ahead: Vec<u64> = Vec::new();
-        for (pos, (&(index, txid, record), state)) in batch.eligible.iter().zip(states).enumerate()
-        {
+        let eligible = batch.eligible.iter().zip(states).enumerate();
+        for (pos, (&(index, txid, record), (state, tags))) in eligible {
             let ahead = batch.is_ahead(*index);
             match self.resolve_disposition(ctx, *txid, record, state) {
                 Ok(Disposition::Distribute(data)) => committed.push((
@@ -572,6 +577,7 @@ impl Leader {
                         record,
                         data,
                         ahead,
+                        tags,
                     },
                     fires.of_record(pos),
                 )),
@@ -744,7 +750,7 @@ impl Leader {
             .filter(|(_, (_, _, record))| !record.deregister_session)
             .map(|(pos, _)| Read::Node(pos))
             .collect();
-        let states = vec![CommitState::Missing; eligible.len()];
+        let states = vec![(CommitState::Missing, ObjTags::default()); eligible.len()];
         if jobs.is_empty() {
             return Ok(ReadWave {
                 states,
@@ -791,15 +797,16 @@ impl Leader {
         })
     }
 
-    /// Reads `record`'s node item and classifies the commit of `txid`.
-    fn commit_state(&self, ctx: &Ctx, txid: u64, record: &LeaderRecord) -> CommitState {
+    /// Reads `record`'s node item and classifies the commit of `txid`;
+    /// the item also carries the object tags of the node's last write.
+    fn commit_state(&self, ctx: &Ctx, txid: u64, record: &LeaderRecord) -> (CommitState, ObjTags) {
         let item = self.system.get_node(ctx, record.path());
         let txq_has = item
             .as_ref()
             .and_then(|i| i.list(node_attr::TXQ))
             .map(|q| q.contains(&Value::Num(txid as i64)))
             .unwrap_or(false);
-        if txq_has {
+        let state = if txq_has {
             CommitState::Committed
         } else if item
             .as_ref()
@@ -810,7 +817,8 @@ impl Leader {
             CommitState::AlreadyProcessed
         } else {
             CommitState::Missing
-        }
+        };
+        (state, ObjTags::of(item.as_ref()))
     }
 
     /// Non-consuming read of one path's watch registry item.
@@ -1096,11 +1104,12 @@ impl Leader {
         handles: &mut Vec<WatchHandle>,
     ) -> Result<(), FnError> {
         // ➌ sharded parallel distribution to every region's user store.
-        ctx.span("update_user_storage", || {
-            let marks = marks.unwrap_or_else(|| self.distributor.epoch_marks(ctx));
-            self.distributor.apply_epoch(ctx, &epoch.items, &marks)
-        })
-        .map_err(|e| FnError::retryable(e.to_string()))?;
+        let tags = ctx
+            .span("update_user_storage", || {
+                let marks = marks.unwrap_or_else(|| self.distributor.epoch_marks(ctx));
+                self.distributor.apply_epoch(ctx, &epoch.items, &marks)
+            })
+            .map_err(|e| FnError::retryable(e.to_string()))?;
 
         // The epoch is durable in every region: publish its txids as
         // this group's distributed high-water mark (in-memory atomics —
@@ -1126,8 +1135,8 @@ impl Leader {
         // session's distribution high-water mark (so successors held
         // back on other shard groups may proceed) and pop the
         // transactions from their nodes' pending queues (coalesced per
-        // path; purges the tombstones of deleted nodes once their pops
-        // landed).
+        // path, recording the epoch's object tags in the same updates;
+        // purges the tombstones of deleted nodes once their pops landed).
         //
         // The pops stay behind ➍: a failure in ➍ must redeliver the
         // records as *committed* (txid still queued) so the watch fires
@@ -1142,7 +1151,7 @@ impl Leader {
         let jobs = 1 + usize::from(!sessions.is_empty());
         crate::distributor::fan_out(ctx, jobs, |job, child| match job {
             0 => child.span("pop_updates", || {
-                self.distributor.finalize_epoch(child, &epoch.items)
+                self.distributor.finalize_epoch(child, &epoch.items, &tags)
             }),
             _ => child.span("advance_session_marks", || {
                 self.advance_marks(child, &sessions)
@@ -1347,7 +1356,7 @@ impl Leader {
                 self.staging.meter(),
                 &RetryPolicy::standard(),
                 "leader.staging_get",
-                || self.staging.get(ctx, key),
+                || self.staging.get(ctx, key).map(|(data, _)| data),
             )
             .map_err(|e| FnError::retryable(e.to_string())),
         }
@@ -2125,9 +2134,22 @@ mod tests {
             self.check(&record.path)?;
             self.inner.write_node(ctx, record)
         }
-        fn replace_node(&self, ctx: &Ctx, record: &NodeRecord) -> fk_cloud::CloudResult<()> {
+        fn replace_node(
+            &self,
+            ctx: &Ctx,
+            record: &NodeRecord,
+        ) -> fk_cloud::CloudResult<Option<fk_cloud::objectstore::Tag>> {
             self.check(&record.path)?;
             self.inner.replace_node(ctx, record)
+        }
+        fn write_node_if(
+            &self,
+            ctx: &Ctx,
+            record: &NodeRecord,
+            precondition: fk_cloud::objectstore::Precondition,
+        ) -> fk_cloud::CloudResult<Option<fk_cloud::objectstore::Tag>> {
+            self.check(&record.path)?;
+            self.inner.write_node_if(ctx, record, precondition)
         }
         fn read_node(&self, ctx: &Ctx, path: &str) -> fk_cloud::CloudResult<Option<NodeRecord>> {
             self.inner.read_node(ctx, path)
@@ -2540,6 +2562,156 @@ mod tests {
             "one result, no refire"
         );
         assert_eq!(&tier.stored(&node).unwrap().data[..], b"big");
+    }
+
+    /// `watched_node`, overwritten once through the pipeline (its node
+    /// item carries the object tag of that write) and watched again.
+    fn tagged_watched_node() -> (Lanes, Endpoint, String) {
+        let (tier, endpoint, node) = watched_node();
+        tier.submit("s", 2, set(&node, b"a"));
+        tier.run_follower();
+        assert_eq!(tier.drain(0).unwrap(), 1);
+        assert_eq!(received(&endpoint).0, vec![2]);
+        let tags = ObjTags::of(tier.deployment.system().get_node(&tier.ctx, &node).as_ref());
+        assert!(!tags.is_empty(), "the overwrite left a tag");
+        tier.deployment
+            .system()
+            .register_watch(&tier.ctx, &node, WatchKind::Data, "s")
+            .unwrap();
+        (tier, endpoint, node)
+    }
+
+    /// Two writes of one tagged node in one batch, cut into two epochs
+    /// by the first one's watch. Both name the tag the read wave found:
+    /// the first lands, the second — stale now — costs one 412 and falls
+    /// back to the read-merge-write, whose tag the pop records.
+    #[test]
+    fn a_later_epoch_of_the_batch_falls_back_after_one_412() {
+        let (tier, endpoint, node) = tagged_watched_node();
+        tier.submit("s", 3, set(&node, b"b"));
+        tier.submit("s", 4, set(&node, b"c"));
+        tier.run_follower();
+        let before = tier.deployment.meter().snapshot();
+        assert_eq!(tier.drain(0).unwrap(), 2, "one batch");
+        let used = tier.deployment.meter().snapshot().since(&before);
+        assert_eq!(used.per_op.get("obj_put_412"), Some(&1));
+        assert_eq!(
+            (used.obj_gets, used.obj_puts),
+            (1, 3),
+            "tagged PUT; 412, GET + PUT"
+        );
+        let (results, events) = received(&endpoint);
+        assert_eq!((results, events.len()), (vec![3, 4], 1));
+        assert_eq!(&tier.stored(&node).unwrap().data[..], b"c");
+
+        tier.submit("s", 5, set(&node, b"d"));
+        tier.run_follower();
+        let before = tier.deployment.meter().snapshot();
+        assert_eq!(tier.drain(0).unwrap(), 1);
+        let used = tier.deployment.meter().snapshot().since(&before);
+        assert_eq!((used.obj_gets, used.obj_puts), (0, 1), "tagged again");
+    }
+
+    /// A crash after the tagged PUT and before the pop: the node item
+    /// still names the tag the PUT replaced. The redelivery's `If-Match`
+    /// fails once (412), the read-merge-write converges on the same
+    /// record, the client gets exactly one result and the watch — fired
+    /// and consumed before the crash — does not fire again.
+    #[test]
+    fn crash_between_tagged_put_and_pop_costs_one_412_and_acks_once() {
+        let (tier, endpoint, node) = tagged_watched_node();
+        tier.submit("s", 3, set(&node, b"new"));
+        tier.run_follower();
+        // From the moment the watch dispatches (➍, after the tagged PUT
+        // of ➌), the system store refuses writes until the pop's retries
+        // are spent: the invocation fails with its txid still queued.
+        let kv = tier.deployment.system().kv().clone();
+        let leader = tier.leader_over(
+            Arc::clone(tier.deployment.user_store()),
+            Arc::new(HookedDispatcher {
+                hook: move |_: &WatchTask| {
+                    kv.install_chaos(one_exhausted_retry(|plan, spec| plan.kv_error = spec))
+                },
+                deliver: Some(tier.inline_dispatcher()),
+            }),
+        );
+        let drain = || leader.drain_queue(&tier.ctx, tier.lane(0));
+        let failed_puts = |tier: &Lanes| {
+            let used = tier.deployment.meter().snapshot();
+            used.per_op.get("obj_put_412").copied().unwrap_or(0)
+        };
+
+        let before = tier.deployment.meter().snapshot();
+        let err = drain().unwrap_err();
+        assert!(err.retryable && !err.deferred, "{err:?}");
+        let used = tier.deployment.meter().snapshot().since(&before);
+        assert_eq!((used.obj_gets, used.obj_puts), (0, 1), "one tagged PUT");
+        assert_eq!(txq_len(&tier, &node), 1, "not popped");
+        let (results, events) = received(&endpoint);
+        assert_eq!((results, events.len()), (vec![], 1), "fired, not acked");
+
+        let (before, failed) = (tier.deployment.meter().snapshot(), failed_puts(&tier));
+        assert_eq!(drain().unwrap(), 1);
+        let used = tier.deployment.meter().snapshot().since(&before);
+        assert_eq!(failed_puts(&tier) - failed, 1, "one 412");
+        assert_eq!(
+            (used.obj_gets, used.obj_puts),
+            (1, 2),
+            "412, then GET + PUT"
+        );
+        assert_eq!(
+            received(&endpoint),
+            (vec![3], vec![]),
+            "one result, no refire"
+        );
+        assert_eq!(txq_len(&tier, &node), 0);
+        assert_eq!(&tier.stored(&node).unwrap().data[..], b"new");
+
+        // The pop recorded the fallback's tag: the next write names it.
+        tier.submit("s", 4, set(&node, b"next"));
+        tier.run_follower();
+        let before = tier.deployment.meter().snapshot();
+        assert_eq!(drain().unwrap(), 1);
+        let used = tier.deployment.meter().snapshot().since(&before);
+        assert_eq!((used.obj_gets, used.obj_puts), (0, 1));
+    }
+
+    /// An injected object-store error on a conditional PUT rolls before
+    /// the precondition: the retry names the same tag and lands — no
+    /// 412, no read.
+    #[test]
+    fn obj_error_on_a_tagged_put_is_retried_with_the_same_tag() {
+        let tier = Lanes::new(2);
+        let _endpoint = tier.session("s");
+        let bucket = ObjectStore::new(
+            "user",
+            fk_cloud::Region::US_EAST_1,
+            tier.deployment.meter().clone(),
+        );
+        let store = Arc::new(crate::user_store::ObjUserStore::new(bucket.clone()));
+        let leader = tier.leader_over(store, Arc::new(tier.inline_dispatcher()));
+        let node = path_on(0, 0);
+        for (request_id, op) in [(1, create(&node)), (2, set(&node, b"a"))] {
+            tier.submit("s", request_id, op);
+            tier.run_follower();
+            assert_eq!(leader.drain_queue(&tier.ctx, tier.lane(0)).unwrap(), 1);
+        }
+
+        // One object-store error, on the next request: the tagged PUT.
+        let mut plan = fk_cloud::chaos::FaultPlan::disabled();
+        plan.obj_error = fk_cloud::chaos::FaultSpec::new(1.0, 1);
+        bucket.install_chaos(fk_cloud::chaos::Chaos::from_plan(plan).expect("armed"));
+        tier.submit("s", 3, set(&node, b"b"));
+        tier.run_follower();
+        let before = tier.deployment.meter().snapshot();
+        assert_eq!(leader.drain_queue(&tier.ctx, tier.lane(0)).unwrap(), 1);
+        let used = tier.deployment.meter().snapshot().since(&before);
+        assert_eq!(used.per_op["fault:obj_error"], 1);
+        assert_eq!(used.per_op["retry:dist.write_tagged"], 1);
+        assert_eq!(used.per_op.get("obj_put_412"), None, "no 412");
+        assert_eq!((used.obj_gets, used.obj_puts), (0, 1), "no read");
+        let stored = bucket.get(&tier.ctx, &node).unwrap().0;
+        assert_eq!(&crate::codec::decode_node(&stored).unwrap().data[..], b"b");
     }
 
     /// The `n`th path of the form `<parent>/k<i>` that routes to lane 0.

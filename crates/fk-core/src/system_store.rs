@@ -7,7 +7,8 @@
 //! * `node:<path>` — per-node control item: creation/modification txids,
 //!   data-version counter, children list, sequential-name counter,
 //!   ephemeral owner, the per-node pending-transaction queue (`txq`,
-//!   Algorithm 2 ➊/➎) and the timed-lock timestamp. **No node payload** —
+//!   Algorithm 2 ➊/➎), the user-store object tags of the leader's last
+//!   write ([`ObjTags`]) and the timed-lock timestamp. **No node payload** —
 //!   data travels through the leader queue to the user store, which is
 //!   why the paper's commit latency is flat in node size (Table 3).
 //! * `session:<id>` — active sessions and their ephemeral nodes.
@@ -48,6 +49,80 @@ pub mod node_attr {
     /// allocation floor so that, across shard groups, a later children
     /// rewrite always carries a larger txid than every earlier one.
     pub const CHILDREN_TXID: &str = "children_txid";
+    /// The user-store object tags the leader's last write of the node
+    /// left, one per region ([`super::ObjTags`]). Set by the leader's
+    /// pop, in the update that pops the `txq`; removed by every follower
+    /// commit that creates the node or rewrites its children.
+    pub const TAGS: &str = "tags";
+}
+
+/// The user-store object tags a node item keeps on record
+/// ([`node_attr::TAGS`]: one tag per region, recorded only when the
+/// leader's last write of the node replaced an existing object), with
+/// the floor a write must reach to name them.
+///
+/// A later write of the node names a region's tag in an `If-Match` PUT
+/// instead of downloading the object ([`ObjTags::tag_for`]). The PUT
+/// lands only if the object is exactly what that earlier write stored;
+/// the floor check makes the read-merge-write it replaces return the
+/// record unchanged (`docs/consistency.md` § Z1).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ObjTags {
+    /// A bound on the `children_txid` and `modified_txid` the tagged
+    /// objects hold: the node item's `children_txid` (every children
+    /// rewrite merged into an object had committed, and set it, first).
+    pub floor: u64,
+    /// One tag per region, aligned with the distributor's regions; 0
+    /// where that region's write recorded none.
+    pub tags: Vec<fk_cloud::objectstore::Tag>,
+}
+
+impl ObjTags {
+    /// The tags on record in a node item, floored by its
+    /// `children_txid` (none if the item or the attribute is absent).
+    pub fn of(item: Option<&Item>) -> Self {
+        let Some(item) = item else {
+            return ObjTags::default();
+        };
+        let values = item.list(node_attr::TAGS).unwrap_or_default();
+        ObjTags {
+            floor: item.num(node_attr::CHILDREN_TXID).unwrap_or(0) as u64,
+            tags: values
+                .iter()
+                .filter_map(|v| v.as_num())
+                .map(|n| n as u64)
+                .collect(),
+        }
+    }
+
+    /// True if no region has a tag on record.
+    pub fn is_empty(&self) -> bool {
+        self.tags.iter().all(|tag| *tag == 0)
+    }
+
+    /// The tag of `region` that a write of `record` may name in an
+    /// `If-Match`: only if the record's `children_txid` and
+    /// `modified_txid` both reach the floor, so the stored object holds
+    /// nothing newer than the record.
+    pub fn tag_for(
+        &self,
+        region: usize,
+        record: &crate::user_store::NodeRecord,
+    ) -> Option<fk_cloud::objectstore::Tag> {
+        let tag = self.tags.get(region).copied().filter(|tag| *tag != 0)?;
+        (record.children_txid >= self.floor && record.modified_txid >= self.floor).then_some(tag)
+    }
+}
+
+/// `update` extended to leave exactly `tags` (one per region, 0 where
+/// none) on record as the node item's [`node_attr::TAGS`]: set them, or
+/// remove the attribute when no region has one.
+pub fn record_tags(tags: &[fk_cloud::objectstore::Tag], update: Update) -> Update {
+    if tags.iter().all(|tag| *tag == 0) {
+        return update.remove(node_attr::TAGS);
+    }
+    let tags = tags.iter().map(|tag| Value::Num(*tag as i64));
+    update.set(node_attr::TAGS, Value::List(tags.collect()))
 }
 
 /// Attribute names of `session:` items.
@@ -1057,6 +1132,47 @@ mod tests {
             .with(node_attr::DELETED, true);
         assert!(!SystemStore::node_exists(Some(&tombstone)));
         drop((sys, ctx));
+    }
+
+    #[test]
+    fn object_tags_round_trip_floored_by_the_children_txid() {
+        use crate::user_store::NodeRecord;
+        let (sys, ctx) = store();
+        let key = keys::node("/n");
+        let update = record_tags(&[7, 0], Update::new().set(node_attr::CHILDREN_TXID, 30i64));
+        sys.kv()
+            .update(&ctx, &key, &update, Condition::Always)
+            .unwrap();
+        let read = ObjTags::of(sys.get_node(&ctx, "/n").as_ref());
+        assert_eq!((read.floor, &read.tags[..]), (30, &[7, 0][..]));
+        assert!(!read.is_empty());
+
+        let record = |txid: u64| NodeRecord {
+            path: "/n".into(),
+            data: Default::default(),
+            created_txid: 1,
+            modified_txid: txid,
+            version: 1,
+            children: Default::default(),
+            children_txid: txid,
+            ephemeral_owner: None,
+            epoch_marks: Default::default(),
+        };
+        assert_eq!(read.tag_for(0, &record(31)), Some(7));
+        assert_eq!(read.tag_for(0, &record(30)), Some(7), "the floor itself");
+        assert_eq!(read.tag_for(0, &record(29)), None, "below the floor");
+        assert_eq!(read.tag_for(1, &record(31)), None, "no tag in region 1");
+        assert_eq!(read.tag_for(2, &record(31)), None, "no region 2");
+
+        // Nothing to record removes the attribute.
+        let update = record_tags(&[0, 0], Update::new());
+        sys.kv()
+            .update(&ctx, &key, &update, Condition::Always)
+            .unwrap();
+        let item = sys.get_node(&ctx, "/n").unwrap();
+        assert!(!item.contains(node_attr::TAGS));
+        assert!(ObjTags::of(Some(&item)).is_empty());
+        assert!(ObjTags::of(None).is_empty());
     }
 
     #[test]

@@ -191,7 +191,7 @@ pub fn load_manifest(
 ) -> CloudResult<CheckpointManifest> {
     let policy = RetryPolicy::standard();
     let bytes = with_retry(ctx, meter, &policy, "transfer.get_manifest", || {
-        staging.get(ctx, &manifest_key(id))
+        staging.get(ctx, &manifest_key(id)).map(|(bytes, _)| bytes)
     })?;
     codec::decode_checkpoint_manifest(&bytes).ok_or_else(|| CloudError::InvalidOperation {
         detail: format!("checkpoint {id:#x}: undecodable manifest"),
@@ -212,7 +212,7 @@ pub fn load_records(
     for index in 0..manifest.chunks {
         let key = chunk_key(manifest.id, index);
         let bytes = with_retry(ctx, meter, &policy, "transfer.get_chunk", || {
-            staging.get(ctx, &key)
+            staging.get(ctx, &key).map(|(bytes, _)| bytes)
         })?;
         let frames =
             codec::decode_checkpoint_chunk(&bytes).ok_or_else(|| CloudError::InvalidOperation {

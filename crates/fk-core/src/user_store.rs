@@ -5,7 +5,9 @@
 //! paper's comparison (Fig 8/9/11):
 //!
 //! * [`ObjUserStore`] — S3-style: one object per node. No partial writes,
-//!   so updates are a read-modify-write of the whole object (§3.2).
+//!   so an update rewrites the whole object (§3.2): one conditional PUT
+//!   when the writer knows the object's tag, a read-modify-write when it
+//!   does not.
 //! * [`KvUserStore`] — DynamoDB-style: one item per node, updated with a
 //!   single expression; cheap and fast for small nodes but per-kB billing
 //!   explodes for large ones (Fig 4a).
@@ -26,7 +28,7 @@ use crate::api::Stat;
 use bytes::Bytes;
 use fk_cloud::expr::{Condition, Update};
 use fk_cloud::kvstore::KvStore;
-use fk_cloud::objectstore::ObjectStore;
+use fk_cloud::objectstore::{ObjectStore, Precondition, Tag};
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::{Item, Value};
 use fk_cloud::{CloudError, CloudResult, Consistency, MemStore, Region};
@@ -199,8 +201,13 @@ pub(crate) fn dedupe_paths(paths: &[String]) -> Vec<&String> {
 /// path (last record wins) and collapse round trips. The defaults fall
 /// back to per-record calls; the durable backend overrides them to
 /// commit a whole batch as one WAL record. The distributor applies
-/// epochs record by record (`read_node` / `replace_node` /
-/// `delete_node`).
+/// epochs record by record (`write_node_if`, or `read_node` /
+/// `replace_node`, and `delete_node`).
+///
+/// The tagged surface (`write_node_if`, and the tag `replace_node`
+/// returns) belongs to backends whose objects carry tags
+/// ([`fk_cloud::objectstore::Tag`]); the defaults say "untagged", and
+/// the distributor then reads, merges and writes as it always has.
 pub trait UserStore: Send + Sync {
     /// Writes (creates or replaces) a node record.
     fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()>;
@@ -212,11 +219,26 @@ pub trait UserStore: Send + Sync {
     /// Writes a record whose current stored state the caller has *just
     /// read* (the put half of a read-modify-write): backends that prefix
     /// `write_node` with a read of their own (the object store's
-    /// whole-object rewrite) skip it here — a real S3 conditional RMW is
-    /// one GET plus one If-Match PUT, not two GETs. Default: plain
-    /// `write_node`.
-    fn replace_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        self.write_node(ctx, record)
+    /// whole-object rewrite without a tag) skip it here — a real S3
+    /// read-modify-write is one GET plus one PUT, not two GETs. Returns
+    /// the stored object's new tag on a tagged backend. Default: plain
+    /// `write_node`, untagged.
+    fn replace_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<Option<Tag>> {
+        self.write_node(ctx, record).map(|()| None)
+    }
+
+    /// Writes `record` only if its stored object satisfies
+    /// `precondition` (one conditional PUT, no read): `Ok(Some(tag))`
+    /// with the new object's tag, or [`CloudError::ConditionFailed`]
+    /// (412) with nothing written. `Ok(None)`: this backend keeps no
+    /// tags and wrote nothing (the default).
+    fn write_node_if(
+        &self,
+        _ctx: &Ctx,
+        _record: &NodeRecord,
+        _precondition: Precondition,
+    ) -> CloudResult<Option<Tag>> {
+        Ok(None)
     }
 
     /// Writes a batch of records in order, coalescing to the final record
@@ -268,29 +290,44 @@ impl ObjUserStore {
 
 impl UserStore for ObjUserStore {
     fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        // No partial updates in object storage (Requirement #6): even
-        // though we hold the complete record, a real leader must download
-        // the current object before replacing it, and so do we — this is
-        // the dominant cost in the leader's profile (Table 3 Update Node).
-        // A missing object is expected (creates); any other failure of
-        // the pre-write read (throttling, stopped service) must propagate
+        // No partial updates in object storage (Requirement #6): a writer
+        // that does not know the object's current tag must download it
+        // before replacing it, and so do we — the read half of Table 3's
+        // Update Node. (The distributor names the tag when system storage
+        // has it on record, `write_node_if`, and skips this read.) A
+        // missing object is expected (creates); any other failure of the
+        // pre-write read (throttling, stopped service) must propagate
         // rather than being silently swallowed before the put.
         match self.bucket.get(ctx, &record.path) {
             Ok(_) | Err(CloudError::NotFound { .. }) => {}
             Err(e) => return Err(e),
         }
-        self.bucket.put(ctx, &record.path, record.to_bytes())
+        self.bucket.put(ctx, &record.path, record.to_bytes())?;
+        Ok(())
     }
 
-    fn replace_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
+    fn replace_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<Option<Tag>> {
         // The caller just performed the read half of the RMW; the PUT
-        // stands alone (the conditional-put leg of a GET + If-Match PUT).
-        self.bucket.put(ctx, &record.path, record.to_bytes())
+        // stands alone.
+        self.bucket
+            .put(ctx, &record.path, record.to_bytes())
+            .map(Some)
+    }
+
+    fn write_node_if(
+        &self,
+        ctx: &Ctx,
+        record: &NodeRecord,
+        precondition: Precondition,
+    ) -> CloudResult<Option<Tag>> {
+        self.bucket
+            .put_if(ctx, &record.path, record.to_bytes(), precondition)
+            .map(Some)
     }
 
     fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
         match self.bucket.get(ctx, path) {
-            Ok(bytes) => Ok(NodeRecord::from_bytes(&bytes)),
+            Ok((bytes, _)) => Ok(NodeRecord::from_bytes(&bytes)),
             Err(CloudError::NotFound { .. }) => Ok(None),
             Err(e) => Err(e),
         }
@@ -305,7 +342,9 @@ impl UserStore for ObjUserStore {
         if root != "/" {
             // The root itself is not under the `root/` key prefix.
             match self.bucket.get(ctx, root) {
-                Ok(bytes) => out.extend(crate::codec::decode_node_summary(&bytes).map(Into::into)),
+                Ok((bytes, _)) => {
+                    out.extend(crate::codec::decode_node_summary(&bytes).map(Into::into))
+                }
                 Err(CloudError::NotFound { .. }) => {}
                 Err(e) => return Err(e),
             }
@@ -544,7 +583,7 @@ impl UserStore for HybridUserStore {
             return Ok(None);
         };
         let data = if item.contains(kv_attr::OFFLOADED) {
-            Some(self.bucket.get(ctx, path)?)
+            Some(self.bucket.get(ctx, path)?.0)
         } else {
             None
         };
@@ -577,7 +616,7 @@ impl UserStore for HybridUserStore {
         let mut out = Vec::with_capacity(metas.len());
         for (path, item) in metas {
             let data = if item.contains(kv_attr::OFFLOADED) {
-                Some(self.bucket.get(ctx, &path)?)
+                Some(self.bucket.get(ctx, &path)?.0)
             } else {
                 None
             };

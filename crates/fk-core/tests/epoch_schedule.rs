@@ -6,7 +6,13 @@
 //!   and meter label, printed under `--nocapture`. One constant holds at
 //!   both widths. The width-2 constants were captured at `49694f9` (the
 //!   last commit that dealt a multi-group epoch's paths to path-hash
-//!   shards) and have not moved since. At width 1, `6da5245` (the last
+//!   shards) and held until `ec750ef`, the last commit without object
+//!   tags: `ObjGet=10 ObjPut=10` for 8 `set_data` + a create,
+//!   `ObjGet=2 ObjPut=2 ObjDelete=1` for a create + delete. Since, a
+//!   create is one `If-None-Match` PUT and a write whose object tag is
+//!   on record one `If-Match` PUT: `ObjGet` falls by exactly the number
+//!   of creates and tagged writes, `ObjPut` does not move, and the
+//!   key-value store (no tags) keeps its budget to the digit. At width 1, `6da5245` (the last
 //!   commit with a separate single-group apply, shard batches flushed in
 //!   three barrier-separated waves) read `ObjGet=11 ObjPut=10` for
 //!   8 `set_data` + a create, `ObjGet=3 ObjPut=2 ObjDelete=1` for a
@@ -29,15 +35,26 @@
 //! * `nested_creates_*`, `first_create_under_the_root_*` — what the
 //!   leader's epoch cut and the seeded root record guarantee end to end.
 //!
+//! * `tagged_*` — the fallbacks of a conditional write: a stale tag
+//!   (the object was rewritten behind the leader) costs one 412 and then
+//!   the read-merge-write, with the bytes the read-merge-write alone
+//!   stores; a child's create removes its parent's tag, so the parent's
+//!   next write fails no precondition; a create over a cross-group stub
+//!   fails its `If-None-Match` and keeps the stub's children; a write
+//!   whose object already holds a newer children list than the record
+//!   does not name the tag at all.
+//!
 //! Every epoch is produced by the real follower on a direct deployment
 //! (virtual time, fixed seed) over a tree seeded through the real
 //! pipeline; the records are then handed to a distributor of that
 //! deployment directly, so the measured requests are the apply's alone.
 
 use bytes::Bytes;
+use fk_cloud::expr::{Condition, Update};
 use fk_cloud::faas::FunctionConfig;
 use fk_cloud::latency::{LatencyModel, LatencySpec};
 use fk_cloud::metering::UsageSnapshot;
+use fk_cloud::objectstore::{Precondition, Tag};
 use fk_cloud::ops::Op;
 use fk_cloud::queue::group_of;
 use fk_cloud::trace::{Ctx, LatencyMode, SpanRecord};
@@ -48,6 +65,7 @@ use fk_core::distributor::{CommittedTx, Distributor, DistributorConfig, PathLock
 use fk_core::follower::Follower;
 use fk_core::leader::Leader;
 use fk_core::messages::{ClientRequest, LeaderRecord, MultiOp, Payload, UserUpdate, WriteOp};
+use fk_core::system_store::{node_attr, ObjTags};
 use fk_core::{NodeRecord, ScanEntry, UserStore, UserStoreKind};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -233,8 +251,10 @@ fn data_of(update: &UserUpdate) -> Bytes {
     }
 }
 
-/// `records` as one epoch of committed transactions.
-fn committed(records: &[LeaderRecord]) -> Vec<CommittedTx<'_>> {
+/// `records` as one epoch of committed transactions, each with the
+/// object tags its node item has on record, as the leader's read wave
+/// would find them.
+fn committed<'r>(ctx: &Ctx, rig: &Rig, records: &'r [LeaderRecord]) -> Vec<CommittedTx<'r>> {
     records
         .iter()
         .enumerate()
@@ -248,6 +268,12 @@ fn committed(records: &[LeaderRecord]) -> Vec<CommittedTx<'_>> {
                 .map(|sub| data_of(&sub.user_update))
                 .collect(),
             ahead: false,
+            tags: ObjTags::of(
+                rig.deployment
+                    .system()
+                    .get_node(ctx, record.path())
+                    .as_ref(),
+            ),
         })
         .collect()
 }
@@ -260,18 +286,19 @@ struct Applied {
 }
 
 /// Applies `records` as one epoch through `distributor` on `ctx`, then
-/// pops them from their nodes' queues (not measured).
+/// pops them from their nodes' queues, recording the tags the apply
+/// left (not measured).
 fn apply(ctx: &Ctx, rig: &Rig, distributor: &Distributor, records: &[LeaderRecord]) -> Applied {
-    let items = committed(records);
+    let items = committed(ctx, rig, records);
     let marks = distributor.epoch_marks(ctx);
     let before = rig.deployment.meter().snapshot();
     ctx.take_spans();
     let started = ctx.now();
-    distributor.apply_epoch(ctx, &items, &marks).unwrap();
+    let tags = distributor.apply_epoch(ctx, &items, &marks).unwrap();
     let elapsed = ctx.now() - started;
     let charges = ctx.take_spans();
     let used = rig.deployment.meter().snapshot().since(&before);
-    distributor.finalize_epoch(ctx, &items).unwrap();
+    distributor.finalize_epoch(ctx, &items, &tags).unwrap();
     Applied {
         used,
         charges,
@@ -337,22 +364,79 @@ fn eight_set_data_and_a_create() -> Vec<WriteOp> {
     ops
 }
 
+/// A [`Rig::seeded`] rig whose `/f/k0`…`/f/k7` were each overwritten
+/// once through the full pipeline: their node items carry the tags of
+/// those writes.
+fn tagged(config: DeploymentConfig, groups: usize) -> Rig {
+    let rig = Rig::seeded(config, groups);
+    for i in 0..8 {
+        rig.commit(set_data(&format!("/f/k{i}")));
+    }
+    rig
+}
+
+/// [`assert_budget_on`] over a [`tagged`] rig.
+fn assert_tagged_budget_on(
+    config: DeploymentConfig,
+    title: &str,
+    ops: Vec<WriteOp>,
+    expected: &str,
+) {
+    for groups in WIDTHS {
+        let rig = tagged(config.clone(), groups);
+        let records = rig.epoch(ops.clone());
+        let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
+        let applied = apply(&rig.ctx, &rig, &distributor, &records);
+        let title = format!("{title}, width {groups}");
+        print_chain(&title, &applied);
+        assert_eq!(requests(&applied), expected, "{title}");
+    }
+}
+
+/// The `obj_put_412` count of an epoch.
+fn failed_preconditions(applied: &Applied) -> u64 {
+    applied.used.per_op.get("obj_put_412").copied().unwrap_or(0)
+}
+
 #[test]
 fn epoch_request_budget_eight_set_data_and_a_create_under_one_parent() {
+    // The create is one `If-None-Match` PUT; no write has a tag yet.
     assert_budget(
         "8 set_data + create under /f",
         eight_set_data_and_a_create(),
-        "ObjGet=10 ObjPut=10 ObjDelete=0",
+        "ObjGet=9 ObjPut=10 ObjDelete=0",
+    );
+}
+
+#[test]
+fn epoch_request_budget_eight_tagged_set_data_and_a_create_under_one_parent() {
+    // Eight `If-Match` PUTs and an `If-None-Match` PUT; only the parent's
+    // children rewrite reads.
+    assert_tagged_budget_on(
+        DeploymentConfig::aws(),
+        "8 tagged set_data + create under /f",
+        eight_set_data_and_a_create(),
+        "ObjGet=1 ObjPut=10 ObjDelete=0",
     );
 }
 
 #[test]
 fn epoch_request_budget_on_a_key_value_user_store() {
+    let kv = || DeploymentConfig::aws().with_user_store(fk_core::UserStoreKind::KeyValue);
+    let expected = "ObjGet=0 ObjPut=0 ObjDelete=0 kv_read=10 kv_write=10";
     assert_budget_on(
-        DeploymentConfig::aws().with_user_store(fk_core::UserStoreKind::KeyValue),
+        kv(),
         "8 set_data + create under /f (key-value store)",
         eight_set_data_and_a_create(),
-        "ObjGet=0 ObjPut=0 ObjDelete=0 kv_read=10 kv_write=10",
+        expected,
+    );
+    // A backend without tags records none: the same nodes written again
+    // cost the same.
+    assert_tagged_budget_on(
+        kv(),
+        "8 set_data again + create under /f (key-value store)",
+        eight_set_data_and_a_create(),
+        expected,
     );
 }
 
@@ -361,7 +445,7 @@ fn epoch_request_budget_create_and_delete_under_one_parent() {
     assert_budget(
         "create + delete under /g",
         vec![create("/g/a"), delete("/g/b")],
-        "ObjGet=2 ObjPut=2 ObjDelete=1",
+        "ObjGet=1 ObjPut=2 ObjDelete=1",
     );
 }
 
@@ -382,8 +466,14 @@ fn epoch_request_budget_check_then_set_data() {
     };
     assert_budget(
         "[check, set_data]",
-        vec![cas],
+        vec![cas.clone()],
         "ObjGet=1 ObjPut=1 ObjDelete=0",
+    );
+    assert_tagged_budget_on(
+        DeploymentConfig::aws(),
+        "[check, set_data] on a tagged node",
+        vec![cas],
+        "ObjGet=0 ObjPut=1 ObjDelete=0",
     );
 }
 
@@ -441,9 +531,19 @@ impl UserStore for Recording {
             self.inner.write_node(ctx, record)
         })
     }
-    fn replace_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
+    fn replace_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<Option<Tag>> {
         self.record(ctx, &record.path, Kind::Put, || {
             self.inner.replace_node(ctx, record)
+        })
+    }
+    fn write_node_if(
+        &self,
+        ctx: &Ctx,
+        record: &NodeRecord,
+        precondition: Precondition,
+    ) -> CloudResult<Option<Tag>> {
+        self.record(ctx, &record.path, Kind::Put, || {
+            self.inner.write_node_if(ctx, record, precondition)
         })
     }
     fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
@@ -564,7 +664,8 @@ fn assert_rules(log: &[Call], regions: usize, records: &[LeaderRecord]) {
 }
 
 /// Asserts every operation is one read-modify-write (a read, then a
-/// put) or one delete: scheduling moves requests, it never adds one.
+/// put), one conditional put (a create) or one delete: scheduling moves
+/// requests, it never adds one.
 fn assert_one_shape_per_operation(log: &[Call]) {
     let mut calls: HashMap<(usize, &str), Vec<Kind>> = HashMap::new();
     for call in log {
@@ -573,7 +674,7 @@ fn assert_one_shape_per_operation(log: &[Call]) {
     }
     for ((region, path), kinds) in calls {
         assert!(
-            kinds == [Kind::Read, Kind::Put] || kinds == [Kind::Delete],
+            kinds == [Kind::Read, Kind::Put] || kinds == [Kind::Put] || kinds == [Kind::Delete],
             "region {region}: {path} ran {kinds:?}"
         );
     }
@@ -689,25 +790,30 @@ fn fixed_latency() -> Ctx {
     Ctx::new(Arc::new(model), LatencyMode::Virtual, SEED)
 }
 
+/// N independent writes on S workers take ⌈N/S⌉ rounds: of a
+/// read-modify-write each the first time, of one conditional PUT each
+/// once their tags are on record.
 #[test]
 fn independent_writes_take_ceil_n_over_s_rmw_rounds() {
     for groups in WIDTHS {
-        let rig = Rig::seeded(DeploymentConfig::aws(), groups);
-        let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
-        let ctx = fixed_latency();
         for n in 1..=8u32 {
-            let records = rig.epoch((0..n).map(|i| set_data(&format!("/f/k{i}"))).collect());
-            let applied = apply(&ctx, &rig, &distributor, &records);
+            let rig = Rig::seeded(DeploymentConfig::aws(), groups);
+            let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
+            let ctx = fixed_latency();
             let rounds = n.div_ceil(SHARDS as u32);
-            println!(
-                "width {groups}, {n} writes: {:?} = {rounds} rounds",
-                applied.elapsed
-            );
-            assert_eq!(
-                applied.elapsed,
-                (GET + PUT) * rounds,
-                "width {groups}, {n} writes"
-            );
+            let writes = || (0..n).map(|i| set_data(&format!("/f/k{i}"))).collect();
+            for (round, expected) in [("untagged", GET + PUT), ("tagged", PUT)] {
+                let applied = apply(&ctx, &rig, &distributor, &rig.epoch(writes()));
+                println!(
+                    "width {groups}, {n} {round} writes: {:?} = {rounds} rounds",
+                    applied.elapsed
+                );
+                assert_eq!(
+                    applied.elapsed,
+                    expected * rounds,
+                    "width {groups}, {n} {round} writes"
+                );
+            }
         }
     }
 }
@@ -798,5 +904,198 @@ fn first_create_under_the_root_is_listed_in_every_region_at_width_1() {
     for store in rig.deployment.user_stores() {
         let root = store.read_node(&rig.ctx, "/").unwrap().expect("the root");
         assert_eq!(*root.children, ["p"], "region {:?}", store.region());
+    }
+}
+
+// ----------------------------------------------------------------------
+// Conditional writes: the fallbacks
+// ----------------------------------------------------------------------
+
+/// The object tags `path`'s node item has on record.
+fn tags_of(rig: &Rig, path: &str) -> ObjTags {
+    ObjTags::of(rig.deployment.system().get_node(&rig.ctx, path).as_ref())
+}
+
+/// `/f/k0` as its object stands, with a children list a concurrent
+/// rewrite from another lane added behind the leader (a larger
+/// `children_txid` than any the rig allocated).
+fn rewritten_behind(rig: &Rig) -> NodeRecord {
+    let store = rig.deployment.user_store();
+    let mut record = store.read_node(&rig.ctx, "/f/k0").unwrap().unwrap();
+    record.children = Arc::new(vec!["behind".into()]);
+    record.children_txid = 1 << 40;
+    store.replace_node(&rig.ctx, &record).unwrap();
+    record
+}
+
+/// A stale tag: the object was rewritten behind the leader. The
+/// `If-Match` fails once (412), then the read-merge-write stores exactly
+/// what it stores with no tag on record.
+#[test]
+fn tagged_write_over_a_stale_tag_fails_once_then_merges_the_same_bytes() {
+    for groups in WIDTHS {
+        let title = format!("stale tag, width {groups}");
+        let stored = [true, false].map(|tag_on_record| {
+            let rig = tagged(DeploymentConfig::aws(), groups);
+            rewritten_behind(&rig);
+            let records = rig.epoch(vec![set_data("/f/k0")]);
+            if !tag_on_record {
+                // The twin without a tag: the read-merge-write alone.
+                let forget = Update::new().remove(node_attr::TAGS);
+                let system = rig.deployment.system().kv();
+                system
+                    .update(&rig.ctx, "node:/f/k0", &forget, Condition::Always)
+                    .unwrap();
+                assert!(tags_of(&rig, "/f/k0").is_empty());
+            }
+            let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
+            let applied = apply(&rig.ctx, &rig, &distributor, &records);
+            print_chain(
+                &format!("{title}, tag on record: {tag_on_record}"),
+                &applied,
+            );
+            let (expected, failed) = if tag_on_record {
+                ("ObjGet=1 ObjPut=2 ObjDelete=0", 1)
+            } else {
+                ("ObjGet=1 ObjPut=1 ObjDelete=0", 0)
+            };
+            assert_eq!(requests(&applied), expected, "{title}");
+            assert_eq!(failed_preconditions(&applied), failed, "{title}");
+            let store = rig.deployment.user_store();
+            let record = store.read_node(&rig.ctx, "/f/k0").unwrap().unwrap();
+            assert_eq!(*record.children, ["behind"], "{title}: the merge kept it");
+            record
+        });
+        assert_eq!(stored[0], stored[1], "{title}: the same bytes either way");
+    }
+}
+
+/// A child's create commits under a tagged node: the follower's commit
+/// removes the node's tag, so the node's next write reads its object
+/// (no 412) and records a fresh tag, and the one after is one
+/// conditional PUT.
+#[test]
+fn tagged_node_loses_its_tag_to_a_child_create_and_its_next_write_fails_nothing() {
+    for groups in WIDTHS {
+        let title = format!("child create under a tagged node, width {groups}");
+        let rig = Rig::seeded(DeploymentConfig::aws(), groups);
+        rig.commit(set_data("/g"));
+        assert!(!tags_of(&rig, "/g").is_empty(), "{title}: tagged");
+        rig.push(create("/g/c"));
+        assert!(
+            tags_of(&rig, "/g").is_empty(),
+            "{title}: the commit removed it"
+        );
+
+        let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
+        let records = rig.epoch(vec![set_data("/g")]);
+        let applied = apply(&rig.ctx, &rig, &distributor, &records);
+        print_chain(&title, &applied);
+        // `/g/c` is one `If-None-Match` PUT, `/g` (its write and the
+        // children rewrite, one op) a read-merge-write.
+        assert_eq!(
+            requests(&applied),
+            "ObjGet=1 ObjPut=2 ObjDelete=0",
+            "{title}"
+        );
+        assert_eq!(failed_preconditions(&applied), 0, "{title}");
+        let store = rig.deployment.user_store();
+        let g = store.read_node(&rig.ctx, "/g").unwrap().unwrap();
+        let mut children = (*g.children).clone();
+        children.sort();
+        assert_eq!(children, ["b", "c"], "{title}");
+        assert!(!tags_of(&rig, "/g").is_empty(), "{title}: tagged again");
+
+        let applied = apply(
+            &rig.ctx,
+            &rig,
+            &distributor,
+            &rig.epoch(vec![set_data("/g")]),
+        );
+        assert_eq!(
+            requests(&applied),
+            "ObjGet=0 ObjPut=1 ObjDelete=0",
+            "{title}"
+        );
+    }
+}
+
+/// A create over a cross-group stub (a child's rewrite of the node
+/// landed first and materialized a children-only record): the
+/// `If-None-Match` fails, and the read-merge-write keeps the stub's
+/// children.
+#[test]
+fn tagged_create_over_a_stub_fails_if_none_match_and_keeps_its_children() {
+    for groups in WIDTHS {
+        let title = format!("create over a stub, width {groups}");
+        let rig = Rig::seeded(DeploymentConfig::aws(), groups);
+        let store = rig.deployment.user_store();
+        let stub = NodeRecord {
+            path: "/s".into(),
+            data: Bytes::new(),
+            created_txid: 0,
+            modified_txid: 1 << 40,
+            version: 0,
+            children: Arc::new(vec!["early".into()]),
+            children_txid: 1 << 40,
+            ephemeral_owner: None,
+            epoch_marks: Arc::default(),
+        };
+        store.replace_node(&rig.ctx, &stub).unwrap();
+
+        let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
+        let applied = apply(&rig.ctx, &rig, &distributor, &rig.epoch(vec![create("/s")]));
+        print_chain(&title, &applied);
+        // `/s`: the failed `If-None-Match`, then its read-merge-write; `/`:
+        // the children rewrite.
+        assert_eq!(
+            requests(&applied),
+            "ObjGet=2 ObjPut=3 ObjDelete=0",
+            "{title}"
+        );
+        assert_eq!(failed_preconditions(&applied), 1, "{title}");
+        let node = store.read_node(&rig.ctx, "/s").unwrap().unwrap();
+        assert_eq!(*node.children, ["early"], "{title}");
+        assert_eq!(&node.data[..], b"v0", "{title}");
+        assert!(
+            !tags_of(&rig, "/s").is_empty(),
+            "{title}: it replaced an object"
+        );
+    }
+}
+
+/// The floor: `/g`'s writes `t1 < t2` commit, then a child's create `c`
+/// commits under `/g` (removing no tag — none is on record yet). The
+/// child's lane applies first, so `t1`'s read-merge-write stores `c`'s
+/// list and its pop records a tag. `t2`'s own list predates `c`: naming
+/// the tag would land and drop the child, so `t2` reads instead.
+#[test]
+fn tagged_write_older_than_a_merged_children_rewrite_reads_its_object() {
+    for groups in WIDTHS {
+        let title = format!("older than the stored list, width {groups}");
+        let rig = Rig::seeded(DeploymentConfig::aws(), groups);
+        let distributor = rig.distributor(rig.deployment.user_stores().to_vec());
+        let records = rig.epoch(vec![set_data("/g"), set_data("/g"), create("/g/c")]);
+        let [t1, t2, child] = &records[..] else {
+            panic!("{title}: three records");
+        };
+        assert_eq!(child.path(), "/g/c", "{title}: the child commits last");
+        apply(&rig.ctx, &rig, &distributor, std::slice::from_ref(child));
+        apply(&rig.ctx, &rig, &distributor, std::slice::from_ref(t1));
+        assert!(!tags_of(&rig, "/g").is_empty(), "{title}: t1 left a tag");
+
+        let applied = apply(&rig.ctx, &rig, &distributor, std::slice::from_ref(t2));
+        print_chain(&title, &applied);
+        assert_eq!(
+            requests(&applied),
+            "ObjGet=1 ObjPut=1 ObjDelete=0",
+            "{title}"
+        );
+        let store = rig.deployment.user_store();
+        let g = store.read_node(&rig.ctx, "/g").unwrap().unwrap();
+        let mut children = (*g.children).clone();
+        children.sort();
+        assert_eq!(children, ["b", "c"], "{title}: the child survives");
+        assert_eq!(g.modified_txid, child.txid.max(t2.txid), "{title}");
     }
 }

@@ -259,22 +259,26 @@ fn print_chain(title: &str, step: &Step) {
 /// on a fresh rig (request ids 1–7), lock timestamps zeroed: each is the
 /// one-op record of the write (frame version 5). Captured by this very
 /// test at the commit after `54293e5` that gave every leader record one
-/// shape. Frame bytes at `54293e5` (the single-op shape) → now:
+/// shape. Frame bytes at `54293e5` (the single-op shape) → then:
 /// create persistent 181 → 185, create ephemeral 209 → 215, create
 /// sequential 276 → 293, set_data unconditional 137 → 141, set_data
 /// versioned 137 → 141, delete 225 → 236, delete ephemeral 168 → 168.
+/// Recaptured when creates and deletes began removing the object tags
+/// on record (`node_attr::TAGS`) from the created node's and the
+/// parent's commit items: 5 B per item (`04 74616773`), so +10 B per
+/// create and +5 B per delete; the `set_data` frames did not move.
 const WIRE_VECTORS: [(&str, &str); 7] = [
     (
         "create persistent",
-        "fb05020173018080040003076e6f64653a2f6100040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732331010374787105010764656c6574656400066e6f64653a2f00010d6368696c6472656e5f747869640401086368696c6472656e020101610000057365713a7300010c6c6173745f7265717565737400020000000001022f6100022f61000276300000000001012f01016102022f6100012f030000022f61000000000200",
+        "fb05020173018080040003076e6f64653a2f6100040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732331010374787105020764656c65746564047461677300066e6f64653a2f00010d6368696c6472656e5f747869640401086368696c6472656e0201016101047461677300057365713a7300010c6c6173745f7265717565737400020000000001022f6100022f61000276300000000001012f01016102022f6100012f030000022f61000000000200",
     ),
     (
         "create ephemeral",
-        "fb050201730280800880800403096e6f64653a2f612f6500050763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732332096570685f6f776e6572010173010374787105010764656c6574656400076e6f64653a2f6100010d6368696c6472656e5f747869640401086368696c6472656e020101650000057365713a7300010c6c6173745f7265717565737400040000000001042f612f6500042f612f650002763000000001017301022f6101016502042f612f6500022f61030000042f612f65000000000201",
+        "fb050201730280800880800403096e6f64653a2f612f6500050763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732332096570685f6f776e6572010173010374787105020764656c65746564047461677300076e6f64653a2f6100010d6368696c6472656e5f747869640401086368696c6472656e0201016501047461677300057365713a7300010c6c6173745f7265717565737400040000000001042f612f6500042f612f650002763000000001017301022f6101016502042f612f6500022f61030000042f612f65000000000201",
     ),
     (
         "create sequential",
-        "fb050201730381800c80800803146e6f64653a2f612f732d3030303030303030303000040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732333010374787105010764656c6574656400076e6f64653a2f6100020b7365715f636f756e74657200020d6368696c6472656e5f747869640401086368696c6472656e02010c732d303030303030303030300000057365713a7300010c6c6173745f72657175657374000600000000010f2f612f732d30303030303030303030000f2f612f732d30303030303030303030000276300000000001022f610201650c732d30303030303030303030020f2f612f732d3030303030303030303000022f610300000f2f612f732d30303030303030303030000000000200",
+        "fb050201730381800c80800803146e6f64653a2f612f732d3030303030303030303000040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732333010374787105020764656c65746564047461677300076e6f64653a2f6100020b7365715f636f756e74657200020d6368696c6472656e5f747869640401086368696c6472656e02010c732d3030303030303030303001047461677300057365713a7300010c6c6173745f72657175657374000600000000010f2f612f732d30303030303030303030000f2f612f732d30303030303030303030000276300000000001022f610201650c732d30303030303030303030020f2f612f732d3030303030303030303000022f610300000f2f612f732d30303030303030303030000000000200",
     ),
     (
         "set_data unconditional",
@@ -286,11 +290,11 @@ const WIRE_VECTORS: [(&str, &str); 7] = [
     ),
     (
         "delete",
-        "fb050201730681801880801403146e6f64653a2f612f732d3030303030303030303000030764656c6574656400020776657273696f6e04077265715f74616701037323360103747871050000076e6f64653a2f6100010d6368696c6472656e5f7478696404000001086368696c6472656e02010c732d30303030303030303030057365713a7300010c6c6173745f72657175657374000c00000000010f2f612f732d30303030303030303030010f2f612f732d3030303030303030303001022f61010165020f2f612f732d3030303030303030303002022f610301020f2f612f732d30303030303030303030",
+        "fb050201730681801880801403146e6f64653a2f612f732d3030303030303030303000030764656c6574656400020776657273696f6e04077265715f74616701037323360103747871050000076e6f64653a2f6100010d6368696c6472656e5f74786964040001047461677301086368696c6472656e02010c732d30303030303030303030057365713a7300010c6c6173745f72657175657374000c00000000010f2f612f732d30303030303030303030010f2f612f732d3030303030303030303001022f61010165020f2f612f732d3030303030303030303002022f610301020f2f612f732d30303030303030303030",
     ),
     (
         "delete ephemeral",
-        "fb050201730780801c81801803096e6f64653a2f612f6500030764656c6574656400020776657273696f6e04077265715f74616701037323370103747871050000076e6f64653a2f6100010d6368696c6472656e5f7478696404000001086368696c6472656e02010165057365713a7300010c6c6173745f72657175657374000e0000000001042f612f6501042f612f6501022f610002042f612f6502022f61030102042f612f65",
+        "fb050201730780801c81801803096e6f64653a2f612f6500030764656c6574656400020776657273696f6e04077265715f74616701037323370103747871050000076e6f64653a2f6100010d6368696c6472656e5f74786964040001047461677301086368696c6472656e02010165057365713a7300010c6c6173745f72657175657374000e0000000001042f612f6501042f612f6501022f610002042f612f6502022f61030102042f612f65",
     ),
 ];
 
@@ -326,14 +330,15 @@ fn wire_vectors_of_single_writes_are_unchanged() {
 /// record, bytes now)` of one op on a seeded rig (request id 4, lock
 /// timestamps zeroed). The parent carried a single write's one sub in
 /// the record's own fields, and a one-op `multi` paid the own fields
-/// empty beside its sub.
+/// empty beside its sub. Creates and deletes carry the object-tag
+/// removal since (5 B per created node or rewritten parent).
 const FRAME_BYTES: [(&str, usize, usize, usize); 6] = [
-    ("create", 196, 216, 202),
-    ("ephemeral create", 211, 231, 217),
-    ("sequential create", 276, 318, 293),
+    ("create", 196, 216, 212),
+    ("ephemeral create", 211, 231, 227),
+    ("sequential create", 276, 318, 303),
     ("set_data", 130, 150, 136),
     ("set_data 128 B", 258, 278, 264),
-    ("delete", 168, 182, 168),
+    ("delete", 168, 182, 173),
 ];
 
 #[test]

@@ -40,7 +40,8 @@ impl CostBreakdown {
     }
 }
 
-/// Prices a usage snapshot under AWS rates.
+/// Prices a usage snapshot under AWS rates. Object DELETE requests are
+/// free on S3 and Cloud Storage, so `obj_deletes` prices at 0.
 pub fn price_usage(usage: &UsageSnapshot, pricing: &AwsPricing) -> CostBreakdown {
     CostBreakdown {
         queue: usage.queue_units as f64 * pricing.sqs_unit,
@@ -74,6 +75,15 @@ mod tests {
         assert!((cost.object - 5.4).abs() < 1e-9);
         assert!((cost.functions - (1000.0 * 1.6667e-5 + 0.2)).abs() < 1e-9);
         assert!(cost.total() > 7.0);
+    }
+
+    #[test]
+    fn object_deletes_are_free() {
+        let usage = UsageSnapshot {
+            obj_deletes: 1_000_000,
+            ..UsageSnapshot::default()
+        };
+        assert_eq!(price_usage(&usage, &AwsPricing::default()).total(), 0.0);
     }
 
     #[test]
