@@ -51,6 +51,10 @@ pub enum FaultKind {
     KvCancel,
     /// Object store PUT/GET/DELETE fails transiently.
     ObjError,
+    /// A rival writer re-stores an object's bytes just before a
+    /// conditional PUT of it: the object gets a fresh tag, so an
+    /// `If-Match` naming the tag the writer read fails (412).
+    ObjTagRace,
     /// Queue send / send-batch fails transiently (nothing enqueued).
     QueueError,
     /// A sent message is enqueued twice (at-least-once duplication).
@@ -89,6 +93,7 @@ impl FaultKind {
             FaultKind::KvThrottle => "kv_throttle",
             FaultKind::KvCancel => "kv_cancel",
             FaultKind::ObjError => "obj_error",
+            FaultKind::ObjTagRace => "obj_tag_race",
             FaultKind::QueueError => "queue_error",
             FaultKind::QueueDuplicate => "queue_duplicate",
             FaultKind::QueueDelay => "queue_delay",
@@ -104,11 +109,12 @@ impl FaultKind {
     }
 
     /// All fault points, in a stable order.
-    pub const ALL: [FaultKind; 15] = [
+    pub const ALL: [FaultKind; 16] = [
         FaultKind::KvError,
         FaultKind::KvThrottle,
         FaultKind::KvCancel,
         FaultKind::ObjError,
+        FaultKind::ObjTagRace,
         FaultKind::QueueError,
         FaultKind::QueueDuplicate,
         FaultKind::QueueDelay,
@@ -168,6 +174,8 @@ pub struct FaultPlan {
     pub kv_cancel: FaultSpec,
     /// Transient object store failure.
     pub obj_error: FaultSpec,
+    /// A rival re-store between a writer's read and its conditional PUT.
+    pub obj_tag_race: FaultSpec,
     /// Transient queue send failure.
     pub queue_error: FaultSpec,
     /// Duplicate enqueue of a sent message.
@@ -203,6 +211,7 @@ impl FaultPlan {
             kv_throttle: FaultSpec::OFF,
             kv_cancel: FaultSpec::OFF,
             obj_error: FaultSpec::OFF,
+            obj_tag_race: FaultSpec::OFF,
             queue_error: FaultSpec::OFF,
             queue_duplicate: FaultSpec::OFF,
             queue_delay: FaultSpec::OFF,
@@ -227,6 +236,7 @@ impl FaultPlan {
             kv_throttle: FaultSpec::new(0.02, 30),
             kv_cancel: FaultSpec::new(0.02, 12),
             obj_error: FaultSpec::new(0.03, 40),
+            obj_tag_race: FaultSpec::new(0.05, 20),
             queue_error: FaultSpec::new(0.02, 25),
             queue_duplicate: FaultSpec::new(0.02, 20),
             queue_delay: FaultSpec::new(0.02, 20),
@@ -253,6 +263,7 @@ impl FaultPlan {
             FaultKind::KvThrottle => self.kv_throttle,
             FaultKind::KvCancel => self.kv_cancel,
             FaultKind::ObjError => self.obj_error,
+            FaultKind::ObjTagRace => self.obj_tag_race,
             FaultKind::QueueError => self.queue_error,
             FaultKind::QueueDuplicate => self.queue_duplicate,
             FaultKind::QueueDelay => self.queue_delay,
@@ -280,8 +291,8 @@ impl Default for FaultPlan {
 #[derive(Debug)]
 pub struct Chaos {
     plan: FaultPlan,
-    remaining: [AtomicU64; 15],
-    fired: [AtomicU64; 15],
+    remaining: [AtomicU64; 16],
+    fired: [AtomicU64; 16],
 }
 
 impl Chaos {

@@ -12,6 +12,7 @@ use crate::chaos::{Chaos, FaultKind};
 use crate::error::{CloudError, CloudResult};
 use crate::expr::{Condition, Update};
 use crate::metering::Meter;
+use crate::objectstore::Tag;
 use crate::ops::Op;
 use crate::region::Region;
 use crate::trace::Ctx;
@@ -22,6 +23,7 @@ use parking_lot::RwLock;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Read consistency level (§2.1: eventually consistent reads trade
@@ -128,6 +130,9 @@ impl TransactOp {
 
 const SHARDS: usize = 64;
 
+/// The attribute a tagged item keeps its [`KvStore::fresh_tag`] in.
+pub const TAG_ATTR: &str = "tag";
+
 struct Inner {
     name: String,
     region: Region,
@@ -136,6 +141,8 @@ struct Inner {
     shards: Vec<RwLock<HashMap<String, Versioned>>>,
     chaos: OnceLock<Arc<Chaos>>,
     durable: OnceLock<Lsm>,
+    /// The last tag [`KvStore::fresh_tag`] handed out.
+    last_tag: AtomicU64,
 }
 
 /// A table in the simulated key-value store. Cloning shares the table.
@@ -172,6 +179,7 @@ impl KvStore {
                 shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
                 chaos: OnceLock::new(),
                 durable: OnceLock::new(),
+                last_tag: AtomicU64::new(0),
             }),
         }
     }
@@ -203,6 +211,8 @@ impl KvStore {
                     detail: format!("undecodable persisted item at key {key:?}"),
                 });
             };
+            let tag = item.num(TAG_ATTR).unwrap_or(0) as Tag;
+            self.inner.last_tag.fetch_max(tag, Ordering::Relaxed);
             self.inner.shards[shard_of(&key)].write().insert(
                 key,
                 Versioned {
@@ -273,6 +283,15 @@ impl KvStore {
     /// The usage meter.
     pub fn meter(&self) -> &Meter {
         &self.inner.meter
+    }
+
+    /// A tag for an item a writer is about to store under [`TAG_ATTR`]:
+    /// unique within the table, never 0, and above every tag a durable
+    /// table recovered. It stands in for the random 64-bit id a real
+    /// writer would draw; the table stores and compares it like any
+    /// other attribute.
+    pub fn fresh_tag(&self) -> Tag {
+        self.inner.last_tag.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Number of items currently stored.

@@ -8,6 +8,7 @@
 
 use crate::error::{CloudError, CloudResult};
 use crate::metering::Meter;
+use crate::objectstore::{content_tag, Precondition, Tag};
 use crate::ops::Op;
 use crate::region::Region;
 use crate::trace::Ctx;
@@ -69,6 +70,34 @@ impl MemStore {
                 })
             }
         }
+    }
+
+    /// Stores a value if `precondition` holds for the stored one, whose
+    /// tag is its hash ([`content_tag`]), and returns the new value's
+    /// tag; otherwise [`CloudError::ConditionFailed`] with nothing stored.
+    /// One metered operation either way.
+    pub fn put_if(
+        &self,
+        ctx: &Ctx,
+        key: &str,
+        data: Bytes,
+        precondition: Precondition,
+    ) -> CloudResult<Tag> {
+        let (size, tag) = (data.len(), content_tag(&data));
+        let mut map = self.inner.map.write();
+        let current = map.get(key).map(|stored| content_tag(stored));
+        let holds = precondition.holds(current);
+        if holds {
+            map.insert(key.to_owned(), data);
+        }
+        drop(map);
+        self.inner.meter.mem_op();
+        ctx.charge_to(Op::MemPut, size, self.inner.region);
+        if !holds {
+            let detail = format!("{precondition:?} on {key} (stored: {current:?})");
+            return Err(CloudError::ConditionFailed { detail });
+        }
+        Ok(tag)
     }
 
     /// Deletes a value (idempotent).

@@ -14,6 +14,12 @@
 //! the current tag therefore needs no download to replace an object
 //! safely; one that does not must download it first — the read half of
 //! the leader's read-modify-write in Figure 9 and Table 3.
+//!
+//! A tag changes whenever a key's stored bytes change and is never
+//! reused for different bytes of that key: that is all `If-Match`
+//! needs. Here tags are per-bucket counters; a node-local store can
+//! instead name its bytes by their hash ([`content_tag`]), since equal
+//! tags then mean equal bytes.
 
 use crate::chaos::{Chaos, FaultKind};
 use crate::error::{CloudError, CloudResult};
@@ -30,6 +36,13 @@ use std::sync::{Arc, OnceLock};
 /// An object's entity tag: unique per PUT within its bucket, never 0.
 pub type Tag = u64;
 
+/// The tag a store that keeps no tag of its own gives `bytes`: a 64-bit
+/// hash of them (FNV-1a), never 0. It is a pure function of the bytes,
+/// so it survives a restart and changes no stored byte.
+pub fn content_tag(bytes: &[u8]) -> Tag {
+    crate::queue::fnv1a(bytes, 0).max(1)
+}
+
 /// The precondition of a conditional PUT ([`ObjectStore::put_if`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precondition {
@@ -37,6 +50,17 @@ pub enum Precondition {
     IfMatch(Tag),
     /// `If-None-Match: *`: no object is stored under the key.
     IfNoneMatch,
+}
+
+impl Precondition {
+    /// True if the precondition holds for a key whose stored value has
+    /// tag `current` (`None`: nothing stored).
+    pub fn holds(self, current: Option<Tag>) -> bool {
+        match self {
+            Precondition::IfMatch(tag) => current == Some(tag),
+            Precondition::IfNoneMatch => current.is_none(),
+        }
+    }
 }
 
 struct Inner {
@@ -118,7 +142,9 @@ impl ObjectStore {
     /// [`CloudError::ConditionFailed`]: the object is unchanged, and the
     /// request is billed and charged as a PUT, counted under
     /// `obj_put_412`. Injected faults roll before the precondition is
-    /// evaluated, as for every other request.
+    /// evaluated, as for every other request: `obj_error` fails the
+    /// request, and `obj_tag_race` lands a rival PUT of the same bytes
+    /// first, so the object the precondition sees has a fresh tag.
     pub fn put_if(
         &self,
         ctx: &Ctx,
@@ -145,13 +171,16 @@ impl ObjectStore {
         self.chaos_error(ctx, Op::ObjPut)?;
         let size = data.len();
         let mut objects = self.inner.objects.write();
+        if let (Some(chaos), Some(_)) = (self.inner.chaos.get(), precondition) {
+            let raced = objects.get_mut(key);
+            if let Some(object) = raced.filter(|_| chaos.fire(ctx, FaultKind::ObjTagRace)) {
+                let label = FaultKind::ObjTagRace.label();
+                self.inner.meter.fault_injected(label);
+                object.1 = self.next_tag();
+            }
+        }
         let current = objects.get(key).map(|(_, tag)| *tag);
-        let holds = match precondition {
-            None => true,
-            Some(Precondition::IfMatch(tag)) => current == Some(tag),
-            Some(Precondition::IfNoneMatch) => current.is_none(),
-        };
-        if !holds {
+        if precondition.is_some_and(|precondition| !precondition.holds(current)) {
             drop(objects);
             self.inner.meter.obj_put_failed();
             ctx.charge_to(Op::ObjPut, size, self.inner.region);
@@ -162,7 +191,7 @@ impl ObjectStore {
                 ),
             });
         }
-        let tag = self.inner.last_tag.fetch_add(1, Ordering::Relaxed) + 1;
+        let tag = self.next_tag();
         let old = objects.insert(key.to_owned(), (data, tag));
         drop(objects);
         let old_size = old.map(|(b, _)| b.len()).unwrap_or(0);
@@ -172,6 +201,10 @@ impl ObjectStore {
             .obj_stored_delta(size as i64 - old_size as i64);
         ctx.charge_to(Op::ObjPut, size, self.inner.region);
         Ok(tag)
+    }
+
+    fn next_tag(&self) -> Tag {
+        self.inner.last_tag.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Fetches a whole object and its tag.

@@ -762,30 +762,32 @@ impl AdaptiveBatch {
 // ----------------------------------------------------------------------
 
 /// Stable shard assignment for a string key (FNV-1a over the key bytes).
-/// Every layer that partitions by path — the distributor's path-lock
-/// stripes, per-shard queue groups, benchmarks — must agree on this
-/// function, so it lives here at the bottom of the stack.
+/// Every layer that partitions by path — per-shard queue groups,
+/// benchmarks — must agree on this function, so it lives here at the
+/// bottom of the stack.
 pub fn shard_of(key: &str, shards: usize) -> usize {
     assert!(shards > 0, "shard count must be positive");
-    (fnv1a(key, 0) % shards as u64) as usize
+    (fnv1a(key.as_bytes(), 0) % shards as u64) as usize
 }
 
 /// Stable shard-**group** assignment for the multi-leader queue tier.
 ///
 /// Deliberately *not* [`shard_of`]: the salt makes the lane partition
 /// independent of every `shard_of` partition below it (per-key queue
-/// shards, the distributor's path-lock stripes), so one lane's paths
-/// spread over all of them instead of a fixed subset.
+/// shards), so one lane's paths spread over all of them instead of a
+/// fixed subset.
 pub fn group_of(key: &str, groups: usize) -> usize {
     assert!(groups > 0, "group count must be positive");
-    (fnv1a(key, 0x9E37_79B9_7F4A_7C15) % groups as u64) as usize
+    (fnv1a(key.as_bytes(), 0x9E37_79B9_7F4A_7C15) % groups as u64) as usize
 }
 
-fn fnv1a(key: &str, salt: u64) -> u64 {
+/// 64-bit FNV-1a of `bytes`, offset by `salt`: stable across builds and
+/// platforms.
+pub(crate) fn fnv1a(bytes: &[u8], salt: u64) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf29ce484222325;
     const FNV_PRIME: u64 = 0x100000001b3;
     let mut hash = FNV_OFFSET ^ salt;
-    for &byte in key.as_bytes() {
+    for &byte in bytes {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
     }

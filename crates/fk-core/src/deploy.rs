@@ -9,7 +9,7 @@
 //! latency model, service limits and queue flavours.
 
 use crate::client::{ClientConfig, FkClient};
-use crate::distributor::{DistributorConfig, PathLockSet};
+use crate::distributor::DistributorConfig;
 use crate::follower::{Follower, FollowerConfig, LEADER_GROUP};
 use crate::heartbeat::Heartbeat;
 use crate::leader::{Leader, WatchDispatcher, WatchHandle};
@@ -18,7 +18,7 @@ use crate::read_cache::ReadCacheConfig;
 use crate::replica::{CommittedFloors, ReplicaConfig, ReplicaSet};
 use crate::system_store::SystemStore;
 use crate::user_store::{
-    HybridUserStore, KvUserStore, MemUserStore, NodeRecord, ObjUserStore, UserStore, UserStoreKind,
+    KvUserStore, MemUserStore, NodeRecord, ObjUserStore, UserStore, UserStoreKind,
 };
 use crate::watch_fn::{WatchFunction, WatchTask};
 use bytes::Bytes;
@@ -334,7 +334,6 @@ pub struct Deployment {
     staging: ObjectStore,
     write_queue: Queue,
     leader_queues: ShardedQueues,
-    path_locks: Arc<PathLockSet>,
     bus: ClientBus,
     /// The regional read-replica tier (empty when disabled).
     replicas: ReplicaSet,
@@ -462,7 +461,6 @@ impl Deployment {
             staging,
             write_queue,
             leader_queues,
-            path_locks: Arc::new(PathLockSet::new()),
             bus,
             replicas,
             floors,
@@ -519,7 +517,7 @@ impl Deployment {
                     table.install_chaos(Arc::clone(engine));
                     bucket.install_chaos(Arc::clone(engine));
                 }
-                Arc::new(HybridUserStore::new(table, bucket, threshold))
+                Arc::new(KvUserStore::hybrid(table, bucket, threshold))
             }
             // The in-memory cache backend has no chaos points: it models
             // a node-local cache, not a network round trip.
@@ -724,18 +722,17 @@ impl Deployment {
     }
 
     /// A leader body with the given watch dispatcher, running the
-    /// deployment's distributor pipeline. All leaders made from one
-    /// deployment share its [`PathLockSet`], which is what keeps
-    /// cross-shard-group record merges atomic.
+    /// deployment's distributor pipeline. Leaders share nothing but the
+    /// deployment's services: their writes to one record are ordered by
+    /// the user store's conditional writes ([`crate::distributor`]).
     pub fn make_leader(&self, dispatcher: Arc<dyn WatchDispatcher>) -> Leader {
-        let mut leader = Leader::with_shared(
+        let mut leader = Leader::with_config(
             self.system.clone(),
             self.user_stores.clone(),
             self.staging.clone(),
             self.bus.clone(),
             dispatcher,
             self.config.distributor,
-            Arc::clone(&self.path_locks),
         );
         // Every leader publishes committed floors (the heartbeat's MRD
         // piggyback feeds off them even without a replica tier) and, when

@@ -30,12 +30,15 @@
 //!      disappears before its parent stops listing it).
 //!
 //!    Beyond those, an operation takes the first worker to free up,
-//!    critical path first. A node write whose object tag is on record in
-//!    system storage is one conditional PUT (`If-Match`), a create one
-//!    `If-None-Match` PUT; every other write — and one whose precondition
-//!    failed — is a read-merge-write under a path stripe, so the same
-//!    schedule is correct at every tier width: with one shard group the
-//!    merges never meet a concurrent writer.
+//!    critical path first. Every user-store write is conditional on the
+//!    stored record's tag, so storage, not the leader, decides a race
+//!    between leaders: a node write whose tag is on record in system
+//!    storage is one `If-Match` write, a create one `If-None-Match`
+//!    write, and every other write — and one whose precondition failed —
+//!    reads the record and its tag, merges, and writes `If-Match` that
+//!    tag, again on a 412 ([`MERGE_ROUNDS`]). The same schedule is
+//!    correct at every tier width: with one shard group the merges never
+//!    meet a concurrent writer.
 //! 4. **Ordered finalization** — a single epoch-counter bump per region
 //!    publishes all watch ids fired by the epoch before any later
 //!    transaction commits (Z4), the per-node pending queues are popped in
@@ -297,41 +300,12 @@ where
     results.into_iter().collect()
 }
 
-/// Striped per-path mutexes shared by every leader instance of one
-/// deployment. With more than one shard group, two leaders can
-/// read-modify-write the *same* node record concurrently (a parent's
-/// children list is rewritten by its children's creates and deletes,
-/// which live on the children's shard groups); the stripe makes each
-/// RMW atomic. For those RMWs it stands in for the conditional-write /
-/// ETag retry loop a real multi-leader deployment would run — storage
-/// charges are identical, only the interleaving is bounded. Node writes
-/// with a tag on record, and creates, use the real thing: one
-/// conditional PUT the object store itself guards. The stripe stays for
-/// backends without tags and for the read-merge-write fallback, whose
-/// PUT is unconditional, so the conditional PUTs take it too: a rewrite
-/// can then never land between its own read and a conditional write.
-pub struct PathLockSet {
-    stripes: Vec<parking_lot::Mutex<()>>,
-}
-
-impl PathLockSet {
-    /// Creates a 64-stripe lock set.
-    pub fn new() -> Self {
-        PathLockSet {
-            stripes: (0..64).map(|_| parking_lot::Mutex::new(())).collect(),
-        }
-    }
-
-    fn lock(&self, path: &str) -> parking_lot::MutexGuard<'_, ()> {
-        self.stripes[shard_of(path, self.stripes.len())].lock()
-    }
-}
-
-impl Default for PathLockSet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Rounds of one read-merge-write: a 412 means another leader wrote the
+/// record between this one's read and its write, so the record is read
+/// and merged again. Every round that fails lost to a write that landed,
+/// so the bound is spent only under sustained contention on one record;
+/// the write then fails retryably and its batch is redelivered.
+pub const MERGE_ROUNDS: usize = 4;
 
 /// The fan-out stage of the leader (see module docs).
 pub struct Distributor {
@@ -339,7 +313,6 @@ pub struct Distributor {
     user_stores: Vec<Arc<dyn UserStore>>,
     regions: Vec<Region>,
     config: DistributorConfig,
-    locks: Arc<PathLockSet>,
     /// The regional read-replica tier, when deployed: one more
     /// subscriber of the epoch fan-out, fed strictly *after* the
     /// storage apply so a replica can never get ahead of its region's
@@ -348,23 +321,11 @@ pub struct Distributor {
 }
 
 impl Distributor {
-    /// Creates a distributor over one user-store replica per region with
-    /// its own lock set (single-leader deployments never contend on it).
+    /// Creates a distributor over one user-store replica per region.
     pub fn new(
         system: SystemStore,
         user_stores: Vec<Arc<dyn UserStore>>,
         config: DistributorConfig,
-    ) -> Self {
-        Self::with_shared(system, user_stores, config, Arc::new(PathLockSet::new()))
-    }
-
-    /// Creates a distributor sharing `locks` with the deployment's other
-    /// leader instances (required when `config.groups > 1`).
-    pub fn with_shared(
-        system: SystemStore,
-        user_stores: Vec<Arc<dyn UserStore>>,
-        config: DistributorConfig,
-        locks: Arc<PathLockSet>,
     ) -> Self {
         let regions = user_stores.iter().map(|s| s.region()).collect();
         Distributor {
@@ -372,7 +333,6 @@ impl Distributor {
             user_stores,
             regions,
             config,
-            locks,
             replicas: None,
         }
     }
@@ -610,13 +570,13 @@ impl Distributor {
     /// transactions all route to one group), but with more than one
     /// shard group a parent's children list is rewritten from its
     /// children's groups, so plain last-write-wins would let a stale list
-    /// clobber a newer one. Every store write therefore either names the
-    /// object it replaces (a conditional PUT, `write_record`) or is a
-    /// read-merge-write under the shared [`PathLockSet`] stripe: children
-    /// lists are kept from whichever side carries the larger
+    /// clobber a newer one. Every store write therefore names the record
+    /// it replaces: by the tag on record (`write_record`), or by the tag
+    /// of a read-merge-write's read (`read_merge_write`), whose merge keeps
+    /// the children list of whichever side carries the larger
     /// `children_txid` (lists grow cumulatively under the parent's
-    /// follower lock, so the larger txid is the current truth), and
-    /// `modified_txid` never regresses.
+    /// follower lock, so the larger txid is the current truth) and never
+    /// lets `modified_txid` regress.
     ///
     /// Each region's plan runs on its own `shards` workers
     /// ([`EpochPlan::run`]); every region's workers are forked here, up
@@ -665,18 +625,15 @@ impl Distributor {
                             &marks[region_idx],
                         )
                         .map(|()| None),
-                    // Deletion is idempotent; the retry re-takes the stripe so
-                    // a racing group's rewrite observes either the record or
-                    // its absence, never a torn interleaving.
+                    // Deletion is idempotent and unconditional: a racing
+                    // group's rewrite either lands first or fails its
+                    // precondition and reads the absence.
                     PlanOp::Delete(path) => with_retry(
                         worker,
                         self.meter(),
                         &RetryPolicy::standard(),
                         "dist.delete",
-                        || {
-                            let _stripe = self.locks.lock(path);
-                            store.delete_node(worker, path)
-                        },
+                        || store.delete_node(worker, path),
                     )
                     .map(|()| None),
                 })
@@ -688,16 +645,14 @@ impl Distributor {
         ran.into_iter().collect()
     }
 
-    /// Writes one node record. A create is one `If-None-Match` PUT and a
-    /// record whose object `tag` is on record one `If-Match` PUT: no
-    /// download (Table 3's Update Node without its GET). Everything else
-    /// — no tag, a failed precondition (412, a concurrent writer got
-    /// there first), a backend without tags — falls back to the
-    /// read-merge-write. A 412 is a fallback, not a retry: nothing was
-    /// written, and the merge reads what the other writer stored.
+    /// Writes one node record. A create is one `If-None-Match` write and
+    /// a record whose `tag` is on record one `If-Match` write: no read
+    /// (Table 3's Update Node without its GET). Without a tag, or after a
+    /// 412 (a concurrent writer got there first; nothing was written), it
+    /// is a read-merge-write, which merges what the other writer stored.
     ///
     /// A create leaves no tag on record; a write that replaced an
-    /// existing object leaves its new tag.
+    /// existing record leaves its new tag.
     fn write_record(
         &self,
         ctx: &Ctx,
@@ -713,59 +668,33 @@ impl Distributor {
         };
         if let Some(precondition) = precondition {
             // Injected faults fire before the precondition is evaluated,
-            // so a retry names the same tag against an unchanged object.
+            // so a retry names the same tag against an unchanged record.
             let put = with_retry(
                 ctx,
                 self.meter(),
                 &RetryPolicy::standard(),
                 "dist.write_tagged",
-                || {
-                    let _stripe = self.locks.lock(&record.path);
-                    store.write_node_if(ctx, record, precondition)
-                },
+                || store.write_node_if(ctx, record, precondition),
             );
             match put {
-                Ok(Some(tag)) => return Ok((!create).then_some(tag)),
-                Ok(None) | Err(CloudError::ConditionFailed { .. }) => {}
-                Err(e) => return Err(e),
+                Ok(tag) => return Ok((!create).then_some(tag)),
+                Err(e) if !e.is_condition_failed() => return Err(e),
+                Err(_) => {}
             }
         }
-        self.write_merged(ctx, store, record)
-    }
-
-    /// Writes one node record, merging a concurrently-applied newer
-    /// children list (identified by a larger stored `children_txid`)
-    /// into the outgoing record instead of clobbering it.
-    fn write_merged(
-        &self,
-        ctx: &Ctx,
-        store: &dyn UserStore,
-        record: &NodeRecord,
-    ) -> CloudResult<Written> {
-        // The whole read-merge-write repeats under retry (stripe
-        // re-taken, base re-read), so a transient failure on either half
-        // never leaves a half-merged record behind.
-        with_retry(
-            ctx,
-            self.meter(),
-            &RetryPolicy::standard(),
-            "dist.write_merged",
-            || {
-                let _stripe = self.locks.lock(&record.path);
-                let base = store.read_node(ctx, &record.path)?;
-                let replaced = base.is_some();
-                let mut record = record.clone();
-                if let Some(base) = base {
-                    if base.children_txid > record.children_txid {
-                        record.children = base.children;
-                        record.children_txid = base.children_txid;
-                    }
-                    record.modified_txid = record.modified_txid.max(base.modified_txid);
+        // Merge a concurrently applied newer children list (a larger
+        // stored `children_txid`) instead of clobbering it.
+        self.read_merge_write(ctx, store, &record.path, "dist.write_merged", |base| {
+            let mut record = record.clone();
+            if let Some(base) = base {
+                if base.children_txid > record.children_txid {
+                    record.children = base.children;
+                    record.children_txid = base.children_txid;
                 }
-                let tag = store.replace_node(ctx, &record)?;
-                Ok(tag.filter(|_| replaced))
-            },
-        )
+                record.modified_txid = record.modified_txid.max(base.modified_txid);
+            }
+            Some(record)
+        })
     }
 
     /// Applies a standalone children-list rewrite (a child's create or
@@ -784,38 +713,60 @@ impl Distributor {
         txid: u64,
         marks: &Arc<Vec<u64>>,
     ) -> CloudResult<()> {
-        // Retried as a unit: the `children_txid >= txid` guard makes a
-        // repeat after a successful-but-unreported write degrade to a
-        // no-op rather than a regression.
-        with_retry(
-            ctx,
-            self.meter(),
-            &RetryPolicy::standard(),
-            "dist.rewrite_children",
-            || {
-                let _stripe = self.locks.lock(parent);
-                match store.read_node(ctx, parent)? {
-                    Some(mut record) => {
-                        if record.children_txid >= txid {
-                            return Ok(());
-                        }
-                        record.children = Arc::clone(children);
-                        record.children_txid = txid;
-                        record.modified_txid = record.modified_txid.max(txid);
-                        record.epoch_marks = Arc::clone(marks);
-                        store.replace_node(ctx, &record).map(drop)
-                    }
-                    None => {
-                        let item = self.system.get_node(ctx, parent);
-                        if !SystemStore::node_exists(item.as_ref()) {
-                            return Ok(());
-                        }
-                        let stub = stub_record(parent, children, txid, marks);
-                        store.replace_node(ctx, &stub).map(drop)
-                    }
-                }
-            },
-        )
+        // The `children_txid >= txid` guard makes a repeat after a
+        // successful-but-unreported write a no-op, not a regression.
+        let rewrite = |base: Option<NodeRecord>| match base {
+            Some(record) if record.children_txid >= txid => None,
+            Some(mut record) => {
+                record.children = Arc::clone(children);
+                record.children_txid = txid;
+                record.modified_txid = record.modified_txid.max(txid);
+                record.epoch_marks = Arc::clone(marks);
+                Some(record)
+            }
+            None => {
+                let item = self.system.get_node(ctx, parent);
+                SystemStore::node_exists(item.as_ref())
+                    .then(|| stub_record(parent, children, txid, marks))
+            }
+        };
+        self.read_merge_write(ctx, store, parent, "dist.rewrite_children", rewrite)
+            .map(drop)
+    }
+
+    /// The optimistic write loop: reads `path`'s record and tag, lets
+    /// `merge` decide what to store over it (`None`: nothing), and writes
+    /// that `If-Match` the tag read (`If-None-Match` over an absent
+    /// record). A 412 means another writer landed in between: the loop
+    /// reads and merges again, for at most [`MERGE_ROUNDS`] rounds, then
+    /// fails retryably. A transient failure repeats the round under
+    /// `site`. Returns the new tag if the write replaced a record.
+    fn read_merge_write(
+        &self,
+        ctx: &Ctx,
+        store: &dyn UserStore,
+        path: &str,
+        site: &'static str,
+        merge: impl Fn(Option<NodeRecord>) -> Option<NodeRecord>,
+    ) -> CloudResult<Written> {
+        for _ in 0..MERGE_ROUNDS {
+            let round = with_retry(ctx, self.meter(), &RetryPolicy::standard(), site, || {
+                let base = store.read_tagged(ctx, path)?;
+                let stored = base.as_ref().map(|(_, tag)| *tag);
+                let Some(record) = merge(base.map(|(record, _)| record)) else {
+                    return Ok(None);
+                };
+                let precondition = stored.map_or(Precondition::IfNoneMatch, Precondition::IfMatch);
+                let tag = store.write_node_if(ctx, &record, precondition)?;
+                Ok(stored.map(|_| tag))
+            });
+            match round {
+                Err(e) if e.is_condition_failed() => continue,
+                written => return written,
+            }
+        }
+        // Contention, like throttling, is transient: the batch redelivers.
+        Err(CloudError::Throttled)
     }
 
     /// Pops the distributed transactions from their nodes' pending queues
@@ -1021,8 +972,8 @@ fn stub_record(
 /// One region's store operations for an epoch: one per path, node
 /// writes first, then children-bearing operations, then deletes, each
 /// group in first-touch order (the order the replica feed applies them
-/// in). Base reads are deferred to apply time (under the path stripe),
-/// so standalone children rewrites stay symbolic.
+/// in). Base reads are deferred to apply time, so standalone children
+/// rewrites stay symbolic.
 struct EpochPlan {
     ops: Vec<PlanOp>,
     /// `(before, after)`: op `after` starts only once op `before` has
@@ -1133,8 +1084,7 @@ enum Pending {
 /// one region's [`EpochPlan`], coalescing to one operation per path
 /// (last write wins; a children rewrite merges into the path's pending
 /// write, like the sequential leader's `update_children`; the
-/// read-modify-write halves run at apply time under the shared path
-/// stripes).
+/// read-modify-write halves run at apply time).
 ///
 /// The edges come from the children rewrites: each names the child whose
 /// create or delete produced it. If the child's final operation is a
@@ -1695,11 +1645,10 @@ mod tests {
         assert_eq!(ops, ["write /p/c", "children-write /p"]);
         assert_eq!(edges, ["/p/c -> /p"]);
 
-        let distributor = Distributor::with_shared(
+        let distributor = Distributor::new(
             tier.deployment.system().clone(),
             tier.deployment.user_stores().to_vec(),
             DistributorConfig::new(3, 16).with_groups(2),
-            Arc::new(PathLockSet::new()),
         );
         let items: Vec<CommittedTx<'_>> = records
             .iter()

@@ -13,7 +13,10 @@
 //! Metering follows [`fk_cloud::MemStore`]: the engine is a node-local
 //! resource (Requirement #8's provisioned tier, but durable), so ops
 //! meter as `mem_op` / `Op::MemPut` / `Op::MemGet` rather than billed
-//! cloud round trips.
+//! cloud round trips. Like the cache, the store keeps no tags: a frame's
+//! tag is its hash ([`content_tag`]), which survives recovery and is
+//! computed on the tagged surface only. Mutations run one at a time, so
+//! a conditional write's check and put are one step.
 //!
 //! [`ChaosDiskInjector`] adapts the deployment's seeded chaos engine
 //! onto the engine's [`fk_store::FaultInjector`] hook, arming the
@@ -28,6 +31,7 @@ use crate::user_store::{
 use bytes::Bytes;
 use fk_cloud::chaos::{Chaos, FaultKind};
 use fk_cloud::metering::Meter;
+use fk_cloud::objectstore::{content_tag, Precondition, Tag};
 use fk_cloud::trace::Ctx;
 use fk_cloud::{CloudError, CloudResult, Op, Region};
 use fk_store::{DiskFault, FaultInjector, Lsm, LsmConfig, LsmStats, SimStorage, Storage};
@@ -92,12 +96,19 @@ pub struct DurableUserStore {
     lsm: Lsm,
     region: Region,
     meter: Meter,
+    /// Held by every mutation.
+    writes: Arc<parking_lot::Mutex<()>>,
 }
 
 impl DurableUserStore {
     /// Wraps an already-opened engine.
     pub fn new(lsm: Lsm, region: Region, meter: Meter) -> Self {
-        DurableUserStore { lsm, region, meter }
+        DurableUserStore {
+            lsm,
+            region,
+            meter,
+            writes: Arc::default(),
+        }
     }
 
     /// Opens an engine on `storage` with `config` and wraps it — the
@@ -146,32 +157,75 @@ impl DurableUserStore {
         self.meter.mem_op();
         ctx.charge_to(Op::MemGet, size.max(1), self.region);
     }
+
+    /// Reads `path`'s record, with its frame, charged as one read.
+    fn get(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Bytes)>> {
+        let Some(frame) = self.lsm.get(path).map_err(map_store_err)? else {
+            self.charge_get(ctx, 1);
+            return Ok(None);
+        };
+        self.charge_get(ctx, frame.len());
+        match crate::codec::decode_node(&frame) {
+            Some(record) => Ok(Some((record, frame))),
+            None => Err(CloudError::StorageFailed {
+                detail: format!("undecodable persisted node frame at {path:?}"),
+            }),
+        }
+    }
+
+    /// Puts `record` if `precondition` holds for the stored frame's tag,
+    /// checked under the write lock.
+    fn put(
+        &self,
+        ctx: &Ctx,
+        record: &NodeRecord,
+        precondition: Option<Precondition>,
+    ) -> CloudResult<Bytes> {
+        let frame = crate::codec::encode_node(record);
+        let _writes = self.writes.lock();
+        if let Some(precondition) = precondition {
+            let stored = self.lsm.get(&record.path).map_err(map_store_err)?;
+            let current = stored.as_deref().map(content_tag);
+            if !precondition.holds(current) {
+                self.charge_put(ctx, frame.len());
+                let detail = format!("{precondition:?} on {} (stored: {current:?})", record.path);
+                return Err(CloudError::ConditionFailed { detail });
+            }
+        }
+        self.lsm
+            .put(&record.path, frame.clone())
+            .map_err(map_store_err)?;
+        self.charge_put(ctx, frame.len());
+        Ok(frame)
+    }
 }
 
 impl UserStore for DurableUserStore {
     fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        let frame = crate::codec::encode_node(record);
-        let size = frame.len();
-        self.lsm.put(&record.path, frame).map_err(map_store_err)?;
-        self.charge_put(ctx, size);
-        Ok(())
+        self.put(ctx, record, None).map(drop)
+    }
+
+    fn write_node_if(
+        &self,
+        ctx: &Ctx,
+        record: &NodeRecord,
+        precondition: Precondition,
+    ) -> CloudResult<Tag> {
+        Ok(content_tag(&self.put(ctx, record, Some(precondition))?))
     }
 
     fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
-        let bytes = self.lsm.get(path).map_err(map_store_err)?;
-        self.charge_get(ctx, bytes.as_ref().map(Bytes::len).unwrap_or(1));
-        match bytes {
-            None => Ok(None),
-            Some(bytes) => match crate::codec::decode_node(&bytes) {
-                Some(record) => Ok(Some(record)),
-                None => Err(CloudError::StorageFailed {
-                    detail: format!("undecodable persisted node frame at {path:?}"),
-                }),
-            },
-        }
+        Ok(self.get(ctx, path)?.map(|(record, _)| record))
+    }
+
+    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
+        Ok(self
+            .get(ctx, path)?
+            .map(|(record, frame)| (record, content_tag(&frame))))
     }
 
     fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+        let _writes = self.writes.lock();
         self.lsm.delete(path).map_err(map_store_err)?;
         self.charge_put(ctx, 1);
         Ok(())
@@ -193,6 +247,7 @@ impl UserStore for DurableUserStore {
                 (record.path.clone(), Some(frame))
             })
             .collect();
+        let _writes = self.writes.lock();
         self.lsm.write_batch(entries).map_err(map_store_err)?;
         self.charge_put(ctx, size);
         Ok(())
@@ -206,6 +261,7 @@ impl UserStore for DurableUserStore {
         let entries: Vec<(String, Option<Bytes>)> =
             paths.into_iter().map(|p| (p.clone(), None)).collect();
         let n = entries.len();
+        let _writes = self.writes.lock();
         self.lsm.write_batch(entries).map_err(map_store_err)?;
         self.charge_put(ctx, n);
         Ok(())

@@ -72,7 +72,7 @@
 //! `docs/consistency.md`.
 
 use crate::api::{FkError, WatchEvent, WatchEventType, WatchKind};
-use crate::distributor::{AdaptiveBatch, CommittedTx, Distributor, DistributorConfig, PathLockSet};
+use crate::distributor::{AdaptiveBatch, CommittedTx, Distributor, DistributorConfig};
 use crate::messages::{
     ClientNotification, LeaderRecord, OpOutcome, Payload, UserUpdate, WriteResultData,
 };
@@ -335,33 +335,7 @@ impl Leader {
         dispatcher: Arc<dyn WatchDispatcher>,
         config: DistributorConfig,
     ) -> Self {
-        Self::with_shared(
-            system,
-            user_stores,
-            staging,
-            bus,
-            dispatcher,
-            config,
-            Arc::new(PathLockSet::new()),
-        )
-    }
-
-    /// Creates the function body sharing a [`PathLockSet`] with the
-    /// deployment's other leader instances. Required when
-    /// `config.groups > 1`: the lock set is what makes concurrent
-    /// read-modify-writes of one record from different shard groups
-    /// atomic (see [`crate::distributor`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_shared(
-        system: SystemStore,
-        user_stores: Vec<Arc<dyn UserStore>>,
-        staging: ObjectStore,
-        bus: ClientBus,
-        dispatcher: Arc<dyn WatchDispatcher>,
-        config: DistributorConfig,
-        locks: Arc<PathLockSet>,
-    ) -> Self {
-        let distributor = Distributor::with_shared(system.clone(), user_stores, config, locks);
+        let distributor = Distributor::new(system.clone(), user_stores, config);
         Leader {
             system,
             staging,
@@ -2134,25 +2108,21 @@ mod tests {
             self.check(&record.path)?;
             self.inner.write_node(ctx, record)
         }
-        fn replace_node(
-            &self,
-            ctx: &Ctx,
-            record: &NodeRecord,
-        ) -> fk_cloud::CloudResult<Option<fk_cloud::objectstore::Tag>> {
-            self.check(&record.path)?;
-            self.inner.replace_node(ctx, record)
-        }
         fn write_node_if(
             &self,
             ctx: &Ctx,
             record: &NodeRecord,
             precondition: fk_cloud::objectstore::Precondition,
-        ) -> fk_cloud::CloudResult<Option<fk_cloud::objectstore::Tag>> {
+        ) -> fk_cloud::CloudResult<fk_cloud::objectstore::Tag> {
             self.check(&record.path)?;
             self.inner.write_node_if(ctx, record, precondition)
         }
-        fn read_node(&self, ctx: &Ctx, path: &str) -> fk_cloud::CloudResult<Option<NodeRecord>> {
-            self.inner.read_node(ctx, path)
+        fn read_tagged(
+            &self,
+            ctx: &Ctx,
+            path: &str,
+        ) -> fk_cloud::CloudResult<Option<(NodeRecord, fk_cloud::objectstore::Tag)>> {
+            self.inner.read_tagged(ctx, path)
         }
         fn delete_node(&self, ctx: &Ctx, path: &str) -> fk_cloud::CloudResult<()> {
             self.inner.delete_node(ctx, path)

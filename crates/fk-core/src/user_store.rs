@@ -1,22 +1,31 @@
 //! User storage backends (§4.2).
 //!
 //! The user store serves client reads directly — FaaSKeeper removes
-//! functions from the read path entirely. Four backends reproduce the
-//! paper's comparison (Fig 8/9/11):
+//! functions from the read path entirely. Five backends reproduce the
+//! paper's comparison (Fig 8/9/11) and add a durable tier:
 //!
 //! * [`ObjUserStore`] — S3-style: one object per node. No partial writes,
 //!   so an update rewrites the whole object (§3.2): one conditional PUT
 //!   when the writer knows the object's tag, a read-modify-write when it
 //!   does not.
-//! * [`KvUserStore`] — DynamoDB-style: one item per node, updated with a
-//!   single expression; cheap and fast for small nodes but per-kB billing
-//!   explodes for large ones (Fig 4a).
-//! * [`HybridUserStore`] — the paper's optimization (§4.2): nodes ≤ 4 kB
-//!   live in the KV item; larger payloads split metadata (KV) from data
-//!   (object store). Reads start at the KV store and only large nodes pay
-//!   the second request. Improves read latency by >50 % and cost by 37.5 %.
+//! * [`KvUserStore`] — DynamoDB-style: one item per node; cheap and fast
+//!   for small nodes but per-kB billing explodes for large ones (Fig 4a).
+//! * The hybrid ([`KvUserStore::hybrid`]) — the paper's optimization
+//!   (§4.2): nodes ≤ 4 kB live in the KV item; a larger node's frame
+//!   moves to the object store. Reads start at the KV store and only
+//!   large nodes pay the second request. Improves read latency by >50 %
+//!   and cost by 37.5 %.
 //! * [`MemUserStore`] — Redis-style cache, matching ZooKeeper's latency
 //!   (Fig 8) but requiring provisioned resources (Requirement #8).
+//! * [`crate::durable::DurableUserStore`] — the embedded LSM engine.
+//!
+//! Every backend stores a node as one binary frame ([`crate::codec`])
+//! and names what it stores with a tag ([`Tag`]) that changes whenever
+//! the stored bytes do — an object's ETag, a KV item's `tag` attribute,
+//! or, in the node-local stores, a hash of the frame. A conditional
+//! write ([`UserStore::write_node_if`]) lands only over the tag its
+//! writer names: that, not a lock in the writer, is what makes the
+//! distributor's read-merge-writes atomic.
 //!
 //! Client reads may be answered by the session-local, watermark-validated
 //! read cache ([`crate::read_cache`]) before they ever reach a backend;
@@ -26,11 +35,11 @@
 
 use crate::api::Stat;
 use bytes::Bytes;
-use fk_cloud::expr::{Condition, Update};
+use fk_cloud::expr::Condition;
 use fk_cloud::kvstore::KvStore;
-use fk_cloud::objectstore::{ObjectStore, Precondition, Tag};
+use fk_cloud::objectstore::{content_tag, ObjectStore, Precondition, Tag};
 use fk_cloud::trace::Ctx;
-use fk_cloud::value::{Item, Value};
+use fk_cloud::value::Item;
 use fk_cloud::{CloudError, CloudResult, Consistency, MemStore, Region};
 use std::sync::Arc;
 
@@ -87,13 +96,13 @@ impl NodeRecord {
         }
     }
 
-    /// Serializes for blob-shaped backends (binary frame,
-    /// [`crate::codec`]).
+    /// Serializes into the frame every backend stores
+    /// ([`crate::codec`]).
     fn to_bytes(&self) -> Bytes {
         crate::codec::encode_node(self)
     }
 
-    /// Deserializes from a stored blob; `None` if it is not an exact
+    /// Deserializes from a stored frame; `None` if it is not an exact
     /// node frame.
     fn from_bytes(bytes: &[u8]) -> Option<Self> {
         crate::codec::decode_node(bytes)
@@ -200,46 +209,37 @@ pub(crate) fn dedupe_paths(paths: &[String]) -> Vec<&String> {
 /// operations in apply order and may coalesce repeated writes to one
 /// path (last record wins) and collapse round trips. The defaults fall
 /// back to per-record calls; the durable backend overrides them to
-/// commit a whole batch as one WAL record. The distributor applies
-/// epochs record by record (`write_node_if`, or `read_node` /
-/// `replace_node`, and `delete_node`).
+/// commit a whole batch as one WAL record.
 ///
-/// The tagged surface (`write_node_if`, and the tag `replace_node`
-/// returns) belongs to backends whose objects carry tags
-/// ([`fk_cloud::objectstore::Tag`]); the defaults say "untagged", and
-/// the distributor then reads, merges and writes as it always has.
+/// The tagged surface (`read_tagged`, `write_node_if`) is what the
+/// distributor applies epochs with: a conditional write names the tag
+/// of the stored record it replaces (or that there is none), and a
+/// write that lost a race to another writer fails with
+/// [`CloudError::ConditionFailed`] (412), having written nothing. A
+/// tag changes whenever a path's stored bytes change and is never
+/// reused for different bytes of that path.
 pub trait UserStore: Send + Sync {
-    /// Writes (creates or replaces) a node record.
+    /// Writes (creates or replaces) a node record unconditionally.
     fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()>;
-    /// Reads a node record; `Ok(None)` if absent.
-    fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>>;
-    /// Deletes a node record (idempotent).
-    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()>;
-
-    /// Writes a record whose current stored state the caller has *just
-    /// read* (the put half of a read-modify-write): backends that prefix
-    /// `write_node` with a read of their own (the object store's
-    /// whole-object rewrite without a tag) skip it here — a real S3
-    /// read-modify-write is one GET plus one PUT, not two GETs. Returns
-    /// the stored object's new tag on a tagged backend. Default: plain
-    /// `write_node`, untagged.
-    fn replace_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<Option<Tag>> {
-        self.write_node(ctx, record).map(|()| None)
+    /// Reads a node record; `Ok(None)` if absent. Default: the tagged
+    /// read without its tag.
+    fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
+        Ok(self.read_tagged(ctx, path)?.map(|(record, _)| record))
     }
-
-    /// Writes `record` only if its stored object satisfies
-    /// `precondition` (one conditional PUT, no read): `Ok(Some(tag))`
-    /// with the new object's tag, or [`CloudError::ConditionFailed`]
-    /// (412) with nothing written. `Ok(None)`: this backend keeps no
-    /// tags and wrote nothing (the default).
+    /// Reads a node record and its tag; `Ok(None)` if absent.
+    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>>;
+    /// Writes `record` only if its path's stored record satisfies
+    /// `precondition` (one conditional request, no read) and returns the
+    /// new tag, or fails with [`CloudError::ConditionFailed`] (412) with
+    /// nothing written.
     fn write_node_if(
         &self,
-        _ctx: &Ctx,
-        _record: &NodeRecord,
-        _precondition: Precondition,
-    ) -> CloudResult<Option<Tag>> {
-        Ok(None)
-    }
+        ctx: &Ctx,
+        record: &NodeRecord,
+        precondition: Precondition,
+    ) -> CloudResult<Tag>;
+    /// Deletes a node record (idempotent).
+    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()>;
 
     /// Writes a batch of records in order, coalescing to the final record
     /// per path. Default: coalesce, then per-record `write_node`.
@@ -272,6 +272,29 @@ pub trait UserStore: Send + Sync {
     fn kind(&self) -> UserStoreKind;
 }
 
+/// `read`, with a missing key as `None`.
+fn found<T>(read: CloudResult<T>) -> CloudResult<Option<T>> {
+    match read {
+        Ok(value) => Ok(Some(value)),
+        Err(CloudError::NotFound { .. }) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// The record and tag of a stored frame, if it is one.
+fn decode_tagged((frame, tag): (Bytes, Tag)) -> Option<(NodeRecord, Tag)> {
+    Some((NodeRecord::from_bytes(&frame)?, tag))
+}
+
+/// The scan entries of a subtree's stored frames (the root's own frame is
+/// not under the `root/` prefix, so blob stores read it separately).
+fn summaries(frames: impl IntoIterator<Item = Bytes>) -> Vec<ScanEntry> {
+    let entries = frames
+        .into_iter()
+        .map(|f| crate::codec::decode_node_summary(&f));
+    entries.flatten().map(ScanEntry::from).collect()
+}
+
 // ----------------------------------------------------------------------
 // Object-store backend
 // ----------------------------------------------------------------------
@@ -290,28 +313,8 @@ impl ObjUserStore {
 
 impl UserStore for ObjUserStore {
     fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        // No partial updates in object storage (Requirement #6): a writer
-        // that does not know the object's current tag must download it
-        // before replacing it, and so do we — the read half of Table 3's
-        // Update Node. (The distributor names the tag when system storage
-        // has it on record, `write_node_if`, and skips this read.) A
-        // missing object is expected (creates); any other failure of the
-        // pre-write read (throttling, stopped service) must propagate
-        // rather than being silently swallowed before the put.
-        match self.bucket.get(ctx, &record.path) {
-            Ok(_) | Err(CloudError::NotFound { .. }) => {}
-            Err(e) => return Err(e),
-        }
         self.bucket.put(ctx, &record.path, record.to_bytes())?;
         Ok(())
-    }
-
-    fn replace_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<Option<Tag>> {
-        // The caller just performed the read half of the RMW; the PUT
-        // stands alone.
-        self.bucket
-            .put(ctx, &record.path, record.to_bytes())
-            .map(Some)
     }
 
     fn write_node_if(
@@ -319,18 +322,13 @@ impl UserStore for ObjUserStore {
         ctx: &Ctx,
         record: &NodeRecord,
         precondition: Precondition,
-    ) -> CloudResult<Option<Tag>> {
+    ) -> CloudResult<Tag> {
         self.bucket
             .put_if(ctx, &record.path, record.to_bytes(), precondition)
-            .map(Some)
     }
 
-    fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
-        match self.bucket.get(ctx, path) {
-            Ok((bytes, _)) => Ok(NodeRecord::from_bytes(&bytes)),
-            Err(CloudError::NotFound { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
+    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
+        Ok(found(self.bucket.get(ctx, path))?.and_then(decode_tagged))
     }
 
     fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
@@ -338,21 +336,15 @@ impl UserStore for ObjUserStore {
     }
 
     fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
-        let mut out = Vec::new();
-        if root != "/" {
-            // The root itself is not under the `root/` key prefix.
-            match self.bucket.get(ctx, root) {
-                Ok((bytes, _)) => {
-                    out.extend(crate::codec::decode_node_summary(&bytes).map(Into::into))
-                }
-                Err(CloudError::NotFound { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        for (_, bytes) in self.bucket.get_prefix(ctx, &descendant_prefix(root))? {
-            out.extend(crate::codec::decode_node_summary(&bytes).map(ScanEntry::from));
-        }
-        Ok(out)
+        let own = match root {
+            "/" => None,
+            _ => found(self.bucket.get(ctx, root))?.map(|(frame, _)| frame),
+        };
+        let rest = self.bucket.get_prefix(ctx, &descendant_prefix(root))?;
+        Ok(summaries(
+            own.into_iter()
+                .chain(rest.into_iter().map(|(_, frame)| frame)),
+        ))
     }
 
     fn region(&self) -> Region {
@@ -365,264 +357,183 @@ impl UserStore for ObjUserStore {
 }
 
 // ----------------------------------------------------------------------
-// Key-value backend
+// Key-value and hybrid backend
 // ----------------------------------------------------------------------
 
-/// Attribute names of user-store KV items.
+/// Attribute names of user-store KV items: a node's item holds its frame
+/// and a tag the writer drew from the table ([`KvStore::fresh_tag`]).
+/// The hybrid stores a frame whose payload is above its threshold as an
+/// object named by that tag ([`payload_key`]) instead, and marks the
+/// item `offloaded`.
 mod kv_attr {
-    pub const DATA: &str = "data";
-    pub const CREATED: &str = "created";
-    pub const MODIFIED: &str = "modified";
-    pub const VERSION: &str = "version";
-    pub const CHILDREN: &str = "children";
-    pub const CHILDREN_TXID: &str = "children_txid";
-    pub const EPH: &str = "eph_owner";
-    pub const EPOCH: &str = "epoch";
-    /// Marker: payload lives in the object store (hybrid mode).
+    pub use fk_cloud::kvstore::TAG_ATTR as TAG;
+    pub const FRAME: &str = "frame";
     pub const OFFLOADED: &str = "offloaded";
 }
 
-fn record_to_update(record: &NodeRecord, data: Option<&Bytes>, offloaded: bool) -> Update {
-    let mut update = Update::new()
-        .set(kv_attr::CREATED, record.created_txid as i64)
-        .set(kv_attr::MODIFIED, record.modified_txid as i64)
-        .set(kv_attr::VERSION, record.version as i64)
-        .set(
-            kv_attr::CHILDREN,
-            Value::List(
-                record
-                    .children
-                    .iter()
-                    .map(|c| Value::from(c.as_str()))
-                    .collect(),
-            ),
-        )
-        .set(kv_attr::CHILDREN_TXID, record.children_txid as i64)
-        .set(
-            kv_attr::EPOCH,
-            Value::List(
-                record
-                    .epoch_marks
-                    .iter()
-                    .map(|m| Value::Num(*m as i64))
-                    .collect(),
-            ),
-        );
-    update = match &record.ephemeral_owner {
-        Some(owner) => update.set(kv_attr::EPH, owner.as_str()),
-        None => update.remove(kv_attr::EPH),
-    };
-    update = match data {
-        Some(data) => update.set(kv_attr::DATA, data.clone()),
-        None => update.remove(kv_attr::DATA),
-    };
-    if offloaded {
-        update.set(kv_attr::OFFLOADED, true)
-    } else {
-        update.remove(kv_attr::OFFLOADED)
-    }
+/// The object key of an offloaded frame. Tags are unique, so the object
+/// is written once, before the item that names it, and never overwritten.
+fn payload_key(path: &str, tag: Tag) -> String {
+    format!("{path}#{tag}")
 }
 
-fn entry_from_item(path: &str, item: &Item, data_override: Option<Bytes>) -> ScanEntry {
-    let record = record_from_item(path, item, data_override);
-    ScanEntry {
-        stat: record.stat(),
-        path: record.path,
-        data: record.data,
-        epoch_marks: record.epoch_marks,
-    }
+fn item_tag(item: &Item) -> Tag {
+    item.num(kv_attr::TAG).unwrap_or(0) as Tag
 }
 
-fn record_from_item(path: &str, item: &Item, data_override: Option<Bytes>) -> NodeRecord {
-    NodeRecord {
-        path: path.to_owned(),
-        data: data_override
-            .or_else(|| item.bin(kv_attr::DATA).cloned())
-            .unwrap_or_default(),
-        created_txid: item.num(kv_attr::CREATED).unwrap_or(0) as u64,
-        modified_txid: item.num(kv_attr::MODIFIED).unwrap_or(0) as u64,
-        version: item.num(kv_attr::VERSION).unwrap_or(0) as i32,
-        children: Arc::new(
-            item.list(kv_attr::CHILDREN)
-                .map(|l| {
-                    l.iter()
-                        .filter_map(|v| v.as_str().map(str::to_owned))
-                        .collect()
-                })
-                .unwrap_or_default(),
-        ),
-        children_txid: item.num(kv_attr::CHILDREN_TXID).unwrap_or(0) as u64,
-        ephemeral_owner: item.str(kv_attr::EPH).map(str::to_owned),
-        epoch_marks: Arc::new(
-            item.list(kv_attr::EPOCH)
-                .map(|l| {
-                    l.iter()
-                        .filter_map(|v| v.as_num().map(|n| n as u64))
-                        .collect()
-                })
-                .unwrap_or_default(),
-        ),
-    }
-}
-
-/// DynamoDB-style backend: one item per node, single-expression updates.
+/// DynamoDB-style backend: one item per node holding its frame and tag.
+/// As the hybrid, large frames live in object storage and the item, the
+/// point at which a write becomes visible, names them.
 pub struct KvUserStore {
     table: KvStore,
+    /// The hybrid's object tier, and the payload size above which a
+    /// frame moves there.
+    offload: Option<(ObjectStore, usize)>,
 }
 
 impl KvUserStore {
     /// Wraps a table.
     pub fn new(table: KvStore) -> Self {
-        KvUserStore { table }
+        KvUserStore {
+            table,
+            offload: None,
+        }
+    }
+
+    /// The paper's hybrid split: nodes whose payload is above
+    /// `threshold` bytes keep their frame in `bucket`.
+    pub fn hybrid(table: KvStore, bucket: ObjectStore, threshold: usize) -> Self {
+        KvUserStore {
+            table,
+            offload: Some((bucket, threshold)),
+        }
+    }
+
+    fn bucket(&self) -> Option<&ObjectStore> {
+        self.offload.as_ref().map(|(bucket, _)| bucket)
+    }
+
+    /// Stores `record`'s item under `condition`, a large frame's object
+    /// first. Returns the item's tag.
+    fn write_item(&self, ctx: &Ctx, record: &NodeRecord, condition: Condition) -> CloudResult<Tag> {
+        let tag = self.table.fresh_tag();
+        let frame = record.to_bytes();
+        let item = Item::new().with(kv_attr::TAG, tag as i64);
+        let offload = self
+            .offload
+            .as_ref()
+            .filter(|(_, threshold)| record.data.len() > *threshold);
+        let item = match offload {
+            Some((bucket, _)) => {
+                bucket.put(ctx, &payload_key(&record.path, tag), frame)?;
+                item.with(kv_attr::OFFLOADED, true)
+            }
+            None => item.with(kv_attr::FRAME, frame),
+        };
+        let stored = self.table.put(ctx, &record.path, item, condition);
+        match (&stored, offload) {
+            (Ok(old), _) => self.drop_payload(ctx, &record.path, old.as_ref()),
+            // The item was not stored, so nothing names the object.
+            (Err(_), Some((bucket, _))) => {
+                let _ = bucket.delete(ctx, &payload_key(&record.path, tag));
+            }
+            (Err(_), None) => {}
+        }
+        stored.map(|_| tag)
+    }
+
+    /// Deletes the object a replaced or deleted item `old` named, if
+    /// any. Best effort: a leftover object is named by no item, so no
+    /// reader ever finds it; it costs storage only.
+    fn drop_payload(&self, ctx: &Ctx, path: &str, old: Option<&Item>) {
+        if let (Some(bucket), Some(old)) = (self.bucket(), old) {
+            if old.contains(kv_attr::OFFLOADED) {
+                let _ = bucket.delete(ctx, &payload_key(path, item_tag(old)));
+            }
+        }
+    }
+
+    /// The frame `item` holds or names; `None` if its object is gone —
+    /// a writer replaced or deleted the item since it was read.
+    fn frame_of(&self, ctx: &Ctx, path: &str, item: &Item) -> CloudResult<Option<Bytes>> {
+        match (item.bin(kv_attr::FRAME), self.bucket()) {
+            (None, Some(bucket)) => {
+                let object = found(bucket.get(ctx, &payload_key(path, item_tag(item))))?;
+                Ok(object.map(|(frame, _)| frame))
+            }
+            (frame, _) => Ok(Some(frame.cloned().unwrap_or_default())),
+        }
+    }
+
+    /// Reads `path`'s frame and tag: "the client library begins by
+    /// reading data from key-value storage, and only the infrequent large
+    /// nodes incur the performance and cost penalty of a second storage
+    /// request". An object gone by the second request means the item
+    /// changed in between, so the item is read again.
+    fn read_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
+        loop {
+            let Some(item) = self.table.get(ctx, path, Consistency::Strong) else {
+                return Ok(None);
+            };
+            if let Some(frame) = self.frame_of(ctx, path, &item)? {
+                return Ok(Some((frame, item_tag(&item))));
+            }
+        }
     }
 }
 
 impl UserStore for KvUserStore {
     fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        let update = record_to_update(record, Some(&record.data), false);
-        self.table
-            .update(ctx, &record.path, &update, Condition::Always)?;
-        Ok(())
+        self.write_item(ctx, record, Condition::Always).map(drop)
     }
 
-    fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
-        Ok(self
-            .table
-            .get(ctx, path, Consistency::Strong)
-            .map(|item| record_from_item(path, &item, None)))
+    fn write_node_if(
+        &self,
+        ctx: &Ctx,
+        record: &NodeRecord,
+        precondition: Precondition,
+    ) -> CloudResult<Tag> {
+        let condition = match precondition {
+            Precondition::IfMatch(tag) => Condition::eq(kv_attr::TAG, tag as i64),
+            Precondition::IfNoneMatch => Condition::ItemNotExists,
+        };
+        self.write_item(ctx, record, condition)
+    }
+
+    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
+        Ok(self.read_frame(ctx, path)?.and_then(decode_tagged))
     }
 
     fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
-        match self.table.delete(ctx, path, Condition::ItemExists) {
-            Ok(_) => Ok(()),
-            Err(CloudError::ConditionFailed { .. }) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
-        let mut out = Vec::new();
-        if root != "/" {
-            if let Some(item) = self.table.get(ctx, root, Consistency::Strong) {
-                out.push(entry_from_item(root, &item, None));
-            }
-        }
-        for (path, item) in self.table.scan_prefix(ctx, &descendant_prefix(root)) {
-            out.push(entry_from_item(&path, &item, None));
-        }
-        Ok(out)
-    }
-
-    fn region(&self) -> Region {
-        self.table.region()
-    }
-
-    fn kind(&self) -> UserStoreKind {
-        UserStoreKind::KeyValue
-    }
-}
-
-// ----------------------------------------------------------------------
-// Hybrid backend
-// ----------------------------------------------------------------------
-
-/// The paper's hybrid split: metadata + small payloads in KV, large
-/// payloads offloaded to object storage.
-pub struct HybridUserStore {
-    table: KvStore,
-    bucket: ObjectStore,
-    threshold: usize,
-}
-
-impl HybridUserStore {
-    /// Creates a hybrid store splitting at `threshold` bytes.
-    pub fn new(table: KvStore, bucket: ObjectStore, threshold: usize) -> Self {
-        HybridUserStore {
-            table,
-            bucket,
-            threshold,
-        }
-    }
-}
-
-impl UserStore for HybridUserStore {
-    fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        let offload = record.data.len() > self.threshold;
-        if offload {
-            self.bucket.put(ctx, &record.path, record.data.clone())?;
-            let update = record_to_update(record, None, true);
-            let out = self
-                .table
-                .update(ctx, &record.path, &update, Condition::Always)?;
-            // A shrink from large to small never leaves stale objects
-            // behind because offloaded stays set; nothing to clean here.
-            let _ = out;
-        } else {
-            let update = record_to_update(record, Some(&record.data), false);
-            let out = self
-                .table
-                .update(ctx, &record.path, &update, Condition::Always)?;
-            // If the node shrank out of the object store, drop the object.
-            if out
-                .old
-                .as_ref()
-                .map(|o| o.contains(kv_attr::OFFLOADED))
-                .unwrap_or(false)
-            {
-                self.bucket.delete(ctx, &record.path)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
-        // "The client library begins by reading data from key-value
-        // storage, and only the infrequent large nodes incur the
-        // performance and cost penalty of a second storage request."
-        let Some(item) = self.table.get(ctx, path, Consistency::Strong) else {
-            return Ok(None);
-        };
-        let data = if item.contains(kv_attr::OFFLOADED) {
-            Some(self.bucket.get(ctx, path)?.0)
-        } else {
-            None
-        };
-        Ok(Some(record_from_item(path, &item, data)))
-    }
-
-    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
-        let offloaded = match self.table.delete(ctx, path, Condition::ItemExists) {
-            Ok(old) => old.map(|o| o.contains(kv_attr::OFFLOADED)).unwrap_or(false),
-            Err(CloudError::ConditionFailed { .. }) => false,
+        let old = match self.table.delete(ctx, path, Condition::ItemExists) {
+            Ok(old) => old,
+            Err(CloudError::ConditionFailed { .. }) => None,
             Err(e) => return Err(e),
         };
-        if offloaded {
-            self.bucket.delete(ctx, path)?;
-        }
+        self.drop_payload(ctx, path, old.as_ref());
         Ok(())
     }
 
     fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
-        // One metadata sweep over the KV tier; only the infrequent
-        // offloaded (large) entries pay a second, per-object request —
-        // the same small/large split point reads enjoy (§4.2).
-        let mut metas: Vec<(String, Item)> = Vec::new();
+        // One sweep over the KV tier; only offloaded (large) entries pay a
+        // second, per-object request — the same small/large split point
+        // reads enjoy (§4.2).
+        let mut items: Vec<(String, Item)> = Vec::new();
         if root != "/" {
             if let Some(item) = self.table.get(ctx, root, Consistency::Strong) {
-                metas.push((root.to_owned(), item));
+                items.push((root.to_owned(), item));
             }
         }
-        metas.extend(self.table.scan_prefix(ctx, &descendant_prefix(root)));
-        let mut out = Vec::with_capacity(metas.len());
-        for (path, item) in metas {
-            let data = if item.contains(kv_attr::OFFLOADED) {
-                Some(self.bucket.get(ctx, &path)?.0)
-            } else {
-                None
-            };
-            out.push(entry_from_item(&path, &item, data));
+        items.extend(self.table.scan_prefix(ctx, &descendant_prefix(root)));
+        let mut frames = Vec::with_capacity(items.len());
+        for (path, item) in items {
+            match self.frame_of(ctx, &path, &item)? {
+                Some(frame) => frames.push(frame),
+                // The item changed since the sweep: read it alone.
+                None => frames.extend(self.read_frame(ctx, &path)?.map(|(frame, _)| frame)),
+            }
         }
-        Ok(out)
+        Ok(summaries(frames))
     }
 
     fn region(&self) -> Region {
@@ -630,8 +541,9 @@ impl UserStore for HybridUserStore {
     }
 
     fn kind(&self) -> UserStoreKind {
-        UserStoreKind::Hybrid {
-            threshold: self.threshold,
+        match self.offload {
+            Some((_, threshold)) => UserStoreKind::Hybrid { threshold },
+            None => UserStoreKind::KeyValue,
         }
     }
 }
@@ -658,12 +570,26 @@ impl UserStore for MemUserStore {
         Ok(())
     }
 
+    fn write_node_if(
+        &self,
+        ctx: &Ctx,
+        record: &NodeRecord,
+        precondition: Precondition,
+    ) -> CloudResult<Tag> {
+        self.cache
+            .put_if(ctx, &record.path, record.to_bytes(), precondition)
+    }
+
     fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
-        match self.cache.get(ctx, path) {
-            Ok(bytes) => Ok(NodeRecord::from_bytes(&bytes)),
-            Err(CloudError::NotFound { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
+        Ok(found(self.cache.get(ctx, path))?.and_then(|frame| NodeRecord::from_bytes(&frame)))
+    }
+
+    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
+        let tagged = found(self.cache.get(ctx, path))?.map(|frame| {
+            let tag = content_tag(&frame);
+            (frame, tag)
+        });
+        Ok(tagged.and_then(decode_tagged))
     }
 
     fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
@@ -672,18 +598,15 @@ impl UserStore for MemUserStore {
     }
 
     fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
-        let mut out = Vec::new();
-        if root != "/" {
-            match self.cache.get(ctx, root) {
-                Ok(bytes) => out.extend(crate::codec::decode_node_summary(&bytes).map(Into::into)),
-                Err(CloudError::NotFound { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        for (_, bytes) in self.cache.scan_prefix(ctx, &descendant_prefix(root)) {
-            out.extend(crate::codec::decode_node_summary(&bytes).map(ScanEntry::from));
-        }
-        Ok(out)
+        let own = match root {
+            "/" => None,
+            _ => found(self.cache.get(ctx, root))?,
+        };
+        let rest = self.cache.scan_prefix(ctx, &descendant_prefix(root));
+        Ok(summaries(
+            own.into_iter()
+                .chain(rest.into_iter().map(|(_, frame)| frame)),
+        ))
     }
 
     fn region(&self) -> Region {
@@ -724,7 +647,7 @@ mod tests {
                 meter.clone(),
             ))),
             Box::new(KvUserStore::new(KvStore::new("u", region, meter.clone()))),
-            Box::new(HybridUserStore::new(
+            Box::new(KvUserStore::hybrid(
                 KvStore::new("u", region, meter.clone()),
                 ObjectStore::new("ub", region, meter.clone()),
                 4096,
@@ -761,7 +684,7 @@ mod tests {
     fn hybrid_keeps_small_nodes_in_kv() {
         let meter = Meter::new();
         let bucket = ObjectStore::new("b", Region::US_EAST_1, meter.clone());
-        let store = HybridUserStore::new(
+        let store = KvUserStore::hybrid(
             KvStore::new("t", Region::US_EAST_1, meter.clone()),
             bucket.clone(),
             4096,
@@ -779,7 +702,7 @@ mod tests {
     fn hybrid_offloads_large_nodes() {
         let meter = Meter::new();
         let bucket = ObjectStore::new("b", Region::US_EAST_1, meter.clone());
-        let store = HybridUserStore::new(
+        let store = KvUserStore::hybrid(
             KvStore::new("t", Region::US_EAST_1, meter.clone()),
             bucket.clone(),
             4096,
@@ -802,7 +725,7 @@ mod tests {
     fn hybrid_delete_cleans_offloaded_object() {
         let meter = Meter::new();
         let bucket = ObjectStore::new("b", Region::US_EAST_1, meter.clone());
-        let store = HybridUserStore::new(
+        let store = KvUserStore::hybrid(
             KvStore::new("t", Region::US_EAST_1, meter),
             bucket.clone(),
             4096,
@@ -820,10 +743,11 @@ mod tests {
         let store = ObjUserStore::new(bucket);
         let ctx = Ctx::disabled();
         store.write_node(&ctx, &record("/n", 10)).unwrap();
-        let gets_before = meter.snapshot().obj_gets;
         store.write_node(&ctx, &record("/n", 20)).unwrap();
-        // Read-modify-write: the update performed a GET first.
-        assert_eq!(meter.snapshot().obj_gets, gets_before + 1);
+        // An unconditional write is one whole-object PUT and no read.
+        let snap = meter.snapshot();
+        assert_eq!((snap.obj_gets, snap.obj_puts), (0, 2));
+        assert_eq!(store.read_node(&ctx, "/n").unwrap().unwrap().data.len(), 20);
     }
 
     #[test]
@@ -855,7 +779,7 @@ mod tests {
         store.write_batch(&ctx, &batch).unwrap();
         let snap = meter.snapshot();
         assert_eq!(snap.obj_puts, 2, "six writes, two distinct paths");
-        assert_eq!(snap.obj_gets, 2, "one read-modify-write GET per path");
+        assert_eq!(snap.obj_gets, 0, "blind writes read nothing");
     }
 
     #[test]
@@ -880,7 +804,7 @@ mod tests {
     fn hybrid_write_batch_skips_intermediate_offloads() {
         let meter = Meter::new();
         let bucket = ObjectStore::new("b", Region::US_EAST_1, meter.clone());
-        let store = HybridUserStore::new(
+        let store = KvUserStore::hybrid(
             KvStore::new("t", Region::US_EAST_1, meter.clone()),
             bucket.clone(),
             4096,
@@ -957,7 +881,7 @@ mod tests {
     #[test]
     fn hybrid_scan_fetches_offloaded_payloads() {
         let meter = Meter::new();
-        let store = HybridUserStore::new(
+        let store = KvUserStore::hybrid(
             KvStore::new("t", Region::US_EAST_1, meter.clone()),
             ObjectStore::new("b", Region::US_EAST_1, meter.clone()),
             4096,

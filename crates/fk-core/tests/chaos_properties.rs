@@ -277,6 +277,7 @@ fn assert_no_lost_acks(fk: &Deployment, acked: &Acked) {
 /// seeded fault schedules on eight derived geometries.
 #[test]
 fn z_guarantees_survive_standard_chaos_across_seeds() {
+    let mut tag_races = 0;
     for seed in SEEDS {
         let (config, describe) = geometry(seed);
         println!("chaos seed {seed:#x}: plan=standard {describe}");
@@ -290,6 +291,9 @@ fn z_guarantees_survive_standard_chaos_across_seeds() {
             chaos.total_fired() > 0,
             "seed {seed:#x}: schedule never fired — the run proved nothing"
         );
+        let races = chaos.fired(fk_cloud::FaultKind::ObjTagRace);
+        println!("chaos seed {seed:#x}: {races} tag races");
+        tag_races += races;
         assert!(
             snapshot.retries <= snapshot.faults_injected,
             "seed {seed:#x}: retry amplification {} exceeds injected faults {}",
@@ -325,6 +329,9 @@ fn z_guarantees_survive_standard_chaos_across_seeds() {
         assert_eq!(acked.expect, twin_acked.expect);
         twin.shutdown();
     }
+    // Each race fails a conditional write, whose retry re-reads the
+    // record: the suite must have taken that path.
+    assert!(tag_races > 0, "obj_tag_race never fired");
 }
 
 /// A `FaultPlan::disabled()` deployment must be byte-identical to one

@@ -16,9 +16,7 @@ use bytes::Bytes;
 use fk_cloud::trace::Ctx;
 use fk_cloud::{KvStore, MemStore, Meter, ObjectStore, Region};
 use fk_core::deploy::{Deployment, DeploymentConfig};
-use fk_core::user_store::{
-    HybridUserStore, KvUserStore, MemUserStore, NodeRecord, ObjUserStore, UserStore,
-};
+use fk_core::user_store::{KvUserStore, MemUserStore, NodeRecord, ObjUserStore, UserStore};
 use fk_core::{in_subtree, CreateMode, FkError};
 use fk_cost::{CostModel, StorageMode};
 use fk_testkit::geometry;
@@ -35,7 +33,7 @@ fn backends() -> Vec<Box<dyn UserStore>> {
             meter.clone(),
         ))),
         Box::new(KvUserStore::new(KvStore::new("u", region, meter.clone()))),
-        Box::new(HybridUserStore::new(
+        Box::new(KvUserStore::hybrid(
             KvStore::new("u", region, meter.clone()),
             ObjectStore::new("ub", region, meter.clone()),
             4096,
