@@ -1,6 +1,6 @@
 //! Storage-engine harness behind the `store_gate`: sustained write/read
 //! throughput of the embedded LSM engine ([`DurableUserStore`]) against
-//! the in-memory baseline ([`MemUserStore`]), plus the binary item
+//! the in-memory baseline ([`MemStore`]), plus the binary item
 //! packing measurement for system-store node control items.
 //!
 //! Both stores run the identical seeded workload over the same simulated
@@ -14,9 +14,9 @@
 use fk_cloud::metering::Meter;
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::{Item, Value};
-use fk_cloud::{MemStore, Region};
+use fk_cloud::{CloudResult, MemStore, Region};
 use fk_core::durable::DurableUserStore;
-use fk_core::user_store::{MemUserStore, NodeRecord, UserStore};
+use fk_core::user_store::{NodeRecord, UserStore};
 use fk_store::{varint, FsyncPolicy, LsmConfig, SimStorage};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -101,9 +101,13 @@ fn bench_record(rng: &mut SmallRng, path: String, value_bytes: usize) -> NodeRec
     }
 }
 
-/// Drives the seeded write + read workload through `store` and times
-/// the two phases.
-pub fn run_store_bench(store: &dyn UserStore, config: &StoreBenchConfig) -> StoreRunResult {
+/// Drives the seeded write + read workload through `store`, writing
+/// batches with `write_batch`, and times the two phases.
+pub fn run_store_bench(
+    store: &dyn UserStore,
+    write_batch: impl Fn(&Ctx, &[NodeRecord]) -> CloudResult<()>,
+    config: &StoreBenchConfig,
+) -> StoreRunResult {
     let ctx = Ctx::disabled();
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let paths: Vec<String> = (0..config.paths)
@@ -123,7 +127,7 @@ pub fn run_store_bench(store: &dyn UserStore, config: &StoreBenchConfig) -> Stor
                 bench_record(&mut rng, path, config.value_bytes)
             })
             .collect();
-        store.write_batch(&ctx, &recs).expect("bench batch");
+        write_batch(&ctx, &recs).expect("bench batch");
         records_written += recs.len();
     }
     let write_elapsed = write_start.elapsed();
@@ -189,14 +193,17 @@ pub fn gate_lsm_config() -> LsmConfig {
     }
 }
 
-/// Runs the workload against [`MemUserStore`] and [`DurableUserStore`]
+/// Runs the workload against [`MemStore`] (a batch is a write per
+/// record) and [`DurableUserStore`] (a batch is one group commit)
 /// (fresh [`SimStorage`] device, [`gate_lsm_config`] geometry). Returns
 /// the comparison plus the engine's post-run counters so callers can
 /// check the workload actually exercised flush/compaction.
 pub fn compare_stores(config: &StoreBenchConfig) -> (StoreComparison, fk_store::LsmStats) {
     let region = Region::US_EAST_1;
-    let mem = MemUserStore::new(MemStore::new(region, Meter::new()));
-    let mem_result = run_store_bench(&mem, config);
+    let mem = MemStore::new(region, Meter::new());
+    let per_record =
+        |ctx: &Ctx, batch: &[NodeRecord]| batch.iter().try_for_each(|r| mem.write_node(ctx, r));
+    let mem_result = run_store_bench(&mem, per_record, config);
 
     let durable = DurableUserStore::open(
         Arc::new(SimStorage::new()),
@@ -205,7 +212,11 @@ pub fn compare_stores(config: &StoreBenchConfig) -> (StoreComparison, fk_store::
         Meter::new(),
     )
     .expect("fresh simulated device opens");
-    let durable_result = run_store_bench(&durable, config);
+    let durable_result = run_store_bench(
+        &durable,
+        |ctx, batch| durable.write_batch(ctx, batch),
+        config,
+    );
     let stats = durable.stats();
 
     (

@@ -47,7 +47,7 @@ fn durable_engine_throughput_is_within_constant_factor_of_mem() {
     );
     assert!(
         cmp.write_slowdown() <= 40.0,
-        "{stamp}: durable write throughput fell past 40x of MemUserStore \
+        "{stamp}: durable write throughput fell past 40x of MemStore \
          ({:.0} vs {:.0} writes/s, {:.1}x)",
         cmp.durable.write_ops_per_sec(),
         cmp.mem.write_ops_per_sec(),
@@ -55,7 +55,7 @@ fn durable_engine_throughput_is_within_constant_factor_of_mem() {
     );
     assert!(
         cmp.read_slowdown() <= 100.0,
-        "{stamp}: durable read throughput fell past 100x of MemUserStore \
+        "{stamp}: durable read throughput fell past 100x of MemStore \
          ({:.0} vs {:.0} reads/s, {:.1}x)",
         cmp.durable.read_ops_per_sec(),
         cmp.mem.read_ops_per_sec(),

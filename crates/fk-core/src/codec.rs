@@ -15,8 +15,8 @@
 //!   are zigzag-mapped first. Strings, byte payloads and lists carry a
 //!   varint length prefix; node payloads are **raw bytes**, never base64.
 //! * **Coverage** — every serialization surface of the write/read path:
-//!   [`NodeRecord`] (object/memory user-store backends and the staging
-//!   of replicas), [`LeaderRecord`] and [`ClientRequest`] (queue message
+//!   [`NodeRecord`] (every user-store back-end and the staging of
+//!   replicas), [`LeaderRecord`] and [`ClientRequest`] (queue message
 //!   payloads), and [`crate::watch_fn::WatchTask`] (watch-function
 //!   invocation payloads). System-storage records (node control items,
 //!   `session:`/`seq:` marks, lock stamps) are *attribute-native* KV
@@ -277,6 +277,14 @@ pub fn decode_node(bytes: &[u8]) -> Option<NodeRecord> {
         epoch_marks: Arc::new(r.u64_list()?),
     };
     r.done().then_some(record)
+}
+
+/// The payload length a node frame declares, read from its head without
+/// decoding the rest; `None` if `bytes` does not open as a node frame.
+pub fn node_payload_len(bytes: &[u8]) -> Option<usize> {
+    let mut r = Reader::open(bytes, kind::NODE)?;
+    r.raw()?;
+    r.u64().map(|len| len as usize)
 }
 
 /// A node record's scan-surface view, decoded **partially** from a

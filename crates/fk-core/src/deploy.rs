@@ -17,9 +17,7 @@ use crate::notify::ClientBus;
 use crate::read_cache::ReadCacheConfig;
 use crate::replica::{CommittedFloors, ReplicaConfig, ReplicaSet};
 use crate::system_store::SystemStore;
-use crate::user_store::{
-    KvUserStore, MemUserStore, NodeRecord, ObjUserStore, UserStore, UserStoreKind,
-};
+use crate::user_store::{KvUserStore, NodeRecord, UserStore, UserStoreKind};
 use crate::watch_fn::{WatchFunction, WatchTask};
 use bytes::Bytes;
 use fk_cloud::chaos::{Chaos, FaultPlan};
@@ -500,7 +498,7 @@ impl Deployment {
                 if let Some(engine) = chaos {
                     bucket.install_chaos(Arc::clone(engine));
                 }
-                Arc::new(ObjUserStore::new(bucket))
+                Arc::new(bucket)
             }
             UserStoreKind::KeyValue => {
                 let table = KvStore::with_limits(name, region, meter.clone(), config.kv_limits());
@@ -521,9 +519,7 @@ impl Deployment {
             }
             // The in-memory cache backend has no chaos points: it models
             // a node-local cache, not a network round trip.
-            UserStoreKind::Cached => {
-                Arc::new(MemUserStore::new(MemStore::new(region, meter.clone())))
-            }
+            UserStoreKind::Cached => Arc::new(MemStore::new(region, meter.clone())),
             // The embedded LSM engine; its disk fault points arm from
             // the same plan as every other service boundary.
             UserStoreKind::Durable => Arc::new(

@@ -1,8 +1,8 @@
 //! Durable user-store backend on the embedded LSM engine.
 //!
-//! [`DurableUserStore`] plugs [`fk_store::Lsm`] in under the existing
-//! [`UserStore`] trait: every node record is persisted as one LSM
-//! entry keyed by path (value = the binary node frame,
+//! [`DurableUserStore`] plugs [`fk_store::Lsm`] in as a
+//! [`FrameStore`]: every node record is persisted as one LSM entry
+//! keyed by path (value = the binary node frame,
 //! [`crate::codec::encode_node`]), every mutation batch is one WAL
 //! record / one fsync, and recovery replays the log — so the
 //! distributor pipeline, the client library and the read path run
@@ -14,9 +14,9 @@
 //! resource (Requirement #8's provisioned tier, but durable), so ops
 //! meter as `mem_op` / `Op::MemPut` / `Op::MemGet` rather than billed
 //! cloud round trips. Like the cache, the store keeps no tags: a frame's
-//! tag is its hash ([`content_tag`]), which survives recovery and is
-//! computed on the tagged surface only. Mutations run one at a time, so
-//! a conditional write's check and put are one step.
+//! tag is its hash ([`content_tag`]), which survives recovery. Mutations
+//! run one at a time, so a conditional write's check and put are one
+//! step.
 //!
 //! [`ChaosDiskInjector`] adapts the deployment's seeded chaos engine
 //! onto the engine's [`fk_store::FaultInjector`] hook, arming the
@@ -24,10 +24,7 @@
 //! `disk_sst_partial`) from the same [`fk_cloud::chaos::FaultPlan`]
 //! that drives every other service boundary.
 
-use crate::user_store::{
-    coalesce_last_per_path, dedupe_paths, descendant_prefix, NodeRecord, ScanEntry, UserStore,
-    UserStoreKind,
-};
+use crate::user_store::{hashed, root_and_descendants, FrameStore, NodeRecord};
 use bytes::Bytes;
 use fk_cloud::chaos::{Chaos, FaultKind};
 use fk_cloud::metering::Meter;
@@ -101,16 +98,6 @@ pub struct DurableUserStore {
 }
 
 impl DurableUserStore {
-    /// Wraps an already-opened engine.
-    pub fn new(lsm: Lsm, region: Region, meter: Meter) -> Self {
-        DurableUserStore {
-            lsm,
-            region,
-            meter,
-            writes: Arc::default(),
-        }
-    }
-
     /// Opens an engine on `storage` with `config` and wraps it — the
     /// entry point recovery tests use to reopen the same device.
     pub fn open(
@@ -120,7 +107,13 @@ impl DurableUserStore {
         meter: Meter,
     ) -> CloudResult<Self> {
         let lsm = Lsm::open(storage, config).map_err(map_store_err)?;
-        Ok(Self::new(lsm, region, meter))
+        let writes = Arc::default();
+        Ok(DurableUserStore {
+            lsm,
+            region,
+            meter,
+            writes,
+        })
     }
 
     /// Opens a fresh simulated-device engine, optionally wired to the
@@ -148,158 +141,119 @@ impl DurableUserStore {
         self.lsm.stats()
     }
 
-    fn charge_put(&self, ctx: &Ctx, size: usize) {
+    /// Meters one engine operation, charged like a memory-store `op`.
+    fn charge(&self, ctx: &Ctx, op: Op, size: usize) {
         self.meter.mem_op();
-        ctx.charge_to(Op::MemPut, size.max(1), self.region);
+        ctx.charge_to(op, size.max(1), self.region);
     }
 
-    fn charge_get(&self, ctx: &Ctx, size: usize) {
-        self.meter.mem_op();
-        ctx.charge_to(Op::MemGet, size.max(1), self.region);
+    /// Writes a batch of records as **one WAL record** (one fsync for
+    /// the whole batch, group commit), coalesced to the last record per
+    /// path.
+    pub fn write_batch(&self, ctx: &Ctx, records: &[NodeRecord]) -> CloudResult<()> {
+        let finals = last_per_key(records, |r| &r.path).into_iter();
+        let frames = finals.map(|r| (r.path.clone(), Some(crate::codec::encode_node(r))));
+        self.commit(ctx, frames.collect())
     }
 
-    /// Reads `path`'s record, with its frame, charged as one read.
-    fn get(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Bytes)>> {
-        let Some(frame) = self.lsm.get(path).map_err(map_store_err)? else {
-            self.charge_get(ctx, 1);
-            return Ok(None);
-        };
-        self.charge_get(ctx, frame.len());
-        match crate::codec::decode_node(&frame) {
-            Some(record) => Ok(Some((record, frame))),
-            None => Err(CloudError::StorageFailed {
-                detail: format!("undecodable persisted node frame at {path:?}"),
-            }),
+    /// Deletes a batch of paths (deduplicated, idempotent) as one WAL
+    /// record.
+    pub fn delete_batch(&self, ctx: &Ctx, paths: &[String]) -> CloudResult<()> {
+        let deletes = last_per_key(paths, String::as_str).into_iter();
+        let deletes = deletes.map(|p| (p.clone(), None));
+        self.commit(ctx, deletes.collect())
+    }
+
+    /// Commits `entries` as one WAL record, charged as one put of their
+    /// frames' bytes (one per delete).
+    fn commit(&self, ctx: &Ctx, entries: Vec<(String, Option<Bytes>)>) -> CloudResult<()> {
+        if entries.is_empty() {
+            return Ok(());
         }
-    }
-
-    /// Puts `record` if `precondition` holds for the stored frame's tag,
-    /// checked under the write lock.
-    fn put(
-        &self,
-        ctx: &Ctx,
-        record: &NodeRecord,
-        precondition: Option<Precondition>,
-    ) -> CloudResult<Bytes> {
-        let frame = crate::codec::encode_node(record);
+        let size = entries
+            .iter()
+            .map(|(_, f)| f.as_ref().map_or(1, Bytes::len))
+            .sum();
         let _writes = self.writes.lock();
-        if let Some(precondition) = precondition {
-            let stored = self.lsm.get(&record.path).map_err(map_store_err)?;
-            let current = stored.as_deref().map(content_tag);
-            if !precondition.holds(current) {
-                self.charge_put(ctx, frame.len());
-                let detail = format!("{precondition:?} on {} (stored: {current:?})", record.path);
-                return Err(CloudError::ConditionFailed { detail });
-            }
-        }
-        self.lsm
-            .put(&record.path, frame.clone())
-            .map_err(map_store_err)?;
-        self.charge_put(ctx, frame.len());
-        Ok(frame)
+        self.lsm.write_batch(entries).map_err(map_store_err)?;
+        self.charge(ctx, Op::MemPut, size);
+        Ok(())
     }
 }
 
-impl UserStore for DurableUserStore {
-    fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        self.put(ctx, record, None).map(drop)
+/// The last of `items` per key, in first-touch order: a batch coalesced
+/// to the final record per path, or its paths deduplicated.
+fn last_per_key<'a, T>(items: &'a [T], key: impl Fn(&'a T) -> &'a str) -> Vec<&'a T> {
+    let mut order = Vec::new();
+    let mut last = std::collections::HashMap::new();
+    for item in items {
+        if last.insert(key(item), item).is_none() {
+            order.push(key(item));
+        }
+    }
+    order.into_iter().map(|k| last[k]).collect()
+}
+
+impl FrameStore for DurableUserStore {
+    fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
+        let frame = self.lsm.get(path).map_err(map_store_err)?;
+        self.charge(ctx, Op::MemGet, frame.as_ref().map_or(1, Bytes::len));
+        Ok(frame.map(hashed))
     }
 
-    fn write_node_if(
+    /// Puts `frame` if `precondition` holds for the stored frame's tag,
+    /// checked under the write lock.
+    fn put_frame(
         &self,
         ctx: &Ctx,
-        record: &NodeRecord,
-        precondition: Precondition,
+        path: &str,
+        frame: Bytes,
+        precondition: Option<Precondition>,
     ) -> CloudResult<Tag> {
-        Ok(content_tag(&self.put(ctx, record, Some(precondition))?))
-    }
-
-    fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
-        Ok(self.get(ctx, path)?.map(|(record, _)| record))
-    }
-
-    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
-        Ok(self
-            .get(ctx, path)?
-            .map(|(record, frame)| (record, content_tag(&frame))))
-    }
-
-    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+        let (size, tag) = (frame.len(), content_tag(&frame));
         let _writes = self.writes.lock();
-        self.lsm.delete(path).map_err(map_store_err)?;
-        self.charge_put(ctx, 1);
-        Ok(())
-    }
-
-    /// Batched writes commit as **one WAL record** (one fsync for the
-    /// whole batch): group commit.
-    fn write_batch(&self, ctx: &Ctx, records: &[NodeRecord]) -> CloudResult<()> {
-        let finals = coalesce_last_per_path(records);
-        if finals.is_empty() {
-            return Ok(());
-        }
-        let mut size = 0usize;
-        let entries: Vec<(String, Option<Bytes>)> = finals
-            .into_iter()
-            .map(|record| {
-                let frame = crate::codec::encode_node(record);
-                size += frame.len();
-                (record.path.clone(), Some(frame))
-            })
-            .collect();
-        let _writes = self.writes.lock();
-        self.lsm.write_batch(entries).map_err(map_store_err)?;
-        self.charge_put(ctx, size);
-        Ok(())
-    }
-
-    fn delete_batch(&self, ctx: &Ctx, paths: &[String]) -> CloudResult<()> {
-        let paths = dedupe_paths(paths);
-        if paths.is_empty() {
-            return Ok(());
-        }
-        let entries: Vec<(String, Option<Bytes>)> =
-            paths.into_iter().map(|p| (p.clone(), None)).collect();
-        let n = entries.len();
-        let _writes = self.writes.lock();
-        self.lsm.write_batch(entries).map_err(map_store_err)?;
-        self.charge_put(ctx, n);
-        Ok(())
-    }
-
-    fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
-        let mut out = Vec::new();
-        let mut total = 0usize;
-        if root != "/" {
-            if let Some(bytes) = self.lsm.get(root).map_err(map_store_err)? {
-                total += bytes.len();
-                out.extend(crate::codec::decode_node_summary(&bytes).map(ScanEntry::from));
+        if let Some(precondition) = precondition {
+            let stored = self.lsm.get(path).map_err(map_store_err)?;
+            let current = stored.as_deref().map(content_tag);
+            if !precondition.holds(current) {
+                self.charge(ctx, Op::MemPut, size);
+                let detail = format!("{precondition:?} on {path} (stored: {current:?})");
+                return Err(CloudError::ConditionFailed { detail });
             }
         }
-        for (_, bytes) in self
-            .lsm
-            .scan_prefix(&descendant_prefix(root))
-            .map_err(map_store_err)?
-        {
-            total += bytes.len();
-            out.extend(crate::codec::decode_node_summary(&bytes).map(ScanEntry::from));
-        }
-        self.charge_get(ctx, total);
-        Ok(out)
+        self.lsm.put(path, frame).map_err(map_store_err)?;
+        self.charge(ctx, Op::MemPut, size);
+        Ok(tag)
+    }
+
+    fn delete_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+        let _writes = self.writes.lock();
+        self.lsm.delete(path).map_err(map_store_err)?;
+        self.charge(ctx, Op::MemPut, 1);
+        Ok(())
+    }
+
+    /// One engine sweep, charged as one read of every byte it returns.
+    fn scan_frames(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<(String, Bytes)>> {
+        let frames = root_and_descendants(
+            root,
+            |root| self.lsm.get(root).map_err(map_store_err),
+            |prefix| self.lsm.scan_prefix(prefix).map_err(map_store_err),
+        )?;
+        let size = frames.iter().map(|(_, frame)| frame.len()).sum();
+        self.charge(ctx, Op::MemGet, size);
+        Ok(frames)
     }
 
     fn region(&self) -> Region {
         self.region
-    }
-
-    fn kind(&self) -> UserStoreKind {
-        UserStoreKind::Durable
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::user_store::UserStore;
     use fk_cloud::chaos::{FaultPlan, FaultSpec};
     use std::sync::Arc as StdArc;
 
@@ -338,7 +292,6 @@ mod tests {
                 )
                 .unwrap();
             store.delete_node(&ctx, "/b").unwrap();
-            assert_eq!(store.kind(), UserStoreKind::Durable);
         }
         dev.crash();
         let store = DurableUserStore::open(

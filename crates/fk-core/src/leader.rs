@@ -1552,8 +1552,10 @@ mod tests {
     use super::*;
     use crate::deploy::{Deployment, DeploymentConfig};
     use crate::messages::{ClientRequest, Payload, WriteOp};
-    use crate::user_store::NodeRecord;
+    use crate::user_store::{FrameStore, NodeRecord};
     use crate::CreateMode;
+    use fk_cloud::objectstore::{Precondition, Tag};
+    use fk_cloud::CloudResult;
     use std::time::Duration;
 
     #[test]
@@ -2094,51 +2096,30 @@ mod tests {
         poisoned: parking_lot::Mutex<Option<String>>,
     }
 
-    impl PoisonedStore {
-        fn check(&self, path: &str) -> fk_cloud::CloudResult<()> {
-            match self.poisoned.lock().as_deref() {
-                Some(poisoned) if poisoned == path => Err(CloudError::ServiceStopped),
-                _ => Ok(()),
-            }
+    impl FrameStore for PoisonedStore {
+        fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
+            self.inner.get_frame(ctx, path)
         }
-    }
-
-    impl UserStore for PoisonedStore {
-        fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> fk_cloud::CloudResult<()> {
-            self.check(&record.path)?;
-            self.inner.write_node(ctx, record)
-        }
-        fn write_node_if(
-            &self,
-            ctx: &Ctx,
-            record: &NodeRecord,
-            precondition: fk_cloud::objectstore::Precondition,
-        ) -> fk_cloud::CloudResult<fk_cloud::objectstore::Tag> {
-            self.check(&record.path)?;
-            self.inner.write_node_if(ctx, record, precondition)
-        }
-        fn read_tagged(
+        fn put_frame(
             &self,
             ctx: &Ctx,
             path: &str,
-        ) -> fk_cloud::CloudResult<Option<(NodeRecord, fk_cloud::objectstore::Tag)>> {
-            self.inner.read_tagged(ctx, path)
+            frame: Bytes,
+            precondition: Option<Precondition>,
+        ) -> CloudResult<Tag> {
+            if self.poisoned.lock().as_deref() == Some(path) {
+                return Err(CloudError::ServiceStopped);
+            }
+            self.inner.put_frame(ctx, path, frame, precondition)
         }
-        fn delete_node(&self, ctx: &Ctx, path: &str) -> fk_cloud::CloudResult<()> {
-            self.inner.delete_node(ctx, path)
+        fn delete_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+            self.inner.delete_frame(ctx, path)
         }
-        fn scan_subtree(
-            &self,
-            ctx: &Ctx,
-            root: &str,
-        ) -> fk_cloud::CloudResult<Vec<crate::user_store::ScanEntry>> {
-            self.inner.scan_subtree(ctx, root)
+        fn scan_frames(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<(String, Bytes)>> {
+            self.inner.scan_frames(ctx, root)
         }
         fn region(&self) -> fk_cloud::Region {
             self.inner.region()
-        }
-        fn kind(&self) -> crate::user_store::UserStoreKind {
-            self.inner.kind()
         }
     }
 
@@ -2658,7 +2639,7 @@ mod tests {
             fk_cloud::Region::US_EAST_1,
             tier.deployment.meter().clone(),
         );
-        let store = Arc::new(crate::user_store::ObjUserStore::new(bucket.clone()));
+        let store = Arc::new(bucket.clone());
         let leader = tier.leader_over(store, Arc::new(tier.inline_dispatcher()));
         let node = path_on(0, 0);
         for (request_id, op) in [(1, create(&node)), (2, set(&node, b"a"))] {

@@ -75,4 +75,4 @@ pub use durable::{ChaosDiskInjector, DurableUserStore};
 pub use ops::{multi_error_results, Op, OpHandle, OpResult};
 pub use read_cache::{CacheStats, ReadCache, ReadCacheConfig};
 pub use replica::{CommittedFloors, ReadReplica, ReplicaConfig, ReplicaSet, ReplicaStats};
-pub use user_store::{in_subtree, NodeRecord, ScanEntry, UserStore, UserStoreKind};
+pub use user_store::{in_subtree, FrameStore, NodeRecord, ScanEntry, UserStore, UserStoreKind};

@@ -1,39 +1,40 @@
-//! User storage backends (§4.2).
+//! User storage (§4.2).
 //!
 //! The user store serves client reads directly — FaaSKeeper removes
-//! functions from the read path entirely. Five backends reproduce the
-//! paper's comparison (Fig 8/9/11) and add a durable tier:
+//! functions from the read path entirely. It has two layers:
 //!
-//! * [`ObjUserStore`] — S3-style: one object per node. No partial writes,
-//!   so an update rewrites the whole object (§3.2): one conditional PUT
-//!   when the writer knows the object's tag, a read-modify-write when it
-//!   does not.
-//! * [`KvUserStore`] — DynamoDB-style: one item per node; cheap and fast
-//!   for small nodes but per-kB billing explodes for large ones (Fig 4a).
-//! * The hybrid ([`KvUserStore::hybrid`]) — the paper's optimization
-//!   (§4.2): nodes ≤ 4 kB live in the KV item; a larger node's frame
-//!   moves to the object store. Reads start at the KV store and only
-//!   large nodes pay the second request. Improves read latency by >50 %
-//!   and cost by 37.5 %.
-//! * [`MemUserStore`] — Redis-style cache, matching ZooKeeper's latency
-//!   (Fig 8) but requiring provisioned resources (Requirement #8).
-//! * [`crate::durable::DurableUserStore`] — the embedded LSM engine.
+//! * [`FrameStore`] keeps one opaque frame per path, named by a tag
+//!   ([`Tag`]) that changes whenever the stored bytes do: read a frame
+//!   and its tag, put one under an optional [`Precondition`], delete
+//!   one, scan a subtree. Four frame stores reproduce the paper's
+//!   comparison (Fig 8/9/11) and add a durable tier:
+//!   * [`ObjectStore`] — S3-style, one object per node, tagged by its
+//!     ETag; no partial writes, so an update rewrites the whole object.
+//!   * [`KvUserStore`] — DynamoDB-style, one item `{frame, tag}` per
+//!     node; cheap for small nodes, per-kB billing explodes for large
+//!     ones (Fig 4a). As the hybrid ([`KvUserStore::hybrid`], §4.2) a
+//!     large node's frame moves to the object store, so only large
+//!     nodes pay a second request.
+//!   * [`MemStore`] — Redis-style cache, matching ZooKeeper's latency
+//!     (Fig 8) but provisioned (Requirement #8); tagged by the frame's
+//!     hash ([`content_tag`]).
+//!   * [`crate::durable::DurableUserStore`] — the embedded LSM engine,
+//!     also tagged by hash.
+//! * [`UserStore`] — node records over any frame store, implemented
+//!   once: the [`crate::codec`] frame is encoded and decoded there and
+//!   nowhere else, and a stored frame that does not decode fails a
+//!   point read, a tagged read or a scan with
+//!   [`CloudError::StorageFailed`] naming its path.
 //!
-//! Every backend stores a node as one binary frame ([`crate::codec`])
-//! and names what it stores with a tag ([`Tag`]) that changes whenever
-//! the stored bytes do — an object's ETag, a KV item's `tag` attribute,
-//! or, in the node-local stores, a hash of the frame. A conditional
-//! write ([`UserStore::write_node_if`]) lands only over the tag its
-//! writer names: that, not a lock in the writer, is what makes the
-//! distributor's read-merge-writes atomic.
-//!
-//! Client reads may be answered by the session-local, watermark-validated
-//! read cache ([`crate::read_cache`]) before they ever reach a backend;
-//! the backends stay cache-oblivious — every `read_node` they serve is a
-//! genuine (billed, metered) storage round trip, which is exactly what
-//! the read-path gate counts.
+//! A conditional write ([`UserStore::write_node_if`]) lands only over the
+//! tag its writer names: that, not a lock in the writer, is what makes
+//! the distributor's read-merge-writes atomic. The backends stay
+//! cache-oblivious: every `read_node` they serve is a genuine (billed,
+//! metered) storage round trip, whatever the client's read cache
+//! ([`crate::read_cache`]) answers first.
 
 use crate::api::Stat;
+use crate::codec;
 use bytes::Bytes;
 use fk_cloud::expr::Condition;
 use fk_cloud::kvstore::KvStore;
@@ -95,30 +96,18 @@ impl NodeRecord {
             ephemeral: self.ephemeral_owner.is_some(),
         }
     }
-
-    /// Serializes into the frame every backend stores
-    /// ([`crate::codec`]).
-    fn to_bytes(&self) -> Bytes {
-        crate::codec::encode_node(self)
-    }
-
-    /// Deserializes from a stored frame; `None` if it is not an exact
-    /// node frame.
-    fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        crate::codec::decode_node(bytes)
-    }
 }
 
 /// A node surfaced by a subtree scan ([`UserStore::scan_subtree`]):
 /// path, payload and metadata, decoded from the stored frame *without*
-/// full deserialization — blob backends go through
-/// [`crate::codec::decode_node_summary`], which skips over the children
-/// list and borrows the payload out of the raw buffer zero-copy.
+/// full deserialization ([`crate::codec::decode_node_summary`] skips
+/// over the children list and borrows the payload out of the raw buffer
+/// zero-copy).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanEntry {
     /// Node path.
     pub path: String,
-    /// Payload (shares the stored buffer on blob backends).
+    /// Payload (shares the stored frame's buffer).
     pub data: Bytes,
     /// The node's `Stat` as of the scanned version.
     pub stat: Stat,
@@ -150,13 +139,23 @@ pub fn in_subtree(root: &str, path: &str) -> bool {
             && path.as_bytes()[root.len()] == b'/')
 }
 
-/// The store-key prefix that covers the *strict* descendants of `root`.
-pub(crate) fn descendant_prefix(root: &str) -> String {
-    if root == "/" {
-        "/".to_owned()
-    } else {
-        format!("{root}/")
-    }
+/// `root`'s own entry, read by `get`, followed by its descendants', read
+/// by `scan` of their key prefix (`/`'s prefix covers `/` itself): the
+/// one subtree sweep every frame store runs, whatever it sweeps.
+pub(crate) fn root_and_descendants<T>(
+    root: &str,
+    get: impl FnOnce(&str) -> CloudResult<Option<T>>,
+    scan: impl FnOnce(&str) -> CloudResult<Vec<(String, T)>>,
+) -> CloudResult<Vec<(String, T)>> {
+    let (mut entries, prefix) = match root {
+        "/" => (Vec::new(), "/".to_owned()),
+        _ => {
+            let own = get(root)?.map(|entry| (root.to_owned(), entry));
+            (own.into_iter().collect(), format!("{root}/"))
+        }
+    };
+    entries.extend(scan(&prefix)?);
+    Ok(entries)
 }
 
 /// Which backend a deployment uses for user data.
@@ -185,49 +184,65 @@ impl UserStoreKind {
     }
 }
 
-/// Keeps only the last record per path, preserving first-touch order —
-/// the coalescing contract of the batched write surface.
-pub(crate) fn coalesce_last_per_path(records: &[NodeRecord]) -> Vec<&NodeRecord> {
-    let mut order: Vec<&str> = Vec::new();
-    let mut last: std::collections::HashMap<&str, &NodeRecord> = std::collections::HashMap::new();
-    for record in records {
-        if last.insert(record.path.as_str(), record).is_none() {
-            order.push(record.path.as_str());
-        }
-    }
-    order.into_iter().map(|p| last[p]).collect()
+/// A place that keeps one frame per path (one instance per replica
+/// region). A tag changes whenever a path's stored bytes change and is
+/// never reused for different bytes of that path.
+pub trait FrameStore: Send + Sync {
+    /// Reads `path`'s frame and its tag; `Ok(None)` if absent.
+    fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>>;
+    /// Stores `frame` under `path` and returns its new tag. Under a
+    /// `precondition`, only if the stored frame satisfies it, in one
+    /// request with no read; otherwise it fails with
+    /// [`CloudError::ConditionFailed`] (412) with nothing stored.
+    fn put_frame(
+        &self,
+        ctx: &Ctx,
+        path: &str,
+        frame: Bytes,
+        precondition: Option<Precondition>,
+    ) -> CloudResult<Tag>;
+    /// Deletes `path`'s frame (idempotent).
+    fn delete_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<()>;
+    /// The frames of `root` (if stored) and every descendant, sorted by
+    /// path. One logical storage scan (a prefix Query / LIST+GET sweep,
+    /// not N point reads): the read path stays function-free even for
+    /// whole-subtree access (§3.5).
+    fn scan_frames(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<(String, Bytes)>>;
+    /// The store's region.
+    fn region(&self) -> Region;
 }
 
-pub(crate) fn dedupe_paths(paths: &[String]) -> Vec<&String> {
-    let mut seen = std::collections::HashSet::new();
-    paths.iter().filter(|p| seen.insert(p.as_str())).collect()
-}
-
-/// Interface of a user-data backend (one instance per replica region).
-///
-/// The batched surface (`write_batch` / `delete_batch`) takes a run of
-/// operations in apply order and may coalesce repeated writes to one
-/// path (last record wins) and collapse round trips. The defaults fall
-/// back to per-record calls; the durable backend overrides them to
-/// commit a whole batch as one WAL record.
+/// Node records over a [`FrameStore`]. The bodies below are the only
+/// implementation: every frame store gets them through the blanket impl,
+/// which leaves no back-end room to encode, decode or scan records its
+/// own way.
 ///
 /// The tagged surface (`read_tagged`, `write_node_if`) is what the
 /// distributor applies epochs with: a conditional write names the tag
 /// of the stored record it replaces (or that there is none), and a
 /// write that lost a race to another writer fails with
-/// [`CloudError::ConditionFailed`] (412), having written nothing. A
-/// tag changes whenever a path's stored bytes change and is never
-/// reused for different bytes of that path.
-pub trait UserStore: Send + Sync {
+/// [`CloudError::ConditionFailed`] (412), having written nothing.
+pub trait UserStore: FrameStore {
     /// Writes (creates or replaces) a node record unconditionally.
-    fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()>;
-    /// Reads a node record; `Ok(None)` if absent. Default: the tagged
-    /// read without its tag.
+    fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
+        let frame = codec::encode_node(record);
+        self.put_frame(ctx, &record.path, frame, None).map(drop)
+    }
+
+    /// Reads a node record; `Ok(None)` if absent.
     fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
         Ok(self.read_tagged(ctx, path)?.map(|(record, _)| record))
     }
+
     /// Reads a node record and its tag; `Ok(None)` if absent.
-    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>>;
+    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
+        let Some((frame, tag)) = self.get_frame(ctx, path)? else {
+            return Ok(None);
+        };
+        let record = codec::decode_node(&frame).ok_or_else(|| undecodable(path))?;
+        Ok(Some((record, tag)))
+    }
+
     /// Writes `record` only if its path's stored record satisfies
     /// `precondition` (one conditional request, no read) and returns the
     /// new tag, or fails with [`CloudError::ConditionFailed`] (412) with
@@ -237,39 +252,42 @@ pub trait UserStore: Send + Sync {
         ctx: &Ctx,
         record: &NodeRecord,
         precondition: Precondition,
-    ) -> CloudResult<Tag>;
-    /// Deletes a node record (idempotent).
-    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()>;
-
-    /// Writes a batch of records in order, coalescing to the final record
-    /// per path. Default: coalesce, then per-record `write_node`.
-    fn write_batch(&self, ctx: &Ctx, records: &[NodeRecord]) -> CloudResult<()> {
-        for record in coalesce_last_per_path(records) {
-            self.write_node(ctx, record)?;
-        }
-        Ok(())
+    ) -> CloudResult<Tag> {
+        let frame = codec::encode_node(record);
+        self.put_frame(ctx, &record.path, frame, Some(precondition))
     }
 
-    /// Deletes a batch of paths (deduplicated, idempotent). Default:
-    /// per-path `delete_node`.
-    fn delete_batch(&self, ctx: &Ctx, paths: &[String]) -> CloudResult<()> {
-        for path in dedupe_paths(paths) {
-            self.delete_node(ctx, path)?;
-        }
-        Ok(())
+    /// Deletes a node record (idempotent).
+    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+        self.delete_frame(ctx, path)
     }
 
     /// Enumerates the subtree rooted at `root` — the root node (if
     /// present) and every descendant — sorted by path, as lightweight
-    /// [`ScanEntry`] summaries. One logical storage scan (a prefix
-    /// Query / LIST+GET sweep, not N point reads): the read path stays
-    /// function-free even for whole-subtree access (§3.5).
-    fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>>;
+    /// [`ScanEntry`] summaries, from one [`FrameStore::scan_frames`].
+    fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
+        let frames = self.scan_frames(ctx, root)?;
+        let entries = frames.into_iter().map(|(path, frame)| {
+            let summary = codec::decode_node_summary(&frame).ok_or_else(|| undecodable(&path));
+            summary.map(ScanEntry::from)
+        });
+        entries.collect()
+    }
+}
 
-    /// The replica's region.
-    fn region(&self) -> Region;
-    /// The backend kind.
-    fn kind(&self) -> UserStoreKind;
+impl<S: FrameStore> UserStore for S {}
+
+/// The error of a stored frame at `path` that is not a node frame.
+fn undecodable(path: &str) -> CloudError {
+    CloudError::StorageFailed {
+        detail: format!("undecodable node frame at {path:?}"),
+    }
+}
+
+/// `frame` and its tag in a store that keeps no tags: its hash.
+pub(crate) fn hashed(frame: Bytes) -> (Bytes, Tag) {
+    let tag = content_tag(&frame);
+    (frame, tag)
 }
 
 /// `read`, with a missing key as `None`.
@@ -281,83 +299,47 @@ fn found<T>(read: CloudResult<T>) -> CloudResult<Option<T>> {
     }
 }
 
-/// The record and tag of a stored frame, if it is one.
-fn decode_tagged((frame, tag): (Bytes, Tag)) -> Option<(NodeRecord, Tag)> {
-    Some((NodeRecord::from_bytes(&frame)?, tag))
-}
-
-/// The scan entries of a subtree's stored frames (the root's own frame is
-/// not under the `root/` prefix, so blob stores read it separately).
-fn summaries(frames: impl IntoIterator<Item = Bytes>) -> Vec<ScanEntry> {
-    let entries = frames
-        .into_iter()
-        .map(|f| crate::codec::decode_node_summary(&f));
-    entries.flatten().map(ScanEntry::from).collect()
-}
-
 // ----------------------------------------------------------------------
-// Object-store backend
+// Object store
 // ----------------------------------------------------------------------
 
-/// S3-style backend: one serialized object per node.
-pub struct ObjUserStore {
-    bucket: ObjectStore,
-}
-
-impl ObjUserStore {
-    /// Wraps a bucket.
-    pub fn new(bucket: ObjectStore) -> Self {
-        ObjUserStore { bucket }
-    }
-}
-
-impl UserStore for ObjUserStore {
-    fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        self.bucket.put(ctx, &record.path, record.to_bytes())?;
-        Ok(())
+impl FrameStore for ObjectStore {
+    fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
+        found(self.get(ctx, path))
     }
 
-    fn write_node_if(
+    fn put_frame(
         &self,
         ctx: &Ctx,
-        record: &NodeRecord,
-        precondition: Precondition,
+        path: &str,
+        frame: Bytes,
+        precondition: Option<Precondition>,
     ) -> CloudResult<Tag> {
-        self.bucket
-            .put_if(ctx, &record.path, record.to_bytes(), precondition)
+        match precondition {
+            Some(precondition) => self.put_if(ctx, path, frame, precondition),
+            None => self.put(ctx, path, frame),
+        }
     }
 
-    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
-        Ok(found(self.bucket.get(ctx, path))?.and_then(decode_tagged))
+    fn delete_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+        self.delete(ctx, path)
     }
 
-    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
-        self.bucket.delete(ctx, path)
-    }
-
-    fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
-        let own = match root {
-            "/" => None,
-            _ => found(self.bucket.get(ctx, root))?.map(|(frame, _)| frame),
-        };
-        let rest = self.bucket.get_prefix(ctx, &descendant_prefix(root))?;
-        Ok(summaries(
-            own.into_iter()
-                .chain(rest.into_iter().map(|(_, frame)| frame)),
-        ))
+    fn scan_frames(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<(String, Bytes)>> {
+        root_and_descendants(
+            root,
+            |root| Ok(found(self.get(ctx, root))?.map(|(frame, _)| frame)),
+            |prefix| self.get_prefix(ctx, prefix),
+        )
     }
 
     fn region(&self) -> Region {
-        self.bucket.region()
-    }
-
-    fn kind(&self) -> UserStoreKind {
-        UserStoreKind::Object
+        ObjectStore::region(self)
     }
 }
 
 // ----------------------------------------------------------------------
-// Key-value and hybrid backend
+// Key-value and hybrid store
 // ----------------------------------------------------------------------
 
 /// Attribute names of user-store KV items: a node's item holds its frame
@@ -381,7 +363,7 @@ fn item_tag(item: &Item) -> Tag {
     item.num(kv_attr::TAG).unwrap_or(0) as Tag
 }
 
-/// DynamoDB-style backend: one item per node holding its frame and tag.
+/// DynamoDB-style store: one item per node holding its frame and tag.
 /// As the hybrid, large frames live in object storage and the item, the
 /// point at which a write becomes visible, names them.
 pub struct KvUserStore {
@@ -413,35 +395,6 @@ impl KvUserStore {
         self.offload.as_ref().map(|(bucket, _)| bucket)
     }
 
-    /// Stores `record`'s item under `condition`, a large frame's object
-    /// first. Returns the item's tag.
-    fn write_item(&self, ctx: &Ctx, record: &NodeRecord, condition: Condition) -> CloudResult<Tag> {
-        let tag = self.table.fresh_tag();
-        let frame = record.to_bytes();
-        let item = Item::new().with(kv_attr::TAG, tag as i64);
-        let offload = self
-            .offload
-            .as_ref()
-            .filter(|(_, threshold)| record.data.len() > *threshold);
-        let item = match offload {
-            Some((bucket, _)) => {
-                bucket.put(ctx, &payload_key(&record.path, tag), frame)?;
-                item.with(kv_attr::OFFLOADED, true)
-            }
-            None => item.with(kv_attr::FRAME, frame),
-        };
-        let stored = self.table.put(ctx, &record.path, item, condition);
-        match (&stored, offload) {
-            (Ok(old), _) => self.drop_payload(ctx, &record.path, old.as_ref()),
-            // The item was not stored, so nothing names the object.
-            (Err(_), Some((bucket, _))) => {
-                let _ = bucket.delete(ctx, &payload_key(&record.path, tag));
-            }
-            (Err(_), None) => {}
-        }
-        stored.map(|_| tag)
-    }
-
     /// Deletes the object a replaced or deleted item `old` named, if
     /// any. Best effort: a leftover object is named by no item, so no
     /// reader ever finds it; it costs storage only.
@@ -464,13 +417,15 @@ impl KvUserStore {
             (frame, _) => Ok(Some(frame.cloned().unwrap_or_default())),
         }
     }
+}
 
-    /// Reads `path`'s frame and tag: "the client library begins by
-    /// reading data from key-value storage, and only the infrequent large
-    /// nodes incur the performance and cost penalty of a second storage
-    /// request". An object gone by the second request means the item
-    /// changed in between, so the item is read again.
-    fn read_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
+impl FrameStore for KvUserStore {
+    /// "The client library begins by reading data from key-value
+    /// storage, and only the infrequent large nodes incur the performance
+    /// and cost penalty of a second storage request". An object gone by
+    /// the second request means the item changed in between, so the item
+    /// is read again.
+    fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
         loop {
             let Some(item) = self.table.get(ctx, path, Consistency::Strong) else {
                 return Ok(None);
@@ -480,31 +435,45 @@ impl KvUserStore {
             }
         }
     }
-}
 
-impl UserStore for KvUserStore {
-    fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        self.write_item(ctx, record, Condition::Always).map(drop)
-    }
-
-    fn write_node_if(
+    /// One guarded item write; a large frame's object goes first.
+    fn put_frame(
         &self,
         ctx: &Ctx,
-        record: &NodeRecord,
-        precondition: Precondition,
+        path: &str,
+        frame: Bytes,
+        precondition: Option<Precondition>,
     ) -> CloudResult<Tag> {
         let condition = match precondition {
-            Precondition::IfMatch(tag) => Condition::eq(kv_attr::TAG, tag as i64),
-            Precondition::IfNoneMatch => Condition::ItemNotExists,
+            None => Condition::Always,
+            Some(Precondition::IfMatch(tag)) => Condition::eq(kv_attr::TAG, tag as i64),
+            Some(Precondition::IfNoneMatch) => Condition::ItemNotExists,
         };
-        self.write_item(ctx, record, condition)
+        let tag = self.table.fresh_tag();
+        let item = Item::new().with(kv_attr::TAG, tag as i64);
+        let offload = self.offload.as_ref().filter(|(_, threshold)| {
+            codec::node_payload_len(&frame).is_some_and(|len| len > *threshold)
+        });
+        let item = match offload {
+            Some((bucket, _)) => {
+                bucket.put(ctx, &payload_key(path, tag), frame)?;
+                item.with(kv_attr::OFFLOADED, true)
+            }
+            None => item.with(kv_attr::FRAME, frame),
+        };
+        let stored = self.table.put(ctx, path, item, condition);
+        match (&stored, offload) {
+            (Ok(old), _) => self.drop_payload(ctx, path, old.as_ref()),
+            // The item was not stored, so nothing names the object.
+            (Err(_), Some((bucket, _))) => {
+                let _ = bucket.delete(ctx, &payload_key(path, tag));
+            }
+            (Err(_), None) => {}
+        }
+        stored.map(|_| tag)
     }
 
-    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
-        Ok(self.read_frame(ctx, path)?.and_then(decode_tagged))
-    }
-
-    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+    fn delete_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
         let old = match self.table.delete(ctx, path, Condition::ItemExists) {
             Ok(old) => old,
             Err(CloudError::ConditionFailed { .. }) => None,
@@ -514,107 +483,75 @@ impl UserStore for KvUserStore {
         Ok(())
     }
 
-    fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
-        // One sweep over the KV tier; only offloaded (large) entries pay a
-        // second, per-object request — the same small/large split point
-        // reads enjoy (§4.2).
-        let mut items: Vec<(String, Item)> = Vec::new();
-        if root != "/" {
-            if let Some(item) = self.table.get(ctx, root, Consistency::Strong) {
-                items.push((root.to_owned(), item));
-            }
-        }
-        items.extend(self.table.scan_prefix(ctx, &descendant_prefix(root)));
+    /// One sweep over the KV tier; only offloaded (large) entries pay a
+    /// second, per-object request — the same small/large split point
+    /// reads enjoy (§4.2).
+    fn scan_frames(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<(String, Bytes)>> {
+        let items = root_and_descendants(
+            root,
+            |root| Ok(self.table.get(ctx, root, Consistency::Strong)),
+            |prefix| Ok(self.table.scan_prefix(ctx, prefix)),
+        )?;
         let mut frames = Vec::with_capacity(items.len());
         for (path, item) in items {
-            match self.frame_of(ctx, &path, &item)? {
-                Some(frame) => frames.push(frame),
-                // The item changed since the sweep: read it alone.
-                None => frames.extend(self.read_frame(ctx, &path)?.map(|(frame, _)| frame)),
-            }
+            // An item that changed since the sweep is read alone.
+            let frame = match self.frame_of(ctx, &path, &item)? {
+                None => self.get_frame(ctx, &path)?.map(|(frame, _)| frame),
+                frame => frame,
+            };
+            frames.extend(frame.map(|frame| (path, frame)));
         }
-        Ok(summaries(frames))
+        Ok(frames)
     }
 
     fn region(&self) -> Region {
         self.table.region()
     }
-
-    fn kind(&self) -> UserStoreKind {
-        match self.offload {
-            Some((_, threshold)) => UserStoreKind::Hybrid { threshold },
-            None => UserStoreKind::KeyValue,
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
-// In-memory backend
+// In-memory store
 // ----------------------------------------------------------------------
 
-/// Redis-style backend (Fig 8's "FaaSKeeper, Redis" series).
-pub struct MemUserStore {
-    cache: MemStore,
-}
-
-impl MemUserStore {
-    /// Wraps a cache.
-    pub fn new(cache: MemStore) -> Self {
-        MemUserStore { cache }
-    }
-}
-
-impl UserStore for MemUserStore {
-    fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        self.cache.put(ctx, &record.path, record.to_bytes());
-        Ok(())
+/// Redis-style store (Fig 8's "FaaSKeeper, Redis" series). It keeps no
+/// tags: a frame's tag is its hash.
+impl FrameStore for MemStore {
+    fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
+        Ok(found(self.get(ctx, path))?.map(hashed))
     }
 
-    fn write_node_if(
+    fn put_frame(
         &self,
         ctx: &Ctx,
-        record: &NodeRecord,
-        precondition: Precondition,
+        path: &str,
+        frame: Bytes,
+        precondition: Option<Precondition>,
     ) -> CloudResult<Tag> {
-        self.cache
-            .put_if(ctx, &record.path, record.to_bytes(), precondition)
+        match precondition {
+            Some(precondition) => self.put_if(ctx, path, frame, precondition),
+            None => {
+                let (frame, tag) = hashed(frame);
+                self.put(ctx, path, frame);
+                Ok(tag)
+            }
+        }
     }
 
-    fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
-        Ok(found(self.cache.get(ctx, path))?.and_then(|frame| NodeRecord::from_bytes(&frame)))
-    }
-
-    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
-        let tagged = found(self.cache.get(ctx, path))?.map(|frame| {
-            let tag = content_tag(&frame);
-            (frame, tag)
-        });
-        Ok(tagged.and_then(decode_tagged))
-    }
-
-    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
-        self.cache.delete(ctx, path);
+    fn delete_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+        self.delete(ctx, path);
         Ok(())
     }
 
-    fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
-        let own = match root {
-            "/" => None,
-            _ => found(self.cache.get(ctx, root))?,
-        };
-        let rest = self.cache.scan_prefix(ctx, &descendant_prefix(root));
-        Ok(summaries(
-            own.into_iter()
-                .chain(rest.into_iter().map(|(_, frame)| frame)),
-        ))
+    fn scan_frames(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<(String, Bytes)>> {
+        root_and_descendants(
+            root,
+            |root| found(self.get(ctx, root)),
+            |prefix| Ok(self.scan_prefix(ctx, prefix)),
+        )
     }
 
     fn region(&self) -> Region {
-        self.cache.region()
-    }
-
-    fn kind(&self) -> UserStoreKind {
-        UserStoreKind::Cached
+        MemStore::region(self)
     }
 }
 
@@ -637,33 +574,30 @@ mod tests {
         }
     }
 
-    fn backends() -> Vec<Box<dyn UserStore>> {
+    fn backends() -> Vec<(&'static str, Box<dyn UserStore>)> {
+        fk_testkit::user_store_backends!(crate, &Meter::new())
+    }
+
+    /// A hybrid at the paper's 4 kB split, its object tier and its meter.
+    fn hybrid() -> (KvUserStore, ObjectStore, Meter) {
         let meter = Meter::new();
-        let region = Region::US_EAST_1;
-        vec![
-            Box::new(ObjUserStore::new(ObjectStore::new(
-                "u",
-                region,
-                meter.clone(),
-            ))),
-            Box::new(KvUserStore::new(KvStore::new("u", region, meter.clone()))),
-            Box::new(KvUserStore::hybrid(
-                KvStore::new("u", region, meter.clone()),
-                ObjectStore::new("ub", region, meter.clone()),
-                4096,
-            )),
-            Box::new(MemUserStore::new(MemStore::new(region, meter))),
-        ]
+        let bucket = ObjectStore::new("b", Region::US_EAST_1, meter.clone());
+        let table = KvStore::new("t", Region::US_EAST_1, meter.clone());
+        (
+            KvUserStore::hybrid(table, bucket.clone(), 4096),
+            bucket,
+            meter,
+        )
     }
 
     #[test]
     fn roundtrip_on_all_backends() {
         let ctx = Ctx::disabled();
-        for store in backends() {
+        for (name, store) in backends() {
             let rec = record("/n", 100);
             store.write_node(&ctx, &rec).unwrap();
             let got = store.read_node(&ctx, "/n").unwrap().unwrap();
-            assert_eq!(got, rec, "backend {:?}", store.kind());
+            assert_eq!(got, rec, "backend {name}");
             assert_eq!(got.stat().data_length, 100);
             store.delete_node(&ctx, "/n").unwrap();
             assert!(store.read_node(&ctx, "/n").unwrap().is_none());
@@ -675,20 +609,51 @@ mod tests {
     #[test]
     fn missing_node_reads_none() {
         let ctx = Ctx::disabled();
-        for store in backends() {
-            assert!(store.read_node(&ctx, "/missing").unwrap().is_none());
+        for (name, store) in backends() {
+            assert!(
+                store.read_node(&ctx, "/missing").unwrap().is_none(),
+                "{name}"
+            );
+            assert!(
+                store.read_tagged(&ctx, "/missing").unwrap().is_none(),
+                "{name}"
+            );
+        }
+    }
+
+    /// A stored frame that is not a node frame fails every read of it,
+    /// naming its path: it is neither absent nor skipped.
+    #[test]
+    fn undecodable_frames_fail_reads_and_scans_on_all_backends() {
+        let ctx = Ctx::disabled();
+        for (name, store) in backends() {
+            store.write_node(&ctx, &record("/g/ok", 8)).unwrap();
+            let garbage = Bytes::from_static(b"not a node frame, not even close");
+            store.put_frame(&ctx, "/g", garbage, None).unwrap();
+            let failures = [
+                store.read_node(&ctx, "/g").map(drop).unwrap_err(),
+                store.read_tagged(&ctx, "/g").map(drop).unwrap_err(),
+                store.scan_subtree(&ctx, "/g").map(drop).unwrap_err(),
+                store.scan_subtree(&ctx, "/").map(drop).unwrap_err(),
+            ];
+            for err in failures {
+                assert!(
+                    matches!(err, CloudError::StorageFailed { .. }),
+                    "{name}: {err}"
+                );
+                assert!(err.to_string().contains("\"/g\""), "{name}: {err}");
+            }
+            assert_eq!(
+                store.scan_subtree(&ctx, "/g/ok").unwrap().len(),
+                1,
+                "{name}"
+            );
         }
     }
 
     #[test]
     fn hybrid_keeps_small_nodes_in_kv() {
-        let meter = Meter::new();
-        let bucket = ObjectStore::new("b", Region::US_EAST_1, meter.clone());
-        let store = KvUserStore::hybrid(
-            KvStore::new("t", Region::US_EAST_1, meter.clone()),
-            bucket.clone(),
-            4096,
-        );
+        let (store, bucket, meter) = hybrid();
         let ctx = Ctx::disabled();
         store.write_node(&ctx, &record("/small", 100)).unwrap();
         assert_eq!(bucket.len(), 0, "small node must not hit object store");
@@ -700,13 +665,7 @@ mod tests {
 
     #[test]
     fn hybrid_offloads_large_nodes() {
-        let meter = Meter::new();
-        let bucket = ObjectStore::new("b", Region::US_EAST_1, meter.clone());
-        let store = KvUserStore::hybrid(
-            KvStore::new("t", Region::US_EAST_1, meter.clone()),
-            bucket.clone(),
-            4096,
-        );
+        let (store, bucket, _) = hybrid();
         let ctx = Ctx::disabled();
         store.write_node(&ctx, &record("/big", 100_000)).unwrap();
         assert_eq!(bucket.len(), 1);
@@ -723,13 +682,7 @@ mod tests {
 
     #[test]
     fn hybrid_delete_cleans_offloaded_object() {
-        let meter = Meter::new();
-        let bucket = ObjectStore::new("b", Region::US_EAST_1, meter.clone());
-        let store = KvUserStore::hybrid(
-            KvStore::new("t", Region::US_EAST_1, meter),
-            bucket.clone(),
-            4096,
-        );
+        let (store, bucket, _) = hybrid();
         let ctx = Ctx::disabled();
         store.write_node(&ctx, &record("/big", 50_000)).unwrap();
         store.delete_node(&ctx, "/big").unwrap();
@@ -739,8 +692,7 @@ mod tests {
     #[test]
     fn object_backend_rewrites_whole_object() {
         let meter = Meter::new();
-        let bucket = ObjectStore::new("b", Region::US_EAST_1, meter.clone());
-        let store = ObjUserStore::new(bucket);
+        let store = ObjectStore::new("b", Region::US_EAST_1, meter.clone());
         let ctx = Ctx::disabled();
         store.write_node(&ctx, &record("/n", 10)).unwrap();
         store.write_node(&ctx, &record("/n", 20)).unwrap();
@@ -750,112 +702,98 @@ mod tests {
         assert_eq!(store.read_node(&ctx, "/n").unwrap().unwrap().data.len(), 20);
     }
 
+    /// The durable store's group commit, with the meter it charges.
+    fn group_commit() -> (crate::durable::DurableUserStore, Meter) {
+        let meter = Meter::new();
+        let store =
+            crate::durable::DurableUserStore::open_sim(Region::US_EAST_1, meter.clone(), None);
+        (store.unwrap(), meter)
+    }
+
+    /// One group commit of a batch leaves the record that writing it one
+    /// record at a time leaves on every backend: the last per path.
     #[test]
     fn write_batch_coalesces_to_final_record_on_all_backends() {
         let ctx = Ctx::disabled();
-        for store in backends() {
-            let versions: Vec<NodeRecord> = (1..=3)
-                .map(|v| {
-                    let mut rec = record("/n", 10 * v);
-                    rec.version = v as i32;
-                    rec
-                })
-                .collect();
-            store.write_batch(&ctx, &versions).unwrap();
-            let got = store.read_node(&ctx, "/n").unwrap().unwrap();
-            assert_eq!(got.version, 3, "last write wins ({:?})", store.kind());
-            assert_eq!(got.data.len(), 30);
-        }
-    }
-
-    #[test]
-    fn obj_write_batch_pays_one_put_per_distinct_path() {
-        let meter = Meter::new();
-        let store = ObjUserStore::new(ObjectStore::new("b", Region::US_EAST_1, meter.clone()));
-        let ctx = Ctx::disabled();
-        let batch: Vec<NodeRecord> = (0..6)
-            .map(|i| record(if i % 2 == 0 { "/a" } else { "/b" }, 8 + i))
+        let versions: Vec<NodeRecord> = (1..=3)
+            .map(|v| NodeRecord {
+                version: v,
+                ..record("/n", 10 * v as usize)
+            })
             .collect();
-        store.write_batch(&ctx, &batch).unwrap();
-        let snap = meter.snapshot();
-        assert_eq!(snap.obj_puts, 2, "six writes, two distinct paths");
-        assert_eq!(snap.obj_gets, 0, "blind writes read nothing");
-    }
-
-    #[test]
-    fn kv_write_batch_and_delete_batch_round_trip() {
-        let store = KvUserStore::new(KvStore::new("u", Region::US_EAST_1, Meter::new()));
-        let ctx = Ctx::disabled();
-        let batch: Vec<NodeRecord> = (0..4).map(|i| record(&format!("/n{i}"), 16)).collect();
-        store.write_batch(&ctx, &batch).unwrap();
-        for i in 0..4 {
-            assert!(store.read_node(&ctx, &format!("/n{i}")).unwrap().is_some());
-        }
-        // Batched deletes stay idempotent.
-        let paths: Vec<String> = (0..4).map(|i| format!("/n{i}")).collect();
-        store.delete_batch(&ctx, &paths).unwrap();
-        store.delete_batch(&ctx, &paths).unwrap();
-        for path in &paths {
-            assert!(store.read_node(&ctx, path).unwrap().is_none());
+        let (batched, meter) = group_commit();
+        batched.write_batch(&ctx, &versions).unwrap();
+        assert_eq!(meter.snapshot().mem_ops, 1, "one operation per batch");
+        let got = batched.read_node(&ctx, "/n").unwrap().unwrap();
+        assert_eq!((got.version, got.data.len()), (3, 30), "last write wins");
+        for (name, store) in backends() {
+            for rec in &versions {
+                store.write_node(&ctx, rec).unwrap();
+            }
+            let one_by_one = store.read_node(&ctx, "/n").unwrap();
+            assert_eq!(one_by_one.as_ref(), Some(&got), "backend {name}");
         }
     }
 
-    #[test]
-    fn hybrid_write_batch_skips_intermediate_offloads() {
-        let meter = Meter::new();
-        let bucket = ObjectStore::new("b", Region::US_EAST_1, meter.clone());
-        let store = KvUserStore::hybrid(
-            KvStore::new("t", Region::US_EAST_1, meter.clone()),
-            bucket.clone(),
-            4096,
-        );
-        let ctx = Ctx::disabled();
-        // Large intermediate version coalesced away by a small final one:
-        // the object store is never touched.
-        store
-            .write_batch(&ctx, &[record("/n", 100_000), record("/n", 64)])
-            .unwrap();
-        assert_eq!(bucket.len(), 0, "intermediate offload skipped");
-        assert_eq!(store.read_node(&ctx, "/n").unwrap().unwrap().data.len(), 64);
-        // Multiple final offloads: every payload uploads.
-        store
-            .write_batch(&ctx, &[record("/big1", 50_000), record("/big2", 60_000)])
-            .unwrap();
-        assert_eq!(bucket.len(), 2);
-        assert_eq!(
-            store.read_node(&ctx, "/big2").unwrap().unwrap().data.len(),
-            60_000
-        );
-    }
-
+    /// Coalescing keeps every path's own final record, and a delete batch
+    /// is deduplicated and idempotent.
     #[test]
     fn write_batch_preserves_cross_path_content() {
         let ctx = Ctx::disabled();
-        for store in backends() {
-            let batch = vec![record("/x", 5), record("/y", 7), record("/x", 9)];
-            store.write_batch(&ctx, &batch).unwrap();
-            assert_eq!(store.read_node(&ctx, "/x").unwrap().unwrap().data.len(), 9);
-            assert_eq!(store.read_node(&ctx, "/y").unwrap().unwrap().data.len(), 7);
-            store
-                .delete_batch(&ctx, &["/x".to_owned(), "/x".to_owned(), "/y".to_owned()])
-                .unwrap();
-            assert!(store.read_node(&ctx, "/x").unwrap().is_none());
-            assert!(store.read_node(&ctx, "/y").unwrap().is_none());
+        let batch = [record("/x", 5), record("/y", 7), record("/x", 9)];
+        let (batched, meter) = group_commit();
+        batched.write_batch(&ctx, &batch).unwrap();
+        for (name, store) in backends() {
+            for rec in &batch {
+                store.write_node(&ctx, rec).unwrap();
+            }
+            for path in ["/x", "/y"] {
+                let want = batched.read_node(&ctx, path).unwrap();
+                assert_eq!(
+                    store.read_node(&ctx, path).unwrap(),
+                    want,
+                    "{path} on {name}"
+                );
+            }
         }
+        assert_eq!(
+            batched.read_node(&ctx, "/x").unwrap().unwrap().data.len(),
+            9
+        );
+        assert_eq!(
+            batched.read_node(&ctx, "/y").unwrap().unwrap().data.len(),
+            7
+        );
+        let paths = ["/x", "/x", "/y"].map(str::to_owned);
+        let before = meter.snapshot().mem_ops;
+        batched.delete_batch(&ctx, &paths).unwrap();
+        batched.delete_batch(&ctx, &paths).unwrap();
+        assert_eq!(
+            meter.snapshot().mem_ops - before,
+            2,
+            "one operation per batch"
+        );
+        assert!(batched.read_node(&ctx, "/x").unwrap().is_none());
+        assert!(batched.read_node(&ctx, "/y").unwrap().is_none());
     }
 
     #[test]
     fn record_serialization_roundtrip() {
+        let store = MemStore::new(Region::US_EAST_1, Meter::new());
+        let ctx = Ctx::disabled();
         let rec = record("/x", 33);
-        let bytes = rec.to_bytes();
-        assert_eq!(bytes[0], crate::codec::MAGIC, "writers emit the frame");
-        assert_eq!(NodeRecord::from_bytes(&bytes).unwrap(), rec);
+        store.write_node(&ctx, &rec).unwrap();
+        let (frame, tag) = store.get_frame(&ctx, "/x").unwrap().unwrap();
+        assert_eq!(frame, codec::encode_node(&rec), "writers store the frame");
+        assert_eq!(frame[0], codec::MAGIC);
+        assert_eq!(codec::node_payload_len(&frame), Some(33));
+        assert_eq!(store.read_tagged(&ctx, "/x").unwrap(), Some((rec, tag)));
     }
 
     #[test]
     fn scan_subtree_on_all_backends() {
         let ctx = Ctx::disabled();
-        for store in backends() {
+        for (name, store) in backends() {
             for path in ["/a", "/a/x", "/a/x/deep", "/a/y", "/ab", "/b"] {
                 store.write_node(&ctx, &record(path, 8)).unwrap();
             }
@@ -864,8 +802,7 @@ mod tests {
             assert_eq!(
                 paths,
                 ["/a", "/a/x", "/a/x/deep", "/a/y"],
-                "sibling /ab excluded ({:?})",
-                store.kind()
+                "sibling /ab excluded ({name})"
             );
             for entry in &entries {
                 assert_eq!(entry.data.as_ref(), &[7u8; 8][..]);
@@ -880,12 +817,7 @@ mod tests {
 
     #[test]
     fn hybrid_scan_fetches_offloaded_payloads() {
-        let meter = Meter::new();
-        let store = KvUserStore::hybrid(
-            KvStore::new("t", Region::US_EAST_1, meter.clone()),
-            ObjectStore::new("b", Region::US_EAST_1, meter.clone()),
-            4096,
-        );
+        let (store, _, meter) = hybrid();
         let ctx = Ctx::disabled();
         store.write_node(&ctx, &record("/t", 10)).unwrap();
         store.write_node(&ctx, &record("/t/big", 50_000)).unwrap();

@@ -18,14 +18,13 @@
 use bytes::Bytes;
 use fk_cloud::objectstore::{Precondition, Tag};
 use fk_cloud::trace::Ctx;
-use fk_cloud::{CloudResult, KvStore, MemStore, Meter, ObjectStore, Region};
+use fk_cloud::{CloudResult, KvStore, Meter, ObjectStore, Region};
 use fk_core::deploy::{Deployment, DeploymentConfig};
 use fk_core::distributor::{CommittedTx, Distributor, DistributorConfig, MERGE_ROUNDS};
-use fk_core::durable::DurableUserStore;
 use fk_core::messages::{LeaderRecord, MultiSub, OpOutcome, Payload, SystemCommit, UserUpdate};
 use fk_core::system_store::ObjTags;
-use fk_core::user_store::{KvUserStore, MemUserStore, ObjUserStore};
-use fk_core::{NodeRecord, ScanEntry, UserStore, UserStoreKind};
+use fk_core::user_store::KvUserStore;
+use fk_core::{FrameStore, NodeRecord, UserStore, UserStoreKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -53,41 +52,36 @@ struct Raced {
     failed: AtomicUsize,
 }
 
-impl UserStore for Raced {
-    fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        self.inner.write_node(ctx, record)
-    }
-    fn write_node_if(
-        &self,
-        ctx: &Ctx,
-        record: &NodeRecord,
-        precondition: Precondition,
-    ) -> CloudResult<Tag> {
-        let written = self.inner.write_node_if(ctx, record, precondition);
-        if written.as_ref().is_err_and(|e| e.is_condition_failed()) {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        written
-    }
-    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
-        let read = self.inner.read_tagged(ctx, path);
+impl FrameStore for Raced {
+    fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
+        let read = self.inner.get_frame(ctx, path);
         let rival = self.rival.lock().unwrap().take_if(|_| path == PARENT);
         if let Some(rival) = rival {
             rival();
         }
         read
     }
-    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
-        self.inner.delete_node(ctx, path)
+    fn put_frame(
+        &self,
+        ctx: &Ctx,
+        path: &str,
+        frame: Bytes,
+        precondition: Option<Precondition>,
+    ) -> CloudResult<Tag> {
+        let written = self.inner.put_frame(ctx, path, frame, precondition);
+        if written.as_ref().is_err_and(|e| e.is_condition_failed()) {
+            self.failed.fetch_add(1, Ordering::Relaxed);
+        }
+        written
     }
-    fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
-        self.inner.scan_subtree(ctx, root)
+    fn delete_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+        self.inner.delete_frame(ctx, path)
+    }
+    fn scan_frames(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<(String, Bytes)>> {
+        self.inner.scan_frames(ctx, root)
     }
     fn region(&self) -> Region {
         self.inner.region()
-    }
-    fn kind(&self) -> UserStoreKind {
-        self.inner.kind()
     }
 }
 
@@ -233,36 +227,31 @@ fn a_rewrite_landing_between_a_read_and_its_write_is_merged_not_lost() {
 /// another writer's rewrite of it: every conditional write then loses.
 struct Contended(Arc<dyn UserStore>);
 
-impl UserStore for Contended {
-    fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        self.0.write_node(ctx, record)
-    }
-    fn write_node_if(
-        &self,
-        ctx: &Ctx,
-        record: &NodeRecord,
-        precondition: Precondition,
-    ) -> CloudResult<Tag> {
-        self.0.write_node_if(ctx, record, precondition)
-    }
-    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
-        let read = self.0.read_tagged(ctx, path)?;
-        if let Some((record, _)) = &read {
-            self.0.write_node(ctx, record)?;
+impl FrameStore for Contended {
+    fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
+        let read = self.0.get_frame(ctx, path)?;
+        if let Some((frame, _)) = &read {
+            self.0.put_frame(ctx, path, frame.clone(), None)?;
         }
         Ok(read)
     }
-    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
-        self.0.delete_node(ctx, path)
+    fn put_frame(
+        &self,
+        ctx: &Ctx,
+        path: &str,
+        frame: Bytes,
+        precondition: Option<Precondition>,
+    ) -> CloudResult<Tag> {
+        self.0.put_frame(ctx, path, frame, precondition)
     }
-    fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
-        self.0.scan_subtree(ctx, root)
+    fn delete_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+        self.0.delete_frame(ctx, path)
+    }
+    fn scan_frames(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<(String, Bytes)>> {
+        self.0.scan_frames(ctx, root)
     }
     fn region(&self) -> Region {
         self.0.region()
-    }
-    fn kind(&self) -> UserStoreKind {
-        self.0.kind()
     }
 }
 
@@ -296,34 +285,10 @@ fn node(path: &str, size: usize) -> NodeRecord {
     }
 }
 
-/// One store of every backend; the hybrid offloads every test record
-/// of more than 16 bytes.
-fn backends() -> Vec<Box<dyn UserStore>> {
-    let meter = Meter::new();
-    let region = Region::US_EAST_1;
-    let table = || KvStore::new("u", region, meter.clone());
-    vec![
-        Box::new(ObjUserStore::new(ObjectStore::new(
-            "u",
-            region,
-            meter.clone(),
-        ))),
-        Box::new(KvUserStore::new(table())),
-        Box::new(KvUserStore::hybrid(
-            table(),
-            ObjectStore::new("ub", region, meter.clone()),
-            16,
-        )),
-        Box::new(MemUserStore::new(MemStore::new(region, meter.clone()))),
-        Box::new(DurableUserStore::open_sim(region, meter.clone(), None).unwrap()),
-    ]
-}
-
 #[test]
 fn conditional_writes_on_all_backends() {
     let ctx = Ctx::disabled();
-    for store in backends() {
-        let kind = store.kind();
+    for (kind, store) in fk_testkit::user_stores(&Meter::new()) {
         let (first, second) = (node("/n", 40), node("/n", 50));
         let tag = store
             .write_node_if(&ctx, &first, Precondition::IfNoneMatch)
@@ -334,13 +299,13 @@ fn conditional_writes_on_all_backends() {
         );
         for precondition in [Precondition::IfNoneMatch, Precondition::IfMatch(tag + 1)] {
             let lost = store.write_node_if(&ctx, &second, precondition);
-            assert!(lost.unwrap_err().is_condition_failed(), "{kind:?}");
+            assert!(lost.unwrap_err().is_condition_failed(), "{kind}");
             assert_eq!(store.read_node(&ctx, "/n").unwrap(), Some(first.clone()));
         }
         let next = store
             .write_node_if(&ctx, &second, Precondition::IfMatch(tag))
             .unwrap();
-        assert_ne!(next, tag, "{kind:?}: new bytes, new tag");
+        assert_ne!(next, tag, "{kind}: new bytes, new tag");
         assert_eq!(
             store.read_tagged(&ctx, "/n").unwrap(),
             Some((second.clone(), next))
@@ -348,7 +313,7 @@ fn conditional_writes_on_all_backends() {
         // A delete is unconditional, and a write racing it fails.
         store.delete_node(&ctx, "/n").unwrap();
         let after = store.write_node_if(&ctx, &second, Precondition::IfMatch(next));
-        assert!(after.unwrap_err().is_condition_failed(), "{kind:?}");
+        assert!(after.unwrap_err().is_condition_failed(), "{kind}");
         assert_eq!(store.read_tagged(&ctx, "/n").unwrap(), None);
     }
 }

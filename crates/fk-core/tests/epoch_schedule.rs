@@ -68,7 +68,7 @@ use fk_core::follower::Follower;
 use fk_core::leader::Leader;
 use fk_core::messages::{ClientRequest, LeaderRecord, MultiOp, Payload, UserUpdate, WriteOp};
 use fk_core::system_store::{node_attr, ObjTags};
-use fk_core::{NodeRecord, ScanEntry, UserStore, UserStoreKind};
+use fk_core::{FrameStore, NodeRecord, UserStore};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -521,41 +521,31 @@ impl Recording {
     }
 }
 
-impl UserStore for Recording {
-    fn write_node(&self, ctx: &Ctx, record: &NodeRecord) -> CloudResult<()> {
-        self.record(ctx, &record.path, Kind::Put, || {
-            self.inner.write_node(ctx, record)
-        })
+impl FrameStore for Recording {
+    fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
+        self.record(ctx, path, Kind::Read, || self.inner.get_frame(ctx, path))
     }
-    fn write_node_if(
+    fn put_frame(
         &self,
         ctx: &Ctx,
-        record: &NodeRecord,
-        precondition: Precondition,
+        path: &str,
+        frame: Bytes,
+        precondition: Option<Precondition>,
     ) -> CloudResult<Tag> {
-        self.record(ctx, &record.path, Kind::Put, || {
-            self.inner.write_node_if(ctx, record, precondition)
+        self.record(ctx, path, Kind::Put, || {
+            self.inner.put_frame(ctx, path, frame, precondition)
         })
     }
-    fn read_node(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<NodeRecord>> {
-        self.record(ctx, path, Kind::Read, || self.inner.read_node(ctx, path))
-    }
-    fn read_tagged(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(NodeRecord, Tag)>> {
-        self.record(ctx, path, Kind::Read, || self.inner.read_tagged(ctx, path))
-    }
-    fn delete_node(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
+    fn delete_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
         self.record(ctx, path, Kind::Delete, || {
-            self.inner.delete_node(ctx, path)
+            self.inner.delete_frame(ctx, path)
         })
     }
-    fn scan_subtree(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<ScanEntry>> {
-        self.inner.scan_subtree(ctx, root)
+    fn scan_frames(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<(String, Bytes)>> {
+        self.inner.scan_frames(ctx, root)
     }
     fn region(&self) -> Region {
         self.inner.region()
-    }
-    fn kind(&self) -> UserStoreKind {
-        self.inner.kind()
     }
 }
 

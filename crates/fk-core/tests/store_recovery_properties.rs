@@ -16,7 +16,7 @@ use fk_cloud::metering::Meter;
 use fk_cloud::trace::Ctx;
 use fk_cloud::{CloudError, MemStore, Region};
 use fk_core::durable::DurableUserStore;
-use fk_core::user_store::{MemUserStore, NodeRecord, UserStore};
+use fk_core::user_store::{NodeRecord, UserStore};
 use fk_store::{FsyncPolicy, LsmConfig, SimStorage};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -87,7 +87,7 @@ fn apply_step(
     rng: &mut SmallRng,
     ctx: &Ctx,
     killed: &DurableUserStore,
-    twin: &MemUserStore,
+    twin: &MemStore,
     stamp: &str,
 ) -> bool {
     let roll = rng.gen_range(0u32..100);
@@ -106,7 +106,9 @@ fn apply_step(
             })
             .collect();
         killed.write_batch(ctx, &recs).map(|()| {
-            twin.write_batch(ctx, &recs).unwrap();
+            for rec in &recs {
+                twin.write_node(ctx, rec).unwrap();
+            }
         })
     } else if roll < 90 {
         let p = path(rng);
@@ -116,7 +118,9 @@ fn apply_step(
     } else {
         let paths: Vec<String> = (0..rng.gen_range(1usize..=3)).map(|_| path(rng)).collect();
         killed.delete_batch(ctx, &paths).map(|()| {
-            twin.delete_batch(ctx, &paths).unwrap();
+            for p in &paths {
+                twin.delete_node(ctx, p).unwrap();
+            }
         })
     };
     match outcome {
@@ -174,7 +178,7 @@ fn killed_store_recovers_tree_byte_identical_to_unkilled_twin() {
         let killed =
             DurableUserStore::open(Arc::new(dev.clone()), crash_config(), region, Meter::new())
                 .unwrap_or_else(|e| panic!("{stamp}: open failed: {e}"));
-        let twin = MemUserStore::new(MemStore::new(region, Meter::new()));
+        let twin = MemStore::new(region, Meter::new());
         dev.arm_kill(kill_at, case_seed ^ 0x5A5A);
 
         let mut acked = 0u32;
@@ -236,7 +240,7 @@ fn durable_profile_runs_the_full_pipeline_unchanged() {
         b"nested"
     );
     assert_eq!(
-        fk.user_store().kind(),
+        fk.config().user_store,
         fk_core::user_store::UserStoreKind::Durable,
         "durable profile installs the LSM-backed user store"
     );
@@ -264,7 +268,7 @@ fn recovery_is_stable_across_repeated_reopens() {
         let killed =
             DurableUserStore::open(Arc::new(dev.clone()), crash_config(), region, Meter::new())
                 .unwrap();
-        let twin = MemUserStore::new(MemStore::new(region, Meter::new()));
+        let twin = MemStore::new(region, Meter::new());
         dev.arm_kill(kill_at, case_seed);
         for _ in 0..120 {
             if !apply_step(&mut rng, &ctx, &killed, &twin, &stamp) {

@@ -16,6 +16,44 @@
 
 pub use proptest;
 
+use fk_cloud::Meter;
+use fk_core::UserStore;
+
+/// Every user-store back-end, named: `object`, `key-value`, `hybrid` (the
+/// paper's 4 kB split), `hybrid-16` (a hybrid that offloads every frame
+/// whose payload is above 16 B), `memory` and `durable` — each over fresh
+/// services metering to `meter`.
+///
+/// A macro so that fk-core's own unit tests, which name fk-core `crate`,
+/// build the same list: `$core` is fk-core's name where it expands.
+/// Everywhere else, call [`user_stores`].
+#[macro_export]
+macro_rules! user_store_backends {
+    ($core:ident, $meter:expr) => {{
+        use ::fk_cloud::{KvStore, MemStore, ObjectStore, Region};
+        use $core::user_store::KvUserStore;
+        let (meter, region): (&::fk_cloud::Meter, _) = ($meter, Region::US_EAST_1);
+        let table = || KvStore::new("u", region, meter.clone());
+        let bucket = || ObjectStore::new("u", region, meter.clone());
+        let hybrid = |threshold| KvUserStore::hybrid(table(), bucket(), threshold);
+        let durable = $core::durable::DurableUserStore::open_sim(region, meter.clone(), None);
+        let stores: Vec<(&'static str, Box<dyn $core::UserStore>)> = vec![
+            ("object", Box::new(bucket())),
+            ("key-value", Box::new(KvUserStore::new(table()))),
+            ("hybrid", Box::new(hybrid(4096))),
+            ("hybrid-16", Box::new(hybrid(16))),
+            ("memory", Box::new(MemStore::new(region, meter.clone()))),
+            ("durable", Box::new(durable.expect("a fresh device opens"))),
+        ];
+        stores
+    }};
+}
+
+/// Every user-store back-end, named ([`user_store_backends!`]).
+pub fn user_stores(meter: &Meter) -> Vec<(&'static str, Box<dyn UserStore>)> {
+    user_store_backends!(fk_core, meter)
+}
+
 /// Deployment/pipeline geometry strategies.
 pub mod geometry {
     use fk_cloud::chaos::{FaultPlan, FaultSpec};

@@ -14,33 +14,14 @@
 
 use bytes::Bytes;
 use fk_cloud::trace::Ctx;
-use fk_cloud::{KvStore, MemStore, Meter, ObjectStore, Region};
+use fk_cloud::Meter;
 use fk_core::deploy::{Deployment, DeploymentConfig};
-use fk_core::user_store::{KvUserStore, MemUserStore, NodeRecord, ObjUserStore, UserStore};
+use fk_core::user_store::NodeRecord;
 use fk_core::{in_subtree, CreateMode, FkError};
 use fk_cost::{CostModel, StorageMode};
 use fk_testkit::geometry;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn backends() -> Vec<Box<dyn UserStore>> {
-    let meter = Meter::new();
-    let region = Region::US_EAST_1;
-    vec![
-        Box::new(ObjUserStore::new(ObjectStore::new(
-            "u",
-            region,
-            meter.clone(),
-        ))),
-        Box::new(KvUserStore::new(KvStore::new("u", region, meter.clone()))),
-        Box::new(KvUserStore::hybrid(
-            KvStore::new("u", region, meter.clone()),
-            ObjectStore::new("ub", region, meter.clone()),
-            4096,
-        )),
-        Box::new(MemUserStore::new(MemStore::new(region, meter))),
-    ]
-}
 
 /// Deterministic per-path payload size: mostly small, with every fifth
 /// node pushed past the 4 kB hybrid offload threshold so scans cross
@@ -95,7 +76,7 @@ proptest! {
         let ctx = Ctx::disabled();
         let model = CostModel::paper_default();
         let sizes: Vec<usize> = (0..paths.len()).map(|i| size_for(i, seed)).collect();
-        for store in backends() {
+        for (name, store) in fk_testkit::user_stores(&Meter::new()) {
             for (i, path) in paths.iter().enumerate() {
                 store.write_node(&ctx, &record(path, sizes[i])).unwrap();
             }
@@ -105,7 +86,7 @@ proptest! {
                 let expected = reference(&paths, root);
                 prop_assert_eq!(
                     &got, &expected,
-                    "backend {:?}, root {}", store.kind(), root
+                    "backend {}, root {}", name, root
                 );
                 // Every entry carries the payload and stat the write put
                 // there — the raw-bytes summary decode loses nothing.
