@@ -3,7 +3,8 @@
 //! Invoked by the session write queue, the follower processes each
 //! client's requests in FIFO order: ➀ lock the involved node(s),
 //! ➁ validate the operation against the locked state, ➂ allocate the
-//! transaction id from the target shard group's epoch counter
+//! transaction id from the target shard group's epoch counter with one
+//! conditional `ADD` and no read
 //! ([`crate::system_store::SystemStore::alloc_txid`]) and push the
 //! confirmed change down that group's FIFO queue to its leader instance,
 //! ➃ commit the new node version to system storage with a single
@@ -15,8 +16,10 @@
 //! regularly carries several independent requests — and the follower's
 //! storage I/O, not its compute, dominates (Table 3). The batch is
 //! therefore processed in **waves**: a maximal run of requests whose
-//! lock sets are pairwise disjoint. Within a wave, phase ➀/➁
-//! (lock + validate) runs on parallel forked workers and phase ➃
+//! lock sets are pairwise disjoint; a single request is a wave of one.
+//! Within a wave, phase ➀/➁ (lock + validate) runs on parallel forked
+//! workers, beside the reads phase ➂ needs and no lock guards (the
+//! batch's membership record and each session's last txid), and phase ➃
 //! (commit) likewise — both are independent conditional writes to
 //! disjoint items — while phase ➂ (allocate + push) stays strictly
 //! serial in batch order, because push order *is* what assigns and
@@ -81,6 +84,7 @@ use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
 use fk_cloud::CloudError;
 use fk_sync::Acquired;
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -169,18 +173,6 @@ impl Follower {
         membership.map(|m| m.route(group)).unwrap_or(group)
     }
 
-    /// The membership record steering this batch, read strongly once per
-    /// batch. Single-group tiers skip the read entirely — membership
-    /// changes need somewhere to move writes *to*, so a one-group
-    /// deployment is static by construction and stays byte-identical to
-    /// the pre-membership follower.
-    fn current_membership(&self, ctx: &Ctx) -> Option<Membership> {
-        if self.leader_queues.shards() <= 1 {
-            return None;
-        }
-        self.system.read_membership(ctx)
-    }
-
     /// The meter retries are reported to (the deployment-shared meter
     /// behind the system table).
     fn meter(&self) -> &fk_cloud::Meter {
@@ -188,8 +180,11 @@ impl Follower {
     }
 
     /// Records the session's highest pushed txid, absorbing transient
-    /// storage errors. Safe to repeat: the mark is a monotone max, so a
-    /// duplicate write of the same txid is a no-op.
+    /// storage errors. The write is an unguarded set
+    /// ([`SystemStore::record_session_push`]); it is monotone only because
+    /// the write queue's FIFO group serialises this session's follower
+    /// invocations. Safe to repeat: writing the same txid again is a
+    /// no-op.
     fn record_push_mark(&self, ctx: &Ctx, session: &str, txid: u64) -> fk_cloud::CloudResult<()> {
         with_retry(
             ctx,
@@ -279,130 +274,90 @@ impl Follower {
             }
             requests.push((i, request));
         }
-        // One strong membership read steers the whole batch: a drain
-        // begun mid-batch redirects from the *next* batch on, which is
-        // safe — the drained group's leader keeps running until its
-        // queue is empty.
-        let membership = self.current_membership(ctx);
+        self.run_waves(ctx, &requests, &OnceCell::new(), |index| {
+            messages[index].attempt > 1
+        })
+    }
+
+    /// Processes one client request end to end: a batch of one.
+    pub fn process_request(&self, ctx: &Ctx, request: &ClientRequest) -> Result<(), FnError> {
+        self.run_waves(ctx, &[(0, request.clone())], &OnceCell::new(), |_| false)
+    }
+
+    /// Runs `requests` (each with its batch index) wave by wave.
+    /// `membership` is the record steering the whole batch: one strong
+    /// read, taken by the first wave that needs it. A drain begun
+    /// mid-batch redirects from the *next* batch on, which is safe — the
+    /// drained group's leader keeps running until its queue is empty.
+    /// `re_received(index)`: the queue has delivered that message before
+    /// (a redelivery or a duplicated copy).
+    fn run_waves(
+        &self,
+        ctx: &Ctx,
+        requests: &[(usize, ClientRequest)],
+        membership: &OnceCell<Option<Membership>>,
+        re_received: impl Fn(usize) -> bool,
+    ) -> Result<(), FnError> {
         let mut start = 0;
         while start < requests.len() {
-            let end = wave_end(&requests, start);
-            let wave = &requests[start..end];
-            if wave.len() == 1 {
-                let (msg_index, request) = &wave[0];
-                let re_received = messages[*msg_index].attempt > 1;
-                self.process_request_with(ctx, request, membership.as_ref(), re_received)
-                    .map_err(|e| e.at_index(*msg_index))?;
-            } else {
-                self.process_wave(ctx, wave, membership.as_ref())?;
+            let end = wave_end(requests, start);
+            match &requests[start..end] {
+                [(index, request)] if matches!(request.op, WriteOp::CloseSession) => self
+                    .close_session(ctx, request, membership, re_received(*index))
+                    .map_err(|e| e.at_index(*index))?,
+                wave => self.process_wave(ctx, wave, membership)?,
             }
             start = end;
         }
         Ok(())
     }
 
-    /// Processes one client request end to end (single-request entry
-    /// point; a batch of one behaves identically to the wave path).
-    pub fn process_request(&self, ctx: &Ctx, request: &ClientRequest) -> Result<(), FnError> {
-        let membership = self.current_membership(ctx);
-        self.process_request_with(ctx, request, membership.as_ref(), false)
-    }
-
-    /// `re_received`: the queue has delivered this message before (a
-    /// redelivery or a duplicated copy).
-    fn process_request_with(
-        &self,
-        ctx: &Ctx,
-        request: &ClientRequest,
-        membership: Option<&Membership>,
-        re_received: bool,
-    ) -> Result<(), FnError> {
-        match &request.op {
-            WriteOp::CloseSession => self.close_session(ctx, request, membership, re_received),
-            _ => match self.run_single(ctx, request, membership) {
-                Ok(_) => Ok(()),
-                Err(OpError::Client(err)) => {
-                    self.notify_failure(ctx, &request.session_id, request.request_id, err);
-                    Ok(())
-                }
-                Err(OpError::Retry(e)) => Err(e),
-            },
-        }
-    }
-
-    /// Serial path for one request: prepare → stage → push → commit →
-    /// mark (the wave machinery with a batch of one).
-    fn run_single(
-        &self,
-        ctx: &Ctx,
-        request: &ClientRequest,
-        membership: Option<&Membership>,
-    ) -> Result<u64, OpError> {
-        let prepared = self.prepare(ctx, request)?;
-        let mut chain: HashMap<String, u64> = HashMap::new();
-        let Some(push) = self.stage_push(ctx, 0, request, prepared, &mut chain, membership)? else {
-            return Ok(0);
-        };
-        let multi_group = self.leader_queues.shards() > 1;
-        ctx.push_phase("push_to_leader");
-        // A failed send enqueued nothing (the queue's fault point rolls
-        // before anything lands), so retrying cannot duplicate the push.
-        let push_queue = self.leader_queues.queue(push.group);
-        let sent = with_retry(
-            ctx,
-            self.meter(),
-            &RetryPolicy::standard(),
-            "follower.push",
-            || push_queue.send(ctx, LEADER_GROUP, push.body.clone()),
-        );
-        ctx.pop_phase();
-        let seq = match sent {
-            Ok(seq) => seq,
-            Err(e) => {
-                self.release_all(ctx, &push.acquired);
-                return Err(OpError::Retry(FnError::retryable(e.to_string())));
-            }
-        };
-        let pushed = Pushed {
-            pos: 0,
-            session: push.session,
-            txid: if multi_group { push.alloc_txid } else { seq },
-            commit: push.commit,
-            eph_adds: push.eph_adds,
-            eph_removes: push.eph_removes,
-        };
-        ctx.push_phase("commit");
-        self.commit_pushed(ctx, &pushed);
-        ctx.pop_phase();
-        if multi_group {
-            self.record_push_mark(ctx, &request.session_id, pushed.txid)
-                .map_err(|e| OpError::Retry(FnError::retryable(e.to_string())))?;
-        }
-        Ok(pushed.txid)
-    }
-
-    /// One multi-request wave: parallel prepare, serial push, parallel
-    /// commit, per-session mark advancement. Partial-batch contract: on
-    /// a retryable failure at wave position `p`, every request before
-    /// `p` is fully processed (pushed; its commit either executed or is
-    /// the leader's to repair) and `p..` redeliver.
+    /// One wave: parallel prepare, serial push, parallel commit,
+    /// per-session mark advancement. Partial-batch contract: on a
+    /// retryable failure at wave position `p`, every request before `p`
+    /// is fully processed (pushed; its commit either executed or is the
+    /// leader's to repair) and `p..` redeliver.
     fn process_wave(
         &self,
         ctx: &Ctx,
         wave: &[(usize, ClientRequest)],
-        membership: Option<&Membership>,
+        membership: &OnceCell<Option<Membership>>,
     ) -> Result<(), FnError> {
         use parking_lot::Mutex;
+        let multi_group = self.leader_queues.shards() > 1;
         // Phase ➀/➁ in parallel: lock + validate every request of the
         // wave (disjoint lock sets by construction, so no intra-wave
-        // contention).
+        // contention). A multi-group tier's phase ➂ also needs the
+        // batch's membership record and each session's last txid. No
+        // lock guards them, so they are read in the same fan-out: the
+        // membership once per batch, and `LAST_TXID` once per session,
+        // which is sound because only this session's follower writes it
+        // and the write queue's FIFO group serialises those invocations.
+        let mut sessions: Vec<&str> = Vec::new();
+        if multi_group {
+            for (_, request) in wave {
+                if !sessions.contains(&request.session_id.as_str()) {
+                    sessions.push(&request.session_id);
+                }
+            }
+        }
+        let read_membership = multi_group && membership.get().is_none();
         let slots: Vec<Mutex<Option<Result<Prepared, OpError>>>> =
             wave.iter().map(|_| Mutex::new(None)).collect();
-        let _ = crate::distributor::fan_out(ctx, wave.len(), |job, child| {
-            let (_, request) = &wave[job];
-            *slots[job].lock() = Some(self.prepare(child, request));
+        let chain: Mutex<HashMap<String, u64>> = Mutex::default();
+        let jobs = wave.len() + sessions.len() + usize::from(read_membership);
+        let _ = crate::distributor::fan_out(ctx, jobs, |job, child| {
+            if let Some((_, request)) = wave.get(job) {
+                *slots[job].lock() = Some(self.prepare(child, request));
+            } else if let Some(session) = sessions.get(job - wave.len()) {
+                let last = self.system.session_last_txid(child, session);
+                chain.lock().insert((*session).to_owned(), last);
+            } else {
+                let _ = membership.set(self.system.read_membership(child));
+            }
             Ok(())
         });
+        let membership = membership.get().and_then(Option::as_ref);
         let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(wave.len());
         let mut client_errors: Vec<(usize, FkError)> = Vec::new();
         let mut first_retry: Option<(usize, FnError)> = None;
@@ -437,13 +392,13 @@ impl Follower {
 
         // Phase ➂: allocate txids serially in batch order (this order is
         // what makes per-session txids increase in submission order;
-        // `chain` threads each session's in-wave predecessor), then push
+        // `chain` threads each session's predecessor), then push
         // the wave's records with **batched sends** — one SQS
         // SendMessageBatch round trip per ≤ 10 records per destination
         // queue, instead of one round trip per record. Within a queue
         // the batch preserves order, so single-group tiers still read
         // their txids off consecutive sequence numbers.
-        let mut chain: HashMap<String, u64> = HashMap::new();
+        let mut chain = chain.into_inner();
         let mut staged: Vec<StagedPush> = Vec::new();
         let mut push_failure: Option<(usize, FnError)> = None;
         for (pos, entry) in prepared.into_iter().enumerate() {
@@ -468,11 +423,10 @@ impl Follower {
                 }
             }
         }
-        let multi_group = self.leader_queues.shards() > 1;
         // Sends run in **position order**, batching consecutive runs with
         // the same destination queue (≤ 10 per request), and stop at the
         // first failure — the sent set is then always a position-prefix
-        // of the wave, exactly the serial path's contract. Sending
+        // of the wave, the partial-batch contract. Sending
         // out-of-position (e.g. whole queues at a time) could push a
         // session's *later* write while an earlier one failed, and its
         // redelivered predecessor would then re-allocate a txid above
@@ -564,7 +518,7 @@ impl Follower {
         // write redelivers from the *failed session's* first request —
         // its redelivery repairs the marker via the already-committed
         // probe — not the whole wave.
-        if self.leader_queues.shards() > 1 {
+        if multi_group {
             let mut per_session: Vec<(&str, u64, usize)> = Vec::new();
             for done in &pushed {
                 match per_session.iter_mut().find(|(s, _, _)| *s == done.session) {
@@ -842,9 +796,9 @@ impl Follower {
         acquire.map_err(|e| OpError::Retry(FnError::retryable(e.to_string())))
     }
 
-    /// Phase ➂ minus the send, shared by the serial path and the wave's
-    /// batched push: resolves the already-committed / check-only cases,
-    /// allocates the txid (multi-group), and encodes the record.
+    /// Phase ➂ minus the wave's batched send: resolves the
+    /// already-committed / check-only cases, allocates the txid
+    /// (multi-group), and encodes the record.
     ///
     /// In a multi-group tier the txid comes from the group's epoch
     /// counter, floored at the session's previous txid and the locked
@@ -855,8 +809,9 @@ impl Follower {
     /// orders everything, its sequence number *is* the txid (the
     /// paper's scheme), and the sequencing bookkeeping would add billed
     /// strong-consistency KV round trips to every write for nothing.
-    /// `chain` carries each session's highest in-wave txid so
-    /// same-session requests in one wave floor and sequence after one
+    /// `chain` carries each session's latest txid: phase ➀ seeds it with
+    /// the session's stored last txid, and every allocation advances it,
+    /// so same-session requests in one wave floor and sequence after one
     /// another. Returns `None` when nothing needs pushing (already
     /// committed on redelivery, or a check-only multi answered
     /// locally).
@@ -874,6 +829,9 @@ impl Follower {
         if let Some(txid) = plan.already_committed {
             self.release_all(ctx, &acquired);
             if multi_group && txid > 0 {
+                // The session's later requests in this wave floor above it.
+                let last = chain.entry(request.session_id.clone()).or_default();
+                *last = (*last).max(txid);
                 self.record_push_mark(ctx, &request.session_id, txid)
                     .map_err(|e| OpError::Retry(FnError::retryable(e.to_string())))?;
             }
@@ -905,11 +863,9 @@ impl Follower {
             0
         };
         let (alloc_txid, prev_txid) = if multi_group {
-            ctx.push_phase("alloc_txid");
-            let stored_prev = match chain.get(&request.session_id) {
-                Some(in_wave) => *in_wave,
-                None => self.system.session_last_txid(ctx, &request.session_id),
-            };
+            let stored_prev = *chain
+                .get(&request.session_id)
+                .expect("phase ➀ read every session's last txid");
             let mut floor = stored_prev;
             for acq in &acquired {
                 if let Some(item) = acq.old.as_ref() {
@@ -922,6 +878,7 @@ impl Follower {
             // advanced the counter (the fault point rolls before the
             // conditional update applies), and even a hypothetical
             // burned value only leaves a gap — txids need not be dense.
+            ctx.push_phase("alloc_txid");
             let allocated = with_retry(
                 ctx,
                 self.meter(),
@@ -1037,7 +994,7 @@ impl Follower {
         &self,
         ctx: &Ctx,
         request: &ClientRequest,
-        membership: Option<&Membership>,
+        membership: &OnceCell<Option<Membership>>,
         re_received: bool,
     ) -> Result<(), FnError> {
         let session = &request.session_id;
@@ -1062,21 +1019,23 @@ impl Follower {
             })
             .unwrap_or_default();
         ephemerals.sort();
-        for path in ephemerals {
-            let sub = ClientRequest {
-                session_id: session.clone(),
-                request_id: INTERNAL_REQUEST,
-                op: WriteOp::Delete {
-                    path: path.clone(),
-                    expected_version: -1,
-                },
-            };
-            match self.run_single(ctx, &sub, membership) {
-                Ok(_) => {}
-                Err(OpError::Client(_)) => {} // already gone: fine
-                Err(OpError::Retry(e)) => return Err(e),
-            }
-        }
+        let deletes: Vec<(usize, ClientRequest)> = ephemerals
+            .into_iter()
+            .map(|path| {
+                let sub = ClientRequest {
+                    session_id: session.clone(),
+                    request_id: INTERNAL_REQUEST,
+                    op: WriteOp::Delete {
+                        path,
+                        expected_version: -1,
+                    },
+                };
+                (0, sub)
+            })
+            .collect();
+        // A node already gone refuses its delete, which is fine: the
+        // refusal of an internal request is told to no one.
+        self.run_waves(ctx, &deletes, membership, |_| false)?;
         // The deregistration record sequences after every prior write of
         // the session: its prev_txid makes the receiving leader hold it
         // back until all of them (wherever they were sharded) have been
@@ -1084,9 +1043,12 @@ impl Follower {
         // that still needs its high-water mark. (Single-group tiers get
         // this for free from their one queue's total order.)
         let multi_group = self.leader_queues.shards() > 1;
+        if multi_group {
+            membership.get_or_init(|| self.system.read_membership(ctx));
+        }
         // The same drain re-route as regular writes: deregistration must
         // not land in a queue whose leader is winding down.
-        let dereg_group = self.routed_group(membership, session);
+        let dereg_group = self.routed_group(membership.get().and_then(Option::as_ref), session);
         let (txid, prev_txid) = if multi_group {
             let prev_txid = self.system.session_last_txid(ctx, session);
             let txid = with_retry(
@@ -1179,7 +1141,7 @@ struct Prepared {
 
 /// A pushed request, ready for phase ➃.
 struct Pushed {
-    /// Wave position (failure-index reporting; 0 on the serial path).
+    /// Wave position (for failure-index reporting).
     pos: usize,
     session: String,
     txid: u64,

@@ -309,34 +309,45 @@ impl SystemStore {
     // Txid allocation (multi-leader shard groups)
     // ------------------------------------------------------------------
 
-    /// Allocates the next txid for `group`, Lamport-bumped past `floor`:
-    /// the group's epoch counter advances to
-    /// `max(current, epoch_of(floor)) + 1` in one conditional update, and
-    /// the result is [`txid::compose`]`(epoch, group)`. Optimistic
-    /// concurrency: a lost race re-reads and retries, exactly like a
-    /// DynamoDB conditional-write loop.
+    /// Allocates the next txid for `group`, Lamport-bumped past `floor`,
+    /// as [`txid::compose`]`(epoch, group)` with no read. With
+    /// `fe = epoch_of(floor)`, the group's epoch counter takes one
+    /// `ADD 1` guarded by `value >= fe` (a missing counter passes when
+    /// `fe == 0`), which returns the new value. Only a counter behind
+    /// the floor fails that guard; it is then `SET` to `fe + 1`, guarded
+    /// by `value < fe` (or missing), and a lost race starts over. The two
+    /// guards split the counter's values, and every success strictly
+    /// raises it: allocations are unique per group and above `floor`.
     pub fn alloc_txid(&self, ctx: &Ctx, group: usize, floor: u64) -> CloudResult<u64> {
+        use fk_cloud::expr::Cmp;
         use fk_cloud::CloudError;
         assert!(group < txid::MAX_GROUPS, "shard group out of range");
         let key = keys::txseq(group);
         let attr = "value";
+        let fe = txid::epoch_of(floor) as i64;
+        let missing = || Condition::NotExists(attr.into());
+        let mut at_floor = Condition::Compare(Cmp::Ge, attr.into(), Value::Num(fe));
+        if fe == 0 {
+            at_floor = missing().or(at_floor);
+        }
         loop {
-            let current = self
-                .kv
-                .get(ctx, &key, Consistency::Strong)
-                .and_then(|item| item.num(attr))
-                .unwrap_or(0) as u64;
-            let next = current.max(txid::epoch_of(floor)) + 1;
-            let guard = if current == 0 {
-                Condition::NotExists(attr.into()).or(Condition::eq(attr, current as i64))
-            } else {
-                Condition::eq(attr, current as i64)
-            };
             match self
                 .kv
-                .update(ctx, &key, &Update::new().set(attr, next as i64), guard)
+                .update(ctx, &key, &Update::new().add(attr, 1), at_floor.clone())
             {
-                Ok(_) => return Ok(txid::compose(next, group)),
+                Ok(out) => {
+                    let epoch = out.new.num(attr).expect("the ADD wrote the counter");
+                    return Ok(txid::compose(epoch as u64, group));
+                }
+                Err(CloudError::ConditionFailed { .. }) => {}
+                Err(e) => return Err(e),
+            }
+            let behind = missing().or(Condition::lt(attr, fe));
+            match self
+                .kv
+                .update(ctx, &key, &Update::new().set(attr, fe + 1), behind)
+            {
+                Ok(_) => return Ok(txid::compose(fe as u64 + 1, group)),
                 Err(CloudError::ConditionFailed { .. }) => continue,
                 Err(e) => return Err(e),
             }
@@ -1033,6 +1044,130 @@ mod tests {
         // And stays monotone afterwards without a floor.
         let next = sys.alloc_txid(&ctx, 0, 0).unwrap();
         assert!(next > behind);
+    }
+
+    /// A counter at or above the floor's epoch allocates with one
+    /// conditional update and no read.
+    #[test]
+    fn alloc_txid_at_or_above_the_floor_is_one_conditional_add() {
+        let (sys, ctx) = store();
+        let meter = sys.kv().meter().clone();
+        // A missing counter under a zero floor, then a counter at the
+        // floor's epoch, then one above it.
+        for (floor, epoch) in [(0, 1), (txid::compose(1, 1), 2), (txid::compose(1, 0), 3)] {
+            let before = meter.snapshot();
+            let id = sys.alloc_txid(&ctx, 0, floor).unwrap();
+            let used = meter.snapshot().since(&before);
+            assert_eq!(id, txid::compose(epoch, 0), "floor {floor}");
+            assert_eq!(used.per_op.get("kv_read"), None, "floor {floor}: no read");
+            assert_eq!(
+                used.per_op.get("kv_write"),
+                Some(&1),
+                "floor {floor}: one ADD"
+            );
+        }
+    }
+
+    /// A counter behind the floor's epoch, or a missing one under a
+    /// non-zero floor, fails the ADD's guard and is set to the floor's
+    /// epoch plus one.
+    #[test]
+    fn alloc_txid_behind_the_floor_takes_the_floors_epoch_plus_one() {
+        let (sys, ctx) = store();
+        let meter = sys.kv().meter().clone();
+        sys.alloc_txid(&ctx, 1, 0).unwrap();
+        // Group 0's counter is missing; group 1's is at epoch 1.
+        for (group, floor_epoch) in [(0, 7), (1, 9)] {
+            let floor = txid::compose(floor_epoch, 1 - group);
+            let before = meter.snapshot();
+            let id = sys.alloc_txid(&ctx, group, floor).unwrap();
+            let used = meter.snapshot().since(&before);
+            assert_eq!(id, txid::compose(floor_epoch + 1, group), "group {group}");
+            assert_eq!(used.per_op.get("kv_read"), None, "group {group}: no read");
+            assert_eq!(
+                used.per_op.get("kv_write"),
+                Some(&2),
+                "group {group}: the failed ADD, then the SET"
+            );
+        }
+        // Both counters now sit at their floor's epoch plus one.
+        assert_eq!(sys.alloc_txid(&ctx, 0, 0).unwrap(), txid::compose(9, 0));
+        assert_eq!(sys.alloc_txid(&ctx, 1, 0).unwrap(), txid::compose(11, 1));
+    }
+
+    /// Allocators racing over two groups, each flooring every allocation
+    /// at its own previous txid and at a random one, as a session's
+    /// follower does: every txid is unique, above its floor's epoch, and
+    /// each allocator's txids increase.
+    #[test]
+    fn alloc_txid_races_stay_unique_above_the_floor_and_ordered() {
+        const THREADS: u64 = 6;
+        const PER_THREAD: usize = 200;
+        let (sys, _) = store();
+        let runs: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let sys = &sys;
+                    s.spawn(move || {
+                        let ctx = Ctx::disabled();
+                        let mut rng = 0x9E37_79B9_7F4A_7C15 ^ (t + 1);
+                        let mut prev = 0;
+                        let mut txids = Vec::with_capacity(PER_THREAD);
+                        for i in 0..PER_THREAD {
+                            rng ^= rng << 13;
+                            rng ^= rng >> 7;
+                            rng ^= rng << 17;
+                            let random = txid::compose(rng % 400, (rng >> 32) as usize % 2);
+                            let floor = prev.max(random);
+                            let id = sys.alloc_txid(&ctx, i % 2, floor).unwrap();
+                            assert!(
+                                txid::epoch_of(id) > txid::epoch_of(floor),
+                                "{id} above the floor {floor}"
+                            );
+                            txids.push(id);
+                            prev = id;
+                        }
+                        txids
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for txids in &runs {
+            assert!(txids.windows(2).all(|w| w[0] < w[1]), "increasing");
+        }
+        let distinct: std::collections::HashSet<u64> = runs.iter().flatten().copied().collect();
+        assert_eq!(distinct.len(), THREADS as usize * PER_THREAD, "unique");
+    }
+
+    /// A transient fault on the ADD rolls before it applies, so the
+    /// follower's retry of the allocation skips no value.
+    #[test]
+    fn alloc_txid_retried_after_a_fault_skips_no_value() {
+        use fk_cloud::chaos::{Chaos, FaultPlan, FaultSpec};
+        use fk_cloud::retry::{with_retry, RetryPolicy};
+        let (sys, ctx) = store();
+        let first = sys.alloc_txid(&ctx, 0, 0).unwrap();
+        let mut plan = FaultPlan::disabled();
+        plan.kv_error = FaultSpec::new(1.0, 1);
+        sys.kv().install_chaos(Chaos::from_plan(plan).unwrap());
+        let meter = sys.kv().meter().clone();
+        let retried = with_retry(
+            &ctx,
+            &meter,
+            &RetryPolicy::standard(),
+            "follower.alloc_txid",
+            || sys.alloc_txid(&ctx, 0, 0),
+        )
+        .unwrap();
+        let counts = meter.snapshot().per_op;
+        assert_eq!(
+            counts.get("fault:kv_error"),
+            Some(&1),
+            "the ADD failed once"
+        );
+        assert_eq!(counts.get("retry:follower.alloc_txid"), Some(&1));
+        assert_eq!(retried, txid::compose(txid::epoch_of(first) + 1, 0));
     }
 
     #[test]

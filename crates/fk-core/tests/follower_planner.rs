@@ -9,6 +9,8 @@
 //!   `process_request` issues, by meter label and by phase label,
 //!   printed charge by charge under `--nocapture` (the follower's
 //!   counterpart of `leader::tests::round_trip_budget*`);
+//! * `follower_round_trip_budget_*` — the same invocation on a
+//!   fixed-latency model: which requests overlap, and how long it lasts;
 //! * `one_verdict_per_case_whatever_the_shape` — op `X` sent as a
 //!   `WriteOp` and as `Multi[X]` is the same transaction: the same
 //!   verdict, the same requests, the same frame.
@@ -18,7 +20,9 @@
 //! one wall-clock value a frame carries — the lock timestamp guarding
 //! each commit item (`Follower::now_ms`) — is zeroed before comparing.
 
+use fk_cloud::latency::{LatencyModel, LatencySpec};
 use fk_cloud::metering::UsageSnapshot;
+use fk_cloud::ops::Op;
 use fk_cloud::trace::{Ctx, LatencyMode, SpanRecord};
 use fk_core::api::{CreateMode, FkError};
 use fk_core::deploy::{Deployment, DeploymentConfig};
@@ -52,6 +56,8 @@ struct Step {
     used: UsageSnapshot,
     /// Every charge of the call, in charge order.
     charges: Vec<SpanRecord>,
+    /// Virtual time the call took.
+    elapsed: Duration,
 }
 
 impl Rig {
@@ -99,7 +105,9 @@ impl Rig {
         };
         let before = self.deployment.meter().snapshot();
         self.ctx.take_spans();
+        let start = self.ctx.now();
         self.follower.process_request(&self.ctx, &request).unwrap();
+        let elapsed = self.ctx.now() - start;
         let charges = self.ctx.take_spans();
         let used = self.deployment.meter().snapshot().since(&before);
         let lanes = self.deployment.leader_queues();
@@ -117,6 +125,7 @@ impl Rig {
             notified: std::iter::from_fn(|| self.endpoint.try_recv().ok()).collect(),
             used,
             charges,
+            elapsed,
         }
     }
 }
@@ -368,7 +377,13 @@ fn one_op_frames_are_no_larger_than_the_parents_one_op_multi() {
 // ----------------------------------------------------------------------
 
 /// One fault-free budget: the meter delta and the charges per phase of
-/// `op` on a seeded rig must equal the constants captured at `58387b3`.
+/// `op` on a seeded rig must equal the constants below. Unlabelled (`-`)
+/// are the membership and session-mark reads, which ride the lock wave,
+/// and the push mark. The allocation is one conditional `ADD` when the
+/// group's counter is at or above the floor's epoch (the create: `/p/n`
+/// shares its group with `/e`, the session's last write), and the `ADD`'s
+/// failed guard plus one `SET` when the counter is behind it (every op
+/// on `/p/c`, whose group the seeding writes left behind the session).
 fn assert_budget(title: &str, op: WriteOp, meter: &str, by_phase: &str) {
     let rig = Rig::seeded();
     let step = rig.process(4, op);
@@ -383,8 +398,8 @@ fn follower_request_budget_create() {
     assert_budget(
         "create",
         create("/p/n", CreateMode::Persistent),
-        "kv_read=3 kv_write=4 kv_transact=1 kv_transact_items=3 queue_send=1",
-        "-=2 lock_node=2 alloc_txid=3 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=4 kv_transact=1 kv_transact_items=3 queue_send=1",
+        "lock_node=2 -=3 alloc_txid=1 push_to_leader=1 commit=1",
     );
 }
 
@@ -393,8 +408,8 @@ fn follower_request_budget_set_data() {
     assert_budget(
         "set_data",
         set_data("/p/c", payload("v1"), -1),
-        "kv_read=3 kv_write=3 kv_transact=1 kv_transact_items=2 queue_send=1",
-        "-=2 lock_node=1 alloc_txid=3 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=4 kv_transact=1 kv_transact_items=2 queue_send=1",
+        "lock_node=1 -=3 alloc_txid=2 push_to_leader=1 commit=1",
     );
 }
 
@@ -403,8 +418,8 @@ fn follower_request_budget_delete() {
     assert_budget(
         "delete",
         delete("/p/c", -1),
-        "kv_read=3 kv_write=4 kv_transact=1 kv_transact_items=3 queue_send=1",
-        "-=2 lock_node=2 alloc_txid=3 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=5 kv_transact=1 kv_transact_items=3 queue_send=1",
+        "lock_node=2 -=3 alloc_txid=2 push_to_leader=1 commit=1",
     );
 }
 
@@ -426,8 +441,8 @@ fn follower_request_budget_check_then_set_data() {
     assert_budget(
         "[check, set_data]",
         cas,
-        "kv_read=3 kv_write=3 kv_transact=1 kv_transact_items=2 queue_send=1",
-        "-=2 lock_node=1 alloc_txid=3 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=4 kv_transact=1 kv_transact_items=2 queue_send=1",
+        "lock_node=1 -=3 alloc_txid=2 push_to_leader=1 commit=1",
     );
 }
 
@@ -474,6 +489,72 @@ fn follower_request_budget_sequential_under_ephemeral_locks_the_parent_only() {
         1,
         "at 58387b3: parent + generated name, 2 releases",
     );
+}
+
+// ----------------------------------------------------------------------
+// Round-trip budgets
+// ----------------------------------------------------------------------
+
+/// Latencies of a fixed-latency model: every request of a kind takes
+/// exactly its constant, and nothing else costs anything.
+const READ: Duration = Duration::from_millis(9);
+const COND: Duration = Duration::from_millis(7);
+const WRITE: Duration = Duration::from_millis(5);
+const TRANSACT: Duration = Duration::from_millis(11);
+const SEND: Duration = Duration::from_millis(13);
+
+fn fixed_latency() -> Ctx {
+    let fixed = |at: Duration| {
+        LatencySpec::new(at.as_secs_f64() * 1e3, 0.0)
+            .sigma(0.0)
+            .tail(0.0, 1.0)
+    };
+    let mut model = LatencyModel::zero();
+    model.kv_get_strong = fixed(READ);
+    model.kv_write_cond = fixed(COND);
+    model.kv_write = fixed(WRITE);
+    model.kv_transact = fixed(TRANSACT);
+    model.q_send_fifo = fixed(SEND);
+    Ctx::new(Arc::new(model), LatencyMode::Virtual, SEED)
+}
+
+/// `op` on a seeded 2-group rig with fixed latencies: the membership
+/// read, the session-mark read and the first lock start together, and
+/// the invocation lasts exactly `max(lock, read) + alloc + push + commit
+/// + mark`.
+fn assert_round_trips(title: &str, op: WriteOp, lock: Duration, alloc: Duration) {
+    let mut rig = Rig::seeded();
+    rig.ctx = fixed_latency();
+    let step = rig.process(4, op);
+    print_chain(title, &step);
+    let origin = step.charges.iter().map(|c| c.start).min().unwrap();
+    let reads: Vec<&SpanRecord> = step
+        .charges
+        .iter()
+        .filter(|c| matches!(c.op, Op::KvGet { .. }))
+        .collect();
+    assert_eq!(reads.len(), 2, "{title}: membership + session mark");
+    assert!(reads.iter().all(|c| c.start == origin), "{title}: reads");
+    let first_lock = step.charges.iter().find(|c| c.phase == "lock_node");
+    assert_eq!(first_lock.map(|c| c.start), Some(origin), "{title}: lock");
+    let expected = lock.max(READ) + alloc + SEND + TRANSACT + WRITE;
+    assert_eq!(step.elapsed, expected, "{title}");
+}
+
+/// The group's counter is at or above the floor: two locks outlast the
+/// reads, and the allocation is one `ADD`.
+#[test]
+fn follower_round_trip_budget_create() {
+    let op = create("/p/n", CreateMode::Persistent);
+    assert_round_trips("create", op, 2 * COND, COND);
+}
+
+/// The group's counter is behind the floor: the reads outlast the one
+/// lock, and the allocation is the failed `ADD` plus the `SET`.
+#[test]
+fn follower_round_trip_budget_set_data_behind_the_floor() {
+    let op = set_data("/p/c", payload("v1"), -1);
+    assert_round_trips("set_data", op, COND, 2 * COND);
 }
 
 // ----------------------------------------------------------------------
