@@ -2,13 +2,23 @@
 //!
 //! Invoked by the session write queue, the follower processes each
 //! client's requests in FIFO order: ➀ lock the involved node(s),
-//! ➁ validate the operation against the locked state, ➂ allocate the
-//! transaction id from the target shard group's epoch counter with one
-//! conditional `ADD` and no read
-//! ([`crate::system_store::SystemStore::alloc_txid`]) and push the
-//! confirmed change down that group's FIFO queue to its leader instance,
-//! ➃ commit the new node version to system storage with a single
-//! conditional write that also releases the lock.
+//! ➁ validate the operation against the locked state, ➂ take the
+//! transaction id from the target shard group's epoch counter and push
+//! the confirmed change down that group's FIFO queue to its leader
+//! instance, ➃ commit the new node version to system storage with a
+//! single conditional write that also releases the lock.
+//!
+//! In a multi-group tier the txid of ➂ is drawn *speculatively*: on a
+//! warm instance, a request whose routing path is known before
+//! validation takes one `ADD 1` on its group's counter beside its
+//! locks, in the same virtual-time fan-out. Phase ➂ accepts that value
+//! only if it still belongs to the routed group and its epoch exceeds
+//! the allocation floor read under the held locks; otherwise it
+//! allocates as before ([`crate::system_store::SystemStore::alloc_txid`],
+//! one conditional `ADD`, or two updates behind the floor). A rejected
+//! value is a gap in its group's sequence, which txids are allowed to
+//! have (`docs/consistency.md` § Z2). The session's push mark
+//! ([`session_attr::LAST_TXID`]) rides the commit of ➃.
 //!
 //! # Pipelined batches (waves)
 //!
@@ -18,8 +28,9 @@
 //! therefore processed in **waves**: a maximal run of requests whose
 //! lock sets are pairwise disjoint; a single request is a wave of one.
 //! Within a wave, phase ➀/➁ (lock + validate) runs on parallel forked
-//! workers, beside the reads phase ➂ needs and no lock guards (the
-//! batch's membership record and each session's last txid), and phase ➃
+//! workers, beside what phase ➂ needs and no lock guards (the batch's
+//! membership record, each session's last txid and each request's
+//! speculative `ADD`), and phase ➃
 //! (commit) likewise — both are independent conditional writes to
 //! disjoint items — while phase ➂ (allocate + push) stays strictly
 //! serial in batch order, because push order *is* what assigns and
@@ -76,7 +87,7 @@ use crate::messages::{
 use crate::notify::ClientBus;
 use crate::path as zkpath;
 use crate::system_store::SystemStore as Sys;
-use crate::system_store::{keys, node_attr, session_attr, Membership, SystemStore};
+use crate::system_store::{keys, node_attr, session_attr, txid, Membership, SystemStore};
 use fk_cloud::faas::FnError;
 use fk_cloud::ops::Op;
 use fk_cloud::queue::{group_of, Message, ShardedQueues};
@@ -84,6 +95,7 @@ use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
 use fk_cloud::CloudError;
 use fk_sync::Acquired;
+use parking_lot::Mutex;
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -121,6 +133,11 @@ pub struct Follower {
     leader_queues: ShardedQueues,
     bus: ClientBus,
     config: FollowerConfig,
+    /// The membership record as this instance last read it (`None`
+    /// before its first read). A warm instance routes a batch's
+    /// speculative `ADD`s with it while the batch's own read is in
+    /// flight (see `process_wave`).
+    warm_membership: Mutex<Option<Option<Membership>>>,
 }
 
 /// Name of each leader queue's single ordering group: one group per
@@ -147,6 +164,7 @@ impl Follower {
             leader_queues,
             bus,
             config,
+            warm_membership: Mutex::new(None),
         }
     }
 
@@ -179,8 +197,13 @@ impl Follower {
         self.system.kv().meter()
     }
 
-    /// Records the session's highest pushed txid, absorbing transient
-    /// storage errors. The write is an unguarded set
+    /// Records the session's highest pushed txid as a write of its own,
+    /// absorbing transient storage errors. A wave's mark normally rides
+    /// the commit of the session's last pushed request (see
+    /// `process_wave`); this write is left for the cases that have no
+    /// such commit: that commit did not land, a redelivered request
+    /// turned out already committed, or a `CloseSession` pushed its
+    /// deregistration. The write is an unguarded set
     /// ([`SystemStore::record_session_push`]); it is monotone only because
     /// the write queue's FIFO group serialises this session's follower
     /// invocations. Safe to repeat: writing the same txid again is a
@@ -323,41 +346,75 @@ impl Follower {
         wave: &[(usize, ClientRequest)],
         membership: &OnceCell<Option<Membership>>,
     ) -> Result<(), FnError> {
-        use parking_lot::Mutex;
         let multi_group = self.leader_queues.shards() > 1;
         // Phase ➀/➁ in parallel: lock + validate every request of the
-        // wave (disjoint lock sets by construction, so no intra-wave
-        // contention). A multi-group tier's phase ➂ also needs the
-        // batch's membership record and each session's last txid. No
-        // lock guards them, so they are read in the same fan-out: the
-        // membership once per batch, and `LAST_TXID` once per session,
-        // which is sound because only this session's follower writes it
-        // and the write queue's FIFO group serialises those invocations.
-        let mut sessions: Vec<&str> = Vec::new();
-        if multi_group {
-            for (_, request) in wave {
-                if !sessions.contains(&request.session_id.as_str()) {
-                    sessions.push(&request.session_id);
-                }
-            }
-        }
-        let read_membership = multi_group && membership.get().is_none();
+        // wave that passes its pre-lock checks (disjoint lock sets by
+        // construction, so no intra-wave contention). A multi-group
+        // tier's phase ➂ also needs the batch's membership record, each
+        // session's last txid and a txid per request. No lock guards
+        // them, so they run in the same fan-out: the membership read
+        // once per batch; `LAST_TXID` read once per session, which is
+        // sound because only this session's follower writes it and the
+        // write queue's FIFO group serialises those invocations; and one
+        // `ADD 1` on the counter of each request's group. Phase ➂
+        // accepts an `ADD`'s value only against the floor read under the
+        // locks (`stage_push`). The `ADD` is routed with the batch's
+        // membership if an earlier wave read it, else with the one this
+        // instance read last; a cold instance draws none. A record read
+        // before the `ADD` was sent is what keeps an `ADD` from landing
+        // on a joining group before its counter is seeded past the floor
+        // it publishes (`docs/consistency.md` § Z2).
         let slots: Vec<Mutex<Option<Result<Prepared, OpError>>>> =
             wave.iter().map(|_| Mutex::new(None)).collect();
+        let mut admitted: Vec<(usize, Vec<OpView<'_>>)> = Vec::new();
+        let mut allocations: Vec<(usize, usize)> = Vec::new();
+        let mut sessions: Vec<&str> = Vec::new();
+        let read_membership = multi_group && membership.get().is_none();
+        let known = match membership.get() {
+            Some(batch) => Some(batch.clone()),
+            None => self.warm_membership.lock().clone(),
+        };
+        for (pos, (_, request)) in wave.iter().enumerate() {
+            if multi_group && !sessions.contains(&request.session_id.as_str()) {
+                sessions.push(&request.session_id);
+            }
+            match self.admit(request) {
+                Ok(ops) => {
+                    let path = routing_path(&ops).filter(|_| multi_group);
+                    if let (Some(path), Some(known)) = (path, &known) {
+                        allocations.push((pos, self.routed_group(known.as_ref(), path)));
+                    }
+                    admitted.push((pos, ops));
+                }
+                Err(refused) => *slots[pos].lock() = Some(Err(refused)),
+            }
+        }
         let chain: Mutex<HashMap<String, u64>> = Mutex::default();
-        let jobs = wave.len() + sessions.len() + usize::from(read_membership);
+        let speculative: Mutex<Vec<Option<u64>>> = Mutex::new(vec![None; wave.len()]);
+        let jobs =
+            admitted.len() + sessions.len() + allocations.len() + usize::from(read_membership);
         let _ = crate::distributor::fan_out(ctx, jobs, |job, child| {
-            if let Some((_, request)) = wave.get(job) {
-                *slots[job].lock() = Some(self.prepare(child, request));
-            } else if let Some(session) = sessions.get(job - wave.len()) {
+            let read = job.saturating_sub(admitted.len());
+            let add = read.saturating_sub(sessions.len());
+            if let Some((pos, ops)) = admitted.get(job) {
+                *slots[*pos].lock() = Some(self.prepare(child, &wave[*pos].1, ops));
+            } else if let Some(session) = sessions.get(read) {
                 let last = self.system.session_last_txid(child, session);
                 chain.lock().insert((*session).to_owned(), last);
+            } else if let Some(&(pos, group)) = allocations.get(add) {
+                // A floor of 0 makes `alloc_txid` one `ADD` whose guard
+                // always passes. No retry: a failed `ADD` only sends the
+                // request to the floored allocation, which retries.
+                speculative.lock()[pos] = self.system.alloc_txid(child, group, 0).ok();
             } else {
-                let _ = membership.set(self.system.read_membership(child));
+                let record = self.system.read_membership(child);
+                *self.warm_membership.lock() = Some(record.clone());
+                let _ = membership.set(record);
             }
             Ok(())
         });
         let membership = membership.get().and_then(Option::as_ref);
+        let speculative = speculative.into_inner();
         let mut prepared: Vec<Option<Prepared>> = Vec::with_capacity(wave.len());
         let mut client_errors: Vec<(usize, FkError)> = Vec::new();
         let mut first_retry: Option<(usize, FnError)> = None;
@@ -390,7 +447,7 @@ impl Follower {
             .map(|(pos, _)| *pos)
             .unwrap_or(wave.len());
 
-        // Phase ➂: allocate txids serially in batch order (this order is
+        // Phase ➂: fix txids serially in batch order (this order is
         // what makes per-session txids increase in submission order;
         // `chain` threads each session's predecessor), then push
         // the wave's records with **batched sends** — one SQS
@@ -409,6 +466,10 @@ impl Follower {
                 continue;
             }
             let (_, request) = &wave[pos];
+            let p = Prepared {
+                speculative: speculative[pos],
+                ..p
+            };
             match self.stage_push(ctx, pos, request, p, &mut chain, membership) {
                 Ok(Some(push)) => staged.push(push),
                 Ok(None) => {}
@@ -501,36 +562,55 @@ impl Follower {
             }
         }
 
+        // Per-session push marks: the highest pushed txid per session,
+        // set once per session per wave (monotone — the write queue's
+        // FIFO group serializes this session's follower work). A
+        // session's txids rise with wave position, so its last pushed
+        // request holds the highest, and the commit this follower
+        // executes for that request sets the mark on the session's
+        // `seq:` item — the item whose `LAST_REQUEST` the commit writes
+        // anyway. The pushed record's commit does not carry it, so the
+        // leader's `TryCommit` replay of an older record never lowers
+        // the mark. `(index in pushed of the session's last, its first
+        // position)` per session.
+        let mut marks: Vec<(usize, usize)> = Vec::new();
+        if multi_group {
+            for (i, done) in pushed.iter().enumerate() {
+                match marks
+                    .iter_mut()
+                    .find(|(last, _)| pushed[*last].session == done.session)
+                {
+                    Some((last, _)) => *last = i,
+                    None => marks.push((i, done.pos)),
+                }
+            }
+            for &(last, _) in &marks {
+                let done = &mut pushed[last];
+                carry_push_mark(&mut done.commit, &done.session, done.txid);
+            }
+        }
+
         // Phase ➃ in parallel: commits are independent conditional
         // writes (disjoint items). A failed commit is the leader's to
         // repair — the record is already pushed (see module docs).
+        let landed: Mutex<Vec<bool>> = Mutex::new(vec![false; pushed.len()]);
         ctx.span("commit", || {
             crate::distributor::fan_out(ctx, pushed.len(), |job, child| {
-                self.commit_pushed(child, &pushed[job]);
+                landed.lock()[job] = self.commit_pushed(child, &pushed[job]);
                 Ok(())
             })
         })
         .expect("commit workers never fail the wave");
 
-        // Per-session marks: the highest pushed txid per session, set
-        // once per session per wave (monotone — the write queue's FIFO
-        // group serializes this session's follower work). A failed mark
-        // write redelivers from the *failed session's* first request —
-        // its redelivery repairs the marker via the already-committed
-        // probe — not the whole wave.
-        if multi_group {
-            let mut per_session: Vec<(&str, u64, usize)> = Vec::new();
-            for done in &pushed {
-                match per_session.iter_mut().find(|(s, _, _)| *s == done.session) {
-                    Some((_, max, first_pos)) => {
-                        *max = (*max).max(done.txid);
-                        *first_pos = (*first_pos).min(done.pos);
-                    }
-                    None => per_session.push((done.session.as_str(), done.txid, done.pos)),
-                }
-            }
-            for (session, txid, first_pos) in per_session {
-                self.record_push_mark(ctx, session, txid)
+        // A session whose mark-carrying commit did not land writes its
+        // mark separately. A failed mark write redelivers from the
+        // *failed session's* first request — its redelivery repairs the
+        // marker via the already-committed probe — not the whole wave.
+        let landed = landed.into_inner();
+        for (last, first_pos) in marks {
+            if !landed[last] {
+                let done = &pushed[last];
+                self.record_push_mark(ctx, &done.session, done.txid)
                     .map_err(|e| FnError::retryable(e.to_string()).at_index(wave[first_pos].0))?;
             }
         }
@@ -644,12 +724,10 @@ impl Follower {
         format!("{}#{}", request.session_id, request.request_id)
     }
 
-    /// ➀–➁ for any write op: lock the involved nodes as one sorted set,
-    /// then validate the ops **in order against an overlay** of the
-    /// locked state and merge their updates into one all-or-nothing
-    /// [`SystemCommit`] (see module docs) — a single op is the one-op
-    /// case. On error every acquired lock is released before returning.
-    fn prepare(&self, ctx: &Ctx, request: &ClientRequest) -> Result<Prepared, OpError> {
+    /// The ops of a write request, once each has passed
+    /// [`Self::precheck`]: a request refused here takes no lock and no
+    /// txid.
+    fn admit<'r>(&self, request: &'r ClientRequest) -> Result<Vec<OpView<'r>>, OpError> {
         let ops = op_views(&request.op).expect("CloseSession is handled separately");
         if ops.is_empty() {
             return Err(OpError::Client(FkError::BadArguments {
@@ -661,24 +739,39 @@ impl Follower {
             self.precheck(*op, &mut mutated)
                 .map_err(|cause| refusal(request, i, cause))?;
         }
+        Ok(ops)
+    }
 
+    /// ➀–➁ for the admitted `ops` of any write: lock the involved nodes
+    /// as one sorted set, then validate the ops **in order against an
+    /// overlay** of the locked state and merge their updates into one
+    /// all-or-nothing [`SystemCommit`] (see module docs) — a single op
+    /// is the one-op case. On error every acquired lock is released
+    /// before returning.
+    fn prepare(
+        &self,
+        ctx: &Ctx,
+        request: &ClientRequest,
+        ops: &[OpView<'_>],
+    ) -> Result<Prepared, OpError> {
         // ➀ one sorted, deduplicated lock set over every touched path
         // (`lock_all` sorts; sequential creates lock their generated
         // names during validation, once the name is known).
         ctx.push_phase("lock_node");
-        let acquired = self.lock_all(ctx, &lock_set(&ops));
+        let acquired = self.lock_all(ctx, &lock_set(ops));
         ctx.pop_phase();
 
         // ➁ validate against the locked state; on failure release.
         let mut planner = Planner::new(request, acquired?);
         ctx.push_phase("validate");
-        let planned = self.plan(ctx, request, &ops, &mut planner);
+        let planned = self.plan(ctx, request, ops, &mut planner);
         ctx.pop_phase();
         match planned {
             Ok(None) => Ok(planner.finish()),
             Ok(Some(txid)) => Ok(Prepared {
                 acquired: planner.acquired,
                 plan: WritePlan::already(txid),
+                speculative: None,
             }),
             Err(e) => {
                 self.release_all(ctx, &planner.acquired);
@@ -797,18 +890,22 @@ impl Follower {
     }
 
     /// Phase ➂ minus the wave's batched send: resolves the
-    /// already-committed / check-only cases, allocates the txid
+    /// already-committed / check-only cases, fixes the txid
     /// (multi-group), and encodes the record.
     ///
     /// In a multi-group tier the txid comes from the group's epoch
-    /// counter, floored at the session's previous txid and the locked
-    /// nodes' last txids (version for the primary path, children_txid
-    /// for a parent) — this is what keeps txids totally ordered per
-    /// session and per path across shard groups. A single-group tier
-    /// (the default deployment) skips all of that: one queue totally
-    /// orders everything, its sequence number *is* the txid (the
-    /// paper's scheme), and the sequencing bookkeeping would add billed
-    /// strong-consistency KV round trips to every write for nothing.
+    /// counter and must exceed the floor: the session's previous txid
+    /// and the locked nodes' last txids (version for the primary path,
+    /// children_txid for a parent) — this is what keeps txids totally
+    /// ordered per session and per path across shard groups. The
+    /// request's speculative `ADD` is taken if its value is in the
+    /// routed group and its epoch is above the floor's; otherwise the
+    /// floored allocation runs, and the value is a harmless gap. A
+    /// single-group tier (the default deployment) skips all of that:
+    /// one queue totally orders everything, its sequence number *is*
+    /// the txid (the paper's scheme), and the sequencing bookkeeping
+    /// would add billed strong-consistency KV round trips to every write
+    /// for nothing.
     /// `chain` carries each session's latest txid: phase ➀ seeds it with
     /// the session's stored last txid, and every allocation advances it,
     /// so same-session requests in one wave floor and sequence after one
@@ -824,7 +921,11 @@ impl Follower {
         chain: &mut HashMap<String, u64>,
         membership: Option<&Membership>,
     ) -> Result<Option<StagedPush>, OpError> {
-        let Prepared { acquired, mut plan } = prepared;
+        let Prepared {
+            acquired,
+            mut plan,
+            speculative,
+        } = prepared;
         let multi_group = self.leader_queues.shards() > 1;
         if let Some(txid) = plan.already_committed {
             self.release_all(ctx, &acquired);
@@ -878,15 +979,26 @@ impl Follower {
             // advanced the counter (the fault point rolls before the
             // conditional update applies), and even a hypothetical
             // burned value only leaves a gap — txids need not be dense.
-            ctx.push_phase("alloc_txid");
-            let allocated = with_retry(
-                ctx,
-                self.meter(),
-                &RetryPolicy::standard(),
-                "follower.alloc_txid",
-                || self.system.alloc_txid(ctx, group, floor),
-            );
-            ctx.pop_phase();
+            let allocated = match speculative {
+                Some(value)
+                    if txid::group_of(value) == group
+                        && txid::epoch_of(value) > txid::epoch_of(floor) =>
+                {
+                    Ok(value)
+                }
+                _ => {
+                    ctx.push_phase("alloc_txid");
+                    let allocated = with_retry(
+                        ctx,
+                        self.meter(),
+                        &RetryPolicy::standard(),
+                        "follower.alloc_txid",
+                        || self.system.alloc_txid(ctx, group, floor),
+                    );
+                    ctx.pop_phase();
+                    allocated
+                }
+            };
             match allocated {
                 Ok(txid) => {
                     chain.insert(request.session_id.clone(), txid);
@@ -942,13 +1054,14 @@ impl Follower {
         }))
     }
 
-    /// ➃ commit-and-unlock, conditional on the locks still being held.
-    /// Never fails the batch: the record is already in a leader queue,
-    /// and the leader re-executes the same commit description
-    /// (`TryCommit`) for any missing commit — re-delivering the message
-    /// would only produce an orphaned duplicate push. A stolen lock
-    /// likewise hands the decision to the leader (Algorithm 2 ➋).
-    fn commit_pushed(&self, ctx: &Ctx, pushed: &Pushed) {
+    /// ➃ commit-and-unlock, conditional on the locks still being held;
+    /// true if the commit landed. Never fails the batch: the record is
+    /// already in a leader queue, and the leader re-executes the same
+    /// commit description (`TryCommit`) for any missing commit —
+    /// re-delivering the message would only produce an orphaned
+    /// duplicate push. A stolen lock likewise hands the decision to the
+    /// leader (Algorithm 2 ➋).
+    fn commit_pushed(&self, ctx: &Ctx, pushed: &Pushed) -> bool {
         if self
             .config
             .skip_commits
@@ -958,7 +1071,7 @@ impl Follower {
             // Injected crash between push (➂) and commit (➃): leave the
             // commit to the leader's TryCommit, exactly like a real
             // follower death at this point.
-            return;
+            return false;
         }
         // Transient failures retry with a tight budget (the commit is a
         // single all-or-nothing transaction, so a failed attempt wrote
@@ -985,6 +1098,7 @@ impl Follower {
         }
         // Any failure — stolen lock or storage error — is the leader's
         // to resolve; the commit description rides the pushed record.
+        committed.is_ok()
     }
 
     /// CloseSession: delete the session's ephemeral nodes (each a regular
@@ -1137,6 +1251,8 @@ impl WritePlan {
 struct Prepared {
     acquired: Vec<Acquired>,
     plan: WritePlan,
+    /// The value of the request's speculative `ADD`, if it drew one.
+    speculative: Option<u64>,
 }
 
 /// A pushed request, ready for phase ➃.
@@ -1783,7 +1899,42 @@ impl<'a> Planner<'a> {
         Prepared {
             acquired: self.acquired,
             plan,
+            speculative: None,
         }
+    }
+}
+
+/// The path a request routes by, when it is known before validation:
+/// the first mutating op's, unless that op is a sequential create (its
+/// name comes from the parent's counter, under the parent's lock).
+/// `None` for a check-only multi, which pushes nothing.
+fn routing_path<'a>(ops: &[OpView<'a>]) -> Option<&'a str> {
+    match ops.iter().find(|op| !matches!(op, OpView::Check { .. }))? {
+        OpView::Create { mode, .. } if mode.is_sequential() => None,
+        op => Some(op.path()),
+    }
+}
+
+/// Adds the session's push mark ([`session_attr::LAST_TXID`] =
+/// `txid`) to a commit the follower executes: as one more attribute of
+/// the session's `seq:` item, which a client request's commit already
+/// writes, or as that item alone for an internal request.
+fn carry_push_mark(commit: &mut SystemCommit, session: &str, txid: u64) {
+    let key = keys::session_seq(session);
+    let mark = (
+        session_attr::LAST_TXID.to_owned(),
+        SerValue::Num(txid as i64),
+    );
+    match commit.items.iter_mut().find(|item| item.key == key) {
+        Some(item) => item.sets.push(mark),
+        None => commit.items.push(CommitItem {
+            key,
+            lock_ts: crate::commit::UNGUARDED,
+            sets: vec![mark],
+            appends: vec![],
+            removes: vec![],
+            list_removes: vec![],
+        }),
     }
 }
 

@@ -138,7 +138,13 @@ pub mod session_attr {
     /// ([`super::keys::session_seq`]). The follower reads it as the
     /// floor for the next allocation — per-session txids are strictly
     /// increasing (Z2) — and stamps it into the next record as
-    /// `prev_txid`.
+    /// `prev_txid`. Set once per session per wave, to the wave's highest
+    /// pushed txid, by the commit the follower executes for the
+    /// session's last pushed write; the pushed record's commit never
+    /// carries it, so a leader's `TryCommit` replay cannot lower it.
+    /// [`super::SystemStore::record_session_push`] sets it when that
+    /// commit did not land, on an already-committed redelivery and on
+    /// `CloseSession`.
     pub const LAST_TXID: &str = "last_txid";
     /// Highest txid of this session whose transaction a shard-group
     /// leader has fully distributed (or terminally resolved), on the

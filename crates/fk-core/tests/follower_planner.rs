@@ -13,7 +13,14 @@
 //!   fixed-latency model: which requests overlap, and how long it lasts;
 //! * `one_verdict_per_case_whatever_the_shape` — op `X` sent as a
 //!   `WriteOp` and as `Multi[X]` is the same transaction: the same
-//!   verdict, the same requests, the same frame.
+//!   verdict, the same requests, the same frame;
+//! * `one_push_mark_per_session_per_wave`,
+//!   `try_commit_replay_never_lowers_the_push_mark`,
+//!   `close_session_deregisters_after_its_ephemeral_deletes` — the
+//!   session's push mark rides the commit of its last pushed write,
+//!   never the record;
+//! * `alloc_txid_speculative_*` — when the `ADD` drawn beside the locks
+//!   is taken as the txid, and what a burned value leaves behind.
 //!
 //! Everything runs a 2-group direct deployment on virtual time with a
 //! fixed seed, so txids, request counts and frames repeat exactly. The
@@ -23,14 +30,18 @@
 use fk_cloud::latency::{LatencyModel, LatencySpec};
 use fk_cloud::metering::UsageSnapshot;
 use fk_cloud::ops::Op;
+use fk_cloud::queue::group_of;
 use fk_cloud::trace::{Ctx, LatencyMode, SpanRecord};
 use fk_core::api::{CreateMode, FkError};
 use fk_core::deploy::{Deployment, DeploymentConfig};
-use fk_core::follower::Follower;
+use fk_core::follower::{Follower, LEADER_GROUP};
+use fk_core::leader::Leader;
 use fk_core::messages::{
     ClientNotification, ClientRequest, LeaderRecord, MultiOp, Payload, WriteOp,
 };
+use fk_core::system_store::{keys, node_attr, session_attr, txid};
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,30 +94,74 @@ impl Rig {
     /// A rig holding `/p`, `/p/c` and the session's ephemeral `/e`
     /// (request ids 1–3).
     fn seeded() -> Rig {
+        Rig::seeded_with_records().0
+    }
+
+    /// [`Rig::seeded`] and the records its three writes pushed.
+    fn seeded_with_records() -> (Rig, Vec<LeaderRecord>) {
         let rig = Rig::new();
+        let mut records = Vec::new();
         for (request_id, op) in [
             (1, create("/p", CreateMode::Persistent)),
             (2, create("/p/c", CreateMode::Persistent)),
             (3, create("/e", CreateMode::Ephemeral)),
         ] {
-            assert_eq!(rig.process(request_id, op).pushed.len(), 1);
+            let pushed = rig.process(request_id, op).pushed;
+            assert_eq!(pushed.len(), 1);
+            records.extend(pushed);
         }
-        rig
+        (rig, records)
     }
 
     /// Sends one request through `Follower::process_request` (no write
     /// queue in front of it: a repeated request id reaches the planner,
     /// which is what a redelivery past the watermark filter looks like).
     fn process(&self, request_id: u64, op: WriteOp) -> Step {
+        self.process_as(SESSION, request_id, op)
+    }
+
+    /// [`Rig::process`] for any session's request.
+    fn process_as(&self, session: &str, request_id: u64, op: WriteOp) -> Step {
         let request = ClientRequest {
-            session_id: SESSION.into(),
+            session_id: session.into(),
             request_id,
             op,
         };
+        self.step(|| self.follower.process_request(&self.ctx, &request).unwrap())
+    }
+
+    /// Sends `ops` (request ids from `first` on) through the write queue
+    /// and hands them to `Follower::process_messages` as one batch:
+    /// requests with pairwise disjoint lock sets make one wave.
+    fn process_batch(&self, first: u64, ops: Vec<WriteOp>) -> Step {
+        let quiet = Ctx::disabled();
+        let queue = self.deployment.write_queue();
+        for (request_id, op) in (first..).zip(ops) {
+            let request = ClientRequest {
+                session_id: SESSION.into(),
+                request_id,
+                op,
+            };
+            queue.send(&quiet, SESSION, request.encode()).unwrap();
+        }
+        let batch = queue.receive(10, Duration::from_secs(5)).unwrap();
+        let step = self.step(|| {
+            self.follower
+                .process_messages(&self.ctx, &batch.messages)
+                .unwrap()
+        });
+        queue.ack(batch.receipt);
+        step
+    }
+
+    /// Runs `call` and collects what it did: the meter delta, the
+    /// charges, the virtual time, the records it pushed (taken off the
+    /// leader lanes) and the notifications it sent the session.
+    fn step(&self, call: impl FnOnce()) -> Step {
         let before = self.deployment.meter().snapshot();
         self.ctx.take_spans();
         let start = self.ctx.now();
-        self.follower.process_request(&self.ctx, &request).unwrap();
+        call();
         let elapsed = self.ctx.now() - start;
         let charges = self.ctx.take_spans();
         let used = self.deployment.meter().snapshot().since(&before);
@@ -378,12 +433,20 @@ fn one_op_frames_are_no_larger_than_the_parents_one_op_multi() {
 
 /// One fault-free budget: the meter delta and the charges per phase of
 /// `op` on a seeded rig must equal the constants below. Unlabelled (`-`)
-/// are the membership and session-mark reads, which ride the lock wave,
-/// and the push mark. The allocation is one conditional `ADD` when the
-/// group's counter is at or above the floor's epoch (the create: `/p/n`
-/// shares its group with `/e`, the session's last write), and the `ADD`'s
-/// failed guard plus one `SET` when the counter is behind it (every op
-/// on `/p/c`, whose group the seeding writes left behind the session).
+/// are the membership read, the session-mark read and the speculative
+/// `ADD` on the routed group's counter, which all ride the lock wave;
+/// the push mark rides the commit. The create takes the `ADD`'s value
+/// (`/p/n` shares its group with `/e`, the session's last write, so the
+/// counter is above the floor) and labels nothing `alloc_txid`. Every op
+/// on `/p/c` finds the value at the floor's epoch (the seeding writes
+/// left its group's counter one behind the session) and allocates once
+/// more: one conditional `ADD`, labelled `alloc_txid`.
+///
+/// At the parent `0c09504` every budget paid one `kv_write` more, the
+/// push mark's own write: create `kv_write=4`, phases `lock_node=2 -=3
+/// alloc_txid=1`; `set_data` and `[check, set_data]` `kv_write=4`,
+/// phases `lock_node=1 -=3 alloc_txid=2`; delete `kv_write=5`, phases
+/// `lock_node=2 -=3 alloc_txid=2`.
 fn assert_budget(title: &str, op: WriteOp, meter: &str, by_phase: &str) {
     let rig = Rig::seeded();
     let step = rig.process(4, op);
@@ -398,8 +461,8 @@ fn follower_request_budget_create() {
     assert_budget(
         "create",
         create("/p/n", CreateMode::Persistent),
-        "kv_read=2 kv_write=4 kv_transact=1 kv_transact_items=3 queue_send=1",
-        "lock_node=2 -=3 alloc_txid=1 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=3 kv_transact=1 kv_transact_items=3 queue_send=1",
+        "lock_node=2 -=3 push_to_leader=1 commit=1",
     );
 }
 
@@ -408,8 +471,8 @@ fn follower_request_budget_set_data() {
     assert_budget(
         "set_data",
         set_data("/p/c", payload("v1"), -1),
-        "kv_read=2 kv_write=4 kv_transact=1 kv_transact_items=2 queue_send=1",
-        "lock_node=1 -=3 alloc_txid=2 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=3 kv_transact=1 kv_transact_items=2 queue_send=1",
+        "lock_node=1 -=3 alloc_txid=1 push_to_leader=1 commit=1",
     );
 }
 
@@ -418,8 +481,8 @@ fn follower_request_budget_delete() {
     assert_budget(
         "delete",
         delete("/p/c", -1),
-        "kv_read=2 kv_write=5 kv_transact=1 kv_transact_items=3 queue_send=1",
-        "lock_node=2 -=3 alloc_txid=2 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=4 kv_transact=1 kv_transact_items=3 queue_send=1",
+        "lock_node=2 -=3 alloc_txid=1 push_to_leader=1 commit=1",
     );
 }
 
@@ -441,8 +504,8 @@ fn follower_request_budget_check_then_set_data() {
     assert_budget(
         "[check, set_data]",
         cas,
-        "kv_read=2 kv_write=4 kv_transact=1 kv_transact_items=2 queue_send=1",
-        "lock_node=1 -=3 alloc_txid=2 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=3 kv_transact=1 kv_transact_items=2 queue_send=1",
+        "lock_node=1 -=3 alloc_txid=1 push_to_leader=1 commit=1",
     );
 }
 
@@ -519,9 +582,11 @@ fn fixed_latency() -> Ctx {
 }
 
 /// `op` on a seeded 2-group rig with fixed latencies: the membership
-/// read, the session-mark read and the first lock start together, and
-/// the invocation lasts exactly `max(lock, read) + alloc + push + commit
-/// + mark`.
+/// read, the session-mark read, the speculative `ADD` and the first lock
+/// start together, and the invocation lasts exactly `max(lock, read,
+/// ADD) + alloc + push + commit`, where `alloc` is the allocation behind
+/// a rejected `ADD` (zero when it is accepted). The push mark rides the
+/// commit.
 fn assert_round_trips(title: &str, op: WriteOp, lock: Duration, alloc: Duration) {
     let mut rig = Rig::seeded();
     rig.ctx = fixed_latency();
@@ -537,24 +602,37 @@ fn assert_round_trips(title: &str, op: WriteOp, lock: Duration, alloc: Duration)
     assert!(reads.iter().all(|c| c.start == origin), "{title}: reads");
     let first_lock = step.charges.iter().find(|c| c.phase == "lock_node");
     assert_eq!(first_lock.map(|c| c.start), Some(origin), "{title}: lock");
-    let expected = lock.max(READ) + alloc + SEND + TRANSACT + WRITE;
+    let add = step
+        .charges
+        .iter()
+        .find(|c| c.phase.is_empty() && matches!(c.op, Op::KvUpdate { conditional: true }));
+    assert_eq!(
+        add.map(|c| c.start),
+        Some(origin),
+        "{title}: speculative ADD"
+    );
+    let expected = lock.max(READ).max(COND) + alloc + SEND + TRANSACT;
     assert_eq!(step.elapsed, expected, "{title}");
 }
 
-/// The group's counter is at or above the floor: two locks outlast the
-/// reads, and the allocation is one `ADD`.
+/// The group's counter is above the floor: two locks outlast the reads
+/// and the `ADD`, whose value is taken. 38 ms; 50 ms at the parent
+/// `0c09504` (the `ADD` ran after the locks, the mark after the commit).
 #[test]
 fn follower_round_trip_budget_create() {
     let op = create("/p/n", CreateMode::Persistent);
-    assert_round_trips("create", op, 2 * COND, COND);
+    assert_round_trips("create", op, 2 * COND, Duration::ZERO);
 }
 
 /// The group's counter is behind the floor: the reads outlast the one
-/// lock, and the allocation is the failed `ADD` plus the `SET`.
+/// lock and the `ADD`, whose value is rejected, and the allocation
+/// behind it is one more `ADD`. 40 ms; 52 ms at the parent `0c09504`
+/// (the failed `ADD` plus the `SET` after the locks, the mark after the
+/// commit).
 #[test]
 fn follower_round_trip_budget_set_data_behind_the_floor() {
     let op = set_data("/p/c", payload("v1"), -1);
-    assert_round_trips("set_data", op, COND, 2 * COND);
+    assert_round_trips("set_data", op, COND, COND);
 }
 
 // ----------------------------------------------------------------------
@@ -735,4 +813,302 @@ fn redelivered_copy_of_a_committed_write_is_dropped_in_both_shapes() {
             "{case}: requests of the redelivery"
         );
     }
+}
+
+// ----------------------------------------------------------------------
+// Push marks
+// ----------------------------------------------------------------------
+
+/// The session's push mark as stored.
+fn push_mark(rig: &Rig) -> u64 {
+    let system = rig.deployment.system();
+    system.session_last_txid(&Ctx::disabled(), SESSION)
+}
+
+/// True if `record`'s commit (what the leader's `TryCommit` replays)
+/// sets the push mark.
+fn sets_push_mark(record: &LeaderRecord) -> bool {
+    let mut sets = record.commit.items.iter().flat_map(|item| &item.sets);
+    sets.any(|(attr, _)| attr == session_attr::LAST_TXID)
+}
+
+/// Writes the follower issued with no condition: the push mark's own
+/// write is the only one a `set_data` wave can issue.
+fn unconditional_writes(step: &Step) -> usize {
+    let unconditional = |c: &&SpanRecord| matches!(c.op, Op::KvUpdate { conditional: false });
+    step.charges.iter().filter(unconditional).count()
+}
+
+/// Puts `records` back on their lanes in order and drains the lanes
+/// with one inline leader per group until no lane moves.
+fn replay(rig: &Rig, records: &[LeaderRecord]) -> Vec<Leader> {
+    let quiet = Ctx::disabled();
+    let lanes = rig.deployment.leader_queues();
+    for record in records {
+        let lane = lanes.queue(txid::group_of(record.txid));
+        lane.send(&quiet, LEADER_GROUP, record.encode()).unwrap();
+    }
+    let leaders: Vec<Leader> = (0..lanes.shards())
+        .map(|_| rig.deployment.make_leader_inline())
+        .collect();
+    let mut moved = true;
+    while moved {
+        moved = false;
+        for (group, leader) in leaders.iter().enumerate() {
+            let lane = lanes.queue(group);
+            let before = lane.pending();
+            let _ = leader.drain_queue(&quiet, lane);
+            moved |= lane.pending() < before;
+        }
+    }
+    leaders
+}
+
+/// W1's commit is skipped (its follower "dies" between push and
+/// commit), W2 then commits on the other group, and the leader repairs
+/// W1 by replaying its record's commit (`TryCommit`). The replay must
+/// not lower the mark W2 left, so W1's record carries no mark: the
+/// follower's own commit sets it, and the record stays what it was when
+/// the mark was a separate write.
+#[test]
+fn try_commit_replay_never_lowers_the_push_mark() {
+    let (rig, mut records) = Rig::seeded_with_records();
+    rig.follower
+        .config()
+        .skip_commits
+        .store(1, Ordering::SeqCst);
+    let w1 = rig.process(4, set_data("/p/c", payload("w1"), -1));
+    let w2 = rig.process(5, create("/p/n", CreateMode::Persistent));
+    let ([r1], [r2]) = (&w1.pushed[..], &w2.pushed[..]) else {
+        panic!("one record each: {:?} / {:?}", w1.pushed, w2.pushed);
+    };
+    assert_ne!(txid::group_of(r1.txid), txid::group_of(r2.txid));
+    assert_eq!(r2.prev_txid, r1.txid);
+    assert!(!sets_push_mark(r1), "W1's frame sets no last_txid");
+    assert_eq!(push_mark(&rig), r2.txid);
+
+    records.extend([r1.clone(), r2.clone()]);
+    let leaders = replay(&rig, &records);
+    assert!(leaders.iter().all(|leader| leader.applied_ahead() == 0));
+    let quiet = Ctx::disabled();
+    let system = rig.deployment.system();
+    let repaired = system.get_node(&quiet, "/p/c").unwrap();
+    assert_eq!(
+        repaired.num(node_attr::VERSION),
+        Some(r1.txid as i64),
+        "the leader replayed W1's commit"
+    );
+    assert_eq!(system.session_applied_txid(&quiet, SESSION), r2.txid);
+    assert_eq!(push_mark(&rig), r2.txid, "the replay left the mark at W2");
+}
+
+/// Three requests of one session in one wave: the mark is written once,
+/// by the commit of the last, to the wave's highest txid — the records
+/// the leader may replay carry none. Skipping the first two commits
+/// leaves the last one to set it alone; skipping all three sends the
+/// mark through its one fallback write.
+#[test]
+fn one_push_mark_per_session_per_wave() {
+    for (skipped, fallbacks) in [(0, 0), (2, 0), (3, 1)] {
+        let rig = Rig::seeded();
+        let before = push_mark(&rig);
+        rig.follower
+            .config()
+            .skip_commits
+            .store(skipped, Ordering::SeqCst);
+        let step = rig.process_batch(
+            4,
+            vec![
+                set_data("/p", payload("a"), -1),
+                set_data("/p/c", payload("b"), -1),
+                set_data("/e", payload("c"), -1),
+            ],
+        );
+        let case = format!("{skipped} commits skipped");
+        assert_eq!(step.pushed.len(), 3, "{case}: one wave, three records");
+        let commits = step.charges.iter().filter(|c| c.op == Op::KvTransact);
+        assert_eq!(commits.count(), 3 - skipped as usize, "{case}: commits");
+        let highest = step.pushed.iter().map(|r| r.txid).max().unwrap();
+        assert!(step.pushed.iter().all(|r| r.txid > before), "{case}");
+        assert!(!step.pushed.iter().any(sets_push_mark), "{case}: frames");
+        assert_eq!(
+            unconditional_writes(&step),
+            fallbacks,
+            "{case}: mark writes"
+        );
+        assert_eq!(push_mark(&rig), highest, "{case}: the mark");
+    }
+}
+
+/// A `CloseSession` deletes the session's ephemerals as internal
+/// requests, whose commits write no request watermark: the mark rides
+/// them as a `seq:` item of its own. The deregistration then floors on
+/// the delete, so no leader deregisters the session ahead of it.
+#[test]
+fn close_session_deregisters_after_its_ephemeral_deletes() {
+    let rig = Rig::seeded();
+    let step = rig.process(4, WriteOp::CloseSession);
+    let (dereg, deletes): (Vec<&LeaderRecord>, Vec<&LeaderRecord>) =
+        step.pushed.iter().partition(|r| r.deregister_session);
+    let ([dereg], [delete]) = (&dereg[..], &deletes[..]) else {
+        panic!("a delete of /e and a deregistration: {:?}", step.pushed);
+    };
+    assert_eq!(delete.request_id, fk_core::follower::INTERNAL_REQUEST);
+    assert!(!sets_push_mark(delete), "the delete's frame sets no mark");
+    assert_eq!(dereg.prev_txid, delete.txid);
+    assert_eq!(push_mark(&rig), dereg.txid);
+}
+
+// ----------------------------------------------------------------------
+// Speculative allocation
+// ----------------------------------------------------------------------
+
+/// The epoch `group`'s counter stands at.
+fn counter(rig: &Rig, group: usize) -> i64 {
+    let key = keys::txseq(group);
+    let item = rig.deployment.system().kv().get(
+        &Ctx::disabled(),
+        &key,
+        fk_cloud::kvstore::Consistency::Strong,
+    );
+    item.and_then(|item| item.num("value")).unwrap_or(0)
+}
+
+/// A rival commit on the node above the request's speculative `ADD`:
+/// the value is rejected against the floor read under the lock, and the
+/// request allocates above the rival. In this model a wave's jobs run
+/// one after another on one thread, the locks first, so a rival cannot
+/// literally land between the `ADD` and the lock. Its commit is placed
+/// before the request instead, with a txid the `ADD` cannot reach (the
+/// other group's, at an epoch far above this group's counter): the node
+/// read under the lock then carries a commit above the `ADD`'s value,
+/// which is the race's outcome.
+#[test]
+fn alloc_txid_speculative_add_below_a_rival_commit_is_rejected() {
+    let rig = Rig::seeded();
+    let quiet = Ctx::disabled();
+    let group = group_of("/p/c", 2);
+    let rival_path = (0..)
+        .map(|i| format!("/r{i}"))
+        .find(|path| group_of(path, 2) != group)
+        .unwrap();
+    let system = rig.deployment.system();
+    system.register_session(&quiet, "rival", 0).unwrap();
+    let ahead = txid::compose(50, group);
+    system.record_session_push(&quiet, "rival", ahead).unwrap();
+    let rival = WriteOp::Multi {
+        ops: vec![
+            MultiOp::Create {
+                path: rival_path,
+                payload: payload("rival"),
+                mode: CreateMode::Persistent,
+            },
+            MultiOp::SetData {
+                path: "/p/c".into(),
+                payload: payload("rival"),
+                expected_version: -1,
+            },
+        ],
+    };
+    let [rival] = &rig.process_as("rival", 1, rival).pushed[..] else {
+        panic!("the rival pushes one record");
+    };
+    assert_ne!(txid::group_of(rival.txid), group);
+    assert!(txid::epoch_of(rival.txid) > counter(&rig, group) as u64 + 1);
+
+    let step = rig.process(4, set_data("/p/c", payload("v1"), -1));
+    let [record] = &step.pushed[..] else {
+        panic!("one record, got {:?}", step.pushed);
+    };
+    print_chain("set_data after a rival commit", &step);
+    assert!(record.txid > rival.txid, "above the rival's commit");
+    assert_eq!(txid::group_of(record.txid), group);
+    assert!(
+        step.charges.iter().any(|c| c.phase == "alloc_txid"),
+        "the ADD's value was rejected: the floored allocation ran"
+    );
+}
+
+/// A request refused under its locks has drawn its `ADD` already: the
+/// value is burned — one `kv_write` beside the lock and its release —
+/// and nothing is pushed.
+#[test]
+fn alloc_txid_speculative_add_of_a_refused_request_is_burned() {
+    let rig = Rig::seeded();
+    let group = group_of("/p/c", 2);
+    let before = counter(&rig, group);
+    let step = rig.process(4, set_data("/p/c", payload("v1"), 7));
+    print_chain("set_data refused under its lock", &step);
+    assert!(step.pushed.is_empty());
+    let [ClientNotification::WriteResult { result, .. }] = &step.notified[..] else {
+        panic!("one result, got {:?}", step.notified);
+    };
+    assert_eq!(result.as_ref().unwrap_err(), &FkError::BadVersion);
+    assert_eq!(
+        requests(&step.used),
+        "kv_read=2 kv_write=3",
+        "lock, ADD, release"
+    );
+    assert_eq!(counter(&rig, group), before + 1, "one value burned");
+}
+
+/// Runs the seeding writes, optionally a request refused under its
+/// lock (which burns an `ADD`), then a `set_data` and a create, and
+/// replays every record through the leaders. Returns the records and
+/// the committed floors the leaders published.
+fn burn_then_write(burn: bool) -> (Vec<LeaderRecord>, Vec<u64>, Rig) {
+    let (rig, mut records) = Rig::seeded_with_records();
+    let mut write = |request_id: u64, op: WriteOp| {
+        records.extend(rig.process(request_id, op).pushed);
+    };
+    if burn {
+        write(4, set_data("/p/c", payload("v1"), 7));
+    }
+    write(5, set_data("/p/c", payload("v1"), -1));
+    write(6, create("/p/n", CreateMode::Persistent));
+    let leaders = replay(&rig, &records);
+    assert!(leaders.iter().all(|leader| leader.applied_ahead() == 0));
+    let floors = rig.deployment.floors().snapshot();
+    (records, floors, rig)
+}
+
+/// The next writes after a burned value take the txids, `prev_txid`s
+/// and frames they take when the refused request never ran; the leaders
+/// hold nothing back, and every group's committed floor reaches the
+/// highest txid pushed to it — no floor waits for the burned value.
+#[test]
+fn alloc_txid_speculative_burned_value_is_a_gap_no_one_waits_for() {
+    let (burned, burned_floors, rig) = burn_then_write(true);
+    let (clean, clean_floors, _) = burn_then_write(false);
+    assert_eq!(burned.len(), 5);
+    let frames = |records: &[LeaderRecord]| -> Vec<String> {
+        let frames = records.iter().map(|r| hex(&without_clock(r).encode()));
+        frames.collect()
+    };
+    assert_eq!(frames(&burned), frames(&clean), "the same records");
+    assert_eq!(burned_floors, clean_floors, "the same committed floors");
+    for (group, floor) in burned_floors.iter().enumerate() {
+        let pushed = burned.iter().map(|r| r.txid);
+        let highest = pushed.filter(|t| txid::group_of(*t) == group).max();
+        assert_eq!(Some(*floor), highest, "group {group}'s floor");
+    }
+    let last = burned.last().unwrap().txid;
+    let system = rig.deployment.system();
+    assert_eq!(system.session_applied_txid(&Ctx::disabled(), SESSION), last);
+}
+
+/// An instance that has read no membership record yet draws no `ADD`:
+/// its first wave allocates under its locks, and the next wave, routed
+/// by the record the first one read, draws its `ADD` beside the locks.
+#[test]
+fn alloc_txid_speculative_add_waits_for_a_membership_read() {
+    let rig = Rig::new();
+    let add =
+        |c: &&SpanRecord| c.phase.is_empty() && matches!(c.op, Op::KvUpdate { conditional: true });
+    let adds = |step: &Step| step.charges.iter().filter(add).count();
+    let cold = rig.process(1, create("/p", CreateMode::Persistent));
+    assert_eq!(adds(&cold), 0, "cold: no speculative ADD");
+    assert!(cold.charges.iter().any(|c| c.phase == "alloc_txid"));
+    let warm = rig.process(2, create("/q", CreateMode::Persistent));
+    assert_eq!(adds(&warm), 1, "warm: one speculative ADD");
 }
