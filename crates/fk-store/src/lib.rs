@@ -20,7 +20,13 @@
 //! - **SSTs** ([`sst`]): when the memtable exceeds its budget it is
 //!   flushed to an immutable sorted-string-table file — block-based
 //!   with per-block CRCs, a sparse index (one entry per block), and a
-//!   bloom filter over all keys.
+//!   bloom filter over all keys. A block is one read of payload and
+//!   CRC; a value leaving the engine keeps at most its block alive.
+//! - **Checksums** ([`crc32`]): every WAL record and SST block is
+//!   framed by a CRC-32 computed slicing-by-16 (16 tables from one
+//!   `const fn`, byte-wise tail) — the same ISO-HDLC polynomial and the
+//!   same bytes on disk as a one-lookup-per-byte loop, at a fraction of
+//!   the host time. One portable path: no `unsafe`, no CPU dispatch.
 //! - **Compaction** ([`compaction`]): L0 files (overlapping, newest
 //!   wins) are merged with the bottom level into non-overlapping L1
 //!   runs; tombstones are garbage-collected when they reach the bottom
@@ -150,32 +156,76 @@ pub trait FaultInjector: Send + Sync {
 /// Shared injector handle.
 pub type InjectorHandle = Arc<dyn FaultInjector>;
 
-/// CRC-32 (ISO-HDLC polynomial, the `crc32fast`/zlib variant) used to
-/// frame every WAL record and SST block. Table-driven, no deps.
-pub fn crc32(data: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
+/// Reflected ISO-HDLC CRC-32 polynomial (the `crc32fast`/zlib variant).
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-16 tables: `CRC_TABLES[0]` is the classic byte-wise table,
+/// and `CRC_TABLES[k][b]` is the CRC contribution of byte `b` followed
+/// by `k` zero bytes, so one 16-byte chunk folds in with 16 independent
+/// lookups instead of 16 dependent ones.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                CRC_POLY ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
         }
-        table
+        tables[0][i] = c;
+        i += 1;
     }
-    static TABLE: [u32; 256] = table();
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 16 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
+}
+
+/// CRC-32 (ISO-HDLC polynomial, the `crc32fast`/zlib variant) used to
+/// frame every WAL record and SST block. Slicing-by-16 over whole
+/// 16-byte chunks, byte-wise over the tail: the same value as the
+/// one-lookup-per-byte loop, so every checksum on disk is unchanged.
+/// Portable, no `unsafe`, no deps.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = data.chunks_exact(16);
+    for chunk in &mut chunks {
+        let c: &[u8; 16] = chunk.try_into().expect("16-byte chunk");
+        let head = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[15][(head & 0xFF) as usize]
+            ^ t[14][((head >> 8) & 0xFF) as usize]
+            ^ t[13][((head >> 16) & 0xFF) as usize]
+            ^ t[12][(head >> 24) as usize]
+            ^ t[11][c[4] as usize]
+            ^ t[10][c[5] as usize]
+            ^ t[9][c[6] as usize]
+            ^ t[8][c[7] as usize]
+            ^ t[7][c[8] as usize]
+            ^ t[6][c[9] as usize]
+            ^ t[5][c[10] as usize]
+            ^ t[4][c[11] as usize]
+            ^ t[3][c[12] as usize]
+            ^ t[2][c[13] as usize]
+            ^ t[1][c[14] as usize]
+            ^ t[0][c[15] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -221,11 +271,74 @@ pub mod varint {
 mod tests {
     use super::*;
 
+    /// The reference: one table lookup per byte, with its own table —
+    /// the kernel every file on disk was written with before the sliced
+    /// one.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        const fn table() -> [u32; 256] {
+            let mut table = [0u32; 256];
+            let mut i = 0;
+            while i < 256 {
+                let mut c = i as u32;
+                let mut k = 0;
+                while k < 8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                    k += 1;
+                }
+                table[i] = c;
+                i += 1;
+            }
+            table
+        }
+        static TABLE: [u32; 256] = table();
+        let mut crc = !0u32;
+        for &b in data {
+            crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard check value for the ISO-HDLC CRC-32.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        for crc in [crc32, crc32_bytewise] {
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b""), 0);
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_on_every_short_length() {
+        let data: Vec<u8> = (0..256u32).map(|i| (i * 151 + 7) as u8).collect();
+        for len in 0..=256 {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bytewise(&data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_on_random_buffers() {
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC3C3_2032);
+        let mut buf = vec![0u8; 64 * 1024 + 16];
+        for case in 0..2_000 {
+            let len: usize = rng.gen_range(0..=64 * 1024);
+            let start = case % 16;
+            rng.fill_bytes(&mut buf[start..start + len]);
+            let data = &buf[start..start + len];
+            assert_eq!(
+                crc32(data),
+                crc32_bytewise(data),
+                "case {case}, len {len}, start {start}"
+            );
+        }
     }
 
     #[test]

@@ -466,7 +466,10 @@ impl Lsm {
             let (key, value) = entry?;
             if let Some(value) = value {
                 if key.starts_with(prefix) {
-                    out.push((key, value));
+                    // A table's value is a slice of its block read (on
+                    // `SimStorage`, of the whole file snapshot): copy it
+                    // once here so a returned value keeps neither alive.
+                    out.push((key, Bytes::copy_from_slice(&value)));
                 }
             }
         }

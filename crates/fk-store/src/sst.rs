@@ -21,11 +21,24 @@
 //! file is covered by a CRC (blocks individually, meta via the footer
 //! checksum), so a torn or bit-flipped SST surfaces as
 //! [`StoreError::Corrupt`] — never a panic, never silently wrong data.
+//!
+//! **Byte path.** A block costs one `read_at` of its payload and CRC
+//! together (one `pread` on [`DiskStorage`](crate::DiskStorage)); the
+//! payload is checked with the sliced [`crc32`] kernel, which yields
+//! the same checksums as the byte-wise one. A point read walks the
+//! block in place and copies out only the hit's value. The iterator
+//! decodes a block once and hands out its values as slices of the
+//! block read, which the builder and compaction consume without a copy.
+//! A value that leaves the engine (`Lsm::get`, `Lsm::scan_prefix`)
+//! keeps at most its own block alive, never a whole table: on
+//! [`SimStorage`](crate::SimStorage) a block read is a slice of the
+//! whole-file snapshot, so such a value is copied once, at the exit.
 
 use crate::bloom::Bloom;
 use crate::storage::{RandomAccess, Storage};
 use crate::{crc32, varint, StoreError, StoreResult};
 use bytes::Bytes;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Footer magic: "FKS1".
@@ -56,26 +69,39 @@ fn encode_entry(out: &mut Vec<u8>, key: &str, value: &Option<Bytes>) {
     }
 }
 
-fn decode_entries(payload: &[u8]) -> Option<Vec<SstEntry>> {
+/// Parses the entry at `*pos` in place, advancing past it: the key's
+/// bytes and the value's extent within `payload` (`None` = tombstone).
+/// `None` on a malformed entry.
+fn next_entry<'a>(payload: &'a [u8], pos: &mut usize) -> Option<(&'a [u8], Option<Range<usize>>)> {
+    let tag = *payload.get(*pos)?;
+    *pos += 1;
+    let key_len = varint::read(payload, pos)? as usize;
+    let key = payload.get(*pos..pos.checked_add(key_len)?)?;
+    *pos += key_len;
+    match tag {
+        TAG_VALUE => {
+            let val_len = varint::read(payload, pos)? as usize;
+            let end = pos
+                .checked_add(val_len)
+                .filter(|&end| end <= payload.len())?;
+            let value = *pos..end;
+            *pos = end;
+            Some((key, Some(value)))
+        }
+        TAG_TOMBSTONE => Some((key, None)),
+        _ => None,
+    }
+}
+
+/// Decodes a whole block. Values are slices of `payload`, not copies.
+fn decode_entries(payload: &Bytes) -> Option<Vec<SstEntry>> {
     let mut pos = 0usize;
     let n = varint::read(payload, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let mut out = Vec::with_capacity(n.min(payload.len()));
     for _ in 0..n {
-        let tag = *payload.get(pos)?;
-        pos += 1;
-        let key_len = varint::read(payload, &mut pos)? as usize;
-        let key = String::from_utf8(payload.get(pos..pos + key_len)?.to_vec()).ok()?;
-        pos += key_len;
-        match tag {
-            TAG_VALUE => {
-                let val_len = varint::read(payload, &mut pos)? as usize;
-                let val = payload.get(pos..pos + val_len)?;
-                pos += val_len;
-                out.push((key, Some(Bytes::from(val.to_vec()))));
-            }
-            TAG_TOMBSTONE => out.push((key, None)),
-            _ => return None,
-        }
+        let (key, value) = next_entry(payload, &mut pos)?;
+        let key = std::str::from_utf8(key).ok()?.to_owned();
+        out.push((key, value.map(|value| payload.slice(value))));
     }
     (pos == payload.len()).then_some(out)
 }
@@ -98,7 +124,6 @@ pub struct SstBuilder {
     smallest: Option<String>,
     largest: Option<String>,
     entries: u64,
-    last_key: Option<String>,
 }
 
 impl SstBuilder {
@@ -115,17 +140,15 @@ impl SstBuilder {
             smallest: None,
             largest: None,
             entries: 0,
-            last_key: None,
         }
     }
 
     /// Adds the next entry; keys must arrive strictly ascending.
     pub fn add(&mut self, key: &str, value: Option<Bytes>) {
         debug_assert!(
-            self.last_key.as_deref().is_none_or(|last| last < key),
+            self.largest.as_deref().is_none_or(|last| last < key),
             "SST keys must be strictly ascending"
         );
-        self.last_key = Some(key.to_owned());
         if self.block_first_key.is_none() {
             self.block_first_key = Some(key.to_owned());
         }
@@ -146,16 +169,18 @@ impl SstBuilder {
         if self.block_count == 0 {
             return;
         }
-        let mut payload = Vec::with_capacity(self.block_entries.len() + 4);
-        varint::write(&mut payload, self.block_count);
-        payload.append(&mut self.block_entries);
-        let offset = self.file.len() as u64;
-        self.file.extend_from_slice(&payload);
-        self.file.extend_from_slice(&crc32(&payload).to_le_bytes());
+        // The payload is built in place at the end of the file buffer.
+        let offset = self.file.len();
+        varint::write(&mut self.file, self.block_count);
+        self.file.extend_from_slice(&self.block_entries);
+        self.block_entries.clear();
+        let crc = crc32(&self.file[offset..]);
+        let len = self.file.len() - offset;
+        self.file.extend_from_slice(&crc.to_le_bytes());
         self.index.push((
             self.block_first_key.take().expect("non-empty block"),
-            offset,
-            payload.len() as u64,
+            offset as u64,
+            len as u64,
         ));
         self.block_count = 0;
     }
@@ -289,7 +314,12 @@ impl SstReader {
                 pos += key_len;
                 let offset = varint::read(&meta, &mut pos)?;
                 let len = varint::read(&meta, &mut pos)?;
-                if offset.checked_add(len).is_none_or(|end| end > meta_offset) {
+                // The block's payload and its CRC end before the meta.
+                if offset
+                    .checked_add(len)
+                    .and_then(|end| end.checked_add(4))
+                    .is_none_or(|end| end > meta_offset)
+                {
                     return None;
                 }
                 index.push(IndexRow {
@@ -314,22 +344,33 @@ impl SstReader {
         &self.name
     }
 
-    fn read_block(&self, row: &IndexRow) -> StoreResult<Vec<SstEntry>> {
-        let payload = self.handle.read_at(row.offset, row.len as usize)?;
-        let crc_bytes = self.handle.read_at(row.offset + row.len, 4)?;
-        let crc = u32::from_le_bytes(crc_bytes[..].try_into().expect("4 bytes"));
-        if crc32(&payload) != crc {
+    /// One read of the block's payload and CRC together; returns the
+    /// CRC-checked payload.
+    fn read_block(&self, row: &IndexRow) -> StoreResult<Bytes> {
+        let len = row.len as usize;
+        let block = self.handle.read_at(row.offset, len + 4)?;
+        let crc = u32::from_le_bytes(block[len..].try_into().expect("4 bytes"));
+        if crc32(&block[..len]) != crc {
             return Err(StoreError::Corrupt {
                 file: self.name.clone(),
                 offset: row.offset,
                 detail: "block crc mismatch",
             });
         }
-        decode_entries(&payload).ok_or(StoreError::Corrupt {
+        Ok(block.slice(0..len))
+    }
+
+    fn unparsable(&self, row: &IndexRow) -> StoreError {
+        StoreError::Corrupt {
             file: self.name.clone(),
             offset: row.offset,
             detail: "crc-valid block failed to parse",
-        })
+        }
+    }
+
+    fn decode_block(&self, row: &IndexRow) -> StoreResult<Vec<SstEntry>> {
+        let payload = self.read_block(row)?;
+        decode_entries(&payload).ok_or_else(|| self.unparsable(row))
     }
 
     /// Point lookup. Outer `None` = key not in this table; `Some(None)`
@@ -345,8 +386,22 @@ impl SstReader {
         if idx == 0 {
             return Ok(None);
         }
-        let entries = self.read_block(&self.index[idx - 1])?;
-        Ok(entries.into_iter().find(|(k, _)| k == key).map(|(_, v)| v))
+        // Walk the block in place; only the hit's value is copied out, so
+        // it keeps no block or file snapshot alive.
+        let row = &self.index[idx - 1];
+        let payload = self.read_block(row)?;
+        let mut pos = 0usize;
+        let n = varint::read(&payload, &mut pos).ok_or_else(|| self.unparsable(row))?;
+        for _ in 0..n {
+            let (k, value) = next_entry(&payload, &mut pos).ok_or_else(|| self.unparsable(row))?;
+            if k == key.as_bytes() {
+                return Ok(Some(value.map(|v| Bytes::copy_from_slice(&payload[v]))));
+            }
+        }
+        if pos != payload.len() {
+            return Err(self.unparsable(row));
+        }
+        Ok(None)
     }
 
     /// All entries with key ≥ `start`, in key order, reading blocks
@@ -359,8 +414,7 @@ impl SstReader {
         SstIter {
             reader: self,
             block,
-            current: Vec::new(),
-            current_pos: 0,
+            current: Vec::new().into_iter(),
             start: start.to_owned(),
             skipping: true,
         }
@@ -378,8 +432,7 @@ impl SstReader {
 pub struct SstIter<'a> {
     reader: &'a SstReader,
     block: usize,
-    current: Vec<SstEntry>,
-    current_pos: usize,
+    current: std::vec::IntoIter<SstEntry>,
     start: String,
     skipping: bool,
 }
@@ -389,9 +442,7 @@ impl Iterator for SstIter<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.current_pos < self.current.len() {
-                let entry = self.current[self.current_pos].clone();
-                self.current_pos += 1;
+            if let Some(entry) = self.current.next() {
                 if self.skipping && entry.0.as_str() < self.start.as_str() {
                     continue;
                 }
@@ -401,15 +452,13 @@ impl Iterator for SstIter<'_> {
             if self.block >= self.reader.index.len() {
                 return None;
             }
-            match self.reader.read_block(&self.reader.index[self.block]) {
+            match self.reader.decode_block(&self.reader.index[self.block]) {
                 Ok(entries) => {
                     self.block += 1;
-                    self.current = entries;
-                    self.current_pos = 0;
+                    self.current = entries.into_iter();
                 }
                 Err(e) => {
                     self.block = self.reader.index.len();
-                    self.current = Vec::new();
                     return Some(Err(e));
                 }
             }
@@ -538,5 +587,119 @@ mod tests {
     #[test]
     fn empty_builder_yields_none() {
         assert!(SstBuilder::new(4096).finish().is_none());
+    }
+
+    /// 200 keys over 256-byte blocks: several blocks, values of 4 bytes.
+    fn multi_block() -> (SimStorage, Vec<(String, Bytes)>) {
+        let entries: Vec<(String, Bytes)> = (0..200)
+            .map(|i| (format!("/k/{i:03}"), Bytes::from(format!("v{i:03}"))))
+            .collect();
+        let refs: Vec<(&str, Option<&[u8]>)> = entries
+            .iter()
+            .map(|(k, v)| (k.as_str(), Some(v.as_ref())))
+            .collect();
+        (build(&refs, 256).0, entries)
+    }
+
+    fn is_crc_mismatch(err: &StoreError) -> bool {
+        matches!(
+            err,
+            StoreError::Corrupt {
+                detail: "block crc mismatch",
+                ..
+            }
+        )
+    }
+
+    #[test]
+    fn flipped_block_crc_byte_is_crc_mismatch() {
+        let (dev, _) = multi_block();
+        let row = &SstReader::open(&dev, "sst").unwrap().index[1];
+        let (crc_at, first_key) = ((row.offset + row.len) as usize, row.first_key.clone());
+        let full = dev.read("sst").unwrap().unwrap();
+        for i in 0..4 {
+            let dev2 = SimStorage::new();
+            dev2.append("sst", &full).unwrap();
+            dev2.corrupt_byte("sst", crc_at + i);
+            let r = SstReader::open(&dev2, "sst").unwrap();
+            let err = r.get(&first_key).unwrap_err();
+            assert!(is_crc_mismatch(&err), "crc byte {i}: {err:?}");
+            let err = r.entries_from(&first_key).next().unwrap().unwrap_err();
+            assert!(is_crc_mismatch(&err), "crc byte {i}: {err:?}");
+        }
+    }
+
+    /// Opens `image` and reads everything back: `Ok` data must be the
+    /// written data, and every failure must be a clean `Corrupt`.
+    fn corrupt_or_correct(image: &[u8], entries: &[(String, Bytes)]) {
+        let dev = SimStorage::new();
+        dev.append("sst", image).unwrap();
+        let r = match SstReader::open(&dev, "sst") {
+            Ok(r) => r,
+            Err(err) => {
+                assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
+                return;
+            }
+        };
+        for (key, value) in entries {
+            match r.get(key) {
+                Ok(got) => assert_eq!(got, Some(Some(value.clone())), "key {key}"),
+                Err(err) => assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}"),
+            }
+        }
+        for (got, (key, value)) in r.entries_from("").zip(entries) {
+            match got {
+                Ok(got) => assert_eq!(got, (key.clone(), Some(value.clone()))),
+                Err(err) => assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn cut_inside_block_crc_is_corrupt() {
+        let (dev, entries) = multi_block();
+        let r = SstReader::open(&dev, "sst").unwrap();
+        let full = dev.read("sst").unwrap().unwrap();
+        let meta_offset = r.index.last().map(|row| row.offset + row.len + 4).unwrap() as usize;
+        for row in &r.index {
+            let crc_at = (row.offset + row.len) as usize;
+            for k in 1..=4 {
+                // The file ends inside the block's CRC.
+                corrupt_or_correct(&full[..crc_at + 4 - k], &entries);
+                // The block's CRC loses its last `k` bytes, and the meta
+                // and a footer naming its new offset follow.
+                let mut image = full[..crc_at + 4 - k].to_vec();
+                image.extend_from_slice(&full[crc_at + 4..]);
+                let footer = image.len() - FOOTER;
+                let moved = (meta_offset - k) as u64;
+                image[footer..footer + 8].copy_from_slice(&moved.to_le_bytes());
+                corrupt_or_correct(&image, &entries);
+            }
+        }
+    }
+
+    #[test]
+    fn sst_and_wal_bytes_are_unchanged() {
+        // Pinned from the byte-at-a-time CRC kernel: files written with
+        // either kernel are the same bytes.
+        let entries: Vec<(String, Option<Bytes>)> = (0..300u32)
+            .map(|i| {
+                let value = (i % 7 != 3).then(|| {
+                    (0..(i * 13) % 97 + 1)
+                        .map(|j| (i * 31 + j * 7) as u8)
+                        .collect::<Bytes>()
+                });
+                (format!("/golden/{i:04}"), value)
+            })
+            .collect();
+        let mut b = SstBuilder::new(256);
+        for (k, v) in &entries {
+            b.add(k, v.clone());
+        }
+        let (image, meta) = b.finish().unwrap();
+        assert_eq!(meta.entries, 300);
+        assert_eq!((image.len(), crc32(&image)), (18_650, 0x7090_741A));
+        let frame = crate::wal::encode_record(&entries);
+        assert_eq!((frame.len(), crc32(&frame)), (16_984, 0x4E41_C779));
     }
 }
