@@ -217,32 +217,6 @@ impl FunctionEntry {
     }
 }
 
-/// How a queue trigger sizes its receive batches: pinned, or driven by a
-/// shared [`AdaptiveBatch`] controller.
-#[derive(Clone)]
-enum BatchWindow {
-    Fixed(usize),
-    Adaptive(Arc<AdaptiveBatch>),
-}
-
-impl BatchWindow {
-    fn size(&self) -> usize {
-        match self {
-            BatchWindow::Fixed(n) => *n,
-            BatchWindow::Adaptive(ctrl) => ctrl.window(),
-        }
-    }
-
-    /// Feeds one drain observation back to the controller. The
-    /// observation happens at dispatch time — a later nack only delays
-    /// redelivery, which the next drain sees as backlog again.
-    fn observe(&self, drained: usize, backlog: usize) {
-        if let BatchWindow::Adaptive(ctrl) = self {
-            ctrl.observe(drained, backlog);
-        }
-    }
-}
-
 type FailureHook = Box<dyn Fn(&str, &FnError) + Send + Sync>;
 
 struct RuntimeInner {
@@ -459,41 +433,21 @@ impl FaasRuntime {
         Ok(rx)
     }
 
-    /// Attaches a queue trigger: `concurrency` pollers consume batches of
-    /// up to `batch_size` messages and invoke the function. FIFO queues
-    /// additionally serialize per message group regardless of
-    /// `concurrency` (requirement (c), §3.1).
+    /// Attaches a queue trigger: `concurrency` pollers consume batches
+    /// and invoke the function. FIFO queues additionally serialize per
+    /// message group regardless of `concurrency` (requirement (c), §3.1).
+    ///
+    /// The batch window rides an [`AdaptiveBatch`] controller: each poll
+    /// asks for the controller's current window, and after each batch the
+    /// controller observes how much was drained against the remaining
+    /// backlog. `concurrency` pollers share one controller, so the window
+    /// reflects the aggregate consumption rate. `AdaptiveBatch::new(n, n)`
+    /// pins the window at `n`.
     pub fn attach_queue_trigger(
         &self,
         name: &str,
         queue: Queue,
-        batch_size: usize,
-        concurrency: usize,
-    ) -> CloudResult<()> {
-        self.attach_trigger_inner(name, queue, BatchWindow::Fixed(batch_size), concurrency)
-    }
-
-    /// Attaches a queue trigger whose batch window rides an
-    /// [`AdaptiveBatch`] controller instead of a fixed size: each poll
-    /// asks for the controller's current window, and after each batch the
-    /// controller observes how much was drained against the remaining
-    /// backlog. `concurrency` pollers share one controller, so the window
-    /// reflects the aggregate consumption rate.
-    pub fn attach_queue_trigger_adaptive(
-        &self,
-        name: &str,
-        queue: Queue,
-        batch: Arc<AdaptiveBatch>,
-        concurrency: usize,
-    ) -> CloudResult<()> {
-        self.attach_trigger_inner(name, queue, BatchWindow::Adaptive(batch), concurrency)
-    }
-
-    fn attach_trigger_inner(
-        &self,
-        name: &str,
-        queue: Queue,
-        window: BatchWindow,
+        window: Arc<AdaptiveBatch>,
         concurrency: usize,
     ) -> CloudResult<()> {
         let entry = self.entry(name)?;
@@ -501,7 +455,7 @@ impl FaasRuntime {
             let runtime = self.clone();
             let entry = Arc::clone(&entry);
             let queue = queue.clone();
-            let window = window.clone();
+            let window = Arc::clone(&window);
             let handle = std::thread::spawn(move || {
                 runtime.trigger_loop(entry, queue, window);
             });
@@ -510,11 +464,11 @@ impl FaasRuntime {
         Ok(())
     }
 
-    fn trigger_loop(&self, entry: Arc<FunctionEntry>, queue: Queue, window: BatchWindow) {
+    fn trigger_loop(&self, entry: Arc<FunctionEntry>, queue: Queue, window: Arc<AdaptiveBatch>) {
         let visibility = Duration::from_secs(30);
         while !self.inner.stop.load(Ordering::Relaxed) {
             let poll = Duration::from_millis(50);
-            let batch_size = window.size();
+            let batch_size = window.window();
             // Batch sizes past the provider's per-receive cap opt into the
             // batch-window drain (the leader's epoch batches, §distributor).
             let batch_window = batch_size > queue.kind().max_batch();
@@ -530,6 +484,8 @@ impl FaasRuntime {
                 window.observe(0, queue.pending());
                 continue;
             };
+            // Observed at dispatch time: a later nack only delays
+            // redelivery, which the next drain sees as backlog again.
             window.observe(batch.messages.len(), queue.pending());
             let max_vt = batch
                 .messages
@@ -726,8 +682,13 @@ mod tests {
         )
         .unwrap();
         let q = Queue::new("q", QueueKind::Fifo, Region::US_EAST_1, Meter::new());
-        rt.attach_queue_trigger("consumer", q.clone(), 10, 1)
-            .unwrap();
+        rt.attach_queue_trigger(
+            "consumer",
+            q.clone(),
+            Arc::new(AdaptiveBatch::new(10, 10)),
+            1,
+        )
+        .unwrap();
         let ctx = Ctx::disabled();
         for i in 0..20 {
             q.send(&ctx, "session", Bytes::from(format!("m{i:02}")))
@@ -771,7 +732,7 @@ mod tests {
             q.send(&ctx, "session", Bytes::from(format!("m{i}")))
                 .unwrap();
         }
-        rt.attach_queue_trigger_adaptive("adaptive", q.clone(), Arc::clone(&ctrl), 1)
+        rt.attach_queue_trigger("adaptive", q.clone(), Arc::clone(&ctrl), 1)
             .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while batch_sizes.lock().iter().sum::<usize>() < 40 && Instant::now() < deadline {
@@ -809,7 +770,8 @@ mod tests {
         )
         .unwrap();
         let q = Queue::new("q", QueueKind::Fifo, Region::US_EAST_1, Meter::new());
-        rt.attach_queue_trigger("flaky", q.clone(), 1, 1).unwrap();
+        rt.attach_queue_trigger("flaky", q.clone(), Arc::new(AdaptiveBatch::new(1, 1)), 1)
+            .unwrap();
         q.send(&Ctx::disabled(), "g", Bytes::from_static(b"x"))
             .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -857,7 +819,8 @@ mod tests {
         .unwrap();
         rt.inject_crashes("victim", 2).unwrap();
         let q = Queue::new("q", QueueKind::Fifo, Region::US_EAST_1, Meter::new());
-        rt.attach_queue_trigger("victim", q.clone(), 1, 1).unwrap();
+        rt.attach_queue_trigger("victim", q.clone(), Arc::new(AdaptiveBatch::new(1, 1)), 1)
+            .unwrap();
         q.send(&Ctx::disabled(), "g", Bytes::from_static(b"x"))
             .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);

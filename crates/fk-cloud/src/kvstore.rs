@@ -15,6 +15,7 @@ use crate::metering::Meter;
 use crate::objectstore::Tag;
 use crate::ops::Op;
 use crate::region::Region;
+use crate::retry::with_retry;
 use crate::trace::Ctx;
 use crate::value::Item;
 use bytes::Bytes;
@@ -249,8 +250,8 @@ impl KvStore {
 
     /// Rolls the write-plane fault points: throttling, then a transient
     /// injected error. The failed request is billed and charged like a
-    /// real rejected round trip, and nothing is applied — a retrying
-    /// caller re-evaluates its condition against untouched state.
+    /// real rejected round trip, and nothing is applied — the retry
+    /// re-evaluates the condition against untouched state.
     fn chaos_write_error(&self, ctx: &Ctx, key: &str) -> CloudResult<()> {
         let Some(chaos) = self.inner.chaos.get() else {
             return Ok(());
@@ -346,7 +347,8 @@ impl KvStore {
         result
     }
 
-    /// Conditional put (full item replacement).
+    /// Conditional put (full item replacement). Transient failures are
+    /// retried inside ([`crate::retry`]).
     pub fn put(
         &self,
         ctx: &Ctx,
@@ -354,14 +356,26 @@ impl KvStore {
         item: Item,
         condition: Condition,
     ) -> CloudResult<Option<Item>> {
-        self.check_size(&item)?;
+        with_retry(ctx, &self.inner.meter, "kv.put", || {
+            self.try_put(ctx, key, &item, &condition)
+        })
+    }
+
+    fn try_put(
+        &self,
+        ctx: &Ctx,
+        key: &str,
+        item: &Item,
+        condition: &Condition,
+    ) -> CloudResult<Option<Item>> {
+        self.check_size(item)?;
         self.chaos_write_error(ctx, key)?;
         let shard = &self.inner.shards[shard_of(key)];
         let mut guard = shard.write();
         let current = guard.get(key);
         if !condition.eval(current.map(|v| &v.item)) {
             drop(guard);
-            self.charge_failed_write(ctx, &item);
+            self.charge_failed_write(ctx, item);
             return Err(CloudError::ConditionFailed {
                 detail: condition.describe(),
             });
@@ -370,7 +384,7 @@ impl KvStore {
             let entry = vec![(key.to_owned(), Some(Bytes::from(item.encode())))];
             if let Err(e) = self.log_durable(entry) {
                 drop(guard);
-                self.charge_failed_write(ctx, &item);
+                self.charge_failed_write(ctx, item);
                 return Err(e);
             }
         }
@@ -393,7 +407,7 @@ impl KvStore {
             .kv_stored_delta(size as i64 - old_size as i64);
         ctx.charge_to(
             Op::KvUpdate {
-                conditional: condition != Condition::Always,
+                conditional: *condition != Condition::Always,
             },
             size,
             self.inner.region,
@@ -402,13 +416,26 @@ impl KvStore {
     }
 
     /// Conditional update expression. Creates the item when absent
-    /// (upsert), matching DynamoDB `UpdateItem` semantics.
+    /// (upsert), matching DynamoDB `UpdateItem` semantics. Transient
+    /// failures are retried inside.
     pub fn update(
         &self,
         ctx: &Ctx,
         key: &str,
         update: &Update,
         condition: Condition,
+    ) -> CloudResult<UpdateOutput> {
+        with_retry(ctx, &self.inner.meter, "kv.update", || {
+            self.try_update(ctx, key, update, &condition)
+        })
+    }
+
+    fn try_update(
+        &self,
+        ctx: &Ctx,
+        key: &str,
+        update: &Update,
+        condition: &Condition,
     ) -> CloudResult<UpdateOutput> {
         self.chaos_write_error(ctx, key)?;
         let shard = &self.inner.shards[shard_of(key)];
@@ -452,7 +479,7 @@ impl KvStore {
             .kv_stored_delta(size as i64 - old_size as i64);
         ctx.charge_to(
             Op::KvUpdate {
-                conditional: condition != Condition::Always,
+                conditional: *condition != Condition::Always,
             },
             size,
             self.inner.region,
@@ -460,8 +487,15 @@ impl KvStore {
         Ok(UpdateOutput { old, new: scratch })
     }
 
-    /// Conditional delete. Returns the removed item.
+    /// Conditional delete. Returns the removed item. Transient failures
+    /// are retried inside.
     pub fn delete(&self, ctx: &Ctx, key: &str, condition: Condition) -> CloudResult<Option<Item>> {
+        with_retry(ctx, &self.inner.meter, "kv.delete", || {
+            self.try_delete(ctx, key, &condition)
+        })
+    }
+
+    fn try_delete(&self, ctx: &Ctx, key: &str, condition: &Condition) -> CloudResult<Option<Item>> {
         self.chaos_write_error(ctx, key)?;
         let shard = &self.inner.shards[shard_of(key)];
         let mut guard = shard.write();
@@ -493,8 +527,15 @@ impl KvStore {
     ///
     /// Locks the involved shards in index order (no deadlocks), checks all
     /// conditions first, and only then applies all mutations — Z1's
-    /// "requests never lead to partial results".
+    /// "requests never lead to partial results". Transient failures are
+    /// retried inside; a `TransactionCancelled` never is.
     pub fn transact(&self, ctx: &Ctx, ops: &[TransactOp]) -> CloudResult<()> {
+        with_retry(ctx, &self.inner.meter, "kv.transact", || {
+            self.try_transact(ctx, ops)
+        })
+    }
+
+    fn try_transact(&self, ctx: &Ctx, ops: &[TransactOp]) -> CloudResult<()> {
         if let Some(chaos) = self.inner.chaos.get() {
             if chaos.fire(ctx, FaultKind::KvCancel) {
                 self.inner.meter.fault_injected(FaultKind::KvCancel.label());
@@ -509,7 +550,7 @@ impl KvStore {
                 // `TransactionCancelled`: this models DynamoDB's
                 // transient cancellation reasons (transaction conflict,
                 // throttling), which SDKs retry — nothing was applied,
-                // so the caller replays the transaction and its
+                // so `transact` replays the transaction and its
                 // conditions re-evaluate against untouched state. A
                 // `TransactionCancelled` from this store always means a
                 // real condition failed.

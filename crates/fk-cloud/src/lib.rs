@@ -22,8 +22,9 @@
 //! * [`metering::Meter`] — pay-as-you-go usage counters;
 //! * [`chaos::Chaos`] — seeded, deterministic fault injection at every
 //!   service boundary;
-//! * [`retry::with_retry`] — unified exponential-backoff retry with
-//!   decorrelated jitter for all cloud call sites;
+//! * [`retry::with_retry`] — the one exponential-backoff retry with
+//!   decorrelated jitter, run inside each service that can fail
+//!   transiently;
 //! * [`des`] — a small discrete-event simulator for throughput studies.
 //!
 //! The services are faithful at the level of *semantics and guarantees*
@@ -61,6 +62,6 @@ pub use objectstore::ObjectStore;
 pub use ops::{Op, QueueKind};
 pub use queue::{AdaptiveBatch, Batch, Message, Queue, Receipt, ShardedQueues};
 pub use region::Region;
-pub use retry::{with_retry, RetryPolicy};
+pub use retry::with_retry;
 pub use trace::{Ctx, LatencyMode, SpanRecord};
 pub use value::{Item, Value};

@@ -60,8 +60,9 @@ pub struct UsageSnapshot {
     /// replica — like cache hits, deliberately **not** priced: no
     /// storage service saw the read).
     pub replica_hits: u64,
-    /// Cloud-call retries performed by the unified retry layer
-    /// (per-site breakdown under `retry:<site>` in [`per_op`]).
+    /// Retries the services performed on their own transient failures
+    /// (per-operation breakdown under `retry:<service>.<op>` in
+    /// [`per_op`]).
     ///
     /// [`per_op`]: UsageSnapshot::per_op
     pub retries: u64,
@@ -256,8 +257,8 @@ impl Meter {
         self.bump("replica_hit", |s| s.replica_hits += 1);
     }
 
-    /// Records one retry performed by the unified retry layer at `site`
-    /// (labelled `retry:<site>` for the per-call-site matrix).
+    /// Records one retry of the operation `site`, named
+    /// `<service>.<op>` (labelled `retry:<service>.<op>`).
     pub fn retry(&self, site: &'static str) {
         let mut inner = self.inner.lock();
         inner.retries += 1;

@@ -26,6 +26,7 @@ use crate::error::{CloudError, CloudResult};
 use crate::metering::Meter;
 use crate::ops::Op;
 use crate::region::Region;
+use crate::retry::with_retry;
 use crate::trace::Ctx;
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -143,8 +144,9 @@ impl ObjectStore {
     /// request is billed and charged as a PUT, counted under
     /// `obj_put_412`. Injected faults roll before the precondition is
     /// evaluated, as for every other request: `obj_error` fails the
-    /// request, and `obj_tag_race` lands a rival PUT of the same bytes
-    /// first, so the object the precondition sees has a fresh tag.
+    /// attempt, which is retried with the same precondition, and
+    /// `obj_tag_race` lands a rival PUT of the same bytes first, so the
+    /// object the precondition sees has a fresh tag.
     pub fn put_if(
         &self,
         ctx: &Ctx,
@@ -155,11 +157,25 @@ impl ObjectStore {
         self.store(ctx, key, data, Some(precondition))
     }
 
+    /// The one PUT path, behind `put` and `put_if`; transient failures
+    /// are retried here, and a retry names the same precondition.
     fn store(
         &self,
         ctx: &Ctx,
         key: &str,
         data: Bytes,
+        precondition: Option<Precondition>,
+    ) -> CloudResult<Tag> {
+        with_retry(ctx, &self.inner.meter, "obj.put", || {
+            self.try_store(ctx, key, &data, precondition)
+        })
+    }
+
+    fn try_store(
+        &self,
+        ctx: &Ctx,
+        key: &str,
+        data: &Bytes,
         precondition: Option<Precondition>,
     ) -> CloudResult<Tag> {
         if data.len() > self.inner.max_object_bytes {
@@ -192,7 +208,7 @@ impl ObjectStore {
             });
         }
         let tag = self.next_tag();
-        let old = objects.insert(key.to_owned(), (data, tag));
+        let old = objects.insert(key.to_owned(), (data.clone(), tag));
         drop(objects);
         let old_size = old.map(|(b, _)| b.len()).unwrap_or(0);
         self.inner.meter.obj_put();
@@ -207,8 +223,13 @@ impl ObjectStore {
         self.inner.last_tag.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Fetches a whole object and its tag.
+    /// Fetches a whole object and its tag. Transient failures are
+    /// retried inside.
     pub fn get(&self, ctx: &Ctx, key: &str) -> CloudResult<(Bytes, Tag)> {
+        with_retry(ctx, &self.inner.meter, "obj.get", || self.try_get(ctx, key))
+    }
+
+    fn try_get(&self, ctx: &Ctx, key: &str) -> CloudResult<(Bytes, Tag)> {
         self.chaos_error(ctx, Op::ObjGet)?;
         let object = self.inner.objects.read().get(key).cloned();
         self.inner.meter.obj_get();
@@ -227,8 +248,15 @@ impl ObjectStore {
     }
 
     /// Deletes an object (idempotent, like S3). Metered as a DELETE,
-    /// which object stores do not bill.
+    /// which object stores do not bill. Transient failures are retried
+    /// inside.
     pub fn delete(&self, ctx: &Ctx, key: &str) -> CloudResult<()> {
+        with_retry(ctx, &self.inner.meter, "obj.delete", || {
+            self.try_delete(ctx, key)
+        })
+    }
+
+    fn try_delete(&self, ctx: &Ctx, key: &str) -> CloudResult<()> {
         self.chaos_error(ctx, Op::ObjDelete)?;
         let old = self.inner.objects.write().remove(key);
         let old_size = old.map(|(b, _)| b.len()).unwrap_or(0);
@@ -260,9 +288,14 @@ impl ObjectStore {
     /// Fetches every object whose key starts with `prefix`, sorted by
     /// key: one LIST round trip plus one GET per matched object (the
     /// billing shape of an S3 prefix sweep). Fault injection rolls once,
-    /// like a single GET — the sweep is one logical storage operation to
-    /// the retry layer.
+    /// like a single GET, and a failed sweep is retried whole.
     pub fn get_prefix(&self, ctx: &Ctx, prefix: &str) -> CloudResult<Vec<(String, Bytes)>> {
+        with_retry(ctx, &self.inner.meter, "obj.get_prefix", || {
+            self.try_get_prefix(ctx, prefix)
+        })
+    }
+
+    fn try_get_prefix(&self, ctx: &Ctx, prefix: &str) -> CloudResult<Vec<(String, Bytes)>> {
         self.chaos_error(ctx, Op::ObjGet)?;
         let matched: Vec<(String, Bytes)> = self
             .inner
@@ -459,11 +492,12 @@ mod tests {
                 Precondition::IfMatch(tag),
             )
         };
-        let err = put().unwrap_err();
-        assert!(err.is_retryable() && !err.is_condition_failed(), "{err}");
-        assert_eq!(meter.snapshot().per_op.get("obj_put_412"), None);
         // The retry names the same tag and lands: the fault changed nothing.
         put().unwrap();
+        let counts = meter.snapshot().per_op;
+        assert_eq!(counts["fault:obj_error"], 1);
+        assert_eq!(counts["retry:obj.put"], 1);
+        assert_eq!(counts.get("obj_put_412"), None);
         assert_eq!(os.get(&ctx, "k").unwrap().0.as_ref(), b"b");
     }
 

@@ -19,6 +19,7 @@ use crate::faas::FnError;
 use crate::metering::Meter;
 use crate::ops::{Op, QueueKind};
 use crate::region::Region;
+use crate::retry::with_retry;
 use crate::trace::Ctx;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
@@ -166,8 +167,15 @@ impl Queue {
         self.inner.region
     }
 
-    /// Enqueues a message, returning its sequence number.
+    /// Enqueues a message, returning its sequence number. Transient
+    /// failures are retried inside.
     pub fn send(&self, ctx: &Ctx, group: &str, body: Bytes) -> CloudResult<u64> {
+        with_retry(ctx, &self.inner.meter, "queue.send", || {
+            self.try_send(ctx, group, &body)
+        })
+    }
+
+    fn try_send(&self, ctx: &Ctx, group: &str, body: &Bytes) -> CloudResult<u64> {
         if body.len() > self.inner.max_message_bytes {
             return Err(CloudError::PayloadTooLarge {
                 size: body.len(),
@@ -177,7 +185,7 @@ impl Queue {
         let size = body.len();
         ctx.charge_to(Op::QueueSend(self.inner.kind), size, self.inner.region);
         // A failed send has already cost the round trip; nothing is
-        // enqueued, so a retrying caller cannot double-enqueue.
+        // enqueued, so the retry cannot double-enqueue.
         self.chaos_send_error(ctx)?;
         let (duplicate, delay) = self.chaos_delivery_rolls(ctx);
         let seq;
@@ -191,7 +199,7 @@ impl Queue {
             let msg = Message {
                 seq,
                 group: Arc::from(group),
-                body,
+                body: body.clone(),
                 sent_vt_ns: ctx.now_ns(),
                 attempt: 0,
             };
@@ -266,13 +274,20 @@ impl Queue {
     /// each). Messages take consecutive sequence numbers in `bodies`
     /// order — the property the follower's wave pushes rely on. Billing
     /// stays per message (SQS bills batch entries individually); only
-    /// the *latency* amortizes.
+    /// the *latency* amortizes. Transient failures are retried inside,
+    /// whole.
     pub fn send_batch(&self, ctx: &Ctx, group: &str, bodies: Vec<Bytes>) -> CloudResult<Vec<u64>> {
+        with_retry(ctx, &self.inner.meter, "queue.send_batch", || {
+            self.try_send_batch(ctx, group, &bodies)
+        })
+    }
+
+    fn try_send_batch(&self, ctx: &Ctx, group: &str, bodies: &[Bytes]) -> CloudResult<Vec<u64>> {
         const ENTRIES_PER_REQUEST: usize = 10;
         // Validate everything before enqueuing anything: a batch either
         // lands whole or not at all, so a caller never has to guess
         // which prefix is in the queue after an error.
-        for body in &bodies {
+        for body in bodies {
             if body.len() > self.inner.max_message_bytes {
                 return Err(CloudError::PayloadTooLarge {
                     size: body.len(),
@@ -335,7 +350,7 @@ impl Queue {
                 seqs.push(seq);
             }
         }
-        for body in &bodies {
+        for body in bodies {
             self.inner.meter.queue_send(body.len());
         }
         self.inner.available.notify_all();
@@ -715,7 +730,7 @@ impl Queue {
 /// once the burst passes.
 ///
 /// Both the leader's epoch drain (`fk-core`) and the follower's queue
-/// trigger ([`crate::faas::FaasRuntime::attach_queue_trigger_adaptive`])
+/// trigger ([`crate::faas::FaasRuntime::attach_queue_trigger`])
 /// run on this controller.
 pub struct AdaptiveBatch {
     window: std::sync::atomic::AtomicUsize,

@@ -56,7 +56,6 @@ use fk_cloud::metering::Meter;
 use fk_cloud::objectstore::ObjectStore;
 use fk_cloud::ops::Op as CloudOp;
 use fk_cloud::queue::Queue;
-use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
@@ -208,8 +207,6 @@ struct ReadCore {
     /// Tier two of the read path: the shared regional replica, consulted
     /// on a private-cache miss before paying a storage round trip.
     replica: Option<Arc<crate::replica::ReadReplica>>,
-    /// Meter retries on storage reads are reported to.
-    meter: Meter,
     timeout: Duration,
 }
 
@@ -246,19 +243,11 @@ impl ReadCore {
                     }
                 }
             }
-            // Reads are idempotent, so transient storage errors (object
-            // store 503s, injected faults) are retried in place instead
-            // of surfacing to the application.
-            with_retry(
-                ctx,
-                &self.meter,
-                &RetryPolicy::standard(),
-                "client.read_node",
-                || self.user_store.read_node(ctx, path),
-            )
-            .map_err(|e| FkError::SystemError {
-                detail: e.to_string(),
-            })
+            self.user_store
+                .read_node(ctx, path)
+                .map_err(|e| FkError::SystemError {
+                    detail: e.to_string(),
+                })
         };
         let read = if fresh {
             self.cache.fetch_fresh(path, mrd, fetch)?
@@ -361,16 +350,12 @@ impl ReadCore {
         };
         let entries = match served {
             Some(entries) => entries,
-            None => with_retry(
-                ctx,
-                &self.meter,
-                &RetryPolicy::standard(),
-                "client.scan_subtree",
-                || self.user_store.scan_subtree(ctx, root),
-            )
-            .map_err(|e| FkError::SystemError {
-                detail: e.to_string(),
-            })?,
+            None => self
+                .user_store
+                .scan_subtree(ctx, root)
+                .map_err(|e| FkError::SystemError {
+                    detail: e.to_string(),
+                })?,
         };
         for entry in &entries {
             self.stall_for_marks(&entry.epoch_marks)?;
@@ -391,21 +376,12 @@ impl ReadCore {
     }
 
     fn register_watch(&self, ctx: &Ctx, path: &str, kind: WatchKind) -> FkResult<()> {
-        // The fault point rolls before the registry update: a failed
-        // attempt registered nothing, so a retry cannot double-arm.
-        let id = with_retry(
-            ctx,
-            &self.meter,
-            &RetryPolicy::standard(),
-            "client.arm_watch",
-            || {
-                self.system
-                    .register_watch(ctx, path, kind, &self.shared.session_id)
-            },
-        )
-        .map_err(|e| FkError::SystemError {
-            detail: e.to_string(),
-        })?;
+        let id = self
+            .system
+            .register_watch(ctx, path, kind, &self.shared.session_id)
+            .map_err(|e| FkError::SystemError {
+                detail: e.to_string(),
+            })?;
         self.shared.my_watches.lock().insert(id);
         Ok(())
     }
@@ -545,20 +521,7 @@ impl FkClient {
                 // All of this session's requests share its FIFO group.
                 let session_id = requests[0].session_id.clone();
                 let bodies: Vec<Bytes> = requests.iter().map(ClientRequest::encode).collect();
-                // Transient send failures (throttling, injected faults)
-                // are retried with backoff rather than failing the whole
-                // pipeline on the first 503. Safe to repeat: the batch
-                // lands whole or not at all (send_batch validates — and
-                // rolls its fault point — before enqueuing anything), so
-                // a failed attempt left no messages behind.
-                let sent = with_retry(
-                    &send_ctx,
-                    send_queue.meter(),
-                    &RetryPolicy::standard(),
-                    "client.send_batch",
-                    || send_queue.send_batch(&send_ctx, &session_id, bodies.clone()),
-                );
-                if let Err(e) = sent {
+                if let Err(e) = send_queue.send_batch(&send_ctx, &session_id, bodies) {
                     // Every member fails (all-or-nothing batch).
                     for request in &requests {
                         send_shared.deliver_write(
@@ -670,7 +633,6 @@ impl FkClient {
             user_store,
             cache,
             replica: config.replica.clone(),
-            meter: staging.meter().clone(),
             timeout: config.timeout,
         });
         let pool = Mutex::new(ReadPool::new(config.read_workers));
@@ -765,19 +727,11 @@ impl FkClient {
                 self.core.shared.session_id,
                 self.staging_seq.fetch_add(1, Ordering::SeqCst)
             );
-            // A staged PUT is a whole-object replace to a fresh key:
-            // repeating it after a transient failure is idempotent.
-            let payload = Bytes::from(data.to_vec());
-            with_retry(
-                &self.ctx,
-                self.staging.meter(),
-                &RetryPolicy::standard(),
-                "client.stage_put",
-                || self.staging.put(&self.ctx, &key, payload.clone()),
-            )
-            .map_err(|e| FkError::SystemError {
-                detail: e.to_string(),
-            })?;
+            self.staging
+                .put(&self.ctx, &key, Bytes::from(data.to_vec()))
+                .map_err(|e| FkError::SystemError {
+                    detail: e.to_string(),
+                })?;
             Ok(Payload::Staged {
                 key,
                 len: data.len(),

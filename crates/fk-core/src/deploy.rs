@@ -574,13 +574,7 @@ impl Deployment {
         }
         let ctx = Ctx::disabled();
         let membership = crate::system_store::Membership::all_active(active);
-        let _ = fk_cloud::retry::with_retry(
-            &ctx,
-            &self.meter,
-            &fk_cloud::retry::RetryPolicy::standard(),
-            "deploy.membership",
-            || self.system.write_membership(&ctx, &membership),
-        );
+        let _ = self.system.write_membership(&ctx, &membership);
     }
 
     fn register_functions(&self) {
@@ -602,7 +596,7 @@ impl Deployment {
         // the write queue is quiet, growing toward the cap under load.
         let (follower_min, follower_max) = self.config.follower_batch;
         self.runtime
-            .attach_queue_trigger_adaptive(
+            .attach_queue_trigger(
                 fn_names::FOLLOWER,
                 self.write_queue.clone(),
                 Arc::new(AdaptiveBatch::new(follower_min, follower_max)),
@@ -651,33 +645,21 @@ impl Deployment {
                     },
                 )
                 .expect("register leader");
-            // Each group's trigger rides its own AIMD window when the
-            // pipeline is adaptive (per-group drain windows: one hot
-            // group widening its batches never forces wide batches — and
-            // their latency — on a quiet group). A non-adaptive pipeline
-            // keeps the historical fixed window.
-            if self.config.distributor.is_adaptive() {
-                self.runtime
-                    .attach_queue_trigger_adaptive(
-                        &name,
-                        self.leader_queues.queue(group).clone(),
-                        Arc::new(AdaptiveBatch::new(
-                            self.config.distributor.min_batch,
-                            self.config.distributor.max_batch,
-                        )),
-                        1,
-                    )
-                    .expect("attach leader trigger");
-            } else {
-                self.runtime
-                    .attach_queue_trigger(
-                        &name,
-                        self.leader_queues.queue(group).clone(),
+            // Each group's trigger rides its own AIMD window (per-group
+            // drain windows: one hot group widening its batches never
+            // forces wide batches — and their latency — on a quiet
+            // group). A static pipeline (`min_batch == max_batch`) pins it.
+            self.runtime
+                .attach_queue_trigger(
+                    &name,
+                    self.leader_queues.queue(group).clone(),
+                    Arc::new(AdaptiveBatch::new(
+                        self.config.distributor.min_batch,
                         self.config.distributor.max_batch,
-                        1,
-                    )
-                    .expect("attach leader trigger");
-            }
+                    )),
+                    1,
+                )
+                .expect("attach leader trigger");
         }
 
         let heartbeat = Arc::new(self.make_heartbeat());
@@ -779,20 +761,6 @@ impl Deployment {
         self.system.read_membership(ctx)
     }
 
-    fn write_membership(
-        &self,
-        ctx: &Ctx,
-        membership: &crate::system_store::Membership,
-    ) -> fk_cloud::CloudResult<()> {
-        fk_cloud::retry::with_retry(
-            ctx,
-            &self.meter,
-            &fk_cloud::retry::RetryPolicy::standard(),
-            "deploy.membership",
-            || self.system.write_membership(ctx, membership),
-        )
-    }
-
     /// Cuts a consistent checkpoint of the user-store tree into the
     /// staging bucket ([`crate::transfer::cut_checkpoint`]) and returns
     /// its manifest. Ids are deployment-local and monotone.
@@ -808,7 +776,6 @@ impl Deployment {
             id,
             &self.user_stores[0],
             &self.staging,
-            &self.meter,
             &self.floors,
             &self.replicas,
             self.config.regions.len(),
@@ -838,18 +805,11 @@ impl Deployment {
             .membership(ctx)
             .unwrap_or_else(|| crate::system_store::Membership::all_active(provisioned));
         for group in membership.active_groups..active {
-            crate::transfer::activate_group(
-                ctx,
-                group,
-                &self.system,
-                &self.meter,
-                &self.floors,
-                &manifest,
-            )?;
+            crate::transfer::activate_group(ctx, group, &self.system, &self.floors, &manifest)?;
         }
         if active > membership.active_groups {
             membership.active_groups = active;
-            self.write_membership(ctx, &membership)?;
+            self.system.write_membership(ctx, &membership)?;
         }
         Ok(manifest)
     }
@@ -875,7 +835,7 @@ impl Deployment {
             .unwrap_or_else(|| crate::system_store::Membership::all_active(provisioned));
         if !membership.is_draining(group) {
             membership.draining.push((group, successor));
-            self.write_membership(ctx, &membership)?;
+            self.system.write_membership(ctx, &membership)?;
         }
         Ok(())
     }
@@ -920,7 +880,6 @@ impl Deployment {
             checkpoint_id,
             region_idx,
             &self.staging,
-            &self.meter,
             &self.replicas,
         )
     }

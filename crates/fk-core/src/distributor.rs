@@ -58,9 +58,8 @@ use crate::system_store::{ObjTags, SystemStore};
 use crate::user_store::{NodeRecord, UserStore};
 use bytes::Bytes;
 use fk_cloud::objectstore::{Precondition, Tag};
-use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
-use fk_cloud::{CloudError, CloudResult, Meter, Region};
+use fk_cloud::{CloudError, CloudResult, Region};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -139,11 +138,6 @@ impl DistributorConfig {
         );
         self.min_batch = min_batch;
         self
-    }
-
-    /// True if the leader should adapt its batch window.
-    pub fn is_adaptive(&self) -> bool {
-        self.min_batch < self.max_batch
     }
 }
 
@@ -352,12 +346,6 @@ impl Distributor {
         &self.config
     }
 
-    /// The meter retries are reported to (the deployment-shared meter
-    /// behind the system table).
-    fn meter(&self) -> &Meter {
-        self.system.kv().meter()
-    }
-
     /// The replica regions, aligned with the user stores.
     pub fn regions(&self) -> &[Region] {
         &self.regions
@@ -389,7 +377,6 @@ impl Distributor {
             id,
             &self.user_stores[0],
             staging,
-            self.meter(),
             floors,
             replicas,
             self.regions.len(),
@@ -628,14 +615,7 @@ impl Distributor {
                     // Deletion is idempotent and unconditional: a racing
                     // group's rewrite either lands first or fails its
                     // precondition and reads the absence.
-                    PlanOp::Delete(path) => with_retry(
-                        worker,
-                        self.meter(),
-                        &RetryPolicy::standard(),
-                        "dist.delete",
-                        || store.delete_node(worker, path),
-                    )
-                    .map(|()| None),
+                    PlanOp::Delete(path) => store.delete_node(worker, path).map(|()| None),
                 })
             })
             .collect();
@@ -667,16 +647,7 @@ impl Distributor {
             None => None,
         };
         if let Some(precondition) = precondition {
-            // Injected faults fire before the precondition is evaluated,
-            // so a retry names the same tag against an unchanged record.
-            let put = with_retry(
-                ctx,
-                self.meter(),
-                &RetryPolicy::standard(),
-                "dist.write_tagged",
-                || store.write_node_if(ctx, record, precondition),
-            );
-            match put {
+            match store.write_node_if(ctx, record, precondition) {
                 Ok(tag) => return Ok((!create).then_some(tag)),
                 Err(e) if !e.is_condition_failed() => return Err(e),
                 Err(_) => {}
@@ -684,7 +655,7 @@ impl Distributor {
         }
         // Merge a concurrently applied newer children list (a larger
         // stored `children_txid`) instead of clobbering it.
-        self.read_merge_write(ctx, store, &record.path, "dist.write_merged", |base| {
+        self.read_merge_write(ctx, store, &record.path, |base| {
             let mut record = record.clone();
             if let Some(base) = base {
                 if base.children_txid > record.children_txid {
@@ -730,39 +701,35 @@ impl Distributor {
                     .then(|| stub_record(parent, children, txid, marks))
             }
         };
-        self.read_merge_write(ctx, store, parent, "dist.rewrite_children", rewrite)
-            .map(drop)
+        self.read_merge_write(ctx, store, parent, rewrite).map(drop)
     }
 
     /// The optimistic write loop: reads `path`'s record and tag, lets
     /// `merge` decide what to store over it (`None`: nothing), and writes
     /// that `If-Match` the tag read (`If-None-Match` over an absent
     /// record). A 412 means another writer landed in between: the loop
-    /// reads and merges again, for at most [`MERGE_ROUNDS`] rounds, then
-    /// fails retryably. A transient failure repeats the round under
-    /// `site`. Returns the new tag if the write replaced a record.
+    /// reads and merges again (a new round, never a retry: the store
+    /// retries only transient failures), for at most [`MERGE_ROUNDS`]
+    /// rounds, then fails with a `Throttled` that redelivers the batch.
+    /// Returns the new tag if the write replaced a record.
     fn read_merge_write(
         &self,
         ctx: &Ctx,
         store: &dyn UserStore,
         path: &str,
-        site: &'static str,
         merge: impl Fn(Option<NodeRecord>) -> Option<NodeRecord>,
     ) -> CloudResult<Written> {
         for _ in 0..MERGE_ROUNDS {
-            let round = with_retry(ctx, self.meter(), &RetryPolicy::standard(), site, || {
-                let base = store.read_tagged(ctx, path)?;
-                let stored = base.as_ref().map(|(_, tag)| *tag);
-                let Some(record) = merge(base.map(|(record, _)| record)) else {
-                    return Ok(None);
-                };
-                let precondition = stored.map_or(Precondition::IfNoneMatch, Precondition::IfMatch);
-                let tag = store.write_node_if(ctx, &record, precondition)?;
-                Ok(stored.map(|_| tag))
-            });
-            match round {
+            let base = store.read_tagged(ctx, path)?;
+            let stored = base.as_ref().map(|(_, tag)| *tag);
+            let Some(record) = merge(base.map(|(record, _)| record)) else {
+                return Ok(None);
+            };
+            let precondition = stored.map_or(Precondition::IfNoneMatch, Precondition::IfMatch);
+            match store.write_node_if(ctx, &record, precondition) {
+                Ok(tag) => return Ok(stored.map(|_| tag)),
                 Err(e) if e.is_condition_failed() => continue,
-                written => return written,
+                Err(e) => return Err(e),
             }
         }
         // Contention, like throttling, is transient: the batch redelivers.
@@ -819,18 +786,10 @@ impl Distributor {
         let chunks: Vec<&[crate::commit::Pop<'_>]> = entries
             .chunks(crate::system_store::TRANSACT_MAX_ITEMS)
             .collect();
-        // A pop chunk's per-item head guards make a repeat after an
-        // injected transient (which fires before the mutation) the
-        // first effective delivery; a guard mismatch from genuinely
-        // newer state is a ConditionFailed and stays fatal.
+        // A guard mismatch from genuinely newer state is a
+        // ConditionFailed and stays fatal.
         fan_out(ctx, chunks.len(), |i, child| {
-            with_retry(
-                child,
-                self.meter(),
-                &RetryPolicy::quick(),
-                "dist.pop",
-                || crate::commit::pop_pending_batch(self.system.kv(), child, chunks[i]),
-            )
+            crate::commit::pop_pending_batch(self.system.kv(), child, chunks[i])
         })?;
         let deleted: Vec<&str> = per_path
             .keys()
@@ -838,13 +797,7 @@ impl Distributor {
             .filter(|path| per_path.get(path).map(|(_, d)| *d).unwrap_or(false))
             .collect();
         fan_out(ctx, deleted.len(), |i, child| {
-            with_retry(
-                child,
-                self.meter(),
-                &RetryPolicy::standard(),
-                "dist.purge",
-                || self.system.purge_tombstone(child, deleted[i]),
-            )
+            self.system.purge_tombstone(child, deleted[i])
         })
     }
 }
@@ -1237,9 +1190,8 @@ mod tests {
     #[test]
     fn adaptive_config_validates_and_classifies() {
         let static_config = DistributorConfig::new(4, 16);
-        assert!(!static_config.is_adaptive());
+        assert_eq!(static_config.min_batch, static_config.max_batch);
         let adaptive = static_config.with_adaptive_batch(2);
-        assert!(adaptive.is_adaptive());
         assert_eq!(adaptive.min_batch, 2);
         assert_eq!(adaptive.max_batch, 16);
     }

@@ -30,7 +30,7 @@ use fk_cloud::chaos::{Chaos, FaultKind};
 use fk_cloud::metering::Meter;
 use fk_cloud::objectstore::{content_tag, Precondition, Tag};
 use fk_cloud::trace::Ctx;
-use fk_cloud::{CloudError, CloudResult, Op, Region};
+use fk_cloud::{with_retry, CloudError, CloudResult, Op, Region};
 use fk_store::{DiskFault, FaultInjector, Lsm, LsmConfig, LsmStats, SimStorage, Storage};
 use std::sync::Arc;
 
@@ -194,11 +194,15 @@ fn last_per_key<'a, T>(items: &'a [T], key: impl Fn(&'a T) -> &'a str) -> Vec<&'
     order.into_iter().map(|k| last[k]).collect()
 }
 
+/// Engine failures surface as retryable `StorageFailed`: each frame
+/// operation retries them here, as the cloud services retry theirs.
 impl FrameStore for DurableUserStore {
     fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
-        let frame = self.lsm.get(path).map_err(map_store_err)?;
-        self.charge(ctx, Op::MemGet, frame.as_ref().map_or(1, Bytes::len));
-        Ok(frame.map(hashed))
+        with_retry(ctx, &self.meter, "durable.get_frame", || {
+            let frame = self.lsm.get(path).map_err(map_store_err)?;
+            self.charge(ctx, Op::MemGet, frame.as_ref().map_or(1, Bytes::len));
+            Ok(frame.map(hashed))
+        })
     }
 
     /// Puts `frame` if `precondition` holds for the stored frame's tag,
@@ -211,38 +215,44 @@ impl FrameStore for DurableUserStore {
         precondition: Option<Precondition>,
     ) -> CloudResult<Tag> {
         let (size, tag) = (frame.len(), content_tag(&frame));
-        let _writes = self.writes.lock();
-        if let Some(precondition) = precondition {
-            let stored = self.lsm.get(path).map_err(map_store_err)?;
-            let current = stored.as_deref().map(content_tag);
-            if !precondition.holds(current) {
-                self.charge(ctx, Op::MemPut, size);
-                let detail = format!("{precondition:?} on {path} (stored: {current:?})");
-                return Err(CloudError::ConditionFailed { detail });
+        with_retry(ctx, &self.meter, "durable.put_frame", || {
+            let _writes = self.writes.lock();
+            if let Some(precondition) = precondition {
+                let stored = self.lsm.get(path).map_err(map_store_err)?;
+                let current = stored.as_deref().map(content_tag);
+                if !precondition.holds(current) {
+                    self.charge(ctx, Op::MemPut, size);
+                    let detail = format!("{precondition:?} on {path} (stored: {current:?})");
+                    return Err(CloudError::ConditionFailed { detail });
+                }
             }
-        }
-        self.lsm.put(path, frame).map_err(map_store_err)?;
-        self.charge(ctx, Op::MemPut, size);
-        Ok(tag)
+            self.lsm.put(path, frame.clone()).map_err(map_store_err)?;
+            self.charge(ctx, Op::MemPut, size);
+            Ok(tag)
+        })
     }
 
     fn delete_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
-        let _writes = self.writes.lock();
-        self.lsm.delete(path).map_err(map_store_err)?;
-        self.charge(ctx, Op::MemPut, 1);
-        Ok(())
+        with_retry(ctx, &self.meter, "durable.delete_frame", || {
+            let _writes = self.writes.lock();
+            self.lsm.delete(path).map_err(map_store_err)?;
+            self.charge(ctx, Op::MemPut, 1);
+            Ok(())
+        })
     }
 
     /// One engine sweep, charged as one read of every byte it returns.
     fn scan_frames(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<(String, Bytes)>> {
-        let frames = root_and_descendants(
-            root,
-            |root| self.lsm.get(root).map_err(map_store_err),
-            |prefix| self.lsm.scan_prefix(prefix).map_err(map_store_err),
-        )?;
-        let size = frames.iter().map(|(_, frame)| frame.len()).sum();
-        self.charge(ctx, Op::MemGet, size);
-        Ok(frames)
+        with_retry(ctx, &self.meter, "durable.scan_frames", || {
+            let frames = root_and_descendants(
+                root,
+                |root| self.lsm.get(root).map_err(map_store_err),
+                |prefix| self.lsm.scan_prefix(prefix).map_err(map_store_err),
+            )?;
+            let size = frames.iter().map(|(_, frame)| frame.len()).sum();
+            self.charge(ctx, Op::MemGet, size);
+            Ok(frames)
+        })
     }
 
     fn region(&self) -> Region {
@@ -327,6 +337,8 @@ mod tests {
         assert!(err.is_retryable());
     }
 
+    /// Fired fsync failures fail attempts, not writes: the store
+    /// retries each one, so every write lands.
     #[test]
     fn chaos_injector_arms_disk_fault_points() {
         let mut plan = FaultPlan::disabled();
@@ -336,27 +348,54 @@ mod tests {
         let store =
             DurableUserStore::open_sim(Region::US_EAST_1, meter.clone(), Some(&chaos)).unwrap();
         let ctx = Ctx::disabled();
-        let mut failures = 0;
         for i in 0..6 {
-            if store
+            store
                 .write_node(&ctx, &record(&format!("/n{i}"), 8))
-                .is_err()
-            {
-                failures += 1;
-            }
+                .unwrap();
         }
-        assert_eq!(failures, 2, "budget caps injected fsync failures");
         assert_eq!(chaos.fired(FaultKind::DiskFsyncFail), 2);
-        assert_eq!(
-            meter
-                .snapshot()
-                .per_op
-                .get("fault:disk_fsync_fail")
-                .copied()
-                .unwrap_or(0),
-            2
-        );
-        // Every write after the budget drains lands durably.
-        assert!(store.read_node(&ctx, "/n5").unwrap().is_some());
+        let counts = meter.snapshot().per_op;
+        assert_eq!(counts["fault:disk_fsync_fail"], 2);
+        assert_eq!(counts["retry:durable.put_frame"], 2);
+        for i in 0..6 {
+            let path = format!("/n{i}");
+            assert!(store.read_node(&ctx, &path).unwrap().is_some());
+        }
+    }
+
+    /// One write of `/n` under `budget` injected fsync failures: its
+    /// outcome, the store and the meter.
+    fn write_under_fsync_faults(budget: u64) -> (CloudResult<()>, DurableUserStore, Meter) {
+        let mut plan = FaultPlan::disabled();
+        plan.disk_fsync_fail = FaultSpec::new(1.0, budget);
+        let chaos = Chaos::from_plan(plan).unwrap();
+        let meter = Meter::new();
+        let store =
+            DurableUserStore::open_sim(Region::US_EAST_1, meter.clone(), Some(&chaos)).unwrap();
+        let written = store.write_node(&Ctx::disabled(), &record("/n", 8));
+        (written, store, meter)
+    }
+
+    #[test]
+    fn one_failed_fsync_costs_one_retry() {
+        let (written, store, meter) = write_under_fsync_faults(1);
+        written.unwrap();
+        let counts = meter.snapshot().per_op;
+        assert_eq!(counts["fault:disk_fsync_fail"], 1);
+        assert_eq!(counts["retry:durable.put_frame"], 1);
+        let stored = store.read_node(&Ctx::disabled(), "/n").unwrap();
+        assert_eq!(stored, Some(record("/n", 8)));
+    }
+
+    #[test]
+    fn fsync_failures_past_the_budget_surface_and_apply_nothing() {
+        let (written, store, meter) = write_under_fsync_faults(5);
+        let err = written.unwrap_err();
+        assert!(matches!(err, CloudError::StorageFailed { .. }), "{err}");
+        let snapshot = meter.snapshot();
+        assert_eq!(snapshot.per_op["fault:disk_fsync_fail"], 5);
+        assert_eq!(snapshot.per_op["retry:durable.put_frame"], 4);
+        assert_eq!(snapshot.retries, 4);
+        assert!(store.read_node(&Ctx::disabled(), "/n").unwrap().is_none());
     }
 }

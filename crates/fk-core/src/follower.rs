@@ -91,7 +91,6 @@ use crate::system_store::{keys, node_attr, session_attr, txid, Membership, Syste
 use fk_cloud::faas::FnError;
 use fk_cloud::ops::Op;
 use fk_cloud::queue::{group_of, Message, ShardedQueues};
-use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
 use fk_cloud::CloudError;
 use fk_sync::Acquired;
@@ -191,33 +190,6 @@ impl Follower {
         membership.map(|m| m.route(group)).unwrap_or(group)
     }
 
-    /// The meter retries are reported to (the deployment-shared meter
-    /// behind the system table).
-    fn meter(&self) -> &fk_cloud::Meter {
-        self.system.kv().meter()
-    }
-
-    /// Records the session's highest pushed txid as a write of its own,
-    /// absorbing transient storage errors. A wave's mark normally rides
-    /// the commit of the session's last pushed request (see
-    /// `process_wave`); this write is left for the cases that have no
-    /// such commit: that commit did not land, a redelivered request
-    /// turned out already committed, or a `CloseSession` pushed its
-    /// deregistration. The write is an unguarded set
-    /// ([`SystemStore::record_session_push`]); it is monotone only because
-    /// the write queue's FIFO group serialises this session's follower
-    /// invocations. Safe to repeat: writing the same txid again is a
-    /// no-op.
-    fn record_push_mark(&self, ctx: &Ctx, session: &str, txid: u64) -> fk_cloud::CloudResult<()> {
-        with_retry(
-            ctx,
-            self.meter(),
-            &RetryPolicy::standard(),
-            "follower.push_mark",
-            || self.system.record_session_push(ctx, session, txid),
-        )
-    }
-
     /// Lock timestamps: wall-clock milliseconds, strictly increasing
     /// across every follower in the process. The stamp is the lock
     /// owner's token, so two successive owners of one node must never
@@ -272,7 +244,7 @@ impl Follower {
             ctx.charge(Op::FnCompute, msg.body.len());
             let Some(request) = ClientRequest::decode(&msg.body) else {
                 // Malformed message: drop it rather than poison the queue.
-                self.meter().dropped("follower.undecodable");
+                self.system.kv().meter().dropped("follower.undecodable");
                 continue;
             };
             if request.request_id != INTERNAL_REQUEST {
@@ -403,8 +375,9 @@ impl Follower {
                 chain.lock().insert((*session).to_owned(), last);
             } else if let Some(&(pos, group)) = allocations.get(add) {
                 // A floor of 0 makes `alloc_txid` one `ADD` whose guard
-                // always passes. No retry: a failed `ADD` only sends the
-                // request to the floored allocation, which retries.
+                // always passes. The store retries a transient failure
+                // like any other write; one that survives only sends the
+                // request to the floored allocation.
                 speculative.lock()[pos] = self.system.alloc_txid(child, group, 0).ok();
             } else {
                 let record = self.system.read_membership(child);
@@ -511,16 +484,8 @@ impl Follower {
                 .map(|push| push.body.clone())
                 .collect();
             ctx.push_phase("push_to_leader");
-            // The batch lands whole or not at all, and a failed attempt
-            // enqueued nothing — retrying cannot duplicate any record.
             let run_queue = self.leader_queues.queue(queue_idx);
-            let sent = with_retry(
-                ctx,
-                self.meter(),
-                &RetryPolicy::standard(),
-                "follower.push",
-                || run_queue.send_batch(ctx, LEADER_GROUP, bodies.clone()),
-            );
+            let sent = run_queue.send_batch(ctx, LEADER_GROUP, bodies);
             ctx.pop_phase();
             match sent {
                 Ok(seqs) => {
@@ -610,7 +575,8 @@ impl Follower {
         for (last, first_pos) in marks {
             if !landed[last] {
                 let done = &pushed[last];
-                self.record_push_mark(ctx, &done.session, done.txid)
+                self.system
+                    .record_session_push(ctx, &done.session, done.txid)
                     .map_err(|e| FnError::retryable(e.to_string()).at_index(wave[first_pos].0))?;
             }
         }
@@ -675,19 +641,9 @@ impl Follower {
             let now = Self::now_ms();
             let mut contended = false;
             for path in &sorted {
-                // Transient storage errors (throttling, injected faults)
-                // retry in place with a tight budget — queue redelivery
-                // is the second line of defence but burns a delivery
-                // attempt toward the DLQ. Contention (ConditionFailed)
-                // is not retried here; the outer attempt loop owns it.
-                let acquire = with_retry(
-                    ctx,
-                    self.meter(),
-                    &RetryPolicy::quick(),
-                    "follower.lock",
-                    || locks.acquire(ctx, &keys::node(path), now),
-                );
-                match acquire {
+                // The store retries transient errors; contention
+                // (ConditionFailed) is the outer attempt loop's.
+                match locks.acquire(ctx, &keys::node(path), now) {
                     Ok(acq) => acquired.push(acq),
                     Err(CloudError::ConditionFailed { .. }) => {
                         contended = true;
@@ -873,17 +829,10 @@ impl Follower {
     fn lock_generated(&self, ctx: &Ctx, path: &str) -> Result<Acquired, OpError> {
         ctx.pop_phase();
         ctx.push_phase("lock_node");
-        let acquire = with_retry(
-            ctx,
-            self.meter(),
-            &RetryPolicy::quick(),
-            "follower.lock",
-            || {
-                self.system
-                    .locks()
-                    .acquire(ctx, &keys::node(path), Self::now_ms())
-            },
-        );
+        let acquire = self
+            .system
+            .locks()
+            .acquire(ctx, &keys::node(path), Self::now_ms());
         ctx.pop_phase();
         ctx.push_phase("validate");
         acquire.map_err(|e| OpError::Retry(FnError::retryable(e.to_string())))
@@ -933,7 +882,8 @@ impl Follower {
                 // The session's later requests in this wave floor above it.
                 let last = chain.entry(request.session_id.clone()).or_default();
                 *last = (*last).max(txid);
-                self.record_push_mark(ctx, &request.session_id, txid)
+                self.system
+                    .record_session_push(ctx, &request.session_id, txid)
                     .map_err(|e| OpError::Retry(FnError::retryable(e.to_string())))?;
             }
             return Ok(None);
@@ -988,13 +938,7 @@ impl Follower {
                 }
                 _ => {
                     ctx.push_phase("alloc_txid");
-                    let allocated = with_retry(
-                        ctx,
-                        self.meter(),
-                        &RetryPolicy::standard(),
-                        "follower.alloc_txid",
-                        || self.system.alloc_txid(ctx, group, floor),
-                    );
+                    let allocated = self.system.alloc_txid(ctx, group, floor);
                     ctx.pop_phase();
                     allocated
                 }
@@ -1073,17 +1017,9 @@ impl Follower {
             // follower death at this point.
             return false;
         }
-        // Transient failures retry with a tight budget (the commit is a
-        // single all-or-nothing transaction, so a failed attempt wrote
-        // nothing); anything that survives the budget is the leader's
-        // TryCommit to repair, as before.
-        let committed = with_retry(
-            ctx,
-            self.meter(),
-            &RetryPolicy::quick(),
-            "follower.commit",
-            || crate::commit::execute(&pushed.commit, pushed.txid, ctx, self.system.kv()),
-        );
+        // A failure that survives the store's retries is the leader's
+        // TryCommit to repair.
+        let committed = crate::commit::execute(&pushed.commit, pushed.txid, ctx, self.system.kv());
         if committed.is_ok() {
             // Session bookkeeping for ephemeral lifecycle (outside the
             // node transaction: it only drives heartbeat cleanup).
@@ -1165,14 +1101,10 @@ impl Follower {
         let dereg_group = self.routed_group(membership.get().and_then(Option::as_ref), session);
         let (txid, prev_txid) = if multi_group {
             let prev_txid = self.system.session_last_txid(ctx, session);
-            let txid = with_retry(
-                ctx,
-                self.meter(),
-                &RetryPolicy::standard(),
-                "follower.alloc_txid",
-                || self.system.alloc_txid(ctx, dereg_group, prev_txid),
-            )
-            .map_err(|e| FnError::retryable(e.to_string()))?;
+            let txid = self
+                .system
+                .alloc_txid(ctx, dereg_group, prev_txid)
+                .map_err(|e| FnError::retryable(e.to_string()))?;
             (txid, prev_txid)
         } else {
             (0, 0)
@@ -1187,22 +1119,15 @@ impl Follower {
             ops: vec![],
         };
         ctx.push_phase("push_to_leader");
-        let body = record.encode();
-        let sent = with_retry(
-            ctx,
-            self.meter(),
-            &RetryPolicy::standard(),
-            "follower.push",
-            || {
-                self.leader_queues
-                    .queue(dereg_group)
-                    .send(ctx, LEADER_GROUP, body.clone())
-            },
-        );
+        let sent = self
+            .leader_queues
+            .queue(dereg_group)
+            .send(ctx, LEADER_GROUP, record.encode());
         ctx.pop_phase();
         sent.map_err(|e| FnError::retryable(e.to_string()))?;
         if multi_group {
-            self.record_push_mark(ctx, session, txid)
+            self.system
+                .record_session_push(ctx, session, txid)
                 .map_err(|e| FnError::retryable(e.to_string()))?;
         }
         Ok(())

@@ -99,20 +99,10 @@ impl Heartbeat {
                 request_id: INTERNAL_REQUEST,
                 op: WriteOp::CloseSession,
             };
-            // Eviction must survive transient queue errors: a dropped
-            // CloseSession would leak the dead session's ephemerals
-            // until the next round. Safe to repeat — a failed send
-            // enqueued nothing, and even a duplicate CloseSession is
-            // absorbed by the follower's internal-request handling.
-            let body = request.encode();
+            // A duplicate CloseSession is absorbed by the follower's
+            // internal-request handling.
             ctx.span("evict", || {
-                fk_cloud::with_retry(
-                    ctx,
-                    self.write_queue.meter(),
-                    &fk_cloud::RetryPolicy::standard(),
-                    "heartbeat.evict",
-                    || self.write_queue.send(ctx, &id, body.clone()),
-                )
+                self.write_queue.send(ctx, &id, request.encode())
             })?;
             report.evicted.push(id);
         }

@@ -82,7 +82,6 @@ use bytes::Bytes;
 use fk_cloud::faas::FnError;
 use fk_cloud::ops::Op;
 use fk_cloud::queue::{Message, Queue};
-use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::{Item, Value};
 use fk_cloud::{CloudError, ObjectStore};
@@ -231,12 +230,6 @@ impl Leader {
             .cut_checkpoint(ctx, id, &self.staging, floors)
     }
 
-    /// The meter retries are reported to (the deployment-shared meter
-    /// behind the system table).
-    fn meter(&self) -> &fk_cloud::Meter {
-        self.system.kv().meter()
-    }
-
     /// Records this instance has processed from behind a held record
     /// and whose messages are still queued (0 at quiescence).
     pub fn applied_ahead(&self) -> usize {
@@ -265,7 +258,7 @@ impl Leader {
             ctx.charge(Op::FnCompute, msg.body.len());
             let Some(record) = LeaderRecord::decode(&msg.body) else {
                 // No redelivery can make the body decode: consume it.
-                self.meter().dropped("leader.undecodable");
+                self.system.kv().meter().dropped("leader.undecodable");
                 continue;
             };
             // A multi-group follower allocates the txid (epoch-prefixed
@@ -573,18 +566,12 @@ impl Leader {
     ) -> Result<Disposition, FnError> {
         if record.deregister_session {
             // Removal is idempotent: deleting an already-deleted session
-            // item is a no-op, so absorbing transient store errors here
-            // is safe.
-            with_retry(
-                ctx,
-                self.meter(),
-                &RetryPolicy::standard(),
-                "leader.deregister",
-                || self.system.remove_session(ctx, &record.session_id),
-            )
-            .map_err(|e| FnError::retryable(e.to_string()))?;
+            // item is a no-op.
+            self.system
+                .remove_session(ctx, &record.session_id)
+                .map_err(|e| FnError::retryable(e.to_string()))?;
             // The deregistration's txid is a *recorded* push (the
-            // follower ran `record_push_mark` on it), so a redelivered
+            // follower ran `record_session_push` on it), so a redelivered
             // or duplicated CloseSession names it as `prev_txid` — its
             // record would hold the whole group back forever if the
             // applied mark stopped at the last data write. Resolving the
@@ -614,21 +601,13 @@ impl Leader {
                 // ➋ the follower died between push and commit — or is
                 // simply still committing (push happens *before* commit,
                 // Algorithm 1): TryCommit on its behalf.
-                // Throttles and injected transients are absorbed here so
+                // The store absorbs throttles and injected transients, so
                 // they never masquerade as an abandoned transaction; a
                 // *real* guard failure (ConditionFailed /
                 // TransactionCancelled) is not retryable and falls
-                // through to the race re-check below. A failed commit
-                // attempt is all-or-nothing (single transact), so the
-                // retry repeats against unchanged state.
+                // through to the race re-check below.
                 let result = ctx.span("commit", || {
-                    with_retry(
-                        ctx,
-                        self.meter(),
-                        &RetryPolicy::quick(),
-                        "leader.try_commit",
-                        || crate::commit::execute(&record.commit, txid, ctx, self.system.kv()),
-                    )
+                    crate::commit::execute(&record.commit, txid, ctx, self.system.kv())
                 });
                 match result {
                     Ok(()) => {
@@ -703,19 +682,9 @@ impl Leader {
         if self.distributor.config().groups > 1 && txid > 0 {
             let recorded = self.system.session_last_txid(ctx, &record.session_id);
             if txid <= recorded {
-                // The mark is a monotone max — a duplicate advance is a
-                // no-op, so retrying a transient failure is safe.
-                with_retry(
-                    ctx,
-                    self.meter(),
-                    &RetryPolicy::standard(),
-                    "leader.mark",
-                    || {
-                        self.system
-                            .advance_session_applied(ctx, &record.session_id, txid)
-                    },
-                )
-                .map_err(|e| FnError::retryable(e.to_string()))?;
+                self.system
+                    .advance_session_applied(ctx, &record.session_id, txid)
+                    .map_err(|e| FnError::retryable(e.to_string()))?;
                 self.warm.lock().note_mark(&record.session_id, txid);
             }
         }
@@ -782,7 +751,7 @@ impl Leader {
                 self.distributor.finalize_epoch(child, &epoch.items, &tags)
             }),
             _ => child.span("advance_session_marks", || {
-                self.advance_marks(child, &sessions)
+                self.system.advance_sessions_applied_batch(child, &sessions)
             }),
         })
         .map_err(|e| FnError::retryable(e.to_string()))?;
@@ -803,16 +772,9 @@ impl Leader {
                 ..
             } = update
             {
-                // Object deletion is idempotent; absorbing transients
-                // keeps a flaky store from re-running the whole epoch.
-                with_retry(
-                    ctx,
-                    self.staging.meter(),
-                    &RetryPolicy::standard(),
-                    "leader.staging_delete",
-                    || self.staging.delete(ctx, key),
-                )
-                .map_err(|e| FnError::retryable(e.to_string()))?;
+                self.staging
+                    .delete(ctx, key)
+                    .map_err(|e| FnError::retryable(e.to_string()))?;
             }
         }
 
@@ -829,22 +791,6 @@ impl Leader {
         .map_err(|e| FnError::retryable(e.to_string()))
     }
 
-    /// Advances the sessions' distribution high-water marks in chunked
-    /// multi-item transactions (⌈N/25⌉ write requests, with per-item
-    /// monotone guards — see `advance_sessions_applied_batch`). Marks
-    /// are monotone maxes guarded per item: a retried chunk that already
-    /// landed degrades to a no-op, so transient failures are absorbed in
-    /// place.
-    fn advance_marks(&self, ctx: &Ctx, sessions: &[(&str, u64)]) -> fk_cloud::CloudResult<()> {
-        with_retry(
-            ctx,
-            self.meter(),
-            &RetryPolicy::standard(),
-            "leader.marks",
-            || self.system.advance_sessions_applied_batch(ctx, sessions),
-        )
-    }
-
     /// Phase ➍ for the epoch-ending transaction `tx`: consumes the
     /// registrations of the classes in `fires`, publishes the fired ids
     /// to every region's epoch counter and dispatches the deliveries.
@@ -859,18 +805,10 @@ impl Leader {
             ctx.span("query_watches", || {
                 let mut fired = Vec::new();
                 for (path, kinds, events) in merge_fires(fires) {
-                    // Consumption is one-shot, but injected faults
-                    // fire *before* the registry mutation: a failed
-                    // attempt consumed nothing, so the retry sees the
-                    // registrations intact.
-                    let instances = with_retry(
-                        ctx,
-                        self.meter(),
-                        &RetryPolicy::standard(),
-                        "leader.consume_watches",
-                        || self.system.consume_watches(ctx, path, &kinds),
-                    )
-                    .map_err(|e| FnError::retryable(e.to_string()))?;
+                    let instances = self
+                        .system
+                        .consume_watches(ctx, path, &kinds)
+                        .map_err(|e| FnError::retryable(e.to_string()))?;
                     for inst in instances {
                         let event_type = events
                             .iter()
@@ -890,17 +828,10 @@ impl Leader {
             .map(|(inst, _, _)| Value::Num(inst.id as i64))
             .collect();
         for region in self.distributor.regions() {
-            // The fault point rolls before the list append, so a
-            // failed attempt published nothing for this region;
-            // the retry is the first delivery, not a duplicate.
-            with_retry(
-                ctx,
-                self.meter(),
-                &RetryPolicy::standard(),
-                "leader.epoch_append",
-                || self.system.epoch(*region).append(ctx, ids.clone()),
-            )
-            .map_err(|e| FnError::retryable(e.to_string()))?;
+            self.system
+                .epoch(*region)
+                .append(ctx, ids.clone())
+                .map_err(|e| FnError::retryable(e.to_string()))?;
         }
         let region_ids: Vec<u8> = self.distributor.regions().iter().map(|r| r.0).collect();
         for (inst, event_type, watch_path) in fired {
@@ -944,14 +875,11 @@ impl Leader {
                 ctx.charge(Op::FnCompute, data.len());
                 Ok(data.clone())
             }
-            Payload::Staged { key, .. } => with_retry(
-                ctx,
-                self.staging.meter(),
-                &RetryPolicy::standard(),
-                "leader.staging_get",
-                || self.staging.get(ctx, key).map(|(data, _)| data),
-            )
-            .map_err(|e| FnError::retryable(e.to_string())),
+            Payload::Staged { key, .. } => self
+                .staging
+                .get(ctx, key)
+                .map(|(data, _)| data)
+                .map_err(|e| FnError::retryable(e.to_string())),
         }
     }
 

@@ -927,15 +927,16 @@ fn txq_len(tier: &Lanes, path: &str) -> usize {
 }
 
 /// A plan under which one store refuses `kind` exactly as often as
-/// the standard retry policy tries: the first call fails for good,
-/// everything after it succeeds.
-fn one_exhausted_retry(
+/// it tries `calls` operations (5 attempts each, `fk_cloud::retry`):
+/// the first `calls` calls fail for good, everything after them
+/// succeeds.
+fn exhausted_retries(
+    calls: u64,
     arm: impl FnOnce(&mut fk_cloud::chaos::FaultPlan, fk_cloud::chaos::FaultSpec),
 ) -> Arc<fk_cloud::chaos::Chaos> {
     use fk_cloud::chaos::{Chaos, FaultPlan, FaultSpec};
     let mut plan = FaultPlan::disabled();
-    let attempts = RetryPolicy::standard().max_attempts;
-    arm(&mut plan, FaultSpec::new(1.0, attempts.into()));
+    arm(&mut plan, FaultSpec::new(1.0, 5 * calls));
     Chaos::from_plan(plan).expect("one fault point armed")
 }
 
@@ -951,7 +952,7 @@ fn failure_while_firing_keeps_the_txq_and_the_redelivery_fires_once() {
     // The invocation's first KV *write* is ➍'s registry consumption
     // (the read wave reads, ➌ writes the user store).
     let kv = tier.deployment.system().kv();
-    kv.install_chaos(one_exhausted_retry(|plan, spec| plan.kv_error = spec));
+    kv.install_chaos(exhausted_retries(1, |plan, spec| plan.kv_error = spec));
 
     let err = tier.drain(0).unwrap_err();
     assert!(err.retryable && !err.deferred, "{err:?}");
@@ -998,7 +999,7 @@ fn crash_between_pops_and_notifications_acks_exactly_once() {
         Arc::clone(tier.deployment.user_store()),
         Arc::new(HookedDispatcher {
             hook: move |_: &WatchTask| {
-                flaky.install_chaos(one_exhausted_retry(|plan, spec| plan.obj_error = spec))
+                flaky.install_chaos(exhausted_retries(1, |plan, spec| plan.obj_error = spec))
             },
             deliver: Some(tier.inline_dispatcher()),
         }),
@@ -1080,13 +1081,15 @@ fn crash_between_tagged_put_and_pop_costs_one_412_and_acks_once() {
     tier.run_follower();
     // From the moment the watch dispatches (➍, after the tagged PUT
     // of ➌), the system store refuses writes until the pop's retries
-    // are spent: the invocation fails with its txid still queued.
+    // are spent: the invocation fails with its txid still queued. The
+    // delivery's epoch-counter removal is the first refused write, the
+    // pop the second.
     let kv = tier.deployment.system().kv().clone();
     let leader = tier.leader_over(
         Arc::clone(tier.deployment.user_store()),
         Arc::new(HookedDispatcher {
             hook: move |_: &WatchTask| {
-                kv.install_chaos(one_exhausted_retry(|plan, spec| plan.kv_error = spec))
+                kv.install_chaos(exhausted_retries(2, |plan, spec| plan.kv_error = spec))
             },
             deliver: Some(tier.inline_dispatcher()),
         }),
@@ -1163,7 +1166,7 @@ fn obj_error_on_a_tagged_put_is_retried_with_the_same_tag() {
     assert_eq!(leader.drain_queue(&tier.ctx, tier.lane(0)).unwrap(), 1);
     let used = tier.deployment.meter().snapshot().since(&before);
     assert_eq!(used.per_op["fault:obj_error"], 1);
-    assert_eq!(used.per_op["retry:dist.write_tagged"], 1);
+    assert_eq!(used.per_op["retry:obj.put"], 1);
     assert_eq!(used.per_op.get("obj_put_412"), None, "no 412");
     assert_eq!((used.obj_gets, used.obj_puts), (0, 1), "no read");
     let stored = bucket.get(&tier.ctx, &node).unwrap().0;

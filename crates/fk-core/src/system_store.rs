@@ -392,42 +392,19 @@ impl SystemStore {
             .with(session_attr::CREATED_MS, now_ms)
             .with(session_attr::EPHEMERALS, Vec::<Value>::new())
             .with(session_attr::ALIVE, true);
-        // Each leg retries transient faults internally (fault points roll
-        // before any mutation, so a failed attempt landed nothing). A
-        // `ConditionFailed` from the put is *not* retried or absorbed: a
-        // duplicate live registration stays an error.
-        use fk_cloud::retry::{with_retry, RetryPolicy};
-        with_retry(
-            ctx,
-            self.kv.meter(),
-            &RetryPolicy::standard(),
-            "session.register",
-            || {
-                self.kv.put(
-                    ctx,
-                    &keys::session(id),
-                    item.clone(),
-                    Condition::ItemNotExists,
-                )
-            },
-        )?;
+        // A `ConditionFailed` from the put is not absorbed: a duplicate
+        // live registration stays an error.
+        self.kv
+            .put(ctx, &keys::session(id), item, Condition::ItemNotExists)?;
         // The request watermark is scoped to one session lifetime (a new
         // connection restarts its request counter at 1), unlike the txid
         // marks on the same item, which deliberately survive
         // reincarnation.
-        with_retry(
+        self.kv.update(
             ctx,
-            self.kv.meter(),
-            &RetryPolicy::standard(),
-            "session.watermark_reset",
-            || {
-                self.kv.update(
-                    ctx,
-                    &keys::session_seq(id),
-                    &Update::new().remove(session_attr::LAST_REQUEST),
-                    Condition::Always,
-                )
-            },
+            &keys::session_seq(id),
+            &Update::new().remove(session_attr::LAST_REQUEST),
+            Condition::Always,
         )?;
         Ok(())
     }
@@ -491,7 +468,12 @@ impl SystemStore {
     /// Records that the session's write with `id` was pushed and
     /// committed (or handed over to the leader). Called by the follower,
     /// whose invocations for one session are serialized by the write
-    /// queue's FIFO group, so a plain set is monotone.
+    /// queue's FIFO group, so a plain set is monotone. A wave's mark
+    /// normally rides the commit of the session's last pushed request;
+    /// the follower writes it on its own only when there is no such
+    /// commit: that commit did not land, a redelivered request turned
+    /// out already committed, or a `CloseSession` pushed its
+    /// deregistration. Writing the same txid again is a no-op.
     pub fn record_session_push(&self, ctx: &Ctx, id: &str, txid: u64) -> CloudResult<()> {
         self.kv.update(
             ctx,
@@ -1147,32 +1129,24 @@ mod tests {
     }
 
     /// A transient fault on the ADD rolls before it applies, so the
-    /// follower's retry of the allocation skips no value.
+    /// store's retry of the `ADD` skips no value.
     #[test]
     fn alloc_txid_retried_after_a_fault_skips_no_value() {
         use fk_cloud::chaos::{Chaos, FaultPlan, FaultSpec};
-        use fk_cloud::retry::{with_retry, RetryPolicy};
         let (sys, ctx) = store();
         let first = sys.alloc_txid(&ctx, 0, 0).unwrap();
         let mut plan = FaultPlan::disabled();
         plan.kv_error = FaultSpec::new(1.0, 1);
         sys.kv().install_chaos(Chaos::from_plan(plan).unwrap());
         let meter = sys.kv().meter().clone();
-        let retried = with_retry(
-            &ctx,
-            &meter,
-            &RetryPolicy::standard(),
-            "follower.alloc_txid",
-            || sys.alloc_txid(&ctx, 0, 0),
-        )
-        .unwrap();
+        let retried = sys.alloc_txid(&ctx, 0, 0).unwrap();
         let counts = meter.snapshot().per_op;
         assert_eq!(
             counts.get("fault:kv_error"),
             Some(&1),
             "the ADD failed once"
         );
-        assert_eq!(counts.get("retry:follower.alloc_txid"), Some(&1));
+        assert_eq!(counts.get("retry:kv.update"), Some(&1));
         assert_eq!(retried, txid::compose(txid::epoch_of(first) + 1, 0));
     }
 

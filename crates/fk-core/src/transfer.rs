@@ -33,9 +33,9 @@
 //! [`CHUNK_TARGET_BYTES`], stored under `ckpt/{id:016x}/chunk-*`; the
 //! [`CheckpointManifest`] (floors, per-region feed cut, chunk and node
 //! counts) is sealed last under `.../manifest`, so a reader that can
-//! see the manifest can see every chunk. All object-store round trips
-//! run under [`RetryPolicy::standard`] — the staging bucket is a chaos
-//! fault point.
+//! see the manifest can see every chunk. The staging bucket is a chaos
+//! fault point; it retries its own transient failures
+//! ([`fk_cloud::retry`]), and so does the user store the walk reads.
 
 use crate::codec;
 use crate::replica::{CommittedFloors, ReadReplica, ReplicaSet};
@@ -43,9 +43,7 @@ use crate::system_store::{txid, SystemStore};
 use crate::user_store::{NodeRecord, UserStore};
 use bytes::Bytes;
 use fk_cloud::error::{CloudError, CloudResult};
-use fk_cloud::metering::Meter;
 use fk_cloud::objectstore::ObjectStore;
-use fk_cloud::retry::{with_retry, RetryPolicy};
 use fk_cloud::trace::Ctx;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -101,13 +99,11 @@ fn manifest_key(id: u64) -> String {
 /// following children lists, packing [`codec::encode_node`] frames into
 /// chunks (see module docs for the consistency argument). Returns the
 /// sealed manifest; the manifest object is written last.
-#[allow(clippy::too_many_arguments)]
 pub fn cut_checkpoint(
     ctx: &Ctx,
     id: u64,
     store: &Arc<dyn UserStore>,
     staging: &ObjectStore,
-    meter: &Meter,
     floors: &CommittedFloors,
     replicas: &ReplicaSet,
     regions: usize,
@@ -117,7 +113,6 @@ pub fn cut_checkpoint(
     let floor_snapshot = floors.snapshot();
     let feed_seq: Vec<u64> = (0..regions).map(|r| replicas.feed_seq(r)).collect();
 
-    let policy = RetryPolicy::standard();
     let mut frames: Vec<Bytes> = Vec::new();
     let mut frames_bytes = 0usize;
     let mut chunks = 0u64;
@@ -126,9 +121,7 @@ pub fn cut_checkpoint(
     let mut queue: VecDeque<String> = VecDeque::new();
     queue.push_back("/".to_string());
     while let Some(path) = queue.pop_front() {
-        let record = with_retry(ctx, meter, &policy, "transfer.read_node", || {
-            store.read_node(ctx, &path)
-        })?;
+        let record = store.read_node(ctx, &path)?;
         // A child listed at the cut but deleted during the walk is a
         // post-cut change; the log suffix carries the delete, so the
         // snapshot simply omits it.
@@ -141,12 +134,12 @@ pub fn cut_checkpoint(
         frames.push(frame);
         nodes += 1;
         if frames_bytes >= CHUNK_TARGET_BYTES {
-            flush_chunk(ctx, id, staging, meter, &policy, &mut frames, &mut chunks)?;
+            flush_chunk(ctx, id, staging, &mut frames, &mut chunks)?;
             frames_bytes = 0;
         }
     }
     if !frames.is_empty() {
-        flush_chunk(ctx, id, staging, meter, &policy, &mut frames, &mut chunks)?;
+        flush_chunk(ctx, id, staging, &mut frames, &mut chunks)?;
     }
 
     let manifest = CheckpointManifest {
@@ -157,9 +150,7 @@ pub fn cut_checkpoint(
         nodes,
     };
     let encoded = codec::encode_checkpoint_manifest(&manifest);
-    with_retry(ctx, meter, &policy, "transfer.put_manifest", || {
-        staging.put(ctx, &manifest_key(id), encoded.clone())
-    })?;
+    staging.put(ctx, &manifest_key(id), encoded)?;
     Ok(manifest)
 }
 
@@ -167,32 +158,19 @@ fn flush_chunk(
     ctx: &Ctx,
     id: u64,
     staging: &ObjectStore,
-    meter: &Meter,
-    policy: &RetryPolicy,
     frames: &mut Vec<Bytes>,
     chunks: &mut u64,
 ) -> CloudResult<()> {
     let encoded = codec::encode_checkpoint_chunk(frames);
-    let key = chunk_key(id, *chunks);
-    with_retry(ctx, meter, policy, "transfer.put_chunk", || {
-        staging.put(ctx, &key, encoded.clone())
-    })?;
+    staging.put(ctx, &chunk_key(id, *chunks), encoded)?;
     frames.clear();
     *chunks += 1;
     Ok(())
 }
 
 /// Loads a checkpoint's manifest from `staging`.
-pub fn load_manifest(
-    ctx: &Ctx,
-    id: u64,
-    staging: &ObjectStore,
-    meter: &Meter,
-) -> CloudResult<CheckpointManifest> {
-    let policy = RetryPolicy::standard();
-    let bytes = with_retry(ctx, meter, &policy, "transfer.get_manifest", || {
-        staging.get(ctx, &manifest_key(id)).map(|(bytes, _)| bytes)
-    })?;
+pub fn load_manifest(ctx: &Ctx, id: u64, staging: &ObjectStore) -> CloudResult<CheckpointManifest> {
+    let (bytes, _) = staging.get(ctx, &manifest_key(id))?;
     codec::decode_checkpoint_manifest(&bytes).ok_or_else(|| CloudError::InvalidOperation {
         detail: format!("checkpoint {id:#x}: undecodable manifest"),
     })
@@ -205,15 +183,10 @@ pub fn load_records(
     ctx: &Ctx,
     manifest: &CheckpointManifest,
     staging: &ObjectStore,
-    meter: &Meter,
 ) -> CloudResult<Vec<NodeRecord>> {
-    let policy = RetryPolicy::standard();
     let mut records = Vec::with_capacity(manifest.nodes as usize);
     for index in 0..manifest.chunks {
-        let key = chunk_key(manifest.id, index);
-        let bytes = with_retry(ctx, meter, &policy, "transfer.get_chunk", || {
-            staging.get(ctx, &key).map(|(bytes, _)| bytes)
-        })?;
+        let (bytes, _) = staging.get(ctx, &chunk_key(manifest.id, index))?;
         let frames =
             codec::decode_checkpoint_chunk(&bytes).ok_or_else(|| CloudError::InvalidOperation {
                 detail: format!("checkpoint {:#x}: undecodable chunk {index}", manifest.id),
@@ -263,11 +236,10 @@ pub fn bootstrap_replica(
     id: u64,
     region_idx: usize,
     staging: &ObjectStore,
-    meter: &Meter,
     replicas: &ReplicaSet,
 ) -> CloudResult<Option<Arc<ReadReplica>>> {
-    let manifest = load_manifest(ctx, id, staging, meter)?;
-    let records = load_records(ctx, &manifest, staging, meter)?;
+    let manifest = load_manifest(ctx, id, staging)?;
+    let records = load_records(ctx, &manifest, staging)?;
     let from_seq =
         manifest
             .feed_seq
@@ -297,15 +269,11 @@ pub fn activate_group(
     ctx: &Ctx,
     group: usize,
     system: &SystemStore,
-    meter: &Meter,
     floors: &CommittedFloors,
     manifest: &CheckpointManifest,
 ) -> CloudResult<u64> {
-    let policy = RetryPolicy::standard();
     let seed_floor = manifest.floors.iter().copied().max().unwrap_or(0);
-    let seeded = with_retry(ctx, meter, &policy, "transfer.seed_txseq", || {
-        system.alloc_txid(ctx, group, seed_floor)
-    })?;
+    let seeded = system.alloc_txid(ctx, group, seed_floor)?;
     debug_assert_eq!(txid::group_of(seeded), group);
     floors.publish(group, seeded);
     Ok(seeded)
@@ -317,7 +285,7 @@ mod tests {
     use crate::replica::{EpochDelta, ReplicaConfig, ReplicaOp};
     use crate::user_store::KvUserStore;
     use fk_cloud::chaos::{Chaos, FaultPlan, FaultSpec};
-    use fk_cloud::{KvStore, Region};
+    use fk_cloud::{KvStore, Meter, Region};
 
     fn record(path: &str, data: &[u8], txid: u64, children: &[&str]) -> NodeRecord {
         NodeRecord {
@@ -365,7 +333,6 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip_carries_the_reachable_tree() {
         let ctx = Ctx::disabled();
-        let meter = Meter::new();
         let staging = staging_bucket();
         let store = seeded_store(&ctx);
         let floors = CommittedFloors::new(2);
@@ -373,18 +340,16 @@ mod tests {
         floors.publish(1, 17);
         let replicas = ReplicaSet::default();
 
-        let manifest = cut_checkpoint(
-            &ctx, 0xC0DE, &store, &staging, &meter, &floors, &replicas, 1,
-        )
-        .unwrap();
+        let manifest =
+            cut_checkpoint(&ctx, 0xC0DE, &store, &staging, &floors, &replicas, 1).unwrap();
         assert_eq!(manifest.nodes, 4, "orphan is unreachable");
         assert_eq!(manifest.floors, vec![16, 17]);
         assert_eq!(manifest.feed_seq, vec![0]);
         assert_eq!(manifest.chunks, 1, "four small records fit one chunk");
 
-        let loaded = load_manifest(&ctx, 0xC0DE, &staging, &meter).unwrap();
+        let loaded = load_manifest(&ctx, 0xC0DE, &staging).unwrap();
         assert_eq!(loaded, manifest);
-        let records = load_records(&ctx, &manifest, &staging, &meter).unwrap();
+        let records = load_records(&ctx, &manifest, &staging).unwrap();
         let mut paths: Vec<&str> = records.iter().map(|r| r.path.as_str()).collect();
         paths.sort_unstable();
         assert_eq!(paths, vec!["/", "/a", "/a/c", "/b"]);
@@ -399,7 +364,6 @@ mod tests {
     #[test]
     fn chunking_splits_large_trees_and_reassembles_in_order() {
         let ctx = Ctx::disabled();
-        let meter = Meter::new();
         let staging = staging_bucket();
         let store: Arc<dyn UserStore> = Arc::new(KvUserStore::new(KvStore::new(
             "user",
@@ -423,7 +387,6 @@ mod tests {
             1,
             &store,
             &staging,
-            &meter,
             &floors,
             &ReplicaSet::default(),
             1,
@@ -431,7 +394,7 @@ mod tests {
         .unwrap();
         assert_eq!(manifest.nodes, 25);
         assert!(manifest.chunks > 1, "24 × 8 KiB must split");
-        let records = load_records(&ctx, &manifest, &staging, &meter).unwrap();
+        let records = load_records(&ctx, &manifest, &staging).unwrap();
         assert_eq!(records.len(), 25);
         // BFS order: root first, then the children in list order.
         assert_eq!(records[0].path, "/");
@@ -442,7 +405,6 @@ mod tests {
     #[test]
     fn transfer_rides_out_injected_staging_faults() {
         let ctx = Ctx::disabled();
-        let meter = Meter::new();
         let staging = staging_bucket();
         let mut plan = FaultPlan::disabled();
         plan.obj_error = FaultSpec::new(0.4, 6);
@@ -454,20 +416,18 @@ mod tests {
             2,
             &store,
             &staging,
-            &meter,
             &floors,
             &ReplicaSet::default(),
             1,
         )
         .unwrap();
-        let records = load_records(&ctx, &manifest, &staging, &meter).unwrap();
+        let records = load_records(&ctx, &manifest, &staging).unwrap();
         assert_eq!(records.len() as u64, manifest.nodes);
     }
 
     #[test]
     fn bootstrap_replica_installs_snapshot_and_replays_the_suffix() {
         let ctx = Ctx::disabled();
-        let meter = Meter::new();
         let staging = staging_bucket();
         let store = seeded_store(&ctx);
         let floors = CommittedFloors::new(1);
@@ -475,7 +435,7 @@ mod tests {
         let replicas =
             ReplicaSet::build(ReplicaConfig::with_count(1), &[Region::US_EAST_1], 1, None);
 
-        cut_checkpoint(&ctx, 3, &store, &staging, &meter, &floors, &replicas, 1).unwrap();
+        cut_checkpoint(&ctx, 3, &store, &staging, &floors, &replicas, 1).unwrap();
 
         // A post-cut epoch lands in the feed before the joiner arrives.
         let post_cut = record("/a", b"alpha-v2", 9, &["c"]);
@@ -490,7 +450,7 @@ mod tests {
         };
         replicas.feed(&ctx, 0, &delta);
 
-        let joiner = bootstrap_replica(&ctx, 3, 0, &staging, &meter, &replicas)
+        let joiner = bootstrap_replica(&ctx, 3, 0, &staging, &replicas)
             .unwrap()
             .expect("suffix retained");
         joiner.catch_up(&ctx);
@@ -506,7 +466,6 @@ mod tests {
     fn activate_group_seeds_fresh_txids_past_the_checkpoint() {
         let ctx = Ctx::disabled();
         let system = SystemStore::new(KvStore::new("sys", Region::US_EAST_1, Meter::new()), 60_000);
-        let meter = Meter::new();
         let floors = CommittedFloors::new(8);
         for g in 0..4 {
             floors.publish(g, txid::compose(100 + g as u64, g));
@@ -523,7 +482,7 @@ mod tests {
             chunks: 0,
             nodes: 0,
         };
-        let seeded = activate_group(&ctx, 5, &system, &meter, &floors, &manifest).unwrap();
+        let seeded = activate_group(&ctx, 5, &system, &floors, &manifest).unwrap();
         assert_eq!(txid::group_of(seeded), 5);
         assert!(
             txid::epoch_of(seeded) > 103,

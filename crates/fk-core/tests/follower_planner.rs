@@ -21,6 +21,8 @@
 //!   never the record;
 //! * `alloc_txid_speculative_*` — when the `ADD` drawn beside the locks
 //!   is taken as the txid, and what a burned value leaves behind.
+//! * `commit_faults_cost_one_retry_each_at_one_level` — the commit's
+//!   transient failures are retried once each, inside the store.
 //!
 //! Everything runs a 2-group direct deployment on virtual time with a
 //! fixed seed, so txids, request counts and frames repeat exactly. The
@@ -1111,4 +1113,29 @@ fn alloc_txid_speculative_add_waits_for_a_membership_read() {
     assert!(cold.charges.iter().any(|c| c.phase == "alloc_txid"));
     let warm = rig.process(2, create("/q", CreateMode::Persistent));
     assert_eq!(adds(&warm), 1, "warm: one speculative ADD");
+}
+
+/// The commit is one `transact` that the store retries and nothing
+/// above it retries again: k ≤ 4 injected cancellations cost exactly k
+/// retries and the commit lands; a fifth spends the store's one budget
+/// after 4 retries, and the commit is left to the leader's `TryCommit`.
+#[test]
+fn commit_faults_cost_one_retry_each_at_one_level() {
+    use fk_cloud::chaos::{Chaos, FaultPlan, FaultSpec};
+    use fk_cloud::kvstore::Consistency;
+    for k in 1..=5u64 {
+        let rig = Rig::seeded();
+        let mut plan = FaultPlan::disabled();
+        plan.kv_cancel = FaultSpec::new(1.0, k);
+        let kv = rig.deployment.system().kv();
+        kv.install_chaos(Chaos::from_plan(plan).expect("one fault point armed"));
+        let step = rig.process(4, set_data("/p", payload("v"), -1));
+        assert_eq!(step.used.per_op["fault:kv_cancel"], k, "k = {k}");
+        assert_eq!(step.used.retries, k.min(4), "k = {k}");
+        assert_eq!(step.used.per_op["retry:kv.transact"], k.min(4), "k = {k}");
+        let watermark = kv
+            .get(&rig.ctx, &keys::session_seq(SESSION), Consistency::Strong)
+            .and_then(|item| item.num(session_attr::LAST_REQUEST));
+        assert_eq!(watermark == Some(4), k <= 4, "k = {k}: the commit landed");
+    }
 }
