@@ -39,7 +39,7 @@ fn bench_kv_ops(c: &mut Criterion) {
             },
         );
         group.bench_with_input(BenchmarkId::new("strong_get", size), &size, |b, _| {
-            b.iter(|| kv.get(&ctx, "item", fk_cloud::Consistency::Strong).unwrap());
+            b.iter(|| kv.get(&ctx, "item").unwrap());
         });
     }
     group.finish();

@@ -90,9 +90,9 @@ fn main() {
             ms(sample(Op::ObjPut, false)),
             ms(sample(Op::ObjGet, true)),
             ms(sample(Op::ObjPut, true)),
-            ms(sample(Op::KvGet { consistent: true }, false)),
+            ms(sample(Op::KvGet, false)),
             ms(sample(Op::KvPut, false)),
-            ms(sample(Op::KvGet { consistent: true }, true)),
+            ms(sample(Op::KvGet, true)),
             ms(sample(Op::KvPut, true)),
         ]);
     }

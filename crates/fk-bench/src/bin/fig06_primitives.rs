@@ -210,7 +210,7 @@ fn submit_update(
 ) {
     let stages = if locked { 3 } else { 2 };
     let op = match (locked, stage) {
-        (false, 0) => Op::KvGet { consistent: true },
+        (false, 0) => Op::KvGet,
         (false, _) => Op::KvUpdate { conditional: false },
         (true, 0) | (true, 2) => Op::KvUpdate { conditional: true },
         (true, _) => Op::KvUpdate { conditional: false },

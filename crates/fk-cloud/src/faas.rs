@@ -131,6 +131,9 @@ where
     }
 }
 
+/// How long an idle sandbox stays warm.
+const WARM_TTL: Duration = Duration::from_secs(600);
+
 /// Per-function deployment configuration (§5.3.2 explores these knobs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FunctionConfig {
@@ -141,8 +144,6 @@ pub struct FunctionConfig {
     /// Optional explicit vCPU allocation (GCP-style); `None` derives it
     /// from memory like Lambda.
     pub cpu_alloc: Option<f64>,
-    /// How long an idle sandbox stays warm.
-    pub warm_ttl: Duration,
 }
 
 impl FunctionConfig {
@@ -152,7 +153,6 @@ impl FunctionConfig {
             memory_mb: 2048,
             arch: Arch::X86,
             cpu_alloc: None,
-            warm_ttl: Duration::from_secs(600),
         }
     }
 
@@ -201,8 +201,7 @@ impl FunctionEntry {
     fn acquire_sandbox(&self) -> bool {
         let mut warm = self.warm.lock();
         let now = Instant::now();
-        let ttl = self.config.warm_ttl;
-        warm.retain(|last| now.duration_since(*last) < ttl);
+        warm.retain(|last| now.duration_since(*last) < WARM_TTL);
         if warm.pop().is_some() {
             self.warm_starts.fetch_add(1, Ordering::Relaxed);
             true

@@ -7,6 +7,12 @@
 //! synchronization path), scans, and per-kB billing. Items live in hash
 //! shards guarded by independent locks, so independent updates proceed in
 //! parallel — the property §4.3 relies on for horizontal write scaling.
+//!
+//! Every read is strongly consistent: it returns the latest committed
+//! item. That is the one read mode §2.1 allows for system storage (an
+//! eventually consistent read could observe a released lock or an
+//! older counter and break Z2/Z3), so the table keeps exactly one copy
+//! of each item and no previous version.
 
 use crate::chaos::{Chaos, FaultKind};
 use crate::error::{CloudError, CloudResult};
@@ -27,24 +33,11 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Read consistency level (§2.1: eventually consistent reads trade
-/// consistency for cost/latency and break Z2/Z3 if used for user data).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Consistency {
-    /// Strongly consistent read: always the latest committed item.
-    Strong,
-    /// Eventually consistent read: may return the previous version.
-    Eventual,
-}
-
 /// Service limits, mirroring provider quotas (§4.4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvLimits {
     /// Maximum item size in bytes (DynamoDB: 400 kB, Datastore: 1 MB).
     pub max_item_bytes: usize,
-    /// Probability that an eventually consistent read observes the
-    /// previous version while one exists.
-    pub stale_read_prob: f64,
 }
 
 impl KvLimits {
@@ -52,7 +45,6 @@ impl KvLimits {
     pub fn dynamodb() -> Self {
         KvLimits {
             max_item_bytes: 400 * 1024,
-            stale_read_prob: 0.3,
         }
     }
 
@@ -60,7 +52,6 @@ impl KvLimits {
     pub fn datastore() -> Self {
         KvLimits {
             max_item_bytes: 1024 * 1024,
-            stale_read_prob: 0.3,
         }
     }
 }
@@ -72,13 +63,6 @@ pub struct UpdateOutput {
     pub old: Option<Item>,
     /// Item state after the update.
     pub new: Item,
-}
-
-#[derive(Debug, Clone)]
-struct Versioned {
-    item: Item,
-    version: u64,
-    prev: Option<Item>,
 }
 
 /// One element of a multi-item transaction.
@@ -139,7 +123,7 @@ struct Inner {
     region: Region,
     limits: KvLimits,
     meter: Meter,
-    shards: Vec<RwLock<HashMap<String, Versioned>>>,
+    shards: Vec<RwLock<HashMap<String, Item>>>,
     chaos: OnceLock<Arc<Chaos>>,
     durable: OnceLock<Lsm>,
     /// The last tag [`KvStore::fresh_tag`] handed out.
@@ -214,14 +198,7 @@ impl KvStore {
             };
             let tag = item.num(TAG_ATTR).unwrap_or(0) as Tag;
             self.inner.last_tag.fetch_max(tag, Ordering::Relaxed);
-            self.inner.shards[shard_of(&key)].write().insert(
-                key,
-                Versioned {
-                    item,
-                    version: 1,
-                    prev: None,
-                },
-            );
+            self.inner.shards[shard_of(&key)].write().insert(key, item);
             loaded += 1;
         }
         if self.inner.durable.set(lsm).is_err() {
@@ -316,34 +293,12 @@ impl KvStore {
         Ok(())
     }
 
-    /// Reads an item.
-    pub fn get(&self, ctx: &Ctx, key: &str, consistency: Consistency) -> Option<Item> {
-        let shard = &self.inner.shards[shard_of(key)];
-        let guard = shard.read();
-        let entry = guard.get(key);
-        let consistent = consistency == Consistency::Strong;
-        let result = match entry {
-            None => None,
-            Some(v) => {
-                if !consistent && v.prev.is_some() {
-                    // An eventually consistent read may observe the
-                    // previous version; the probability stands in for the
-                    // replication lag window.
-                    let stale = stale_roll(ctx, key, v.version, self.inner.limits.stale_read_prob);
-                    if stale {
-                        v.prev.clone()
-                    } else {
-                        Some(v.item.clone())
-                    }
-                } else {
-                    Some(v.item.clone())
-                }
-            }
-        };
-        drop(guard);
+    /// Reads an item (strongly consistent).
+    pub fn get(&self, ctx: &Ctx, key: &str) -> Option<Item> {
+        let result = self.inner.shards[shard_of(key)].read().get(key).cloned();
         let size = result.as_ref().map(Item::size_bytes).unwrap_or(1);
-        self.inner.meter.kv_read(size, consistent);
-        ctx.charge_to(Op::KvGet { consistent }, size, self.inner.region);
+        self.inner.meter.kv_read(size);
+        ctx.charge_to(Op::KvGet, size, self.inner.region);
         result
     }
 
@@ -372,8 +327,7 @@ impl KvStore {
         self.chaos_write_error(ctx, key)?;
         let shard = &self.inner.shards[shard_of(key)];
         let mut guard = shard.write();
-        let current = guard.get(key);
-        if !condition.eval(current.map(|v| &v.item)) {
+        if !condition.eval(guard.get(key)) {
             drop(guard);
             self.charge_failed_write(ctx, item);
             return Err(CloudError::ConditionFailed {
@@ -388,19 +342,10 @@ impl KvStore {
                 return Err(e);
             }
         }
-        let old = current.map(|v| v.item.clone());
-        let version = current.map(|v| v.version + 1).unwrap_or(1);
+        let old = guard.insert(key.to_owned(), item.clone());
+        drop(guard);
         let size = item.size_bytes();
         let old_size = old.as_ref().map(Item::size_bytes).unwrap_or(0);
-        guard.insert(
-            key.to_owned(),
-            Versioned {
-                item: item.clone(),
-                version,
-                prev: old.clone(),
-            },
-        );
-        drop(guard);
         self.inner.meter.kv_write(size);
         self.inner
             .meter
@@ -441,16 +386,15 @@ impl KvStore {
         let shard = &self.inner.shards[shard_of(key)];
         let mut guard = shard.write();
         let current = guard.get(key);
-        if !condition.eval(current.map(|v| &v.item)) {
+        if !condition.eval(current) {
             drop(guard);
             self.charge_failed_update(ctx, key);
             return Err(CloudError::ConditionFailed {
                 detail: condition.describe(),
             });
         }
-        let old = current.map(|v| v.item.clone());
         // Apply to a scratch copy so failed updates leave the item intact.
-        let mut scratch = old.clone().unwrap_or_default();
+        let mut scratch = current.cloned().unwrap_or_default();
         update.apply(&mut scratch)?;
         self.check_size(&scratch)?;
         if self.is_durable() {
@@ -461,18 +405,10 @@ impl KvStore {
                 return Err(e);
             }
         }
-        let version = current.map(|v| v.version + 1).unwrap_or(1);
+        let old = guard.insert(key.to_owned(), scratch.clone());
+        drop(guard);
         let size = scratch.size_bytes();
         let old_size = old.as_ref().map(Item::size_bytes).unwrap_or(0);
-        guard.insert(
-            key.to_owned(),
-            Versioned {
-                item: scratch.clone(),
-                version,
-                prev: old.clone(),
-            },
-        );
-        drop(guard);
         self.inner.meter.kv_write(size);
         self.inner
             .meter
@@ -499,8 +435,7 @@ impl KvStore {
         self.chaos_write_error(ctx, key)?;
         let shard = &self.inner.shards[shard_of(key)];
         let mut guard = shard.write();
-        let current = guard.get(key);
-        if !condition.eval(current.map(|v| &v.item)) {
+        if !condition.eval(guard.get(key)) {
             drop(guard);
             self.charge_failed_update(ctx, key);
             return Err(CloudError::ConditionFailed {
@@ -514,7 +449,7 @@ impl KvStore {
                 return Err(e);
             }
         }
-        let removed = guard.remove(key).map(|v| v.item);
+        let removed = guard.remove(key);
         drop(guard);
         let size = removed.as_ref().map(Item::size_bytes).unwrap_or(0);
         self.inner.meter.kv_write(size.max(1));
@@ -560,10 +495,8 @@ impl KvStore {
         let mut shard_ids: Vec<usize> = ops.iter().map(|op| shard_of(op.key())).collect();
         shard_ids.sort_unstable();
         shard_ids.dedup();
-        let mut guards: HashMap<
-            usize,
-            parking_lot::RwLockWriteGuard<'_, HashMap<String, Versioned>>,
-        > = HashMap::new();
+        let mut guards: HashMap<usize, parking_lot::RwLockWriteGuard<'_, HashMap<String, Item>>> =
+            HashMap::new();
         for id in &shard_ids {
             guards.insert(*id, self.inner.shards[*id].write());
         }
@@ -571,7 +504,7 @@ impl KvStore {
         // Validate all conditions against current state.
         for (i, op) in ops.iter().enumerate() {
             let guard = &guards[&shard_of(op.key())];
-            let current = guard.get(op.key()).map(|v| &v.item);
+            let current = guard.get(op.key());
             let cond = match op {
                 TransactOp::Put { condition, .. }
                 | TransactOp::Update { condition, .. }
@@ -606,7 +539,7 @@ impl KvStore {
                     staged.push((i, key.clone(), Some(item.clone())));
                 }
                 TransactOp::Update { key, update, .. } => {
-                    let mut scratch = guard.get(key).map(|v| v.item.clone()).unwrap_or_default();
+                    let mut scratch = guard.get(key).cloned().unwrap_or_default();
                     update.apply(&mut scratch)?;
                     self.check_size(&scratch)?;
                     staged.push((i, key.clone(), Some(scratch)));
@@ -643,21 +576,12 @@ impl KvStore {
         let mut item_sizes: Vec<usize> = Vec::with_capacity(staged.len());
         for (_, key, new_state) in staged {
             let guard = guards.get_mut(&shard_of(&key)).expect("shard locked");
-            let old_size = guard.get(&key).map(|v| v.item.size_bytes()).unwrap_or(0);
+            let old_size = guard.get(&key).map(Item::size_bytes).unwrap_or(0);
             match new_state {
                 Some(item) => {
                     let size = item.size_bytes();
                     total += size;
-                    let version = guard.get(&key).map(|v| v.version + 1).unwrap_or(1);
-                    let prev = guard.get(&key).map(|v| v.item.clone());
-                    guard.insert(
-                        key.clone(),
-                        Versioned {
-                            item,
-                            version,
-                            prev,
-                        },
-                    );
+                    guard.insert(key, item);
                     item_sizes.push(size);
                     self.inner
                         .meter
@@ -683,7 +607,7 @@ impl KvStore {
         let mut out = Vec::new();
         for shard in &self.inner.shards {
             for (k, v) in shard.read().iter() {
-                out.push((k.clone(), v.item.clone()));
+                out.push((k.clone(), v.clone()));
             }
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -702,7 +626,7 @@ impl KvStore {
         for shard in &self.inner.shards {
             for (k, v) in shard.read().iter() {
                 if k.starts_with(prefix) {
-                    out.push((k.clone(), v.item.clone()));
+                    out.push((k.clone(), v.clone()));
                 }
             }
         }
@@ -747,20 +671,6 @@ fn op_size_estimate(op: &TransactOp) -> usize {
     }
 }
 
-/// Deterministic pseudo-random staleness decision derived from the ctx
-/// clock, key and version, so tests can rely on seeded behaviour.
-fn stale_roll(ctx: &Ctx, key: &str, version: u64, prob: f64) -> bool {
-    if prob <= 0.0 {
-        return false;
-    }
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    version.hash(&mut h);
-    ctx.now_ns().hash(&mut h);
-    let roll = (h.finish() % 10_000) as f64 / 10_000.0;
-    roll < prob
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,9 +688,9 @@ mod tests {
         let (kv, ctx) = store();
         kv.put(&ctx, "a", Item::new().with("v", 1i64), Condition::Always)
             .unwrap();
-        let got = kv.get(&ctx, "a", Consistency::Strong).unwrap();
+        let got = kv.get(&ctx, "a").unwrap();
         assert_eq!(got.num("v"), Some(1));
-        assert!(kv.get(&ctx, "missing", Consistency::Strong).is_none());
+        assert!(kv.get(&ctx, "missing").is_none());
     }
 
     #[test]
@@ -802,10 +712,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.is_condition_failed());
-        assert_eq!(
-            kv.get(&ctx, "a", Consistency::Strong).unwrap().num("v"),
-            Some(1)
-        );
+        assert_eq!(kv.get(&ctx, "a").unwrap().num("v"), Some(1));
     }
 
     #[test]
@@ -837,10 +744,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.is_condition_failed());
-        assert_eq!(
-            kv.get(&ctx, "a", Consistency::Strong).unwrap().num("v"),
-            Some(1)
-        );
+        assert_eq!(kv.get(&ctx, "a").unwrap().num("v"), Some(1));
     }
 
     #[test]
@@ -858,10 +762,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, CloudError::InvalidOperation { .. }));
-        assert!(!kv
-            .get(&ctx, "a", Consistency::Strong)
-            .unwrap()
-            .contains("x"));
+        assert!(!kv.get(&ctx, "a").unwrap().contains("x"));
     }
 
     #[test]
@@ -914,7 +815,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            kv.get(&ctx, "parent", Consistency::Strong)
+            kv.get(&ctx, "parent")
                 .unwrap()
                 .list("children")
                 .unwrap()
@@ -946,7 +847,7 @@ mod tests {
             CloudError::TransactionCancelled { index: 0, .. }
         ));
         assert_eq!(
-            kv.get(&ctx, "parent", Consistency::Strong)
+            kv.get(&ctx, "parent")
                 .unwrap()
                 .list("children")
                 .unwrap()
@@ -980,7 +881,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!(kv.get(&ctx, "x", Consistency::Strong).is_some());
+        assert!(kv.get(&ctx, "x").is_some());
     }
 
     #[test]
@@ -1007,33 +908,10 @@ mod tests {
             Condition::Always,
         )
         .unwrap();
-        kv.get(&ctx, "a", Consistency::Strong);
+        kv.get(&ctx, "a");
         let s = meter.snapshot();
         assert_eq!(s.kv_write_units, 2); // 2004 bytes → 2 units
         assert!((s.kv_read_units - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn eventual_reads_can_be_stale() {
-        let kv = KvStore::with_limits(
-            "t",
-            Region::US_EAST_1,
-            Meter::new(),
-            KvLimits {
-                max_item_bytes: 400 * 1024,
-                stale_read_prob: 1.0, // always stale while prev exists
-            },
-        );
-        let ctx = Ctx::disabled();
-        kv.put(&ctx, "a", Item::new().with("v", 1i64), Condition::Always)
-            .unwrap();
-        kv.put(&ctx, "a", Item::new().with("v", 2i64), Condition::Always)
-            .unwrap();
-        let stale = kv.get(&ctx, "a", Consistency::Eventual).unwrap();
-        assert_eq!(stale.num("v"), Some(1));
-        // Strong reads never see the old version.
-        let strong = kv.get(&ctx, "a", Consistency::Strong).unwrap();
-        assert_eq!(strong.num("v"), Some(2));
     }
 
     fn durable_pair(dev: &fk_store::SimStorage) -> (KvStore, Ctx, usize) {
@@ -1078,19 +956,10 @@ mod tests {
         dev.crash();
         let (kv, ctx, loaded) = durable_pair(&dev);
         assert_eq!(loaded, 3, "a, ctr, tx1 recovered; gone stays deleted");
-        assert_eq!(
-            kv.get(&ctx, "a", Consistency::Strong).unwrap().num("v"),
-            Some(1)
-        );
-        assert_eq!(
-            kv.get(&ctx, "ctr", Consistency::Strong).unwrap().num("n"),
-            Some(8)
-        );
-        assert_eq!(
-            kv.get(&ctx, "tx1", Consistency::Strong).unwrap().num("v"),
-            Some(10)
-        );
-        assert!(kv.get(&ctx, "gone", Consistency::Strong).is_none());
+        assert_eq!(kv.get(&ctx, "a").unwrap().num("v"), Some(1));
+        assert_eq!(kv.get(&ctx, "ctr").unwrap().num("n"), Some(8));
+        assert_eq!(kv.get(&ctx, "tx1").unwrap().num("v"), Some(10));
+        assert!(kv.get(&ctx, "gone").is_none());
     }
 
     #[test]
@@ -1122,17 +991,14 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CloudError::StorageFailed { .. }));
         assert!(err.is_retryable());
-        assert!(kv.get(&ctx, "b", Consistency::Strong).is_none());
-        assert_eq!(
-            kv.get(&ctx, "a", Consistency::Strong).unwrap().num("v"),
-            Some(1)
-        );
+        assert!(kv.get(&ctx, "b").is_none());
+        assert_eq!(kv.get(&ctx, "a").unwrap().num("v"), Some(1));
         // Single-item writes fail the same way without applying.
         let err = kv
             .put(&ctx, "c", Item::new().with("v", 3i64), Condition::Always)
             .unwrap_err();
         assert!(matches!(err, CloudError::StorageFailed { .. }));
-        assert!(kv.get(&ctx, "c", Consistency::Strong).is_none());
+        assert!(kv.get(&ctx, "c").is_none());
     }
 
     #[test]
@@ -1162,9 +1028,6 @@ mod tests {
             }
         });
         let ctx = Ctx::disabled();
-        assert_eq!(
-            kv.get(&ctx, "ctr", Consistency::Strong).unwrap().num("n"),
-            Some(800)
-        );
+        assert_eq!(kv.get(&ctx, "ctr").unwrap().num("n"), Some(800));
     }
 }

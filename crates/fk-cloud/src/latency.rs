@@ -21,6 +21,9 @@
 //!    (GCP's independent vCPU knob, §5.3.2).
 //! 3. **Region distance** — cross-region storage access pays a large
 //!    additive penalty (Fig 4b).
+//!
+//! Key-value reads have one spec, `kv_get_strong`: the store serves no
+//! eventually consistent read, so no cheaper read is modelled.
 
 use crate::ops::{Op, QueueKind};
 use rand::Rng;
@@ -260,8 +263,6 @@ pub struct ArchMults {
 pub struct LatencyModel {
     /// Strongly consistent KV read. [Fig 8 DynamoDB series; Fig 4b]
     pub kv_get_strong: LatencySpec,
-    /// Eventually consistent KV read (cheaper/faster; §2.1).
-    pub kv_get_eventual: LatencySpec,
     /// Blind KV put/update. [Table 6a "Regular DynamoDB write"]
     pub kv_write: LatencySpec,
     /// Conditional KV update (+~2.5 ms vs regular; Table 6a timed lock).
@@ -319,11 +320,6 @@ impl LatencyModel {
                 .sigma(0.10)
                 .tail(0.012, 6.0)
                 .min(0.9)
-                .cross(62.0, 0.25),
-            kv_get_eventual: LatencySpec::new(1.4, 0.030)
-                .sigma(0.12)
-                .tail(0.012, 6.0)
-                .min(0.6)
                 .cross(62.0, 0.25),
             // Table 6a: 4.35 ms @ 1 kB, 66.31 ms @ 64 kB, max 60/121 ms.
             kv_write: LatencySpec::new(3.40, 0.985)
@@ -455,11 +451,6 @@ impl LatencyModel {
                 .tail(0.012, 6.0)
                 .min(2.0)
                 .cross(60.0, 0.25),
-            kv_get_eventual: LatencySpec::new(3.4, 0.020)
-                .sigma(0.14)
-                .tail(0.012, 6.0)
-                .min(1.5)
-                .cross(60.0, 0.25),
             // Datastore writes go through transactions (§4.5, Fig 12).
             kv_write: LatencySpec::new(8.5, 0.90)
                 .sigma(0.10)
@@ -550,7 +541,6 @@ impl LatencyModel {
         let z = LatencySpec::zero();
         LatencyModel {
             kv_get_strong: z,
-            kv_get_eventual: z,
             kv_write: z,
             kv_write_cond: z,
             kv_transact: z,
@@ -583,8 +573,7 @@ impl LatencyModel {
     /// The spec for an operation.
     pub fn spec(&self, op: Op) -> &LatencySpec {
         match op {
-            Op::KvGet { consistent: true } => &self.kv_get_strong,
-            Op::KvGet { consistent: false } => &self.kv_get_eventual,
+            Op::KvGet => &self.kv_get_strong,
             Op::KvPut | Op::KvUpdate { conditional: false } | Op::KvDelete => &self.kv_write,
             Op::KvUpdate { conditional: true } => &self.kv_write_cond,
             Op::KvTransact => &self.kv_transact,
@@ -622,7 +611,7 @@ impl LatencyModel {
         let mem_io = env.mem_io_factor();
         let arm = env.arch == Arch::Arm;
         match op {
-            Op::KvGet { .. } | Op::KvScan => {
+            Op::KvGet | Op::KvScan => {
                 let a = if arm { self.arch_arm.kv_queue } else { 1.0 };
                 (self.sandbox.kv_read * mem_base * a, mem_io * a)
             }
@@ -827,11 +816,11 @@ mod tests {
         let aws = LatencyModel::aws();
         let gcp = LatencyModel::gcp();
         let env = ExecEnv::client();
-        let small_aws = median_of(&aws, Op::KvGet { consistent: true }, 128, &env);
-        let small_gcp = median_of(&gcp, Op::KvGet { consistent: true }, 128, &env);
+        let small_aws = median_of(&aws, Op::KvGet, 128, &env);
+        let small_gcp = median_of(&gcp, Op::KvGet, 128, &env);
         assert!(small_gcp > small_aws * 1.8);
-        let large_aws = median_of(&aws, Op::KvGet { consistent: true }, 400 * 1024, &env);
-        let large_gcp = median_of(&gcp, Op::KvGet { consistent: true }, 400 * 1024, &env);
+        let large_aws = median_of(&aws, Op::KvGet, 400 * 1024, &env);
+        let large_gcp = median_of(&gcp, Op::KvGet, 400 * 1024, &env);
         assert!(large_gcp < large_aws);
     }
 }

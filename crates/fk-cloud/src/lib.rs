@@ -4,7 +4,7 @@
 //! FaaSKeeper paper (Copik et al., HPDC 2024) builds on:
 //!
 //! * [`kvstore::KvStore`] — DynamoDB/Datastore-like table with atomic
-//!   conditional update expressions, strong/eventual reads, multi-item
+//!   conditional update expressions, strongly consistent reads, multi-item
 //!   transactions, and per-kB billing;
 //! * [`objectstore::ObjectStore`] — S3/Cloud-Storage-like bucket with
 //!   whole-object PUT/GET and strong read-after-write consistency;
@@ -54,7 +54,7 @@ pub use chaos::{Chaos, FaultKind, FaultPlan, FaultSpec};
 pub use error::{CloudError, CloudResult};
 pub use expr::{Condition, Update};
 pub use faas::{Event, FaasRuntime, FnError, FunctionConfig, Handler};
-pub use kvstore::{Consistency, KvStore, TransactOp};
+pub use kvstore::{KvStore, TransactOp};
 pub use latency::{Arch, EnvKind, ExecEnv, LatencyModel, LatencySpec};
 pub use memstore::MemStore;
 pub use metering::{Meter, UsageSnapshot};

@@ -4,7 +4,7 @@
 //! meter them (§5.2.2, Table 4):
 //!
 //! * key-value store — write units per started kB, read units per started
-//!   4 kB (halved for eventually consistent reads),
+//!   4 kB (every read is strongly consistent, so a unit is never halved),
 //! * object store — flat per-operation charges,
 //! * queues — messages in 64 kB increments,
 //! * functions — invocations and GB-seconds.
@@ -22,7 +22,7 @@ use std::time::Duration;
 pub struct UsageSnapshot {
     /// KV write units (1 kB increments).
     pub kv_write_units: u64,
-    /// KV read units (4 kB increments; eventual reads count half).
+    /// KV read units (4 kB increments).
     pub kv_read_units: f64,
     /// Raw KV operation count.
     pub kv_ops: u64,
@@ -144,11 +144,10 @@ impl Meter {
         });
     }
 
-    /// Records a KV read; eventually consistent reads cost half a unit.
-    pub fn kv_read(&self, bytes: usize, consistent: bool) {
+    /// Records a strongly consistent KV read.
+    pub fn kv_read(&self, bytes: usize) {
         self.bump("kv_read", |s| {
-            let units = billing_units(bytes, 4096) as f64;
-            s.kv_read_units += if consistent { units } else { units / 2.0 };
+            s.kv_read_units += billing_units(bytes, 4096) as f64;
             s.kv_ops += 1;
         });
     }
@@ -292,11 +291,6 @@ impl Meter {
     pub fn snapshot(&self) -> UsageSnapshot {
         self.inner.lock().clone()
     }
-
-    /// Resets all counters.
-    pub fn reset(&self) {
-        *self.inner.lock() = UsageSnapshot::default();
-    }
 }
 
 #[cfg(test)]
@@ -324,12 +318,11 @@ mod tests {
     }
 
     #[test]
-    fn eventual_reads_cost_half() {
+    fn kv_read_units_per_4kb() {
         let m = Meter::new();
-        m.kv_read(4096, true);
-        m.kv_read(4096, false);
+        m.kv_read(4096);
         let s = m.snapshot();
-        assert!((s.kv_read_units - 1.5).abs() < 1e-9);
+        assert!((s.kv_read_units - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! environment) to a sampled duration, and the meter maps it to billing
 //! units. Keeping the taxonomy in one place ensures the benchmark harness,
 //! the cost model and the services agree on what was executed.
+//!
+//! A key-value read is one tag, [`Op::KvGet`]: system storage serves
+//! only strongly consistent reads (§2.1). Its label stays
+//! `kv_get_strong`, so calibration tables and traces keep their names.
 
 /// Queue service flavour (Figure 7 compares these head-to-head).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,11 +50,9 @@ impl QueueKind {
 /// A simulated cloud operation, used as the latency/metering key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
-    /// Key-value store read (strongly or eventually consistent).
-    KvGet {
-        /// Strongly consistent read (costs 2x an eventually consistent one).
-        consistent: bool,
-    },
+    /// Key-value store read. Always strongly consistent: system storage
+    /// serves no other read mode (§2.1).
+    KvGet,
     /// Key-value store blind put.
     KvPut,
     /// Key-value store update expression; `conditional` adds the
@@ -102,8 +104,7 @@ impl Op {
     /// Short label used in span breakdowns and reports.
     pub fn label(self) -> &'static str {
         match self {
-            Op::KvGet { consistent: true } => "kv_get_strong",
-            Op::KvGet { consistent: false } => "kv_get_eventual",
+            Op::KvGet => "kv_get_strong",
             Op::KvPut => "kv_put",
             Op::KvUpdate { conditional: true } => "kv_update_cond",
             Op::KvUpdate { conditional: false } => "kv_update",

@@ -324,7 +324,7 @@ mod tests {
     #[test]
     fn fork_join_takes_max_branch() {
         let ctx = virtual_ctx();
-        ctx.charge(Op::KvGet { consistent: true }, 64);
+        ctx.charge(Op::KvGet, 64);
         let a = ctx.fork();
         let b = ctx.fork();
         a.charge(Op::ObjPut, 250 * 1024); // slow branch
@@ -338,7 +338,7 @@ mod tests {
             .sum();
         let pre: Duration = spans
             .iter()
-            .filter(|s| matches!(s.op, Op::KvGet { .. }))
+            .filter(|s| matches!(s.op, Op::KvGet))
             .map(|s| s.duration)
             .sum();
         assert_eq!(ctx.now(), pre + slow);

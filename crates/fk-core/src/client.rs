@@ -132,19 +132,6 @@ impl ClientConfig {
         self
     }
 
-    /// Builder: report cache hit/miss counters to a usage meter.
-    pub fn with_cache_meter(mut self, meter: Meter) -> Self {
-        self.cache_meter = Some(meter);
-        self
-    }
-
-    /// Builder: read through a shared regional read replica (tier two of
-    /// the read path; see [`crate::replica`]).
-    pub fn with_replica(mut self, replica: Arc<crate::replica::ReadReplica>) -> Self {
-        self.replica = Some(replica);
-        self
-    }
-
     /// Builder: size of the read worker pool.
     pub fn with_read_workers(mut self, workers: usize) -> Self {
         assert!(workers > 0, "at least one read worker");

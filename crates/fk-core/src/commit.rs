@@ -200,7 +200,7 @@ mod tests {
     use crate::messages::SerValue;
     use fk_cloud::metering::Meter;
     use fk_cloud::value::{Item, Value};
-    use fk_cloud::{Consistency, Region};
+    use fk_cloud::Region;
     use fk_sync::TimedLockManager;
 
     /// No object tags to record.
@@ -231,7 +231,7 @@ mod tests {
             items: vec![commit_item("node:/a", acq.token.timestamp)],
         };
         execute(&commit, 7, &ctx, &kv).unwrap();
-        let item = kv.get(&ctx, "node:/a", Consistency::Strong).unwrap();
+        let item = kv.get(&ctx, "node:/a").unwrap();
         assert_eq!(item.num("version"), Some(7));
         assert_eq!(item.list("txq").unwrap(), &[Value::Num(7)]);
         assert!(!item.contains(LOCK_ATTR));
@@ -247,7 +247,7 @@ mod tests {
         };
         let err = execute(&commit, 7, &ctx, &kv).unwrap_err();
         assert!(err.is_condition_failed());
-        let item = kv.get(&ctx, "node:/a", Consistency::Strong).unwrap();
+        let item = kv.get(&ctx, "node:/a").unwrap();
         assert!(!item.contains("version"), "no partial state");
     }
 
@@ -262,7 +262,7 @@ mod tests {
             items: vec![commit_item("node:/p/c", node.token.timestamp), parent_item],
         };
         execute(&commit, 7, &ctx, &kv).unwrap();
-        let p = kv.get(&ctx, "node:/p", Consistency::Strong).unwrap();
+        let p = kv.get(&ctx, "node:/p").unwrap();
         assert_eq!(p.list("children").unwrap(), &[Value::from("c")]);
         assert!(!p.contains(LOCK_ATTR));
     }
@@ -281,7 +281,7 @@ mod tests {
             ],
         };
         assert!(execute(&commit, 7, &ctx, &kv).is_err());
-        let child = kv.get(&ctx, "node:/p/c", Consistency::Strong).unwrap();
+        let child = kv.get(&ctx, "node:/p/c").unwrap();
         assert!(!child.contains("version"), "child must not commit alone");
     }
 
@@ -302,7 +302,7 @@ mod tests {
 
     fn txq_of(kv: &KvStore, ctx: &Ctx, path: &str) -> Vec<Value> {
         use crate::system_store::{keys, node_attr};
-        let item = kv.get(ctx, &keys::node(path), Consistency::Strong).unwrap();
+        let item = kv.get(ctx, &keys::node(path)).unwrap();
         item.list(node_attr::TXQ).unwrap().to_vec()
     }
 
@@ -397,7 +397,7 @@ mod tests {
         use crate::system_store::{keys, node_attr, ObjTags};
         let tagged: &[Tag] = &[41];
         let tags_of = |kv: &KvStore, ctx: &Ctx, path: &str| {
-            ObjTags::of(kv.get(ctx, &keys::node(path), Consistency::Strong).as_ref()).tags
+            ObjTags::of(kv.get(ctx, &keys::node(path)).as_ref()).tags
         };
         let (kv, meter, ctx) = pending(&[("/a", &[3, 4]), ("/b", &[5]), ("/c", &[6, 7])]);
         let before = meter.snapshot();
@@ -413,9 +413,7 @@ mod tests {
         assert_eq!(tags_of(&kv, &ctx, "/a"), [42]);
         // Nothing to record: the pop removes what was there.
         pop_pending(&kv, &ctx, ("/c", &[7], NONE)).unwrap();
-        let item = kv
-            .get(&ctx, &keys::node("/c"), Consistency::Strong)
-            .unwrap();
+        let item = kv.get(&ctx, &keys::node("/c")).unwrap();
         assert!(!item.contains(node_attr::TAGS));
     }
 
@@ -448,7 +446,7 @@ mod tests {
             }],
         };
         execute(&commit, 8, &ctx, &kv).unwrap();
-        let p = kv.get(&ctx, "node:/p", Consistency::Strong).unwrap();
+        let p = kv.get(&ctx, "node:/p").unwrap();
         assert_eq!(p.list("children").unwrap(), &[Value::from("b")]);
     }
 }

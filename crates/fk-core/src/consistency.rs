@@ -1,4 +1,4 @@
-//! Consistency model validation (Appendix A/B).
+//! Validation of the consistency model (Appendix A/B).
 //!
 //! ZooKeeper's guarantees, restated as checks over recorded histories:
 //!

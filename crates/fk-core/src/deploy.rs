@@ -10,7 +10,7 @@
 
 use crate::client::{ClientConfig, FkClient};
 use crate::distributor::DistributorConfig;
-use crate::follower::{Follower, FollowerConfig, LEADER_GROUP};
+use crate::follower::{Follower, FollowerConfig};
 use crate::heartbeat::Heartbeat;
 use crate::leader::{Leader, WatchDispatcher, WatchHandle};
 use crate::notify::ClientBus;
@@ -41,6 +41,15 @@ pub enum Provider {
     Gcp,
 }
 
+/// Concurrent follower pollers (horizontal write scaling, §4.3).
+const FOLLOWER_CONCURRENCY: usize = 4;
+
+/// Bounds of the follower trigger's adaptive batch window
+/// ([`AdaptiveBatch`]): the window grows toward the upper bound while the
+/// write queue stays backlogged and shrinks toward the lower one when it
+/// runs dry.
+const FOLLOWER_BATCH: (usize, usize) = (1, 10);
+
 /// Full deployment configuration.
 #[derive(Clone)]
 pub struct DeploymentConfig {
@@ -62,14 +71,6 @@ pub struct DeploymentConfig {
     pub watch_fn: FunctionConfig,
     /// Heartbeat function sizing.
     pub heartbeat_fn: FunctionConfig,
-    /// Concurrent follower pollers (horizontal write scaling, §4.3).
-    pub follower_concurrency: usize,
-    /// Bounds of the follower trigger's adaptive batch window
-    /// ([`AdaptiveBatch`]): the window grows toward `follower_batch_max`
-    /// while the write queue stays backlogged and shrinks toward
-    /// `follower_batch_min` when it runs dry. Equal bounds pin the
-    /// window (the pre-adaptive fixed batch of 10 is `(10, 10)`).
-    pub follower_batch: (usize, usize),
     /// Distributor pipeline: path-shard count, epoch batch size, and the
     /// leader-tier width (`distributor.groups` shard groups, each with
     /// its own FIFO queue and leader function instance) for the fan-out
@@ -95,12 +96,8 @@ pub struct DeploymentConfig {
     /// default — a disabled plan installs no engine and leaves every
     /// code path byte-identical to a deployment without one.
     pub chaos: FaultPlan,
-    /// Timed-lock maximum holding time.
-    pub max_lock_hold_ms: i64,
     /// Heartbeat cadence; `None` disables the scheduled trigger.
     pub heartbeat_interval: Option<Duration>,
-    /// Maximum node payload (§4.4; provider dependent).
-    pub max_node_bytes: usize,
     /// Back the system KV table with the embedded LSM engine
     /// ([`fk_store`]): every committed system mutation — each
     /// conditional update and each multi-item transaction as one
@@ -124,16 +121,12 @@ impl DeploymentConfig {
             leader_fn: FunctionConfig::default_2048(),
             watch_fn: FunctionConfig::default_2048(),
             heartbeat_fn: FunctionConfig::default_2048().with_memory(512),
-            follower_concurrency: 4,
-            follower_batch: (1, 10),
             distributor: DistributorConfig::default(),
             read_cache: ReadCacheConfig::disabled(),
             replicas: ReplicaConfig::disabled(),
             active_groups: None,
             chaos: FaultPlan::disabled(),
-            max_lock_hold_ms: 5_000,
             heartbeat_interval: None,
-            max_node_bytes: 1024 * 1024,
             durable_system: false,
         }
     }
@@ -176,13 +169,6 @@ impl DeploymentConfig {
     /// Builder: leader-tier width (shard groups).
     pub fn with_shard_groups(mut self, groups: usize) -> Self {
         self.distributor = self.distributor.with_groups(groups);
-        self
-    }
-
-    /// Builder: follower trigger batch-window bounds.
-    pub fn with_follower_batch(mut self, min: usize, max: usize) -> Self {
-        assert!(min > 0 && min <= max, "invalid follower batch bounds");
-        self.follower_batch = (min, max);
         self
     }
 
@@ -423,7 +409,7 @@ impl Deployment {
             leader_queues.install_chaos(engine);
             runtime.install_chaos(Arc::clone(engine));
         }
-        let system = SystemStore::new(system_kv, config.max_lock_hold_ms);
+        let system = SystemStore::new(system_kv);
 
         // The replica tier: `config.replicas.count` epoch-fed hot trees
         // per region (none when disabled), plus the committed-floor
@@ -594,13 +580,13 @@ impl Deployment {
         // The follower's batch window rides the AIMD controller instead
         // of the historical fixed 10: small batches (low latency) when
         // the write queue is quiet, growing toward the cap under load.
-        let (follower_min, follower_max) = self.config.follower_batch;
+        let (follower_min, follower_max) = FOLLOWER_BATCH;
         self.runtime
             .attach_queue_trigger(
                 fn_names::FOLLOWER,
                 self.write_queue.clone(),
                 Arc::new(AdaptiveBatch::new(follower_min, follower_max)),
-                self.config.follower_concurrency,
+                FOLLOWER_CONCURRENCY,
             )
             .expect("attach follower trigger");
 
@@ -692,10 +678,7 @@ impl Deployment {
             self.system.clone(),
             self.leader_queues.clone(),
             self.bus.clone(),
-            FollowerConfig {
-                max_node_bytes: self.config.max_node_bytes,
-                ..FollowerConfig::default()
-            },
+            FollowerConfig::default(),
         )
     }
 
@@ -932,11 +915,6 @@ impl Deployment {
     /// The whole leader tier: one FIFO queue per shard group.
     pub fn leader_queues(&self) -> &ShardedQueues {
         &self.leader_queues
-    }
-
-    /// The leader queues' ordering group name.
-    pub fn leader_group(&self) -> &'static str {
-        LEADER_GROUP
     }
 
     /// The client notification bus.

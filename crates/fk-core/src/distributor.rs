@@ -351,38 +351,6 @@ impl Distributor {
         &self.regions
     }
 
-    /// Cuts a consistent checkpoint of the primary region's user-store
-    /// tree into `staging` ([`crate::transfer::cut_checkpoint`]): the
-    /// transfer coordinates — committed floors and per-region feed
-    /// sequences — are recorded before the walk, so every epoch at or
-    /// below them is fully visible in storage (this distributor feeds
-    /// replicas strictly after an epoch's storage operations).
-    pub fn cut_checkpoint(
-        &self,
-        ctx: &Ctx,
-        id: u64,
-        staging: &fk_cloud::objectstore::ObjectStore,
-        floors: &crate::replica::CommittedFloors,
-    ) -> CloudResult<crate::transfer::CheckpointManifest> {
-        let detached;
-        let replicas = match &self.replicas {
-            Some(tier) => tier,
-            None => {
-                detached = crate::replica::ReplicaSet::default();
-                &detached
-            }
-        };
-        crate::transfer::cut_checkpoint(
-            ctx,
-            id,
-            &self.user_stores[0],
-            staging,
-            floors,
-            replicas,
-            self.regions.len(),
-        )
-    }
-
     /// The current epoch marks of every replica region, aligned with
     /// [`Distributor::regions`] — what [`Distributor::apply_epoch`]
     /// attaches to an epoch's writes. One strong read per region; the

@@ -100,29 +100,21 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Maximum node payload size (§4.4: the tightest provider limit).
+pub const MAX_NODE_BYTES: usize = 1024 * 1024;
+
+/// Attempts to acquire a contended lock before asking for redelivery.
+const LOCK_ATTEMPTS: u32 = 24;
+
 /// Follower configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FollowerConfig {
-    /// Maximum node payload size (provider dependent, §4.4).
-    pub max_node_bytes: usize,
-    /// Attempts to acquire a contended lock before asking for redelivery.
-    pub lock_attempts: u32,
     /// Fault injection for crash-consistency tests: while non-zero, each
     /// phase-➃ commit decrements the counter and is *skipped* — exactly
     /// the state a follower crash between push (➂) and commit (➃) leaves
     /// behind, which the leader repairs via `TryCommit`. Production
     /// configs leave it at zero.
     pub skip_commits: Arc<AtomicU64>,
-}
-
-impl Default for FollowerConfig {
-    fn default() -> Self {
-        FollowerConfig {
-            max_node_bytes: 1024 * 1024,
-            lock_attempts: 24,
-            skip_commits: Arc::new(AtomicU64::new(0)),
-        }
-    }
 }
 
 /// The follower function body. Shared across invocations (stateless per
@@ -636,7 +628,7 @@ impl Follower {
         sorted.sort_unstable();
         sorted.dedup();
         let locks = self.system.locks();
-        for _ in 0..self.config.lock_attempts {
+        for _ in 0..LOCK_ATTEMPTS {
             let mut acquired: Vec<Acquired> = Vec::with_capacity(sorted.len());
             let now = Self::now_ms();
             let mut contended = false;
@@ -763,10 +755,10 @@ impl Follower {
             }),
         };
         let fits = |payload: &Payload| {
-            if payload.byte_len() > self.config.max_node_bytes {
+            if payload.byte_len() > MAX_NODE_BYTES {
                 return Err(FkError::TooLarge {
                     size: payload.byte_len(),
-                    limit: self.config.max_node_bytes,
+                    limit: MAX_NODE_BYTES,
                 });
             }
             Ok(())

@@ -118,7 +118,7 @@ mod tests {
 
     fn setup() -> (Heartbeat, SystemStore, ClientBus, Queue, Ctx) {
         let kv = KvStore::new("sys", Region::US_EAST_1, Meter::new());
-        let system = SystemStore::new(kv, 1000);
+        let system = SystemStore::new(kv);
         let bus = ClientBus::new();
         let queue = Queue::new("writes", QueueKind::Fifo, Region::US_EAST_1, Meter::new());
         let hb = Heartbeat::new(system.clone(), bus.clone(), queue.clone());
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn pings_piggyback_committed_floor() {
         let kv = KvStore::new("sys", Region::US_EAST_1, Meter::new());
-        let system = SystemStore::new(kv, 1000);
+        let system = SystemStore::new(kv);
         let bus = ClientBus::new();
         let queue = Queue::new("writes", QueueKind::Fifo, Region::US_EAST_1, Meter::new());
         let floors = Arc::new(CommittedFloors::new(1));

@@ -211,25 +211,6 @@ impl Leader {
         self.floors = Some(floors);
     }
 
-    /// Cuts a consistent checkpoint of the user-store tree through this
-    /// leader's distributor into its staging bucket
-    /// ([`Distributor::cut_checkpoint`]). Requires attached floors —
-    /// the checkpoint's per-group committed coordinates come from them.
-    pub fn cut_checkpoint(
-        &self,
-        ctx: &Ctx,
-        id: u64,
-    ) -> fk_cloud::CloudResult<crate::transfer::CheckpointManifest> {
-        let floors =
-            self.floors
-                .as_ref()
-                .ok_or_else(|| fk_cloud::CloudError::InvalidOperation {
-                    detail: "checkpoint needs attached committed floors".into(),
-                })?;
-        self.distributor
-            .cut_checkpoint(ctx, id, &self.staging, floors)
-    }
-
     /// Records this instance has processed from behind a held record
     /// and whose messages are still queued (0 at quiescence).
     pub fn applied_ahead(&self) -> usize {

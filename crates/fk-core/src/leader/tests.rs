@@ -395,7 +395,7 @@ fn held_head_defers_after_exactly_one_mark_read() {
         let of_kind = spans.iter().filter(|span| wanted(&span.op));
         of_kind.map(|span| span.duration).sum()
     };
-    let read = time_in(|op| matches!(op, Op::KvGet { consistent: true }));
+    let read = time_in(|op| matches!(op, Op::KvGet));
     let dispatch = time_in(|op| matches!(op, Op::QueueDispatch(_)));
     assert!(
         read > Duration::ZERO && elapsed < dispatch + 2 * read,
@@ -438,9 +438,7 @@ fn round_trip_budget_mark_wave_is_one_round_trip() {
     let used = tier.deployment.meter().snapshot().since(&before);
     assert_eq!(used.kv_ops, 3, "one mark read per session, nothing else");
 
-    let (reads, others): (Vec<_>, Vec<_>) = charges
-        .iter()
-        .partition(|s| matches!(s.op, Op::KvGet { consistent: true }));
+    let (reads, others): (Vec<_>, Vec<_>) = charges.iter().partition(|s| matches!(s.op, Op::KvGet));
     print_chain(
         "mark wave (the three session-mark reads start together):",
         &reads,
@@ -732,7 +730,7 @@ fn watch_wave_reads_each_path_once_per_batch() {
     let spans = tier.ctx.take_spans();
     let registry_reads = spans
         .iter()
-        .filter(|s| s.phase.ends_with("query_watches") && matches!(s.op, Op::KvGet { .. }));
+        .filter(|s| s.phase.ends_with("query_watches") && matches!(s.op, Op::KvGet));
     // The wave: `/w` (data changed + subtree) and `/` (subtree), one
     // read each, and nothing after it.
     assert_eq!(registry_reads.count(), 2);
@@ -792,7 +790,7 @@ fn round_trip_budget_read_wave_is_one_round_trip() {
     let n = 6;
     let (charges, kv_reads) = overwrite_batch(n);
     let reads_in = |phase: &str| -> Vec<&fk_cloud::trace::SpanRecord> {
-        let reads = charges.iter().filter(|s| matches!(s.op, Op::KvGet { .. }));
+        let reads = charges.iter().filter(|s| matches!(s.op, Op::KvGet));
         reads.filter(|s| s.phase == phase).collect()
     };
     let nodes = reads_in("get_node");
@@ -1225,7 +1223,7 @@ fn multi_joins_its_neighbours_epoch_unless_a_parent_conflict_cuts_it() {
         let mark_reads = charges
             .iter()
             .filter(|s| s.phase == "update_user_storage")
-            .filter(|s| matches!(s.op, Op::KvGet { consistent: true }))
+            .filter(|s| matches!(s.op, Op::KvGet))
             .count();
         assert_eq!(mark_reads, marks_transactions, "one of each per epoch");
         marks_transactions

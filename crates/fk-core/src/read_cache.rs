@@ -63,9 +63,9 @@
 //!
 //! # Negative caching
 //!
-//! A read that confirms a path absent inserts an *absent* entry (same
-//! watermark rule), so `exists`-polling workloads stop paying a round
-//! trip per poll. The entry is invalidated like any other: by the
+//! A read that confirms a path absent always inserts an *absent* entry
+//! (same watermark rule), so `exists`-polling workloads stop paying a
+//! round trip per poll. The entry is invalidated like any other: by the
 //! watermark rule on MRD advance, or eagerly when a `NodeCreated` watch
 //! event or an own write names the path.
 //!
@@ -85,34 +85,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of the client read cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadCacheConfig {
     /// Maximum number of cached paths (positive + negative entries).
     /// `0` disables the cache entirely — the client behaves byte-for-byte
     /// like the uncached read path (no coalescing either).
     pub capacity: usize,
-    /// Whether confirmed-absent paths are cached (guards `exists`-polling
-    /// workloads).
-    pub negative: bool,
-    /// Optional wall-clock freshness bound per entry. The watermark rule
-    /// is *session-causal*: data another session wrote can be served
-    /// stale for as long as this session observes no newer txid — the
-    /// same staleness Z3 permits the direct-to-storage read path, but
-    /// unbounded in time. A TTL bounds it: entries older than
-    /// `max_staleness` (measured from the fetch) are dropped on lookup
-    /// and refetched. `None` (the default) keeps the pure watermark
-    /// behaviour, byte-identical to the pre-TTL cache.
-    pub max_staleness: Option<Duration>,
-}
-
-impl Default for ReadCacheConfig {
-    fn default() -> Self {
-        ReadCacheConfig {
-            capacity: 0,
-            negative: true,
-            max_staleness: None,
-        }
-    }
 }
 
 impl ReadCacheConfig {
@@ -123,23 +101,7 @@ impl ReadCacheConfig {
 
     /// An enabled cache bounded to `capacity` paths.
     pub fn with_capacity(capacity: usize) -> Self {
-        ReadCacheConfig {
-            capacity,
-            ..Self::default()
-        }
-    }
-
-    /// Builder: toggle negative caching.
-    pub fn negative(mut self, enabled: bool) -> Self {
-        self.negative = enabled;
-        self
-    }
-
-    /// Builder: bound cross-session staleness to `max_staleness` per
-    /// entry (see the field docs).
-    pub fn with_max_staleness(mut self, max_staleness: Duration) -> Self {
-        self.max_staleness = Some(max_staleness);
-        self
+        ReadCacheConfig { capacity }
     }
 
     /// True if the cache is active.
@@ -211,9 +173,6 @@ struct Slot {
     entry: Entry,
     /// Validity point: `max(record mzxid, MRD at fetch issue)`.
     watermark: u64,
-    /// When the backing storage fetch was issued (drives the optional
-    /// `max_staleness` freshness bound).
-    fetched_at: std::time::Instant,
     /// LRU stamp (key into `Lru::order`).
     stamp: u64,
 }
@@ -223,18 +182,15 @@ struct Slot {
 /// least-recently-used entry.
 struct Lru {
     capacity: usize,
-    /// Per-entry freshness bound (see [`ReadCacheConfig::max_staleness`]).
-    max_staleness: Option<Duration>,
     next_stamp: u64,
     map: HashMap<String, Slot>,
     order: BTreeMap<u64, String>,
 }
 
 impl Lru {
-    fn new(capacity: usize, max_staleness: Option<Duration>) -> Self {
+    fn new(capacity: usize) -> Self {
         Lru {
             capacity,
-            max_staleness,
             next_stamp: 0,
             map: HashMap::new(),
             order: BTreeMap::new(),
@@ -248,15 +204,11 @@ impl Lru {
     }
 
     /// Valid entry for `path` at `mrd`, refreshing recency. A stale
-    /// entry (watermark < mrd, or older than the freshness bound) is
-    /// dropped on sight.
+    /// entry (watermark < mrd) is dropped on sight.
     fn lookup(&mut self, path: &str, mrd: u64) -> Option<Option<Arc<NodeRecord>>> {
         let stamp = self.bump();
         let slot = self.map.get_mut(path)?;
-        let expired = self
-            .max_staleness
-            .is_some_and(|ttl| slot.fetched_at.elapsed() >= ttl);
-        if slot.watermark < mrd || expired {
+        if slot.watermark < mrd {
             let old = self.map.remove(path).expect("slot just found");
             self.order.remove(&old.stamp);
             return None;
@@ -282,7 +234,6 @@ impl Lru {
             Slot {
                 entry,
                 watermark,
-                fetched_at: std::time::Instant::now(),
                 stamp,
             },
         );
@@ -365,7 +316,7 @@ impl ReadCache {
     /// Creates a cache with the given bounds.
     pub fn new(config: ReadCacheConfig) -> Self {
         ReadCache {
-            lru: Mutex::new(Lru::new(config.capacity, config.max_staleness)),
+            lru: Mutex::new(Lru::new(config.capacity)),
             flights: Mutex::new(HashMap::new()),
             config,
             meter: None,
@@ -621,14 +572,11 @@ impl ReadCache {
             .as_ref()
             .map(|r| r.modified_txid.max(mrd))
             .unwrap_or(mrd);
-        let evicted = match &record {
-            Some(rec) => self
-                .lru
-                .lock()
-                .insert(path, Entry::Present(Arc::clone(rec)), watermark),
-            None if self.config.negative => self.lru.lock().insert(path, Entry::Absent, watermark),
-            None => 0,
+        let entry = match &record {
+            Some(rec) => Entry::Present(Arc::clone(rec)),
+            None => Entry::Absent,
         };
+        let evicted = self.lru.lock().insert(path, entry, watermark);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
@@ -835,19 +783,6 @@ mod tests {
             .unwrap();
         assert_eq!(refetched.source, ReadSource::Fetched);
         assert!(refetched.record.is_some());
-    }
-
-    #[test]
-    fn negative_caching_can_be_disabled() {
-        let cache = ReadCache::new(ReadCacheConfig::with_capacity(4).negative(false));
-        let fetches = AtomicUsize::new(0);
-        cache
-            .get_or_fetch("/gone", 5, T, fetch_counted(&fetches, None))
-            .unwrap();
-        cache
-            .get_or_fetch("/gone", 5, T, fetch_counted(&fetches, None))
-            .unwrap();
-        assert_eq!(fetches.load(Ordering::SeqCst), 2, "absence not cached");
     }
 
     #[test]
@@ -1065,52 +1000,6 @@ mod tests {
             assert_eq!(read.record.unwrap().modified_txid, 12);
         });
         assert_eq!(refetched.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn max_staleness_bounds_cross_session_staleness() {
-        let cache = ReadCache::new(
-            ReadCacheConfig::with_capacity(4).with_max_staleness(Duration::from_millis(20)),
-        );
-        let fetches = AtomicUsize::new(0);
-        cache
-            .get_or_fetch("/n", 5, T, fetch_counted(&fetches, Some(record("/n", 5))))
-            .unwrap();
-        // Within the bound: a normal watermark hit.
-        let hit = cache
-            .get_or_fetch("/n", 5, T, fetch_counted(&fetches, None))
-            .unwrap();
-        assert_eq!(hit.source, ReadSource::Hit);
-        // Past the bound: the entry expires even though the watermark is
-        // still valid (another session may have written meanwhile).
-        std::thread::sleep(Duration::from_millis(25));
-        let refreshed = cache
-            .get_or_fetch("/n", 5, T, fetch_counted(&fetches, Some(record("/n", 9))))
-            .unwrap();
-        assert_eq!(refreshed.source, ReadSource::Fetched);
-        assert_eq!(refreshed.record.unwrap().modified_txid, 9);
-        assert_eq!(fetches.load(Ordering::SeqCst), 2);
-        // The refetch restarted the clock.
-        let hit = cache
-            .get_or_fetch("/n", 5, T, fetch_counted(&fetches, None))
-            .unwrap();
-        assert_eq!(hit.source, ReadSource::Hit);
-    }
-
-    #[test]
-    fn no_ttl_keeps_pure_watermark_behaviour() {
-        // Default config: entries never age out by wall clock.
-        let cache = ReadCache::new(ReadCacheConfig::with_capacity(4));
-        assert_eq!(cache.config().max_staleness, None);
-        let fetches = AtomicUsize::new(0);
-        cache
-            .get_or_fetch("/n", 1, T, fetch_counted(&fetches, Some(record("/n", 1))))
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(15));
-        let hit = cache
-            .get_or_fetch("/n", 1, T, fetch_counted(&fetches, None))
-            .unwrap();
-        assert_eq!(hit.source, ReadSource::Hit, "no TTL, no expiry");
     }
 
     #[test]

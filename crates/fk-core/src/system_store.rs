@@ -23,7 +23,7 @@ use fk_cloud::expr::{Condition, Operand, Update};
 use fk_cloud::kvstore::KvStore;
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::{Item, Value};
-use fk_cloud::{CloudResult, Consistency, Region};
+use fk_cloud::{CloudResult, Region};
 use fk_sync::{AtomicCounter, AtomicList, TimedLockManager};
 
 /// Attribute names of `node:` items.
@@ -263,22 +263,24 @@ pub struct WatchInstance {
     pub sessions: Vec<String>,
 }
 
+/// Timed-lock maximum holding time: a lock older than this may be taken
+/// over by another writer.
+pub const MAX_LOCK_HOLD_MS: i64 = 5_000;
+
 /// Handle to the system table with the paper's layout on top.
 #[derive(Clone)]
 pub struct SystemStore {
     kv: KvStore,
     locks: TimedLockManager,
     watch_ids: AtomicCounter,
-    committed: AtomicCounter,
 }
 
 impl SystemStore {
-    /// Wraps a KV table; locks expire after `max_lock_hold_ms`.
-    pub fn new(kv: KvStore, max_lock_hold_ms: i64) -> Self {
+    /// Wraps a KV table; locks expire after [`MAX_LOCK_HOLD_MS`].
+    pub fn new(kv: KvStore) -> Self {
         SystemStore {
-            locks: TimedLockManager::new(kv.clone(), max_lock_hold_ms),
+            locks: TimedLockManager::new(kv.clone(), MAX_LOCK_HOLD_MS),
             watch_ids: AtomicCounter::new(kv.clone(), "counter:watch_ids"),
-            committed: AtomicCounter::new(kv.clone(), "counter:committed_txid"),
             kv,
         }
     }
@@ -293,15 +295,9 @@ impl SystemStore {
         &self.locks
     }
 
-    /// The highest txid the leader has fully distributed (drives the
-    /// client's MRD bookkeeping).
-    pub fn committed_txid(&self) -> &AtomicCounter {
-        &self.committed
-    }
-
     /// Reads a node control item.
     pub fn get_node(&self, ctx: &Ctx, path: &str) -> Option<Item> {
-        self.kv.get(ctx, &keys::node(path), Consistency::Strong)
+        self.kv.get(ctx, &keys::node(path))
     }
 
     /// True if the item state says the node exists (created, not
@@ -411,7 +407,7 @@ impl SystemStore {
 
     /// Reads a session item.
     pub fn get_session(&self, ctx: &Ctx, id: &str) -> Option<Item> {
-        self.kv.get(ctx, &keys::session(id), Consistency::Strong)
+        self.kv.get(ctx, &keys::session(id))
     }
 
     /// Removes a session item (idempotent).
@@ -460,7 +456,7 @@ impl SystemStore {
     /// its txid chain instead of restarting below its old marks.
     pub fn session_last_txid(&self, ctx: &Ctx, id: &str) -> u64 {
         self.kv
-            .get(ctx, &keys::session_seq(id), Consistency::Strong)
+            .get(ctx, &keys::session_seq(id))
             .and_then(|item| item.num(session_attr::LAST_TXID))
             .unwrap_or(0) as u64
     }
@@ -489,7 +485,7 @@ impl SystemStore {
     /// Survives deregistration, like [`SystemStore::session_last_txid`].
     pub fn session_applied_txid(&self, ctx: &Ctx, id: &str) -> u64 {
         self.kv
-            .get(ctx, &keys::session_seq(id), Consistency::Strong)
+            .get(ctx, &keys::session_seq(id))
             .and_then(|item| item.num(session_attr::APPLIED_TXID))
             .unwrap_or(0) as u64
     }
@@ -501,7 +497,7 @@ impl SystemStore {
     /// or duplicated requests at or below it.
     pub fn session_request_watermark(&self, ctx: &Ctx, id: &str) -> u64 {
         self.kv
-            .get(ctx, &keys::session_seq(id), Consistency::Strong)
+            .get(ctx, &keys::session_seq(id))
             .and_then(|item| item.num(session_attr::LAST_REQUEST))
             .unwrap_or(0) as u64
     }
@@ -644,7 +640,7 @@ impl SystemStore {
 
     /// Reads the watch instances on `path` restricted to `kinds`.
     pub fn query_watches(&self, ctx: &Ctx, path: &str, kinds: &[WatchKind]) -> Vec<WatchInstance> {
-        let Some(item) = self.kv.get(ctx, &keys::watch(path), Consistency::Strong) else {
+        let Some(item) = self.kv.get(ctx, &keys::watch(path)) else {
             return Vec::new();
         };
         Self::instances_from(&item, kinds)
@@ -773,7 +769,7 @@ impl SystemStore {
     /// Reads the membership record with a strong read. `None` when no
     /// record was ever published (static single-group deployments).
     pub fn read_membership(&self, ctx: &Ctx) -> Option<Membership> {
-        let item = self.kv.get(ctx, &keys::membership(), Consistency::Strong)?;
+        let item = self.kv.get(ctx, &keys::membership())?;
         let active_groups = item.num(membership_attr::ACTIVE)? as usize;
         let draining = item
             .list(membership_attr::DRAINING)
@@ -856,7 +852,7 @@ mod tests {
 
     fn store() -> (SystemStore, Ctx) {
         let kv = KvStore::new("system", Region::US_EAST_1, Meter::new());
-        (SystemStore::new(kv, 5000), Ctx::disabled())
+        (SystemStore::new(kv), Ctx::disabled())
     }
 
     #[test]

@@ -465,7 +465,7 @@ mod tests {
     #[test]
     fn activate_group_seeds_fresh_txids_past_the_checkpoint() {
         let ctx = Ctx::disabled();
-        let system = SystemStore::new(KvStore::new("sys", Region::US_EAST_1, Meter::new()), 60_000);
+        let system = SystemStore::new(KvStore::new("sys", Region::US_EAST_1, Meter::new()));
         let floors = CommittedFloors::new(8);
         for g in 0..4 {
             floors.publish(g, txid::compose(100 + g as u64, g));

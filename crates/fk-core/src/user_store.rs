@@ -41,7 +41,7 @@ use fk_cloud::kvstore::KvStore;
 use fk_cloud::objectstore::{content_tag, ObjectStore, Precondition, Tag};
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::Item;
-use fk_cloud::{CloudError, CloudResult, Consistency, MemStore, Region};
+use fk_cloud::{CloudError, CloudResult, MemStore, Region};
 use std::sync::Arc;
 
 /// A node as stored in (and read from) the user store.
@@ -427,7 +427,7 @@ impl FrameStore for KvUserStore {
     /// is read again.
     fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
         loop {
-            let Some(item) = self.table.get(ctx, path, Consistency::Strong) else {
+            let Some(item) = self.table.get(ctx, path) else {
                 return Ok(None);
             };
             if let Some(frame) = self.frame_of(ctx, path, &item)? {
@@ -489,7 +489,7 @@ impl FrameStore for KvUserStore {
     fn scan_frames(&self, ctx: &Ctx, root: &str) -> CloudResult<Vec<(String, Bytes)>> {
         let items = root_and_descendants(
             root,
-            |root| Ok(self.table.get(ctx, root, Consistency::Strong)),
+            |root| Ok(self.table.get(ctx, root)),
             |prefix| Ok(self.table.scan_prefix(ctx, prefix)),
         )?;
         let mut frames = Vec::with_capacity(items.len());

@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn delivers_to_all_sessions_and_clears_epoch() {
         let kv = KvStore::new("sys", Region::US_EAST_1, Meter::new());
-        let system = SystemStore::new(kv, 1000);
+        let system = SystemStore::new(kv);
         let bus = ClientBus::new();
         let ctx = Ctx::disabled();
         let (rx1, _) = bus.register("s1");
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn gone_sessions_do_not_block_delivery() {
         let kv = KvStore::new("sys", Region::US_EAST_1, Meter::new());
-        let system = SystemStore::new(kv, 1000);
+        let system = SystemStore::new(kv);
         let bus = ClientBus::new();
         let ctx = Ctx::disabled();
         let f = WatchFunction::new(system.clone(), bus);

@@ -532,7 +532,7 @@ fn assert_refusal_budget(title: &str, op: WriteOp, verdict: &FkError, locks: u64
 
 #[test]
 fn follower_request_budget_oversized_set_data_takes_no_lock() {
-    let limit = fk_core::follower::FollowerConfig::default().max_node_bytes;
+    let limit = fk_core::follower::MAX_NODE_BYTES;
     assert_refusal_budget(
         "oversized set_data",
         set_data("/p/c", oversized(), -1),
@@ -598,7 +598,7 @@ fn assert_round_trips(title: &str, op: WriteOp, lock: Duration, alloc: Duration)
     let reads: Vec<&SpanRecord> = step
         .charges
         .iter()
-        .filter(|c| matches!(c.op, Op::KvGet { .. }))
+        .filter(|c| matches!(c.op, Op::KvGet))
         .collect();
     assert_eq!(reads.len(), 2, "{title}: membership + session mark");
     assert!(reads.iter().all(|c| c.start == origin), "{title}: reads");
@@ -968,11 +968,7 @@ fn close_session_deregisters_after_its_ephemeral_deletes() {
 /// The epoch `group`'s counter stands at.
 fn counter(rig: &Rig, group: usize) -> i64 {
     let key = keys::txseq(group);
-    let item = rig.deployment.system().kv().get(
-        &Ctx::disabled(),
-        &key,
-        fk_cloud::kvstore::Consistency::Strong,
-    );
+    let item = rig.deployment.system().kv().get(&Ctx::disabled(), &key);
     item.and_then(|item| item.num("value")).unwrap_or(0)
 }
 
@@ -1122,7 +1118,6 @@ fn alloc_txid_speculative_add_waits_for_a_membership_read() {
 #[test]
 fn commit_faults_cost_one_retry_each_at_one_level() {
     use fk_cloud::chaos::{Chaos, FaultPlan, FaultSpec};
-    use fk_cloud::kvstore::Consistency;
     for k in 1..=5u64 {
         let rig = Rig::seeded();
         let mut plan = FaultPlan::disabled();
@@ -1134,7 +1129,7 @@ fn commit_faults_cost_one_retry_each_at_one_level() {
         assert_eq!(step.used.retries, k.min(4), "k = {k}");
         assert_eq!(step.used.per_op["retry:kv.transact"], k.min(4), "k = {k}");
         let watermark = kv
-            .get(&rig.ctx, &keys::session_seq(SESSION), Consistency::Strong)
+            .get(&rig.ctx, &keys::session_seq(SESSION))
             .and_then(|item| item.num(session_attr::LAST_REQUEST));
         assert_eq!(watermark == Some(4), k <= 4, "k = {k}: the commit landed");
     }

@@ -8,7 +8,7 @@
 use fk_cloud::expr::{Condition, Update};
 use fk_cloud::kvstore::KvStore;
 use fk_cloud::trace::Ctx;
-use fk_cloud::{CloudResult, Consistency};
+use fk_cloud::CloudResult;
 
 /// Attribute holding the counter value.
 pub const COUNTER_ATTR: &str = "value";
@@ -54,7 +54,7 @@ impl AtomicCounter {
     /// Reads the current value with a strongly consistent read.
     pub fn get(&self, ctx: &Ctx) -> i64 {
         self.kv
-            .get(ctx, &self.key, Consistency::Strong)
+            .get(ctx, &self.key)
             .and_then(|item| item.num(COUNTER_ATTR))
             .unwrap_or(0)
     }

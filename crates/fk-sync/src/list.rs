@@ -9,7 +9,7 @@ use fk_cloud::expr::{Condition, Update};
 use fk_cloud::kvstore::KvStore;
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::Value;
-use fk_cloud::{CloudResult, Consistency};
+use fk_cloud::CloudResult;
 
 /// Attribute holding the list contents.
 pub const LIST_ATTR: &str = "items";
@@ -72,7 +72,7 @@ impl AtomicList {
     /// Strongly consistent read of the whole list.
     pub fn read(&self, ctx: &Ctx) -> Vec<Value> {
         self.kv
-            .get(ctx, &self.key, Consistency::Strong)
+            .get(ctx, &self.key)
             .and_then(|item| item.list(LIST_ATTR).map(<[Value]>::to_vec))
             .unwrap_or_default()
     }

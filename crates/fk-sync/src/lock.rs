@@ -134,7 +134,7 @@ impl TimedLockManager {
     /// True if `key` currently stores an unexpired lock as of `now_ms`.
     pub fn is_locked(&self, ctx: &Ctx, key: &str, now_ms: i64) -> bool {
         self.kv
-            .get(ctx, key, fk_cloud::Consistency::Strong)
+            .get(ctx, key)
             .and_then(|item| item.num(LOCK_ATTR))
             .map(|ts| now_ms - ts < self.max_hold_ms)
             .unwrap_or(false)
@@ -212,7 +212,7 @@ mod tests {
         locks
             .commit_unlock(&ctx, &acq.token, Update::new().set("v", 42i64))
             .unwrap();
-        let item = kv.get(&ctx, "k", fk_cloud::Consistency::Strong).unwrap();
+        let item = kv.get(&ctx, "k").unwrap();
         assert_eq!(item.num("v"), Some(42));
         assert!(!item.contains(LOCK_ATTR));
         // After release, the commit guard no longer matches.

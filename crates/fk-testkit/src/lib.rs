@@ -139,12 +139,9 @@ pub mod geometry {
             .prop_map(|(s, b, g)| DistributorConfig::new(s, b).with_groups(g))
     }
 
-    /// A random client read-cache configuration (capacity × negative
-    /// caching).
+    /// A random client read-cache configuration (its capacity).
     pub fn cache_config() -> impl Strategy<Value = ReadCacheConfig> {
-        (cache_capacity(), 0u8..2).prop_map(|(capacity, negative)| {
-            ReadCacheConfig::with_capacity(capacity).negative(negative == 1)
-        })
+        cache_capacity().prop_map(ReadCacheConfig::with_capacity)
     }
 
     /// A random replica-tier configuration (count × byte budget ×

@@ -347,18 +347,12 @@ proptest! {
             1..4,
         ),
         capacity in geometry::cache_capacity(),
-        negative_seed in 0u8..2,
     ) {
-        let cache = ReadCacheConfig {
-            capacity,
-            negative: negative_seed == 1,
-            ..ReadCacheConfig::default()
-        };
         let (events, watch_ids) = run_workload(
             actions,
             Crashes::default(),
             DistributorConfig::default(),
-            cache,
+            ReadCacheConfig::with_capacity(capacity),
             ReplicaConfig::disabled(),
         );
         let violations = check_history(&events, &watch_ids);
@@ -401,7 +395,7 @@ proptest! {
             actions,
             Crashes { follower: follower_crashes, leader: leader_crashes },
             DistributorConfig::default(),
-            ReadCacheConfig::with_capacity(capacity).negative(capacity.is_multiple_of(2)),
+            ReadCacheConfig::with_capacity(capacity),
             ReplicaConfig::disabled(),
         );
         let violations = check_history(&events, &watch_ids);
