@@ -12,12 +12,13 @@
 //! request is reported as failed without corrupting newer state.
 
 use crate::messages::{CommitItem, SystemCommit};
-use crate::system_store::record_tags;
+use crate::system_store::{keys, node_attr, record_tags};
 use fk_cloud::expr::{Condition, Update};
 use fk_cloud::kvstore::{KvStore, TransactOp};
 use fk_cloud::objectstore::Tag;
 use fk_cloud::trace::Ctx;
-use fk_cloud::CloudResult;
+use fk_cloud::value::{Item, Value};
+use fk_cloud::{CloudError, CloudResult};
 use fk_sync::LOCK_ATTR;
 
 /// Lock-timestamp sentinel for commit items on keys that are *not* under
@@ -34,7 +35,7 @@ fn item_update(item: &CommitItem, txid: u64) -> Update {
     }
     for (attr, value) in &item.appends {
         let values = match value.to_value(txid) {
-            fk_cloud::Value::List(l) => l,
+            Value::List(l) => l,
             single => vec![single],
         };
         update = update.list_append(attr.clone(), values);
@@ -44,7 +45,7 @@ fn item_update(item: &CommitItem, txid: u64) -> Update {
     }
     for (attr, value) in &item.list_removes {
         let values = match value.to_value(txid) {
-            fk_cloud::Value::List(l) => l,
+            Value::List(l) => l,
             single => vec![single],
         };
         update = update.list_remove(attr.clone(), values);
@@ -99,44 +100,56 @@ pub fn execute(commit: &SystemCommit, txid: u64, ctx: &Ctx, kv: &KvStore) -> Clo
 /// per region), which the same update records ([`record_tags`]).
 pub type Pop<'a> = (&'a str, &'a [u64], &'a [Tag]);
 
+/// The txids in a node item's pending-transaction queue, in queue
+/// order.
+pub fn txq_of(item: Option<&Item>) -> Vec<u64> {
+    let txq = item.and_then(|item| item.list(node_attr::TXQ));
+    let txids = txq.unwrap_or_default().iter().filter_map(Value::as_num);
+    txids.map(|txid| txid as u64).collect()
+}
+
 /// Pops `txids` from the front of a node's pending-transaction queue
-/// (Algorithm 2 ➎) with batch coalescing: when the queue head matches the
-/// first txid — the common case, since per-node txq order equals txid
-/// order — all entries pop in a single conditional update instead of one
-/// round trip per transaction. After a partial redelivery the head may
-/// already be past some txids; the fallback then pops each remaining txid
-/// individually and idempotently, exactly like the sequential leader.
-/// Every update that pops also leaves `tags` on record.
+/// (Algorithm 2 ➎) in a single conditional update guarded by the queue
+/// head, which also leaves `tags` on record ([`record_tags`]). The
+/// leader applies a record only once it heads the `txq` of every node it
+/// mutates, so `txids` head the queue — unless a partial redelivery
+/// already popped some of them. The fallback reads the queue: the
+/// popped txids are skipped, and the rest must head the queue and pop
+/// in one more update. A txid still queued behind another head is a bug
+/// of the apply order and returns an error, touching nothing.
 pub fn pop_pending(kv: &KvStore, ctx: &Ctx, (path, txids, tags): Pop<'_>) -> CloudResult<()> {
-    use crate::system_store::{keys, node_attr};
-    use fk_cloud::value::Value;
-    use fk_cloud::CloudError;
-    if txids.is_empty() {
-        return Ok(());
-    }
     let key = keys::node(path);
-    let head = Condition::ListHeadEq(node_attr::TXQ.into(), Value::Num(txids[0] as i64));
-    let pop_all = record_tags(
-        tags,
-        Update::new().list_pop_front(node_attr::TXQ, txids.len()),
-    );
-    match kv.update(ctx, &key, &pop_all, head) {
-        Ok(_) => return Ok(()),
-        Err(CloudError::ConditionFailed { .. }) => {}
-        Err(e) => return Err(e),
-    }
-    // Redelivery fallback: pop whichever of our txids is still at the
-    // head, one at a time; already-popped entries fail the guard and are
-    // skipped (idempotent).
-    for txid in txids {
-        let one = record_tags(tags, Update::new().list_pop_front(node_attr::TXQ, 1));
-        let cond = Condition::ListHeadEq(node_attr::TXQ.into(), Value::Num(*txid as i64));
-        match kv.update(ctx, &key, &one, cond) {
-            Ok(_) | Err(CloudError::ConditionFailed { .. }) => {}
-            Err(e) => return Err(e),
+    let pop = |txids: &[u64]| -> CloudResult<()> {
+        if !txids.is_empty() {
+            kv.update(ctx, &key, &pop_update(txids, tags), head_is(txids))?;
         }
+        Ok(())
+    };
+    match pop(txids) {
+        Err(CloudError::ConditionFailed { .. }) => {}
+        done => return done,
     }
-    Ok(())
+    let txq = txq_of(kv.get(ctx, &key).as_ref());
+    let mut left = txids.to_vec();
+    left.retain(|txid| txq.contains(txid));
+    match left.iter().zip(&txq).find(|(txid, head)| txid != head) {
+        None => pop(&left),
+        Some((txid, head)) => Err(CloudError::InvalidOperation {
+            detail: format!("txid {txid} of {path} is queued behind txid {head}"),
+        }),
+    }
+}
+
+/// The update that pops `txids` off the front of a node's `txq` and
+/// records `tags`.
+fn pop_update(txids: &[u64], tags: &[Tag]) -> Update {
+    let pop = Update::new().list_pop_front(node_attr::TXQ, txids.len());
+    record_tags(tags, pop)
+}
+
+/// The guard that `txids` (not empty) head a node's `txq`.
+fn head_is(txids: &[u64]) -> Condition {
+    Condition::ListHeadEq(node_attr::TXQ.into(), Value::Num(txids[0] as i64))
 }
 
 /// Pops many paths' pending-transaction queues in **one** multi-item
@@ -147,12 +160,9 @@ pub fn pop_pending(kv: &KvStore, ctx: &Ctx, (path, txids, tags): Pop<'_>) -> Clo
 /// Z-invariants are unchanged — and records its tags. In the common
 /// case the whole epoch's pops cost one write request. A single stale
 /// head (a redelivered epoch whose earlier delivery already popped)
-/// cancels the chunk; the fallback then runs the per-path pops, whose
-/// per-txid legs are idempotent.
+/// cancels the chunk; the fallback then runs the per-path pops, which
+/// skip the txids already popped.
 pub fn pop_pending_batch(kv: &KvStore, ctx: &Ctx, entries: &[Pop<'_>]) -> CloudResult<()> {
-    use crate::system_store::{keys, node_attr};
-    use fk_cloud::value::Value;
-    use fk_cloud::CloudError;
     let entries: Vec<Pop<'_>> = entries
         .iter()
         .copied()
@@ -166,29 +176,17 @@ pub fn pop_pending_batch(kv: &KvStore, ctx: &Ctx, entries: &[Pop<'_>]) -> CloudR
                 .iter()
                 .map(|(path, txids, tags)| TransactOp::Update {
                     key: keys::node(path),
-                    update: record_tags(
-                        tags,
-                        Update::new().list_pop_front(node_attr::TXQ, txids.len()),
-                    ),
-                    condition: Condition::ListHeadEq(
-                        node_attr::TXQ.into(),
-                        Value::Num(txids[0] as i64),
-                    ),
+                    update: pop_update(txids, tags),
+                    condition: head_is(txids),
                 })
                 .collect();
             match kv.transact(ctx, &ops) {
-                Ok(()) => Ok(()),
+                // A path's head is already past its first txid (partial
+                // redelivery), and nothing was applied: pop per path.
                 Err(CloudError::TransactionCancelled { .. }) => {
-                    // At least one path's head is already past its first
-                    // txid (partial redelivery). Nothing was applied —
-                    // finish with per-path pops, which skip
-                    // already-popped txids idempotently.
-                    for pop in many {
-                        pop_pending(kv, ctx, *pop)?;
-                    }
-                    Ok(())
+                    many.iter().try_for_each(|pop| pop_pending(kv, ctx, *pop))
                 }
-                Err(e) => Err(e),
+                done => done,
             }
         }
     }
@@ -326,6 +324,42 @@ mod tests {
         pop_pending(&kv, &ctx, ("/n", &[3, 4, 5], NONE)).unwrap();
     }
 
+    /// A redelivered pop of a txid an earlier delivery popped is a
+    /// no-op: `Ok`, and the queue and its tags stay as they are.
+    #[test]
+    fn pop_pending_of_an_already_popped_txid_changes_nothing() {
+        use crate::system_store::{keys, ObjTags};
+        let (kv, _meter, ctx) = pending(&[("/n", &[5, 6])]);
+        pop_pending(&kv, &ctx, ("/n", &[3], &[41])).unwrap();
+        assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(5), Value::Num(6)]);
+        let item = kv.get(&ctx, &keys::node("/n"));
+        assert!(
+            ObjTags::of(item.as_ref()).tags.is_empty(),
+            "no tags recorded"
+        );
+    }
+
+    /// A txid queued behind another head is never popped: the apply
+    /// order let a record through ahead of an earlier one, and the pop
+    /// reports it naming both txids, touching nothing.
+    #[test]
+    fn pop_pending_of_a_txid_behind_another_head_is_an_error() {
+        let (kv, _meter, ctx) = pending(&[("/n", &[2, 3])]);
+        let err = pop_pending(&kv, &ctx, ("/n", &[3], NONE)).unwrap_err();
+        let detail = err.to_string();
+        assert!(
+            detail.contains("txid 3") && detail.contains("txid 2"),
+            "{detail}"
+        );
+        assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(2), Value::Num(3)]);
+        // The same inside a chunk: the cancelled transaction falls back
+        // to the per-path pop, which reports it.
+        let (kv, _meter, ctx) = pending(&[("/a", &[1]), ("/n", &[2, 3])]);
+        let entries: [Pop<'_>; 2] = [("/a", &[1], NONE), ("/n", &[3], NONE)];
+        assert!(pop_pending_batch(&kv, &ctx, &entries).is_err());
+        assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(2), Value::Num(3)]);
+    }
+
     #[test]
     fn pop_pending_batch_request_budget() {
         let paths: Vec<String> = (0..crate::system_store::TRANSACT_MAX_ITEMS)
@@ -375,8 +409,9 @@ mod tests {
         let used = meter.snapshot().since(&before);
         assert_eq!(used.per_op["kv_transact"], 1, "the cancelled chunk");
         // `/a` and `/c` pop at once; `/b`'s coalesced pop fails its head
-        // guard, then its per-txid legs skip 4 and pop 6.
-        assert_eq!(used.per_op["kv_write"], 2 + 3, "per-path fallback");
+        // guard, then one read finds 4 gone and 6 at the head, and 6 pops.
+        assert_eq!(used.per_op["kv_write"], 2 + 2, "per-path fallback");
+        assert_eq!(used.per_op["kv_read"], 1, "one read of `/b`'s queue");
         assert_eq!(txq_of(&kv, &ctx, "/a"), [Value::Num(8)]);
         assert_eq!(txq_of(&kv, &ctx, "/b"), []);
         assert_eq!(txq_of(&kv, &ctx, "/c"), [Value::Num(7)]);
@@ -389,9 +424,9 @@ mod tests {
     }
 
     /// The pop records the tags its epoch's write left — in the
-    /// coalesced update, in a transaction item, and in the per-txid
-    /// fallback legs — and an empty set removes older ones, all without
-    /// a request of its own.
+    /// coalesced update, in a transaction item, and in the fallback's
+    /// pop — and an empty set removes older ones, all without a request
+    /// of its own.
     #[test]
     fn pops_record_the_tags_without_extra_requests() {
         use crate::system_store::{keys, node_attr, ObjTags};
@@ -408,7 +443,7 @@ mod tests {
         for path in ["/a", "/b", "/c"] {
             assert_eq!(tags_of(&kv, &ctx, path), [41], "{path}");
         }
-        // A stale head: the per-txid legs record the tags too.
+        // A stale head: the fallback's pop records the tags too.
         pop_pending(&kv, &ctx, ("/a", &[3, 4], &[42])).unwrap();
         assert_eq!(tags_of(&kv, &ctx, "/a"), [42]);
         // Nothing to record: the pop removes what was there.

@@ -754,8 +754,8 @@ impl Distributor {
         let chunks: Vec<&[crate::commit::Pop<'_>]> = entries
             .chunks(crate::system_store::TRANSACT_MAX_ITEMS)
             .collect();
-        // A guard mismatch from genuinely newer state is a
-        // ConditionFailed and stays fatal.
+        // A txid queued behind another head is an error and stays
+        // fatal; only txids an earlier delivery popped are skipped.
         fan_out(ctx, chunks.len(), |i, child| {
             crate::commit::pop_pending_batch(self.system.kv(), child, chunks[i])
         })?;

@@ -9,15 +9,17 @@
 //! pure function of the data read so far, in `plan`:
 //!
 //! ➊a **Sequence** (`plan::hold_back`) — split the batch by the partial
-//! order Z2 and the per-node `txq` actually impose. A record is *held*
-//! iff (a) its session predecessor (possibly on another shard group) is
-//! covered neither by the session's high-water mark nor by an earlier
-//! eligible record of the batch, or (b) an earlier record of its
-//! session in this batch is held, or (c) a node it mutates is mutated
-//! by an earlier held record; everything else is *eligible*, even
-//! behind a held record. The marks (a) may need (`plan::mark_probes`)
-//! come back in **one** parallel wave of strong reads, none for a
-//! session the warm instance or the batch already covers. The
+//! order Z2 and the per-node `txq` impose. A record is *held* iff (a)
+//! its session predecessor (possibly on another shard group) is covered
+//! neither by the session's high-water mark nor by an earlier eligible
+//! record of the batch, or (b) an earlier record of its session in this
+//! batch is held, or (the `txq` rule) a txid ahead of its own in the
+//! `txq` of a node it mutates belongs to no earlier eligible record of
+//! the batch; everything else is *eligible*, even behind a held record.
+//! The marks (a) may need (`plan::mark_probes`) come back in **one**
+//! parallel wave of strong reads, none for a session the warm instance
+//! or the batch already covers. The rules run on what the batch shows,
+//! then again on the `txq`s of ➊'s read wave, which only hold more. The
 //! invocation runs phases ➊–➎ over the eligible records in batch order,
 //! then defers from the first held record back to the queue, burning no
 //! redelivery attempt — it never waits (the wait lives in whoever
@@ -26,8 +28,9 @@
 //! warm instance skips them on redelivery for free (a cold one resolves
 //! them as already processed). ➊ **Read wave + verify** — everything the
 //! batch reads from system storage comes back in **one** parallel wave
-//! (`Leader::read_wave`): every eligible record's node item (its commit
-//! state, and the object tags of the node's last write), the watch
+//! (`Leader::read_wave`): the item of every node an eligible record
+//! mutates (its `txq`; the first one's gives the record's commit state
+//! and the object tags of the node's last write), the watch
 //! registry item of every distinct path the batch can fire
 //! (`watch:<path>` holds every kind, so each `(path, event)` class
 //! is answered from it in memory), and each region's epoch marks for
@@ -69,7 +72,8 @@
 //! The full cross-tier consistency argument lives in
 //! `docs/consistency.md`.
 
-use crate::api::{FkError, WatchEvent, WatchEventType, WatchKind};
+use crate::api::{FkError, FkResult, WatchEvent, WatchEventType, WatchKind};
+use crate::commit::txq_of;
 use crate::distributor::{AdaptiveBatch, CommittedTx, Distributor, DistributorConfig};
 use crate::messages::{
     ClientNotification, LeaderRecord, OpOutcome, Payload, UserUpdate, WriteResultData,
@@ -87,7 +91,8 @@ use fk_cloud::value::{Item, Value};
 use fk_cloud::{CloudError, ObjectStore};
 use plan::{
     epoch_results, epoch_sessions, fired_children, hold_back, kinds_for, mark_probes, merge_fires,
-    segment, updates, BatchFires, Decoded, Epoch, Fire, KindSet, Sequenced, Warm,
+    mutated_paths, segment, updates, BatchFires, Decoded, Epoch, Fire, KindSet, Sequenced, Txqs,
+    Warm,
 };
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -162,6 +167,7 @@ enum Disposition {
 }
 
 /// What a batch's one read wave brought back ([`Leader::read_wave`]).
+#[derive(Default)]
 struct ReadWave<'a> {
     /// Commit state of each eligible record and the object tags on
     /// record for its node, in batch order.
@@ -171,6 +177,8 @@ struct ReadWave<'a> {
     /// Each region's epoch marks, for the batch's first epoch (`None`
     /// when the batch has nothing to distribute).
     marks: Option<Vec<Arc<Vec<u64>>>>,
+    /// The `txq` of every node an eligible record mutates.
+    txqs: Txqs<'a>,
 }
 
 impl Leader {
@@ -254,9 +262,9 @@ impl Leader {
             };
             decoded.push((i, txid, record));
         }
-        let batch = self.sequence(ctx, &decoded);
+        let mut batch = self.sequence(ctx, &decoded);
         let mut handles = Vec::new();
-        let result = self.process_eligible(ctx, &batch, &mut handles);
+        let result = self.process_eligible(ctx, &decoded, &mut batch, &mut handles);
         // The queue acknowledges every message before the reported
         // index; records processed ahead that sit in that prefix are
         // leaving the queue, and with everything queued before them now
@@ -317,19 +325,19 @@ impl Leader {
     }
 
     /// Phases ➊–➎ over the batch's eligible records, then the deferral
-    /// of the held ones.
+    /// of the held ones. The read wave's `txq`s sequence `batch` again,
+    /// which only holds more records (`plan::hold_back`).
     ///
     /// Partial-batch failure contract: `at_index(i)` tells the queue
     /// that messages *before* `i` are fully processed. A held record is
     /// never processed, so no reported index passes the first held one.
-    fn process_eligible(
+    fn process_eligible<'a>(
         &self,
         ctx: &Ctx,
-        batch: &Sequenced<'_>,
+        decoded: &'a [Decoded],
+        batch: &mut Sequenced<'a>,
         handles: &mut Vec<WatchHandle>,
     ) -> Result<(), FnError> {
-        let not_past_held = |index: usize| batch.first_held().map_or(index, |held| held.min(index));
-
         // ➊ one read wave, then sequential repair. Until an epoch's
         // distribution completes nothing is fully processed — phase ➊
         // only repairs system storage and sends idempotent
@@ -341,12 +349,19 @@ impl Leader {
             states,
             live,
             mut marks,
+            txqs,
         } = self.read_wave(ctx, &batch.eligible, &fires)?;
+        let before = std::mem::replace(batch, hold_back(decoded, &self.warm.lock(), &txqs));
+        let batch = &*batch;
+        let not_past_held = |index: usize| batch.first_held().map_or(index, |held| held.min(index));
         let mut committed: Vec<(CommittedTx<'_>, &[Fire<'_>])> = Vec::new();
         let mut resolved_ahead: Vec<u64> = Vec::new();
-        let eligible = batch.eligible.iter().zip(states).enumerate();
+        let eligible = before.eligible.iter().zip(states).enumerate();
         for (pos, (&(index, txid, record), (state, tags))) in eligible {
-            let ahead = batch.is_ahead(*index);
+            if batch.held.iter().any(|held| held.index == *index) {
+                continue; // held by the wave's `txq`s
+            }
+            let ahead = batch.first_held().is_some_and(|held| *index > held);
             match self.resolve_disposition(ctx, *txid, record, state) {
                 Ok(Disposition::Distribute(data)) => committed.push((
                     CommittedTx {
@@ -393,13 +408,9 @@ impl Leader {
         // Everything eligible is fully processed; ask the queue to
         // redeliver from the first held record once its predecessors (on
         // other shard groups) have caught up.
-        match batch.first_held() {
-            Some(index) => Err(FnError::defer(
-                "held back: session predecessor not yet distributed",
-            )
-            .at_index(index)),
-            None => Ok(()),
-        }
+        batch.held.first().map_or(Ok(()), |held| {
+            Err(FnError::defer(format!("held back by rule {:?}", held.rule)).at_index(held.index))
+        })
     }
 
     /// Remembers records fully processed from behind a held record, so
@@ -414,7 +425,8 @@ impl Leader {
     /// ([`plan::mark_probes`]) in **one** parallel wave — none when the
     /// warm instance or the batch itself already covers every
     /// predecessor — notes them as remembered marks and splits the batch
-    /// by [`plan::hold_back`]. The reads carry no phase label.
+    /// by [`plan::hold_back`] on what the batch alone shows. The reads
+    /// carry no phase label.
     fn sequence<'a>(&self, ctx: &Ctx, decoded: &'a [Decoded]) -> Sequenced<'a> {
         let probes = mark_probes(decoded, &self.warm.lock());
         if !probes.is_empty() {
@@ -429,7 +441,7 @@ impl Leader {
                 warm.note_mark(session, mark);
             }
         }
-        hold_back(decoded, &self.warm.lock())
+        hold_back(decoded, &self.warm.lock(), &HashMap::new())
     }
 
     /// Phase ➊ reads — the batch's **one** read wave. Every read the
@@ -437,8 +449,9 @@ impl Leader {
     /// others, so they all go out together and the wave costs one
     /// storage round trip (the slowest read), not one per kind of read:
     ///
-    /// * the node item of every eligible non-deregistration record
-    ///   (flat — one job per record), classified into its commit state;
+    /// * the node item of every node an eligible record mutates (flat —
+    ///   one job per node and record): the first one's classifies the
+    ///   record's commit state, and each brings its `txq`;
     /// * the watch registry item of every distinct path the batch can
     ///   fire. `watch:<path>` holds every kind, so one read answers all
     ///   of the path's `(path, event)` classes in memory
@@ -458,22 +471,22 @@ impl Leader {
         fires: &BatchFires<'a>,
     ) -> Result<ReadWave<'a>, FnError> {
         enum Read<'r> {
-            Node(usize),
+            Node(usize, &'r str),
             Watches(&'r str),
             Marks(usize),
         }
-        let mut jobs: Vec<Read<'a>> = eligible
+        let nodes = eligible
             .iter()
             .enumerate()
-            .filter(|(_, (_, _, record))| !record.deregister_session)
-            .map(|(pos, _)| Read::Node(pos))
-            .collect();
+            .flat_map(|(pos, (_, _, record))| {
+                mutated_paths(record).map(move |path| Read::Node(pos, path))
+            });
+        let mut jobs: Vec<Read<'a>> = nodes.collect();
         let states = vec![(CommitState::Missing, ObjTags::default()); eligible.len()];
         if jobs.is_empty() {
             return Ok(ReadWave {
                 states,
-                live: HashMap::new(),
-                marks: None,
+                ..ReadWave::default()
             });
         }
         let mut seen = HashSet::new();
@@ -485,14 +498,20 @@ impl Leader {
         // Jobs run inline on this thread (`fan_out`), so each answer is
         // a plain indexed write.
         let states = RefCell::new(states);
+        let txqs = RefCell::new(HashMap::new());
         let live = RefCell::new(HashMap::with_capacity(seen.len()));
         let marks = RefCell::new(vec![Arc::default(); regions.len()]);
         crate::distributor::fan_out(ctx, jobs.len(), |job, child| {
             match jobs[job] {
-                Read::Node(pos) => {
+                Read::Node(pos, path) => {
                     let (_, txid, record) = eligible[pos];
-                    states.borrow_mut()[pos] =
-                        child.span("get_node", || self.commit_state(child, *txid, record));
+                    let item = child.span("get_node", || self.system.get_node(child, path));
+                    let txq = txq_of(item.as_ref());
+                    if path == record.path() {
+                        let state = commit_state(item.as_ref(), &txq, *txid);
+                        states.borrow_mut()[pos] = (state, ObjTags::of(item.as_ref()));
+                    }
+                    txqs.borrow_mut().insert(path, txq);
                 }
                 Read::Watches(path) => {
                     let instances = child.span("query_watches", || {
@@ -514,26 +533,8 @@ impl Leader {
             states: states.into_inner(),
             live: live.into_inner(),
             marks: Some(marks.into_inner()),
+            txqs: txqs.into_inner(),
         })
-    }
-
-    /// Reads `record`'s node item and classifies the commit of `txid`;
-    /// the item also carries the object tags of the node's last write.
-    fn commit_state(&self, ctx: &Ctx, txid: u64, record: &LeaderRecord) -> (CommitState, ObjTags) {
-        let item = self.system.get_node(ctx, record.path());
-        let state = if queued(item.as_ref(), txid) {
-            CommitState::Committed
-        } else if item
-            .as_ref()
-            .and_then(|i| i.num(node_attr::VERSION))
-            .map(|v| v as u64 >= txid)
-            .unwrap_or(false)
-        {
-            CommitState::AlreadyProcessed
-        } else {
-            CommitState::Missing
-        };
-        (state, ObjTags::of(item.as_ref()))
     }
 
     /// Phase ➊ repair: turns a commit state into a disposition, running
@@ -613,7 +614,7 @@ impl Leader {
                         // locks expired and were stolen (real failure).
                         // Re-check which case this is.
                         let item = self.system.get_node(ctx, record.path());
-                        if !queued(item.as_ref(), txid) {
+                        if !txq_of(item.as_ref()).contains(&txid) {
                             // The request never committed; a failed
                             // follower does not impact system consistency.
                             // An abandoned txid the session *recorded*
@@ -623,13 +624,8 @@ impl Leader {
                             // unrecorded orphan must not (see
                             // `mark_resolved`).
                             self.mark_resolved(ctx, txid, record)?;
-                            self.notify_error(
-                                ctx,
-                                record,
-                                FkError::SystemError {
-                                    detail: "transaction abandoned after follower failure".into(),
-                                },
-                            );
+                            let detail = "transaction abandoned after follower failure".into();
+                            self.notify(ctx, record, Err(FkError::SystemError { detail }), 0);
                             return Ok(Disposition::Done);
                         }
                     }
@@ -865,9 +861,6 @@ impl Leader {
     }
 
     fn notify_success(&self, ctx: &Ctx, txid: u64, record: &LeaderRecord) {
-        if record.request_id == crate::follower::INTERNAL_REQUEST {
-            return;
-        }
         // Every sub shares the record's single txid — that one id
         // stamping every outcome *is* the visible all-or-nothing
         // contract of a multi.
@@ -892,41 +885,43 @@ impl Leader {
                 outcome
             })
             .collect();
-        ctx.span("notify_client", || {
-            self.bus.notify(
-                ctx,
-                &record.session_id,
-                ClientNotification::WriteResult {
-                    request_id: record.request_id,
-                    result: Ok(WriteResultData { op_results }),
-                    txid,
-                },
-            );
-        });
+        self.notify(ctx, record, Ok(WriteResultData { op_results }), txid);
     }
 
-    fn notify_error(&self, ctx: &Ctx, record: &LeaderRecord, err: FkError) {
+    /// Answers `record`'s client, unless the record is internal.
+    fn notify(
+        &self,
+        ctx: &Ctx,
+        record: &LeaderRecord,
+        result: FkResult<WriteResultData>,
+        txid: u64,
+    ) {
         if record.request_id == crate::follower::INTERNAL_REQUEST {
             return;
         }
+        let request_id = record.request_id;
+        let answer = ClientNotification::WriteResult {
+            request_id,
+            result,
+            txid,
+        };
         ctx.span("notify_client", || {
-            self.bus.notify(
-                ctx,
-                &record.session_id,
-                ClientNotification::WriteResult {
-                    request_id: record.request_id,
-                    result: Err(err),
-                    txid: 0,
-                },
-            );
+            self.bus.notify(ctx, &record.session_id, answer)
         });
     }
 }
 
-/// True if the node item's pending-transaction queue lists `txid`.
-fn queued(item: Option<&Item>, txid: u64) -> bool {
-    let txq = item.and_then(|item| item.list(node_attr::TXQ));
-    txq.is_some_and(|txq| txq.contains(&Value::Num(txid as i64)))
+/// Classifies the commit of `txid` from its node item and the item's
+/// `txq`.
+fn commit_state(item: Option<&Item>, txq: &[u64], txid: u64) -> CommitState {
+    let version = item.and_then(|item| item.num(node_attr::VERSION));
+    if txq.contains(&txid) {
+        CommitState::Committed
+    } else if version.is_some_and(|version| version as u64 >= txid) {
+        CommitState::AlreadyProcessed
+    } else {
+        CommitState::Missing
+    }
 }
 
 /// Every kind a `watch:<path>` registry item can hold.

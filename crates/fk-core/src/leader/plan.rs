@@ -57,8 +57,9 @@ pub(super) enum Rule {
     Predecessor,
     /// (b) An earlier record of its session in the batch is held.
     Session,
-    /// (c) A node it mutates is mutated by an earlier held record.
-    Path,
+    /// A txid ahead of its own in the `txq` of a node it mutates belongs
+    /// to no earlier eligible record of the batch.
+    Txq,
     /// A deregistration never skips ahead of a held record.
     Deregistration,
 }
@@ -86,11 +87,6 @@ impl Sequenced<'_> {
     pub fn first_held(&self) -> Option<usize> {
         self.held.first().map(|held| held.index)
     }
-
-    /// True if batch index `index` lies behind a held record.
-    pub fn is_ahead(&self, index: usize) -> bool {
-        self.first_held().is_some_and(|held| index > held)
-    }
 }
 
 /// The sessions whose distribution mark [`hold_back`] could need: those
@@ -116,27 +112,31 @@ pub(super) fn mark_probes<'a>(batch: &'a [Decoded], warm: &Warm) -> Vec<&'a str>
     probes
 }
 
-/// Phase ➊a: splits the batch by its cross-shard sequencing constraints
-/// (Z2) into records to process now and records to hold. A record is
-/// **held** iff
+/// The `txq` of each node as the shell read it. A writer's txid exceeds
+/// every txid its locked nodes carry, so a `txq` ascends: the txids
+/// ahead of one are the smaller ones.
+pub(super) type Txqs<'a> = HashMap<&'a str, Vec<u64>>;
+
+/// Phase ➊a: splits the batch by the partial order Z2 and the per-node
+/// `txq` impose into records to process now and records to hold. A
+/// record is **held** iff
 ///
-/// * (a) its `prev_txid` is covered neither by the session's
-///   distribution high-water mark as `warm` knows it (the shell has
-///   noted every mark [`mark_probes`] listed) nor by an earlier
-///   *eligible* record of this batch — the predecessor is in another
-///   group's lane, and a billed invocation is the wrong place to wait
-///   for it (the parent module doc says where the wait lives); or
+/// * (a) its `prev_txid` is covered neither by the session's mark as
+///   `warm` knows it (the shell has noted every mark [`mark_probes`]
+///   listed) nor by an earlier *eligible* record of this batch; or
 /// * (b) an earlier record of its session in this batch is held; or
-/// * (c) a node it mutates is mutated by an earlier held record (the
-///   node's `txq` lists that record's txid first, and ➎ pops by head).
+/// * (the `txq` rule) in the `txq` of a node it mutates, a txid ahead of
+///   its own belongs to no earlier eligible record of the batch. That
+///   `txq` is `txqs`' plus the txids of the batch's earlier records that
+///   mutate the node: empty `txqs` (before the read wave) give what the
+///   batch alone shows, and the wave's only hold more.
 ///
 /// A deregistration never skips ahead of a held record, and a record
 /// this instance already applied ahead is skipped. Everything else is
-/// eligible, whatever its position: Z2 and the per-node `txq` impose a
-/// partial order, and (a)–(c) are exactly its edges
-/// (`docs/consistency.md` § Apply order). Hold-back edges always point
-/// to earlier-pushed transactions, so the wait is cycle-free.
-pub(super) fn hold_back<'a>(batch: &'a [Decoded], warm: &Warm) -> Sequenced<'a> {
+/// eligible, whatever its position: the rules are exactly the edges of
+/// the partial order (`docs/consistency.md` § Apply order), and each
+/// points to an earlier-pushed transaction, so the wait is cycle-free.
+pub(super) fn hold_back<'a>(batch: &'a [Decoded], warm: &Warm, txqs: &Txqs) -> Sequenced<'a> {
     let mut out = Sequenced {
         eligible: Vec::with_capacity(batch.len()),
         held: Vec::new(),
@@ -145,7 +145,8 @@ pub(super) fn hold_back<'a>(batch: &'a [Decoded], warm: &Warm) -> Sequenced<'a> 
     // Highest eligible txid of each session seen earlier in this batch.
     let mut in_batch: HashMap<&str, u64> = HashMap::new();
     let mut held_sessions: HashSet<&str> = HashSet::new();
-    let mut held_paths: HashSet<&str> = HashSet::new();
+    // The batch's txids so far, by node they mutate.
+    let mut queued: Txqs = HashMap::new();
     for entry in batch {
         let &(index, txid, ref record) = entry;
         if warm.ahead.contains(&txid) {
@@ -153,21 +154,27 @@ pub(super) fn hold_back<'a>(batch: &'a [Decoded], warm: &Warm) -> Sequenced<'a> 
             continue;
         }
         let session = record.session_id.as_str();
+        let blocked = |path| {
+            let mut txq = txqs.get(path).into_iter().chain(queued.get(path)).flatten();
+            txq.any(|ahead| *ahead < txid && !out.eligible.iter().any(|(_, t, _)| t == ahead))
+        };
         let rule = if record.deregister_session && !out.held.is_empty() {
             Some(Rule::Deregistration)
         } else if held_sessions.contains(session) {
             Some(Rule::Session)
-        } else if mutated_paths(record).any(|path| held_paths.contains(path)) {
-            Some(Rule::Path)
+        } else if mutated_paths(record).any(blocked) {
+            Some(Rule::Txq)
         } else if !predecessor_known(record, &in_batch, warm) {
             Some(Rule::Predecessor)
         } else {
             None
         };
+        for path in mutated_paths(record) {
+            queued.entry(path).or_default().push(txid);
+        }
         if let Some(rule) = rule {
             out.held.push(Held { index, rule });
             held_sessions.insert(session);
-            held_paths.extend(mutated_paths(record));
         } else {
             note_txid(&mut in_batch, session, txid);
             out.eligible.push(entry);

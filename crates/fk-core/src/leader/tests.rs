@@ -530,10 +530,10 @@ fn same_session_successor_stays_held_behind_a_held_record() {
     assert_eq!(request_ids(&acked(&endpoint)), vec![1, 2, 3]);
 }
 
-/// Rule (c): a record that mutates a node a held record mutates
-/// stays held behind it — as a plain write and as a `multi` sub —
-/// so the node's `txq` pops in order; an unrelated record in the
-/// same batch still goes ahead.
+/// The `txq` rule on the batch alone: a record that mutates a node a
+/// held record mutates stays held behind it — as a plain write and as
+/// a `multi` sub — so the node's `txq` pops in order; an unrelated
+/// record in the same batch still goes ahead.
 #[test]
 fn same_path_records_stay_held_behind_a_held_record() {
     use crate::messages::MultiOp;
@@ -567,7 +567,10 @@ fn same_path_records_stay_held_behind_a_held_record() {
     assert!(err.deferred && err.failed_index == 0, "{err:?}");
     let [a, b, c, d] = &endpoints;
     assert_eq!(request_ids(&acked(d)), vec![1], "the unrelated one ran");
-    assert!(acked(b).is_empty() && acked(c).is_empty(), "held by path");
+    assert!(
+        acked(b).is_empty() && acked(c).is_empty(),
+        "held by the txq"
+    );
     assert_eq!(tier.leaders[1].applied_ahead(), 1);
     assert!(tier.stored(&contended).is_none());
 
@@ -584,6 +587,80 @@ fn same_path_records_stay_held_behind_a_held_record() {
         tier.deployment.user_store().as_ref(),
     );
     assert!(violations.is_empty(), "{violations:#?}");
+}
+
+/// The `txq` rule across lanes: a `multi` routed to lane A by its first
+/// sub also deletes `/m/c`, whose own writes route to lane B, and a
+/// later `create /m/c` sits in lane B. Lane B runs first. The create is
+/// held behind the multi's txid in `/m/c`'s `txq` (lane B's FIFO cannot
+/// see it), so the two apply in txid order: the node exists at the
+/// create's txid, and every `txq` drains.
+#[test]
+fn a_multi_on_another_lanes_node_applies_in_txq_order() {
+    use crate::messages::MultiOp;
+    let tier = Lanes::new(2);
+    let node = "/m/c";
+    let lane_b = fk_cloud::queue::group_of(node, 2);
+    let (lane_a, a) = (1 - lane_b, path_on(1 - lane_b, 0));
+    let endpoints = ["setup", "multi", "create"].map(|id| tier.session(id));
+    for (request_id, path) in [(1, "/m"), (2, node), (3, &a)] {
+        tier.submit("setup", request_id, create(path));
+    }
+    tier.run_follower();
+    while tier.drain(0).unwrap() + tier.drain(1).unwrap() > 0 {}
+    assert_eq!(acked(&endpoints[0]).len(), 3);
+
+    let set_and_delete = vec![
+        MultiOp::SetData {
+            path: a.clone(),
+            payload: Payload::inline(b"multi"),
+            expected_version: -1,
+        },
+        MultiOp::Delete {
+            path: node.into(),
+            expected_version: -1,
+        },
+    ];
+    tier.submit(
+        "multi",
+        1,
+        WriteOp::Multi {
+            ops: set_and_delete,
+        },
+    );
+    tier.submit("create", 1, create(node));
+    tier.run_follower();
+    assert_eq!(
+        (tier.lane(lane_a).pending(), tier.lane(lane_b).pending()),
+        (1, 1)
+    );
+
+    let lane_b_first = tier.drain(lane_b);
+    assert_eq!(tier.drain(lane_a).unwrap(), 1);
+    while tier.lane(lane_b).pending() > 0 {
+        let _ = tier.drain(lane_b);
+    }
+    let [_, multi, created] = &endpoints;
+    let (multi, created) = (acked(multi), acked(created));
+    assert!(
+        multi[0].1 < created[0].1,
+        "txid order: {multi:?} {created:?}"
+    );
+    let stored = tier.stored(node).expect("the create applied last");
+    assert_eq!(stored.modified_txid, created[0].1);
+    assert_eq!(txq_len(&tier, node), 0, "the txq drained");
+    assert_eq!(txq_len(&tier, &a), 0);
+    for leader in &tier.leaders {
+        assert_eq!(leader.applied_ahead(), 0);
+    }
+    let violations = crate::consistency::check_tree_integrity(
+        &tier.ctx,
+        tier.deployment.system(),
+        tier.deployment.user_store().as_ref(),
+    );
+    assert!(violations.is_empty(), "{violations:#?}");
+    let err = lane_b_first.unwrap_err();
+    assert!(err.deferred && err.failed_index == 0, "{err:?}");
 }
 
 /// A user store whose writes to one path fail while it is poisoned.
@@ -1321,13 +1398,15 @@ fn successor_released_by_a_mark_carries_the_predecessors_fired_watch_id() {
 /// their lane at a time; each session's writes chain across groups
 /// (write k waits for k-1, wherever it landed) and every third one
 /// targets a hot node all sessions share, so one lane interleaves
-/// every session's records on one `txq`. An invocation applies what
-/// rules (a)–(c) allow, acknowledges up to the first held record and
-/// remembers what it applied behind it. Every wait-for edge points
-/// at an earlier-pushed record and a lane's earliest-pushed head is
-/// never held by (c), so no schedule can deadlock: the simulation
-/// must always fully drain, in session order and in per-node push
-/// order, and forget everything it applied ahead. (The safety half
+/// every session's records on one `txq`. Some others are `multi`s that
+/// route by a private node to any lane and also mutate the hot node, so
+/// its `txq` is fed from every lane. An invocation applies what rules
+/// (a), (b) and the `txq` rule allow, acknowledges up to the first held
+/// record and remembers what it applied behind it. Every wait-for edge
+/// points at an earlier-pushed record, and the earliest-pushed pending
+/// record heads every `txq` it is in, so no schedule can deadlock: the
+/// simulation must always fully drain, in session order and in per-node
+/// push order, and forget everything it applied ahead. (The safety half
 /// on the real pipeline is the `multi_leader_properties` suite.)
 #[test]
 fn multi_leader_holdback_always_converges_in_des() {
@@ -1345,10 +1424,20 @@ fn multi_leader_holdback_always_converges_in_des() {
         session: usize,
         seq: usize,
         node: usize,
+        /// The hot node, when the write is a `multi` that also mutates it.
+        also: Option<usize>,
+    }
+    impl Write {
+        fn nodes(self) -> impl Iterator<Item = usize> {
+            std::iter::once(self.node).chain(self.also)
+        }
     }
     struct Sim {
         /// Per group: queued writes in push order.
         queues: Vec<VecDeque<Write>>,
+        /// Per node: its `txq`, the unapplied writes that mutate it, in
+        /// push order.
+        txqs: HashMap<usize, VecDeque<Write>>,
         /// Per group: writes applied from behind a held one whose
         /// messages are still queued.
         ahead: Vec<HashSet<Write>>,
@@ -1375,26 +1464,31 @@ fn multi_leader_holdback_always_converges_in_des() {
             let window: Vec<Write> = self.queues[group].iter().take(WINDOW).copied().collect();
             let mut first_held = None;
             let mut held_sessions = HashSet::new();
-            let mut held_nodes = HashSet::new();
             for (index, write) in window.iter().enumerate() {
                 if self.ahead[group].contains(write) {
                     continue;
                 }
-                // Earlier eligible records of the batch applied
-                // already, so the mark also covers rule (a)'s
-                // in-batch case.
+                // Earlier eligible records of the batch applied (and
+                // popped) already, so the mark also covers rule (a)'s
+                // in-batch case, and heading a `txq` means every write
+                // ahead was an earlier eligible record's.
+                let heads = write
+                    .nodes()
+                    .all(|node| self.txqs[&node].front() == Some(write));
                 if held_sessions.contains(&write.session)
-                    || held_nodes.contains(&write.node)
+                    || !heads
                     || self.applied[write.session] < write.seq
                 {
                     first_held.get_or_insert(index);
                     held_sessions.insert(write.session);
-                    held_nodes.insert(write.node);
                     continue;
                 }
                 assert_eq!(self.applied[write.session], write.seq, "session order");
                 self.applied[write.session] += 1;
-                self.node_log.entry(write.node).or_default().push(*write);
+                for node in write.nodes() {
+                    self.txqs.get_mut(&node).and_then(VecDeque::pop_front);
+                    self.node_log.entry(node).or_default().push(*write);
+                }
                 if first_held.is_some() {
                     self.ahead[group].insert(*write);
                     self.skipped_ahead += 1;
@@ -1417,12 +1511,13 @@ fn multi_leader_holdback_always_converges_in_des() {
             }
         }
     }
-    let mut skipped_ahead = 0;
+    let (mut skipped_ahead, mut cross_lane) = (0, 0);
     for seed in 0..20u64 {
         let mut queues: Vec<VecDeque<Write>> = vec![VecDeque::new(); GROUPS];
         // Global push order: sessions round-robin; a write goes to
         // the hot node or to a node of its own in a pseudo-random
-        // group (the path hash).
+        // group (the path hash), and one in six of the latter is a
+        // `multi` that also mutates the hot node.
         let mut route = 0xD15Cu64.wrapping_add(seed);
         let mut pushed: HashMap<usize, Vec<Write>> = HashMap::new();
         for seq in 0..WRITES_PER_SESSION {
@@ -1435,14 +1530,26 @@ fn multi_leader_holdback_always_converges_in_des() {
                     0 => (HOT, 0),
                     _ => (private, (route >> 33) as usize % GROUPS),
                 };
-                let write = Write { session, seq, node };
+                let also = (node != HOT && route >> 40 & 3 == 0).then_some(HOT);
+                let write = Write {
+                    session,
+                    seq,
+                    node,
+                    also,
+                };
                 queues[group].push_back(write);
-                pushed.entry(node).or_default().push(write);
+                for node in write.nodes() {
+                    pushed.entry(node).or_default().push(write);
+                }
             }
         }
+        let txqs = pushed
+            .iter()
+            .map(|(node, writes)| (*node, writes.iter().copied().collect()));
         let sim = run(
             Sim {
                 queues,
+                txqs: txqs.collect(),
                 ahead: vec![HashSet::new(); GROUPS],
                 applied: vec![0; SESSIONS],
                 node_log: HashMap::new(),
@@ -1470,8 +1577,12 @@ fn multi_leader_holdback_always_converges_in_des() {
             "seed {seed}: applied-ahead state outlived its messages"
         );
         skipped_ahead += sim.skipped_ahead;
+        cross_lane += (pushed[&HOT].iter())
+            .filter(|write| write.also.is_some())
+            .count();
     }
     assert!(skipped_ahead > 0, "the schedules never skipped ahead");
+    assert!(cross_lane > 0, "no multi mutated the hot node");
 }
 
 /// Create-heavy batch, no live watches: each fired path's registry
@@ -1621,8 +1732,8 @@ fn warm(marks: &[(&str, u64)], ahead: &[u64]) -> Warm {
 /// indices).
 type Verdict = (Vec<usize>, Vec<Held>, Vec<usize>);
 
-fn verdict(batch: &[Decoded], warm: &Warm) -> Verdict {
-    let sequenced = hold_back(batch, warm);
+fn verdict(batch: &[Decoded], warm: &Warm, txqs: &[(&'static str, Vec<u64>)]) -> Verdict {
+    let sequenced = hold_back(batch, warm, &txqs.iter().cloned().collect());
     let eligible = sequenced.eligible.iter().map(|(i, _, _)| *i).collect();
     let ahead = sequenced.applied_ahead.iter().map(|(i, _)| *i).collect();
     (eligible, sequenced.held, ahead)
@@ -1632,12 +1743,20 @@ fn held(index: usize, rule: Rule) -> Held {
     Held { index, rule }
 }
 
-/// One row per hold-back rule, each with the rule that held.
+/// One row per hold-back rule, each with the rule that held, over the
+/// `txq`s the read wave found (none before it).
 #[test]
 fn hold_back_table() {
     use Rule::*;
     let (x, y) = (|| vec![mutate("/x")], || vec![mutate("/y")]);
-    let rows: Vec<(&str, Vec<LeaderRecord>, Warm, Verdict)> = vec![
+    type Row = (
+        &'static str,
+        Vec<LeaderRecord>,
+        Warm,
+        Vec<(&'static str, Vec<u64>)>,
+        Verdict,
+    );
+    let rows: Vec<Row> = vec![
         (
             "(a) an unknown predecessor holds; a remembered mark or an earlier eligible record covers",
             vec![
@@ -1646,16 +1765,18 @@ fn hold_back_table() {
                 record("t", 12, 11, vec![mutate("/z")]),
             ],
             warm(&[("t", 7)], &[]),
+            vec![],
             (vec![1, 2], vec![held(0, Predecessor)], vec![]),
         ),
         (
             "(b) a later record of a held session stays held",
             vec![record("s", 10, 5, x()), record("s", 12, 10, y())],
             warm(&[], &[]),
+            vec![],
             (vec![], vec![held(0, Predecessor), held(1, Session)], vec![]),
         ),
         (
-            "(c) a record on a held node stays held, as a plain write and as a multi sub; a check does not",
+            "txq, the batch alone: a record on a held node stays held, as a plain write and as a multi sub; a check does not",
             vec![
                 record("s", 10, 5, x()),
                 record("t", 11, 0, x()),
@@ -1663,11 +1784,19 @@ fn hold_back_table() {
                 record("v", 13, 0, vec![check("/x"), mutate("/w")]),
             ],
             warm(&[], &[]),
-            (
-                vec![3],
-                vec![held(0, Predecessor), held(1, Path), held(2, Path)],
-                vec![],
-            ),
+            vec![],
+            (vec![3], vec![held(0, Predecessor), held(1, Txq), held(2, Txq)], vec![]),
+        ),
+        (
+            "txq, as read: a foreign txid ahead holds, on any node a multi mutates; eligible txids ahead and any txid behind do not",
+            vec![
+                record("s", 10, 0, x()),
+                record("t", 12, 0, vec![mutate("/w"), mutate("/y")]),
+                record("u", 14, 0, vec![mutate("/z"), mutate("/x")]),
+            ],
+            warm(&[], &[]),
+            vec![("/x", vec![10, 14]), ("/y", vec![9, 12]), ("/z", vec![14, 16])],
+            (vec![0, 2], vec![held(1, Txq)], vec![]),
         ),
         (
             "a deregistration never skips ahead of a held record",
@@ -1677,6 +1806,7 @@ fn hold_back_table() {
                 deregistration("u", 11, 0),
             ],
             warm(&[("t", 3)], &[]),
+            vec![],
             (vec![0], vec![held(1, Predecessor), held(2, Deregistration)], vec![]),
         ),
         (
@@ -1687,17 +1817,19 @@ fn hold_back_table() {
                 record("t", 12, 11, vec![mutate("/z")]),
             ],
             warm(&[("t", 11)], &[11]),
+            vec![],
             (vec![2], vec![held(0, Predecessor)], vec![1]),
         ),
         (
             "a single-group batch (no txid, no predecessor) holds nothing",
             vec![record("s", 0, 0, x()), record("t", 0, 0, x())],
             warm(&[], &[]),
+            vec![],
             (vec![0, 1], vec![], vec![]),
         ),
     ];
-    for (name, records, warm, want) in rows {
-        assert_eq!(verdict(&decoded(records), &warm), want, "{name}");
+    for (name, records, warm, txqs, want) in rows {
+        assert_eq!(verdict(&decoded(records), &warm, &txqs), want, "{name}");
     }
 }
 
@@ -1850,12 +1982,14 @@ fn segment_table() {
 }
 
 /// A random lane-0 batch of a 2-group tier and the facts about it: each
-/// session's mark in system storage, and what the warm instance
+/// session's mark in system storage, each node's `txq` (lane 1's
+/// pending txids among the batch's), and what the warm instance
 /// remembers (a lower bound of each mark, and some txids applied
 /// ahead).
 struct Case {
     batch: Vec<Decoded>,
     store: HashMap<String, u64>,
+    txqs: HashMap<String, Vec<u64>>,
     warm: Warm,
 }
 
@@ -1871,6 +2005,7 @@ impl Case {
         // lane 0's. `history` is each session's txid chain.
         let mut history: HashMap<&str, Vec<u64>> = HashMap::new();
         let (mut records, mut txid) = (Vec::new(), 0);
+        let mut txqs: HashMap<String, Vec<u64>> = HashMap::new();
         while records.len() < len {
             let session = &sessions[rng.gen_range(0..sessions.len())];
             txid += rng.gen_range(1..=3u64);
@@ -1890,7 +2025,15 @@ impl Case {
                 });
                 record(session, txid, prev, ops.collect())
             };
-            if rng.gen_bool(0.6) {
+            // A lane-0 record's commit may not have landed yet; a
+            // lane-1 record may be distributed already.
+            let (in_batch, queued) = (rng.gen_bool(0.6), rng.gen_bool(0.7));
+            if queued {
+                for path in mutated_paths(&record) {
+                    txqs.entry(path.to_owned()).or_default().push(txid);
+                }
+            }
+            if in_batch {
                 records.push(record);
             }
         }
@@ -1907,12 +2050,16 @@ impl Case {
         }
         for record in &records {
             if rng.gen_bool(0.15) {
+                // Applied ahead: distributed, so popped.
                 warm.ahead.insert(record.txid);
+                txqs.values_mut()
+                    .for_each(|txq| txq.retain(|t| *t != record.txid));
             }
         }
         Case {
             batch: decoded(records),
             store,
+            txqs,
             warm,
         }
     }
@@ -1932,31 +2079,45 @@ impl Case {
             let earlier = || (0..i).filter(|&j| !ahead(j)).map(|j| (j, &self.batch[j].2));
             let held = || earlier().filter(|(j, _)| !is_eligible(*j)).map(|(_, q)| q);
             let session = |q: &&LeaderRecord| q.session_id == r.session_id;
-            let shares_node =
-                |q: &LeaderRecord| mutated_paths(q).any(|p| mutated_paths(r).any(|path| path == p));
+            // A txid ahead of r's in the txq of a node r mutates: stored,
+            // or an earlier record's of the batch.
+            let ahead = |path: &str| {
+                let stored = self.txqs.get(path).into_iter().flatten().copied();
+                let mutates = |q: &LeaderRecord| mutated_paths(q).any(|p| p == path);
+                let batch = earlier().filter(|(_, q)| mutates(q)).map(|(_, q)| q.txid);
+                stored
+                    .chain(batch)
+                    .filter(|t| *t < r.txid)
+                    .collect::<Vec<_>>()
+            };
+            let eligible_txid = |t: u64| earlier().any(|(j, q)| is_eligible(j) && q.txid == t);
             let mark = self.store[&r.session_id];
             let known = r.prev_txid == 0
                 || mark >= r.prev_txid
                 || earlier().any(|(j, q)| is_eligible(j) && session(&q) && q.txid >= r.prev_txid);
             let deregistration = r.deregister_session && held().next().is_some();
             let by_session = held().any(|q| session(&q));
-            let by_node = held().any(shares_node);
-            let holds = !known || by_session || by_node || deregistration;
+            let by_txq = mutated_paths(r).any(|p| ahead(p).into_iter().any(|t| !eligible_txid(t)));
+            let holds = !known || by_session || by_txq || deregistration;
             is_eligible(i) != holds
         })
     }
 }
 
-/// `hold_back`, after the shell's mark wave over `mark_probes`, against
-/// a brute-force reference: over every subset of a random batch,
-/// exactly one satisfies the declarative definition of "eligible", and
-/// it is `hold_back`'s eligible set.
+/// `hold_back`, as the shell runs it — after the mark wave over
+/// `mark_probes` on the batch alone, then again over the `txq`s the read
+/// wave finds on the nodes its eligible records mutate — against a
+/// brute-force reference: over every subset of a random batch, exactly
+/// one satisfies the declarative definition of "eligible", and it is
+/// `hold_back`'s eligible set. The batch alone misses foreign txids, so
+/// its verdict fails the reference in some cases.
 #[test]
 fn hold_back_matches_the_brute_force_reference() {
     use rand::SeedableRng;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(14);
     let mut rules: HashMap<Rule, usize> = HashMap::new();
-    let (mut probed, mut skipped) = (0, 0);
+    let (mut probed, mut skipped, mut batch_alone_wrong) = (0, 0, 0);
+    let set_of = |eligible: &[&Decoded]| eligible.iter().fold(0u32, |set, (i, _, _)| set | 1 << i);
     for case_no in 0..2_000 {
         let mut case = Case::random(&mut rng);
         // The shell: one wave over the probes, noted as marks.
@@ -1964,11 +2125,20 @@ fn hold_back_matches_the_brute_force_reference() {
             case.warm.note_mark(session, case.store[session]);
             probed += 1;
         }
-        let sequenced = hold_back(&case.batch, &case.warm);
-        let chosen = sequenced
+        let before = hold_back(&case.batch, &case.warm, &HashMap::new());
+        let read: HashMap<&str, Vec<u64>> = before
             .eligible
             .iter()
-            .fold(0u32, |set, (i, _, _)| set | 1 << i);
+            .flat_map(|(_, _, record)| mutated_paths(record))
+            .map(|path| (path, case.txqs.get(path).cloned().unwrap_or_default()))
+            .collect();
+        let sequenced = hold_back(&case.batch, &case.warm, &read);
+        for held in &before.held {
+            let still = sequenced.held.iter().any(|h| h.index == held.index);
+            assert!(still, "case {case_no}: the wave only holds more");
+        }
+        batch_alone_wrong += usize::from(!case.satisfies(set_of(&before.eligible)));
+        let chosen = set_of(&sequenced.eligible);
         let fixed_points: Vec<u32> = (0..1u32 << case.batch.len())
             .filter(|set| case.satisfies(*set))
             .collect();
@@ -1993,7 +2163,10 @@ fn hold_back_matches_the_brute_force_reference() {
         }
         skipped += sequenced.applied_ahead.len();
     }
-    println!("rules held {rules:?}; {probed} marks probed, {skipped} records skipped ahead");
+    println!(
+        "rules held {rules:?}; {probed} marks probed, {skipped} records skipped ahead; \
+         the batch alone was wrong in {batch_alone_wrong} cases"
+    );
     assert_eq!(rules.len(), 4, "every rule held some record: {rules:?}");
-    assert!(probed > 0 && skipped > 0);
+    assert!(probed > 0 && skipped > 0 && batch_alone_wrong > 0);
 }

@@ -160,9 +160,9 @@ fn waiter<T: Clone + Send + Sync + 'static>(
 /// everyone's: followers of different sessions then never spin on one
 /// node lock, which on a loaded box can exhaust a request's deliveries
 /// and strand the pipelined session behind the lost result (ROADMAP
-/// item 4's flake class). A child is named into its parent's leader
-/// lane, so every multi mutates nodes of one lane (a node's writes are
-/// ordered by its own lane only).
+/// item 3's flake class). A multi's subs may mutate nodes of different
+/// leader lanes: each node's writes apply in its `txq` order whatever
+/// lane carries them.
 fn run_pipelined_multis(
     seed: u64,
     clients: usize,
@@ -170,7 +170,6 @@ fn run_pipelined_multis(
     distributor: DistributorConfig,
     crashes: Crashes,
 ) -> (Vec<HEvent>, HashMap<String, HashSet<u64>>) {
-    use fk_cloud::queue::group_of;
     use fk_core::ops::Op;
     let fk = start_with_crashes(
         DeploymentConfig::aws().with_distributor(distributor),
@@ -183,12 +182,7 @@ fn run_pipelined_multis(
     for n in 0..2 * clients {
         root.create(&node(n), b"", CreateMode::Persistent).unwrap();
     }
-    let child = |n: usize, j: usize| -> String {
-        let parent = node(n);
-        let mut names = (0..).map(|salt| format!("{parent}/c{j}v{salt}"));
-        let same_lane = |name: &String| group_of(name, 4) == group_of(&parent, 4);
-        names.find(same_lane).expect("some name shares the lane")
-    };
+    let child = |n: usize, j: usize| format!("{}/c{j}", node(n));
 
     let mut watch_ids = HashMap::new();
     std::thread::scope(|scope| {

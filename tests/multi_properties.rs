@@ -31,7 +31,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
-use std::sync::LazyLock;
 use std::time::Duration;
 
 // ----------------------------------------------------------------------
@@ -474,29 +473,10 @@ fn multi_fires_watches_with_the_shared_txid() {
 /// Number of slots in [`TREE`].
 const SLOTS: usize = 6;
 
-/// The family — a parent with its children, or the childless sibling —
-/// each [`TREE`] slot belongs to.
-const FAMILY: [usize; SLOTS] = [0, 1, 0, 0, 1, 2];
-
 /// The tree the interleaved workload plays on, all under `/m`: parents
 /// `a` and `b` (slots 0, 1), children `a/x`, `a/y`, `b/x` (2, 3, 4) and
-/// a childless sibling `c` (5). Children are named so that a family
-/// shares one leader lane at 2 and 4 shard groups.
-static TREE: LazyLock<[String; SLOTS]> = LazyLock::new(|| {
-    let beside = |parent: &str, stem: &str| -> String {
-        let mut names = (0..).map(|i| format!("{parent}/{stem}{i}"));
-        let same_lane = |name: &String| group_of(name, 4) == group_of(parent, 4);
-        names.find(same_lane).expect("some name shares the lane")
-    };
-    [
-        "/m/a".to_owned(),
-        "/m/b".to_owned(),
-        beside("/m/a", "x"),
-        beside("/m/a", "y"),
-        beside("/m/b", "x"),
-        "/m/c".to_owned(),
-    ]
-});
+/// a childless sibling `c` (5).
+const TREE: [&str; SLOTS] = ["/m/a", "/m/b", "/m/a/x", "/m/a/y", "/m/b/x", "/m/c"];
 
 fn parent_of(path: &str) -> &str {
     &path[..path.rfind('/').expect("absolute path")]
@@ -575,26 +555,27 @@ impl TreeModel {
         self.nodes.keys().any(|other| parent_of(other) == path)
     }
 
-    /// The concrete op `gen` stands for in the current state, picked
-    /// from `family`'s slots only when one is given.
-    fn resolve(&self, gen: GenTreeOp, family: Option<usize>) -> TreeOp {
+    /// The concrete op `gen` stands for in the current state.
+    fn resolve(&self, gen: GenTreeOp) -> TreeOp {
         let op = |slot| match gen.kind {
             0 => TreeOp::Create(slot),
             1 => TreeOp::Set(slot),
             2 => TreeOp::Delete(slot),
             _ => TreeOp::Check(slot),
         };
-        let allowed = |slot: &usize| family.is_none_or(|family| FAMILY[*slot] == family);
         let fits = |slot: &usize| self.clone().apply(op(*slot), "").is_ok() == gen.valid;
-        let allowed: Vec<usize> = (0..SLOTS).filter(allowed).collect();
-        let fitting: Vec<usize> = allowed.iter().copied().filter(fits).collect();
-        let from = if fitting.is_empty() { allowed } else { fitting };
+        let fitting: Vec<usize> = (0..SLOTS).filter(fits).collect();
+        let from = if fitting.is_empty() {
+            (0..SLOTS).collect()
+        } else {
+            fitting
+        };
         op(from[gen.pick % from.len()])
     }
 
     /// Applies one op with payload `tag`; `Err` leaves the model as is.
     fn apply(&mut self, op: TreeOp, tag: &str) -> Result<(), ()> {
-        let path = TREE[op.slot()].as_str();
+        let path = TREE[op.slot()];
         let exists = self.nodes.contains_key(path);
         match op {
             TreeOp::Create(_) if !exists && self.nodes.contains_key(parent_of(path)) => {
@@ -615,20 +596,16 @@ impl TreeModel {
     /// Resolves a multi's ops in order, each against the state its
     /// predecessors would leave, and applies them all-or-nothing: a
     /// second mutation of one path is rejected up front, then the ops
-    /// validate in order against the overlay. With `one_lane`, every
-    /// mutating sub stays in the first one's family. Returns the
-    /// concrete ops and whether the multi commits.
-    fn apply_multi(&mut self, ops: &[GenTreeOp], tag: &str, one_lane: bool) -> (Vec<TreeOp>, bool) {
+    /// validate in order against the overlay. Returns the concrete ops
+    /// and whether the multi commits.
+    fn apply_multi(&mut self, ops: &[GenTreeOp], tag: &str) -> (Vec<TreeOp>, bool) {
         let mut overlay = self.clone();
         let (mut concrete, mut mutated, mut valid) = (Vec::new(), Vec::new(), true);
-        let mut family = None;
         for (i, gen) in ops.iter().enumerate() {
-            let mutates = gen.kind < 3;
-            let op = overlay.resolve(*gen, family.filter(|_| mutates));
-            if mutates {
+            let op = overlay.resolve(*gen);
+            if gen.kind < 3 {
                 valid &= !mutated.contains(&op.slot());
                 mutated.push(op.slot());
-                family = family.or(one_lane.then_some(FAMILY[op.slot()]));
             }
             // A failed sub leaves the overlay as is; later subs still
             // resolve against something sensible.
@@ -644,7 +621,7 @@ impl TreeModel {
 
 fn wire_multi(ops: &[TreeOp], tag: &str) -> WriteOp {
     let ops = ops.iter().enumerate().map(|(i, op)| {
-        let path = TREE[op.slot()].clone();
+        let path = TREE[op.slot()].to_owned();
         let payload = Payload::inline(format!("{tag}.{i}").as_bytes());
         match op {
             TreeOp::Create(_) => MultiOp::Create {
@@ -671,7 +648,7 @@ fn wire_multi(ops: &[TreeOp], tag: &str) -> WriteOp {
 }
 
 fn wire_single(op: TreeOp, tag: &str) -> WriteOp {
-    let path = TREE[op.slot()].clone();
+    let path = TREE[op.slot()].to_owned();
     let payload = Payload::inline(tag.as_bytes());
     match op {
         TreeOp::Create(_) => WriteOp::Create {
@@ -695,13 +672,9 @@ fn wire_single(op: TreeOp, tag: &str) -> WriteOp {
 /// Runs `writes` (three sessions round-robin) through the follower one
 /// request at a time — so validation order is submission order — with
 /// no leader running, then drains the lanes in a seeded random group
-/// order and compares everything observable with the model.
-///
-/// In a multi-group tier every mutating sub of a multi stays in one
-/// lane (one [`FAMILY`]): a node's writes are ordered by its own lane
-/// only, so a multi that mutates another lane's node is not ordered
-/// against that node's own records (ROADMAP item 3 — it predates this
-/// suite, which found it).
+/// order and compares everything observable with the model. A multi's
+/// subs may mutate nodes of different lanes: each node's writes apply
+/// in its `txq` order whatever lane carries them.
 fn run_interleaved(
     groups: usize,
     batch: usize,
@@ -783,12 +756,12 @@ fn run_interleaved(
         let (session, tag) = (i % SESSIONS.len(), format!("w{i}"));
         match write {
             TreeWrite::Single(gen) => {
-                let op = model.resolve(*gen, None);
+                let op = model.resolve(*gen);
                 let request = push(session, wire_single(op, &tag));
                 commits.insert(request, model.apply(op, &tag).is_ok());
             }
             TreeWrite::Multi(gens) => {
-                let (ops, valid) = model.apply_multi(gens, &tag, groups > 1);
+                let (ops, valid) = model.apply_multi(gens, &tag);
                 let request = push(session, wire_multi(&ops, &tag));
                 commits.insert(request, valid);
                 multis.insert(tag, request);
@@ -891,7 +864,7 @@ fn run_interleaved(
     // children rewrite may have moved a parent's `modified_txid` on; it
     // then also moved `children_txid`).
     for store in deployment.user_stores() {
-        for path in TREE.iter().map(String::as_str).chain(["/m", &fresh]) {
+        for path in TREE.into_iter().chain(["/m", &fresh]) {
             let stored = store.read_node(&ctx, path).unwrap();
             let data = stored
                 .as_ref()
