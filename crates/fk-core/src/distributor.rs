@@ -152,8 +152,10 @@ pub struct CommittedTx<'a> {
     /// The confirmed change.
     pub record: &'a LeaderRecord,
     /// Per-sub payload bytes (inline, or fetched from staging), aligned
-    /// with `record.ops`; empty for subs that write no node.
-    pub data: Vec<Bytes>,
+    /// with `record.ops`; empty for subs that write no node. `None` for
+    /// a sub that is neither applied nor popped: an earlier delivery
+    /// applied it and popped its node's `txq`.
+    pub data: Vec<Option<Bytes>>,
     /// Distributed from *behind* a held record of its queue batch (the
     /// leader's skip-ahead): earlier records of the lane are still
     /// undistributed, so the txid must not count toward the group's
@@ -720,7 +722,8 @@ impl Distributor {
     ) -> CloudResult<()> {
         // Per path, in txid order: the txids to pop and whether the last
         // transaction deleted the node. A record contributes each
-        // *mutating* sub path once (checks never enter the txq).
+        // *mutating* sub path once (checks never enter the txq), unless
+        // an earlier delivery popped it (its `data` is `None`).
         let mut per_path: OrderedMap<&str, (Vec<u64>, bool)> = OrderedMap::new();
         // A duplicated queue delivery puts the *same* committed record in
         // the epoch twice, but its txid sits in the path's `txq` exactly
@@ -735,7 +738,8 @@ impl Distributor {
             }
         };
         for tx in items {
-            for sub in tx.record.ops.iter().filter(|sub| sub.mutates()) {
+            let subs = tx.record.ops.iter().zip(&tx.data);
+            for (sub, _) in subs.filter(|(sub, data)| sub.mutates() && data.is_some()) {
                 let entry = per_path.get_or_insert_with(sub.path.as_str(), Default::default);
                 push_once(entry, tx.txid);
                 entry.1 = sub.is_delete;
@@ -776,7 +780,8 @@ impl Distributor {
 /// only full copies of the children lists any number of workers pays.
 fn effects_of<'a>(tx: &'a CommittedTx<'_>) -> impl Iterator<Item = Effect<'a>> {
     let subs = tx.record.ops.iter().zip(&tx.data);
-    subs.flat_map(|(sub, data)| effects_of_update(&sub.user_update, data, tx.txid))
+    let applied = subs.filter_map(|(sub, data)| Some((sub, data.as_ref()?)));
+    applied.flat_map(|(sub, data)| effects_of_update(&sub.user_update, data, tx.txid))
 }
 
 /// The 1–2 effects of one user-store update, in order.
@@ -1435,7 +1440,7 @@ mod tests {
                 msg_index: 0,
                 txid: record.txid,
                 record,
-                data: vec![Bytes::new(); record.ops.len()],
+                data: vec![Some(Bytes::new()); record.ops.len()],
                 ahead: false,
                 tags: ObjTags::default(),
             })
@@ -1576,7 +1581,7 @@ mod tests {
                 msg_index: 0,
                 txid: record.txid,
                 record,
-                data: vec![Bytes::from_static(b"y")],
+                data: vec![Some(Bytes::from_static(b"y"))],
                 ahead: false,
                 tags: ObjTags::default(),
             })

@@ -29,8 +29,8 @@
 //! them as already processed). ➊ **Read wave + verify** — everything the
 //! batch reads from system storage comes back in **one** parallel wave
 //! (`Leader::read_wave`): the item of every node an eligible record
-//! mutates (its `txq`; the first one's gives the record's commit state
-//! and the object tags of the node's last write), the watch
+//! mutates (their `txq`s give the record's commit state, the first
+//! one's item the object tags of the node's last write), the watch
 //! registry item of every distinct path the batch can fire
 //! (`watch:<path>` holds every kind, so each `(path, event)` class
 //! is answered from it in memory), and each region's epoch marks for
@@ -87,7 +87,7 @@ use fk_cloud::faas::FnError;
 use fk_cloud::ops::Op;
 use fk_cloud::queue::{Message, Queue};
 use fk_cloud::trace::Ctx;
-use fk_cloud::value::{Item, Value};
+use fk_cloud::value::Value;
 use fk_cloud::{CloudError, ObjectStore};
 use plan::{
     epoch_results, epoch_sessions, fired_children, hold_back, kinds_for, mark_probes, merge_fires,
@@ -152,6 +152,8 @@ pub struct Leader {
 /// Commit state of one record after verification (Algorithm 2 ➊).
 #[derive(Clone, Copy)]
 enum CommitState {
+    /// A `txq` of a node it mutates holds its txid. The commit queues it
+    /// on every node at once and the pops take it off one by one.
     Committed,
     AlreadyProcessed,
     Missing,
@@ -161,17 +163,17 @@ enum CommitState {
 /// fully handled (notified / deregistered / rejected).
 enum Disposition {
     /// Distribute, with the per-sub resolved payloads (aligned with
-    /// `record.ops`; empty `Bytes` for subs that write no node).
-    Distribute(Vec<Bytes>),
+    /// `record.ops`, as `CommittedTx::data`).
+    Distribute(Vec<Option<Bytes>>),
     Done,
 }
 
 /// What a batch's one read wave brought back ([`Leader::read_wave`]).
 #[derive(Default)]
 struct ReadWave<'a> {
-    /// Commit state of each eligible record and the object tags on
-    /// record for its node, in batch order.
-    states: Vec<(CommitState, ObjTags)>,
+    /// The version and object tags of each eligible record's node, by
+    /// batch index.
+    nodes: HashMap<usize, (Option<i64>, ObjTags)>,
     /// Live watch kinds of every distinct path the batch can fire.
     live: HashMap<&'a str, KindSet>,
     /// Each region's epoch marks, for the batch's first epoch (`None`
@@ -262,9 +264,9 @@ impl Leader {
             };
             decoded.push((i, txid, record));
         }
-        let mut batch = self.sequence(ctx, &decoded);
+        let batch = self.sequence(ctx, &decoded);
         let mut handles = Vec::new();
-        let result = self.process_eligible(ctx, &decoded, &mut batch, &mut handles);
+        let result = self.process_eligible(ctx, &decoded, &batch, &mut handles);
         // The queue acknowledges every message before the reported
         // index; records processed ahead that sit in that prefix are
         // leaving the queue, and with everything queued before them now
@@ -325,8 +327,9 @@ impl Leader {
     }
 
     /// Phases ➊–➎ over the batch's eligible records, then the deferral
-    /// of the held ones. The read wave's `txq`s sequence `batch` again,
-    /// which only holds more records (`plan::hold_back`).
+    /// of the held ones. The read wave covers `first`'s eligible records;
+    /// its `txq`s sequence `decoded` again, which only holds more
+    /// (`plan::hold_back`) and skips the same records applied ahead.
     ///
     /// Partial-batch failure contract: `at_index(i)` tells the queue
     /// that messages *before* `i` are fully processed. A held record is
@@ -335,7 +338,7 @@ impl Leader {
         &self,
         ctx: &Ctx,
         decoded: &'a [Decoded],
-        batch: &mut Sequenced<'a>,
+        first: &Sequenced<'a>,
         handles: &mut Vec<WatchHandle>,
     ) -> Result<(), FnError> {
         // ➊ one read wave, then sequential repair. Until an epoch's
@@ -344,37 +347,33 @@ impl Leader {
         // notifications — so every failure up to and including the first
         // epoch maps to index 0 (redeliver the whole batch; redelivery
         // re-resolves each record idempotently).
-        let fires = BatchFires::of(&batch.eligible);
+        let fires = BatchFires::of(&first.eligible);
         let ReadWave {
-            states,
+            mut nodes,
             live,
             mut marks,
             txqs,
-        } = self.read_wave(ctx, &batch.eligible, &fires)?;
-        let before = std::mem::replace(batch, hold_back(decoded, &self.warm.lock(), &txqs));
-        let batch = &*batch;
+        } = self.read_wave(ctx, &first.eligible, &fires)?;
+        let batch = &hold_back(decoded, &self.warm.lock(), &txqs);
         let not_past_held = |index: usize| batch.first_held().map_or(index, |held| held.min(index));
         let mut committed: Vec<(CommittedTx<'_>, &[Fire<'_>])> = Vec::new();
         let mut resolved_ahead: Vec<u64> = Vec::new();
-        let eligible = before.eligible.iter().zip(states).enumerate();
-        for (pos, (&(index, txid, record), (state, tags))) in eligible {
-            if batch.held.iter().any(|held| held.index == *index) {
-                continue; // held by the wave's `txq`s
-            }
-            let ahead = batch.first_held().is_some_and(|held| *index > held);
-            match self.resolve_disposition(ctx, *txid, record, state) {
+        for &&(index, txid, ref record) in &batch.eligible {
+            let ahead = batch.is_ahead(index);
+            let (version, tags) = nodes.remove(&index).unwrap_or_default();
+            match self.resolve_disposition(ctx, txid, record, version, &txqs) {
                 Ok(Disposition::Distribute(data)) => committed.push((
                     CommittedTx {
-                        msg_index: *index,
-                        txid: *txid,
+                        msg_index: index,
+                        txid,
                         record,
                         data,
                         ahead,
                         tags,
                     },
-                    fires.of_record(pos),
+                    fires.of_record(index),
                 )),
-                Ok(Disposition::Done) if ahead => resolved_ahead.push(*txid),
+                Ok(Disposition::Done) if ahead => resolved_ahead.push(txid),
                 Ok(Disposition::Done) => {}
                 Err(e) => return Err(e.at_index(0)),
             }
@@ -450,8 +449,8 @@ impl Leader {
     /// storage round trip (the slowest read), not one per kind of read:
     ///
     /// * the node item of every node an eligible record mutates (flat —
-    ///   one job per node and record): the first one's classifies the
-    ///   record's commit state, and each brings its `txq`;
+    ///   one job per node and record): each brings its `txq`, and the
+    ///   first one the record's version and object tags;
     /// * the watch registry item of every distinct path the batch can
     ///   fire. `watch:<path>` holds every kind, so one read answers all
     ///   of the path's `(path, event)` classes in memory
@@ -482,12 +481,8 @@ impl Leader {
                 mutated_paths(record).map(move |path| Read::Node(pos, path))
             });
         let mut jobs: Vec<Read<'a>> = nodes.collect();
-        let states = vec![(CommitState::Missing, ObjTags::default()); eligible.len()];
         if jobs.is_empty() {
-            return Ok(ReadWave {
-                states,
-                ..ReadWave::default()
-            });
+            return Ok(ReadWave::default());
         }
         let mut seen = HashSet::new();
         let paths = fires.all.iter().map(|fire| fire.path);
@@ -497,21 +492,21 @@ impl Leader {
 
         // Jobs run inline on this thread (`fan_out`), so each answer is
         // a plain indexed write.
-        let states = RefCell::new(states);
+        let nodes = RefCell::new(HashMap::new());
         let txqs = RefCell::new(HashMap::new());
         let live = RefCell::new(HashMap::with_capacity(seen.len()));
         let marks = RefCell::new(vec![Arc::default(); regions.len()]);
         crate::distributor::fan_out(ctx, jobs.len(), |job, child| {
             match jobs[job] {
                 Read::Node(pos, path) => {
-                    let (_, txid, record) = eligible[pos];
                     let item = child.span("get_node", || self.system.get_node(child, path));
-                    let txq = txq_of(item.as_ref());
+                    let (index, _, record) = eligible[pos];
                     if path == record.path() {
-                        let state = commit_state(item.as_ref(), &txq, *txid);
-                        states.borrow_mut()[pos] = (state, ObjTags::of(item.as_ref()));
+                        let version = item.as_ref().and_then(|item| item.num(node_attr::VERSION));
+                        let tags = ObjTags::of(item.as_ref());
+                        nodes.borrow_mut().insert(*index, (version, tags));
                     }
-                    txqs.borrow_mut().insert(path, txq);
+                    txqs.borrow_mut().insert(path, txq_of(item.as_ref()));
                 }
                 Read::Watches(path) => {
                     let instances = child.span("query_watches", || {
@@ -530,21 +525,24 @@ impl Leader {
         })
         .map_err(|e| FnError::retryable(e.to_string()))?;
         Ok(ReadWave {
-            states: states.into_inner(),
+            nodes: nodes.into_inner(),
             live: live.into_inner(),
             marks: Some(marks.into_inner()),
             txqs: txqs.into_inner(),
         })
     }
 
-    /// Phase ➊ repair: turns a commit state into a disposition, running
-    /// `TryCommit` for missing commits and notifying terminal outcomes.
+    /// Phase ➊ repair: classifies the commit of `txid` from the read
+    /// wave's `txqs` and the `version` of the record's node, and turns it
+    /// into a disposition, running `TryCommit` for missing commits and
+    /// notifying terminal outcomes.
     fn resolve_disposition(
         &self,
         ctx: &Ctx,
         txid: u64,
         record: &LeaderRecord,
-        state: CommitState,
+        version: Option<i64>,
+        txqs: &Txqs,
     ) -> Result<Disposition, FnError> {
         if record.deregister_session {
             // Removal is idempotent: deleting an already-deleted session
@@ -568,6 +566,12 @@ impl Leader {
             self.bus.deregister(&record.session_id);
             return Ok(Disposition::Done);
         }
+        let queued = |path: &str| txqs.get(path).is_some_and(|txq| txq.contains(&txid));
+        let state = match version {
+            _ if mutated_paths(record).any(queued) => CommitState::Committed,
+            Some(version) if version as u64 >= txid => CommitState::AlreadyProcessed,
+            _ => CommitState::Missing,
+        };
         match state {
             CommitState::Committed => {}
             CommitState::AlreadyProcessed => {
@@ -633,12 +637,18 @@ impl Leader {
                 }
             }
         }
-        let data = record
-            .ops
-            .iter()
-            .map(|sub| self.resolve_payload(ctx, &sub.user_update))
-            .collect::<Result<_, _>>()?;
-        Ok(Disposition::Distribute(data))
+        // Pops follow the whole epoch's distribution, so a committed
+        // record an earlier delivery popped off some of its nodes was
+        // applied in full. Those subs are neither applied again (a later
+        // record may have written the node since) nor popped.
+        let committed = matches!(state, CommitState::Committed);
+        let data = record.ops.iter().map(|sub| {
+            let popped = committed && sub.mutates() && !queued(&sub.path);
+            (!popped)
+                .then(|| self.resolve_payload(ctx, &sub.user_update))
+                .transpose()
+        });
+        Ok(Disposition::Distribute(data.collect::<Result<_, _>>()?))
     }
 
     /// Advances the session's distribution high-water mark for a record
@@ -908,19 +918,6 @@ impl Leader {
         ctx.span("notify_client", || {
             self.bus.notify(ctx, &record.session_id, answer)
         });
-    }
-}
-
-/// Classifies the commit of `txid` from its node item and the item's
-/// `txq`.
-fn commit_state(item: Option<&Item>, txq: &[u64], txid: u64) -> CommitState {
-    let version = item.and_then(|item| item.num(node_attr::VERSION));
-    if txq.contains(&txid) {
-        CommitState::Committed
-    } else if version.is_some_and(|version| version as u64 >= txid) {
-        CommitState::AlreadyProcessed
-    } else {
-        CommitState::Missing
     }
 }
 

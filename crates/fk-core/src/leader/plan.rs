@@ -11,6 +11,7 @@ use crate::distributor::CommittedTx;
 use crate::messages::{LeaderRecord, UserUpdate};
 use crate::system_store::WatchInstance;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// One decoded queue record: (batch index, txid, record).
 pub(super) type Decoded = (usize, u64, LeaderRecord);
@@ -86,6 +87,11 @@ impl Sequenced<'_> {
     /// Batch index of the first held record.
     pub fn first_held(&self) -> Option<usize> {
         self.held.first().map(|held| held.index)
+    }
+
+    /// True if the record at batch index `index` sits behind a held one.
+    pub fn is_ahead(&self, index: usize) -> bool {
+        self.first_held().is_some_and(|held| index > held)
     }
 }
 
@@ -212,28 +218,25 @@ pub(super) struct Fire<'a> {
 /// One flat list, one run per record.
 pub(super) struct BatchFires<'a> {
     pub all: Vec<Fire<'a>>,
-    /// End of each record's run in `all`, aligned with the batch's
-    /// eligible records.
-    ends: Vec<usize>,
+    /// Each eligible record's run in `all`, by batch index.
+    runs: HashMap<usize, Range<usize>>,
 }
 
 impl<'a> BatchFires<'a> {
     pub fn of(eligible: &[&'a Decoded]) -> Self {
-        let mut fires = BatchFires {
-            all: Vec::new(),
-            ends: Vec::with_capacity(eligible.len()),
-        };
-        for (_, _, record) in eligible {
-            push_fires(record, &mut fires.all);
-            fires.ends.push(fires.all.len());
+        let mut all = Vec::new();
+        let mut runs = HashMap::with_capacity(eligible.len());
+        for (index, _, record) in eligible {
+            let start = all.len();
+            push_fires(record, &mut all);
+            runs.insert(*index, start..all.len());
         }
-        fires
+        BatchFires { all, runs }
     }
 
-    /// The fires of the eligible record at `pos`.
-    pub fn of_record(&self, pos: usize) -> &[Fire<'a>] {
-        let start = pos.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        &self.all[start..self.ends[pos]]
+    /// The fires of the eligible record at batch index `index`.
+    pub fn of_record(&self, index: usize) -> &[Fire<'a>] {
+        &self.all[self.runs[&index].clone()]
     }
 }
 

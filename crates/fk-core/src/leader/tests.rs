@@ -1096,6 +1096,63 @@ fn crash_between_pops_and_notifications_acks_exactly_once() {
     assert_eq!(&tier.stored(&node).unwrap().data[..], b"big");
 }
 
+/// A `multi` whose pops an exhausted retry cut in two: the epoch's
+/// first pop chunk (25 paths, `/y` among them) fails, the second
+/// (`/x`, the multi's first node) lands. The redelivery reads the
+/// multi as committed from `/y`'s `txq` and pops it there, without
+/// writing `/x` again over the later `set_data` of the same epoch; a
+/// later write to `/y` then applies at once.
+#[test]
+fn a_multi_popped_off_one_node_pops_the_rest_on_redelivery() {
+    use crate::messages::MultiOp;
+    let tier = Lanes::new(1);
+    let endpoint = tier.session("s");
+    let fillers: Vec<String> = (0..24).map(|i| format!("/p{i}")).collect();
+    let nodes = ["/x", "/y"].map(String::from);
+    for (request_id, path) in (1..).zip(nodes.iter().chain(&fillers)) {
+        tier.submit("s", request_id, create(path));
+    }
+    tier.run_follower();
+    assert_eq!(tier.drain(0).unwrap(), 26);
+
+    // `/y` and the fillers fill the first chunk; `/x` starts the second.
+    tier.submit("s", 30, set("/y", b"y"));
+    for (request_id, path) in (31..).zip(&fillers) {
+        tier.submit("s", request_id, set(path, b"p"));
+    }
+    let set_both = ["/x", "/y"].map(|path| MultiOp::SetData {
+        path: path.into(),
+        payload: Payload::inline(b"multi"),
+        expected_version: -1,
+    });
+    tier.submit(
+        "s",
+        60,
+        WriteOp::Multi {
+            ops: set_both.into(),
+        },
+    );
+    tier.submit("s", 61, set("/x", b"later x"));
+    tier.run_follower();
+    let kv = tier.deployment.system().kv();
+    kv.install_chaos(exhausted_retries(1, |plan, spec| plan.kv_cancel = spec));
+    let err = tier.drain(0).unwrap_err();
+    assert!(err.retryable && err.failed_index == 0, "{err:?}");
+    assert_eq!((txq_len(&tier, "/x"), txq_len(&tier, "/y")), (0, 2));
+
+    assert_eq!(tier.drain(0).unwrap(), 27);
+    assert_eq!((txq_len(&tier, "/x"), txq_len(&tier, "/y")), (0, 0));
+    assert_eq!(&tier.stored("/x").unwrap().data[..], b"later x");
+    tier.submit("s", 62, set("/y", b"later y"));
+    tier.run_follower();
+    assert_eq!(tier.drain(0).unwrap(), 1, "not held behind the multi");
+    assert_eq!(txq_len(&tier, "/y"), 0);
+    assert_eq!(&tier.stored("/y").unwrap().data[..], b"later y");
+    let acks = request_ids(&acked(&endpoint));
+    assert_eq!(acks.len(), 26 + 27 + 1, "every write answered once");
+    assert_eq!(tier.leaders[0].applied_ahead(), 0);
+}
+
 /// `watched_node`, overwritten once through the pipeline (its node
 /// item carries the object tag of that write) and watched again.
 fn tagged_watched_node() -> (Lanes, Endpoint, String) {
@@ -1516,8 +1573,9 @@ fn multi_leader_holdback_always_converges_in_des() {
         let mut queues: Vec<VecDeque<Write>> = vec![VecDeque::new(); GROUPS];
         // Global push order: sessions round-robin; a write goes to
         // the hot node or to a node of its own in a pseudo-random
-        // group (the path hash), and one in six of the latter is a
-        // `multi` that also mutates the hot node.
+        // group (the path hash), and one in four of the latter (about
+        // one in six of all writes) is a `multi` that also mutates the
+        // hot node.
         let mut route = 0xD15Cu64.wrapping_add(seed);
         let mut pushed: HashMap<usize, Vec<Write>> = HashMap::new();
         for seq in 0..WRITES_PER_SESSION {
@@ -1885,20 +1943,17 @@ fn epochs_of(records: Vec<LeaderRecord>, watched: &[(&str, WatchKind)]) -> Vec<S
     let batch = decoded(records);
     let eligible: Vec<&Decoded> = batch.iter().collect();
     let fires = BatchFires::of(&eligible);
-    let committed = eligible
-        .iter()
-        .enumerate()
-        .map(|(pos, (index, txid, record))| {
-            let tx = CommittedTx {
-                msg_index: *index,
-                txid: *txid,
-                record,
-                data: vec![Bytes::new(); record.ops.len()],
-                ahead: false,
-                tags: ObjTags::default(),
-            };
-            (tx, fires.of_record(pos))
-        });
+    let committed = eligible.iter().map(|(index, txid, record)| {
+        let tx = CommittedTx {
+            msg_index: *index,
+            txid: *txid,
+            record,
+            data: vec![Some(Bytes::new()); record.ops.len()],
+            ahead: false,
+            tags: ObjTags::default(),
+        };
+        (tx, fires.of_record(*index))
+    });
     let live: HashMap<&str, KindSet> = watched
         .iter()
         .map(|(path, kind)| {

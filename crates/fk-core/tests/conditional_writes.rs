@@ -149,7 +149,7 @@ fn apply(distributor: &Distributor, record: &LeaderRecord) -> CloudResult<()> {
         msg_index: 0,
         txid: record.txid,
         record,
-        data: vec![data],
+        data: vec![Some(data)],
         ahead: false,
         tags: ObjTags::default(),
     };

@@ -261,7 +261,7 @@ fn committed<'r>(ctx: &Ctx, rig: &Rig, records: &'r [LeaderRecord]) -> Vec<Commi
             data: record
                 .ops
                 .iter()
-                .map(|sub| data_of(&sub.user_update))
+                .map(|sub| Some(data_of(&sub.user_update)))
                 .collect(),
             ahead: false,
             tags: ObjTags::of(
