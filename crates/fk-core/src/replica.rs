@@ -62,6 +62,22 @@
 //! Feed-order soundness: the distributor taps the epoch **after** all
 //! storage operations complete, so the replica never gets ahead of storage
 //! — a serve is always re-readable from the backing store.
+//!
+//! # The retained feed log
+//!
+//! Each region keeps the frames it fed, so a replica can repair a gap
+//! and a joiner can replay the suffix after its checkpoint (the febft
+//! log-plus-checkpoint idiom: the log exists to make a replica catch
+//! up, not to keep every past state). A create's children patch carries
+//! its parent's full list, so the log keeps only the patch that decides
+//! a replay: per parent, the one with the largest txid since the
+//! parent's last `Write` or `Delete`. Between two such ops a patch only
+//! patches a resident record and never populates one, and patches merge
+//! by the max `children_txid`, so that patch alone decides the result.
+//! A replayed suffix therefore ends in the same records as the full
+//! one, and a replay that starts after the retained patch starts from a
+//! state that has already applied it. Live delivery is unchanged: every
+//! replica receives the full frame.
 
 use crate::user_store::NodeRecord;
 use bytes::Bytes;
@@ -664,7 +680,9 @@ fn slot_size(record: &NodeRecord) -> usize {
 
 /// Frames the per-region feed log retains for gap repair and mid-run
 /// bootstrap. A joiner whose checkpoint predates the oldest retained
-/// frame must cut a fresh checkpoint instead.
+/// frame must cut a fresh checkpoint instead. Every frame is retained,
+/// but its children patches are compacted by parent ([`FeedState`]),
+/// so the log's size grows with frames, not with frames × children.
 const FEED_LOG_CAP: usize = 65_536;
 
 /// How one feed frame reaches one replica (chaos delivery faults).
@@ -677,12 +695,78 @@ enum Delivery {
 
 /// Per-region feed state: the monotone sequence counter, the retained
 /// committed epoch-delta log, and frames a chaos delay is holding back.
+///
+/// The log is compacted by parent: of the children patches for one
+/// parent since its last `Write` or `Delete`, only the one with the
+/// largest txid is retained. A larger patch removes the older one from
+/// the frame that holds it (the frame stays: its `high_water` still
+/// advances floors), and a patch whose txid is not larger is left out
+/// of the log copy. Only the retained copy is compacted. Every replay
+/// the log serves (gap repair, [`ReplicaSet::join_replica`],
+/// [`ReplicaSet::reconcile`]) ends in the same records as the full log
+/// would (module docs). Patches are never compared across a `Write`:
+/// its merge keeps a resident list with a larger `children_txid`, so
+/// the patch before it still decides a replay.
 struct FeedState {
     seq: u64,
     log: VecDeque<EpochDelta>,
+    /// Per parent, `(seq, txid)` of the retained children patch with the
+    /// largest txid since the parent's last `Write` or `Delete`.
+    patches: HashMap<String, (u64, u64)>,
     /// `(replica index, frame)` pairs held back by [`FaultKind::FeedDelay`];
     /// delivered *after* the next frame, i.e. out of order.
     delayed: Vec<(usize, EpochDelta)>,
+}
+
+impl FeedState {
+    /// Appends a stamped frame to the retained log and compacts its
+    /// children patches against the per-parent index (type docs). Relies
+    /// on a frame holding at most one op per path.
+    fn retain(&mut self, frame: EpochDelta) {
+        let seq = frame.seq;
+        let ops = Arc::clone(&frame.ops);
+        self.log.push_back(frame);
+        for op in ops.iter() {
+            match op {
+                ReplicaOp::Children { parent, txid, .. } => {
+                    match self.patches.get(parent).copied() {
+                        Some((_, kept)) if *txid <= kept => self.drop_patch(seq, parent),
+                        previous => {
+                            if let Some((at, _)) = previous {
+                                self.drop_patch(at, parent);
+                            }
+                            self.patches.insert(parent.clone(), (seq, *txid));
+                        }
+                    }
+                }
+                ReplicaOp::Write { path, .. } | ReplicaOp::Delete { path } => {
+                    self.patches.remove(path);
+                }
+            }
+        }
+    }
+
+    /// Rebuilds retained frame `seq` without its children patch for
+    /// `parent` (a no-op once the frame has aged out of the log).
+    fn drop_patch(&mut self, seq: u64, parent: &str) {
+        let Some(first) = self.log.front().map(|frame| frame.seq) else {
+            return;
+        };
+        let Some(frame) = seq
+            .checked_sub(first)
+            .and_then(|offset| usize::try_from(offset).ok())
+            .and_then(|idx| self.log.get_mut(idx))
+        else {
+            return;
+        };
+        let ops = frame
+            .ops
+            .iter()
+            .filter(|op| !matches!(op, ReplicaOp::Children { parent: p, .. } if p == parent))
+            .cloned()
+            .collect();
+        frame.ops = Arc::new(ops);
+    }
 }
 
 /// One region's replica tier: the live replicas plus the feed state.
@@ -762,6 +846,7 @@ impl ReplicaSet {
                     feed: Mutex::new(FeedState {
                         seq: 0,
                         log: VecDeque::new(),
+                        patches: HashMap::new(),
                         delayed: Vec::new(),
                     }),
                 })
@@ -797,7 +882,8 @@ impl ReplicaSet {
 
     /// Feeds one epoch delta to every replica of `region_idx`: stamps
     /// the region's next sequence number, appends the frame to the
-    /// retained feed log, then delivers per replica — where the chaos
+    /// retained feed log (compacted by parent, [`FeedState`]), then
+    /// delivers the frame unchanged per replica — where the chaos
     /// engine may drop the frame (gap repair recovers it from the log),
     /// duplicate it (the replica drops the second copy), or hold it
     /// back one frame (it arrives out of order and drops as a
@@ -812,7 +898,7 @@ impl ReplicaSet {
         feed.seq += 1;
         let mut stamped = delta.clone();
         stamped.seq = feed.seq;
-        feed.log.push_back(stamped.clone());
+        feed.retain(stamped.clone());
         while feed.log.len() > FEED_LOG_CAP {
             feed.log.pop_front();
         }
@@ -1483,6 +1569,277 @@ mod tests {
         }
         assert_eq!(joined.applied_txid(), genesis.applied_txid());
         assert_eq!(set.region(0).len(), 2, "joiner registered with the tier");
+    }
+
+    /// A random feed over 2–3 parents: children patches carry txids of
+    /// two interleaved groups (so they arrive out of txid order), and
+    /// parent writes carry a `children_txid` that may sit below or above
+    /// the pending patches, between deletes and re-creates. Frames are
+    /// stamped with the sequence numbers the feed assigns.
+    fn random_stream(rng: &mut rand::rngs::SmallRng, frames: u64) -> Vec<EpochDelta> {
+        use rand::Rng;
+        let parents: Vec<String> = (0..rng.gen_range(2..=3))
+            .map(|i| format!("/p{i}"))
+            .collect();
+        let mut counters = [0u64; 2];
+        let mut next_txid = |rng: &mut rand::rngs::SmallRng| {
+            let group = rng.gen_range(0..2usize);
+            counters[group] += rng.gen_range(1..=4u64);
+            (counters[group] << 1) | group as u64
+        };
+        (1..=frames)
+            .map(|seq| {
+                let marks = Arc::new(vec![seq; rng.gen_range(0..=2usize)]);
+                let mut high_water = [0u64; 2];
+                let mut ops = Vec::new();
+                for parent in &parents {
+                    let roll = rng.gen_range(0..100u32);
+                    let txid = next_txid(rng);
+                    let children: Vec<String> = (0..rng.gen_range(0..4u64))
+                        .map(|c| format!("c{c}-{txid}"))
+                        .collect();
+                    let op = match roll {
+                        0..=54 => ReplicaOp::Children {
+                            parent: parent.clone(),
+                            children: Arc::new(children),
+                            txid,
+                        },
+                        55..=79 => {
+                            let mut rec = record(parent, &txid.to_le_bytes(), txid);
+                            rec.children = Arc::new(children);
+                            rec.children_txid = rng.gen_range(0..=txid + 8);
+                            rec.epoch_marks = Arc::clone(&marks);
+                            ReplicaOp::Write {
+                                path: parent.clone(),
+                                frame: encode_node(&rec),
+                            }
+                        }
+                        80..=89 => ReplicaOp::Delete {
+                            path: parent.clone(),
+                        },
+                        _ => continue,
+                    };
+                    let group = (txid & 1) as usize;
+                    high_water[group] = high_water[group].max(txid);
+                    ops.push(op);
+                }
+                EpochDelta {
+                    ops: Arc::new(ops),
+                    marks,
+                    high_water: Arc::new(
+                        (0..2)
+                            .filter(|&g| high_water[g] > 0)
+                            .map(|g| (g, high_water[g]))
+                            .collect(),
+                    ),
+                    seq,
+                }
+            })
+            .collect()
+    }
+
+    /// Every resident record, keyed by path and codec-framed.
+    fn resident(replica: &ReadReplica) -> BTreeMap<String, Bytes> {
+        replica
+            .resident_paths()
+            .into_iter()
+            .map(|path| {
+                let frame = encode_node(&replica.peek(&path).expect("resident"));
+                (path, frame)
+            })
+            .collect()
+    }
+
+    /// The retained log replays to the same records as the full stream:
+    /// a replica joined from a twin's state at every cut `k` (at `k`, at a
+    /// random later point, and at the end), and a replica that misses
+    /// frames `j..=m` and repairs them from the log, both end
+    /// byte-identical to a twin fed the whole stream live.
+    #[test]
+    fn compacted_feed_log_replays_to_the_same_records() {
+        use rand::{Rng, SeedableRng};
+        let ctx = Ctx::disabled();
+        for case in 0..40u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(case);
+            let frames = random_stream(&mut rng, 24);
+            let n = frames.len() as u64;
+            let set =
+                ReplicaSet::build(ReplicaConfig::with_count(1), &[Region::US_EAST_1], 2, None);
+            let twin = set.region(0)[0].clone();
+            // Per cut: the twin's records and per-group floors at `k`, and
+            // the feed position at which to join from them.
+            let mut floors = vec![0u64; 2];
+            let mut cuts = vec![(Vec::new(), floors.clone())];
+            let mut joins: Vec<(u64, u64)> = Vec::new();
+            for k in 0..=n {
+                joins.push((k, k));
+                joins.push((k, rng.gen_range(k..=n)));
+                joins.push((k, n));
+            }
+            let mut gaps: Vec<(u64, u64, ReadReplica)> = Vec::new();
+            for j in 1..n {
+                let m = rng.gen_range(j..n);
+                let replica = ReadReplica::new(Region::US_EAST_1, set.inner.config, 2, None);
+                gaps.push((j, m, replica));
+            }
+            let mut joined = Vec::new();
+            let join_at =
+                |at: u64,
+                 cuts: &[(Vec<NodeRecord>, Vec<u64>)],
+                 joined: &mut Vec<(u64, u64, Arc<ReadReplica>)>| {
+                    for &(k, _) in joins.iter().filter(|&&(_, when)| when == at) {
+                        let (records, floors) = cuts[k as usize].clone();
+                        let replica = set
+                            .join_replica(&ctx, 0, records, &floors, k)
+                            .expect("the log retains every frame");
+                        joined.push((k, at, replica));
+                    }
+                };
+            join_at(0, &cuts, &mut joined);
+            for frame in &frames {
+                let mut live = frame.clone();
+                live.seq = 0;
+                set.feed(&ctx, 0, &live);
+                {
+                    let feed = set.inner.regions[0].feed.lock();
+                    let lookup = |seq: u64| lookup_frame(&feed.log, seq);
+                    for (j, m, replica) in &gaps {
+                        if !(*j..=*m).contains(&frame.seq) {
+                            replica.ingest_sequenced(&ctx, frame.clone(), &lookup);
+                        }
+                    }
+                }
+                for &(group, hw) in frame.high_water.iter() {
+                    floors[group] = floors[group].max(hw);
+                }
+                let records = twin
+                    .resident_paths()
+                    .iter()
+                    .map(|path| (*twin.peek(path).expect("resident")).clone())
+                    .collect();
+                cuts.push((records, floors.clone()));
+                join_at(frame.seq, &cuts, &mut joined);
+            }
+            let want = resident(&twin);
+            for (k, at, replica) in &joined {
+                assert_eq!(
+                    resident(replica),
+                    want,
+                    "case {case}: joined from cut {k} at seq {at} diverges from the live twin"
+                );
+            }
+            for (j, m, replica) in &gaps {
+                assert_eq!(
+                    resident(replica),
+                    want,
+                    "case {case}: repair of frames {j}..={m} diverges from the live twin"
+                );
+            }
+        }
+    }
+
+    /// 1,000 creates under one parent leave one children snapshot in the
+    /// retained log, not 1,000; a write or delete of the parent keeps the
+    /// patch before it. Every frame stays retained.
+    #[test]
+    fn feed_log_keeps_one_children_patch_per_parent() {
+        let set = ReplicaSet::build(ReplicaConfig::with_count(1), &[Region::US_EAST_1], 1, None);
+        let ctx = Ctx::disabled();
+        let mut children: Vec<String> = Vec::new();
+        let mut txid = 1;
+        let mut create = |set: &ReplicaSet, children: &mut Vec<String>| {
+            txid += 1;
+            children.push(format!("c{txid}"));
+            set.feed(
+                &ctx,
+                0,
+                &EpochDelta {
+                    ops: Arc::new(vec![
+                        ReplicaOp::Write {
+                            path: format!("/f/c{txid}"),
+                            frame: encode_node(&record(&format!("/f/c{txid}"), b"v", txid)),
+                        },
+                        ReplicaOp::Children {
+                            parent: "/f".into(),
+                            children: Arc::new(children.clone()),
+                            txid,
+                        },
+                    ]),
+                    marks: Arc::new(Vec::new()),
+                    high_water: Arc::new(vec![(0, txid)]),
+                    seq: 0,
+                },
+            );
+        };
+        // The retained `(txid, children)` patches of `/f`, oldest first.
+        let patches = |set: &ReplicaSet| -> Vec<(u64, usize)> {
+            let feed = set.inner.regions[0].feed.lock();
+            feed.log
+                .iter()
+                .flat_map(|frame| frame.ops.iter())
+                .filter_map(|op| match op {
+                    ReplicaOp::Children {
+                        parent,
+                        children,
+                        txid,
+                    } if parent == "/f" => Some((*txid, children.len())),
+                    _ => None,
+                })
+                .collect()
+        };
+        set.feed(&ctx, 0, &delta_of(&[record("/f", b"", 1)], 1));
+        for _ in 0..1_000 {
+            create(&set, &mut children);
+        }
+        assert_eq!(
+            patches(&set).len(),
+            1,
+            "one snapshot of /f, not one per create"
+        );
+        assert_eq!(patches(&set), [(1_001, 1_000)], "the largest txid");
+        assert_eq!(set.feed_seq(0), 1_001);
+        assert_eq!(
+            set.inner.regions[0].feed.lock().log.len(),
+            1_001,
+            "every frame kept"
+        );
+        // A patch below the retained txid is left out of the log copy.
+        set.feed(
+            &ctx,
+            0,
+            &EpochDelta {
+                ops: Arc::new(vec![ReplicaOp::Children {
+                    parent: "/f".into(),
+                    children: Arc::new(Vec::new()),
+                    txid: 500,
+                }]),
+                marks: Arc::new(Vec::new()),
+                high_water: Arc::new(Vec::new()),
+                seq: 0,
+            },
+        );
+        assert_eq!(patches(&set), [(1_001, 1_000)]);
+        // A write of the parent keeps the patch before it.
+        set.feed(&ctx, 0, &delta_of(&[record("/f", b"w", 1_100)], 1_100));
+        create(&set, &mut children);
+        create(&set, &mut children);
+        assert_eq!(patches(&set), [(1_001, 1_000), (1_003, 1_002)]);
+        // So does a delete.
+        set.feed(
+            &ctx,
+            0,
+            &EpochDelta {
+                ops: Arc::new(vec![ReplicaOp::Delete { path: "/f".into() }]),
+                marks: Arc::new(Vec::new()),
+                high_water: Arc::new(Vec::new()),
+                seq: 0,
+            },
+        );
+        create(&set, &mut children);
+        assert_eq!(
+            patches(&set),
+            [(1_001, 1_000), (1_003, 1_002), (1_004, 1_003)]
+        );
     }
 
     #[test]
