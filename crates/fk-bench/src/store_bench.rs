@@ -256,41 +256,25 @@ impl PackingComparison {
     }
 }
 
-fn pack_control_fields(
-    created: u64,
-    version: u64,
-    vcount: u64,
-    children_txid: u64,
-    children: &[String],
-) -> Vec<u8> {
+/// The scalar control fields of a node item: creation txid, version,
+/// data-version counter, children txid and child count.
+type ControlFields = [u64; 5];
+
+fn pack_control_fields(fields: &ControlFields) -> Vec<u8> {
     let mut packed = Vec::new();
-    varint::write(&mut packed, created);
-    varint::write(&mut packed, version);
-    varint::write(&mut packed, vcount);
-    varint::write(&mut packed, children_txid);
-    varint::write(&mut packed, children.len() as u64);
-    for child in children {
-        varint::write(&mut packed, child.len() as u64);
-        packed.extend_from_slice(child.as_bytes());
+    for field in fields {
+        varint::write(&mut packed, *field);
     }
     packed
 }
 
-fn unpack_control_fields(buf: &[u8]) -> Option<(u64, u64, u64, u64, Vec<String>)> {
+fn unpack_control_fields(buf: &[u8]) -> Option<ControlFields> {
     let mut pos = 0usize;
-    let created = varint::read(buf, &mut pos)?;
-    let version = varint::read(buf, &mut pos)?;
-    let vcount = varint::read(buf, &mut pos)?;
-    let children_txid = varint::read(buf, &mut pos)?;
-    let n = varint::read(buf, &mut pos)? as usize;
-    let mut children = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        let len = varint::read(buf, &mut pos)? as usize;
-        let end = pos.checked_add(len)?;
-        children.push(String::from_utf8(buf.get(pos..end)?.to_vec()).ok()?);
-        pos = end;
+    let mut fields = [0u64; 5];
+    for field in &mut fields {
+        *field = varint::read(buf, &mut pos)?;
     }
-    (pos == buf.len()).then_some((created, version, vcount, children_txid, children))
+    (pos == buf.len()).then_some(fields)
 }
 
 /// Encodes `items` seeded node control items through both layouts. Every
@@ -307,30 +291,25 @@ pub fn compare_item_packing(seed: u64, items: usize) -> PackingComparison {
         let version = created + rng.gen_range(0u64..10_000);
         let vcount = rng.gen_range(0u64..512);
         let children_txid = version + rng.gen_range(0u64..100);
-        let children: Vec<String> = (0..rng.gen_range(0usize..6))
-            .map(|c| format!("node-{i}-{c}"))
-            .collect();
+        let num_children = rng.gen_range(0u64..6);
 
         // The layout the system store writes today: one named attribute
         // per control field (attr names + per-value tags on the wire).
+        // The children's names are not in the item, only their count.
         let per_attr = Item::new()
             .with(node_attr::CREATED, created as i64)
             .with(node_attr::VERSION, version as i64)
             .with(node_attr::VCOUNT, vcount as i64)
             .with(node_attr::CHILDREN_TXID, children_txid as i64)
-            .with(
-                node_attr::CHILDREN,
-                Value::List(children.iter().cloned().map(Value::Str).collect()),
-            );
+            .with(node_attr::NUM_CHILDREN, num_children as i64);
         per_attribute_bytes += per_attr.encode().len();
 
         // The packed alternative: one binary attribute, varint fields.
-        let blob = pack_control_fields(created, version, vcount, children_txid, &children);
-        let (c2, v2, vc2, ct2, kids2) =
-            unpack_control_fields(&blob).expect("packed layout round-trips");
+        let fields = [created, version, vcount, children_txid, num_children];
+        let blob = pack_control_fields(&fields);
         assert_eq!(
-            (c2, v2, vc2, ct2, &kids2),
-            (created, version, vcount, children_txid, &children),
+            unpack_control_fields(&blob),
+            Some(fields),
             "packing seed {seed:#x} item {i}: packed fields diverged"
         );
         let packed = Item::new().with("ctl", Value::Bin(bytes::Bytes::from(blob)));

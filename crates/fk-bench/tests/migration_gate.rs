@@ -17,9 +17,13 @@ use std::time::{Duration, Instant};
 
 /// Polls until every replica in region 0 sits at the same feed
 /// position (the writers have stopped, so the positions are final).
-fn await_feed_quiesce(fk: &Deployment, stamp: &str) {
+/// Each poll first quiesces the tier: a trailing chaos-dropped or
+/// held-back frame has no successor to trigger its gap repair, so only
+/// the reconcile can close it.
+fn await_feed_quiesce(fk: &Deployment, ctx: &fk_cloud::trace::Ctx, stamp: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
+        fk.replicas().reconcile(ctx);
         let replicas = fk.replicas().region(0);
         let positions: Vec<u64> = replicas.iter().map(|r| r.feed_position()).collect();
         if positions.windows(2).all(|w| w[0] == w[1]) {
@@ -106,7 +110,7 @@ fn mid_run_bootstrap_converges_byte_identical_to_genesis_replica() {
         .expect("post-join create");
     client.close().expect("close");
 
-    await_feed_quiesce(&fk, &stamp);
+    await_feed_quiesce(&fk, &ctx, &stamp);
     // Close any chaos-dropped trailing feed gap before comparing.
     fk.replicas().reconcile(&ctx);
 

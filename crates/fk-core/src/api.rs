@@ -88,7 +88,7 @@ pub struct WatchEvent {
     /// Transaction that triggered the event.
     pub txid: u64,
     /// For [`WatchEventType::NodeChildrenChanged`]: the full children
-    /// list of `path` as of `txid`, when the leader had it at hand.
+    /// list of `path` as of `txid`, when the leader's apply stored it.
     /// Carries the delta a cache needs to patch a resident parent
     /// record *in place* instead of invalidating it (idempotent: the
     /// list is absolute, not incremental). `None` on other event types.

@@ -44,7 +44,7 @@ pub const MAGIC: u8 = 0xFB;
 /// Current format version; decoders accept exactly this version (a
 /// rollback or a half-upgraded deployment must not misparse records it
 /// cannot read).
-pub const VERSION: u8 = 5;
+pub const VERSION: u8 = 6;
 
 /// Record kinds carried in the frame header, so a frame is never decoded
 /// as the wrong type even if keys get crossed.
@@ -455,10 +455,6 @@ fn write_ser_value(w: &mut Writer, value: &SerValue) {
             w.tag(1);
             w.str(s);
         }
-        SerValue::StrList(l) => {
-            w.tag(2);
-            w.str_list(l);
-        }
         SerValue::NumList(l) => {
             w.tag(3);
             w.u64(l.len() as u64);
@@ -468,6 +464,11 @@ fn write_ser_value(w: &mut Writer, value: &SerValue) {
         }
         SerValue::Txid => w.tag(4),
         SerValue::TxidList => w.tag(5),
+        SerValue::TxidChild { name, added } => {
+            w.tag(6);
+            w.str(name);
+            w.boolean(*added);
+        }
     }
 }
 
@@ -475,7 +476,6 @@ fn read_ser_value(r: &mut Reader<'_>) -> Option<SerValue> {
     Some(match r.byte()? {
         0 => SerValue::Num(r.i64()?),
         1 => SerValue::Str(r.str()?),
-        2 => SerValue::StrList(r.str_list()?),
         3 => {
             let len = r.list_len()?;
             let mut out = Vec::with_capacity(len);
@@ -486,6 +486,10 @@ fn read_ser_value(r: &mut Reader<'_>) -> Option<SerValue> {
         }
         4 => SerValue::Txid,
         5 => SerValue::TxidList,
+        6 => SerValue::TxidChild {
+            name: r.str()?,
+            added: r.boolean()?,
+        },
         _ => return None,
     })
 }
@@ -515,7 +519,6 @@ fn write_commit(w: &mut Writer, commit: &SystemCommit) {
         write_attr_values(w, &item.sets);
         write_attr_values(w, &item.appends);
         w.str_list(&item.removes);
-        write_attr_values(w, &item.list_removes);
     }
 }
 
@@ -529,29 +532,9 @@ fn read_commit(r: &mut Reader<'_>) -> Option<SystemCommit> {
             sets: read_attr_values(r)?,
             appends: read_attr_values(r)?,
             removes: r.str_list()?,
-            list_removes: read_attr_values(r)?,
         });
     }
     Some(SystemCommit { items })
-}
-
-fn write_parent_children(w: &mut Writer, pc: &Option<(String, Vec<String>)>) {
-    match pc {
-        Some((parent, children)) => {
-            w.tag(1);
-            w.str(parent);
-            w.str_list(children);
-        }
-        None => w.tag(0),
-    }
-}
-
-fn read_parent_children(r: &mut Reader<'_>) -> Option<Option<(String, Vec<String>)>> {
-    match r.byte()? {
-        0 => Some(None),
-        1 => Some(Some((r.str()?, r.str_list()?))),
-        _ => None,
-    }
 }
 
 fn write_user_update(w: &mut Writer, update: &UserUpdate) {
@@ -561,26 +544,22 @@ fn write_user_update(w: &mut Writer, update: &UserUpdate) {
             payload,
             created_txid,
             version,
-            children,
+            has_children,
             ephemeral_owner,
-            parent_children,
+            joins_parent,
         } => {
             w.tag(0);
             w.str(path);
             write_payload(w, payload);
             w.u64(*created_txid);
             w.i64(*version as i64);
-            w.str_list(children);
+            w.boolean(*has_children);
             w.opt_str(ephemeral_owner);
-            write_parent_children(w, parent_children);
+            w.boolean(*joins_parent);
         }
-        UserUpdate::DeleteNode {
-            path,
-            parent_children,
-        } => {
+        UserUpdate::DeleteNode { path } => {
             w.tag(1);
             w.str(path);
-            write_parent_children(w, parent_children);
         }
         UserUpdate::None => w.tag(2),
     }
@@ -593,14 +572,11 @@ fn read_user_update(r: &mut Reader<'_>) -> Option<UserUpdate> {
             payload: read_payload(r)?,
             created_txid: r.u64()?,
             version: i32::try_from(r.i64()?).ok()?,
-            children: r.str_list()?,
+            has_children: r.boolean()?,
             ephemeral_owner: r.opt_str()?,
-            parent_children: read_parent_children(r)?,
+            joins_parent: r.boolean()?,
         },
-        1 => UserUpdate::DeleteNode {
-            path: r.str()?,
-            parent_children: read_parent_children(r)?,
-        },
+        1 => UserUpdate::DeleteNode { path: r.str()? },
         2 => UserUpdate::None,
         _ => return None,
     })

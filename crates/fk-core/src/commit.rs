@@ -43,13 +43,6 @@ fn item_update(item: &CommitItem, txid: u64) -> Update {
     for attr in &item.removes {
         update = update.remove(attr.clone());
     }
-    for (attr, value) in &item.list_removes {
-        let values = match value.to_value(txid) {
-            Value::List(l) => l,
-            single => vec![single],
-        };
-        update = update.list_remove(attr.clone(), values);
-    }
     if item.lock_ts == UNGUARDED {
         return update;
     }
@@ -95,10 +88,29 @@ pub fn execute(commit: &SystemCommit, txid: u64, ctx: &Ctx, kv: &KvStore) -> Clo
     }
 }
 
-/// One node's share of an epoch's pops: its path, the txids to pop in
-/// queue order, and the object tags the epoch's write of it left (one
-/// per region), which the same update records ([`record_tags`]).
-pub type Pop<'a> = (&'a str, &'a [u64], &'a [Tag]);
+/// One node's share of an epoch's pops.
+#[derive(Debug, Clone, Copy)]
+pub struct Pop<'a> {
+    /// The node.
+    pub path: &'a str,
+    /// The txids to pop off its `txq`, in queue order.
+    pub txids: &'a [u64],
+    /// The object tags the epoch's write of the node left (one per
+    /// region), which the update that pops `txids` records
+    /// ([`record_tags`]).
+    pub tags: &'a [Tag],
+    /// The entries of the node's pending children log the epoch folded
+    /// into its list ([`crate::system_store::ChildEntry`]), removed by
+    /// value, idempotently.
+    pub folded: &'a [Value],
+}
+
+impl Pop<'_> {
+    /// True if the pop changes nothing.
+    fn is_empty(&self) -> bool {
+        self.txids.is_empty() && self.folded.is_empty()
+    }
+}
 
 /// The txids in a node item's pending-transaction queue, in queue
 /// order.
@@ -110,46 +122,67 @@ pub fn txq_of(item: Option<&Item>) -> Vec<u64> {
 
 /// Pops `txids` from the front of a node's pending-transaction queue
 /// (Algorithm 2 ➎) in a single conditional update guarded by the queue
-/// head, which also leaves `tags` on record ([`record_tags`]). The
-/// leader applies a record only once it heads the `txq` of every node it
-/// mutates, so `txids` head the queue — unless a partial redelivery
-/// already popped some of them. The fallback reads the queue: the
-/// popped txids are skipped, and the rest must head the queue and pop
-/// in one more update. A txid still queued behind another head is a bug
-/// of the apply order and returns an error, touching nothing.
-pub fn pop_pending(kv: &KvStore, ctx: &Ctx, (path, txids, tags): Pop<'_>) -> CloudResult<()> {
-    let key = keys::node(path);
-    let pop = |txids: &[u64]| -> CloudResult<()> {
-        if !txids.is_empty() {
-            kv.update(ctx, &key, &pop_update(txids, tags), head_is(txids))?;
+/// head, which also leaves `tags` on record ([`record_tags`]) and
+/// removes the `folded` children-log entries. The leader applies a
+/// record only once it heads the `txq` of every node it mutates, so
+/// `txids` head the queue — unless a partial redelivery already popped
+/// some of them. The fallback reads the queue: the popped txids are
+/// skipped, and the rest must head the queue and pop in one more update
+/// (which still removes the entries if nothing is left to pop). A txid
+/// still queued behind another head is a bug of the apply order and
+/// returns an error, touching nothing.
+pub fn pop_pending(kv: &KvStore, ctx: &Ctx, pop: Pop<'_>) -> CloudResult<()> {
+    let key = keys::node(pop.path);
+    let run = |txids: &[u64]| -> CloudResult<()> {
+        let pop = Pop { txids, ..pop };
+        if !pop.is_empty() {
+            kv.update(ctx, &key, &pop_update(&pop), pop_guard(&pop))?;
         }
         Ok(())
     };
-    match pop(txids) {
+    match run(pop.txids) {
+        // No log left to remove entries from (a purged tombstone).
+        Err(CloudError::ConditionFailed { .. }) if pop.txids.is_empty() => return Ok(()),
         Err(CloudError::ConditionFailed { .. }) => {}
         done => return done,
     }
     let txq = txq_of(kv.get(ctx, &key).as_ref());
-    let mut left = txids.to_vec();
+    let mut left = pop.txids.to_vec();
     left.retain(|txid| txq.contains(txid));
     match left.iter().zip(&txq).find(|(txid, head)| txid != head) {
-        None => pop(&left),
+        None => match run(&left) {
+            Err(CloudError::ConditionFailed { .. }) if left.is_empty() => Ok(()),
+            done => done,
+        },
         Some((txid, head)) => Err(CloudError::InvalidOperation {
-            detail: format!("txid {txid} of {path} is queued behind txid {head}"),
+            detail: format!("txid {txid} of {} is queued behind txid {head}", pop.path),
         }),
     }
 }
 
-/// The update that pops `txids` off the front of a node's `txq` and
-/// records `tags`.
-fn pop_update(txids: &[u64], tags: &[Tag]) -> Update {
-    let pop = Update::new().list_pop_front(node_attr::TXQ, txids.len());
-    record_tags(tags, pop)
+/// The update of `pop`: pop its txids off the front of the node's `txq`
+/// and record its tags (if it pops any), and remove its folded
+/// children-log entries.
+fn pop_update(pop: &Pop<'_>) -> Update {
+    let mut update = Update::new();
+    if !pop.txids.is_empty() {
+        update = update.list_pop_front(node_attr::TXQ, pop.txids.len());
+        update = record_tags(pop.tags, update);
+    }
+    if !pop.folded.is_empty() {
+        update = update.list_remove(node_attr::PENDING_CHILDREN, pop.folded.to_vec());
+    }
+    update
 }
 
-/// The guard that `txids` (not empty) head a node's `txq`.
-fn head_is(txids: &[u64]) -> Condition {
-    Condition::ListHeadEq(node_attr::TXQ.into(), Value::Num(txids[0] as i64))
+/// The guard of `pop`: its first txid heads the node's `txq`. A pop of
+/// no txid only removes entries, which is idempotent; its guard only
+/// keeps the update from recreating an item a tombstone purge removed.
+fn pop_guard(pop: &Pop<'_>) -> Condition {
+    match pop.txids.first() {
+        Some(head) => Condition::ListHeadEq(node_attr::TXQ.into(), Value::Num(*head as i64)),
+        None => Condition::Exists(node_attr::PENDING_CHILDREN.into()),
+    }
 }
 
 /// Pops many paths' pending-transaction queues in **one** multi-item
@@ -161,12 +194,13 @@ fn head_is(txids: &[u64]) -> Condition {
 /// case the whole epoch's pops cost one write request. A single stale
 /// head (a redelivered epoch whose earlier delivery already popped)
 /// cancels the chunk; the fallback then runs the per-path pops, which
-/// skip the txids already popped.
+/// skip the txids already popped, in entry order (the caller puts the
+/// entries that remove children-log entries first).
 pub fn pop_pending_batch(kv: &KvStore, ctx: &Ctx, entries: &[Pop<'_>]) -> CloudResult<()> {
     let entries: Vec<Pop<'_>> = entries
         .iter()
         .copied()
-        .filter(|(_, txids, _)| !txids.is_empty())
+        .filter(|pop| !pop.is_empty())
         .collect();
     match entries.as_slice() {
         [] => Ok(()),
@@ -174,10 +208,10 @@ pub fn pop_pending_batch(kv: &KvStore, ctx: &Ctx, entries: &[Pop<'_>]) -> CloudR
         many => {
             let ops: Vec<TransactOp> = many
                 .iter()
-                .map(|(path, txids, tags)| TransactOp::Update {
-                    key: keys::node(path),
-                    update: pop_update(txids, tags),
-                    condition: head_is(txids),
+                .map(|pop| TransactOp::Update {
+                    key: keys::node(pop.path),
+                    update: pop_update(pop),
+                    condition: pop_guard(pop),
                 })
                 .collect();
             match kv.transact(ctx, &ops) {
@@ -204,6 +238,16 @@ mod tests {
     /// No object tags to record.
     const NONE: &[Tag] = &[];
 
+    /// A pop of `txids` that records `tags` and folds no children entry.
+    fn pop<'a>(path: &'a str, txids: &'a [u64], tags: &'a [Tag]) -> Pop<'a> {
+        Pop {
+            path,
+            txids,
+            tags,
+            folded: &[],
+        }
+    }
+
     fn setup() -> (KvStore, TimedLockManager, Ctx) {
         let kv = KvStore::new("sys", Region::US_EAST_1, Meter::new());
         let locks = TimedLockManager::new(kv.clone(), 1000);
@@ -217,7 +261,6 @@ mod tests {
             sets: vec![("version".into(), SerValue::Txid)],
             appends: vec![("txq".into(), SerValue::TxidList)],
             removes: vec![],
-            list_removes: vec![],
         }
     }
 
@@ -255,13 +298,22 @@ mod tests {
         let node = locks.acquire(&ctx, "node:/p/c", 100).unwrap();
         let parent = locks.acquire(&ctx, "node:/p", 100).unwrap();
         let mut parent_item = commit_item("node:/p", parent.token.timestamp);
-        parent_item.appends = vec![("children".into(), SerValue::StrList(vec!["c".into()]))];
+        let child = SerValue::TxidChild {
+            name: "c".into(),
+            added: true,
+        };
+        parent_item.appends = vec![(node_attr::PENDING_CHILDREN.into(), child)];
         let commit = SystemCommit {
             items: vec![commit_item("node:/p/c", node.token.timestamp), parent_item],
         };
         execute(&commit, 7, &ctx, &kv).unwrap();
         let p = kv.get(&ctx, "node:/p").unwrap();
-        assert_eq!(p.list("children").unwrap(), &[Value::from("c")]);
+        let entries = p.list(node_attr::PENDING_CHILDREN).unwrap();
+        let entry = crate::system_store::ChildEntry::from_value(&entries[0]).unwrap();
+        assert_eq!(
+            (entry.txid, entry.name.as_str(), entry.added),
+            (7, "c", true)
+        );
         assert!(!p.contains(LOCK_ATTR));
     }
 
@@ -309,7 +361,7 @@ mod tests {
         let (kv, meter, ctx) = pending(&[("/n", &[3, 4, 5, 9])]);
         // Batched pop of a contiguous head run: single update.
         let before = meter.snapshot().kv_ops;
-        pop_pending(&kv, &ctx, ("/n", &[3, 4, 5], NONE)).unwrap();
+        pop_pending(&kv, &ctx, pop("/n", &[3, 4, 5], NONE)).unwrap();
         assert_eq!(meter.snapshot().kv_ops - before, 1, "one coalesced update");
         assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(9)]);
     }
@@ -318,10 +370,10 @@ mod tests {
     fn pop_pending_falls_back_after_partial_redelivery() {
         // Head 3 already popped by the pre-crash delivery; 4 and 5 remain.
         let (kv, _meter, ctx) = pending(&[("/n", &[4, 5])]);
-        pop_pending(&kv, &ctx, ("/n", &[3, 4, 5], NONE)).unwrap();
+        pop_pending(&kv, &ctx, pop("/n", &[3, 4, 5], NONE)).unwrap();
         assert_eq!(txq_of(&kv, &ctx, "/n"), []);
         // Fully popped already: a second call is a no-op.
-        pop_pending(&kv, &ctx, ("/n", &[3, 4, 5], NONE)).unwrap();
+        pop_pending(&kv, &ctx, pop("/n", &[3, 4, 5], NONE)).unwrap();
     }
 
     /// A redelivered pop of a txid an earlier delivery popped is a
@@ -330,7 +382,7 @@ mod tests {
     fn pop_pending_of_an_already_popped_txid_changes_nothing() {
         use crate::system_store::{keys, ObjTags};
         let (kv, _meter, ctx) = pending(&[("/n", &[5, 6])]);
-        pop_pending(&kv, &ctx, ("/n", &[3], &[41])).unwrap();
+        pop_pending(&kv, &ctx, pop("/n", &[3], &[41])).unwrap();
         assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(5), Value::Num(6)]);
         let item = kv.get(&ctx, &keys::node("/n"));
         assert!(
@@ -345,7 +397,7 @@ mod tests {
     #[test]
     fn pop_pending_of_a_txid_behind_another_head_is_an_error() {
         let (kv, _meter, ctx) = pending(&[("/n", &[2, 3])]);
-        let err = pop_pending(&kv, &ctx, ("/n", &[3], NONE)).unwrap_err();
+        let err = pop_pending(&kv, &ctx, pop("/n", &[3], NONE)).unwrap_err();
         let detail = err.to_string();
         assert!(
             detail.contains("txid 3") && detail.contains("txid 2"),
@@ -355,7 +407,7 @@ mod tests {
         // The same inside a chunk: the cancelled transaction falls back
         // to the per-path pop, which reports it.
         let (kv, _meter, ctx) = pending(&[("/a", &[1]), ("/n", &[2, 3])]);
-        let entries: [Pop<'_>; 2] = [("/a", &[1], NONE), ("/n", &[3], NONE)];
+        let entries: [Pop<'_>; 2] = [pop("/a", &[1], NONE), pop("/n", &[3], NONE)];
         assert!(pop_pending_batch(&kv, &ctx, &entries).is_err());
         assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(2), Value::Num(3)]);
     }
@@ -368,7 +420,7 @@ mod tests {
         let stored: Vec<(&str, &[i64])> =
             paths.iter().map(|p| (p.as_str(), &[7, 99][..])).collect();
         let (kv, meter, ctx) = pending(&stored);
-        let entries: Vec<Pop<'_>> = paths.iter().map(|p| (p.as_str(), &[7][..], NONE)).collect();
+        let entries: Vec<Pop<'_>> = paths.iter().map(|p| pop(p, &[7], NONE)).collect();
 
         // A full chunk is one transaction and nothing else.
         let before = meter.snapshot();
@@ -383,12 +435,12 @@ mod tests {
         // No entries (or only empty ones): no request at all.
         let before = meter.snapshot();
         pop_pending_batch(&kv, &ctx, &[]).unwrap();
-        pop_pending_batch(&kv, &ctx, &[("/n0", &[], NONE), ("/n1", &[], NONE)]).unwrap();
+        pop_pending_batch(&kv, &ctx, &[pop("/n0", &[], NONE), pop("/n1", &[], NONE)]).unwrap();
         assert_eq!(meter.snapshot().since(&before).kv_ops, 0);
 
         // One effective entry: the single-path conditional update.
         let before = meter.snapshot();
-        pop_pending_batch(&kv, &ctx, &[("/n0", &[99], NONE), ("/n1", &[], NONE)]).unwrap();
+        pop_pending_batch(&kv, &ctx, &[pop("/n0", &[99], NONE), pop("/n1", &[], NONE)]).unwrap();
         let used = meter.snapshot().since(&before);
         assert_eq!(used.per_op["kv_write"], 1);
         assert_eq!(used.per_op["kv_transact"], 0);
@@ -400,9 +452,9 @@ mod tests {
         // `/b`'s 4 was popped by an earlier delivery of the same epoch.
         let (kv, meter, ctx) = pending(&[("/a", &[3, 8]), ("/b", &[6]), ("/c", &[5, 7])]);
         let entries: [Pop<'_>; 3] = [
-            ("/a", &[3], NONE),
-            ("/b", &[4, 6], NONE),
-            ("/c", &[5], NONE),
+            pop("/a", &[3], NONE),
+            pop("/b", &[4, 6], NONE),
+            pop("/c", &[5], NONE),
         ];
         let before = meter.snapshot();
         pop_pending_batch(&kv, &ctx, &entries).unwrap();
@@ -436,20 +488,69 @@ mod tests {
         };
         let (kv, meter, ctx) = pending(&[("/a", &[3, 4]), ("/b", &[5]), ("/c", &[6, 7])]);
         let before = meter.snapshot();
-        pop_pending(&kv, &ctx, ("/a", &[3], tagged)).unwrap();
-        pop_pending_batch(&kv, &ctx, &[("/b", &[5], tagged), ("/c", &[6], tagged)]).unwrap();
+        pop_pending(&kv, &ctx, pop("/a", &[3], tagged)).unwrap();
+        pop_pending_batch(
+            &kv,
+            &ctx,
+            &[pop("/b", &[5], tagged), pop("/c", &[6], tagged)],
+        )
+        .unwrap();
         let used = meter.snapshot().since(&before);
         assert_eq!(used.kv_ops, 2, "one update and one transaction");
         for path in ["/a", "/b", "/c"] {
             assert_eq!(tags_of(&kv, &ctx, path), [41], "{path}");
         }
         // A stale head: the fallback's pop records the tags too.
-        pop_pending(&kv, &ctx, ("/a", &[3, 4], &[42])).unwrap();
+        pop_pending(&kv, &ctx, pop("/a", &[3, 4], &[42])).unwrap();
         assert_eq!(tags_of(&kv, &ctx, "/a"), [42]);
         // Nothing to record: the pop removes what was there.
-        pop_pending(&kv, &ctx, ("/c", &[7], NONE)).unwrap();
+        pop_pending(&kv, &ctx, pop("/c", &[7], NONE)).unwrap();
         let item = kv.get(&ctx, &keys::node("/c")).unwrap();
         assert!(!item.contains(node_attr::TAGS));
+    }
+
+    /// The folded children-log entries leave by value: beside a `txq`
+    /// pop or alone, once or again. A pop of no txid never recreates an
+    /// item a tombstone purge removed, alone or in a chunk.
+    #[test]
+    fn pops_remove_folded_children_entries_and_recreate_no_item() {
+        use crate::system_store::{keys, node_attr, ChildEntry};
+        let entry = |txid: u64, name: &str| {
+            let name = name.to_owned();
+            ChildEntry {
+                txid,
+                name,
+                added: true,
+            }
+            .to_value()
+        };
+        let (kv, _meter, ctx) = pending(&[("/p", &[]), ("/p/a", &[3])]);
+        let log = vec![entry(3, "a"), entry(5, "b")];
+        let append = Update::new().list_append(node_attr::PENDING_CHILDREN, log);
+        kv.update(&ctx, &keys::node("/p"), &append, Condition::Always)
+            .unwrap();
+        let logged = |kv: &KvStore| {
+            let item = kv.get(&ctx, &keys::node("/p")).unwrap();
+            item.list(node_attr::PENDING_CHILDREN).unwrap().to_vec()
+        };
+        let folded = [entry(3, "a")];
+        let parent = Pop {
+            folded: &folded,
+            ..pop("/p", &[], NONE)
+        };
+        pop_pending_batch(&kv, &ctx, &[parent, pop("/p/a", &[3], NONE)]).unwrap();
+        assert_eq!(logged(&kv), [entry(5, "b")]);
+        assert_eq!(txq_of(&kv, &ctx, "/p/a"), []);
+        pop_pending(&kv, &ctx, parent).unwrap();
+        assert_eq!(logged(&kv), [entry(5, "b")], "again: no change");
+
+        let gone = Pop {
+            path: "/gone",
+            ..parent
+        };
+        pop_pending(&kv, &ctx, gone).unwrap();
+        pop_pending_batch(&kv, &ctx, &[gone, parent]).unwrap();
+        assert!(kv.get(&ctx, &keys::node("/gone")).is_none());
     }
 
     #[test]
@@ -457,31 +558,5 @@ mod tests {
         let (kv, _locks, ctx) = setup();
         execute(&SystemCommit::default(), 1, &ctx, &kv).unwrap();
         assert!(kv.is_empty());
-    }
-
-    #[test]
-    fn list_removes_apply() {
-        let (kv, locks, ctx) = setup();
-        kv.put(
-            &ctx,
-            "node:/p",
-            Item::new().with("children", vec![Value::from("a"), Value::from("b")]),
-            Condition::Always,
-        )
-        .unwrap();
-        let acq = locks.acquire(&ctx, "node:/p", 100).unwrap();
-        let commit = SystemCommit {
-            items: vec![CommitItem {
-                key: "node:/p".into(),
-                lock_ts: acq.token.timestamp,
-                sets: vec![],
-                appends: vec![],
-                removes: vec![],
-                list_removes: vec![("children".into(), SerValue::StrList(vec!["a".into()]))],
-            }],
-        };
-        execute(&commit, 8, &ctx, &kv).unwrap();
-        let p = kv.get(&ctx, "node:/p").unwrap();
-        assert_eq!(p.list("children").unwrap(), &[Value::from("b")]);
     }
 }

@@ -302,6 +302,13 @@ pub fn check_history(
 /// every existing node is present in the user store, every parent lists
 /// exactly its children, and no orphaned records remain once all pending
 /// transactions have drained.
+///
+/// System storage keeps no children names on a parent's item: a node's
+/// children there are the live `node:` items whose parent it is. A
+/// quiescent node's user-store list must be exactly that set, its child
+/// count ([`node_attr::NUM_CHILDREN`]) its size, and its pending
+/// children log ([`node_attr::PENDING_CHILDREN`]) empty: every change
+/// the log held has been folded into the list and popped.
 pub fn check_tree_integrity(
     ctx: &Ctx,
     system: &SystemStore,
@@ -316,6 +323,14 @@ pub fn check_tree_integrity(
             }
         }
     }
+    let mut children: HashMap<&str, HashSet<String>> = HashMap::new();
+    for path in nodes.keys() {
+        if let Some(parent) = crate::path::parent(path) {
+            let name = crate::path::basename(path).to_owned();
+            children.entry(parent).or_default().insert(name);
+        }
+    }
+    let none = HashSet::new();
     for (path, item) in &nodes {
         let pending = item
             .list(node_attr::TXQ)
@@ -325,6 +340,33 @@ pub fn check_tree_integrity(
             // In-flight transactions may legitimately differ; integrity is
             // defined over quiescent state.
             continue;
+        }
+        if let Some(parent) = crate::path::parent(path).filter(|p| !nodes.contains_key(*p)) {
+            violations.push(Violation {
+                rule: "Z1",
+                detail: format!("{path} exists under missing parent {parent}"),
+            });
+        }
+        let sys_children = children.get(path.as_str()).unwrap_or(&none);
+        let count = item.num(node_attr::NUM_CHILDREN).unwrap_or(0);
+        if count != sys_children.len() as i64 {
+            violations.push(Violation {
+                rule: "Z1",
+                detail: format!(
+                    "{path}: child count {count}, but {} children in system storage",
+                    sys_children.len()
+                ),
+            });
+        }
+        let logged = item.list(node_attr::PENDING_CHILDREN).unwrap_or_default();
+        if !logged.is_empty() {
+            violations.push(Violation {
+                rule: "Z1",
+                detail: format!(
+                    "{path}: {} pending children-log entries at quiescence",
+                    logged.len()
+                ),
+            });
         }
         // Verification reads absorb transient store errors (throttles,
         // injected chaos) with a bounded retry; only a persistent
@@ -354,46 +396,14 @@ pub fn check_tree_integrity(
             }
         };
         // Children agreement (ignoring order).
-        let sys_children: HashSet<String> = item
-            .list(node_attr::CHILDREN)
-            .map(|l| {
-                l.iter()
-                    .filter_map(|v| v.as_str().map(str::to_owned))
-                    .collect()
-            })
-            .unwrap_or_default();
         let user_children: HashSet<String> = record.children.iter().cloned().collect();
-        if sys_children != user_children {
+        if *sys_children != user_children {
             violations.push(Violation {
                 rule: "Z1",
                 detail: format!(
                     "{path}: children diverge (system {sys_children:?} vs user {user_children:?})"
                 ),
             });
-        }
-        // Every child node must exist; every node's parent must list it.
-        for child in &sys_children {
-            let child_path = crate::path::join(path, child);
-            if !nodes.contains_key(&child_path) {
-                violations.push(Violation {
-                    rule: "Z1",
-                    detail: format!("{path} lists missing child {child}"),
-                });
-            }
-        }
-        if let Some(parent) = crate::path::parent(path) {
-            let name = crate::path::basename(path);
-            let listed = nodes
-                .get(parent)
-                .and_then(|p| p.list(node_attr::CHILDREN))
-                .map(|l| l.iter().any(|v| v.as_str() == Some(name)))
-                .unwrap_or(false);
-            if !listed {
-                violations.push(Violation {
-                    rule: "Z1",
-                    detail: format!("{path} not listed in parent {parent}"),
-                });
-            }
         }
     }
     violations
@@ -517,6 +527,73 @@ mod tests {
             HEvent::WriteCommitted { request_id: 1, .. }
         ));
         assert!(!rec.is_empty());
+    }
+
+    /// A quiescent tree: `/` and `/a` in system storage and in a user
+    /// store, `/` with child count 1 and an empty pending children log.
+    /// `tamper` edits `/`'s item first.
+    fn z1_of(tamper: fk_cloud::expr::Update) -> Vec<Violation> {
+        use crate::system_store::keys;
+        use crate::user_store::{NodeRecord, UserStore};
+        use fk_cloud::{Condition, Item, KvStore, MemStore, Meter, Region};
+        let ctx = Ctx::disabled();
+        let system = SystemStore::new(KvStore::new("sys", Region::US_EAST_1, Meter::new()));
+        let user = MemStore::new(Region::US_EAST_1, Meter::new());
+        for (path, children) in [("/", vec!["a".to_owned()]), ("/a", vec![])] {
+            let item = Item::new()
+                .with(node_attr::CREATED, 1i64)
+                .with(node_attr::NUM_CHILDREN, children.len() as i64)
+                .with(node_attr::PENDING_CHILDREN, Vec::<fk_cloud::Value>::new());
+            let key = keys::node(path);
+            system
+                .kv()
+                .put(&ctx, &key, item, Condition::Always)
+                .unwrap();
+            let record = NodeRecord {
+                path: path.into(),
+                data: Default::default(),
+                created_txid: 1,
+                modified_txid: 1,
+                version: 0,
+                children: Arc::new(children),
+                children_txid: 1,
+                ephemeral_owner: None,
+                epoch_marks: Arc::default(),
+            };
+            user.write_node(&ctx, &record).unwrap();
+        }
+        let root = keys::node("/");
+        system
+            .kv()
+            .update(&ctx, &root, &tamper, Condition::Always)
+            .unwrap();
+        check_tree_integrity(&ctx, &system, &user)
+    }
+
+    /// Z1 takes a node's children from the live items below it: a child
+    /// count that disagrees with them and a pending children-log entry
+    /// left at quiescence are both reported.
+    #[test]
+    fn z1_reports_a_wrong_child_count_and_a_leftover_log_entry() {
+        use crate::system_store::ChildEntry;
+        use fk_cloud::expr::Update;
+        assert!(z1_of(Update::new()).is_empty());
+        let wrong = z1_of(Update::new().set(node_attr::NUM_CHILDREN, 2i64));
+        assert_eq!(wrong.len(), 1, "{wrong:?}");
+        assert!(wrong[0].detail.contains("child count 2"), "{wrong:?}");
+        let entry = ChildEntry {
+            txid: 7,
+            name: "b".into(),
+            added: true,
+        };
+        let leftover =
+            Update::new().list_append(node_attr::PENDING_CHILDREN, vec![entry.to_value()]);
+        let leftover = z1_of(leftover);
+        assert_eq!(leftover.len(), 1, "{leftover:?}");
+        assert!(
+            leftover[0].detail.contains("pending children-log"),
+            "{leftover:?}"
+        );
     }
 
     #[test]

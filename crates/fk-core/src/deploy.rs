@@ -522,10 +522,7 @@ impl Deployment {
             .with(crate::system_store::node_attr::CREATED, 1i64)
             .with(crate::system_store::node_attr::VERSION, 1i64)
             .with(crate::system_store::node_attr::VCOUNT, 0i64)
-            .with(
-                crate::system_store::node_attr::CHILDREN,
-                Vec::<fk_cloud::Value>::new(),
-            );
+            .with(crate::system_store::node_attr::NUM_CHILDREN, 0i64);
         let _ = self.system.kv().put(
             &ctx,
             &crate::system_store::keys::node("/"),

@@ -13,10 +13,13 @@
 //!    epoch marks and the per-transaction mark fetch collapses to one
 //!    read per region per epoch.
 //! 2. **One plan per region** — the effects of an epoch (node writes,
-//!    deletes, parent children-list rewrites) are replayed once per
-//!    region into one final store operation per path, so per-key apply
-//!    order holds by construction. The same plans feed the read-replica
-//!    tier.
+//!    deletes, one-name changes of a parent's children) are replayed once
+//!    per region into one final store operation per path, so per-key
+//!    apply order holds by construction. A children list is settled by a
+//!    *fold*: the stored (or planned) list plus the parent's pending
+//!    children-log entries up to the epoch's last change of it
+//!    ([`crate::system_store::ChildLog`], read in the leader's read
+//!    wave). What the operations wrote feeds the read-replica tier.
 //! 3. **Dependency-scheduled fan-out** — a region's operations run on at
 //!    most [`DistributorConfig::shards`] concurrent workers: forked
 //!    virtual-time contexts, all forked at the epoch's start (so regions
@@ -44,7 +47,8 @@
 //!    transaction commits (Z4), the per-node pending queues are popped in
 //!    chunked ≤ 25-item transactions with per-item head guards
 //!    ([`crate::commit::pop_pending_batch`]) that also record the object
-//!    tags the epoch's writes left, and client notifications go
+//!    tags the epoch's writes left and remove the folded children-log
+//!    entries, and client notifications go
 //!    out per session in txid order (Z2), the sessions in parallel.
 //!
 //! The formal serverless model of Gabbrielli et al. ("No more, no less")
@@ -54,12 +58,12 @@
 //! (`tests/consistency_properties.rs`) check end to end.
 
 use crate::messages::{LeaderRecord, UserUpdate};
-use crate::system_store::{ObjTags, SystemStore};
+use crate::system_store::{ChildEntry, ChildLog, ObjTags, SystemStore};
 use crate::user_store::{NodeRecord, UserStore};
 use bytes::Bytes;
 use fk_cloud::objectstore::{Precondition, Tag};
 use fk_cloud::trace::Ctx;
-use fk_cloud::{CloudError, CloudResult, Region};
+use fk_cloud::{CloudError, CloudResult, Region, Value};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -175,37 +179,123 @@ pub struct CommittedTx<'a> {
 /// region, 0 where no write recorded one.
 pub type EpochTags = HashMap<String, Vec<Tag>>;
 
-/// What one store operation leaves on record for its path in its
-/// region: the new object's tag, if it replaced an existing object.
-type Written = Option<Tag>;
+/// The pending children logs the leader's read wave found, by node path
+/// ([`ChildLog`]): every parent an epoch's creates and deletes change,
+/// and every node it writes.
+pub type ChildLogs<'a> = HashMap<&'a str, ChildLog>;
+
+/// What an epoch's apply left ([`Distributor::apply_epoch`]).
+#[derive(Debug, Default)]
+pub struct EpochApplied {
+    /// The object tags, for [`Distributor::finalize_epoch`] to record.
+    pub tags: EpochTags,
+    /// The children list, and its `children_txid`, of every record the
+    /// apply wrote in the first region: what a `NodeChildrenChanged`
+    /// event of the epoch carries.
+    pub lists: HashMap<String, (Arc<Vec<String>>, u64)>,
+}
+
+/// What one store operation did in its region: the new object's tag, if
+/// it replaced an existing object, and the record it wrote (`None` for
+/// a delete, or a rewrite the stored list already covered).
+#[derive(Debug, Default)]
+struct Applied {
+    tag: Option<Tag>,
+    record: Option<NodeRecord>,
+}
 
 /// One storage effect of a transaction, keyed by the path it touches.
-///
-/// Children lists are lifted into `Arc`s **once per epoch** when the
-/// effect is built; every region's plan that materializes a record from
-/// the effect then shares the list (and the `Bytes` payload) instead of
-/// deep-copying it — the clone-free half of the fan-out's I/O diet.
 enum Effect<'a> {
     /// Write (create or replace) the node record.
     Write {
         txid: u64,
         update: &'a UserUpdate,
         data: &'a Bytes,
-        /// The record's children snapshot, shared across all workers.
-        children: Arc<Vec<String>>,
     },
     /// Delete the node record.
     Delete { path: &'a str },
-    /// Rewrite a parent's children list, preserving the rest of its
-    /// record (the read-modify-write of `update_children` in the
-    /// sequential leader).
+    /// A create or delete changed `parent`'s children by one name: its
+    /// node `child` was `added`, or removed.
     Children {
         parent: &'a str,
-        children: Arc<Vec<String>>,
         txid: u64,
-        /// The node whose create or delete rewrote the list.
         child: &'a str,
+        added: bool,
     },
+}
+
+/// A children list the apply settles against the stored record: the
+/// list at `txid` is the stored one, plus the node's pending
+/// children-log entries above the stored `children_txid` and below
+/// `txid`, plus `own`, the changes of the transaction `txid` itself.
+/// Those come from the record, not the log: the read wave may read the
+/// item before that transaction's commit lands, but every change below
+/// it committed, under the same lock, before it was pushed.
+#[derive(Debug, Clone)]
+struct Fold {
+    txid: u64,
+    own: Vec<(String, bool)>,
+}
+
+impl Fold {
+    fn new(txid: u64) -> Self {
+        Fold {
+            txid,
+            own: Vec::new(),
+        }
+    }
+
+    /// Adds the change `(name, added)` of the transaction `txid`. A
+    /// later transaction's changes replace an earlier one's, which the
+    /// log holds.
+    fn push(&mut self, txid: u64, name: &str, added: bool) {
+        if txid > self.txid {
+            *self = Fold::new(txid);
+        }
+        self.own.push((name.to_owned(), added));
+    }
+}
+
+/// `start`, a children list as of txid `from`, moved to txid `to`: the
+/// log's entries with txids in `(from, to)`, in txid order, then `own`.
+fn settle(
+    start: &[String],
+    from: u64,
+    log: &ChildLog,
+    to: u64,
+    own: &[(String, bool)],
+) -> Vec<String> {
+    let mut list = start.to_vec();
+    let logged = log.entries.iter().filter(|e| from < e.txid && e.txid < to);
+    let changes = logged.map(|e| (e.name.as_str(), e.added));
+    for (name, added) in changes.chain(own.iter().map(|(name, added)| (name.as_str(), *added))) {
+        let listed = list.iter().any(|child| child == name);
+        if added && !listed {
+            list.push(name.to_owned());
+        } else if !added && listed {
+            list.retain(|child| child != name);
+        }
+    }
+    list
+}
+
+/// True if `base` is a record of a node incarnation older than the one
+/// created at txid `created`: its list says nothing about the newer
+/// one, which started with no children. (A stub of the newer one
+/// carries a later `children_txid`; the root, which no transaction
+/// created, carries its own `created_txid`.)
+fn predates(base: &NodeRecord, created: u64) -> bool {
+    base.created_txid < created && base.children_txid < created
+}
+
+/// The log of `path`, or an empty one if the read wave did not read it.
+fn log_of<'l>(logs: &'l ChildLogs<'_>, path: &str) -> &'l ChildLog {
+    static EMPTY: ChildLog = ChildLog {
+        created: 0,
+        exists: false,
+        entries: Vec::new(),
+    };
+    logs.get(path).unwrap_or(&EMPTY)
 }
 
 /// Insertion-ordered key→value map: the coalescing primitive behind the
@@ -378,62 +468,74 @@ impl Distributor {
     /// child's record exists), and a delete only after its parent's
     /// rewrite (a node never disappears before its parent stops listing
     /// it). Each region's plan (`build_epoch_plan`) schedules exactly
-    /// those edges on `shards` workers (`run_plans`), and the same plans
-    /// then feed the replica tier.
+    /// those edges on `shards` workers (`run_plans`), and what the
+    /// operations wrote then feeds the replica tier.
+    ///
+    /// `logs` holds the pending children log of every parent the epoch
+    /// changes and every node it writes, as the leader's read wave found
+    /// them: children lists are folded from them (`settle`).
     ///
     /// A node write names its object's tag when the record's
     /// [`CommittedTx::tags`] hold one for that region (see
     /// `write_record`).
     /// Returns the tags the epoch's writes left, for
-    /// [`Distributor::finalize_epoch`] to record.
+    /// [`Distributor::finalize_epoch`] to record, and the lists they
+    /// wrote.
     pub fn apply_epoch(
         &self,
         ctx: &Ctx,
         items: &[CommittedTx<'_>],
         marks: &[Arc<Vec<u64>>],
-    ) -> CloudResult<EpochTags> {
+        logs: &ChildLogs<'_>,
+    ) -> CloudResult<EpochApplied> {
+        let mut applied = EpochApplied::default();
         if items.is_empty() {
-            return Ok(EpochTags::new());
+            return Ok(applied);
         }
         let effects: Vec<Effect<'_>> = items.iter().flat_map(effects_of).collect();
         let plans: Vec<EpochPlan> = marks
             .iter()
-            .map(|region_marks| build_epoch_plan(&effects, region_marks))
+            .map(|region_marks| build_epoch_plan(&effects, region_marks, logs))
             .collect();
         let known: HashMap<&str, &ObjTags> = items
             .iter()
             .map(|tx| (tx.record.path(), &tx.tags))
             .collect();
-        let written = self.run_plans(ctx, marks, &plans, &known)?;
-        self.feed_replicas(ctx, items, marks, &plans);
-        let mut tags = EpochTags::new();
+        let written = self.run_plans(ctx, &plans, &known, logs)?;
+        self.feed_replicas(ctx, items, marks, &plans, &written);
         for (region_idx, (plan, written)) in plans.iter().zip(written).enumerate() {
             for (op, written) in plan.ops.iter().zip(written) {
-                let entry = tags.entry(op.path().to_owned()).or_default();
-                if let Some(tag) = written {
+                let entry = applied.tags.entry(op.path().to_owned()).or_default();
+                if let Some(tag) = written.tag {
                     entry.resize(plans.len(), 0);
                     entry[region_idx] = tag;
                 }
+                if let (0, Some(record)) = (region_idx, written.record) {
+                    let list = (record.children, record.children_txid);
+                    applied.lists.insert(record.path, list);
+                }
             }
         }
-        Ok(tags)
+        Ok(applied)
     }
 
     /// Folds the epoch into one [`crate::replica::EpochDelta`] per
     /// region and feeds it to the attached replica tier. Runs after the
-    /// storage apply, so the replicas strictly follow storage. The fold
-    /// reads the region plans the apply ran ([`build_epoch_plan`], the
-    /// store-free replay): per-path final writes are encoded once per
-    /// region and shared (`Bytes`) across that region's replicas;
-    /// standalone children rewrites stay symbolic and patch resident
-    /// entries in place on the replica side. No storage reads, no kv
-    /// traffic — purely in-memory work on the feeding invocation.
+    /// storage apply, so the replicas strictly follow storage, and feeds
+    /// what each operation wrote (`written`, aligned with the region's
+    /// plan): a node write is encoded once per region and shared
+    /// (`Bytes`) across that region's replicas; a standalone children
+    /// rewrite stays symbolic and patches resident entries in place on
+    /// the replica side, and one the stored list already covered feeds
+    /// nothing. No storage reads, no kv traffic — purely in-memory work
+    /// on the feeding invocation.
     fn feed_replicas(
         &self,
         ctx: &Ctx,
         items: &[CommittedTx<'_>],
         marks: &[Arc<Vec<u64>>],
         plans: &[EpochPlan],
+        written: &[Vec<Applied>],
     ) {
         use crate::replica::{EpochDelta, ReplicaOp};
         let Some(replicas) = &self.replicas else {
@@ -446,21 +548,19 @@ impl Distributor {
             self.group_high_water(items.iter().filter(|tx| !tx.ahead).map(|tx| tx.txid));
 
         for (region_idx, plan) in plans.iter().enumerate() {
-            let ops = plan.ops.iter().map(|op| match op {
-                PlanOp::Write(record) | PlanOp::ChildrenWrite(record) => ReplicaOp::Write {
+            let ops = plan.ops.iter().zip(&written[region_idx]);
+            let ops = ops.filter_map(|(op, written)| match (op, &written.record) {
+                (PlanOp::Delete(path), _) => Some(ReplicaOp::Delete { path: path.clone() }),
+                (_, None) => None,
+                (PlanOp::Rewrite { parent, .. }, Some(record)) => Some(ReplicaOp::Children {
+                    parent: parent.clone(),
+                    children: Arc::clone(&record.children),
+                    txid: record.children_txid,
+                }),
+                (_, Some(record)) => Some(ReplicaOp::Write {
                     path: record.path.clone(),
                     frame: crate::codec::encode_node(record),
-                },
-                PlanOp::Rewrite {
-                    parent,
-                    children,
-                    txid,
-                } => ReplicaOp::Children {
-                    parent: parent.clone(),
-                    children: Arc::clone(children),
-                    txid: *txid,
-                },
-                PlanOp::Delete(path) => ReplicaOp::Delete { path: path.clone() },
+                }),
             });
             let delta = EpochDelta {
                 ops: Arc::new(ops.collect()),
@@ -531,9 +631,9 @@ impl Distributor {
     /// it replaces: by the tag on record (`write_record`), or by the tag
     /// of a read-merge-write's read (`read_merge_write`), whose merge keeps
     /// the children list of whichever side carries the larger
-    /// `children_txid` (lists grow cumulatively under the parent's
-    /// follower lock, so the larger txid is the current truth) and never
-    /// lets `modified_txid` regress.
+    /// `children_txid` (children changes of a node commit in txid order
+    /// under its follower lock, so the larger txid is the current truth)
+    /// and never lets `modified_txid` regress.
     ///
     /// Each region's plan runs on its own `shards` workers
     /// ([`EpochPlan::run`]); every region's workers are forked here, up
@@ -546,10 +646,10 @@ impl Distributor {
     fn run_plans(
         &self,
         ctx: &Ctx,
-        marks: &[Arc<Vec<u64>>],
         plans: &[EpochPlan],
         known: &HashMap<&str, &ObjTags>,
-    ) -> CloudResult<Vec<Vec<Written>>> {
+        logs: &ChildLogs<'_>,
+    ) -> CloudResult<Vec<Vec<Applied>>> {
         let workers: Vec<Vec<Ctx>> = plans
             .iter()
             .map(|plan| {
@@ -557,35 +657,28 @@ impl Distributor {
                 (0..width).map(|_| ctx.fork()).collect()
             })
             .collect();
-        let ran: Vec<CloudResult<Vec<Written>>> = plans
+        let ran: Vec<CloudResult<Vec<Applied>>> = plans
             .iter()
             .enumerate()
             .map(|(region_idx, plan)| {
                 let store = self.user_stores[region_idx].as_ref();
                 plan.run(&workers[region_idx], |worker, op| match op {
-                    PlanOp::Write(record) | PlanOp::ChildrenWrite(record) => {
+                    PlanOp::Write(record, fold) | PlanOp::ChildrenWrite(record, fold) => {
                         let tags = known.get(record.path.as_str());
                         let tag = tags.and_then(|tags| tags.tag_for(region_idx, record));
-                        self.write_record(worker, store, record, tag)
+                        let fold = fold.as_ref().map(|f| (f, log_of(logs, &record.path)));
+                        self.write_record(worker, store, record, fold, tag)
                     }
-                    PlanOp::Rewrite {
-                        parent,
-                        children,
-                        txid,
-                    } => self
-                        .rewrite_children(
-                            worker,
-                            store,
-                            parent,
-                            children,
-                            *txid,
-                            &marks[region_idx],
-                        )
-                        .map(|()| None),
+                    PlanOp::Rewrite { parent, fold } => {
+                        let log = log_of(logs, parent);
+                        self.rewrite_children(worker, store, parent, fold, log, &plan.marks)
+                    }
                     // Deletion is idempotent and unconditional: a racing
                     // group's rewrite either lands first or fails its
                     // precondition and reads the absence.
-                    PlanOp::Delete(path) => store.delete_node(worker, path).map(|()| None),
+                    PlanOp::Delete(path) => {
+                        store.delete_node(worker, path).map(|()| Applied::default())
+                    }
                 })
             })
             .collect();
@@ -597,9 +690,11 @@ impl Distributor {
 
     /// Writes one node record. A create is one `If-None-Match` write and
     /// a record whose `tag` is on record one `If-Match` write: no read
-    /// (Table 3's Update Node without its GET). Without a tag, or after a
-    /// 412 (a concurrent writer got there first; nothing was written), it
-    /// is a read-merge-write, which merges what the other writer stored.
+    /// (Table 3's Update Node without its GET). Without a tag, after a
+    /// 412 (a concurrent writer got there first; nothing was written),
+    /// or when its children list is a `fold` of the stored one (a node
+    /// with children), it is a read-merge-write, which merges what the
+    /// other writer stored.
     ///
     /// A create leaves no tag on record; a write that replaced an
     /// existing record leaves its new tag.
@@ -608,25 +703,50 @@ impl Distributor {
         ctx: &Ctx,
         store: &dyn UserStore,
         record: &NodeRecord,
+        fold: Option<(&Fold, &ChildLog)>,
         tag: Option<Tag>,
-    ) -> CloudResult<Written> {
+    ) -> CloudResult<Applied> {
         let create = record.created_txid == record.modified_txid;
         let precondition = match tag {
+            _ if fold.is_some() => None,
             _ if create => Some(Precondition::IfNoneMatch),
             Some(tag) => Some(Precondition::IfMatch(tag)),
             None => None,
         };
         if let Some(precondition) = precondition {
             match store.write_node_if(ctx, record, precondition) {
-                Ok(tag) => return Ok((!create).then_some(tag)),
+                Ok(tag) => {
+                    let tag = (!create).then_some(tag);
+                    let record = Some(record.clone());
+                    return Ok(Applied { tag, record });
+                }
                 Err(e) if !e.is_condition_failed() => return Err(e),
                 Err(_) => {}
             }
         }
-        // Merge a concurrently applied newer children list (a larger
-        // stored `children_txid`) instead of clobbering it.
         self.read_merge_write(ctx, store, &record.path, |base| {
             let mut record = record.clone();
+            match (fold, &base) {
+                (Some((fold, _)), Some(base)) if base.children_txid >= fold.txid => {
+                    record.children = Arc::clone(&base.children);
+                    record.children_txid = base.children_txid;
+                }
+                (Some((fold, log)), base) => {
+                    // The stored list, unless it predates the node's
+                    // incarnation, which started with none.
+                    let (start, from) = match base {
+                        Some(base) if !predates(base, record.created_txid) => {
+                            (base.children.as_slice(), base.children_txid)
+                        }
+                        _ => (&[][..], record.created_txid),
+                    };
+                    record.children = Arc::new(settle(start, from, log, fold.txid, &fold.own));
+                    record.children_txid = fold.txid;
+                }
+                (None, _) => {}
+            }
+            // Merge a concurrently applied newer children list (a larger
+            // stored `children_txid`) instead of clobbering it.
             if let Some(base) = base {
                 if base.children_txid > record.children_txid {
                     record.children = base.children;
@@ -640,38 +760,49 @@ impl Distributor {
 
     /// Applies a standalone children-list rewrite (a child's create or
     /// delete whose parent has no node write in this epoch): drop it if
-    /// the stored list is already newer; synthesize a stub if the
-    /// parent's own node write has not materialized yet — unless system
-    /// storage says the parent is gone (a later delete won), in which
-    /// case resurrecting it would leak a record the owning group will
-    /// never clean up.
+    /// the stored list is already as new; fold it into the stored record
+    /// of the parent's incarnation; synthesize a stub if the parent's own
+    /// node write has not materialized yet, or the stored record predates
+    /// its incarnation — unless the log says the parent is gone (a later
+    /// delete won), in which case resurrecting it would leak a record the
+    /// owning group will never clean up.
     fn rewrite_children(
         &self,
         ctx: &Ctx,
         store: &dyn UserStore,
         parent: &str,
-        children: &Arc<Vec<String>>,
-        txid: u64,
+        fold: &Fold,
+        log: &ChildLog,
         marks: &Arc<Vec<u64>>,
-    ) -> CloudResult<()> {
+    ) -> CloudResult<Applied> {
+        let txid = fold.txid;
         // The `children_txid >= txid` guard makes a repeat after a
         // successful-but-unreported write a no-op, not a regression.
-        let rewrite = |base: Option<NodeRecord>| match base {
-            Some(record) if record.children_txid >= txid => None,
-            Some(mut record) => {
-                record.children = Arc::clone(children);
-                record.children_txid = txid;
-                record.modified_txid = record.modified_txid.max(txid);
-                record.epoch_marks = Arc::clone(marks);
-                Some(record)
-            }
-            None => {
-                let item = self.system.get_node(ctx, parent);
-                SystemStore::node_exists(item.as_ref())
-                    .then(|| stub_record(parent, children, txid, marks))
-            }
+        let rewrite = |base: Option<NodeRecord>| {
+            let (start, from, base) = match base {
+                Some(record) if record.children_txid >= txid => return None,
+                Some(record) if txid < log.created || !predates(&record, log.created) => (
+                    Arc::clone(&record.children),
+                    record.children_txid,
+                    Some(record),
+                ),
+                Some(_) => (Arc::default(), log.created, None),
+                None if log.exists && log.created <= txid => (Arc::default(), log.created, None),
+                None => return None,
+            };
+            let children = Arc::new(settle(&start, from, log, txid, &fold.own));
+            Some(match base {
+                Some(mut record) => {
+                    record.children = children;
+                    record.children_txid = txid;
+                    record.modified_txid = record.modified_txid.max(txid);
+                    record.epoch_marks = Arc::clone(marks);
+                    record
+                }
+                None => stub_record(parent, children, txid, marks),
+            })
         };
-        self.read_merge_write(ctx, store, parent, rewrite).map(drop)
+        self.read_merge_write(ctx, store, parent, rewrite)
     }
 
     /// The optimistic write loop: reads `path`'s record and tag, lets
@@ -681,23 +812,28 @@ impl Distributor {
     /// reads and merges again (a new round, never a retry: the store
     /// retries only transient failures), for at most [`MERGE_ROUNDS`]
     /// rounds, then fails with a `Throttled` that redelivers the batch.
-    /// Returns the new tag if the write replaced a record.
+    /// Returns the new tag if the write replaced a record, and the
+    /// record written.
     fn read_merge_write(
         &self,
         ctx: &Ctx,
         store: &dyn UserStore,
         path: &str,
         merge: impl Fn(Option<NodeRecord>) -> Option<NodeRecord>,
-    ) -> CloudResult<Written> {
+    ) -> CloudResult<Applied> {
         for _ in 0..MERGE_ROUNDS {
             let base = store.read_tagged(ctx, path)?;
             let stored = base.as_ref().map(|(_, tag)| *tag);
             let Some(record) = merge(base.map(|(record, _)| record)) else {
-                return Ok(None);
+                return Ok(Applied::default());
             };
             let precondition = stored.map_or(Precondition::IfNoneMatch, Precondition::IfMatch);
             match store.write_node_if(ctx, &record, precondition) {
-                Ok(tag) => return Ok(stored.map(|_| tag)),
+                Ok(tag) => {
+                    let tag = stored.map(|_| tag);
+                    let record = Some(record);
+                    return Ok(Applied { tag, record });
+                }
                 Err(e) if e.is_condition_failed() => continue,
                 Err(e) => return Err(e),
             }
@@ -714,11 +850,19 @@ impl Distributor {
     /// cost ⌈N/25⌉ write requests. Each pop also leaves on its node item
     /// the object tags the epoch's apply returned for the path (`tags`),
     /// in the same update: recording them costs no request.
+    ///
+    /// The pops also remove, by value, the pending children-log entries
+    /// the epoch folded (`folded_entries`): for each parent, every entry
+    /// `logs` holds up to the epoch's last change of it, and that
+    /// change's own. Those entries, and their removals, ride the chunks
+    /// that land first: a record whose `txq` pop landed never leaves its
+    /// entry behind, even if a later chunk fails.
     pub fn finalize_epoch(
         &self,
         ctx: &Ctx,
         items: &[CommittedTx<'_>],
         tags: &EpochTags,
+        logs: &ChildLogs<'_>,
     ) -> CloudResult<()> {
         // Per path, in txid order: the txids to pop and whether the last
         // transaction deleted the node. A record contributes each
@@ -745,24 +889,39 @@ impl Distributor {
                 entry.1 = sub.is_delete;
             }
         }
+        let folded = folded_entries(items, logs);
+        for path in folded.keys() {
+            per_path.get_or_insert_with(path, Default::default);
+        }
         // Chunked transactional pops across paths, then the (rare)
         // tombstone purges for deleted paths.
-        let entries: Vec<crate::commit::Pop<'_>> = per_path
+        let mut entries: Vec<crate::commit::Pop<'_>> = per_path
             .keys()
             .map(|path| {
                 let (txids, _) = per_path.get(path).expect("keyed from map");
-                let tags = tags.get(*path).map_or(&[][..], Vec::as_slice);
-                (*path, txids.as_slice(), tags)
+                crate::commit::Pop {
+                    path,
+                    txids,
+                    tags: tags.get(*path).map_or(&[][..], Vec::as_slice),
+                    folded: folded.get(*path).map_or(&[][..], Vec::as_slice),
+                }
             })
             .collect();
+        entries.sort_by_key(|pop| pop.folded.is_empty());
         let chunks: Vec<&[crate::commit::Pop<'_>]> = entries
             .chunks(crate::system_store::TRANSACT_MAX_ITEMS)
             .collect();
+        let folding = chunks
+            .iter()
+            .take_while(|chunk| !chunk[0].folded.is_empty());
+        let (first, rest) = chunks.split_at(folding.count());
         // A txid queued behind another head is an error and stays
         // fatal; only txids an earlier delivery popped are skipped.
-        fan_out(ctx, chunks.len(), |i, child| {
-            crate::commit::pop_pending_batch(self.system.kv(), child, chunks[i])
-        })?;
+        for wave in [first, rest].into_iter().filter(|wave| !wave.is_empty()) {
+            fan_out(ctx, wave.len(), |i, child| {
+                crate::commit::pop_pending_batch(self.system.kv(), child, wave[i])
+            })?;
+        }
         let deleted: Vec<&str> = per_path
             .keys()
             .copied()
@@ -775,75 +934,83 @@ impl Distributor {
 }
 
 /// The storage effects of one committed transaction: its subs' effects
-/// in op order (they share the record's txid: one atomic unit). Runs
-/// once per epoch (before the fan-out), so the `Arc` lifts here are the
-/// only full copies of the children lists any number of workers pays.
+/// in op order (they share the record's txid: one atomic unit).
 fn effects_of<'a>(tx: &'a CommittedTx<'_>) -> impl Iterator<Item = Effect<'a>> {
     let subs = tx.record.ops.iter().zip(&tx.data);
     let applied = subs.filter_map(|(sub, data)| Some((sub, data.as_ref()?)));
     applied.flat_map(|(sub, data)| effects_of_update(&sub.user_update, data, tx.txid))
 }
 
-/// The 1–2 effects of one user-store update, in order.
+/// The 1–2 effects of one user-store update, in order: the node's own,
+/// then the one-name change of its parent's children.
 fn effects_of_update<'a>(
     user_update: &'a UserUpdate,
     data: &'a Bytes,
     txid: u64,
 ) -> Vec<Effect<'a>> {
-    match user_update {
-        UserUpdate::WriteNode {
-            path,
-            children,
-            parent_children,
-            ..
-        } => {
-            let mut effects = vec![Effect::Write {
-                txid,
-                update: user_update,
-                data,
-                children: Arc::new(children.clone()),
-            }];
-            if let Some((parent, children)) = parent_children {
-                effects.push(Effect::Children {
-                    parent,
-                    children: Arc::new(children.clone()),
-                    txid,
-                    child: path,
-                });
-            }
-            effects
-        }
-        UserUpdate::DeleteNode {
-            path,
-            parent_children,
-        } => {
-            let mut effects = vec![Effect::Delete { path }];
-            if let Some((parent, children)) = parent_children {
-                effects.push(Effect::Children {
-                    parent,
-                    children: Arc::new(children.clone()),
-                    txid,
-                    child: path,
-                });
-            }
-            effects
-        }
-        UserUpdate::None => Vec::new(),
+    let mut effects = match user_update {
+        UserUpdate::WriteNode { .. } => vec![Effect::Write {
+            txid,
+            update: user_update,
+            data,
+        }],
+        UserUpdate::DeleteNode { path } => vec![Effect::Delete { path }],
+        UserUpdate::None => return Vec::new(),
+    };
+    if let Some((parent, child, added)) = user_update.child_delta() {
+        effects.push(Effect::Children {
+            parent,
+            txid,
+            child,
+            added,
+        });
     }
+    effects
+}
+
+/// The pending children-log entries an epoch folds, by parent: every
+/// entry `logs` holds up to the epoch's last change of the parent, and
+/// that change's own entries (which the log may not show yet), in their
+/// stored form.
+fn folded_entries<'a>(
+    items: &'a [CommittedTx<'_>],
+    logs: &ChildLogs<'_>,
+) -> OrderedMap<&'a str, Vec<Value>> {
+    let mut last: OrderedMap<&'a str, Fold> = OrderedMap::new();
+    for effect in items.iter().flat_map(effects_of) {
+        if let Effect::Children {
+            parent,
+            txid,
+            child,
+            added,
+        } = effect
+        {
+            let fold = last.get_or_insert_with(parent, || Fold::new(txid));
+            fold.push(txid, crate::path::basename(child), added);
+        }
+    }
+    let mut folded = OrderedMap::new();
+    for (parent, fold) in last.into_entries() {
+        let logged = log_of(logs, parent).entries.iter();
+        let logged = logged.filter(|entry| entry.txid <= fold.txid).cloned();
+        let own = fold.own.into_iter().map(|(name, added)| ChildEntry {
+            txid: fold.txid,
+            name,
+            added,
+        });
+        let entries = logged.chain(own).map(|entry| entry.to_value());
+        folded.insert(parent, entries.collect());
+    }
+    folded
 }
 
 /// Builds the node record a `WriteNode` update materializes in `region`'s
-/// replica (the same construction as the sequential leader). The data
-/// payload, children list and epoch marks are *shared* into the record —
+/// replica (the same construction as the sequential leader), with no
+/// children as of its txid: a create's, or a childless node's, list. The
+/// data payload and epoch marks are *shared* into the record —
 /// materializing the same transaction for R regions costs R ref-count
 /// bumps, not R deep copies.
-fn record_of(
-    update: &UserUpdate,
-    txid: u64,
-    data: &Bytes,
-    children: &Arc<Vec<String>>,
-    marks: &Arc<Vec<u64>>,
-) -> NodeRecord {
+fn record_of(update: &UserUpdate, txid: u64, data: &Bytes, marks: &Arc<Vec<u64>>) -> NodeRecord {
     let UserUpdate::WriteNode {
         path,
         created_txid,
@@ -864,9 +1031,10 @@ fn record_of(
         },
         modified_txid: txid,
         version: *version,
-        children: Arc::clone(children),
-        // The children snapshot was taken under this node's follower
-        // lock, in the same critical section that allocated `txid`.
+        children: Arc::default(),
+        // The follower found no children under this node's lock, in the
+        // same critical section that allocated `txid` (a node with
+        // children settles its list by a fold).
         children_txid: txid,
         ephemeral_owner: ephemeral_owner.clone(),
         epoch_marks: Arc::clone(marks),
@@ -878,7 +1046,7 @@ fn record_of(
 /// `update_children` synthesizing a missing base.
 fn stub_record(
     parent: &str,
-    children: &Arc<Vec<String>>,
+    children: Arc<Vec<String>>,
     txid: u64,
     marks: &Arc<Vec<u64>>,
 ) -> NodeRecord {
@@ -888,7 +1056,7 @@ fn stub_record(
         created_txid: 0,
         modified_txid: txid,
         version: 0,
-        children: Arc::clone(children),
+        children,
         children_txid: txid,
         ephemeral_owner: None,
         epoch_marks: Arc::clone(marks),
@@ -898,30 +1066,33 @@ fn stub_record(
 /// One region's store operations for an epoch: one per path, node
 /// writes first, then children-bearing operations, then deletes, each
 /// group in first-touch order (the order the replica feed applies them
-/// in). Base reads are deferred to apply time, so standalone children
-/// rewrites stay symbolic.
+/// in). Base reads are deferred to apply time, so folds against the
+/// stored list stay symbolic.
 struct EpochPlan {
     ops: Vec<PlanOp>,
     /// `(before, after)`: op `after` starts only once op `before` has
     /// ended — the two rules of [`Distributor::apply_epoch`].
     edges: Vec<(usize, usize)>,
+    /// The region's epoch marks, attached to every record the plan
+    /// writes.
+    marks: Arc<Vec<u64>>,
 }
 
-/// One store operation of an [`EpochPlan`].
+/// One store operation of an [`EpochPlan`]. A node write's children
+/// list is the record's, unless it carries a [`Fold`]: then the apply
+/// settles it against the stored list.
 enum PlanOp {
-    /// A node write no children rewrite touched this epoch.
-    Write(NodeRecord),
-    /// A node write whose children list was rewritten this epoch.
-    ChildrenWrite(NodeRecord),
+    /// A node write no children change touched this epoch.
+    Write(NodeRecord, Option<Fold>),
+    /// A node write whose children changed this epoch.
+    ChildrenWrite(NodeRecord, Option<Fold>),
     /// A children rewrite for a path with no same-epoch node write;
-    /// resolved against the stored record at apply time.
+    /// folded into the stored record at apply time.
     Rewrite {
         /// The rewritten parent.
         parent: String,
-        /// The full children list as of `txid` (shared with the effect).
-        children: Arc<Vec<String>>,
-        /// Txid of the rewriting transaction.
-        txid: u64,
+        /// The epoch's last change of the parent's children.
+        fold: Fold,
     },
     /// Delete the node record.
     Delete(String),
@@ -930,7 +1101,7 @@ enum PlanOp {
 impl PlanOp {
     fn path(&self) -> &str {
         match self {
-            PlanOp::Write(record) | PlanOp::ChildrenWrite(record) => &record.path,
+            PlanOp::Write(record, _) | PlanOp::ChildrenWrite(record, _) => &record.path,
             PlanOp::Rewrite { parent, .. } => parent,
             PlanOp::Delete(path) => path,
         }
@@ -952,10 +1123,10 @@ impl EpochPlan {
     fn run(
         &self,
         workers: &[Ctx],
-        apply: impl Fn(&Ctx, &PlanOp) -> CloudResult<Written>,
-    ) -> CloudResult<Vec<Written>> {
+        apply: impl Fn(&Ctx, &PlanOp) -> CloudResult<Applied>,
+    ) -> CloudResult<Vec<Applied>> {
         let n = self.ops.len();
-        let mut out = vec![None; n];
+        let mut out: Vec<Applied> = (0..n).map(|_| Applied::default()).collect();
         let mut waiting_on = vec![0usize; n];
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         for &(before, after) in &self.edges {
@@ -966,8 +1137,8 @@ impl EpochPlan {
             let class = match &self.ops[op] {
                 PlanOp::Delete(_) => 3,
                 _ if !dependents[op].is_empty() => 0,
-                PlanOp::Write(_) => 1,
-                PlanOp::ChildrenWrite(_) | PlanOp::Rewrite { .. } => 2,
+                PlanOp::Write(..) => 1,
+                PlanOp::ChildrenWrite(..) | PlanOp::Rewrite { .. } => 2,
             };
             Reverse((class, op))
         };
@@ -998,21 +1169,21 @@ enum Pending {
     Write {
         record: NodeRecord,
         touched: bool,
+        fold: Option<Fold>,
     },
-    Children {
-        children: Arc<Vec<String>>,
-        txid: u64,
-    },
+    Children(Fold),
     Delete,
 }
 
 /// Replays an epoch's effects in order without touching the store into
 /// one region's [`EpochPlan`], coalescing to one operation per path
-/// (last write wins; a children rewrite merges into the path's pending
+/// (last write wins; a children change merges into the path's pending
 /// write, like the sequential leader's `update_children`; the
-/// read-modify-write halves run at apply time).
+/// read-modify-write halves run at apply time). A write whose list the
+/// plan knows (a create's, or a childless node's) takes later changes
+/// here, by the same fold as the apply's ([`settle`], over `logs`).
 ///
-/// The edges come from the children rewrites: each names the child whose
+/// The edges come from the children changes: each names the child whose
 /// create or delete produced it. If the child's final operation is a
 /// delete, the delete waits for the parent's operation; otherwise the
 /// child was (re)created and the parent's operation waits for its write.
@@ -1020,73 +1191,93 @@ enum Pending {
 /// down, from a parent to a deleted child; a delete's only outgoing edges
 /// run further down into deleted children. A path that has gone down can
 /// never come back up, and the edges never form a cycle.
-fn build_epoch_plan(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> EpochPlan {
+fn build_epoch_plan(
+    effects: &[Effect<'_>],
+    marks: &Arc<Vec<u64>>,
+    logs: &ChildLogs<'_>,
+) -> EpochPlan {
     let mut pending: OrderedMap<String, Pending> = OrderedMap::new();
-    // `(parent, child)` of every children rewrite.
+    // `(parent, child)` of every children change.
     let mut rewrites: Vec<(&str, &str)> = Vec::new();
     for effect in effects {
-        match effect {
-            Effect::Write {
-                txid,
-                update,
-                data,
-                children,
-            } => {
-                let record = record_of(update, *txid, data, children, marks);
-                // A later write's children snapshot supersedes any
-                // earlier same-epoch rewrite (it was taken later under
-                // the same node lock); it stays a children-bearing write.
+        match *effect {
+            Effect::Write { txid, update, data } => {
+                let record = record_of(update, txid, data, marks);
+                let has_children = matches!(
+                    update,
+                    UserUpdate::WriteNode {
+                        has_children: true,
+                        ..
+                    }
+                );
+                // A later write's list supersedes any earlier same-epoch
+                // change (it was settled later under the same node
+                // lock); it stays a children-bearing write.
                 let touched = matches!(
                     pending.get(&record.path),
-                    Some(Pending::Write { touched: true, .. }) | Some(Pending::Children { .. })
+                    Some(Pending::Write { touched: true, .. }) | Some(Pending::Children(_))
                 );
-                pending.insert(record.path.clone(), Pending::Write { record, touched });
+                // The same transaction's earlier changes of this node (a
+                // `multi` that creates a child, then writes the parent)
+                // may not be in the log yet: the fold takes them from the
+                // record.
+                let own = match pending.get(&record.path) {
+                    Some(Pending::Children(fold))
+                    | Some(Pending::Write {
+                        fold: Some(fold), ..
+                    }) if fold.txid == txid => fold.own.clone(),
+                    _ => Vec::new(),
+                };
+                let fold = has_children.then_some(Fold { txid, own });
+                let path = record.path.clone();
+                let entry = Pending::Write {
+                    record,
+                    touched,
+                    fold,
+                };
+                pending.insert(path, entry);
             }
             Effect::Delete { path } => {
-                pending.insert((*path).to_owned(), Pending::Delete);
+                pending.insert(path.to_owned(), Pending::Delete);
             }
             Effect::Children {
                 parent,
-                children,
                 txid,
                 child,
+                added,
             } => {
                 rewrites.push((parent, child));
-                match pending.get_mut(*parent) {
-                    Some(Pending::Write { record, touched }) => {
-                        record.children = Arc::clone(children);
-                        record.children_txid = *txid;
-                        record.modified_txid = record.modified_txid.max(*txid);
+                let name = crate::path::basename(child);
+                match pending.get_mut(parent) {
+                    Some(Pending::Write {
+                        record,
+                        touched,
+                        fold,
+                    }) => {
+                        match fold {
+                            Some(fold) => fold.push(txid, name, added),
+                            None => {
+                                let own = [(name.to_owned(), added)];
+                                let log = log_of(logs, parent);
+                                let from = record.children_txid;
+                                let list = settle(&record.children, from, log, txid, &own);
+                                record.children = Arc::new(list);
+                                record.children_txid = txid;
+                            }
+                        }
+                        record.modified_txid = record.modified_txid.max(txid);
                         record.epoch_marks = Arc::clone(marks);
                         *touched = true;
                     }
-                    Some(Pending::Children {
-                        children: pending_children,
-                        txid: pending_txid,
-                    }) => {
-                        *pending_children = Arc::clone(children);
-                        *pending_txid = *txid;
-                    }
-                    Some(Pending::Delete) => {
-                        // Same-epoch delete-then-rewrite: the sequential
-                        // `update_children` finds no base and materializes
-                        // a stub in place of the delete.
-                        pending.insert(
-                            (*parent).to_owned(),
-                            Pending::Write {
-                                record: stub_record(parent, children, *txid, marks),
-                                touched: true,
-                            },
-                        );
-                    }
-                    None => {
-                        pending.insert(
-                            (*parent).to_owned(),
-                            Pending::Children {
-                                children: Arc::clone(children),
-                                txid: *txid,
-                            },
-                        );
+                    Some(Pending::Children(fold)) => fold.push(txid, name, added),
+                    // A same-epoch delete-then-change (the parent was
+                    // re-created in between, on another lane) folds like
+                    // a standalone change: the stored record predates the
+                    // new incarnation, so the apply writes a stub.
+                    Some(Pending::Delete) | None => {
+                        let mut fold = Fold::new(txid);
+                        fold.push(txid, name, added);
+                        pending.insert(parent.to_owned(), Pending::Children(fold));
                     }
                 }
             }
@@ -1099,16 +1290,14 @@ fn build_epoch_plan(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> EpochPlan 
             Pending::Write {
                 record,
                 touched: false,
-            } => ops.push(PlanOp::Write(record)),
+                fold,
+            } => ops.push(PlanOp::Write(record, fold)),
             Pending::Write {
                 record,
                 touched: true,
-            } => children_ops.push(PlanOp::ChildrenWrite(record)),
-            Pending::Children { children, txid } => children_ops.push(PlanOp::Rewrite {
-                parent: path,
-                children,
-                txid,
-            }),
+                fold,
+            } => children_ops.push(PlanOp::ChildrenWrite(record, fold)),
+            Pending::Children(fold) => children_ops.push(PlanOp::Rewrite { parent: path, fold }),
             Pending::Delete => deletes.push(PlanOp::Delete(path)),
         }
     }
@@ -1135,7 +1324,11 @@ fn build_epoch_plan(effects: &[Effect<'_>], marks: &Arc<Vec<u64>>) -> EpochPlan 
         edges.dedup();
         edges
     };
-    EpochPlan { ops, edges }
+    EpochPlan {
+        ops,
+        edges,
+        marks: Arc::clone(marks),
+    }
 }
 
 #[cfg(test)]
@@ -1446,7 +1639,7 @@ mod tests {
             })
             .collect();
         let effects: Vec<Effect<'_>> = items.iter().flat_map(effects_of).collect();
-        build_epoch_plan(&effects, &Arc::default())
+        build_epoch_plan(&effects, &Arc::default(), &ChildLogs::new())
     }
 
     /// `kind path` of every op in plan order, and every edge as
@@ -1454,8 +1647,8 @@ mod tests {
     fn shape(plan: &EpochPlan) -> (Vec<String>, Vec<String>) {
         let ops = plan.ops.iter().map(|op| {
             let kind = match op {
-                PlanOp::Write(_) => "write",
-                PlanOp::ChildrenWrite(_) => "children-write",
+                PlanOp::Write(..) => "write",
+                PlanOp::ChildrenWrite(..) => "children-write",
                 PlanOp::Rewrite { .. } => "rewrite",
                 PlanOp::Delete(_) => "delete",
             };
@@ -1506,12 +1699,16 @@ mod tests {
         tier.assert_integrity();
     }
 
-    /// A delete followed by a children rewrite of the same path in one
-    /// epoch materializes a stub in place of the delete; the stub is a
-    /// children-bearing write that waits for the child it lists.
+    /// A delete followed by a children change of the same path in one
+    /// epoch (the path was re-created in between, on another lane) is a
+    /// rewrite in place of the delete, which waits for the child it
+    /// lists. The stored record predates the new incarnation, so the
+    /// apply writes a stub, and the other lane's create of the path
+    /// then merges into it.
     #[test]
     fn delete_then_rewrite_of_one_path_becomes_a_stub_after_its_child() {
         use crate::messages::{MultiSub, OpOutcome, Payload, SystemCommit};
+        use crate::system_store::ChildLog;
         let tier = Tier::new();
         tier.commit(vec![create("/p"), create("/p/c")]);
         // Past every txid the tier allocated, so the merges keep them.
@@ -1542,53 +1739,63 @@ mod tests {
                 }],
             }
         };
-        let records = [
-            record(
-                txid,
-                "/p",
-                UserUpdate::DeleteNode {
-                    path: "/p".into(),
-                    parent_children: None,
-                },
-            ),
-            record(
-                txid + 1,
-                "/p/c",
-                UserUpdate::WriteNode {
-                    path: "/p/c".into(),
-                    payload: Payload::inline(b"y"),
-                    created_txid: 0,
-                    version: 0,
-                    children: vec![],
-                    ephemeral_owner: None,
-                    parent_children: Some(("/p".into(), vec!["c".into()])),
-                },
-            ),
+        let created = |path: &str| UserUpdate::WriteNode {
+            path: path.into(),
+            payload: Payload::inline(b"y"),
+            created_txid: 0,
+            version: 0,
+            has_children: false,
+            ephemeral_owner: None,
+            joins_parent: true,
+        };
+        let lane = [
+            record(txid, "/p", UserUpdate::DeleteNode { path: "/p".into() }),
+            record(txid + 2, "/p/c", created("/p/c")),
         ];
-        let plan = plan_of(&records);
+        let plan = plan_of(&lane);
         let (ops, edges) = shape(&plan);
-        assert_eq!(ops, ["write /p/c", "children-write /p"]);
-        assert_eq!(edges, ["/p/c -> /p"]);
+        assert_eq!(ops, ["write /p/c", "rewrite /p", "rewrite /"]);
+        assert_eq!(edges, ["/p/c -> /p", "/p -> /"]);
 
         let distributor = Distributor::new(
             tier.deployment.system().clone(),
             tier.deployment.user_stores().to_vec(),
             DistributorConfig::new(3, 16).with_groups(2),
         );
-        let items: Vec<CommittedTx<'_>> = records
-            .iter()
-            .map(|record| CommittedTx {
-                msg_index: 0,
-                txid: record.txid,
-                record,
-                data: vec![Some(Bytes::from_static(b"y"))],
-                ahead: false,
-                tags: ObjTags::default(),
-            })
-            .collect();
-        let marks = distributor.epoch_marks(&tier.ctx);
-        distributor.apply_epoch(&tier.ctx, &items, &marks).unwrap();
+        let apply = |records: &[LeaderRecord]| {
+            let items: Vec<CommittedTx<'_>> = records
+                .iter()
+                .map(|record| CommittedTx {
+                    msg_index: 0,
+                    txid: record.txid,
+                    record,
+                    data: vec![Some(Bytes::from_static(b"y"))],
+                    ahead: false,
+                    tags: ObjTags::default(),
+                })
+                .collect();
+            let marks = distributor.epoch_marks(&tier.ctx);
+            // The re-created `/p`, as the read wave would find it.
+            let log = ChildLog {
+                created: txid + 1,
+                exists: true,
+                entries: Vec::new(),
+            };
+            let logs = ChildLogs::from([("/p", log)]);
+            distributor
+                .apply_epoch(&tier.ctx, &items, &marks, &logs)
+                .unwrap();
+        };
+        apply(&lane);
         assert_eq!(tier.children_of("/p"), ["c"]);
+        let store = tier.deployment.user_store();
+        let stub = store.read_node(&tier.ctx, "/p").unwrap().unwrap();
+        assert_eq!((stub.created_txid, stub.data.len()), (0, 0), "a stub");
+        // The other lane's re-create of `/p` keeps the stub's list.
+        apply(&[record(txid + 1, "/p", created("/p"))]);
+        let recreated = store.read_node(&tier.ctx, "/p").unwrap().unwrap();
+        assert_eq!(recreated.created_txid, txid + 1);
+        assert_eq!(*recreated.children, ["c"]);
         tier.assert_integrity();
     }
 
@@ -1607,6 +1814,174 @@ mod tests {
         assert_eq!(edges, ["/m/c -> /m", "/m -> /"]);
         assert_eq!(tier.children_of("/m"), ["c"]);
         assert_eq!(tier.children_of("/"), ["m"]);
+        tier.assert_integrity();
+    }
+
+    /// Every record the follower pushed to either lane, in txid order;
+    /// the lanes are left empty.
+    fn pushed_records(tier: &Tier) -> Vec<LeaderRecord> {
+        use std::time::Duration;
+        let mut records = Vec::new();
+        for group in 0..2 {
+            let lane = tier.deployment.leader_queues().queue(group);
+            while let Some(batch) = lane.receive_up_to(16, Duration::from_millis(10)) {
+                let decoded = batch.messages.iter().map(|m| LeaderRecord::decode(&m.body));
+                records.extend(decoded.map(Option::unwrap));
+                lane.ack(batch.receipt);
+            }
+        }
+        records.sort_by_key(|record| record.txid);
+        records
+    }
+
+    /// Distributes `record` alone as one epoch through `distributor`,
+    /// with the node tags and children logs a leader's read wave would
+    /// find in system storage now; pops it too if `finalize`.
+    fn deliver(tier: &Tier, distributor: &Distributor, record: &LeaderRecord, finalize: bool) {
+        use crate::messages::Payload;
+        use crate::system_store::ChildLog;
+        let (ctx, system) = (&tier.ctx, tier.deployment.system());
+        let data = record.ops.iter().map(|sub| match &sub.user_update {
+            UserUpdate::WriteNode {
+                payload: Payload::Inline { data },
+                ..
+            } => Some(data.clone()),
+            _ => Some(Bytes::new()),
+        });
+        let item = CommittedTx {
+            msg_index: 0,
+            txid: record.txid,
+            record,
+            data: data.collect(),
+            ahead: false,
+            tags: ObjTags::of(system.get_node(ctx, record.path()).as_ref()),
+        };
+        let items = std::slice::from_ref(&item);
+        let parents = record
+            .ops
+            .iter()
+            .filter_map(|sub| sub.user_update.child_delta());
+        let paths = record.ops.iter().map(|sub| sub.path.as_str());
+        let paths = paths.chain(parents.map(|(parent, _, _)| parent));
+        let logs: ChildLogs<'_> = paths
+            .map(|path| (path, ChildLog::of(system.get_node(ctx, path).as_ref())))
+            .collect();
+        let marks = distributor.epoch_marks(ctx);
+        let applied = distributor.apply_epoch(ctx, items, &marks, &logs).unwrap();
+        if finalize {
+            let tags = &applied.tags;
+            distributor.finalize_epoch(ctx, items, tags, &logs).unwrap();
+        }
+    }
+
+    /// A children change crosses lanes: the creates of one parent's
+    /// children route by the children's paths, so they commit on the
+    /// parent in txid order but may distribute in any order.
+    ///
+    /// * Three creates under `/p`, `a` < `b` < `c` in txid order, `b` on
+    ///   the other lane than `a` and `c`. `b` distributes first: the
+    ///   list stored at `b`'s txid holds exactly `a` and `b` (the fold of
+    ///   the pending log stops below `b`), and `b`'s pop leaves only
+    ///   `c`'s entry.
+    /// * `a`'s later delivery changes neither the stored record nor
+    ///   `/p`'s item: its pop is a no-op.
+    /// * `c` delivered twice between its apply and its pop stores the
+    ///   same bytes, and the pop empties the log.
+    /// * `/q` is deleted and re-created while its old incarnation's
+    ///   children changes wait undistributed. The new incarnation's
+    ///   first change, distributed before them (and before `/q`'s own
+    ///   re-create), ignores their entries and its pop clears them;
+    ///   their late deliveries change nothing.
+    #[test]
+    fn cross_lane_children_fold() {
+        let tier = Tier::new();
+        let distributor = Distributor::new(
+            tier.deployment.system().clone(),
+            tier.deployment.user_stores().to_vec(),
+            DistributorConfig::new(3, 16).with_groups(2),
+        );
+        let ctx = &tier.ctx;
+        let system = tier.deployment.system();
+        let store = tier.deployment.user_store();
+        let frame = |path: &str| {
+            let record = store.read_node(ctx, path).unwrap().unwrap();
+            crate::codec::encode_node(&record)
+        };
+        let log =
+            |path: &str| crate::system_store::ChildLog::of(system.get_node(ctx, path).as_ref());
+        let sorted = |path: &str| {
+            let mut children = tier.children_of(path);
+            children.sort();
+            children
+        };
+        tier.commit(vec![create("/p")]);
+        tier.commit(vec![create("/q")]);
+
+        // `a` and `c` on one lane, `b` on the other.
+        let lane = |name: &str| fk_cloud::queue::group_of(&format!("/p/{name}"), 2);
+        let names: Vec<String> = (0..64).map(|i| format!("n{i}")).collect();
+        let a = &names[0];
+        let b = names.iter().find(|n| lane(n) != lane(a)).unwrap();
+        let c = names[1..].iter().find(|n| lane(n) == lane(a)).unwrap();
+        tier.submit([a, b, c].map(|name| create(&format!("/p/{name}"))).to_vec());
+        let [ra, rb, rc] = <[LeaderRecord; 3]>::try_from(pushed_records(&tier)).unwrap();
+        assert!(ra.txid < rb.txid && rb.txid < rc.txid);
+
+        deliver(&tier, &distributor, &rb, true);
+        let stored = store.read_node(ctx, "/p").unwrap().unwrap();
+        assert_eq!(stored.children_txid, rb.txid);
+        assert_eq!(sorted("/p"), [a.clone(), b.clone()]);
+        let left: Vec<(u64, String)> = log("/p")
+            .entries
+            .into_iter()
+            .map(|e| (e.txid, e.name))
+            .collect();
+        assert_eq!(
+            left,
+            [(rc.txid, c.clone())],
+            "b's pop removed a's entry and its own"
+        );
+
+        let (before, item) = (frame("/p"), system.get_node(ctx, "/p"));
+        deliver(&tier, &distributor, &ra, true);
+        assert_eq!(frame("/p"), before, "the earlier record's late delivery");
+        assert_eq!(system.get_node(ctx, "/p"), item, "its pop is a no-op");
+
+        deliver(&tier, &distributor, &rc, false);
+        let applied = frame("/p");
+        deliver(&tier, &distributor, &rc, true);
+        assert_eq!(frame("/p"), applied, "a redelivery before the pop");
+        assert_eq!(sorted("/p"), [a.clone(), b.clone(), c.clone()]);
+        assert!(log("/p").entries.is_empty(), "the pop emptied the log");
+
+        // `/q`'s old incarnation gains and loses `x`; the new one gains `y`.
+        let delete = |path: &str| crate::messages::WriteOp::Delete {
+            path: path.into(),
+            expected_version: -1,
+        };
+        tier.submit(vec![
+            create("/q/x"),
+            delete("/q/x"),
+            delete("/q"),
+            create("/q"),
+            create("/q/y"),
+        ]);
+        let [x, unx, unq, q, y] = <[LeaderRecord; 5]>::try_from(pushed_records(&tier)).unwrap();
+        assert_eq!(log("/q").entries.len(), 3, "+x, -x, +y pending");
+        deliver(&tier, &distributor, &unq, true);
+        deliver(&tier, &distributor, &y, true);
+        assert_eq!(tier.children_of("/q"), ["y"]);
+        assert!(
+            log("/q").entries.is_empty(),
+            "y's pop cleared the old entries"
+        );
+        deliver(&tier, &distributor, &q, true);
+        let (before, item) = (frame("/q"), system.get_node(ctx, "/q"));
+        deliver(&tier, &distributor, &x, true);
+        deliver(&tier, &distributor, &unx, true);
+        assert_eq!(frame("/q"), before, "the old incarnation's late changes");
+        assert_eq!(system.get_node(ctx, "/q"), item);
+        assert_eq!(tier.children_of("/q"), ["y"]);
         tier.assert_integrity();
     }
 }

@@ -782,7 +782,6 @@ impl Follower {
         planner: &mut Planner<'_>,
     ) -> Planned {
         for (i, op) in ops.iter().enumerate() {
-            planner.last_op = i + 1 == ops.len();
             let planned = match *op {
                 OpView::Create {
                     path,
@@ -965,7 +964,6 @@ impl Follower {
                 )],
                 appends: vec![],
                 removes: vec![],
-                list_removes: vec![],
             });
         }
         let record = LeaderRecord {
@@ -1215,7 +1213,7 @@ struct SimNode {
     vcount: i32,
     mzxid: u64,
     czxid: u64,
-    children: Vec<String>,
+    num_children: i64,
     seq: i64,
     eph_owner: Option<String>,
 }
@@ -1241,14 +1239,9 @@ fn sim_node<'a>(
                 vcount: item.and_then(|i| i.num(node_attr::VCOUNT)).unwrap_or(0) as i32,
                 mzxid: item.and_then(|i| i.num(node_attr::VERSION)).unwrap_or(0) as u64,
                 czxid: item.and_then(|i| i.num(node_attr::CREATED)).unwrap_or(0) as u64,
-                children: item
-                    .and_then(|i| i.list(node_attr::CHILDREN))
-                    .map(|l| {
-                        l.iter()
-                            .filter_map(|v| v.as_str().map(str::to_owned))
-                            .collect()
-                    })
-                    .unwrap_or_default(),
+                num_children: item
+                    .and_then(|i| i.num(node_attr::NUM_CHILDREN))
+                    .unwrap_or(0),
                 seq: item.and_then(|i| i.num(node_attr::SEQ)).unwrap_or(0),
                 eph_owner: item
                     .and_then(|i| i.str(node_attr::EPH_OWNER))
@@ -1283,7 +1276,6 @@ fn delta<'a>(
         sets: vec![],
         appends: vec![],
         removes: vec![],
-        list_removes: vec![],
     });
     items.last_mut().expect("just pushed")
 }
@@ -1306,6 +1298,27 @@ fn drop_tags(item: &mut CommitItem) {
     if !item.removes.iter().any(|a| a == node_attr::TAGS) {
         item.removes.push(node_attr::TAGS.to_owned());
     }
+}
+
+/// Records a one-name change of the parent's children in its commit
+/// item: the new child count, one pending children-log entry of the
+/// transaction ([`SerValue::TxidChild`]) and the txid of the change.
+/// The names never enter the item, so the item, and the write units this
+/// commit and the lock before it pay, do not grow with the children.
+fn child_change(item: &mut CommitItem, count: i64, name: &str, added: bool) {
+    set_attr(item, node_attr::NUM_CHILDREN, SerValue::Num(count));
+    // Later transactions locking this parent floor their allocation
+    // above this txid, keeping its children changes in txid order
+    // across shard groups.
+    set_attr(item, node_attr::CHILDREN_TXID, SerValue::Txid);
+    item.appends.push((
+        node_attr::PENDING_CHILDREN.to_owned(),
+        SerValue::TxidChild {
+            name: name.to_owned(),
+            added,
+        },
+    ));
+    drop_tags(item);
 }
 
 /// One op of a write request, borrowed. [`WriteOp::Create`] /
@@ -1466,8 +1479,6 @@ struct Planner<'a> {
     eph_removes: Vec<(String, String)>,
     /// The first mutated path.
     primary: Option<String>,
-    /// Set while the request's last op is planned.
-    last_op: bool,
 }
 
 impl<'a> Planner<'a> {
@@ -1482,7 +1493,6 @@ impl<'a> Planner<'a> {
             eph_adds: Vec::new(),
             eph_removes: Vec::new(),
             primary: None,
-            last_op: false,
         }
     }
 
@@ -1500,19 +1510,6 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// `path`'s children for a sub to report. A busy parent's list is
-    /// long, and the overlay already copied it out of the locked item:
-    /// the request's last op takes that copy — no later op reads the
-    /// overlay — so a single write copies the list once, not twice.
-    fn children_of(&mut self, path: &str) -> Vec<String> {
-        let node = sim_node(&mut self.overlay, &self.acquired, path);
-        if self.last_op {
-            std::mem::take(&mut node.children)
-        } else {
-            node.children.clone()
-        }
-    }
-
     /// `lock_name` locks a sequential create's generated name.
     fn create(
         &mut self,
@@ -1522,9 +1519,9 @@ impl<'a> Planner<'a> {
         lock_name: impl FnOnce(&str) -> Result<Acquired, OpError>,
     ) -> Planned {
         let parent_path = zkpath::parent(path).expect("validated").to_owned();
-        let (parent_exists, parent_ephemeral, seq) = {
+        let (parent_exists, parent_ephemeral, seq, siblings) = {
             let p = sim_node(&mut self.overlay, &self.acquired, &parent_path);
-            (p.exists, p.eph_owner.is_some(), p.seq)
+            (p.exists, p.eph_owner.is_some(), p.seq, p.num_children)
         };
         if !parent_exists {
             return self.refuse(path, FkError::NoNode);
@@ -1567,27 +1564,15 @@ impl<'a> Planner<'a> {
             if mode.is_sequential() {
                 set_attr(d, node_attr::SEQ, SerValue::Num(seq + 1));
             }
-            // Stamp the parent's children-rewrite txid: later
-            // transactions locking this parent floor their allocation
-            // above it, keeping children rewrites totally ordered across
-            // shard groups.
-            set_attr(d, node_attr::CHILDREN_TXID, SerValue::Txid);
-            d.appends.push((
-                node_attr::CHILDREN.to_owned(),
-                SerValue::StrList(vec![name.clone()]),
-            ));
-            drop_tags(d);
+            child_change(d, siblings + 1, &name, true);
         }
-        sim_node(&mut self.overlay, &self.acquired, &parent_path)
-            .children
-            .push(name);
-        let children_after = self.children_of(&parent_path);
+        sim_node(&mut self.overlay, &self.acquired, &parent_path).num_children += 1;
         *sim_node(&mut self.overlay, &self.acquired, &final_path) = SimNode {
             exists: true,
             vcount: 0,
             mzxid: 0,
             czxid: 0,
-            children: Vec::new(),
+            num_children: 0,
             seq: 0,
             eph_owner: ephemeral_owner.clone(),
         };
@@ -1601,9 +1586,9 @@ impl<'a> Planner<'a> {
                 payload: payload.clone(),
                 created_txid: 0,
                 version: 0,
-                children: vec![],
+                has_children: false,
                 ephemeral_owner,
-                parent_children: Some((parent_path.clone(), children_after)),
+                joins_parent: true,
             },
             fires: vec![
                 FiredWatch {
@@ -1630,9 +1615,15 @@ impl<'a> Planner<'a> {
     }
 
     fn set_data(&mut self, path: &str, payload: &Payload, expected_version: i32) -> Planned {
-        let (exists, vcount, czxid, eph_owner) = {
+        let (exists, vcount, czxid, num_children, eph_owner) = {
             let n = sim_node(&mut self.overlay, &self.acquired, path);
-            (n.exists, n.vcount, n.czxid, n.eph_owner.clone())
+            (
+                n.exists,
+                n.vcount,
+                n.czxid,
+                n.num_children,
+                n.eph_owner.clone(),
+            )
         };
         if !exists {
             return self.refuse(path, FkError::NoNode);
@@ -1649,12 +1640,11 @@ impl<'a> Planner<'a> {
                 .push((node_attr::TXQ.to_owned(), SerValue::TxidList));
         }
         sim_node(&mut self.overlay, &self.acquired, path).vcount = vcount + 1;
-        let children = self.children_of(path);
         let stat = Stat {
             created_txid: czxid,
             modified_txid: 0,
             version: vcount + 1,
-            num_children: children.len() as u32,
+            num_children: num_children as u32,
             data_length: payload.byte_len() as u32,
             ephemeral: eph_owner.is_some(),
         };
@@ -1665,9 +1655,9 @@ impl<'a> Planner<'a> {
                 payload: payload.clone(),
                 created_txid: czxid,
                 version: vcount + 1,
-                children,
+                has_children: num_children > 0,
                 ephemeral_owner: eph_owner,
-                parent_children: None,
+                joins_parent: false,
             },
             fires: vec![FiredWatch {
                 watch_path: path.to_owned(),
@@ -1685,14 +1675,9 @@ impl<'a> Planner<'a> {
 
     fn delete(&mut self, path: &str, expected_version: i32) -> Planned {
         let parent_path = zkpath::parent(path).expect("validated").to_owned();
-        let (exists, vcount, children_empty, eph_owner) = {
+        let (exists, vcount, num_children, eph_owner) = {
             let n = sim_node(&mut self.overlay, &self.acquired, path);
-            (
-                n.exists,
-                n.vcount,
-                n.children.is_empty(),
-                n.eph_owner.clone(),
-            )
+            (n.exists, n.vcount, n.num_children, n.eph_owner.clone())
         };
         if !exists {
             return self.refuse(path, FkError::NoNode);
@@ -1700,7 +1685,7 @@ impl<'a> Planner<'a> {
         if expected_version >= 0 && vcount != expected_version {
             return Err(OpError::Client(FkError::BadVersion));
         }
-        if !children_empty {
+        if num_children > 0 {
             return Err(OpError::Client(FkError::NotEmpty));
         }
         let name = zkpath::basename(path).to_owned();
@@ -1712,19 +1697,17 @@ impl<'a> Planner<'a> {
             d.appends
                 .push((node_attr::TXQ.to_owned(), SerValue::TxidList));
         }
-        {
-            let d = delta(&mut self.items, &self.acquired, &parent_path);
-            set_attr(d, node_attr::CHILDREN_TXID, SerValue::Txid);
-            d.list_removes.push((
-                node_attr::CHILDREN.to_owned(),
-                SerValue::StrList(vec![name.clone()]),
-            ));
-            drop_tags(d);
-        }
-        sim_node(&mut self.overlay, &self.acquired, &parent_path)
-            .children
-            .retain(|c| c != &name);
-        let children_after = self.children_of(&parent_path);
+        let siblings = {
+            let parent = sim_node(&mut self.overlay, &self.acquired, &parent_path);
+            parent.num_children -= 1;
+            parent.num_children
+        };
+        child_change(
+            delta(&mut self.items, &self.acquired, &parent_path),
+            siblings,
+            &name,
+            false,
+        );
         sim_node(&mut self.overlay, &self.acquired, path).exists = false;
         if let Some(owner) = eph_owner {
             self.eph_removes.push((owner, path.to_owned()));
@@ -1733,7 +1716,6 @@ impl<'a> Planner<'a> {
             path: path.to_owned(),
             user_update: UserUpdate::DeleteNode {
                 path: path.to_owned(),
-                parent_children: Some((parent_path.clone(), children_after)),
             },
             fires: vec![
                 FiredWatch {
@@ -1762,7 +1744,7 @@ impl<'a> Planner<'a> {
                 n.vcount,
                 n.czxid,
                 n.mzxid,
-                n.children.len() as u32,
+                n.num_children as u32,
                 n.eph_owner.is_some(),
             )
         };
@@ -1850,7 +1832,6 @@ fn carry_push_mark(commit: &mut SystemCommit, session: &str, txid: u64) {
             sets: vec![mark],
             appends: vec![],
             removes: vec![],
-            list_removes: vec![],
         }),
     }
 }

@@ -30,7 +30,9 @@
 //! batch reads from system storage comes back in **one** parallel wave
 //! (`Leader::read_wave`): the item of every node an eligible record
 //! mutates (their `txq`s give the record's commit state, the first
-//! one's item the object tags of the node's last write), the watch
+//! one's item the object tags of the node's last write) and of every
+//! parent whose children it changes (the pending children logs the
+//! distributor folds into the parents' lists), the watch
 //! registry item of every distinct path the batch can fire
 //! (`watch:<path>` holds every kind, so each `(path, event)` class
 //! is answered from it in memory), and each region's epoch marks for
@@ -74,12 +76,14 @@
 
 use crate::api::{FkError, FkResult, WatchEvent, WatchEventType, WatchKind};
 use crate::commit::txq_of;
-use crate::distributor::{AdaptiveBatch, CommittedTx, Distributor, DistributorConfig};
+use crate::distributor::{
+    AdaptiveBatch, ChildLogs, CommittedTx, Distributor, DistributorConfig, EpochApplied,
+};
 use crate::messages::{
     ClientNotification, LeaderRecord, OpOutcome, Payload, UserUpdate, WriteResultData,
 };
 use crate::notify::ClientBus;
-use crate::system_store::{node_attr, ObjTags, SystemStore, WatchInstance};
+use crate::system_store::{node_attr, ChildLog, ObjTags, SystemStore, WatchInstance};
 use crate::user_store::UserStore;
 use crate::watch_fn::WatchTask;
 use bytes::Bytes;
@@ -90,9 +94,8 @@ use fk_cloud::trace::Ctx;
 use fk_cloud::value::Value;
 use fk_cloud::{CloudError, ObjectStore};
 use plan::{
-    epoch_results, epoch_sessions, fired_children, hold_back, kinds_for, mark_probes, merge_fires,
-    mutated_paths, segment, updates, BatchFires, Decoded, Epoch, Fire, KindSet, Sequenced, Txqs,
-    Warm,
+    epoch_results, epoch_sessions, hold_back, kinds_for, mark_probes, merge_fires, mutated_paths,
+    segment, updates, BatchFires, Decoded, Epoch, Fire, KindSet, Sequenced, Txqs, Warm,
 };
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -181,6 +184,9 @@ struct ReadWave<'a> {
     marks: Option<Vec<Arc<Vec<u64>>>>,
     /// The `txq` of every node an eligible record mutates.
     txqs: Txqs<'a>,
+    /// The pending children log of every node an eligible record
+    /// mutates, and of every parent whose children it changes.
+    logs: ChildLogs<'a>,
 }
 
 impl Leader {
@@ -353,6 +359,7 @@ impl Leader {
             live,
             mut marks,
             txqs,
+            logs,
         } = self.read_wave(ctx, &first.eligible, &fires)?;
         let batch = &hold_back(decoded, &self.warm.lock(), &txqs);
         let not_past_held = |index: usize| batch.first_held().map_or(index, |held| held.min(index));
@@ -396,7 +403,7 @@ impl Leader {
         // epoch only: its cut may append fired ids, so later epochs read
         // the marks again.
         for epoch in epochs {
-            self.run_epoch(ctx, &epoch, marks.take(), handles)
+            self.run_epoch(ctx, &epoch, marks.take(), &logs, handles)
                 .map_err(|e| e.at_index(not_past_held(epoch.first_index())))?;
             self.remember_ahead(
                 batch,
@@ -449,8 +456,12 @@ impl Leader {
     /// storage round trip (the slowest read), not one per kind of read:
     ///
     /// * the node item of every node an eligible record mutates (flat —
-    ///   one job per node and record): each brings its `txq`, and the
-    ///   first one the record's version and object tags;
+    ///   one job per node and record): each brings its `txq` and its
+    ///   pending children log, and the first one the record's version and
+    ///   object tags;
+    /// * the node item of every parent whose children an eligible record
+    ///   changes and none mutates: its pending children log, which the
+    ///   distributor folds into the parent's list;
     /// * the watch registry item of every distinct path the batch can
     ///   fire. `watch:<path>` holds every kind, so one read answers all
     ///   of the path's `(path, event)` classes in memory
@@ -471,6 +482,7 @@ impl Leader {
     ) -> Result<ReadWave<'a>, FnError> {
         enum Read<'r> {
             Node(usize, &'r str),
+            Parent(&'r str),
             Watches(&'r str),
             Marks(usize),
         }
@@ -484,6 +496,15 @@ impl Leader {
         if jobs.is_empty() {
             return Ok(ReadWave::default());
         }
+        let records = || eligible.iter().map(|(_, _, record)| record);
+        let mut read: HashSet<&str> = records().flat_map(mutated_paths).collect();
+        let parents = records().flat_map(updates);
+        let parents = parents.filter_map(|update| Some(update.child_delta()?.0));
+        jobs.extend(
+            parents
+                .filter(|parent| read.insert(parent))
+                .map(Read::Parent),
+        );
         let mut seen = HashSet::new();
         let paths = fires.all.iter().map(|fire| fire.path);
         jobs.extend(paths.filter(|path| seen.insert(*path)).map(Read::Watches));
@@ -494,6 +515,7 @@ impl Leader {
         // a plain indexed write.
         let nodes = RefCell::new(HashMap::new());
         let txqs = RefCell::new(HashMap::new());
+        let logs = RefCell::new(HashMap::new());
         let live = RefCell::new(HashMap::with_capacity(seen.len()));
         let marks = RefCell::new(vec![Arc::default(); regions.len()]);
         crate::distributor::fan_out(ctx, jobs.len(), |job, child| {
@@ -507,6 +529,11 @@ impl Leader {
                         nodes.borrow_mut().insert(*index, (version, tags));
                     }
                     txqs.borrow_mut().insert(path, txq_of(item.as_ref()));
+                    logs.borrow_mut().insert(path, ChildLog::of(item.as_ref()));
+                }
+                Read::Parent(path) => {
+                    let item = child.span("get_node", || self.system.get_node(child, path));
+                    logs.borrow_mut().insert(path, ChildLog::of(item.as_ref()));
                 }
                 Read::Watches(path) => {
                     let instances = child.span("query_watches", || {
@@ -529,6 +556,7 @@ impl Leader {
             live: live.into_inner(),
             marks: Some(marks.into_inner()),
             txqs: txqs.into_inner(),
+            logs: logs.into_inner(),
         })
     }
 
@@ -679,19 +707,22 @@ impl Leader {
     }
 
     /// Phases ➌–➎ for one epoch. `marks` carries the region epoch marks
-    /// the batch's read wave fetched (first epoch only).
+    /// the batch's read wave fetched (first epoch only), `logs` the
+    /// pending children logs it read.
     fn run_epoch(
         &self,
         ctx: &Ctx,
         epoch: &Epoch<'_>,
         marks: Option<Vec<Arc<Vec<u64>>>>,
+        logs: &ChildLogs<'_>,
         handles: &mut Vec<WatchHandle>,
     ) -> Result<(), FnError> {
         // ➌ sharded parallel distribution to every region's user store.
-        let tags = ctx
+        let applied = ctx
             .span("update_user_storage", || {
                 let marks = marks.unwrap_or_else(|| self.distributor.epoch_marks(ctx));
-                self.distributor.apply_epoch(ctx, &epoch.items, &marks)
+                self.distributor
+                    .apply_epoch(ctx, &epoch.items, &marks, logs)
             })
             .map_err(|e| FnError::retryable(e.to_string()))?;
 
@@ -712,7 +743,7 @@ impl Leader {
         // dispatch.
         if let Some(fires) = epoch.fires {
             let tx = epoch.items.last().expect("firing epoch is non-empty");
-            self.fire_watches(ctx, tx, fires, handles)?;
+            self.fire_watches(ctx, tx, fires, &applied, handles)?;
         }
 
         // ➎ the epoch's bookkeeping, one parallel wave: advance each
@@ -735,7 +766,8 @@ impl Leader {
         let jobs = 1 + usize::from(!sessions.is_empty());
         crate::distributor::fan_out(ctx, jobs, |job, child| match job {
             0 => child.span("pop_updates", || {
-                self.distributor.finalize_epoch(child, &epoch.items, &tags)
+                self.distributor
+                    .finalize_epoch(child, &epoch.items, &applied.tags, logs)
             }),
             _ => child.span("advance_session_marks", || {
                 self.system.advance_sessions_applied_batch(child, &sessions)
@@ -781,11 +813,13 @@ impl Leader {
     /// Phase ➍ for the epoch-ending transaction `tx`: consumes the
     /// registrations of the classes in `fires`, publishes the fired ids
     /// to every region's epoch counter and dispatches the deliveries.
+    /// `applied` holds the lists the epoch's apply wrote.
     fn fire_watches(
         &self,
         ctx: &Ctx,
         tx: &CommittedTx<'_>,
         fires: &[Fire<'_>],
+        applied: &EpochApplied,
         handles: &mut Vec<WatchHandle>,
     ) -> Result<(), FnError> {
         let fired: Vec<(WatchInstance, WatchEventType, &str)> =
@@ -823,14 +857,16 @@ impl Leader {
         let region_ids: Vec<u8> = self.distributor.regions().iter().map(|r| r.0).collect();
         for (inst, event_type, watch_path) in fired {
             // A children event carries the full new list when the
-            // triggering record has it at hand (its parent's
-            // snapshot, taken under the node's follower lock), so
-            // caches can patch a resident parent in place instead
-            // of invalidating it.
-            let children = if event_type == WatchEventType::NodeChildrenChanged {
-                fired_children(tx.record, watch_path)
-            } else {
-                None
+            // epoch's apply wrote it as of the triggering transaction,
+            // so caches can patch a resident parent in place instead of
+            // invalidating it.
+            let children = match applied.lists.get(watch_path) {
+                Some((list, txid))
+                    if event_type == WatchEventType::NodeChildrenChanged && *txid == tx.txid =>
+                {
+                    Some(list.to_vec())
+                }
+                _ => None,
             };
             let task = WatchTask {
                 watch_id: inst.id,

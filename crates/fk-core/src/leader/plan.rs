@@ -391,28 +391,6 @@ pub(super) fn mutated_paths(record: &LeaderRecord) -> impl Iterator<Item = &str>
         .map(|sub| sub.path.as_str())
 }
 
-/// The full children list of `path` carried by `record`, if the record
-/// rewrote it: a create/delete snapshots its parent's new list under the
-/// node's follower lock (`parent_children`). The *last* matching sub
-/// wins — its snapshot was taken latest in the atomic unit.
-pub(super) fn fired_children(record: &LeaderRecord, path: &str) -> Option<Vec<String>> {
-    updates(record).rev().find_map(|update| {
-        let (UserUpdate::WriteNode {
-            parent_children, ..
-        }
-        | UserUpdate::DeleteNode {
-            parent_children, ..
-        }) = update
-        else {
-            return None;
-        };
-        parent_children
-            .as_ref()
-            .filter(|(parent, _)| parent == path)
-            .map(|(_, children)| children.clone())
-    })
-}
-
 /// Watch kinds fired by each event type (ZooKeeper trigger matrix).
 /// `SubtreeChanged` fires *only* subtree watches: the leader derives
 /// those candidates itself from the written paths' ancestor chains
@@ -433,19 +411,9 @@ pub(super) fn updates(record: &LeaderRecord) -> impl DoubleEndedIterator<Item = 
     record.ops.iter().map(|sub| &sub.user_update)
 }
 
-/// The parent whose children list `update` rewrites, if any.
+/// The parent whose children list `update` changes, if any.
 fn children_target(update: &UserUpdate) -> Option<&str> {
-    match update {
-        UserUpdate::WriteNode {
-            parent_children: Some((parent, _)),
-            ..
-        }
-        | UserUpdate::DeleteNode {
-            parent_children: Some((parent, _)),
-            ..
-        } => Some(parent),
-        _ => None,
-    }
+    update.child_delta().map(|(parent, _, _)| parent)
 }
 
 /// The node `update` writes (creates or replaces), if any.

@@ -143,7 +143,6 @@ fn abandoned_orphan_does_not_advance_session_mark() {
                 sets: vec![("version".into(), SerValue::Txid)],
                 appends: vec![],
                 removes: vec![],
-                list_removes: vec![],
             }],
         },
         deregister_session: false,
@@ -151,7 +150,6 @@ fn abandoned_orphan_does_not_advance_session_mark() {
             path: "/orphaned".into(),
             user_update: UserUpdate::DeleteNode {
                 path: "/orphaned".into(),
-                parent_children: None,
             },
             fires: vec![],
             is_delete: true,
@@ -1692,7 +1690,8 @@ fn segmentation_dedups_watch_registry_reads_across_batch() {
     let processed = leader.drain_queue(&ctx, deployment.leader_queue()).unwrap();
     assert_eq!(processed as u64, n, "one leader batch");
     let reads = deployment.meter().snapshot().since(&before).per_op["kv_read"];
-    // Per batch, all in the one read wave: N node reads + one
+    // Per batch, all in the one read wave: N node reads + one read of
+    // the shared parent's item (its pending children log) + one
     // registry read per distinct fired path (N child paths, the
     // shared parent /p, the shared root — the point classes and the
     // subtree candidates of a path share its one item) + 1
@@ -1700,7 +1699,7 @@ fn segmentation_dedups_watch_registry_reads_across_batch() {
     // alone, the per-class wave (N + 1) + (N + 2).
     assert_eq!(
         reads,
-        n + (n + 2) + 1,
+        n + 1 + (n + 2) + 1,
         "registry reads deduped across the batch"
     );
 }
@@ -1708,15 +1707,9 @@ fn segmentation_dedups_watch_registry_reads_across_batch() {
 // The planner on data alone: `plan::{mark_probes, hold_back, segment}`
 // over hand-built records, with no deployment.
 
-/// A sub that mutates `path` (a delete with no parent rewrite).
+/// A sub that mutates `path` (a delete).
 fn mutate(path: &str) -> MultiSub {
-    sub(
-        path,
-        UserUpdate::DeleteNode {
-            path: path.into(),
-            parent_children: None,
-        },
-    )
+    sub(path, UserUpdate::DeleteNode { path: path.into() })
 }
 
 /// A version check on `path`: it mutates nothing.
@@ -1725,8 +1718,9 @@ fn check(path: &str) -> MultiSub {
 }
 
 /// A write of node `path`; a create names the `parent` whose children
-/// list it rewrites.
+/// it joins.
 fn write_node(path: &str, parent: Option<&str>) -> MultiSub {
+    assert!(parent.is_none() || parent == crate::path::parent(path));
     sub(
         path,
         UserUpdate::WriteNode {
@@ -1734,9 +1728,9 @@ fn write_node(path: &str, parent: Option<&str>) -> MultiSub {
             payload: Payload::inline(b"x"),
             created_txid: 0,
             version: 0,
-            children: Vec::new(),
+            has_children: false,
             ephemeral_owner: None,
-            parent_children: parent.map(|parent| (parent.into(), vec![path.into()])),
+            joins_parent: parent.is_some(),
         },
     )
 }

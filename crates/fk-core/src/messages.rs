@@ -146,8 +146,6 @@ pub enum SerValue {
     Num(i64),
     /// String.
     Str(String),
-    /// List of strings.
-    StrList(Vec<String>),
     /// List of numbers.
     NumList(Vec<i64>),
     /// Placeholder for the record's transaction id. Commits are serialized
@@ -158,6 +156,15 @@ pub enum SerValue {
     /// Placeholder for a single-element list holding the txid (the `txq`
     /// pending-transaction append).
     TxidList,
+    /// Placeholder for a single-element list holding one pending
+    /// children-log entry of the txid (the parent's
+    /// [`crate::system_store::node_attr::PENDING_CHILDREN`] append).
+    TxidChild {
+        /// The child's name.
+        name: String,
+        /// `true` for a create, `false` for a delete.
+        added: bool,
+    },
 }
 
 impl SerValue {
@@ -166,14 +173,19 @@ impl SerValue {
         match self {
             SerValue::Num(n) => fk_cloud::Value::Num(*n),
             SerValue::Str(s) => fk_cloud::Value::Str(s.clone()),
-            SerValue::StrList(l) => {
-                fk_cloud::Value::List(l.iter().map(|s| fk_cloud::Value::Str(s.clone())).collect())
-            }
             SerValue::NumList(l) => {
                 fk_cloud::Value::List(l.iter().map(|n| fk_cloud::Value::Num(*n)).collect())
             }
             SerValue::Txid => fk_cloud::Value::Num(txid as i64),
             SerValue::TxidList => fk_cloud::Value::List(vec![fk_cloud::Value::Num(txid as i64)]),
+            SerValue::TxidChild { name, added } => {
+                let entry = crate::system_store::ChildEntry {
+                    txid,
+                    name: name.clone(),
+                    added: *added,
+                };
+                fk_cloud::Value::List(vec![entry.to_value()])
+            }
         }
     }
 }
@@ -241,8 +253,6 @@ pub struct CommitItem {
     pub appends: Vec<(String, SerValue)>,
     /// Attributes to remove (the lock itself is removed implicitly).
     pub removes: Vec<String>,
-    /// `(list attribute, values)` to remove from lists.
-    pub list_removes: Vec<(String, SerValue)>,
 }
 
 /// The full multi-item commit for one transaction (Z1: all items commit or
@@ -266,22 +276,41 @@ pub enum UserUpdate {
         created_txid: u64,
         /// Data version counter after this change.
         version: i32,
-        /// Children after this change.
-        children: Vec<String>,
+        /// The node has children: the leader folds its list from the
+        /// stored one and the node's pending children log. Otherwise it
+        /// has none (every create, and a write of a childless node).
+        has_children: bool,
         /// Owner session for ephemerals.
         ephemeral_owner: Option<String>,
-        /// Also rewrite the parent's record with these children (creates).
-        parent_children: Option<(String, Vec<String>)>,
+        /// A create: the node joins its parent's children, a one-name
+        /// delta ([`UserUpdate::child_delta`]).
+        joins_parent: bool,
     },
-    /// Delete the node record.
+    /// Delete the node record; the node leaves its parent's children.
     DeleteNode {
         /// Node path.
         path: String,
-        /// Rewrite the parent's record with these children.
-        parent_children: Option<(String, Vec<String>)>,
     },
     /// No user-store change (session deregistration records).
     None,
+}
+
+impl UserUpdate {
+    /// The one-name change this update makes to its parent's children:
+    /// `(parent, child path, added)`. A create adds its node, a delete
+    /// removes it, anything else changes no list.
+    pub fn child_delta(&self) -> Option<(&str, &str, bool)> {
+        let (path, added) = match self {
+            UserUpdate::WriteNode {
+                path,
+                joins_parent: true,
+                ..
+            } => (path, true),
+            UserUpdate::DeleteNode { path } => (path, false),
+            _ => return None,
+        };
+        Some((crate::path::parent(path)?, path, added))
+    }
 }
 
 /// Per-op result data of one `multi` sub-operation, assembled by the
@@ -496,9 +525,9 @@ mod tests {
                 payload: Payload::inline(b"1"),
                 created_txid: 0,
                 version: 0,
-                children: vec![],
+                has_children: false,
                 ephemeral_owner: Some("s1".into()),
-                parent_children: Some(("/m".into(), vec!["a".into()])),
+                joins_parent: true,
             },
             fires: vec![FiredWatch {
                 watch_path: "/m/a".into(),
@@ -514,7 +543,6 @@ mod tests {
             path: "/m/b".into(),
             user_update: UserUpdate::DeleteNode {
                 path: "/m/b".into(),
-                parent_children: Some(("/m".into(), vec!["a".into()])),
             },
             fires: vec![],
             is_delete: true,
@@ -547,7 +575,6 @@ mod tests {
                     sets: vec![("version".into(), SerValue::Txid)],
                     appends: vec![("txq".into(), SerValue::TxidList)],
                     removes: vec![],
-                    list_removes: vec![],
                 }],
             },
             deregister_session: ops.is_empty(),
@@ -588,14 +615,56 @@ mod tests {
     fn servalue_conversion() {
         assert_eq!(SerValue::Num(3).to_value(9), fk_cloud::Value::Num(3));
         assert_eq!(
-            SerValue::StrList(vec!["a".into()]).to_value(9),
-            fk_cloud::Value::List(vec![fk_cloud::Value::Str("a".into())])
+            SerValue::NumList(vec![1]).to_value(9),
+            fk_cloud::Value::List(vec![fk_cloud::Value::Num(1)])
         );
         assert_eq!(SerValue::Txid.to_value(9), fk_cloud::Value::Num(9));
         assert_eq!(
             SerValue::TxidList.to_value(9),
             fk_cloud::Value::List(vec![fk_cloud::Value::Num(9)])
         );
+        let entry = SerValue::TxidChild {
+            name: "c".into(),
+            added: false,
+        };
+        let fk_cloud::Value::List(appended) = entry.to_value(9) else {
+            panic!("an append of one entry");
+        };
+        let parsed = crate::system_store::ChildEntry::from_value(&appended[0]);
+        assert_eq!(
+            parsed,
+            Some(crate::system_store::ChildEntry {
+                txid: 9,
+                name: "c".into(),
+                added: false,
+            })
+        );
+    }
+
+    /// A create adds its name to its parent, a delete removes it, a
+    /// write of an existing node changes no list.
+    #[test]
+    fn child_deltas() {
+        let [created, deleted, checked] = subs();
+        assert_eq!(
+            created.user_update.child_delta(),
+            Some(("/m", "/m/a", true))
+        );
+        assert_eq!(
+            deleted.user_update.child_delta(),
+            Some(("/m", "/m/b", false))
+        );
+        assert_eq!(checked.user_update.child_delta(), None);
+        let written = UserUpdate::WriteNode {
+            path: "/m".into(),
+            payload: Payload::inline(b""),
+            created_txid: 3,
+            version: 1,
+            has_children: true,
+            ephemeral_owner: None,
+            joins_parent: false,
+        };
+        assert_eq!(written.child_delta(), None);
     }
 
     #[test]

@@ -380,8 +380,8 @@ impl ReadCache {
     /// the entry is absent, negative, or already lists newer children.
     ///
     /// Soundness mirrors the watermark rule: the list is absolute (the
-    /// parent's snapshot taken under the creating/deleting node's
-    /// follower lock, so applying it is idempotent and monotone by
+    /// list the leader stored at `txid`, exactly the children committed
+    /// by then, so applying it is idempotent and monotone by
     /// `children_txid`), and the patched entry's watermark rises to
     /// `max(watermark, txid)` — the entry is now exactly what a storage
     /// read at `txid`-freshness would return *for the children view*.

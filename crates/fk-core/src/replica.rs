@@ -882,7 +882,7 @@ impl ReplicaSet {
 
     /// Feeds one epoch delta to every replica of `region_idx`: stamps
     /// the region's next sequence number, appends the frame to the
-    /// retained feed log (compacted by parent, [`FeedState`]), then
+    /// retained feed log (compacted by parent, `FeedState`), then
     /// delivers the frame unchanged per replica — where the chaos
     /// engine may drop the frame (gap repair recovers it from the log),
     /// duplicate it (the replica drops the second copy), or hold it

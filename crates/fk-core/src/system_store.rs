@@ -5,12 +5,22 @@
 //! One key-value table holds:
 //!
 //! * `node:<path>` — per-node control item: creation/modification txids,
-//!   data-version counter, children list, sequential-name counter,
+//!   data-version counter, child count, the txid of the last children
+//!   change, the **pending children log**, sequential-name counter,
 //!   ephemeral owner, the per-node pending-transaction queue (`txq`,
 //!   Algorithm 2 ➊/➎), the user-store object tags of the leader's last
 //!   write ([`ObjTags`]) and the timed-lock timestamp. **No node payload** —
 //!   data travels through the leader queue to the user store, which is
 //!   why the paper's commit latency is flat in node size (Table 3).
+//!   **No children names either**: a child's name lives in its own item
+//!   and in the parent's user-store record. A create or delete adds one
+//!   `(txid, ±name)` entry to the parent's pending log
+//!   ([`node_attr::PENDING_CHILDREN`], [`ChildEntry`]) and moves its
+//!   count, in the commit that releases the parent's lock; the leader
+//!   folds the entries into the stored list ([`ChildLog`]) and removes
+//!   them with the epoch's pops. The locked item, and so the write units
+//!   every child's create pays on it, stays the same size however many
+//!   children the node has.
 //! * `session:<id>` — active sessions and their ephemeral nodes.
 //! * `watch:<path>` — watch instances (one id per path × kind, shared by
 //!   all subscribed sessions, §3.4).
@@ -34,8 +44,13 @@ pub mod node_attr {
     pub const VERSION: &str = "version";
     /// Data-version counter (ZooKeeper `version`).
     pub const VCOUNT: &str = "vcount";
-    /// Children names.
-    pub const CHILDREN: &str = "children";
+    /// Number of children: `Stat.num_children`, and the delete's
+    /// `NotEmpty` check.
+    pub const NUM_CHILDREN: &str = "nchildren";
+    /// The pending children log: one [`super::ChildEntry`] per child
+    /// added or removed by a committed transaction the leader has not
+    /// yet distributed, in txid order.
+    pub const PENDING_CHILDREN: &str = "child_log";
     /// Owner session of an ephemeral node.
     pub const EPH_OWNER: &str = "eph_owner";
     /// Counter naming sequential children.
@@ -111,6 +126,77 @@ impl ObjTags {
     ) -> Option<fk_cloud::objectstore::Tag> {
         let tag = self.tags.get(region).copied().filter(|tag| *tag != 0)?;
         (record.children_txid >= self.floor && record.modified_txid >= self.floor).then_some(tag)
+    }
+}
+
+/// One entry of a node's pending children log
+/// ([`node_attr::PENDING_CHILDREN`]): the transaction `txid` added
+/// (`added`) or removed the child `name`. Stored as the list
+/// `[txid, name, added]`; the follower's commit appends it with the txid
+/// substituted ([`crate::messages::SerValue::TxidChild`]), and the
+/// leader's pop removes it by value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChildEntry {
+    /// The transaction that changed the children.
+    pub txid: u64,
+    /// The child's name.
+    pub name: String,
+    /// `true` for a create, `false` for a delete.
+    pub added: bool,
+}
+
+impl ChildEntry {
+    /// The stored form of the entry.
+    pub fn to_value(&self) -> Value {
+        Value::List(vec![
+            Value::Num(self.txid as i64),
+            Value::Str(self.name.clone()),
+            Value::Bool(self.added),
+        ])
+    }
+
+    /// Parses a stored entry.
+    pub fn from_value(value: &Value) -> Option<Self> {
+        match value.as_list()? {
+            [txid, name, added] => Some(ChildEntry {
+                txid: txid.as_num()? as u64,
+                name: name.as_str()?.to_owned(),
+                added: added.as_bool()?,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// What the leader reads off a node item to settle the node's children
+/// list: the node's current incarnation and its pending children log.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChildLog {
+    /// Creation txid of the node's current incarnation (0 if the item
+    /// never recorded one).
+    pub created: u64,
+    /// The node exists: created, and not tombstoned.
+    pub exists: bool,
+    /// The pending entries, in txid order (a stable sort keeps one
+    /// transaction's entries in op order).
+    pub entries: Vec<ChildEntry>,
+}
+
+impl ChildLog {
+    /// The children log of a node item (empty if the item is absent).
+    pub fn of(item: Option<&Item>) -> Self {
+        let Some(item) = item else {
+            return ChildLog::default();
+        };
+        let values = item.list(node_attr::PENDING_CHILDREN).unwrap_or_default();
+        let mut entries: Vec<ChildEntry> =
+            values.iter().filter_map(ChildEntry::from_value).collect();
+        entries.sort_by_key(|entry| entry.txid);
+        ChildLog {
+            created: item.num(node_attr::CREATED).unwrap_or(0) as u64,
+            exists: SystemStore::node_exists(Some(item)),
+            entries,
+        }
     }
 }
 

@@ -73,8 +73,9 @@ pub struct NodeRecord {
     /// writes and — possibly from a *different* shard group — by its
     /// children's creates and deletes; the distributor merges concurrent
     /// rewrites by keeping the list with the larger `children_txid`
-    /// (lists grow cumulatively under the parent's follower lock, so the
-    /// larger txid is always the superset-of-truth).
+    /// (a node's children changes commit in txid order under its
+    /// follower lock, so the list at the larger txid is the current
+    /// truth).
     pub children_txid: u64,
     /// Owning session for ephemeral nodes.
     pub ephemeral_owner: Option<String>,

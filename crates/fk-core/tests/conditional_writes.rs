@@ -20,7 +20,7 @@ use fk_cloud::objectstore::{Precondition, Tag};
 use fk_cloud::trace::Ctx;
 use fk_cloud::{CloudResult, KvStore, Meter, ObjectStore, Region};
 use fk_core::deploy::{Deployment, DeploymentConfig};
-use fk_core::distributor::{CommittedTx, Distributor, DistributorConfig, MERGE_ROUNDS};
+use fk_core::distributor::{ChildLogs, CommittedTx, Distributor, DistributorConfig, MERGE_ROUNDS};
 use fk_core::messages::{LeaderRecord, MultiSub, OpOutcome, Payload, SystemCommit, UserUpdate};
 use fk_core::system_store::ObjTags;
 use fk_core::user_store::KvUserStore;
@@ -107,30 +107,31 @@ fn record(txid: u64, path: &str, user_update: UserUpdate) -> LeaderRecord {
     }
 }
 
-/// `set_data` of the parent at txid 20, its children snapshot `[a]`.
+/// `set_data` of the parent at txid 20, which has a child: its list is
+/// folded from the stored one.
 fn overwrite() -> LeaderRecord {
     let update = UserUpdate::WriteNode {
         path: PARENT.into(),
         payload: Payload::inline(&[0xAB; 64]),
         created_txid: 10,
         version: 1,
-        children: vec!["a".into()],
+        has_children: true,
         ephemeral_owner: None,
-        parent_children: None,
+        joins_parent: false,
     };
     record(20, PARENT, update)
 }
 
-/// The create of `/p/b` at txid 30, which rewrites the parent's list.
+/// The create of `/p/b` at txid 30, which adds `b` to the parent's list.
 fn child_create() -> LeaderRecord {
     let update = UserUpdate::WriteNode {
         path: "/p/b".into(),
         payload: Payload::inline(b"b"),
         created_txid: 0,
         version: 0,
-        children: vec![],
+        has_children: false,
         ephemeral_owner: None,
-        parent_children: Some((PARENT.into(), vec!["a".into(), "b".into()])),
+        joins_parent: true,
     };
     record(30, "/p/b", update)
 }
@@ -155,7 +156,11 @@ fn apply(distributor: &Distributor, record: &LeaderRecord) -> CloudResult<()> {
     };
     let marks = distributor.epoch_marks(&ctx);
     let items = std::slice::from_ref(&item);
-    distributor.apply_epoch(&ctx, items, &marks).map(drop)
+    // No pending children entries: the parent's list is all in storage.
+    let logs = ChildLogs::new();
+    distributor
+        .apply_epoch(&ctx, items, &marks, &logs)
+        .map(drop)
 }
 
 /// A deployment of `kind` whose user store holds the parent with child

@@ -63,11 +63,11 @@ use fk_cloud::trace::{Ctx, LatencyMode, SpanRecord};
 use fk_cloud::{CloudResult, Region};
 use fk_core::api::CreateMode;
 use fk_core::deploy::{Deployment, DeploymentConfig, InlineDispatcher};
-use fk_core::distributor::{CommittedTx, Distributor, DistributorConfig};
+use fk_core::distributor::{ChildLogs, CommittedTx, Distributor, DistributorConfig};
 use fk_core::follower::Follower;
 use fk_core::leader::Leader;
 use fk_core::messages::{ClientRequest, LeaderRecord, MultiOp, Payload, UserUpdate, WriteOp};
-use fk_core::system_store::{node_attr, ObjTags};
+use fk_core::system_store::{node_attr, ChildLog, ObjTags};
 use fk_core::{FrameStore, NodeRecord, UserStore};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -287,14 +287,35 @@ struct Applied {
 fn apply(ctx: &Ctx, rig: &Rig, distributor: &Distributor, records: &[LeaderRecord]) -> Applied {
     let items = committed(ctx, rig, records);
     let marks = distributor.epoch_marks(ctx);
+    // The children logs the leader's read wave would read: every node
+    // the records write and every parent they change.
+    let updates = records
+        .iter()
+        .flat_map(|r| r.ops.iter().map(|s| &s.user_update));
+    let paths = updates.flat_map(|update| {
+        let parent = update.child_delta().map(|(parent, _, _)| parent);
+        let own = match update {
+            UserUpdate::WriteNode { path, .. } | UserUpdate::DeleteNode { path } => {
+                Some(path.as_str())
+            }
+            UserUpdate::None => None,
+        };
+        own.into_iter().chain(parent)
+    });
+    let system = rig.deployment.system();
+    let logs: ChildLogs<'_> = paths
+        .map(|path| (path, ChildLog::of(system.get_node(ctx, path).as_ref())))
+        .collect();
     let before = rig.deployment.meter().snapshot();
     ctx.take_spans();
     let started = ctx.now();
-    let tags = distributor.apply_epoch(ctx, &items, &marks).unwrap();
+    let applied = distributor.apply_epoch(ctx, &items, &marks, &logs).unwrap();
     let elapsed = ctx.now() - started;
     let charges = ctx.take_spans();
     let used = rig.deployment.meter().snapshot().since(&before);
-    distributor.finalize_epoch(ctx, &items, &tags).unwrap();
+    distributor
+        .finalize_epoch(ctx, &items, &applied.tags, &logs)
+        .unwrap();
     Applied {
         used,
         charges,
@@ -608,17 +629,10 @@ fn dependencies(records: &[LeaderRecord]) -> Vec<(String, String)> {
         .flat_map(|r| r.ops.iter().map(|s| &s.user_update));
     let mut pairs = Vec::new();
     for update in updates {
-        match update {
-            UserUpdate::WriteNode {
-                path,
-                parent_children: Some((parent, _)),
-                ..
-            } => pairs.push((path.clone(), parent.clone())),
-            UserUpdate::DeleteNode {
-                path,
-                parent_children: Some((parent, _)),
-            } => pairs.push((parent.clone(), path.clone())),
-            _ => {}
+        match update.child_delta() {
+            Some((parent, path, true)) => pairs.push((path.to_owned(), parent.to_owned())),
+            Some((parent, path, false)) => pairs.push((parent.to_owned(), path.to_owned())),
+            None => {}
         }
     }
     pairs
@@ -956,8 +970,9 @@ fn tagged_write_over_a_stale_tag_fails_once_then_merges_the_same_bytes() {
 
 /// A child's create commits under a tagged node: the follower's commit
 /// removes the node's tag, so the node's next write reads its object
-/// (no 412) and records a fresh tag, and the one after is one
-/// conditional PUT.
+/// (no 412) and records a fresh tag. The node now has children, so the
+/// write after folds its list from the stored one: a read-merge-write
+/// again, which fails nothing either.
 #[test]
 fn tagged_node_loses_its_tag_to_a_child_create_and_its_next_write_fails_nothing() {
     for groups in WIDTHS {
@@ -998,9 +1013,10 @@ fn tagged_node_loses_its_tag_to_a_child_create_and_its_next_write_fails_nothing(
         );
         assert_eq!(
             requests(&applied),
-            "ObjGet=0 ObjPut=1 ObjDelete=0",
+            "ObjGet=1 ObjPut=1 ObjDelete=0",
             "{title}"
         );
+        assert_eq!(failed_preconditions(&applied), 0, "{title}");
     }
 }
 

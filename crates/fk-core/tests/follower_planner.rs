@@ -323,7 +323,7 @@ fn print_chain(title: &str, step: &Step) {
 
 /// Frames pushed by the seven fault-free single writes below, in order,
 /// on a fresh rig (request ids 1–7), lock timestamps zeroed: each is the
-/// one-op record of the write (frame version 5). Captured by this very
+/// one-op record of the write (frame version 6). Captured by this very
 /// test at the commit after `54293e5` that gave every leader record one
 /// shape. Frame bytes at `54293e5` (the single-op shape) → then:
 /// create persistent 181 → 185, create ephemeral 209 → 215, create
@@ -333,34 +333,42 @@ fn print_chain(title: &str, step: &Step) {
 /// on record (`node_attr::TAGS`) from the created node's and the
 /// parent's commit items: 5 B per item (`04 74616773`), so +10 B per
 /// create and +5 B per delete; the `set_data` frames did not move.
+/// Recaptured at frame version 6, when the parent's commit item stopped
+/// carrying children names: a create or delete sets the parent's child
+/// count (`nchildren`) and appends one pending children-log entry
+/// (`child_log`, the name and its sign) where it appended or removed
+/// the name in `children`; every commit item lost its empty
+/// list-removal vector (1 B); and the record's update carries two flags
+/// (the node has children; the node joins its parent) where it carried
+/// the node's and the parent's lists.
 const WIRE_VECTORS: [(&str, &str); 7] = [
     (
         "create persistent",
-        "fb05020173018080040003076e6f64653a2f6100040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732331010374787105020764656c65746564047461677300066e6f64653a2f00010d6368696c6472656e5f747869640401086368696c6472656e0201016101047461677300057365713a7300010c6c6173745f7265717565737400020000000001022f6100022f61000276300000000001012f01016102022f6100012f030000022f61000000000200",
+        "fb06020173018080040003076e6f64653a2f6100040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732331010374787105020764656c657465640474616773066e6f64653a2f0002096e6368696c6472656e00020d6368696c6472656e5f747869640401096368696c645f6c6f6706016101010474616773057365713a7300010c6c6173745f72657175657374000200000001022f6100022f6100027630000000000102022f6100012f030000022f61000000000200",
     ),
     (
         "create ephemeral",
-        "fb050201730280800880800403096e6f64653a2f612f6500050763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732332096570685f6f776e6572010173010374787105020764656c65746564047461677300076e6f64653a2f6100010d6368696c6472656e5f747869640401086368696c6472656e0201016501047461677300057365713a7300010c6c6173745f7265717565737400040000000001042f612f6500042f612f650002763000000001017301022f6101016502042f612f6500022f61030000042f612f65000000000201",
+        "fb060201730280800880800403096e6f64653a2f612f6500050763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732332096570685f6f776e6572010173010374787105020764656c657465640474616773076e6f64653a2f610002096e6368696c6472656e00020d6368696c6472656e5f747869640401096368696c645f6c6f6706016501010474616773057365713a7300010c6c6173745f72657175657374000400000001042f612f6500042f612f65000276300000000101730102042f612f6500022f61030000042f612f65000000000201",
     ),
     (
         "create sequential",
-        "fb050201730381800c80800803146e6f64653a2f612f732d3030303030303030303000040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732333010374787105020764656c65746564047461677300076e6f64653a2f6100020b7365715f636f756e74657200020d6368696c6472656e5f747869640401086368696c6472656e02010c732d3030303030303030303001047461677300057365713a7300010c6c6173745f72657175657374000600000000010f2f612f732d30303030303030303030000f2f612f732d30303030303030303030000276300000000001022f610201650c732d30303030303030303030020f2f612f732d3030303030303030303000022f610300000f2f612f732d30303030303030303030000000000200",
+        "fb060201730381800c80800803146e6f64653a2f612f732d3030303030303030303000040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732333010374787105020764656c657465640474616773076e6f64653a2f6100030b7365715f636f756e7465720002096e6368696c6472656e00040d6368696c6472656e5f747869640401096368696c645f6c6f67060c732d3030303030303030303001010474616773057365713a7300010c6c6173745f726571756573740006000000010f2f612f732d30303030303030303030000f2f612f732d30303030303030303030000276300000000001020f2f612f732d3030303030303030303000022f610300000f2f612f732d30303030303030303030000000000200",
     ),
     (
         "set_data unconditional",
-        "fb050201730480801081800c02076e6f64653a2f6100030776657273696f6e040676636f756e740002077265715f74616701037323340103747871050000057365713a7300010c6c6173745f7265717565737400080000000001022f6100022f6100027631808004020201650c732d30303030303030303030000001022f61010001022f618080040002020200",
+        "fb060201730480801081800c02076e6f64653a2f6100030776657273696f6e040676636f756e740002077265715f746167010373233401037478710500057365713a7300010c6c6173745f72657175657374000800000001022f6100022f61000276318080040201000001022f61010001022f618080040002020200",
     ),
     (
         "set_data versioned",
-        "fb050201730580801480801002076e6f64653a2f6100030776657273696f6e040676636f756e740004077265715f74616701037323350103747871050000057365713a7300010c6c6173745f72657175657374000a0000000001022f6100022f6100027632808004040201650c732d30303030303030303030000001022f61010001022f618080040004020200",
+        "fb060201730580801480801002076e6f64653a2f6100030776657273696f6e040676636f756e740004077265715f746167010373233501037478710500057365713a7300010c6c6173745f72657175657374000a00000001022f6100022f61000276328080040401000001022f61010001022f618080040004020200",
     ),
     (
         "delete",
-        "fb050201730681801880801403146e6f64653a2f612f732d3030303030303030303000030764656c6574656400020776657273696f6e04077265715f74616701037323360103747871050000076e6f64653a2f6100010d6368696c6472656e5f74786964040001047461677301086368696c6472656e02010c732d30303030303030303030057365713a7300010c6c6173745f72657175657374000c00000000010f2f612f732d30303030303030303030010f2f612f732d3030303030303030303001022f61010165020f2f612f732d3030303030303030303002022f610301020f2f612f732d30303030303030303030",
+        "fb060201730681801880801403146e6f64653a2f612f732d3030303030303030303000030764656c6574656400020776657273696f6e04077265715f746167010373233601037478710500076e6f64653a2f610002096e6368696c6472656e00020d6368696c6472656e5f747869640401096368696c645f6c6f67060c732d3030303030303030303000010474616773057365713a7300010c6c6173745f72657175657374000c000000010f2f612f732d30303030303030303030010f2f612f732d30303030303030303030020f2f612f732d3030303030303030303002022f610301020f2f612f732d30303030303030303030",
     ),
     (
         "delete ephemeral",
-        "fb050201730780801c81801803096e6f64653a2f612f6500030764656c6574656400020776657273696f6e04077265715f74616701037323370103747871050000076e6f64653a2f6100010d6368696c6472656e5f74786964040001047461677301086368696c6472656e02010165057365713a7300010c6c6173745f72657175657374000e0000000001042f612f6501042f612f6501022f610002042f612f6502022f61030102042f612f65",
+        "fb060201730780801c81801803096e6f64653a2f612f6500030764656c6574656400020776657273696f6e04077265715f746167010373233701037478710500076e6f64653a2f610002096e6368696c6472656e00000d6368696c6472656e5f747869640401096368696c645f6c6f6706016500010474616773057365713a7300010c6c6173745f72657175657374000e00000001042f612f6501042f612f6502042f612f6502022f61030102042f612f65",
     ),
 ];
 
@@ -397,14 +405,17 @@ fn wire_vectors_of_single_writes_are_unchanged() {
 /// timestamps zeroed). The parent carried a single write's one sub in
 /// the record's own fields, and a one-op `multi` paid the own fields
 /// empty beside its sub. Creates and deletes carry the object-tag
-/// removal since (5 B per created node or rewritten parent).
+/// removal since (5 B per created node or rewritten parent), and the
+/// parent's child count and one children-log entry in place of the
+/// children names since frame version 6 (which also dropped the commit
+/// items' empty list-removal vector).
 const FRAME_BYTES: [(&str, usize, usize, usize); 6] = [
-    ("create", 196, 216, 212),
-    ("ephemeral create", 211, 231, 227),
-    ("sequential create", 276, 318, 303),
-    ("set_data", 130, 150, 136),
-    ("set_data 128 B", 258, 278, 264),
-    ("delete", 168, 182, 173),
+    ("create", 196, 216, 214),
+    ("ephemeral create", 211, 231, 229),
+    ("sequential create", 276, 318, 294),
+    ("set_data", 130, 150, 134),
+    ("set_data 128 B", 258, 278, 262),
+    ("delete", 168, 182, 178),
 ];
 
 #[test]

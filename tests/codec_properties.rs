@@ -105,10 +105,11 @@ fn ser_value() -> impl Strategy<Value = SerValue> {
         (-1_000_000i64..1_000_000).prop_map(SerValue::Num),
         Just(SerValue::Num(i64::MIN)),
         name().prop_map(SerValue::Str),
-        collection::vec(name(), 0..6).prop_map(SerValue::StrList),
         collection::vec(-50i64..50, 0..6).prop_map(SerValue::NumList),
         Just(SerValue::Txid),
         Just(SerValue::TxidList),
+        (name(), prop_oneof![Just(false), Just(true)])
+            .prop_map(|(name, added)| SerValue::TxidChild { name, added }),
     ]
 }
 
@@ -118,20 +119,14 @@ fn commit() -> impl Strategy<Value = SystemCommit> {
             (path(), -5000i64..5000),
             collection::vec((name(), ser_value()), 0..4),
             collection::vec((name(), ser_value()), 0..3),
-            (
-                collection::vec(name(), 0..3),
-                collection::vec((name(), ser_value()), 0..3),
-            ),
+            collection::vec(name(), 0..3),
         )
-            .prop_map(|((key, lock_ts), sets, appends, (removes, list_removes))| {
-                CommitItem {
-                    key: format!("node:{key}"),
-                    lock_ts,
-                    sets,
-                    appends,
-                    removes,
-                    list_removes,
-                }
+            .prop_map(|((key, lock_ts), sets, appends, removes)| CommitItem {
+                key: format!("node:{key}"),
+                lock_ts,
+                sets,
+                appends,
+                removes,
             }),
         0..4,
     )
@@ -157,38 +152,30 @@ fn create_mode() -> impl Strategy<Value = CreateMode> {
 }
 
 fn user_update() -> impl Strategy<Value = UserUpdate> {
-    let parent_children = prop_oneof![Just(None), (path(), children()).prop_map(Some),];
     prop_oneof![
         (
             (path(), payload(), txid(), -1i32..500),
             (
-                children(),
+                prop_oneof![Just(false), Just(true)],
                 prop_oneof![Just(None), name().prop_map(Some)],
-                parent_children,
+                prop_oneof![Just(false), Just(true)],
             ),
         )
             .prop_map(
                 |(
                     (path, payload, created_txid, version),
-                    (children, ephemeral_owner, parent_children),
+                    (has_children, ephemeral_owner, joins_parent),
                 )| UserUpdate::WriteNode {
                     path,
                     payload,
                     created_txid,
                     version,
-                    children,
+                    has_children,
                     ephemeral_owner,
-                    parent_children,
+                    joins_parent,
                 },
             ),
-        (
-            path(),
-            prop_oneof![Just(None), (path(), children()).prop_map(Some)],
-        )
-            .prop_map(|(path, parent_children)| UserUpdate::DeleteNode {
-                path,
-                parent_children,
-            }),
+        path().prop_map(|path| UserUpdate::DeleteNode { path }),
         Just(UserUpdate::None),
     ]
 }
