@@ -67,7 +67,7 @@ impl PipelinedRunConfig {
             writes: 64,
             nodes: 16,
             node_size: 256,
-            pipeline: DistributorConfig::new(4, 16).with_adaptive_batch(1),
+            pipeline: DistributorConfig::new(4, 16),
             provider: Provider::Aws,
             seed: 0xDEE9,
         }
@@ -211,8 +211,8 @@ pub fn run_pipelined(config: &PipelinedRunConfig) -> PipelinedRunResult {
         }
 
         // Follower: one trigger firing — receive the accumulated batch
-        // (adaptive window, up to the FIFO provider cap), merge the
-        // senders' clocks, process in waves.
+        // (up to the FIFO provider cap), merge the senders' clocks,
+        // process in waves.
         if let Some(batch) = deployment
             .write_queue()
             .receive_up_to(10, Duration::from_secs(30))

@@ -19,7 +19,7 @@ use crate::error::{CloudError, CloudResult};
 use crate::latency::{Arch, ExecEnv, LatencyModel};
 use crate::metering::Meter;
 use crate::ops::Op;
-use crate::queue::{AdaptiveBatch, Message, Queue};
+use crate::queue::{Message, Queue};
 use crate::region::Region;
 use crate::trace::Ctx;
 use crate::trace::LatencyMode;
@@ -436,17 +436,18 @@ impl FaasRuntime {
     /// and invoke the function. FIFO queues additionally serialize per
     /// message group regardless of `concurrency` (requirement (c), §3.1).
     ///
-    /// The batch window rides an [`AdaptiveBatch`] controller: each poll
-    /// asks for the controller's current window, and after each batch the
-    /// controller observes how much was drained against the remaining
-    /// backlog. `concurrency` pollers share one controller, so the window
-    /// reflects the aggregate consumption rate. `AdaptiveBatch::new(n, n)`
-    /// pins the window at `n`.
+    /// Each poll takes what one ordering group has queued, up to `cap`
+    /// messages ([`Queue::receive_up_to_timeout`]). A receive returns as
+    /// soon as one message can be delivered, so the cap only bounds how
+    /// much of a backlog one invocation takes; it never makes a message
+    /// wait. The caller sets it where it attaches the trigger: the
+    /// queue kind's per-receive batch ([`crate::QueueKind::max_batch`])
+    /// for a provider trigger, the epoch batch for a leader lane.
     pub fn attach_queue_trigger(
         &self,
         name: &str,
         queue: Queue,
-        window: Arc<AdaptiveBatch>,
+        cap: usize,
         concurrency: usize,
     ) -> CloudResult<()> {
         let entry = self.entry(name)?;
@@ -454,38 +455,24 @@ impl FaasRuntime {
             let runtime = self.clone();
             let entry = Arc::clone(&entry);
             let queue = queue.clone();
-            let window = Arc::clone(&window);
             let handle = std::thread::spawn(move || {
-                runtime.trigger_loop(entry, queue, window);
+                runtime.trigger_loop(entry, queue, cap);
             });
             self.inner.workers.lock().push(handle);
         }
         Ok(())
     }
 
-    fn trigger_loop(&self, entry: Arc<FunctionEntry>, queue: Queue, window: Arc<AdaptiveBatch>) {
+    fn trigger_loop(&self, entry: Arc<FunctionEntry>, queue: Queue, cap: usize) {
         let visibility = Duration::from_secs(30);
         while !self.inner.stop.load(Ordering::Relaxed) {
             let poll = Duration::from_millis(50);
-            let batch_size = window.window();
-            // Batch sizes past the provider's per-receive cap opt into the
-            // batch-window drain (the leader's epoch batches, §distributor).
-            let batch_window = batch_size > queue.kind().max_batch();
-            let received = if batch_window {
-                queue.receive_up_to_timeout(batch_size, visibility, poll)
-            } else {
-                queue.receive_timeout(batch_size, visibility, poll)
-            };
-            let Some(batch) = received else {
+            let Some(batch) = queue.receive_up_to_timeout(cap, visibility, poll) else {
                 if queue.is_closed() {
                     return;
                 }
-                window.observe(0, queue.pending());
                 continue;
             };
-            // Observed at dispatch time: a later nack only delays
-            // redelivery, which the next drain sees as backlog again.
-            window.observe(batch.messages.len(), queue.pending());
             let max_vt = batch
                 .messages
                 .iter()
@@ -681,13 +668,8 @@ mod tests {
         )
         .unwrap();
         let q = Queue::new("q", QueueKind::Fifo, Region::US_EAST_1, Meter::new());
-        rt.attach_queue_trigger(
-            "consumer",
-            q.clone(),
-            Arc::new(AdaptiveBatch::new(10, 10)),
-            1,
-        )
-        .unwrap();
+        rt.attach_queue_trigger("consumer", q.clone(), 10, 1)
+            .unwrap();
         let ctx = Ctx::disabled();
         for i in 0..20 {
             q.send(&ctx, "session", Bytes::from(format!("m{i:02}")))
@@ -703,16 +685,15 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// The adaptive trigger's window must grow toward the cap while a
-    /// burst keeps the queue backlogged and settle back to the floor once
-    /// the queue runs dry (ROADMAP "Adaptive window for the follower").
+    /// A trigger takes what one group has queued, up to its cap: a
+    /// backlog of 25 drains as 10, 10 and 5, with no small first batches.
     #[test]
-    fn adaptive_queue_trigger_window_tracks_backlog() {
+    fn queue_trigger_takes_what_is_queued_up_to_its_cap() {
         let rt = runtime();
         let batch_sizes = Arc::new(Mutex::new(Vec::new()));
         let sizes2 = Arc::clone(&batch_sizes);
         rt.register(
-            "adaptive",
+            "capped",
             FunctionConfig::default(),
             move |_: &Ctx, ev: &Event| {
                 if let Event::Queue { messages } = ev {
@@ -723,31 +704,20 @@ mod tests {
         )
         .unwrap();
         let q = Queue::new("q", QueueKind::Fifo, Region::US_EAST_1, Meter::new());
-        let ctrl = Arc::new(AdaptiveBatch::new(1, 10));
-        // Build the backlog *before* attaching, so the first drains see
-        // a full queue and the AIMD growth is deterministic.
+        // The backlog is queued before the trigger attaches, so every
+        // poll finds it waiting.
         let ctx = Ctx::disabled();
-        for i in 0..40 {
+        for i in 0..25 {
             q.send(&ctx, "session", Bytes::from(format!("m{i}")))
                 .unwrap();
         }
-        rt.attach_queue_trigger("adaptive", q.clone(), Arc::clone(&ctrl), 1)
-            .unwrap();
+        rt.attach_queue_trigger("capped", q.clone(), 10, 1).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while batch_sizes.lock().iter().sum::<usize>() < 40 && Instant::now() < deadline {
+        while batch_sizes.lock().iter().sum::<usize>() < 25 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        let drained: usize = batch_sizes.lock().iter().sum();
-        assert_eq!(drained, 40, "everything consumed");
-        let peak = batch_sizes.lock().iter().copied().max().unwrap_or(0);
-        assert!(peak >= 4, "window grew under backlog (peak batch {peak})");
-        // Empty polls (50 ms cadence) walk the window back to the floor.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while ctrl.window() > 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(ctrl.window(), 1, "window settled at the floor");
         rt.shutdown();
+        assert_eq!(*batch_sizes.lock(), vec![10, 10, 5]);
     }
 
     #[test]
@@ -769,8 +739,7 @@ mod tests {
         )
         .unwrap();
         let q = Queue::new("q", QueueKind::Fifo, Region::US_EAST_1, Meter::new());
-        rt.attach_queue_trigger("flaky", q.clone(), Arc::new(AdaptiveBatch::new(1, 1)), 1)
-            .unwrap();
+        rt.attach_queue_trigger("flaky", q.clone(), 1, 1).unwrap();
         q.send(&Ctx::disabled(), "g", Bytes::from_static(b"x"))
             .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -818,8 +787,7 @@ mod tests {
         .unwrap();
         rt.inject_crashes("victim", 2).unwrap();
         let q = Queue::new("q", QueueKind::Fifo, Region::US_EAST_1, Meter::new());
-        rt.attach_queue_trigger("victim", q.clone(), Arc::new(AdaptiveBatch::new(1, 1)), 1)
-            .unwrap();
+        rt.attach_queue_trigger("victim", q.clone(), 1, 1).unwrap();
         q.send(&Ctx::disabled(), "g", Bytes::from_static(b"x"))
             .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);

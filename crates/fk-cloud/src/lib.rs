@@ -60,7 +60,7 @@ pub use memstore::MemStore;
 pub use metering::{Meter, UsageSnapshot};
 pub use objectstore::ObjectStore;
 pub use ops::{Op, QueueKind};
-pub use queue::{AdaptiveBatch, Batch, Message, Queue, Receipt, ShardedQueues};
+pub use queue::{Batch, Message, Queue, Receipt, ShardedQueues};
 pub use region::Region;
 pub use retry::with_retry;
 pub use trace::{Ctx, LatencyMode, SpanRecord};

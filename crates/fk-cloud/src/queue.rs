@@ -579,33 +579,14 @@ impl Queue {
         Self::try_take(&mut st, self.inner.kind, max, visibility, true)
     }
 
-    /// Blocking receive: waits up to `timeout` for a deliverable batch.
-    /// Returns `None` on timeout or when the queue is closed and drained.
-    pub fn receive_timeout(
-        &self,
-        max: usize,
-        visibility: Duration,
-        timeout: Duration,
-    ) -> Option<Batch> {
-        self.receive_timeout_inner(max, visibility, timeout, false)
-    }
-
-    /// Blocking batch-window receive (see [`Queue::receive_up_to`]).
+    /// Blocking batch-window receive (see [`Queue::receive_up_to`]):
+    /// waits up to `timeout` for a deliverable batch. Returns `None` on
+    /// timeout or when the queue is closed and drained.
     pub fn receive_up_to_timeout(
         &self,
         max: usize,
         visibility: Duration,
         timeout: Duration,
-    ) -> Option<Batch> {
-        self.receive_timeout_inner(max, visibility, timeout, true)
-    }
-
-    fn receive_timeout_inner(
-        &self,
-        max: usize,
-        visibility: Duration,
-        timeout: Duration,
-        batch_window: bool,
     ) -> Option<Batch> {
         let deadline = Instant::now() + timeout;
         let mut st = self.inner.state.lock();
@@ -616,9 +597,7 @@ impl Queue {
                 self.inner.max_receive_count,
                 &self.inner.meter,
             );
-            if let Some(batch) =
-                Self::try_take(&mut st, self.inner.kind, max, visibility, batch_window)
-            {
+            if let Some(batch) = Self::try_take(&mut st, self.inner.kind, max, visibility, true) {
                 return Some(batch);
             }
             if st.closed {
@@ -714,65 +693,6 @@ impl Queue {
 }
 
 // ----------------------------------------------------------------------
-// Adaptive batch windows
-// ----------------------------------------------------------------------
-
-/// AIMD-style controller for a queue consumer's batch window.
-///
-/// A large window amortizes per-batch costs (dispatch, fan-out barriers,
-/// epoch bookkeeping) across many messages but adds batching delay when
-/// traffic is light. The controller sizes the window from what the queue
-/// actually shows **between drains**: a drain that fills the current
-/// window while messages remain backlogged doubles the window (up to
-/// `max`); a drain that comes back under half full with an empty backlog
-/// halves it (down to `min`). Doubling reacts within O(log max/min)
-/// drains to a burst; halving returns the window to low-latency draining
-/// once the burst passes.
-///
-/// Both the leader's epoch drain (`fk-core`) and the follower's queue
-/// trigger ([`crate::faas::FaasRuntime::attach_queue_trigger`])
-/// run on this controller.
-pub struct AdaptiveBatch {
-    window: std::sync::atomic::AtomicUsize,
-    min: usize,
-    max: usize,
-}
-
-impl AdaptiveBatch {
-    /// Creates a controller bounded by `[min, max]`; the window starts at
-    /// the floor. `min == max` pins the window (static batching).
-    pub fn new(min: usize, max: usize) -> Self {
-        assert!(min > 0, "at least one message per batch");
-        assert!(min <= max, "adaptive floor above the batch cap");
-        AdaptiveBatch {
-            window: std::sync::atomic::AtomicUsize::new(min),
-            min,
-            max,
-        }
-    }
-
-    /// The current drain window.
-    pub fn window(&self) -> usize {
-        self.window.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Observes one drain: `drained` messages were taken and `backlog`
-    /// messages remained queued afterwards.
-    pub fn observe(&self, drained: usize, backlog: usize) {
-        let window = self.window();
-        let next = if drained >= window && backlog > 0 {
-            (window.saturating_mul(2)).min(self.max)
-        } else if drained * 2 <= window && backlog == 0 {
-            (window / 2).max(self.min)
-        } else {
-            window
-        };
-        self.window
-            .store(next, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
-// ----------------------------------------------------------------------
 // Sharding
 // ----------------------------------------------------------------------
 
@@ -809,11 +729,11 @@ pub(crate) fn fnv1a(bytes: &[u8], salt: u64) -> u64 {
     hash
 }
 
-/// A group of per-shard FIFO queues with a stable key→queue route.
-///
-/// Where a single FIFO queue serializes everything, a sharded group keeps
-/// *per-key* FIFO order (all messages for one key land on one member
-/// queue, [`shard_of`]) while letting distinct shards drain in parallel.
+/// A group of member FIFO queues that drain in parallel: the leader
+/// tier's lanes, one per shard group. The sender picks the member (the
+/// follower routes by [`group_of`] through the membership record) and
+/// sends through [`ShardedQueues::queue`]; all of one key's messages
+/// then sit on one member queue in push order.
 #[derive(Clone)]
 pub struct ShardedQueues {
     queues: Vec<Queue>,
@@ -835,41 +755,9 @@ impl ShardedQueues {
         self.queues.len()
     }
 
-    /// The member queue a key routes to.
-    pub fn route(&self, key: &str) -> &Queue {
-        &self.queues[shard_of(key, self.queues.len())]
-    }
-
     /// A member queue by index.
     pub fn queue(&self, shard: usize) -> &Queue {
         &self.queues[shard]
-    }
-
-    /// Sends `body` to the shard owning `key`, using `key` as the
-    /// ordering group. Returns `(shard, seq)`.
-    pub fn send(&self, ctx: &Ctx, key: &str, body: Bytes) -> CloudResult<(usize, u64)> {
-        let shard = shard_of(key, self.queues.len());
-        let seq = self.queues[shard].send(ctx, key, body)?;
-        Ok((shard, seq))
-    }
-
-    /// Sends `body` to the member queue owning `key` under the
-    /// *group-tier* hash ([`group_of`], decorrelated from the fan-out
-    /// hash) and an explicit ordering group. A constant group name per
-    /// member turns each shard into a global FIFO with a single active
-    /// consumer (the multi-leader tier: one leader instance per shard
-    /// group), while routing still keeps all of one key's messages on
-    /// one member queue in push order.
-    pub fn send_grouped(
-        &self,
-        ctx: &Ctx,
-        key: &str,
-        group: &str,
-        body: Bytes,
-    ) -> CloudResult<(usize, u64)> {
-        let shard = group_of(key, self.queues.len());
-        let seq = self.queues[shard].send(ctx, group, body)?;
-        Ok((shard, seq))
     }
 
     /// Total messages pending across all shards.
@@ -1165,7 +1053,7 @@ mod tests {
         let q = fifo();
         let q2 = q.clone();
         let handle = std::thread::spawn(move || {
-            q2.receive_timeout(1, Duration::from_secs(30), Duration::from_secs(5))
+            q2.receive_up_to_timeout(1, Duration::from_secs(30), Duration::from_secs(5))
         });
         std::thread::sleep(Duration::from_millis(20));
         send(&q, "s1", "wake");
@@ -1178,7 +1066,7 @@ mod tests {
         let q = fifo();
         let q2 = q.clone();
         let handle = std::thread::spawn(move || {
-            q2.receive_timeout(1, Duration::from_secs(30), Duration::from_secs(30))
+            q2.receive_up_to_timeout(1, Duration::from_secs(30), Duration::from_secs(30))
         });
         std::thread::sleep(Duration::from_millis(20));
         q.close();
@@ -1256,91 +1144,6 @@ mod tests {
             }
             assert!(hit.iter().all(|&h| h), "all {n} groups used");
         }
-    }
-
-    #[test]
-    fn sharded_queues_keep_per_key_order_across_shards() {
-        let group = ShardedQueues::new("d", QueueKind::Fifo, Region::US_EAST_1, Meter::new(), 4);
-        let ctx = Ctx::disabled();
-        for i in 0..40 {
-            let key = format!("/n{}", i % 8);
-            group.send(&ctx, &key, Bytes::from(format!("{i}"))).unwrap();
-        }
-        assert_eq!(group.pending(), 40);
-        // Drain each shard; per key the payload sequence must be ordered.
-        let mut last_seen: HashMap<String, u64> = HashMap::new();
-        for s in 0..group.shards() {
-            while let Some(batch) = group.queue(s).receive_up_to(64, Duration::from_secs(30)) {
-                for msg in &batch.messages {
-                    assert_eq!(shard_of(&msg.group, 4), s, "key routed to its shard");
-                    let v: u64 = std::str::from_utf8(&msg.body).unwrap().parse().unwrap();
-                    if let Some(prev) = last_seen.get(&*msg.group) {
-                        assert!(v > *prev, "per-key FIFO preserved");
-                    }
-                    last_seen.insert(msg.group.to_string(), v);
-                }
-                group.queue(s).ack(batch.receipt);
-            }
-        }
-        assert_eq!(last_seen.len(), 8);
-    }
-
-    #[test]
-    fn sharded_send_grouped_routes_by_key_but_orders_by_group() {
-        let group = ShardedQueues::new("l", QueueKind::Fifo, Region::US_EAST_1, Meter::new(), 4);
-        let ctx = Ctx::disabled();
-        let mut shards_hit = HashSet::new();
-        for i in 0..24 {
-            let key = format!("/n{i}");
-            let (shard, _) = group
-                .send_grouped(&ctx, &key, "leader", Bytes::from(format!("{i}")))
-                .unwrap();
-            assert_eq!(shard, group_of(&key, 4), "routed by key");
-            shards_hit.insert(shard);
-        }
-        assert!(shards_hit.len() > 1, "keys spread across members");
-        // Every member queue holds a single ordering group, so one
-        // receive drains a multi-key batch (the leader's epoch window).
-        for s in 0..group.shards() {
-            if group.queue(s).pending() == 0 {
-                continue;
-            }
-            let batch = group
-                .queue(s)
-                .receive_up_to(64, Duration::from_secs(5))
-                .unwrap();
-            assert!(batch.messages.iter().all(|m| &*m.group == "leader"));
-            group.queue(s).ack(batch.receipt);
-        }
-        assert_eq!(group.pending(), 0);
-    }
-
-    #[test]
-    fn adaptive_batch_doubles_under_backlog_and_halves_when_idle() {
-        let ctrl = AdaptiveBatch::new(2, 16);
-        assert_eq!(ctrl.window(), 2, "starts at the floor");
-        ctrl.observe(2, 10);
-        assert_eq!(ctrl.window(), 4);
-        ctrl.observe(4, 10);
-        ctrl.observe(8, 10);
-        ctrl.observe(16, 10);
-        assert_eq!(ctrl.window(), 16, "capped at max");
-        ctrl.observe(10, 3);
-        assert_eq!(ctrl.window(), 16, "half-full drain with backlog holds");
-        ctrl.observe(3, 0);
-        assert_eq!(ctrl.window(), 8);
-        ctrl.observe(0, 0);
-        ctrl.observe(0, 0);
-        ctrl.observe(0, 0);
-        assert_eq!(ctrl.window(), 2, "floored at min");
-    }
-
-    #[test]
-    fn static_adaptive_batch_never_moves() {
-        let ctrl = AdaptiveBatch::new(16, 16);
-        ctrl.observe(16, 100);
-        ctrl.observe(0, 0);
-        assert_eq!(ctrl.window(), 16);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use fk_cloud::kvstore::{KvLimits, KvStore};
 use fk_cloud::latency::LatencyModel;
 use fk_cloud::metering::Meter;
 use fk_cloud::objectstore::ObjectStore;
-use fk_cloud::queue::{AdaptiveBatch, Queue, ShardedQueues};
+use fk_cloud::queue::{Queue, ShardedQueues};
 use fk_cloud::trace::{Ctx, LatencyMode};
 use fk_cloud::{MemStore, QueueKind, Region};
 use std::sync::Arc;
@@ -43,12 +43,6 @@ pub enum Provider {
 
 /// Concurrent follower pollers (horizontal write scaling, §4.3).
 const FOLLOWER_CONCURRENCY: usize = 4;
-
-/// Bounds of the follower trigger's adaptive batch window
-/// ([`AdaptiveBatch`]): the window grows toward the upper bound while the
-/// write queue stays backlogged and shrinks toward the lower one when it
-/// runs dry.
-const FOLLOWER_BATCH: (usize, usize) = (1, 10);
 
 /// Full deployment configuration.
 #[derive(Clone)]
@@ -574,15 +568,14 @@ impl Deployment {
                 },
             )
             .expect("register follower");
-        // The follower's batch window rides the AIMD controller instead
-        // of the historical fixed 10: small batches (low latency) when
-        // the write queue is quiet, growing toward the cap under load.
-        let (follower_min, follower_max) = FOLLOWER_BATCH;
+        // The follower takes its session's queued writes, up to the
+        // queue kind's per-receive batch (10 on SQS FIFO, §3.1). A receive
+        // never waits to fill it, so a quiet queue still delivers at once.
         self.runtime
             .attach_queue_trigger(
                 fn_names::FOLLOWER,
                 self.write_queue.clone(),
-                Arc::new(AdaptiveBatch::new(follower_min, follower_max)),
+                self.write_queue.kind().max_batch(),
                 FOLLOWER_CONCURRENCY,
             )
             .expect("attach follower trigger");
@@ -628,18 +621,13 @@ impl Deployment {
                     },
                 )
                 .expect("register leader");
-            // Each group's trigger rides its own AIMD window (per-group
-            // drain windows: one hot group widening its batches never
-            // forces wide batches — and their latency — on a quiet
-            // group). A static pipeline (`min_batch == max_batch`) pins it.
+            // Each group's trigger takes its lane's queued records, up to
+            // the epoch batch (`DistributorConfig::max_batch`).
             self.runtime
                 .attach_queue_trigger(
                     &name,
                     self.leader_queues.queue(group).clone(),
-                    Arc::new(AdaptiveBatch::new(
-                        self.config.distributor.min_batch,
-                        self.config.distributor.max_batch,
-                    )),
+                    self.config.distributor.max_batch,
                     1,
                 )
                 .expect("attach leader trigger");

@@ -68,7 +68,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-pub use fk_cloud::queue::{shard_of, AdaptiveBatch};
+pub use fk_cloud::queue::shard_of;
 
 /// Configuration of the leader's distribution pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,13 +76,12 @@ pub struct DistributorConfig {
     /// Concurrent storage workers per region: at most this many store
     /// operations of an epoch are in flight in one region at any instant.
     pub shards: usize,
-    /// Maximum transactions drained from the leader queue per batch.
+    /// The leader's drain window: each leader trigger and
+    /// [`crate::leader::Leader::drain_queue`] take what the lane has
+    /// queued, up to this many transactions per batch. A receive never
+    /// waits to fill the window, so it only caps how much of a backlog
+    /// one epoch batch takes.
     pub max_batch: usize,
-    /// Lower bound of the epoch batch window. When `min_batch <
-    /// max_batch` the leader adapts its drain window between epochs from
-    /// observed queue depth ([`AdaptiveBatch`]); `min_batch == max_batch`
-    /// (the default) keeps the window static.
-    pub min_batch: usize,
     /// Width of the leader tier: the number of shard groups, each with
     /// its own FIFO queue and its own leader function instance. `1` (the
     /// default) is the paper's single-leader deployment. The epoch apply
@@ -96,21 +95,19 @@ impl Default for DistributorConfig {
         DistributorConfig {
             shards: 4,
             max_batch: 16,
-            min_batch: 16,
             groups: 1,
         }
     }
 }
 
 impl DistributorConfig {
-    /// A pipeline with explicit shard count and (static) batch size.
+    /// A pipeline with explicit shard count and batch size.
     pub fn new(shards: usize, max_batch: usize) -> Self {
         assert!(shards > 0, "at least one shard");
         assert!(max_batch > 0, "at least one transaction per batch");
         DistributorConfig {
             shards,
             max_batch,
-            min_batch: max_batch,
             groups: 1,
         }
     }
@@ -130,18 +127,6 @@ impl DistributorConfig {
     /// single worker. Used as the baseline in `distributor_path` benches.
     pub fn sequential() -> Self {
         Self::new(1, 1)
-    }
-
-    /// Builder: adapt the epoch batch window between `min_batch` and
-    /// `max_batch` from observed queue depth.
-    pub fn with_adaptive_batch(mut self, min_batch: usize) -> Self {
-        assert!(min_batch > 0, "at least one transaction per batch");
-        assert!(
-            min_batch <= self.max_batch,
-            "adaptive floor above the batch cap"
-        );
-        self.min_batch = min_batch;
-        self
     }
 }
 
@@ -1351,75 +1336,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         DistributorConfig::new(0, 1);
-    }
-
-    #[test]
-    fn adaptive_config_validates_and_classifies() {
-        let static_config = DistributorConfig::new(4, 16);
-        assert_eq!(static_config.min_batch, static_config.max_batch);
-        let adaptive = static_config.with_adaptive_batch(2);
-        assert_eq!(adaptive.min_batch, 2);
-        assert_eq!(adaptive.max_batch, 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "adaptive floor above the batch cap")]
-    fn adaptive_floor_above_cap_rejected() {
-        DistributorConfig::new(4, 8).with_adaptive_batch(9);
-    }
-
-    // The AIMD controller's unit tests live next to its implementation
-    // in `fk_cloud::queue`; here it is exercised through the leader's
-    // drain loop and the DES control loop below.
-
-    /// DES-driven control loop (ROADMAP "Adaptive epoch batch size"):
-    /// a burst of arrivals builds queue depth, the drain loop observes
-    /// it between epochs, and the window must ride the burst up to the
-    /// cap and settle back to the floor once the queue runs dry.
-    #[test]
-    fn adaptive_window_tracks_queue_depth_in_des() {
-        use fk_cloud::des::{run, Scheduler};
-        struct Sim {
-            depth: usize,
-            ctrl: AdaptiveBatch,
-            peak_window: usize,
-            final_window: usize,
-            drained_total: usize,
-        }
-        const DRAIN_EVERY_NS: u64 = 10_000_000; // one epoch drain per 10 ms
-        fn drain(sim: &mut Sim, sched: &mut Scheduler<Sim>) {
-            let drained = sim.ctrl.window().min(sim.depth);
-            sim.depth -= drained;
-            sim.drained_total += drained;
-            sim.ctrl.observe(drained, sim.depth);
-            sim.peak_window = sim.peak_window.max(sim.ctrl.window());
-            sim.final_window = sim.ctrl.window();
-            sched.schedule(DRAIN_EVERY_NS, drain);
-        }
-        let config = DistributorConfig::new(4, 32).with_adaptive_batch(2);
-        let sim = run(
-            Sim {
-                depth: 0,
-                ctrl: AdaptiveBatch::new(config.min_batch, config.max_batch),
-                peak_window: 0,
-                final_window: 0,
-                drained_total: 0,
-            },
-            0xADA7,
-            1_000_000_000, // 1 s
-            |_, sched| {
-                // Burst: 300 transactions arrive in the first 100 ms
-                // (30 per drain interval — far above the floor window).
-                for i in 0..300u64 {
-                    sched.schedule(i * 333_333, |sim: &mut Sim, _| sim.depth += 1);
-                }
-                sched.schedule(DRAIN_EVERY_NS, drain);
-            },
-        );
-        assert_eq!(sim.drained_total, 300, "everything drained");
-        assert_eq!(sim.depth, 0);
-        assert_eq!(sim.peak_window, 32, "window rode the burst to the cap");
-        assert_eq!(sim.final_window, 2, "window settled back to the floor");
     }
 
     #[test]

@@ -76,9 +76,7 @@
 
 use crate::api::{FkError, FkResult, WatchEvent, WatchEventType, WatchKind};
 use crate::commit::txq_of;
-use crate::distributor::{
-    AdaptiveBatch, ChildLogs, CommittedTx, Distributor, DistributorConfig, EpochApplied,
-};
+use crate::distributor::{ChildLogs, CommittedTx, Distributor, DistributorConfig, EpochApplied};
 use crate::messages::{
     ClientNotification, LeaderRecord, OpOutcome, Payload, UserUpdate, WriteResultData,
 };
@@ -139,9 +137,6 @@ pub struct Leader {
     bus: ClientBus,
     dispatcher: Arc<dyn WatchDispatcher>,
     distributor: Distributor,
-    /// Epoch batch window, adapted between drains from observed queue
-    /// depth (static when `min_batch == max_batch`).
-    batch: AdaptiveBatch,
     /// What a warm instance remembers between invocations (one lock,
     /// taken once per phase, never per record).
     warm: parking_lot::Mutex<Warm>,
@@ -208,7 +203,6 @@ impl Leader {
             bus,
             dispatcher,
             distributor,
-            batch: AdaptiveBatch::new(config.min_batch, config.max_batch),
             warm: parking_lot::Mutex::new(Warm::default()),
             floors: None,
         }
@@ -306,30 +300,19 @@ impl Leader {
     }
 
     /// Drains and processes one epoch batch from the leader queue (the
-    /// direct-drive equivalent of the runtime's batch-window trigger).
-    /// Returns the number of transactions processed. The drain window is
-    /// the [`AdaptiveBatch`] controller's — growing toward
-    /// `config.max_batch` while the queue stays backlogged, shrinking
-    /// toward `config.min_batch` when it runs dry.
+    /// direct-drive equivalent of the runtime's leader trigger). The
+    /// batch is what the lane has queued, up to `config.max_batch`
+    /// records. Returns the number of transactions processed.
     pub fn drain_queue(&self, ctx: &Ctx, queue: &Queue) -> Result<usize, FnError> {
-        let max = self.batch.window();
+        let max = self.distributor.config().max_batch;
         let Some(batch) = queue.receive_up_to(max, Duration::from_secs(30)) else {
-            self.batch.observe(0, 0);
             return Ok(0);
         };
         let bytes: usize = batch.messages.iter().map(|m| m.body.len()).sum();
         ctx.charge(Op::QueueDispatch(queue.kind()), bytes);
         let outcome = self.process_messages(ctx, &batch.messages);
         let consumed = queue.settle(batch.receipt, &outcome);
-        outcome.map(|()| {
-            self.batch.observe(consumed, queue.pending());
-            consumed
-        })
-    }
-
-    /// The current epoch batch window.
-    pub fn batch_window(&self) -> usize {
-        self.batch.window()
+        outcome.map(|()| consumed)
     }
 
     /// Phases ➊–➎ over the batch's eligible records, then the deferral
@@ -681,7 +664,9 @@ impl Leader {
 
     /// Advances the session's distribution high-water mark for a record
     /// resolved without distribution (already processed, or abandoned) —
-    /// only meaningful, and only paid for, in a multi-group tier.
+    /// only meaningful, and only paid for, in a multi-group tier, whose
+    /// followers stamp each record's txid (a single-group follower
+    /// stamps 0).
     ///
     /// Guarded by the session's `last_txid`: only a txid the follower
     /// *recorded* — one a successor can actually name as `prev_txid` —
@@ -694,7 +679,7 @@ impl Leader {
     /// still undistributed. Nothing ever waits on an orphan, so skipping
     /// it is always safe.
     fn mark_resolved(&self, ctx: &Ctx, txid: u64, record: &LeaderRecord) -> Result<(), FnError> {
-        if self.distributor.config().groups > 1 && txid > 0 {
+        if record.txid > 0 {
             let recorded = self.system.session_last_txid(ctx, &record.session_id);
             if txid <= recorded {
                 self.system

@@ -51,13 +51,13 @@ fn merge_fires_keeps_single_fire_untouched() {
     assert_eq!(merged[0].1, vec![WatchKind::Exists]);
 }
 
-/// The drain loop's batch window rides observed queue depth: floor
-/// start, growth while the backlog persists, shrink once drained.
+/// The drain window is `max_batch`: a backlog of 40 records drains in
+/// three calls of 16, 16 and 8, the first as wide as the backlog allows.
 #[test]
-fn leader_batch_window_adapts_between_drains() {
-    let deployment = Deployment::direct(DeploymentConfig::aws().with_distributor(
-        crate::distributor::DistributorConfig::new(2, 16).with_adaptive_batch(2),
-    ));
+fn drain_queue_takes_the_backlog_up_to_max_batch() {
+    let deployment = Deployment::direct(
+        DeploymentConfig::aws().with_distributor(crate::distributor::DistributorConfig::new(2, 16)),
+    );
     let follower = deployment.make_follower();
     let leader = deployment.make_leader_inline();
     let ctx = fk_cloud::trace::Ctx::disabled();
@@ -81,7 +81,7 @@ fn leader_batch_window_adapts_between_drains() {
         payload: Payload::inline(b"x"),
         mode: CreateMode::Persistent,
     });
-    for _ in 0..40 {
+    for _ in 0..39 {
         submit(WriteOp::SetData {
             path: "/n".into(),
             payload: Payload::inline(b"y"),
@@ -93,24 +93,12 @@ fn leader_batch_window_adapts_between_drains() {
         deployment.write_queue().ack(batch.receipt);
     }
 
-    assert_eq!(leader.batch_window(), 2, "window starts at the floor");
-    let mut processed = 0;
-    let mut peak = 0;
-    loop {
-        let n = leader.drain_queue(&ctx, deployment.leader_queue()).unwrap();
-        peak = peak.max(leader.batch_window());
-        if n == 0 {
-            break;
-        }
-        processed += n;
-    }
-    assert_eq!(processed, 41, "all transactions distributed");
-    assert!(peak >= 8, "window grew under backlog (peak {peak})");
-    // Empty drains walk the window back toward the floor.
-    for _ in 0..4 {
-        let _ = leader.drain_queue(&ctx, deployment.leader_queue()).unwrap();
-    }
-    assert_eq!(leader.batch_window(), 2, "window settled at the floor");
+    assert_eq!(deployment.leader_queue().pending(), 40);
+    let drains: Vec<usize> =
+        std::iter::from_fn(|| Some(leader.drain_queue(&ctx, deployment.leader_queue()).unwrap()))
+            .take_while(|&n| n > 0)
+            .collect();
+    assert_eq!(drains, vec![16, 16, 8]);
 }
 
 /// An *abandoned* record only advances the session's distribution
@@ -208,7 +196,6 @@ impl Lanes {
         // A 32-record window: the largest budget epoch is 30 records.
         let distributor = DistributorConfig {
             max_batch: 32,
-            min_batch: 32,
             ..DistributorConfig::default()
         };
         let deployment = Deployment::direct(

@@ -69,16 +69,15 @@ fn multi_leader_deployment_serves_full_api() {
     fk.shutdown();
 }
 
-/// The live runtime's leader queue trigger rides the per-group adaptive
-/// drain window (ROADMAP follow-up from the multi-leader PR): a deployment
-/// whose distributor is adaptive must serve a burst of writes end to end
-/// through the runtime-attached triggers, across several shard groups.
+/// The live runtime's leader queue triggers, one per shard group, each
+/// taking its lane's queued records up to the epoch batch, must serve a
+/// burst of writes end to end across several shard groups.
 #[test]
 fn adaptive_leader_trigger_serves_bursts_end_to_end() {
     use fk_core::distributor::DistributorConfig;
     let fk = Deployment::start(
         DeploymentConfig::aws()
-            .with_distributor(DistributorConfig::new(4, 16).with_adaptive_batch(2))
+            .with_distributor(DistributorConfig::new(4, 16))
             .with_shard_groups(2),
     );
     let client = fk.connect("bursty").unwrap();

@@ -30,7 +30,7 @@
 //! exactly the saturation knee [`knee_sweep`] measures. Batching is
 //! emergent: a busy lane accumulates messages and drains them in
 //! batches of up to 16, amortizing epoch segmentation the same way the
-//! adaptive batcher does in deployment.
+//! deployed leader trigger does.
 //!
 //! ## Integrity sweeps
 //!
@@ -69,8 +69,8 @@ use std::time::{Duration, Instant};
 /// wall-clock timeout racing the harness.
 const VISIBILITY: Duration = Duration::from_secs(3600);
 
-/// Messages per leader-lane invocation (the deployed adaptive batcher's
-/// ceiling).
+/// Messages per leader-lane invocation (the deployed leader trigger's
+/// cap, `DistributorConfig::max_batch`).
 const LANE_BATCH: usize = 16;
 
 /// One fleet run configuration.

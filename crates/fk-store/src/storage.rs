@@ -183,16 +183,6 @@ impl SimStorage {
             }
         }
     }
-
-    /// Test hook: truncates `name` to `len` bytes without marking the
-    /// op (models a tool chopping the file outside the engine).
-    pub fn force_truncate(&self, name: &str, len: usize) {
-        let mut inner = self.inner.lock();
-        if let Some(file) = inner.files.get_mut(name) {
-            file.data.truncate(len);
-            file.synced = file.synced.min(len);
-        }
-    }
 }
 
 struct SimHandle {

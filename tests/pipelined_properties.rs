@@ -46,9 +46,7 @@ proptest! {
     ) {
         let deployment = Deployment::start(
             DeploymentConfig::aws().with_distributor(
-                DistributorConfig::new(shards, 16)
-                    .with_groups(groups)
-                    .with_adaptive_batch(2),
+                DistributorConfig::new(shards, 16).with_groups(groups),
             ),
         );
         let completions: Arc<Mutex<Vec<(usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
