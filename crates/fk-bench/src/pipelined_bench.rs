@@ -12,7 +12,7 @@
 //! own clocks** and lets each stage batch: the follower processes
 //! conflict-free waves with fanned-out storage I/O, the leader drains
 //! epoch batches, and per-batch overheads (queue dispatch, warm starts,
-//! epoch-mark reads, chunked pops) amortize across the window.
+//! epoch-mark reads, epoch pops) amortize across the window.
 //!
 //! The harness drives one session's writes through the real function
 //! bodies on **three virtual-time contexts** (client / follower /

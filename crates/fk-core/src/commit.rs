@@ -18,7 +18,7 @@ use fk_cloud::kvstore::{KvStore, TransactOp};
 use fk_cloud::objectstore::Tag;
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::{Item, Value};
-use fk_cloud::{CloudError, CloudResult};
+use fk_cloud::CloudResult;
 use fk_sync::LOCK_ATTR;
 
 /// Lock-timestamp sentinel for commit items on keys that are *not* under
@@ -120,43 +120,33 @@ pub fn txq_of(item: Option<&Item>) -> Vec<u64> {
     txids.map(|txid| txid as u64).collect()
 }
 
-/// Pops `txids` from the front of a node's pending-transaction queue
-/// (Algorithm 2 ➎) in a single conditional update guarded by the queue
-/// head, which also leaves `tags` on record ([`record_tags`]) and
-/// removes the `folded` children-log entries. The leader applies a
-/// record only once it heads the `txq` of every node it mutates, so
-/// `txids` head the queue — unless a partial redelivery already popped
-/// some of them. The fallback reads the queue: the popped txids are
-/// skipped, and the rest must head the queue and pop in one more update
-/// (which still removes the entries if nothing is left to pop). A txid
-/// still queued behind another head is a bug of the apply order and
-/// returns an error, touching nothing.
-pub fn pop_pending(kv: &KvStore, ctx: &Ctx, pop: Pop<'_>) -> CloudResult<()> {
-    let key = keys::node(pop.path);
-    let run = |txids: &[u64]| -> CloudResult<()> {
-        let pop = Pop { txids, ..pop };
-        if !pop.is_empty() {
-            kv.update(ctx, &key, &pop_update(&pop), pop_guard(&pop))?;
-        }
-        Ok(())
-    };
-    match run(pop.txids) {
-        // No log left to remove entries from (a purged tombstone).
-        Err(CloudError::ConditionFailed { .. }) if pop.txids.is_empty() => return Ok(()),
-        Err(CloudError::ConditionFailed { .. }) => {}
-        done => return done,
-    }
-    let txq = txq_of(kv.get(ctx, &key).as_ref());
-    let mut left = pop.txids.to_vec();
-    left.retain(|txid| txq.contains(txid));
-    match left.iter().zip(&txq).find(|(txid, head)| txid != head) {
-        None => match run(&left) {
-            Err(CloudError::ConditionFailed { .. }) if left.is_empty() => Ok(()),
-            done => done,
-        },
-        Some((txid, head)) => Err(CloudError::InvalidOperation {
-            detail: format!("txid {txid} of {} is queued behind txid {head}", pop.path),
-        }),
+/// Pops an epoch's transactions off their nodes' pending-transaction
+/// queues (Algorithm 2 ➎) in **one** conditional write, as [`execute`]
+/// commits them: one node's pop is a single update, more are one
+/// transaction. Each node's pop takes its txids off the front of its
+/// `txq`, guarded by the queue head, leaves its tags on record
+/// ([`record_tags`]) and removes its folded children-log entries. The
+/// leader applies a record only once it heads the `txq` of every node it
+/// mutates, so the txids head their queues; a stale head cancels the
+/// whole write, touching nothing, and the epoch fails retryably. No
+/// record is ever popped off some of its nodes and not the others.
+pub fn pop_pending(kv: &KvStore, ctx: &Ctx, pops: &[Pop<'_>]) -> CloudResult<()> {
+    let pops = pops.iter().filter(|pop| !pop.is_empty());
+    let ops: Vec<TransactOp> = pops
+        .map(|pop| TransactOp::Update {
+            key: keys::node(pop.path),
+            update: pop_update(pop),
+            condition: pop_guard(pop),
+        })
+        .collect();
+    match ops.as_slice() {
+        [] => Ok(()),
+        [TransactOp::Update {
+            key,
+            update,
+            condition,
+        }] => kv.update(ctx, key, update, condition.clone()).map(drop),
+        _ => kv.transact(ctx, &ops),
     }
 }
 
@@ -181,48 +171,7 @@ fn pop_update(pop: &Pop<'_>) -> Update {
 fn pop_guard(pop: &Pop<'_>) -> Condition {
     match pop.txids.first() {
         Some(head) => Condition::ListHeadEq(node_attr::TXQ.into(), Value::Num(*head as i64)),
-        None => Condition::Exists(node_attr::PENDING_CHILDREN.into()),
-    }
-}
-
-/// Pops many paths' pending-transaction queues in **one** multi-item
-/// conditional transaction (the chunked counterpart of [`pop_pending`],
-/// capped at [`crate::system_store::TRANSACT_MAX_ITEMS`] entries by the
-/// caller): each item pops its path's txids guarded by its own
-/// queue-head condition — the same guard the per-path pop uses, so the
-/// Z-invariants are unchanged — and records its tags. In the common
-/// case the whole epoch's pops cost one write request. A single stale
-/// head (a redelivered epoch whose earlier delivery already popped)
-/// cancels the chunk; the fallback then runs the per-path pops, which
-/// skip the txids already popped, in entry order (the caller puts the
-/// entries that remove children-log entries first).
-pub fn pop_pending_batch(kv: &KvStore, ctx: &Ctx, entries: &[Pop<'_>]) -> CloudResult<()> {
-    let entries: Vec<Pop<'_>> = entries
-        .iter()
-        .copied()
-        .filter(|pop| !pop.is_empty())
-        .collect();
-    match entries.as_slice() {
-        [] => Ok(()),
-        [single] => pop_pending(kv, ctx, *single),
-        many => {
-            let ops: Vec<TransactOp> = many
-                .iter()
-                .map(|pop| TransactOp::Update {
-                    key: keys::node(pop.path),
-                    update: pop_update(pop),
-                    condition: pop_guard(pop),
-                })
-                .collect();
-            match kv.transact(ctx, &ops) {
-                // A path's head is already past its first txid (partial
-                // redelivery), and nothing was applied: pop per path.
-                Err(CloudError::TransactionCancelled { .. }) => {
-                    many.iter().try_for_each(|pop| pop_pending(kv, ctx, *pop))
-                }
-                done => done,
-            }
-        }
+        None => Condition::ItemExists,
     }
 }
 
@@ -232,6 +181,7 @@ mod tests {
     use crate::messages::SerValue;
     use fk_cloud::metering::Meter;
     use fk_cloud::value::{Item, Value};
+    use fk_cloud::CloudError;
     use fk_cloud::Region;
     use fk_sync::TimedLockManager;
 
@@ -361,28 +311,20 @@ mod tests {
         let (kv, meter, ctx) = pending(&[("/n", &[3, 4, 5, 9])]);
         // Batched pop of a contiguous head run: single update.
         let before = meter.snapshot().kv_ops;
-        pop_pending(&kv, &ctx, pop("/n", &[3, 4, 5], NONE)).unwrap();
+        pop_pending(&kv, &ctx, &[pop("/n", &[3, 4, 5], NONE)]).unwrap();
         assert_eq!(meter.snapshot().kv_ops - before, 1, "one coalesced update");
         assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(9)]);
     }
 
-    #[test]
-    fn pop_pending_falls_back_after_partial_redelivery() {
-        // Head 3 already popped by the pre-crash delivery; 4 and 5 remain.
-        let (kv, _meter, ctx) = pending(&[("/n", &[4, 5])]);
-        pop_pending(&kv, &ctx, pop("/n", &[3, 4, 5], NONE)).unwrap();
-        assert_eq!(txq_of(&kv, &ctx, "/n"), []);
-        // Fully popped already: a second call is a no-op.
-        pop_pending(&kv, &ctx, pop("/n", &[3, 4, 5], NONE)).unwrap();
-    }
-
-    /// A redelivered pop of a txid an earlier delivery popped is a
-    /// no-op: `Ok`, and the queue and its tags stay as they are.
+    /// A redelivered pop of a txid an earlier delivery popped fails its
+    /// head guard and changes nothing: the queue and its tags stay as
+    /// they are.
     #[test]
     fn pop_pending_of_an_already_popped_txid_changes_nothing() {
         use crate::system_store::{keys, ObjTags};
         let (kv, _meter, ctx) = pending(&[("/n", &[5, 6])]);
-        pop_pending(&kv, &ctx, pop("/n", &[3], &[41])).unwrap();
+        let err = pop_pending(&kv, &ctx, &[pop("/n", &[3], &[41])]).unwrap_err();
+        assert!(err.is_condition_failed(), "{err:?}");
         assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(5), Value::Num(6)]);
         let item = kv.get(&ctx, &keys::node("/n"));
         assert!(
@@ -391,24 +333,15 @@ mod tests {
         );
     }
 
-    /// A txid queued behind another head is never popped: the apply
-    /// order let a record through ahead of an earlier one, and the pop
-    /// reports it naming both txids, touching nothing.
+    /// A txid queued behind another head is never popped, alone or
+    /// beside another node's pop: the write fails, touching nothing.
     #[test]
     fn pop_pending_of_a_txid_behind_another_head_is_an_error() {
-        let (kv, _meter, ctx) = pending(&[("/n", &[2, 3])]);
-        let err = pop_pending(&kv, &ctx, pop("/n", &[3], NONE)).unwrap_err();
-        let detail = err.to_string();
-        assert!(
-            detail.contains("txid 3") && detail.contains("txid 2"),
-            "{detail}"
-        );
-        assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(2), Value::Num(3)]);
-        // The same inside a chunk: the cancelled transaction falls back
-        // to the per-path pop, which reports it.
         let (kv, _meter, ctx) = pending(&[("/a", &[1]), ("/n", &[2, 3])]);
+        assert!(pop_pending(&kv, &ctx, &[pop("/n", &[3], NONE)]).is_err());
         let entries: [Pop<'_>; 2] = [pop("/a", &[1], NONE), pop("/n", &[3], NONE)];
-        assert!(pop_pending_batch(&kv, &ctx, &entries).is_err());
+        assert!(pop_pending(&kv, &ctx, &entries).is_err());
+        assert_eq!(txq_of(&kv, &ctx, "/a"), [Value::Num(1)]);
         assert_eq!(txq_of(&kv, &ctx, "/n"), [Value::Num(2), Value::Num(3)]);
     }
 
@@ -422,9 +355,9 @@ mod tests {
         let (kv, meter, ctx) = pending(&stored);
         let entries: Vec<Pop<'_>> = paths.iter().map(|p| pop(p, &[7], NONE)).collect();
 
-        // A full chunk is one transaction and nothing else.
+        // A full epoch's pops are one transaction and nothing else.
         let before = meter.snapshot();
-        pop_pending_batch(&kv, &ctx, &entries).unwrap();
+        pop_pending(&kv, &ctx, &entries).unwrap();
         let used = meter.snapshot().since(&before);
         assert_eq!(used.per_op["kv_transact"], 1);
         assert_eq!(used.per_op["kv_write"], 0);
@@ -434,22 +367,23 @@ mod tests {
 
         // No entries (or only empty ones): no request at all.
         let before = meter.snapshot();
-        pop_pending_batch(&kv, &ctx, &[]).unwrap();
-        pop_pending_batch(&kv, &ctx, &[pop("/n0", &[], NONE), pop("/n1", &[], NONE)]).unwrap();
+        pop_pending(&kv, &ctx, &[]).unwrap();
+        pop_pending(&kv, &ctx, &[pop("/n0", &[], NONE), pop("/n1", &[], NONE)]).unwrap();
         assert_eq!(meter.snapshot().since(&before).kv_ops, 0);
 
         // One effective entry: the single-path conditional update.
         let before = meter.snapshot();
-        pop_pending_batch(&kv, &ctx, &[pop("/n0", &[99], NONE), pop("/n1", &[], NONE)]).unwrap();
+        pop_pending(&kv, &ctx, &[pop("/n0", &[99], NONE), pop("/n1", &[], NONE)]).unwrap();
         let used = meter.snapshot().since(&before);
         assert_eq!(used.per_op["kv_write"], 1);
         assert_eq!(used.per_op["kv_transact"], 0);
         assert_eq!(txq_of(&kv, &ctx, "/n0"), []);
     }
 
+    /// One stale head (`/b`'s 4 is gone) cancels the whole pop: one billed
+    /// transaction, no read, no other write, every `txq` as it was.
     #[test]
-    fn pop_pending_batch_falls_back_on_a_stale_head() {
-        // `/b`'s 4 was popped by an earlier delivery of the same epoch.
+    fn a_stale_head_cancels_the_whole_pop() {
         let (kv, meter, ctx) = pending(&[("/a", &[3, 8]), ("/b", &[6]), ("/c", &[5, 7])]);
         let entries: [Pop<'_>; 3] = [
             pop("/a", &[3], NONE),
@@ -457,28 +391,24 @@ mod tests {
             pop("/c", &[5], NONE),
         ];
         let before = meter.snapshot();
-        pop_pending_batch(&kv, &ctx, &entries).unwrap();
+        let err = pop_pending(&kv, &ctx, &entries).unwrap_err();
+        assert!(
+            matches!(err, CloudError::TransactionCancelled { index: 1, .. }),
+            "{err:?}"
+        );
         let used = meter.snapshot().since(&before);
-        assert_eq!(used.per_op["kv_transact"], 1, "the cancelled chunk");
-        // `/a` and `/c` pop at once; `/b`'s coalesced pop fails its head
-        // guard, then one read finds 4 gone and 6 at the head, and 6 pops.
-        assert_eq!(used.per_op["kv_write"], 2 + 2, "per-path fallback");
-        assert_eq!(used.per_op["kv_read"], 1, "one read of `/b`'s queue");
-        assert_eq!(txq_of(&kv, &ctx, "/a"), [Value::Num(8)]);
-        assert_eq!(txq_of(&kv, &ctx, "/b"), []);
-        assert_eq!(txq_of(&kv, &ctx, "/c"), [Value::Num(7)]);
-
-        // Everything already popped: a repeat changes nothing.
-        pop_pending_batch(&kv, &ctx, &entries).unwrap();
-        assert_eq!(txq_of(&kv, &ctx, "/a"), [Value::Num(8)]);
-        assert_eq!(txq_of(&kv, &ctx, "/b"), []);
-        assert_eq!(txq_of(&kv, &ctx, "/c"), [Value::Num(7)]);
+        assert_eq!(used.per_op["kv_transact"], 1, "the cancelled transaction");
+        let count = |label: &str| used.per_op.get(label).copied().unwrap_or(0);
+        assert_eq!(count("kv_write"), 0, "no per-path pop");
+        assert_eq!(count("kv_read"), 0, "no read of a queue");
+        assert_eq!(txq_of(&kv, &ctx, "/a"), [Value::Num(3), Value::Num(8)]);
+        assert_eq!(txq_of(&kv, &ctx, "/b"), [Value::Num(6)]);
+        assert_eq!(txq_of(&kv, &ctx, "/c"), [Value::Num(5), Value::Num(7)]);
     }
 
     /// The pop records the tags its epoch's write left — in the
-    /// coalesced update, in a transaction item, and in the fallback's
-    /// pop — and an empty set removes older ones, all without a request
-    /// of its own.
+    /// coalesced update and in a transaction item — and an empty set
+    /// removes older ones, all without a request of its own.
     #[test]
     fn pops_record_the_tags_without_extra_requests() {
         use crate::system_store::{keys, node_attr, ObjTags};
@@ -488,8 +418,8 @@ mod tests {
         };
         let (kv, meter, ctx) = pending(&[("/a", &[3, 4]), ("/b", &[5]), ("/c", &[6, 7])]);
         let before = meter.snapshot();
-        pop_pending(&kv, &ctx, pop("/a", &[3], tagged)).unwrap();
-        pop_pending_batch(
+        pop_pending(&kv, &ctx, &[pop("/a", &[3], tagged)]).unwrap();
+        pop_pending(
             &kv,
             &ctx,
             &[pop("/b", &[5], tagged), pop("/c", &[6], tagged)],
@@ -500,18 +430,16 @@ mod tests {
         for path in ["/a", "/b", "/c"] {
             assert_eq!(tags_of(&kv, &ctx, path), [41], "{path}");
         }
-        // A stale head: the fallback's pop records the tags too.
-        pop_pending(&kv, &ctx, pop("/a", &[3, 4], &[42])).unwrap();
-        assert_eq!(tags_of(&kv, &ctx, "/a"), [42]);
         // Nothing to record: the pop removes what was there.
-        pop_pending(&kv, &ctx, pop("/c", &[7], NONE)).unwrap();
+        pop_pending(&kv, &ctx, &[pop("/c", &[7], NONE)]).unwrap();
         let item = kv.get(&ctx, &keys::node("/c")).unwrap();
         assert!(!item.contains(node_attr::TAGS));
     }
 
     /// The folded children-log entries leave by value: beside a `txq`
     /// pop or alone, once or again. A pop of no txid never recreates an
-    /// item a tombstone purge removed, alone or in a chunk.
+    /// item a tombstone purge removed: alone or beside another node's
+    /// pop, it fails and writes nothing.
     #[test]
     fn pops_remove_folded_children_entries_and_recreate_no_item() {
         use crate::system_store::{keys, node_attr, ChildEntry};
@@ -524,7 +452,7 @@ mod tests {
             }
             .to_value()
         };
-        let (kv, _meter, ctx) = pending(&[("/p", &[]), ("/p/a", &[3])]);
+        let (kv, _meter, ctx) = pending(&[("/p", &[]), ("/p/a", &[3]), ("/p/b", &[5])]);
         let log = vec![entry(3, "a"), entry(5, "b")];
         let append = Update::new().list_append(node_attr::PENDING_CHILDREN, log);
         kv.update(&ctx, &keys::node("/p"), &append, Condition::Always)
@@ -538,19 +466,20 @@ mod tests {
             folded: &folded,
             ..pop("/p", &[], NONE)
         };
-        pop_pending_batch(&kv, &ctx, &[parent, pop("/p/a", &[3], NONE)]).unwrap();
+        pop_pending(&kv, &ctx, &[parent, pop("/p/a", &[3], NONE)]).unwrap();
         assert_eq!(logged(&kv), [entry(5, "b")]);
         assert_eq!(txq_of(&kv, &ctx, "/p/a"), []);
-        pop_pending(&kv, &ctx, parent).unwrap();
+        pop_pending(&kv, &ctx, &[parent]).unwrap();
         assert_eq!(logged(&kv), [entry(5, "b")], "again: no change");
 
         let gone = Pop {
             path: "/gone",
             ..parent
         };
-        pop_pending(&kv, &ctx, gone).unwrap();
-        pop_pending_batch(&kv, &ctx, &[gone, parent]).unwrap();
+        assert!(pop_pending(&kv, &ctx, &[gone]).is_err());
+        assert!(pop_pending(&kv, &ctx, &[gone, pop("/p/b", &[5], NONE)]).is_err());
         assert!(kv.get(&ctx, &keys::node("/gone")).is_none());
+        assert_eq!(txq_of(&kv, &ctx, "/p/b"), [Value::Num(5)], "nothing landed");
     }
 
     #[test]

@@ -45,11 +45,11 @@
 //! 4. **Ordered finalization** — a single epoch-counter bump per region
 //!    publishes all watch ids fired by the epoch before any later
 //!    transaction commits (Z4), the per-node pending queues are popped in
-//!    chunked ≤ 25-item transactions with per-item head guards
-//!    ([`crate::commit::pop_pending_batch`]) that also record the object
-//!    tags the epoch's writes left and remove the folded children-log
-//!    entries, and client notifications go
-//!    out per session in txid order (Z2), the sessions in parallel.
+//!    **one** conditional write per epoch, each node's pop guarded by its
+//!    queue head ([`crate::commit::pop_pending`]), which also records the
+//!    object tags the epoch's writes left and removes the folded
+//!    children-log entries, and client notifications go out per session
+//!    in txid order (Z2), the sessions in parallel.
 //!
 //! The formal serverless model of Gabbrielli et al. ("No more, no less")
 //! licenses exactly this transformation: fan-out order is unobservable as
@@ -141,10 +141,8 @@ pub struct CommittedTx<'a> {
     /// The confirmed change.
     pub record: &'a LeaderRecord,
     /// Per-sub payload bytes (inline, or fetched from staging), aligned
-    /// with `record.ops`; empty for subs that write no node. `None` for
-    /// a sub that is neither applied nor popped: an earlier delivery
-    /// applied it and popped its node's `txq`.
-    pub data: Vec<Option<Bytes>>,
+    /// with `record.ops`; empty for subs that write no node.
+    pub data: Vec<Bytes>,
     /// Distributed from *behind* a held record of its queue batch (the
     /// leader's skip-ahead): earlier records of the lane are still
     /// undistributed, so the txid must not count toward the group's
@@ -829,19 +827,18 @@ impl Distributor {
 
     /// Pops the distributed transactions from their nodes' pending queues
     /// and purges drained tombstones — system-store bookkeeping only, no
-    /// user-store access. The per-path pops coalesce across paths into
-    /// chunked ≤ 25-item transactions with per-item head guards
-    /// ([`crate::commit::pop_pending_batch`]): N distinct paths per epoch
-    /// cost ⌈N/25⌉ write requests. Each pop also leaves on its node item
-    /// the object tags the epoch's apply returned for the path (`tags`),
-    /// in the same update: recording them costs no request.
+    /// user-store access. Every node's pop goes out in **one** conditional
+    /// write ([`crate::commit::pop_pending`]): the leader cuts its epochs
+    /// so that one holds at most [`crate::system_store::TRANSACT_MAX_ITEMS`]
+    /// nodes to pop (unless a lone record needs more), and a record is
+    /// popped off all of its nodes or none. Each pop also leaves on its
+    /// node item the object tags the epoch's apply returned for the path
+    /// (`tags`), in the same update: recording them costs no request.
     ///
     /// The pops also remove, by value, the pending children-log entries
     /// the epoch folded (`folded_entries`): for each parent, every entry
     /// `logs` holds up to the epoch's last change of it, and that
-    /// change's own. Those entries, and their removals, ride the chunks
-    /// that land first: a record whose `txq` pop landed never leaves its
-    /// entry behind, even if a later chunk fails.
+    /// change's own.
     pub fn finalize_epoch(
         &self,
         ctx: &Ctx,
@@ -851,8 +848,7 @@ impl Distributor {
     ) -> CloudResult<()> {
         // Per path, in txid order: the txids to pop and whether the last
         // transaction deleted the node. A record contributes each
-        // *mutating* sub path once (checks never enter the txq), unless
-        // an earlier delivery popped it (its `data` is `None`).
+        // *mutating* sub path once (checks never enter the txq).
         let mut per_path: OrderedMap<&str, (Vec<u64>, bool)> = OrderedMap::new();
         // A duplicated queue delivery puts the *same* committed record in
         // the epoch twice, but its txid sits in the path's `txq` exactly
@@ -861,50 +857,34 @@ impl Distributor {
         // concurrently) and strand it as "already processed" before it
         // ever distributed. Dedupe per path: same-path txids arrive in
         // txid order, so duplicates are adjacent.
-        let push_once = |entry: &mut (Vec<u64>, bool), txid: u64| {
-            if entry.0.last() != Some(&txid) {
-                entry.0.push(txid);
-            }
-        };
         for tx in items {
-            let subs = tx.record.ops.iter().zip(&tx.data);
-            for (sub, _) in subs.filter(|(sub, data)| sub.mutates() && data.is_some()) {
-                let entry = per_path.get_or_insert_with(sub.path.as_str(), Default::default);
-                push_once(entry, tx.txid);
-                entry.1 = sub.is_delete;
+            for sub in tx.record.ops.iter().filter(|sub| sub.mutates()) {
+                let (txids, deleted) =
+                    per_path.get_or_insert_with(sub.path.as_str(), Default::default);
+                if txids.last() != Some(&tx.txid) {
+                    txids.push(tx.txid);
+                }
+                *deleted = sub.is_delete;
             }
         }
         let folded = folded_entries(items, logs);
         for path in folded.keys() {
             per_path.get_or_insert_with(path, Default::default);
         }
-        // Chunked transactional pops across paths, then the (rare)
-        // tombstone purges for deleted paths.
-        let mut entries: Vec<crate::commit::Pop<'_>> = per_path
+        let pops: Vec<crate::commit::Pop<'_>> = per_path
             .keys()
-            .map(|path| {
-                let (txids, _) = per_path.get(path).expect("keyed from map");
-                crate::commit::Pop {
-                    path,
-                    txids,
-                    tags: tags.get(*path).map_or(&[][..], Vec::as_slice),
-                    folded: folded.get(*path).map_or(&[][..], Vec::as_slice),
-                }
+            .map(|path| crate::commit::Pop {
+                path,
+                txids: &per_path.get(path).expect("keyed from map").0,
+                tags: tags.get(*path).map_or(&[][..], Vec::as_slice),
+                folded: folded.get(*path).map_or(&[][..], Vec::as_slice),
             })
             .collect();
-        entries.sort_by_key(|pop| pop.folded.is_empty());
-        let chunks: Vec<&[crate::commit::Pop<'_>]> = entries
-            .chunks(crate::system_store::TRANSACT_MAX_ITEMS)
-            .collect();
-        let folding = chunks
-            .iter()
-            .take_while(|chunk| !chunk[0].folded.is_empty());
-        let (first, rest) = chunks.split_at(folding.count());
-        // A txid queued behind another head is an error and stays
-        // fatal; only txids an earlier delivery popped are skipped.
-        for wave in [first, rest].into_iter().filter(|wave| !wave.is_empty()) {
-            fan_out(ctx, wave.len(), |i, child| {
-                crate::commit::pop_pending_batch(self.system.kv(), child, wave[i])
+        // Two waves on forked contexts: the epoch's one pop, then the
+        // purges of the tombstones it drained.
+        if !pops.is_empty() {
+            fan_out(ctx, 1, |_, child| {
+                crate::commit::pop_pending(self.system.kv(), child, &pops)
             })?;
         }
         let deleted: Vec<&str> = per_path
@@ -922,8 +902,7 @@ impl Distributor {
 /// in op order (they share the record's txid: one atomic unit).
 fn effects_of<'a>(tx: &'a CommittedTx<'_>) -> impl Iterator<Item = Effect<'a>> {
     let subs = tx.record.ops.iter().zip(&tx.data);
-    let applied = subs.filter_map(|(sub, data)| Some((sub, data.as_ref()?)));
-    applied.flat_map(|(sub, data)| effects_of_update(&sub.user_update, data, tx.txid))
+    subs.flat_map(|(sub, data)| effects_of_update(&sub.user_update, data, tx.txid))
 }
 
 /// The 1–2 effects of one user-store update, in order: the node's own,
@@ -956,7 +935,7 @@ fn effects_of_update<'a>(
 /// The pending children-log entries an epoch folds, by parent: every
 /// entry `logs` holds up to the epoch's last change of the parent, and
 /// that change's own entries (which the log may not show yet), in their
-/// stored form.
+/// stored form. A parent `logs` shows purged has none.
 fn folded_entries<'a>(
     items: &'a [CommittedTx<'_>],
     logs: &ChildLogs<'_>,
@@ -976,7 +955,17 @@ fn folded_entries<'a>(
     }
     let mut folded = OrderedMap::new();
     for (parent, fold) in last.into_entries() {
-        let logged = log_of(logs, parent).entries.iter();
+        let log = log_of(logs, parent);
+        if log.created == 0 {
+            // The read wave found no incarnation of the parent: a
+            // tombstone purge took its log, and these entries with it.
+            // (A change's parent exists from before its record is
+            // pushed until its commit releases the lock, so the purge
+            // came after the commit.) Its pop would fail on the
+            // missing item.
+            continue;
+        }
+        let logged = log.entries.iter();
         let logged = logged.filter(|entry| entry.txid <= fold.txid).cloned();
         let own = fold.own.into_iter().map(|(name, added)| ChildEntry {
             txid: fold.txid,
@@ -1549,7 +1538,7 @@ mod tests {
                 msg_index: 0,
                 txid: record.txid,
                 record,
-                data: vec![Some(Bytes::new()); record.ops.len()],
+                data: vec![Bytes::new(); record.ops.len()],
                 ahead: false,
                 tags: ObjTags::default(),
             })
@@ -1685,7 +1674,7 @@ mod tests {
                     msg_index: 0,
                     txid: record.txid,
                     record,
-                    data: vec![Some(Bytes::from_static(b"y"))],
+                    data: vec![Bytes::from_static(b"y")],
                     ahead: false,
                     tags: ObjTags::default(),
                 })
@@ -1761,8 +1750,8 @@ mod tests {
             UserUpdate::WriteNode {
                 payload: Payload::Inline { data },
                 ..
-            } => Some(data.clone()),
-            _ => Some(Bytes::new()),
+            } => data.clone(),
+            _ => Bytes::new(),
         });
         let item = CommittedTx {
             msg_index: 0,
@@ -1808,6 +1797,9 @@ mod tests {
     ///   first change, distributed before them (and before `/q`'s own
     ///   re-create), ignores their entries and its pop clears them;
     ///   their late deliveries change nothing.
+    /// * `/r` is deleted and purged before its child's delete
+    ///   distributes, taking that delete's entry: its pop leaves `/r`
+    ///   alone.
     #[test]
     fn cross_lane_children_fold() {
         let tier = Tier::new();
@@ -1832,6 +1824,8 @@ mod tests {
         };
         tier.commit(vec![create("/p")]);
         tier.commit(vec![create("/q")]);
+        tier.commit(vec![create("/r")]);
+        tier.commit(vec![create("/r/z")]);
 
         // `a` and `c` on one lane, `b` on the other.
         let lane = |name: &str| fk_cloud::queue::group_of(&format!("/p/{name}"), 2);
@@ -1898,6 +1892,13 @@ mod tests {
         assert_eq!(frame("/q"), before, "the old incarnation's late changes");
         assert_eq!(system.get_node(ctx, "/q"), item);
         assert_eq!(tier.children_of("/q"), ["y"]);
+
+        tier.submit(vec![delete("/r/z"), delete("/r")]);
+        let [unz, unr] = <[LeaderRecord; 2]>::try_from(pushed_records(&tier)).unwrap();
+        deliver(&tier, &distributor, &unr, true);
+        assert!(system.get_node(ctx, "/r").is_none(), "purged");
+        deliver(&tier, &distributor, &unz, true);
+        assert!(system.get_node(ctx, "/r").is_none(), "not recreated");
         tier.assert_integrity();
     }
 }

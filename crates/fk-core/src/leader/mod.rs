@@ -13,9 +13,9 @@
 //! its session predecessor (possibly on another shard group) is covered
 //! neither by the session's high-water mark nor by an earlier eligible
 //! record of the batch, or (b) an earlier record of its session in this
-//! batch is held, or (the `txq` rule) a txid ahead of its own in the
-//! `txq` of a node it mutates belongs to no earlier eligible record of
-//! the batch; everything else is *eligible*, even behind a held record.
+//! batch is held, or (the `txq` rule) it does not head the `txq` of a
+//! node it mutates, once the batch's earlier eligible records pop;
+//! everything else is *eligible*, even behind a held record.
 //! The marks (a) may need (`plan::mark_probes`) come back in **one**
 //! parallel wave of strong reads, none for a session the warm instance
 //! or the batch already covers. The rules run on what the batch shows,
@@ -38,12 +38,13 @@
 //! is answered from it in memory), and each region's epoch marks for
 //! the batch's first epoch. A batch with nothing to distribute (wholly
 //! held, or deregistrations only) issues none of it. Missing commits
-//! are then repaired one by one: `TryCommit` on the failed follower's
-//! behalf, rejecting the request if the locks were lost. ➋ **Segment**
-//! the committed records into *epochs* (`plan::segment`), by one rule
-//! for single and `multi` records alike: a record starts a new epoch
-//! iff one of its children rewrites targets a node written earlier in
-//! the epoch, is alone in its epoch iff that conflict is internal to
+//! (`plan::commit_state`) are then repaired one by one: `TryCommit` on
+//! the failed follower's behalf, rejecting the request if the locks were
+//! lost. ➋ **Segment** the committed records into *epochs*
+//! (`plan::segment`), by one rule for single and `multi` records alike:
+//! a record starts a new epoch iff one of its children rewrites targets
+//! a node written earlier in the epoch or its pops would overfill one
+//! transaction, is alone in its epoch iff that conflict is internal to
 //! it, and ends its epoch iff it has live watch registrations (answered
 //! from the wave, which holds for the whole batch: segmentation runs
 //! before any epoch consumes). A `multi` is never split. ➌
@@ -61,8 +62,8 @@
 //! bump per region before later transactions commit (Z4), and dispatch
 //! the deliveries. ➎ **Bookkeeping wave** — advance the distributed
 //! sessions' high-water marks and pop the transactions from their
-//! nodes' pending queues (coalesced conditional updates, which also
-//! record the epoch's object tags) in one parallel wave; then drop
+//! nodes' pending queues (one conditional write per epoch, which also
+//! records its object tags) in one parallel wave; then drop
 //! staged payloads and notify clients — each session's results in
 //! transaction order, the sessions in parallel.
 //! Pops follow ➍ so that a failure there redelivers
@@ -92,8 +93,9 @@ use fk_cloud::trace::Ctx;
 use fk_cloud::value::Value;
 use fk_cloud::{CloudError, ObjectStore};
 use plan::{
-    epoch_results, epoch_sessions, hold_back, kinds_for, mark_probes, merge_fires, mutated_paths,
-    segment, updates, BatchFires, Decoded, Epoch, Fire, KindSet, Sequenced, Txqs, Warm,
+    commit_state, epoch_results, epoch_sessions, hold_back, kinds_for, mark_probes, merge_fires,
+    mutated_paths, segment, updates, BatchFires, CommitState, Decoded, Epoch, Fire, KindSet,
+    Sequenced, Txqs, Warm,
 };
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -147,22 +149,12 @@ pub struct Leader {
     floors: Option<Arc<crate::replica::CommittedFloors>>,
 }
 
-/// Commit state of one record after verification (Algorithm 2 ➊).
-#[derive(Clone, Copy)]
-enum CommitState {
-    /// A `txq` of a node it mutates holds its txid. The commit queues it
-    /// on every node at once and the pops take it off one by one.
-    Committed,
-    AlreadyProcessed,
-    Missing,
-}
-
 /// Outcome of phase ➊/➋ for one record: either it distributes, or it was
 /// fully handled (notified / deregistered / rejected).
 enum Disposition {
     /// Distribute, with the per-sub resolved payloads (aligned with
     /// `record.ops`, as `CommittedTx::data`).
-    Distribute(Vec<Option<Bytes>>),
+    Distribute(Vec<Bytes>),
     Done,
 }
 
@@ -544,9 +536,9 @@ impl Leader {
     }
 
     /// Phase ➊ repair: classifies the commit of `txid` from the read
-    /// wave's `txqs` and the `version` of the record's node, and turns it
-    /// into a disposition, running `TryCommit` for missing commits and
-    /// notifying terminal outcomes.
+    /// wave's `txqs` and the `version` of the record's node
+    /// ([`plan::commit_state`]), and turns it into a disposition, running
+    /// `TryCommit` for missing commits and notifying terminal outcomes.
     fn resolve_disposition(
         &self,
         ctx: &Ctx,
@@ -577,13 +569,7 @@ impl Leader {
             self.bus.deregister(&record.session_id);
             return Ok(Disposition::Done);
         }
-        let queued = |path: &str| txqs.get(path).is_some_and(|txq| txq.contains(&txid));
-        let state = match version {
-            _ if mutated_paths(record).any(queued) => CommitState::Committed,
-            Some(version) if version as u64 >= txid => CommitState::AlreadyProcessed,
-            _ => CommitState::Missing,
-        };
-        match state {
+        match commit_state(txid, record, version, txqs) {
             CommitState::Committed => {}
             CommitState::AlreadyProcessed => {
                 // Redelivery after a leader crash: the user store already
@@ -648,17 +634,8 @@ impl Leader {
                 }
             }
         }
-        // Pops follow the whole epoch's distribution, so a committed
-        // record an earlier delivery popped off some of its nodes was
-        // applied in full. Those subs are neither applied again (a later
-        // record may have written the node since) nor popped.
-        let committed = matches!(state, CommitState::Committed);
-        let data = record.ops.iter().map(|sub| {
-            let popped = committed && sub.mutates() && !queued(&sub.path);
-            (!popped)
-                .then(|| self.resolve_payload(ctx, &sub.user_update))
-                .transpose()
-        });
+        let data = record.ops.iter();
+        let data = data.map(|sub| self.resolve_payload(ctx, &sub.user_update));
         Ok(Disposition::Distribute(data.collect::<Result<_, _>>()?))
     }
 
@@ -734,8 +711,8 @@ impl Leader {
         // ➎ the epoch's bookkeeping, one parallel wave: advance each
         // session's distribution high-water mark (so successors held
         // back on other shard groups may proceed) and pop the
-        // transactions from their nodes' pending queues (coalesced per
-        // path, recording the epoch's object tags in the same updates;
+        // transactions from their nodes' pending queues (one conditional
+        // write, recording the epoch's object tags in the same update;
         // purges the tombstones of deleted nodes once their pops landed).
         //
         // The pops stay behind ➍: a failure in ➍ must redeliver the

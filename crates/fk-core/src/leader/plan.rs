@@ -1,6 +1,7 @@
 //! The leader's decisions over one queue batch, as pure functions of
 //! data: which records are held back and why ([`hold_back`], with the
-//! session marks it may need listed up front by [`mark_probes`]), which
+//! session marks it may need listed up front by [`mark_probes`]), what
+//! the read wave says of each record's commit ([`commit_state`]), which
 //! watch classes each record can fire ([`BatchFires`]), and how the
 //! committed records are cut into epochs ([`segment`]). Nothing here
 //! touches storage or the clock: the I/O shell in the parent module
@@ -9,7 +10,7 @@
 use crate::api::{WatchEventType, WatchKind};
 use crate::distributor::CommittedTx;
 use crate::messages::{LeaderRecord, UserUpdate};
-use crate::system_store::WatchInstance;
+use crate::system_store::{WatchInstance, TRANSACT_MAX_ITEMS};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -59,7 +60,8 @@ pub(super) enum Rule {
     /// (b) An earlier record of its session in the batch is held.
     Session,
     /// A txid ahead of its own in the `txq` of a node it mutates belongs
-    /// to no earlier eligible record of the batch.
+    /// to no earlier eligible record of the batch, or that `txq` lacks
+    /// its txid while another node's holds it.
     Txq,
     /// A deregistration never skips ahead of a held record.
     Deregistration,
@@ -135,7 +137,11 @@ pub(super) type Txqs<'a> = HashMap<&'a str, Vec<u64>>;
 ///   its own belongs to no earlier eligible record of the batch. That
 ///   `txq` is `txqs`' plus the txids of the batch's earlier records that
 ///   mutate the node: empty `txqs` (before the read wave) give what the
-///   batch alone shows, and the wave's only hold more.
+///   batch alone shows, and the wave's only hold more. The rule also
+///   holds a record whose txid one read `txq` holds and another lacks:
+///   it does not head the latter. Its commit, or its pop, landed between
+///   the two reads (each is one write); the deferral's re-read resolves
+///   it.
 ///
 /// A deregistration never skips ahead of a held record, and a record
 /// this instance already applied ahead is skipped. Everything else is
@@ -164,11 +170,13 @@ pub(super) fn hold_back<'a>(batch: &'a [Decoded], warm: &Warm, txqs: &Txqs) -> S
             let mut txq = txqs.get(path).into_iter().chain(queued.get(path)).flatten();
             txq.any(|ahead| *ahead < txid && !out.eligible.iter().any(|(_, t, _)| t == ahead))
         };
+        let read = || mutated_paths(record).filter_map(|p| Some(txqs.get(p)?.contains(&txid)));
+        let torn = || read().any(|queued| queued) && read().any(|queued| !queued);
         let rule = if record.deregister_session && !out.held.is_empty() {
             Some(Rule::Deregistration)
         } else if held_sessions.contains(session) {
             Some(Rule::Session)
-        } else if mutated_paths(record).any(blocked) {
+        } else if mutated_paths(record).any(blocked) || torn() {
             Some(Rule::Txq)
         } else if !predecessor_known(record, &in_batch, warm) {
             Some(Rule::Predecessor)
@@ -203,6 +211,36 @@ fn predecessor_known(record: &LeaderRecord, seen: &HashMap<&str, u64>, warm: &Wa
 fn note_txid<'a>(seen: &mut HashMap<&'a str, u64>, session: &'a str, txid: u64) {
     let entry = seen.entry(session).or_insert(0);
     *entry = (*entry).max(txid);
+}
+
+/// Commit state of one eligible record (Algorithm 2 ➊).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum CommitState {
+    /// Every node it mutates queues its txid ([`hold_back`] holds a
+    /// record read on some of them only).
+    Committed,
+    /// None does, and its node's version is at or past it: popped.
+    AlreadyProcessed,
+    /// Neither: not committed (yet, or ever); the leader runs `TryCommit`.
+    Missing,
+}
+
+/// Phase ➊: the commit state of the eligible record `txid`, from the
+/// read wave's `txqs` and the `version` of the record's node. One `txq`
+/// decides — `any`, not `all`: a check-only `multi` mutates no node, and
+/// `all` over none would hold.
+pub(super) fn commit_state(
+    txid: u64,
+    record: &LeaderRecord,
+    version: Option<i64>,
+    txqs: &Txqs,
+) -> CommitState {
+    let queued = |path: &str| txqs.get(path).is_some_and(|txq| txq.contains(&txid));
+    match version {
+        _ if mutated_paths(record).any(queued) => CommitState::Committed,
+        Some(version) if version as u64 >= txid => CommitState::AlreadyProcessed,
+        _ => CommitState::Missing,
+    }
 }
 
 /// One watch class a record fires; the path is borrowed from the record.
@@ -298,6 +336,11 @@ impl Epoch<'_> {
 ///   isolating the record keeps the visibility reasoning local to it
 ///   (all subs share the txid, so no cross-transaction order can be
 ///   observed against them);
+/// * **starts a new epoch** also iff its pop items (the nodes it mutates
+///   and the parents whose children it changes) would take the epoch's
+///   past [`TRANSACT_MAX_ITEMS`]: an epoch pops in one transaction
+///   (`Distributor::finalize_epoch`). A lone record that needs more pops
+///   them in one, as its commit did;
 /// * **ends its epoch** iff its watches will fire (only those
 ///   transactions advance the region epoch counters);
 /// * and otherwise joins the current epoch. A multi is never split: its
@@ -314,19 +357,24 @@ pub(super) fn segment<'a>(
 ) -> Vec<Epoch<'a>> {
     let mut epochs: Vec<Epoch<'a>> = Vec::new();
     let mut current = Epoch::default();
-    // Node paths written by a `WriteNode` earlier in the current epoch.
-    let mut written: HashSet<&'a str> = HashSet::new();
+    // Node paths written by a `WriteNode` earlier in the current epoch,
+    // and the nodes it pops.
+    let (mut written, mut pops): (HashSet<&'a str>, HashSet<&'a str>) = Default::default();
     for (tx, fires) in committed {
         let record: &'a LeaderRecord = tx.record;
         let targets = || updates(record).filter_map(children_target);
         let writes = || updates(record).filter_map(written_path);
         let conflict = targets().any(|parent| written.contains(parent));
         let internal = targets().any(|parent| writes().any(|path| path == parent));
-        if (conflict || internal) && !current.items.is_empty() {
+        let popped = || mutated_paths(record).chain(targets());
+        let fresh: HashSet<&str> = popped().filter(|path| !pops.contains(path)).collect();
+        let full = pops.len() + fresh.len() > TRANSACT_MAX_ITEMS;
+        if (conflict || internal || full) && !current.items.is_empty() {
             epochs.push(std::mem::take(&mut current));
-            written.clear();
+            (written, pops) = Default::default();
         }
         written.extend(writes());
+        pops.extend(popped());
         let fires_now = fires.iter().any(|fire| {
             live.get(fire.path)
                 .is_some_and(|kinds| kinds.fires(fire.event))
@@ -337,7 +385,7 @@ pub(super) fn segment<'a>(
         }
         if fires_now || internal {
             epochs.push(std::mem::take(&mut current));
-            written.clear();
+            (written, pops) = Default::default();
         }
     }
     if !current.items.is_empty() {

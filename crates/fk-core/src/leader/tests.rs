@@ -913,9 +913,10 @@ fn round_trip_budget_bookkeeping_wave_is_max_of_marks_and_pops() {
     );
 }
 
-/// The bookkeeping wave's budget in requests: an epoch of N sessions
-/// over N distinct paths writes the system store ⌈N/25⌉ times for
-/// its marks and ⌈N/25⌉ times for its pops.
+/// The bookkeeping wave's budget in requests: an epoch pops at most 25
+/// nodes, in one write, so a batch of N sessions over N distinct paths
+/// runs in ⌈N/25⌉ epochs, each writing the system store once for its
+/// marks and once for its pops.
 #[test]
 fn round_trip_budget_bookkeeping_is_one_write_per_25_items() {
     for (n, requests) in [(16, 1 + 1), (30, 2 + 2)] {
@@ -1081,30 +1082,20 @@ fn crash_between_pops_and_notifications_acks_exactly_once() {
     assert_eq!(&tier.stored(&node).unwrap().data[..], b"big");
 }
 
-/// A `multi` whose pops an exhausted retry cut in two: the epoch's
-/// first pop chunk (25 paths, `/y` among them) fails, the second
-/// (`/x`, the multi's first node) lands. The redelivery reads the
-/// multi as committed from `/y`'s `txq` and pops it there, without
-/// writing `/x` again over the later `set_data` of the same epoch; a
-/// later write to `/y` then applies at once.
+/// A `multi` whose epoch pop is cancelled (an exhausted retry) stays
+/// queued on every node it mutates. The redelivery applies it once,
+/// under the later `set_data` of its epoch, and pops both nodes.
 #[test]
-fn a_multi_popped_off_one_node_pops_the_rest_on_redelivery() {
+fn a_multi_whose_pop_is_cancelled_stays_queued_on_every_node() {
     use crate::messages::MultiOp;
     let tier = Lanes::new(1);
     let endpoint = tier.session("s");
-    let fillers: Vec<String> = (0..24).map(|i| format!("/p{i}")).collect();
-    let nodes = ["/x", "/y"].map(String::from);
-    for (request_id, path) in (1..).zip(nodes.iter().chain(&fillers)) {
+    for (request_id, path) in (1..).zip(["/x", "/y"]) {
         tier.submit("s", request_id, create(path));
     }
     tier.run_follower();
-    assert_eq!(tier.drain(0).unwrap(), 26);
+    assert_eq!(tier.drain(0).unwrap(), 2);
 
-    // `/y` and the fillers fill the first chunk; `/x` starts the second.
-    tier.submit("s", 30, set("/y", b"y"));
-    for (request_id, path) in (31..).zip(&fillers) {
-        tier.submit("s", request_id, set(path, b"p"));
-    }
     let set_both = ["/x", "/y"].map(|path| MultiOp::SetData {
         path: path.into(),
         payload: Payload::inline(b"multi"),
@@ -1112,29 +1103,25 @@ fn a_multi_popped_off_one_node_pops_the_rest_on_redelivery() {
     });
     tier.submit(
         "s",
-        60,
+        3,
         WriteOp::Multi {
             ops: set_both.into(),
         },
     );
-    tier.submit("s", 61, set("/x", b"later x"));
+    tier.submit("s", 4, set("/x", b"later x"));
     tier.run_follower();
     let kv = tier.deployment.system().kv();
     kv.install_chaos(exhausted_retries(1, |plan, spec| plan.kv_cancel = spec));
     let err = tier.drain(0).unwrap_err();
     assert!(err.retryable && err.failed_index == 0, "{err:?}");
-    assert_eq!((txq_len(&tier, "/x"), txq_len(&tier, "/y")), (0, 2));
+    assert_eq!((txq_len(&tier, "/x"), txq_len(&tier, "/y")), (2, 1));
+    assert_eq!(request_ids(&acked(&endpoint)), [1, 2], "nothing answered");
 
-    assert_eq!(tier.drain(0).unwrap(), 27);
+    assert_eq!(tier.drain(0).unwrap(), 2);
     assert_eq!((txq_len(&tier, "/x"), txq_len(&tier, "/y")), (0, 0));
     assert_eq!(&tier.stored("/x").unwrap().data[..], b"later x");
-    tier.submit("s", 62, set("/y", b"later y"));
-    tier.run_follower();
-    assert_eq!(tier.drain(0).unwrap(), 1, "not held behind the multi");
-    assert_eq!(txq_len(&tier, "/y"), 0);
-    assert_eq!(&tier.stored("/y").unwrap().data[..], b"later y");
-    let acks = request_ids(&acked(&endpoint));
-    assert_eq!(acks.len(), 26 + 27 + 1, "every write answered once");
+    assert_eq!(&tier.stored("/y").unwrap().data[..], b"multi");
+    assert_eq!(request_ids(&acked(&endpoint)), [3, 4], "answered once");
     assert_eq!(tier.leaders[0].applied_ahead(), 0);
 }
 
@@ -1872,6 +1859,39 @@ fn hold_back_table() {
     }
 }
 
+/// ROADMAP item 17's torn read, on data alone: the read wave finds the
+/// txid of `multi[create /p/c, set_data /p]` on one node only (its
+/// commit, or its pop, landed between the reads). The `txq` rule holds
+/// it — it does not head the other node — instead of its create being
+/// dropped as already popped. A re-read that agrees classifies it.
+#[test]
+fn a_multi_read_committed_on_one_node_only_is_held_not_dropped() {
+    let multi = vec![write_node("/p/c", Some("/p")), write_node("/p", None)];
+    let batch = decoded(vec![record("s", 7, 0, multi)]);
+    let none = warm(&[], &[]);
+    for torn in [
+        [("/p", vec![7]), ("/p/c", vec![])],
+        [("/p", vec![]), ("/p/c", vec![7])],
+    ] {
+        let want = (vec![], vec![held(0, Rule::Txq)], vec![]);
+        assert_eq!(verdict(&batch, &none, &torn), want, "{torn:?}");
+    }
+    use CommitState::*;
+    let (_, txid, multi) = &batch[0];
+    let state = |txqs: [(&'static str, Vec<u64>); 2], version| {
+        assert_eq!(verdict(&batch, &none, &txqs).0, [0], "{txqs:?}: eligible");
+        commit_state(*txid, multi, version, &txqs.into_iter().collect())
+    };
+    let both = [("/p", vec![7]), ("/p/c", vec![7])];
+    let neither = [("/p", vec![]), ("/p/c", vec![])];
+    assert_eq!(state(both, Some(3)), Committed);
+    assert_eq!(state(neither.clone(), Some(3)), Missing);
+    assert_eq!(state(neither, Some(7)), AlreadyProcessed);
+    // A check-only `multi` mutates no node: no `txq` speaks for it.
+    let checked = record("s", 8, 0, vec![check("/p")]);
+    assert_eq!(commit_state(8, &checked, None, &Txqs::new()), Missing);
+}
+
 /// The mark wave reads each session at most once, and only where no
 /// earlier record of the batch, no remembered mark and no applied-ahead
 /// skip answers.
@@ -1929,7 +1949,7 @@ fn epochs_of(records: Vec<LeaderRecord>, watched: &[(&str, WatchKind)]) -> Vec<S
             msg_index: *index,
             txid: *txid,
             record,
-            data: vec![Some(Bytes::new()); record.ops.len()],
+            data: vec![Bytes::new(); record.ops.len()],
             ahead: false,
             tags: ObjTags::default(),
         };
@@ -2015,6 +2035,19 @@ fn segment_table() {
         ["1!", "2!", "3!", "4!"],
         "a subtree watch on an ancestor fires for every write below it"
     );
+    // A create pops its node and its parent: 13 under 13 parents pop 26.
+    let create = |i: u64| create_under(&format!("/p{i}/c"), &format!("/p{i}"));
+    let spread = (1..=13).map(|i| record(&format!("s{i}"), i, 0, vec![create(i)]));
+    let want = ["1 2 3 4 5 6 7 8 9 10 11 12", "13"];
+    assert_eq!(epochs_of(spread.collect(), &[]), want, "past 25 pops");
+    let lone = vec![
+        record("s", 1, 0, vec![set("/a")]),
+        record("t", 2, 0, (10..25).map(create).collect()),
+        record("u", 3, 0, vec![set("/b")]),
+    ];
+    assert_eq!(epochs_of(lone, &[]), ["1", "2", "3"], "30 pops alone");
+    let same_node = (1..=30).map(|i| record(&format!("s{i}"), i, 0, vec![set("/a")]));
+    assert_eq!(epochs_of(same_node.collect(), &[]).len(), 1, "one node");
 }
 
 /// A random lane-0 batch of a 2-group tier and the facts about it: each
@@ -2062,10 +2095,17 @@ impl Case {
                 record(session, txid, prev, ops.collect())
             };
             // A lane-0 record's commit may not have landed yet; a
-            // lane-1 record may be distributed already.
+            // lane-1 record may be distributed already; and a read wave
+            // may read a record's nodes across its commit or its pop,
+            // finding it on some of them only.
             let (in_batch, queued) = (rng.gen_bool(0.6), rng.gen_bool(0.7));
             if queued {
-                for path in mutated_paths(&record) {
+                let mut paths: Vec<&str> = mutated_paths(&record).collect();
+                if rng.gen_bool(0.1) {
+                    let torn = paths.last().copied();
+                    paths.retain(|path| Some(*path) != torn);
+                }
+                for path in paths {
                     txqs.entry(path.to_owned()).or_default().push(txid);
                 }
             }
@@ -2133,7 +2173,10 @@ impl Case {
                 || earlier().any(|(j, q)| is_eligible(j) && session(&q) && q.txid >= r.prev_txid);
             let deregistration = r.deregister_session && held().next().is_some();
             let by_session = held().any(|q| session(&q));
-            let by_txq = mutated_paths(r).any(|p| ahead(p).into_iter().any(|t| !eligible_txid(t)));
+            let queued = |p: &str| self.txqs.get(p).is_some_and(|txq| txq.contains(&r.txid));
+            let torn = mutated_paths(r).any(queued) && !mutated_paths(r).all(queued);
+            let by_txq =
+                torn || mutated_paths(r).any(|p| ahead(p).into_iter().any(|t| !eligible_txid(t)));
             let holds = !known || by_session || by_txq || deregistration;
             is_eligible(i) != holds
         })

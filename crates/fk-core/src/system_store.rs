@@ -288,8 +288,8 @@ pub mod txid {
 }
 
 /// Maximum items per multi-item transaction (DynamoDB's
-/// `TransactWriteItems` cap), the chunk size of the batched session-mark
-/// advancement.
+/// `TransactWriteItems` cap): the nodes one epoch pops, and the chunk
+/// size of the batched session-mark advancement.
 pub const TRANSACT_MAX_ITEMS: usize = 25;
 
 /// Key prefixes of the system table.

@@ -150,7 +150,7 @@ fn apply(distributor: &Distributor, record: &LeaderRecord) -> CloudResult<()> {
         msg_index: 0,
         txid: record.txid,
         record,
-        data: vec![Some(data)],
+        data: vec![data],
         ahead: false,
         tags: ObjTags::default(),
     };

@@ -37,6 +37,10 @@
 //! * `nested_creates_*`, `first_create_under_the_root_*` — what the
 //!   leader's epoch cut and the seeded root record guarantee end to end.
 //!
+//! * `a_batch_needing_30_pop_items_*` — an epoch's pops are one write of
+//!   at most 25 nodes, so the leader cuts a batch that needs more into
+//!   epochs, each popping in one transaction.
+//!
 //! * `tagged_*` — the fallbacks of a conditional write: a stale tag
 //!   (the object was rewritten behind the leader) costs one 412 and then
 //!   the read-merge-write, with the bytes the read-merge-write alone
@@ -261,7 +265,7 @@ fn committed<'r>(ctx: &Ctx, rig: &Rig, records: &'r [LeaderRecord]) -> Vec<Commi
             data: record
                 .ops
                 .iter()
-                .map(|sub| Some(data_of(&sub.user_update)))
+                .map(|sub| data_of(&sub.user_update))
                 .collect(),
             ahead: false,
             tags: ObjTags::of(
@@ -886,6 +890,57 @@ fn nested_creates_in_one_batch_write_the_parent_before_the_child() {
             assert!(
                 child_at > parent_at,
                 "width {groups}, region {region}: {child} ran on the host before /a"
+            );
+        }
+    }
+}
+
+/// An epoch's pops are one write of at most 25 nodes
+/// (`TRANSACT_MAX_ITEMS`). One leader batch of 15 creates under 15
+/// parents needs 30 pop items — a create pops its own node and its
+/// parent's children log — so the leader cuts it into two epochs (12
+/// creates popping 24 nodes, then 3), and each pops in one transaction.
+#[test]
+fn a_batch_needing_30_pop_items_pops_in_two_epochs_of_one_transaction_each() {
+    let system_item = |rig: &Rig, path: &str| rig.deployment.system().get_node(&rig.ctx, path);
+    for groups in WIDTHS {
+        let rig = Rig::new(DeploymentConfig::aws(), groups);
+        let parents: Vec<String> = (0..15).map(|i| format!("/q{i}")).collect();
+        let children: Vec<String> = parents
+            .iter()
+            .map(|parent| {
+                rig.commit(create(parent));
+                (b'a'..=b'z')
+                    .map(|name| format!("{parent}/{}", name as char))
+                    .find(|path| group_of(path, groups) == 0)
+                    .expect("a child name on lane 0")
+            })
+            .collect();
+        for child in &children {
+            rig.push(create(child));
+        }
+        let queue = rig.deployment.leader_queues().queue(0);
+        let leader = rig.leader(rig.deployment.user_stores().to_vec());
+        let before = rig.deployment.meter().snapshot();
+        rig.ctx.take_spans();
+        let drained = leader.drain_queue(&rig.ctx, queue).unwrap();
+        assert_eq!(drained, 15, "width {groups}: one leader batch");
+        let used = rig.deployment.meter().snapshot().since(&before);
+        let charges = rig.ctx.take_spans();
+        let pops: Vec<&SpanRecord> = charges
+            .iter()
+            .filter(|s| s.phase == "pop_updates")
+            .collect();
+        assert_eq!(pops.len(), 2, "width {groups}: one pop per epoch");
+        assert!(pops.iter().all(|s| matches!(s.op, Op::KvTransact)));
+        assert_eq!(used.per_op["kv_transact"], 2, "width {groups}");
+        for (parent, child) in parents.iter().zip(&children) {
+            let txq = system_item(&rig, child).and_then(|i| i.list(node_attr::TXQ).map(<[_]>::len));
+            assert_eq!(txq, Some(0), "width {groups}: {child} popped");
+            let log = ChildLog::of(system_item(&rig, parent).as_ref());
+            assert!(
+                log.entries.is_empty(),
+                "width {groups}: {parent}'s log popped"
             );
         }
     }
