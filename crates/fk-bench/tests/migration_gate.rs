@@ -17,9 +17,9 @@ use std::time::{Duration, Instant};
 
 /// Polls until every replica in region 0 sits at the same feed
 /// position (the writers have stopped, so the positions are final).
-/// Each poll first quiesces the tier: a trailing chaos-dropped or
-/// held-back frame has no successor to trigger its gap repair, so only
-/// the reconcile can close it.
+/// Each poll first quiesces the tier: a replica a trailing chaos-dropped
+/// or delayed notification left behind has no later one to pull it, so
+/// only the reconcile brings it to the head.
 fn await_feed_quiesce(fk: &Deployment, ctx: &fk_cloud::trace::Ctx, stamp: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {

@@ -66,13 +66,15 @@ pub enum FaultKind {
     /// Function sandbox crashes *after* the handler ran: side effects
     /// are applied but the triggering batch is redelivered anyway.
     FnCrashAfter,
-    /// A replica-feed `EpochDelta` frame is dropped before delivery to
-    /// one replica (the feed log retains it for gap repair).
+    /// A replica-feed notification is dropped before it reaches one
+    /// replica (the replica pulls the frame from the feed log with its
+    /// next notification).
     FeedDrop,
-    /// A replica-feed frame is delivered twice to one replica.
+    /// A replica-feed notification reaches one replica twice (the second
+    /// pull finds nothing new).
     FeedDuplicate,
-    /// A replica-feed frame is held back and delivered *after* the next
-    /// frame (out-of-order arrival at one replica).
+    /// A replica-feed notification is held back past the next frame (the
+    /// replica pulls both with the next notification).
     FeedDelay,
     /// Durable store: the fsync after a WAL append fails — the batch is
     /// not acknowledged and the engine repairs the log before retrying.

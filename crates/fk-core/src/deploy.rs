@@ -823,9 +823,9 @@ impl Deployment {
                 ),
             });
         }
-        // Reconcile before retiring the floor: a trailing chaos-dropped
-        // feed frame has no successor to trigger its gap repair, and the
-        // floor must not advance past state the replicas never saw.
+        // Reconcile before retiring the floor: a replica a chaos-dropped
+        // feed notification left behind has no later one to pull it, and
+        // the floor must not advance past state the replicas never saw.
         self.replicas.reconcile(ctx);
         self.floors.set_active(group, false);
         Ok(())

@@ -730,12 +730,8 @@ impl Distributor {
             }
             // Merge a concurrently applied newer children list (a larger
             // stored `children_txid`) instead of clobbering it.
-            if let Some(base) = base {
-                if base.children_txid > record.children_txid {
-                    record.children = base.children;
-                    record.children_txid = base.children_txid;
-                }
-                record.modified_txid = record.modified_txid.max(base.modified_txid);
+            if let Some(base) = &base {
+                record.merge_existing(base);
             }
             Some(record)
         })

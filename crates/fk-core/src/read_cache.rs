@@ -403,13 +403,9 @@ impl ReadCache {
             self.invalidate(path);
             return;
         };
-        if record.children_txid >= txid {
+        let Some(patched) = record.with_children(Arc::new(children.to_vec()), txid) else {
             return;
-        }
-        let mut patched = (**record).clone();
-        patched.children = Arc::new(children.to_vec());
-        patched.children_txid = txid;
-        patched.modified_txid = patched.modified_txid.max(txid);
+        };
         slot.entry = Entry::Present(Arc::new(patched));
         slot.watermark = slot.watermark.max(txid);
         self.patched.fetch_add(1, Ordering::Relaxed);

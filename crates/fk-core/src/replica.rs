@@ -63,21 +63,38 @@
 //! storage operations complete, so the replica never gets ahead of storage
 //! — a serve is always re-readable from the backing store.
 //!
-//! # The retained feed log
+//! # The feed is the retained log, read by cursor
 //!
-//! Each region keeps the frames it fed, so a replica can repair a gap
-//! and a joiner can replay the suffix after its checkpoint (the febft
-//! log-plus-checkpoint idiom: the log exists to make a replica catch
-//! up, not to keep every past state). A create's children patch carries
-//! its parent's full list, so the log keeps only the patch that decides
-//! a replay: per parent, the one with the largest txid since the
-//! parent's last `Write` or `Delete`. Between two such ops a patch only
-//! patches a resident record and never populates one, and patches merge
-//! by the max `children_txid`, so that patch alone decides the result.
-//! A replayed suffix therefore ends in the same records as the full
-//! one, and a replay that starts after the retained patch starts from a
-//! state that has already applied it. Live delivery is unchanged: every
-//! replica receives the full frame.
+//! Each region keeps the frames it fed in one log, and that log is the
+//! feed (the febft log-plus-checkpoint idiom). [`ReplicaSet::feed`]
+//! stamps a frame with the region's next sequence number, appends it to
+//! the log, then notifies each replica. A notified replica pulls every
+//! retained frame from its cursor (the sequence number of the next frame
+//! it has not applied) to the log's head, under one hold of its state
+//! lock. Frames therefore apply in sequence order, each once, with no
+//! duplicate, gap or reordering to detect: a chaos-dropped or delayed
+//! notification leaves the replica behind until its next one, a
+//! duplicated one pulls nothing new, and [`ReplicaSet::reconcile`] pulls
+//! every replica to the head. A joiner installs a checkpoint and pulls
+//! the suffix after it.
+//!
+//! The log is compacted by parent. A create's children patch carries its
+//! parent's full list, so the log keeps only the patch that decides a
+//! replay: per parent, the one with the largest txid since the parent's
+//! last `Write` or `Delete`. Between two such ops a patch only patches a
+//! resident record and never populates one, and patches merge by the max
+//! `children_txid`, so that patch alone decides the result.
+//!
+//! **A pull always ends at the head.** A compacted log replays to the
+//! full one's records only at its head: the patch it dropped from an
+//! earlier frame is decided by a later frame's, and a replica that
+//! stopped between the two would hold an applied floor past a children
+//! list it lacks. So a replica with `feed_lag` L pulls once it trails the
+//! head by more than L frames, and then pulls to the head: L bounds how
+//! far it trails (a sawtooth), never a window it applies from. A replica
+//! whose cursor aged out of the log stays at its last head; its gate
+//! still holds, so it serves only what that head proves fresh and falls
+//! through for the rest.
 
 use crate::user_store::NodeRecord;
 use bytes::Bytes;
@@ -87,7 +104,7 @@ use fk_cloud::ops::Op;
 use fk_cloud::trace::Ctx;
 use fk_cloud::Region;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -99,10 +116,12 @@ pub struct ReplicaConfig {
     pub count: usize,
     /// Resident-set bound per replica, in bytes (LRU eviction).
     pub byte_budget: usize,
-    /// Injected feed lag, in epochs: each replica buffers this many
-    /// epoch deltas before applying the oldest. `0` (the default)
-    /// applies every delta on arrival; tests use larger values to prove
-    /// a lagging replica falls through instead of serving stale data.
+    /// Injected feed lag, in frames: a replica trails the feed log's
+    /// head by at most this many frames. It pulls once it trails by
+    /// more, and a pull always ends at the head (module docs). `0` (the
+    /// default) applies every frame as it is fed; tests use larger
+    /// values to prove a lagging replica falls through instead of
+    /// serving stale data.
     pub feed_lag: usize,
 }
 
@@ -131,7 +150,7 @@ impl ReplicaConfig {
         self
     }
 
-    /// Sets the injected feed lag (epochs buffered before apply).
+    /// Sets the injected feed lag (frames a replica may trail the head).
     pub fn with_feed_lag(mut self, epochs: usize) -> Self {
         self.feed_lag = epochs;
         self
@@ -192,9 +211,8 @@ pub struct EpochDelta {
     /// advances the replica's applied floors when the delta applies.
     pub high_water: Arc<Vec<(usize, u64)>>,
     /// Per-region feed sequence number, stamped by [`ReplicaSet::feed`]
-    /// as the frame enters the retained feed log (producers leave it 0).
-    /// `0` means *unsequenced*: the frame bypasses gap detection and
-    /// applies directly, which is how hand-built test deltas behave.
+    /// as the frame enters the retained feed log (producers leave it
+    /// 0). A replica's cursor counts in it.
     pub seq: u64,
 }
 
@@ -210,18 +228,11 @@ pub struct ReplicaStats {
     pub stale_rejects: u64,
     /// Records evicted by the byte budget.
     pub evictions: u64,
-    /// Epoch deltas applied (buffered deltas do not count until they
-    /// leave the lag window).
+    /// Epoch deltas applied (a lagging replica counts a frame when it
+    /// pulls it).
     pub epochs_applied: u64,
     /// Bytes currently resident.
     pub resident_bytes: u64,
-    /// Sequence gaps detected on the feed (a frame arrived ahead of the
-    /// next expected sequence number).
-    pub feed_gaps: u64,
-    /// Frames re-requested from the retained feed log to close a gap.
-    pub feed_repairs: u64,
-    /// Duplicate frames dropped (sequence number already applied).
-    pub feed_dup_drops: u64,
 }
 
 struct Slot {
@@ -238,17 +249,10 @@ struct ReplicaState {
     tree: HashMap<String, Slot>,
     resident_bytes: usize,
     clock: u64,
-    /// Feed-lag buffer: deltas apply FIFO once more than
-    /// `config.feed_lag` of them are queued.
-    buffer: VecDeque<EpochDelta>,
     /// Per shard group: highest txid whose epoch is fully applied.
     floors: Vec<u64>,
-    /// Next expected feed sequence number (frames below it are
-    /// duplicates, frames above it open a gap).
+    /// The feed cursor: the sequence number of the next frame to pull.
     next_seq: u64,
-    /// Frames that arrived ahead of an unrecoverable gap, parked until
-    /// the missing predecessors arrive or a snapshot reinstalls.
-    pending: BTreeMap<u64, EpochDelta>,
 }
 
 /// A follower-style regional read replica: an in-memory hot tree fed by
@@ -264,9 +268,6 @@ pub struct ReadReplica {
     stale_rejects: AtomicU64,
     evictions: AtomicU64,
     epochs_applied: AtomicU64,
-    feed_gaps: AtomicU64,
-    feed_repairs: AtomicU64,
-    feed_dup_drops: AtomicU64,
 }
 
 impl ReadReplica {
@@ -282,19 +283,14 @@ impl ReadReplica {
                 tree: HashMap::new(),
                 resident_bytes: 0,
                 clock: 0,
-                buffer: VecDeque::new(),
                 floors: vec![0; groups.max(1)],
                 next_seq: 1,
-                pending: BTreeMap::new(),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stale_rejects: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             epochs_applied: AtomicU64::new(0),
-            feed_gaps: AtomicU64::new(0),
-            feed_repairs: AtomicU64::new(0),
-            feed_dup_drops: AtomicU64::new(0),
         }
     }
 
@@ -315,73 +311,11 @@ impl ReadReplica {
         state.floors.iter().copied().min().unwrap_or(0)
     }
 
-    /// Ingests one epoch delta. Deltas queue in a FIFO lag buffer and
-    /// apply once more than `feed_lag` are pending — `feed_lag == 0`
-    /// applies on arrival. Deterministic: no timers, purely count-driven.
-    pub fn ingest(&self, ctx: &Ctx, delta: EpochDelta) {
-        let mut state = self.state.lock();
-        self.enqueue(ctx, &mut state, delta);
-    }
-
-    /// Ingests one *sequenced* feed frame with gap detection: a frame
-    /// below the expected sequence is a duplicate and drops; a frame
-    /// ahead of it opens a gap, and every missing predecessor is
-    /// re-requested from the retained feed log via `lookup` (frames
-    /// that cannot be recovered yet park the newer frame until their
-    /// arrival). Frames always *apply* in sequence order, so the
-    /// per-group floors never claim an epoch that skipped this replica.
-    /// A frame with `seq == 0` is unsequenced and applies directly
-    /// (hand-built test deltas).
-    pub fn ingest_sequenced(
-        &self,
-        ctx: &Ctx,
-        delta: EpochDelta,
-        lookup: &dyn Fn(u64) -> Option<EpochDelta>,
-    ) {
-        let mut state = self.state.lock();
-        let seq = delta.seq;
-        if seq == 0 {
-            self.enqueue(ctx, &mut state, delta);
-            return;
-        }
-        if seq < state.next_seq {
-            self.feed_dup_drops.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if seq > state.next_seq {
-            self.feed_gaps.fetch_add(1, Ordering::Relaxed);
-            while state.next_seq < seq {
-                let missing = state.next_seq;
-                let Some(frame) = state.pending.remove(&missing).or_else(|| lookup(missing)) else {
-                    // Unrecoverable for now: park the newer frame until
-                    // the missing predecessor arrives (or a snapshot
-                    // reinstalls past it).
-                    state.pending.insert(seq, delta);
-                    return;
-                };
-                self.feed_repairs.fetch_add(1, Ordering::Relaxed);
-                self.enqueue(ctx, &mut state, frame);
-                state.next_seq = missing + 1;
-            }
-        }
-        self.enqueue(ctx, &mut state, delta);
-        state.next_seq = seq + 1;
-        // Drain parked frames that the repair just made contiguous.
-        loop {
-            let next = state.next_seq;
-            let Some(frame) = state.pending.remove(&next) else {
-                break;
-            };
-            self.enqueue(ctx, &mut state, frame);
-            state.next_seq = next + 1;
-        }
-    }
-
-    /// Installs a checkpoint: resets the lag buffer and parked frames,
-    /// inserts every record, raises the per-group floors to at least
-    /// `floors`, and positions the feed cursor at `next_seq` (the first
-    /// frame *after* the checkpoint cut). The tentpole's catch-up
-    /// protocol replays the committed epoch-delta log suffix from here.
+    /// Installs a checkpoint: merges every record into the resident
+    /// tree, raises the per-group floors to at least `floors`, and
+    /// advances the feed cursor to `next_seq` (the first frame *after*
+    /// the checkpoint cut), from which [`ReplicaSet::join_replica`]
+    /// pulls the retained suffix.
     pub fn install_snapshot(
         &self,
         ctx: &Ctx,
@@ -390,23 +324,13 @@ impl ReadReplica {
         next_seq: u64,
     ) {
         let mut state = self.state.lock();
-        state.buffer.clear();
-        state.pending.clear();
         let mut installed_bytes = 0usize;
         for record in records {
             installed_bytes += record.path.len() + record.data.len();
-            // The snapshot is a point-in-time truth: merge by the same
-            // monotone rules as the feed so an already-live replica can
-            // reinstall without regressing.
-            let mut record = record;
-            if let Some(existing) = state.tree.get(&record.path) {
-                if existing.record.children_txid > record.children_txid {
-                    record.children = Arc::clone(&existing.record.children);
-                    record.children_txid = existing.record.children_txid;
-                }
-                record.modified_txid = record.modified_txid.max(existing.record.modified_txid);
-            }
-            self.insert(&mut state, record);
+            // The snapshot is a point-in-time truth: it merges by the
+            // same monotone rule as the feed, so an already-live replica
+            // can reinstall without regressing.
+            self.merge_insert(&mut state, record);
         }
         for (group, floor) in floors.iter().enumerate() {
             if let Some(applied) = state.floors.get_mut(group) {
@@ -417,52 +341,41 @@ impl ReadReplica {
         ctx.charge(Op::FnCompute, installed_bytes);
     }
 
-    /// The next feed sequence number this replica expects.
+    /// The feed cursor: the sequence number of the next frame to pull.
     pub fn feed_position(&self) -> u64 {
         self.state.lock().next_seq
     }
 
-    /// Drains the lag buffer completely (tests use this to let an
-    /// injected-lag replica catch up on demand).
-    pub fn catch_up(&self, ctx: &Ctx) {
+    /// Pulls every retained frame from the cursor to the log's head,
+    /// under one hold of the state lock, once the replica trails the
+    /// head by more than `lag` frames. A pull always ends at the head
+    /// (module docs). A cursor that aged out of the log stays put.
+    fn pull(&self, ctx: &Ctx, log: &VecDeque<EpochDelta>, lag: usize) {
+        let (Some(first), Some(head)) = (log.front().map(|f| f.seq), log.back().map(|f| f.seq))
+        else {
+            return;
+        };
         let mut state = self.state.lock();
-        while let Some(next) = state.buffer.pop_front() {
-            self.apply(ctx, &mut state, &next);
+        let behind = (head + 1).saturating_sub(state.next_seq);
+        if behind <= lag as u64 || state.next_seq < first {
+            return;
         }
-    }
-
-    /// Queues one delta through the lag window (the unsequenced apply
-    /// path shared by [`ReadReplica::ingest`] and the sequenced feed).
-    fn enqueue(&self, ctx: &Ctx, state: &mut ReplicaState, delta: EpochDelta) {
-        state.buffer.push_back(delta);
-        while state.buffer.len() > self.config.feed_lag {
-            let next = state.buffer.pop_front().expect("len checked");
-            self.apply(ctx, state, &next);
+        for frame in log.range((state.next_seq - first) as usize..) {
+            self.apply(ctx, &mut state, frame);
         }
+        state.next_seq = head + 1;
     }
 
     fn apply(&self, ctx: &Ctx, state: &mut ReplicaState, delta: &EpochDelta) {
         let mut applied_bytes = 0usize;
         for op in delta.ops.iter() {
             match op {
-                ReplicaOp::Write { path, frame } => {
+                ReplicaOp::Write { frame, .. } => {
                     applied_bytes += frame.len();
-                    let Some(mut record) = crate::codec::decode_node(frame) else {
+                    let Some(record) = crate::codec::decode_node(frame) else {
                         continue;
                     };
-                    // Mirror the distributor's merge rules: a resident
-                    // children list with a larger `children_txid` is the
-                    // current truth (it was rewritten from the child's
-                    // shard group), and `modified_txid` never regresses.
-                    if let Some(existing) = state.tree.get(path) {
-                        if existing.record.children_txid > record.children_txid {
-                            record.children = Arc::clone(&existing.record.children);
-                            record.children_txid = existing.record.children_txid;
-                        }
-                        record.modified_txid =
-                            record.modified_txid.max(existing.record.modified_txid);
-                    }
-                    self.insert(state, record);
+                    self.merge_insert(state, record);
                 }
                 ReplicaOp::Children {
                     parent,
@@ -473,18 +386,14 @@ impl ReadReplica {
                     // monotone guard as the storage-side rewrite. A
                     // non-resident parent is skipped: the feed never
                     // populates through a children patch.
-                    let Some(slot) = state.tree.get_mut(parent) else {
+                    let Some(mut record) = state
+                        .tree
+                        .get(parent)
+                        .and_then(|slot| slot.record.with_children(Arc::clone(children), *txid))
+                    else {
                         continue;
                     };
-                    if slot.record.children_txid >= *txid {
-                        continue;
-                    }
-                    let mut record = (*slot.record).clone();
-                    record.children = Arc::clone(children);
-                    record.children_txid = *txid;
-                    record.modified_txid = record.modified_txid.max(*txid);
                     record.epoch_marks = Arc::clone(&delta.marks);
-                    let record = record;
                     applied_bytes += record.path.len();
                     self.insert(state, record);
                 }
@@ -503,6 +412,15 @@ impl ReadReplica {
         self.epochs_applied.fetch_add(1, Ordering::Relaxed);
         // The apply is in-memory work on the feeding invocation.
         ctx.charge(Op::FnCompute, applied_bytes);
+    }
+
+    /// Inserts `record`, merged with the resident copy of its path by
+    /// the distributor's rule ([`NodeRecord::merge_existing`]).
+    fn merge_insert(&self, state: &mut ReplicaState, mut record: NodeRecord) {
+        if let Some(existing) = state.tree.get(&record.path) {
+            record.merge_existing(&existing.record);
+        }
+        self.insert(state, record);
     }
 
     fn insert(&self, state: &mut ReplicaState, record: NodeRecord) {
@@ -662,9 +580,6 @@ impl ReadReplica {
             evictions: self.evictions.load(Ordering::Relaxed),
             epochs_applied: self.epochs_applied.load(Ordering::Relaxed),
             resident_bytes: state.resident_bytes as u64,
-            feed_gaps: self.feed_gaps.load(Ordering::Relaxed),
-            feed_repairs: self.feed_repairs.load(Ordering::Relaxed),
-            feed_dup_drops: self.feed_dup_drops.load(Ordering::Relaxed),
         }
     }
 }
@@ -678,33 +593,26 @@ fn slot_size(record: &NodeRecord) -> usize {
         + record.epoch_marks.len() * 8
 }
 
-/// Frames the per-region feed log retains for gap repair and mid-run
-/// bootstrap. A joiner whose checkpoint predates the oldest retained
-/// frame must cut a fresh checkpoint instead. Every frame is retained,
-/// but its children patches are compacted by parent ([`FeedState`]),
-/// so the log's size grows with frames, not with frames × children.
+/// Frames the per-region feed log retains for replicas to pull and for
+/// mid-run bootstrap. A joiner whose checkpoint predates the oldest
+/// retained frame must cut a fresh checkpoint instead, and a replica
+/// whose cursor predates it stays at its last head. Every frame is
+/// retained, but its children patches are compacted by parent
+/// ([`FeedState`]), so the log's size grows with frames, not with
+/// frames × children.
 const FEED_LOG_CAP: usize = 65_536;
 
-/// How one feed frame reaches one replica (chaos delivery faults).
-enum Delivery {
-    Deliver,
-    Drop,
-    Duplicate,
-    Delay,
-}
-
-/// Per-region feed state: the monotone sequence counter, the retained
-/// committed epoch-delta log, and frames a chaos delay is holding back.
+/// Per-region feed state: the monotone sequence counter and the
+/// retained committed epoch-delta log the replicas pull from.
 ///
 /// The log is compacted by parent: of the children patches for one
 /// parent since its last `Write` or `Delete`, only the one with the
 /// largest txid is retained. A larger patch removes the older one from
 /// the frame that holds it (the frame stays: its `high_water` still
 /// advances floors), and a patch whose txid is not larger is left out
-/// of the log copy. Only the retained copy is compacted. Every replay
-/// the log serves (gap repair, [`ReplicaSet::join_replica`],
-/// [`ReplicaSet::reconcile`]) ends in the same records as the full log
-/// would (module docs). Patches are never compared across a `Write`:
+/// of the log copy. Every pull that ends at the head ends in the same
+/// records as the full log would (module docs). Patches are never
+/// compared across a `Write`:
 /// its merge keeps a resident list with a larger `children_txid`, so
 /// the patch before it still decides a replay.
 struct FeedState {
@@ -713,9 +621,6 @@ struct FeedState {
     /// Per parent, `(seq, txid)` of the retained children patch with the
     /// largest txid since the parent's last `Write` or `Delete`.
     patches: HashMap<String, (u64, u64)>,
-    /// `(replica index, frame)` pairs held back by [`FaultKind::FeedDelay`];
-    /// delivered *after* the next frame, i.e. out of order.
-    delayed: Vec<(usize, EpochDelta)>,
 }
 
 impl FeedState {
@@ -786,11 +691,10 @@ struct ReplicaSetInner {
 
 /// The deployment's replica tier: per region (aligned with the
 /// distributor's user stores), `ReplicaConfig::count` replicas sharing
-/// each epoch delta. Every frame fed to a region is stamped with a
+/// each region's feed log. Every frame fed to a region is stamped with a
 /// monotone per-region sequence number and appended to a bounded feed
-/// log *before* delivery, so any delivered frame proves all of its
-/// predecessors are retained — the invariant gap repair and mid-run
-/// bootstrap ([`ReplicaSet::join_replica`]) rely on. Cloning shares
+/// log, which each replica pulls by its own cursor (module docs), as
+/// does a mid-run joiner ([`ReplicaSet::join_replica`]). Cloning shares
 /// the tier.
 #[derive(Clone)]
 pub struct ReplicaSet {
@@ -809,15 +713,6 @@ impl Default for ReplicaSet {
             }),
         }
     }
-}
-
-/// Looks up the retained frame with sequence `seq` (the log is
-/// contiguous by construction, so the offset from the oldest retained
-/// frame indexes it directly).
-fn lookup_frame(log: &VecDeque<EpochDelta>, seq: u64) -> Option<EpochDelta> {
-    let first = log.front()?.seq;
-    let idx = usize::try_from(seq.checked_sub(first)?).ok()?;
-    log.get(idx).cloned().filter(|frame| frame.seq == seq)
 }
 
 impl ReplicaSet {
@@ -847,7 +742,6 @@ impl ReplicaSet {
                         seq: 0,
                         log: VecDeque::new(),
                         patches: HashMap::new(),
-                        delayed: Vec::new(),
                     }),
                 })
                 .collect()
@@ -880,69 +774,53 @@ impl ReplicaSet {
             .all(|tier| tier.replicas.read().is_empty())
     }
 
-    /// Feeds one epoch delta to every replica of `region_idx`: stamps
-    /// the region's next sequence number, appends the frame to the
-    /// retained feed log (compacted by parent, `FeedState`), then
-    /// delivers the frame unchanged per replica — where the chaos
-    /// engine may drop the frame (gap repair recovers it from the log),
-    /// duplicate it (the replica drops the second copy), or hold it
-    /// back one frame (it arrives out of order and drops as a
-    /// duplicate, its content already repaired in).
+    /// Feeds one epoch delta to `region_idx`: stamps the region's next
+    /// sequence number, appends the frame to the retained feed log
+    /// (compacted by parent, `FeedState`), then notifies each replica,
+    /// which pulls from its cursor to the head unless it trails by at
+    /// most `feed_lag` frames. The chaos engine may drop or delay a
+    /// notification (the replica pulls the frame with its next one) or
+    /// duplicate it (the second pull finds nothing new).
     pub fn feed(&self, ctx: &Ctx, region_idx: usize, delta: &EpochDelta) {
         let Some(tier) = self.inner.regions.get(region_idx) else {
             return;
         };
         let mut feed = tier.feed.lock();
-        let replicas = tier.replicas.read().clone();
-        let held_back = std::mem::take(&mut feed.delayed);
         feed.seq += 1;
         let mut stamped = delta.clone();
         stamped.seq = feed.seq;
-        feed.retain(stamped.clone());
+        feed.retain(stamped);
         while feed.log.len() > FEED_LOG_CAP {
             feed.log.pop_front();
         }
-        let FeedState { log, delayed, .. } = &mut *feed;
-        let lookup = |seq: u64| lookup_frame(log, seq);
-        for (idx, replica) in replicas.iter().enumerate() {
-            match self.delivery_roll(ctx) {
-                Delivery::Drop => continue,
-                Delivery::Delay => delayed.push((idx, stamped.clone())),
-                Delivery::Duplicate => {
-                    replica.ingest_sequenced(ctx, stamped.clone(), &lookup);
-                    replica.ingest_sequenced(ctx, stamped.clone(), &lookup);
-                }
-                Delivery::Deliver => replica.ingest_sequenced(ctx, stamped.clone(), &lookup),
-            }
-        }
-        // Frames held back from the previous feed arrive now, *after*
-        // the newer frame: gap repair already pulled their content from
-        // the log, so the late copy drops as a duplicate.
-        for (idx, frame) in held_back {
-            if let Some(replica) = replicas.get(idx) {
-                replica.ingest_sequenced(ctx, frame, &lookup);
+        for replica in tier.replicas.read().iter() {
+            if self.notified(ctx) {
+                replica.pull(ctx, &feed.log, self.inner.config.feed_lag);
             }
         }
     }
 
-    /// Rolls the feed delivery faults for one (frame, replica) pair.
-    fn delivery_roll(&self, ctx: &Ctx) -> Delivery {
+    /// Rolls the feed faults for one (frame, replica) pair, in the order
+    /// drop, duplicate, delay: true when the replica is notified. A
+    /// dropped or delayed notification skips this pull; a duplicated
+    /// one pulls once, as the second pull would find nothing new.
+    fn notified(&self, ctx: &Ctx) -> bool {
         let Some(chaos) = self.inner.chaos.get() else {
-            return Delivery::Deliver;
+            return true;
         };
-        for (kind, delivery) in [
-            (FaultKind::FeedDrop, Delivery::Drop),
-            (FaultKind::FeedDuplicate, Delivery::Duplicate),
-            (FaultKind::FeedDelay, Delivery::Delay),
+        for kind in [
+            FaultKind::FeedDrop,
+            FaultKind::FeedDuplicate,
+            FaultKind::FeedDelay,
         ] {
             if chaos.fire(ctx, kind) {
                 if let Some(meter) = &self.inner.meter {
                     meter.fault_injected(kind.label());
                 }
-                return delivery;
+                return kind == FaultKind::FeedDuplicate;
             }
         }
-        Delivery::Deliver
+        true
     }
 
     /// The region's current feed sequence number — the cut point a
@@ -958,8 +836,8 @@ impl ReplicaSet {
 
     /// Bootstraps a new replica into `region_idx` from a checkpoint cut
     /// at feed sequence `from_seq`: installs `records` and `floors`,
-    /// replays the retained log suffix `(from_seq, now]` under the feed
-    /// lock (so no concurrent frame can slip between replay and
+    /// pulls the retained log suffix `(from_seq, head]` under the feed
+    /// lock (so no concurrent frame can slip between the pull and
     /// registration), and registers the replica with the tier. Returns
     /// `None` when the log no longer retains the suffix — the caller
     /// must cut a fresh checkpoint.
@@ -972,7 +850,7 @@ impl ReplicaSet {
         from_seq: u64,
     ) -> Option<Arc<ReadReplica>> {
         let tier = self.inner.regions.get(region_idx)?;
-        let mut feed = tier.feed.lock();
+        let feed = tier.feed.lock();
         let first_retained = feed.log.front().map(|frame| frame.seq);
         if let Some(first) = first_retained {
             if from_seq + 1 < first {
@@ -988,42 +866,20 @@ impl ReplicaSet {
             self.inner.meter.clone(),
         ));
         replica.install_snapshot(ctx, records, floors, from_seq + 1);
-        let FeedState { log, .. } = &mut *feed;
-        let lookup = |seq: u64| lookup_frame(log, seq);
-        for frame in log.iter().filter(|frame| frame.seq > from_seq) {
-            replica.ingest_sequenced(ctx, frame.clone(), &lookup);
-        }
-        replica.catch_up(ctx);
+        replica.pull(ctx, &feed.log, 0);
         tier.replicas.write().push(Arc::clone(&replica));
         Some(replica)
     }
 
-    /// Quiesces the tier: delivers every chaos-held frame, replays the
-    /// retained log tail to any replica still behind, and drains lag
-    /// buffers. Run before byte-identity comparisons and before a
-    /// drained group's floor is retired — a trailing dropped frame has
-    /// no successor to trigger its gap repair, so the quiesce closes it.
+    /// Quiesces the tier: pulls every replica to its region's head,
+    /// whatever its `feed_lag`. Run before byte-identity comparisons and
+    /// before a drained group's floor is retired — a replica a dropped
+    /// notification left behind has no later notification to pull it.
     pub fn reconcile(&self, ctx: &Ctx) {
         for tier in self.inner.regions.iter() {
-            let mut feed = tier.feed.lock();
-            let replicas = tier.replicas.read().clone();
-            let held_back = std::mem::take(&mut feed.delayed);
-            let FeedState { log, .. } = &mut *feed;
-            let lookup = |seq: u64| lookup_frame(log, seq);
-            for (idx, frame) in held_back {
-                if let Some(replica) = replicas.get(idx) {
-                    replica.ingest_sequenced(ctx, frame, &lookup);
-                }
-            }
-            if let Some(last) = log.back() {
-                for replica in &replicas {
-                    if replica.feed_position() <= last.seq {
-                        replica.ingest_sequenced(ctx, last.clone(), &lookup);
-                    }
-                }
-            }
-            for replica in &replicas {
-                replica.catch_up(ctx);
+            let feed = tier.feed.lock();
+            for replica in tier.replicas.read().iter() {
+                replica.pull(ctx, &feed.log, 0);
             }
         }
     }
@@ -1149,6 +1005,8 @@ mod tests {
     use super::*;
     use crate::codec::encode_node;
     use crate::system_store::txid;
+    use fk_cloud::chaos::{FaultPlan, FaultSpec};
+    use std::collections::BTreeMap;
 
     fn record(path: &str, data: &[u8], txid: u64) -> NodeRecord {
         NodeRecord {
@@ -1181,11 +1039,19 @@ mod tests {
         }
     }
 
+    /// A one-region tier of one replica, and that replica: tests feed
+    /// the tier, as the distributor does.
+    fn tier(config: ReplicaConfig, groups: usize) -> (ReplicaSet, Arc<ReadReplica>) {
+        let set = ReplicaSet::build(config, &[Region::US_EAST_1], groups, None);
+        let replica = Arc::clone(&set.region(0)[0]);
+        (set, replica)
+    }
+
     #[test]
     fn serves_fresh_entries_and_gates_on_mrd() {
-        let replica = ReadReplica::new(Region::US_EAST_1, ReplicaConfig::with_count(1), 1, None);
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
         let ctx = Ctx::disabled();
-        replica.ingest(&ctx, delta_of(&[record("/a", b"v1", 5)], 5));
+        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v1", 5)], 5));
         // Fresh enough for MRD 5 (watermark) and for MRD 0.
         assert_eq!(replica.serve(&ctx, "/a", 5).unwrap().data.as_ref(), b"v1");
         assert!(replica.serve(&ctx, "/a", 0).is_some());
@@ -1200,59 +1066,58 @@ mod tests {
 
     #[test]
     fn applied_floor_admits_unmodified_entries_for_newer_mrd() {
-        let replica = ReadReplica::new(Region::US_EAST_1, ReplicaConfig::with_count(1), 1, None);
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
         let ctx = Ctx::disabled();
-        replica.ingest(&ctx, delta_of(&[record("/hot", b"v1", 3)], 3));
+        set.feed(&ctx, 0, &delta_of(&[record("/hot", b"v1", 3)], 3));
         // A later epoch touches a *different* path; /hot is unchanged
         // but the floor proves it current through txid 9.
-        replica.ingest(&ctx, delta_of(&[record("/other", b"x", 9)], 9));
+        set.feed(&ctx, 0, &delta_of(&[record("/other", b"x", 9)], 9));
         assert!(replica.serve(&ctx, "/hot", 9).is_some());
         assert!(replica.serve(&ctx, "/hot", 10).is_none());
     }
 
     #[test]
-    fn feed_lag_buffers_and_catch_up_drains() {
-        let replica = ReadReplica::new(
-            Region::US_EAST_1,
-            ReplicaConfig::with_count(1).with_feed_lag(2),
-            1,
-            None,
-        );
+    fn feed_lag_pulls_to_the_head_in_a_sawtooth() {
+        let (set, replica) = tier(ReplicaConfig::with_count(1).with_feed_lag(2), 1);
         let ctx = Ctx::disabled();
-        replica.ingest(&ctx, delta_of(&[record("/a", b"v1", 1)], 1));
-        replica.ingest(&ctx, delta_of(&[record("/a", b"v2", 2)], 2));
-        // Both deltas sit inside the lag window: nothing applied.
+        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v1", 1)], 1));
+        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v2", 2)], 2));
+        // The replica trails the head by two frames: nothing pulled yet.
         assert!(replica.serve(&ctx, "/a", 0).is_none());
         assert_eq!(replica.stats().epochs_applied, 0);
-        // A third delta pushes the first out of the window.
-        replica.ingest(&ctx, delta_of(&[record("/a", b"v3", 3)], 3));
-        assert_eq!(replica.serve(&ctx, "/a", 0).unwrap().data.as_ref(), b"v1");
-        // A session that already observed txid 3 must fall through.
-        assert!(replica.serve(&ctx, "/a", 3).is_none());
-        replica.catch_up(&ctx);
+        assert_eq!(replica.feed_position(), 1);
+        // A third frame puts it three behind: it pulls to the head.
+        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v3", 3)], 3));
         assert_eq!(replica.serve(&ctx, "/a", 3).unwrap().data.as_ref(), b"v3");
+        assert_eq!(replica.stats().epochs_applied, 3);
+        assert_eq!(replica.feed_position(), 4);
+        // Two more frames leave it two behind again.
+        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v4", 4)], 4));
+        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v5", 5)], 5));
+        assert_eq!(replica.serve(&ctx, "/a", 0).unwrap().data.as_ref(), b"v3");
+        // A session that already observed txid 4 must fall through.
+        assert!(replica.serve(&ctx, "/a", 4).is_none());
+        set.reconcile(&ctx);
+        assert_eq!(replica.serve(&ctx, "/a", 5).unwrap().data.as_ref(), b"v5");
+        assert_eq!(replica.feed_position(), 6);
     }
 
     #[test]
     fn byte_budget_evicts_lru() {
         let budget = 2 * (64 + 2 + 100);
-        let replica = ReadReplica::new(
-            Region::US_EAST_1,
-            ReplicaConfig::with_count(1).with_byte_budget(budget),
-            1,
-            None,
-        );
+        let (set, replica) = tier(ReplicaConfig::with_count(1).with_byte_budget(budget), 1);
         let ctx = Ctx::disabled();
-        replica.ingest(
+        set.feed(
             &ctx,
-            delta_of(
+            0,
+            &delta_of(
                 &[record("/a", &[1u8; 100], 1), record("/b", &[2u8; 100], 2)],
                 2,
             ),
         );
         // Touch /a so /b is the LRU victim when /c arrives.
         assert!(replica.serve(&ctx, "/a", 0).is_some());
-        replica.ingest(&ctx, delta_of(&[record("/c", &[3u8; 100], 3)], 3));
+        set.feed(&ctx, 0, &delta_of(&[record("/c", &[3u8; 100], 3)], 3));
         assert!(replica.peek("/b").is_none(), "LRU victim evicted");
         assert!(replica.peek("/a").is_some());
         assert!(replica.peek("/c").is_some());
@@ -1262,9 +1127,9 @@ mod tests {
 
     #[test]
     fn children_patch_applies_in_place_and_never_populates() {
-        let replica = ReadReplica::new(Region::US_EAST_1, ReplicaConfig::with_count(1), 1, None);
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
         let ctx = Ctx::disabled();
-        replica.ingest(&ctx, delta_of(&[record("/p", b"d", 4)], 4));
+        set.feed(&ctx, 0, &delta_of(&[record("/p", b"d", 4)], 4));
         let patch = EpochDelta {
             ops: Arc::new(vec![
                 ReplicaOp::Children {
@@ -1282,7 +1147,7 @@ mod tests {
             high_water: Arc::new(vec![(0, 7)]),
             seq: 0,
         };
-        replica.ingest(&ctx, patch);
+        set.feed(&ctx, 0, &patch);
         let patched = replica.peek("/p").unwrap();
         assert_eq!(patched.children.as_slice(), &["c1".to_owned()]);
         assert_eq!(patched.children_txid, 7);
@@ -1300,7 +1165,7 @@ mod tests {
             high_water: Arc::new(Vec::new()),
             seq: 0,
         };
-        replica.ingest(&ctx, stale);
+        set.feed(&ctx, 0, &stale);
         assert_eq!(
             replica.peek("/p").unwrap().children.as_slice(),
             &["c1".to_owned()]
@@ -1315,11 +1180,12 @@ mod tests {
 
     #[test]
     fn serve_subtree_walks_resident_children() {
-        let replica = ReadReplica::new(Region::US_EAST_1, ReplicaConfig::with_count(1), 1, None);
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
         let ctx = Ctx::disabled();
-        replica.ingest(
+        set.feed(
             &ctx,
-            delta_of(
+            0,
+            &delta_of(
                 &[
                     record_with_children("/t", &["b", "a"], 4),
                     record_with_children("/t/a", &["x"], 4),
@@ -1342,7 +1208,7 @@ mod tests {
             high_water: Arc::new(Vec::new()),
             seq: 0,
         };
-        replica.ingest(&ctx, evict);
+        set.feed(&ctx, 0, &evict);
         // /t/a still lists child "x": the walk misses and falls through
         // rather than serving a partial subtree.
         assert!(replica.serve_subtree(&ctx, "/t", 0).is_none());
@@ -1353,11 +1219,11 @@ mod tests {
 
     #[test]
     fn min_over_groups_floor_is_conservative() {
-        let replica = ReadReplica::new(Region::US_EAST_1, ReplicaConfig::with_count(1), 2, None);
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 2);
         let ctx = Ctx::disabled();
         let mut delta = delta_of(&[record("/a", b"v", txid::compose(1, 0))], 0);
         delta.high_water = Arc::new(vec![(0, txid::compose(9, 0))]);
-        replica.ingest(&ctx, delta);
+        set.feed(&ctx, 0, &delta);
         // Group 1 has fed nothing: the replica-wide floor stays 0.
         assert_eq!(replica.applied_txid(), 0);
     }
@@ -1383,9 +1249,13 @@ mod tests {
     /// deleted parent — `Children` only mutates resident entries.
     #[test]
     fn children_patch_after_delete_never_resurrects() {
-        let replica = ReadReplica::new(Region::US_EAST_1, ReplicaConfig::with_count(1), 1, None);
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
         let ctx = Ctx::disabled();
-        replica.ingest(&ctx, delta_of(&[record_with_children("/p", &["c"], 4)], 4));
+        set.feed(
+            &ctx,
+            0,
+            &delta_of(&[record_with_children("/p", &["c"], 4)], 4),
+        );
         let bytes_before_delete = replica.stats().resident_bytes;
         let delete = EpochDelta {
             ops: Arc::new(vec![ReplicaOp::Delete { path: "/p".into() }]),
@@ -1393,7 +1263,7 @@ mod tests {
             high_water: Arc::new(vec![(0, 6)]),
             seq: 0,
         };
-        replica.ingest(&ctx, delete);
+        set.feed(&ctx, 0, &delete);
         assert!(replica.peek("/p").is_none());
         let late_patch = EpochDelta {
             ops: Arc::new(vec![ReplicaOp::Children {
@@ -1405,7 +1275,7 @@ mod tests {
             high_water: Arc::new(vec![(0, 7)]),
             seq: 0,
         };
-        replica.ingest(&ctx, late_patch);
+        set.feed(&ctx, 0, &late_patch);
         assert!(
             replica.peek("/p").is_none(),
             "late children patch resurrected a deleted node"
@@ -1422,9 +1292,9 @@ mod tests {
     /// does not pin the entry against removal.
     #[test]
     fn delete_after_children_patch_wins() {
-        let replica = ReadReplica::new(Region::US_EAST_1, ReplicaConfig::with_count(1), 1, None);
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
         let ctx = Ctx::disabled();
-        replica.ingest(&ctx, delta_of(&[record("/p", b"d", 4)], 4));
+        set.feed(&ctx, 0, &delta_of(&[record("/p", b"d", 4)], 4));
         let patch = EpochDelta {
             ops: Arc::new(vec![ReplicaOp::Children {
                 parent: "/p".into(),
@@ -1435,7 +1305,7 @@ mod tests {
             high_water: Arc::new(vec![(0, 5)]),
             seq: 0,
         };
-        replica.ingest(&ctx, patch);
+        set.feed(&ctx, 0, &patch);
         assert_eq!(
             replica.peek("/p").unwrap().children.as_slice(),
             &["c1".to_owned()]
@@ -1446,61 +1316,13 @@ mod tests {
             high_water: Arc::new(vec![(0, 6)]),
             seq: 0,
         };
-        replica.ingest(&ctx, delete);
+        set.feed(&ctx, 0, &delete);
         assert!(replica.peek("/p").is_none(), "delete after patch must win");
         assert!(replica.serve(&ctx, "/p", 0).is_none());
     }
 
-    fn seq_delta(records: &[NodeRecord], hw: u64, seq: u64) -> EpochDelta {
-        let mut delta = delta_of(records, hw);
-        delta.seq = seq;
-        delta
-    }
-
-    #[test]
-    fn gap_detection_repairs_from_the_feed_log() {
-        let replica = ReadReplica::new(Region::US_EAST_1, ReplicaConfig::with_count(1), 1, None);
-        let ctx = Ctx::disabled();
-        let frames: Vec<EpochDelta> = (1u64..=3)
-            .map(|i| seq_delta(&[record(&format!("/n{i}"), b"v", i)], i, i))
-            .collect();
-        let log: VecDeque<EpochDelta> = frames.iter().cloned().collect();
-        let lookup = |seq: u64| lookup_frame(&log, seq);
-        // Frame 1 delivered, frame 2 dropped, frame 3 triggers repair.
-        replica.ingest_sequenced(&ctx, frames[0].clone(), &lookup);
-        replica.ingest_sequenced(&ctx, frames[2].clone(), &lookup);
-        assert!(replica.peek("/n2").is_some(), "dropped frame re-requested");
-        assert_eq!(replica.feed_position(), 4);
-        let stats = replica.stats();
-        assert_eq!(stats.feed_gaps, 1);
-        assert_eq!(stats.feed_repairs, 1);
-        assert_eq!(stats.epochs_applied, 3);
-        // A late copy of the repaired frame drops as a duplicate.
-        replica.ingest_sequenced(&ctx, frames[1].clone(), &lookup);
-        assert_eq!(replica.stats().feed_dup_drops, 1);
-        assert_eq!(replica.stats().epochs_applied, 3, "no double apply");
-    }
-
-    #[test]
-    fn unrecoverable_gap_parks_until_the_missing_frame_arrives() {
-        let replica = ReadReplica::new(Region::US_EAST_1, ReplicaConfig::with_count(1), 1, None);
-        let ctx = Ctx::disabled();
-        let lookup = |_seq: u64| None;
-        let frame = |i: u64| seq_delta(&[record(&format!("/n{i}"), b"v", i)], i, i);
-        replica.ingest_sequenced(&ctx, frame(3), &lookup);
-        assert!(replica.peek("/n3").is_none(), "parked behind the gap");
-        replica.ingest_sequenced(&ctx, frame(1), &lookup);
-        assert!(replica.peek("/n1").is_some());
-        assert!(replica.peek("/n3").is_none(), "frame 2 still missing");
-        replica.ingest_sequenced(&ctx, frame(2), &lookup);
-        assert!(replica.peek("/n3").is_some(), "parked frame drained");
-        assert_eq!(replica.feed_position(), 4);
-        assert_eq!(replica.stats().epochs_applied, 3);
-    }
-
     #[test]
     fn reconcile_recovers_replicas_from_total_feed_drop() {
-        use fk_cloud::chaos::{FaultPlan, FaultSpec};
         let set = ReplicaSet::build(ReplicaConfig::with_count(2), &[Region::US_EAST_1], 1, None);
         let mut plan = FaultPlan::disabled();
         plan.feed_drop = FaultSpec::new(1.0, 4);
@@ -1508,36 +1330,14 @@ mod tests {
         let ctx = Ctx::disabled();
         set.feed(&ctx, 0, &delta_of(&[record("/a", b"v1", 1)], 1));
         set.feed(&ctx, 0, &delta_of(&[record("/b", b"v2", 2)], 2));
-        // Budget 4 = both frames dropped to both replicas; with no
-        // successor frame, only a reconcile can close the trailing gap.
+        // Budget 4 = both notifications dropped to both replicas; with no
+        // later notification, only a reconcile pulls them to the head.
         assert!(set.region(0).iter().all(|r| r.peek("/a").is_none()));
         set.reconcile(&ctx);
         for replica in set.region(0) {
             assert!(replica.peek("/a").is_some() && replica.peek("/b").is_some());
-            assert!(replica.stats().feed_repairs >= 1);
             assert_eq!(replica.applied_txid(), 2);
         }
-    }
-
-    #[test]
-    fn delayed_frames_arrive_out_of_order_and_drop_as_duplicates() {
-        use fk_cloud::chaos::{FaultPlan, FaultSpec};
-        let set = ReplicaSet::build(ReplicaConfig::with_count(1), &[Region::US_EAST_1], 1, None);
-        let mut plan = FaultPlan::disabled();
-        plan.feed_delay = FaultSpec::new(1.0, 1);
-        set.install_chaos(Chaos::from_plan(plan).unwrap());
-        let ctx = Ctx::disabled();
-        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v1", 1)], 1));
-        let replica = &set.region(0)[0];
-        assert!(replica.peek("/a").is_none(), "frame held back");
-        set.feed(&ctx, 0, &delta_of(&[record("/b", b"v2", 2)], 2));
-        // Frame 2 delivered first → gap repair pulled frame 1 from the
-        // log; the held-back original then arrived late and dropped.
-        assert!(replica.peek("/a").is_some() && replica.peek("/b").is_some());
-        let stats = replica.stats();
-        assert_eq!(stats.feed_repairs, 1);
-        assert_eq!(stats.feed_dup_drops, 1);
-        assert_eq!(stats.epochs_applied, 2);
     }
 
     #[test]
@@ -1652,9 +1452,9 @@ mod tests {
 
     /// The retained log replays to the same records as the full stream:
     /// a replica joined from a twin's state at every cut `k` (at `k`, at a
-    /// random later point, and at the end), and a replica that misses
-    /// frames `j..=m` and repairs them from the log, both end
-    /// byte-identical to a twin fed the whole stream live.
+    /// random later point, and at the end), and a replica that misses the
+    /// notifications of frames `j..=m` and pulls them with the next one,
+    /// both end byte-identical to a twin fed the whole stream live.
     #[test]
     fn compacted_feed_log_replays_to_the_same_records() {
         use rand::{Rng, SeedableRng};
@@ -1702,10 +1502,9 @@ mod tests {
                 set.feed(&ctx, 0, &live);
                 {
                     let feed = set.inner.regions[0].feed.lock();
-                    let lookup = |seq: u64| lookup_frame(&feed.log, seq);
                     for (j, m, replica) in &gaps {
                         if !(*j..=*m).contains(&frame.seq) {
-                            replica.ingest_sequenced(&ctx, frame.clone(), &lookup);
+                            replica.pull(&ctx, &feed.log, 0);
                         }
                     }
                 }
@@ -1732,7 +1531,7 @@ mod tests {
                 assert_eq!(
                     resident(replica),
                     want,
-                    "case {case}: repair of frames {j}..={m} diverges from the live twin"
+                    "case {case}: a pull past frames {j}..={m} diverges from the live twin"
                 );
             }
         }
@@ -1840,6 +1639,190 @@ mod tests {
             patches(&set),
             [(1_001, 1_000), (1_003, 1_002), (1_004, 1_003)]
         );
+    }
+
+    /// `full[k]`: the records and applied floor of a replica that
+    /// applied frames `1..=k` whole, with no feed log in between — the
+    /// reference a pull of the compacted log must agree with.
+    fn full_replay(frames: &[EpochDelta], groups: usize) -> Vec<(BTreeMap<String, Bytes>, u64)> {
+        let ctx = Ctx::disabled();
+        let twin = ReadReplica::new(
+            Region::US_EAST_1,
+            ReplicaConfig::with_count(1),
+            groups,
+            None,
+        );
+        let mut full = vec![(resident(&twin), twin.applied_txid())];
+        for frame in frames {
+            twin.apply(&ctx, &mut twin.state.lock(), frame);
+            full.push((resident(&twin), twin.applied_txid()));
+        }
+        full
+    }
+
+    /// Asserts that `replica` holds exactly the full replay's records and
+    /// floor at its cursor.
+    fn assert_at_cursor(replica: &ReadReplica, full: &[(BTreeMap<String, Bytes>, u64)], at: &str) {
+        let applied = (replica.feed_position() - 1) as usize;
+        assert_eq!(
+            (resident(replica), replica.applied_txid()),
+            full[applied],
+            "{at}: the replica at frame {applied} differs from the full replay there"
+        );
+    }
+
+    /// A pull always ends at the head. Frame 4's children patch of `/p`
+    /// compacts frame 2's out of the log, and frame 6's compacts frame
+    /// 4's; a replica with `feed_lag` 2 that stopped short of the head
+    /// would apply frame 2 or 4 without its patch and hold a floor past
+    /// a children list it lacks.
+    #[test]
+    fn a_lagging_replica_pulls_a_compacted_log_to_the_head() {
+        let ctx = Ctx::disabled();
+        let write = |path: &str, txid: u64| ReplicaOp::Write {
+            path: path.to_owned(),
+            frame: encode_node(&record(path, b"v", txid)),
+        };
+        let patch = |children: &[&str], txid: u64| ReplicaOp::Children {
+            parent: "/p".into(),
+            children: Arc::new(children.iter().map(|c| (*c).to_owned()).collect()),
+            txid,
+        };
+        let frames: Vec<EpochDelta> = [
+            vec![write("/p", 1)],
+            vec![write("/p/a", 2), patch(&["a"], 2)],
+            vec![write("/q", 3)],
+            vec![write("/p/b", 4), patch(&["a", "b"], 4)],
+            vec![write("/q", 5)],
+            vec![write("/p/c", 6), patch(&["a", "b", "c"], 6)],
+            vec![write("/q", 7)],
+            vec![write("/q", 8)],
+        ]
+        .into_iter()
+        .zip(1u64..)
+        .map(|(ops, txid)| EpochDelta {
+            ops: Arc::new(ops),
+            marks: Arc::new(vec![txid]),
+            high_water: Arc::new(vec![(0, txid)]),
+            seq: 0,
+        })
+        .collect();
+        let full = full_replay(&frames, 1);
+        let (set, replica) = tier(ReplicaConfig::with_count(1).with_feed_lag(2), 1);
+        for (seq, frame) in (1u64..).zip(&frames) {
+            set.feed(&ctx, 0, frame);
+            assert_at_cursor(&replica, &full, &format!("after feed {seq}"));
+        }
+        assert_eq!(
+            replica.feed_position(),
+            7,
+            "pulled to the head at feeds 3 and 6"
+        );
+        let feed = set.inner.regions[0].feed.lock();
+        let patched: Vec<u64> = feed
+            .log
+            .iter()
+            .filter(|frame| {
+                frame
+                    .ops
+                    .iter()
+                    .any(|op| matches!(op, ReplicaOp::Children { .. }))
+            })
+            .map(|frame| frame.seq)
+            .collect();
+        assert_eq!(
+            patched,
+            [6],
+            "frames 2 and 4 lost their patches to compaction"
+        );
+        drop(feed);
+        set.reconcile(&ctx);
+        assert_at_cursor(&replica, &full, "after reconcile");
+        assert_eq!(replica.feed_position(), 9);
+    }
+
+    /// Random per-(frame, replica) feed faults at lag 0–4: after every
+    /// feed each replica holds the full replay at its cursor, and after
+    /// a reconcile it is byte-identical to a replica fed from genesis.
+    #[test]
+    fn pulled_replicas_match_the_full_replay_under_feed_faults() {
+        use rand::{Rng, SeedableRng};
+        let mut fired = [0u64; 3];
+        let kinds = [
+            FaultKind::FeedDrop,
+            FaultKind::FeedDuplicate,
+            FaultKind::FeedDelay,
+        ];
+        for case in 0..40u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(case);
+            let frames = random_stream(&mut rng, 32);
+            let full = full_replay(&frames, 2);
+            let lag = rng.gen_range(0..=4usize);
+            let config = ReplicaConfig::with_count(3).with_feed_lag(lag);
+            let set = ReplicaSet::build(config, &[Region::US_EAST_1], 2, None);
+            let mut plan = FaultPlan::disabled();
+            plan.feed_drop = FaultSpec::new(rng.gen_range(0.0..0.4), u64::MAX);
+            plan.feed_duplicate = FaultSpec::new(rng.gen_range(0.0..0.4), u64::MAX);
+            plan.feed_delay = FaultSpec::new(rng.gen_range(0.0..0.4), u64::MAX);
+            let chaos = Chaos::from_plan(plan).expect("feed faults on");
+            set.install_chaos(Arc::clone(&chaos));
+            let ctx = Ctx::new(
+                Arc::new(fk_cloud::LatencyModel::zero()),
+                fk_cloud::LatencyMode::Disabled,
+                case,
+            );
+            for frame in &frames {
+                let mut live = frame.clone();
+                live.seq = 0;
+                set.feed(&ctx, 0, &live);
+                for replica in set.region(0) {
+                    assert_at_cursor(&replica, &full, &format!("case {case}, lag {lag}"));
+                }
+            }
+            set.reconcile(&ctx);
+            for replica in set.region(0) {
+                assert_eq!(replica.feed_position(), frames.len() as u64 + 1);
+                assert_eq!(
+                    resident(&replica),
+                    full[frames.len()].0,
+                    "case {case}, lag {lag}: a reconciled replica diverges from genesis"
+                );
+            }
+            for (count, kind) in fired.iter_mut().zip(kinds) {
+                *count += chaos.fired(kind);
+            }
+        }
+        assert!(
+            fired.iter().all(|&n| n > 0),
+            "every feed fault fired: {fired:?}"
+        );
+    }
+
+    /// A replica whose cursor aged out of the log stays at its last head,
+    /// even through a reconcile: it serves what that head proves fresh
+    /// and falls through for anything newer.
+    #[test]
+    fn a_cursor_that_aged_out_of_the_log_stays_at_its_last_head() {
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
+        let ctx = Ctx::disabled();
+        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v1", 1)], 1));
+        assert_eq!(replica.feed_position(), 2);
+        let mut plan = FaultPlan::disabled();
+        plan.feed_drop = FaultSpec::new(1.0, u64::MAX);
+        set.install_chaos(Chaos::from_plan(plan).unwrap());
+        // Every later notification drops, until the log no longer
+        // retains frame 2.
+        let later = delta_of(&[record("/a", b"v2", 2)], 2);
+        for _ in 0..=FEED_LOG_CAP {
+            set.feed(&ctx, 0, &later);
+        }
+        assert_eq!(set.inner.regions[0].feed.lock().log.front().unwrap().seq, 3);
+        set.reconcile(&ctx);
+        assert_eq!(replica.feed_position(), 2, "stays at its last head");
+        assert_eq!(replica.stats().epochs_applied, 1);
+        assert_eq!(replica.applied_txid(), 1);
+        assert_eq!(replica.serve(&ctx, "/a", 1).unwrap().data.as_ref(), b"v1");
+        assert!(replica.serve(&ctx, "/a", 2).is_none(), "below its gate");
     }
 
     #[test]

@@ -453,7 +453,7 @@ mod tests {
         let joiner = bootstrap_replica(&ctx, 3, 0, &staging, &replicas)
             .unwrap()
             .expect("suffix retained");
-        joiner.catch_up(&ctx);
+        replicas.reconcile(&ctx);
         let a = joiner.peek("/a").expect("installed and replayed");
         assert_eq!(a.data.as_ref(), b"alpha-v2", "log suffix won");
         assert_eq!(a.modified_txid, 9);

@@ -97,6 +97,35 @@ impl NodeRecord {
             ephemeral: self.ephemeral_owner.is_some(),
         }
     }
+
+    /// This record with its children list patched to `children` as of
+    /// `txid`: the list and `children_txid` replaced and `modified_txid`
+    /// raised to at least `txid`. `None` when the record already
+    /// carries the list at `txid` or a newer one: lists are absolute and
+    /// merge by `children_txid`, so a patch is idempotent and monotone.
+    pub fn with_children(&self, children: Arc<Vec<String>>, txid: u64) -> Option<NodeRecord> {
+        if self.children_txid >= txid {
+            return None;
+        }
+        let mut patched = self.clone();
+        patched.children = children;
+        patched.children_txid = txid;
+        patched.modified_txid = patched.modified_txid.max(txid);
+        Some(patched)
+    }
+
+    /// Merges `base`, the copy already stored (or resident in a
+    /// replica) for this record's path, into this newer write: a base
+    /// children list with a larger `children_txid` is the current truth
+    /// (it was rewritten from a child's shard group), and
+    /// `modified_txid` never regresses.
+    pub fn merge_existing(&mut self, base: &NodeRecord) {
+        if base.children_txid > self.children_txid {
+            self.children = Arc::clone(&base.children);
+            self.children_txid = base.children_txid;
+        }
+        self.modified_txid = self.modified_txid.max(base.modified_txid);
+    }
 }
 
 /// A node surfaced by a subtree scan ([`UserStore::scan_subtree`]):

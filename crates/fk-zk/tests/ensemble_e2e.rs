@@ -107,6 +107,12 @@ fn ephemerals_vanish_on_close_and_expiry() {
     let observer = ens.connect(0, Ctx::disabled()).unwrap();
     owner.create("/e1", b"", CreateMode::Ephemeral).unwrap();
     owner.create("/p", b"", CreateMode::Persistent).unwrap();
+    // Server 0 must have applied both creates first: before it has,
+    // "/e1 is absent there" holds without the close doing anything.
+    wait_until(|| {
+        observer.exists("/e1", false).unwrap().is_some()
+            && observer.exists("/p", false).unwrap().is_some()
+    });
     owner.close().unwrap();
     wait_until(|| observer.exists("/e1", false).unwrap().is_none());
     assert!(observer.exists("/p", false).unwrap().is_some());
@@ -114,6 +120,7 @@ fn ephemerals_vanish_on_close_and_expiry() {
     // Expiry path: a session that stops pinging is evicted.
     let lazy = ens.connect(1, Ctx::disabled()).unwrap();
     lazy.create("/e2", b"", CreateMode::Ephemeral).unwrap();
+    wait_until(|| observer.exists("/e2", false).unwrap().is_some());
     ens.expire_sessions(0, i64::MAX); // everything is expired
     wait_until(|| observer.exists("/e2", false).unwrap().is_none());
 }

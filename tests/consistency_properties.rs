@@ -721,9 +721,9 @@ proptest! {
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
         let mut mismatches = Vec::new();
+        fk.replicas().reconcile(&ctx);
         for region_idx in 0..fk.config().regions.len() {
             for replica in fk.replicas().region(region_idx) {
-                replica.catch_up(&ctx);
                 for path in replica.resident_paths() {
                     let resident = replica.peek(&path).expect("resident path peeks");
                     let stored = fk
