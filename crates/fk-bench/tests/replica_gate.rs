@@ -5,13 +5,24 @@
 //! once per unique path instead of once per session × path), replica
 //! hits are metered but never billed, and a deployment whose tier is
 //! *disabled* behaves byte-identically to one that never had the knob.
+//! An `exists` on an absent child of a resident parent is proven absent
+//! by the replica with no storage GET, and waits, like any read, for the
+//! session's own watch deliveries its proof is marked with (Z4).
 
 use fk_bench::replica_bench::{compare_replica_reads, run_replica_reads, ReplicaRunConfig};
-use fk_cloud::trace::LatencyMode;
+use fk_cloud::trace::{Ctx, LatencyMode};
+use fk_cloud::Region;
+use fk_core::api::{WatchEvent, WatchEventType};
+use fk_core::codec::encode_node;
+use fk_core::consistency::{HEvent, HistoryRecorder};
 use fk_core::deploy::{Deployment, DeploymentConfig, Provider};
+use fk_core::messages::ClientNotification;
 use fk_core::read_cache::ReadCacheConfig;
-use fk_core::replica::ReplicaConfig;
-use fk_core::CreateMode;
+use fk_core::replica::{EpochDelta, ReplicaConfig, ReplicaOp, ReplicaSet};
+use fk_core::user_store::NodeRecord;
+use fk_core::{ClientConfig, CreateMode};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Replay stamp for failure messages, in the `chaos soak seed 0x…`
 /// idiom: the printed seed + geometry reproduce the exact run.
@@ -191,4 +202,162 @@ fn disabled_tier_is_byte_identical_to_an_untouched_deployment() {
     );
     assert_eq!(untouched, disabled, "identical read-path fingerprints");
     assert_eq!(untouched.5, 0, "no replica hits anywhere");
+}
+
+/// `exists` on absent children of a resident parent: the replica proves
+/// each absence from the parent's children list, so the calls cost no
+/// user-store GET with a replica and one GET each without one.
+#[test]
+fn absent_children_of_a_resident_parent_cost_no_storage_get() {
+    const CALLS: u64 = 32;
+    let run = |replicas: ReplicaConfig| {
+        let deployment = Deployment::start(
+            DeploymentConfig::aws()
+                .with_mode(LatencyMode::Virtual, 0xAB5E)
+                .with_read_cache(ReadCacheConfig::disabled())
+                .with_replicas(replicas),
+        );
+        let seeder = deployment.connect("absent-seeder").expect("connect");
+        seeder
+            .create("/dir", b"", CreateMode::Persistent)
+            .expect("create");
+        for i in 0..4 {
+            seeder
+                .create(&format!("/dir/c{i}"), b"v", CreateMode::Persistent)
+                .expect("create");
+        }
+        // The feed trails the acks: wait until every replica holds the
+        // parent's full list.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for replica in deployment.replicas().region(0) {
+            while replica.peek("/dir").map(|dir| dir.children.len()) != Some(4) {
+                assert!(Instant::now() < deadline, "the feed never delivered /dir");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        let reader = deployment.connect("absent-reader").expect("connect");
+        let before = deployment.meter().snapshot();
+        for i in 0..CALLS {
+            let stat = reader
+                .exists(&format!("/dir/missing-{i}"), false)
+                .expect("exists");
+            assert!(stat.is_none(), "missing-{i} does not exist");
+        }
+        let gets = deployment.meter().snapshot().since(&before).obj_gets;
+        let proven: u64 = deployment
+            .replicas()
+            .region(0)
+            .iter()
+            .map(|replica| replica.stats().proven_absent)
+            .sum();
+        drop(reader);
+        drop(seeder);
+        deployment.shutdown();
+        (gets, proven)
+    };
+    let (replicated_gets, proven) = run(ReplicaConfig::with_count(1));
+    let (bare_gets, _) = run(ReplicaConfig::disabled());
+    println!(
+        "{CALLS} absent exists: {replicated_gets} GETs with a replica \
+         ({proven} proven absent), {bare_gets} without"
+    );
+    assert_eq!(replicated_gets, 0, "every absence proven by the replica");
+    assert_eq!(proven, CALLS);
+    assert_eq!(
+        bare_gets, CALLS,
+        "one GET per absent exists without a replica"
+    );
+}
+
+/// A proven absence runs the Z4 epoch stall on its proving parent: when
+/// the parent carries the mark of the session's own undelivered watch,
+/// the "no node" answer waits for that watch's delivery.
+#[test]
+fn an_absence_proven_by_a_marked_parent_waits_for_the_watch_delivery() {
+    let deployment =
+        Deployment::start(DeploymentConfig::aws().with_read_cache(ReadCacheConfig::disabled()));
+    let root = deployment.connect("z4-root").expect("connect");
+    root.create("/w", b"", CreateMode::Persistent)
+        .expect("create");
+    root.create("/w/a", b"v", CreateMode::Persistent)
+        .expect("create");
+    // A replica fed by hand, so the parent's marks are the test's to set.
+    let replicas = ReplicaSet::build(ReplicaConfig::with_count(1), &[Region::US_EAST_1], 1, None);
+    let recorder = HistoryRecorder::new();
+    let reader = deployment
+        .connect_with(ClientConfig {
+            replica: replicas.replica_for("z4-reader"),
+            ..ClientConfig::new("z4-reader").with_recorder(recorder.clone())
+        })
+        .expect("connect");
+    reader.exists("/w/a", true).expect("arm an exists watch");
+    let watch = *reader
+        .my_watch_ids()
+        .iter()
+        .next()
+        .expect("one watch registered");
+    let txid = reader.mrd().max(1);
+    let parent = NodeRecord {
+        path: "/w".into(),
+        data: Default::default(),
+        created_txid: 1,
+        modified_txid: txid,
+        version: 0,
+        children: Arc::new(vec!["a".into()]),
+        children_txid: txid,
+        ephemeral_owner: None,
+        epoch_marks: Arc::new(vec![watch]),
+    };
+    let ctx = Ctx::disabled();
+    replicas.feed(
+        &ctx,
+        0,
+        &EpochDelta {
+            ops: Arc::new(vec![ReplicaOp::Write {
+                path: "/w".into(),
+                frame: encode_node(&parent),
+            }]),
+            marks: Arc::new(vec![watch]),
+            high_water: Arc::new(vec![(0, txid)]),
+            seq: 0,
+        },
+    );
+    let answer = reader.submit_exists("/w/b", false).expect("submit");
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(
+        !answer.is_done(),
+        "the absence was answered before the watch it is marked with was delivered"
+    );
+    deployment.bus().notify(
+        &ctx,
+        "z4-reader",
+        ClientNotification::Watch(WatchEvent {
+            watch_id: watch,
+            path: "/w/a".into(),
+            event_type: WatchEventType::NodeDataChanged,
+            txid,
+            children: None,
+        }),
+    );
+    assert_eq!(answer.wait().expect("delivery releases the read"), None);
+    let replica = replicas.replica_for("z4-reader").expect("one replica");
+    assert_eq!(replica.stats().proven_absent, 1);
+    let events = recorder.events();
+    let delivered = events
+        .iter()
+        .position(
+            |event| matches!(event, HEvent::WatchDelivered { watch_id, .. } if *watch_id == watch),
+        )
+        .expect("delivery recorded");
+    let absent = events
+        .iter()
+        .position(|event| {
+            matches!(event, HEvent::ReadAbsent { path, proven_txid, .. }
+                if path == "/w/b" && *proven_txid == txid)
+        })
+        .expect("the proven absence is recorded");
+    assert!(delivered < absent, "delivery precedes the absent answer");
+    drop(reader);
+    drop(root);
+    deployment.shutdown();
 }

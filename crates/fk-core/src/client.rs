@@ -37,7 +37,14 @@
 //! ([`crate::read_cache`]): a valid entry answers without any storage
 //! round trip, concurrent reads of one cold path coalesce into a single
 //! fetch, and the response-handler thread evicts paths named by write
-//! results and watch events as they arrive.
+//! results and watch events as they arrive. A cache miss then asks the
+//! session's shared regional replica ([`crate::replica`]), which answers
+//! with a record it proves fresh, or with "no node" when the resident
+//! parent's children list, proven fresh by the same gate, lacks the
+//! name; only what it cannot prove reaches storage. Every answer, from
+//! any tier, runs the Z4 epoch stall: a record on its own marks, a
+//! replica-proven absence on the proving parent's. An absence read from
+//! storage carries no record and so no marks to stall on.
 
 use crate::api::{CreateMode, FkError, FkResult, Stat, WatchEvent, WatchEventType, WatchKind};
 use crate::consistency::{HEvent, HistoryRecorder};
@@ -48,6 +55,7 @@ use crate::notify::ClientBus;
 use crate::ops::{self, Op, OpHandle, OpResult, PendingWrites, RawWrite};
 use crate::path as zkpath;
 use crate::read_cache::{CacheStats, ReadCache, ReadCacheConfig};
+use crate::replica::Lookup;
 use crate::system_store::SystemStore;
 use crate::user_store::{NodeRecord, ScanEntry, UserStore};
 use bytes::Bytes;
@@ -96,8 +104,9 @@ pub struct ClientConfig {
     /// [`crate::deploy::Deployment::connect_with`] when the deployment
     /// runs a replica tier). Consulted *between* the private cache and
     /// backing storage: a cache miss first asks the replica, and only a
-    /// watermark-ineligible or non-resident path falls through to
-    /// storage. `None` reads exactly as before the replica tier existed.
+    /// watermark-ineligible path, or a non-resident one the parent's
+    /// children list does not prove absent, falls through to storage.
+    /// `None` reads exactly as before the replica tier existed.
     pub replica: Option<Arc<crate::replica::ReadReplica>>,
 }
 
@@ -215,18 +224,34 @@ impl ReadCore {
     /// returned nor ever fire the watch.
     fn read_record(&self, ctx: &Ctx, path: &str, fresh: bool) -> FkResult<Option<Arc<NodeRecord>>> {
         let mrd = self.shared.mrd.load(Ordering::SeqCst);
+        // The gate value of a replica's absence proof, if this call's
+        // own fetch got one.
+        let proven = std::cell::Cell::new(0u64);
         let fetch = || {
             // Tier two: on a private-cache miss, ask the shared regional
             // replica before paying a storage round trip. The replica
             // applies the same MRD watermark gate the cache does (see
             // `replica` module docs), so a hit is observationally a legal
-            // storage read; a miss — non-resident, stale, or lagging —
-            // falls through to storage exactly as before. Fresh
-            // (watch-arming) reads never get here: they bypass both tiers.
+            // storage read. A path it proves absent from its parent's
+            // children list answers "no node" after the Z4 stall on that
+            // parent's marks; the cache then stores its negative entry,
+            // stamped with the MRD, as after a storage read. Anything
+            // else — non-resident and unproven, stale, or lagging — falls
+            // through to storage. Fresh (watch-arming) reads never get
+            // here: they bypass both tiers.
             if !fresh {
                 if let Some(replica) = &self.replica {
-                    if let Some(record) = replica.serve(ctx, path, mrd) {
-                        return Ok(Some((*record).clone()));
+                    match replica.lookup(ctx, path, mrd) {
+                        Lookup::Hit(record) => return Ok(Some((*record).clone())),
+                        Lookup::Absent {
+                            parent,
+                            proven_txid,
+                        } => {
+                            self.stall_for_epoch(&parent)?;
+                            proven.set(proven_txid);
+                            return Ok(None);
+                        }
+                        Lookup::Miss => {}
                     }
                 }
             }
@@ -257,6 +282,12 @@ impl ReadCore {
                     epoch_marks: (*rec.epoch_marks).clone(),
                 });
             }
+        } else if let Some(recorder) = &self.shared.recorder {
+            recorder.record(HEvent::ReadAbsent {
+                session: self.shared.session_id.clone(),
+                path: path.to_owned(),
+                proven_txid: proven.get(),
+            });
         }
         Ok(read.record)
     }

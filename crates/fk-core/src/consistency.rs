@@ -63,6 +63,18 @@ pub enum HEvent {
         /// Epoch marks attached to the observed version.
         epoch_marks: Vec<u64>,
     },
+    /// A read returned "no such node" to the application.
+    ReadAbsent {
+        /// Session id.
+        session: String,
+        /// Path read.
+        path: String,
+        /// The txid through which the absence is proven: the gate value
+        /// of a read replica's proof from the parent's children list, or
+        /// 0 for an absence read from storage or the read cache (which
+        /// carry no proof).
+        proven_txid: u64,
+    },
     /// A watch notification was delivered to the application.
     WatchDelivered {
         /// Session id.
@@ -81,6 +93,7 @@ impl HEvent {
             | HEvent::WriteCommitted { session, .. }
             | HEvent::WriteFailed { session, .. }
             | HEvent::ReadReturned { session, .. }
+            | HEvent::ReadAbsent { session, .. }
             | HEvent::WatchDelivered { session, .. } => session,
         }
     }
@@ -186,29 +199,52 @@ pub fn check_unique_txids(events: &[HEvent]) -> Vec<Violation> {
 
 /// Z3 (part 2): per client and node, observed versions never regress —
 /// "if a client observes node Z with version V, it cannot later see
-/// version V' < V".
+/// version V' < V". An absence proven through txid `t`
+/// ([`HEvent::ReadAbsent`]) is an observation too: no version of that
+/// node existed at `t`, so a later read of it at `modified_txid ≤ t`
+/// regresses.
 pub fn check_monotonic_reads(events: &[HEvent]) -> Vec<Violation> {
     let mut last: HashMap<(String, String), u64> = HashMap::new();
+    let mut absent: HashMap<(String, String), u64> = HashMap::new();
     let mut violations = Vec::new();
     for event in events {
-        if let HEvent::ReadReturned {
-            session,
-            path,
-            modified_txid,
-            ..
-        } = event
-        {
-            let key = (session.clone(), path.clone());
-            let prev = last.get(&key).copied().unwrap_or(0);
-            if *modified_txid < prev {
-                violations.push(Violation {
-                    rule: "Z3",
-                    detail: format!(
-                        "session {session} read {path} at txid {modified_txid} after txid {prev}"
-                    ),
-                });
+        match event {
+            HEvent::ReadReturned {
+                session,
+                path,
+                modified_txid,
+                ..
+            } => {
+                let key = (session.clone(), path.clone());
+                let prev = last.get(&key).copied().unwrap_or(0);
+                if *modified_txid < prev {
+                    violations.push(Violation {
+                        rule: "Z3",
+                        detail: format!(
+                            "session {session} read {path} at txid {modified_txid} after txid {prev}"
+                        ),
+                    });
+                }
+                if let Some(&proven) = absent.get(&key).filter(|&&t| *modified_txid <= t) {
+                    violations.push(Violation {
+                        rule: "Z3",
+                        detail: format!(
+                            "session {session} read {path} at txid {modified_txid} after its \
+                             absence was proven through txid {proven}"
+                        ),
+                    });
+                }
+                last.insert(key, prev.max(*modified_txid));
             }
-            last.insert(key, prev.max(*modified_txid));
+            HEvent::ReadAbsent {
+                session,
+                path,
+                proven_txid,
+            } if *proven_txid > 0 => {
+                let proven = absent.entry((session.clone(), path.clone())).or_default();
+                *proven = (*proven).max(*proven_txid);
+            }
+            _ => {}
         }
     }
     violations
@@ -477,6 +513,37 @@ mod tests {
             read("s", "/b", 3, vec![]), // different node: fine
             read("s", "/a", 10, vec![]),
             read("s", "/a", 12, vec![]),
+        ];
+        assert!(check_monotonic_reads(&events).is_empty());
+    }
+
+    fn absent(session: &str, path: &str, proven_txid: u64) -> HEvent {
+        HEvent::ReadAbsent {
+            session: session.into(),
+            path: path.into(),
+            proven_txid,
+        }
+    }
+
+    #[test]
+    fn z3_rejects_a_version_at_or_below_a_proven_absence() {
+        let events = vec![absent("s", "/n", 10), read("s", "/n", 10, vec![])];
+        let violations = check_monotonic_reads(&events);
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].rule, "Z3");
+    }
+
+    #[test]
+    fn z3_accepts_a_recreate_after_a_proven_absence() {
+        let events = vec![
+            // Unproven (storage) absence, another session's proof, and a
+            // version created after the proof: all fine.
+            absent("s", "/n", 0),
+            read("s", "/n", 3, vec![]),
+            absent("t", "/n", 10),
+            absent("s", "/n", 10),
+            read("s", "/n", 11, vec![]),
+            read("s", "/m", 4, vec![]),
         ];
         assert!(check_monotonic_reads(&events).is_empty());
     }

@@ -50,14 +50,35 @@
 //!   issued when `MRD` was current. An idle group pins the min low —
 //!   the gate then leans on the per-path watermark, which is why both
 //!   predicates are tried.
-//! * **Absence is never served.** A missing entry may mean "deleted"
-//!   or "LRU-evicted" and the replica cannot tell them apart, so a
-//!   miss always falls through to storage (the private cache still
-//!   provides negative caching).
 //!
-//! Z4 needs nothing new: replica records carry the same `epoch_marks`
-//! the storage copy was written with, and the client re-runs its epoch
-//! stall on every serve, replica or not.
+//! # Proven absence
+//!
+//! A missing entry alone proves nothing: it may mean "deleted", "never
+//! created", "LRU-evicted" or "not fed yet". [`ReadReplica::lookup`]
+//! answers *absent* for `p` only from its parent's children list:
+//!
+//! > `p` is not resident, its parent `q` is resident and passes the
+//! > gate above (`max(watermark(q), applied_txid) ≥ MRD`), and `q`'s
+//! > children list lacks `basename(p)`.
+//!
+//! Every create or delete of `p` is a transaction on `q` too (it holds
+//! `q`'s lock and rewrites `q`'s list under its own txid), and `q`'s
+//! list merges monotonically by `children_txid` and advances `q`'s
+//! watermark. So a gate value `G = max(watermark(q), applied_txid)`
+//! means every create and delete of a child of `q` with txid `≤ G` is
+//! in the list, and a name the list lacks does not exist in a legal
+//! storage state at `G ≥ MRD`. This is the one-level case of
+//! [`ReadReplica::serve_subtree`]'s completeness proof, and the same
+//! gate a `get_children` served from the replica already relies on. A
+//! name the list *does* carry but whose record is not resident
+//! (evicted, or its write not fed) stays a miss, as does any path whose
+//! parent is not resident or fails the gate.
+//!
+//! Z4: replica records carry the same `epoch_marks` the storage copy
+//! was written with, and the client re-runs its epoch stall on every
+//! serve, replica or not. A proven absence stalls on the proving
+//! parent's marks: the patch that dropped the name carried the epoch's
+//! marks (conservative: it may also wait for watches on siblings).
 //!
 //! Feed-order soundness: the distributor taps the epoch **after** all
 //! storage operations complete, so the replica never gets ahead of storage
@@ -216,13 +237,37 @@ pub struct EpochDelta {
     pub seq: u64,
 }
 
+/// What [`ReadReplica::lookup`] decided for one path.
+#[derive(Debug)]
+pub enum Lookup {
+    /// The path is resident and passes the watermark gate.
+    Hit(Arc<NodeRecord>),
+    /// The path does not exist, proven from its parent's children list
+    /// (module docs).
+    Absent {
+        /// The resident parent whose list proves the absence; a reader
+        /// runs its Z4 epoch stall on this record's marks.
+        parent: Arc<NodeRecord>,
+        /// The proof's gate value, `max(watermark(parent), applied)`:
+        /// no child of the parent with this name was created at or
+        /// below it without a later delete.
+        proven_txid: u64,
+    },
+    /// Nothing proven: fall through to storage.
+    Miss,
+}
+
 /// Point-in-time counters of one replica.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicaStats {
-    /// Lookups served from the hot tree.
+    /// Lookups served from the hot tree, proven absences included.
     pub hits: u64,
-    /// Lookups that fell through (absent, evicted, or below the gate).
+    /// Lookups that fell through (not resident and not proven absent,
+    /// evicted, or below the gate).
     pub misses: u64,
+    /// Lookups answered "absent" from the parent's children list (each
+    /// also counts as one hit).
+    pub proven_absent: u64,
     /// Lookups that failed the watermark gate specifically (the entry
     /// existed but could not be proven fresh enough for the session).
     pub stale_rejects: u64,
@@ -265,9 +310,16 @@ pub struct ReadReplica {
     state: Mutex<ReplicaState>,
     hits: AtomicU64,
     misses: AtomicU64,
+    proven_absent: AtomicU64,
     stale_rejects: AtomicU64,
     evictions: AtomicU64,
     epochs_applied: AtomicU64,
+}
+
+/// The serve gate (module docs): `Some(max(watermark, applied))`, the
+/// txid through which the copy is proven fresh, when it reaches `mrd`.
+fn gate(watermark: u64, applied: u64, mrd: u64) -> Option<u64> {
+    Some(watermark.max(applied)).filter(|&proven| proven >= mrd)
 }
 
 impl ReadReplica {
@@ -288,6 +340,7 @@ impl ReadReplica {
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            proven_absent: AtomicU64::new(0),
             stale_rejects: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             epochs_applied: AtomicU64::new(0),
@@ -463,32 +516,79 @@ impl ReadReplica {
     /// docs); a served hit is charged in the in-memory latency class
     /// ([`Op::MemGet`]) and metered as a replica hit — never billed, no
     /// storage service saw the read. A miss charges and meters nothing:
-    /// the fall-through storage read pays its own way.
+    /// the fall-through storage read pays its own way. A path that is
+    /// not resident is a miss here; [`Self::lookup`] also proves absence.
     pub fn serve(&self, ctx: &Ctx, path: &str, mrd: u64) -> Option<Arc<NodeRecord>> {
-        let mut state = self.state.lock();
-        let applied = state.floors.iter().copied().min().unwrap_or(0);
-        let clock = state.clock + 1;
-        let Some(slot) = state.tree.get_mut(path) else {
-            drop(state);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        if slot.watermark.max(applied) < mrd {
-            drop(state);
-            self.stale_rejects.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+        match self.decide(ctx, path, mrd, false) {
+            Lookup::Hit(record) => Some(record),
+            Lookup::Absent { .. } | Lookup::Miss => None,
         }
-        slot.stamp = clock;
-        let record = Arc::clone(&slot.record);
-        state.clock = clock;
-        drop(state);
+    }
+
+    /// [`Self::serve`] that also proves absence: a path that is not
+    /// resident is [`Lookup::Absent`] when its resident parent passes the
+    /// gate and its children list lacks the name (module docs). A proven
+    /// absence is charged and metered as one hit, never also a miss.
+    pub fn lookup(&self, ctx: &Ctx, path: &str, mrd: u64) -> Lookup {
+        self.decide(ctx, path, mrd, true)
+    }
+
+    /// One point decision under one hold of the state lock; absence is
+    /// proven only when `prove_absence` asks for it.
+    fn decide(&self, ctx: &Ctx, path: &str, mrd: u64, prove_absence: bool) -> Lookup {
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let applied = state.floors.iter().copied().min().unwrap_or(0);
+        // The deciding slot: the path's own, or, to prove it absent, its
+        // parent's, whose list must lack `name`.
+        let (slot, name) = match state.tree.get_mut(path) {
+            Some(slot) => (Some(slot), None),
+            None => match crate::path::parent(path).filter(|_| prove_absence) {
+                Some(parent) => (
+                    state.tree.get_mut(parent),
+                    Some(crate::path::basename(path)),
+                ),
+                None => (None, None),
+            },
+        };
+        let decided = slot.and_then(|slot| {
+            let Some(proven_txid) = gate(slot.watermark, applied, mrd) else {
+                if name.is_none() {
+                    self.stale_rejects.fetch_add(1, Ordering::Relaxed);
+                }
+                return None;
+            };
+            // A listed name that is not resident (evicted, or its write
+            // not fed) proves nothing.
+            if let Some(name) = name {
+                if slot.record.children.iter().any(|child| child == name) {
+                    return None;
+                }
+            }
+            state.clock += 1;
+            slot.stamp = state.clock;
+            Some((Arc::clone(&slot.record), proven_txid))
+        });
+        drop(guard);
+        let Some((record, proven_txid)) = decided else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return Lookup::Miss;
+        };
         self.hits.fetch_add(1, Ordering::Relaxed);
-        ctx.charge(Op::MemGet, record.data.len().max(1));
         if let Some(meter) = &self.meter {
             meter.replica_hit();
         }
-        Some(record)
+        if name.is_none() {
+            ctx.charge(Op::MemGet, record.data.len().max(1));
+            Lookup::Hit(record)
+        } else {
+            self.proven_absent.fetch_add(1, Ordering::Relaxed);
+            ctx.charge(Op::MemGet, 1);
+            Lookup::Absent {
+                parent: record,
+                proven_txid,
+            }
+        }
     }
 
     /// Serves the whole subtree rooted at `root` for a session with
@@ -517,7 +617,7 @@ impl ReadReplica {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 return None;
             };
-            if slot.watermark.max(applied) < mrd {
+            if gate(slot.watermark, applied, mrd).is_none() {
                 drop(state);
                 self.stale_rejects.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -576,6 +676,7 @@ impl ReadReplica {
         ReplicaStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            proven_absent: self.proven_absent.load(Ordering::Relaxed),
             stale_rejects: self.stale_rejects.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             epochs_applied: self.epochs_applied.load(Ordering::Relaxed),
@@ -1059,7 +1160,7 @@ mod tests {
         // MRD 5 with watermark 5 passes either way, MRD 6 must not.
         assert!(replica.serve(&ctx, "/a", 6).is_none());
         assert_eq!(replica.stats().stale_rejects, 1);
-        // Absence is never served.
+        // `serve` never proves absence.
         assert!(replica.serve(&ctx, "/missing", 0).is_none());
         assert_eq!(replica.applied_txid(), 5);
     }
@@ -1215,6 +1316,93 @@ mod tests {
         // A stale entry (MRD ahead of watermark and floor) also rejects.
         assert!(replica.serve_subtree(&ctx, "/other", 9).is_none());
         assert!(replica.serve_subtree(&ctx, "/missing", 0).is_none());
+    }
+
+    /// `/p` lists `a` and `b` at txid 4, and both children are fed.
+    fn proving_parent(set: &ReplicaSet, ctx: &Ctx) {
+        set.feed(
+            ctx,
+            0,
+            &delta_of(
+                &[
+                    record("/p/a", b"d", 2),
+                    record_with_children("/p", &["a", "b"], 4),
+                    record("/p/b", b"d", 4),
+                ],
+                4,
+            ),
+        );
+    }
+
+    #[test]
+    fn an_unlisted_child_of_a_gated_resident_parent_is_absent() {
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
+        let ctx = Ctx::disabled();
+        proving_parent(&set, &ctx);
+        let Lookup::Absent {
+            parent,
+            proven_txid,
+        } = replica.lookup(&ctx, "/p/c", 4)
+        else {
+            panic!("an unlisted child of a fresh parent is proven absent");
+        };
+        assert_eq!((parent.path.as_str(), proven_txid), ("/p", 4));
+        assert!(matches!(replica.lookup(&ctx, "/p/a", 4), Lookup::Hit(_)));
+        // `serve` never proves absence.
+        assert!(replica.serve(&ctx, "/p/c", 0).is_none());
+        let stats = replica.stats();
+        assert_eq!(
+            (stats.hits, stats.proven_absent, stats.misses),
+            (2, 1, 1),
+            "a proven absence is one hit and never also a miss"
+        );
+    }
+
+    #[test]
+    fn a_listed_child_that_was_evicted_is_a_miss() {
+        // Room for two of the three records: `/p/a`, fed first, is the
+        // LRU victim.
+        let budget = 2 * slot_size(&record_with_children("/p", &["a", "b"], 4));
+        let (set, replica) = tier(ReplicaConfig::with_count(1).with_byte_budget(budget), 1);
+        let ctx = Ctx::disabled();
+        proving_parent(&set, &ctx);
+        assert!(replica.peek("/p/a").is_none(), "evicted");
+        assert_eq!(replica.stats().evictions, 1);
+        assert!(matches!(replica.lookup(&ctx, "/p/a", 4), Lookup::Miss));
+        assert!(matches!(
+            replica.lookup(&ctx, "/p/c", 4),
+            Lookup::Absent { .. }
+        ));
+        // A listed child whose write is not fed yet is a miss too.
+        set.feed(
+            &ctx,
+            0,
+            &delta_of(&[record_with_children("/q", &["x"], 5)], 5),
+        );
+        assert!(matches!(replica.lookup(&ctx, "/q/x", 5), Lookup::Miss));
+    }
+
+    #[test]
+    fn a_parent_below_the_gate_proves_nothing() {
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
+        let ctx = Ctx::disabled();
+        proving_parent(&set, &ctx);
+        assert!(matches!(replica.lookup(&ctx, "/p/c", 5), Lookup::Miss));
+        let stats = replica.stats();
+        assert_eq!((stats.proven_absent, stats.misses), (0, 1));
+        assert_eq!(stats.stale_rejects, 0, "the path itself was never resident");
+    }
+
+    #[test]
+    fn a_parent_that_is_not_resident_proves_nothing() {
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
+        let ctx = Ctx::disabled();
+        proving_parent(&set, &ctx);
+        assert!(matches!(replica.lookup(&ctx, "/q/c", 0), Lookup::Miss));
+        // `/`, the parent of `/p`'s siblings, was never fed.
+        assert!(matches!(replica.lookup(&ctx, "/r", 0), Lookup::Miss));
+        assert!(matches!(replica.lookup(&ctx, "/", 0), Lookup::Miss));
+        assert_eq!(replica.stats().proven_absent, 0);
     }
 
     #[test]
@@ -1798,6 +1986,173 @@ mod tests {
         );
     }
 
+    /// A random tree under two parents: the first frame writes both with
+    /// no children; each later frame creates, deletes, re-creates or
+    /// rewrites children of a pool of five names (a create or delete
+    /// feeds the child's op and its parent's full list at the same txid,
+    /// as the distributor does), or rewrites a parent with its current
+    /// list. Txids come from one counter split over two groups, so each
+    /// path's txids rise in feed order, as every transaction on a path
+    /// holds its lock.
+    fn tree_stream(rng: &mut rand::rngs::SmallRng, frames: u64) -> Vec<EpochDelta> {
+        use rand::Rng;
+        let mut counter = 0u64;
+        let mut lists: Vec<Vec<String>> = vec![Vec::new(); TREE_PARENTS.len()];
+        (1..=frames)
+            .map(|seq| {
+                let marks = Arc::new(vec![seq; rng.gen_range(0..=2usize)]);
+                let mut high_water = [0u64; 2];
+                let mut ops = Vec::new();
+                for (parent, list) in TREE_PARENTS.iter().zip(lists.iter_mut()) {
+                    let roll = if seq == 1 {
+                        50
+                    } else {
+                        rng.gen_range(0..100u32)
+                    };
+                    if roll >= 60 {
+                        continue;
+                    }
+                    counter += rng.gen_range(1..=3u64);
+                    let txid = (counter << 1) | rng.gen_range(0..2u64);
+                    let group = (txid & 1) as usize;
+                    high_water[group] = high_water[group].max(txid);
+                    let write = |rec: NodeRecord| ReplicaOp::Write {
+                        path: rec.path.clone(),
+                        frame: encode_node(&rec),
+                    };
+                    let name = format!("c{}", rng.gen_range(0..5u32));
+                    let child = format!("{parent}/{name}");
+                    match roll {
+                        0..=34 => {
+                            match list.iter().position(|c| *c == name) {
+                                Some(at) => {
+                                    list.remove(at);
+                                    ops.push(ReplicaOp::Delete { path: child });
+                                }
+                                None => {
+                                    list.push(name);
+                                    ops.push(write(record(&child, &txid.to_le_bytes(), txid)));
+                                }
+                            }
+                            ops.push(ReplicaOp::Children {
+                                parent: (*parent).to_owned(),
+                                children: Arc::new(list.clone()),
+                                txid,
+                            });
+                        }
+                        35..=49 if list.contains(&name) => {
+                            ops.push(write(record(&child, &txid.to_le_bytes(), txid)));
+                        }
+                        _ => {
+                            let children: Vec<&str> = list.iter().map(String::as_str).collect();
+                            let mut rec = record_with_children(parent, &children, txid);
+                            rec.epoch_marks = Arc::clone(&marks);
+                            ops.push(write(rec));
+                        }
+                    }
+                }
+                EpochDelta {
+                    ops: Arc::new(ops),
+                    marks,
+                    high_water: Arc::new(
+                        (0..2)
+                            .filter(|&g| high_water[g] > 0)
+                            .map(|g| (g, high_water[g]))
+                            .collect(),
+                    ),
+                    seq,
+                }
+            })
+            .collect()
+    }
+
+    const TREE_PARENTS: [&str; 2] = ["/p0", "/p1"];
+
+    /// Every absence a replica proves agrees with the full replay at its
+    /// cursor: the path is not there, and there the parent's watermark or
+    /// the applied floor reaches the session's MRD, so the answer is a
+    /// legal storage read for that session. Create, delete and re-create
+    /// streams, feed drop, duplicate and delay faults at lag 0–4, byte
+    /// budgets from thrashing to roomy, MRDs around and past the head.
+    #[test]
+    fn proven_absence_agrees_with_the_full_replay_under_feed_faults() {
+        use rand::{Rng, SeedableRng};
+        // Absent answers, hits, and misses of a path absent at the cursor.
+        let mut seen = [0u64; 3];
+        for case in 0..40u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(case);
+            let frames = tree_stream(&mut rng, 32);
+            let full = full_replay(&frames, 2);
+            let lag = rng.gen_range(0..=4usize);
+            let budget = rng.gen_range(400..3_000usize);
+            let config = ReplicaConfig::with_count(3)
+                .with_feed_lag(lag)
+                .with_byte_budget(budget);
+            let set = ReplicaSet::build(config, &[Region::US_EAST_1], 2, None);
+            let mut plan = FaultPlan::disabled();
+            plan.feed_drop = FaultSpec::new(rng.gen_range(0.0..0.4), u64::MAX);
+            plan.feed_duplicate = FaultSpec::new(rng.gen_range(0.0..0.4), u64::MAX);
+            plan.feed_delay = FaultSpec::new(rng.gen_range(0.0..0.4), u64::MAX);
+            set.install_chaos(Chaos::from_plan(plan).expect("feed faults on"));
+            let ctx = Ctx::new(
+                Arc::new(fk_cloud::LatencyModel::zero()),
+                fk_cloud::LatencyMode::Disabled,
+                case,
+            );
+            let top = frames
+                .iter()
+                .flat_map(|frame| frame.high_water.iter().map(|&(_, hw)| hw))
+                .max()
+                .unwrap_or(0);
+            for frame in &frames {
+                let mut live = frame.clone();
+                live.seq = 0;
+                set.feed(&ctx, 0, &live);
+                for replica in set.region(0) {
+                    let (records, floor) = &full[(replica.feed_position() - 1) as usize];
+                    for parent in TREE_PARENTS {
+                        for name in ["c0", "c1", "c2", "c3", "c4", "never"] {
+                            let path = format!("{parent}/{name}");
+                            let mrd = rng.gen_range(0..=top + 4);
+                            let at = format!("case {case}, lag {lag}, {path} at MRD {mrd}");
+                            match replica.lookup(&ctx, &path, mrd) {
+                                Lookup::Absent {
+                                    parent: proof,
+                                    proven_txid,
+                                } => {
+                                    seen[0] += 1;
+                                    assert!(!records.contains_key(&path), "{at}: it exists");
+                                    let stored = records.get(parent).expect("parent exists");
+                                    let watermark = crate::codec::decode_node(stored)
+                                        .expect("frame decodes")
+                                        .modified_txid;
+                                    assert!(
+                                        watermark.max(*floor) >= mrd,
+                                        "{at}: the cursor proves only txid {}",
+                                        watermark.max(*floor)
+                                    );
+                                    assert_eq!(proven_txid, watermark.max(*floor), "{at}");
+                                    assert_eq!(&encode_node(&proof), stored, "{at}");
+                                }
+                                Lookup::Hit(record) => {
+                                    seen[1] += 1;
+                                    assert_eq!(Some(&encode_node(&record)), records.get(&path));
+                                }
+                                Lookup::Miss => {
+                                    seen[2] += u64::from(!records.contains_key(&path));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "absent, hit and unproven-absent answers all occur: {seen:?}"
+        );
+    }
+
     /// A replica whose cursor aged out of the log stays at its last head,
     /// even through a reconcile: it serves what that head proves fresh
     /// and falls through for anything newer.
@@ -1805,14 +2160,26 @@ mod tests {
     fn a_cursor_that_aged_out_of_the_log_stays_at_its_last_head() {
         let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
         let ctx = Ctx::disabled();
-        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v1", 1)], 1));
+        let root = |children: &[&str], txid| record_with_children("/", children, txid);
+        set.feed(
+            &ctx,
+            0,
+            &delta_of(&[root(&["a"], 1), record("/a", b"v1", 1)], 1),
+        );
         assert_eq!(replica.feed_position(), 2);
         let mut plan = FaultPlan::disabled();
         plan.feed_drop = FaultSpec::new(1.0, u64::MAX);
         set.install_chaos(Chaos::from_plan(plan).unwrap());
         // Every later notification drops, until the log no longer
-        // retains frame 2.
-        let later = delta_of(&[record("/a", b"v2", 2)], 2);
+        // retains frame 2, which also creates `/b`.
+        let later = delta_of(
+            &[
+                record("/a", b"v2", 2),
+                record("/b", b"v", 2),
+                root(&["a", "b"], 2),
+            ],
+            2,
+        );
         for _ in 0..=FEED_LOG_CAP {
             set.feed(&ctx, 0, &later);
         }
@@ -1823,6 +2190,12 @@ mod tests {
         assert_eq!(replica.applied_txid(), 1);
         assert_eq!(replica.serve(&ctx, "/a", 1).unwrap().data.as_ref(), b"v1");
         assert!(replica.serve(&ctx, "/a", 2).is_none(), "below its gate");
+        // Its head proves `/b` absent through txid 1, and no further.
+        assert!(matches!(
+            replica.lookup(&ctx, "/b", 1),
+            Lookup::Absent { proven_txid: 1, .. }
+        ));
+        assert!(matches!(replica.lookup(&ctx, "/b", 2), Lookup::Miss));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! budget × injected feed lag), which must likewise be semantically
 //! invisible.
 
-use fk_core::consistency::{check_history, check_tree_integrity, HEvent, HistoryRecorder};
+use fk_core::consistency::{
+    check_history, check_monotonic_reads, check_tree_integrity, HEvent, HistoryRecorder,
+};
 use fk_core::deploy::{fn_names, Deployment, DeploymentConfig};
 use fk_core::distributor::{shard_of, DistributorConfig};
 use fk_core::read_cache::ReadCacheConfig;
@@ -27,6 +29,7 @@ enum Action {
     Delete { node: u8 },
     Read { node: u8 },
     ReadWithWatch { node: u8 },
+    Exists { node: u8 },
 }
 
 fn action_strategy() -> impl Strategy<Value = Action> {
@@ -36,6 +39,9 @@ fn action_strategy() -> impl Strategy<Value = Action> {
         (0u8..6).prop_map(|node| Action::Delete { node }),
         (0u8..6).prop_map(|node| Action::Read { node }),
         (0u8..6).prop_map(|node| Action::ReadWithWatch { node }),
+        // Nodes 6 and 7 are never created: `exists` asks for both
+        // present and absent paths.
+        (0u8..8).prop_map(|node| Action::Exists { node }),
     ]
 }
 
@@ -124,6 +130,9 @@ fn run_workload(
                         }
                         Action::ReadWithWatch { node } => {
                             let _ = client.get_data(&path(node), true);
+                        }
+                        Action::Exists { node } => {
+                            let _ = client.exists(&path(node), false);
                         }
                     }
                 }
@@ -563,6 +572,9 @@ fn run_sequential(
             Action::ReadWithWatch { node } => {
                 format!("readw {node}: {:?}", client.get_data(&path(node), true))
             }
+            Action::Exists { node } => {
+                format!("exists {node}: {:?}", client.exists(&path(node), false))
+            }
         };
         transcript.push(line);
     }
@@ -620,7 +632,8 @@ proptest! {
     /// sequential client at every geometry — including feed lag, where
     /// the watermark gate forces every read to fall through to storage
     /// rather than serve a stale resident record. Transcripts and
-    /// histories must be byte-identical to a replica-free deployment.
+    /// histories must be byte-identical to a replica-free deployment,
+    /// up to the proof txid of an absence the replica answered.
     #[test]
     fn replica_tier_is_observationally_invisible_to_a_sequential_client(
         actions in proptest::collection::vec(action_strategy(), 1..32),
@@ -644,6 +657,22 @@ proptest! {
                 .with_byte_budget(budget)
                 .with_feed_lag(feed_lag),
         );
+        // A replica-proven absence records its proof's txid, where
+        // storage records none; the answer itself must match storage's,
+        // and the proof must hold against every later read.
+        let regressions = check_monotonic_reads(&replicated_events);
+        prop_assert!(regressions.is_empty(), "{:#?}", regressions);
+        let replicated_events: Vec<HEvent> = replicated_events
+            .into_iter()
+            .map(|event| match event {
+                HEvent::ReadAbsent { session, path, .. } => HEvent::ReadAbsent {
+                    session,
+                    path,
+                    proven_txid: 0,
+                },
+                event => event,
+            })
+            .collect();
         prop_assert_eq!(
             &bare_transcript,
             &replicated_transcript,
@@ -706,6 +735,9 @@ proptest! {
                 }
                 Action::ReadWithWatch { node } => {
                     let _ = client.get_data(&path(node), true);
+                }
+                Action::Exists { node } => {
+                    let _ = client.exists(&path(node), false);
                 }
             }
         }
