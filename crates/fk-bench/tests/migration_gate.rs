@@ -11,6 +11,7 @@
 
 use fk_cloud::FaultPlan;
 use fk_core::deploy::{Deployment, DeploymentConfig};
+use fk_core::system_store::txid;
 use fk_core::{codec, CreateMode, DistributorConfig, ReplicaConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,11 +77,11 @@ fn mid_run_bootstrap_converges_byte_identical_to_genesis_replica() {
             .expect("set");
     }
 
-    let manifest = fk.cut_checkpoint(&ctx).expect("cut checkpoint");
+    let checkpoint = fk.cut_checkpoint(&ctx).expect("cut checkpoint");
     assert!(
-        manifest.nodes >= 13,
+        checkpoint.records.len() >= 13,
         "{stamp}: checkpoint missed the phase-1 tree ({} nodes)",
-        manifest.nodes
+        checkpoint.records.len()
     );
 
     // Phase 2: commits the joiner must pick up from the feed-log
@@ -96,10 +97,7 @@ fn mid_run_bootstrap_converges_byte_identical_to_genesis_replica() {
             .expect("post-checkpoint create");
     }
 
-    let joiner = fk
-        .bootstrap_replica(&ctx, 0, manifest.id)
-        .expect("bootstrap")
-        .expect("feed log retains the suffix right after the checkpoint");
+    let joiner = fk.bootstrap_replica(&ctx, 0, &checkpoint);
 
     // Phase 3: commits both replicas see live.
     client
@@ -175,9 +173,16 @@ fn live_resharding_loses_nothing_and_records_gate_numbers() {
     // Scale out while the next write round is about to land: keys
     // re-hash across the doubled width from the followers' next batch.
     let t0 = Instant::now();
-    let manifest = fk.scale_out(&ctx, 8).expect("scale out");
+    let seed_floors = fk.scale_out(&ctx, 8).expect("scale out");
     let scale_out_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(manifest.chunks >= 1, "{stamp}: empty checkpoint");
+    // Every txid a joining group issues sorts after everything committed
+    // before it joined: its published floor sits above the seed floors.
+    let ceiling = seed_floors.iter().copied().max().unwrap_or(0);
+    let published = fk.floors().snapshot();
+    assert!(
+        (4..8).all(|g| published[g] > ceiling),
+        "{stamp}: a joining group's floor sits at or below {ceiling}: {published:?}"
+    );
 
     for n in 0..24 {
         let path = format!("/live/b{n}");
@@ -217,10 +222,18 @@ fn live_resharding_loses_nothing_and_records_gate_numbers() {
     }
     let drain_ms = t1.elapsed().as_secs_f64() * 1e3;
 
+    let mut joined_writes = 0;
     for (path, data, version) in &expect {
         let record = (0..50)
             .find_map(|_| fk.user_store().read_node(&ctx, path).ok().flatten())
             .unwrap_or_else(|| panic!("{stamp}: acknowledged node {path} lost"));
+        if txid::group_of(record.created_txid) >= 4 {
+            joined_writes += 1;
+            assert!(
+                record.created_txid > ceiling,
+                "{stamp}: {path} was created by a joining group at or below {ceiling}"
+            );
+        }
         assert_eq!(
             record.data.as_ref(),
             &data[..],
@@ -232,6 +245,10 @@ fn live_resharding_loses_nothing_and_records_gate_numbers() {
             "{stamp}: version lost on {path}"
         );
     }
+    assert!(
+        joined_writes > 0,
+        "{stamp}: no create landed on a joining group"
+    );
     let violations =
         fk_core::consistency::check_tree_integrity(&ctx, fk.system(), fk.user_store().as_ref());
     assert!(violations.is_empty(), "{stamp}: {violations:#?}");
@@ -249,12 +266,9 @@ fn live_resharding_loses_nothing_and_records_gate_numbers() {
         snapshot.faults_injected
     );
     println!(
-        "migration gate numbers: acked_writes={} checkpoint_nodes={} checkpoint_chunks={} \
-         scale_out_ms={scale_out_ms:.1} drain_ms={drain_ms:.1} retries={} faults_injected={} \
-         obj_puts={} dead_letters=0",
+        "migration gate numbers: acked_writes={} scale_out_ms={scale_out_ms:.1} \
+         drain_ms={drain_ms:.1} retries={} faults_injected={} obj_puts={} dead_letters=0",
         expect.len(),
-        manifest.nodes,
-        manifest.chunks,
         snapshot.retries,
         snapshot.faults_injected,
         snapshot.obj_puts,

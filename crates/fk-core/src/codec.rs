@@ -57,11 +57,6 @@ mod kind {
     pub const CLIENT_REQUEST: u8 = 3;
     /// A [`crate::watch_fn::WatchTask`].
     pub const WATCH_TASK: u8 = 4;
-    /// A checkpoint chunk (a batch of node frames) staged through the
-    /// object store by [`crate::transfer`].
-    pub const CHECKPOINT_CHUNK: u8 = 5;
-    /// A checkpoint manifest ([`crate::transfer::CheckpointManifest`]).
-    pub const CHECKPOINT_MANIFEST: u8 = 6;
 }
 
 // ----------------------------------------------------------------------
@@ -967,59 +962,6 @@ pub fn decode_watch_task(bytes: &[u8]) -> Option<crate::watch_fn::WatchTask> {
     r.done().then_some(task)
 }
 
-// ----------------------------------------------------------------------
-// Checkpoint transfer (chunks + manifest)
-// ----------------------------------------------------------------------
-
-/// Encodes one checkpoint chunk: a batch of already-encoded node frames
-/// ([`encode_node`] output), length-prefixed so the joiner re-frames
-/// them without decoding — the bytes it installs are byte-identical to
-/// the bytes the stream would have delivered.
-pub fn encode_checkpoint_chunk(frames: &[Bytes]) -> Bytes {
-    let total: usize = frames.iter().map(|frame| frame.len() + 5).sum();
-    let mut w = Writer::new(kind::CHECKPOINT_CHUNK, total + 5);
-    w.u64(frames.len() as u64);
-    for frame in frames {
-        w.bytes(frame);
-    }
-    w.finish()
-}
-
-/// Decodes a checkpoint chunk back into its node frames.
-pub fn decode_checkpoint_chunk(bytes: &[u8]) -> Option<Vec<Bytes>> {
-    let mut r = Reader::open(bytes, kind::CHECKPOINT_CHUNK)?;
-    let len = r.list_len()?;
-    let mut frames = Vec::with_capacity(len);
-    for _ in 0..len {
-        frames.push(r.bytes()?);
-    }
-    r.done().then_some(frames)
-}
-
-/// Encodes a checkpoint manifest.
-pub fn encode_checkpoint_manifest(manifest: &crate::transfer::CheckpointManifest) -> Bytes {
-    let mut w = Writer::new(kind::CHECKPOINT_MANIFEST, 40 + manifest.floors.len() * 9);
-    w.u64(manifest.id);
-    w.u64_list(&manifest.floors);
-    w.u64_list(&manifest.feed_seq);
-    w.u64(manifest.chunks);
-    w.u64(manifest.nodes);
-    w.finish()
-}
-
-/// Decodes a checkpoint manifest.
-pub fn decode_checkpoint_manifest(bytes: &[u8]) -> Option<crate::transfer::CheckpointManifest> {
-    let mut r = Reader::open(bytes, kind::CHECKPOINT_MANIFEST)?;
-    let manifest = crate::transfer::CheckpointManifest {
-        id: r.u64()?,
-        floors: r.u64_list()?,
-        feed_seq: r.u64_list()?,
-        chunks: r.u64()?,
-        nodes: r.u64()?,
-    };
-    r.done().then_some(manifest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1142,15 +1084,8 @@ mod tests {
             request_id: 1,
             op: WriteOp::CloseSession,
         };
-        let manifest = crate::transfer::CheckpointManifest {
-            id: 1,
-            floors: vec![1],
-            feed_seq: vec![1],
-            chunks: 1,
-            nodes: 1,
-        };
         type Decodes = fn(&[u8]) -> bool;
-        let kinds: [(Bytes, Decodes); 7] = [
+        let kinds: [(Bytes, Decodes); 5] = [
             (bytes.clone(), |b| decode_node(b).is_some()),
             (bytes.clone(), |b| {
                 decode_node_summary(&Bytes::copy_from_slice(b)).is_some()
@@ -1162,12 +1097,6 @@ mod tests {
                 decode_client_request(b).is_some()
             }),
             (encode_watch_task(&task), |b| decode_watch_task(b).is_some()),
-            (encode_checkpoint_chunk(std::slice::from_ref(&bytes)), |b| {
-                decode_checkpoint_chunk(b).is_some()
-            }),
-            (encode_checkpoint_manifest(&manifest), |b| {
-                decode_checkpoint_manifest(b).is_some()
-            }),
         ];
         for (frame, decodes) in &kinds {
             assert!(decodes(frame));
@@ -1217,39 +1146,5 @@ mod tests {
             assert_eq!(r.i64(), Some(v));
         }
         assert!(r.done());
-    }
-
-    #[test]
-    fn checkpoint_chunk_and_manifest_roundtrip() {
-        let frames: Vec<Bytes> = vec![
-            Bytes::from_static(b"alpha"),
-            Bytes::new(),
-            Bytes::from_static(b"\x00\x01\x02"),
-        ];
-        let chunk = encode_checkpoint_chunk(&frames);
-        assert_eq!(decode_checkpoint_chunk(&chunk).unwrap(), frames);
-        // Kinds are not interchangeable: a chunk is not a manifest and
-        // neither decodes as a node frame.
-        assert!(decode_checkpoint_manifest(&chunk).is_none());
-        assert!(decode_checkpoint_chunk(&encode_node(&record(3))).is_none());
-        assert_eq!(
-            decode_checkpoint_chunk(&encode_checkpoint_chunk(&[])).unwrap(),
-            Vec::<Bytes>::new()
-        );
-
-        let manifest = crate::transfer::CheckpointManifest {
-            id: 0xC0DE,
-            floors: vec![1, 2, 3],
-            feed_seq: vec![9, 4],
-            chunks: 2,
-            nodes: 5,
-        };
-        let bytes = encode_checkpoint_manifest(&manifest);
-        assert_eq!(decode_checkpoint_manifest(&bytes).unwrap(), manifest);
-        // Truncation and trailing garbage are both rejected.
-        assert!(decode_checkpoint_manifest(&bytes[..bytes.len() - 1]).is_none());
-        let mut padded = bytes.to_vec();
-        padded.push(0);
-        assert!(decode_checkpoint_manifest(&padded).is_none());
     }
 }

@@ -321,8 +321,6 @@ pub struct Deployment {
     /// The chaos engine, when the config's fault plan is enabled.
     chaos: Option<Arc<Chaos>>,
     seed_counter: std::sync::atomic::AtomicU64,
-    /// Next checkpoint id ([`Deployment::cut_checkpoint`]).
-    checkpoint_counter: std::sync::atomic::AtomicU64,
 }
 
 /// Function names registered in the runtime.
@@ -444,7 +442,6 @@ impl Deployment {
             floors,
             chaos,
             seed_counter: std::sync::atomic::AtomicU64::new(1),
-            checkpoint_counter: std::sync::atomic::AtomicU64::new(1),
         };
         deployment.seed_root();
         deployment.seed_membership(active);
@@ -729,57 +726,40 @@ impl Deployment {
         self.system.read_membership(ctx)
     }
 
-    /// Cuts a consistent checkpoint of the user-store tree into the
-    /// staging bucket ([`crate::transfer::cut_checkpoint`]) and returns
-    /// its manifest. Ids are deployment-local and monotone.
-    pub fn cut_checkpoint(
-        &self,
-        ctx: &Ctx,
-    ) -> fk_cloud::CloudResult<crate::transfer::CheckpointManifest> {
-        let id = self
-            .checkpoint_counter
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        crate::transfer::cut_checkpoint(
-            ctx,
-            id,
-            &self.user_stores[0],
-            &self.staging,
-            &self.floors,
-            &self.replicas,
-            self.config.regions.len(),
-        )
+    /// Cuts a consistent in-memory checkpoint of the user-store tree
+    /// ([`crate::transfer::cut_checkpoint`]). Holding it keeps each
+    /// region's feed-log suffix after its cut.
+    pub fn cut_checkpoint(&self, ctx: &Ctx) -> fk_cloud::CloudResult<crate::transfer::Checkpoint> {
+        crate::transfer::cut_checkpoint(ctx, &self.user_stores[0], &self.floors, &self.replicas)
     }
 
     /// Live scale-out to `active` write-accepting groups (≤ the
-    /// provisioned width): cuts a checkpoint, activates each joining
-    /// group from its floors ([`crate::transfer::activate_group`] seeds
-    /// the group's txid counter past everything checkpointed and
-    /// publishes its committed floor), then publishes the widened
-    /// membership. Followers re-hash across the new width from their
-    /// next batch; keys that move groups stay Z2-ordered through the
-    /// per-session txid floors.
-    pub fn scale_out(
-        &self,
-        ctx: &Ctx,
-        active: usize,
-    ) -> fk_cloud::CloudResult<crate::transfer::CheckpointManifest> {
+    /// provisioned width): activates each joining group from the
+    /// committed floors ([`crate::transfer::activate_group`] seeds the
+    /// group's txid counter past all of them and publishes its committed
+    /// floor), then publishes the widened membership. No data moves:
+    /// followers re-hash across the new width from their next batch;
+    /// keys that move groups stay Z2-ordered through the per-session
+    /// txid floors. Returns the committed floors the joiners were
+    /// seeded from.
+    pub fn scale_out(&self, ctx: &Ctx, active: usize) -> fk_cloud::CloudResult<Vec<u64>> {
         let provisioned = self.config.distributor.groups;
         assert!(
             active <= provisioned,
             "cannot activate beyond the provisioned {provisioned} groups"
         );
-        let manifest = self.cut_checkpoint(ctx)?;
+        let seed_floors = self.floors.snapshot();
         let mut membership = self
             .membership(ctx)
             .unwrap_or_else(|| crate::system_store::Membership::all_active(provisioned));
         for group in membership.active_groups..active {
-            crate::transfer::activate_group(ctx, group, &self.system, &self.floors, &manifest)?;
+            crate::transfer::activate_group(ctx, group, &self.system, &self.floors, &seed_floors)?;
         }
         if active > membership.active_groups {
             membership.active_groups = active;
             self.system.write_membership(ctx, &membership)?;
         }
-        Ok(manifest)
+        Ok(seed_floors)
     }
 
     /// Marks `group` as draining toward `successor`: new submissions
@@ -831,25 +811,17 @@ impl Deployment {
         Ok(())
     }
 
-    /// Bootstraps a new read replica into `region_idx` from checkpoint
-    /// `checkpoint_id` ([`crate::transfer::bootstrap_replica`]):
-    /// installs the snapshot, replays the retained feed-log suffix, and
-    /// registers the replica with the region's tier. `Ok(None)` when
-    /// the feed log no longer retains the suffix (cut a fresh
-    /// checkpoint and retry).
+    /// Bootstraps a new read replica into `region_idx` from `checkpoint`
+    /// ([`crate::transfer::bootstrap_replica`]): installs the snapshot,
+    /// replays the feed-log suffix its cut retains, and registers the
+    /// replica with the region's tier.
     pub fn bootstrap_replica(
         &self,
         ctx: &Ctx,
         region_idx: usize,
-        checkpoint_id: u64,
-    ) -> fk_cloud::CloudResult<Option<Arc<crate::replica::ReadReplica>>> {
-        crate::transfer::bootstrap_replica(
-            ctx,
-            checkpoint_id,
-            region_idx,
-            &self.staging,
-            &self.replicas,
-        )
+        checkpoint: &crate::transfer::Checkpoint,
+    ) -> Arc<crate::replica::ReadReplica> {
+        crate::transfer::bootstrap_replica(ctx, region_idx, checkpoint, &self.replicas)
     }
 
     // ------------------------------------------------------------------

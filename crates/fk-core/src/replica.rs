@@ -97,7 +97,7 @@
 //! notification leaves the replica behind until its next one, a
 //! duplicated one pulls nothing new, and [`ReplicaSet::reconcile`] pulls
 //! every replica to the head. A joiner installs a checkpoint and pulls
-//! the suffix after it.
+//! the suffix after its cut.
 //!
 //! The log is compacted by parent. A create's children patch carries its
 //! parent's full list, so the log keeps only the patch that decides a
@@ -112,10 +112,18 @@
 //! stopped between the two would hold an applied floor past a children
 //! list it lacks. So a replica with `feed_lag` L pulls once it trails the
 //! head by more than L frames, and then pulls to the head: L bounds how
-//! far it trails (a sawtooth), never a window it applies from. A replica
-//! whose cursor aged out of the log stays at its last head; its gate
-//! still holds, so it serves only what that head proves fresh and falls
-//! through for the rest.
+//! far it trails (a sawtooth), never a window it applies from.
+//!
+//! **The log keeps what its readers still need.** Its readers are the
+//! region's replicas and its live [`FeedCut`]s. A cut is a checkpoint's
+//! claim on the suffix after the feed sequence it read under the feed
+//! lock, held until the cut is dropped. After every feed and reconcile,
+//! the log drops the frames below `min(replica cursors, cuts + 1)`, so no
+//! cursor ever falls below the oldest retained frame, and a joiner's
+//! suffix is retained for as long as it holds its cut. A replica that
+//! lags or misses notifications keeps the log from its cursor on; the
+//! per-parent compaction makes that suffix grow with frames, not with
+//! frames × children.
 
 use crate::user_store::NodeRecord;
 use bytes::Bytes;
@@ -372,7 +380,7 @@ impl ReadReplica {
     pub fn install_snapshot(
         &self,
         ctx: &Ctx,
-        records: Vec<NodeRecord>,
+        records: &[NodeRecord],
         floors: &[u64],
         next_seq: u64,
     ) {
@@ -383,7 +391,7 @@ impl ReadReplica {
             // The snapshot is a point-in-time truth: it merges by the
             // same monotone rule as the feed, so an already-live replica
             // can reinstall without regressing.
-            self.merge_insert(&mut state, record);
+            self.merge_insert(&mut state, record.clone());
         }
         for (group, floor) in floors.iter().enumerate() {
             if let Some(applied) = state.floors.get_mut(group) {
@@ -402,21 +410,22 @@ impl ReadReplica {
     /// Pulls every retained frame from the cursor to the log's head,
     /// under one hold of the state lock, once the replica trails the
     /// head by more than `lag` frames. A pull always ends at the head
-    /// (module docs). A cursor that aged out of the log stays put.
-    fn pull(&self, ctx: &Ctx, log: &VecDeque<EpochDelta>, lag: usize) {
-        let (Some(first), Some(head)) = (log.front().map(|f| f.seq), log.back().map(|f| f.seq))
-        else {
-            return;
-        };
+    /// (module docs). Returns the cursor after the pull.
+    fn pull(&self, ctx: &Ctx, log: &VecDeque<EpochDelta>, lag: usize) -> u64 {
         let mut state = self.state.lock();
-        let behind = (head + 1).saturating_sub(state.next_seq);
-        if behind <= lag as u64 || state.next_seq < first {
-            return;
+        if let (Some(first), Some(head)) = (log.front().map(|f| f.seq), log.back().map(|f| f.seq)) {
+            debug_assert!(
+                state.next_seq >= first,
+                "the log keeps every cursor's suffix"
+            );
+            if (head + 1).saturating_sub(state.next_seq) > lag as u64 {
+                for frame in log.range((state.next_seq - first) as usize..) {
+                    self.apply(ctx, &mut state, frame);
+                }
+                state.next_seq = head + 1;
+            }
         }
-        for frame in log.range((state.next_seq - first) as usize..) {
-            self.apply(ctx, &mut state, frame);
-        }
-        state.next_seq = head + 1;
+        state.next_seq
     }
 
     fn apply(&self, ctx: &Ctx, state: &mut ReplicaState, delta: &EpochDelta) {
@@ -694,17 +703,10 @@ fn slot_size(record: &NodeRecord) -> usize {
         + record.epoch_marks.len() * 8
 }
 
-/// Frames the per-region feed log retains for replicas to pull and for
-/// mid-run bootstrap. A joiner whose checkpoint predates the oldest
-/// retained frame must cut a fresh checkpoint instead, and a replica
-/// whose cursor predates it stays at its last head. Every frame is
-/// retained, but its children patches are compacted by parent
-/// ([`FeedState`]), so the log's size grows with frames, not with
-/// frames × children.
-const FEED_LOG_CAP: usize = 65_536;
-
-/// Per-region feed state: the monotone sequence counter and the
-/// retained committed epoch-delta log the replicas pull from.
+/// Per-region feed state: the monotone sequence counter, the retained
+/// committed epoch-delta log the replicas pull from, and the live cuts
+/// that hold a suffix of it for joiners. The log keeps exactly the
+/// frames some reader has not pulled ([`FeedState::trim`]).
 ///
 /// The log is compacted by parent: of the children patches for one
 /// parent since its last `Write` or `Delete`, only the one with the
@@ -722,9 +724,23 @@ struct FeedState {
     /// Per parent, `(seq, txid)` of the retained children patch with the
     /// largest txid since the parent's last `Write` or `Delete`.
     patches: HashMap<String, (u64, u64)>,
+    /// The feed sequence of each live [`FeedCut`].
+    cuts: Vec<u64>,
 }
 
 impl FeedState {
+    /// Drops the frames every reader has pulled: those below `cursor`,
+    /// the least replica cursor, and at or below every live cut.
+    fn trim(&mut self, cursor: u64) {
+        let keep = self
+            .cuts
+            .iter()
+            .fold(cursor, |keep, &cut| keep.min(cut + 1));
+        while self.log.front().is_some_and(|frame| frame.seq < keep) {
+            self.log.pop_front();
+        }
+    }
+
     /// Appends a stamped frame to the retained log and compacts its
     /// children patches against the per-parent index (type docs). Relies
     /// on a frame holding at most one op per path.
@@ -753,7 +769,7 @@ impl FeedState {
     }
 
     /// Rebuilds retained frame `seq` without its children patch for
-    /// `parent` (a no-op once the frame has aged out of the log).
+    /// `parent` (a no-op once every reader has pulled the frame).
     fn drop_patch(&mut self, seq: u64, parent: &str) {
         let Some(first) = self.log.front().map(|frame| frame.seq) else {
             return;
@@ -782,6 +798,33 @@ struct RegionTier {
     feed: Mutex<FeedState>,
 }
 
+/// A checkpoint's claim on one region's feed log: the feed sequence read
+/// under the feed lock when the cut was taken ([`ReplicaSet::cuts`]).
+/// While the cut lives, the log keeps every frame after it, so a replica
+/// joining from it ([`ReplicaSet::join_replica`]) always finds its
+/// suffix. Dropping the cut releases the claim, and the next feed trims.
+pub struct FeedCut {
+    inner: Arc<ReplicaSetInner>,
+    region: usize,
+    seq: u64,
+}
+
+impl FeedCut {
+    /// The feed sequence at the cut: a joiner pulls from `seq + 1`.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+impl Drop for FeedCut {
+    fn drop(&mut self) {
+        let mut feed = self.inner.regions[self.region].feed.lock();
+        if let Some(at) = feed.cuts.iter().position(|&seq| seq == self.seq) {
+            feed.cuts.swap_remove(at);
+        }
+    }
+}
+
 struct ReplicaSetInner {
     regions: Vec<RegionTier>,
     config: ReplicaConfig,
@@ -793,10 +836,10 @@ struct ReplicaSetInner {
 /// The deployment's replica tier: per region (aligned with the
 /// distributor's user stores), `ReplicaConfig::count` replicas sharing
 /// each region's feed log. Every frame fed to a region is stamped with a
-/// monotone per-region sequence number and appended to a bounded feed
-/// log, which each replica pulls by its own cursor (module docs), as
-/// does a mid-run joiner ([`ReplicaSet::join_replica`]). Cloning shares
-/// the tier.
+/// monotone per-region sequence number and appended to the feed log,
+/// which each replica pulls by its own cursor (module docs), as does a
+/// mid-run joiner from its [`FeedCut`] ([`ReplicaSet::join_replica`]).
+/// Cloning shares the tier.
 #[derive(Clone)]
 pub struct ReplicaSet {
     inner: Arc<ReplicaSetInner>,
@@ -843,6 +886,7 @@ impl ReplicaSet {
                         seq: 0,
                         log: VecDeque::new(),
                         patches: HashMap::new(),
+                        cuts: Vec::new(),
                     }),
                 })
                 .collect()
@@ -879,9 +923,10 @@ impl ReplicaSet {
     /// sequence number, appends the frame to the retained feed log
     /// (compacted by parent, `FeedState`), then notifies each replica,
     /// which pulls from its cursor to the head unless it trails by at
-    /// most `feed_lag` frames. The chaos engine may drop or delay a
-    /// notification (the replica pulls the frame with its next one) or
-    /// duplicate it (the second pull finds nothing new).
+    /// most `feed_lag` frames, and trims what every reader has pulled.
+    /// The chaos engine may drop or delay a notification (the replica
+    /// pulls the frame with its next one) or duplicate it (the second
+    /// pull finds nothing new).
     pub fn feed(&self, ctx: &Ctx, region_idx: usize, delta: &EpochDelta) {
         let Some(tier) = self.inner.regions.get(region_idx) else {
             return;
@@ -891,14 +936,16 @@ impl ReplicaSet {
         let mut stamped = delta.clone();
         stamped.seq = feed.seq;
         feed.retain(stamped);
-        while feed.log.len() > FEED_LOG_CAP {
-            feed.log.pop_front();
-        }
+        let mut cursor = u64::MAX;
         for replica in tier.replicas.read().iter() {
-            if self.notified(ctx) {
-                replica.pull(ctx, &feed.log, self.inner.config.feed_lag);
-            }
+            let at = if self.notified(ctx) {
+                replica.pull(ctx, &feed.log, self.inner.config.feed_lag)
+            } else {
+                replica.feed_position()
+            };
+            cursor = cursor.min(at);
         }
+        feed.trim(cursor);
     }
 
     /// Rolls the feed faults for one (frame, replica) pair, in the order
@@ -924,9 +971,7 @@ impl ReplicaSet {
         true
     }
 
-    /// The region's current feed sequence number — the cut point a
-    /// checkpoint records so a joiner knows where log-suffix replay
-    /// starts.
+    /// The region's current feed sequence number.
     pub fn feed_seq(&self, region_idx: usize) -> u64 {
         self.inner
             .regions
@@ -935,53 +980,66 @@ impl ReplicaSet {
             .unwrap_or(0)
     }
 
-    /// Bootstraps a new replica into `region_idx` from a checkpoint cut
-    /// at feed sequence `from_seq`: installs `records` and `floors`,
-    /// pulls the retained log suffix `(from_seq, head]` under the feed
-    /// lock (so no concurrent frame can slip between the pull and
-    /// registration), and registers the replica with the tier. Returns
-    /// `None` when the log no longer retains the suffix — the caller
-    /// must cut a fresh checkpoint.
+    /// Takes one cut per region, in region order (none when the tier is
+    /// disabled): each reads its region's feed sequence under the feed
+    /// lock and holds the log's suffix after it until dropped.
+    pub fn cuts(&self) -> Vec<FeedCut> {
+        (0..self.inner.regions.len())
+            .map(|region| {
+                let mut feed = self.inner.regions[region].feed.lock();
+                let seq = feed.seq;
+                feed.cuts.push(seq);
+                FeedCut {
+                    inner: Arc::clone(&self.inner),
+                    region,
+                    seq,
+                }
+            })
+            .collect()
+    }
+
+    /// Bootstraps a new replica into the cut's region from a checkpoint
+    /// taken at `cut`: installs `records` and `floors`, pulls the log
+    /// suffix after the cut (which the cut keeps retained) under the feed
+    /// lock, so no concurrent frame can slip between the pull and
+    /// registration, and registers the replica with the tier.
     pub fn join_replica(
         &self,
         ctx: &Ctx,
-        region_idx: usize,
-        records: Vec<NodeRecord>,
+        cut: &FeedCut,
+        records: &[NodeRecord],
         floors: &[u64],
-        from_seq: u64,
-    ) -> Option<Arc<ReadReplica>> {
-        let tier = self.inner.regions.get(region_idx)?;
+    ) -> Arc<ReadReplica> {
+        let tier = &self.inner.regions[cut.region];
         let feed = tier.feed.lock();
-        let first_retained = feed.log.front().map(|frame| frame.seq);
-        if let Some(first) = first_retained {
-            if from_seq + 1 < first {
-                return None;
-            }
-        } else if from_seq < feed.seq {
-            return None;
-        }
         let replica = Arc::new(ReadReplica::new(
             tier.region,
             self.inner.config,
             self.inner.groups,
             self.inner.meter.clone(),
         ));
-        replica.install_snapshot(ctx, records, floors, from_seq + 1);
+        replica.install_snapshot(ctx, records, floors, cut.seq + 1);
         replica.pull(ctx, &feed.log, 0);
         tier.replicas.write().push(Arc::clone(&replica));
-        Some(replica)
+        replica
     }
 
     /// Quiesces the tier: pulls every replica to its region's head,
-    /// whatever its `feed_lag`. Run before byte-identity comparisons and
-    /// before a drained group's floor is retired — a replica a dropped
-    /// notification left behind has no later notification to pull it.
+    /// whatever its `feed_lag`, and trims the log. Run before
+    /// byte-identity comparisons and before a drained group's floor is
+    /// retired — a replica a dropped notification left behind has no
+    /// later notification to pull it.
     pub fn reconcile(&self, ctx: &Ctx) {
         for tier in self.inner.regions.iter() {
-            let feed = tier.feed.lock();
-            for replica in tier.replicas.read().iter() {
-                replica.pull(ctx, &feed.log, 0);
-            }
+            let mut feed = tier.feed.lock();
+            let cursor = tier
+                .replicas
+                .read()
+                .iter()
+                .map(|replica| replica.pull(ctx, &feed.log, 0))
+                .min()
+                .unwrap_or(u64::MAX);
+            feed.trim(cursor);
         }
     }
 
@@ -1537,15 +1595,13 @@ mod tests {
         let genesis = set.region(0)[0].clone();
         // Checkpoint cut: the genesis replica's records + floors at the
         // current feed sequence.
-        let cut_seq = set.feed_seq(0);
+        let cut = set.cuts().pop().expect("one region");
         let records: Vec<NodeRecord> = genesis
             .resident_paths()
             .iter()
             .map(|path| (*genesis.peek(path).unwrap()).clone())
             .collect();
-        let joined = set
-            .join_replica(&ctx, 0, records, &[2], cut_seq)
-            .expect("log retains the suffix");
+        let joined = set.join_replica(&ctx, &cut, &records, &[2]);
         // Post-join traffic reaches both the old and the new replica.
         set.feed(&ctx, 0, &delta_of(&[record("/c", b"v3", 3)], 3));
         for path in genesis.resident_paths() {
@@ -1654,10 +1710,12 @@ mod tests {
             let set =
                 ReplicaSet::build(ReplicaConfig::with_count(1), &[Region::US_EAST_1], 2, None);
             let twin = set.region(0)[0].clone();
-            // Per cut: the twin's records and per-group floors at `k`, and
-            // the feed position at which to join from them.
+            // Per cut: the twin's records and per-group floors at `k` with
+            // the cut taken there, and the feed position at which to join
+            // from them. The cut at 0 also keeps the whole log for the
+            // unregistered `gaps` replicas.
             let mut floors = vec![0u64; 2];
-            let mut cuts = vec![(Vec::new(), floors.clone())];
+            let mut cuts = vec![(Vec::new(), floors.clone(), set.cuts())];
             let mut joins: Vec<(u64, u64)> = Vec::new();
             for k in 0..=n {
                 joins.push((k, k));
@@ -1673,13 +1731,12 @@ mod tests {
             let mut joined = Vec::new();
             let join_at =
                 |at: u64,
-                 cuts: &[(Vec<NodeRecord>, Vec<u64>)],
+                 cuts: &[(Vec<NodeRecord>, Vec<u64>, Vec<FeedCut>)],
                  joined: &mut Vec<(u64, u64, Arc<ReadReplica>)>| {
                     for &(k, _) in joins.iter().filter(|&&(_, when)| when == at) {
-                        let (records, floors) = cuts[k as usize].clone();
-                        let replica = set
-                            .join_replica(&ctx, 0, records, &floors, k)
-                            .expect("the log retains every frame");
+                        let (records, floors, cut) = &cuts[k as usize];
+                        assert_eq!(cut[0].seq(), k);
+                        let replica = set.join_replica(&ctx, &cut[0], records, floors);
                         joined.push((k, at, replica));
                     }
                 };
@@ -1704,7 +1761,7 @@ mod tests {
                     .iter()
                     .map(|path| (*twin.peek(path).expect("resident")).clone())
                     .collect();
-                cuts.push((records, floors.clone()));
+                cuts.push((records, floors.clone(), set.cuts()));
                 join_at(frame.seq, &cuts, &mut joined);
             }
             let want = resident(&twin);
@@ -1727,10 +1784,11 @@ mod tests {
 
     /// 1,000 creates under one parent leave one children snapshot in the
     /// retained log, not 1,000; a write or delete of the parent keeps the
-    /// patch before it. Every frame stays retained.
+    /// patch before it. A cut taken at genesis keeps every frame.
     #[test]
     fn feed_log_keeps_one_children_patch_per_parent() {
         let set = ReplicaSet::build(ReplicaConfig::with_count(1), &[Region::US_EAST_1], 1, None);
+        let _genesis = set.cuts();
         let ctx = Ctx::disabled();
         let mut children: Vec<String> = Vec::new();
         let mut txid = 1;
@@ -1897,6 +1955,8 @@ mod tests {
         .collect();
         let full = full_replay(&frames, 1);
         let (set, replica) = tier(ReplicaConfig::with_count(1).with_feed_lag(2), 1);
+        // A cut at genesis keeps every frame, so the compaction shows.
+        let _genesis = set.cuts();
         for (seq, frame) in (1u64..).zip(&frames) {
             set.feed(&ctx, 0, frame);
             assert_at_cursor(&replica, &full, &format!("after feed {seq}"));
@@ -1966,6 +2026,16 @@ mod tests {
                 for replica in set.region(0) {
                     assert_at_cursor(&replica, &full, &format!("case {case}, lag {lag}"));
                 }
+                // The log keeps exactly what some replica has not pulled
+                // (no cut is live): it starts at the least cursor, and is
+                // empty once every replica is at the head.
+                let least = set.region(0).iter().map(|r| r.feed_position()).min();
+                let front = set.inner.regions[0].feed.lock().log.front().map(|f| f.seq);
+                assert_eq!(
+                    front.unwrap_or(frame.seq + 1),
+                    least.unwrap(),
+                    "case {case}, lag {lag}: the log keeps more or less than its readers need"
+                );
             }
             set.reconcile(&ctx);
             for replica in set.region(0) {
@@ -2153,11 +2223,12 @@ mod tests {
         );
     }
 
-    /// A replica whose cursor aged out of the log stays at its last head,
-    /// even through a reconcile: it serves what that head proves fresh
-    /// and falls through for anything newer.
+    /// A replica that misses 65,537 notifications in a row keeps the log
+    /// from its cursor on: no cursor ages out, so a reconcile pulls it to
+    /// the head, where it serves the newest data and proves nothing
+    /// absent that exists.
     #[test]
-    fn a_cursor_that_aged_out_of_the_log_stays_at_its_last_head() {
+    fn a_replica_behind_every_dropped_notification_reconciles_to_the_head() {
         let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
         let ctx = Ctx::disabled();
         let root = |children: &[&str], txid| record_with_children("/", children, txid);
@@ -2167,11 +2238,14 @@ mod tests {
             &delta_of(&[root(&["a"], 1), record("/a", b"v1", 1)], 1),
         );
         assert_eq!(replica.feed_position(), 2);
+        assert!(
+            set.inner.regions[0].feed.lock().log.is_empty(),
+            "the replica pulled the only frame"
+        );
         let mut plan = FaultPlan::disabled();
         plan.feed_drop = FaultSpec::new(1.0, u64::MAX);
         set.install_chaos(Chaos::from_plan(plan).unwrap());
-        // Every later notification drops, until the log no longer
-        // retains frame 2, which also creates `/b`.
+        // Every later notification drops; frame 2 also creates `/b`.
         let later = delta_of(
             &[
                 record("/a", b"v2", 2),
@@ -2180,22 +2254,54 @@ mod tests {
             ],
             2,
         );
-        for _ in 0..=FEED_LOG_CAP {
+        for _ in 0..=65_536 {
             set.feed(&ctx, 0, &later);
         }
-        assert_eq!(set.inner.regions[0].feed.lock().log.front().unwrap().seq, 3);
+        let head = set.feed_seq(0);
+        assert_eq!(head, 65_538);
+        assert_eq!(set.inner.regions[0].feed.lock().log.front().unwrap().seq, 2);
         set.reconcile(&ctx);
-        assert_eq!(replica.feed_position(), 2, "stays at its last head");
-        assert_eq!(replica.stats().epochs_applied, 1);
-        assert_eq!(replica.applied_txid(), 1);
-        assert_eq!(replica.serve(&ctx, "/a", 1).unwrap().data.as_ref(), b"v1");
-        assert!(replica.serve(&ctx, "/a", 2).is_none(), "below its gate");
-        // Its head proves `/b` absent through txid 1, and no further.
-        assert!(matches!(
-            replica.lookup(&ctx, "/b", 1),
-            Lookup::Absent { proven_txid: 1, .. }
-        ));
-        assert!(matches!(replica.lookup(&ctx, "/b", 2), Lookup::Miss));
+        assert_eq!(replica.feed_position(), head + 1, "pulled to the head");
+        assert!(set.inner.regions[0].feed.lock().log.is_empty());
+        assert_eq!(replica.applied_txid(), 2);
+        assert_eq!(replica.serve(&ctx, "/a", 2).unwrap().data.as_ref(), b"v2");
+        assert!(matches!(replica.lookup(&ctx, "/b", 2), Lookup::Hit(_)));
+    }
+
+    /// A cut held across feeds keeps the log's suffix after it, though
+    /// the replica is at the head; a joiner from it replays that suffix.
+    /// Once the cut is dropped, the next feed trims the log.
+    #[test]
+    fn a_held_cut_keeps_its_suffix_until_it_is_dropped() {
+        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
+        let ctx = Ctx::disabled();
+        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v1", 1)], 1));
+        let cut = set.cuts().pop().expect("one region");
+        assert_eq!(cut.seq(), 1);
+        for txid in 2..=11 {
+            set.feed(&ctx, 0, &delta_of(&[record("/a", b"v", txid)], txid));
+        }
+        assert_eq!(replica.feed_position(), 12);
+        let retained = |set: &ReplicaSet| -> Vec<u64> {
+            let feed = set.inner.regions[0].feed.lock();
+            feed.log.iter().map(|frame| frame.seq).collect()
+        };
+        assert_eq!(
+            retained(&set),
+            (2..=11).collect::<Vec<_>>(),
+            "the suffix after the cut"
+        );
+        let joined = set.join_replica(&ctx, &cut, &[record("/a", b"v1", 1)], &[1]);
+        assert_eq!(joined.feed_position(), 12);
+        assert_eq!(joined.peek("/a").unwrap().modified_txid, 11);
+        set.reconcile(&ctx);
+        assert_eq!(retained(&set).len(), 10, "the live cut still holds it");
+        drop(cut);
+        set.feed(&ctx, 0, &delta_of(&[record("/b", b"v", 12)], 12));
+        assert!(
+            retained(&set).is_empty(),
+            "both replicas at the head, no cut"
+        );
     }
 
     #[test]

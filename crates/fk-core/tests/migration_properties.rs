@@ -6,8 +6,8 @@
 //!
 //! * **Scale-out (4 → 8 groups)** — the deployment starts with four of
 //!   eight provisioned shard groups accepting writes; mid-workload a
-//!   coordinator cuts a checkpoint, seeds the joining groups' txid
-//!   counters past it ([`fk_core::transfer::activate_group`]) and
+//!   coordinator seeds the joining groups' txid counters past the
+//!   committed floors ([`fk_core::transfer::activate_group`]) and
 //!   publishes the widened membership. Followers re-hash across the new
 //!   width from their next batch, so roughly half the keys migrate
 //!   groups while their sessions are still writing.
@@ -33,6 +33,7 @@
 use fk_cloud::FaultPlan;
 use fk_core::api::CreateMode;
 use fk_core::deploy::{Deployment, DeploymentConfig};
+use fk_core::system_store::txid;
 use fk_core::{DistributorConfig, ReplicaConfig};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -121,17 +122,24 @@ struct Acked {
 }
 
 /// Fires the case's membership change; called once the acknowledged-set
-/// counter crosses the seed-derived migration point.
-fn apply_migration(fk: &Deployment, scenario: Scenario, stamp: &str) {
+/// counter crosses the seed-derived migration point. A scale-out returns
+/// the first joining group and the highest committed floor before it.
+fn apply_migration(fk: &Deployment, scenario: Scenario, stamp: &str) -> Option<(usize, u64)> {
     let ctx = fk.client_ctx();
     match scenario {
         Scenario::ScaleOut { to } => {
-            let manifest = fk
+            let before = fk
+                .membership(&ctx)
+                .expect("multi-group tier has membership")
+                .active_groups;
+            let seed_floors = fk
                 .scale_out(&ctx, to)
                 .unwrap_or_else(|e| panic!("{stamp}: scale_out failed: {e:?}"));
+            let ceiling = seed_floors.iter().copied().max().unwrap_or(0);
+            let published = fk.floors().snapshot();
             assert!(
-                manifest.chunks >= 1 && manifest.nodes >= 1,
-                "{stamp}: scale-out cut an empty checkpoint"
+                (before..to).all(|g| published[g] > ceiling),
+                "{stamp}: a joining group's floor sits at or below {ceiling}: {published:?}"
             );
             let membership = fk
                 .membership(&ctx)
@@ -140,6 +148,7 @@ fn apply_migration(fk: &Deployment, scenario: Scenario, stamp: &str) {
                 membership.active_groups, to,
                 "{stamp}: widened membership not published"
             );
+            Some((before, ceiling))
         }
         Scenario::Drain { hot, successor } => {
             fk.begin_drain(&ctx, hot, successor)
@@ -151,6 +160,7 @@ fn apply_migration(fk: &Deployment, scenario: Scenario, stamp: &str) {
                 membership.is_draining(hot),
                 "{stamp}: drain mark not published"
             );
+            None
         }
     }
 }
@@ -174,6 +184,7 @@ fn run_migration_workload(
 
     let acked_sets = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
+    let mut scaled_out = None;
 
     let mut clients = Vec::new();
     std::thread::scope(|scope| {
@@ -239,7 +250,7 @@ fn run_migration_workload(
             while acked_ref.load(Ordering::Relaxed) < migrate_after {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            apply_migration(fk, scenario, stamp);
+            apply_migration(fk, scenario, stamp)
         });
 
         // Phase B: parallel sets spanning the membership change. The
@@ -269,7 +280,7 @@ fn run_migration_workload(
             expect.extend(partial);
             clients.push(client);
         }
-        migration_thread.join().expect("migration coordinator");
+        scaled_out = migration_thread.join().expect("migration coordinator");
 
         // Phase C: strictly post-migration writes — fresh paths hash
         // over the changed membership, existing sessions keep their Z2
@@ -344,6 +355,18 @@ fn run_migration_workload(
             .expect("post-drain set");
         late.close().expect("close late");
         expect.insert("/mig/final".to_owned(), (b"f1".to_vec(), 1));
+    }
+
+    // Every txid a joining group issued sorts after everything committed
+    // before it joined.
+    if let Some((first_joiner, ceiling)) = scaled_out {
+        for path in expect.keys() {
+            let created = read_node_retry(fk, path).map_or(0, |record| record.created_txid);
+            assert!(
+                txid::group_of(created) < first_joiner || created > ceiling,
+                "{stamp}: {path} was created by a joining group at or below {ceiling}"
+            );
+        }
     }
 
     Acked { expect }
