@@ -7,7 +7,10 @@
 //! *disabled* behaves byte-identically to one that never had the knob.
 //! An `exists` on an absent child of a resident parent is proven absent
 //! by the replica with no storage GET, and waits, like any read, for the
-//! session's own watch deliveries its proof is marked with (Z4).
+//! session's own watch deliveries its proof is marked with (Z4). A
+//! watch-arming `get_data` of a resident node is served by the replica
+//! after one read of the node's item, with no storage GET, and answers
+//! the last acknowledged version even from a lagging replica.
 
 use fk_bench::replica_bench::{compare_replica_reads, run_replica_reads, ReplicaRunConfig};
 use fk_cloud::trace::{Ctx, LatencyMode};
@@ -360,4 +363,74 @@ fn an_absence_proven_by_a_marked_parent_waits_for_the_watch_delivery() {
     drop(reader);
     drop(root);
     deployment.shutdown();
+}
+
+/// A watch-arming `get_data` on a resident node: beside the
+/// registration's two writes it reads the node's item once, pulls the
+/// lagging replica to the feed head and answers from it, so it costs no
+/// user-store GET and never waits on a quiescent node. At `feed_lag` 2
+/// the replica trails the last acknowledged write before the read, and
+/// the answer is that write all the same.
+#[test]
+fn an_arming_read_of_a_resident_node_costs_one_kv_read_and_no_storage_get() {
+    for lag in [0, 2] {
+        let deployment = Deployment::start(
+            DeploymentConfig::aws()
+                .with_mode(LatencyMode::Virtual, 0xA2)
+                .with_read_cache(ReadCacheConfig::disabled())
+                .with_replicas(ReplicaConfig::with_count(1).with_feed_lag(lag)),
+        );
+        let writer = deployment.connect("arm-writer").expect("connect");
+        writer
+            .create("/a", b"v0", CreateMode::Persistent)
+            .expect("create");
+        let mut last = 0;
+        for i in 1..=3 {
+            last = writer
+                .set_data("/a", format!("v{i}").as_bytes(), -1)
+                .expect("set")
+                .modified_txid;
+        }
+        let replica = deployment
+            .replicas()
+            .replica_for("arm-reader")
+            .expect("one replica");
+        let trailing = replica.peek("/a").map(|record| record.modified_txid) != Some(last);
+        let reader = deployment.connect("arm-reader").expect("connect");
+        let before = deployment.meter().snapshot();
+        let (data, stat) = reader.get_data("/a", true).expect("arming read");
+        let used = deployment.meter().snapshot().since(&before);
+        let count = |label: &str| used.per_op.get(label).copied().unwrap_or(0);
+        println!(
+            "feed_lag {lag}: replica trailing {trailing}; {} GETs, {} KV reads, {} KV writes, \
+             arm:replica {} arm:storage {} arm:wait {}",
+            used.obj_gets,
+            count("kv_read"),
+            count("kv_write"),
+            count("arm:replica"),
+            count("arm:storage"),
+            count("arm:wait"),
+        );
+        assert_eq!(
+            &data[..],
+            b"v3",
+            "feed_lag {lag}: the last acknowledged version"
+        );
+        assert_eq!(stat.modified_txid, last);
+        assert_eq!(used.obj_gets, 0, "feed_lag {lag}: no user-store GET");
+        assert_eq!(
+            count("kv_read"),
+            1,
+            "feed_lag {lag}: one read of the node's item"
+        );
+        assert_eq!(count("arm:replica"), 1);
+        assert_eq!(count("arm:storage"), 0);
+        assert_eq!(count("arm:wait"), 0, "a quiescent node has nothing pending");
+        if lag > 0 {
+            assert!(trailing, "the replica trailed the head before the read");
+        }
+        drop(reader);
+        drop(writer);
+        deployment.shutdown();
+    }
 }

@@ -256,6 +256,14 @@ impl Meter {
         self.bump("replica_hit", |s| s.replica_hits += 1);
     }
 
+    /// Records one watch-arming read's step `outcome` (labelled
+    /// `arm:<outcome>`): answered by the replica, answered by storage,
+    /// or a wait on the node's pending txids before storage answers.
+    pub fn arming_read(&self, outcome: &'static str) {
+        let mut inner = self.inner.lock();
+        *inner.per_op.entry(format!("arm:{outcome}")).or_insert(0) += 1;
+    }
+
     /// Records one retry of the operation `site`, named
     /// `<service>.<op>` (labelled `retry:<service>.<op>`).
     pub fn retry(&self, site: &'static str) {

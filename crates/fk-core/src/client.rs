@@ -45,8 +45,17 @@
 //! any tier, runs the Z4 epoch stall: a record on its own marks, a
 //! replica-proven absence on the proving parent's. An absence read from
 //! storage carries no record and so no marks to stall on.
+//!
+//! A read that arms a watch skips the private cache. It reads the node's
+//! control item once for the txids still pending on it, pulls the
+//! replica to its region's feed head, and asks the replica at a floor
+//! raised to those txids; only when that misses does it wait for them
+//! to leave the item and read storage (`ReadCore::armed`). Every write
+//! newer than its answer then fires the watch (`docs/consistency.md`,
+//! "Watch-arming reads").
 
 use crate::api::{CreateMode, FkError, FkResult, Stat, WatchEvent, WatchEventType, WatchKind};
+use crate::commit::txq_of;
 use crate::consistency::{HEvent, HistoryRecorder};
 use crate::messages::{
     ClientNotification, ClientRequest, MultiOp, OpOutcome, Payload, WriteOp, WriteResultData,
@@ -56,7 +65,7 @@ use crate::ops::{self, Op, OpHandle, OpResult, PendingWrites, RawWrite};
 use crate::path as zkpath;
 use crate::read_cache::{CacheStats, ReadCache, ReadCacheConfig};
 use crate::replica::Lookup;
-use crate::system_store::SystemStore;
+use crate::system_store::{ChildLog, SystemStore, MAX_LOCK_HOLD_MS};
 use crate::user_store::{NodeRecord, ScanEntry, UserStore};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -65,11 +74,17 @@ use fk_cloud::objectstore::ObjectStore;
 use fk_cloud::ops::Op as CloudOp;
 use fk_cloud::queue::Queue;
 use fk_cloud::trace::Ctx;
+use fk_cloud::value::Item;
+use fk_sync::LOCK_ATTR;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How long a watch-arming read sleeps between two reads of a node item
+/// it waits on ([`ReadCore::armed`]).
+const ARMING_POLL: Duration = Duration::from_millis(2);
 
 /// Client configuration.
 #[derive(Clone)]
@@ -215,56 +230,35 @@ impl ReadCore {
     /// on *every* serve path — hit, fetch or coalesced — so a cache hit
     /// is observationally a legal storage read.
     ///
-    /// `fresh` forces a storage read that bypasses the cache entry *and*
-    /// any in-progress flight (refreshing the entry with the result).
-    /// Watch-arming reads must be fresh: the registration promises to
-    /// report every change after the returned version, so the read has
-    /// to postdate the registration — a hit could serve a version from
-    /// before it, and a change landing in between would neither be
-    /// returned nor ever fire the watch.
-    fn read_record(&self, ctx: &Ctx, path: &str, fresh: bool) -> FkResult<Option<Arc<NodeRecord>>> {
+    /// `arm` names the kind of watch to register on `path` before the
+    /// read. The registration promises to report every change after the
+    /// returned version, so a watch-arming read must reflect every write
+    /// that decided not to fire it: the read bypasses the cache entry
+    /// *and* any in-progress flight (refreshing the entry with the
+    /// result) and answers by [`Self::armed`]'s rule, from the replica
+    /// when it can and from storage otherwise.
+    fn read_record(
+        &self,
+        ctx: &Ctx,
+        path: &str,
+        arm: Option<WatchKind>,
+    ) -> FkResult<Option<Arc<NodeRecord>>> {
+        self.register_watch(ctx, path, arm)?;
         let mrd = self.shared.mrd.load(Ordering::SeqCst);
         // The gate value of a replica's absence proof, if this call's
         // own fetch got one.
         let proven = std::cell::Cell::new(0u64);
-        let fetch = || {
-            // Tier two: on a private-cache miss, ask the shared regional
-            // replica before paying a storage round trip. The replica
-            // applies the same MRD watermark gate the cache does (see
-            // `replica` module docs), so a hit is observationally a legal
-            // storage read. A path it proves absent from its parent's
-            // children list answers "no node" after the Z4 stall on that
-            // parent's marks; the cache then stores its negative entry,
-            // stamped with the MRD, as after a storage read. Anything
-            // else — non-resident and unproven, stale, or lagging — falls
-            // through to storage. Fresh (watch-arming) reads never get
-            // here: they bypass both tiers.
-            if !fresh {
-                if let Some(replica) = &self.replica {
-                    match replica.lookup(ctx, path, mrd) {
-                        Lookup::Hit(record) => return Ok(Some((*record).clone())),
-                        Lookup::Absent {
-                            parent,
-                            proven_txid,
-                        } => {
-                            self.stall_for_epoch(&parent)?;
-                            proven.set(proven_txid);
-                            return Ok(None);
-                        }
-                        Lookup::Miss => {}
-                    }
-                }
-            }
-            self.user_store
-                .read_node(ctx, path)
-                .map_err(|e| FkError::SystemError {
-                    detail: e.to_string(),
-                })
-        };
-        let read = if fresh {
-            self.cache.fetch_fresh(path, mrd, fetch)?
-        } else {
-            self.cache.get_or_fetch(path, mrd, self.timeout, fetch)?
+        let read = match arm {
+            None => self.cache.get_or_fetch(path, mrd, self.timeout, || {
+                let served = self.replica_read(ctx, path, mrd, &proven)?;
+                served.map_or_else(|| self.storage_read(ctx, path), Ok)
+            })?,
+            Some(kind) => self.cache.fetch_fresh(path, mrd, || {
+                let served = self.armed(ctx, path, kind, mrd, |floor| {
+                    self.replica_read(ctx, path, floor, &proven)
+                })?;
+                served.map_or_else(|| self.storage_read(ctx, path), Ok)
+            })?,
         };
         if let Some(rec) = &read.record {
             self.stall_for_epoch(rec)?;
@@ -290,6 +284,122 @@ impl ReadCore {
             });
         }
         Ok(read.record)
+    }
+
+    /// Tier two: on a private-cache miss, asks the shared regional
+    /// replica at the floor `floor` before paying a storage round trip.
+    /// The replica applies the same watermark gate the cache does (see
+    /// `replica` module docs), so a hit is observationally a legal
+    /// storage read. A path it proves absent from its parent's children
+    /// list answers "no node" after the Z4 stall on that parent's marks;
+    /// the cache then stores its negative entry, stamped with the MRD,
+    /// as after a storage read. `None` (no replica, or nothing proven:
+    /// non-resident and unproven, stale, or lagging) falls through to
+    /// storage.
+    fn replica_read(
+        &self,
+        ctx: &Ctx,
+        path: &str,
+        floor: u64,
+        proven: &std::cell::Cell<u64>,
+    ) -> FkResult<Option<Option<NodeRecord>>> {
+        let Some(replica) = &self.replica else {
+            return Ok(None);
+        };
+        match replica.lookup(ctx, path, floor) {
+            Lookup::Hit(record) => Ok(Some(Some((*record).clone()))),
+            Lookup::Absent {
+                parent,
+                proven_txid,
+            } => {
+                self.stall_for_epoch(&parent)?;
+                proven.set(proven_txid);
+                Ok(Some(None))
+            }
+            Lookup::Miss => Ok(None),
+        }
+    }
+
+    /// The backing-storage read every tier falls through to.
+    fn storage_read(&self, ctx: &Ctx, path: &str) -> FkResult<Option<NodeRecord>> {
+        self.user_store
+            .read_node(ctx, path)
+            .map_err(|e| FkError::SystemError {
+                detail: e.to_string(),
+            })
+    }
+
+    /// A watch-arming read's rule, run once the registration of a `kind`
+    /// watch on `path` has landed (`docs/consistency.md`, "Watch-arming
+    /// reads"):
+    ///
+    /// 1. read `path`'s node item once and take `P`, the txids it shows
+    ///    pending ([`pending_txids`]). A follower lock the item holds is
+    ///    waited out first, and the txids the item shows then join `P`:
+    ///    its holder may have pushed a write whose commit has not landed;
+    /// 2. pull the session's replica to its region's feed head;
+    /// 3. ask `serve` at the raised floor `max(mrd, max P)`.
+    ///
+    /// A write whose leader read the watch registry before the
+    /// registration landed had committed by then, so it is in `P`, or it
+    /// was popped, which follows its storage write and its feed append.
+    /// A served answer therefore reflects it. `Ok(None)` means storage
+    /// must answer: the read has then waited until `P` left the item.
+    /// Every step is counted on the meter (`arm:replica`,
+    /// `arm:storage`, `arm:wait`).
+    fn armed<T>(
+        &self,
+        ctx: &Ctx,
+        path: &str,
+        kind: WatchKind,
+        mrd: u64,
+        serve: impl FnOnce(u64) -> FkResult<Option<T>>,
+    ) -> FkResult<Option<T>> {
+        let item = self.system.get_node(ctx, path);
+        let mut pending = pending_txids(item.as_ref(), kind);
+        if let Some(stamp) = live_lock(item.as_ref()) {
+            let item = self.wait_item(ctx, path, |item| live_lock(item) != Some(stamp))?;
+            pending.extend(pending_txids(item.as_ref(), kind));
+        }
+        if let Some(replica) = &self.replica {
+            replica.pull_to_head(ctx);
+        }
+        let meter = self.system.kv().meter();
+        if let Some(served) = serve(pending.iter().copied().fold(mrd, u64::max))? {
+            meter.arming_read("replica");
+            return Ok(Some(served));
+        }
+        if !pending.is_empty() {
+            self.wait_item(ctx, path, |item| {
+                !pending_txids(item, kind)
+                    .iter()
+                    .any(|txid| pending.contains(txid))
+            })?;
+        }
+        meter.arming_read("storage");
+        Ok(None)
+    }
+
+    /// Re-reads `path`'s node item until `settled` holds of it, within
+    /// the client timeout. Counted as one arming wait (`arm:wait`).
+    fn wait_item(
+        &self,
+        ctx: &Ctx,
+        path: &str,
+        settled: impl Fn(Option<&Item>) -> bool,
+    ) -> FkResult<Option<Item>> {
+        self.system.kv().meter().arming_read("wait");
+        let deadline = std::time::Instant::now() + self.timeout;
+        loop {
+            std::thread::sleep(ARMING_POLL);
+            let item = self.system.get_node(ctx, path);
+            if settled(item.as_ref()) {
+                return Ok(item);
+            }
+            if std::time::Instant::now() >= deadline {
+                return Err(FkError::Timeout);
+            }
+        }
     }
 
     /// Z4 stall: if this version was written while notifications for one
@@ -343,28 +453,25 @@ impl ReadCore {
     /// through to one storage prefix scan. The private read cache is
     /// bypassed — it is per-path and cannot prove a subtree complete.
     /// Every returned entry runs the Z4 epoch stall and advances the
-    /// MRD, exactly as if it had been point-read.
-    fn scan_subtree_entries(&self, ctx: &Ctx, root: &str, fresh: bool) -> FkResult<Vec<ScanEntry>> {
+    /// MRD, exactly as if it had been point-read. With `arm`, the scan
+    /// registers that kind of watch on `root` first. One arming a
+    /// children watch follows [`Self::armed`]'s rule on `root`; one
+    /// arming a subtree watch reads storage, because the root's item
+    /// cannot list its descendants' pending txids.
+    fn scan_subtree_entries(
+        &self,
+        ctx: &Ctx,
+        root: &str,
+        arm: Option<WatchKind>,
+    ) -> FkResult<Vec<ScanEntry>> {
+        self.register_watch(ctx, root, arm)?;
         let mrd = self.shared.mrd.load(Ordering::SeqCst);
-        let served: Option<Vec<ScanEntry>> = if fresh {
-            // Watch-arming scans must postdate the registration, so they
-            // bypass the replica tier just like fresh point reads.
-            None
-        } else {
-            self.replica
-                .as_ref()
-                .and_then(|replica| replica.serve_subtree(ctx, root, mrd))
-                .map(|records| {
-                    records
-                        .iter()
-                        .map(|record| ScanEntry {
-                            path: record.path.clone(),
-                            data: record.data.clone(),
-                            stat: record.stat(),
-                            epoch_marks: Arc::clone(&record.epoch_marks),
-                        })
-                        .collect()
-                })
+        let served = match arm {
+            None => self.replica_subtree(ctx, root, mrd),
+            Some(WatchKind::Subtree) => None,
+            Some(kind) => self.armed(ctx, root, kind, mrd, |floor| {
+                Ok(self.replica_subtree(ctx, root, floor))
+            })?,
         };
         let entries = match served {
             Some(entries) => entries,
@@ -393,7 +500,24 @@ impl ReadCore {
         Ok(entries)
     }
 
-    fn register_watch(&self, ctx: &Ctx, path: &str, kind: WatchKind) -> FkResult<()> {
+    /// The replica's walk of the subtree at `root` for the floor
+    /// `floor`, as scan entries; `None` falls through to storage.
+    fn replica_subtree(&self, ctx: &Ctx, root: &str, floor: u64) -> Option<Vec<ScanEntry>> {
+        let records = self.replica.as_ref()?.serve_subtree(ctx, root, floor)?;
+        let entry = |record: &Arc<NodeRecord>| ScanEntry {
+            path: record.path.clone(),
+            data: record.data.clone(),
+            stat: record.stat(),
+            epoch_marks: Arc::clone(&record.epoch_marks),
+        };
+        Some(records.iter().map(entry).collect())
+    }
+
+    /// Registers a `kind` watch on `path`, if `arm` names one.
+    fn register_watch(&self, ctx: &Ctx, path: &str, arm: Option<WatchKind>) -> FkResult<()> {
+        let Some(kind) = arm else {
+            return Ok(());
+        };
         let id = self
             .system
             .register_watch(ctx, path, kind, &self.shared.session_id)
@@ -403,6 +527,27 @@ impl ReadCore {
         self.shared.my_watches.lock().insert(id);
         Ok(())
     }
+}
+
+/// The txids `item` shows pending for a `kind` watch on its node: its
+/// `txq`, and for a children watch also its pending children log.
+fn pending_txids(item: Option<&Item>, kind: WatchKind) -> Vec<u64> {
+    let mut txids = txq_of(item);
+    if kind == WatchKind::Children {
+        txids.extend(ChildLog::of(item).entries.iter().map(|entry| entry.txid));
+    }
+    txids
+}
+
+/// The stamp of the follower lock `item` holds, unless it has expired
+/// ([`MAX_LOCK_HOLD_MS`]; stamps are wall-clock milliseconds).
+fn live_lock(item: Option<&Item>) -> Option<i64> {
+    let stamp = item?.num(LOCK_ATTR)?;
+    let now_ms = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .expect("clock after epoch")
+        .as_millis() as i64;
+    (now_ms - stamp < MAX_LOCK_HOLD_MS).then_some(stamp)
 }
 
 /// Fixed pool of read workers. Jobs are executed in submission order
@@ -994,10 +1139,7 @@ impl FkClient {
         let core = Arc::clone(&self.core);
         let path = path.to_owned();
         Ok(self.submit_read(move |ctx| {
-            if watch {
-                core.register_watch(ctx, &path, WatchKind::Data)?;
-            }
-            match core.read_record(ctx, &path, watch)? {
+            match core.read_record(ctx, &path, watch.then_some(WatchKind::Data))? {
                 Some(rec) => Ok((rec.data.clone(), rec.stat())),
                 None => Err(FkError::NoNode),
             }
@@ -1011,10 +1153,8 @@ impl FkClient {
         let core = Arc::clone(&self.core);
         let path = path.to_owned();
         Ok(self.submit_read(move |ctx| {
-            if watch {
-                core.register_watch(ctx, &path, WatchKind::Exists)?;
-            }
-            Ok(core.read_record(ctx, &path, watch)?.map(|rec| rec.stat()))
+            let arm = watch.then_some(WatchKind::Exists);
+            Ok(core.read_record(ctx, &path, arm)?.map(|rec| rec.stat()))
         }))
     }
 
@@ -1025,10 +1165,7 @@ impl FkClient {
         let core = Arc::clone(&self.core);
         let path = path.to_owned();
         Ok(self.submit_read(move |ctx| {
-            if watch {
-                core.register_watch(ctx, &path, WatchKind::Children)?;
-            }
-            match core.read_record(ctx, &path, watch)? {
+            match core.read_record(ctx, &path, watch.then_some(WatchKind::Children))? {
                 Some(rec) => {
                     // The record's list is shared with the cache; sorting
                     // works on the caller's own copy.
@@ -1047,7 +1184,7 @@ impl FkClient {
     /// point reads — the read path stays function-free even for bulk
     /// access. With `watch`, registers a one-shot subtree watch
     /// ([`WatchKind::Subtree`]) that fires on any later change in the
-    /// subtree; the arming scan is fresh (bypasses the replica tier).
+    /// subtree; the arming scan reads storage (bypasses the replica tier).
     pub fn submit_get_subtree(
         &self,
         path: &str,
@@ -1057,10 +1194,7 @@ impl FkClient {
         let core = Arc::clone(&self.core);
         let path = path.to_owned();
         Ok(self.submit_read(move |ctx| {
-            if watch {
-                core.register_watch(ctx, &path, WatchKind::Subtree)?;
-            }
-            core.scan_subtree_entries(ctx, &path, watch)
+            core.scan_subtree_entries(ctx, &path, watch.then_some(WatchKind::Subtree))
         }))
     }
 
@@ -1078,10 +1212,8 @@ impl FkClient {
         let core = Arc::clone(&self.core);
         let path = path.to_owned();
         Ok(self.submit_read(move |ctx| {
-            if watch {
-                core.register_watch(ctx, &path, WatchKind::Children)?;
-            }
-            let entries = core.scan_subtree_entries(ctx, &path, watch)?;
+            let arm = watch.then_some(WatchKind::Children);
+            let entries = core.scan_subtree_entries(ctx, &path, arm)?;
             if entries.first().map(|e| e.path != path).unwrap_or(true) {
                 return Err(FkError::NoNode);
             }

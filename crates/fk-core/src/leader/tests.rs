@@ -192,6 +192,11 @@ type Endpoint = crossbeam::channel::Receiver<ClientNotification>;
 
 impl Lanes {
     fn new(groups: usize) -> Self {
+        Self::with_replicas(groups, crate::replica::ReplicaConfig::disabled())
+    }
+
+    /// [`Self::new`] with a replica tier, which every leader feeds.
+    fn with_replicas(groups: usize, replicas: crate::replica::ReplicaConfig) -> Self {
         use fk_cloud::trace::LatencyMode;
         // A 32-record window: the largest budget epoch is 30 records.
         let distributor = DistributorConfig {
@@ -202,6 +207,7 @@ impl Lanes {
             DeploymentConfig::aws()
                 .with_distributor(distributor)
                 .with_shard_groups(groups)
+                .with_replicas(replicas)
                 .with_mode(LatencyMode::Virtual, 7),
         );
         Lanes {
@@ -279,20 +285,24 @@ impl Lanes {
     }
 
     /// A leader of this deployment over a stand-in user store and
-    /// watch dispatcher.
+    /// watch dispatcher, feeding the deployment's replica tier.
     fn leader_over(
         &self,
         store: Arc<dyn UserStore>,
         dispatcher: Arc<dyn WatchDispatcher>,
     ) -> Leader {
-        Leader::with_config(
+        let mut leader = Leader::with_config(
             self.deployment.system().clone(),
             vec![store],
             self.deployment.staging().clone(),
             self.deployment.bus().clone(),
             dispatcher,
             self.deployment.config().distributor,
-        )
+        );
+        if !self.deployment.replicas().is_empty() {
+            leader.attach_replicas(self.deployment.replicas().clone());
+        }
+        leader
     }
 
     /// `f`'s result and every charge made while it ran, in charge
@@ -648,13 +658,17 @@ fn a_multi_on_another_lanes_node_applies_in_txq_order() {
     assert!(err.deferred && err.failed_index == 0, "{err:?}");
 }
 
-/// A user store whose writes to one path fail while it is poisoned.
-struct PoisonedStore {
+/// A user store that runs `on_put` with the path before each write and
+/// refuses the write when it fails: a test stands in a store that fails,
+/// or one that acts between the leader's ➊ reads and its ➌ writes.
+struct TappedStore {
     inner: Arc<dyn UserStore>,
-    poisoned: parking_lot::Mutex<Option<String>>,
+    on_put: OnPut,
 }
 
-impl FrameStore for PoisonedStore {
+type OnPut = Box<dyn Fn(&str) -> CloudResult<()> + Send + Sync>;
+
+impl FrameStore for TappedStore {
     fn get_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<Option<(Bytes, Tag)>> {
         self.inner.get_frame(ctx, path)
     }
@@ -665,9 +679,7 @@ impl FrameStore for PoisonedStore {
         frame: Bytes,
         precondition: Option<Precondition>,
     ) -> CloudResult<Tag> {
-        if self.poisoned.lock().as_deref() == Some(path) {
-            return Err(CloudError::ServiceStopped);
-        }
+        (self.on_put)(path)?;
         self.inner.put_frame(ctx, path, frame, precondition)
     }
     fn delete_frame(&self, ctx: &Ctx, path: &str) -> CloudResult<()> {
@@ -679,6 +691,120 @@ impl FrameStore for PoisonedStore {
     fn region(&self) -> fk_cloud::Region {
         self.inner.region()
     }
+}
+
+/// What one race between a watch-arming `get_data` and a write saw: the
+/// version the read returned, the write's txid, the txid of the watch
+/// event the watcher got for it (if any), and the read's waits.
+struct ArmingRace {
+    returned: u64,
+    written: u64,
+    fired: Option<u64>,
+    waits: u64,
+}
+
+/// `/w` is created (txid 1) and then set by a writer. While the set's
+/// leader is between its ➊ registry read and its ➌ write of `/w`, a
+/// second session arms a data watch with `FkClient::get_data("/w",
+/// true)`. The hook lets the leader go on once the read has answered or
+/// is waiting on the write's pending txid.
+fn arming_read_race(replicas: crate::replica::ReplicaConfig) -> ArmingRace {
+    let tier = Lanes::with_replicas(1, replicas);
+    let writer = tier.session("writer");
+    tier.submit("writer", 1, create("/w"));
+    tier.run_follower();
+    assert_eq!(tier.drain(0).unwrap(), 1);
+    let watcher = Arc::new(
+        tier.deployment
+            .connect_with(crate::ClientConfig::new("watcher"))
+            .unwrap(),
+    );
+    let meter = tier.deployment.meter().clone();
+    let waits = move || {
+        meter
+            .snapshot()
+            .per_op
+            .get("arm:wait")
+            .copied()
+            .unwrap_or(0)
+    };
+    let read = Arc::new(parking_lot::Mutex::new(None));
+    let hook = {
+        let (watcher, read, waits) = (Arc::clone(&watcher), Arc::clone(&read), waits.clone());
+        move || {
+            let handle = watcher.submit_get_data("/w", true).unwrap();
+            // Up to 10 s, in 1 ms steps of the handle's own timed wait.
+            let settled = (0..10_000)
+                .any(|_| waits() > 0 || handle.wait_timeout(Duration::from_millis(1)).is_ok());
+            assert!(
+                settled || handle.is_done(),
+                "the read neither answered nor waited"
+            );
+            *read.lock() = Some(handle);
+        }
+    };
+    let hook = parking_lot::Mutex::new(Some(hook));
+    let store = Arc::new(TappedStore {
+        inner: Arc::clone(tier.deployment.user_store()),
+        on_put: Box::new(move |path| {
+            let hook = hook.lock().take_if(|_| path == "/w");
+            if let Some(hook) = hook {
+                hook();
+            }
+            Ok(())
+        }),
+    });
+    let leader = tier.leader_over(store, Arc::new(tier.inline_dispatcher()));
+    tier.submit("writer", 2, set("/w", b"2"));
+    tier.run_follower();
+    assert_eq!(leader.drain_queue(&tier.ctx, tier.lane(0)).unwrap(), 1);
+    let written = acked(&writer)[1].1;
+    let handle = read.lock().take().expect("the hook ran");
+    let (_, stat) = handle.wait().expect("the arming read answers");
+    let fired = watcher
+        .watch_events()
+        .recv_timeout(Duration::from_secs(1))
+        .ok()
+        .map(|event| event.txid);
+    ArmingRace {
+        returned: stat.modified_txid,
+        written,
+        fired,
+        waits: waits(),
+    }
+}
+
+/// The lost watch: the set's leader read `/w`'s registry before the
+/// watch was registered, so it will not fire it, and the arming read
+/// ran before the set's storage write. The read must not answer with
+/// the old version: it finds the set's txid pending in `/w`'s `txq`,
+/// waits until the pop has taken it out, and reads storage after it.
+#[test]
+fn an_arming_read_between_the_registry_read_and_the_write_sees_the_write_or_fires() {
+    let race = arming_read_race(crate::replica::ReplicaConfig::disabled());
+    assert!(
+        race.returned >= race.written || race.fired == Some(race.written),
+        "read txid {} while txid {} was pending, and no event fired",
+        race.returned,
+        race.written
+    );
+    assert!(race.waits >= 1, "the read waited on the pending txid");
+}
+
+/// The replica twin: a replica at the feed head still holds the old
+/// version, which passes the session's MRD gate. The node's pending
+/// txid raises the floor above it, so the read waits and reads storage
+/// instead of answering from the replica.
+#[test]
+fn a_replica_arming_read_between_the_registry_read_and_the_write_sees_the_write_or_fires() {
+    let race = arming_read_race(crate::replica::ReplicaConfig::with_count(1));
+    assert!(
+        race.returned >= race.written || race.fired == Some(race.written),
+        "read txid {} while txid {} was pending, and no event fired",
+        race.returned,
+        race.written
+    );
+    assert!(race.waits >= 1, "the read waited on the pending txid");
 }
 
 /// A retryable failure in a later epoch reports the first *held*
@@ -706,14 +832,18 @@ fn failure_behind_a_held_record_reports_the_held_index() {
     assert_eq!(tier.lane(1).pending(), 4);
 
     // Lane 1's leader over a store that refuses the child.
-    let store = Arc::new(PoisonedStore {
+    let poisoned = Arc::new(parking_lot::Mutex::new(Some(child.clone())));
+    let store = TappedStore {
         inner: Arc::clone(tier.deployment.user_store()),
-        poisoned: parking_lot::Mutex::new(Some(child.clone())),
-    });
-    let leader = tier.leader_over(
-        Arc::clone(&store) as Arc<dyn UserStore>,
-        Arc::new(tier.inline_dispatcher()),
-    );
+        on_put: Box::new({
+            let poisoned = Arc::clone(&poisoned);
+            move |path| match poisoned.lock().as_deref() == Some(path) {
+                true => Err(CloudError::ServiceStopped),
+                false => Ok(()),
+            }
+        }),
+    };
+    let leader = tier.leader_over(Arc::new(store), Arc::new(tier.inline_dispatcher()));
     let drain = || leader.drain_queue(&tier.ctx, tier.lane(1));
 
     let err = drain().unwrap_err();
@@ -725,7 +855,7 @@ fn failure_behind_a_held_record_reports_the_held_index() {
     assert_eq!(leader.applied_ahead(), 1, "b's first epoch");
 
     // Repaired; the redelivery runs only the epoch that failed.
-    *store.poisoned.lock() = None;
+    *poisoned.lock() = None;
     let err = drain().unwrap_err();
     assert!(err.deferred && err.failed_index == 0, "{err:?}");
     assert_eq!(request_ids(&acked(&b)), vec![2], "b's parent is not redone");

@@ -124,6 +124,18 @@
 //! lags or misses notifications keeps the log from its cursor on; the
 //! per-parent compaction makes that suffix grow with frames, not with
 //! frames × children.
+//!
+//! # A watch-arming read pulls to the head
+//!
+//! A client that arms a watch reads the node's control item and then
+//! pulls its replica to the region's feed head itself
+//! ([`ReadReplica::pull_to_head`]): under the feed lock, like a notified
+//! pull, but whatever the replica's `feed_lag`. Every write popped before
+//! the item read appended its frame before its pop, so after the pull the
+//! replica holds it; the writes the item still shows pending raise the
+//! read's floor instead (`docs/consistency.md`, "Watch-arming reads").
+//! The pull only moves the replica's own cursor forward, so it never
+//! needs a trim: the next feed or reconcile trims.
 
 use crate::user_store::NodeRecord;
 use bytes::Bytes;
@@ -315,6 +327,9 @@ pub struct ReadReplica {
     region: Region,
     config: ReplicaConfig,
     meter: Option<Meter>,
+    /// The feed state of the region whose tier this replica belongs to
+    /// ([`Self::pull_to_head`]); `None` for a replica outside a tier.
+    feed: Option<Arc<Mutex<FeedState>>>,
     state: Mutex<ReplicaState>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -339,6 +354,7 @@ impl ReadReplica {
             region,
             config,
             meter,
+            feed: None,
             state: Mutex::new(ReplicaState {
                 tree: HashMap::new(),
                 resident_bytes: 0,
@@ -405,6 +421,15 @@ impl ReadReplica {
     /// The feed cursor: the sequence number of the next frame to pull.
     pub fn feed_position(&self) -> u64 {
         self.state.lock().next_seq
+    }
+
+    /// Pulls this replica to its region's feed head under the feed lock,
+    /// whatever its `feed_lag` (module docs, "A watch-arming read pulls
+    /// to the head"). A replica outside a tier has no feed to pull.
+    pub fn pull_to_head(&self, ctx: &Ctx) {
+        if let Some(feed) = &self.feed {
+            self.pull(ctx, &feed.lock().log, 0);
+        }
     }
 
     /// Pulls every retained frame from the cursor to the log's head,
@@ -795,7 +820,18 @@ impl FeedState {
 struct RegionTier {
     region: Region,
     replicas: RwLock<Vec<Arc<ReadReplica>>>,
-    feed: Mutex<FeedState>,
+    /// Shared with each replica of the region ([`ReadReplica::pull_to_head`]).
+    feed: Arc<Mutex<FeedState>>,
+}
+
+impl RegionTier {
+    /// A new replica of this region, fed by its feed log.
+    fn replica(&self, config: ReplicaConfig, groups: usize, meter: Option<Meter>) -> ReadReplica {
+        ReadReplica {
+            feed: Some(Arc::clone(&self.feed)),
+            ..ReadReplica::new(self.region, config, groups, meter)
+        }
+    }
 }
 
 /// A checkpoint's claim on one region's feed log: the feed sequence read
@@ -873,21 +909,21 @@ impl ReplicaSet {
         let tiers = if config.enabled() {
             regions
                 .iter()
-                .map(|region| RegionTier {
-                    region: *region,
-                    replicas: RwLock::new(
-                        (0..config.count)
-                            .map(|_| {
-                                Arc::new(ReadReplica::new(*region, config, groups, meter.clone()))
-                            })
-                            .collect(),
-                    ),
-                    feed: Mutex::new(FeedState {
-                        seq: 0,
-                        log: VecDeque::new(),
-                        patches: HashMap::new(),
-                        cuts: Vec::new(),
-                    }),
+                .map(|region| {
+                    let tier = RegionTier {
+                        region: *region,
+                        replicas: RwLock::new(Vec::new()),
+                        feed: Arc::new(Mutex::new(FeedState {
+                            seq: 0,
+                            log: VecDeque::new(),
+                            patches: HashMap::new(),
+                            cuts: Vec::new(),
+                        })),
+                    };
+                    *tier.replicas.write() = (0..config.count)
+                        .map(|_| Arc::new(tier.replica(config, groups, meter.clone())))
+                        .collect();
+                    tier
                 })
                 .collect()
         } else {
@@ -1012,8 +1048,7 @@ impl ReplicaSet {
     ) -> Arc<ReadReplica> {
         let tier = &self.inner.regions[cut.region];
         let feed = tier.feed.lock();
-        let replica = Arc::new(ReadReplica::new(
-            tier.region,
+        let replica = Arc::new(tier.replica(
             self.inner.config,
             self.inner.groups,
             self.inner.meter.clone(),

@@ -7,8 +7,13 @@
 //! exact uncached passthrough), and — since the replica tier — with
 //! shared regional read replicas at random geometry (count × byte
 //! budget × injected feed lag), which must likewise be semantically
-//! invisible.
+//! invisible. Watch-arming reads race concurrent writers on the paths
+//! they arm, with and without a replica, under feed lag and feed
+//! faults: every write after an arming read's answer must fire its
+//! watch.
 
+use fk_cloud::chaos::{FaultPlan, FaultSpec};
+use fk_core::api::{WatchEvent, WatchKind};
 use fk_core::consistency::{
     check_history, check_monotonic_reads, check_tree_integrity, HEvent, HistoryRecorder,
 };
@@ -19,6 +24,8 @@ use fk_core::replica::ReplicaConfig;
 use fk_core::{ClientConfig, CreateMode};
 use fk_testkit::geometry;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 
 /// A randomized client action.
@@ -785,6 +792,300 @@ proptest! {
         drop(root);
         fk.shutdown();
         prop_assert!(mismatches.is_empty(), "divergent records: {:#?}", mismatches);
+    }
+}
+
+/// What a watch-arming read answered.
+#[derive(Debug)]
+enum Answer {
+    /// `get_data` or `exists` of an existing node: its mzxid.
+    Version(u64),
+    /// `exists` of a node not created yet.
+    Absent,
+    /// `get_children` of the parent: the names listed.
+    Children(Vec<String>),
+}
+
+/// One watch-arming read: the session, the watch it armed and what it
+/// answered for `path`.
+#[derive(Debug)]
+struct ArmingRead {
+    session: String,
+    watch: u64,
+    path: String,
+    answer: Answer,
+}
+
+/// Names under `/r` that writers create once each, in the race.
+const RACED_CREATES: usize = 4;
+
+/// Writers set `/r/a` and `/r/b` (up to four writes in flight each) and
+/// create `/r/x0`–`/r/x3` once each, while armers arm watches on the
+/// same paths: `get_data` and `exists` of `a` / `b`, `exists` of the
+/// `x`s, and `get_children("/r")`, over `groups` leader lanes. Returns
+/// the arming reads whose watch did not fire in time ([`first_later`]).
+fn run_arming_race(
+    seed: u64,
+    writers: usize,
+    armers: usize,
+    ops: usize,
+    groups: usize,
+    config: DeploymentConfig,
+) -> Vec<String> {
+    let fk = Deployment::start(
+        config.with_distributor(DistributorConfig::default().with_groups(groups)),
+    );
+    let recorder = HistoryRecorder::new();
+    let root = fk.connect("root").unwrap();
+    for path in ["/r", "/r/a", "/r/b"] {
+        root.create(path, b"", CreateMode::Persistent).unwrap();
+    }
+    let created = |j: usize| format!("/r/x{j}");
+    let set_path = |rng: &mut SmallRng| ["/r/a", "/r/b"][rng.gen_range(0..2usize)];
+    let mut reads = Vec::new();
+    let mut armed = Vec::new();
+    std::thread::scope(|scope| {
+        for w in 0..writers {
+            let config = ClientConfig::new(format!("writer-{w}")).with_recorder(recorder.clone());
+            let client = fk.connect_with(config).unwrap();
+            scope.spawn(move || {
+                let mut rng = SmallRng::seed_from_u64(seed ^ ((w as u64 + 1) << 32));
+                let mut mine = (0..RACED_CREATES).filter(|j| j % writers == w);
+                let mut in_flight = std::collections::VecDeque::new();
+                for _ in 0..ops {
+                    let create = rng.gen_bool(0.25).then(|| mine.next()).flatten();
+                    in_flight.push_back(match create {
+                        Some(j) => {
+                            waiter(client.submit_create(&created(j), b"x", CreateMode::Persistent))
+                        }
+                        None => waiter(client.submit_set_data(set_path(&mut rng), b"v", -1)),
+                    });
+                    while in_flight.len() > 4 {
+                        in_flight.pop_front().unwrap()();
+                    }
+                }
+                for j in mine {
+                    in_flight.push_back(waiter(client.submit_create(
+                        &created(j),
+                        b"x",
+                        CreateMode::Persistent,
+                    )));
+                }
+                for wait in in_flight {
+                    wait();
+                }
+            });
+        }
+        let handles: Vec<_> = (0..armers)
+            .map(|a| {
+                let client = fk.connect(format!("armer-{a}")).unwrap();
+                scope.spawn(move || {
+                    let mut rng = SmallRng::seed_from_u64(seed ^ (a as u64 + 1));
+                    let mut last: HashMap<(WatchKind, String), u64> = HashMap::new();
+                    let mut reads = Vec::new();
+                    for _ in 0..ops {
+                        let before = client.my_watch_ids();
+                        let pick = rng.gen_range(0..2 + RACED_CREATES);
+                        let (kind, path, answer) = match rng.gen_range(0..3u8) {
+                            0 => {
+                                let path = set_path(&mut rng).to_owned();
+                                let Ok((_, stat)) = client.get_data(&path, true) else {
+                                    continue;
+                                };
+                                (WatchKind::Data, path, Answer::Version(stat.modified_txid))
+                            }
+                            1 => {
+                                let path = match pick {
+                                    0 => "/r/a".to_owned(),
+                                    1 => "/r/b".to_owned(),
+                                    j => created(j - 2),
+                                };
+                                let answer = match client.exists(&path, true) {
+                                    Ok(Some(stat)) => Answer::Version(stat.modified_txid),
+                                    Ok(None) => Answer::Absent,
+                                    Err(_) => continue,
+                                };
+                                (WatchKind::Exists, path, answer)
+                            }
+                            _ => {
+                                let Ok(names) = client.get_children("/r", true) else {
+                                    continue;
+                                };
+                                (
+                                    WatchKind::Children,
+                                    "/r".to_owned(),
+                                    Answer::Children(names),
+                                )
+                            }
+                        };
+                        // A registration that finds its kind's watch still
+                        // armed on the path joins it: the id is already ours
+                        // (unknown only if the read that armed it failed).
+                        let added: Vec<u64> =
+                            client.my_watch_ids().difference(&before).copied().collect();
+                        let key = (kind, path.clone());
+                        let watch = match added[..] {
+                            [id] => *last.entry(key).insert_entry(id).get(),
+                            [] => match last.get(&key) {
+                                Some(id) => *id,
+                                None => continue,
+                            },
+                            _ => panic!("one read armed {added:?}"),
+                        };
+                        reads.push(ArmingRead {
+                            session: client.session_id().to_owned(),
+                            watch,
+                            path,
+                            answer,
+                        });
+                    }
+                    (reads, client)
+                })
+            })
+            .collect();
+        for handle in handles {
+            let (mine, client) = handle.join().unwrap();
+            reads.extend(mine);
+            armed.push(client);
+        }
+    });
+    quiesce(&fk);
+    let mut submitted = HashMap::new();
+    let mut writes: HashMap<String, Vec<u64>> = HashMap::new();
+    for event in recorder.events() {
+        match event {
+            HEvent::WriteSubmitted {
+                session,
+                request_id,
+                path,
+            } => {
+                submitted.insert((session, request_id), path);
+            }
+            HEvent::WriteCommitted {
+                session,
+                request_id,
+                txid,
+            } => {
+                let path = submitted[&(session, request_id)].clone();
+                writes.entry(path).or_default().push(txid);
+            }
+            _ => {}
+        }
+    }
+    let due: Vec<(&ArmingRead, u64)> = reads
+        .iter()
+        .filter_map(|read| Some((read, first_later(read, &writes, groups)?)))
+        .collect();
+    // Each armer's events, collected until every watch due to fire has
+    // (or a generous deadline passes: a lost watch never arrives).
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut events: HashMap<String, Vec<WatchEvent>> = HashMap::new();
+    for client in &armed {
+        let session = client.session_id().to_owned();
+        let mut waiting: HashSet<u64> = due
+            .iter()
+            .filter(|(read, _)| read.session == session)
+            .map(|(read, _)| read.watch)
+            .collect();
+        let got = events.entry(session).or_default();
+        while !waiting.is_empty() {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let Ok(event) = client.watch_events().recv_timeout(left) else {
+                break;
+            };
+            waiting.remove(&event.watch_id);
+            got.push(event);
+        }
+        got.extend(client.watch_events().try_iter());
+    }
+    drop(armed);
+    drop(root);
+    fk.shutdown();
+    due.into_iter()
+        .filter_map(|(read, later)| {
+            let fired = events[&read.session]
+                .iter()
+                .filter(|event| event.watch_id == read.watch)
+                .map(|event| event.txid)
+                .min();
+            fired.is_none_or(|txid| txid > later).then(|| {
+                format!("{read:?}: txid {later} came later, and the watch fired at {fired:?}")
+            })
+        })
+        .collect()
+}
+
+/// The write `read`'s watch must fire by, if any: for a version, the
+/// first write of the node with a larger txid; for an absence, the
+/// node's create; for a children list, the first create of a name the
+/// list lacks. Creates of different children may sit in different
+/// leader lanes (`groups > 1`), and a lane that distributes a later
+/// create folds an earlier one's pending entry into the list it writes,
+/// so either may fire the watch: across lanes a children watch must fire
+/// by the last such create.
+fn first_later(
+    read: &ArmingRead,
+    writes: &HashMap<String, Vec<u64>>,
+    groups: usize,
+) -> Option<u64> {
+    let txids = |path: &str| writes.get(path).into_iter().flatten().copied();
+    match &read.answer {
+        Answer::Version(version) => txids(&read.path).filter(|t| t > version).min(),
+        Answer::Absent => txids(&read.path).min(),
+        Answer::Children(names) => {
+            let creates = (0..RACED_CREATES)
+                .filter(|j| !names.contains(&format!("x{j}")))
+                .flat_map(|j| txids(&format!("/r/x{j}")));
+            if groups > 1 {
+                creates.max()
+            } else {
+                creates.min()
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 16, // the race is narrow: more schedules catch more of it
+        .. ProptestConfig::default()
+    })]
+
+    /// A watch-arming read races writers on the paths it arms. Whatever
+    /// tier answers it (storage, or a replica at feed lag 0–4 whose
+    /// notifications are dropped, duplicated or delayed), every write
+    /// after its answer fires its watch, by the first such write at the
+    /// latest.
+    #[test]
+    fn an_arming_read_misses_no_later_write(
+        seed in geometry::schedule_seed(),
+        writers in 1usize..3,
+        armers in 1usize..3,
+        replicated in 0u8..2,
+        feed_lag in 0usize..5,
+        feed_faults in 0u8..2,
+        groups in 1usize..3,
+    ) {
+        let (replicated, feed_faults) = (replicated == 1, feed_faults == 1);
+        let mut plan = FaultPlan::disabled();
+        if feed_faults {
+            plan.seed = seed;
+            plan.feed_drop = FaultSpec::new(0.2, 20);
+            plan.feed_duplicate = FaultSpec::new(0.1, 10);
+            plan.feed_delay = FaultSpec::new(0.1, 10);
+        }
+        let replicas = if replicated {
+            ReplicaConfig::with_count(1).with_feed_lag(feed_lag)
+        } else {
+            ReplicaConfig::disabled()
+        };
+        let config = DeploymentConfig::aws().with_replicas(replicas).with_chaos(plan);
+        let lost = run_arming_race(seed, writers, armers, 32, groups, config);
+        prop_assert!(
+            lost.is_empty(),
+            "seed {seed}, {writers} writers, {armers} armers, replica {replicated}, \
+             lag {feed_lag}, feed faults {feed_faults}, {groups} groups: {lost:#?}"
+        );
     }
 }
 
