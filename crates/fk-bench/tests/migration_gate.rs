@@ -1,10 +1,11 @@
 //! Acceptance gate for checkpoint/state-transfer and live membership
 //! changes (`BENCH_migration.json` records the numbers):
 //!
-//! * A read replica bootstrapped **mid-run** — snapshot install plus
-//!   retained feed-log suffix replay, while writers keep committing —
-//!   must converge **byte-identical** (via [`fk_core::codec::encode_node`])
-//!   to the replica that streamed the same epochs from genesis.
+//! * A read replica bootstrapped **mid-run** — a copy of a live peer at
+//!   the feed head, while writers keep committing — must cost no
+//!   storage request and converge **byte-identical** (via
+//!   [`fk_core::codec::encode_node`]) to the replica that streamed the
+//!   same epochs from genesis.
 //! * A live 4 → 8 scale-out followed by a hot-group drain, all under a
 //!   seeded standard fault plan, must lose zero acknowledged writes,
 //!   keep the tree integral, and leave every dead-letter queue empty.
@@ -38,11 +39,44 @@ fn await_feed_quiesce(fk: &Deployment, ctx: &fk_cloud::trace::Ctx, stamp: &str) 
     }
 }
 
-/// A replica joined mid-run from a checkpoint must end byte-identical
-/// to the genesis-streamed replica: same codec frame for every node the
-/// genesis replica holds, despite writes landing before the checkpoint,
-/// between checkpoint and join, and after the join — all under the
-/// standard fault plan (dropped/duplicated/delayed feed frames armed).
+/// Polls until the deployment is idle: no queued message, and no store,
+/// queue or function request metered across five polls in a row (a
+/// chaos-redelivered message may still run after its client's ack).
+fn await_idle(fk: &Deployment, stamp: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let requests = |fk: &Deployment| {
+        let usage = fk.meter().snapshot();
+        (
+            usage.kv_ops,
+            usage.obj_gets + usage.obj_puts + usage.obj_deletes,
+            usage.queue_messages,
+            usage.fn_invocations,
+        )
+    };
+    let mut last = requests(fk);
+    let mut quiet = 0;
+    while quiet < 5 {
+        assert!(
+            Instant::now() < deadline,
+            "{stamp}: the deployment never went idle"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+        let now = requests(fk);
+        let queued = fk.write_queue().pending() + fk.leader_queues().pending();
+        quiet = if now == last && queued == 0 {
+            quiet + 1
+        } else {
+            0
+        };
+        last = now;
+    }
+}
+
+/// A replica joined mid-run from a live peer must cost no storage
+/// request and end byte-identical to the genesis-streamed replica: same
+/// codec frame for every node the genesis replica holds, despite writes
+/// landing before and after the join — all under the standard fault
+/// plan (dropped/duplicated/delayed feed frames armed).
 #[test]
 fn mid_run_bootstrap_converges_byte_identical_to_genesis_replica() {
     let seed = 0xB007u64;
@@ -58,7 +92,7 @@ fn mid_run_bootstrap_converges_byte_identical_to_genesis_replica() {
     let ctx = fk.client_ctx();
     let client = fk.connect("boot").expect("connect");
 
-    // Phase 1: state that will be carried by the snapshot.
+    // Phase 1: state the joiner copies from its peer.
     client
         .create("/boot", b"", CreateMode::Persistent)
         .expect("create root");
@@ -77,29 +111,37 @@ fn mid_run_bootstrap_converges_byte_identical_to_genesis_replica() {
             .expect("set");
     }
 
-    let checkpoint = fk.cut_checkpoint(&ctx).expect("cut checkpoint");
+    await_idle(&fk, &stamp);
+    let before = fk.meter().snapshot();
+    let joiner = fk.bootstrap_replica(&ctx, 0);
+    let used = fk.meter().snapshot().since(&before);
+    let boot = joiner
+        .resident_paths()
+        .iter()
+        .filter(|path| path.starts_with("/boot"))
+        .count();
+    println!(
+        "bootstrap join: {} object GETs, {} KV requests, {boot} /boot records copied",
+        used.obj_gets, used.kv_ops
+    );
+    assert_eq!(used.obj_gets, 0, "{stamp}: the join read the object store");
+    assert_eq!(used.kv_ops, 0, "{stamp}: the join read the key-value store");
     assert!(
-        checkpoint.records.len() >= 13,
-        "{stamp}: checkpoint missed the phase-1 tree ({} nodes)",
-        checkpoint.records.len()
+        boot >= 13,
+        "{stamp}: the joiner missed the phase-1 tree ({boot} nodes)"
     );
 
-    // Phase 2: commits the joiner must pick up from the feed-log
-    // suffix, not the snapshot.
+    // Phase 2: commits both replicas see live.
     for n in 0..6 {
         client
             .set_data(&format!("/boot/n{n}"), format!("suffix-{n}").as_bytes(), -1)
-            .expect("post-checkpoint set");
+            .expect("post-join set");
     }
     for l in 0..4 {
         client
             .create(&format!("/boot/late{l}"), b"late", CreateMode::Persistent)
-            .expect("post-checkpoint create");
+            .expect("post-join create");
     }
-
-    let joiner = fk.bootstrap_replica(&ctx, 0, &checkpoint);
-
-    // Phase 3: commits both replicas see live.
     client
         .set_data("/boot/late0", b"late-v2", -1)
         .expect("post-join set");

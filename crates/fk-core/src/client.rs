@@ -65,17 +65,15 @@ use crate::ops::{self, Op, OpHandle, OpResult, PendingWrites, RawWrite};
 use crate::path as zkpath;
 use crate::read_cache::{CacheStats, ReadCache, ReadCacheConfig};
 use crate::replica::Lookup;
-use crate::system_store::{ChildLog, SystemStore, MAX_LOCK_HOLD_MS};
+use crate::system_store::{ChildLog, SystemStore};
 use crate::user_store::{NodeRecord, ScanEntry, UserStore};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use fk_cloud::metering::Meter;
 use fk_cloud::objectstore::ObjectStore;
 use fk_cloud::ops::Op as CloudOp;
 use fk_cloud::queue::Queue;
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::Item;
-use fk_sync::LOCK_ATTR;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -112,9 +110,6 @@ pub struct ClientConfig {
     /// *disabled* config — always wins, so a test can pin an uncached
     /// control client against a cache-enabled deployment.
     pub read_cache: Option<ReadCacheConfig>,
-    /// Usage meter the read cache reports hit/miss counters to (wired by
-    /// [`crate::deploy::Deployment::connect_with`]).
-    pub cache_meter: Option<Meter>,
     /// Shared regional read replica this session reads through (wired by
     /// [`crate::deploy::Deployment::connect_with`] when the deployment
     /// runs a replica tier). Consulted *between* the private cache and
@@ -137,7 +132,6 @@ impl ClientConfig {
             read_workers: 4,
             recorder: None,
             read_cache: None,
-            cache_meter: None,
             replica: None,
         }
     }
@@ -357,8 +351,11 @@ impl ReadCore {
     ) -> FkResult<Option<T>> {
         let item = self.system.get_node(ctx, path);
         let mut pending = pending_txids(item.as_ref(), kind);
-        if let Some(stamp) = live_lock(item.as_ref()) {
-            let item = self.wait_item(ctx, path, |item| live_lock(item) != Some(stamp))?;
+        let locks = self.system.locks();
+        if let Some(stamp) = locks.live_stamp(item.as_ref(), wall_ms()) {
+            let item = self.wait_item(ctx, path, |item| {
+                locks.live_stamp(item, wall_ms()) != Some(stamp)
+            })?;
             pending.extend(pending_txids(item.as_ref(), kind));
         }
         if let Some(replica) = &self.replica {
@@ -539,15 +536,12 @@ fn pending_txids(item: Option<&Item>, kind: WatchKind) -> Vec<u64> {
     txids
 }
 
-/// The stamp of the follower lock `item` holds, unless it has expired
-/// ([`MAX_LOCK_HOLD_MS`]; stamps are wall-clock milliseconds).
-fn live_lock(item: Option<&Item>) -> Option<i64> {
-    let stamp = item?.num(LOCK_ATTR)?;
-    let now_ms = std::time::SystemTime::now()
+/// The wall clock in milliseconds, the unit of follower lock stamps.
+fn wall_ms() -> i64 {
+    std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .expect("clock after epoch")
-        .as_millis() as i64;
-    (now_ms - stamp < MAX_LOCK_HOLD_MS).then_some(stamp)
+        .as_millis() as i64
 }
 
 /// Fixed pool of read workers. Jobs are executed in submission order
@@ -625,10 +619,7 @@ impl FkClient {
         write_queue: Queue,
         bus: ClientBus,
     ) -> FkResult<Self> {
-        let now_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("clock after epoch")
-            .as_millis() as i64;
+        let now_ms = wall_ms();
         // Registration retries its legs internally — an outer retry would
         // replay the duplicate-session guard against its own first
         // attempt and misreport a transient fault as a duplicate.
@@ -639,11 +630,10 @@ impl FkClient {
             })?;
         let (notifications, responsive) = bus.register(&config.session_id);
 
-        let mut cache = ReadCache::new(config.read_cache.unwrap_or_default());
-        if let Some(meter) = &config.cache_meter {
-            cache = cache.with_meter(meter.clone());
-        }
-        let cache = Arc::new(cache);
+        let cache = Arc::new(
+            ReadCache::new(config.read_cache.unwrap_or_default())
+                .with_meter(system.kv().meter().clone()),
+        );
 
         let shared = Arc::new(Shared {
             session_id: config.session_id.clone(),

@@ -421,7 +421,7 @@ impl Deployment {
         let floors = Arc::new(CommittedFloors::new(groups));
         // Provisioned-but-inactive groups publish nothing; excluding
         // them keeps the cluster-wide committed min from pinning at 0
-        // until they join ([`crate::transfer::activate_group`]).
+        // until they join ([`Deployment::scale_out`]).
         let active = config.active_groups.unwrap_or(groups).clamp(1, groups);
         for group in active..groups {
             floors.set_active(group, false);
@@ -714,7 +714,7 @@ impl Deployment {
     }
 
     // ------------------------------------------------------------------
-    // Membership changes (checkpoint / state-transfer tentpole)
+    // Membership changes
     // ------------------------------------------------------------------
 
     /// The current shard-group membership (strong read; `None` for
@@ -726,16 +726,9 @@ impl Deployment {
         self.system.read_membership(ctx)
     }
 
-    /// Cuts a consistent in-memory checkpoint of the user-store tree
-    /// ([`crate::transfer::cut_checkpoint`]). Holding it keeps each
-    /// region's feed-log suffix after its cut.
-    pub fn cut_checkpoint(&self, ctx: &Ctx) -> fk_cloud::CloudResult<crate::transfer::Checkpoint> {
-        crate::transfer::cut_checkpoint(ctx, &self.user_stores[0], &self.floors, &self.replicas)
-    }
-
     /// Live scale-out to `active` write-accepting groups (≤ the
     /// provisioned width): activates each joining group from the
-    /// committed floors ([`crate::transfer::activate_group`] seeds the
+    /// committed floors (`Deployment::activate_group` seeds the
     /// group's txid counter past all of them and publishes its committed
     /// floor), then publishes the widened membership. No data moves:
     /// followers re-hash across the new width from their next batch;
@@ -753,13 +746,38 @@ impl Deployment {
             .membership(ctx)
             .unwrap_or_else(|| crate::system_store::Membership::all_active(provisioned));
         for group in membership.active_groups..active {
-            crate::transfer::activate_group(ctx, group, &self.system, &self.floors, &seed_floors)?;
+            Self::activate_group(ctx, group, &self.system, &self.floors, &seed_floors)?;
         }
         if active > membership.active_groups {
             membership.active_groups = active;
             self.system.write_membership(ctx, &membership)?;
         }
         Ok(seed_floors)
+    }
+
+    /// Activates shard group `group` as a write-path joiner: seeds its
+    /// txid-sequence counter past every epoch of the committed floors
+    /// `seed_floors` (so fresh txids always sort after everything committed
+    /// before it joined) and publishes an initial committed floor, keeping
+    /// the group from dragging the cluster-wide committed watermark
+    /// ([`CommittedFloors::committed`]) back to zero. Returns the txid the
+    /// floor was published at.
+    ///
+    /// Publishing a floor for an empty group is sound: the floor claims
+    /// every transaction of `group` with a smaller txid is distributed,
+    /// which is vacuously true — the group has issued none.
+    fn activate_group(
+        ctx: &Ctx,
+        group: usize,
+        system: &SystemStore,
+        floors: &CommittedFloors,
+        seed_floors: &[u64],
+    ) -> fk_cloud::CloudResult<u64> {
+        let seed_floor = seed_floors.iter().copied().max().unwrap_or(0);
+        let seeded = system.alloc_txid(ctx, group, seed_floor)?;
+        debug_assert_eq!(crate::system_store::txid::group_of(seeded), group);
+        floors.publish(group, seeded);
+        Ok(seeded)
     }
 
     /// Marks `group` as draining toward `successor`: new submissions
@@ -811,17 +829,18 @@ impl Deployment {
         Ok(())
     }
 
-    /// Bootstraps a new read replica into `region_idx` from `checkpoint`
-    /// ([`crate::transfer::bootstrap_replica`]): installs the snapshot,
-    /// replays the feed-log suffix its cut retains, and registers the
-    /// replica with the region's tier.
+    /// Bootstraps a new read replica into `region_idx` as a copy of a
+    /// live peer at the feed head ([`ReplicaSet::join_replica`]).
+    ///
+    /// # Panics
+    ///
+    /// If the replica tier is disabled.
     pub fn bootstrap_replica(
         &self,
         ctx: &Ctx,
         region_idx: usize,
-        checkpoint: &crate::transfer::Checkpoint,
     ) -> Arc<crate::replica::ReadReplica> {
-        crate::transfer::bootstrap_replica(ctx, region_idx, checkpoint, &self.replicas)
+        self.replicas.join_replica(ctx, region_idx)
     }
 
     // ------------------------------------------------------------------
@@ -933,9 +952,6 @@ impl Deployment {
         if config.read_cache.is_none() {
             config.read_cache = Some(self.config.read_cache);
         }
-        if config.cache_meter.is_none() {
-            config.cache_meter = Some(self.meter.clone());
-        }
         if config.replica.is_none() {
             // Pin the session to one of the local region's replicas (a
             // disabled tier yields `None` and the read path is unchanged).
@@ -957,5 +973,40 @@ impl Deployment {
         self.write_queue.close();
         self.leader_queues.close();
         self.runtime.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::system_store::txid;
+    use fk_cloud::{KvStore, Meter, Region};
+
+    #[test]
+    fn activate_group_seeds_fresh_txids_past_the_committed_floors() {
+        let ctx = Ctx::disabled();
+        let system = SystemStore::new(KvStore::new("sys", Region::US_EAST_1, Meter::new()));
+        let floors = CommittedFloors::new(8);
+        for g in 0..4 {
+            floors.publish(g, txid::compose(100 + g as u64, g));
+        }
+        for g in 4..8 {
+            floors.set_active(g, false);
+        }
+        assert_eq!(txid::epoch_of(floors.committed()), 100);
+
+        let seeded =
+            Deployment::activate_group(&ctx, 5, &system, &floors, &floors.snapshot()).unwrap();
+        assert_eq!(txid::group_of(seeded), 5);
+        assert!(
+            txid::epoch_of(seeded) > 103,
+            "seeded past the highest committed epoch"
+        );
+        assert!(floors.is_active(5));
+        assert_eq!(
+            txid::epoch_of(floors.committed()),
+            100,
+            "the joiner's floor does not drag the committed min down"
+        );
     }
 }

@@ -63,7 +63,6 @@ pub mod path;
 pub mod read_cache;
 pub mod replica;
 pub mod system_store;
-pub mod transfer;
 pub mod user_store;
 pub mod watch_fn;
 

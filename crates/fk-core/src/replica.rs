@@ -87,7 +87,7 @@
 //! # The feed is the retained log, read by cursor
 //!
 //! Each region keeps the frames it fed in one log, and that log is the
-//! feed (the febft log-plus-checkpoint idiom). [`ReplicaSet::feed`]
+//! feed (the febft log idiom). [`ReplicaSet::feed`]
 //! stamps a frame with the region's next sequence number, appends it to
 //! the log, then notifies each replica. A notified replica pulls every
 //! retained frame from its cursor (the sequence number of the next frame
@@ -96,8 +96,8 @@
 //! duplicate, gap or reordering to detect: a chaos-dropped or delayed
 //! notification leaves the replica behind until its next one, a
 //! duplicated one pulls nothing new, and [`ReplicaSet::reconcile`] pulls
-//! every replica to the head. A joiner installs a checkpoint and pulls
-//! the suffix after its cut.
+//! every replica to the head. A joiner copies a live peer at the head
+//! (below).
 //!
 //! The log is compacted by parent. A create's children patch carries its
 //! parent's full list, so the log keeps only the patch that decides a
@@ -114,16 +114,26 @@
 //! head by more than L frames, and then pulls to the head: L bounds how
 //! far it trails (a sawtooth), never a window it applies from.
 //!
-//! **The log keeps what its readers still need.** Its readers are the
-//! region's replicas and its live [`FeedCut`]s. A cut is a checkpoint's
-//! claim on the suffix after the feed sequence it read under the feed
-//! lock, held until the cut is dropped. After every feed and reconcile,
-//! the log drops the frames below `min(replica cursors, cuts + 1)`, so no
-//! cursor ever falls below the oldest retained frame, and a joiner's
-//! suffix is retained for as long as it holds its cut. A replica that
-//! lags or misses notifications keeps the log from its cursor on; the
-//! per-parent compaction makes that suffix grow with frames, not with
-//! frames × children.
+//! **The log keeps what its replicas still need.** Its only readers are
+//! the region's replicas. After every feed and reconcile, the log drops
+//! the frames below `min(replica cursors)`, so no cursor ever falls below
+//! the oldest retained frame. A replica that lags or misses
+//! notifications keeps the log from its cursor on; the per-parent
+//! compaction makes that suffix grow with frames, not with frames ×
+//! children.
+//!
+//! # A joiner copies a live peer
+//!
+//! [`ReplicaSet::join_replica`] bootstraps a replica mid-run from one of
+//! its region's replicas (the febft idiom: followers serve state transfer
+//! to joiners). Under the feed lock it pulls that peer to the head,
+//! clones its state (the `Arc`-shared records, LRU stamps, resident
+//! bytes, per-group floors and cursor) and registers the clone. No frame
+//! can be fed between the pull and the registration, so the joiner is a
+//! replica at the head with its peer's contents: it reads no storage,
+//! replays no suffix, and needs no part of the log kept for it. Its
+//! records and floors are a state the peer reached by pulling, so the
+//! serve gate's argument holds for the joiner as it does for the peer.
 //!
 //! # A watch-arming read pulls to the head
 //!
@@ -300,6 +310,7 @@ pub struct ReplicaStats {
     pub resident_bytes: u64,
 }
 
+#[derive(Clone)]
 struct Slot {
     record: Arc<NodeRecord>,
     /// Max applied `modified_txid` for this path (= the copy's mzxid).
@@ -310,6 +321,7 @@ struct Slot {
     size: usize,
 }
 
+#[derive(Clone)]
 struct ReplicaState {
     tree: HashMap<String, Slot>,
     resident_bytes: usize,
@@ -386,36 +398,6 @@ impl ReadReplica {
     pub fn applied_txid(&self) -> u64 {
         let state = self.state.lock();
         state.floors.iter().copied().min().unwrap_or(0)
-    }
-
-    /// Installs a checkpoint: merges every record into the resident
-    /// tree, raises the per-group floors to at least `floors`, and
-    /// advances the feed cursor to `next_seq` (the first frame *after*
-    /// the checkpoint cut), from which [`ReplicaSet::join_replica`]
-    /// pulls the retained suffix.
-    pub fn install_snapshot(
-        &self,
-        ctx: &Ctx,
-        records: &[NodeRecord],
-        floors: &[u64],
-        next_seq: u64,
-    ) {
-        let mut state = self.state.lock();
-        let mut installed_bytes = 0usize;
-        for record in records {
-            installed_bytes += record.path.len() + record.data.len();
-            // The snapshot is a point-in-time truth: it merges by the
-            // same monotone rule as the feed, so an already-live replica
-            // can reinstall without regressing.
-            self.merge_insert(&mut state, record.clone());
-        }
-        for (group, floor) in floors.iter().enumerate() {
-            if let Some(applied) = state.floors.get_mut(group) {
-                *applied = (*applied).max(*floor);
-            }
-        }
-        state.next_seq = state.next_seq.max(next_seq);
-        ctx.charge(Op::FnCompute, installed_bytes);
     }
 
     /// The feed cursor: the sequence number of the next frame to pull.
@@ -728,10 +710,9 @@ fn slot_size(record: &NodeRecord) -> usize {
         + record.epoch_marks.len() * 8
 }
 
-/// Per-region feed state: the monotone sequence counter, the retained
-/// committed epoch-delta log the replicas pull from, and the live cuts
-/// that hold a suffix of it for joiners. The log keeps exactly the
-/// frames some reader has not pulled ([`FeedState::trim`]).
+/// Per-region feed state: the monotone sequence counter and the retained
+/// committed epoch-delta log the replicas pull from. The log keeps
+/// exactly the frames some replica has not pulled ([`FeedState::trim`]).
 ///
 /// The log is compacted by parent: of the children patches for one
 /// parent since its last `Write` or `Delete`, only the one with the
@@ -749,19 +730,13 @@ struct FeedState {
     /// Per parent, `(seq, txid)` of the retained children patch with the
     /// largest txid since the parent's last `Write` or `Delete`.
     patches: HashMap<String, (u64, u64)>,
-    /// The feed sequence of each live [`FeedCut`].
-    cuts: Vec<u64>,
 }
 
 impl FeedState {
-    /// Drops the frames every reader has pulled: those below `cursor`,
-    /// the least replica cursor, and at or below every live cut.
+    /// Drops the frames every replica has pulled: those below `cursor`,
+    /// the least replica cursor.
     fn trim(&mut self, cursor: u64) {
-        let keep = self
-            .cuts
-            .iter()
-            .fold(cursor, |keep, &cut| keep.min(cut + 1));
-        while self.log.front().is_some_and(|frame| frame.seq < keep) {
+        while self.log.front().is_some_and(|frame| frame.seq < cursor) {
             self.log.pop_front();
         }
     }
@@ -834,33 +809,6 @@ impl RegionTier {
     }
 }
 
-/// A checkpoint's claim on one region's feed log: the feed sequence read
-/// under the feed lock when the cut was taken ([`ReplicaSet::cuts`]).
-/// While the cut lives, the log keeps every frame after it, so a replica
-/// joining from it ([`ReplicaSet::join_replica`]) always finds its
-/// suffix. Dropping the cut releases the claim, and the next feed trims.
-pub struct FeedCut {
-    inner: Arc<ReplicaSetInner>,
-    region: usize,
-    seq: u64,
-}
-
-impl FeedCut {
-    /// The feed sequence at the cut: a joiner pulls from `seq + 1`.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
-impl Drop for FeedCut {
-    fn drop(&mut self) {
-        let mut feed = self.inner.regions[self.region].feed.lock();
-        if let Some(at) = feed.cuts.iter().position(|&seq| seq == self.seq) {
-            feed.cuts.swap_remove(at);
-        }
-    }
-}
-
 struct ReplicaSetInner {
     regions: Vec<RegionTier>,
     config: ReplicaConfig,
@@ -873,8 +821,8 @@ struct ReplicaSetInner {
 /// distributor's user stores), `ReplicaConfig::count` replicas sharing
 /// each region's feed log. Every frame fed to a region is stamped with a
 /// monotone per-region sequence number and appended to the feed log,
-/// which each replica pulls by its own cursor (module docs), as does a
-/// mid-run joiner from its [`FeedCut`] ([`ReplicaSet::join_replica`]).
+/// which each replica pulls by its own cursor (module docs). A mid-run
+/// joiner copies a live peer ([`ReplicaSet::join_replica`]).
 /// Cloning shares the tier.
 #[derive(Clone)]
 pub struct ReplicaSet {
@@ -917,7 +865,6 @@ impl ReplicaSet {
                             seq: 0,
                             log: VecDeque::new(),
                             patches: HashMap::new(),
-                            cuts: Vec::new(),
                         })),
                     };
                     *tier.replicas.write() = (0..config.count)
@@ -959,7 +906,8 @@ impl ReplicaSet {
     /// sequence number, appends the frame to the retained feed log
     /// (compacted by parent, `FeedState`), then notifies each replica,
     /// which pulls from its cursor to the head unless it trails by at
-    /// most `feed_lag` frames, and trims what every reader has pulled.
+    /// most its `feed_lag` frames, and trims what every replica has
+    /// pulled.
     /// The chaos engine may drop or delay a notification (the replica
     /// pulls the frame with its next one) or duplicate it (the second
     /// pull finds nothing new).
@@ -975,7 +923,7 @@ impl ReplicaSet {
         let mut cursor = u64::MAX;
         for replica in tier.replicas.read().iter() {
             let at = if self.notified(ctx) {
-                replica.pull(ctx, &feed.log, self.inner.config.feed_lag)
+                replica.pull(ctx, &feed.log, replica.config.feed_lag)
             } else {
                 replica.feed_position()
             };
@@ -1016,45 +964,30 @@ impl ReplicaSet {
             .unwrap_or(0)
     }
 
-    /// Takes one cut per region, in region order (none when the tier is
-    /// disabled): each reads its region's feed sequence under the feed
-    /// lock and holds the log's suffix after it until dropped.
-    pub fn cuts(&self) -> Vec<FeedCut> {
-        (0..self.inner.regions.len())
-            .map(|region| {
-                let mut feed = self.inner.regions[region].feed.lock();
-                let seq = feed.seq;
-                feed.cuts.push(seq);
-                FeedCut {
-                    inner: Arc::clone(&self.inner),
-                    region,
-                    seq,
-                }
-            })
-            .collect()
-    }
-
-    /// Bootstraps a new replica into the cut's region from a checkpoint
-    /// taken at `cut`: installs `records` and `floors`, pulls the log
-    /// suffix after the cut (which the cut keeps retained) under the feed
-    /// lock, so no concurrent frame can slip between the pull and
-    /// registration, and registers the replica with the tier.
-    pub fn join_replica(
-        &self,
-        ctx: &Ctx,
-        cut: &FeedCut,
-        records: &[NodeRecord],
-        floors: &[u64],
-    ) -> Arc<ReadReplica> {
-        let tier = &self.inner.regions[cut.region];
+    /// Bootstraps a new replica into `region_idx` from a live peer
+    /// (module docs, "A joiner copies a live peer"): under the feed lock,
+    /// pulls one of the region's replicas to the head, clones its state
+    /// and registers the clone with the tier. The copy is in-memory work
+    /// on the caller.
+    ///
+    /// # Panics
+    ///
+    /// If the tier is disabled (no region `region_idx`, hence no peer).
+    pub fn join_replica(&self, ctx: &Ctx, region_idx: usize) -> Arc<ReadReplica> {
+        let tier = &self.inner.regions[region_idx];
         let feed = tier.feed.lock();
-        let replica = Arc::new(tier.replica(
-            self.inner.config,
-            self.inner.groups,
-            self.inner.meter.clone(),
-        ));
-        replica.install_snapshot(ctx, records, floors, cut.seq + 1);
-        replica.pull(ctx, &feed.log, 0);
+        let peer = Arc::clone(tier.replicas.read().first().expect("a live peer"));
+        peer.pull(ctx, &feed.log, 0);
+        let state = peer.state.lock().clone();
+        ctx.charge(Op::FnCompute, state.resident_bytes);
+        let replica = Arc::new(ReadReplica {
+            state: Mutex::new(state),
+            ..tier.replica(
+                self.inner.config,
+                self.inner.groups,
+                self.inner.meter.clone(),
+            )
+        });
         tier.replicas.write().push(Arc::clone(&replica));
         replica
     }
@@ -1172,8 +1105,9 @@ impl CommittedFloors {
         self.floors.len()
     }
 
-    /// The per-group floors, active or not (a checkpoint manifest
-    /// records these as its committed-txid tags).
+    /// The per-group floors, active or not
+    /// ([`crate::deploy::Deployment::scale_out`] seeds joining groups
+    /// past them).
     pub fn snapshot(&self) -> Vec<u64> {
         self.floors
             .iter()
@@ -1239,6 +1173,19 @@ mod tests {
         let set = ReplicaSet::build(config, &[Region::US_EAST_1], groups, None);
         let replica = Arc::clone(&set.region(0)[0]);
         (set, replica)
+    }
+
+    /// Registers a replica in region 0 whose `feed_lag` exceeds any test
+    /// stream: it never pulls on a notification, so the log keeps every
+    /// frame until a reconcile.
+    fn hold_log(set: &ReplicaSet) -> Arc<ReadReplica> {
+        let tier = &set.inner.regions[0];
+        let holder = Arc::new(ReadReplica {
+            config: set.inner.config.with_feed_lag(usize::MAX),
+            ..tier.replica(set.inner.config, set.inner.groups, None)
+        });
+        tier.replicas.write().push(Arc::clone(&holder));
+        holder
     }
 
     #[test]
@@ -1628,17 +1575,11 @@ mod tests {
         set.feed(&ctx, 0, &delta_of(&[record("/a", b"v1", 1)], 1));
         set.feed(&ctx, 0, &delta_of(&[record("/b", b"v2", 2)], 2));
         let genesis = set.region(0)[0].clone();
-        // Checkpoint cut: the genesis replica's records + floors at the
-        // current feed sequence.
-        let cut = set.cuts().pop().expect("one region");
-        let records: Vec<NodeRecord> = genesis
-            .resident_paths()
-            .iter()
-            .map(|path| (*genesis.peek(path).unwrap()).clone())
-            .collect();
-        let joined = set.join_replica(&ctx, &cut, &records, &[2]);
+        let joined = set.join_replica(&ctx, 0);
+        assert_eq!(joined.feed_position(), 3, "the joiner starts at the head");
         // Post-join traffic reaches both the old and the new replica.
         set.feed(&ctx, 0, &delta_of(&[record("/c", b"v3", 3)], 3));
+        assert_eq!(joined.resident_paths().len(), 3);
         for path in genesis.resident_paths() {
             assert_eq!(
                 encode_node(&genesis.peek(&path).unwrap()),
@@ -1730,8 +1671,8 @@ mod tests {
     }
 
     /// The retained log replays to the same records as the full stream:
-    /// a replica joined from a twin's state at every cut `k` (at `k`, at a
-    /// random later point, and at the end), and a replica that misses the
+    /// a replica that joins from a live peer at every feed position `k`
+    /// and is fed live from there, and a replica that misses the
     /// notifications of frames `j..=m` and pulls them with the next one,
     /// both end byte-identical to a twin fed the whole stream live.
     #[test]
@@ -1745,37 +1686,15 @@ mod tests {
             let set =
                 ReplicaSet::build(ReplicaConfig::with_count(1), &[Region::US_EAST_1], 2, None);
             let twin = set.region(0)[0].clone();
-            // Per cut: the twin's records and per-group floors at `k` with
-            // the cut taken there, and the feed position at which to join
-            // from them. The cut at 0 also keeps the whole log for the
-            // unregistered `gaps` replicas.
-            let mut floors = vec![0u64; 2];
-            let mut cuts = vec![(Vec::new(), floors.clone(), set.cuts())];
-            let mut joins: Vec<(u64, u64)> = Vec::new();
-            for k in 0..=n {
-                joins.push((k, k));
-                joins.push((k, rng.gen_range(k..=n)));
-                joins.push((k, n));
-            }
+            // Keeps the whole log for the unregistered `gaps` replicas.
+            hold_log(&set);
             let mut gaps: Vec<(u64, u64, ReadReplica)> = Vec::new();
             for j in 1..n {
                 let m = rng.gen_range(j..n);
                 let replica = ReadReplica::new(Region::US_EAST_1, set.inner.config, 2, None);
                 gaps.push((j, m, replica));
             }
-            let mut joined = Vec::new();
-            let join_at =
-                |at: u64,
-                 cuts: &[(Vec<NodeRecord>, Vec<u64>, Vec<FeedCut>)],
-                 joined: &mut Vec<(u64, u64, Arc<ReadReplica>)>| {
-                    for &(k, _) in joins.iter().filter(|&&(_, when)| when == at) {
-                        let (records, floors, cut) = &cuts[k as usize];
-                        assert_eq!(cut[0].seq(), k);
-                        let replica = set.join_replica(&ctx, &cut[0], records, floors);
-                        joined.push((k, at, replica));
-                    }
-                };
-            join_at(0, &cuts, &mut joined);
+            let mut joined = vec![(0, set.join_replica(&ctx, 0))];
             for frame in &frames {
                 let mut live = frame.clone();
                 live.seq = 0;
@@ -1788,23 +1707,14 @@ mod tests {
                         }
                     }
                 }
-                for &(group, hw) in frame.high_water.iter() {
-                    floors[group] = floors[group].max(hw);
-                }
-                let records = twin
-                    .resident_paths()
-                    .iter()
-                    .map(|path| (*twin.peek(path).expect("resident")).clone())
-                    .collect();
-                cuts.push((records, floors.clone(), set.cuts()));
-                join_at(frame.seq, &cuts, &mut joined);
+                joined.push((frame.seq, set.join_replica(&ctx, 0)));
             }
             let want = resident(&twin);
-            for (k, at, replica) in &joined {
+            for (k, replica) in &joined {
                 assert_eq!(
                     resident(replica),
                     want,
-                    "case {case}: joined from cut {k} at seq {at} diverges from the live twin"
+                    "case {case}: joined at seq {k} diverges from the live twin"
                 );
             }
             for (j, m, replica) in &gaps {
@@ -1819,11 +1729,11 @@ mod tests {
 
     /// 1,000 creates under one parent leave one children snapshot in the
     /// retained log, not 1,000; a write or delete of the parent keeps the
-    /// patch before it. A cut taken at genesis keeps every frame.
+    /// patch before it. A replica that never pulls keeps every frame.
     #[test]
     fn feed_log_keeps_one_children_patch_per_parent() {
         let set = ReplicaSet::build(ReplicaConfig::with_count(1), &[Region::US_EAST_1], 1, None);
-        let _genesis = set.cuts();
+        hold_log(&set);
         let ctx = Ctx::disabled();
         let mut children: Vec<String> = Vec::new();
         let mut txid = 1;
@@ -1990,8 +1900,9 @@ mod tests {
         .collect();
         let full = full_replay(&frames, 1);
         let (set, replica) = tier(ReplicaConfig::with_count(1).with_feed_lag(2), 1);
-        // A cut at genesis keeps every frame, so the compaction shows.
-        let _genesis = set.cuts();
+        // A replica that never pulls keeps every frame, so the
+        // compaction shows.
+        hold_log(&set);
         for (seq, frame) in (1u64..).zip(&frames) {
             set.feed(&ctx, 0, frame);
             assert_at_cursor(&replica, &full, &format!("after feed {seq}"));
@@ -2303,39 +2214,123 @@ mod tests {
         assert!(matches!(replica.lookup(&ctx, "/b", 2), Lookup::Hit(_)));
     }
 
-    /// A cut held across feeds keeps the log's suffix after it, though
-    /// the replica is at the head; a joiner from it replays that suffix.
-    /// Once the cut is dropped, the next feed trims the log.
+    /// A joiner copies a peer that trails the head: the join pulls the
+    /// peer to the head first, and the joiner starts there with the
+    /// peer's records, floors and resident bytes. The log then keeps only
+    /// what a replica has not pulled, from the next feed on.
     #[test]
-    fn a_held_cut_keeps_its_suffix_until_it_is_dropped() {
-        let (set, replica) = tier(ReplicaConfig::with_count(1), 1);
+    fn a_joiner_copies_a_lagging_peer_at_the_head() {
+        let (set, peer) = tier(ReplicaConfig::with_count(1).with_feed_lag(3), 2);
         let ctx = Ctx::disabled();
-        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v1", 1)], 1));
-        let cut = set.cuts().pop().expect("one region");
-        assert_eq!(cut.seq(), 1);
-        for txid in 2..=11 {
-            set.feed(&ctx, 0, &delta_of(&[record("/a", b"v", txid)], txid));
-        }
-        assert_eq!(replica.feed_position(), 12);
-        let retained = |set: &ReplicaSet| -> Vec<u64> {
-            let feed = set.inner.regions[0].feed.lock();
-            feed.log.iter().map(|frame| frame.seq).collect()
-        };
+        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v1", 2)], 2));
+        let mut second = delta_of(&[record("/b", b"v1", 3)], 3);
+        second.high_water = Arc::new(vec![(1, 3)]);
+        set.feed(&ctx, 0, &second);
+        assert_eq!(peer.feed_position(), 1, "the peer trails the head");
+        let joined = set.join_replica(&ctx, 0);
+        assert_eq!(peer.feed_position(), 3, "the join pulled the peer");
+        assert_eq!(joined.feed_position(), 3, "the joiner starts at the head");
+        assert_eq!(resident(&joined), resident(&peer));
+        assert_eq!(joined.applied_txid(), 2, "both groups' floors copied");
+        assert_eq!(joined.stats().resident_bytes, peer.stats().resident_bytes);
         assert_eq!(
-            retained(&set),
-            (2..=11).collect::<Vec<_>>(),
-            "the suffix after the cut"
+            joined.stats().epochs_applied,
+            0,
+            "the joiner replayed nothing"
         );
-        let joined = set.join_replica(&ctx, &cut, &[record("/a", b"v1", 1)], &[1]);
-        assert_eq!(joined.feed_position(), 12);
-        assert_eq!(joined.peek("/a").unwrap().modified_txid, 11);
+        assert_eq!(set.region(0).len(), 2, "joiner registered with the tier");
+        set.feed(&ctx, 0, &delta_of(&[record("/a", b"v2", 4)], 4));
+        let retained: Vec<u64> = set.inner.regions[0]
+            .feed
+            .lock()
+            .log
+            .iter()
+            .map(|frame| frame.seq)
+            .collect();
+        assert_eq!(retained, [3], "the frame neither replica has pulled");
         set.reconcile(&ctx);
-        assert_eq!(retained(&set).len(), 10, "the live cut still holds it");
-        drop(cut);
-        set.feed(&ctx, 0, &delta_of(&[record("/b", b"v", 12)], 12));
+        assert_eq!(joined.peek("/a").unwrap().data.as_ref(), b"v2");
+        assert_eq!(resident(&joined), resident(&peer));
+    }
+
+    /// Joins at random feed positions under feed drop, duplicate and
+    /// delay faults at lag 0–4, with byte budgets that do and do not
+    /// evict. After every feed each joiner holds the full replay at its
+    /// cursor: the same record for each resident path, the whole tree
+    /// when nothing is evicted, and the same applied floor. After a
+    /// reconcile each joiner is byte-identical to a peer with its budget.
+    #[test]
+    fn peer_joins_match_the_full_replay_under_feed_faults() {
+        use rand::{Rng, SeedableRng};
+        // Joins, and evictions, without and with an evicting budget.
+        let mut joins = [0u64; 2];
+        let mut evictions = [0u64; 2];
+        for case in 0..48u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(case);
+            let frames = tree_stream(&mut rng, 32);
+            let full = full_replay(&frames, 2);
+            let lag = rng.gen_range(0..=4usize);
+            let evicts = case % 2 == 1;
+            let mut config = ReplicaConfig::with_count(2).with_feed_lag(lag);
+            if evicts {
+                config = config.with_byte_budget(rng.gen_range(400..1_200usize));
+            }
+            let set = ReplicaSet::build(config, &[Region::US_EAST_1], 2, None);
+            let mut plan = FaultPlan::disabled();
+            plan.feed_drop = FaultSpec::new(rng.gen_range(0.0..0.4), u64::MAX);
+            plan.feed_duplicate = FaultSpec::new(rng.gen_range(0.0..0.4), u64::MAX);
+            plan.feed_delay = FaultSpec::new(rng.gen_range(0.0..0.4), u64::MAX);
+            set.install_chaos(Chaos::from_plan(plan).expect("feed faults on"));
+            let ctx = Ctx::new(
+                Arc::new(fk_cloud::LatencyModel::zero()),
+                fk_cloud::LatencyMode::Disabled,
+                case,
+            );
+            let peers = set.region(0);
+            let mut joined = Vec::new();
+            for frame in &frames {
+                let mut live = frame.clone();
+                live.seq = 0;
+                set.feed(&ctx, 0, &live);
+                if rng.gen_bool(0.2) {
+                    joined.push(set.join_replica(&ctx, 0));
+                }
+                for replica in &joined {
+                    let at = format!("case {case}, lag {lag}, evicts {evicts}");
+                    let (records, floor) = &full[(replica.feed_position() - 1) as usize];
+                    let held = resident(replica);
+                    for (path, frame) in &held {
+                        assert_eq!(records.get(path), Some(frame), "{at}: {path}");
+                    }
+                    if !evicts {
+                        assert_eq!(&held, records, "{at}: the joiner lost a record");
+                    }
+                    assert_eq!(replica.applied_txid(), *floor, "{at}: applied floor");
+                }
+            }
+            set.reconcile(&ctx);
+            for replica in &joined {
+                assert_eq!(replica.feed_position(), frames.len() as u64 + 1);
+                assert_eq!(
+                    resident(replica),
+                    resident(&peers[0]),
+                    "case {case}, lag {lag}, evicts {evicts}: a reconciled joiner diverges from its peer"
+                );
+            }
+            joins[usize::from(evicts)] += joined.len() as u64;
+            evictions[usize::from(evicts)] += peers
+                .iter()
+                .chain(&joined)
+                .map(|replica| replica.stats().evictions)
+                .sum::<u64>();
+        }
         assert!(
-            retained(&set).is_empty(),
-            "both replicas at the head, no cut"
+            joins.iter().all(|&n| n > 0),
+            "joins with and without eviction: {joins:?}"
+        );
+        assert!(
+            evictions[0] == 0 && evictions[1] > 0,
+            "only the small budgets evict: {evictions:?}"
         );
     }
 

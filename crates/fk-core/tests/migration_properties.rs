@@ -7,7 +7,7 @@
 //! * **Scale-out (4 → 8 groups)** — the deployment starts with four of
 //!   eight provisioned shard groups accepting writes; mid-workload a
 //!   coordinator seeds the joining groups' txid counters past the
-//!   committed floors ([`fk_core::transfer::activate_group`]) and
+//!   committed floors ([`fk_core::Deployment::scale_out`]) and
 //!   publishes the widened membership. Followers re-hash across the new
 //!   width from their next batch, so roughly half the keys migrate
 //!   groups while their sessions are still writing.

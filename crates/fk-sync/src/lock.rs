@@ -133,11 +133,15 @@ impl TimedLockManager {
 
     /// True if `key` currently stores an unexpired lock as of `now_ms`.
     pub fn is_locked(&self, ctx: &Ctx, key: &str, now_ms: i64) -> bool {
-        self.kv
-            .get(ctx, key)
-            .and_then(|item| item.num(LOCK_ATTR))
-            .map(|ts| now_ms - ts < self.max_hold_ms)
-            .unwrap_or(false)
+        self.live_stamp(self.kv.get(ctx, key).as_ref(), now_ms)
+            .is_some()
+    }
+
+    /// The stamp of the lock `item` holds, unless it has expired by
+    /// `now_ms` (held for `max_hold_ms` or longer).
+    pub fn live_stamp(&self, item: Option<&Item>, now_ms: i64) -> Option<i64> {
+        let stamp = item?.num(LOCK_ATTR)?;
+        (now_ms - stamp < self.max_hold_ms).then_some(stamp)
     }
 }
 
