@@ -365,12 +365,13 @@ fn an_absence_proven_by_a_marked_parent_waits_for_the_watch_delivery() {
     deployment.shutdown();
 }
 
-/// A watch-arming `get_data` on a resident node: beside the
-/// registration's two writes it reads the node's item once, pulls the
-/// lagging replica to the feed head and answers from it, so it costs no
-/// user-store GET and never waits on a quiescent node. At `feed_lag` 2
-/// the replica trails the last acknowledged write before the read, and
-/// the answer is that write all the same.
+/// A watch-arming `get_data` on a resident node, once a warm-up arming
+/// on another path has reserved the deployment's block of watch ids:
+/// its registration is one KV write, and it reads the node's item once,
+/// pulls the lagging replica to the feed head and answers from it, so
+/// it costs no user-store GET and never waits on a quiescent node. At
+/// `feed_lag` 2 the replica trails the last acknowledged write before
+/// the read, and the answer is that write all the same.
 #[test]
 fn an_arming_read_of_a_resident_node_costs_one_kv_read_and_no_storage_get() {
     for lag in [0, 2] {
@@ -381,6 +382,11 @@ fn an_arming_read_of_a_resident_node_costs_one_kv_read_and_no_storage_get() {
                 .with_replicas(ReplicaConfig::with_count(1).with_feed_lag(lag)),
         );
         let writer = deployment.connect("arm-writer").expect("connect");
+        writer
+            .create("/warm", b"", CreateMode::Persistent)
+            .expect("create");
+        let reader = deployment.connect("arm-reader").expect("connect");
+        reader.get_data("/warm", true).expect("warm-up arming read");
         writer
             .create("/a", b"v0", CreateMode::Persistent)
             .expect("create");
@@ -396,7 +402,6 @@ fn an_arming_read_of_a_resident_node_costs_one_kv_read_and_no_storage_get() {
             .replica_for("arm-reader")
             .expect("one replica");
         let trailing = replica.peek("/a").map(|record| record.modified_txid) != Some(last);
-        let reader = deployment.connect("arm-reader").expect("connect");
         let before = deployment.meter().snapshot();
         let (data, stat) = reader.get_data("/a", true).expect("arming read");
         let used = deployment.meter().snapshot().since(&before);
@@ -418,6 +423,11 @@ fn an_arming_read_of_a_resident_node_costs_one_kv_read_and_no_storage_get() {
         );
         assert_eq!(stat.modified_txid, last);
         assert_eq!(used.obj_gets, 0, "feed_lag {lag}: no user-store GET");
+        assert_eq!(
+            count("kv_write"),
+            1,
+            "feed_lag {lag}: the registration is one registry update"
+        );
         assert_eq!(
             count("kv_read"),
             1,

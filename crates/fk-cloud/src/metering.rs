@@ -264,6 +264,12 @@ impl Meter {
         *inner.per_op.entry(format!("arm:{outcome}")).or_insert(0) += 1;
     }
 
+    /// Records one refill of a system-store handle's block of watch ids
+    /// (labelled `watch_ids:block`): the one `ADD` that reserved it.
+    pub fn watch_id_block(&self) {
+        self.bump("watch_ids:block", |_| {});
+    }
+
     /// Records one retry of the operation `site`, named
     /// `<service>.<op>` (labelled `retry:<service>.<op>`).
     pub fn retry(&self, site: &'static str) {

@@ -27,6 +27,8 @@
 //! * `epoch:<region>` — the region epoch counters: ids of watch
 //!   notifications still in flight (§3.4).
 //! * `counter:*` — atomic counters (watch-instance ids, committed txid).
+//!   `counter:watch_ids` is advanced a block at a time: each `ADD`
+//!   reserves 1,024 watch ids for the handle that drew it.
 
 use crate::api::WatchKind;
 use fk_cloud::expr::{Condition, Operand, Update};
@@ -35,6 +37,9 @@ use fk_cloud::trace::Ctx;
 use fk_cloud::value::{Item, Value};
 use fk_cloud::{CloudResult, Region};
 use fk_sync::{AtomicCounter, AtomicList, TimedLockManager};
+use parking_lot::Mutex;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Attribute names of `node:` items.
 pub mod node_attr {
@@ -353,12 +358,19 @@ pub struct WatchInstance {
 /// over by another writer.
 pub const MAX_LOCK_HOLD_MS: i64 = 5_000;
 
+/// Watch ids one `ADD` on `counter:watch_ids` reserves: a handle draws
+/// one block per this many registrations.
+const WATCH_ID_BLOCK: u64 = 1_024;
+
 /// Handle to the system table with the paper's layout on top.
 #[derive(Clone)]
 pub struct SystemStore {
     kv: KvStore,
     locks: TimedLockManager,
     watch_ids: AtomicCounter,
+    /// The unused rest of the watch-id block this handle last reserved,
+    /// shared by its clones.
+    watch_block: Arc<Mutex<Range<u64>>>,
 }
 
 impl SystemStore {
@@ -367,6 +379,7 @@ impl SystemStore {
         SystemStore {
             locks: TimedLockManager::new(kv.clone(), MAX_LOCK_HOLD_MS),
             watch_ids: AtomicCounter::new(kv.clone(), "counter:watch_ids"),
+            watch_block: Arc::new(Mutex::new(0..0)),
             kv,
         }
     }
@@ -701,6 +714,8 @@ impl SystemStore {
 
     /// Registers `session` on the watch instance for `path` × `kind`,
     /// creating the instance id on first use. Returns the instance id.
+    /// One registry update, plus one `ADD` when the handle's block of
+    /// reserved ids is spent.
     pub fn register_watch(
         &self,
         ctx: &Ctx,
@@ -708,20 +723,38 @@ impl SystemStore {
         kind: WatchKind,
         session: &str,
     ) -> CloudResult<u64> {
-        let candidate = self.watch_ids.increment(ctx)?;
+        let candidate = self.next_watch_id(ctx)?;
         let tag = kind_tag(kind);
         let id_attr = format!("{tag}_id");
         let sess_attr = format!("{tag}_sessions");
         let update = Update::new()
             .set_expr(
                 id_attr.clone(),
-                Operand::IfNotExists(id_attr.clone(), Box::new(Operand::lit(candidate))),
+                Operand::IfNotExists(id_attr.clone(), Box::new(Operand::lit(candidate as i64))),
             )
             .list_append(sess_attr, vec![Value::from(session)]);
         let out = self
             .kv
             .update(ctx, &keys::watch(path), &update, Condition::Always)?;
-        Ok(out.new.num(&id_attr).unwrap_or(candidate) as u64)
+        Ok(out.new.num(&id_attr).map_or(candidate, |id| id as u64))
+    }
+
+    /// The next id of the handle's reserved block. An empty block is
+    /// refilled by one `ADD` of [`WATCH_ID_BLOCK`] on
+    /// `counter:watch_ids`, which reserves the ids up to the value it
+    /// returns (counted as `watch_ids:block`). Every `ADD` lands on one
+    /// item, so no two blocks overlap, across handles, processes and
+    /// restarts; a retried `ADD` whose first reply was lost only skips
+    /// a block. The lock is held across the refill, so the clones of a
+    /// handle draw one block at a time.
+    fn next_watch_id(&self, ctx: &Ctx) -> CloudResult<u64> {
+        let mut block = self.watch_block.lock();
+        if block.is_empty() {
+            let end = self.watch_ids.add(ctx, WATCH_ID_BLOCK as i64)? as u64;
+            self.kv.meter().watch_id_block();
+            *block = end + 1 - WATCH_ID_BLOCK..end + 1;
+        }
+        Ok(block.next().expect("a refilled block holds ids"))
     }
 
     /// Reads the watch instances on `path` restricted to `kinds`.
@@ -1034,6 +1067,84 @@ mod tests {
         let watches = sys.query_watches(&ctx, "/n", &[WatchKind::Data]);
         assert_eq!(watches.len(), 1);
         assert_eq!(watches[0].sessions, vec!["s1".to_owned(), "s2".to_owned()]);
+    }
+
+    #[test]
+    fn two_handles_on_one_table_hand_out_distinct_watch_ids_past_a_block() {
+        let kv = KvStore::new("system", Region::US_EAST_1, Meter::new());
+        let (a, b) = (SystemStore::new(kv.clone()), SystemStore::new(kv));
+        let ctx = Ctx::disabled();
+        let mut ids = std::collections::HashSet::new();
+        for i in 0..WATCH_ID_BLOCK + 5 {
+            for (name, sys) in [("a", &a), ("b", &b)] {
+                let id = sys
+                    .register_watch(&ctx, &format!("/{name}{i}"), WatchKind::Data, "s")
+                    .unwrap();
+                assert!(ids.insert(id), "id {id} handed out twice");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_registrations_on_one_handle_get_distinct_watch_ids() {
+        let (sys, ctx) = store();
+        let ids: Vec<u64> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let (sys, ctx) = (&sys, &ctx);
+                    scope.spawn(move || {
+                        (0..600)
+                            .map(|i| {
+                                sys.register_watch(ctx, &format!("/t{t}/{i}"), WatchKind::Data, "s")
+                                    .unwrap()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|worker| worker.join().unwrap())
+                .collect()
+        });
+        let distinct: std::collections::HashSet<u64> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), 2_400, "every registration got its own id");
+        let refills = sys.kv().meter().snapshot().per_op["watch_ids:block"];
+        assert_eq!(
+            refills, 3,
+            "2,400 ids take three blocks of {WATCH_ID_BLOCK}"
+        );
+    }
+
+    #[test]
+    fn a_warm_registration_is_one_kv_write_and_a_refill_adds_one() {
+        let (sys, ctx) = store();
+        let meter = sys.kv().meter().clone();
+        let count = |since: &fk_cloud::metering::UsageSnapshot, label: &str| {
+            meter
+                .snapshot()
+                .since(since)
+                .per_op
+                .get(label)
+                .copied()
+                .unwrap_or(0)
+        };
+        for i in 0..=WATCH_ID_BLOCK {
+            let before = meter.snapshot();
+            sys.register_watch(&ctx, &format!("/n{i}"), WatchKind::Data, "s")
+                .unwrap();
+            let refill = i % WATCH_ID_BLOCK == 0;
+            assert_eq!(
+                count(&before, "kv_write"),
+                1 + u64::from(refill),
+                "registration {i}"
+            );
+            assert_eq!(
+                count(&before, "watch_ids:block"),
+                u64::from(refill),
+                "registration {i}"
+            );
+        }
     }
 
     #[test]
