@@ -1,10 +1,14 @@
 //! # fk-bench — the FaaSKeeper reproduction harness
 //!
-//! One binary per table/figure of the paper's evaluation (see
-//! `src/bin/`), plus criterion microbenchmarks (`benches/`). Shared
-//! machinery:
+//! The paper's evaluation is one seeded test, `tests/paper_profile.rs`:
+//! every Table 3 p50, the § 5.3.4 cost anchors and the claims of
+//! Figs. 8–13, each measured on virtual time beside the paper's value
+//! and asserted against its record (`cargo test -p fk-bench --test
+//! paper_profile -- --nocapture` prints the table). The other tests
+//! under `tests/` are the repository's gates, and `benches/` holds
+//! criterion microbenchmarks. Shared machinery:
 //!
-//! * [`stats`] — percentile summaries and table rendering;
+//! * [`stats`] — percentile summaries and the profile's dollar label;
 //! * [`pipeline`] — the direct-drive write pipeline that measures the
 //!   follower/leader path under the calibrated latency model;
 //! * [`distributor_bench`] — sequential vs. sharded+batched distribution
@@ -35,7 +39,7 @@ pub use read_bench::{compare_reads, run_reads, ReadRunConfig, ReadRunResult};
 pub use replica_bench::{
     compare_replica_reads, run_replica_reads, ReplicaRunConfig, ReplicaRunResult,
 };
-pub use stats::{ms, print_table, size_label, summarize, usd, Summary};
+pub use stats::{summarize, usd, Summary};
 pub use store_bench::{
     compare_item_packing, compare_stores, run_store_bench, PackingComparison, StoreBenchConfig,
     StoreComparison, StoreRunResult,

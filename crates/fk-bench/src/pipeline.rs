@@ -85,6 +85,18 @@ impl WritePipeline {
         ctx
     }
 
+    /// Charges a warm function's trigger: the queue's dispatch of a
+    /// `bytes` batch and the sandbox's warm-start overhead, under `label`.
+    fn invoke(&self, ctx: &Ctx, label: &'static str, bytes: usize) {
+        ctx.span(label, || {
+            ctx.charge(
+                Op::QueueDispatch(self.deployment.config().queue_kind()),
+                bytes,
+            );
+            ctx.charge(Op::FnWarmOverhead, 0);
+        });
+    }
+
     /// Drives one request through client → follower → leader on `ctx`.
     /// Returns `(t_client, t_follower_start, t_follower_end, t_leader_end)`
     /// in virtual time.
@@ -146,11 +158,7 @@ impl WritePipeline {
             .receive(10, Duration::from_secs(30))
             .expect("follower batch");
         let bytes: usize = batch.messages.iter().map(|m| m.body.len()).sum();
-        ctx.charge(
-            Op::QueueDispatch(self.deployment.config().queue_kind()),
-            bytes,
-        );
-        ctx.charge(Op::FnWarmOverhead, 0);
+        self.invoke(ctx, "invoke_follower", bytes);
         let t_follower_start = ctx.now();
         let follower_env = self.deployment.config().follower_fn.env();
         ctx.with_env(follower_env, || {
@@ -173,11 +181,7 @@ impl WritePipeline {
             .expect("leader batch");
         debug_assert_eq!(&*lbatch.messages[0].group, LEADER_GROUP);
         let lbytes: usize = lbatch.messages.iter().map(|m| m.body.len()).sum();
-        ctx.charge(
-            Op::QueueDispatch(self.deployment.config().queue_kind()),
-            lbytes,
-        );
-        ctx.charge(Op::FnWarmOverhead, 0);
+        self.invoke(ctx, "invoke_leader", lbytes);
         let leader_env = self.deployment.config().leader_fn.env();
         let t_leader_start = ctx.now();
         ctx.with_env(leader_env, || {

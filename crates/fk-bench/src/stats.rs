@@ -1,4 +1,5 @@
-//! Percentile statistics and table formatting for the harness binaries.
+//! Percentile statistics, and the dollar label the paper profile
+//! (`tests/paper_profile.rs`) prints.
 
 /// Summary statistics of a latency sample set, in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -44,46 +45,6 @@ pub fn summarize(samples: &[f64]) -> Summary {
     }
 }
 
-/// Renders an aligned text table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n## {title}\n");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: &[String]| {
-        let mut out = String::from("|");
-        for (i, cell) in cells.iter().enumerate() {
-            out.push_str(&format!(" {:>width$} |", cell, width = widths[i]));
-        }
-        out
-    };
-    println!(
-        "{}",
-        line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    println!(
-        "|{}|",
-        widths
-            .iter()
-            .map(|w| "-".repeat(w + 2))
-            .collect::<Vec<_>>()
-            .join("|")
-    );
-    for row in rows {
-        println!("{}", line(row));
-    }
-}
-
-/// Formats milliseconds with two decimals.
-pub fn ms(v: f64) -> String {
-    format!("{v:.2}")
-}
-
 /// Formats a dollar amount with automatic precision.
 pub fn usd(v: f64) -> String {
     if v >= 100.0 {
@@ -92,17 +53,6 @@ pub fn usd(v: f64) -> String {
         format!("${v:.2}")
     } else {
         format!("${v:.4}")
-    }
-}
-
-/// Human-readable byte size (e.g. "4 B", "64 kB").
-pub fn size_label(bytes: usize) -> String {
-    if bytes < 1024 {
-        format!("{bytes} B")
-    } else if bytes.is_multiple_of(1024) {
-        format!("{} kB", bytes / 1024)
-    } else {
-        format!("{:.1} kB", bytes as f64 / 1024.0)
     }
 }
 
@@ -125,13 +75,6 @@ mod tests {
     #[test]
     fn empty_samples_are_zero() {
         assert_eq!(summarize(&[]), Summary::default());
-    }
-
-    #[test]
-    fn size_labels() {
-        assert_eq!(size_label(4), "4 B");
-        assert_eq!(size_label(65536), "64 kB");
-        assert_eq!(size_label(1536), "1.5 kB");
     }
 
     #[test]

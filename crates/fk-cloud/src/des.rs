@@ -1,17 +1,11 @@
-//! Minimal discrete-event simulator.
-//!
-//! The throughput experiments (Fig 6b: standard vs locked DynamoDB
-//! updates; Fig 7b: queue-triggered invocation throughput) need
-//! closed/open-loop load against capacity-limited service stations —
-//! behaviour that per-request virtual time cannot express. This module
-//! provides a small event loop plus a [`Station`] primitive (a
-//! multi-server queueing station with sampled service times) on which the
-//! benchmark harness builds those experiments.
+//! Minimal discrete-event simulator: a deterministic event loop over a
+//! user state (events at one instant run in schedule order). The
+//! leader's multi-lane hold-back convergence test
+//! (`leader::tests::multi_leader_holdback_always_converges_in_des`)
+//! schedules its lanes on it.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Simulation time in nanoseconds.
 pub type SimTime = u64;
@@ -32,12 +26,10 @@ pub struct Scheduler<S> {
     pending: Vec<Option<ScheduledEvent<S>>>,
     free_slots: Vec<usize>,
     slot_of: std::collections::HashMap<(SimTime, u64), usize>,
-    /// Deterministic RNG shared by all events.
-    pub rng: SmallRng,
 }
 
 impl<S> Scheduler<S> {
-    fn new(seed: u64) -> Self {
+    fn new() -> Self {
         Scheduler {
             now: 0,
             seq: 0,
@@ -45,7 +37,6 @@ impl<S> Scheduler<S> {
             pending: Vec::new(),
             free_slots: Vec::new(),
             slot_of: std::collections::HashMap::new(),
-            rng: SmallRng::seed_from_u64(seed),
         }
     }
 
@@ -90,13 +81,8 @@ impl<S> Scheduler<S> {
 
 /// Runs the simulation until `until` (ns) or event exhaustion; returns the
 /// final state.
-pub fn run<S>(
-    mut state: S,
-    seed: u64,
-    until: SimTime,
-    init: impl FnOnce(&mut S, &mut Scheduler<S>),
-) -> S {
-    let mut sched = Scheduler::new(seed);
+pub fn run<S>(mut state: S, until: SimTime, init: impl FnOnce(&mut S, &mut Scheduler<S>)) -> S {
+    let mut sched = Scheduler::new();
     init(&mut state, &mut sched);
     while let Some(ev) = sched.pop() {
         if ev.time > until {
@@ -107,128 +93,13 @@ pub fn run<S>(
     state
 }
 
-type ServiceFn = Box<dyn FnMut(&mut SmallRng) -> SimTime>;
-type DoneFn<S> = Box<dyn FnOnce(&mut S, &mut Scheduler<S>)>;
-
-struct WaitingJob<S> {
-    arrived: SimTime,
-    service: ServiceFn,
-    done: DoneFn<S>,
-}
-
-/// A multi-server FIFO queueing station: jobs wait for one of `servers`
-/// slots, hold it for a sampled service time, then run a completion
-/// callback. Models a storage/queue backend with bounded parallelism.
-/// Waiting jobs are started directly when a server frees up — no polling.
-pub struct Station<S> {
-    servers: usize,
-    busy: usize,
-    waiting: VecDeque<WaitingJob<S>>,
-    /// Completed job count.
-    pub completed: u64,
-    /// Sum of in-station sojourn times (ns) of completed jobs.
-    pub total_sojourn_ns: u128,
-}
-
-impl<S: 'static> Station<S> {
-    /// Creates a station with `servers` parallel servers.
-    pub fn new(servers: usize) -> Self {
-        Station {
-            servers,
-            busy: 0,
-            waiting: VecDeque::new(),
-            completed: 0,
-            total_sojourn_ns: 0,
-        }
-    }
-
-    /// Current queue length (waiting, not in service).
-    pub fn queue_len(&self) -> usize {
-        self.waiting.len()
-    }
-
-    /// Mean sojourn time of completed jobs, in ms.
-    pub fn mean_sojourn_ms(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.total_sojourn_ns as f64 / self.completed as f64 / 1e6
-        }
-    }
-}
-
-/// Submits a job to a station owned by the state.
-///
-/// `station` projects the station out of the state; `service_ns` samples a
-/// service time; `done` runs when the job completes.
-pub fn submit<S: 'static>(
-    state: &mut S,
-    sched: &mut Scheduler<S>,
-    station: fn(&mut S) -> &mut Station<S>,
-    service_ns: impl FnMut(&mut SmallRng) -> SimTime + 'static,
-    done: impl FnOnce(&mut S, &mut Scheduler<S>) + 'static,
-) {
-    let now = sched.now();
-    let st = station(state);
-    if st.busy < st.servers {
-        st.busy += 1;
-        start_service(
-            state,
-            sched,
-            station,
-            now,
-            Box::new(service_ns),
-            Box::new(done),
-        );
-    } else {
-        st.waiting.push_back(WaitingJob {
-            arrived: now,
-            service: Box::new(service_ns),
-            done: Box::new(done),
-        });
-    }
-}
-
-fn start_service<S: 'static>(
-    _state: &mut S,
-    sched: &mut Scheduler<S>,
-    station: fn(&mut S) -> &mut Station<S>,
-    arrived: SimTime,
-    mut service: ServiceFn,
-    done: DoneFn<S>,
-) {
-    let dur = service(&mut sched.rng);
-    sched.schedule(dur, move |state, sched| {
-        let now = sched.now();
-        let st = station(state);
-        st.busy -= 1;
-        st.completed += 1;
-        st.total_sojourn_ns += (now - arrived) as u128;
-        // Hand the freed server to the next waiting job, if any.
-        if let Some(next) = st.waiting.pop_front() {
-            st.busy += 1;
-            start_service(state, sched, station, next.arrived, next.service, next.done);
-        }
-        done(state, sched);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct State {
-        station: Station<State>,
-        finished: u64,
-    }
-
-    fn station_of(s: &mut State) -> &mut Station<State> {
-        &mut s.station
-    }
-
     #[test]
     fn events_run_in_time_order() {
-        let order = run(Vec::new(), 1, u64::MAX, |_state, sched| {
+        let order = run(Vec::new(), u64::MAX, |_state, sched| {
             sched.schedule(300, |s: &mut Vec<u32>, _| s.push(3));
             sched.schedule(100, |s: &mut Vec<u32>, _| s.push(1));
             sched.schedule(200, |s: &mut Vec<u32>, _| s.push(2));
@@ -238,7 +109,7 @@ mod tests {
 
     #[test]
     fn same_time_events_run_in_schedule_order() {
-        let order = run(Vec::new(), 1, u64::MAX, |_state, sched| {
+        let order = run(Vec::new(), u64::MAX, |_state, sched| {
             sched.schedule(100, |s: &mut Vec<u32>, _| s.push(1));
             sched.schedule(100, |s: &mut Vec<u32>, _| s.push(2));
         });
@@ -247,7 +118,7 @@ mod tests {
 
     #[test]
     fn chained_scheduling_advances_clock() {
-        let times = run(Vec::new(), 1, u64::MAX, |_state, sched| {
+        let times = run(Vec::new(), u64::MAX, |_state, sched| {
             sched.schedule(50, |s: &mut Vec<u64>, sched| {
                 s.push(sched.now());
                 sched.schedule(25, |s: &mut Vec<u64>, sched| s.push(sched.now()));
@@ -258,130 +129,10 @@ mod tests {
 
     #[test]
     fn run_until_cuts_off_late_events() {
-        let order = run(Vec::new(), 1, 150, |_state, sched| {
+        let order = run(Vec::new(), 150, |_state, sched| {
             sched.schedule(100, |s: &mut Vec<u32>, _| s.push(1));
             sched.schedule(200, |s: &mut Vec<u32>, _| s.push(2));
         });
         assert_eq!(order, vec![1]);
-    }
-
-    #[test]
-    fn station_limits_parallelism() {
-        // 1 server, 1 ms service, 3 jobs at t=0 → completions at 1,2,3 ms.
-        let state = run(
-            State {
-                station: Station::new(1),
-                finished: 0,
-            },
-            7,
-            u64::MAX,
-            |state, sched| {
-                for _ in 0..3 {
-                    submit(
-                        state,
-                        sched,
-                        station_of,
-                        |_| 1_000_000,
-                        |s, _| {
-                            s.finished += 1;
-                        },
-                    );
-                }
-            },
-        );
-        assert_eq!(state.finished, 3);
-        assert_eq!(state.station.completed, 3);
-        // Mean sojourn = (1 + 2 + 3)/3 = 2 ms exactly.
-        assert!((state.station.mean_sojourn_ms() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn multi_server_station_runs_jobs_concurrently() {
-        let state = run(
-            State {
-                station: Station::new(3),
-                finished: 0,
-            },
-            7,
-            u64::MAX,
-            |state, sched| {
-                for _ in 0..3 {
-                    submit(
-                        state,
-                        sched,
-                        station_of,
-                        |_| 1_000_000,
-                        |s, _| {
-                            s.finished += 1;
-                        },
-                    );
-                }
-            },
-        );
-        assert_eq!(state.finished, 3);
-        assert!((state.station.mean_sojourn_ms() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn waiting_jobs_start_in_fifo_order() {
-        let state = run(
-            State {
-                station: Station::new(1),
-                finished: 0,
-            },
-            7,
-            u64::MAX,
-            |state, sched| {
-                for i in 0..5u64 {
-                    submit(
-                        state,
-                        sched,
-                        station_of,
-                        move |_| 1_000_000 + i, // distinguishable services
-                        move |s, _| {
-                            assert_eq!(s.finished, i, "completion order");
-                            s.finished += 1;
-                        },
-                    );
-                }
-            },
-        );
-        assert_eq!(state.finished, 5);
-        assert_eq!(state.station.queue_len(), 0);
-    }
-
-    #[test]
-    fn high_load_terminates_quickly() {
-        // Saturated station must not blow up the event count (regression
-        // test for the old polling-based wait loop).
-        let state = run(
-            State {
-                station: Station::new(2),
-                finished: 0,
-            },
-            9,
-            2_000_000_000,
-            |state, sched| {
-                fn arrival(state: &mut State, sched: &mut Scheduler<State>) {
-                    submit(
-                        state,
-                        sched,
-                        station_of,
-                        |_| 5_000_000,
-                        |s, _| {
-                            s.finished += 1;
-                        },
-                    );
-                    sched.schedule(100_000, arrival); // 10k arrivals/s >> capacity
-                }
-                arrival(state, sched);
-            },
-        );
-        // Capacity = 2 / 5 ms = 400/s over 2 s = ~800 completions.
-        assert!(
-            state.finished >= 780 && state.finished <= 820,
-            "{}",
-            state.finished
-        );
     }
 }

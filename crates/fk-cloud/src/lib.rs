@@ -25,7 +25,7 @@
 //! * [`retry::with_retry`] — the one exponential-backoff retry with
 //!   decorrelated jitter, run inside each service that can fail
 //!   transiently;
-//! * [`des`] — a small discrete-event simulator for throughput studies.
+//! * [`des`] — a small deterministic discrete-event loop.
 //!
 //! The services are faithful at the level of *semantics and guarantees*
 //! (the level at which the paper defines its cloud-agnostic design, §3.7)

@@ -233,7 +233,7 @@ impl Follower {
         let mut seen: HashSet<(String, u64)> = HashSet::new();
         let mut watermarks: HashMap<String, u64> = HashMap::new();
         for (i, msg) in messages.iter().enumerate() {
-            ctx.charge(Op::FnCompute, msg.body.len());
+            ctx.span("decode", || ctx.charge(Op::FnCompute, msg.body.len()));
             let Some(request) = ClientRequest::decode(&msg.body) else {
                 // Malformed message: drop it rather than poison the queue.
                 self.system.kv().meter().dropped("follower.undecodable");

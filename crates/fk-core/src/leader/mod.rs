@@ -238,7 +238,7 @@ impl Leader {
     pub fn process_messages(&self, ctx: &Ctx, messages: &[Message]) -> Result<(), FnError> {
         let mut decoded: Vec<Decoded> = Vec::with_capacity(messages.len());
         for (i, msg) in messages.iter().enumerate() {
-            ctx.charge(Op::FnCompute, msg.body.len());
+            ctx.span("decode", || ctx.charge(Op::FnCompute, msg.body.len()));
             let Some(record) = LeaderRecord::decode(&msg.body) else {
                 // No redelivery can make the body decode: consume it.
                 self.system.kv().meter().dropped("leader.undecodable");
@@ -634,9 +634,12 @@ impl Leader {
                 }
             }
         }
-        let data = record.ops.iter();
-        let data = data.map(|sub| self.resolve_payload(ctx, &sub.user_update));
-        Ok(Disposition::Distribute(data.collect::<Result<_, _>>()?))
+        let data = ctx.span("get_payload", || {
+            let data = record.ops.iter();
+            data.map(|sub| self.resolve_payload(ctx, &sub.user_update))
+                .collect::<Result<_, _>>()
+        });
+        Ok(Disposition::Distribute(data?))
     }
 
     /// Advances the session's distribution high-water mark for a record
@@ -753,8 +756,7 @@ impl Leader {
                 ..
             } = update
             {
-                self.staging
-                    .delete(ctx, key)
+                ctx.span("delete_staging", || self.staging.delete(ctx, key))
                     .map_err(|e| FnError::retryable(e.to_string()))?;
             }
         }

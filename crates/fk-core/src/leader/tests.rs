@@ -1606,8 +1606,8 @@ fn multi_leader_holdback_always_converges_in_des() {
         node_log: HashMap<usize, Vec<Write>>,
         deferrals: usize,
         skipped_ahead: usize,
-        /// LCG state for per-group cadence jitter (the des scheduler
-        /// seed varies the queue routing; this varies the clocks).
+        /// LCG state for per-group cadence jitter (the seed varies the
+        /// queue routing; this varies the clocks).
         jitter: u64,
     }
     impl Sim {
@@ -1717,7 +1717,6 @@ fn multi_leader_holdback_always_converges_in_des() {
                 skipped_ahead: 0,
                 jitter: seed ^ 0x5EED,
             },
-            seed,
             60_000_000_000, // 60 virtual seconds — far beyond need
             |_, sched| {
                 for group in 0..GROUPS {
