@@ -273,7 +273,8 @@ pub struct LatencyModel {
     pub kv_scan: LatencySpec,
     /// Object GET. [Fig 4b, Fig 8 S3 series]
     pub obj_get: LatencySpec,
-    /// Object PUT. [Fig 4b; Table 3 "Update Node" = GET+PUT]
+    /// Object PUT. [Fig 4b; Table 3 "Update Node" = GET+PUT] A DELETE
+    /// samples it at zero bytes: it carries no body.
     pub obj_put: LatencySpec,
     /// In-memory cache read (Redis series, Fig 8).
     pub mem_get: LatencySpec,

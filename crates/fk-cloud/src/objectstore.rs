@@ -248,8 +248,9 @@ impl ObjectStore {
     }
 
     /// Deletes an object (idempotent, like S3). Metered as a DELETE,
-    /// which object stores do not bill. Transient failures are retried
-    /// inside.
+    /// which object stores do not bill, and timed as a request with no
+    /// body: its cost does not grow with the deleted object. Transient
+    /// failures are retried inside.
     pub fn delete(&self, ctx: &Ctx, key: &str) -> CloudResult<()> {
         with_retry(ctx, &self.inner.meter, "obj.delete", || {
             self.try_delete(ctx, key)
@@ -262,7 +263,7 @@ impl ObjectStore {
         let old_size = old.map(|(b, _)| b.len()).unwrap_or(0);
         self.inner.meter.obj_delete();
         self.inner.meter.obj_stored_delta(-(old_size as i64));
-        ctx.charge_to(Op::ObjDelete, old_size.max(1), self.inner.region);
+        ctx.charge_to(Op::ObjDelete, 0, self.inner.region);
         Ok(())
     }
 
@@ -350,6 +351,24 @@ mod tests {
         os.put(&ctx, "/node/a", Bytes::from_static(b"hello"))
             .unwrap();
         assert_eq!(os.get(&ctx, "/node/a").unwrap().0.as_ref(), b"hello");
+    }
+
+    /// A DELETE carries no body: deleting a 250 kB object costs what
+    /// deleting a 1 B object costs, under the same seed.
+    #[test]
+    fn delete_cost_does_not_grow_with_the_object() {
+        let delete_time = |size: usize| {
+            let (os, setup, _) = bucket();
+            os.put(&setup, "k", Bytes::from(vec![0u8; size])).unwrap();
+            let model = Arc::new(crate::latency::LatencyModel::aws());
+            let ctx = Ctx::new(model, crate::trace::LatencyMode::Virtual, 7);
+            ctx.set_region(Region::US_EAST_1);
+            os.delete(&ctx, "k").unwrap();
+            ctx.now()
+        };
+        let small = delete_time(1);
+        assert!(small > std::time::Duration::ZERO, "a DELETE takes time");
+        assert_eq!(delete_time(250 * 1024), small);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::client::{ClientConfig, FkClient};
 use crate::distributor::DistributorConfig;
-use crate::follower::{Follower, FollowerConfig};
+use crate::follower::Follower;
 use crate::heartbeat::Heartbeat;
 use crate::leader::{Leader, WatchDispatcher, WatchHandle};
 use crate::notify::ClientBus;
@@ -660,7 +660,6 @@ impl Deployment {
             self.system.clone(),
             self.leader_queues.clone(),
             self.bus.clone(),
-            FollowerConfig::default(),
         )
     }
 

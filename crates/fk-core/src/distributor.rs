@@ -122,12 +122,6 @@ impl DistributorConfig {
         self.groups = groups;
         self
     }
-
-    /// The pre-distributor behaviour: one transaction at a time through a
-    /// single worker. Used as the baseline in `distributor_path` benches.
-    pub fn sequential() -> Self {
-        Self::new(1, 1)
-    }
 }
 
 /// A committed transaction ready for distribution: the decoded leader
@@ -1310,10 +1304,6 @@ mod tests {
         let c = DistributorConfig::new(8, 32);
         assert_eq!(c.shards, 8);
         assert_eq!(c.max_batch, 32);
-        assert_eq!(
-            DistributorConfig::sequential(),
-            DistributorConfig::new(1, 1)
-        );
         assert_eq!(DistributorConfig::default(), DistributorConfig::new(4, 16));
     }
 

@@ -98,7 +98,6 @@ use parking_lot::Mutex;
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Maximum node payload size (§4.4: the tightest provider limit).
 pub const MAX_NODE_BYTES: usize = 1024 * 1024;
@@ -106,24 +105,14 @@ pub const MAX_NODE_BYTES: usize = 1024 * 1024;
 /// Attempts to acquire a contended lock before asking for redelivery.
 const LOCK_ATTEMPTS: u32 = 24;
 
-/// Follower configuration.
-#[derive(Debug, Clone, Default)]
-pub struct FollowerConfig {
-    /// Fault injection for crash-consistency tests: while non-zero, each
-    /// phase-➃ commit decrements the counter and is *skipped* — exactly
-    /// the state a follower crash between push (➂) and commit (➃) leaves
-    /// behind, which the leader repairs via `TryCommit`. Production
-    /// configs leave it at zero.
-    pub skip_commits: Arc<AtomicU64>,
-}
-
 /// The follower function body. Shared across invocations (stateless per
 /// the FaaS model; all state lives in cloud storage).
 pub struct Follower {
     system: SystemStore,
     leader_queues: ShardedQueues,
     bus: ClientBus,
-    config: FollowerConfig,
+    /// Commits still to skip (see [`Follower::skip_next_commits`]).
+    skip_commits: AtomicU64,
     /// The membership record as this instance last read it (`None`
     /// before its first read). A warm instance routes a batch's
     /// speculative `ADD`s with it while the batch's own read is in
@@ -144,25 +133,22 @@ pub const INTERNAL_REQUEST: u64 = 0;
 impl Follower {
     /// Creates the function body over the leader tier's sharded queues
     /// (a single-member group reproduces the one-leader deployment).
-    pub fn new(
-        system: SystemStore,
-        leader_queues: ShardedQueues,
-        bus: ClientBus,
-        config: FollowerConfig,
-    ) -> Self {
+    pub fn new(system: SystemStore, leader_queues: ShardedQueues, bus: ClientBus) -> Self {
         Follower {
             system,
             leader_queues,
             bus,
-            config,
+            skip_commits: AtomicU64::new(0),
             warm_membership: Mutex::new(None),
         }
     }
 
-    /// The follower's configuration (tests reach the fault-injection
-    /// knob through this).
-    pub fn config(&self) -> &FollowerConfig {
-        &self.config
+    /// Fault injection for crash-consistency tests: the next `n` phase-➃
+    /// commits are *skipped* — exactly the state a follower crash
+    /// between push (➂) and commit (➃) leaves behind, which the leader
+    /// repairs via `TryCommit`. A follower skips none unless told to.
+    pub fn skip_next_commits(&self, n: u64) {
+        self.skip_commits.store(n, Ordering::SeqCst);
     }
 
     /// The group `key`'s submission must actually go to: the hash group
@@ -997,7 +983,6 @@ impl Follower {
     /// leader (Algorithm 2 ➋).
     fn commit_pushed(&self, ctx: &Ctx, pushed: &Pushed) -> bool {
         if self
-            .config
             .skip_commits
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
             .is_ok()

@@ -43,7 +43,6 @@ use fk_core::messages::{
 };
 use fk_core::system_store::{keys, node_attr, session_attr, txid};
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -886,10 +885,7 @@ fn replay(rig: &Rig, records: &[LeaderRecord]) -> Vec<Leader> {
 #[test]
 fn try_commit_replay_never_lowers_the_push_mark() {
     let (rig, mut records) = Rig::seeded_with_records();
-    rig.follower
-        .config()
-        .skip_commits
-        .store(1, Ordering::SeqCst);
+    rig.follower.skip_next_commits(1);
     let w1 = rig.process(4, set_data("/p/c", payload("w1"), -1));
     let w2 = rig.process(5, create("/p/n", CreateMode::Persistent));
     let ([r1], [r2]) = (&w1.pushed[..], &w2.pushed[..]) else {
@@ -925,10 +921,7 @@ fn one_push_mark_per_session_per_wave() {
     for (skipped, fallbacks) in [(0, 0), (2, 0), (3, 1)] {
         let rig = Rig::seeded();
         let before = push_mark(&rig);
-        rig.follower
-            .config()
-            .skip_commits
-            .store(skipped, Ordering::SeqCst);
+        rig.follower.skip_next_commits(skipped);
         let step = rig.process_batch(
             4,
             vec![

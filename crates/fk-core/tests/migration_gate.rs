@@ -1,5 +1,5 @@
 //! Acceptance gate for checkpoint/state-transfer and live membership
-//! changes (`BENCH_migration.json` records the numbers):
+//! changes (`-- --nocapture` prints the numbers):
 //!
 //! * A read replica bootstrapped **mid-run** — a copy of a live peer at
 //!   the feed head, while writers keep committing — must cost no
@@ -182,7 +182,7 @@ fn mid_run_bootstrap_converges_byte_identical_to_genesis_replica() {
 /// Live resharding end to end under the standard fault plan: scale out
 /// 4 → 8 groups mid-workload, then drain a hot group into a successor,
 /// with every acknowledged write verified afterwards. Prints the gate
-/// numbers recorded in `BENCH_migration.json`.
+/// numbers.
 #[test]
 fn live_resharding_loses_nothing_and_records_gate_numbers() {
     let seed = 0x4D16u64;

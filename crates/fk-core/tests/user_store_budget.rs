@@ -103,7 +103,7 @@ const BUDGET: [(&str, [Cost; CALLS.len()]); 6] = [
             (0, 1, 0, 0.0, 0, 0, 28753008),
             (0, 1, 1, 0.0, 0, 0, 29747733),
             (4, 0, 0, 0.0, 0, 0, 89413497),
-            (0, 0, 0, 0.0, 0, 0, 32629606),
+            (0, 0, 0, 0.0, 0, 0, 32623973),
         ],
     ),
     (
@@ -139,10 +139,10 @@ const BUDGET: [(&str, [Cost; CALLS.len()]); 6] = [
             (1, 0, 0, 1.0, 0, 0, 11375561),
             (0, 0, 0, 1.0, 0, 0, 17927260),
             (1, 0, 0, 1.0, 0, 0, 10458367),
-            (0, 1, 0, 0.0, 1, 0, 48272054),
-            (0, 1, 0, 0.0, 1, 0, 80125602),
+            (0, 1, 0, 0.0, 1, 0, 48269442),
+            (0, 1, 0, 0.0, 1, 0, 80117209),
             (3, 0, 0, 2.0, 0, 0, 32717015),
-            (0, 0, 0, 0.0, 1, 0, 27039495),
+            (0, 0, 0, 0.0, 1, 0, 27035418),
         ],
     ),
     (

@@ -43,7 +43,8 @@
 
 #![warn(missing_docs)]
 
-use fk_bench::stats::{summarize, Summary};
+pub mod stats;
+
 use fk_cloud::ops::Op;
 use fk_cloud::trace::{Ctx, LatencyMode};
 use fk_cloud::FaultPlan;
@@ -59,6 +60,7 @@ use fk_core::{CreateMode, DistributorConfig, WatchKind};
 use fk_workloads::SeededZipf;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use stats::{summarize, Summary};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -1,5 +1,4 @@
-//! Percentile statistics, and the dollar label the paper profile
-//! (`tests/paper_profile.rs`) prints.
+//! Percentile summaries of the fleet's latency samples.
 
 /// Summary statistics of a latency sample set, in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -45,17 +44,6 @@ pub fn summarize(samples: &[f64]) -> Summary {
     }
 }
 
-/// Formats a dollar amount with automatic precision.
-pub fn usd(v: f64) -> String {
-    if v >= 100.0 {
-        format!("${v:.0}")
-    } else if v >= 1.0 {
-        format!("${v:.2}")
-    } else {
-        format!("${v:.4}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,12 +63,5 @@ mod tests {
     #[test]
     fn empty_samples_are_zero() {
         assert_eq!(summarize(&[]), Summary::default());
-    }
-
-    #[test]
-    fn usd_formats() {
-        assert_eq!(usd(0.04), "$0.0400");
-        assert_eq!(usd(1.12), "$1.12");
-        assert_eq!(usd(719.0), "$719");
     }
 }

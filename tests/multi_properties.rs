@@ -30,7 +30,6 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 // ----------------------------------------------------------------------
@@ -304,7 +303,7 @@ fn push_without_commit(deployment: &Deployment, follower: &fk_core::follower::Fo
         .write_queue()
         .send(&ctx, "s", crash_multi().encode())
         .unwrap();
-    follower.config().skip_commits.store(1, Ordering::SeqCst);
+    follower.skip_next_commits(1);
     let batch = deployment
         .write_queue()
         .receive(10, Duration::from_secs(5))
@@ -793,7 +792,7 @@ fn run_interleaved(
             path: "/m".into(),
             expected_version: -1,
         });
-        follower.config().skip_commits.store(1, Ordering::SeqCst);
+        follower.skip_next_commits(1);
         let request = push(0, WriteOp::Multi { ops });
         multis.insert("end".into(), request);
         commits.insert(request, ending == Ending::Crash);

@@ -1,5 +1,10 @@
-//! Pipelined-depth harness: per-session write throughput as a function
-//! of the client's pipeline depth.
+//! Acceptance gate for the pipelined client API: with pipeline depth 16,
+//! one session's write throughput on the interleaved zipf mix must be
+//! ≥ 3× the depth-1 (blocking) baseline, on both provider profiles. The
+//! Z1 FIFO property suite (`tests/pipelined_properties.rs`) and the
+//! multi atomicity suite (`tests/multi_properties.rs`) pin the
+//! correctness half of the same redesign; this gate pins the reason the
+//! redesign exists.
 //!
 //! The paper's Z1 guarantee is defined over a pipeline of in-flight
 //! requests per session, but a blocking client (depth 1) serializes the
@@ -14,7 +19,7 @@
 //! epoch batches, and per-batch overheads (queue dispatch, warm starts,
 //! epoch-mark reads, epoch pops) amortize across the window.
 //!
-//! The harness drives one session's writes through the real function
+//! The driver runs one session's writes through the real function
 //! bodies on **three virtual-time contexts** (client / follower /
 //! leader), propagating causality exactly the way the runtime does:
 //! a queue message carries its sender's timestamp and the consumer
@@ -29,81 +34,51 @@
 
 use fk_cloud::ops::Op;
 use fk_cloud::trace::{Ctx, LatencyMode};
-use fk_core::deploy::{Deployment, DeploymentConfig, Provider};
+use fk_core::deploy::{Deployment, DeploymentConfig};
 use fk_core::distributor::DistributorConfig;
 use fk_core::messages::{ClientRequest, Payload, WriteOp};
-use fk_core::{CreateMode, UserStoreKind};
+use fk_core::CreateMode;
 use fk_workloads::SeededZipf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One pipelined-depth measurement configuration.
-#[derive(Debug, Clone)]
-pub struct PipelinedRunConfig {
-    /// Writes kept in flight by the session (1 = the blocking client).
-    pub depth: usize,
-    /// Total measured `set_data` transactions.
-    pub writes: usize,
-    /// Distinct target nodes, selected by a zipf rank stream (the
-    /// interleaved zipf mix: hot nodes repeat — conflicting, same-wave —
-    /// while the tail spreads across paths).
-    pub nodes: u64,
-    /// Payload size per write.
-    pub node_size: usize,
-    /// Intra-leader pipeline (shards × epoch batch).
-    pub pipeline: DistributorConfig,
-    /// Provider profile.
-    pub provider: Provider,
-    /// Seed for the zipf stream and latency sampling.
-    pub seed: u64,
-}
+/// The gate's mix: 64 writes over 16 nodes of 256 B, picked by a zipf
+/// rank stream (hot nodes repeat — conflicting, same-wave — while the
+/// tail spreads across paths).
+const WRITES: usize = 64;
+const NODES: u64 = 16;
+const NODE_SIZE: usize = 256;
+/// Seed of the zipf stream and latency sampling.
+const SEED: u64 = 0xDEE9;
 
-impl PipelinedRunConfig {
-    /// The gate's standard shape: 64 writes over 16 nodes of 256 B at
-    /// the given depth.
-    pub fn standard(depth: usize) -> Self {
-        PipelinedRunConfig {
-            depth,
-            writes: 64,
-            nodes: 16,
-            node_size: 256,
-            pipeline: DistributorConfig::new(4, 16),
-            provider: Provider::Aws,
-            seed: 0xDEE9,
-        }
-    }
-
-    /// The same shape on the GCP profile.
-    pub fn gcp(depth: usize) -> Self {
-        PipelinedRunConfig {
-            provider: Provider::Gcp,
-            ..Self::standard(depth)
-        }
-    }
+/// The intra-leader pipeline (shards × epoch batch).
+fn pipeline() -> DistributorConfig {
+    DistributorConfig::new(4, 16)
 }
 
 /// Result of one pipelined run.
-#[derive(Debug, Clone)]
-pub struct PipelinedRunResult {
+struct PipelinedRunResult {
     /// Writes completed.
-    pub writes: usize,
+    writes: usize,
     /// Virtual time from first submission to last completion.
-    pub virtual_time: Duration,
+    virtual_time: Duration,
     /// Per-session write throughput in transactions per virtual second.
-    pub throughput_per_s: f64,
+    throughput_per_s: f64,
 }
 
-/// Runs one session's zipf write mix at the given pipeline depth (see
-/// module docs for the three-clock model).
-pub fn run_pipelined(config: &PipelinedRunConfig) -> PipelinedRunResult {
-    let base = match config.provider {
-        Provider::Aws => DeploymentConfig::aws(),
-        Provider::Gcp => DeploymentConfig::gcp(),
-    };
+/// Runs one session's zipf write mix of `writes` writes over `nodes`
+/// nodes at pipeline depth `depth` on `base`'s provider (see the module
+/// docs for the three-clock model).
+fn run_pipelined(
+    base: DeploymentConfig,
+    depth: usize,
+    writes: usize,
+    nodes: u64,
+) -> PipelinedRunResult {
+    let pipeline = pipeline();
     let deployment = Deployment::direct(
-        base.with_user_store(UserStoreKind::Object)
-            .with_mode(LatencyMode::Virtual, config.seed)
-            .with_distributor(config.pipeline),
+        base.with_mode(LatencyMode::Virtual, SEED)
+            .with_distributor(pipeline),
     );
     let follower = deployment.make_follower();
     let leader = deployment.make_leader_inline();
@@ -115,7 +90,7 @@ pub fn run_pipelined(config: &PipelinedRunConfig) -> PipelinedRunResult {
         .register_session(&setup, "pipe", 0)
         .expect("register session");
     let _endpoint = deployment.bus().register("pipe");
-    let paths: Vec<String> = (0..config.nodes).map(|i| format!("/pipe/n{i}")).collect();
+    let paths: Vec<String> = (0..nodes).map(|i| format!("/pipe/n{i}")).collect();
     {
         let mut rid = 0u64;
         let mut seed_write = |op: WriteOp| {
@@ -138,7 +113,7 @@ pub fn run_pipelined(config: &PipelinedRunConfig) -> PipelinedRunResult {
         for path in &paths {
             seed_write(WriteOp::Create {
                 path: path.clone(),
-                payload: Payload::inline(&vec![0x11; config.node_size]),
+                payload: Payload::inline(&[0x11; NODE_SIZE]),
                 mode: CreateMode::Persistent,
             });
         }
@@ -163,7 +138,7 @@ pub fn run_pipelined(config: &PipelinedRunConfig) -> PipelinedRunResult {
         let ctx = Ctx::new(
             Arc::clone(deployment.model()),
             deployment.config().mode,
-            config.seed ^ salt,
+            SEED ^ salt,
         );
         ctx.set_region(deployment.config().regions[0]);
         ctx
@@ -174,22 +149,22 @@ pub fn run_pipelined(config: &PipelinedRunConfig) -> PipelinedRunResult {
     let ctx_leader = make_ctx(0x1E);
     ctx_leader.set_env(deployment.config().leader_fn.env());
 
-    let mut zipf = SeededZipf::new(config.nodes, config.seed ^ 0x21F);
-    let payload = vec![0xAB; config.node_size];
+    let mut zipf = SeededZipf::new(nodes, SEED ^ 0x21F);
+    let payload = [0xAB; NODE_SIZE];
     let mut submitted = 0usize;
     // Completion virtual timestamps, in submission order (one session →
     // the leader queue is FIFO → batch order is submission order).
     let mut completions: Vec<u64> = Vec::new();
     let mut request_id = 100u64;
 
-    while completions.len() < config.writes {
+    while completions.len() < writes {
         // Client: submit while fewer than `depth` writes are in flight.
         // Submitting write i requires write i-depth's completion to have
         // been observed (the client merges its timestamp — the blocking
         // wait at depth 1, the pipeline window otherwise).
-        while submitted < config.writes && submitted - completions.len() < config.depth {
-            if submitted >= config.depth {
-                ctx_client.merge_time_ns(completions[submitted - config.depth]);
+        while submitted < writes && submitted - completions.len() < depth {
+            if submitted >= depth {
+                ctx_client.merge_time_ns(completions[submitted - depth]);
             }
             let path = paths[zipf.next_key() as usize].clone();
             request_id += 1;
@@ -202,7 +177,7 @@ pub fn run_pipelined(config: &PipelinedRunConfig) -> PipelinedRunResult {
                     expected_version: -1,
                 },
             };
-            ctx_client.charge(Op::ClientWork, config.node_size);
+            ctx_client.charge(Op::ClientWork, NODE_SIZE);
             deployment
                 .write_queue()
                 .send(&ctx_client, "pipe", request.encode())
@@ -236,7 +211,7 @@ pub fn run_pipelined(config: &PipelinedRunConfig) -> PipelinedRunResult {
         // Leader: drain whatever epochs are ready, merging push clocks.
         while let Some(batch) = deployment
             .leader_queue()
-            .receive_up_to(config.pipeline.max_batch, Duration::from_secs(30))
+            .receive_up_to(pipeline.max_batch, Duration::from_secs(30))
         {
             let max_vt = batch
                 .messages
@@ -271,48 +246,82 @@ pub fn run_pipelined(config: &PipelinedRunConfig) -> PipelinedRunResult {
 /// Runs the blocking baseline (depth 1) and the pipelined client at
 /// `depth` on the same seeded mix; returns `(depth1, pipelined,
 /// speedup)`.
-pub fn compare_depths(
+fn compare_depths(
+    base: DeploymentConfig,
     depth: usize,
-    base: &PipelinedRunConfig,
+    writes: usize,
+    nodes: u64,
 ) -> (PipelinedRunResult, PipelinedRunResult, f64) {
-    let blocking = run_pipelined(&PipelinedRunConfig {
-        depth: 1,
-        ..base.clone()
-    });
-    let pipelined = run_pipelined(&PipelinedRunConfig {
-        depth,
-        ..base.clone()
-    });
+    let blocking = run_pipelined(base.clone(), 1, writes, nodes);
+    let pipelined = run_pipelined(base, depth, writes, nodes);
     let speedup = pipelined.throughput_per_s / blocking.throughput_per_s;
     (blocking, pipelined, speedup)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+#[test]
+fn pipelined_run_is_deterministic_and_complete() {
+    let a = run_pipelined(DeploymentConfig::aws(), 8, 24, 8);
+    let b = run_pipelined(DeploymentConfig::aws(), 8, 24, 8);
+    assert_eq!(a.writes, 24);
+    assert_eq!(a.virtual_time, b.virtual_time, "seeded runs reproduce");
+}
 
-    #[test]
-    fn pipelined_run_is_deterministic_and_complete() {
-        let config = PipelinedRunConfig {
-            writes: 24,
-            nodes: 8,
-            ..PipelinedRunConfig::standard(8)
-        };
-        let a = run_pipelined(&config);
-        let b = run_pipelined(&config);
-        assert_eq!(a.writes, 24);
-        assert_eq!(a.virtual_time, b.virtual_time, "seeded runs reproduce");
-    }
+#[test]
+fn depth_one_is_strictly_slower_than_depth_eight() {
+    let (blocking, pipelined, speedup) = compare_depths(DeploymentConfig::aws(), 8, 24, 8);
+    assert_eq!(blocking.writes, pipelined.writes);
+    assert!(speedup > 1.0, "pipelining must help (got {speedup:.2}x)");
+}
 
-    #[test]
-    fn depth_one_is_strictly_slower_than_depth_eight() {
-        let base = PipelinedRunConfig {
-            writes: 24,
-            nodes: 8,
-            ..PipelinedRunConfig::standard(8)
-        };
-        let (blocking, pipelined, speedup) = compare_depths(8, &base);
-        assert_eq!(blocking.writes, pipelined.writes);
-        assert!(speedup > 1.0, "pipelining must help (got {speedup:.2}x)");
+fn assert_depth16_clears_3x(base: DeploymentConfig) {
+    let provider = base.provider;
+    // Replay stamp for failure messages, in the `chaos soak seed 0x…`
+    // idiom: the printed seed + geometry reproduce the exact run.
+    let stamp = format!(
+        "pipelined gate seed {SEED:#x} depth 16 writes {WRITES} shards {} batch {} provider {provider:?}",
+        pipeline().shards,
+        pipeline().max_batch,
+    );
+    let (blocking, pipelined, speedup) = compare_depths(base, 16, WRITES, NODES);
+    assert_eq!(blocking.writes, pipelined.writes, "same work completed");
+    println!(
+        "{provider:?}: depth 1 {:.1} writes/s ({:?}) vs depth 16 {:.1} writes/s ({:?}) — {speedup:.2}x",
+        blocking.throughput_per_s,
+        blocking.virtual_time,
+        pipelined.throughput_per_s,
+        pipelined.virtual_time,
+    );
+    assert!(
+        speedup >= 3.0,
+        "{stamp}: expected >=3x per-session write throughput at depth 16, got {speedup:.2}x \
+         ({:.1} -> {:.1} writes/s)",
+        blocking.throughput_per_s,
+        pipelined.throughput_per_s,
+    );
+}
+
+#[test]
+fn aws_depth16_triples_per_session_write_throughput() {
+    assert_depth16_clears_3x(DeploymentConfig::aws());
+}
+
+#[test]
+fn gcp_depth16_triples_per_session_write_throughput() {
+    assert_depth16_clears_3x(DeploymentConfig::gcp());
+}
+
+/// Depth scaling is monotone up to the gate point: more in-flight writes
+/// never reduce per-session throughput on this mix.
+#[test]
+fn depth_scaling_is_monotone() {
+    let mut last = 0.0f64;
+    for depth in [1usize, 4, 16] {
+        let result = run_pipelined(DeploymentConfig::aws(), depth, WRITES, NODES);
+        assert!(
+            result.throughput_per_s >= last,
+            "depth {depth} regressed: {:.1} < {last:.1}",
+            result.throughput_per_s
+        );
+        last = result.throughput_per_s;
     }
 }

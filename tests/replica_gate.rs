@@ -12,13 +12,14 @@
 //! after one read of the node's item, with no storage GET, and answers
 //! the last acknowledged version even from a lagging replica.
 
-use fk_bench::replica_bench::{compare_replica_reads, run_replica_reads, ReplicaRunConfig};
+mod zipf_reads;
+
 use fk_cloud::trace::{Ctx, LatencyMode};
 use fk_cloud::Region;
 use fk_core::api::{WatchEvent, WatchEventType};
 use fk_core::codec::encode_node;
 use fk_core::consistency::{HEvent, HistoryRecorder};
-use fk_core::deploy::{Deployment, DeploymentConfig, Provider};
+use fk_core::deploy::{Deployment, DeploymentConfig};
 use fk_core::messages::ClientNotification;
 use fk_core::read_cache::ReadCacheConfig;
 use fk_core::replica::{EpochDelta, ReplicaConfig, ReplicaOp, ReplicaSet};
@@ -26,26 +27,87 @@ use fk_core::user_store::NodeRecord;
 use fk_core::{ClientConfig, CreateMode};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use zipf_reads::{compare, run_reads, ReadRunResult, SEED, THETA};
+
+/// The gate's fleet: 64 sessions, 25 zipf reads each over 24 nodes of
+/// 1 kB, every session with a private 64-entry cache.
+const SESSIONS: usize = 64;
+const READS: usize = 25;
+const NODES: u64 = 24;
+
+/// `provider`'s profile with every session's private 64-entry cache and
+/// the replica tier `replicas`.
+fn fleet(provider: DeploymentConfig, replicas: ReplicaConfig) -> DeploymentConfig {
+    provider
+        .with_read_cache(ReadCacheConfig::with_capacity(64))
+        .with_replicas(replicas)
+}
 
 /// Replay stamp for failure messages, in the `chaos soak seed 0x…`
 /// idiom: the printed seed + geometry reproduce the exact run.
-fn stamp(config: &ReplicaRunConfig) -> String {
+fn stamp(config: &DeploymentConfig, sessions: usize, reads: usize, nodes: u64) -> String {
     format!(
-        "replica gate seed {:#x} sessions {} reads {} nodes {} theta {} store {:?} provider {:?}",
-        config.seed,
-        config.sessions,
-        config.reads_per_session,
-        config.nodes,
-        config.theta,
-        config.store,
-        config.provider
+        "replica gate seed {SEED:#x} sessions {sessions} reads {reads} nodes {nodes} theta {THETA} \
+         store {:?} provider {:?}",
+        config.user_store, config.provider
     )
+}
+
+/// The caches-alone baseline against `config`'s replica tier, with
+/// `sessions` sessions of the gate's shape.
+fn compare_replica_reads(
+    config: DeploymentConfig,
+    sessions: usize,
+) -> (ReadRunResult, ReadRunResult, f64, f64) {
+    let caches_only = config.clone().with_replicas(ReplicaConfig::disabled());
+    compare(caches_only, config, sessions, READS, NODES)
+}
+
+#[test]
+fn replica_run_is_deterministic() {
+    let config = fleet(DeploymentConfig::aws(), ReplicaConfig::with_count(1));
+    let a = run_reads(config.clone(), 8, 6, 8);
+    let b = run_reads(config, 8, 6, 8);
+    assert_eq!(a.virtual_time, b.virtual_time, "seeded runs reproduce");
+    assert_eq!(a.storage_round_trips, b.storage_round_trips);
+    assert_eq!(a.replica_hits, b.replica_hits);
+    assert_eq!(a.reads, 48);
+}
+
+#[test]
+fn disabled_tier_records_no_replica_hits() {
+    let result = run_reads(
+        fleet(DeploymentConfig::aws(), ReplicaConfig::disabled()),
+        8,
+        6,
+        8,
+    );
+    assert_eq!(result.replica_hits, 0);
+    assert!(result.storage_round_trips > 0, "cold misses hit storage");
+}
+
+#[test]
+fn lagging_replica_falls_through_to_storage() {
+    // A feed lag longer than the whole run keeps every delta
+    // buffered: the replica never has anything servable resident,
+    // so the fleet reads exactly like the caches-alone baseline.
+    let lag = ReplicaConfig::with_count(1).with_feed_lag(10_000);
+    let lagged = run_reads(fleet(DeploymentConfig::aws(), lag), 8, 6, 8);
+    let baseline = run_reads(
+        fleet(DeploymentConfig::aws(), ReplicaConfig::disabled()),
+        8,
+        6,
+        8,
+    );
+    assert_eq!(lagged.replica_hits, 0, "nothing applied, nothing served");
+    assert_eq!(lagged.storage_round_trips, baseline.storage_round_trips);
 }
 
 #[test]
 fn replica_tier_cuts_fleet_storage_round_trips_5x_on_zipf_workload() {
-    let base = ReplicaRunConfig::standard(ReplicaConfig::with_count(1));
-    let (caches_only, replicated, trips, speedup) = compare_replica_reads(&base);
+    let base = fleet(DeploymentConfig::aws(), ReplicaConfig::with_count(1));
+    let stamp = stamp(&base, SESSIONS, READS, NODES);
+    let (caches_only, replicated, trips, speedup) = compare_replica_reads(base, SESSIONS);
     println!(
         "aws: caches-alone {} trips / replicated {} trips = {trips:.1}x; \
          {} replica hits; {:?} vs {:?} = {speedup:.1}x",
@@ -57,20 +119,17 @@ fn replica_tier_cuts_fleet_storage_round_trips_5x_on_zipf_workload() {
     );
     assert!(
         trips >= 5.0,
-        "{}: expected ≥5x fewer round trips: caches-alone {} vs replicated {} ({trips:.1}x)",
-        stamp(&base),
+        "{stamp}: expected ≥5x fewer round trips: caches-alone {} vs replicated {} ({trips:.1}x)",
         caches_only.storage_round_trips,
         replicated.storage_round_trips,
     );
     assert!(
         replicated.replica_hits > 0,
-        "{}: the tier should have absorbed the fleet's cold misses",
-        stamp(&base),
+        "{stamp}: the tier should have absorbed the fleet's cold misses",
     );
     assert!(
         speedup >= 2.0,
-        "{}: in-memory replica serves should drop the fleet's modeled read time: {:?} vs {:?} ({speedup:.1}x)",
-        stamp(&base),
+        "{stamp}: in-memory replica serves should drop the fleet's modeled read time: {:?} vs {:?} ({speedup:.1}x)",
         caches_only.virtual_time,
         replicated.virtual_time,
     );
@@ -79,19 +138,16 @@ fn replica_tier_cuts_fleet_storage_round_trips_5x_on_zipf_workload() {
 /// GCP's slower storage makes the shared tier matter more, not less.
 #[test]
 fn gcp_profile_also_clears_5x() {
-    let base = ReplicaRunConfig {
-        provider: Provider::Gcp,
-        ..ReplicaRunConfig::standard(ReplicaConfig::with_count(1))
-    };
-    let (caches_only, replicated, trips, speedup) = compare_replica_reads(&base);
+    let base = fleet(DeploymentConfig::gcp(), ReplicaConfig::with_count(1));
+    let stamp = stamp(&base, SESSIONS, READS, NODES);
+    let (caches_only, replicated, trips, speedup) = compare_replica_reads(base, SESSIONS);
     println!(
         "gcp: caches-alone {} trips / replicated {} trips = {trips:.1}x; speedup {speedup:.1}x",
         caches_only.storage_round_trips, replicated.storage_round_trips,
     );
     assert!(
         trips >= 5.0,
-        "{}: caches-alone {} vs replicated {} round trips ({trips:.1}x)",
-        stamp(&base),
+        "{stamp}: caches-alone {} vs replicated {} round trips ({trips:.1}x)",
         caches_only.storage_round_trips,
         replicated.storage_round_trips,
     );
@@ -102,40 +158,26 @@ fn gcp_profile_also_clears_5x() {
 /// sessions' hot set independently.
 #[test]
 fn multiple_replicas_per_region_also_clear_5x() {
-    let base = ReplicaRunConfig {
-        sessions: 32,
-        ..ReplicaRunConfig::standard(ReplicaConfig::with_count(3))
-    };
-    let (_, replicated, trips, _) = compare_replica_reads(&base);
-    assert!(
-        trips >= 5.0,
-        "{}: 3-replica tier factor {trips:.1}",
-        stamp(&base),
-    );
-    assert!(replicated.replica_hits > 0, "{}", stamp(&base));
+    let base = fleet(DeploymentConfig::aws(), ReplicaConfig::with_count(3));
+    let stamp = stamp(&base, 32, READS, NODES);
+    let (_, replicated, trips, _) = compare_replica_reads(base, 32);
+    assert!(trips >= 5.0, "{stamp}: 3-replica tier factor {trips:.1}");
+    assert!(replicated.replica_hits > 0, "{stamp}");
 }
 
 /// A replica whose feed lags behind never serves stale data — it serves
 /// nothing, and the fleet pays exactly the caches-alone storage bill.
 #[test]
 fn lagging_tier_never_beats_nor_corrupts_the_baseline() {
-    let small = ReplicaRunConfig {
-        sessions: 8,
-        reads_per_session: 6,
-        nodes: 8,
-        ..ReplicaRunConfig::standard(ReplicaConfig::with_count(1).with_feed_lag(10_000))
-    };
-    let lagged = run_replica_reads(&small);
-    let baseline = run_replica_reads(&ReplicaRunConfig {
-        replicas: ReplicaConfig::disabled(),
-        ..small
-    });
-    assert_eq!(lagged.replica_hits, 0, "{}", stamp(&small));
+    let lag = ReplicaConfig::with_count(1).with_feed_lag(10_000);
+    let small = fleet(DeploymentConfig::aws(), lag);
+    let stamp = stamp(&small, 8, 6, 8);
+    let lagged = run_reads(small.clone(), 8, 6, 8);
+    let baseline = run_reads(small.with_replicas(ReplicaConfig::disabled()), 8, 6, 8);
+    assert_eq!(lagged.replica_hits, 0, "{stamp}");
     assert_eq!(
-        lagged.storage_round_trips,
-        baseline.storage_round_trips,
-        "{}",
-        stamp(&small)
+        lagged.storage_round_trips, baseline.storage_round_trips,
+        "{stamp}"
     );
 }
 
