@@ -24,8 +24,7 @@
 //!   service boundary;
 //! * [`retry::with_retry`] — the one exponential-backoff retry with
 //!   decorrelated jitter, run inside each service that can fail
-//!   transiently;
-//! * [`des`] — a small deterministic discrete-event loop.
+//!   transiently.
 //!
 //! The services are faithful at the level of *semantics and guarantees*
 //! (the level at which the paper defines its cloud-agnostic design, §3.7)
@@ -34,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod des;
 pub mod error;
 pub mod expr;
 pub mod faas;

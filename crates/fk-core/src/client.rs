@@ -84,6 +84,13 @@ use std::time::Duration;
 /// it waits on ([`ReadCore::armed`]).
 const ARMING_POLL: Duration = Duration::from_millis(2);
 
+/// Payloads longer than this are staged through the temporary-object
+/// bucket instead of the queue (§4.4): 192 kB of raw payload bytes
+/// leaves 64 kB of headroom for the rest of the record under the
+/// 256 kB SQS message cap. The binary queue frame carries raw bytes, so
+/// this compares the payload's actual length.
+pub const STAGE_THRESHOLD: usize = 192 * 1024;
+
 /// Client configuration.
 #[derive(Clone)]
 pub struct ClientConfig {
@@ -91,11 +98,6 @@ pub struct ClientConfig {
     pub session_id: String,
     /// How long API calls wait for results.
     pub timeout: Duration,
-    /// Payloads whose on-the-wire size exceeds this are staged through
-    /// the temporary-object bucket instead of the queue (§4.4). The
-    /// binary queue frame carries raw bytes, so this compares the
-    /// payload's actual length.
-    pub stage_threshold: usize,
     /// Worker threads executing submitted reads (`submit_get_data` /
     /// `submit_exists` / `submit_get_children`). Reads are independent
     /// storage round trips, so this bounds a session's read
@@ -121,14 +123,11 @@ pub struct ClientConfig {
 }
 
 impl ClientConfig {
-    /// Defaults: 30 s timeout, 192 kB staging threshold (raw payload
-    /// bytes; leaves 64 kB of headroom for the rest of the record under
-    /// the 256 kB SQS message cap), 4 read workers.
+    /// Defaults: 30 s timeout, 4 read workers.
     pub fn new(session_id: impl Into<String>) -> Self {
         ClientConfig {
             session_id: session_id.into(),
             timeout: Duration::from_secs(30),
-            stage_threshold: 192 * 1024,
             read_workers: 4,
             recorder: None,
             read_cache: None,
@@ -871,10 +870,8 @@ impl FkClient {
 
     fn make_payload(&self, data: &[u8]) -> FkResult<Payload> {
         self.ctx.charge(CloudOp::ClientWork, data.len());
-        // The binary queue frame carries raw bytes, so the staging
-        // threshold compares the payload's actual length. Staged
-        // payloads never materialize an inline copy.
-        if data.len() > self.config.stage_threshold {
+        // Staged payloads never materialize an inline copy.
+        if data.len() > STAGE_THRESHOLD {
             let key = format!(
                 "staging/{}/{}",
                 self.core.shared.session_id,

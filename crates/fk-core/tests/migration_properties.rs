@@ -45,8 +45,7 @@ const SETS_PER_NODE: usize = 3;
 const TOTAL_SETS: usize = SESSIONS * NODES_PER_SESSION * SETS_PER_NODE;
 
 /// Reads the per-scenario case count from the `FK_MIGRATION_CASES`
-/// environment knob (mirrors `FK_FLEET_SESSIONS`), falling back to
-/// `default`.
+/// environment knob, falling back to `default`.
 fn cases_from_env(default: usize) -> usize {
     std::env::var("FK_MIGRATION_CASES")
         .ok()

@@ -29,6 +29,7 @@ use fk_cloud::ops::{Op, QueueKind};
 use fk_cloud::trace::{Ctx, LatencyMode};
 use fk_cloud::value::{Item, Value};
 use fk_cloud::{Condition, KvStore, Region};
+use fk_core::client::STAGE_THRESHOLD;
 use fk_core::deploy::{Deployment, DeploymentConfig};
 use fk_core::follower::{Follower, LEADER_GROUP};
 use fk_core::leader::Leader;
@@ -186,7 +187,6 @@ struct WritePipeline {
     leader: Leader,
     session: String,
     next_request: u64,
-    stage_threshold: usize,
 }
 
 impl WritePipeline {
@@ -210,7 +210,6 @@ impl WritePipeline {
             leader,
             session,
             next_request: 1,
-            stage_threshold: 192 * 1024,
         }
     }
 
@@ -261,7 +260,7 @@ impl WritePipeline {
         // --- client side: payload framing (+ optional staging, §4.4).
         ctx.push_phase("client");
         ctx.charge(Op::ClientWork, data.len());
-        let payload = if data.len() > self.stage_threshold {
+        let payload = if data.len() > STAGE_THRESHOLD {
             let key = format!("staging/{}/{request_id}", self.session);
             self.deployment
                 .staging()
