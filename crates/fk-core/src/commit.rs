@@ -1,15 +1,22 @@
-//! Execution of system-storage commits.
+//! Execution of system-storage commits, and the hand-over before them.
 //!
 //! A [`SystemCommit`] describes the conditional writes that commit a
-//! transaction to system storage. The follower executes it right after
-//! pushing to the leader queue (Algorithm 1 ➃); the leader re-executes the
-//! *same* description when it finds the node uncommitted (Algorithm 2 ➋,
-//! `TryCommit`) — this is what makes a follower crash between push and
-//! commit harmless.
-//!
-//! Every item is guarded by its timed-lock timestamp, so an expired and
+//! transaction to system storage: one update per node item it touches,
+//! each guarded by the item's timed-lock timestamp, so an expired and
 //! re-acquired lock makes the whole commit fail atomically, and the
-//! request is reported as failed without corrupting newer state.
+//! request is reported as failed without corrupting newer state. A
+//! one-node write commits with one conditional update (the paper's
+//! commit); a create or delete is a node+parent transaction.
+//!
+//! A commit carries only node items. Before it runs, the session's
+//! requests are *handed over* ([`crate::system_store::SystemStore::hand_over`]):
+//! the follower pushes (Algorithm 1 ➂), hands over once per session per
+//! wave, then commits (➃); the leader, finding a node uncommitted
+//! (Algorithm 2 ➋, `TryCommit`), runs the same two steps from the
+//! pushed record. A follower crash anywhere after the push is therefore
+//! harmless: the leader completes whatever did not land, and the guard
+//! on its hand-over keeps a late `TryCommit` from lowering a mark the
+//! session's later hand-overs raised.
 
 use crate::messages::{CommitItem, SystemCommit};
 use crate::system_store::{keys, node_attr, record_tags};
@@ -21,13 +28,8 @@ use fk_cloud::value::{Item, Value};
 use fk_cloud::CloudResult;
 use fk_sync::LOCK_ATTR;
 
-/// Lock-timestamp sentinel for commit items on keys that are *not* under
-/// a timed lock (the session request watermark rides the commit this
-/// way): the item applies unconditionally and releases no lock. Real
-/// lock timestamps are wall-clock milliseconds, so 0 is never a live
-/// lock.
-pub const UNGUARDED: i64 = 0;
-
+/// The update of one commit item, which also releases its lock
+/// (Algorithm 1 ➃).
 fn item_update(item: &CommitItem, txid: u64) -> Update {
     let mut update = Update::new();
     for (attr, value) in &item.sets {
@@ -43,19 +45,11 @@ fn item_update(item: &CommitItem, txid: u64) -> Update {
     for attr in &item.removes {
         update = update.remove(attr.clone());
     }
-    if item.lock_ts == UNGUARDED {
-        return update;
-    }
-    // Committing releases the lock in the same write (Algorithm 1 ➃).
     update.remove(LOCK_ATTR)
 }
 
 fn item_condition(item: &CommitItem) -> Condition {
-    if item.lock_ts == UNGUARDED {
-        Condition::Always
-    } else {
-        Condition::eq(LOCK_ATTR, item.lock_ts)
-    }
+    Condition::eq(LOCK_ATTR, item.lock_ts)
 }
 
 /// Executes the commit atomically: a single conditional update for

@@ -17,8 +17,9 @@
 //! allocates as before ([`crate::system_store::SystemStore::alloc_txid`],
 //! one conditional `ADD`, or two updates behind the floor). A rejected
 //! value is a gap in its group's sequence, which txids are allowed to
-//! have (`docs/consistency.md` § Z2). The session's push mark
-//! ([`session_attr::LAST_TXID`]) rides the commit of ➃.
+//! have (`docs/consistency.md` § Z2). Between ➂ and ➃ the follower
+//! hands the session's pushed requests over to the leader: one update
+//! of its `seq:` item ([`SystemStore::hand_over`]).
 //!
 //! # Pipelined batches (waves)
 //!
@@ -113,6 +114,8 @@ pub struct Follower {
     bus: ClientBus,
     /// Commits still to skip (see [`Follower::skip_next_commits`]).
     skip_commits: AtomicU64,
+    /// Hand-overs still to skip (see [`Follower::skip_next_hand_overs`]).
+    skip_hand_overs: AtomicU64,
     /// The membership record as this instance last read it (`None`
     /// before its first read). A warm instance routes a batch's
     /// speculative `ADD`s with it while the batch's own read is in
@@ -139,16 +142,26 @@ impl Follower {
             leader_queues,
             bus,
             skip_commits: AtomicU64::new(0),
+            skip_hand_overs: AtomicU64::new(0),
             warm_membership: Mutex::new(None),
         }
     }
 
     /// Fault injection for crash-consistency tests: the next `n` phase-➃
     /// commits are *skipped* — exactly the state a follower crash
-    /// between push (➂) and commit (➃) leaves behind, which the leader
-    /// repairs via `TryCommit`. A follower skips none unless told to.
+    /// between the hand-over and the commit (➃) leaves behind, which
+    /// the leader repairs via `TryCommit`. A follower skips none unless
+    /// told to.
     pub fn skip_next_commits(&self, n: u64) {
         self.skip_commits.store(n, Ordering::SeqCst);
+    }
+
+    /// Fault injection for crash-consistency tests: the next `n`
+    /// sessions' hand-overs fail, as a follower crash between push (➂)
+    /// and hand-over does: their commits are skipped and the batch
+    /// redelivers from the session's first request.
+    pub fn skip_next_hand_overs(&self, n: u64) {
+        self.skip_hand_overs.store(n, Ordering::SeqCst);
     }
 
     /// The group `key`'s submission must actually go to: the hash group
@@ -204,11 +217,11 @@ impl Follower {
         // At-least-once delivery defence, in two layers. Within the
         // batch, a duplicated send is two messages with the same
         // (session, request id) — only the first is processed. Across
-        // batches — a crash redelivery of fully committed work, or a
-        // duplicated copy straddling a batch boundary — the session's
-        // committed request watermark decides: it is advanced *inside*
-        // each commit transaction, so a request at or below it has landed
-        // exactly once and its re-execution would double-apply an
+        // batches — a crash redelivery of pushed work, or a duplicated
+        // copy straddling a batch boundary — the session's request
+        // watermark decides: the hand-over raises it after the push and
+        // before the commit, so a request at or below it is the
+        // leader's to answer, and its re-execution would double-apply an
         // unconditional write. The durable read is paid only for
         // messages the queue has delivered before (`attempt > 1` — a
         // duplicated copy counts as a re-receive, see
@@ -505,59 +518,56 @@ impl Follower {
             }
         }
 
-        // Per-session push marks: the highest pushed txid per session,
-        // set once per session per wave (monotone — the write queue's
-        // FIFO group serializes this session's follower work). A
-        // session's txids rise with wave position, so its last pushed
-        // request holds the highest, and the commit this follower
-        // executes for that request sets the mark on the session's
-        // `seq:` item — the item whose `LAST_REQUEST` the commit writes
-        // anyway. The pushed record's commit does not carry it, so the
-        // leader's `TryCommit` replay of an older record never lowers
-        // the mark. `(index in pushed of the session's last, its first
-        // position)` per session.
-        let mut marks: Vec<(usize, usize)> = Vec::new();
-        if multi_group {
-            for (i, done) in pushed.iter().enumerate() {
-                match marks
-                    .iter_mut()
-                    .find(|(last, _)| pushed[*last].session == done.session)
-                {
-                    Some((last, _)) => *last = i,
-                    None => marks.push((i, done.pos)),
-                }
-            }
-            for &(last, _) in &marks {
-                let done = &mut pushed[last];
-                carry_push_mark(&mut done.commit, &done.session, done.txid);
+        // Hand-over, once per session per wave, after the pushes and
+        // before the commits: its highest pushed request id and (in a
+        // multi-group tier) txid, in one update of its `seq:` item.
+        // From here on the leader owns the answer, so a commit
+        // that does not land is its `TryCommit` to repair. A session
+        // whose hand-over fails commits nothing (the leader's
+        // `TryCommit` hands over first) and redelivers from its first
+        // request, as a crash would: its next writes must floor on
+        // `last_txid` after this wave's.
+        let mut sessions: Vec<(&str, u64, u64, usize)> = Vec::new();
+        for done in &pushed {
+            let request = wave[done.pos].1.request_id;
+            let txid = if multi_group { done.txid } else { 0 };
+            match sessions.iter_mut().find(|s| s.0 == done.session) {
+                Some(s) => (s.1, s.2) = (s.1.max(request), s.2.max(txid)),
+                None => sessions.push((&done.session, request, txid, done.pos)),
             }
         }
+        let failed: Mutex<Vec<(&str, usize, FnError)>> = Mutex::default();
+        ctx.span("hand_over", || {
+            crate::distributor::fan_out(ctx, sessions.len(), |job, child| {
+                let (session, request, txid, first) = sessions[job];
+                let handed = if take_one(&self.skip_hand_overs) {
+                    Err("injected crash before the hand-over".to_owned())
+                } else {
+                    let handed = self.system.hand_over(child, session, request, txid, false);
+                    handed.map_err(|e| e.to_string())
+                };
+                if let Err(e) = handed {
+                    failed.lock().push((session, first, FnError::retryable(e)));
+                }
+                Ok(())
+            })
+        })
+        .expect("hand-over workers never fail the wave");
+        let failed = failed.into_inner();
+        let pushed: Vec<&Pushed> = pushed
+            .iter()
+            .filter(|done| failed.iter().all(|(session, ..)| *session != done.session))
+            .collect();
 
         // Phase ➃ in parallel: commits are independent conditional
-        // writes (disjoint items). A failed commit is the leader's to
-        // repair — the record is already pushed (see module docs).
-        let landed: Mutex<Vec<bool>> = Mutex::new(vec![false; pushed.len()]);
+        // writes (disjoint items).
         ctx.span("commit", || {
             crate::distributor::fan_out(ctx, pushed.len(), |job, child| {
-                landed.lock()[job] = self.commit_pushed(child, &pushed[job]);
+                self.commit_pushed(child, pushed[job]);
                 Ok(())
             })
         })
         .expect("commit workers never fail the wave");
-
-        // A session whose mark-carrying commit did not land writes its
-        // mark separately. A failed mark write redelivers from the
-        // *failed session's* first request — its redelivery repairs the
-        // marker via the already-committed probe — not the whole wave.
-        let landed = landed.into_inner();
-        for (last, first_pos) in marks {
-            if !landed[last] {
-                let done = &pushed[last];
-                self.system
-                    .record_session_push(ctx, &done.session, done.txid)
-                    .map_err(|e| FnError::retryable(e.to_string()).at_index(wave[first_pos].0))?;
-            }
-        }
 
         // The consumed prefix is now final: everything before the
         // earliest retryable failure is processed, everything at or
@@ -567,14 +577,12 @@ impl Follower {
         // re-validates and its verdict may legitimately differ (e.g.
         // the conflicting node was deleted in between) and the client
         // must not have been told another outcome already.
-        let final_cut = [
-            push_failure.as_ref().map(|(pos, _)| *pos),
-            first_retry.as_ref().map(|(pos, _)| *pos),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-        .unwrap_or(wave.len());
+        let failure = [push_failure, first_retry]
+            .into_iter()
+            .flatten()
+            .chain(failed.into_iter().map(|(_, pos, e)| (pos, e)))
+            .min_by_key(|(pos, _)| *pos);
+        let final_cut = failure.as_ref().map_or(wave.len(), |(pos, _)| *pos);
         for (pos, err) in client_errors {
             if pos < final_cut {
                 let (_, request) = &wave[pos];
@@ -583,13 +591,10 @@ impl Follower {
         }
 
         // Report the earliest unprocessed position for redelivery.
-        if let Some((pos, e)) = push_failure {
-            return Err(e.at_index(wave[pos].0));
+        match failure {
+            Some((pos, e)) => Err(e.at_index(wave[pos].0)),
+            None => Ok(()),
         }
-        if let Some((pos, e)) = first_retry {
-            return Err(e.at_index(wave[pos].0));
-        }
-        Ok(())
     }
 
     fn notify_failure(&self, ctx: &Ctx, session: &str, request_id: u64, err: FkError) {
@@ -849,7 +854,7 @@ impl Follower {
     ) -> Result<Option<StagedPush>, OpError> {
         let Prepared {
             acquired,
-            mut plan,
+            plan,
             speculative,
         } = prepared;
         let multi_group = self.leader_queues.shards() > 1;
@@ -860,7 +865,7 @@ impl Follower {
                 let last = chain.entry(request.session_id.clone()).or_default();
                 *last = (*last).max(txid);
                 self.system
-                    .record_session_push(ctx, &request.session_id, txid)
+                    .hand_over(ctx, &request.session_id, 0, txid, false)
                     .map_err(|e| OpError::Retry(FnError::retryable(e.to_string())))?;
             }
             return Ok(None);
@@ -933,25 +938,6 @@ impl Follower {
         } else {
             (0, 0)
         };
-        // Advance the session's committed-request watermark *inside* the
-        // commit transaction: the watermark moves exactly when the
-        // write's effects land (whether the follower or a repairing
-        // leader runs the commit), so a redelivery of this request — the
-        // crash-between-commit-and-ack window — is filtered durably by
-        // `process_messages`. Unguarded: the `seq:` item is not under a
-        // timed lock, and the transact is all-or-nothing regardless.
-        if request.request_id != INTERNAL_REQUEST {
-            plan.commit.items.push(CommitItem {
-                key: keys::session_seq(&request.session_id),
-                lock_ts: crate::commit::UNGUARDED,
-                sets: vec![(
-                    session_attr::LAST_REQUEST.to_owned(),
-                    SerValue::Num(request.request_id as i64),
-                )],
-                appends: vec![],
-                removes: vec![],
-            });
-        }
         let record = LeaderRecord {
             session_id: request.session_id.clone(),
             request_id: request.request_id,
@@ -974,23 +960,19 @@ impl Follower {
         }))
     }
 
-    /// ➃ commit-and-unlock, conditional on the locks still being held;
-    /// true if the commit landed. Never fails the batch: the record is
-    /// already in a leader queue, and the leader re-executes the same
-    /// commit description (`TryCommit`) for any missing commit —
-    /// re-delivering the message would only produce an orphaned
-    /// duplicate push. A stolen lock likewise hands the decision to the
-    /// leader (Algorithm 2 ➋).
-    fn commit_pushed(&self, ctx: &Ctx, pushed: &Pushed) -> bool {
-        if self
-            .skip_commits
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
-            // Injected crash between push (➂) and commit (➃): leave the
-            // commit to the leader's TryCommit, exactly like a real
-            // follower death at this point.
-            return false;
+    /// ➃ commit-and-unlock, conditional on the locks still being held.
+    /// Never fails the batch: the record is already in a leader queue
+    /// and handed over, and the leader re-executes the same commit
+    /// description (`TryCommit`) for any missing commit — re-delivering
+    /// the message would only produce an orphaned duplicate push. A
+    /// stolen lock likewise hands the decision to the leader
+    /// (Algorithm 2 ➋).
+    fn commit_pushed(&self, ctx: &Ctx, pushed: &Pushed) {
+        if take_one(&self.skip_commits) {
+            // Injected crash between the hand-over and the commit (➃):
+            // leave the commit to the leader's TryCommit, exactly like a
+            // real follower death at this point.
+            return;
         }
         // A failure that survives the store's retries is the leader's
         // TryCommit to repair.
@@ -1009,7 +991,6 @@ impl Follower {
         }
         // Any failure — stolen lock or storage error — is the leader's
         // to resolve; the commit description rides the pushed record.
-        committed.is_ok()
     }
 
     /// CloseSession: delete the session's ephemeral nodes (each a regular
@@ -1100,12 +1081,9 @@ impl Follower {
             .send(ctx, LEADER_GROUP, record.encode());
         ctx.pop_phase();
         sent.map_err(|e| FnError::retryable(e.to_string()))?;
-        if multi_group {
-            self.system
-                .record_session_push(ctx, session, txid)
-                .map_err(|e| FnError::retryable(e.to_string()))?;
-        }
-        Ok(())
+        self.system
+            .hand_over(ctx, session, 0, txid, false)
+            .map_err(|e| FnError::retryable(e.to_string()))
     }
 }
 
@@ -1799,26 +1777,11 @@ fn routing_path<'a>(ops: &[OpView<'a>]) -> Option<&'a str> {
     }
 }
 
-/// Adds the session's push mark ([`session_attr::LAST_TXID`] =
-/// `txid`) to a commit the follower executes: as one more attribute of
-/// the session's `seq:` item, which a client request's commit already
-/// writes, or as that item alone for an internal request.
-fn carry_push_mark(commit: &mut SystemCommit, session: &str, txid: u64) {
-    let key = keys::session_seq(session);
-    let mark = (
-        session_attr::LAST_TXID.to_owned(),
-        SerValue::Num(txid as i64),
-    );
-    match commit.items.iter_mut().find(|item| item.key == key) {
-        Some(item) => item.sets.push(mark),
-        None => commit.items.push(CommitItem {
-            key,
-            lock_ts: crate::commit::UNGUARDED,
-            sets: vec![mark],
-            appends: vec![],
-            removes: vec![],
-        }),
-    }
+/// Takes one of the injected crashes `left` counts, if any remain.
+fn take_one(left: &AtomicU64) -> bool {
+    let take = |n: u64| n.checked_sub(1);
+    left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take)
+        .is_ok()
 }
 
 /// The set of system-store node keys a request locks — conservatively,

@@ -554,8 +554,8 @@ impl Leader {
                 .remove_session(ctx, &record.session_id)
                 .map_err(|e| FnError::retryable(e.to_string()))?;
             // The deregistration's txid is a *recorded* push (the
-            // follower ran `record_session_push` on it), so a redelivered
-            // or duplicated CloseSession names it as `prev_txid` — its
+            // follower handed it over), so a redelivered or duplicated
+            // CloseSession names it as `prev_txid` — its
             // record would hold the whole group back forever if the
             // applied mark stopped at the last data write. Resolving the
             // mark here keeps the hold-back chain live past the first
@@ -583,15 +583,24 @@ impl Leader {
             CommitState::Missing => {
                 // ➋ the follower died between push and commit — or is
                 // simply still committing (push happens *before* commit,
-                // Algorithm 1): TryCommit on its behalf.
-                // The store absorbs throttles and injected transients, so
-                // they never masquerade as an abandoned transaction; a
-                // *real* guard failure (ConditionFailed /
-                // TransactionCancelled) is not retryable and falls
-                // through to the race re-check below.
-                let result = ctx.span("commit", || {
-                    crate::commit::execute(&record.commit, txid, ctx, self.system.kv())
-                });
+                // Algorithm 1): TryCommit on its behalf, handing the
+                // request over first as the follower does. The store
+                // absorbs throttles and injected transients, so they
+                // never masquerade as an abandoned transaction; a *real*
+                // guard failure (ConditionFailed / TransactionCancelled)
+                // is not retryable and falls through to the race
+                // re-check below.
+                let (session, request) = (&record.session_id, record.request_id);
+                let result = ctx
+                    .span("hand_over", || {
+                        self.system
+                            .hand_over(ctx, session, request, record.txid, true)
+                    })
+                    .and_then(|()| {
+                        ctx.span("commit", || {
+                            crate::commit::execute(&record.commit, txid, ctx, self.system.kv())
+                        })
+                    });
                 match result {
                     Ok(()) => {
                         // The follower never got past the push: take over

@@ -155,11 +155,12 @@ fn abandoned_orphan_does_not_advance_session_mark() {
         attempt: 1,
     };
 
-    // The session's recorded chain stops at 100; txid 500 is an
-    // unrecorded orphan.
+    // The request's re-executed copy handed it over at txid 100, where
+    // the session's recorded chain stops; txid 500 is an unrecorded
+    // orphan, and the guard refuses its `TryCommit`'s hand-over.
     deployment
         .system()
-        .record_session_push(&ctx, "s", 100)
+        .hand_over(&ctx, "s", 1, 100, false)
         .unwrap();
     leader.process_messages(&ctx, &[abandoned(500)]).unwrap();
     assert_eq!(
@@ -173,7 +174,7 @@ fn abandoned_orphan_does_not_advance_session_mark() {
     // advance the mark — that is what keeps the session live.
     deployment
         .system()
-        .record_session_push(&ctx, "s", 500)
+        .hand_over(&ctx, "s", 0, 500, false)
         .unwrap();
     leader.process_messages(&ctx, &[abandoned(500)]).unwrap();
     assert_eq!(deployment.system().session_applied_txid(&ctx, "s"), 500);

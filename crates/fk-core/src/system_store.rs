@@ -224,34 +224,32 @@ pub mod session_attr {
     pub const EPHEMERALS: &str = "ephemerals";
     /// Heartbeat liveness flag.
     pub const ALIVE: &str = "alive";
-    /// Txid of the session's most recently pushed (committed-or-handed-
-    /// over) write, stored on the session's `seq:` item
-    /// ([`super::keys::session_seq`]). The follower reads it as the
-    /// floor for the next allocation — per-session txids are strictly
-    /// increasing (Z2) — and stamps it into the next record as
-    /// `prev_txid`. Set once per session per wave, to the wave's highest
-    /// pushed txid, by the commit the follower executes for the
-    /// session's last pushed write; the pushed record's commit never
-    /// carries it, so a leader's `TryCommit` replay cannot lower it.
-    /// [`super::SystemStore::record_session_push`] sets it when that
-    /// commit did not land, on an already-committed redelivery and on
-    /// `CloseSession`.
+    /// Txid of the session's most recently pushed write, stored on the
+    /// session's `seq:` item ([`super::keys::session_seq`]). The
+    /// follower reads it as the floor for the next allocation —
+    /// per-session txids are strictly increasing (Z2) — and stamps it
+    /// into the next record as `prev_txid`. Set in a multi-group tier by
+    /// the session's hand-over ([`super::SystemStore::hand_over`]):
+    /// once per session per wave, to the wave's highest pushed txid, by
+    /// the follower, or by a leader's `TryCommit` of a record whose
+    /// follower died before its hand-over. Neither lowers it: the
+    /// follower's hand-overs are serialized, the leader's is guarded.
     pub const LAST_TXID: &str = "last_txid";
     /// Highest txid of this session whose transaction a shard-group
     /// leader has fully distributed (or terminally resolved), on the
     /// `seq:` item. The cross-shard sequencing rule: a leader holds a
     /// transaction back until `applied_txid >= prev_txid`.
     pub const APPLIED_TXID: &str = "applied_txid";
-    /// Highest client request id of this session whose commit has
-    /// executed, on the `seq:` item. Set *inside* the commit transaction
-    /// (an unguarded [`crate::messages::CommitItem`]), so it advances
-    /// exactly when the write's effects land — whether the follower or a
-    /// repairing leader ran the commit. The follower drops any delivery
-    /// at or below this watermark: an at-least-once queue's duplicate
-    /// (or a crash redelivery of a fully committed batch) would
-    /// otherwise re-execute an unconditional write. Unlike the txid
-    /// marks this resets on registration — a reincarnated session id
-    /// restarts its request counter at 1.
+    /// Highest client request id of this session that was handed over
+    /// to the leader, on the `seq:` item: set by the same hand-over as
+    /// [`LAST_TXID`], after the request was pushed and before its
+    /// commit, so a request at or below it is the leader's to answer
+    /// (its commit landed, or the leader's `TryCommit` lands or refuses
+    /// it). The follower drops any re-received delivery at or below
+    /// this watermark: an at-least-once queue's duplicate (or a crash
+    /// redelivery) would otherwise re-execute an unconditional write.
+    /// Unlike the txid marks this resets on registration — a
+    /// reincarnated session id restarts its request counter at 1.
     pub const LAST_REQUEST: &str = "last_request";
 }
 
@@ -560,23 +558,50 @@ impl SystemStore {
             .unwrap_or(0) as u64
     }
 
-    /// Records that the session's write with `id` was pushed and
-    /// committed (or handed over to the leader). Called by the follower,
-    /// whose invocations for one session are serialized by the write
-    /// queue's FIFO group, so a plain set is monotone. A wave's mark
-    /// normally rides the commit of the session's last pushed request;
-    /// the follower writes it on its own only when there is no such
-    /// commit: that commit did not land, a redelivered request turned
-    /// out already committed, or a `CloseSession` pushed its
-    /// deregistration. Writing the same txid again is a no-op.
-    pub fn record_session_push(&self, ctx: &Ctx, id: &str, txid: u64) -> CloudResult<()> {
-        self.kv.update(
-            ctx,
-            &keys::session_seq(id),
-            &Update::new().set(session_attr::LAST_TXID, txid as i64),
-            Condition::Always,
-        )?;
-        Ok(())
+    /// Hands the session's pushed requests over to the leader: one
+    /// update of its `seq:` item that sets [`session_attr::LAST_REQUEST`]
+    /// to `request` and [`session_attr::LAST_TXID`] to `txid`, each only
+    /// if non-zero; a hand-over of nothing (internal requests in a
+    /// single-group tier) issues no request. The follower runs it after
+    /// a wave's pushes and before their commits, and on its own for an
+    /// already-committed redelivery and a `CloseSession`'s
+    /// deregistration: the write queue's FIFO group serializes the
+    /// session's follower work, so its marks only rise and it needs no
+    /// guard. The leader's `TryCommit` runs it `guarded` before the
+    /// commit it repairs ([`crate::commit`]): it may run after the
+    /// session's later hand-overs, so it lands only if every mark it
+    /// sets rises, and a failed guard is a no-op.
+    pub fn hand_over(
+        &self,
+        ctx: &Ctx,
+        id: &str,
+        request: u64,
+        txid: u64,
+        guarded: bool,
+    ) -> CloudResult<()> {
+        if request == 0 && txid == 0 {
+            return Ok(());
+        }
+        let marks = [
+            (session_attr::LAST_REQUEST, request),
+            (session_attr::LAST_TXID, txid),
+        ];
+        let mut update = Update::new();
+        let mut guard = Condition::Always;
+        for (attr, mark) in marks.into_iter().filter(|(_, mark)| *mark > 0) {
+            update = update.set(attr, mark as i64);
+            if guarded {
+                let rises = Condition::NotExists(attr.into()).or(Condition::lt(attr, mark as i64));
+                guard = match guard {
+                    Condition::Always => rises,
+                    guard => guard.and(rises),
+                };
+            }
+        }
+        match self.kv.update(ctx, &keys::session_seq(id), &update, guard) {
+            Ok(_) | Err(fk_cloud::CloudError::ConditionFailed { .. }) => Ok(()),
+            Err(e) => Err(e),
+        }
     }
 
     /// The session's distribution high-water mark: the largest txid a
@@ -589,10 +614,9 @@ impl SystemStore {
             .unwrap_or(0) as u64
     }
 
-    /// The session's committed request watermark: the highest client
-    /// request id whose commit transaction has executed (0 if none).
-    /// Advanced by the commit itself (see
-    /// [`session_attr::LAST_REQUEST`]); the follower drops redelivered
+    /// The session's request watermark: the highest client request id
+    /// handed over to the leader (0 if none; see
+    /// [`session_attr::LAST_REQUEST`]). The follower drops redelivered
     /// or duplicated requests at or below it.
     pub fn session_request_watermark(&self, ctx: &Ctx, id: &str) -> u64 {
         self.kv
@@ -1349,7 +1373,7 @@ mod tests {
         sys.register_session(&ctx, "s", 0).unwrap();
         assert_eq!(sys.session_last_txid(&ctx, "s"), 0);
         assert_eq!(sys.session_applied_txid(&ctx, "s"), 0);
-        sys.record_session_push(&ctx, "s", 100).unwrap();
+        sys.hand_over(&ctx, "s", 0, 100, false).unwrap();
         assert_eq!(sys.session_last_txid(&ctx, "s"), 100);
         sys.advance_session_applied(&ctx, "s", 100).unwrap();
         // A stale advance (crash-redelivery race) never regresses.

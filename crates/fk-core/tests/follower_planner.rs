@@ -14,15 +14,19 @@
 //! * `one_verdict_per_case_whatever_the_shape` — op `X` sent as a
 //!   `WriteOp` and as `Multi[X]` is the same transaction: the same
 //!   verdict, the same requests, the same frame;
-//! * `one_push_mark_per_session_per_wave`,
-//!   `try_commit_replay_never_lowers_the_push_mark`,
+//! * `one_push_mark_per_session_per_wave`, `try_commit_replay_*`,
 //!   `close_session_deregisters_after_its_ephemeral_deletes` — the
-//!   session's push mark rides the commit of its last pushed write,
-//!   never the record;
+//!   session's hand-over sets its marks once per wave, between the
+//!   pushes and the commits, and never lowers them; the record writes
+//!   no `seq:` item;
+//! * `crash_*`, `failed_push_hands_nothing_over` — one crash window
+//!   each around the push, the hand-over and the commit: what lands,
+//!   who answers, and that a re-received copy is dropped or pushed;
 //! * `alloc_txid_speculative_*` — when the `ADD` drawn beside the locks
 //!   is taken as the txid, and what a burned value leaves behind.
-//! * `commit_faults_cost_one_retry_each_at_one_level` — the commit's
-//!   transient failures are retried once each, inside the store.
+//! * `commit_faults_cost_one_retry_each_at_one_level` — a create
+//!   commit's transient failures are retried once each, inside the
+//!   store.
 //!
 //! Everything runs a 2-group direct deployment on virtual time with a
 //! fixed seed, so txids, request counts and frames repeat exactly. The
@@ -32,7 +36,7 @@
 use fk_cloud::latency::{LatencyModel, LatencySpec};
 use fk_cloud::metering::UsageSnapshot;
 use fk_cloud::ops::Op;
-use fk_cloud::queue::group_of;
+use fk_cloud::queue::{group_of, Message};
 use fk_cloud::trace::{Ctx, LatencyMode, SpanRecord};
 use fk_core::api::{CreateMode, FkError};
 use fk_core::deploy::{Deployment, DeploymentConfig};
@@ -41,7 +45,7 @@ use fk_core::leader::Leader;
 use fk_core::messages::{
     ClientNotification, ClientRequest, LeaderRecord, MultiOp, Payload, WriteOp,
 };
-use fk_core::system_store::{keys, node_attr, session_attr, txid};
+use fk_core::system_store::{keys, node_attr, txid};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -339,35 +343,37 @@ fn print_chain(title: &str, step: &Step) {
 /// the name in `children`; every commit item lost its empty
 /// list-removal vector (1 B); and the record's update carries two flags
 /// (the node has children; the node joins its parent) where it carried
-/// the node's and the parent's lists.
+/// the node's and the parent's lists. Recaptured when the commit stopped
+/// carrying the session's `seq:` item (the request watermark moved to
+/// the hand-over, `SystemStore::hand_over`): 25 B less per frame.
 const WIRE_VECTORS: [(&str, &str); 7] = [
     (
         "create persistent",
-        "fb06020173018080040003076e6f64653a2f6100040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732331010374787105020764656c657465640474616773066e6f64653a2f0002096e6368696c6472656e00020d6368696c6472656e5f747869640401096368696c645f6c6f6706016101010474616773057365713a7300010c6c6173745f72657175657374000200000001022f6100022f6100027630000000000102022f6100012f030000022f61000000000200",
+        "fb06020173018080040002076e6f64653a2f6100040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732331010374787105020764656c657465640474616773066e6f64653a2f0002096e6368696c6472656e00020d6368696c6472656e5f747869640401096368696c645f6c6f67060161010104746167730001022f6100022f6100027630000000000102022f6100012f030000022f61000000000200",
     ),
     (
         "create ephemeral",
-        "fb060201730280800880800403096e6f64653a2f612f6500050763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732332096570685f6f776e6572010173010374787105020764656c657465640474616773076e6f64653a2f610002096e6368696c6472656e00020d6368696c6472656e5f747869640401096368696c645f6c6f6706016501010474616773057365713a7300010c6c6173745f72657175657374000400000001042f612f6500042f612f65000276300000000101730102042f612f6500022f61030000042f612f65000000000201",
+        "fb060201730280800880800402096e6f64653a2f612f6500050763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732332096570685f6f776e6572010173010374787105020764656c657465640474616773076e6f64653a2f610002096e6368696c6472656e00020d6368696c6472656e5f747869640401096368696c645f6c6f67060165010104746167730001042f612f6500042f612f65000276300000000101730102042f612f6500022f61030000042f612f65000000000201",
     ),
     (
         "create sequential",
-        "fb060201730381800c80800803146e6f64653a2f612f732d3030303030303030303000040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732333010374787105020764656c657465640474616773076e6f64653a2f6100030b7365715f636f756e7465720002096e6368696c6472656e00040d6368696c6472656e5f747869640401096368696c645f6c6f67060c732d3030303030303030303001010474616773057365713a7300010c6c6173745f726571756573740006000000010f2f612f732d30303030303030303030000f2f612f732d30303030303030303030000276300000000001020f2f612f732d3030303030303030303000022f610300000f2f612f732d30303030303030303030000000000200",
+        "fb060201730381800c80800802146e6f64653a2f612f732d3030303030303030303000040763726561746564040776657273696f6e040676636f756e740000077265715f7461670103732333010374787105020764656c657465640474616773076e6f64653a2f6100030b7365715f636f756e7465720002096e6368696c6472656e00040d6368696c6472656e5f747869640401096368696c645f6c6f67060c732d303030303030303030300101047461677300010f2f612f732d30303030303030303030000f2f612f732d30303030303030303030000276300000000001020f2f612f732d3030303030303030303000022f610300000f2f612f732d30303030303030303030000000000200",
     ),
     (
         "set_data unconditional",
-        "fb060201730480801081800c02076e6f64653a2f6100030776657273696f6e040676636f756e740002077265715f746167010373233401037478710500057365713a7300010c6c6173745f72657175657374000800000001022f6100022f61000276318080040201000001022f61010001022f618080040002020200",
+        "fb060201730480801081800c01076e6f64653a2f6100030776657273696f6e040676636f756e740002077265715f7461670103732334010374787105000001022f6100022f61000276318080040201000001022f61010001022f618080040002020200",
     ),
     (
         "set_data versioned",
-        "fb060201730580801480801002076e6f64653a2f6100030776657273696f6e040676636f756e740004077265715f746167010373233501037478710500057365713a7300010c6c6173745f72657175657374000a00000001022f6100022f61000276328080040401000001022f61010001022f618080040004020200",
+        "fb060201730580801480801001076e6f64653a2f6100030776657273696f6e040676636f756e740004077265715f7461670103732335010374787105000001022f6100022f61000276328080040401000001022f61010001022f618080040004020200",
     ),
     (
         "delete",
-        "fb060201730681801880801403146e6f64653a2f612f732d3030303030303030303000030764656c6574656400020776657273696f6e04077265715f746167010373233601037478710500076e6f64653a2f610002096e6368696c6472656e00020d6368696c6472656e5f747869640401096368696c645f6c6f67060c732d3030303030303030303000010474616773057365713a7300010c6c6173745f72657175657374000c000000010f2f612f732d30303030303030303030010f2f612f732d30303030303030303030020f2f612f732d3030303030303030303002022f610301020f2f612f732d30303030303030303030",
+        "fb060201730681801880801402146e6f64653a2f612f732d3030303030303030303000030764656c6574656400020776657273696f6e04077265715f746167010373233601037478710500076e6f64653a2f610002096e6368696c6472656e00020d6368696c6472656e5f747869640401096368696c645f6c6f67060c732d303030303030303030300001047461677300010f2f612f732d30303030303030303030010f2f612f732d30303030303030303030020f2f612f732d3030303030303030303002022f610301020f2f612f732d30303030303030303030",
     ),
     (
         "delete ephemeral",
-        "fb060201730780801c81801803096e6f64653a2f612f6500030764656c6574656400020776657273696f6e04077265715f746167010373233701037478710500076e6f64653a2f610002096e6368696c6472656e00000d6368696c6472656e5f747869640401096368696c645f6c6f6706016500010474616773057365713a7300010c6c6173745f72657175657374000e00000001042f612f6501042f612f6502042f612f6502022f61030102042f612f65",
+        "fb060201730780801c81801802096e6f64653a2f612f6500030764656c6574656400020776657273696f6e04077265715f746167010373233701037478710500076e6f64653a2f610002096e6368696c6472656e00000d6368696c6472656e5f747869640401096368696c645f6c6f67060165000104746167730001042f612f6501042f612f6502042f612f6502022f61030102042f612f65",
     ),
 ];
 
@@ -407,14 +413,15 @@ fn wire_vectors_of_single_writes_are_unchanged() {
 /// removal since (5 B per created node or rewritten parent), and the
 /// parent's child count and one children-log entry in place of the
 /// children names since frame version 6 (which also dropped the commit
-/// items' empty list-removal vector).
+/// items' empty list-removal vector), and no `seq:` item since the
+/// hand-over took the request watermark out of the commit (−25 B each).
 const FRAME_BYTES: [(&str, usize, usize, usize); 6] = [
-    ("create", 196, 216, 214),
-    ("ephemeral create", 211, 231, 229),
-    ("sequential create", 276, 318, 294),
-    ("set_data", 130, 150, 134),
-    ("set_data 128 B", 258, 278, 262),
-    ("delete", 168, 182, 178),
+    ("create", 196, 216, 189),
+    ("ephemeral create", 211, 231, 204),
+    ("sequential create", 276, 318, 269),
+    ("set_data", 130, 150, 109),
+    ("set_data 128 B", 258, 278, 237),
+    ("delete", 168, 182, 153),
 ];
 
 #[test]
@@ -446,19 +453,27 @@ fn one_op_frames_are_no_larger_than_the_parents_one_op_multi() {
 /// One fault-free budget: the meter delta and the charges per phase of
 /// `op` on a seeded rig must equal the constants below. Unlabelled (`-`)
 /// are the membership read, the session-mark read and the speculative
-/// `ADD` on the routed group's counter, which all ride the lock wave;
-/// the push mark rides the commit. The create takes the `ADD`'s value
-/// (`/p/n` shares its group with `/e`, the session's last write, so the
-/// counter is above the floor) and labels nothing `alloc_txid`. Every op
-/// on `/p/c` finds the value at the floor's epoch (the seeding writes
-/// left its group's counter one behind the session) and allocates once
-/// more: one conditional `ADD`, labelled `alloc_txid`.
+/// `ADD` on the routed group's counter, which all ride the lock wave.
+/// After the push, the session's hand-over is one plain update
+/// (`hand_over`), and the commit writes only node items: one conditional
+/// update for a one-node write, a node+parent transaction for a create
+/// or delete. The create takes the `ADD`'s value (`/p/n` shares its
+/// group with `/e`, the session's last write, so the counter is above
+/// the floor) and labels nothing `alloc_txid`. Every op on `/p/c` finds
+/// the value at the floor's epoch (the seeding writes left its group's
+/// counter one behind the session) and allocates once more: one
+/// conditional `ADD`, labelled `alloc_txid`.
 ///
 /// At the parent `0c09504` every budget paid one `kv_write` more, the
 /// push mark's own write: create `kv_write=4`, phases `lock_node=2 -=3
 /// alloc_txid=1`; `set_data` and `[check, set_data]` `kv_write=4`,
 /// phases `lock_node=1 -=3 alloc_txid=2`; delete `kv_write=5`, phases
-/// `lock_node=2 -=3 alloc_txid=2`.
+/// `lock_node=2 -=3 alloc_txid=2`. While the commit carried the
+/// session's `seq:` item (its request watermark and push mark) it was
+/// one item larger and had no `hand_over` write: create `kv_write=3
+/// kv_transact_items=3`; `set_data` and `[check, set_data]` `kv_write=3
+/// kv_transact=1 kv_transact_items=2` (4 write units where the update
+/// now bills 1); delete `kv_write=4 kv_transact_items=3`.
 fn assert_budget(title: &str, op: WriteOp, meter: &str, by_phase: &str) {
     let rig = Rig::seeded();
     let step = rig.process(4, op);
@@ -473,8 +488,8 @@ fn follower_request_budget_create() {
     assert_budget(
         "create",
         create("/p/n", CreateMode::Persistent),
-        "kv_read=2 kv_write=3 kv_transact=1 kv_transact_items=3 queue_send=1",
-        "lock_node=2 -=3 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=4 kv_transact=1 kv_transact_items=2 queue_send=1",
+        "lock_node=2 -=3 push_to_leader=1 hand_over=1 commit=1",
     );
 }
 
@@ -483,8 +498,8 @@ fn follower_request_budget_set_data() {
     assert_budget(
         "set_data",
         set_data("/p/c", payload("v1"), -1),
-        "kv_read=2 kv_write=3 kv_transact=1 kv_transact_items=2 queue_send=1",
-        "lock_node=1 -=3 alloc_txid=1 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=5 queue_send=1",
+        "lock_node=1 -=3 alloc_txid=1 push_to_leader=1 hand_over=1 commit=1",
     );
 }
 
@@ -493,8 +508,8 @@ fn follower_request_budget_delete() {
     assert_budget(
         "delete",
         delete("/p/c", -1),
-        "kv_read=2 kv_write=4 kv_transact=1 kv_transact_items=3 queue_send=1",
-        "lock_node=2 -=3 alloc_txid=1 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=5 kv_transact=1 kv_transact_items=2 queue_send=1",
+        "lock_node=2 -=3 alloc_txid=1 push_to_leader=1 hand_over=1 commit=1",
     );
 }
 
@@ -516,8 +531,8 @@ fn follower_request_budget_check_then_set_data() {
     assert_budget(
         "[check, set_data]",
         cas,
-        "kv_read=2 kv_write=3 kv_transact=1 kv_transact_items=2 queue_send=1",
-        "lock_node=1 -=3 alloc_txid=1 push_to_leader=1 commit=1",
+        "kv_read=2 kv_write=5 queue_send=1",
+        "lock_node=1 -=3 alloc_txid=1 push_to_leader=1 hand_over=1 commit=1",
     );
 }
 
@@ -596,10 +611,10 @@ fn fixed_latency() -> Ctx {
 /// `op` on a seeded 2-group rig with fixed latencies: the membership
 /// read, the session-mark read, the speculative `ADD` and the first lock
 /// start together, and the invocation lasts exactly `max(lock, read,
-/// ADD) + alloc + push + commit`, where `alloc` is the allocation behind
-/// a rejected `ADD` (zero when it is accepted). The push mark rides the
-/// commit.
-fn assert_round_trips(title: &str, op: WriteOp, lock: Duration, alloc: Duration) {
+/// ADD) + alloc + push + hand-over + commit`, where `alloc` is the
+/// allocation behind a rejected `ADD` (zero when it is accepted), the
+/// hand-over one plain update and `commit` the commit's request.
+fn assert_round_trips(title: &str, op: WriteOp, lock: Duration, alloc: Duration, commit: Duration) {
     let mut rig = Rig::seeded();
     rig.ctx = fixed_latency();
     let step = rig.process(4, op);
@@ -623,28 +638,31 @@ fn assert_round_trips(title: &str, op: WriteOp, lock: Duration, alloc: Duration)
         Some(origin),
         "{title}: speculative ADD"
     );
-    let expected = lock.max(READ).max(COND) + alloc + SEND + TRANSACT;
+    let expected = lock.max(READ).max(COND) + alloc + SEND + WRITE + commit;
     assert_eq!(step.elapsed, expected, "{title}");
 }
 
 /// The group's counter is above the floor: two locks outlast the reads
-/// and the `ADD`, whose value is taken. 38 ms; 50 ms at the parent
-/// `0c09504` (the `ADD` ran after the locks, the mark after the commit).
+/// and the `ADD`, whose value is taken, and the commit is a node+parent
+/// transaction. 43 ms; 38 ms while the commit carried the session's
+/// `seq:` item (no hand-over), 50 ms at the parent `0c09504` (the `ADD`
+/// ran after the locks, the mark after the commit).
 #[test]
 fn follower_round_trip_budget_create() {
     let op = create("/p/n", CreateMode::Persistent);
-    assert_round_trips("create", op, 2 * COND, Duration::ZERO);
+    assert_round_trips("create", op, 2 * COND, Duration::ZERO, TRANSACT);
 }
 
 /// The group's counter is behind the floor: the reads outlast the one
 /// lock and the `ADD`, whose value is rejected, and the allocation
-/// behind it is one more `ADD`. 40 ms; 52 ms at the parent `0c09504`
-/// (the failed `ADD` plus the `SET` after the locks, the mark after the
-/// commit).
+/// behind it is one more `ADD`; the commit is one conditional update.
+/// 41 ms; 40 ms while the commit was a transaction with the session's
+/// `seq:` item (no hand-over), 52 ms at the parent `0c09504` (the failed
+/// `ADD` plus the `SET` after the locks, the mark after the commit).
 #[test]
 fn follower_round_trip_budget_set_data_behind_the_floor() {
     let op = set_data("/p/c", payload("v1"), -1);
-    assert_round_trips("set_data", op, COND, COND);
+    assert_round_trips("set_data", op, COND, COND, COND);
 }
 
 // ----------------------------------------------------------------------
@@ -828,7 +846,7 @@ fn redelivered_copy_of_a_committed_write_is_dropped_in_both_shapes() {
 }
 
 // ----------------------------------------------------------------------
-// Push marks
+// Hand-over and crash windows
 // ----------------------------------------------------------------------
 
 /// The session's push mark as stored.
@@ -837,18 +855,22 @@ fn push_mark(rig: &Rig) -> u64 {
     system.session_last_txid(&Ctx::disabled(), SESSION)
 }
 
-/// True if `record`'s commit (what the leader's `TryCommit` replays)
-/// sets the push mark.
-fn sets_push_mark(record: &LeaderRecord) -> bool {
-    let mut sets = record.commit.items.iter().flat_map(|item| &item.sets);
-    sets.any(|(attr, _)| attr == session_attr::LAST_TXID)
+/// The session's request watermark as stored.
+fn watermark(rig: &Rig) -> u64 {
+    let system = rig.deployment.system();
+    system.session_request_watermark(&Ctx::disabled(), SESSION)
 }
 
-/// Writes the follower issued with no condition: the push mark's own
-/// write is the only one a `set_data` wave can issue.
-fn unconditional_writes(step: &Step) -> usize {
-    let unconditional = |c: &&SpanRecord| matches!(c.op, Op::KvUpdate { conditional: false });
-    step.charges.iter().filter(unconditional).count()
+/// True if `record`'s commit (what the leader's `TryCommit` replays)
+/// writes the session's `seq:` item.
+fn sets_push_mark(record: &LeaderRecord) -> bool {
+    let seq = keys::session_seq(&record.session_id);
+    record.commit.items.iter().any(|item| item.key == seq)
+}
+
+/// Charges of `step` under the phase `label`.
+fn charges_under(step: &Step, label: &str) -> usize {
+    step.charges.iter().filter(|c| c.phase == label).count()
 }
 
 /// Puts `records` back on their lanes in order and drains the lanes
@@ -876,12 +898,37 @@ fn replay(rig: &Rig, records: &[LeaderRecord]) -> Vec<Leader> {
     leaders
 }
 
-/// W1's commit is skipped (its follower "dies" between push and
-/// commit), W2 then commits on the other group, and the leader repairs
-/// W1 by replaying its record's commit (`TryCommit`). The replay must
-/// not lower the mark W2 left, so W1's record carries no mark: the
-/// follower's own commit sets it, and the record stays what it was when
-/// the mark was a separate write.
+/// Hands the follower a re-received copy of the session's request
+/// (`attempt` 2, as a redelivery or a duplicated send arrives), so the
+/// request watermark filters it.
+fn redeliver(rig: &Rig, request_id: u64, op: WriteOp) -> Step {
+    let request = ClientRequest {
+        session_id: SESSION.into(),
+        request_id,
+        op,
+    };
+    let copy = Message {
+        seq: 0,
+        group: SESSION.into(),
+        body: request.encode(),
+        sent_vt_ns: 0,
+        attempt: 2,
+    };
+    rig.step(|| rig.follower.process_messages(&rig.ctx, &[copy]).unwrap())
+}
+
+/// The results the leaders sent the session for `request_id`.
+fn answers(rig: &Rig, request_id: u64) -> Vec<ClientNotification> {
+    let all = std::iter::from_fn(|| rig.endpoint.try_recv().ok());
+    let of_request = |n: &ClientNotification| matches!(n, ClientNotification::WriteResult { request_id: r, .. } if *r == request_id);
+    all.filter(of_request).collect()
+}
+
+/// W1's commit is skipped (its follower "dies" after the hand-over),
+/// W2 then commits on the other group, and the leader repairs W1 by
+/// replaying its record (`TryCommit`: its hand-over, then its commit).
+/// The replay lowers neither mark W2 left: the record's commit writes
+/// no `seq:` item, and its hand-over's guard fails against W2's.
 #[test]
 fn try_commit_replay_never_lowers_the_push_mark() {
     let (rig, mut records) = Rig::seeded_with_records();
@@ -893,7 +940,7 @@ fn try_commit_replay_never_lowers_the_push_mark() {
     };
     assert_ne!(txid::group_of(r1.txid), txid::group_of(r2.txid));
     assert_eq!(r2.prev_txid, r1.txid);
-    assert!(!sets_push_mark(r1), "W1's frame sets no last_txid");
+    assert!(!sets_push_mark(r1), "W1's frame writes no seq: item");
     assert_eq!(push_mark(&rig), r2.txid);
 
     records.extend([r1.clone(), r2.clone()]);
@@ -909,16 +956,41 @@ fn try_commit_replay_never_lowers_the_push_mark() {
     );
     assert_eq!(system.session_applied_txid(&quiet, SESSION), r2.txid);
     assert_eq!(push_mark(&rig), r2.txid, "the replay left the mark at W2");
+    assert_eq!(watermark(&rig), 5, "and the watermark");
 }
 
-/// Three requests of one session in one wave: the mark is written once,
-/// by the commit of the last, to the wave's highest txid — the records
-/// the leader may replay carry none. Skipping the first two commits
-/// leaves the last one to set it alone; skipping all three sends the
-/// mark through its one fallback write.
+/// The request-watermark twin of the test above, with an unconditional
+/// W2 that leaves no request tag a copy could be told from: W1's commit
+/// is skipped, W2 lands on another node, the leader's `TryCommit`
+/// repairs W1, and then a re-received copy of W2 arrives. The watermark
+/// must still read W2, so the copy is dropped. While the watermark rode
+/// each commit unguarded, the replay set it back to W1 and the copy
+/// applied W2 a second time.
+#[test]
+fn a_try_commit_replay_never_lowers_the_request_watermark() {
+    let (rig, mut records) = Rig::seeded_with_records();
+    rig.follower.skip_next_commits(1);
+    records.extend(rig.process(4, set_data("/p/c", payload("w1"), -1)).pushed);
+    records.extend(rig.process(5, set_data("/p", payload("w2"), -1)).pushed);
+    assert_eq!(records.len(), 5, "W1 and W2 pushed");
+    replay(&rig, &records);
+    let repaired = rig.deployment.system().get_node(&Ctx::disabled(), "/p/c");
+    let version = repaired.and_then(|item| item.num(node_attr::VERSION));
+    assert_eq!(version, Some(records[3].txid as i64), "W1 repaired");
+    assert_eq!(watermark(&rig), 5, "the replay kept W2's watermark");
+    assert_eq!(answers(&rig, 5).len(), 1, "W2 answered");
+    let copy = redeliver(&rig, 5, set_data("/p", payload("w2"), -1));
+    assert!(copy.pushed.is_empty(), "the copy of W2 applied again");
+    assert!(copy.notified.is_empty());
+}
+
+/// Three requests of one session in one wave: one hand-over, after the
+/// pushes and before the commits, sets the watermark to the last
+/// request and the mark to the wave's highest txid. Skipped commits do
+/// not move it: the records the leader may replay write no `seq:` item.
 #[test]
 fn one_push_mark_per_session_per_wave() {
-    for (skipped, fallbacks) in [(0, 0), (2, 0), (3, 1)] {
+    for skipped in [0, 2, 3] {
         let rig = Rig::seeded();
         let before = push_mark(&rig);
         rig.follower.skip_next_commits(skipped);
@@ -932,24 +1004,21 @@ fn one_push_mark_per_session_per_wave() {
         );
         let case = format!("{skipped} commits skipped");
         assert_eq!(step.pushed.len(), 3, "{case}: one wave, three records");
-        let commits = step.charges.iter().filter(|c| c.op == Op::KvTransact);
-        assert_eq!(commits.count(), 3 - skipped as usize, "{case}: commits");
+        let commits = charges_under(&step, "commit");
+        assert_eq!(commits, 3 - skipped as usize, "{case}: commits");
+        assert_eq!(charges_under(&step, "hand_over"), 1, "{case}: hand-over");
         let highest = step.pushed.iter().map(|r| r.txid).max().unwrap();
         assert!(step.pushed.iter().all(|r| r.txid > before), "{case}");
         assert!(!step.pushed.iter().any(sets_push_mark), "{case}: frames");
-        assert_eq!(
-            unconditional_writes(&step),
-            fallbacks,
-            "{case}: mark writes"
-        );
         assert_eq!(push_mark(&rig), highest, "{case}: the mark");
+        assert_eq!(watermark(&rig), 6, "{case}: the watermark");
     }
 }
 
 /// A `CloseSession` deletes the session's ephemerals as internal
-/// requests, whose commits write no request watermark: the mark rides
-/// them as a `seq:` item of its own. The deregistration then floors on
-/// the delete, so no leader deregisters the session ahead of it.
+/// requests, which carry no request id: their wave's hand-over sets the
+/// push mark alone. The deregistration then floors on the delete, so no
+/// leader deregisters the session ahead of it.
 #[test]
 fn close_session_deregisters_after_its_ephemeral_deletes() {
     let rig = Rig::seeded();
@@ -963,6 +1032,120 @@ fn close_session_deregisters_after_its_ephemeral_deletes() {
     assert!(!sets_push_mark(delete), "the delete's frame sets no mark");
     assert_eq!(dereg.prev_txid, delete.txid);
     assert_eq!(push_mark(&rig), dereg.txid);
+}
+
+/// Crash window: the follower dies after its push and before its
+/// hand-over. Its commit never runs and the batch redelivers; the
+/// leader's `TryCommit` hands the request over and commits it, so the
+/// re-received copy is dropped and the client hears one answer, the
+/// leader's. (Were the commit before the hand-over, it would land here,
+/// the leader would find nothing to repair, and the copy would apply
+/// the write twice.)
+#[test]
+fn crash_between_push_and_hand_over_leaves_the_answer_to_the_leader() {
+    let (rig, mut records) = Rig::seeded_with_records();
+    rig.follower.skip_next_hand_overs(1);
+    let request = ClientRequest {
+        session_id: SESSION.into(),
+        request_id: 4,
+        op: set_data("/p/c", payload("w"), -1),
+    };
+    let crashed = rig.step(|| {
+        let result = rig.follower.process_request(&rig.ctx, &request);
+        assert!(result.is_err(), "the batch redelivers");
+    });
+    let [record] = &crashed.pushed[..] else {
+        panic!("the push landed: {:?}", crashed.pushed);
+    };
+    assert_eq!(watermark(&rig), 3, "nothing handed over");
+    records.push(record.clone());
+    replay(&rig, &records);
+    let [ClientNotification::WriteResult { result, .. }] = &answers(&rig, 4)[..] else {
+        panic!("one answer");
+    };
+    assert!(result.is_ok(), "{result:?}");
+    let copy = redeliver(&rig, 4, request.op.clone());
+    assert!(
+        copy.pushed.is_empty(),
+        "the copy is dropped, or applies twice"
+    );
+    assert!(copy.notified.is_empty());
+    let node = rig.deployment.system().get_node(&Ctx::disabled(), "/p/c");
+    let version = node.and_then(|item| item.num(node_attr::VERSION));
+    assert_eq!(version, Some(record.txid as i64), "the leader committed");
+    assert_eq!(watermark(&rig), 4, "the leader handed it over");
+    assert_eq!(push_mark(&rig), record.txid);
+}
+
+/// Crash window: the follower dies after its hand-over and before its
+/// commit. The leader's `TryCommit` commits (its hand-over is a no-op),
+/// and the re-received copy is dropped.
+#[test]
+fn crash_between_hand_over_and_commit_leaves_the_commit_to_the_leader() {
+    let (rig, mut records) = Rig::seeded_with_records();
+    rig.follower.skip_next_commits(1);
+    let op = set_data("/p/c", payload("w"), -1);
+    let crashed = rig.process(4, op.clone());
+    assert_eq!(charges_under(&crashed, "commit"), 0, "no commit");
+    assert_eq!(watermark(&rig), 4, "handed over before the crash");
+    records.extend(crashed.pushed);
+    replay(&rig, &records);
+    let node = rig.deployment.system().get_node(&Ctx::disabled(), "/p/c");
+    let version = node.and_then(|item| item.num(node_attr::VERSION));
+    assert_eq!(
+        version,
+        Some(records[3].txid as i64),
+        "the leader committed"
+    );
+    assert_eq!(answers(&rig, 4).len(), 1, "one answer");
+    let copy = redeliver(&rig, 4, op);
+    assert!(copy.pushed.is_empty(), "the copy is dropped");
+    assert!(copy.notified.is_empty());
+}
+
+/// Crash window: the follower dies after its commit and before the
+/// queue's ack. The re-received copy is dropped on one read of the
+/// watermark: no lock, no push, no write.
+#[test]
+fn crash_after_commit_before_ack_drops_the_copy() {
+    let rig = Rig::seeded();
+    let op = set_data("/p/c", payload("w"), -1);
+    assert_eq!(rig.process(4, op.clone()).pushed.len(), 1);
+    let copy = redeliver(&rig, 4, op);
+    assert!(copy.pushed.is_empty(), "the copy is dropped");
+    assert!(copy.notified.is_empty());
+    assert_eq!(requests(&copy.used), "kv_read=1", "the watermark read");
+}
+
+/// A push that fails hands nothing over: the batch redelivers, and the
+/// re-received copy is pushed and committed. (Were the hand-over before
+/// the push, it would have landed, and the copy would be dropped with
+/// no record for any leader to answer: the request would be lost.)
+#[test]
+fn failed_push_hands_nothing_over() {
+    use fk_cloud::chaos::{Chaos, FaultPlan, FaultSpec};
+    let rig = Rig::seeded();
+    let mut plan = FaultPlan::disabled();
+    plan.queue_error = FaultSpec::new(1.0, 5);
+    let chaos = Chaos::from_plan(plan).expect("one fault point armed");
+    rig.deployment.leader_queues().install_chaos(&chaos);
+    let request = ClientRequest {
+        session_id: SESSION.into(),
+        request_id: 4,
+        op: set_data("/p/c", payload("w"), -1),
+    };
+    let failed = rig.step(|| {
+        let result = rig.follower.process_request(&rig.ctx, &request);
+        assert!(result.is_err(), "the batch redelivers");
+    });
+    assert!(failed.pushed.is_empty());
+    let copy = redeliver(&rig, 4, request.op.clone());
+    assert_eq!(
+        copy.pushed.len(),
+        1,
+        "the copy is pushed, or the request is lost"
+    );
+    assert_eq!(watermark(&rig), 4);
 }
 
 // ----------------------------------------------------------------------
@@ -997,7 +1180,7 @@ fn alloc_txid_speculative_add_below_a_rival_commit_is_rejected() {
     let system = rig.deployment.system();
     system.register_session(&quiet, "rival", 0).unwrap();
     let ahead = txid::compose(50, group);
-    system.record_session_push(&quiet, "rival", ahead).unwrap();
+    system.hand_over(&quiet, "rival", 0, ahead, false).unwrap();
     let rival = WriteOp::Multi {
         ops: vec![
             MultiOp::Create {
@@ -1115,10 +1298,12 @@ fn alloc_txid_speculative_add_waits_for_a_membership_read() {
     assert_eq!(adds(&warm), 1, "warm: one speculative ADD");
 }
 
-/// The commit is one `transact` that the store retries and nothing
-/// above it retries again: k ≤ 4 injected cancellations cost exactly k
-/// retries and the commit lands; a fifth spends the store's one budget
-/// after 4 retries, and the commit is left to the leader's `TryCommit`.
+/// A create's commit is one node+parent `transact` that the store
+/// retries and nothing above it retries again: k ≤ 4 injected
+/// cancellations cost exactly k retries and the commit lands; a fifth
+/// spends the store's one budget after 4 retries, and the commit is left
+/// to the leader's `TryCommit`. (A `set_data` commit is one update,
+/// which cancellations do not reach.)
 #[test]
 fn commit_faults_cost_one_retry_each_at_one_level() {
     use fk_cloud::chaos::{Chaos, FaultPlan, FaultSpec};
@@ -1126,15 +1311,16 @@ fn commit_faults_cost_one_retry_each_at_one_level() {
         let rig = Rig::seeded();
         let mut plan = FaultPlan::disabled();
         plan.kv_cancel = FaultSpec::new(1.0, k);
-        let kv = rig.deployment.system().kv();
-        kv.install_chaos(Chaos::from_plan(plan).expect("one fault point armed"));
-        let step = rig.process(4, set_data("/p", payload("v"), -1));
+        let system = rig.deployment.system();
+        system
+            .kv()
+            .install_chaos(Chaos::from_plan(plan).expect("one fault point armed"));
+        let step = rig.process(4, create("/p/n", CreateMode::Persistent));
         assert_eq!(step.used.per_op["fault:kv_cancel"], k, "k = {k}");
         assert_eq!(step.used.retries, k.min(4), "k = {k}");
         assert_eq!(step.used.per_op["retry:kv.transact"], k.min(4), "k = {k}");
-        let watermark = kv
-            .get(&rig.ctx, &keys::session_seq(SESSION))
-            .and_then(|item| item.num(session_attr::LAST_REQUEST));
-        assert_eq!(watermark == Some(4), k <= 4, "k = {k}: the commit landed");
+        let node = system.get_node(&rig.ctx, "/p/n");
+        let landed = fk_core::system_store::SystemStore::node_exists(node.as_ref());
+        assert_eq!(landed, k <= 4, "k = {k}: the commit landed");
     }
 }

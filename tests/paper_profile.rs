@@ -60,7 +60,6 @@ const TOLERANCE: f64 = 0.25;
 const RECORD_SLACK: f64 = 0.01;
 
 // The owners of the gaps: ROADMAP items, each with the cause it names.
-const COMMIT: Option<&str> = Some("19 (b): a commit is a transact with the seq: item");
 const WATCH_QUERY: Option<&str> = Some("7 (c): every write reads the watch registry");
 const STAGED: Option<&str> = Some("25 (b): a 250 kB payload is staged, not pushed");
 const LEADER_250: Option<&str> = Some("25 (b): the staged GET and delete, § 37's split");
@@ -81,43 +80,43 @@ type Row = (&'static str, (f64, f64), f64, Option<&'static str>);
 #[rustfmt::skip]
 const ROWS: &[Row] = &[
     // Table 3, p50 at 2048 MB.
-    ("T3 follower total, 4 B (ms)", at(31.81), 34.098, None),
+    ("T3 follower total, 4 B (ms)", at(31.81), 34.367, None),
     ("T3 follower lock, 4 B (ms)", at(8.02), 8.0899, None),
     ("T3 follower push, 4 B (ms)", at(13.35), 13.004, None),
-    ("T3 follower commit, 4 B (ms)", at(7.93), 12.479, COMMIT),
-    ("T3 leader total, 4 B (ms)", at(62.16), 58.207, None),
+    ("T3 follower commit, 4 B (ms)", at(7.93), 8.1124, None),
+    ("T3 leader total, 4 B (ms)", at(62.16), 57.485, None),
     ("T3 leader get node, 4 B (ms)", at(5.09), 5.0353, None),
     ("T3 leader update node, 4 B (ms)", at(42.73), 35.211, None),
     ("T3 leader watch query, 4 B (ms)", at(4.48), 10.066, WATCH_QUERY),
-    ("T3 follower total, 250 kB (ms)", at(102.53), 33.917, STAGED),
+    ("T3 follower total, 250 kB (ms)", at(102.53), 34.059, STAGED),
     ("T3 follower lock, 250 kB (ms)", at(8.36), 8.1227, None),
     ("T3 follower push, 250 kB (ms)", at(72.18), 12.882, STAGED),
-    ("T3 follower commit, 250 kB (ms)", at(8.59), 12.622, COMMIT),
-    ("T3 leader total, 250 kB (ms)", at(132.62), 169.74, LEADER_250),
+    ("T3 follower commit, 250 kB (ms)", at(8.59), 8.0056, None),
+    ("T3 leader total, 250 kB (ms)", at(132.62), 171.51, LEADER_250),
     ("T3 leader get node, 250 kB (ms)", at(4.97), 5.0684, None),
-    ("T3 leader update node, 250 kB (ms)", at(102.07), 72.485, LEADER_250),
+    ("T3 leader update node, 250 kB (ms)", at(102.07), 74.443, LEADER_250),
     ("T3 leader watch query, 250 kB (ms)", at(5.13), 10.15, WATCH_QUERY),
     // § 5.3.4's write anchors, priced from the meter of the same runs.
-    ("cost of 100 k writes, standard, 4 B ($)", at(1.12), 1.8016, WRITE_BILL),
-    ("cost of 100 k writes, hybrid, 4 B ($)", at(0.72), 1.3327, WRITE_BILL),
+    ("cost of 100 k writes, standard, 4 B ($)", at(1.12), 1.5581, WRITE_BILL),
+    ("cost of 100 k writes, hybrid, 4 B ($)", at(0.72), 1.0834, WRITE_BILL),
     // Fig. 9: "paper totals range $1.1-$2.5 per 100k", "storage
     // operations are responsible for 40-80% of the cost", "the leader
     // contributes more, especially on small inputs", "ZooKeeper achieves
     // lower write latency".
-    ("F9 cost of 100 k writes, standard, 250 kB ($)", (1.1, 2.5), 2.7359, None),
-    ("F9 storage share of write cost, 4 B (%)", (40.0, 80.0), 74.94, None),
-    ("F9 leader over follower p50, 4 B (x)", at(62.16 / 31.81), 1.707, None),
-    ("F9 FaaSKeeper over ZooKeeper write p50, 4 B (x)", ABOVE_1, 41.199, None),
+    ("F9 cost of 100 k writes, standard, 250 kB ($)", (1.1, 2.5), 2.496, None),
+    ("F9 storage share of write cost, 4 B (%)", (40.0, 80.0), 70.608, None),
+    ("F9 leader over follower p50, 4 B (x)", at(62.16 / 31.81), 1.6727, None),
+    ("F9 FaaSKeeper over ZooKeeper write p50, 4 B (x)", ABOVE_1, 41.091, None),
     // Fig. 10: synchronization (lock, commit) is a small share of the
     // functions' time; the paper's share is taken from its Table 3.
     ("F10 lock+commit share of function time, 4 B (%)",
-        at(100.0 * (8.02 + 7.93) / (31.81 + 62.16)), 22.284, COMMIT),
+        at(100.0 * (8.02 + 7.93) / (31.81 + 62.16)), 17.64, None),
     // Fig. 11: hybrid storage cuts write time by 22-28 %.
-    ("F11 hybrid write p50 cut vs standard, 4 B (%)", (22.0, 28.0), 20.099, None),
+    ("F11 hybrid write p50 cut vs standard, 4 B (%)", (22.0, 28.0), 19.247, None),
     // Fig. 12 and § 5.3.2: GCP is slower than AWS; 0.33 vCPU trades a
     // 2-10 % slowdown for a 54-62 % compute cost cut.
     ("F12 GCP over AWS write p50, 4 B (x)", ABOVE_1, 4.6527, None),
-    ("F12 GCP 0.33 vCPU write slowdown, 512 MB, 1 kB (%)", (2.0, 10.0), 0.40259, CPU_SHARE),
+    ("F12 GCP 0.33 vCPU write slowdown, 512 MB, 1 kB (%)", (2.0, 10.0), 0.34836, CPU_SHARE),
     ("F12 GCP 0.33 vCPU compute cost cut, 512 MB, 1 kB (%)", (54.0, 62.0), 63.097, None),
     // Fig. 13: heartbeat time falls with memory; at one run a minute it
     // costs 0.10-0.25 ¢ a day and is busy < 0.2 % of the day.
