@@ -1,4 +1,4 @@
-//! Execution of system-storage commits, and the hand-over before them.
+//! Execution of system-storage commits.
 //!
 //! A [`SystemCommit`] describes the conditional writes that commit a
 //! transaction to system storage: one update per node item it touches,
@@ -8,15 +8,11 @@
 //! one-node write commits with one conditional update (the paper's
 //! commit); a create or delete is a node+parent transaction.
 //!
-//! A commit carries only node items. Before it runs, the session's
-//! requests are *handed over* ([`crate::system_store::SystemStore::hand_over`]):
-//! the follower pushes (Algorithm 1 ➂), hands over once per session per
-//! wave, then commits (➃); the leader, finding a node uncommitted
-//! (Algorithm 2 ➋, `TryCommit`), runs the same two steps from the
-//! pushed record. A follower crash anywhere after the push is therefore
-//! harmless: the leader completes whatever did not land, and the guard
-//! on its hand-over keeps a late `TryCommit` from lowering a mark the
-//! session's later hand-overs raised.
+//! A commit carries only node items: the session's marks are handed
+//! over before it ([`crate::system_store::SystemStore::hand_over`]). The
+//! leader, finding a node uncommitted (Algorithm 2 ➋), runs
+//! [`try_commit`] from the pushed record, which makes a follower crash
+//! anywhere after the push harmless.
 
 use crate::messages::{CommitItem, SystemCommit};
 use crate::system_store::{keys, node_attr, record_tags};
@@ -25,11 +21,9 @@ use fk_cloud::kvstore::{KvStore, TransactOp};
 use fk_cloud::objectstore::Tag;
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::{Item, Value};
-use fk_cloud::CloudResult;
+use fk_cloud::{CloudError, CloudResult};
 use fk_sync::LOCK_ATTR;
 
-/// The update of one commit item, which also releases its lock
-/// (Algorithm 1 ➃).
 fn item_update(item: &CommitItem, txid: u64) -> Update {
     let mut update = Update::new();
     for (attr, value) in &item.sets {
@@ -45,11 +39,17 @@ fn item_update(item: &CommitItem, txid: u64) -> Update {
     for attr in &item.removes {
         update = update.remove(attr.clone());
     }
+    // Committing releases the lock in the same write (Algorithm 1 ➃).
     update.remove(LOCK_ATTR)
 }
 
-fn item_condition(item: &CommitItem) -> Condition {
-    Condition::eq(LOCK_ATTR, item.lock_ts)
+/// The commit's items as transaction operations, guarded by their locks.
+fn item_ops(commit: &SystemCommit, txid: u64) -> impl Iterator<Item = TransactOp> + '_ {
+    commit.items.iter().map(move |item| TransactOp::Update {
+        key: item.key.clone(),
+        update: item_update(item, txid),
+        condition: Condition::eq(LOCK_ATTR, item.lock_ts),
+    })
 }
 
 /// Executes the commit atomically: a single conditional update for
@@ -57,28 +57,44 @@ fn item_condition(item: &CommitItem) -> Condition {
 /// or a multi-item transaction for operations that touch the parent too
 /// (create/delete — Z1's all-or-nothing requirement).
 pub fn execute(commit: &SystemCommit, txid: u64, ctx: &Ctx, kv: &KvStore) -> CloudResult<()> {
-    match commit.items.as_slice() {
+    one_write(kv, ctx, &item_ops(commit, txid).collect::<Vec<_>>())
+}
+
+/// The leader's `TryCommit` (Algorithm 2 ➋): the session's guarded
+/// hand-over ([`crate::system_store::SystemStore::hand_over_op`]) and the
+/// record's commit in one transaction, so the marks land exactly when
+/// the commit does. If the hand-over's guard fails, the session handed
+/// the request over already: the commit runs alone.
+pub fn try_commit(
+    commit: &SystemCommit,
+    txid: u64,
+    hand_over: Option<TransactOp>,
+    ctx: &Ctx,
+    kv: &KvStore,
+) -> CloudResult<()> {
+    let handed = hand_over.is_some();
+    let ops: Vec<TransactOp> = hand_over
+        .into_iter()
+        .chain(item_ops(commit, txid))
+        .collect();
+    match one_write(kv, ctx, &ops) {
+        Err(CloudError::TransactionCancelled { index: 0, .. }) if handed => {
+            execute(commit, txid, ctx, kv)
+        }
+        result => result,
+    }
+}
+
+/// Applies `ops` as one update, or as one transaction if there are more.
+fn one_write(kv: &KvStore, ctx: &Ctx, ops: &[TransactOp]) -> CloudResult<()> {
+    match ops {
         [] => Ok(()),
-        [single] => {
-            kv.update(
-                ctx,
-                &single.key,
-                &item_update(single, txid),
-                item_condition(single),
-            )?;
-            Ok(())
-        }
-        items => {
-            let ops: Vec<TransactOp> = items
-                .iter()
-                .map(|item| TransactOp::Update {
-                    key: item.key.clone(),
-                    update: item_update(item, txid),
-                    condition: item_condition(item),
-                })
-                .collect();
-            kv.transact(ctx, &ops)
-        }
+        [TransactOp::Update {
+            key,
+            update,
+            condition,
+        }] => kv.update(ctx, key, update, condition.clone()).map(drop),
+        _ => kv.transact(ctx, ops),
     }
 }
 
@@ -133,15 +149,7 @@ pub fn pop_pending(kv: &KvStore, ctx: &Ctx, pops: &[Pop<'_>]) -> CloudResult<()>
             condition: pop_guard(pop),
         })
         .collect();
-    match ops.as_slice() {
-        [] => Ok(()),
-        [TransactOp::Update {
-            key,
-            update,
-            condition,
-        }] => kv.update(ctx, key, update, condition.clone()).map(drop),
-        _ => kv.transact(ctx, &ops),
-    }
+    one_write(kv, ctx, &ops)
 }
 
 /// The update of `pop`: pop its txids off the front of the node's `txq`

@@ -524,9 +524,9 @@ impl Follower {
         // From here on the leader owns the answer, so a commit
         // that does not land is its `TryCommit` to repair. A session
         // whose hand-over fails commits nothing (the leader's
-        // `TryCommit` hands over first) and redelivers from its first
-        // request, as a crash would: its next writes must floor on
-        // `last_txid` after this wave's.
+        // `TryCommit` hands over with the commit) and redelivers from
+        // its first request, as a crash would: its next writes must
+        // floor on `last_txid` after this wave's.
         let mut sessions: Vec<(&str, u64, u64, usize)> = Vec::new();
         for done in &pushed {
             let request = wave[done.pos].1.request_id;
@@ -543,7 +543,7 @@ impl Follower {
                 let handed = if take_one(&self.skip_hand_overs) {
                     Err("injected crash before the hand-over".to_owned())
                 } else {
-                    let handed = self.system.hand_over(child, session, request, txid, false);
+                    let handed = self.system.hand_over(child, session, request, txid);
                     handed.map_err(|e| e.to_string())
                 };
                 if let Err(e) = handed {
@@ -865,7 +865,7 @@ impl Follower {
                 let last = chain.entry(request.session_id.clone()).or_default();
                 *last = (*last).max(txid);
                 self.system
-                    .hand_over(ctx, &request.session_id, 0, txid, false)
+                    .hand_over(ctx, &request.session_id, 0, txid)
                     .map_err(|e| OpError::Retry(FnError::retryable(e.to_string())))?;
             }
             return Ok(None);
@@ -1082,7 +1082,7 @@ impl Follower {
         ctx.pop_phase();
         sent.map_err(|e| FnError::retryable(e.to_string()))?;
         self.system
-            .hand_over(ctx, session, 0, txid, false)
+            .hand_over(ctx, session, 0, txid)
             .map_err(|e| FnError::retryable(e.to_string()))
     }
 }

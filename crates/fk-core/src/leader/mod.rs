@@ -584,23 +584,19 @@ impl Leader {
                 // ➋ the follower died between push and commit — or is
                 // simply still committing (push happens *before* commit,
                 // Algorithm 1): TryCommit on its behalf, handing the
-                // request over first as the follower does. The store
-                // absorbs throttles and injected transients, so they
-                // never masquerade as an abandoned transaction; a *real*
-                // guard failure (ConditionFailed / TransactionCancelled)
-                // is not retryable and falls through to the race
-                // re-check below.
+                // request over in the same transaction, so an orphan
+                // (whose locks a re-executed copy took) publishes no
+                // mark. The store absorbs throttles and injected
+                // transients, so they never masquerade as an abandoned
+                // transaction; a *real* guard failure (ConditionFailed /
+                // TransactionCancelled) is not retryable and falls
+                // through to the race re-check below.
                 let (session, request) = (&record.session_id, record.request_id);
-                let result = ctx
-                    .span("hand_over", || {
-                        self.system
-                            .hand_over(ctx, session, request, record.txid, true)
-                    })
-                    .and_then(|()| {
-                        ctx.span("commit", || {
-                            crate::commit::execute(&record.commit, txid, ctx, self.system.kv())
-                        })
-                    });
+                let hand_over = SystemStore::hand_over_op(session, request, record.txid);
+                let result = ctx.span("commit", || {
+                    let kv = self.system.kv();
+                    crate::commit::try_commit(&record.commit, txid, hand_over, ctx, kv)
+                });
                 match result {
                     Ok(()) => {
                         // The follower never got past the push: take over

@@ -106,7 +106,10 @@ fn drain_queue_takes_the_backlog_up_to_max_batch() {
 /// `last_txid` — an unrecorded orphan (left behind when a follower's
 /// commit errored retryably and the redelivered request re-allocated)
 /// must be skipped, or a successor could bypass the hold-back while
-/// recorded predecessors are still undistributed.
+/// recorded predecessors are still undistributed. Its failed
+/// `TryCommit` publishes no mark either: the leader can reach it before
+/// the request's re-executed copy hands over, while the copy's txid
+/// (below 500 here) is the one the session's next write will name.
 #[test]
 fn abandoned_orphan_does_not_advance_session_mark() {
     use crate::messages::{CommitItem, MultiSub, SerValue, SystemCommit};
@@ -155,29 +158,25 @@ fn abandoned_orphan_does_not_advance_session_mark() {
         attempt: 1,
     };
 
-    // The request's re-executed copy handed it over at txid 100, where
-    // the session's recorded chain stops; txid 500 is an unrecorded
-    // orphan, and the guard refuses its `TryCommit`'s hand-over.
-    deployment
-        .system()
-        .hand_over(&ctx, "s", 1, 100, false)
-        .unwrap();
+    // The session's recorded chain stops at 100; txid 500 is an
+    // unrecorded orphan.
+    let system = deployment.system();
+    system.hand_over(&ctx, "s", 0, 100).unwrap();
     leader.process_messages(&ctx, &[abandoned(500)]).unwrap();
     assert_eq!(
-        deployment.system().session_applied_txid(&ctx, "s"),
+        system.session_applied_txid(&ctx, "s"),
         0,
         "orphan must not advance the mark"
     );
+    assert_eq!(system.session_last_txid(&ctx, "s"), 100, "nor the chain");
+    assert_eq!(system.session_request_watermark(&ctx, "s"), 0);
 
     // Once the txid *is* recorded (the handed-over-then-lost case a
     // successor will name as prev), the abandoned resolution must
     // advance the mark — that is what keeps the session live.
-    deployment
-        .system()
-        .hand_over(&ctx, "s", 0, 500, false)
-        .unwrap();
+    system.hand_over(&ctx, "s", 0, 500).unwrap();
     leader.process_messages(&ctx, &[abandoned(500)]).unwrap();
-    assert_eq!(deployment.system().session_applied_txid(&ctx, "s"), 500);
+    assert_eq!(system.session_applied_txid(&ctx, "s"), 500);
 }
 
 /// A direct deployment on virtual time: its follower, one leader per

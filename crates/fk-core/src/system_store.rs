@@ -35,7 +35,7 @@ use fk_cloud::expr::{Condition, Operand, Update};
 use fk_cloud::kvstore::KvStore;
 use fk_cloud::trace::Ctx;
 use fk_cloud::value::{Item, Value};
-use fk_cloud::{CloudResult, Region};
+use fk_cloud::{CloudResult, Region, TransactOp};
 use fk_sync::{AtomicCounter, AtomicList, TimedLockManager};
 use parking_lot::Mutex;
 use std::ops::Range;
@@ -229,11 +229,16 @@ pub mod session_attr {
     /// follower reads it as the floor for the next allocation —
     /// per-session txids are strictly increasing (Z2) — and stamps it
     /// into the next record as `prev_txid`. Set in a multi-group tier by
-    /// the session's hand-over ([`super::SystemStore::hand_over`]):
-    /// once per session per wave, to the wave's highest pushed txid, by
-    /// the follower, or by a leader's `TryCommit` of a record whose
-    /// follower died before its hand-over. Neither lowers it: the
-    /// follower's hand-overs are serialized, the leader's is guarded.
+    /// the session's hand-over, and by nothing else: the follower's
+    /// ([`super::SystemStore::hand_over`]), once per session per wave, to
+    /// the wave's highest pushed txid; or a leader's `TryCommit` of a
+    /// record whose follower died before its hand-over
+    /// ([`super::SystemStore::hand_over_op`]), in the one transaction
+    /// with the record's commit, so only with a commit that lands. The
+    /// follower's hand-overs rise because the write queue's FIFO group
+    /// serializes the session's follower work; the leader's lands only
+    /// if it raises both marks, and a copy of its request re-received
+    /// after it is dropped at the watermark.
     pub const LAST_TXID: &str = "last_txid";
     /// Highest txid of this session whose transaction a shard-group
     /// leader has fully distributed (or terminally resolved), on the
@@ -244,8 +249,8 @@ pub mod session_attr {
     /// to the leader, on the `seq:` item: set by the same hand-over as
     /// [`LAST_TXID`], after the request was pushed and before its
     /// commit, so a request at or below it is the leader's to answer
-    /// (its commit landed, or the leader's `TryCommit` lands or refuses
-    /// it). The follower drops any re-received delivery at or below
+    /// (its commit landed, or the leader's `TryCommit` lands it or finds
+    /// it abandoned). The follower drops any re-received delivery at or below
     /// this watermark: an at-least-once queue's duplicate (or a crash
     /// redelivery) would otherwise re-execute an unconditional write.
     /// Unlike the txid marks this resets on registration — a
@@ -567,41 +572,31 @@ impl SystemStore {
     /// already-committed redelivery and a `CloseSession`'s
     /// deregistration: the write queue's FIFO group serializes the
     /// session's follower work, so its marks only rise and it needs no
-    /// guard. The leader's `TryCommit` runs it `guarded` before the
-    /// commit it repairs ([`crate::commit`]): it may run after the
-    /// session's later hand-overs, so it lands only if every mark it
-    /// sets rises, and a failed guard is a no-op.
-    pub fn hand_over(
-        &self,
-        ctx: &Ctx,
-        id: &str,
-        request: u64,
-        txid: u64,
-        guarded: bool,
-    ) -> CloudResult<()> {
-        if request == 0 && txid == 0 {
-            return Ok(());
+    /// guard. The leader's `TryCommit` hands over with
+    /// [`Self::hand_over_op`] instead.
+    pub fn hand_over(&self, ctx: &Ctx, id: &str, request: u64, txid: u64) -> CloudResult<()> {
+        if let Some((update, _)) = hand_over_update(request, txid) {
+            let key = keys::session_seq(id);
+            self.kv.update(ctx, &key, &update, Condition::Always)?;
         }
-        let marks = [
-            (session_attr::LAST_REQUEST, request),
-            (session_attr::LAST_TXID, txid),
-        ];
-        let mut update = Update::new();
-        let mut guard = Condition::Always;
-        for (attr, mark) in marks.into_iter().filter(|(_, mark)| *mark > 0) {
-            update = update.set(attr, mark as i64);
-            if guarded {
-                let rises = Condition::NotExists(attr.into()).or(Condition::lt(attr, mark as i64));
-                guard = match guard {
-                    Condition::Always => rises,
-                    guard => guard.and(rises),
-                };
-            }
-        }
-        match self.kv.update(ctx, &keys::session_seq(id), &update, guard) {
-            Ok(_) | Err(fk_cloud::CloudError::ConditionFailed { .. }) => Ok(()),
-            Err(e) => Err(e),
-        }
+        Ok(())
+    }
+
+    /// The hand-over of [`Self::hand_over`] as one item of the
+    /// transaction of a leader's `TryCommit`
+    /// ([`crate::commit::try_commit`]), guarded so that it lands only if
+    /// every mark it sets rises: the leader may reach a record after the
+    /// session's later hand-overs. Riding the commit, the marks land
+    /// exactly when the commit does, so a record whose commit fails (an
+    /// orphan, whose locks a re-executed copy took) publishes nothing.
+    /// `None` for a hand-over of nothing.
+    pub fn hand_over_op(id: &str, request: u64, txid: u64) -> Option<TransactOp> {
+        let (update, rises) = hand_over_update(request, txid)?;
+        Some(TransactOp::Update {
+            key: keys::session_seq(id),
+            update,
+            condition: rises,
+        })
     }
 
     /// The session's distribution high-water mark: the largest txid a
@@ -681,7 +676,6 @@ impl SystemStore {
     /// One ≤ 25-item chunk of the batched mark advancement.
     fn advance_marks_chunk(&self, ctx: &Ctx, chunk: &[(&str, u64)]) -> CloudResult<()> {
         use fk_cloud::CloudError;
-        use fk_cloud::TransactOp;
         match chunk {
             [] => Ok(()),
             [(id, txid)] => {
@@ -932,6 +926,26 @@ impl SystemStore {
             draining,
         })
     }
+}
+
+/// The update of a session's hand-over ([`SystemStore::hand_over`]): it
+/// sets [`session_attr::LAST_REQUEST`] to `request` and
+/// [`session_attr::LAST_TXID`] to `txid`, each only if non-zero; and the
+/// condition that every mark it sets rises. `None` if it sets nothing.
+fn hand_over_update(request: u64, txid: u64) -> Option<(Update, Condition)> {
+    let marks = [
+        (session_attr::LAST_REQUEST, request),
+        (session_attr::LAST_TXID, txid),
+    ];
+    let marks = marks.into_iter().filter(|(_, mark)| *mark > 0);
+    marks.fold(None, |acc, (attr, mark)| {
+        let rises = Condition::NotExists(attr.into()).or(Condition::lt(attr, mark as i64));
+        let (update, guard) = match acc {
+            None => (Update::new(), rises),
+            Some((update, guard)) => (update, Condition::and(guard, rises)),
+        };
+        Some((update.set(attr, mark as i64), guard))
+    })
 }
 
 /// Attribute names of the membership item.
@@ -1373,7 +1387,7 @@ mod tests {
         sys.register_session(&ctx, "s", 0).unwrap();
         assert_eq!(sys.session_last_txid(&ctx, "s"), 0);
         assert_eq!(sys.session_applied_txid(&ctx, "s"), 0);
-        sys.hand_over(&ctx, "s", 0, 100, false).unwrap();
+        sys.hand_over(&ctx, "s", 0, 100).unwrap();
         assert_eq!(sys.session_last_txid(&ctx, "s"), 100);
         sys.advance_session_applied(&ctx, "s", 100).unwrap();
         // A stale advance (crash-redelivery race) never regresses.

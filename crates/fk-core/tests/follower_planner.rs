@@ -19,9 +19,10 @@
 //!   session's hand-over sets its marks once per wave, between the
 //!   pushes and the commits, and never lowers them; the record writes
 //!   no `seq:` item;
-//! * `crash_*`, `failed_push_hands_nothing_over` — one crash window
-//!   each around the push, the hand-over and the commit: what lands,
-//!   who answers, and that a re-received copy is dropped or pushed;
+//! * `crash_*`, `failed_push_hands_nothing_over`,
+//!   `a_copy_that_outruns_the_leader_*` — one crash window each around
+//!   the push, the hand-over and the commit: what lands, who answers,
+//!   and that a re-received copy is dropped or pushed;
 //! * `alloc_txid_speculative_*` — when the `ADD` drawn beside the locks
 //!   is taken as the txid, and what a burned value leaves behind.
 //! * `commit_faults_cost_one_retry_each_at_one_level` — a create
@@ -33,6 +34,7 @@
 //! one wall-clock value a frame carries — the lock timestamp guarding
 //! each commit item (`Follower::now_ms`) — is zeroed before comparing.
 
+use fk_cloud::expr::{Condition, Update};
 use fk_cloud::latency::{LatencyModel, LatencySpec};
 use fk_cloud::metering::UsageSnapshot;
 use fk_cloud::ops::Op;
@@ -45,7 +47,8 @@ use fk_core::leader::Leader;
 use fk_core::messages::{
     ClientNotification, ClientRequest, LeaderRecord, MultiOp, Payload, WriteOp,
 };
-use fk_core::system_store::{keys, node_attr, txid};
+use fk_core::system_store::{keys, node_attr, txid, MAX_LOCK_HOLD_MS};
+use fk_sync::LOCK_ATTR;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -1117,6 +1120,73 @@ fn crash_after_commit_before_ack_drops_the_copy() {
     assert_eq!(requests(&copy.used), "kv_read=1", "the watermark read");
 }
 
+/// Ages the lock on `path` by the lease, as if its holder had taken it
+/// [`MAX_LOCK_HOLD_MS`] earlier: another follower may now take it.
+fn expire_lock(rig: &Rig, path: &str) {
+    let (quiet, key) = (Ctx::disabled(), keys::node(path));
+    let kv = rig.deployment.system().kv();
+    let stamp = kv.get(&quiet, &key).and_then(|item| item.num(LOCK_ATTR));
+    let aged = Update::new().set(LOCK_ATTR, stamp.expect("held") - MAX_LOCK_HOLD_MS);
+    kv.update(&quiet, &key, &aged, Condition::Always).unwrap();
+}
+
+/// Crash window, the copy first: the follower dies after its push and
+/// before its hand-over, the lease on its lock runs out, and the
+/// re-received copy takes the lock and runs the request again before
+/// any leader reaches the first record. That record is an orphan: its
+/// `TryCommit` fails and publishes no mark, so the session's chain is
+/// the copy's, and the session's next write is held behind the copy's
+/// record. The write lands once, at the copy's txid, and the client
+/// hears success. (The orphan's txid is below the copy's, so the leader
+/// takes it for already processed and answers it too, with its own
+/// txid.)
+#[test]
+fn a_copy_that_outruns_the_leader_leaves_an_orphan_that_publishes_nothing() {
+    let (rig, mut records) = Rig::seeded_with_records();
+    rig.follower.skip_next_hand_overs(1);
+    let op = set_data("/p/c", payload("w"), -1);
+    let request = ClientRequest {
+        session_id: SESSION.into(),
+        request_id: 4,
+        op: op.clone(),
+    };
+    let crashed = rig.step(|| {
+        let result = rig.follower.process_request(&rig.ctx, &request);
+        assert!(result.is_err(), "the batch redelivers");
+    });
+    let [orphan] = &crashed.pushed[..] else {
+        panic!("the push landed: {:?}", crashed.pushed);
+    };
+    expire_lock(&rig, "/p/c");
+    let copy = redeliver(&rig, 4, op);
+    let [rerun] = &copy.pushed[..] else {
+        panic!("the copy runs the request again: {:?}", copy.pushed);
+    };
+    assert_eq!(watermark(&rig), 4, "the copy handed it over");
+    assert_eq!(push_mark(&rig), rerun.txid);
+    let [next] = &rig.process(5, set_data("/p", payload("n"), -1)).pushed[..] else {
+        panic!("request 5 pushed one record");
+    };
+    assert_eq!(next.prev_txid, rerun.txid, "the next write names the copy");
+
+    records.extend([orphan.clone(), rerun.clone(), next.clone()]);
+    let leaders = replay(&rig, &records);
+    assert!(leaders.iter().all(|leader| leader.applied_ahead() == 0));
+    let quiet = Ctx::disabled();
+    let system = rig.deployment.system();
+    let node = system.get_node(&quiet, "/p/c");
+    let version = node.and_then(|item| item.num(node_attr::VERSION));
+    assert_eq!(version, Some(rerun.txid as i64), "the copy's write, once");
+    assert_eq!(push_mark(&rig), next.txid, "the orphan published no mark");
+    assert_eq!(system.session_applied_txid(&quiet, SESSION), next.txid);
+    let answered = answers(&rig, 4);
+    let ok =
+        |n: &ClientNotification| matches!(n, ClientNotification::WriteResult { result: Ok(_), .. });
+    assert!(answered.iter().all(ok), "{answered:?}");
+    let at_rerun = |n: &&ClientNotification| matches!(n, ClientNotification::WriteResult { txid, .. } if *txid == rerun.txid);
+    assert!(answered.iter().any(|n| at_rerun(&n)), "{answered:?}");
+}
+
 /// A push that fails hands nothing over: the batch redelivers, and the
 /// re-received copy is pushed and committed. (Were the hand-over before
 /// the push, it would have landed, and the copy would be dropped with
@@ -1180,7 +1250,7 @@ fn alloc_txid_speculative_add_below_a_rival_commit_is_rejected() {
     let system = rig.deployment.system();
     system.register_session(&quiet, "rival", 0).unwrap();
     let ahead = txid::compose(50, group);
-    system.hand_over(&quiet, "rival", 0, ahead, false).unwrap();
+    system.hand_over(&quiet, "rival", 0, ahead).unwrap();
     let rival = WriteOp::Multi {
         ops: vec![
             MultiOp::Create {
