@@ -13,6 +13,23 @@
 //! eventually consistent read could observe a released lock or an
 //! older counter and break Z2/Z3), so the table keeps exactly one copy
 //! of each item and no previous version.
+//!
+//! Every write is one locked apply: `put`, `update` and `delete` apply
+//! one item, `transact` its n. The apply locks the items' shards in
+//! index order, evaluates every condition, stages every new item, logs
+//! the staged batch to the durable engine once, applies it and accounts
+//! the stored bytes. The public calls differ only in what they roll and
+//! bill, which models DynamoDB's:
+//!
+//! | call | rolls | refused (condition, durable log) | applied |
+//! |---|---|---|---|
+//! | `put` | size check, `kv_throttle`, `kv_error` | one write of the item | one write of the item |
+//! | `update` | `kv_throttle`, `kv_error` | one 64 B write | one write of the new item |
+//! | `delete` | `kv_throttle`, `kv_error` | one 64 B write | one write of the removed item |
+//! | `transact` | `kv_cancel` | every item at its estimate | 2 units per kB of each item |
+//!
+//! A fired `kv_throttle` or `kv_error` bills one 64 B write, a fired
+//! `kv_cancel` a refused transaction; neither applies anything.
 
 use crate::chaos::{Chaos, FaultKind};
 use crate::error::{CloudError, CloudResult};
@@ -26,7 +43,7 @@ use crate::trace::Ctx;
 use crate::value::Item;
 use bytes::Bytes;
 use fk_store::{Lsm, StoreError};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -102,18 +119,83 @@ pub enum TransactOp {
     },
 }
 
-impl TransactOp {
-    fn key(&self) -> &str {
-        match self {
-            TransactOp::Put { key, .. }
-            | TransactOp::Update { key, .. }
-            | TransactOp::Delete { key, .. }
-            | TransactOp::Check { key, .. } => key,
+/// What one write of an apply does to its item.
+#[derive(Clone, Copy)]
+enum Action<'a> {
+    Put(&'a Item),
+    /// An update expression; `true` keeps a copy of the new item in the
+    /// write for the caller.
+    Update(&'a Update, bool),
+    Delete,
+    Check,
+}
+
+/// One borrowed write of [`KvStore::apply`], and what it left behind.
+struct Write<'a> {
+    key: &'a str,
+    condition: &'a Condition,
+    action: Action<'a>,
+    shard: usize,
+    /// The new item, staged before anything is applied (`None`: the
+    /// item is removed or left alone).
+    staged: Option<Item>,
+    /// The item the write replaced or removed.
+    old: Option<Item>,
+    /// Billed bytes: the new item's size, or a delete's removed size
+    /// (at least 1).
+    size: usize,
+}
+
+impl<'a> Write<'a> {
+    fn new(key: &'a str, condition: &'a Condition, action: Action<'a>) -> Self {
+        Write {
+            key,
+            condition,
+            action,
+            shard: shard_of(key),
+            staged: None,
+            old: None,
+            size: 0,
         }
     }
 }
 
+impl<'a> From<&'a TransactOp> for Write<'a> {
+    fn from(op: &'a TransactOp) -> Self {
+        let (key, condition, action) = match op {
+            TransactOp::Put {
+                key,
+                item,
+                condition,
+            } => (key, condition, Action::Put(item)),
+            TransactOp::Update {
+                key,
+                update,
+                condition,
+            } => (key, condition, Action::Update(update, false)),
+            TransactOp::Delete { key, condition } => (key, condition, Action::Delete),
+            TransactOp::Check { key, condition } => (key, condition, Action::Check),
+        };
+        Write::new(key, condition, action)
+    }
+}
+
+/// Why an apply applied nothing.
+enum Refused {
+    /// The condition of the write at this index does not hold.
+    Condition(usize),
+    /// The durable engine did not log the batch.
+    Storage(CloudError),
+    /// An item did not stage (an ill-typed update, an oversized item);
+    /// billed as nothing.
+    Invalid(CloudError),
+}
+
 const SHARDS: usize = 64;
+// An apply locks its shards by a 64-bit set.
+const _: () = assert!(SHARDS <= 64);
+
+type Shard = HashMap<String, Item>;
 
 /// The attribute a tagged item keeps its [`KvStore::fresh_tag`] in.
 pub const TAG_ATTR: &str = "tag";
@@ -123,7 +205,7 @@ struct Inner {
     region: Region,
     limits: KvLimits,
     meter: Meter,
-    shards: Vec<RwLock<HashMap<String, Item>>>,
+    shards: Vec<RwLock<Shard>>,
     chaos: OnceLock<Arc<Chaos>>,
     durable: OnceLock<Lsm>,
     /// The last tag [`KvStore::fresh_tag`] handed out.
@@ -180,17 +262,17 @@ impl KvStore {
 
     /// Attaches a durable LSM engine to this table (at most once) and
     /// loads whatever it recovered: every persisted item is decoded
-    /// and installed into the shards, so a table re-attached to an
-    /// engine that survived a crash comes back with its committed
-    /// state. Afterwards every committed mutation — put, update,
-    /// delete, and each transaction as **one atomic WAL batch** — is
-    /// logged and fsynced before it is applied or acknowledged.
+    /// and put into the shards by one apply, so a table re-attached to
+    /// an engine that survived a crash comes back with its committed
+    /// state and its stored bytes. Afterwards every committed mutation —
+    /// put, update, delete, and each transaction as **one atomic WAL
+    /// batch** — is logged and fsynced before it is applied or
+    /// acknowledged.
     ///
     /// Returns the number of items recovered.
     pub fn attach_durable(&self, lsm: Lsm) -> CloudResult<usize> {
-        let recovered = lsm.scan_prefix("").map_err(map_store_err)?;
-        let mut loaded = 0usize;
-        for (key, raw) in recovered {
+        let mut recovered = Vec::new();
+        for (key, raw) in lsm.scan_prefix("").map_err(map_store_err)? {
             let Some(item) = Item::decode(&raw) else {
                 return Err(CloudError::StorageFailed {
                     detail: format!("undecodable persisted item at key {key:?}"),
@@ -198,26 +280,49 @@ impl KvStore {
             };
             let tag = item.num(TAG_ATTR).unwrap_or(0) as Tag;
             self.inner.last_tag.fetch_max(tag, Ordering::Relaxed);
-            self.inner.shards[shard_of(&key)].write().insert(key, item);
-            loaded += 1;
+            recovered.push((key, item));
+        }
+        let always = Condition::Always;
+        let mut writes: Vec<Write<'_>> = recovered
+            .iter()
+            .map(|(key, item)| Write::new(key, &always, Action::Put(item)))
+            .collect();
+        // No engine is attached yet, so the apply logs nothing; a put of
+        // `Always` can only fail on an item over this table's size limit.
+        if let Err(Refused::Invalid(e) | Refused::Storage(e)) = self.apply(&mut writes) {
+            return Err(e);
         }
         if self.inner.durable.set(lsm).is_err() {
             return Err(CloudError::AlreadyExists {
                 name: format!("durable backend on table {}", self.inner.name),
             });
         }
-        Ok(loaded)
+        Ok(writes.len())
     }
 
-    /// Logs committed mutations to the durable engine, if one is
-    /// attached. Called under the shard guard(s) so the WAL order
-    /// matches the apply order; an error means nothing was persisted
-    /// and the caller must not apply.
-    fn log_durable(&self, entries: Vec<(String, Option<Bytes>)>) -> CloudResult<()> {
-        match self.inner.durable.get() {
-            None => Ok(()),
-            Some(lsm) => lsm.write_batch(entries).map_err(map_store_err),
+    /// Logs an apply's staged writes to the durable engine, if one is
+    /// attached, as one atomic WAL batch: after a crash either every
+    /// write is recovered or none is (Z1 extended to disk). Called under
+    /// the shard guards so the WAL order matches the apply order; an
+    /// error means nothing was persisted and the caller must not apply.
+    fn log_durable(&self, writes: &[Write<'_>]) -> CloudResult<()> {
+        let Some(lsm) = self.inner.durable.get() else {
+            return Ok(());
+        };
+        let batch: Vec<(String, Option<Bytes>)> = writes
+            .iter()
+            .filter(|w| !matches!(w.action, Action::Check))
+            .map(|w| {
+                (
+                    w.key.to_owned(),
+                    w.staged.as_ref().map(|i| i.encode().into()),
+                )
+            })
+            .collect();
+        if batch.is_empty() {
+            return Ok(());
         }
+        lsm.write_batch(batch).map_err(map_store_err)
     }
 
     /// True once a durable engine is attached.
@@ -233,17 +338,15 @@ impl KvStore {
         let Some(chaos) = self.inner.chaos.get() else {
             return Ok(());
         };
-        if chaos.fire(ctx, FaultKind::KvThrottle) {
-            self.inner
-                .meter
-                .fault_injected(FaultKind::KvThrottle.label());
-            self.charge_failed_update(ctx, key);
-            return Err(CloudError::Throttled);
-        }
-        if chaos.fire(ctx, FaultKind::KvError) {
-            self.inner.meter.fault_injected(FaultKind::KvError.label());
-            self.charge_failed_update(ctx, key);
-            return Err(chaos.error(FaultKind::KvError));
+        for kind in [FaultKind::KvThrottle, FaultKind::KvError] {
+            if chaos.fire(ctx, kind) {
+                self.inner.meter.fault_injected(kind.label());
+                self.charge_failed_update(ctx, key);
+                return Err(match kind {
+                    FaultKind::KvThrottle => CloudError::Throttled,
+                    _ => chaos.error(kind),
+                });
+            }
         }
         Ok(())
     }
@@ -282,7 +385,8 @@ impl KvStore {
         self.len() == 0
     }
 
-    fn check_size(&self, item: &Item) -> CloudResult<()> {
+    /// The item's size, if the table takes it.
+    fn check_size(&self, item: &Item) -> CloudResult<usize> {
         let size = item.size_bytes();
         if size > self.inner.limits.max_item_bytes {
             return Err(CloudError::PayloadTooLarge {
@@ -290,7 +394,7 @@ impl KvStore {
                 limit: self.inner.limits.max_item_bytes,
             });
         }
-        Ok(())
+        Ok(size)
     }
 
     /// Reads an item (strongly consistent).
@@ -312,52 +416,12 @@ impl KvStore {
         condition: Condition,
     ) -> CloudResult<Option<Item>> {
         with_retry(ctx, &self.inner.meter, "kv.put", || {
-            self.try_put(ctx, key, &item, &condition)
+            self.check_size(&item)?;
+            let refused = || self.charge_written(ctx, true, item.size_bytes());
+            let put = self.write_one(ctx, key, &condition, Action::Put(&item), refused)?;
+            self.charge_written(ctx, condition != Condition::Always, put.size);
+            Ok(put.old)
         })
-    }
-
-    fn try_put(
-        &self,
-        ctx: &Ctx,
-        key: &str,
-        item: &Item,
-        condition: &Condition,
-    ) -> CloudResult<Option<Item>> {
-        self.check_size(item)?;
-        self.chaos_write_error(ctx, key)?;
-        let shard = &self.inner.shards[shard_of(key)];
-        let mut guard = shard.write();
-        if !condition.eval(guard.get(key)) {
-            drop(guard);
-            self.charge_failed_write(ctx, item);
-            return Err(CloudError::ConditionFailed {
-                detail: condition.describe(),
-            });
-        }
-        if self.is_durable() {
-            let entry = vec![(key.to_owned(), Some(Bytes::from(item.encode())))];
-            if let Err(e) = self.log_durable(entry) {
-                drop(guard);
-                self.charge_failed_write(ctx, item);
-                return Err(e);
-            }
-        }
-        let old = guard.insert(key.to_owned(), item.clone());
-        drop(guard);
-        let size = item.size_bytes();
-        let old_size = old.as_ref().map(Item::size_bytes).unwrap_or(0);
-        self.inner.meter.kv_write(size);
-        self.inner
-            .meter
-            .kv_stored_delta(size as i64 - old_size as i64);
-        ctx.charge_to(
-            Op::KvUpdate {
-                conditional: *condition != Condition::Always,
-            },
-            size,
-            self.inner.region,
-        );
-        Ok(old)
     }
 
     /// Conditional update expression. Creates the item when absent
@@ -371,250 +435,170 @@ impl KvStore {
         condition: Condition,
     ) -> CloudResult<UpdateOutput> {
         with_retry(ctx, &self.inner.meter, "kv.update", || {
-            self.try_update(ctx, key, update, &condition)
+            let refused = || self.charge_failed_update(ctx, key);
+            let action = Action::Update(update, true);
+            let done = self.write_one(ctx, key, &condition, action, refused)?;
+            self.charge_written(ctx, condition != Condition::Always, done.size);
+            let new = done.staged.expect("a kept update holds its new item");
+            Ok(UpdateOutput { old: done.old, new })
         })
-    }
-
-    fn try_update(
-        &self,
-        ctx: &Ctx,
-        key: &str,
-        update: &Update,
-        condition: &Condition,
-    ) -> CloudResult<UpdateOutput> {
-        self.chaos_write_error(ctx, key)?;
-        let shard = &self.inner.shards[shard_of(key)];
-        let mut guard = shard.write();
-        let current = guard.get(key);
-        if !condition.eval(current) {
-            drop(guard);
-            self.charge_failed_update(ctx, key);
-            return Err(CloudError::ConditionFailed {
-                detail: condition.describe(),
-            });
-        }
-        // Apply to a scratch copy so failed updates leave the item intact.
-        let mut scratch = current.cloned().unwrap_or_default();
-        update.apply(&mut scratch)?;
-        self.check_size(&scratch)?;
-        if self.is_durable() {
-            let entry = vec![(key.to_owned(), Some(Bytes::from(scratch.encode())))];
-            if let Err(e) = self.log_durable(entry) {
-                drop(guard);
-                self.charge_failed_update(ctx, key);
-                return Err(e);
-            }
-        }
-        let old = guard.insert(key.to_owned(), scratch.clone());
-        drop(guard);
-        let size = scratch.size_bytes();
-        let old_size = old.as_ref().map(Item::size_bytes).unwrap_or(0);
-        self.inner.meter.kv_write(size);
-        self.inner
-            .meter
-            .kv_stored_delta(size as i64 - old_size as i64);
-        ctx.charge_to(
-            Op::KvUpdate {
-                conditional: *condition != Condition::Always,
-            },
-            size,
-            self.inner.region,
-        );
-        Ok(UpdateOutput { old, new: scratch })
     }
 
     /// Conditional delete. Returns the removed item. Transient failures
     /// are retried inside.
     pub fn delete(&self, ctx: &Ctx, key: &str, condition: Condition) -> CloudResult<Option<Item>> {
         with_retry(ctx, &self.inner.meter, "kv.delete", || {
-            self.try_delete(ctx, key, &condition)
+            let refused = || self.charge_failed_update(ctx, key);
+            let done = self.write_one(ctx, key, &condition, Action::Delete, refused)?;
+            self.inner.meter.kv_write(done.size);
+            ctx.charge_to(Op::KvDelete, done.size, self.inner.region);
+            Ok(done.old)
         })
     }
 
-    fn try_delete(&self, ctx: &Ctx, key: &str, condition: &Condition) -> CloudResult<Option<Item>> {
-        self.chaos_write_error(ctx, key)?;
-        let shard = &self.inner.shards[shard_of(key)];
-        let mut guard = shard.write();
-        if !condition.eval(guard.get(key)) {
-            drop(guard);
-            self.charge_failed_update(ctx, key);
-            return Err(CloudError::ConditionFailed {
-                detail: condition.describe(),
-            });
-        }
-        if self.is_durable() {
-            if let Err(e) = self.log_durable(vec![(key.to_owned(), None)]) {
-                drop(guard);
-                self.charge_failed_update(ctx, key);
-                return Err(e);
-            }
-        }
-        let removed = guard.remove(key);
-        drop(guard);
-        let size = removed.as_ref().map(Item::size_bytes).unwrap_or(0);
-        self.inner.meter.kv_write(size.max(1));
-        self.inner.meter.kv_stored_delta(-(size as i64));
-        ctx.charge_to(Op::KvDelete, size.max(1), self.inner.region);
-        Ok(removed)
-    }
-
-    /// Multi-item all-or-nothing transaction.
-    ///
-    /// Locks the involved shards in index order (no deadlocks), checks all
-    /// conditions first, and only then applies all mutations — Z1's
-    /// "requests never lead to partial results". Transient failures are
-    /// retried inside; a `TransactionCancelled` never is.
+    /// Multi-item all-or-nothing transaction: one [`KvStore::apply`] of
+    /// every item — Z1's "requests never lead to partial results".
+    /// Transient failures are retried inside; a `TransactionCancelled`
+    /// never is.
     pub fn transact(&self, ctx: &Ctx, ops: &[TransactOp]) -> CloudResult<()> {
         with_retry(ctx, &self.inner.meter, "kv.transact", || {
-            self.try_transact(ctx, ops)
+            if let Some(chaos) = self.inner.chaos.get() {
+                if chaos.fire(ctx, FaultKind::KvCancel) {
+                    self.inner.meter.fault_injected(FaultKind::KvCancel.label());
+                    self.charge_cancelled(ctx, ops);
+                    // A *retryable* fault, not `TransactionCancelled`: it
+                    // models DynamoDB's transient cancellation reasons
+                    // (conflict, throttling), which SDKs retry against
+                    // untouched state. `TransactionCancelled` always means
+                    // a real condition failed.
+                    return Err(chaos.error(FaultKind::KvCancel));
+                }
+            }
+            let mut writes: Vec<Write<'_>> = ops.iter().map(Write::from).collect();
+            match self.apply(&mut writes) {
+                Ok(()) => {}
+                Err(Refused::Invalid(e)) => return Err(e),
+                Err(Refused::Storage(e)) => {
+                    self.charge_cancelled(ctx, ops);
+                    return Err(e);
+                }
+                Err(Refused::Condition(index)) => {
+                    self.charge_cancelled(ctx, ops);
+                    let detail = writes[index].condition.describe();
+                    return Err(CloudError::TransactionCancelled { index, detail });
+                }
+            }
+            // One metered request for the whole transaction; billing rounds
+            // every item to 1 kB units independently (DynamoDB's model).
+            let mut sizes = Vec::with_capacity(writes.len());
+            let mut total = 0usize;
+            for write in &writes {
+                match write.action {
+                    Action::Check => continue,
+                    Action::Delete => {}
+                    Action::Put(_) | Action::Update(..) => total += write.size,
+                }
+                sizes.push(write.size);
+            }
+            self.inner.meter.kv_transact_write(&sizes);
+            ctx.charge_to(Op::KvTransact, total.max(1), self.inner.region);
+            Ok(())
         })
     }
 
-    fn try_transact(&self, ctx: &Ctx, ops: &[TransactOp]) -> CloudResult<()> {
-        if let Some(chaos) = self.inner.chaos.get() {
-            if chaos.fire(ctx, FaultKind::KvCancel) {
-                self.inner.meter.fault_injected(FaultKind::KvCancel.label());
-                // An injected cancellation bills exactly like a real one:
-                // DynamoDB consumes write units for every item of a
-                // cancelled TransactWriteItems.
-                let sizes: Vec<usize> = ops.iter().map(op_size_estimate).collect();
-                let total: usize = sizes.iter().sum();
-                self.inner.meter.kv_transact_write(&sizes);
-                ctx.charge_to(Op::KvTransact, total.max(1), self.inner.region);
-                // Surfaced as a *retryable* injected fault rather than
-                // `TransactionCancelled`: this models DynamoDB's
-                // transient cancellation reasons (transaction conflict,
-                // throttling), which SDKs retry — nothing was applied,
-                // so `transact` replays the transaction and its
-                // conditions re-evaluate against untouched state. A
-                // `TransactionCancelled` from this store always means a
-                // real condition failed.
-                return Err(chaos.error(FaultKind::KvCancel));
+    /// One single-item write: rolls the write-plane fault points, then
+    /// applies. A refused condition or durable log is billed by
+    /// `refused`; the caller bills the applied write.
+    fn write_one<'a>(
+        &self,
+        ctx: &Ctx,
+        key: &'a str,
+        condition: &'a Condition,
+        action: Action<'a>,
+        refused: impl FnOnce(),
+    ) -> CloudResult<Write<'a>> {
+        self.chaos_write_error(ctx, key)?;
+        let mut writes = [Write::new(key, condition, action)];
+        match self.apply(&mut writes) {
+            Ok(()) => {
+                let [done] = writes;
+                Ok(done)
+            }
+            Err(Refused::Invalid(e)) => Err(e),
+            Err(Refused::Storage(e)) => {
+                refused();
+                Err(e)
+            }
+            Err(Refused::Condition(_)) => {
+                refused();
+                let detail = condition.describe();
+                Err(CloudError::ConditionFailed { detail })
             }
         }
-        let mut shard_ids: Vec<usize> = ops.iter().map(|op| shard_of(op.key())).collect();
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
-        let mut guards: HashMap<usize, parking_lot::RwLockWriteGuard<'_, HashMap<String, Item>>> =
-            HashMap::new();
-        for id in &shard_ids {
-            guards.insert(*id, self.inner.shards[*id].write());
-        }
-
-        // Validate all conditions against current state.
-        for (i, op) in ops.iter().enumerate() {
-            let guard = &guards[&shard_of(op.key())];
-            let current = guard.get(op.key());
-            let cond = match op {
-                TransactOp::Put { condition, .. }
-                | TransactOp::Update { condition, .. }
-                | TransactOp::Delete { condition, .. }
-                | TransactOp::Check { condition, .. } => condition,
-            };
-            if !cond.eval(current) {
-                drop(guards);
-                // A cancelled transaction is still a billed round trip:
-                // DynamoDB consumes write units for every item of a
-                // cancelled TransactWriteItems, so the meter records the
-                // request with each item's estimated size.
-                let sizes: Vec<usize> = ops.iter().map(op_size_estimate).collect();
-                let total: usize = sizes.iter().sum();
-                self.inner.meter.kv_transact_write(&sizes);
-                ctx.charge_to(Op::KvTransact, total, self.inner.region);
-                return Err(CloudError::TransactionCancelled {
-                    index: i,
-                    detail: cond.describe(),
-                });
-            }
-        }
-
-        // Precompute new states (update expressions can still fail on type
-        // errors; do this before mutating anything).
-        let mut staged: Vec<(usize, String, Option<Item>)> = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            let guard = &guards[&shard_of(op.key())];
-            match op {
-                TransactOp::Put { key, item, .. } => {
-                    self.check_size(item)?;
-                    staged.push((i, key.clone(), Some(item.clone())));
-                }
-                TransactOp::Update { key, update, .. } => {
-                    let mut scratch = guard.get(key).cloned().unwrap_or_default();
-                    update.apply(&mut scratch)?;
-                    self.check_size(&scratch)?;
-                    staged.push((i, key.clone(), Some(scratch)));
-                }
-                TransactOp::Delete { key, .. } => staged.push((i, key.clone(), None)),
-                TransactOp::Check { .. } => {}
-            }
-        }
-
-        // Persist the whole transaction as one atomic WAL batch before
-        // anything is applied: after a crash either every staged
-        // mutation is recovered or none is (Z1 extended to disk).
-        if self.is_durable() && !staged.is_empty() {
-            let entries: Vec<(String, Option<Bytes>)> = staged
-                .iter()
-                .map(|(_, key, state)| {
-                    (
-                        key.clone(),
-                        state.as_ref().map(|item| Bytes::from(item.encode())),
-                    )
-                })
-                .collect();
-            if let Err(e) = self.log_durable(entries) {
-                drop(guards);
-                let sizes: Vec<usize> = ops.iter().map(op_size_estimate).collect();
-                let total: usize = sizes.iter().sum();
-                self.inner.meter.kv_transact_write(&sizes);
-                ctx.charge_to(Op::KvTransact, total.max(1), self.inner.region);
-                return Err(e);
-            }
-        }
-
-        let mut total = 0usize;
-        let mut item_sizes: Vec<usize> = Vec::with_capacity(staged.len());
-        for (_, key, new_state) in staged {
-            let guard = guards.get_mut(&shard_of(&key)).expect("shard locked");
-            let old_size = guard.get(&key).map(Item::size_bytes).unwrap_or(0);
-            match new_state {
-                Some(item) => {
-                    let size = item.size_bytes();
-                    total += size;
-                    guard.insert(key, item);
-                    item_sizes.push(size);
-                    self.inner
-                        .meter
-                        .kv_stored_delta(size as i64 - old_size as i64);
-                }
-                None => {
-                    guard.remove(&key);
-                    item_sizes.push(old_size.max(1));
-                    self.inner.meter.kv_stored_delta(-(old_size as i64));
-                }
-            }
-        }
-        drop(guards);
-        // One metered request for the whole transaction; billing rounds
-        // every item to 1 kB units independently (DynamoDB's model).
-        self.inner.meter.kv_transact_write(&item_sizes);
-        ctx.charge_to(Op::KvTransact, total.max(1), self.inner.region);
-        Ok(())
     }
 
-    /// Scans the whole table (the heartbeat function's session listing).
-    pub fn scan(&self, ctx: &Ctx) -> Vec<(String, Item)> {
-        let mut out = Vec::new();
-        for shard in &self.inner.shards {
-            for (k, v) in shard.read().iter() {
-                out.push((k.clone(), v.clone()));
+    /// The one write path of the table. Locks the writes' shards in index
+    /// order (no deadlocks), evaluates every condition, stages every new
+    /// item, logs the staged batch to the durable engine once, applies it
+    /// and accounts the stored bytes. All conditions are read from the
+    /// state before the call, and nothing is applied unless every one
+    /// holds, every item stages and the batch is logged. Each write is
+    /// left holding the item it replaced and its billed size; billing is
+    /// the caller's.
+    fn apply(&self, writes: &mut [Write<'_>]) -> Result<(), Refused> {
+        let locked = writes.iter().fold(0u64, |set, w| set | 1 << w.shard);
+        let mut guards: [Option<RwLockWriteGuard<'_, Shard>>; SHARDS] =
+            std::array::from_fn(|_| None);
+        for (id, guard) in guards.iter_mut().enumerate() {
+            if locked >> id & 1 == 1 {
+                *guard = Some(self.inner.shards[id].write());
             }
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        let total: usize = out.iter().map(|(_, i)| i.size_bytes()).sum();
-        self.inner.meter.kv_scan(total.max(1));
-        ctx.charge_to(Op::KvScan, total.max(1), self.inner.region);
-        out
+        for (index, w) in writes.iter().enumerate() {
+            let shard = guards[w.shard].as_ref().expect("shard locked");
+            if !w.condition.eval(shard.get(w.key)) {
+                return Err(Refused::Condition(index));
+            }
+        }
+        // Stage every new state before mutating anything: an update
+        // expression can still fail on a type error, an item on its size.
+        for w in writes.iter_mut() {
+            let shard = guards[w.shard].as_ref().expect("shard locked");
+            w.staged = match w.action {
+                Action::Put(item) => Some(item.clone()),
+                Action::Update(update, _) => {
+                    let mut item = shard.get(w.key).cloned().unwrap_or_default();
+                    update.apply(&mut item).map_err(Refused::Invalid)?;
+                    Some(item)
+                }
+                Action::Delete | Action::Check => None,
+            };
+            if let Some(item) = &w.staged {
+                w.size = self.check_size(item).map_err(Refused::Invalid)?;
+            }
+        }
+        self.log_durable(writes).map_err(Refused::Storage)?;
+        for w in writes.iter_mut() {
+            let shard = guards[w.shard].as_mut().expect("shard locked");
+            let staged = match w.action {
+                Action::Check => continue,
+                Action::Update(_, true) => w.staged.clone(),
+                _ => w.staged.take(),
+            };
+            let new_size = staged.as_ref().map_or(0, |_| w.size);
+            w.old = match staged {
+                Some(item) => shard.insert(w.key.to_owned(), item),
+                None => shard.remove(w.key),
+            };
+            let old_size = w.old.as_ref().map_or(0, Item::size_bytes);
+            if matches!(w.action, Action::Delete) {
+                w.size = old_size.max(1);
+            }
+            self.inner
+                .meter
+                .kv_stored_delta(new_size as i64 - old_size as i64);
+        }
+        Ok(())
     }
 
     /// Scans every item whose key starts with `prefix`, sorted by key.
@@ -637,20 +621,28 @@ impl KvStore {
         out
     }
 
-    fn charge_failed_write(&self, ctx: &Ctx, item: &Item) {
-        // A failed conditional write is still billed and still costs a
-        // round trip.
-        self.inner.meter.kv_write(item.size_bytes());
-        ctx.charge_to(
-            Op::KvUpdate { conditional: true },
-            item.size_bytes(),
-            self.inner.region,
-        );
+    /// One written item of `size` bytes. A failed conditional write is
+    /// still billed and still costs a round trip.
+    fn charge_written(&self, ctx: &Ctx, conditional: bool, size: usize) {
+        self.inner.meter.kv_write(size);
+        ctx.charge_to(Op::KvUpdate { conditional }, size, self.inner.region);
     }
 
+    /// A failed update or delete, billed by its key.
     fn charge_failed_update(&self, ctx: &Ctx, key: &str) {
         self.inner.meter.kv_write(key.len().max(1));
         ctx.charge_to(Op::KvUpdate { conditional: true }, 64, self.inner.region);
+    }
+
+    /// A transaction that applied nothing (cancelled, refused by a
+    /// condition or by the durable engine) bills like an applied one:
+    /// DynamoDB consumes write units for every item of a cancelled
+    /// TransactWriteItems, here at each item's estimated size.
+    fn charge_cancelled(&self, ctx: &Ctx, ops: &[TransactOp]) {
+        let sizes: Vec<usize> = ops.iter().map(op_size_estimate).collect();
+        self.inner.meter.kv_transact_write(&sizes);
+        let total: usize = sizes.iter().sum();
+        ctx.charge_to(Op::KvTransact, total.max(1), self.inner.region);
     }
 }
 
@@ -891,7 +883,7 @@ mod tests {
             kv.put(&ctx, k, Item::new().with("k", k), Condition::Always)
                 .unwrap();
         }
-        let all = kv.scan(&ctx);
+        let all = kv.scan_prefix(&ctx, "");
         let keys: Vec<&str> = all.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["a", "b", "c"]);
     }

@@ -12,6 +12,12 @@
 //! instance can be active at a time" (Appendix B, Z2) is enforced.
 //! Failed batches are redelivered after a visibility timeout or an
 //! explicit negative acknowledgement, preserving order.
+//!
+//! A queue sends one way: `send` is a `send_batch` of one body, retried
+//! under its own `queue.send` label. Each attempt charges one round trip
+//! per ≤ 10 bodies, rolls `queue_error` once, then `queue_duplicate` and
+//! `queue_delay` per body, and bills every message. It receives one way
+//! too: `receive` is `receive_up_to` capped at the kind's batch size.
 
 use crate::chaos::{Chaos, FaultKind};
 use crate::error::{CloudError, CloudResult};
@@ -167,106 +173,22 @@ impl Queue {
         self.inner.region
     }
 
-    /// Enqueues a message, returning its sequence number. Transient
-    /// failures are retried inside.
+    /// Enqueues a message, returning its sequence number: a
+    /// [`Queue::send_batch`] of one body, retried inside under its own
+    /// `queue.send` label.
     pub fn send(&self, ctx: &Ctx, group: &str, body: Bytes) -> CloudResult<u64> {
         with_retry(ctx, &self.inner.meter, "queue.send", || {
-            self.try_send(ctx, group, &body)
+            self.try_send_batch(ctx, group, std::slice::from_ref(&body))
         })
     }
 
-    fn try_send(&self, ctx: &Ctx, group: &str, body: &Bytes) -> CloudResult<u64> {
-        if body.len() > self.inner.max_message_bytes {
-            return Err(CloudError::PayloadTooLarge {
-                size: body.len(),
-                limit: self.inner.max_message_bytes,
-            });
+    /// Rolls `kind`, metering it when it fires.
+    fn fires(&self, chaos: &Chaos, ctx: &Ctx, kind: FaultKind) -> bool {
+        let fired = chaos.fire(ctx, kind);
+        if fired {
+            self.inner.meter.fault_injected(kind.label());
         }
-        let size = body.len();
-        ctx.charge_to(Op::QueueSend(self.inner.kind), size, self.inner.region);
-        // A failed send has already cost the round trip; nothing is
-        // enqueued, so the retry cannot double-enqueue.
-        self.chaos_send_error(ctx)?;
-        let (duplicate, delay) = self.chaos_delivery_rolls(ctx);
-        let seq;
-        {
-            let mut st = self.inner.state.lock();
-            if st.closed {
-                return Err(CloudError::ServiceStopped);
-            }
-            seq = st.next_seq;
-            st.next_seq += 1;
-            let msg = Message {
-                seq,
-                group: Arc::from(group),
-                body: body.clone(),
-                sent_vt_ns: ctx.now_ns(),
-                attempt: 0,
-            };
-            if !st.groups.contains_key(group) {
-                st.group_order.push_back(Arc::clone(&msg.group));
-            }
-            let key = Arc::clone(&msg.group);
-            // At-least-once duplication: the same message (same seq, same
-            // body allocation) lands twice, back to back in its group —
-            // consumers must dedupe on the message id. The copy is a
-            // *re-receive* of the original, so it starts one attempt up:
-            // its delivery reads `attempt >= 2`, exactly like SQS's
-            // ApproximateReceiveCount on any message delivered more than
-            // once. Consumers may rely on `attempt == 1` meaning
-            // first-and-only delivery so far.
-            let dup = duplicate.then(|| Message {
-                attempt: msg.attempt + 1,
-                ..msg.clone()
-            });
-            st.groups.entry(key).or_default().push_back(msg);
-            if let Some(dup) = dup {
-                let key = Arc::clone(&dup.group);
-                st.groups.entry(key).or_default().push_back(dup);
-            }
-            if delay > 0 {
-                st.delayed.insert(seq, delay);
-            }
-        }
-        self.inner.meter.queue_send(size);
-        self.inner.available.notify_all();
-        Ok(seq)
-    }
-
-    /// Rolls the transient-send fault; `Err` means the request failed
-    /// before anything was enqueued.
-    fn chaos_send_error(&self, ctx: &Ctx) -> CloudResult<()> {
-        if let Some(chaos) = self.inner.chaos.get() {
-            if chaos.fire(ctx, FaultKind::QueueError) {
-                self.inner
-                    .meter
-                    .fault_injected(FaultKind::QueueError.label());
-                return Err(chaos.error(FaultKind::QueueError));
-            }
-        }
-        Ok(())
-    }
-
-    /// Rolls per-message delivery faults: `(duplicate, delay_polls)`.
-    fn chaos_delivery_rolls(&self, ctx: &Ctx) -> (bool, u32) {
-        let Some(chaos) = self.inner.chaos.get() else {
-            return (false, 0);
-        };
-        let duplicate = chaos.fire(ctx, FaultKind::QueueDuplicate);
-        if duplicate {
-            self.inner
-                .meter
-                .fault_injected(FaultKind::QueueDuplicate.label());
-        }
-        let delay = if chaos.fire(ctx, FaultKind::QueueDelay) {
-            self.inner
-                .meter
-                .fault_injected(FaultKind::QueueDelay.label());
-            CHAOS_DELAY_POLLS
-        } else {
-            0
-        };
-        (duplicate, delay)
+        fired
     }
 
     /// Enqueues up to-`bodies.len()` messages as batched requests
@@ -277,12 +199,15 @@ impl Queue {
     /// the *latency* amortizes. Transient failures are retried inside,
     /// whole.
     pub fn send_batch(&self, ctx: &Ctx, group: &str, bodies: Vec<Bytes>) -> CloudResult<Vec<u64>> {
-        with_retry(ctx, &self.inner.meter, "queue.send_batch", || {
+        let first = with_retry(ctx, &self.inner.meter, "queue.send_batch", || {
             self.try_send_batch(ctx, group, &bodies)
-        })
+        })?;
+        Ok((first..).take(bodies.len()).collect())
     }
 
-    fn try_send_batch(&self, ctx: &Ctx, group: &str, bodies: &[Bytes]) -> CloudResult<Vec<u64>> {
+    /// One attempt of a send: enqueues `bodies` whole or not at all and
+    /// returns the first one's sequence number.
+    fn try_send_batch(&self, ctx: &Ctx, group: &str, bodies: &[Bytes]) -> CloudResult<u64> {
         const ENTRIES_PER_REQUEST: usize = 10;
         // Validate everything before enqueuing anything: a batch either
         // lands whole or not at all, so a caller never has to guess
@@ -296,20 +221,27 @@ impl Queue {
             }
         }
         // One round trip per ≤ 10-entry request, charged up front (the
-        // messages become visible when the last request completes).
+        // messages become visible when the last request completes). A
+        // failed send has already cost them; nothing is enqueued, so the
+        // retry cannot double-enqueue.
         for chunk in bodies.chunks(ENTRIES_PER_REQUEST) {
             let bytes: usize = chunk.iter().map(Bytes::len).sum();
             ctx.charge_to(Op::QueueSend(self.inner.kind), bytes, self.inner.region);
         }
         // One fault roll for the whole call, before anything is
-        // enqueued, preserving the all-or-nothing batch contract.
-        self.chaos_send_error(ctx)?;
-        let delivery_rolls: Vec<(bool, u32)> = bodies
-            .iter()
-            .map(|_| self.chaos_delivery_rolls(ctx))
-            .collect();
+        // enqueued, preserving the all-or-nothing batch contract; then
+        // each message's delivery rolls: (duplicate, delay).
+        let chaos = self.inner.chaos.get();
+        if let Some(chaos) = chaos.filter(|c| self.fires(c, ctx, FaultKind::QueueError)) {
+            return Err(chaos.error(FaultKind::QueueError));
+        }
+        let delivery_rolls: Option<Vec<(bool, bool)>> = chaos.map(|c| {
+            let roll = |kind| self.fires(c, ctx, kind);
+            let rolls = |_| (roll(FaultKind::QueueDuplicate), roll(FaultKind::QueueDelay));
+            bodies.iter().map(rolls).collect()
+        });
         let shared_group: Arc<str> = Arc::from(group);
-        let mut seqs = Vec::with_capacity(bodies.len());
+        let first;
         {
             let mut st = self.inner.state.lock();
             if st.closed {
@@ -318,7 +250,8 @@ impl Queue {
             if !st.groups.contains_key(group) {
                 st.group_order.push_back(Arc::clone(&shared_group));
             }
-            for (body, (duplicate, delay)) in bodies.iter().zip(&delivery_rolls) {
+            first = st.next_seq;
+            for (i, body) in bodies.iter().enumerate() {
                 let seq = st.next_seq;
                 st.next_seq += 1;
                 let msg = Message {
@@ -328,33 +261,32 @@ impl Queue {
                     sent_vt_ns: ctx.now_ns(),
                     attempt: 0,
                 };
-                // Same re-receive semantics as the single `send` above:
-                // the duplicated copy's deliveries read `attempt >= 2`.
+                let (duplicate, delayed) = delivery_rolls.as_ref().map_or((false, false), |r| r[i]);
+                // At-least-once duplication: the same message (same seq,
+                // same body allocation) lands twice, back to back in its
+                // group — consumers must dedupe on the message id. The
+                // copy is a *re-receive* of the original, so it starts one
+                // attempt up: its delivery reads `attempt >= 2`, exactly
+                // like SQS's ApproximateReceiveCount on any message
+                // delivered more than once. Consumers may rely on
+                // `attempt == 1` meaning first-and-only delivery so far.
                 let dup = duplicate.then(|| Message {
                     attempt: msg.attempt + 1,
                     ..msg.clone()
                 });
-                st.groups
-                    .entry(Arc::clone(&shared_group))
-                    .or_default()
-                    .push_back(msg);
-                if let Some(dup) = dup {
-                    st.groups
-                        .entry(Arc::clone(&shared_group))
-                        .or_default()
-                        .push_back(dup);
+                let queue = st.groups.entry(Arc::clone(&shared_group)).or_default();
+                queue.push_back(msg);
+                queue.extend(dup);
+                if delayed {
+                    st.delayed.insert(seq, CHAOS_DELAY_POLLS);
                 }
-                if *delay > 0 {
-                    st.delayed.insert(seq, *delay);
-                }
-                seqs.push(seq);
             }
         }
         for body in bodies {
             self.inner.meter.queue_send(body.len());
         }
         self.inner.available.notify_all();
-        Ok(seqs)
+        Ok(first)
     }
 
     /// Number of pending (not in-flight) messages.
@@ -422,7 +354,8 @@ impl Queue {
         self.inner.state.lock().closed
     }
 
-    fn reclaim_expired(st: &mut QState, now: Instant, max_receive: u32, meter: &Meter) {
+    fn reclaim_expired(&self, st: &mut QState) {
+        let now = Instant::now();
         let expired: Vec<u64> = st
             .inflight
             .iter()
@@ -431,11 +364,11 @@ impl Queue {
             .collect();
         for id in expired {
             let inflight = st.inflight.remove(&id).expect("expired id present");
-            Self::requeue(st, inflight, max_receive, meter);
+            self.requeue(st, inflight);
         }
     }
 
-    fn requeue(st: &mut QState, inflight: InFlight, max_receive: u32, meter: &Meter) {
+    fn requeue(&self, st: &mut QState, inflight: InFlight) {
         if let Some(group) = &inflight.group {
             st.blocked.remove(group);
         }
@@ -444,9 +377,9 @@ impl Queue {
         // group are the original ref-counted allocations, never
         // re-encoded); exhausted ones go to the dead-letter queue.
         for msg in inflight.messages.into_iter().rev() {
-            if msg.attempt >= max_receive {
+            if msg.attempt >= self.inner.max_receive_count {
                 st.dead_letters.push(msg);
-                meter.dead_letter_delta(1);
+                self.inner.meter.dead_letter_delta(1);
                 continue;
             }
             let group = Arc::clone(&msg.group);
@@ -458,23 +391,16 @@ impl Queue {
         st.groups.retain(|_, q| !q.is_empty());
     }
 
+    /// Takes up to `max` (at least one) messages of the first
+    /// deliverable group.
     fn try_take(
         st: &mut QState,
         kind: QueueKind,
         max: usize,
         visibility: Duration,
-        batch_window: bool,
     ) -> Option<Batch> {
         let fifo = kind.is_fifo();
-        // A provider trigger without a batch window is capped at the
-        // kind's per-receive batch size; with a batch window the consumer
-        // may drain up to `max` accumulated messages of one group in a
-        // single pop (the distributor's epoch batches).
-        let max = if batch_window {
-            max.max(1)
-        } else {
-            max.min(kind.max_batch()).max(1)
-        };
+        let max = max.max(1);
         // Find the first deliverable group in round-robin order.
         let mut chosen: Option<Arc<str>> = None;
         for _ in 0..st.group_order.len() {
@@ -551,16 +477,11 @@ impl Queue {
     }
 
     /// Non-blocking receive of up to `max` messages (one ordering group
-    /// per batch for FIFO kinds).
+    /// per batch for FIFO kinds), capped at the kind's per-receive batch
+    /// size as a provider trigger is: a [`Queue::receive_up_to`] of at
+    /// most that many.
     pub fn receive(&self, max: usize, visibility: Duration) -> Option<Batch> {
-        let mut st = self.inner.state.lock();
-        Self::reclaim_expired(
-            &mut st,
-            Instant::now(),
-            self.inner.max_receive_count,
-            &self.inner.meter,
-        );
-        Self::try_take(&mut st, self.inner.kind, max, visibility, false)
+        self.receive_up_to(max.min(self.inner.kind.max_batch()), visibility)
     }
 
     /// Batch-window receive: like [`Queue::receive`] but allowed to drain
@@ -569,14 +490,7 @@ impl Queue {
     /// batching window" semantics). The leader's distributor uses this to
     /// form epoch batches.
     pub fn receive_up_to(&self, max: usize, visibility: Duration) -> Option<Batch> {
-        let mut st = self.inner.state.lock();
-        Self::reclaim_expired(
-            &mut st,
-            Instant::now(),
-            self.inner.max_receive_count,
-            &self.inner.meter,
-        );
-        Self::try_take(&mut st, self.inner.kind, max, visibility, true)
+        self.receive_up_to_timeout(max, visibility, Duration::ZERO)
     }
 
     /// Blocking batch-window receive (see [`Queue::receive_up_to`]):
@@ -591,13 +505,8 @@ impl Queue {
         let deadline = Instant::now() + timeout;
         let mut st = self.inner.state.lock();
         loop {
-            Self::reclaim_expired(
-                &mut st,
-                Instant::now(),
-                self.inner.max_receive_count,
-                &self.inner.meter,
-            );
-            if let Some(batch) = Self::try_take(&mut st, self.inner.kind, max, visibility, true) {
+            self.reclaim_expired(&mut st);
+            if let Some(batch) = Self::try_take(&mut st, self.inner.kind, max, visibility) {
                 return Some(batch);
             }
             if st.closed {
@@ -679,12 +588,7 @@ impl Queue {
                     msg.attempt = msg.attempt.saturating_sub(1);
                 }
             }
-            Self::requeue(
-                &mut st,
-                inflight,
-                self.inner.max_receive_count,
-                &self.inner.meter,
-            );
+            self.requeue(&mut st, inflight);
         }
         drop(st);
         self.inner.available.notify_all();

@@ -2,7 +2,9 @@
 //! at exactly one level, under the one policy of `fk_cloud::retry`
 //! (5 attempts), metered as `retry:<service>.<op>`:
 //!
-//! * one injected fault costs one retry and the call succeeds;
+//! * one injected fault costs one retry and the call succeeds (the
+//!   key-value table's single-item writes at both of their fault
+//!   points, `kv_throttle` and `kv_error`);
 //! * five faults exhaust the budget: the error surfaces after exactly 4
 //!   retries and the stored state is unchanged;
 //! * a failed condition, a cancelled transaction or a 412 is never
@@ -48,7 +50,7 @@ impl Services {
     fn state(&self) -> String {
         let ctx = Ctx::disabled();
         let objects: Vec<(String, Bytes)> = self.os.get_prefix(&ctx, "").unwrap();
-        let items = self.kv.scan(&ctx);
+        let items = self.kv.scan_prefix(&ctx, "");
         format!("{items:?} {objects:?} {}", self.queue.pending())
     }
 
@@ -93,6 +95,30 @@ fn cases() -> Vec<Case> {
             label: "kv.delete",
             fault: "kv_error",
             arm: |plan, spec| plan.kv_error = spec,
+            call: |s, ctx| s.kv.delete(ctx, "k", Condition::Always).map(drop),
+        },
+        Case {
+            label: "kv.put",
+            fault: "kv_throttle",
+            arm: |plan, spec| plan.kv_throttle = spec,
+            call: |s, ctx| {
+                let item = Item::new().with("v", 2i64);
+                s.kv.put(ctx, "k", item, Condition::Always).map(drop)
+            },
+        },
+        Case {
+            label: "kv.update",
+            fault: "kv_throttle",
+            arm: |plan, spec| plan.kv_throttle = spec,
+            call: |s, ctx| {
+                let update = Update::new().add("v", 1);
+                s.kv.update(ctx, "k", &update, Condition::Always).map(drop)
+            },
+        },
+        Case {
+            label: "kv.delete",
+            fault: "kv_throttle",
+            arm: |plan, spec| plan.kv_throttle = spec,
             call: |s, ctx| s.kv.delete(ctx, "k", Condition::Always).map(drop),
         },
         Case {
@@ -234,4 +260,26 @@ fn failed_conditions_cancellations_and_412s_are_never_retried() {
     );
     let used = services.meter.snapshot();
     assert_eq!((used.retries, used.per_op["obj_put_412"]), (0, 1));
+}
+
+/// A single-item write rolls the throttle before the injected error:
+/// with both armed to fire on every attempt, every attempt is throttled.
+#[test]
+fn a_write_rolls_the_throttle_first() {
+    for case in cases().iter().filter(|c| c.fault == "kv_throttle") {
+        let services = Services::seeded();
+        let mut plan = FaultPlan::disabled();
+        plan.kv_throttle = FaultSpec::new(1.0, 5);
+        plan.kv_error = FaultSpec::new(1.0, 5);
+        services.install(plan);
+        let err = (case.call)(&services, &Ctx::disabled()).unwrap_err();
+        assert!(
+            matches!(err, CloudError::Throttled),
+            "{}: {err}",
+            case.label
+        );
+        let counts = services.meter.snapshot().per_op;
+        assert_eq!(counts["fault:kv_throttle"], 5, "{}", case.label);
+        assert!(!counts.contains_key("fault:kv_error"), "{}", case.label);
+    }
 }

@@ -352,7 +352,7 @@ pub fn check_tree_integrity(
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut nodes: BTreeMap<String, fk_cloud::Item> = BTreeMap::new();
-    for (key, item) in system.kv().scan(ctx) {
+    for (key, item) in system.kv().scan_prefix(ctx, "") {
         if let Some(path) = key.strip_prefix("node:") {
             if SystemStore::node_exists(Some(&item)) {
                 nodes.insert(path.to_owned(), item);

@@ -717,10 +717,12 @@ impl SystemStore {
         }
     }
 
-    /// Scans all sessions (the heartbeat function's table scan, §5.3.3).
+    /// Scans all sessions (the heartbeat function's session-table scan,
+    /// §3.6): a query of the `session:` items, billed by their bytes
+    /// alone, so a heartbeat round costs the same however large the tree.
     pub fn list_sessions(&self, ctx: &Ctx) -> Vec<(String, Item)> {
         self.kv
-            .scan(ctx)
+            .scan_prefix(ctx, "session:")
             .into_iter()
             .filter_map(|(k, item)| k.strip_prefix("session:").map(|id| (id.to_owned(), item)))
             .collect()
@@ -1086,6 +1088,36 @@ mod tests {
             .map(|(id, _)| id)
             .collect();
         assert_eq!(ids, vec!["a".to_owned(), "b".to_owned()]);
+    }
+
+    /// The heartbeat's scan reads the session items alone: its read
+    /// units and its `KvScan` charge do not grow with the tree.
+    #[test]
+    fn list_sessions_bills_the_same_however_large_the_tree() {
+        let bill = |nodes: usize| {
+            let (sys, setup) = store();
+            for id in ["a", "b"] {
+                sys.register_session(&setup, id, 1).unwrap();
+            }
+            for i in 0..nodes {
+                let item = Item::new().with("data", vec![0u8; 1024]);
+                sys.kv()
+                    .put(
+                        &setup,
+                        &keys::node(&format!("/n{i}")),
+                        item,
+                        Condition::Always,
+                    )
+                    .unwrap();
+            }
+            let model = std::sync::Arc::new(fk_cloud::LatencyModel::aws());
+            let ctx = Ctx::new(model, fk_cloud::LatencyMode::Virtual, 3);
+            let before = sys.kv().meter().snapshot();
+            assert_eq!(sys.list_sessions(&ctx).len(), 2);
+            let used = sys.kv().meter().snapshot().since(&before);
+            (used.kv_read_units, used.per_op["kv_scan"], ctx.now_ns())
+        };
+        assert_eq!(bill(0), bill(1000));
     }
 
     #[test]
