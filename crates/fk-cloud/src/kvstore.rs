@@ -44,6 +44,7 @@ use crate::value::Item;
 use bytes::Bytes;
 use fk_store::{Lsm, StoreError};
 use parking_lot::{RwLock, RwLockWriteGuard};
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -136,9 +137,10 @@ struct Write<'a> {
     condition: &'a Condition,
     action: Action<'a>,
     shard: usize,
-    /// The new item, staged before anything is applied (`None`: the
-    /// item is removed or left alone).
-    staged: Option<Item>,
+    /// The new item, staged before anything is applied: a put's own
+    /// item or an update's result (`None`: the item is removed or left
+    /// alone).
+    staged: Option<Cow<'a, Item>>,
     /// The item the write replaced or removed.
     old: Option<Item>,
     /// Billed bytes: the new item's size, or a delete's removed size
@@ -271,13 +273,17 @@ impl KvStore {
     ///
     /// Returns the number of items recovered.
     pub fn attach_durable(&self, lsm: Lsm) -> CloudResult<usize> {
+        let attached = || CloudError::AlreadyExists {
+            name: format!("durable backend on table {}", self.inner.name),
+        };
+        if self.is_durable() {
+            return Err(attached());
+        }
         let mut recovered = Vec::new();
         for (key, raw) in lsm.scan_prefix("").map_err(map_store_err)? {
-            let Some(item) = Item::decode(&raw) else {
-                return Err(CloudError::StorageFailed {
-                    detail: format!("undecodable persisted item at key {key:?}"),
-                });
-            };
+            let item = Item::decode(&raw).ok_or_else(|| CloudError::StorageFailed {
+                detail: format!("undecodable persisted item at key {key:?}"),
+            })?;
             let tag = item.num(TAG_ATTR).unwrap_or(0) as Tag;
             self.inner.last_tag.fetch_max(tag, Ordering::Relaxed);
             recovered.push((key, item));
@@ -292,11 +298,7 @@ impl KvStore {
         if let Err(Refused::Invalid(e) | Refused::Storage(e)) = self.apply(&mut writes) {
             return Err(e);
         }
-        if self.inner.durable.set(lsm).is_err() {
-            return Err(CloudError::AlreadyExists {
-                name: format!("durable backend on table {}", self.inner.name),
-            });
-        }
+        self.inner.durable.set(lsm).map_err(|_| attached())?;
         Ok(writes.len())
     }
 
@@ -440,6 +442,7 @@ impl KvStore {
             let done = self.write_one(ctx, key, &condition, action, refused)?;
             self.charge_written(ctx, condition != Condition::Always, done.size);
             let new = done.staged.expect("a kept update holds its new item");
+            let new = new.into_owned();
             Ok(UpdateOutput { old: done.old, new })
         })
     }
@@ -490,16 +493,10 @@ impl KvStore {
             }
             // One metered request for the whole transaction; billing rounds
             // every item to 1 kB units independently (DynamoDB's model).
-            let mut sizes = Vec::with_capacity(writes.len());
-            let mut total = 0usize;
-            for write in &writes {
-                match write.action {
-                    Action::Check => continue,
-                    Action::Delete => {}
-                    Action::Put(_) | Action::Update(..) => total += write.size,
-                }
-                sizes.push(write.size);
-            }
+            let billed = writes.iter().filter(|w| !matches!(w.action, Action::Check));
+            let sizes: Vec<usize> = billed.clone().map(|w| w.size).collect();
+            let written = billed.filter(|w| !matches!(w.action, Action::Delete));
+            let total: usize = written.map(|w| w.size).sum();
             self.inner.meter.kv_transact_write(&sizes);
             ctx.charge_to(Op::KvTransact, total.max(1), self.inner.region);
             Ok(())
@@ -547,15 +544,25 @@ impl KvStore {
     /// the caller's.
     fn apply(&self, writes: &mut [Write<'_>]) -> Result<(), Refused> {
         let locked = writes.iter().fold(0u64, |set, w| set | 1 << w.shard);
-        let mut guards: [Option<RwLockWriteGuard<'_, Shard>>; SHARDS] =
-            std::array::from_fn(|_| None);
-        for (id, guard) in guards.iter_mut().enumerate() {
-            if locked >> id & 1 == 1 {
-                *guard = Some(self.inner.shards[id].write());
-            }
+        // One guard per locked shard, in index order; a shard's guard
+        // sits at its rank among them. A one-shard apply (every
+        // single-item write) keeps its guard on the stack.
+        let mut one = [None];
+        let mut many = Vec::new();
+        let guards: &mut [Option<RwLockWriteGuard<'_, Shard>>] = if locked.count_ones() == 1 {
+            &mut one
+        } else {
+            many.resize_with(locked.count_ones() as usize, || None);
+            &mut many
+        };
+        let mut rest = locked;
+        for guard in guards.iter_mut() {
+            *guard = Some(self.inner.shards[rest.trailing_zeros() as usize].write());
+            rest &= rest - 1;
         }
+        let slot = |shard: usize| (locked & ((1 << shard) - 1)).count_ones() as usize;
         for (index, w) in writes.iter().enumerate() {
-            let shard = guards[w.shard].as_ref().expect("shard locked");
+            let shard = guards[slot(w.shard)].as_ref().expect("shard locked");
             if !w.condition.eval(shard.get(w.key)) {
                 return Err(Refused::Condition(index));
             }
@@ -563,13 +570,13 @@ impl KvStore {
         // Stage every new state before mutating anything: an update
         // expression can still fail on a type error, an item on its size.
         for w in writes.iter_mut() {
-            let shard = guards[w.shard].as_ref().expect("shard locked");
+            let shard = guards[slot(w.shard)].as_ref().expect("shard locked");
             w.staged = match w.action {
-                Action::Put(item) => Some(item.clone()),
+                Action::Put(item) => Some(Cow::Borrowed(item)),
                 Action::Update(update, _) => {
                     let mut item = shard.get(w.key).cloned().unwrap_or_default();
                     update.apply(&mut item).map_err(Refused::Invalid)?;
-                    Some(item)
+                    Some(Cow::Owned(item))
                 }
                 Action::Delete | Action::Check => None,
             };
@@ -578,13 +585,15 @@ impl KvStore {
             }
         }
         self.log_durable(writes).map_err(Refused::Storage)?;
+        let mut stored = 0i64;
         for w in writes.iter_mut() {
-            let shard = guards[w.shard].as_mut().expect("shard locked");
+            let shard = guards[slot(w.shard)].as_mut().expect("shard locked");
             let staged = match w.action {
                 Action::Check => continue,
                 Action::Update(_, true) => w.staged.clone(),
                 _ => w.staged.take(),
-            };
+            }
+            .map(Cow::into_owned);
             let new_size = staged.as_ref().map_or(0, |_| w.size);
             w.old = match staged {
                 Some(item) => shard.insert(w.key.to_owned(), item),
@@ -594,10 +603,10 @@ impl KvStore {
             if matches!(w.action, Action::Delete) {
                 w.size = old_size.max(1);
             }
-            self.inner
-                .meter
-                .kv_stored_delta(new_size as i64 - old_size as i64);
+            stored += new_size as i64 - old_size as i64;
         }
+        drop((one, many));
+        self.inner.meter.kv_stored_delta(stored);
         Ok(())
     }
 
@@ -639,7 +648,11 @@ impl KvStore {
     /// DynamoDB consumes write units for every item of a cancelled
     /// TransactWriteItems, here at each item's estimated size.
     fn charge_cancelled(&self, ctx: &Ctx, ops: &[TransactOp]) {
-        let sizes: Vec<usize> = ops.iter().map(op_size_estimate).collect();
+        let estimate = |op: &TransactOp| match op {
+            TransactOp::Put { item, .. } => item.size_bytes(),
+            _ => 64,
+        };
+        let sizes: Vec<usize> = ops.iter().map(estimate).collect();
         self.inner.meter.kv_transact_write(&sizes);
         let total: usize = sizes.iter().sum();
         ctx.charge_to(Op::KvTransact, total.max(1), self.inner.region);
@@ -653,13 +666,6 @@ impl KvStore {
 fn map_store_err(e: StoreError) -> CloudError {
     CloudError::StorageFailed {
         detail: e.to_string(),
-    }
-}
-
-fn op_size_estimate(op: &TransactOp) -> usize {
-    match op {
-        TransactOp::Put { item, .. } => item.size_bytes(),
-        _ => 64,
     }
 }
 

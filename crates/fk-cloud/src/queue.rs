@@ -393,13 +393,8 @@ impl Queue {
 
     /// Takes up to `max` (at least one) messages of the first
     /// deliverable group.
-    fn try_take(
-        st: &mut QState,
-        kind: QueueKind,
-        max: usize,
-        visibility: Duration,
-    ) -> Option<Batch> {
-        let fifo = kind.is_fifo();
+    fn try_take(&self, st: &mut QState, max: usize, visibility: Duration) -> Option<Batch> {
+        let fifo = self.inner.kind.is_fifo();
         let max = max.max(1);
         // Find the first deliverable group in round-robin order.
         let mut chosen: Option<Arc<str>> = None;
@@ -506,7 +501,7 @@ impl Queue {
         let mut st = self.inner.state.lock();
         loop {
             self.reclaim_expired(&mut st);
-            if let Some(batch) = Self::try_take(&mut st, self.inner.kind, max, visibility) {
+            if let Some(batch) = self.try_take(&mut st, max, visibility) {
                 return Some(batch);
             }
             if st.closed {
