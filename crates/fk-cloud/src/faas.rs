@@ -428,7 +428,14 @@ impl FaasRuntime {
             }
             let _ = tx.send(result);
         });
-        self.inner.workers.lock().push(handle);
+        // Join the invocations that have finished: an unjoined thread
+        // keeps its stack mapped until shutdown. Their results went out
+        // on their channels.
+        let mut workers = self.inner.workers.lock();
+        for finished in workers.extract_if(.., |worker| worker.is_finished()) {
+            let _ = finished.join();
+        }
+        workers.push(handle);
         Ok(rx)
     }
 
@@ -852,6 +859,30 @@ mod tests {
         let rx = rt.invoke_async(&ctx, "w", Bytes::new()).unwrap();
         let out = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
         assert_eq!(out.as_ref(), b"done");
+        rt.shutdown();
+    }
+
+    /// A finished asynchronous invocation does not keep its thread's
+    /// handle, and with it its stack, until shutdown.
+    #[test]
+    fn finished_async_invocations_release_their_threads() {
+        let rt = runtime();
+        rt.register("w", FunctionConfig::default(), |_: &Ctx, _: &Event| {
+            Ok(Bytes::new())
+        })
+        .unwrap();
+        let ctx = Ctx::disabled();
+        for _ in 0..20 {
+            let rx = rt.invoke_async(&ctx, "w", Bytes::new()).unwrap();
+            rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !rt.inner.workers.lock().iter().all(|w| w.is_finished()) {
+            assert!(Instant::now() < deadline, "invocation threads never ended");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        rt.invoke_async(&ctx, "w", Bytes::new()).unwrap();
+        assert_eq!(rt.inner.workers.lock().len(), 1);
         rt.shutdown();
     }
 
