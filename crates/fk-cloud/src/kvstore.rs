@@ -420,7 +420,8 @@ impl KvStore {
         with_retry(ctx, &self.inner.meter, "kv.put", || {
             self.check_size(&item)?;
             let refused = || self.charge_written(ctx, true, item.size_bytes());
-            let put = self.write_one(ctx, key, &condition, Action::Put(&item), refused)?;
+            let mut put = Write::new(key, &condition, Action::Put(&item));
+            self.write_one(ctx, &mut put, refused)?;
             self.charge_written(ctx, condition != Condition::Always, put.size);
             Ok(put.old)
         })
@@ -438,8 +439,8 @@ impl KvStore {
     ) -> CloudResult<UpdateOutput> {
         with_retry(ctx, &self.inner.meter, "kv.update", || {
             let refused = || self.charge_failed_update(ctx, key);
-            let action = Action::Update(update, true);
-            let done = self.write_one(ctx, key, &condition, action, refused)?;
+            let mut done = Write::new(key, &condition, Action::Update(update, true));
+            self.write_one(ctx, &mut done, refused)?;
             self.charge_written(ctx, condition != Condition::Always, done.size);
             let new = done.staged.expect("a kept update holds its new item");
             let new = new.into_owned();
@@ -452,7 +453,8 @@ impl KvStore {
     pub fn delete(&self, ctx: &Ctx, key: &str, condition: Condition) -> CloudResult<Option<Item>> {
         with_retry(ctx, &self.inner.meter, "kv.delete", || {
             let refused = || self.charge_failed_update(ctx, key);
-            let done = self.write_one(ctx, key, &condition, Action::Delete, refused)?;
+            let mut done = Write::new(key, &condition, Action::Delete);
+            self.write_one(ctx, &mut done, refused)?;
             self.inner.meter.kv_write(done.size);
             ctx.charge_to(Op::KvDelete, done.size, self.inner.region);
             Ok(done.old)
@@ -506,21 +508,15 @@ impl KvStore {
     /// One single-item write: rolls the write-plane fault points, then
     /// applies. A refused condition or durable log is billed by
     /// `refused`; the caller bills the applied write.
-    fn write_one<'a>(
+    fn write_one(
         &self,
         ctx: &Ctx,
-        key: &'a str,
-        condition: &'a Condition,
-        action: Action<'a>,
+        write: &mut Write<'_>,
         refused: impl FnOnce(),
-    ) -> CloudResult<Write<'a>> {
-        self.chaos_write_error(ctx, key)?;
-        let mut writes = [Write::new(key, condition, action)];
-        match self.apply(&mut writes) {
-            Ok(()) => {
-                let [done] = writes;
-                Ok(done)
-            }
+    ) -> CloudResult<()> {
+        self.chaos_write_error(ctx, write.key)?;
+        match self.apply(std::slice::from_mut(write)) {
+            Ok(()) => Ok(()),
             Err(Refused::Invalid(e)) => Err(e),
             Err(Refused::Storage(e)) => {
                 refused();
@@ -528,7 +524,7 @@ impl KvStore {
             }
             Err(Refused::Condition(_)) => {
                 refused();
-                let detail = condition.describe();
+                let detail = write.condition.describe();
                 Err(CloudError::ConditionFailed { detail })
             }
         }
