@@ -461,7 +461,7 @@ impl KvStore {
         })
     }
 
-    /// Multi-item all-or-nothing transaction: one [`KvStore::apply`] of
+    /// Multi-item all-or-nothing transaction: one locked apply of
     /// every item — Z1's "requests never lead to partial results".
     /// Transient failures are retried inside; a `TransactionCancelled`
     /// never is.
